@@ -467,11 +467,19 @@ func BenchmarkRealHamiltonianApply(b *testing.B) {
 	}
 }
 
+// BenchmarkRealDensity times one density build at one and at two workers in
+// the same run (16 bands are two band groups, so two workers is all the
+// build can use): the second must not be slower than the first.
 func BenchmarkRealDensity(b *testing.B) {
 	g, psi, nb := fixture(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		potential.Density(g, psi, nb, 2)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(workers))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				potential.Density(g, psi, nb, 2)
+			}
+		})
 	}
 }
 

@@ -55,10 +55,27 @@ func (s *System) Prepare(psi []complex128, t float64) []float64 {
 	} else {
 		s.H.SetField([3]float64{})
 	}
-	rho := potential.Density(s.G, psi, s.NB, s.Occ)
-	s.H.UpdatePotential(rho)
+	rho := s.density(psi)
+	s.updatePotential(rho)
 	s.H.SetFockOrbitals(psi, s.NB)
 	return rho
+}
+
+// density and updatePotential are potential.Density and
+// Hamiltonian.UpdatePotential under the "density" and "potential" spans the
+// distributed solver also records, so a serial and a distributed profile
+// have the same rows.
+func (s *System) density(psi []complex128) []float64 {
+	ref := s.Tr.Begin("density", "solver")
+	rho := potential.Density(s.G, psi, s.NB, s.Occ)
+	s.Tr.End(ref)
+	return rho
+}
+
+func (s *System) updatePotential(rho []float64) {
+	ref := s.Tr.Begin("potential", "solver")
+	s.H.UpdatePotential(rho)
+	s.Tr.End(ref)
 }
 
 // PrepareWithDensity is Prepare with a caller-supplied density (used inside
@@ -70,7 +87,7 @@ func (s *System) PrepareWithDensity(psi []complex128, rho []float64, t float64) 
 	} else {
 		s.H.SetField([3]float64{})
 	}
-	s.H.UpdatePotential(rho)
+	s.updatePotential(rho)
 	s.H.SetFockOrbitals(psi, s.NB)
 }
 
@@ -233,7 +250,7 @@ func (p *PTCN) Step(psi []complex128, dt float64) ([]complex128, StepStats, erro
 	psif := wavefunc.Clone(half)
 
 	// Line 3: density of the trial state.
-	rhof := potential.Density(g, psif, nb, s.Occ)
+	rhof := s.density(psif)
 
 	mixer := mixing.NewBandMixer(nb, ng, p.Opt.MixHistory, p.Opt.MixBeta)
 	tNext := p.Time + dt
@@ -257,7 +274,7 @@ func (p *PTCN) Step(psi []complex128, dt float64) ([]complex128, StepStats, erro
 		psif = mixer.Mix(psif, fp)
 
 		// Line 8-9: density change convergence monitor.
-		rhoNew := potential.Density(g, psif, nb, s.Occ)
+		rhoNew := s.density(psif)
 		stats.DensityError = potential.DensityDiff(g, rhoNew, rhof, s.Occ*float64(nb))
 		rhof = rhoNew
 		stats.SCFIterations++

@@ -145,8 +145,10 @@ func (s *PTCNSolver) prepare(rho []float64, t float64) {
 	} else {
 		s.H.SetField([3]float64{})
 	}
+	ref := s.D.C.Trace().Begin("potential", "solver")
 	veff, en := potential.SCFPotential(s.D.G, rho, s.H.VlocDense(), s.exScale())
 	s.H.SetVeffDense(veff, en)
+	s.D.C.Trace().End(ref)
 }
 
 // exchangeWS returns the solver's exchange workspace, allocated on first

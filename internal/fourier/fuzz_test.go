@@ -114,3 +114,30 @@ func FuzzLaneVsScalar(f *testing.F) {
 		check("diagonal pair contraction", refD, accD)
 	})
 }
+
+// FuzzPrunedVsRaw is the property pin of the pruned dense synthesis: for
+// ANY grid shape and ANY subset of z-rows, InversePrunedSlabWS on a box that
+// is zero outside the subset equals the full RawSlabWS inverse. The corpus
+// covers the production dense boxes' shapes in miniature (row counts that
+// are and are not multiples of lanes.Width, a single row, every row, a
+// Bluestein axis) and runs in a plain `go test`.
+func FuzzPrunedVsRaw(f *testing.F) {
+	f.Add(uint8(8), uint8(8), uint8(8), uint8(40), int64(1))
+	f.Add(uint8(12), uint8(6), uint8(6), uint8(25), int64(2)) // the 36x18x18 aspect
+	f.Add(uint8(5), uint8(7), uint8(3), uint8(128), int64(3))
+	f.Add(uint8(4), uint8(67), uint8(3), uint8(30), int64(4))  // Bluestein axis: 67 is prime
+	f.Add(uint8(13), uint8(2), uint8(9), uint8(255), int64(5)) // every row listed
+	f.Add(uint8(9), uint8(9), uint8(10), uint8(2), int64(6))   // (almost) no row listed
+	f.Add(uint8(1), uint8(1), uint8(31), uint8(255), int64(7))
+	f.Fuzz(func(t *testing.T, bx, by, bz, bkeep uint8, seed int64) {
+		nx := 1 + int(bx)%67
+		ny := 1 + int(by)%67
+		nz := 1 + int(bz)%67
+		if nx*ny*nz > 5000 {
+			t.Skip("grid too large for a fuzz iteration")
+		}
+		p := MustPlan3(nx, ny, nz)
+		box, rows, planes := prunedCase(rand.New(rand.NewSource(seed)), p, float64(bkeep)/255)
+		checkPrunedVsRaw(t, p, box, rows, planes, 1e-12*(1+math.Sqrt(float64(p.Size()))))
+	})
+}

@@ -33,15 +33,27 @@ func (p *Plan3) checkSlab(s lanes.Slab, what string) {
 }
 
 // zPassSlab transforms along z, src -> dst (which may be the same slab).
-func (p *Plan3) zPassSlab(dst, src lanes.Slab, inverse bool, ws *Workspace3) {
+// rows lists the z-rows (flat index ix*Ny + iy) to transform, Width of them
+// per lane group; nil means every row. Rows not listed are neither read nor
+// written.
+func (p *Plan3) zPassSlab(dst, src lanes.Slab, rows []int, inverse bool, ws *Workspace3) {
 	nz := p.nz
-	rows := p.nx * p.ny
+	n := p.nx * p.ny
+	if rows != nil {
+		n = len(rows)
+	}
 	lu := ws.lu.Slice(0, nz*lw)
 	lv := ws.lv.Slice(0, nz*lw)
-	for r0 := 0; r0 < rows; r0 += lw {
-		L := min(lw, rows-r0)
+	var bases [lw]int
+	for r0 := 0; r0 < n; r0 += lw {
+		L := min(lw, n-r0)
 		for l := 0; l < L; l++ {
-			base := (r0 + l) * nz
+			r := r0 + l
+			if rows != nil {
+				r = rows[r]
+			}
+			base := r * nz
+			bases[l] = base
 			rre := src.Re[base : base+nz]
 			rim := src.Im[base : base+nz]
 			for k := 0; k < nz; k++ {
@@ -52,7 +64,7 @@ func (p *Plan3) zPassSlab(dst, src lanes.Slab, inverse bool, ws *Workspace3) {
 		zeroTailLanes(lu, nz, L)
 		p.pz.transformLanes(lv, lu, inverse, ws.wsz)
 		for l := 0; l < L; l++ {
-			base := (r0 + l) * nz
+			base := bases[l]
 			rre := dst.Re[base : base+nz]
 			rim := dst.Im[base : base+nz]
 			for k := 0; k < nz; k++ {
@@ -121,12 +133,21 @@ func scatterStrided(dst lanes.Slab, b lanes.Slab, off, n, stride, L int) {
 	}
 }
 
-// yPassSlab transforms along y (stride nz) in place.
-func (p *Plan3) yPassSlab(dst lanes.Slab, inverse bool, ws *Workspace3) {
-	nx, ny, nz := p.nx, p.ny, p.nz
+// yPassSlab transforms along y (stride nz) in place. planes lists the
+// x-planes ix to transform; nil means every plane.
+func (p *Plan3) yPassSlab(dst lanes.Slab, planes []int, inverse bool, ws *Workspace3) {
+	ny, nz := p.ny, p.nz
+	n := p.nx
+	if planes != nil {
+		n = len(planes)
+	}
 	lu := ws.lu.Slice(0, ny*lw)
 	lv := ws.lv.Slice(0, ny*lw)
-	for ix := 0; ix < nx; ix++ {
+	for i := 0; i < n; i++ {
+		ix := i
+		if planes != nil {
+			ix = planes[i]
+		}
 		base := ix * ny * nz
 		for iz0 := 0; iz0 < nz; iz0 += lw {
 			L := min(lw, nz-iz0)
@@ -196,9 +217,28 @@ func (p *Plan3) xPassKernelSlab(buf lanes.Slab, kernel []float64, ws *Workspace3
 func (p *Plan3) RawSlabWS(dst, src lanes.Slab, inverse bool, ws *Workspace3) {
 	p.checkSlab(dst, "dst")
 	p.checkSlab(src, "src")
-	p.zPassSlab(dst, src, inverse, ws)
-	p.yPassSlab(dst, inverse, ws)
+	p.zPassSlab(dst, src, nil, inverse, ws)
+	p.yPassSlab(dst, nil, inverse, ws)
 	p.xPassSlab(dst, inverse, ws)
+}
+
+// InversePrunedSlabWS is RawSlabWS(buf, buf, true, ws) for a box that is
+// zero outside a declared set of z-rows, as a zero-padded sphere of Fourier
+// coefficients is: the z pass runs only over rows (flat indices ix*Ny + iy
+// of the z-rows that may hold nonzeros), the y pass only over planes (the
+// x-planes ix those rows lie in) and the x pass over everything. Rows and
+// planes left out would transform zeros to zeros, so the result is the full
+// transform with those pencils' work skipped.
+//
+// Precondition: every nonzero of buf lies in a listed row, every listed
+// row lies in a listed plane, and both lists are duplicate-free. Nothing
+// checks it; data outside the lists is silently treated as zero by the
+// passes that skip it and read by the ones that do not.
+func (p *Plan3) InversePrunedSlabWS(buf lanes.Slab, rows, planes []int, ws *Workspace3) {
+	p.checkSlab(buf, "buf")
+	p.zPassSlab(buf, buf, rows, true, ws)
+	p.yPassSlab(buf, planes, true, ws)
+	p.xPassSlab(buf, true, ws)
 }
 
 // PoissonSlabWS is the fused Poisson round trip over a grid slab:
@@ -212,11 +252,11 @@ func (p *Plan3) PoissonSlabWS(buf lanes.Slab, kernel []float64, ws *Workspace3) 
 	if len(kernel) != p.Size() {
 		panic(fmt.Sprintf("fourier: Poisson kernel length %d != grid %d", len(kernel), p.Size()))
 	}
-	p.zPassSlab(buf, buf, false, ws)
-	p.yPassSlab(buf, false, ws)
+	p.zPassSlab(buf, buf, nil, false, ws)
+	p.yPassSlab(buf, nil, false, ws)
 	p.xPassKernelSlab(buf, kernel, ws)
-	p.yPassSlab(buf, true, ws)
-	p.zPassSlab(buf, buf, true, ws)
+	p.yPassSlab(buf, nil, true, ws)
+	p.zPassSlab(buf, buf, nil, true, ws)
 }
 
 // ContractSlabWS is the fused Fock-exchange contraction over grid slabs:
@@ -263,9 +303,9 @@ func (p *Plan3) ContractSlabWS(dst, phi, src, buf lanes.Slab, kernel []float64, 
 			}
 		}
 	}
-	p.yPassSlab(buf, false, ws)
+	p.yPassSlab(buf, nil, false, ws)
 	p.xPassKernelSlab(buf, kernel, ws)
-	p.yPassSlab(buf, true, ws)
+	p.yPassSlab(buf, nil, true, ws)
 	// Inverse z pass with dst += scale*phi*v fused into the scatter.
 	for r0 := 0; r0 < rows; r0 += lw {
 		L := min(lw, rows-r0)
@@ -333,9 +373,9 @@ func (p *Plan3) ContractPairSlabWS(accI, accJ, phiI, phiJ, buf lanes.Slab, kerne
 			}
 		}
 	}
-	p.yPassSlab(buf, false, ws)
+	p.yPassSlab(buf, nil, false, ws)
 	p.xPassKernelSlab(buf, kernel, ws)
-	p.yPassSlab(buf, true, ws)
+	p.yPassSlab(buf, nil, true, ws)
 	for r0 := 0; r0 < rows; r0 += lw {
 		L := min(lw, rows-r0)
 		for l := 0; l < L; l++ {

@@ -179,3 +179,71 @@ func BenchmarkPoissonSerialRef(b *testing.B) {
 		p.PoissonSerialWS(buf, kernel, ws)
 	}
 }
+
+// prunedCase draws a sorted, duplicate-free subset of the plan's z-rows,
+// the x-planes they lie in, and a box that is nonzero only inside those
+// rows - the shape InversePrunedSlabWS declares as its precondition.
+func prunedCase(rng *rand.Rand, p *Plan3, keep float64) (box []complex128, rows, planes []int) {
+	nx, ny, nz := p.Dims()
+	box = make([]complex128, p.Size())
+	for r := 0; r < nx*ny; r++ {
+		if rng.Float64() >= keep {
+			continue
+		}
+		rows = append(rows, r)
+		if ix := r / ny; len(planes) == 0 || planes[len(planes)-1] != ix {
+			planes = append(planes, ix)
+		}
+		for k := 0; k < nz; k++ {
+			if rng.Intn(3) > 0 { // a row may be partly filled, as a sphere's are
+				box[r*nz+k] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+		}
+	}
+	return box, rows, planes
+}
+
+// checkPrunedVsRaw is the oracle comparison shared by the table test and
+// the fuzz target: pruned synthesis ≡ the full RawSlabWS inverse.
+func checkPrunedVsRaw(t *testing.T, p *Plan3, box []complex128, rows, planes []int, tol float64) {
+	t.Helper()
+	n := p.Size()
+	ws := p.NewWorkspace()
+	ref := lanes.New(n)
+	lanes.Pack(ref, box)
+	p.RawSlabWS(ref, ref, true, ws)
+	got := lanes.New(n)
+	lanes.Pack(got, box)
+	p.InversePrunedSlabWS(got, rows, planes, ws)
+	var d float64
+	for i := 0; i < n; i++ {
+		d = math.Max(d, math.Max(math.Abs(got.Re[i]-ref.Re[i]), math.Abs(got.Im[i]-ref.Im[i])))
+	}
+	nx, ny, nz := p.Dims()
+	if d > tol {
+		t.Errorf("grid %dx%dx%d, %d rows in %d planes: pruned vs full inverse max diff %g (tol %g)",
+			nx, ny, nz, len(rows), len(planes), d, tol)
+	}
+}
+
+func TestInversePrunedSlabMatchesRaw(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	grids := [][3]int{
+		{36, 18, 18}, // Si16 / Ecut 3 dense box
+		{24, 24, 24}, // Si8 / Ecut 6
+		{18, 18, 18}, // Si8 / Ecut 3
+		{14, 14, 14}, // Si8 / Ecut 2
+		{5, 7, 3},    // 35 rows, 3- and 21-pencil passes: no multiple of Width
+		{4, 67, 6},   // Bluestein y axis
+	}
+	for _, dims := range grids {
+		p := MustPlan3(dims[0], dims[1], dims[2])
+		// Sparse, sphere-like (about a sixth of the rows), dense, and the
+		// two degenerate lists.
+		for _, keep := range []float64{0.05, 0.15, 0.6, 1} {
+			box, rows, planes := prunedCase(rng, p, keep)
+			checkPrunedVsRaw(t, p, box, rows, planes, 1e-12)
+		}
+		checkPrunedVsRaw(t, p, make([]complex128, p.Size()), []int{}, []int{}, 0)
+	}
+}

@@ -45,11 +45,39 @@ type Grid struct {
 	GVec       [][3]float64
 	G2         []float64
 	MillerIdx  [][3]int
+	// SphereRowsD and SpherePlanesD list, ascending and duplicate-free, the
+	// dense-box z-rows (flat index ix*ND[1] + iy) and x-planes (ix) that
+	// hold at least one SphereIdxD entry. A zero-padded orbital is zero
+	// everywhere else, which is what the pruned synthesis of
+	// ToRealDenseSlabWS skips.
+	SphereRowsD   []int
+	SpherePlanesD []int
 	// G2Dense holds |G|^2 for every dense-box point (Hartree kernel).
 	G2Dense []float64
 	// GVecDense holds the G vector for every dense-box point.
 	GVecDense [][3]float64
+
+	// Per-worker dense-box scratch, recycled across density builds and
+	// collected with the grid.
+	denseScratch parallel.ScratchPool[*DenseScratch]
 }
+
+// DenseScratch is one worker's scratch for building densities on the dense
+// box: a split re/im box one orbital is synthesized into, a real
+// accumulator of the same size, and the FFT line scratch of PlanD.
+type DenseScratch struct {
+	Box lanes.Slab
+	Acc []float64
+	WS  *fourier.Workspace3
+}
+
+// AcquireDenseScratch hands out n dense-box workspaces, one per worker;
+// pair it with ReleaseDenseScratch. Sequential acquire/release cycles on
+// one grid allocate nothing in steady state.
+func (g *Grid) AcquireDenseScratch(n int) []*DenseScratch { return g.denseScratch.Acquire(n) }
+
+// ReleaseDenseScratch returns an AcquireDenseScratch table to the grid.
+func (g *Grid) ReleaseDenseScratch(t []*DenseScratch) { g.denseScratch.Release(t) }
 
 // New builds the grids for the given cell and wavefunction cutoff (Ha).
 func New(cell *lattice.Cell, ecut float64) (*Grid, error) {
@@ -80,6 +108,13 @@ func New(cell *lattice.Cell, ecut float64) (*Grid, error) {
 	}
 	g.buildSphere()
 	g.buildDenseG()
+	g.denseScratch.New = func() *DenseScratch {
+		return &DenseScratch{
+			Box: lanes.New(g.NDTot),
+			Acc: make([]float64, g.NDTot),
+			WS:  g.PlanD.NewWorkspace(),
+		}
+	}
 	return g, nil
 }
 
@@ -139,6 +174,18 @@ func (g *Grid) buildSphere() {
 		}
 	}
 	g.NG = len(g.SphereIdx)
+	// The loops above visit dense indices in ascending order, so the rows
+	// and planes of consecutive entries repeat or grow.
+	for _, k := range g.SphereIdxD {
+		row := k / g.ND[2]
+		if n := len(g.SphereRowsD); n == 0 || g.SphereRowsD[n-1] != row {
+			g.SphereRowsD = append(g.SphereRowsD, row)
+		}
+		plane := row / g.ND[1]
+		if n := len(g.SpherePlanesD); n == 0 || g.SpherePlanesD[n-1] != plane {
+			g.SpherePlanesD = append(g.SpherePlanesD, plane)
+		}
+	}
 }
 
 func (g *Grid) buildDenseG() {
@@ -297,6 +344,24 @@ func (g *Grid) FromRealSlabWS(c []complex128, box lanes.Slab, ws *fourier.Worksp
 	for s, k := range g.SphereIdx {
 		c[s] = complex(box.Re[k]*scale, box.Im[k]*scale)
 	}
+}
+
+// ToRealDenseSlabWS synthesizes sum_G c_G exp(iG.r) on the dense box (zero
+// padding in G space) into a split re/im box, WITHOUT the 1/sqrt(Omega) of
+// ToReal: the density build folds that factor, squared, into its own
+// scaling. Only the z-rows and x-planes the sphere touches are transformed
+// along z and y (fourier.Plan3.InversePrunedSlabWS); the box is zeroed and
+// scattered here, which is that method's precondition.
+func (g *Grid) ToRealDenseSlabWS(box lanes.Slab, c []complex128, ws *fourier.Workspace3) {
+	if box.Len() != g.NDTot || len(c) != g.NG {
+		panic("grid: ToRealDenseSlab buffer size mismatch")
+	}
+	box.Zero()
+	for s, k := range g.SphereIdxD {
+		box.Re[k] = real(c[s])
+		box.Im[k] = imag(c[s])
+	}
+	g.PlanD.InversePrunedSlabWS(box, g.SphereRowsD, g.SpherePlanesD, ws)
 }
 
 // DenseForward computes the Fourier coefficients f_G of a real-space dense

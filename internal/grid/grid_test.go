@@ -281,3 +281,70 @@ func TestNewRejectsBadCutoff(t *testing.T) {
 		t.Error("expected error for negative cutoff")
 	}
 }
+
+// The pruned dense synthesis trusts SphereRowsD / SpherePlanesD to name
+// exactly the z-rows and x-planes a zero-padded orbital can be nonzero in:
+// a missing row would drop coefficients, an extra one only wastes work.
+func TestSphereRowsAndPlanesCoverSphereExactly(t *testing.T) {
+	for _, tc := range []struct {
+		cells         [3]int
+		ecut          float64
+		nrows, nplane int // 0: not pinned
+	}{
+		{[3]int{1, 1, 1}, 2, 0, 0},
+		{[3]int{1, 1, 1}, 3, 0, 0},
+		{[3]int{1, 1, 1}, 6, 0, 0},
+		{[3]int{2, 1, 1}, 3, 97, 17}, // the 36x18x18 box of DESIGN.md §5
+	} {
+		g := MustNew(lattice.MustSiliconSupercell(tc.cells[0], tc.cells[1], tc.cells[2]), tc.ecut)
+		rows := map[int]bool{}
+		planes := map[int]bool{}
+		for _, k := range g.SphereIdxD {
+			rows[k/g.ND[2]] = true
+			planes[k/(g.ND[1]*g.ND[2])] = true
+		}
+		check := func(what string, list []int, want map[int]bool, limit int) {
+			if len(list) != len(want) {
+				t.Errorf("%v ecut %g: %d %s listed, sphere touches %d", tc.cells, tc.ecut, len(list), what, len(want))
+			}
+			for i, v := range list {
+				if !want[v] {
+					t.Errorf("%v ecut %g: %s %d listed but holds no sphere point", tc.cells, tc.ecut, what, v)
+				}
+				if v < 0 || v >= limit || (i > 0 && list[i-1] >= v) {
+					t.Fatalf("%v ecut %g: %s list not ascending inside [0,%d) at %d: %v", tc.cells, tc.ecut, what, limit, i, list)
+				}
+			}
+		}
+		check("rows", g.SphereRowsD, rows, g.ND[0]*g.ND[1])
+		check("planes", g.SpherePlanesD, planes, g.ND[0])
+		if tc.nrows != 0 && (len(g.SphereRowsD) != tc.nrows || len(g.SpherePlanesD) != tc.nplane) {
+			t.Errorf("%v ecut %g on %v: %d rows, %d planes; want %d, %d", tc.cells, tc.ecut, g.ND,
+				len(g.SphereRowsD), len(g.SpherePlanesD), tc.nrows, tc.nplane)
+		}
+	}
+}
+
+func TestToRealDenseSlabMatchesToRealDense(t *testing.T) {
+	g := si8Grid(t, 3)
+	rng := rand.New(rand.NewSource(5))
+	c := make([]complex128, g.NG)
+	for i := range c {
+		c[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	ref := make([]complex128, g.NDTot)
+	g.ToRealDense(ref, c)
+	sc := g.AcquireDenseScratch(1)
+	defer g.ReleaseDenseScratch(sc)
+	// Run twice: the second call must not see the first one's leftovers.
+	for rep := 0; rep < 2; rep++ {
+		g.ToRealDenseSlabWS(sc[0].Box, c, sc[0].WS)
+	}
+	norm := 1 / math.Sqrt(g.Volume())
+	for i, want := range ref {
+		got := complex(sc[0].Box.Re[i]*norm, sc[0].Box.Im[i]*norm)
+		if cmplx.Abs(got-want) > 1e-12 {
+			t.Fatalf("point %d: slab %v, ToRealDense %v", i, got, want)
+		}
+	}
+}

@@ -413,23 +413,24 @@ func (e EnergyBreakdown) Total() float64 {
 // that the Hartree/XC/local bookkeeping matches rho.
 func (h *Hamiltonian) TotalEnergy(psi []complex128, nb int, occ float64) EnergyBreakdown {
 	ng := h.G.NG
-	var ekin, enl float64
-	var mu parallelSum
+	// Per-band terms land in their own slots and are summed in band order,
+	// so the energy does not depend on which worker finishes first.
+	terms := make([]float64, 2*nb)
+	kin, nl := terms[:nb], terms[nb:]
 	wss := h.scratch.Acquire(parallel.NumWorkers(nb))
 	parallel.ForWorker(nb, func(w, j int) {
 		c := psi[j*ng : (j+1)*ng]
-		var k float64
-		for s := 0; s < ng; s++ {
-			v := c[s]
-			k += h.KineticFactor(s) * (real(v)*real(v) + imag(v)*imag(v))
-		}
+		kin[j] = occ * h.KineticEnergyBand(c)
 		sc := wss[w]
 		h.G.ToRealSerialWS(sc.box, c, sc.fws)
-		nl := h.NL.Energy(sc.box)
-		mu.add(&ekin, occ*k)
-		mu.add(&enl, occ*nl)
+		nl[j] = occ * h.NL.Energy(sc.box)
 	})
 	h.scratch.Release(wss)
+	var ekin, enl float64
+	for j := 0; j < nb; j++ {
+		ekin += kin[j]
+		enl += nl[j]
+	}
 	eb := EnergyBreakdown{
 		Kinetic:  ekin,
 		Nonlocal: enl,
@@ -469,15 +470,6 @@ func (h *Hamiltonian) BandEnergies(psi []complex128, nb int) []float64 {
 		out[j] = real(linalg.Dot(psi[j*ng:(j+1)*ng], hp[j*ng:(j+1)*ng]))
 	}
 	return out
-}
-
-// parallelSum guards scalar accumulation from worker goroutines.
-type parallelSum struct{ mu sync.Mutex }
-
-func (p *parallelSum) add(dst *float64, v float64) {
-	p.mu.Lock()
-	*dst += v
-	p.mu.Unlock()
 }
 
 // KineticEnergyBand returns sum_s 1/2|G+A|^2 |c_s|^2 for one band, used by

@@ -110,6 +110,19 @@ func TestKernelsMatchComplexReference(t *testing.T) {
 			}
 		}
 
+		// AddNorm2
+		acc := make([]float64, n)
+		for i := range acc {
+			acc[i] = real(d[i])
+		}
+		AddNorm2(acc, sa)
+		for i := range acc {
+			w := real(d[i]) + real(a[i])*real(a[i]) + imag(a[i])*imag(a[i])
+			if math.Abs(acc[i]-w) > tol {
+				t.Fatalf("AddNorm2 n=%d i=%d got %g want %g", n, i, acc[i], w)
+			}
+		}
+
 		// DotRe
 		got := DotRe(sa, sb)
 		var ref float64

@@ -9,9 +9,10 @@ package potential
 
 import (
 	"math"
-	"sync"
+	"sort"
 
 	"ptdft/internal/grid"
+	"ptdft/internal/lanes"
 	"ptdft/internal/parallel"
 	"ptdft/internal/pseudo"
 	"ptdft/internal/xc"
@@ -36,6 +37,15 @@ func BuildVloc(g *grid.Grid, pots map[int]*pseudo.Potential) []float64 {
 	for _, a := range g.Cell.Atoms {
 		bySpecies[a.Species] = append(bySpecies[a.Species], a.Pos)
 	}
+	// Sum the species in key order: a map range would reorder the terms of
+	// acc from call to call.
+	species := make([]int, 0, len(bySpecies))
+	for s := range bySpecies {
+		if _, ok := pots[s]; ok {
+			species = append(species, s)
+		}
+	}
+	sort.Ints(species)
 	parallel.ForBlock(g.NDTot, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			g2 := g.G2Dense[k]
@@ -44,14 +54,10 @@ func BuildVloc(g *grid.Grid, pots map[int]*pseudo.Potential) []float64 {
 			}
 			gv := g.GVecDense[k]
 			var acc complex128
-			for s, positions := range bySpecies {
-				pot, ok := pots[s]
-				if !ok {
-					continue
-				}
-				ff := pot.LocalFormFactor(g2)
+			for _, s := range species {
+				ff := pots[s].LocalFormFactor(g2)
 				var sre, sim float64
-				for _, tau := range positions {
+				for _, tau := range bySpecies[s] {
 					ph := gv[0]*tau[0] + gv[1]*tau[1] + gv[2]*tau[2]
 					s, c := math.Sincos(-ph)
 					sre += c
@@ -74,34 +80,46 @@ func BuildVloc(g *grid.Grid, pots map[int]*pseudo.Potential) []float64 {
 // Density accumulates the electron density rho(r) = occ * sum_i |psi_i(r)|^2
 // on the dense grid from sphere-coefficient bands (band-major, nb x NG).
 // occ is the orbital occupation (2 for spin-restricted).
+//
+// The sum has one fixed shape whatever the worker count: bands are cut into
+// groups of lanes.Width, each group's |psi|^2 is summed in band order into
+// a partial density of its own, and the partials are folded into rho in
+// group order. Workers only decide how many groups are in flight, so the
+// result is the same bits at 1, 2 or N workers and from run to run. Each
+// orbital is synthesized by the grid's pruned dense transform into
+// grid-owned scratch; only rho is allocated.
 func Density(g *grid.Grid, bands []complex128, nb int, occ float64) []float64 {
 	rho := make([]float64, g.NDTot)
-	var mu sync.Mutex
-	parallel.For(nb, func(i int) {
-		box := make([]complex128, g.NDTot)
-		c := bands[i*g.NG : (i+1)*g.NG]
-		// Serial transform: the band loop supplies the parallelism.
-		for j := range box {
-			box[j] = 0
+	ngroups := (nb + lanes.Width - 1) / lanes.Width
+	nw := parallel.NumWorkers(ngroups)
+	wss := g.AcquireDenseScratch(nw)
+	scale := occ / g.Volume()
+	for g0 := 0; g0 < ngroups; g0 += nw {
+		n := min(nw, ngroups-g0)
+		if n == 1 {
+			// No closure, no goroutine: the one-worker path allocates nothing.
+			groupDensity(g, wss[0], bands, nb, g0)
+		} else {
+			parallel.For(n, func(i int) { groupDensity(g, wss[i], bands, nb, g0+i) })
 		}
-		for s, k := range g.SphereIdxD {
-			box[k] = c[s]
+		for _, ws := range wss[:n] {
+			for j, v := range ws.Acc {
+				rho[j] += scale * v
+			}
 		}
-		g.PlanD.ApplySerial(box, box, true)
-		scale := float64(g.NDTot) / math.Sqrt(g.Volume())
-		local := make([]float64, g.NDTot)
-		for j, v := range box {
-			re := real(v) * scale
-			im := imag(v) * scale
-			local[j] = occ * (re*re + im*im)
-		}
-		mu.Lock()
-		for j := range rho {
-			rho[j] += local[j]
-		}
-		mu.Unlock()
-	})
+	}
+	g.ReleaseDenseScratch(wss)
 	return rho
+}
+
+// groupDensity leaves sum_i |sum_G c_G exp(iG.r)|^2 over the bands of group
+// gi (bands [gi*Width, (gi+1)*Width) below nb), in band order, in ws.Acc.
+func groupDensity(g *grid.Grid, ws *grid.DenseScratch, bands []complex128, nb, gi int) {
+	clear(ws.Acc)
+	for i := gi * lanes.Width; i < min((gi+1)*lanes.Width, nb); i++ {
+		g.ToRealDenseSlabWS(ws.Box, bands[i*g.NG:(i+1)*g.NG], ws.WS)
+		lanes.AddNorm2(ws.Acc, ws.Box)
+	}
 }
 
 // Hartree solves the Poisson equation for the given density and returns the
@@ -141,19 +159,25 @@ func Hartree(g *grid.Grid, rho []float64) ([]float64, float64) {
 // hybrid functional carries part of it through the Fock operator.
 func XCPotential(rho []float64, exScale, dv float64) ([]float64, float64) {
 	v := make([]float64, len(rho))
-	var mu sync.Mutex
-	var exc float64
-	parallel.ForBlock(len(rho), func(lo, hi int) {
+	// One exc partial per block, summed in block order: the energy does not
+	// depend on which worker finishes first.
+	n := len(rho)
+	nblk := parallel.NumWorkers(n)
+	chunk := (n + nblk - 1) / nblk
+	part := make([]float64, nblk)
+	parallel.For(nblk, func(b int) {
 		var acc float64
-		for i := lo; i < hi; i++ {
+		for i := b * chunk; i < min((b+1)*chunk, n); i++ {
 			eps, pot := xc.LDA(rho[i], exScale)
 			v[i] = pot
 			acc += eps * rho[i]
 		}
-		mu.Lock()
-		exc += acc
-		mu.Unlock()
+		part[b] = acc
 	})
+	var exc float64
+	for _, e := range part {
+		exc += e
+	}
 	return v, exc * dv
 }
 
