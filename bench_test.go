@@ -802,7 +802,7 @@ func BenchmarkMTSStep(b *testing.B) {
 		opt  dist.ExchangeOptions
 	}{
 		{"everystep", dist.ExchangeOptions{Strategy: dist.BcastOverlapped}},
-		{"hold1", dist.ExchangeOptions{Strategy: dist.BcastOverlapped, ACE: true, ACEHoldThroughSCF: true}},
+		{"hold1", dist.ExchangeOptions{Strategy: dist.BcastOverlapped, ACE: true, MTSPeriod: 1}},
 		{"mts4", dist.ExchangeOptions{Strategy: dist.BcastOverlapped, ACE: true, MTSPeriod: 4}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {

@@ -152,8 +152,9 @@ func TestDistributedACEMatchesExactStep(t *testing.T) {
 	}
 }
 
-// TestDistributedACEHoldCadence: the Jia & Lin cadence builds Xi from
-// Psi_n once per step and holds it through the inner SCF, trading the
+// TestDistributedACEHoldCadence: the Jia & Lin cadence (ACE at M = 1,
+// what -acehold selects) builds Xi from Psi_n once per step and holds it
+// through the inner SCF, trading the
 // per-iteration exchange construction for a controlled compression error
 // on the iterates that leave the reference span. One step must converge
 // and stay physically close to the exact propagation - the accuracy side
@@ -163,7 +164,7 @@ func TestDistributedACEHoldCadence(t *testing.T) {
 	const steps, dt = 1, 1.0
 	exact, eExact, _ := propagate(t, g, psi0, nb, true, 4, steps, dt, dist.ExchangeOptions{Strategy: dist.BcastOverlapped})
 	held, eHeld, _ := propagate(t, g, psi0, nb, true, 4, steps, dt,
-		dist.ExchangeOptions{Strategy: dist.BcastOverlapped, ACE: true, ACEHoldThroughSCF: true})
+		dist.ExchangeOptions{Strategy: dist.BcastOverlapped, ACE: true, MTSPeriod: 1})
 	rhoExact := potential.Density(g, exact, nb, 2)
 	rhoHeld := potential.Density(g, held, nb, 2)
 	// The compression error scales with how far the inner iterates leave
@@ -174,25 +175,6 @@ func TestDistributedACEHoldCadence(t *testing.T) {
 	}
 	if d := math.Abs(eExact - eHeld); d > 2e-3 {
 		t.Errorf("held-ACE energy deviates from exact by %g", d)
-	}
-}
-
-// TestDistributedMTSEqualsHoldAtM1: -mts 1 is a strict generalization
-// claim, so the M = 1 cycle must reproduce the -acehold trajectory bit for
-// bit - every step is an outer step, the rebuild happens at the same call
-// site from the same Psi_n, and nothing else differs.
-func TestDistributedMTSEqualsHoldAtM1(t *testing.T) {
-	g, psi0, nb := fixtureT(t)
-	const steps, dt = 2, 1.0
-	hold, eHold, _ := propagate(t, g, psi0, nb, true, 2, steps, dt,
-		dist.ExchangeOptions{Strategy: dist.BcastOverlapped, ACE: true, ACEHoldThroughSCF: true})
-	mts, eMTS, _ := propagate(t, g, psi0, nb, true, 2, steps, dt,
-		dist.ExchangeOptions{Strategy: dist.BcastOverlapped, ACE: true, MTSPeriod: 1})
-	if d := wavefunc.MaxDiff(hold, mts); d != 0 {
-		t.Errorf("-mts 1 differs from -acehold by %g, want bit-identical", d)
-	}
-	if eHold != eMTS {
-		t.Errorf("-mts 1 energy %.15f differs from -acehold %.15f, want bit-identical", eMTS, eHold)
 	}
 }
 

@@ -138,7 +138,7 @@ func TestDistStepAllocs(t *testing.T) {
 				// Prime the hold-cadence state the way an outer step
 				// would: mark the compressed operator stale and freeze
 				// the exact-path reference at Psi_n.
-				if s.mtsPeriod() > 0 {
+				if s.Ex.MTSPeriod > 0 {
 					s.aceStale = true
 					s.freezeRef(local)
 				}

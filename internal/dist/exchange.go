@@ -103,24 +103,18 @@ type ExchangeOptions struct {
 	// nb x nbl Poisson solves. Consumed by PTCNSolver; FockExchange itself
 	// always applies the exact operator.
 	ACE bool
-	// ACEHoldThroughSCF rebuilds Xi once per PT-CN step - at the step's
-	// first exchange application, from Psi_n - and holds it fixed through
-	// the inner SCF iterations (the Jia & Lin cadence, arXiv:1809.09609).
-	// When false Xi is rebuilt from the iterate at every refresh, which
-	// keeps PT+ACE numerically equivalent to the exact-exchange path (the
-	// compression is exact on its own reference span).
-	ACEHoldThroughSCF bool
 	// MTSPeriod enables multiple time stepping (Mandal et al.,
 	// arXiv:2110.07670, adapted to the PT-CN gauge): the hybrid exchange
 	// operator is refreshed from Psi_n only on "outer" steps - every M-th
 	// step - and the frozen operator (the held Xi in ACE mode, the frozen
 	// reference orbitals of the exact operator otherwise) propagates the
 	// M-1 intermediate steps together with the per-step semi-local
-	// physics. 0 disables MTS (the cadence is then per-refresh, or
-	// once-per-step under ACEHoldThroughSCF); 1 is exactly the
-	// ACEHoldThroughSCF cadence - every step is an outer step - which is
-	// what makes -acehold the M = 1 special case of -mts. Consumed by
-	// PTCNSolver.
+	// physics. 0 disables MTS: the operator is rebuilt from the iterate at
+	// every refresh, which keeps PT+ACE numerically equivalent to the
+	// exact-exchange path (the compression is exact on its own reference
+	// span). 1 makes every step an outer step - with ACE, Xi is built once
+	// per step from Psi_n and held through the inner SCF iterations, the
+	// Jia & Lin cadence (arXiv:1809.09609). Consumed by PTCNSolver.
 	MTSPeriod int
 	// StealChunk sets how many consecutive exchange pairs one work-queue
 	// claim hands out under the Steal strategy. 0 picks a balance-oriented

@@ -88,17 +88,6 @@ func (cfg *ResilientConfig) logf(format string, args ...any) {
 	}
 }
 
-// mtsPeriod mirrors PTCNSolver.mtsPeriod for the config's cadence.
-func (cfg *ResilientConfig) mtsPeriod() int {
-	if cfg.Ex.MTSPeriod > 0 {
-		return cfg.Ex.MTSPeriod
-	}
-	if cfg.Ex.ACEHoldThroughSCF && cfg.Ex.ACE {
-		return 1
-	}
-	return 0
-}
-
 // ResilientResult is the outcome of a completed resilient propagation.
 type ResilientResult struct {
 	Psi     []complex128 // full band set at the final step
@@ -134,7 +123,7 @@ func RunResilient(cfg ResilientConfig) (*ResilientResult, error) {
 	if cfg.CkptEvery > 0 && cfg.Ckpt == nil {
 		return nil, fmt.Errorf("dist: checkpoint cadence %d without a rolling checkpoint base", cfg.CkptEvery)
 	}
-	m := cfg.mtsPeriod()
+	m := cfg.Ex.MTSPeriod
 	if m > 0 && cfg.Step0%int64(m) != 0 {
 		return nil, fmt.Errorf("dist: resilient run must start on an MTS cycle boundary (step %d, period %d)", cfg.Step0, m)
 	}
@@ -297,7 +286,7 @@ func RunResilient(cfg ResilientConfig) (*ResilientResult, error) {
 // and - mid MTS cycle - the frozen exchange reference the next attempt
 // rebuilds the held operator from.
 func (cfg *ResilientConfig) snapshot(d *Ctx, s *PTCNSolver, local []complex128, step int64) *checkpoint.State {
-	m := cfg.mtsPeriod()
+	m := cfg.Ex.MTSPeriod
 	st := &checkpoint.State{
 		Time: s.Time, Step: step,
 		NBands: cfg.NB, NG: cfg.G.NG, Natom: cfg.Natom, Ecut: cfg.Ecut,

@@ -52,10 +52,9 @@ type PTCNSolver struct {
 	ws     *stepWorkspace
 	ace    *ACE
 	// aceStale marks the compressed operator for a rebuild at the next
-	// exchange application; Step raises it on outer steps, so the hold
-	// cadences (acehold, MTS) rebuild from Psi_n and then hold through
-	// the inner SCF iterations - and, under MTS, through the M-1
-	// intermediate steps that follow.
+	// exchange application; Step raises it on outer steps, so the MTS
+	// cadence rebuilds from Psi_n and then holds through the inner SCF
+	// iterations and the M-1 intermediate steps that follow.
 	aceStale bool
 	// stepIndex counts completed Steps and anchors the MTS cycle: step n
 	// is an outer step iff n mod M == 0. ResumeMTS restores it from a
@@ -168,22 +167,6 @@ func (s *PTCNSolver) exchange(phi, psi []complex128) []complex128 {
 	return s.D.FockExchangeWS(phi, psi, s.kernel, s.Hyb.Alpha, s.Ex, s.exchangeWS())
 }
 
-// mtsPeriod resolves the effective exchange refresh cadence: the explicit
-// MTS period when set, 1 under the Jia & Lin hold cadence (-acehold is the
-// M = 1 special case of -mts), 0 for per-refresh rebuilds.
-// ACEHoldThroughSCF is an ACE cadence and stays inert on the exact path
-// (its pre-MTS contract); freezing the exact exchange requires an explicit
-// MTSPeriod.
-func (s *PTCNSolver) mtsPeriod() int {
-	if s.Ex.MTSPeriod > 0 {
-		return s.Ex.MTSPeriod
-	}
-	if s.Ex.ACEHoldThroughSCF && s.Ex.ACE {
-		return 1
-	}
-	return 0
-}
-
 // freezeRef snapshots this rank's band block as the frozen exchange
 // reference of the current MTS cycle. The buffer is solver-owned and
 // reused, keeping the outer-step refresh allocation-free in steady state.
@@ -199,7 +182,7 @@ func (s *PTCNSolver) freezeRef(local []complex128) {
 // hold cadence is active, and 0 at cycle boundaries - where a checkpoint
 // needs no frozen reference because the next step rebuilds anyway.
 func (s *PTCNSolver) MTSPhase() int {
-	if m := s.mtsPeriod(); m > 0 {
+	if m := s.Ex.MTSPeriod; m > 0 {
 		return s.stepIndex % m
 	}
 	return 0
@@ -209,7 +192,7 @@ func (s *PTCNSolver) MTSPhase() int {
 // the first outer step or when no hold cadence is active). Checkpointing
 // gathers it so a resumed segment can reconstruct the frozen operator.
 func (s *PTCNSolver) MTSRef() []complex128 {
-	if s.mtsPeriod() == 0 {
+	if s.Ex.MTSPeriod <= 0 {
 		return nil
 	}
 	return s.mtsPhi
@@ -223,10 +206,10 @@ func (s *PTCNSolver) MTSRef() []complex128 {
 // step and rebuilds from Psi_n anyway). Collective when the compressed
 // operator must be reconstructed: all ranks call it together.
 func (s *PTCNSolver) ResumeMTS(phase int, phiRef []complex128) error {
-	m := s.mtsPeriod()
-	if m == 0 {
+	m := s.Ex.MTSPeriod
+	if m <= 0 {
 		if phase != 0 {
-			return fmt.Errorf("dist: ResumeMTS(phase=%d) without an MTS/hold cadence", phase)
+			return fmt.Errorf("dist: ResumeMTS(phase=%d) without an MTS cadence", phase)
 		}
 		return nil
 	}
@@ -256,7 +239,7 @@ func (s *PTCNSolver) ResumeMTS(phase int, phiRef []complex128) error {
 // applyH computes H psi into hp for the local band block: the semi-local
 // part per band, plus the distributed Fock exchange. Without a hold
 // cadence the exchange takes the current block as its own reference
-// (V_X[P] with P from the iterate, as in Alg. 1 line 5); under acehold or
+// (V_X[P] with P from the iterate, as in Alg. 1 line 5); under
 // MTS the reference is frozen at the Psi_n of the last outer step. localG
 // is the caller's transpose of local into the G layout, reused by the ACE
 // build and application so the iterate crosses the wire once per residual.
@@ -274,7 +257,7 @@ func (s *PTCNSolver) applyH(hp, local, localG []complex128) error {
 		if s.ace == nil {
 			s.ace = s.D.NewACE()
 		}
-		if s.aceStale || s.mtsPeriod() == 0 {
+		if s.aceStale || s.Ex.MTSPeriod <= 0 {
 			if err := s.ace.Rebuild(local, localG, s.kernel, s.Hyb.Alpha, s.Ex, s.exchangeWS()); err != nil {
 				return err
 			}
@@ -284,7 +267,7 @@ func (s *PTCNSolver) applyH(hp, local, localG []complex128) error {
 		return nil
 	}
 	phi := local
-	if s.mtsPeriod() > 0 {
+	if s.Ex.MTSPeriod > 0 {
 		// Exact exchange under a hold cadence: the frozen Psi_n of the
 		// last outer step is the reference the strategies ship.
 		phi = s.mtsPhi
@@ -371,7 +354,7 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 	// cadences rebuild from Psi_n at the step's first exchange application
 	// - and freeze the exact-path reference at Psi_n. Intermediate MTS
 	// steps touch neither: the operator of the last outer step propagates.
-	if m := s.mtsPeriod(); m == 0 || s.stepIndex%m == 0 {
+	if m := s.Ex.MTSPeriod; m <= 0 || s.stepIndex%m == 0 {
 		s.aceStale = true
 		// The frozen reference backs the exact-path application (any M)
 		// and mid-cycle checkpointing (M > 1); under ACE at M = 1 neither
@@ -448,7 +431,7 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 // drift. Each rank owns a cloned cell (and grid/Hamiltonian built on it),
 // so concurrent rebuilds never touch shared memory; the replicated ion
 // trajectories stay bit-identical because the forces they integrate are
-// allreduced. A held exchange operator (acehold/MTS) survives the rebuild
+// allreduced. A held exchange operator (MTS) survives the rebuild
 // unchanged - it has no explicit position dependence.
 func (s *PTCNSolver) IonGeometryChanged() {
 	s.H.RebuildGeometry()

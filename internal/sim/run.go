@@ -1,10 +1,12 @@
-// Run drivers: the four propagation paths (serial/distributed x
-// electron-only/Ehrenfest MD) extracted from cmd/ptdft so the CLI and the
-// job server share one implementation. Every driver supports cooperative
-// shutdown (the Stop channel finishes the step in flight, checkpoints the
-// completed steps, and returns), per-step observable emission, periodic
-// rolling checkpoints, and resume from a loaded checkpoint - the
-// machinery preemption and crash recovery are built from.
+// Run: one propagation loop over one per-rank engine, shared by the CLI
+// and the job server. An engine is serial (core.PTCN or core.RK4 on the
+// calling goroutine) or distributed (dist.PTCNSolver on each rank of
+// mpi.Run); Ehrenfest MD is an ion.Verlet wrapped around either. The loop
+// owns what every run needs once: cooperative shutdown (the Stop channel
+// finishes the step in flight, checkpoints the completed steps, and
+// returns), per-step observable emission, periodic rolling checkpoints,
+// and the gather of the restartable state a resumed segment starts from -
+// the machinery preemption and crash recovery are built from.
 package sim
 
 import (
@@ -17,7 +19,9 @@ import (
 	"ptdft/internal/dist"
 	"ptdft/internal/grid"
 	"ptdft/internal/hamiltonian"
+	"ptdft/internal/ion"
 	"ptdft/internal/laser"
+	"ptdft/internal/lattice"
 	"ptdft/internal/mpi"
 	"ptdft/internal/observe"
 	"ptdft/internal/scf"
@@ -36,7 +40,7 @@ const tagStop = 9000
 // and reusable inputs. All fields are optional.
 type Options struct {
 	// Stop is closed to request a graceful shutdown (SIGINT on the CLI,
-	// preemption or drain on the server): the driver finishes the step in
+	// preemption or drain on the server): the loop finishes the step in
 	// flight, the final checkpoint covers the completed steps, and Run
 	// returns with Result.Stopped set.
 	Stop chan struct{}
@@ -44,7 +48,7 @@ type Options struct {
 	// runs); a test hook and the preemption trigger.
 	AfterStep func(done int)
 	// OnSample receives each step's observables as it completes - the
-	// streaming feed. Called from the driver goroutine (rank 0).
+	// streaming feed. Called from the loop of rank 0.
 	OnSample func(observe.Sample)
 	// Ground supplies a pre-computed ground state (an SCF-cache hit); nil
 	// means Run solves it. The orbitals are treated as read-only.
@@ -59,7 +63,7 @@ type Options struct {
 	CkptEvery int
 	SavePath  string
 	// Trace, when set, records per-rank span timelines for the whole
-	// segment: the drivers attach one track per rank (track 0 serially)
+	// segment: the engines attach one track per rank (track 0 serially)
 	// and the solver/comm layers fill it. Result carries the folded
 	// aggregates; export the recorder for the full timeline. nil (the
 	// default) keeps every recording site on its zero-alloc disabled path.
@@ -119,7 +123,8 @@ type Result struct {
 	Comm         *mpi.Stats
 }
 
-// runner bundles the derived state the drivers share.
+// runner bundles the derived state of one Run that the engines and the
+// loop share.
 type runner struct {
 	spec   *Spec
 	opt    *Options
@@ -134,12 +139,12 @@ type runner struct {
 	psiGS  []complex128 // ground-state reference for excited-electron counts
 	psi0   []complex128 // starting orbitals of this segment
 
-	commStats *mpi.Stats // comm ledgers of the distributed drivers' world
+	res *Result // filled by the root's loop: Samples, Final, EhrenfestDrift
 }
 
 // Run executes the spec to completion (or until Stop fires), returning
-// the trajectory segment. The driver is selected by (MD, Ranks) exactly
-// like the CLI: serial or distributed, electron-only or Ehrenfest.
+// the trajectory segment. Ranks selects the engine (serial or
+// distributed) and MD wraps it in the ion integrator, exactly like the CLI.
 func Run(spec *Spec, opt Options) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -202,72 +207,36 @@ func Run(spec *Spec, opt Options) (*Result, error) {
 	r := &runner{
 		spec: spec, opt: &opt, g: g, nb: nb, natom: int64(cell.NumAtoms()),
 		ex: ex, field: field, dt: units.AttosecondsToAU(spec.DtAs), t0: t0,
-		loaded: opt.Resume, psiGS: gs.Psi, psi0: psiStart,
+		loaded: opt.Resume, psiGS: gs.Psi, psi0: psiStart, res: res,
 	}
-
-	var samples []observe.Sample
-	var psiFinal []complex128
-	var tFinal float64
-	var mts mtsSnapshot
-	var ions ionSnapshot
-	switch {
-	case spec.MD && spec.Ranks > 1:
-		samples, psiFinal, tFinal, mts, ions, err = r.runDistributedMD(cell)
-	case spec.MD:
-		samples, psiFinal, tFinal, mts, ions, err = r.runSerialMD(cell)
-	case spec.Ranks > 1:
-		samples, psiFinal, tFinal, mts, err = r.runDistributed()
-	default:
-		samples, psiFinal, tFinal, mts, err = r.runSerial()
-	}
-	if err != nil {
+	if err := r.propagate(cell); err != nil {
 		return nil, err
 	}
-	res.Samples = samples
-	res.Psi = psiFinal
-	res.Time = tFinal
+	st := res.Final
+	res.Psi, res.Time = st.Psi, st.Time
 	res.Stopped = opt.stopRequested()
-	res.Comm = r.commStats
 	if opt.Trace != nil {
 		res.RankSeconds = opt.Trace.RankSeconds()
 		res.PhaseSeconds = opt.Trace.PhaseSeconds()
 	}
-	if r.commStats != nil {
-		res.BytesMoved = r.commStats.TotalBytes()
+	if res.Comm != nil {
+		res.BytesMoved = res.Comm.TotalBytes()
 	}
-	if spec.MD && len(samples) > 0 {
-		for _, s := range samples {
-			if d := math.Abs(s.Energy - ions.e0); d > res.EhrenfestDrift {
-				res.EhrenfestDrift = d
-			}
-		}
+	if spec.MD && len(res.Samples) > 0 {
 		opt.logf("ehrenfest: %d ion steps of %g as (K=%d electronic steps each); max total-energy drift %.3e Ha",
-			len(samples), spec.IonDtAs, spec.IonSubsteps(), res.EhrenfestDrift)
+			len(res.Samples), spec.IonDtAs, spec.IonSubsteps(), res.EhrenfestDrift)
 	}
-
-	// Assemble the restartable state covering the completed steps. The
-	// step counter is cumulative provenance: a resumed segment saves
-	// loaded.Step + its own steps, so a trajectory split across segments
-	// reports the true global step on every file.
-	elSteps := len(samples)
-	if spec.MD {
-		elSteps = len(samples) * spec.IonSubsteps()
+	if spec.MTS > 0 {
+		opt.logf("MTS cadence: exchange refreshed every %d steps (ended at cycle phase %d)", spec.MTS, st.MTSPhase)
 	}
-	st := r.segmentState(tFinal, psiFinal, elSteps, mts.phase, mts.phiRef)
-	if spec.MD {
-		st.IonSteps = checkpoint.ContinuationIonSteps(r.loaded, len(samples))
-		st.IonPos, st.IonVel, st.IonForce = ions.pos, ions.vel, ions.force
-	}
-	res.Final = st
 	switch {
 	case opt.Ckpt != nil:
-		if err := opt.Ckpt.Save(st); err != nil {
-			return nil, err
-		}
+		err = opt.Ckpt.Save(st)
 	case opt.SavePath != "":
-		if err := checkpoint.SaveFile(opt.SavePath, st); err != nil {
-			return nil, err
-		}
+		err = checkpoint.SaveFile(opt.SavePath, st)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -287,16 +256,346 @@ func GroundState(spec *Spec) (*scf.Result, error) {
 	return scf.GroundState(g, h, nb, o)
 }
 
-// emit records one completed step on rank 0: appended to the segment's
-// sample list and forwarded to the streaming hook.
-func (r *runner) emit(samples []observe.Sample, s observe.Sample) []observe.Sample {
-	if r.opt.OnSample != nil {
-		r.opt.OnSample(s)
+// propagate builds the engine the spec asks for and runs the loop on it:
+// on the calling goroutine when serial, on every rank of a goroutine-MPI
+// world when distributed.
+func (r *runner) propagate(cell *lattice.Cell) error {
+	spec, opt := r.spec, r.opt
+	if spec.Ranks <= 1 {
+		h := hamiltonian.New(r.g, spec.Pots(), hamiltonian.Config{
+			Hybrid: spec.Hybrid, UseACE: spec.ACE, Params: xc.HSE06(), IonDynamics: spec.MD,
+		})
+		e, err := r.serialEngine(cell, h)
+		if err == nil {
+			err = r.loop(e)
+		}
+		// Report which exchange operator actually propagated the run: a
+		// degenerate reference set downgrades an ACE refresh to the exact
+		// operator, and that must never stay invisible.
+		if err == nil && spec.ACE {
+			if n, lastErr := h.ACEFallbacks(); n > 0 {
+				opt.logf("exchange operator: ACE with %d refresh(es) fallen back to exact exchange (last failure: %v)", n, lastErr)
+			} else {
+				opt.logf("exchange operator: ACE (no fallbacks)")
+			}
+		}
+		return err
 	}
-	return append(samples, s)
+	op := "none (semi-local)"
+	switch {
+	case spec.Hybrid && spec.MTS > 0 && spec.ACE:
+		op = fmt.Sprintf("ACE frozen between outer steps (MTS M=%d)", spec.MTS)
+	case spec.Hybrid && spec.MTS > 0:
+		op = fmt.Sprintf("exact exchange frozen between outer steps (MTS M=%d)", spec.MTS)
+	case spec.Hybrid && spec.ACE:
+		op = "ACE (rebuilt per refresh)"
+	case spec.Hybrid:
+		op = "exact exchange"
+	}
+	opt.logf("distributed: %d ranks, exchange strategy %v, operator %s, single precision %v", spec.Ranks, r.ex, op, spec.SinglePrec)
+	// Every failure below is rank-symmetric (the same inputs, a global
+	// convergence criterion, a voted shutdown), so all ranks leave together
+	// and the root's error is the run's error.
+	var rootErr error
+	stats := mpi.Run(spec.Ranks, func(c *mpi.Comm) {
+		e, err := r.distEngine(c, cell)
+		if err == nil {
+			err = r.loop(e)
+		}
+		if c.Rank() == 0 {
+			rootErr = err
+		}
+	})
+	r.res.Comm = stats
+	if rootErr != nil {
+		return rootErr
+	}
+	mb := func(class mpi.OpClass) float64 { return float64(stats.BytesFor(class)) / 1e6 }
+	opt.logf("communication volume: Bcast %.1f MB, Alltoallv %.1f MB, Allreduce %.1f MB, AllGatherv %.1f MB",
+		mb(mpi.ClassBcast), mb(mpi.ClassAlltoallv), mb(mpi.ClassAllreduce), mb(mpi.ClassAllgatherv))
+	return nil
 }
 
-// baseStep returns the cumulative step offset of this segment (driver
+// engine is one rank's propagator as the loop sees it: it advances the
+// electrons one step, evaluates the observables, reports its time and
+// gathers the restartable state. Under PT-CN the electrons are held by an
+// ion.Electrons adapter, which is also what an Ehrenfest run hands to the
+// ion integrator - MD wraps an engine, it is not another one. observe,
+// gather and agree are collective on a distributed engine: every rank
+// calls them in the same order.
+type engine struct {
+	root bool          // this rank emits samples, runs the hooks and writes checkpoints
+	tr   *trace.Track  // nil when tracing is off
+	cell *lattice.Cell // the cell this engine's grid and Hamiltonian follow
+	el   ion.Electrons // the PT-CN electrons, for the ion integrator (nil under rk4)
+	scf  *int          // cumulative inner-SCF iterations; the loop resets it per step
+
+	step    func(dt float64) error
+	energy  func() (float64, error) // electronic total energy
+	now     func() float64          // simulation time (au)
+	observe func() (jz, nexc float64)
+	// gather returns the full band set, the MTS cycle phase and - mid-cycle
+	// only - the frozen exchange reference of the last outer step.
+	gather func() (psi []complex128, phase int, ref []complex128)
+	// agree reports whether any rank raised flag.
+	agree func(flag bool) bool
+}
+
+// serialEngine propagates the whole band set on the calling goroutine
+// (track 0) with core.PTCN or core.RK4.
+func (r *runner) serialEngine(cell *lattice.Cell, h *hamiltonian.Hamiltonian) (*engine, error) {
+	tr := r.opt.Trace.Track(0, "rank 0")
+	h.SetTrace(tr)
+	sys := &core.System{G: r.g, H: h, NB: r.nb, Occ: 2, Field: r.field, Tr: tr}
+	se := &ion.SerialElectrons{Psi: wavefunc.Clone(r.psi0), Pots: r.spec.Pots()}
+	e := &engine{
+		root: true, tr: tr, cell: cell, scf: &se.SCF,
+		observe: func() (float64, float64) {
+			return observe.Current(sys, se.Psi)[2], observe.ExcitedElectrons(sys, r.psiGS, se.Psi)
+		},
+		agree: func(flag bool) bool { return flag },
+	}
+	if r.spec.Method == "rk4" {
+		rk := core.NewRK4(sys)
+		rk.Time = r.t0
+		e.step = func(dt float64) error {
+			psi, _, err := rk.Step(se.Psi, dt)
+			if err == nil {
+				se.Psi = psi
+			}
+			return err
+		}
+		e.energy = func() (float64, error) { return observe.Energy(sys, se.Psi, rk.Time).Total(), nil }
+		e.now = func() float64 { return rk.Time }
+		e.gather = func() ([]complex128, int, []complex128) { return se.Psi, 0, nil }
+		return e, nil
+	}
+	pt := core.NewPTCN(sys, core.DefaultPTCN())
+	pt.Time, pt.MTS = r.t0, r.spec.MTS
+	if r.loaded != nil {
+		if err := pt.ResumeMTS(int(r.loaded.MTSPhase), r.loaded.PhiRef); err != nil {
+			return nil, err
+		}
+	}
+	se.P = pt
+	e.el, e.step, e.energy = se, se.StepElectrons, se.ElectronicEnergy
+	e.now = func() float64 { return pt.Time }
+	e.gather = func() (psi []complex128, phase int, ref []complex128) {
+		if phase = pt.MTSPhase(); phase != 0 {
+			ref = pt.MTSRef()
+		}
+		return se.Psi, phase, ref
+	}
+	return e, nil
+}
+
+// distEngine propagates this rank's band block with dist.PTCNSolver
+// inside mpi.Run, recording onto the rank's own track through the Comm
+// handle (nil recorder -> nil track -> every site stays on its disabled
+// path).
+func (r *runner) distEngine(c *mpi.Comm, cell *lattice.Cell) (*engine, error) {
+	spec := r.spec
+	c.SetTrace(r.opt.Trace.Track(c.Rank(), fmt.Sprintf("rank %d", c.Rank())))
+	g := r.g
+	if spec.MD {
+		// Per-rank geometry: a cloned cell and a grid built on it, so the
+		// position updates of the replicated ion trajectories never touch
+		// shared memory. The forces are allreduced in deterministic rank
+		// order, so every replica is bit-identical.
+		cell = cell.Clone()
+		var err error
+		if g, err = grid.New(cell, spec.Ecut); err != nil {
+			return nil, err
+		}
+	}
+	d, err := dist.NewCtx(c, g, r.nb, 2)
+	if err != nil {
+		return nil, err
+	}
+	h := hamiltonian.New(g, spec.Pots(), hamiltonian.Config{IonDynamics: spec.MD})
+	s := dist.NewPTCNSolver(d, h, xc.HSE06(), spec.Hybrid, r.field, core.DefaultPTCN(), dist.ExchangeOptions{
+		Strategy:        r.ex,
+		SinglePrecision: spec.SinglePrec,
+		ACE:             spec.ACE,
+		MTSPeriod:       spec.MTS,
+		StealChunk:      spec.StealChunk,
+	})
+	s.Time = r.t0
+	lo, hi := d.BandRange(c.Rank())
+	ng := g.NG
+	de := &ion.DistElectrons{S: s, Local: wavefunc.Clone(r.psi0[lo*ng : hi*ng]), Pots: spec.Pots()}
+	if r.loaded != nil {
+		// Land on the saved cycle phase; mid-cycle the frozen exchange
+		// reference of the last outer step is restored (and the compressed
+		// operator reconstructed from it, collectively).
+		var ref []complex128
+		if r.loaded.PhiRef != nil {
+			ref = r.loaded.PhiRef[lo*ng : hi*ng]
+		}
+		if err := s.ResumeMTS(int(r.loaded.MTSPhase), ref); err != nil {
+			return nil, err
+		}
+	}
+	return &engine{
+		root: c.Rank() == 0, tr: c.Trace(), cell: cell, el: de, scf: &de.SCF,
+		step: de.StepElectrons, energy: de.ElectronicEnergy,
+		now: func() float64 { return s.Time },
+		observe: func() (float64, float64) {
+			return s.Current(de.Local)[2], s.ExcitedElectrons(r.psiGS, de.Local)
+		},
+		// The phase is rank-symmetric, so gathering the reference only
+		// mid-cycle is a collective-safe branch. Gather returns a fresh
+		// array on every rank.
+		gather: func() (psi []complex128, phase int, ref []complex128) {
+			psi = d.Gather(de.Local)
+			if phase = s.MTSPhase(); phase != 0 {
+				ref = d.Gather(s.MTSRef())
+			}
+			return psi, phase, ref
+		},
+		agree: func(flag bool) bool {
+			vote := []float64{0}
+			if flag {
+				vote[0] = 1
+			}
+			mpi.AllreduceSum(c, tagStop, vote)
+			return vote[0] != 0
+		},
+	}, nil
+}
+
+// loop is the propagation loop (Alg. 1 with the observables after each
+// step), run once per rank: step, observe, emit, checkpoint, vote, repeat,
+// then gather the final state. One pass is one electronic step, or under
+// MD one velocity-Verlet ion step of K electronic steps at the midpoint
+// geometry, recording the conserved total (electronic + ion kinetic +
+// ion-ion) as the energy. The root fills r.res.
+func (r *runner) loop(e *engine) error {
+	spec, opt := r.spec, r.opt
+	n, k := spec.TotalSteps(), 1
+	total := e.energy
+	var v *ion.Verlet
+	var e0 float64
+	if spec.MD {
+		k = spec.IonSubsteps()
+		var err error
+		if v, err = ion.NewVerlet(e.cell, e.el, units.AttosecondsToAU(spec.IonDtAs), k); err != nil {
+			return err
+		}
+		if r.loaded != nil && r.loaded.HasIons() {
+			if err := v.Resume(r.loaded.IonPos, r.loaded.IonVel, r.loaded.IonForce, int(r.loaded.IonSteps)); err != nil {
+				return err
+			}
+		}
+		// The drift baseline is the conserved total BEFORE any ion step: the
+		// first step is the largest for a released atom and must not hide its
+		// own error. (This also fills the initial force cache.)
+		if e0, err = v.TotalEnergy(); err != nil {
+			return err
+		}
+		total = v.TotalEnergy
+	}
+	// state assembles the restartable state after `done` steps of this
+	// segment. The step counters are cumulative provenance: a resumed
+	// segment saves loaded.Step + its own steps, so a trajectory split
+	// across segments reports the true global step on every file.
+	state := func(done int) *checkpoint.State {
+		psi, phase, ref := e.gather()
+		st := &checkpoint.State{
+			Time: e.now(), Step: checkpoint.ContinuationStep(r.loaded, done*k), NBands: r.nb, NG: r.g.NG,
+			Natom: r.natom, Ecut: spec.Ecut, Hybrid: spec.Hybrid, Psi: psi,
+			MTSPeriod: int64(spec.MTS), MTSPhase: int64(phase), MTSACE: spec.ACE && spec.MTS > 0,
+			PhiRef: ref,
+		}
+		if v != nil {
+			st.IonSteps = checkpoint.ContinuationIonSteps(r.loaded, done)
+			st.IonPos = v.Cell.Positions()
+			st.IonVel = append([][3]float64(nil), v.Vel...)
+			st.IonForce = append([][3]float64(nil), v.F...)
+		}
+		return st
+	}
+
+	base := r.baseStep()
+	var saveErr error
+	done := 0
+	for done < n {
+		// The wall clock covers the step only, not the observables after it.
+		start := time.Now()
+		*e.scf = 0
+		var err error
+		if v != nil {
+			ionRef := e.tr.Begin("ion_step", "step")
+			err = v.Step()
+			e.tr.EndN(ionRef, int64(done))
+		} else {
+			err = e.step(r.dt)
+		}
+		if err != nil {
+			// A convergence failure is decided on the global density, so
+			// every rank returns here together.
+			return fmt.Errorf("step %d: %w", done, err)
+		}
+		wall := time.Since(start).Seconds()
+		obsRef := e.tr.Begin("observe", "observe")
+		energy, err := total()
+		if err != nil {
+			e.tr.End(obsRef)
+			return err
+		}
+		jz, nexc := e.observe()
+		e.tr.End(obsRef)
+		done++
+		if e.root {
+			s := observe.Sample{
+				Step:     base + done,
+				TimeFs:   e.now() * units.FemtosecondPerAU,
+				Energy:   energy,
+				CurrentZ: jz,
+				Excited:  nexc,
+				SCFIters: *e.scf,
+				WallSec:  wall,
+			}
+			r.res.Samples = append(r.res.Samples, s)
+			if v != nil {
+				r.res.EhrenfestDrift = math.Max(r.res.EhrenfestDrift, math.Abs(energy-e0))
+			}
+			if opt.OnSample != nil {
+				opt.OnSample(s)
+			}
+			if opt.AfterStep != nil {
+				opt.AfterStep(done)
+			}
+		}
+		// Periodic durable checkpoint: the cadence test is on the shared
+		// step counter, so every rank enters the gathers together. A failed
+		// save must not abort inside a collective (the other ranks would
+		// hang); the root records it and raises it in the vote below.
+		if opt.Ckpt != nil && opt.CkptEvery > 0 && done%opt.CkptEvery == 0 && done < n {
+			ckRef := e.tr.Begin("checkpoint", "io")
+			st := state(done)
+			if e.root {
+				if err := opt.Ckpt.Save(st); err != nil {
+					saveErr = fmt.Errorf("periodic checkpoint after step %d: %w", done, err)
+				}
+			}
+			e.tr.End(ckRef)
+		}
+		// Shutdown vote: only the root sees the stop channel and the save
+		// error; the vote makes the break rank-symmetric, so no collective
+		// is left half-entered.
+		if e.agree(e.root && (saveErr != nil || opt.stopRequested())) {
+			break
+		}
+	}
+	st := state(done)
+	if e.root {
+		r.res.Final = st
+	}
+	return saveErr
+}
+
+// baseStep returns the cumulative step offset of this segment (loop
 // steps: ion steps under MD, electronic steps otherwise).
 func (r *runner) baseStep() int {
 	if r.loaded == nil {
@@ -307,303 +606,3 @@ func (r *runner) baseStep() int {
 	}
 	return int(r.loaded.Step)
 }
-
-// segmentState assembles the restartable state after elDone completed
-// electronic steps of this segment (MD callers add the ion block).
-func (r *runner) segmentState(t float64, psi []complex128, elDone, phase int, phiRef []complex128) *checkpoint.State {
-	return &checkpoint.State{
-		Time: t, Step: checkpoint.ContinuationStep(r.loaded, elDone), NBands: r.nb, NG: r.g.NG,
-		Natom: r.natom, Ecut: r.spec.Ecut, Hybrid: r.spec.Hybrid, Psi: psi,
-		MTSPeriod: int64(r.spec.MTS), MTSPhase: int64(phase), MTSACE: r.spec.ACE && r.spec.MTS > 0,
-		PhiRef: phiRef,
-	}
-}
-
-// mtsSnapshot carries the MTS cadence state out of a propagation for
-// checkpointing: the cycle phase at the end of the run and - mid-cycle
-// only - the frozen exchange reference of the last outer step.
-type mtsSnapshot struct {
-	phase  int
-	phiRef []complex128
-}
-
-// needRef reports whether the final state must carry the frozen exchange
-// reference: only mid-cycle, and only when a checkpoint will be written.
-func (r *runner) needRef() bool {
-	return r.opt.Ckpt != nil || r.opt.SavePath != ""
-}
-
-func (r *runner) runSerial() ([]observe.Sample, []complex128, float64, mtsSnapshot, error) {
-	spec, opt := r.spec, r.opt
-	h := hamiltonian.New(r.g, spec.Pots(), hamiltonian.Config{
-		Hybrid: spec.Hybrid, UseACE: spec.ACE, Params: xc.HSE06(),
-	})
-	tr := opt.Trace.Track(0, "rank 0")
-	h.SetTrace(tr)
-	sys := &core.System{G: r.g, H: h, NB: r.nb, Occ: 2, Field: r.field, Tr: tr}
-	psi := wavefunc.Clone(r.psi0)
-	var samples []observe.Sample
-	var snap mtsSnapshot
-	var stepFn func([]complex128, float64) ([]complex128, core.StepStats, error)
-	var now func() float64
-	var pt *core.PTCN
-	switch spec.Method {
-	case "ptcn":
-		pt = core.NewPTCN(sys, core.DefaultPTCN())
-		pt.Time = r.t0
-		pt.MTS = spec.MTS
-		if r.loaded != nil {
-			if err := pt.ResumeMTS(int(r.loaded.MTSPhase), r.loaded.PhiRef); err != nil {
-				return nil, nil, 0, snap, err
-			}
-		}
-		stepFn, now = pt.Step, func() float64 { return pt.Time }
-	case "rk4":
-		rk := core.NewRK4(sys)
-		rk.Time = r.t0
-		stepFn, now = rk.Step, func() float64 { return rk.Time }
-	}
-	base := r.baseStep()
-	for i := 0; i < spec.Steps; i++ {
-		start := time.Now()
-		var stats core.StepStats
-		var err error
-		psi, stats, err = stepFn(psi, r.dt)
-		if err != nil {
-			return nil, nil, 0, snap, fmt.Errorf("step %d: %w", i, err)
-		}
-		wall := time.Since(start).Seconds()
-		obsRef := tr.Begin("observe", "observe")
-		eb := observe.Energy(sys, psi, now())
-		j := observe.Current(sys, psi)
-		nexc := observe.ExcitedElectrons(sys, r.psiGS, psi)
-		tr.End(obsRef)
-		samples = r.emit(samples, observe.Sample{
-			Step:     base + i + 1,
-			TimeFs:   now() * units.FemtosecondPerAU,
-			Energy:   eb.Total(),
-			CurrentZ: j[2],
-			Excited:  nexc,
-			SCFIters: stats.SCFIterations,
-			WallSec:  wall,
-		})
-		done := i + 1
-		if opt.AfterStep != nil {
-			opt.AfterStep(done)
-		}
-		if opt.Ckpt != nil && opt.CkptEvery > 0 && done%opt.CkptEvery == 0 && done < spec.Steps {
-			phase := 0
-			var ref []complex128
-			if pt != nil && spec.MTS > 0 {
-				if phase = pt.MTSPhase(); phase != 0 {
-					ref = wavefunc.Clone(pt.MTSRef())
-				}
-			}
-			ckRef := tr.Begin("checkpoint", "io")
-			st := r.segmentState(now(), wavefunc.Clone(psi), done, phase, ref)
-			err := opt.Ckpt.Save(st)
-			tr.End(ckRef)
-			if err != nil {
-				return nil, nil, 0, snap, fmt.Errorf("periodic checkpoint after step %d: %w", done, err)
-			}
-		}
-		if opt.stopRequested() {
-			break
-		}
-	}
-	// Report which exchange operator actually propagated the run: a
-	// degenerate reference set downgrades an ACE refresh to the exact
-	// operator, and that must never stay invisible.
-	if spec.Hybrid && spec.ACE {
-		if n, lastErr := h.ACEFallbacks(); n > 0 {
-			opt.logf("exchange operator: ACE with %d refresh(es) fallen back to exact exchange (last failure: %v)", n, lastErr)
-		} else {
-			opt.logf("exchange operator: ACE (no fallbacks)")
-		}
-	}
-	if pt != nil && spec.MTS > 0 {
-		snap.phase = pt.MTSPhase()
-		if snap.phase != 0 && r.needRef() {
-			// The frozen-reference copy only matters to a checkpoint.
-			snap.phiRef = wavefunc.Clone(pt.MTSRef())
-		}
-		opt.logf("MTS cadence: exchange refreshed every %d steps (ended at cycle phase %d)", spec.MTS, snap.phase)
-	}
-	return samples, psi, now(), snap, nil
-}
-
-func (r *runner) runDistributed() ([]observe.Sample, []complex128, float64, mtsSnapshot, error) {
-	spec, opt := r.spec, r.opt
-	var snap mtsSnapshot
-	exOpt := dist.ExchangeOptions{
-		Strategy:          r.ex,
-		SinglePrecision:   spec.SinglePrec,
-		ACE:               spec.ACE,
-		ACEHoldThroughSCF: spec.ACEHold,
-		MTSPeriod:         spec.MTS,
-		StealChunk:        spec.StealChunk,
-	}
-	op := "none (semi-local)"
-	switch {
-	case spec.Hybrid && spec.MTS > 0 && spec.ACE:
-		op = fmt.Sprintf("ACE frozen between outer steps (MTS M=%d)", spec.MTS)
-	case spec.Hybrid && spec.MTS > 0:
-		op = fmt.Sprintf("exact exchange frozen between outer steps (MTS M=%d)", spec.MTS)
-	case spec.Hybrid && spec.ACEHold:
-		op = "ACE (held through inner SCF)"
-	case spec.Hybrid && spec.ACE:
-		op = "ACE (rebuilt per refresh)"
-	case spec.Hybrid:
-		op = "exact exchange"
-	}
-	opt.logf("distributed: %d ranks, exchange strategy %v, operator %s, single precision %v", spec.Ranks, r.ex, op, spec.SinglePrec)
-
-	base := r.baseStep()
-	samples := make([]observe.Sample, spec.Steps)
-	psiFinal := make([]complex128, r.nb*r.g.NG)
-	var tFinal float64
-	var firstErr, saveErr error
-	doneSteps := 0
-	stats := mpi.Run(spec.Ranks, func(c *mpi.Comm) {
-		// One flight-recorder track per rank: the solver and the comm layer
-		// record onto it through the Comm handle (nil recorder -> nil track
-		// -> every site stays on its disabled path).
-		c.SetTrace(opt.Trace.Track(c.Rank(), fmt.Sprintf("rank %d", c.Rank())))
-		d, err := dist.NewCtx(c, r.g, r.nb, 2)
-		if err != nil {
-			if c.Rank() == 0 {
-				firstErr = err
-			}
-			return
-		}
-		h := hamiltonian.New(r.g, spec.Pots(), hamiltonian.Config{})
-		s := dist.NewPTCNSolver(d, h, xc.HSE06(), spec.Hybrid, r.field, core.DefaultPTCN(), exOpt)
-		s.Time = r.t0
-		lo, hi := d.BandRange(c.Rank())
-		ng := r.g.NG
-		local := wavefunc.Clone(r.psi0[lo*ng : hi*ng])
-		if r.loaded != nil {
-			// Land on the saved cycle phase; mid-cycle the frozen exchange
-			// reference of the last outer step is restored (and the
-			// compressed operator reconstructed from it, collectively).
-			var ref []complex128
-			if r.loaded.PhiRef != nil {
-				ref = r.loaded.PhiRef[lo*ng : hi*ng]
-			}
-			if err := s.ResumeMTS(int(r.loaded.MTSPhase), ref); err != nil {
-				if c.Rank() == 0 {
-					firstErr = err
-				}
-				return
-			}
-		}
-		for i := 0; i < spec.Steps; i++ {
-			start := time.Now()
-			var st core.StepStats
-			local, st, err = s.Step(local, r.dt)
-			if err != nil {
-				// Convergence failures are symmetric across ranks (the
-				// density criterion is global), so every rank exits here
-				// together and no collective is left half-entered.
-				if c.Rank() == 0 {
-					firstErr = fmt.Errorf("step %d: %w", i, err)
-				}
-				return
-			}
-			// The wall clock covers the step only, not the observable
-			// evaluations after it (matches the serial driver).
-			wall := time.Since(start).Seconds()
-			eb := s.TotalEnergy(local, s.Time)
-			j := s.Current(local)
-			nexc := s.ExcitedElectrons(r.psiGS, local)
-			done := i + 1
-			if c.Rank() == 0 {
-				samples[i] = observe.Sample{
-					Step:     base + done,
-					TimeFs:   s.Time * units.FemtosecondPerAU,
-					Energy:   eb.Total(),
-					CurrentZ: j[2],
-					Excited:  nexc,
-					SCFIters: st.SCFIterations,
-					WallSec:  wall,
-				}
-				doneSteps = done
-				if opt.OnSample != nil {
-					opt.OnSample(samples[i])
-				}
-				if opt.AfterStep != nil {
-					opt.AfterStep(done)
-				}
-			}
-			// Periodic durable checkpoint: the cadence test is on the shared
-			// step counter, so every rank enters the gathers together. A
-			// failed save must not abort mid-collective (the other ranks
-			// would hang); it is recorded and reported after the run.
-			if opt.Ckpt != nil && opt.CkptEvery > 0 && done%opt.CkptEvery == 0 && done < spec.Steps {
-				ckRef := c.Trace().Begin("checkpoint", "io")
-				phase := 0
-				if spec.MTS > 0 {
-					phase = s.MTSPhase()
-				}
-				full := d.Gather(local)
-				var ref []complex128
-				if phase != 0 {
-					refFull := d.Gather(s.MTSRef())
-					if c.Rank() == 0 {
-						ref = wavefunc.Clone(refFull)
-					}
-				}
-				if c.Rank() == 0 {
-					st := r.segmentState(s.Time, wavefunc.Clone(full), done, phase, ref)
-					if err := opt.Ckpt.Save(st); err != nil && saveErr == nil {
-						saveErr = fmt.Errorf("periodic checkpoint after step %d: %w", done, err)
-					}
-				}
-				c.Trace().End(ckRef)
-			}
-			// Shutdown vote: only rank 0 sees the stop flag; the sum makes
-			// the break rank-symmetric so no collective is left half-entered.
-			stopFlag := []float64{0}
-			if c.Rank() == 0 && opt.stopRequested() {
-				stopFlag[0] = 1
-			}
-			mpi.AllreduceSum(c, tagStop, stopFlag)
-			if stopFlag[0] != 0 {
-				break
-			}
-		}
-		full := d.Gather(local)
-		if c.Rank() == 0 {
-			copy(psiFinal, full)
-			tFinal = s.Time
-		}
-		if spec.MTS > 0 {
-			// The phase and the save decision are rank-symmetric, so the
-			// gather decision is a collective-safe branch; only mid-cycle
-			// saves need the frozen reference on the wire at all.
-			phase := s.MTSPhase()
-			if c.Rank() == 0 {
-				snap.phase = phase
-			}
-			if phase != 0 && r.needRef() {
-				ref := d.Gather(s.MTSRef())
-				if c.Rank() == 0 {
-					snap.phiRef = wavefunc.Clone(ref)
-				}
-			}
-		}
-	})
-	r.commStats = stats
-	if firstErr != nil {
-		return nil, nil, 0, snap, firstErr
-	}
-	if saveErr != nil {
-		return nil, nil, 0, snap, saveErr
-	}
-	opt.logf("communication volume: Bcast %.1f MB, Alltoallv %.1f MB, Allreduce %.1f MB, AllGatherv %.1f MB",
-		mb(stats.BytesFor(mpi.ClassBcast)), mb(stats.BytesFor(mpi.ClassAlltoallv)),
-		mb(stats.BytesFor(mpi.ClassAllreduce)), mb(stats.BytesFor(mpi.ClassAllgatherv)))
-	return samples[:doneSteps], psiFinal, tFinal, snap, nil
-}
-
-func mb(b int64) float64 { return float64(b) / 1e6 }

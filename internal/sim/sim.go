@@ -1,11 +1,13 @@
 // Package sim is the reusable run layer shared by cmd/ptdft and the job
 // server (internal/server, cmd/ptdftd): a JSON-serializable simulation
 // Spec with the full flag-validation rules, the ground-state solve, and
-// the four propagation drivers (serial/distributed x electron-only/
-// Ehrenfest MD) with hooks for streaming observables, cooperative
-// preemption, checkpoint-backed resume, and a pre-computed (cached)
-// ground state. cmd/ptdft's CLI is a thin flag front-end over this
-// package; the server multiplexes many Specs over a worker pool.
+// one propagation loop over one per-rank engine - serial (core.PTCN or
+// core.RK4) or distributed (dist.PTCNSolver on each rank of mpi.Run),
+// either of them optionally wrapped in the Ehrenfest ion integrator -
+// with hooks for streaming observables, cooperative preemption,
+// checkpoint-backed resume, and a pre-computed (cached) ground state.
+// cmd/ptdft's CLI is a thin flag front-end over this package; the server
+// multiplexes many Specs over a worker pool.
 package sim
 
 import (
@@ -25,13 +27,13 @@ import (
 // functional and exchange cadence, the integrator, and the parallel
 // layout. It is JSON-serializable (the job server's POST /jobs body) and
 // carries the same validation rules the ptdft CLI enforces, so a spec
-// that validates here runs on every driver.
+// that validates here runs on every engine.
 type Spec struct {
 	Cells      [3]int  `json:"cells"`                 // supercell repetitions (8 Si atoms per cell)
 	Ecut       float64 `json:"ecut"`                  // kinetic energy cutoff (Ha)
 	Hybrid     bool    `json:"hybrid,omitempty"`      // HSE-like screened-exchange functional
 	ACE        bool    `json:"ace,omitempty"`         // apply exchange through the ACE compression
-	ACEHold    bool    `json:"acehold,omitempty"`     // hold the distributed ACE operator through each inner SCF
+	ACEHold    bool    `json:"acehold,omitempty"`     // alias of ace + mts 1 (the Jia & Lin hold cadence)
 	MTS        int     `json:"mts,omitempty"`         // exchange refresh period M (0 = off)
 	Method     string  `json:"method,omitempty"`      // "ptcn" (default) or "rk4"
 	DtAs       float64 `json:"dt_as,omitempty"`       // electronic time step in attoseconds (default 24)
@@ -65,8 +67,12 @@ func (s *Spec) Normalize() {
 		s.IonDtAs = 96
 	}
 	if s.ACEHold {
-		// -acehold implies -ace: the hold is a cadence of the compression.
+		// acehold is an alias: the Jia & Lin hold (ACE built once per step
+		// from Psi_n, held through the inner SCF) is the M = 1 MTS cycle.
 		s.ACE = true
+		if s.MTS == 0 {
+			s.MTS = 1
+		}
 	}
 }
 
@@ -89,9 +95,6 @@ func (s *Spec) Validate() error {
 	if s.Steps < 0 {
 		return fmt.Errorf("sim: negative step count %d", s.Steps)
 	}
-	if s.ACEHold && s.Ranks <= 1 {
-		return fmt.Errorf("sim: acehold is a distributed cadence (requires ranks > 1); the serial ACE always rebuilds per refresh - for a serial hold use mts=1")
-	}
 	if s.ACE && !s.Hybrid {
 		return fmt.Errorf("sim: ace selects the exchange operator of the hybrid functional; set hybrid")
 	}
@@ -103,7 +106,7 @@ func (s *Spec) Validate() error {
 	case s.MTS > 0 && s.Method != "ptcn":
 		return fmt.Errorf("sim: mts is a PT-CN refresh cadence; method %s does not support it", s.Method)
 	case s.MTS > 1 && s.ACEHold:
-		return fmt.Errorf("sim: acehold is exactly mts=1; it cannot combine with mts=%d - pick one cadence", s.MTS)
+		return fmt.Errorf("sim: acehold is an alias of ace + mts=1; it cannot combine with mts=%d - pick one cadence", s.MTS)
 	}
 	if s.MD {
 		if s.Method != "ptcn" {
@@ -246,7 +249,7 @@ func (s *Spec) SCFKey() (string, error) {
 // IonSubsteps returns K, the electronic PT-CN steps per ion step.
 func (s *Spec) IonSubsteps() int { return int(math.Round(s.IonDtAs / s.DtAs)) }
 
-// TotalSteps is the trajectory length in driver steps: ion steps under
+// TotalSteps is the trajectory length in loop steps: ion steps under
 // MD, electronic steps otherwise.
 func (s *Spec) TotalSteps() int {
 	if s.MD {

@@ -1,11 +1,16 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"ptdft/internal/checkpoint"
 	"ptdft/internal/observe"
 )
 
@@ -32,7 +37,8 @@ func TestSpecValidateRules(t *testing.T) {
 		{"bad method", func(s *Spec) { s.Method = "euler" }, "method"},
 		{"negative steps", func(s *Spec) { s.Steps = -1 }, "step count"},
 		{"ace without hybrid", func(s *Spec) { s.ACE = true }, "hybrid"},
-		{"acehold serial", func(s *Spec) { s.ACEHold = true; s.Hybrid = true }, "distributed"},
+		// acehold is ace + mts 1, which the serial engine runs as well.
+		{"acehold serial", func(s *Spec) { s.ACEHold = true; s.Hybrid = true }, ""},
 		{"mts without hybrid", func(s *Spec) { s.MTS = 4 }, "hybrid"},
 		{"mts with rk4", func(s *Spec) { s.MTS = 4; s.Hybrid = true; s.Method = "rk4" }, "PT-CN"},
 		{"mts vs acehold", func(s *Spec) { s.MTS = 2; s.ACEHold = true; s.Hybrid = true; s.Ranks = 2 }, "cadence"},
@@ -72,8 +78,10 @@ func TestSpecNormalizeDefaults(t *testing.T) {
 	if s.Method != "ptcn" || s.Exchange != "overlap" || s.DtAs != 24 || s.IonDtAs != 96 {
 		t.Errorf("defaults not filled: %+v", s)
 	}
-	if !s.ACE {
-		t.Error("acehold did not imply ace")
+	// acehold is a parse-time alias of ace + mts 1 (the Jia & Lin hold is
+	// the M = 1 cycle): no engine sees a second cadence knob.
+	if !s.ACE || s.MTS != 1 {
+		t.Errorf("acehold normalized to ace=%v mts=%d, want ace=true mts=1", s.ACE, s.MTS)
 	}
 }
 
@@ -117,60 +125,202 @@ func TestSCFKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestRunSplitEqualsContinuous: running 3+3 steps through an in-memory
-// checkpoint (the server's preempt/resume path, without the disk) agrees
-// with the uninterrupted 6-step run - same ground state, same samples,
-// same final orbitals.
+// runCase is one row of the engine x integrator matrix the Run tests are
+// driven over: mod turns testSpec into the row's spec.
+type runCase struct {
+	name string
+	mod  func(*Spec)
+}
+
+// withMD makes the row an Ehrenfest run of k electronic steps per ion
+// step, released from a displaced atom.
+func withMD(k int) func(*Spec) {
+	return func(s *Spec) {
+		s.MD, s.IonDtAs, s.Displace = true, float64(k)*s.DtAs, "0:0.1,0,0"
+	}
+}
+
+// setLen sets the trajectory length in loop steps (ion steps under MD).
+func setLen(s *Spec, n int) {
+	if s.MD {
+		s.IonSteps = n
+	} else {
+		s.Steps = n
+	}
+}
+
+// elSteps is the electronic step count of n loop steps.
+func elSteps(s *Spec, n int) int64 {
+	if s.MD {
+		return int64(n * s.IonSubsteps())
+	}
+	return int64(n)
+}
+
+func maxDiff3(a, b [][3]float64) float64 {
+	if len(a) != len(b) {
+		return math.Inf(1)
+	}
+	var m float64
+	for i := range a {
+		for d := 0; d < 3; d++ {
+			m = math.Max(m, math.Abs(a[i][d]-b[i][d]))
+		}
+	}
+	return m
+}
+
+// TestRunSplitEqualsContinuous: running a trajectory in two segments
+// through an in-memory checkpoint (the server's preempt/resume path,
+// without the disk) agrees with the uninterrupted run - same ground state,
+// same samples, same final orbitals and, under MD, the same ion state -
+// on both engines, with and without the ion integrator. The MTS rows split
+// mid-cycle, so the in-memory Final must carry the frozen exchange
+// reference. The uninterrupted run also writes rolling checkpoints every 2
+// steps: exactly the files {2, 4, ..., final} numbered by cumulative
+// electronic step, the last one equal to Final.
 func TestRunSplitEqualsContinuous(t *testing.T) {
-	spec := testSpec()
-	cont, err := Run(&spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specA := testSpec()
-	specA.Steps = 3
-	segA, err := Run(&specA, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if segA.Final == nil || segA.Final.Step != 3 {
-		t.Fatalf("segment A final state covers step %v, want 3", segA.Final)
-	}
-	specB := testSpec()
-	specB.Steps = 3
-	segB, err := Run(&specB, Options{Ground: segA.Ground, Resume: segA.Final})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !segB.GroundCached {
-		t.Error("supplied ground state not marked cached")
-	}
-	if segB.Final.Step != 6 {
-		t.Errorf("resumed final step %d, want 6", segB.Final.Step)
-	}
-	all := append(append([]observe.Sample{}, segA.Samples...), segB.Samples...)
-	if len(all) != len(cont.Samples) {
-		t.Fatalf("split yielded %d samples, continuous %d", len(all), len(cont.Samples))
-	}
-	for i := range all {
-		if all[i].Step != cont.Samples[i].Step {
-			t.Errorf("sample %d: step %d vs %d", i, all[i].Step, cont.Samples[i].Step)
-		}
-		if d := math.Abs(all[i].Energy - cont.Samples[i].Energy); d > 1e-10 {
-			t.Errorf("sample %d: energy differs by %g", i, d)
+	lda := func(s *Spec) {}
+	aceMTS2 := func(s *Spec) { s.Hybrid, s.ACE, s.MTS = true, true, 2 }
+	exactMTS3 := func(s *Spec) { s.Hybrid, s.MTS = true, 3 }
+	ranks2 := func(s *Spec) { s.Ranks = 2 }
+	both := func(mods ...func(*Spec)) func(*Spec) {
+		return func(s *Spec) {
+			for _, m := range mods {
+				m(s)
+			}
 		}
 	}
-	if len(segB.Psi) != len(cont.Psi) {
-		t.Fatalf("psi length %d vs %d", len(segB.Psi), len(cont.Psi))
+	cases := []struct {
+		runCase
+		total, split int
+	}{
+		{runCase{"serial LDA", lda}, 6, 3},
+		{runCase{"serial ACE MTS2", aceMTS2}, 6, 3},
+		{runCase{"serial exact MTS3", exactMTS3}, 6, 2},
+		{runCase{"2-rank LDA", ranks2}, 6, 3},
+		{runCase{"2-rank ACE MTS2", both(ranks2, aceMTS2)}, 6, 3},
+		{runCase{"2-rank exact MTS3", both(ranks2, exactMTS3)}, 6, 2},
+		{runCase{"serial MD LDA", withMD(2)}, 3, 1},
+		{runCase{"serial MD ACE MTS2", both(aceMTS2, withMD(3))}, 3, 1},
+		{runCase{"serial MD exact MTS3", both(exactMTS3, withMD(2))}, 3, 1},
+		{runCase{"2-rank MD LDA", both(ranks2, withMD(2))}, 3, 1},
+		{runCase{"2-rank MD ACE MTS2", both(ranks2, aceMTS2, withMD(3))}, 3, 1},
+		{runCase{"2-rank MD exact MTS3", both(ranks2, exactMTS3, withMD(2))}, 3, 1},
 	}
-	var maxd float64
-	for i := range cont.Psi {
-		if d := cmplx.Abs(segB.Psi[i] - cont.Psi[i]); d > maxd {
-			maxd = d
-		}
-	}
-	if maxd > 1e-10 {
-		t.Errorf("split and continuous orbitals differ by %g, want <= 1e-10", maxd)
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			seg := func(n int) Spec {
+				s := testSpec()
+				tc.mod(&s)
+				setLen(&s, n)
+				return s
+			}
+			spec := seg(tc.total)
+			roll := &checkpoint.Rolling{Base: filepath.Join(t.TempDir(), "ck"), Keep: tc.total}
+			cont, err := Run(&spec, Options{Ckpt: roll, CkptEvery: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			specA := seg(tc.split)
+			optA := Options{}
+			if i > 0 {
+				// The first row solves its ground state twice (run-to-run
+				// determinism); the others share one to save the SCF.
+				optA.Ground = cont.Ground
+			}
+			segA, err := Run(&specA, optA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := elSteps(&specA, tc.split); segA.Final == nil || segA.Final.Step != want {
+				t.Fatalf("segment A final state covers step %v, want %d", segA.Final, want)
+			}
+			if spec.MTS > 0 && segA.Final.MTSPhase == 0 {
+				t.Fatalf("segment A ended on a cycle boundary; the row is meant to split mid-cycle")
+			}
+			specB := seg(tc.total - tc.split)
+			segB, err := Run(&specB, Options{Ground: segA.Ground, Resume: segA.Final})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !segB.GroundCached {
+				t.Error("supplied ground state not marked cached")
+			}
+			if want := elSteps(&spec, tc.total); segB.Final.Step != want {
+				t.Errorf("resumed final step %d, want %d", segB.Final.Step, want)
+			}
+			all := append(append([]observe.Sample{}, segA.Samples...), segB.Samples...)
+			if len(all) != len(cont.Samples) {
+				t.Fatalf("split yielded %d samples, continuous %d", len(all), len(cont.Samples))
+			}
+			for i := range all {
+				if all[i].Step != cont.Samples[i].Step {
+					t.Errorf("sample %d: step %d vs %d", i, all[i].Step, cont.Samples[i].Step)
+				}
+				if d := math.Abs(all[i].Energy - cont.Samples[i].Energy); d > 1e-10 {
+					t.Errorf("sample %d: energy differs by %g", i, d)
+				}
+				if d := math.Abs(all[i].CurrentZ - cont.Samples[i].CurrentZ); d > 1e-10 {
+					t.Errorf("sample %d: current differs by %g", i, d)
+				}
+				if d := math.Abs(all[i].Excited - cont.Samples[i].Excited); d > 1e-10 {
+					t.Errorf("sample %d: excited electrons differ by %g", i, d)
+				}
+			}
+			if len(segB.Psi) != len(cont.Psi) {
+				t.Fatalf("psi length %d vs %d", len(segB.Psi), len(cont.Psi))
+			}
+			var maxd float64
+			for i := range cont.Psi {
+				if d := cmplx.Abs(segB.Psi[i] - cont.Psi[i]); d > maxd {
+					maxd = d
+				}
+			}
+			if maxd > 1e-10 {
+				t.Errorf("split and continuous orbitals differ by %g, want <= 1e-10", maxd)
+			}
+			if spec.MD {
+				a, b := segB.Final, cont.Final
+				if a.IonSteps != int64(tc.total) || b.IonSteps != int64(tc.total) {
+					t.Errorf("ion step counters %d (split) and %d (continuous), want %d", a.IonSteps, b.IonSteps, tc.total)
+				}
+				for what, d := range map[string]float64{
+					"positions":  maxDiff3(a.IonPos, b.IonPos),
+					"velocities": maxDiff3(a.IonVel, b.IonVel),
+					"forces":     maxDiff3(a.IonForce, b.IonForce),
+				} {
+					if d > 1e-10 {
+						t.Errorf("split and continuous ion %s differ by %g, want <= 1e-10", what, d)
+					}
+				}
+			}
+
+			// The rolling sequence of the uninterrupted run.
+			var wantFiles []string
+			for n := 2; n < tc.total; n += 2 {
+				wantFiles = append(wantFiles, fmt.Sprintf("ck.step%010d", elSteps(&spec, n)))
+			}
+			wantFiles = append(wantFiles, fmt.Sprintf("ck.step%010d", elSteps(&spec, tc.total)))
+			matches, err := filepath.Glob(roll.Base + ".step*")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gotFiles []string
+			for _, m := range matches {
+				gotFiles = append(gotFiles, filepath.Base(m))
+			}
+			if !reflect.DeepEqual(gotFiles, wantFiles) {
+				t.Errorf("rolling checkpoint files %v, want %v", gotFiles, wantFiles)
+			}
+			last, _, err := roll.Latest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(last, cont.Final) {
+				t.Errorf("the newest rolling checkpoint (step %d) does not load back to Final (step %d)", last.Step, cont.Final.Step)
+			}
+		})
 	}
 }
 
@@ -223,34 +373,127 @@ func TestRunPulseSplitEqualsContinuous(t *testing.T) {
 }
 
 // TestRunStopAndStream: the Stop channel ends the run after the step in
-// flight; OnSample saw exactly the completed steps, in order.
+// flight; OnSample saw exactly the completed steps, in order - on both
+// engines and under MD. The last row asks for 2^34 steps: the sample
+// history must grow with the steps that ran, never be sized from the spec
+// (a distributed run used to ask the runtime for ~1 TB before step one).
 func TestRunStopAndStream(t *testing.T) {
-	spec := testSpec()
-	spec.Steps = 10
-	stop := make(chan struct{})
-	var streamed []int
-	res, err := Run(&spec, Options{
-		Stop:     stop,
-		OnSample: func(s observe.Sample) { streamed = append(streamed, s.Step) },
-		AfterStep: func(done int) {
-			if done == 4 {
-				close(stop)
+	cases := []struct {
+		runCase
+		total, stopAt int
+	}{
+		{runCase{"serial", func(s *Spec) {}}, 10, 4},
+		{runCase{"2-rank", func(s *Spec) { s.Ranks = 2 }}, 10, 2},
+		{runCase{"serial MD", withMD(2)}, 10, 2},
+		{runCase{"2-rank MD", func(s *Spec) { s.Ranks = 2; withMD(2)(s) }}, 10, 2},
+		{runCase{"2-rank unbounded", func(s *Spec) { s.Ranks = 2 }}, 1 << 34, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := testSpec()
+			tc.mod(&spec)
+			setLen(&spec, tc.total)
+			stop := make(chan struct{})
+			var streamed []int
+			res, err := Run(&spec, Options{
+				Stop:     stop,
+				OnSample: func(s observe.Sample) { streamed = append(streamed, s.Step) },
+				AfterStep: func(done int) {
+					if done == tc.stopAt {
+						close(stop)
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+			if !res.Stopped {
+				t.Error("Stopped not set")
+			}
+			if len(res.Samples) != tc.stopAt {
+				t.Fatalf("ran %d steps, want %d", len(res.Samples), tc.stopAt)
+			}
+			if len(streamed) != tc.stopAt || streamed[tc.stopAt-1] != tc.stopAt {
+				t.Errorf("streamed steps %v, want 1..%d", streamed, tc.stopAt)
+			}
+			if want := elSteps(&spec, tc.stopAt); res.Final.Step != want {
+				t.Errorf("final state step %d, want %d", res.Final.Step, want)
+			}
+		})
 	}
-	if !res.Stopped {
-		t.Error("Stopped not set")
+}
+
+// TestRunPeriodicSaveFailure: a periodic checkpoint that cannot be written
+// ends the run within that step - the root folds the failure into the
+// shutdown vote, so every rank leaves together (Run returning at all is
+// the evidence: mpi.Run waits for every rank) - and Run returns the error
+// instead of a result it would have to discard.
+func TestRunPeriodicSaveFailure(t *testing.T) {
+	for _, ranks := range []int{1, 2} {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+			notADir := filepath.Join(t.TempDir(), "file")
+			if err := os.WriteFile(notADir, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			spec := testSpec()
+			spec.Ranks = ranks
+			steps := 0
+			res, err := Run(&spec, Options{
+				Ckpt:      &checkpoint.Rolling{Base: filepath.Join(notADir, "ck")},
+				CkptEvery: 2,
+				AfterStep: func(done int) { steps = done },
+			})
+			if err == nil || !strings.Contains(err.Error(), "periodic checkpoint after step 2") {
+				t.Fatalf("error %v does not name the failed periodic checkpoint", err)
+			}
+			if res != nil {
+				t.Error("a failed run returned a result")
+			}
+			if steps != 2 {
+				t.Errorf("the run went on to step %d after the save at step 2 failed", steps)
+			}
+		})
 	}
-	if len(res.Samples) != 4 {
-		t.Fatalf("ran %d steps, want 4", len(res.Samples))
-	}
-	if len(streamed) != 4 || streamed[3] != 4 {
-		t.Errorf("streamed steps %v, want [1 2 3 4]", streamed)
-	}
-	if res.Final.Step != 4 {
-		t.Errorf("final state step %d, want 4", res.Final.Step)
+}
+
+// TestRunSerialEqualsDistributed: the two engines are one propagation.
+// From one shared ground state the serial and the 2-rank run of one spec
+// agree on every sample, semi-local and hybrid.
+func TestRunSerialEqualsDistributed(t *testing.T) {
+	for _, tc := range []runCase{
+		{"LDA", func(s *Spec) {}},
+		{"hybrid", func(s *Spec) { s.Hybrid = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := testSpec()
+			tc.mod(&spec)
+			spec.Steps = 3
+			serial, err := Run(&spec, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Ranks = 2
+			ranked, err := Run(&spec, Options{Ground: serial.Ground})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ranked.Samples) != len(serial.Samples) {
+				t.Fatalf("%d samples on 2 ranks, %d serially", len(ranked.Samples), len(serial.Samples))
+			}
+			for i, a := range serial.Samples {
+				b := ranked.Samples[i]
+				if a.Step != b.Step || a.SCFIters != b.SCFIters {
+					t.Errorf("sample %d: step/SCF %d/%d serially, %d/%d on 2 ranks", i, a.Step, a.SCFIters, b.Step, b.SCFIters)
+				}
+				for what, d := range map[string]float64{
+					"time": a.TimeFs - b.TimeFs, "energy": a.Energy - b.Energy,
+					"current": a.CurrentZ - b.CurrentZ, "excited": a.Excited - b.Excited,
+				} {
+					if math.Abs(d) > 1e-9 {
+						t.Errorf("sample %d: %s differs by %g between the engines, want <= 1e-9", i, what, d)
+					}
+				}
+			}
+		})
 	}
 }
