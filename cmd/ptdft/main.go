@@ -146,7 +146,6 @@ func main() {
 
 func run(cfg *config) error {
 	spec := &cfg.spec
-	prof := trace.New()
 	// The flight recorder is allocated only when a trace surface was
 	// requested, so the default run keeps every recording site on its
 	// zero-alloc disabled path.
@@ -188,7 +187,6 @@ func run(cfg *config) error {
 	res, err := sim.Run(spec, sim.Options{
 		Stop:       cfg.stop,
 		AfterStep:  cfg.afterStep,
-		OnSample:   func(s observe.Sample) { prof.Add(stepLabel, s.WallSec) },
 		Trace:      rec,
 		PulseSteps: pulseSteps,
 		Resume:     loaded,
@@ -202,7 +200,6 @@ func run(cfg *config) error {
 	if err != nil {
 		return err
 	}
-	prof.Add("ground state SCF", res.GroundWallSec)
 
 	if !cfg.quiet {
 		fmt.Printf("\n%10s %16s %14s %10s %6s %10s\n", "t (fs)", "E (Ha)", "J_z (au)", "n_exc", "SCF", "wall (s)")
@@ -220,15 +217,18 @@ func run(cfg *config) error {
 	if cfg.savePath != "" {
 		fmt.Printf("checkpoint written to %s (step %d)\n", cfg.savePath, res.Final.Step)
 	}
-	fmt.Println()
-	prof.Report(os.Stdout)
+	var stepWall float64
+	for _, s := range res.Samples {
+		stepWall += s.WallSec
+	}
+	fmt.Printf("\nground state SCF %.4f s; %d %ss %.4f s\n", res.GroundWallSec, len(res.Samples), stepLabel, stepWall)
 	if cfg.profReport {
 		fmt.Printf("\nflight recorder: %.3f rank-seconds busy", res.RankSeconds)
 		if res.BytesMoved > 0 {
 			fmt.Printf(", %.1f MB moved", float64(res.BytesMoved)/1e6)
 		}
 		fmt.Println()
-		rec.Profile().Report(os.Stdout)
+		trace.Report(os.Stdout, rec.Profile())
 	}
 	if cfg.traceFile != "" {
 		f, err := os.Create(cfg.traceFile)

@@ -1,12 +1,12 @@
 // The faults experiment measures recovery overhead on the real
-// distributed code path: a propagation under dist.RunResilient with an
-// injected rank crash, swept over the crash step and the checkpoint
-// cadence. The cost of surviving a failure decomposes into lost steps
-// (work past the last durable checkpoint, re-run after the relaunch) plus
-// the fixed teardown/relaunch cost, so the table makes the cadence
-// trade-off concrete: frequent checkpoints buy cheap recovery with more
-// I/O, sparse ones the reverse. Measured, not modeled - runs only when
-// named, like sched.
+// distributed code path: a propagation through sim.Run with an injected
+// rank crash, swept over the crash step and the checkpoint cadence. The
+// cost of surviving a failure decomposes into lost steps (work past the
+// last durable checkpoint, re-run after the relaunch) plus the fixed
+// teardown/relaunch cost, so the table makes the cadence trade-off
+// concrete: frequent checkpoints buy cheap recovery with more I/O, sparse
+// ones the reverse. Measured, not modeled - runs only when named, like
+// sched.
 package main
 
 import (
@@ -16,97 +16,64 @@ import (
 	"time"
 
 	"ptdft/internal/checkpoint"
-	"ptdft/internal/core"
-	"ptdft/internal/dist"
-	"ptdft/internal/grid"
-	"ptdft/internal/hamiltonian"
-	"ptdft/internal/laser"
-	"ptdft/internal/lattice"
 	"ptdft/internal/mpi"
-	"ptdft/internal/pseudo"
+	"ptdft/internal/sim"
 	"ptdft/internal/trace"
-	"ptdft/internal/wavefunc"
-	"ptdft/internal/xc"
 )
 
-// faultRun propagates `steps` semi-local PT-CN steps on `ranks` ranks
-// under the resilient supervisor, crashing `victim` before step
-// `crashStep` on the first attempt (victim < 0 disables the fault), and
+// check ends the experiment on an error.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// faultRun propagates spec from the shared ground state with rolling
+// checkpoints every `every` steps under dir, crashing `victim` before step
+// `crashStep` on the first launch (victim < 0 disables the fault), and
 // returns the result plus the wall time.
-func faultRun(g *grid.Grid, psi []complex128, nb, ranks, steps, every int, victim int, crashStep int64, dir string, rec *trace.Recorder) (*dist.ResilientResult, time.Duration, error) {
-	cfg := dist.ResilientConfig{
-		Ranks: ranks, G: g, NB: nb, Trace: rec,
-		NewHamiltonian: func() *hamiltonian.Hamiltonian {
-			return hamiltonian.New(g, map[int]*pseudo.Potential{0: pseudo.SiliconAH()}, hamiltonian.Config{})
-		},
-		Hyb: xc.HSE06(), Hybrid: false,
-		Field: &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}},
-		Opt:   core.DefaultPTCN(),
-		Psi0:  psi, Steps: steps, Dt: 1.0,
-		Natom: 8, Ecut: 2,
-		// A tight deadline keeps the fixed detection cost from swamping the
-		// cadence-dependent re-run cost at laptop scale (production would
-		// run seconds-long deadlines against minutes-long steps).
-		MaxRestarts: 2, Deadline: time.Second,
-	}
-	if every > 0 {
-		cfg.Ckpt = &checkpoint.Rolling{Base: filepath.Join(dir, "faults.ckp")}
-		cfg.CkptEvery = every
-	}
+func faultRun(spec sim.Spec, opt sim.Options, every, victim int, crashStep int64, dir string) (*sim.Result, time.Duration) {
+	check(os.Mkdir(dir, 0o755))
+	opt.Ckpt, opt.CkptEvery = &checkpoint.Rolling{Base: filepath.Join(dir, "faults.ckp")}, every
 	if victim >= 0 {
-		cfg.FaultFor = func(attempt int) *mpi.Fault {
+		opt.Perturb = func(attempt int) *mpi.Perturb {
 			if attempt > 0 {
 				return nil
 			}
-			return &mpi.Fault{Crashes: []mpi.CrashRankAt{{Rank: victim, AfterStep: crashStep}}}
+			// A tight deadline keeps the fixed detection cost from swamping
+			// the cadence-dependent re-run cost at laptop scale (production
+			// would run seconds-long deadlines against minutes-long steps).
+			return &mpi.Perturb{
+				Deadline: time.Second,
+				Fault:    &mpi.Fault{Crashes: []mpi.CrashRankAt{{Rank: victim, AfterStep: crashStep}}},
+			}
 		}
 	}
 	t0 := time.Now()
-	res, err := dist.RunResilient(cfg)
-	return res, time.Since(t0), err
+	res, err := sim.Run(&spec, opt)
+	check(err)
+	return res, time.Since(t0)
 }
 
 func faults(rec *trace.Recorder) {
-	cell := lattice.MustSiliconSupercell(1, 1, 1)
-	g := grid.MustNew(cell, 2)
-	nb := cell.NumBands()
-	psi := wavefunc.Random(g, nb, 7)
-	const ranks, steps = 4, 12
+	spec := sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 2, Ranks: 4, Steps: 12, Kick: 0.02, Seed: 7}
+	gs, err := sim.GroundState(&spec)
+	check(err)
+	opt := sim.Options{Ground: gs, Trace: rec}
+	dir, err := os.MkdirTemp("", "summitsim-faults-*")
+	check(err)
+	defer os.RemoveAll(dir)
 
 	// Crash-free baseline (checkpoints on, so the cadence I/O is included).
-	dir, err := os.MkdirTemp("", "summitsim-faults-*")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer os.RemoveAll(dir)
-	cleanDir := filepath.Join(dir, "clean")
-	if err := os.Mkdir(cleanDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	_, cleanWall, err := faultRun(g, psi, nb, ranks, steps, 4, -1, 0, cleanDir, rec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	_, cleanWall := faultRun(spec, opt, 4, -1, 0, filepath.Join(dir, "clean"))
 
 	header(fmt.Sprintf("Faults: recovery overhead, %d ranks, Si8 nb=%d, %d steps (crash-free: %.0f ms)",
-		ranks, nb, steps, float64(cleanWall)/1e6))
+		spec.Ranks, len(gs.BandEnergies), spec.Steps, float64(cleanWall)/1e6))
 	fmt.Printf("%10s %12s %10s %10s %12s %10s\n", "cadence", "crash step", "restarts", "lost", "wall (ms)", "overhead")
 	for _, every := range []int{2, 4, 6} {
 		for _, crash := range []int64{3, 6, 9, 11} {
-			cellDir := filepath.Join(dir, fmt.Sprintf("c%d-s%d", every, crash))
-			if err := os.Mkdir(cellDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			victim := int(crash) % ranks
-			res, wall, err := faultRun(g, psi, nb, ranks, steps, every, victim, crash, cellDir, rec)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			res, wall := faultRun(spec, opt, every, int(crash)%spec.Ranks, crash, filepath.Join(dir, fmt.Sprintf("c%d-s%d", every, crash)))
 			fmt.Printf("%10d %12d %10d %10d %12.0f %9.1f%%\n",
 				every, crash, res.Restarts, res.LostSteps,
 				float64(wall)/1e6, 100*(float64(wall)/float64(cleanWall)-1))

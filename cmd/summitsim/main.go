@@ -21,9 +21,9 @@
 // `-experiment sched` runs the real distributed exchange (internal/dist
 // over the goroutine MPI runtime) under injected per-rank slowdowns and
 // NIC delay, comparing the static schedules against the dynamic work
-// queue; `-experiment faults` runs a real propagation under the resilient
-// supervisor with injected rank crashes, sweeping crash step x checkpoint
-// cadence to measure recovery overhead.
+// queue; `-experiment faults` runs a real propagation through sim.Run with
+// injected rank crashes, sweeping crash step x checkpoint cadence to
+// measure recovery overhead.
 package main
 
 import (

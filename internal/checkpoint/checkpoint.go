@@ -1,21 +1,28 @@
 // Package checkpoint serializes and restores rt-TDDFT simulation state -
 // wavefunctions, simulation time, and metadata - so long runs (the paper's
 // production runs are 600 steps over many hours) can be split across job
-// allocations. The format is a versioned little-endian binary stream with
-// a whole-file checksum. Version 2 adds the multiple-time-stepping (MTS)
-// cadence state: the refresh period, the phase within the M-step cycle,
-// and - when the save lands mid-cycle - the frozen exchange reference
-// orbitals of the last outer step, so a resumed segment reconstructs the
-// identical frozen operator instead of silently refreshing early. Version
-// 3 adds the Ehrenfest ion section: positions, velocities and the cached
-// force of every atom, so an interrupted MD trajectory resumes
-// bit-compatibly (the first half kick after the resume uses the stored
-// force, not a recomputation subject to parallel reduction order).
-// Version 4 hardens the stream for fault-tolerant operation: the header
-// and each payload section (psi, frozen reference, ions) carry their own
-// CRC64, so corruption is localized to a named field and byte range and a
-// damaged header is rejected before any payload-sized allocation. All
-// older versions still load.
+// allocations, preempted, and recovered after a crash. The format is one
+// little-endian binary stream:
+//
+//	header            15 words: magic, version, time, step, bands, NG, atoms,
+//	                  Ecut, hybrid, MTS period, MTS phase, ACE flag,
+//	                  reference bands, ions, ion steps - then its CRC64
+//	psi               bands x NG complex coefficients, then their CRC64
+//	frozen reference  (mid MTS cycle only) bands x NG, then its CRC64
+//	ions              (Ehrenfest MD only) positions, velocities, cached
+//	                  forces of every atom, then their CRC64
+//	file checksum     CRC64 of everything above
+//
+// The MTS words carry the refresh period and the phase within the M-step
+// cycle; a save that lands mid-cycle adds the frozen exchange reference of
+// the last outer step, so a resumed segment reconstructs the identical
+// frozen operator instead of silently refreshing early. The ion section's
+// cached force is what makes an MD resume bit-compatible: the first half
+// kick after it uses the stored force, not a recomputation subject to
+// parallel reduction order. The header checksum is verified before any
+// size word is trusted for an allocation, and the per-section checksums
+// attribute corruption to a named field and byte range. There is one
+// format version; any other is rejected.
 package checkpoint
 
 import (
@@ -48,8 +55,8 @@ type State struct {
 	Hybrid bool
 	Psi    []complex128 // band-major sphere coefficients
 
-	// MTS cadence state (version 2). MTSPeriod is the refresh period M the
-	// run propagated under (0 when MTS was off), MTSPhase the position
+	// MTS cadence state. MTSPeriod is the refresh period M the run
+	// propagated under (0 when MTS was off), MTSPhase the position
 	// within the M-step cycle at save time (Step mod M). MTSACE records
 	// which operator kind the frozen reference backs - the ACE compression
 	// or the exact exchange - so a resume cannot silently reconstruct the
@@ -63,8 +70,8 @@ type State struct {
 	MTSACE    bool
 	PhiRef    []complex128
 
-	// Ehrenfest ion state (version 3), present exactly when the run moved
-	// ions (-md): positions, velocities and the cached Hellmann-Feynman
+	// Ehrenfest ion state, present exactly when the run moved ions
+	// (-md): positions, velocities and the cached Hellmann-Feynman
 	// force of every atom (all length Natom), plus the count of completed
 	// ion steps. The force cache is what makes the resume bit-compatible:
 	// velocity Verlet opens every step with a half kick from the force of
@@ -78,7 +85,7 @@ type State struct {
 // HasIons reports whether the state carries an Ehrenfest ion section.
 func (s *State) HasIons() bool { return len(s.IonPos) > 0 }
 
-// Save writes the state to w (always in the current format version).
+// Save writes the state to w.
 func Save(w io.Writer, s *State) error {
 	if len(s.Psi) != s.NBands*s.NG {
 		return fmt.Errorf("checkpoint: psi length %d != %d bands x %d", len(s.Psi), s.NBands, s.NG)
@@ -124,8 +131,8 @@ func Save(w io.Writer, s *State) error {
 	if _, err := mw.Write(hdr.Bytes()); err != nil {
 		return err
 	}
-	// Version 4: the header carries its own checksum so a loader rejects a
-	// damaged header before trusting any size word in it.
+	// The header carries its own checksum so a loader rejects a damaged
+	// header before trusting any size word in it.
 	if err := binary.Write(mw, binary.LittleEndian, crc64.Checksum(hdr.Bytes(), crcTab)); err != nil {
 		return err
 	}
@@ -232,87 +239,61 @@ func readVec3(r io.Reader, cnt *countReader, dst [][3]float64, what string) erro
 	return nil
 }
 
-// Load reads a state from r, verifying the checksums. All format versions
-// load: version 1 carries no MTS section, versions 1 and 2 no ion
-// section, versions before 4 only the whole-file checksum. Damage -
-// truncation or flipped bits anywhere in the stream - is reported as a
-// descriptive error naming the field and byte offset, never a panic or a
-// silently corrupt state.
+// Load reads a state from r, verifying the checksums. Damage - truncation
+// or flipped bits anywhere in the stream - is reported as a descriptive
+// error naming the field and byte offset, never a panic or a silently
+// corrupt state.
 func Load(r io.Reader) (*State, error) {
 	cnt := &countReader{r: bufio.NewReader(r)}
 	crc := crc64.New(crcTab)
 	tr := io.TeeReader(cnt, crc)
-	var hdrBytes []byte
-	readWords := func(n int, what string) ([]uint64, error) {
-		out := make([]uint64, n)
-		buf := make([]byte, 8)
-		for i := range out {
-			if _, err := io.ReadFull(tr, buf); err != nil {
-				return nil, fmt.Errorf("checkpoint: %s truncated at byte %d: %w", what, cnt.n, err)
-			}
-			hdrBytes = append(hdrBytes, buf...)
-			out[i] = binary.LittleEndian.Uint64(buf)
-		}
-		return out, nil
+	// Magic and version are read first, so a foreign file is named as such
+	// rather than as a truncated header.
+	hdr := make([]byte, 8*15)
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(hdr[8*i:]) }
+	truncated := func(err error) error {
+		return fmt.Errorf("checkpoint: header truncated at byte %d: %w", cnt.n, err)
 	}
-	header, err := readWords(9, "header")
-	if err != nil {
-		return nil, err
+	if _, err := io.ReadFull(tr, hdr[:16]); err != nil {
+		return nil, truncated(err)
 	}
-	if header[0] != magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %#x", header[0])
+	if word(0) != magic {
+		return nil, fmt.Errorf("checkpoint: bad magic %#x", word(0))
 	}
-	ver := header[1]
-	if ver < 1 || ver > version {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d", ver)
+	if word(1) != version {
+		return nil, fmt.Errorf("checkpoint: unsupported version %d", word(1))
+	}
+	if _, err := io.ReadFull(tr, hdr[16:]); err != nil {
+		return nil, truncated(err)
+	}
+	// The header checksum is verified before any size word below is
+	// trusted for an allocation.
+	var stored uint64
+	if err := binary.Read(tr, binary.LittleEndian, &stored); err != nil {
+		return nil, fmt.Errorf("checkpoint: header checksum truncated at byte %d: %w", cnt.n, err)
+	}
+	if crc64.Checksum(hdr, crcTab) != stored {
+		return nil, fmt.Errorf("checkpoint: header corrupt (checksum mismatch over bytes 0..%d)", len(hdr)-1)
 	}
 	s := &State{
-		Time:   math.Float64frombits(header[2]),
-		Step:   int64(header[3]),
-		NBands: int(header[4]),
-		NG:     int(header[5]),
-		Natom:  int64(header[6]),
-		Ecut:   math.Float64frombits(header[7]),
-		Hybrid: header[8] != 0,
+		Time:   math.Float64frombits(word(2)),
+		Step:   int64(word(3)),
+		NBands: int(word(4)),
+		NG:     int(word(5)),
+		Natom:  int64(word(6)),
+		Ecut:   math.Float64frombits(word(7)),
+		Hybrid: word(8) != 0,
+
+		MTSPeriod: int64(word(9)),
+		MTSPhase:  int64(word(10)),
+		MTSACE:    word(11) != 0,
+		IonSteps:  int64(word(14)),
 	}
-	nref := uint64(0)
-	if ver >= 2 {
-		ext, err := readWords(4, "MTS header")
-		if err != nil {
-			return nil, err
-		}
-		s.MTSPeriod = int64(ext[0])
-		s.MTSPhase = int64(ext[1])
-		s.MTSACE = ext[2] != 0
-		nref = ext[3]
-	}
-	nion := uint64(0)
-	if ver >= 3 {
-		ext, err := readWords(2, "ion header")
-		if err != nil {
-			return nil, err
-		}
-		nion = ext[0]
-		s.IonSteps = int64(ext[1])
-	}
-	if ver >= 4 {
-		// The header checksum is verified before any size word below is
-		// trusted for an allocation.
-		var stored uint64
-		if err := binary.Read(tr, binary.LittleEndian, &stored); err != nil {
-			return nil, fmt.Errorf("checkpoint: header checksum truncated at byte %d: %w", cnt.n, err)
-		}
-		if got := crc64.Checksum(hdrBytes, crcTab); got != stored {
-			return nil, fmt.Errorf("checkpoint: header corrupt (checksum mismatch over bytes 0..%d)", len(hdrBytes)-1)
-		}
-	}
+	nref, nion := word(12), word(13)
 	// verifySection brackets one payload section with its own checksum
-	// word (version 4), so damage is attributed to the section by name
-	// and byte range instead of a file-level mismatch after the fact.
+	// word, so damage is attributed to the section by name and byte range
+	// instead of a file-level mismatch after the fact.
 	verifySection := func(what string, read func(io.Reader) error) error {
-		if ver < 4 {
-			return read(tr)
-		}
 		start := cnt.n
 		sec := crc64.New(crcTab)
 		if err := read(io.TeeReader(tr, sec)); err != nil {

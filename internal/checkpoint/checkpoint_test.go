@@ -3,8 +3,8 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc64"
-	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -81,50 +81,7 @@ func TestRoundTripMTS(t *testing.T) {
 	}
 }
 
-// TestLoadVersion1 keeps the pre-MTS format readable: a hand-written
-// version-1 stream (9-word header, psi, checksum) loads with zero cadence
-// state.
-func TestLoadVersion1(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	s := sampleState(rng)
-	var raw bytes.Buffer
-	crc := crc64.New(crc64.MakeTable(crc64.ECMA))
-	mw := io.MultiWriter(&raw, crc)
-	header := []uint64{
-		magic, 1,
-		math.Float64bits(s.Time), uint64(s.Step),
-		uint64(s.NBands), uint64(s.NG), uint64(s.Natom),
-		math.Float64bits(s.Ecut), 1,
-	}
-	for _, h := range header {
-		if err := binary.Write(mw, binary.LittleEndian, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := writeComplex(mw, s.Psi); err != nil {
-		t.Fatal(err)
-	}
-	if err := binary.Write(&raw, binary.LittleEndian, crc.Sum64()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&raw)
-	if err != nil {
-		t.Fatalf("version-1 stream rejected: %v", err)
-	}
-	if got.Step != s.Step || !got.Hybrid {
-		t.Errorf("version-1 metadata lost: %+v", got)
-	}
-	if got.MTSPeriod != 0 || got.MTSPhase != 0 || got.MTSACE || got.PhiRef != nil {
-		t.Errorf("version-1 load invented MTS state: %+v", got)
-	}
-	for i := range s.Psi {
-		if got.Psi[i] != s.Psi[i] {
-			t.Fatalf("psi differs at %d", i)
-		}
-	}
-}
-
-// TestRoundTripIon: the version-3 ion section - positions, velocities,
+// TestRoundTripIon: the ion section - positions, velocities,
 // force cache and the ion-step counter - survives a round trip bit for
 // bit, and inconsistent sections are rejected at save time.
 func TestRoundTripIon(t *testing.T) {
@@ -173,15 +130,14 @@ func TestRoundTripIon(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsImplausibleIonCount: a corrupt version-3 header whose
-// ion-count word is garbage must fail with an error before any
-// header-sized allocation happens (no makeslice panic, no OOM).
+// TestLoadRejectsImplausibleIonCount: a header whose ion-count word is
+// garbage (under a valid header checksum, so only the plausibility cap
+// stands in the way) must fail with an error before any header-sized
+// allocation happens (no makeslice panic, no OOM).
 func TestLoadRejectsImplausibleIonCount(t *testing.T) {
 	var raw bytes.Buffer
-	crc := crc64.New(crc64.MakeTable(crc64.ECMA))
-	mw := io.MultiWriter(&raw, crc)
 	header := []uint64{
-		magic, 3,
+		magic, version,
 		math.Float64bits(1.0), 1,
 		1, 1, 1 << 60, // Natom garbage
 		math.Float64bits(3.0), 0,
@@ -189,9 +145,12 @@ func TestLoadRejectsImplausibleIonCount(t *testing.T) {
 		1 << 60, 0, // nion garbage matching Natom
 	}
 	for _, h := range header {
-		if err := binary.Write(mw, binary.LittleEndian, h); err != nil {
+		if err := binary.Write(&raw, binary.LittleEndian, h); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := binary.Write(&raw, binary.LittleEndian, crc64.Checksum(raw.Bytes(), crcTab)); err != nil {
+		t.Fatal(err)
 	}
 	_, err := Load(&raw)
 	if err == nil {
@@ -199,57 +158,6 @@ func TestLoadRejectsImplausibleIonCount(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "ion count") {
 		t.Errorf("error does not name the ion count: %v", err)
-	}
-}
-
-// TestLoadVersion2 keeps the MTS-era format readable: a hand-written
-// version-2 stream (13-word header, psi, frozen reference, checksum)
-// loads with its cadence state intact and no invented ion section.
-func TestLoadVersion2(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	s := sampleState(rng)
-	phiRef := make([]complex128, len(s.Psi))
-	for i := range phiRef {
-		phiRef[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	var raw bytes.Buffer
-	crc := crc64.New(crc64.MakeTable(crc64.ECMA))
-	mw := io.MultiWriter(&raw, crc)
-	header := []uint64{
-		magic, 2,
-		math.Float64bits(s.Time), uint64(s.Step),
-		uint64(s.NBands), uint64(s.NG), uint64(s.Natom),
-		math.Float64bits(s.Ecut), 1,
-		4, 3, 1, uint64(s.NBands),
-	}
-	for _, h := range header {
-		if err := binary.Write(mw, binary.LittleEndian, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := writeComplex(mw, s.Psi); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeComplex(mw, phiRef); err != nil {
-		t.Fatal(err)
-	}
-	if err := binary.Write(&raw, binary.LittleEndian, crc.Sum64()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&raw)
-	if err != nil {
-		t.Fatalf("version-2 stream rejected: %v", err)
-	}
-	if got.MTSPeriod != 4 || got.MTSPhase != 3 || !got.MTSACE {
-		t.Errorf("version-2 MTS state lost: %+v", got)
-	}
-	for i := range phiRef {
-		if got.PhiRef[i] != phiRef[i] {
-			t.Fatalf("frozen reference differs at %d", i)
-		}
-	}
-	if got.HasIons() || got.IonSteps != 0 {
-		t.Errorf("version-2 load invented ion state: %+v", got)
 	}
 }
 
@@ -301,9 +209,24 @@ func TestTruncationDetected(t *testing.T) {
 	}
 }
 
+// TestBadMagicAndVersion: a foreign stream is rejected by its magic, and
+// so is every format version but the one Save writes - the retired
+// versions 1-3 included.
 func TestBadMagicAndVersion(t *testing.T) {
-	if _, err := Load(bytes.NewReader(make([]byte, 100))); err == nil {
-		t.Error("bad magic not detected")
+	if _, err := Load(bytes.NewReader(make([]byte, 100))); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("bad magic not detected: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, sampleState(rand.New(rand.NewSource(9)))); err != nil {
+		t.Fatal(err)
+	}
+	for _, ver := range []uint64{0, 1, 2, 3, version + 1} {
+		data := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint64(data[8:], ver)
+		want := fmt.Sprintf("unsupported version %d", ver)
+		if _, err := Load(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: error %v, want %q", ver, err, want)
+		}
 	}
 }
 

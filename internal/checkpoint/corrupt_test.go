@@ -2,10 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc64"
-	"io"
-	"math"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -37,160 +34,64 @@ func fullState(rng *rand.Rand) *State {
 	return s
 }
 
-// streamVersion serializes s in the given historical format version
-// (hand-written for 1-3, Save for the current 4), reproducing exactly
-// what those releases wrote.
-func streamVersion(t *testing.T, ver int, s *State) []byte {
+// savedStream serializes fullState.
+func savedStream(t *testing.T, rng *rand.Rand) []byte {
 	t.Helper()
-	if ver == 4 {
-		var buf bytes.Buffer
-		if err := Save(&buf, s); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	var raw bytes.Buffer
-	crc := crc64.New(crc64.MakeTable(crc64.ECMA))
-	mw := io.MultiWriter(&raw, crc)
-	hyb := uint64(0)
-	if s.Hybrid {
-		hyb = 1
-	}
-	header := []uint64{
-		magic, uint64(ver),
-		math.Float64bits(s.Time), uint64(s.Step),
-		uint64(s.NBands), uint64(s.NG), uint64(s.Natom),
-		math.Float64bits(s.Ecut), hyb,
-	}
-	if ver >= 2 {
-		ace := uint64(0)
-		if s.MTSACE {
-			ace = 1
-		}
-		nref := uint64(0)
-		if len(s.PhiRef) > 0 {
-			nref = uint64(s.NBands)
-		}
-		header = append(header, uint64(s.MTSPeriod), uint64(s.MTSPhase), ace, nref)
-	}
-	if ver >= 3 {
-		header = append(header, uint64(len(s.IonPos)), uint64(s.IonSteps))
-	}
-	for _, h := range header {
-		if err := binary.Write(mw, binary.LittleEndian, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := writeComplex(mw, s.Psi); err != nil {
+	var buf bytes.Buffer
+	if err := Save(&buf, fullState(rng)); err != nil {
 		t.Fatal(err)
 	}
-	if ver >= 2 {
-		if err := writeComplex(mw, s.PhiRef); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ver >= 3 {
-		for _, block := range [][][3]float64{s.IonPos, s.IonVel, s.IonForce} {
-			if err := writeVec3(mw, block); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := binary.Write(&raw, binary.LittleEndian, crc.Sum64()); err != nil {
-		t.Fatal(err)
-	}
-	return raw.Bytes()
+	return buf.Bytes()
 }
 
-// stateForVersion trims fullState to what a version can carry.
-func stateForVersion(rng *rand.Rand, ver int) *State {
-	s := fullState(rng)
-	if ver < 3 {
-		s.IonSteps = 0
-		s.IonPos, s.IonVel, s.IonForce = nil, nil, nil
-	}
-	if ver < 2 {
-		s.MTSPeriod, s.MTSPhase, s.MTSACE = 0, 0, false
-		s.PhiRef = nil
-	}
-	return s
+// loadNoPanic loads data, turning a panic into a test failure.
+func loadNoPanic(t *testing.T, data []byte, what string) (*State, error) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("%s panicked: %v", what, p)
+		}
+	}()
+	return Load(bytes.NewReader(data))
 }
 
-// TestCorruptionFuzzAllVersions flips bytes across streams of every
-// format version and checks Load always returns a descriptive error -
-// never a panic, never a silently corrupt state. Pre-v4 streams skip
-// flips inside the size-bearing header words: those formats validate
-// sizes only by plausibility caps, so a size flip may demand a huge
-// (though capped) allocation - exactly the weakness the v4 header
-// checksum closes, which is why v4 is fuzzed over every region including
-// its header.
+// TestCorruptionFuzzAllVersions flips bytes across every region of a
+// saved stream - the size-bearing header words included, which the header
+// checksum guards before any allocation - and checks Load always returns a
+// descriptive error: never a panic, never a silently corrupt state.
 func TestCorruptionFuzzAllVersions(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for ver := 1; ver <= version; ver++ {
-		s := stateForVersion(rng, ver)
-		clean := streamVersion(t, ver, s)
-		if _, err := Load(bytes.NewReader(clean)); err != nil {
-			t.Fatalf("v%d: clean stream rejected: %v", ver, err)
-		}
-		headerLen := 9 * 8
-		if ver >= 2 {
-			headerLen += 4 * 8
-		}
-		if ver >= 3 {
-			headerLen += 2 * 8
-		}
-		var offsets []int
-		for off := 0; off < len(clean); off += 61 {
-			offsets = append(offsets, off)
-		}
-		offsets = append(offsets, 0, 8, len(clean)-1, len(clean)-8)
-		for _, off := range offsets {
-			if ver < 4 && off >= 32 && off < headerLen {
-				continue // size-bearing words; see doc comment
-			}
-			data := append([]byte(nil), clean...)
-			data[off] ^= 0x40
-			got, err := func() (st *State, err error) {
-				defer func() {
-					if p := recover(); p != nil {
-						t.Fatalf("v%d: flip at byte %d panicked: %v", ver, off, p)
-					}
-				}()
-				return Load(bytes.NewReader(data))
-			}()
-			if err == nil {
-				t.Errorf("v%d: flip at byte %d loaded silently (state step %d)", ver, off, got.Step)
-			}
+	clean := savedStream(t, rand.New(rand.NewSource(11)))
+	if _, err := Load(bytes.NewReader(clean)); err != nil {
+		t.Fatalf("clean stream rejected: %v", err)
+	}
+	offsets := []int{0, 8, len(clean) - 1, len(clean) - 8}
+	for off := 0; off < len(clean); off += 61 {
+		offsets = append(offsets, off)
+	}
+	for off := 16; off < 16*8; off += 8 {
+		offsets = append(offsets, off) // every header word and the header checksum
+	}
+	for _, off := range offsets {
+		data := append([]byte(nil), clean...)
+		data[off] ^= 0x40
+		if got, err := loadNoPanic(t, data, fmt.Sprintf("flip at byte %d", off)); err == nil {
+			t.Errorf("flip at byte %d loaded silently (state step %d)", off, got.Step)
 		}
 	}
 }
 
-// TestTruncationFuzzAllVersions cuts streams of every version at many
-// lengths and checks Load errors out descriptively each time.
+// TestTruncationFuzzAllVersions cuts a saved stream at many lengths and
+// checks Load errors out descriptively each time.
 func TestTruncationFuzzAllVersions(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for ver := 1; ver <= version; ver++ {
-		s := stateForVersion(rng, ver)
-		clean := streamVersion(t, ver, s)
-		cuts := []int{0, 1, 7, 8, 9, 71, 72, 73, 119, 120, 121, len(clean) / 3, len(clean) / 2, len(clean) - 9, len(clean) - 1}
-		for i := 0; i < 20; i++ {
-			cuts = append(cuts, rng.Intn(len(clean)))
-		}
-		for _, cut := range cuts {
-			if cut < 0 || cut >= len(clean) {
-				continue
-			}
-			got, err := func() (st *State, err error) {
-				defer func() {
-					if p := recover(); p != nil {
-						t.Fatalf("v%d: truncation at %d panicked: %v", ver, cut, p)
-					}
-				}()
-				return Load(bytes.NewReader(clean[:cut]))
-			}()
-			if err == nil {
-				t.Errorf("v%d: truncation at byte %d of %d loaded silently (step %d)", ver, cut, len(clean), got.Step)
-			}
+	clean := savedStream(t, rng)
+	cuts := []int{0, 1, 7, 8, 9, 15, 16, 17, 71, 72, 73, 119, 120, 121, 127, 128, 129, len(clean) / 3, len(clean) / 2, len(clean) - 9, len(clean) - 1}
+	for i := 0; i < 20; i++ {
+		cuts = append(cuts, rng.Intn(len(clean)))
+	}
+	for _, cut := range cuts {
+		if got, err := loadNoPanic(t, clean[:cut], fmt.Sprintf("truncation at %d", cut)); err == nil {
+			t.Errorf("truncation at byte %d of %d loaded silently (step %d)", cut, len(clean), got.Step)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Rolling checkpoints: a sequence of durable step-stamped files behind a
 // stable "last-good" symlink, so a crash at ANY instant - including mid
 // checkpoint write - leaves a complete, checksummed state reachable under
-// one well-known name. The recovery supervisor (dist.RunResilient) and
-// the -ckptevery cadence of cmd/ptdft write through this.
+// one well-known name. The propagation loop of internal/sim writes through
+// this on its -ckptevery cadence, and its rank-failure recovery and the job
+// server's restart adoption read the newest good state back.
 package checkpoint
 
 import (

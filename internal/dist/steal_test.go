@@ -383,3 +383,45 @@ func TestStealBalancesStragglers(t *testing.T) {
 		t.Errorf("steal (%v) not faster than overlap (%v) under a 4x straggler", steal, static)
 	}
 }
+
+// TestFetchPipelineForwardsFaults: a crash landing inside the
+// overlapped-broadcast or steal fetch goroutine (which runs mpi calls off
+// the rank's main goroutine) must be forwarded to the main goroutine and
+// recovered by the tolerant runner - not kill the process, not hang.
+func TestFetchPipelineForwardsFaults(t *testing.T) {
+	g, psi, nb := testGrid(t)
+	hyb := xc.HSE06()
+	kernel := fock.BuildKernel(g, hyb)
+	for _, strat := range []ExchangeStrategy{BcastOverlapped, Steal} {
+		p := &mpi.Perturb{
+			Deadline: 1 * time.Second,
+			Fault:    &mpi.Fault{Crashes: []mpi.CrashRankAt{{Rank: 1, AfterCalls: 3}}},
+		}
+		start := time.Now()
+		_, fail := mpi.RunTolerant(4, p, func(c *mpi.Comm) {
+			d, err := NewCtx(c, g, nb, 2)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			lo, hi := d.BandRange(c.Rank())
+			local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
+			d.FockExchange(local, local, kernel, hyb.Alpha, ExchangeOptions{Strategy: strat})
+		})
+		if elapsed := time.Since(start); elapsed > 20*time.Second {
+			t.Fatalf("%v: exchange under injected crash took %v", strat, elapsed)
+		}
+		if fail == nil {
+			t.Fatalf("%v: injected crash vanished", strat)
+		}
+		found := false
+		for _, r := range fail.Crashed {
+			if r == 1 {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%v: crashed ranks %v do not include rank 1", strat, fail.Crashed)
+		}
+	}
+}

@@ -4,8 +4,8 @@
 // went silent into a loud PeerLostError instead of an eternal hang. The
 // model mirrors what a ULFM-style MPI gives a fault-tolerant application:
 // a failed rank stops participating, survivors learn about it from
-// timed-out operations, and the job-level supervisor (dist.RunResilient)
-// tears the world down and relaunches from a checkpoint.
+// timed-out operations, and the job-level supervisor (the attempt loop of
+// sim.Run) tears the world down and relaunches from a checkpoint.
 package mpi
 
 import (

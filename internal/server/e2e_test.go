@@ -351,6 +351,16 @@ func TestE2ECancelAndErrors(t *testing.T) {
 		t.Errorf("unknown field: status %d code %s, want 400 bad_request", resp.StatusCode, code)
 	}
 
+	// A body beyond the 1 MiB bound is cut off, not buffered.
+	resp, err = http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"displace":"`+strings.Repeat("a", 2*maxSpecBytes)+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := apiError(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge || code != "too_large" {
+		t.Errorf("oversized body: status %d code %s, want 413 too_large", resp.StatusCode, code)
+	}
+
 	// Valid JSON, invalid simulation.
 	resp, err = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"cells":[1,1,1],"ecut":2,"steps":3,"mts":4}`))
 	if err != nil {

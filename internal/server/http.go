@@ -58,11 +58,20 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSpecBytes bounds the POST /jobs body: a spec is a few hundred bytes,
+// and an unbounded read would let one client exhaust the daemon's memory.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec sim.Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "too_large", fmt.Sprintf("spec larger than %d bytes", maxSpecBytes))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decoding spec: %v", err))
 		return
 	}

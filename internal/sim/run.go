@@ -1,12 +1,20 @@
 // Run: one propagation loop over one per-rank engine, shared by the CLI
 // and the job server. An engine is serial (core.PTCN or core.RK4 on the
-// calling goroutine) or distributed (dist.PTCNSolver on each rank of
-// mpi.Run); Ehrenfest MD is an ion.Verlet wrapped around either. The loop
-// owns what every run needs once: cooperative shutdown (the Stop channel
-// finishes the step in flight, checkpoints the completed steps, and
+// calling goroutine) or distributed (dist.PTCNSolver on each rank of a
+// goroutine-MPI world); Ehrenfest MD is an ion.Verlet wrapped around either.
+// The loop owns what every run needs once: cooperative shutdown (the Stop
+// channel finishes the step in flight, checkpoints the completed steps, and
 // returns), per-step observable emission, periodic rolling checkpoints,
-// and the gather of the restartable state a resumed segment starts from -
-// the machinery preemption and crash recovery are built from.
+// and the gather of the restartable state a resumed segment starts from.
+//
+// Who retries what: the loop itself never retries. propagate launches the
+// distributed world under mpi.RunTolerant and, when ranks are lost (an
+// *mpi.Failure: injected crashes, peer-loss deadlines), reloads the newest
+// rolling checkpoint and relaunches the same loop, up to maxRestarts times.
+// Application errors (SCF divergence, a failed save) are rank-symmetric -
+// a relaunch would fail identically - and end the run at once. Preemption
+// and daemon restarts are retried one level up, by the job server, through
+// Options.Resume.
 package sim
 
 import (
@@ -75,8 +83,14 @@ type Options struct {
 	// propagates under the identical laser field; the field is a function
 	// of absolute time, which the checkpoint carries. 0 means Spec.Steps.
 	PulseSteps int
+	// Perturb, when set, returns the perturbation model (fault injection,
+	// peer-loss deadline, stragglers) the distributed world of launch
+	// `attempt` runs under; attempt 0 is the first launch, each recovery
+	// relaunch asks again. Set by the fault experiments and tests, nil in
+	// production; serial runs have no world and ignore it.
+	Perturb func(attempt int) *mpi.Perturb
 	// Logf receives progress notices (system, ground state, cadence,
-	// communication volume); nil silences them.
+	// communication volume, recovery); nil silences them.
 	Logf func(format string, args ...any)
 }
 
@@ -113,6 +127,13 @@ type Result struct {
 	EhrenfestDrift float64           // max |E_tot - E_0| over the segment (MD only)
 	Final          *checkpoint.State // the assembled restartable state
 
+	// Rank-failure recovery (distributed runs): world relaunches performed,
+	// completed steps re-run because they postdated the recovery point, and
+	// one line per failed launch naming the lost ranks.
+	Restarts  int
+	LostSteps int
+	Failures  []string
+
 	// Observability aggregates (zero/nil unless Options.Trace was set, and
 	// Comm only on distributed runs): cumulative busy seconds summed over
 	// rank timelines, total bytes moved through the communicator, the
@@ -137,7 +158,15 @@ type runner struct {
 	t0     float64
 	loaded *checkpoint.State
 	psiGS  []complex128 // ground-state reference for excited-electron counts
-	psi0   []complex128 // starting orbitals of this segment
+	psi0   []complex128 // starting orbitals of this launch
+
+	// loaded, psi0 and t0 are where the current launch starts: the segment
+	// start, or after a rank failure the recovered checkpoint. The segment
+	// itself is fixed, in cumulative loop steps (ion steps under MD):
+	// [start, target], with the hooks fired up to `emitted` and the
+	// Ehrenfest drift measured against e0, the conserved total at start.
+	start, target, emitted int
+	e0                     float64
 
 	res *Result // filled by the root's loop: Samples, Final, EhrenfestDrift
 }
@@ -209,6 +238,8 @@ func Run(spec *Spec, opt Options) (*Result, error) {
 		ex: ex, field: field, dt: units.AttosecondsToAU(spec.DtAs), t0: t0,
 		loaded: opt.Resume, psiGS: gs.Psi, psi0: psiStart, res: res,
 	}
+	r.start = r.baseStep()
+	r.target, r.emitted = r.start+spec.TotalSteps(), r.start
 	if err := r.propagate(cell); err != nil {
 		return nil, err
 	}
@@ -256,9 +287,13 @@ func GroundState(spec *Spec) (*scf.Result, error) {
 	return scf.GroundState(g, h, nb, o)
 }
 
+// maxRestarts is the rank-failure retry budget of one Run.
+const maxRestarts = 3
+
 // propagate builds the engine the spec asks for and runs the loop on it:
 // on the calling goroutine when serial, on every rank of a goroutine-MPI
-// world when distributed.
+// world when distributed - relaunching that world from the newest
+// checkpoint when it loses ranks.
 func (r *runner) propagate(cell *lattice.Cell) error {
 	spec, opt := r.spec, r.opt
 	if spec.Ranks <= 1 {
@@ -293,26 +328,80 @@ func (r *runner) propagate(cell *lattice.Cell) error {
 		op = "exact exchange"
 	}
 	opt.logf("distributed: %d ranks, exchange strategy %v, operator %s, single precision %v", spec.Ranks, r.ex, op, spec.SinglePrec)
-	// Every failure below is rank-symmetric (the same inputs, a global
-	// convergence criterion, a voted shutdown), so all ranks leave together
-	// and the root's error is the run's error.
-	var rootErr error
-	stats := mpi.Run(spec.Ranks, func(c *mpi.Comm) {
-		e, err := r.distEngine(c, cell)
-		if err == nil {
-			err = r.loop(e)
+	var stats *mpi.Stats
+	for attempt := 0; ; attempt++ {
+		var p *mpi.Perturb
+		if opt.Perturb != nil {
+			p = opt.Perturb(attempt)
 		}
-		if c.Rank() == 0 {
-			rootErr = err
+		// Every error the engines return is rank-symmetric (the same inputs,
+		// a global convergence criterion, a voted shutdown), so all ranks
+		// leave together and the root's error is the run's error. Lost ranks
+		// surface as the Failure instead, once every survivor has unblocked.
+		var rootErr error
+		var fail *mpi.Failure
+		stats, fail = mpi.RunTolerant(spec.Ranks, p, func(c *mpi.Comm) {
+			e, err := r.distEngine(c, cell)
+			if err == nil {
+				err = r.loop(e)
+			}
+			if c.Rank() == 0 {
+				rootErr = err
+			}
+		})
+		r.res.Comm = stats
+		if rootErr != nil {
+			return rootErr
 		}
-	})
-	r.res.Comm = stats
-	if rootErr != nil {
-		return rootErr
+		if fail == nil {
+			break
+		}
+		if err := r.recoverFrom(fail); err != nil {
+			return err
+		}
 	}
 	mb := func(class mpi.OpClass) float64 { return float64(stats.BytesFor(class)) / 1e6 }
 	opt.logf("communication volume: Bcast %.1f MB, Alltoallv %.1f MB, Allreduce %.1f MB, AllGatherv %.1f MB",
 		mb(mpi.ClassBcast), mb(mpi.ClassAlltoallv), mb(mpi.ClassAllreduce), mb(mpi.ClassAllgatherv))
+	return nil
+}
+
+// recoverFrom charges one failed launch to the retry budget and moves the
+// runner to where the next launch starts: the newest loadable rolling
+// checkpoint, or - none written yet, or no Ckpt - the failed launch's own
+// start. The samples past that point are dropped (the relaunch records
+// them again) and counted as lost steps.
+func (r *runner) recoverFrom(fail *mpi.Failure) error {
+	spec, opt, res := r.spec, r.opt, r.res
+	res.Failures = append(res.Failures, fail.Error())
+	if res.Restarts == maxRestarts {
+		return fmt.Errorf("sim: giving up after %d restarts; last failure: %w", maxRestarts, fail)
+	}
+	res.Restarts++
+	opt.logf("recovery: launch failed (%v); restart %d/%d", fail, res.Restarts, maxRestarts)
+	if opt.Ckpt != nil {
+		st, file, err := opt.Ckpt.Latest()
+		if err != nil {
+			opt.logf("recovery: %v; replaying from step %d", err, r.baseStep())
+		} else {
+			if err := st.Compatible(r.nb, r.g.NG, r.natom, spec.Ecut, spec.Hybrid, spec.MTS, spec.ACE, spec.MD); err != nil {
+				return fmt.Errorf("sim: last good checkpoint %s unusable: %w", file, err)
+			}
+			lo := checkpoint.ContinuationStep(r.loaded, 0)
+			hi := lo + int64((r.target-r.baseStep())*r.substeps())
+			if st.Step < lo || st.Step > hi {
+				return fmt.Errorf("sim: last good checkpoint %s at step %d outside segment [%d, %d]", file, st.Step, lo, hi)
+			}
+			r.loaded, r.psi0, r.t0 = st, st.Psi, st.Time
+			opt.logf("recovery: relaunching from %s (step %d)", file, st.Step)
+		}
+	}
+	keep := len(res.Samples)
+	for keep > 0 && res.Samples[keep-1].Step > r.baseStep() {
+		keep--
+	}
+	res.LostSteps += len(res.Samples) - keep
+	res.Samples = res.Samples[:keep]
 	return nil
 }
 
@@ -330,6 +419,9 @@ type engine struct {
 	el   ion.Electrons // the PT-CN electrons, for the ion integrator (nil under rk4)
 	scf  *int          // cumulative inner-SCF iterations; the loop resets it per step
 
+	// reached announces the cumulative loop step about to run: the trigger
+	// of an injected step-boundary crash, a no-op without a world.
+	reached func(step int64)
 	step    func(dt float64) error
 	energy  func() (float64, error) // electronic total energy
 	now     func() float64          // simulation time (au)
@@ -353,7 +445,8 @@ func (r *runner) serialEngine(cell *lattice.Cell, h *hamiltonian.Hamiltonian) (*
 		observe: func() (float64, float64) {
 			return observe.Current(sys, se.Psi)[2], observe.ExcitedElectrons(sys, r.psiGS, se.Psi)
 		},
-		agree: func(flag bool) bool { return flag },
+		agree:   func(flag bool) bool { return flag },
+		reached: func(int64) {},
 	}
 	if r.spec.Method == "rk4" {
 		rk := core.NewRK4(sys)
@@ -438,7 +531,8 @@ func (r *runner) distEngine(c *mpi.Comm, cell *lattice.Cell) (*engine, error) {
 	}
 	return &engine{
 		root: c.Rank() == 0, tr: c.Trace(), cell: cell, el: de, scf: &de.SCF,
-		step: de.StepElectrons, energy: de.ElectronicEnergy,
+		reached: c.StepReached,
+		step:    de.StepElectrons, energy: de.ElectronicEnergy,
 		now: func() float64 { return s.Time },
 		observe: func() (float64, float64) {
 			return s.Current(de.Local)[2], s.ExcitedElectrons(r.psiGS, de.Local)
@@ -470,14 +564,21 @@ func (r *runner) distEngine(c *mpi.Comm, cell *lattice.Cell) (*engine, error) {
 // MD one velocity-Verlet ion step of K electronic steps at the midpoint
 // geometry, recording the conserved total (electronic + ion kinetic +
 // ion-ion) as the energy. The root fills r.res.
+//
+// The loop runs from this launch's start (r.loaded) to the segment's
+// cumulative target. What a relaunch after a rank failure must not shift
+// is anchored to the segment start instead: the checkpoint cadence, the
+// drift baseline, the step numbers the hooks and errors report - and the
+// hooks fire only above the high-water mark, so a live feed never sees a
+// replayed step twice.
 func (r *runner) loop(e *engine) error {
 	spec, opt := r.spec, r.opt
-	n, k := spec.TotalSteps(), 1
+	k := r.substeps()
+	base := r.baseStep()
+	at := base // cumulative loop steps completed; at-r.start of them in this segment
 	total := e.energy
 	var v *ion.Verlet
-	var e0 float64
 	if spec.MD {
-		k = spec.IonSubsteps()
 		var err error
 		if v, err = ion.NewVerlet(e.cell, e.el, units.AttosecondsToAU(spec.IonDtAs), k); err != nil {
 			return err
@@ -489,17 +590,23 @@ func (r *runner) loop(e *engine) error {
 		}
 		// The drift baseline is the conserved total BEFORE any ion step: the
 		// first step is the largest for a released atom and must not hide its
-		// own error. (This also fills the initial force cache.)
-		if e0, err = v.TotalEnergy(); err != nil {
+		// own error. (This also fills the initial force cache.) A relaunch
+		// from a later checkpoint keeps the baseline of the segment start.
+		e0, err := v.TotalEnergy()
+		if err != nil {
 			return err
+		}
+		if e.root && base == r.start {
+			r.e0 = e0
 		}
 		total = v.TotalEnergy
 	}
-	// state assembles the restartable state after `done` steps of this
-	// segment. The step counters are cumulative provenance: a resumed
-	// segment saves loaded.Step + its own steps, so a trajectory split
-	// across segments reports the true global step on every file.
-	state := func(done int) *checkpoint.State {
+	// state assembles the restartable state after the steps completed so
+	// far. The step counters are cumulative provenance: a resumed segment
+	// saves loaded.Step + its own steps, so a trajectory split across
+	// segments reports the true global step on every file.
+	state := func() *checkpoint.State {
+		done := at - base
 		psi, phase, ref := e.gather()
 		st := &checkpoint.State{
 			Time: e.now(), Step: checkpoint.ContinuationStep(r.loaded, done*k), NBands: r.nb, NG: r.g.NG,
@@ -516,10 +623,9 @@ func (r *runner) loop(e *engine) error {
 		return st
 	}
 
-	base := r.baseStep()
 	var saveErr error
-	done := 0
-	for done < n {
+	for at < r.target {
+		e.reached(int64(at))
 		// The wall clock covers the step only, not the observables after it.
 		start := time.Now()
 		*e.scf = 0
@@ -527,14 +633,14 @@ func (r *runner) loop(e *engine) error {
 		if v != nil {
 			ionRef := e.tr.Begin("ion_step", "step")
 			err = v.Step()
-			e.tr.EndN(ionRef, int64(done))
+			e.tr.EndN(ionRef, int64(at-r.start))
 		} else {
 			err = e.step(r.dt)
 		}
 		if err != nil {
 			// A convergence failure is decided on the global density, so
 			// every rank returns here together.
-			return fmt.Errorf("step %d: %w", done, err)
+			return fmt.Errorf("step %d: %w", at-r.start, err)
 		}
 		wall := time.Since(start).Seconds()
 		obsRef := e.tr.Begin("observe", "observe")
@@ -545,10 +651,10 @@ func (r *runner) loop(e *engine) error {
 		}
 		jz, nexc := e.observe()
 		e.tr.End(obsRef)
-		done++
+		at++
 		if e.root {
 			s := observe.Sample{
-				Step:     base + done,
+				Step:     at,
 				TimeFs:   e.now() * units.FemtosecondPerAU,
 				Energy:   energy,
 				CurrentZ: jz,
@@ -558,25 +664,28 @@ func (r *runner) loop(e *engine) error {
 			}
 			r.res.Samples = append(r.res.Samples, s)
 			if v != nil {
-				r.res.EhrenfestDrift = math.Max(r.res.EhrenfestDrift, math.Abs(energy-e0))
+				r.res.EhrenfestDrift = math.Max(r.res.EhrenfestDrift, math.Abs(energy-r.e0))
 			}
-			if opt.OnSample != nil {
-				opt.OnSample(s)
-			}
-			if opt.AfterStep != nil {
-				opt.AfterStep(done)
+			if at > r.emitted {
+				r.emitted = at
+				if opt.OnSample != nil {
+					opt.OnSample(s)
+				}
+				if opt.AfterStep != nil {
+					opt.AfterStep(at - r.start)
+				}
 			}
 		}
 		// Periodic durable checkpoint: the cadence test is on the shared
 		// step counter, so every rank enters the gathers together. A failed
 		// save must not abort inside a collective (the other ranks would
 		// hang); the root records it and raises it in the vote below.
-		if opt.Ckpt != nil && opt.CkptEvery > 0 && done%opt.CkptEvery == 0 && done < n {
+		if opt.Ckpt != nil && opt.CkptEvery > 0 && (at-r.start)%opt.CkptEvery == 0 && at < r.target {
 			ckRef := e.tr.Begin("checkpoint", "io")
-			st := state(done)
+			st := state()
 			if e.root {
 				if err := opt.Ckpt.Save(st); err != nil {
-					saveErr = fmt.Errorf("periodic checkpoint after step %d: %w", done, err)
+					saveErr = fmt.Errorf("periodic checkpoint after step %d: %w", at-r.start, err)
 				}
 			}
 			e.tr.End(ckRef)
@@ -588,14 +697,22 @@ func (r *runner) loop(e *engine) error {
 			break
 		}
 	}
-	st := state(done)
+	st := state()
 	if e.root {
 		r.res.Final = st
 	}
 	return saveErr
 }
 
-// baseStep returns the cumulative step offset of this segment (loop
+// substeps is the electronic steps of one loop step: K under MD, else 1.
+func (r *runner) substeps() int {
+	if r.spec.MD {
+		return r.spec.IonSubsteps()
+	}
+	return 1
+}
+
+// baseStep returns the cumulative step this launch starts at (loop
 // steps: ion steps under MD, electronic steps otherwise).
 func (r *runner) baseStep() int {
 	if r.loaded == nil {

@@ -2,12 +2,21 @@
 // server (internal/server, cmd/ptdftd): a JSON-serializable simulation
 // Spec with the full flag-validation rules, the ground-state solve, and
 // one propagation loop over one per-rank engine - serial (core.PTCN or
-// core.RK4) or distributed (dist.PTCNSolver on each rank of mpi.Run),
-// either of them optionally wrapped in the Ehrenfest ion integrator -
-// with hooks for streaming observables, cooperative preemption,
-// checkpoint-backed resume, and a pre-computed (cached) ground state.
-// cmd/ptdft's CLI is a thin flag front-end over this package; the server
-// multiplexes many Specs over a worker pool.
+// core.RK4) or distributed (dist.PTCNSolver on each rank of a goroutine-MPI
+// world), either of them optionally wrapped in the Ehrenfest ion
+// integrator - with hooks for streaming observables, cooperative
+// preemption, checkpoint-backed resume, and a pre-computed (cached) ground
+// state. cmd/ptdft's CLI is a thin flag front-end over this package; the
+// server multiplexes many Specs over a worker pool.
+//
+// Retries live at two levels and nowhere else. Run retries lost ranks: a
+// distributed world that goes down with an *mpi.Failure is relaunched from
+// the newest rolling checkpoint (or replayed from its own start), up to a
+// constant budget, and the caller sees one uninterrupted sample feed plus
+// Result.Restarts/LostSteps/Failures. The job server retries whole
+// segments: preemption, drain and daemon restarts resume a job through
+// Options.Resume. Application errors - an invalid spec, SCF divergence, a
+// checkpoint that cannot be written - are never retried by either.
 package sim
 
 import (

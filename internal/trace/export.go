@@ -2,8 +2,8 @@
 // (loadable in chrome://tracing and Perfetto, one pid per recorder and
 // one tid per track, "X" complete events in microseconds) and a
 // structured JSON dump that keeps the raw nanosecond spans for scripted
-// analysis. The Table-1 text exporter is Recorder.Profile + the existing
-// Profile.Report.
+// analysis. The Table-1 text exporter is Recorder.Profile + Report
+// (trace.go).
 package trace
 
 import (

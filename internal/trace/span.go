@@ -1,6 +1,6 @@
 // Span flight recorder: per-rank (or per-worker) append-only timelines
-// of hierarchical start/stop spans, the structured companion to the flat
-// Profile accumulator. Each Track is one timeline (one goroutine-MPI rank,
+// of hierarchical start/stop spans, which Recorder.Profile folds into the
+// flat Table-1 report. Each Track is one timeline (one goroutine-MPI rank,
 // one worker); spans carry a name, a category, nanosecond start/duration
 // relative to the recorder's epoch, and optional byte/count attribution.
 // The disabled path is a nil *Track / nil *Recorder: every method no-ops
@@ -207,7 +207,7 @@ func (r *Recorder) snapshot() []trackSnap {
 
 // PhaseSeconds sums span durations by name across all tracks. Nested
 // spans each contribute their own duration (a "step" span includes the
-// "density" spans inside it), matching how the flat Profile is read.
+// "density" spans inside it), matching how the flat profile is read.
 func (r *Recorder) PhaseSeconds() map[string]float64 {
 	if r == nil {
 		return nil
@@ -299,22 +299,4 @@ func unionNs(spans []Span) int64 {
 		total += curHi - curLo
 	}
 	return total
-}
-
-// Profile folds the recorded spans into a flat Profile, one region per
-// span name, for the Table-1 text report.
-func (r *Recorder) Profile() *Profile {
-	p := New()
-	if r == nil {
-		return p
-	}
-	for _, ts := range r.snapshot() {
-		for _, s := range ts.spans {
-			p.Add(s.Name, float64(s.Dur)/1e9)
-			if s.Bytes != 0 {
-				p.AddBytes(s.Name, s.Bytes)
-			}
-		}
-	}
-	return p
 }

@@ -1,119 +1,55 @@
-// Package trace provides lightweight phase timers and operation counters
-// for the real (laptop-scale) runs - the NVPROF stand-in used to produce
-// wall-clock breakdowns in the style of Table 1 from actual executions.
+// Package trace is the flight recorder of the real (laptop-scale) runs -
+// the NVPROF stand-in: per-rank span timelines (span.go), their exporters
+// (export.go), and the flat per-phase fold below that prints wall-clock
+// breakdowns in the style of Table 1 from actual executions.
 package trace
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
-	"time"
 )
 
-// Profile accumulates named regions. Safe for concurrent use.
-type Profile struct {
-	mu      sync.Mutex
-	regions map[string]*Region
-}
-
-// Region is one named accounting bucket.
+// Region is one row of the flat profile: everything recorded under one
+// span name, across all tracks.
 type Region struct {
 	Name    string
 	Seconds float64
 	Calls   int64
-	FLOP    int64
 	Bytes   int64
 }
 
-// New creates an empty profile.
-func New() *Profile {
-	return &Profile{regions: map[string]*Region{}}
-}
-
-func (p *Profile) get(name string) *Region {
-	r, ok := p.regions[name]
-	if !ok {
-		r = &Region{Name: name}
-		p.regions[name] = r
+// Profile folds the recorded spans into one Region per span name, sorted
+// by descending time. Nested spans each contribute their own duration,
+// like PhaseSeconds.
+func (r *Recorder) Profile() []Region {
+	index := map[string]int{}
+	var out []Region
+	for _, ts := range r.snapshot() {
+		for _, s := range ts.spans {
+			i, seen := index[s.Name]
+			if !seen {
+				i = len(out)
+				index[s.Name] = i
+				out = append(out, Region{Name: s.Name})
+			}
+			out[i].Seconds += float64(s.Dur) / 1e9
+			out[i].Calls++
+			out[i].Bytes += s.Bytes
+		}
 	}
-	return r
-}
-
-// Add records a completed region execution.
-func (p *Profile) Add(name string, seconds float64) {
-	p.mu.Lock()
-	r := p.get(name)
-	r.Seconds += seconds
-	r.Calls++
-	p.mu.Unlock()
-}
-
-// AddFLOP attributes floating point operations to a region.
-func (p *Profile) AddFLOP(name string, flop int64) {
-	p.mu.Lock()
-	p.get(name).FLOP += flop
-	p.mu.Unlock()
-}
-
-// AddBytes attributes moved bytes to a region.
-func (p *Profile) AddBytes(name string, bytes int64) {
-	p.mu.Lock()
-	p.get(name).Bytes += bytes
-	p.mu.Unlock()
-}
-
-// Time runs f and accounts its wall time under name.
-func (p *Profile) Time(name string, f func()) {
-	start := time.Now()
-	f()
-	p.Add(name, time.Since(start).Seconds())
-}
-
-// Timer starts a region and returns a stop function, for use with defer.
-func (p *Profile) Timer(name string) func() {
-	start := time.Now()
-	return func() { p.Add(name, time.Since(start).Seconds()) }
-}
-
-// Region returns a snapshot of one region (zero value if absent).
-func (p *Profile) Region(name string) Region {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if r, ok := p.regions[name]; ok {
-		return *r
-	}
-	return Region{Name: name}
-}
-
-// Total returns the summed seconds across all regions.
-func (p *Profile) Total() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var t float64
-	for _, r := range p.regions {
-		t += r.Seconds
-	}
-	return t
-}
-
-// Snapshot returns all regions sorted by descending time.
-func (p *Profile) Snapshot() []Region {
-	p.mu.Lock()
-	out := make([]Region, 0, len(p.regions))
-	for _, r := range p.regions {
-		out = append(out, *r)
-	}
-	p.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Seconds > out[j].Seconds })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Seconds > out[j].Seconds })
 	return out
 }
 
-// Report writes a Table-1-style breakdown.
-func (p *Profile) Report(w io.Writer) {
-	total := p.Total()
+// Report writes regions as a Table-1-style breakdown, in the order given.
+func Report(w io.Writer, regions []Region) {
+	var total float64
+	for _, r := range regions {
+		total += r.Seconds
+	}
 	fmt.Fprintf(w, "%-32s %10s %8s %9s\n", "region", "time (s)", "calls", "share")
-	for _, r := range p.Snapshot() {
+	for _, r := range regions {
 		share := 0.0
 		if total > 0 {
 			share = r.Seconds / total * 100

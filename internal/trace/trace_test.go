@@ -4,89 +4,77 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
+// TestAddAndRegion: spans of one name add up - seconds and calls - across
+// tracks; a name never recorded has no row.
 func TestAddAndRegion(t *testing.T) {
-	p := New()
-	p.Add("fock", 1.5)
-	p.Add("fock", 0.5)
-	p.Add("density", 0.25)
-	r := p.Region("fock")
-	if r.Seconds != 2.0 || r.Calls != 2 {
-		t.Errorf("fock region %+v", r)
+	r := NewRecorder()
+	r.Track(0, "rank 0").Record(Span{Name: "fock", Start: 0, Dur: 1.5e9})
+	r.Track(1, "rank 1").Record(Span{Name: "fock", Start: 0, Dur: 0.5e9})
+	r.Track(1, "rank 1").Record(Span{Name: "density", Start: 2e9, Dur: 0.25e9})
+	p := r.Profile()
+	if len(p) != 2 {
+		t.Fatalf("profile %+v, want two rows", p)
 	}
-	if p.Total() != 2.25 {
-		t.Errorf("total %g, want 2.25", p.Total())
+	if p[0].Name != "fock" || p[0].Seconds != 2.0 || p[0].Calls != 2 {
+		t.Errorf("fock region %+v", p[0])
 	}
-	if p.Region("missing").Seconds != 0 {
-		t.Error("missing region should be zero")
+	if p[1].Name != "density" || p[1].Seconds != 0.25 || p[1].Calls != 1 {
+		t.Errorf("density region %+v", p[1])
 	}
-}
-
-func TestTimeAndTimer(t *testing.T) {
-	p := New()
-	p.Time("sleep", func() { time.Sleep(5 * time.Millisecond) })
-	if p.Region("sleep").Seconds < 0.004 {
-		t.Errorf("timed region too short: %g", p.Region("sleep").Seconds)
-	}
-	stop := p.Timer("lap")
-	time.Sleep(2 * time.Millisecond)
-	stop()
-	if p.Region("lap").Calls != 1 {
-		t.Error("timer did not record")
+	var none *Recorder
+	if len(none.Profile()) != 0 {
+		t.Error("a nil recorder folded to rows")
 	}
 }
 
-func TestCounters(t *testing.T) {
-	p := New()
-	p.AddFLOP("fft", 1000)
-	p.AddFLOP("fft", 500)
-	p.AddBytes("fft", 4096)
-	r := p.Region("fft")
-	if r.FLOP != 1500 || r.Bytes != 4096 {
-		t.Errorf("counters %+v", r)
-	}
-}
-
+// TestSnapshotSorted: the fold is sorted by descending time, ties in
+// first-recorded order.
 func TestSnapshotSorted(t *testing.T) {
-	p := New()
-	p.Add("small", 1)
-	p.Add("big", 10)
-	p.Add("mid", 5)
-	s := p.Snapshot()
-	if len(s) != 3 || s[0].Name != "big" || s[2].Name != "small" {
-		t.Errorf("snapshot order wrong: %+v", s)
+	tr := NewRecorder().Track(0, "rank 0")
+	for _, s := range []Span{{Name: "small", Dur: 1}, {Name: "tie a", Dur: 5}, {Name: "big", Dur: 10}, {Name: "tie b", Dur: 5}} {
+		tr.Record(s)
+	}
+	var names []string
+	for _, g := range tr.rec.Profile() {
+		names = append(names, g.Name)
+	}
+	if got := strings.Join(names, ","); got != "big,tie a,tie b,small" {
+		t.Errorf("profile order %s", got)
 	}
 }
 
 func TestReportFormat(t *testing.T) {
-	p := New()
-	p.Add("phase", 2)
 	var sb strings.Builder
-	p.Report(&sb)
+	Report(&sb, []Region{{Name: "phase", Seconds: 2, Calls: 3}})
 	out := sb.String()
-	if !strings.Contains(out, "phase") || !strings.Contains(out, "100.0%") {
+	if !strings.Contains(out, "phase") || !strings.Contains(out, "100.0%") || !strings.Contains(out, "total") {
 		t.Errorf("report missing content:\n%s", out)
 	}
 }
 
+// TestConcurrentUse: folding while ranks are still recording (a live
+// profile of a running job) loses nothing once they are done.
 func TestConcurrentUse(t *testing.T) {
-	p := New()
+	r := NewRecorder()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
-		go func() {
+		go func(id int) {
 			defer wg.Done()
+			tr := r.Track(id%4, "shared")
 			for j := 0; j < 100; j++ {
-				p.Add("hot", 0.001)
-				p.AddFLOP("hot", 1)
+				tr.EndBytes(tr.Begin("hot", "solver"), 1)
+				if j%10 == 0 {
+					r.Profile()
+				}
 			}
-		}()
+		}(i)
 	}
 	wg.Wait()
-	r := p.Region("hot")
-	if r.Calls != 1600 || r.FLOP != 1600 {
-		t.Errorf("concurrent accounting lost updates: %+v", r)
+	p := r.Profile()
+	if len(p) != 1 || p[0].Calls != 1600 || p[0].Bytes != 1600 {
+		t.Errorf("concurrent accounting lost updates: %+v", p)
 	}
 }
