@@ -47,18 +47,35 @@ type System struct {
 }
 
 // Prepare refreshes every time- and state-dependent piece of H for the
-// given orbitals at time t, and returns the density. This is the
-// "update the potential and the Hamiltonian" step of Alg. 1 line 5.
-func (s *System) Prepare(psi []complex128, t float64) []float64 {
-	if s.Field != nil {
-		s.H.SetField(s.Field.A(t))
-	} else {
-		s.H.SetField([3]float64{})
+// given orbitals at time t - the "update the potential and the
+// Hamiltonian" step of Alg. 1 line 5 - and marks H as prepared for them.
+func (s *System) Prepare(psi []complex128, t float64) {
+	s.PrepareWithDensity(psi, s.density(psi), t)
+	s.H.MarkPrepared(psi, t)
+}
+
+// EnsurePrepared is Prepare unless H still carries the mark of an earlier
+// Prepare for the same orbitals (the same storage, which the caller must
+// not have edited in place), time and field, in which case the density and
+// the potential H holds are already the ones Prepare would build. The
+// energy observable and the first residual of the next step both ask for
+// the converged state of the step before, so each state's density and
+// potential are built once. The mark lives on H and every writer of H
+// clears it (hamiltonian.MarkPrepared), so a second propagator, a geometry
+// rebuild or an exchange-cadence change in between costs a rebuild, never a
+// stale potential.
+func (s *System) EnsurePrepared(psi []complex128, t float64) {
+	if !s.H.PreparedFor(psi, t) || s.H.Field() != s.fieldAt(t) {
+		s.Prepare(psi, t)
 	}
-	rho := s.density(psi)
-	s.updatePotential(rho)
-	s.H.SetFockOrbitals(psi, s.NB)
-	return rho
+}
+
+// fieldAt is the vector potential at time t (zero without a field).
+func (s *System) fieldAt(t float64) [3]float64 {
+	if s.Field != nil {
+		return s.Field.A(t)
+	}
+	return [3]float64{}
 }
 
 // density and updatePotential are potential.Density and
@@ -80,13 +97,9 @@ func (s *System) updatePotential(rho []float64) {
 
 // PrepareWithDensity is Prepare with a caller-supplied density (used inside
 // the PT-CN SCF loop, where the density of the current iterate is already
-// known).
+// known). It leaves H unmarked: nothing ties rho to psi.
 func (s *System) PrepareWithDensity(psi []complex128, rho []float64, t float64) {
-	if s.Field != nil {
-		s.H.SetField(s.Field.A(t))
-	} else {
-		s.H.SetField([3]float64{})
-	}
+	s.H.SetField(s.fieldAt(t))
 	s.updatePotential(rho)
 	s.H.SetFockOrbitals(psi, s.NB)
 }
@@ -98,24 +111,6 @@ type StepStats struct {
 	HApplications  int     // full H*Psi band-set applications
 	DensityError   float64 // final SCF residual (PT-CN)
 	OrthogonalityE float64 // orthonormality error before re-orthogonalization
-}
-
-// ptResidual computes the PT residual R = H psi - psi (psi^* H psi) and
-// returns (R, HPsi). This is the right-hand side of the PT equation of
-// motion; its smallness relative to H psi is what buys the large steps.
-func ptResidual(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int) (res, hp []complex128) {
-	ng := g.NG
-	hp = make([]complex128, nb*ng)
-	h.Apply(hp, psi, nb)
-	s := make([]complex128, nb*nb)
-	linalg.Overlap(s, psi, hp, nb, nb, ng)
-	// res = hp - psi * S, band-major: res_j = hp_j - sum_i S[i][j] psi_i.
-	res = make([]complex128, nb*ng)
-	linalg.ApplyMatrix(res, psi, s, nb, nb, ng)
-	for i := range res {
-		res[i] = hp[i] - res[i]
-	}
-	return res, hp
 }
 
 // PTCNOptions control the implicit solver.
@@ -149,6 +144,44 @@ type PTCN struct {
 	// (or call ResumeMTS) when resuming from a checkpoint so the segment
 	// lands on the correct outer/inner phase.
 	StepIndex int
+
+	ws *stepWorkspace
+}
+
+// stepWorkspace owns the band-set buffers of the step's hot loop, reused
+// across SCF iterations and steps (the twin of dist's stepWorkspace).
+type stepWorkspace struct {
+	hp   []complex128 // nb x NG: H psi
+	res  []complex128 // nb x NG: PT residual, returned by residual
+	half []complex128 // nb x NG: half-step RHS Psi_{n+1/2}
+	fp   []complex128 // nb x NG: fixed-point residual fed to the mixer
+	ov   []complex128 // nb x nb: projection matrix Psi^* H Psi
+}
+
+// residual computes the PT residual R = H psi - psi (psi^* H psi) - the
+// right-hand side of the PT equation of motion, whose smallness relative to
+// H psi is what buys the large steps - into the step workspace; the
+// returned slice is valid until the next call.
+func (p *PTCN) residual(psi []complex128) []complex128 {
+	nb, ng := p.Sys.NB, p.Sys.G.NG
+	if p.ws == nil || len(p.ws.hp) != nb*ng {
+		p.ws = &stepWorkspace{
+			hp:   make([]complex128, nb*ng),
+			res:  make([]complex128, nb*ng),
+			half: make([]complex128, nb*ng),
+			fp:   make([]complex128, nb*ng),
+			ov:   make([]complex128, nb*nb),
+		}
+	}
+	ws := p.ws
+	p.Sys.H.Apply(ws.hp, psi, nb)
+	linalg.Overlap(ws.ov, psi, ws.hp, nb, nb, ng)
+	// res = hp - psi * S, band-major: res_j = hp_j - sum_i S[i][j] psi_i.
+	linalg.ApplyMatrix(ws.res, psi, ws.ov, nb, nb, ng)
+	for i := range ws.res {
+		ws.res[i] = ws.hp[i] - ws.res[i]
+	}
+	return ws.res
 }
 
 // NewPTCN builds a PT-CN propagator starting at t = 0.
@@ -236,13 +269,14 @@ func (p *PTCN) Step(psi []complex128, dt float64) ([]complex128, StepStats, erro
 		}
 	}
 
-	// Line 1: residual Rn at time tn with the current state's H.
-	s.Prepare(psi, p.Time)
-	rn, _ := ptResidual(g, h, psi, nb)
+	// Line 1: residual Rn at time tn with the current state's H - already
+	// prepared when the energy observable of the previous step asked for it.
+	s.EnsurePrepared(psi, p.Time)
+	rn := p.residual(psi)
 	stats.HApplications++
 
 	// Line 2: half-step RHS Psi_{n+1/2} = Psi_n - i dt/2 Rn.
-	half := make([]complex128, nb*ng)
+	half, fp := p.ws.half, p.ws.fp
 	ihalf := complex(0, dt/2)
 	for i := range half {
 		half[i] = psi[i] - ihalf*rn[i]
@@ -262,9 +296,8 @@ func (p *PTCN) Step(psi []complex128, dt float64) ([]complex128, StepStats, erro
 
 		// Line 6: fixed-point residual
 		// R_f = Psi_f + i dt/2 (H Psi_f - Psi_f (Psi_f^* H Psi_f)) - Psi_{n+1/2}.
-		rf, _ := ptResidual(g, h, psif, nb)
+		rf := p.residual(psif)
 		stats.HApplications++
-		fp := make([]complex128, nb*ng)
 		for i := range fp {
 			// Mixer convention: next = x + beta*f, so pass f = -R_f.
 			fp[i] = half[i] - psif[i] - ihalf*rf[i]

@@ -137,17 +137,34 @@ func (s *PTCNSolver) density(local []complex128) []float64 {
 
 // prepare refreshes the field and the density-dependent potential for the
 // given global density; each rank assembles the identical Veff redundantly
-// from the allreduced density and hands it to its Hamiltonian.
+// from the allreduced density.
 func (s *PTCNSolver) prepare(rho []float64, t float64) {
-	if s.Field != nil {
-		s.H.SetField(s.Field.A(t))
-	} else {
-		s.H.SetField([3]float64{})
-	}
+	s.H.SetField(s.fieldAt(t))
 	ref := s.D.C.Trace().Begin("potential", "solver")
-	veff, en := potential.SCFPotential(s.D.G, rho, s.H.VlocDense(), s.exScale())
-	s.H.SetVeffDense(veff, en)
+	s.H.UpdatePotentialScaled(rho, s.exScale())
 	s.D.C.Trace().End(ref)
+}
+
+// fieldAt is the vector potential at time t (zero without a field).
+func (s *PTCNSolver) fieldAt(t float64) [3]float64 {
+	if s.Field != nil {
+		return s.Field.A(t)
+	}
+	return [3]float64{}
+}
+
+// ensurePrepared makes H current for this rank's block at time t: global
+// density, field, potential. It is the twin of core.System.EnsurePrepared -
+// the energy observable and the next step's first residual ask for the same
+// converged state, and the second asker finds H marked and builds nothing.
+// The mark is on H and cleared by every writer of H, so the branch is the
+// same on every rank. Collective.
+func (s *PTCNSolver) ensurePrepared(local []complex128, t float64) {
+	if s.H.PreparedFor(local, t) && s.H.Field() == s.fieldAt(t) {
+		return
+	}
+	s.prepare(s.density(local), t)
+	s.H.MarkPrepared(local, t)
 }
 
 // exchangeWS returns the solver's exchange workspace, allocated on first
@@ -364,9 +381,9 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 		}
 	}
 
-	// Residual at t_n with the current state's H.
-	rho := s.density(local)
-	s.prepare(rho, s.Time)
+	// Residual at t_n with the current state's H - already prepared when
+	// the energy observable of the previous step asked for it.
+	s.ensurePrepared(local, s.Time)
 	rn, err := s.residual(local)
 	if err != nil {
 		return nil, stats, err
@@ -476,8 +493,7 @@ func (s *PTCNSolver) TotalEnergy(local []complex128, t float64) hamiltonian.Ener
 	defer s.D.C.Trace().End(ref)
 	ng := s.D.G.NG
 	nbl := len(local) / ng
-	rho := s.density(local)
-	s.prepare(rho, t)
+	s.ensurePrepared(local, t)
 	eb := s.H.TotalEnergy(local, nbl, s.Occ)
 	part := []float64{eb.Kinetic, eb.Nonlocal, 0}
 	if s.Hybrid {

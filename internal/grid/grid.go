@@ -56,6 +56,15 @@ type Grid struct {
 	G2Dense []float64
 	// GVecDense holds the G vector for every dense-box point.
 	GVecDense [][3]float64
+	// Index tables of the potential assembly, shared by every Hamiltonian
+	// on the grid. CoulombDense is the Hartree kernel 4*pi/|G|^2 per
+	// dense-box point (0 at G = 0); MinusGDense maps a dense-box point to
+	// the point holding -G (index negation mod ND per axis, so the Nyquist
+	// planes of an even dimension map to themselves); WaveToDense maps a
+	// wave-box point to the dense-box point with the same Miller index.
+	CoulombDense []float64
+	MinusGDense  []int32
+	WaveToDense  []int32
 
 	// Per-worker dense-box scratch, recycled across density builds and
 	// collected with the grid.
@@ -191,6 +200,9 @@ func (g *Grid) buildSphere() {
 func (g *Grid) buildDenseG() {
 	g.G2Dense = make([]float64, g.NDTot)
 	g.GVecDense = make([][3]float64, g.NDTot)
+	g.CoulombDense = make([]float64, g.NDTot)
+	g.MinusGDense = make([]int32, g.NDTot)
+	g.WaveToDense = make([]int32, 0, g.NTot)
 	b := [3]float64{
 		2 * math.Pi / g.Cell.L[0],
 		2 * math.Pi / g.Cell.L[1],
@@ -205,7 +217,24 @@ func (g *Grid) buildDenseG() {
 				gz := float64(millerFromIndex(iz, g.ND[2])) * b[2]
 				g.G2Dense[idx] = gx*gx + gy*gy + gz*gz
 				g.GVecDense[idx] = [3]float64{gx, gy, gz}
+				if g.G2Dense[idx] >= 1e-12 {
+					g.CoulombDense[idx] = 4 * math.Pi / g.G2Dense[idx]
+				}
+				mx, my, mz := (g.ND[0]-ix)%g.ND[0], (g.ND[1]-iy)%g.ND[1], (g.ND[2]-iz)%g.ND[2]
+				g.MinusGDense[idx] = int32((mx*g.ND[1]+my)*g.ND[2] + mz)
 				idx++
+			}
+		}
+	}
+	// Every Miller index representable on the wave box exists on the
+	// (finer) dense box.
+	for ix := 0; ix < g.N[0]; ix++ {
+		dx := indexFromMiller(millerFromIndex(ix, g.N[0]), g.ND[0])
+		for iy := 0; iy < g.N[1]; iy++ {
+			dy := indexFromMiller(millerFromIndex(iy, g.N[1]), g.ND[1])
+			for iz := 0; iz < g.N[2]; iz++ {
+				dz := indexFromMiller(millerFromIndex(iz, g.N[2]), g.ND[2])
+				g.WaveToDense = append(g.WaveToDense, int32((dx*g.ND[1]+dy)*g.ND[2]+dz))
 			}
 		}
 	}
@@ -393,39 +422,6 @@ func (g *Grid) DenseInverse(dst, src []complex128) {
 			dst[i] *= scale
 		}
 	})
-}
-
-// RestrictDenseToWave Fourier-interpolates a real-space field from the dense
-// box onto the wavefunction box (truncation of high-G components). Used to
-// apply the self-consistent potential, computed on the dense grid, to
-// orbitals represented on the coarser wavefunction grid.
-func (g *Grid) RestrictDenseToWave(dst, srcDense []complex128) {
-	if len(dst) != g.NTot || len(srcDense) != g.NDTot {
-		panic("grid: RestrictDenseToWave buffer size mismatch")
-	}
-	work := make([]complex128, g.NDTot)
-	g.DenseForward(work, srcDense)
-	for i := range dst {
-		dst[i] = 0
-	}
-	// Copy every coarse-box G from the dense box; every Miller index
-	// representable on the coarse box exists on the (finer) dense box.
-	for ix := 0; ix < g.N[0]; ix++ {
-		dx := indexFromMiller(millerFromIndex(ix, g.N[0]), g.ND[0])
-		for iy := 0; iy < g.N[1]; iy++ {
-			dy := indexFromMiller(millerFromIndex(iy, g.N[1]), g.ND[1])
-			for iz := 0; iz < g.N[2]; iz++ {
-				dz := indexFromMiller(millerFromIndex(iz, g.N[2]), g.ND[2])
-				dst[(ix*g.N[1]+iy)*g.N[2]+iz] = work[(dx*g.ND[1]+dy)*g.ND[2]+dz]
-			}
-		}
-	}
-	// Synthesize on the wavefunction box.
-	g.Plan.Inverse(dst, dst)
-	scale := complex(float64(g.NTot), 0)
-	for i := range dst {
-		dst[i] *= scale
-	}
 }
 
 // WavePointPositions returns the Cartesian coordinates of wavefunction-box

@@ -201,8 +201,9 @@ func TestDenseForwardConstantField(t *testing.T) {
 	}
 }
 
-func TestRestrictDenseToWavePlaneWave(t *testing.T) {
-	// A single low-G plane wave on the dense grid must restrict to the same
+func TestWaveToDensePlaneWave(t *testing.T) {
+	// A single low-G plane wave on the dense grid, carried to the wave box
+	// through the WaveToDense Miller-index map, must synthesize to the same
 	// plane wave sampled on the wavefunction grid.
 	g := si8Grid(t, 4)
 	m := [3]int{1, -2, 1}
@@ -222,8 +223,12 @@ func TestRestrictDenseToWavePlaneWave(t *testing.T) {
 			}
 		}
 	}
+	g.DenseForward(dense, dense)
 	wave := make([]complex128, g.NTot)
-	g.RestrictDenseToWave(wave, dense)
+	for i, k := range g.WaveToDense {
+		wave[i] = dense[k] * complex(float64(g.NTot), 0)
+	}
+	g.Plan.Inverse(wave, wave)
 	idx = 0
 	for ix := 0; ix < g.N[0]; ix++ {
 		x := float64(ix) / float64(g.N[0]) * g.Cell.L[0]
@@ -345,6 +350,32 @@ func TestToRealDenseSlabMatchesToRealDense(t *testing.T) {
 		got := complex(sc[0].Box.Re[i]*norm, sc[0].Box.Im[i]*norm)
 		if cmplx.Abs(got-want) > 1e-12 {
 			t.Fatalf("point %d: slab %v, ToRealDense %v", i, got, want)
+		}
+	}
+}
+
+// MinusGDense is an involution that negates every G component the box can
+// negate: the Nyquist index of an even dimension is its own partner.
+func TestMinusGDenseInvolution(t *testing.T) {
+	for _, ecut := range []float64{3, 6} { // 18^3 and 24^3 dense boxes, both with Nyquist planes
+		g := si8Grid(t, ecut)
+		for k, m := range g.MinusGDense {
+			if int(g.MinusGDense[m]) != k {
+				t.Fatalf("ecut %g: -(-G) of point %d is %d", ecut, k, g.MinusGDense[m])
+			}
+			if g.G2Dense[m] != g.G2Dense[k] || g.CoulombDense[m] != g.CoulombDense[k] {
+				t.Fatalf("ecut %g: |G| differs between point %d and its partner %d", ecut, k, m)
+			}
+			for d := 0; d < 3; d++ {
+				a, b := g.GVecDense[k][d], g.GVecDense[m][d]
+				nyquist := g.ND[d]%2 == 0 && a == b && a != 0
+				if a != -b && !nyquist {
+					t.Fatalf("ecut %g: point %d axis %d: G %g, partner %g", ecut, k, d, a, b)
+				}
+			}
+		}
+		if g.CoulombDense[0] != 0 {
+			t.Errorf("ecut %g: Coulomb kernel at G = 0 is %g, want 0", ecut, g.CoulombDense[0])
 		}
 	}
 }

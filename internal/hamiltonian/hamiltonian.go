@@ -39,8 +39,8 @@ type Hamiltonian struct {
 	hybrid    bool
 	pots      map[int]*pseudo.Potential // retained for geometry rebuilds
 	cfg       Config
-	vlocDense []float64
-	veffWave  []float64 // Vloc+VH+Vxc restricted to the wavefunction grid
+	vloc      *potential.Local
+	veffWave  []float64 // Vloc+VH+Vxc on the wavefunction grid
 	aField    [3]float64
 	fockOp    *fock.Operator
 	ace       *fock.ACE
@@ -77,6 +77,11 @@ type Hamiltonian struct {
 
 	// Energy bookkeeping from the last UpdatePotential call.
 	PotEnergies potential.Energies
+
+	// prepPsi and prepT are the "H is prepared for (Psi, t)" mark of
+	// MarkPrepared; nil when no state is marked.
+	prepPsi *complex128
+	prepT   float64
 
 	// tr is forwarded to every exchange operator this Hamiltonian builds
 	// (the propagation operator is rebuilt on each orbital refresh, so the
@@ -145,7 +150,7 @@ func New(g *grid.Grid, pots map[int]*pseudo.Potential, cfg Config) *Hamiltonian 
 		useACE:    cfg.UseACE,
 		pots:      pots,
 		cfg:       cfg,
-		vlocDense: potential.BuildVloc(g, pots),
+		vloc:      potential.NewLocal(g, potential.BuildVloc(g, pots)),
 	}
 	h.veffWave = make([]float64, g.NTot)
 	h.scratch.New = h.newScratch
@@ -163,7 +168,32 @@ func New(g *grid.Grid, pots map[int]*pseudo.Potential, cfg Config) *Hamiltonian 
 // geometry.
 func (h *Hamiltonian) RebuildGeometry() {
 	h.NL = buildNL(h.G, h.pots, h.cfg)
-	h.vlocDense = potential.BuildVloc(h.G, h.pots)
+	h.vloc = potential.NewLocal(h.G, potential.BuildVloc(h.G, h.pots))
+	h.prepPsi = nil
+}
+
+// MarkPrepared records that the owner of this Hamiltonian (core.System,
+// the distributed solver) has just refreshed every state- and
+// time-dependent piece of it - field, potential, exchange reference - for
+// the orbitals psi at time t, so that the next consumer of the same state
+// (the energy observable, then the following step's first residual) can
+// skip the density build and the potential assembly. The mark names psi by
+// its storage, not its values: the owner must not edit a marked band set in
+// place. It belongs to the Hamiltonian because that is what every writer
+// passes through: each method that changes what Apply or the energy
+// bookkeeping returns - UpdatePotential, a changed SetField,
+// RebuildGeometry, an effective SetFockOrbitals, SetFockOrbitalsFrozen,
+// ReleaseFockHold, SetBloch - clears it, whoever calls it, so two
+// propagators taking turns on one Hamiltonian can never read each other's
+// preparation.
+func (h *Hamiltonian) MarkPrepared(psi []complex128, t float64) {
+	h.prepPsi, h.prepT = &psi[0], t
+}
+
+// PreparedFor reports whether the MarkPrepared mark still stands for
+// (psi, t).
+func (h *Hamiltonian) PreparedFor(psi []complex128, t float64) bool {
+	return h.prepPsi != nil && len(psi) > 0 && h.prepPsi == &psi[0] && h.prepT == t
 }
 
 // Hybrid reports whether the Fock exchange operator is active.
@@ -179,28 +209,32 @@ func (h *Hamiltonian) ExScale() float64 {
 }
 
 // UpdatePotential recomputes V_Hxc from the density (dense grid) and
-// restricts the total local potential onto the wavefunction grid.
+// assembles the total local potential on the wavefunction grid.
 func (h *Hamiltonian) UpdatePotential(rho []float64) {
-	veffDense, en := potential.SCFPotential(h.G, rho, h.vlocDense, h.ExScale())
-	h.PotEnergies = en
-	h.veffWave = potential.RestrictToWave(h.G, veffDense)
+	h.UpdatePotentialScaled(rho, h.ExScale())
 }
 
-// SetVeffDense installs an externally assembled effective potential
-// (dense grid) and its energy bookkeeping. The distributed implementation
-// uses this: Hartree and XC are computed cooperatively across ranks
-// (section 3.4) and the assembled result handed to each rank's H.
-func (h *Hamiltonian) SetVeffDense(veffDense []float64, en potential.Energies) {
-	h.PotEnergies = en
-	h.veffWave = potential.RestrictToWave(h.G, veffDense)
+// UpdatePotentialScaled is UpdatePotential with the semi-local exchange
+// attenuation supplied by the caller. The distributed solver uses it: its
+// Hamiltonian is built without the hybrid term (the exchange lives across
+// ranks), so the 1 - alpha belongs to the solver; every rank assembles the
+// identical potential from the allreduced density.
+func (h *Hamiltonian) UpdatePotentialScaled(rho []float64, exScale float64) {
+	h.PotEnergies = potential.AssembleVeff(h.G, h.veffWave, rho, h.vloc, exScale)
+	h.prepPsi = nil
 }
 
 // VlocDense exposes the static local pseudopotential on the dense grid
 // (read-only use).
-func (h *Hamiltonian) VlocDense() []float64 { return h.vlocDense }
+func (h *Hamiltonian) VlocDense() []float64 { return h.vloc.Dense }
 
 // SetField sets the vector potential entering the kinetic term.
-func (h *Hamiltonian) SetField(a [3]float64) { h.aField = a }
+func (h *Hamiltonian) SetField(a [3]float64) {
+	if a != h.aField {
+		h.prepPsi = nil
+	}
+	h.aField = a
+}
 
 // Field returns the current vector potential.
 func (h *Hamiltonian) Field() [3]float64 { return h.aField }
@@ -214,6 +248,7 @@ func (h *Hamiltonian) SetFockOrbitals(phi []complex128, nb int) {
 	if !h.hybrid || h.fockHold {
 		return
 	}
+	h.prepPsi = nil
 	if h.fockOp == nil {
 		h.fockOp = fock.NewOperator(h.G, h.Hyb, phi, nb)
 		h.fockOp.SetTrace(h.tr)
@@ -260,7 +295,10 @@ func (h *Hamiltonian) SetFockOrbitalsFrozen(phi []complex128, nb int) {
 
 // ReleaseFockHold lifts the frozen-exchange hold, returning SetFockOrbitals
 // to its per-refresh behavior.
-func (h *Hamiltonian) ReleaseFockHold() { h.fockHold = false }
+func (h *Hamiltonian) ReleaseFockHold() {
+	h.fockHold = false
+	h.prepPsi = nil
+}
 
 // FockHeld reports whether the exchange reference is currently frozen.
 func (h *Hamiltonian) FockHeld() bool { return h.fockHold }
@@ -310,6 +348,7 @@ func (h *Hamiltonian) SetTrace(t *trace.Track) {
 func (h *Hamiltonian) SetBloch(k [3]float64, nl *pseudo.NonlocalBloch) {
 	h.bloch = k
 	h.nlBloch = nl
+	h.prepPsi = nil
 }
 
 // Bloch returns the current k-point.
@@ -482,10 +521,6 @@ func (h *Hamiltonian) KineticEnergyBand(c []complex128) float64 {
 	}
 	return k
 }
-
-// VeffWave exposes the current effective local potential on the
-// wavefunction grid (read-only use).
-func (h *Hamiltonian) VeffWave() []float64 { return h.veffWave }
 
 // IsFinite reports whether a number is neither NaN nor Inf; used by SCF
 // sanity checks.

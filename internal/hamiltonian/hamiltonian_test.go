@@ -8,6 +8,7 @@ import (
 	"ptdft/internal/grid"
 	"ptdft/internal/lattice"
 	"ptdft/internal/linalg"
+	"ptdft/internal/parallel"
 	"ptdft/internal/potential"
 	"ptdft/internal/pseudo"
 	"ptdft/internal/wavefunc"
@@ -323,5 +324,56 @@ func TestFockOrbitalHold(t *testing.T) {
 	h.SetFockOrbitals(phiB, nb)
 	if !h.FockOperator().IsReference(phiB, nb) {
 		t.Error("SetFockOrbitals inert after release")
+	}
+}
+
+// RebuildGeometry must refresh both forms of the local pseudopotential the
+// assembly reads (dense real space and wave-box G space): after an atom
+// moves, UpdatePotential gives the bits of a Hamiltonian built on the moved
+// cell, at the hybrid's exchange attenuation and without it.
+func TestRebuildGeometryRefreshesLocalPotential(t *testing.T) {
+	for _, hybrid := range []bool{false, true} {
+		g, h := buildH(t, hybrid, 3)
+		nb := g.Cell.NumBands()
+		rho := potential.Density(g, wavefunc.Random(g, nb, 5), nb, 2)
+		h.UpdatePotential(rho)
+		before := append([]float64(nil), h.veffWave...)
+
+		g.Cell.Atoms[0].Pos[0] += 0.3
+		h.RebuildGeometry()
+		h.UpdatePotential(rho)
+		fresh := New(g, siPots(), Config{Hybrid: hybrid, Params: xc.HSE06()})
+		fresh.UpdatePotential(rho)
+		var moved float64
+		for i, v := range h.veffWave {
+			if v != fresh.veffWave[i] {
+				t.Fatalf("hybrid %v: veffWave[%d] = %.17g after RebuildGeometry, %.17g on a fresh Hamiltonian", hybrid, i, v, fresh.veffWave[i])
+			}
+			moved = math.Max(moved, math.Abs(v-before[i]))
+		}
+		if h.PotEnergies != fresh.PotEnergies {
+			t.Errorf("hybrid %v: energies %v after RebuildGeometry, %v fresh", hybrid, h.PotEnergies, fresh.PotEnergies)
+		}
+		if moved < 1e-4 {
+			t.Errorf("hybrid %v: potential moved by %g only; the displacement did not reach it", hybrid, moved)
+		}
+	}
+}
+
+// UpdatePotential allocates nothing in steady state at one worker: the
+// packed dense slab, the wave-box scratch and the FFT line buffers belong
+// to the grid, and veffWave is written in place.
+func TestUpdatePotentialAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	g := grid.MustNew(lattice.MustSiliconSupercell(2, 1, 1), 3)
+	h := New(g, siPots(), Config{})
+	nb := g.Cell.NumBands()
+	rho := potential.Density(g, wavefunc.Random(g, nb, 5), nb, 2)
+	h.UpdatePotential(rho) // warm the grid's scratch
+	if a := testing.AllocsPerRun(10, func() { h.UpdatePotential(rho) }); a > 0 {
+		t.Errorf("UpdatePotential allocates %.1f objects per call in steady state, want 0", a)
 	}
 }

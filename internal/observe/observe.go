@@ -53,7 +53,7 @@ func CurrentPartial(g *grid.Grid, a [3]float64, psi []complex128, nb int) [3]flo
 // psi at time t (one extra Fock application per step, as the paper counts:
 // 24 = 22 SCF + 1 residual + 1 energy).
 func Energy(s *core.System, psi []complex128, t float64) hamiltonian.EnergyBreakdown {
-	s.Prepare(psi, t)
+	s.EnsurePrepared(psi, t)
 	return s.H.TotalEnergy(psi, s.NB, s.Occ)
 }
 

@@ -126,6 +126,9 @@ func groupDensity(g *grid.Grid, ws *grid.DenseScratch, bands []complex128, nb, g
 // Hartree potential on the dense grid together with the Hartree energy.
 // The G = 0 component is dropped (jellium compensation).
 func Hartree(g *grid.Grid, rho []float64) ([]float64, float64) {
+	if len(rho) != g.NDTot {
+		panic("potential: Hartree buffer size mismatch")
+	}
 	work := make([]complex128, g.NDTot)
 	for i, r := range rho {
 		work[i] = complex(r, 0)
@@ -154,36 +157,62 @@ func Hartree(g *grid.Grid, rho []float64) ([]float64, float64) {
 	return vh, eh
 }
 
+// xcBlock is the block length of the point-wise XC pass. It is fixed, so
+// the per-block partial sums - and the energies folded from them in block
+// order - are the same bits at any worker count.
+const xcBlock = 2048
+
+// pointwise fills v with v_xc[rho] and returns the real-space sums
+// sum eps_xc*rho and sum vloc*rho (vloc may be nil), without the volume
+// element. Workers only decide how many blocks are in flight.
+func pointwise(v, rho, vloc []float64, exScale float64) (exc, eloc float64) {
+	n := len(rho)
+	nblk := (n + xcBlock - 1) / xcBlock
+	if parallel.NumWorkers(nblk) == 1 {
+		// No closure, no partial table: the one-worker path allocates nothing.
+		for b := 0; b < nblk; b++ {
+			x, l := pointwiseBlock(v, rho, vloc, exScale, b)
+			exc += x
+			eloc += l
+		}
+		return exc, eloc
+	}
+	part := make([][2]float64, nblk)
+	parallel.For(nblk, func(b int) {
+		part[b][0], part[b][1] = pointwiseBlock(v, rho, vloc, exScale, b)
+	})
+	for _, p := range part {
+		exc += p[0]
+		eloc += p[1]
+	}
+	return exc, eloc
+}
+
+func pointwiseBlock(v, rho, vloc []float64, exScale float64, b int) (exc, eloc float64) {
+	for i := b * xcBlock; i < min((b+1)*xcBlock, len(rho)); i++ {
+		eps, pot := xc.LDA(rho[i], exScale)
+		v[i] = pot
+		exc += eps * rho[i]
+		if vloc != nil {
+			eloc += vloc[i] * rho[i]
+		}
+	}
+	return exc, eloc
+}
+
 // XCPotential evaluates the semi-local exchange-correlation potential and
 // energy for the density. exScale attenuates the semi-local exchange when a
 // hybrid functional carries part of it through the Fock operator.
 func XCPotential(rho []float64, exScale, dv float64) ([]float64, float64) {
 	v := make([]float64, len(rho))
-	// One exc partial per block, summed in block order: the energy does not
-	// depend on which worker finishes first.
-	n := len(rho)
-	nblk := parallel.NumWorkers(n)
-	chunk := (n + nblk - 1) / nblk
-	part := make([]float64, nblk)
-	parallel.For(nblk, func(b int) {
-		var acc float64
-		for i := b * chunk; i < min((b+1)*chunk, n); i++ {
-			eps, pot := xc.LDA(rho[i], exScale)
-			v[i] = pot
-			acc += eps * rho[i]
-		}
-		part[b] = acc
-	})
-	var exc float64
-	for _, e := range part {
-		exc += e
-	}
+	exc, _ := pointwise(v, rho, nil, exScale)
 	return v, exc * dv
 }
 
-// SCFPotential bundles the density-dependent potential assembly: given the
-// density it returns Veff = Vloc + VH + Vxc on the dense grid and the
-// energy pieces.
+// SCFPotential is the dense-grid reference of the potential assembly: three
+// scalar transforms (Hartree there and back, nothing fused) and Veff = Vloc +
+// VH + Vxc on the dense grid with the energy pieces. The step path is
+// AssembleVeff; the tests hold it against this.
 func SCFPotential(g *grid.Grid, rho, vloc []float64, exScale float64) ([]float64, Energies) {
 	vh, eh := Hartree(g, rho)
 	vxc, exc := XCPotential(rho, exScale, g.DV())
@@ -197,20 +226,92 @@ func SCFPotential(g *grid.Grid, rho, vloc []float64, exScale float64) ([]float64
 	return veff, Energies{Hartree: eh, XC: exc, Local: eloc}
 }
 
-// RestrictToWave Fourier-truncates a dense-grid real potential onto the
-// wavefunction grid, where it is applied point-wise to orbitals.
-func RestrictToWave(g *grid.Grid, dense []float64) []float64 {
-	src := make([]complex128, g.NDTot)
-	for i, v := range dense {
-		src[i] = complex(v, 0)
+// Local is the static local pseudopotential in the two forms the assembly
+// reads: V_loc(r) on the dense grid (the E_loc sum, the forces) and its
+// Fourier coefficients on the wave-box G's. It is rebuilt as a whole when
+// the atoms move, so the two cannot drift apart.
+type Local struct {
+	Dense []float64
+	WaveG lanes.Slab
+}
+
+// NewLocal wraps a dense-grid local potential (BuildVloc) and transforms it
+// once for AssembleVeff.
+func NewLocal(g *grid.Grid, dense []float64) *Local {
+	if len(dense) != g.NDTot {
+		panic("potential: NewLocal buffer size mismatch")
 	}
-	dst := make([]complex128, g.NTot)
-	g.RestrictDenseToWave(dst, src)
-	out := make([]float64, g.NTot)
-	for i, v := range dst {
-		out[i] = real(v)
+	loc := &Local{Dense: dense, WaveG: lanes.New(g.NTot)}
+	wss := g.AcquireDenseScratch(1)
+	z := wss[0].Box
+	copy(z.Re, dense)
+	clear(z.Im)
+	g.PlanD.RawSlabWS(z, z, false, wss[0].WS)
+	inv := 1 / float64(g.NDTot)
+	for i, k := range g.WaveToDense {
+		loc.WaveG.Re[i] = z.Re[k] * inv
+		loc.WaveG.Im[i] = z.Im[k] * inv
 	}
-	return out
+	g.ReleaseDenseScratch(wss)
+	return loc
+}
+
+// splitPair separates the spectra of two real fields transformed together
+// as z = f + i g, at dense-box point k whose -G partner is m: by Hermitian
+// symmetry F_k = (Z_k + conj Z_m)/2 and G_k = (Z_k - conj Z_m)/2i. It
+// returns 2 F_k and 2 G_k. On a self-conjugate point (m == k, the G = 0 and
+// Nyquist points of an even box) that is 2 Re Z_k and 2 Im Z_k, both real.
+func splitPair(z lanes.Slab, k, m int32) (f2, g2 complex128) {
+	a, b, c, d := z.Re[k], z.Im[k], z.Re[m], z.Im[m]
+	return complex(a+c, b-d), complex(b+d, c-a)
+}
+
+// AssembleVeff builds the effective local potential Vloc + VH[rho] +
+// Vxc[rho] on the wavefunction grid into veffWave and returns the energy
+// pieces, in one dense transform: v_xc is evaluated point-wise, rho and v_xc
+// ride the Re and Im halves of one grid-owned dense slab through a single
+// forward transform, splitPair recovers both spectra, V_eff,G = V_loc,G +
+// 4 pi rho_G/G^2 + v_xc,G is assembled on the wave-box G's only (each
+// Miller index copied from the dense box) and synthesized by one wave-box
+// inverse whose real part is kept. E_H is the G-space sum (Omega/2) sum_G
+// 4 pi |rho_G|^2/G^2 over the full dense spectrum, in index order; E_xc and
+// E_loc are block-ordered real-space sums. Nothing depends on the worker
+// count, and at one worker nothing is allocated.
+func AssembleVeff(g *grid.Grid, veffWave, rho []float64, loc *Local, exScale float64) Energies {
+	if len(rho) != g.NDTot || len(veffWave) != g.NTot || len(loc.Dense) != g.NDTot {
+		panic("potential: AssembleVeff buffer size mismatch")
+	}
+	wss := g.AcquireDenseScratch(1)
+	ws := wss[0]
+	z := ws.Box
+	copy(z.Re, rho)
+	exc, eloc := pointwise(z.Im, rho, loc.Dense, exScale)
+	g.PlanD.RawSlabWS(z, z, false, ws.WS)
+
+	coul, minus := g.CoulombDense, g.MinusGDense
+	var eh float64
+	for k, m := range minus {
+		r2, _ := splitPair(z, int32(k), m)
+		eh += coul[k] * (real(r2)*real(r2) + imag(r2)*imag(r2))
+	}
+	// The transform is unnormalized and splitPair returns twice the
+	// coefficient: rho_G = r2 / (2 NDTot).
+	half := 0.5 / float64(g.NDTot)
+	eh *= 0.5 * g.Volume() * half * half
+
+	// The wave-box spectrum rides (veffWave, scratch): after the inverse the
+	// real part is already in place and the imaginary part is dropped.
+	w := lanes.Slab{Re: veffWave, Im: ws.Acc[:g.NTot]}
+	for i, k := range g.WaveToDense {
+		r2, v2 := splitPair(z, k, minus[k])
+		w.Re[i] = loc.WaveG.Re[i] + half*(coul[k]*real(r2)+real(v2))
+		w.Im[i] = loc.WaveG.Im[i] + half*(coul[k]*imag(r2)+imag(v2))
+	}
+	fws := g.Plan.CheckoutWorkspace()
+	g.Plan.RawSlabWS(w, w, true, fws)
+	g.Plan.ReturnWorkspace(fws)
+	g.ReleaseDenseScratch(wss)
+	return Energies{Hartree: eh, XC: exc * g.DV(), Local: eloc * g.DV()}
 }
 
 // IntegrateDensity returns the total electron count of a dense-grid density.

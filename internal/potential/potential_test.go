@@ -127,20 +127,6 @@ func TestSCFPotentialEnergiesFinite(t *testing.T) {
 	}
 }
 
-func TestRestrictToWaveConstant(t *testing.T) {
-	g := si8(t, 3)
-	dense := make([]float64, g.NDTot)
-	for i := range dense {
-		dense[i] = 3.25
-	}
-	wave := RestrictToWave(g, dense)
-	for i, v := range wave {
-		if math.Abs(v-3.25) > 1e-9 {
-			t.Fatalf("restricted constant differs at %d: %g", i, v)
-		}
-	}
-}
-
 func TestDensityDiffZeroForIdentical(t *testing.T) {
 	g := si8(t, 3)
 	rho := make([]float64, g.NDTot)

@@ -43,25 +43,32 @@ func (h HybridParams) ScreenedKernel(g2 float64) float64 {
 	return 4 * math.Pi * (1 - math.Exp(-x)) / g2
 }
 
+// cx is the Slater exchange constant -(3/4)(3/pi)^(1/3); rs1 the
+// Wigner-Seitz radius at unit density, (3/(4 pi))^(1/3).
+var (
+	cx  = -0.75 * math.Cbrt(3/math.Pi)
+	rs1 = math.Cbrt(3 / (4 * math.Pi))
+)
+
 // LDA evaluates the local density approximation energy density and
 // potential at density rho (electrons/bohr^3): returns eps_xc (Ha per
 // electron) and v_xc (Ha). Slater exchange + PZ81 correlation.
 // exScale attenuates the semi-local exchange (1 for pure LDA, 1-alpha for
 // the hybrid, where alpha of the exchange is handled by the Fock term).
+// One cube root serves both rho^(1/3) and rs, and each correlation branch
+// takes one further Log or Sqrt: this runs once per dense-grid point per
+// SCF iteration.
 func LDA(rho, exScale float64) (eps, v float64) {
 	if rho <= 1e-14 {
 		return 0, 0
 	}
 	// Slater exchange.
-	cx := -0.75 * math.Pow(3/math.Pi, 1.0/3)
-	rho13 := math.Pow(rho, 1.0/3)
-	ex := cx * rho13             // energy per electron
-	vx := 4.0 / 3.0 * cx * rho13 // d(rho*ex)/d(rho)
-	ex *= exScale
-	vx *= exScale
+	rho13 := math.Cbrt(rho)
+	ex := exScale * cx * rho13 // energy per electron
+	vx := 4.0 / 3.0 * ex       // d(rho*ex)/d(rho)
 
 	// PZ81 correlation with rs = (3/(4 pi rho))^(1/3).
-	rs := math.Pow(3/(4*math.Pi*rho), 1.0/3)
+	rs := rs1 / rho13
 	var ec, vc float64
 	if rs < 1 {
 		const (
