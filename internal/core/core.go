@@ -54,28 +54,18 @@ func (s *System) Prepare(psi []complex128, t float64) {
 	s.H.MarkPrepared(psi, t)
 }
 
-// EnsurePrepared is Prepare unless H still carries the mark of an earlier
-// Prepare for the same orbitals (the same storage, which the caller must
-// not have edited in place), time and field, in which case the density and
-// the potential H holds are already the ones Prepare would build. The
-// energy observable and the first residual of the next step both ask for
-// the converged state of the step before, so each state's density and
-// potential are built once. The mark lives on H and every writer of H
-// clears it (hamiltonian.MarkPrepared), so a second propagator, a geometry
-// rebuild or an exchange-cadence change in between costs a rebuild, never a
-// stale potential.
+// EnsurePrepared is Prepare unless H still carries the mark of a Prepare
+// for the same orbitals (by storage: the caller must not have edited them
+// in place), time and field. The energy observable and the first residual
+// of the next step both ask for the converged state of the step before, so
+// each state's density and potential are built once. Every writer of H
+// clears the mark (hamiltonian.MarkPrepared): a second propagator, a
+// geometry rebuild or an exchange-cadence change in between costs a
+// rebuild, never a stale potential.
 func (s *System) EnsurePrepared(psi []complex128, t float64) {
-	if !s.H.PreparedFor(psi, t) || s.H.Field() != s.fieldAt(t) {
+	if !s.H.PreparedFor(psi, t) || s.H.Field() != laser.At(s.Field, t) {
 		s.Prepare(psi, t)
 	}
-}
-
-// fieldAt is the vector potential at time t (zero without a field).
-func (s *System) fieldAt(t float64) [3]float64 {
-	if s.Field != nil {
-		return s.Field.A(t)
-	}
-	return [3]float64{}
 }
 
 // density and updatePotential are potential.Density and
@@ -99,7 +89,7 @@ func (s *System) updatePotential(rho []float64) {
 // the PT-CN SCF loop, where the density of the current iterate is already
 // known). It leaves H unmarked: nothing ties rho to psi.
 func (s *System) PrepareWithDensity(psi []complex128, rho []float64, t float64) {
-	s.H.SetField(s.fieldAt(t))
+	s.H.SetField(laser.At(s.Field, t))
 	s.updatePotential(rho)
 	s.H.SetFockOrbitals(psi, s.NB)
 }

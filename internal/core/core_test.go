@@ -2,15 +2,18 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"ptdft/internal/grid"
 	"ptdft/internal/hamiltonian"
 	"ptdft/internal/laser"
 	"ptdft/internal/lattice"
+	"ptdft/internal/parallel"
 	"ptdft/internal/potential"
 	"ptdft/internal/pseudo"
 	"ptdft/internal/scf"
+	"ptdft/internal/trace"
 	"ptdft/internal/wavefunc"
 	"ptdft/internal/xc"
 )
@@ -335,5 +338,175 @@ func TestPTCNFailsGracefullyWhenNotConverging(t *testing.T) {
 	p := NewPTCN(sys, opt)
 	if _, _, err := p.Step(psi, 1.0); err == nil {
 		t.Error("expected convergence failure error")
+	}
+}
+
+// observed is energyOf the way the propagation loop asks for it: through
+// EnsurePrepared, which leaves H marked for the next step's first residual.
+func observed(s *System, psi []complex128, tm float64) float64 {
+	s.EnsurePrepared(psi, tm)
+	return s.H.TotalEnergy(psi, s.NB, s.Occ).Total()
+}
+
+type stepper interface {
+	Step(psi []complex128, dt float64) ([]complex128, StepStats, error)
+}
+
+// trajectory is what one propagator produced: the state and the observed
+// energy after each step.
+type trajectory struct {
+	psi [][]complex128
+	e   []float64
+}
+
+func (tr *trajectory) step(t *testing.T, p stepper, dt float64) {
+	t.Helper()
+	next, _, err := p.Step(tr.psi[len(tr.psi)-1], dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.psi = append(tr.psi, next)
+}
+
+func (tr *trajectory) observe(s *System, now float64) {
+	tr.e = append(tr.e, observed(s, tr.psi[len(tr.psi)-1], now))
+}
+
+func (tr *trajectory) sameBits(o *trajectory) bool {
+	if len(tr.psi) != len(o.psi) {
+		return false
+	}
+	for k := 1; k < len(tr.psi); k++ {
+		if wavefunc.MaxDiff(tr.psi[k], o.psi[k]) != 0 || tr.e[k-1] != o.e[k-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// Two propagators taking turns on one System (and so one Hamiltonian) must
+// each produce the bits it produces alone: the "H is prepared for (Psi, t)"
+// mark one of them leaves must never be read by the other, and never
+// survive the other's rebuilds of H. PT-CN with RK4 (which re-prepares H
+// four times per step) and two PT-CN at different steps, all started from
+// the same Psi_0 storage at t = 0; in the shared run both step before
+// either observes, so the second finds H marked for its own (Psi_0, 0) by
+// the first and already moved on by the first's SCF loop.
+func TestSharedSystemPropagatorsMatchAlone(t *testing.T) {
+	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
+	sys, psi0 := groundStateSystem(t, 3, false, kick)
+	const steps = 3
+	type prop struct {
+		p   stepper
+		now func() float64
+		dt  float64
+	}
+	newPT := func(dt float64) prop {
+		p := NewPTCN(sys, DefaultPTCN())
+		return prop{p, func() float64 { return p.Time }, dt}
+	}
+	newRK := func(dt float64) prop {
+		p := NewRK4(sys)
+		return prop{p, func() float64 { return p.Time }, dt}
+	}
+	for _, pair := range []struct {
+		name string
+		a, b func() prop
+	}{
+		{"ptcn+rk4", func() prop { return newPT(1.0) }, func() prop { return newRK(0.02) }},
+		{"ptcn+ptcn", func() prop { return newPT(1.0) }, func() prop { return newPT(0.5) }},
+	} {
+		alone := func(mk func() prop) *trajectory {
+			pr, tr := mk(), &trajectory{psi: [][]complex128{psi0}}
+			for k := 0; k < steps; k++ {
+				tr.step(t, pr.p, pr.dt)
+				tr.observe(sys, pr.now())
+			}
+			return tr
+		}
+		wantA, wantB := alone(pair.a), alone(pair.b)
+		pa, pb := pair.a(), pair.b()
+		gotA, gotB := &trajectory{psi: [][]complex128{psi0}}, &trajectory{psi: [][]complex128{psi0}}
+		for k := 0; k < steps; k++ {
+			gotA.step(t, pa.p, pa.dt)
+			gotB.step(t, pb.p, pb.dt)
+			gotA.observe(sys, pa.now())
+			gotB.observe(sys, pb.now())
+		}
+		if !gotA.sameBits(wantA) || !gotB.sameBits(wantB) {
+			t.Errorf("%s: interleaved on one System differs from each alone (first: %v, second: %v)",
+				pair.name, gotA.sameBits(wantA), gotB.sameBits(wantB))
+		}
+	}
+}
+
+// A step whose state the energy observable already prepared H for builds
+// one density and one potential fewer than a step that finds H unmarked,
+// and lands on the same bits.
+func TestEnsurePreparedSkipsOnlyWhenMarked(t *testing.T) {
+	sys, psi0 := groundStateSystem(t, 3, false, &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}})
+	run := func(observe bool) ([]complex128, int) {
+		rec := trace.NewRecorder()
+		sys.Tr = rec.Track(0, "rank 0")
+		defer func() { sys.Tr = nil }()
+		p := NewPTCN(sys, DefaultPTCN())
+		psi := psi0
+		for k := 0; k < 3; k++ {
+			var err error
+			if psi, _, err = p.Step(psi, 1.0); err != nil {
+				t.Fatal(err)
+			}
+			if observe {
+				observed(sys, psi, p.Time)
+			}
+		}
+		n := 0
+		for _, r := range rec.Profile() {
+			if r.Name == "density" || r.Name == "potential" {
+				n += int(r.Calls)
+			}
+		}
+		return psi, n
+	}
+	psiObs, nObs := run(true)
+	psiBare, nBare := run(false)
+	if wavefunc.MaxDiff(psiObs, psiBare) != 0 {
+		t.Error("trajectory depends on whether the energy was observed between steps")
+	}
+	// Observing adds a density and a potential after the last step only;
+	// after the other two they replace the next step's own.
+	if nObs != nBare+2 {
+		t.Errorf("density+potential builds: %d with the energy observed after each of 3 steps, %d without; want +2", nObs, nBare)
+	}
+}
+
+// A PT-CN step on Si16 allocates the mixer history, the iterates and one
+// density per build - not the residual, projection and fixed-point buffers
+// (step workspace) nor anything in UpdatePotential.
+func TestPTCNStepBytes(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	g := grid.MustNew(lattice.MustSiliconSupercell(2, 1, 1), 3)
+	h := hamiltonian.New(g, map[int]*pseudo.Potential{0: pseudo.SiliconAH()}, hamiltonian.Config{})
+	nb := g.Cell.NumBands()
+	opt := scf.Defaults()
+	opt.TolDensity = 1e-8
+	res, err := scf.GroundState(g, h, nb, opt)
+	if err != nil || !res.Converged {
+		t.Fatalf("Si16 ground state: converged %v, err %v", res != nil && res.Converged, err)
+	}
+	sys := &System{G: g, H: h, NB: nb, Occ: 2, Field: &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}}
+	p := NewPTCN(sys, DefaultPTCN())
+	psi, _, err := p.Step(res.Psi, 1.0) // warm: workspaces allocate on first use
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, _, err = p.Step(psi, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if mb := float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20); mb > 12 {
+		t.Errorf("PT-CN step on Si16 allocates %.1f MB, want <= 12", mb)
 	}
 }

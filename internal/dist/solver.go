@@ -139,28 +139,18 @@ func (s *PTCNSolver) density(local []complex128) []float64 {
 // given global density; each rank assembles the identical Veff redundantly
 // from the allreduced density.
 func (s *PTCNSolver) prepare(rho []float64, t float64) {
-	s.H.SetField(s.fieldAt(t))
+	s.H.SetField(laser.At(s.Field, t))
 	ref := s.D.C.Trace().Begin("potential", "solver")
 	s.H.UpdatePotentialScaled(rho, s.exScale())
 	s.D.C.Trace().End(ref)
 }
 
-// fieldAt is the vector potential at time t (zero without a field).
-func (s *PTCNSolver) fieldAt(t float64) [3]float64 {
-	if s.Field != nil {
-		return s.Field.A(t)
-	}
-	return [3]float64{}
-}
-
-// ensurePrepared makes H current for this rank's block at time t: global
-// density, field, potential. It is the twin of core.System.EnsurePrepared -
-// the energy observable and the next step's first residual ask for the same
-// converged state, and the second asker finds H marked and builds nothing.
-// The mark is on H and cleared by every writer of H, so the branch is the
-// same on every rank. Collective.
+// ensurePrepared makes H current for this rank's block at time t (global
+// density, field, potential) unless H is still marked for it - the twin of
+// core.System.EnsurePrepared. Every writer of H clears the mark, so the
+// branch is the same on every rank. Collective.
 func (s *PTCNSolver) ensurePrepared(local []complex128, t float64) {
-	if s.H.PreparedFor(local, t) && s.H.Field() == s.fieldAt(t) {
+	if s.H.PreparedFor(local, t) && s.H.Field() == laser.At(s.Field, t) {
 		return
 	}
 	s.prepare(s.density(local), t)
@@ -480,8 +470,9 @@ func (s *PTCNSolver) AllreduceForces(f [][3]float64) {
 }
 
 // TotalEnergy evaluates the energy functional for the local block at time
-// t, refreshing H from the global density first (the "+1 energy
-// evaluation" Fock application of the paper's per-step accounting). The
+// t, with H made current for it first (ensurePrepared; the exchange below
+// is the "+1 energy evaluation" Fock application of the paper's per-step
+// accounting). The
 // kinetic, nonlocal and exchange partial sums are allreduced; the
 // Hartree/XC/local terms come from the replicated potential assembly and
 // are already global. The exchange term always goes through the exact

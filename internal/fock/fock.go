@@ -262,23 +262,17 @@ func (op *Operator) IsReference(src []complex128, nb int) bool {
 	return true
 }
 
-// ApplyReal accumulates (V_X psi)(r) into dstReal for a wavefunction given
-// in real space on the wavefunction box. Both buffers have length NTot.
-// This is the per-band inner loop of Alg. 2 (lines 6-10): nb Poisson
-// solves, each a fused forward FFT, kernel multiply, and inverse FFT.
-func (op *Operator) ApplyReal(dstReal, srcReal []complex128) {
-	ntot := op.g.NTot
-	if len(dstReal) != ntot || len(srcReal) != ntot {
+// ApplyReal accumulates (V_X psi)(r) into dst for a wavefunction given in
+// real space on the wavefunction box, both in the split re/im layout
+// (length NTot). This is the per-band inner loop of Alg. 2 (lines 6-10): nb
+// Poisson solves, each a fused forward FFT, kernel multiply, and inverse
+// FFT.
+func (op *Operator) ApplyReal(dst, src lanes.Slab) {
+	if dst.Len() != op.g.NTot || src.Len() != op.g.NTot {
 		panic("fock: ApplyReal buffer size mismatch")
 	}
-	// Interleaved shim over the SoA core: pack once, contract nb bands in
-	// slab layout, accumulate back - two extra box passes amortized over
-	// nb Poisson solves.
 	ws := op.ws.Get()
-	lanes.Pack(ws.src, srcReal)
-	ws.acc.Zero()
-	op.applyRealWS(ws.acc, ws.src, ws)
-	lanes.UnpackAdd(dstReal, ws.acc)
+	op.applyRealWS(dst, src, ws)
 	op.ws.Put(ws)
 }
 

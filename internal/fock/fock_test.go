@@ -196,7 +196,7 @@ func TestApplyToReferenceMatchesApply(t *testing.T) {
 					for i := 0; i < nb; i++ {
 						ContractReference(g, kernel, tc.hyb.Alpha, phiR[i*ntot:(i+1)*ntot], phiR[j*ntot:(j+1)*ntot], acc, pair)
 					}
-					g.FromRealSerial(want[j*ng:(j+1)*ng], acc)
+					g.FromReal(want[j*ng:(j+1)*ng], acc)
 				}
 				got := make([]complex128, nb*ng)
 				op.ApplyToReference(got)

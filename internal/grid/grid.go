@@ -67,13 +67,15 @@ type Grid struct {
 	WaveToDense  []int32
 
 	// Per-worker dense-box scratch, recycled across density builds and
-	// collected with the grid.
+	// potential assemblies and collected with the grid.
 	denseScratch parallel.ScratchPool[*DenseScratch]
 }
 
-// DenseScratch is one worker's scratch for building densities on the dense
-// box: a split re/im box one orbital is synthesized into, a real
-// accumulator of the same size, and the FFT line scratch of PlanD.
+// DenseScratch is one worker's scratch on the dense box: a split re/im box
+// (one orbital of a density build; the packed rho + i v_xc pair of the
+// potential assembly), a real array of the same size (the band-group
+// partial density; the imaginary half of the assembly's wave-box spectrum)
+// and the FFT line scratch of PlanD.
 type DenseScratch struct {
 	Box lanes.Slab
 	Acc []float64
@@ -294,20 +296,12 @@ func (g *Grid) FromReal(c []complex128, box []complex128) {
 	}
 }
 
-// ToRealSerial is ToReal without worker-pool parallelism, for callers that
-// run many transforms concurrently (one band per goroutine). FFT scratch
-// comes from the plan's pool; steady state allocates nothing.
+// ToRealSerial is ToReal without worker-pool parallelism, in the scalar
+// complex128 layout (the MD force assembly, benchmarks and tests; the step
+// path uses ToRealSlabWS). FFT scratch comes from the plan's pool. The
+// 1/sqrt(Omega) normalization is folded into the sphere scatter and the
+// synthesis runs unnormalized.
 func (g *Grid) ToRealSerial(box []complex128, c []complex128) {
-	ws := g.Plan.CheckoutWorkspace()
-	g.ToRealSerialWS(box, c, ws)
-	g.Plan.ReturnWorkspace(ws)
-}
-
-// ToRealSerialWS is ToRealSerial with caller-owned FFT scratch (from
-// Plan.NewWorkspace), for hot loops that bind one workspace per worker.
-// The 1/sqrt(Omega) normalization is folded into the sphere scatter and the
-// synthesis runs unnormalized, avoiding two extra passes over the box.
-func (g *Grid) ToRealSerialWS(box []complex128, c []complex128, ws *fourier.Workspace3) {
 	if len(box) != g.NTot || len(c) != g.NG {
 		panic("grid: ToRealSerial buffer size mismatch")
 	}
@@ -318,33 +312,13 @@ func (g *Grid) ToRealSerialWS(box []complex128, c []complex128, ws *fourier.Work
 	for s, k := range g.SphereIdx {
 		box[k] = c[s] * scale
 	}
-	// Unnormalized exp(+iG.r) synthesis; the usual 1/N of the inverse and
-	// the N of the synthesis cancel.
-	g.Plan.RawSerialWS(box, box, true, ws)
-}
-
-// FromRealSerial is FromReal without worker-pool parallelism.
-func (g *Grid) FromRealSerial(c []complex128, box []complex128) {
 	ws := g.Plan.CheckoutWorkspace()
-	g.FromRealSerialWS(c, box, ws)
+	g.Plan.RawSerialWS(box, box, true, ws)
 	g.Plan.ReturnWorkspace(ws)
 }
 
-// FromRealSerialWS is FromRealSerial with caller-owned FFT scratch. The
-// sqrt(Omega)/N normalization is applied only on the NG sphere entries
-// during the gather, never as a full-box pass.
-func (g *Grid) FromRealSerialWS(c []complex128, box []complex128, ws *fourier.Workspace3) {
-	if len(box) != g.NTot || len(c) != g.NG {
-		panic("grid: FromRealSerial buffer size mismatch")
-	}
-	g.Plan.RawSerialWS(box, box, false, ws)
-	scale := complex(math.Sqrt(g.Volume())/float64(g.NTot), 0)
-	for s, k := range g.SphereIdx {
-		c[s] = box[k] * scale
-	}
-}
-
-// ToRealSlabWS is ToRealSerialWS with the real-space box in the
+// ToRealSlabWS is ToRealSerial with caller-owned FFT scratch (from
+// Plan.NewWorkspace, one per worker) and the real-space box in the
 // lane-blocked SoA layout (internal/lanes): sphere coefficients scatter
 // straight into the split re/im arrays and the synthesis runs through the
 // slab FFT passes, so downstream SoA consumers (the Fock contraction) never
@@ -362,8 +336,9 @@ func (g *Grid) ToRealSlabWS(box lanes.Slab, c []complex128, ws *fourier.Workspac
 	g.Plan.RawSlabWS(box, box, true, ws)
 }
 
-// FromRealSlabWS is FromRealSerialWS over a SoA box. The box is consumed
-// (transformed in place).
+// FromRealSlabWS is FromReal over a SoA box, serial, with caller-owned FFT
+// scratch; the sqrt(Omega)/N normalization is applied on the NG sphere
+// entries during the gather. The box is consumed (transformed in place).
 func (g *Grid) FromRealSlabWS(c []complex128, box lanes.Slab, ws *fourier.Workspace3) {
 	if box.Len() != g.NTot || len(c) != g.NG {
 		panic("grid: FromRealSlab buffer size mismatch")

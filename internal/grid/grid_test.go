@@ -115,17 +115,6 @@ func TestSerialTransformsMatchParallel(t *testing.T) {
 			t.Fatalf("serial ToReal differs at %d", i)
 		}
 	}
-	ca := make([]complex128, g.NG)
-	cb := make([]complex128, g.NG)
-	copyBox := make([]complex128, g.NTot)
-	copy(copyBox, a)
-	g.FromReal(ca, a)
-	g.FromRealSerial(cb, copyBox)
-	for i := range ca {
-		if cmplx.Abs(ca[i]-cb[i]) > 1e-10 {
-			t.Fatalf("serial FromReal differs at %d", i)
-		}
-	}
 }
 
 func TestNormalizationParseval(t *testing.T) {

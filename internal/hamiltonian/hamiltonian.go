@@ -9,6 +9,12 @@
 // pseudopotential uses sparse real-space projectors; and the Fock exchange
 // operator performs the N^2 FFT Poisson solves of Eq. 3. H*Psi is the inner
 // kernel whose cost breakdown Table 1 reports.
+//
+// Between the two transforms of a band application everything works on
+// split re/im boxes (lanes.Slab), the layout fock and dist compute in. The
+// local potential is kept in the one form Apply reads (veffWave, written in
+// place by potential.AssembleVeff); MarkPrepared lets the owner skip a
+// density build and an assembly for a state H already holds.
 package hamiltonian
 
 import (
@@ -20,6 +26,7 @@ import (
 	"ptdft/internal/fock"
 	"ptdft/internal/fourier"
 	"ptdft/internal/grid"
+	"ptdft/internal/lanes"
 	"ptdft/internal/linalg"
 	"ptdft/internal/parallel"
 	"ptdft/internal/potential"
@@ -36,15 +43,15 @@ type Hamiltonian struct {
 	NL  *pseudo.Nonlocal
 	Hyb xc.HybridParams
 
-	hybrid    bool
-	pots      map[int]*pseudo.Potential // retained for geometry rebuilds
-	cfg       Config
-	vloc      *potential.Local
-	veffWave  []float64 // Vloc+VH+Vxc on the wavefunction grid
-	aField    [3]float64
-	fockOp    *fock.Operator
-	ace       *fock.ACE
-	useACE    bool // ACE requested; the active operator is ACEActive()
+	hybrid   bool
+	pots     map[int]*pseudo.Potential // retained for geometry rebuilds
+	cfg      Config
+	vloc     *potential.Local
+	veffWave []float64 // Vloc+VH+Vxc on the wavefunction grid
+	aField   [3]float64
+	fockOp   *fock.Operator
+	ace      *fock.ACE
+	useACE   bool // ACE requested; the active operator is ACEActive()
 
 	// ACE fallback bookkeeping: when the compression fails for one
 	// reference set (degenerate orbitals), that refresh falls back to the
@@ -95,15 +102,15 @@ type Hamiltonian struct {
 // applyScratch is the per-worker scratch of one band application: the two
 // real-space boxes, a sphere-coefficient vector and the FFT line scratch.
 type applyScratch struct {
-	box, vbox []complex128
+	box, vbox lanes.Slab
 	c         []complex128
 	fws       *fourier.Workspace3
 }
 
 func (h *Hamiltonian) newScratch() *applyScratch {
 	return &applyScratch{
-		box:  make([]complex128, h.G.NTot),
-		vbox: make([]complex128, h.G.NTot),
+		box:  lanes.New(h.G.NTot),
+		vbox: lanes.New(h.G.NTot),
 		c:    make([]complex128, h.G.NG),
 		fws:  h.G.Plan.NewWorkspace(),
 	}
@@ -143,14 +150,14 @@ func buildNL(g *grid.Grid, pots map[int]*pseudo.Potential, cfg Config) *pseudo.N
 // pseudopotential from pots. The density-dependent parts start at zero.
 func New(g *grid.Grid, pots map[int]*pseudo.Potential, cfg Config) *Hamiltonian {
 	h := &Hamiltonian{
-		G:         g,
-		NL:        buildNL(g, pots, cfg),
-		Hyb:       cfg.Params,
-		hybrid:    cfg.Hybrid,
-		useACE:    cfg.UseACE,
-		pots:      pots,
-		cfg:       cfg,
-		vloc:      potential.NewLocal(g, potential.BuildVloc(g, pots)),
+		G:      g,
+		NL:     buildNL(g, pots, cfg),
+		Hyb:    cfg.Params,
+		hybrid: cfg.Hybrid,
+		useACE: cfg.UseACE,
+		pots:   pots,
+		cfg:    cfg,
+		vloc:   potential.NewLocal(g, potential.BuildVloc(g, pots)),
 	}
 	h.veffWave = make([]float64, g.NTot)
 	h.scratch.New = h.newScratch
@@ -174,18 +181,12 @@ func (h *Hamiltonian) RebuildGeometry() {
 
 // MarkPrepared records that the owner of this Hamiltonian (core.System,
 // the distributed solver) has just refreshed every state- and
-// time-dependent piece of it - field, potential, exchange reference - for
-// the orbitals psi at time t, so that the next consumer of the same state
-// (the energy observable, then the following step's first residual) can
-// skip the density build and the potential assembly. The mark names psi by
-// its storage, not its values: the owner must not edit a marked band set in
-// place. It belongs to the Hamiltonian because that is what every writer
-// passes through: each method that changes what Apply or the energy
-// bookkeeping returns - UpdatePotential, a changed SetField,
-// RebuildGeometry, an effective SetFockOrbitals, SetFockOrbitalsFrozen,
-// ReleaseFockHold, SetBloch - clears it, whoever calls it, so two
-// propagators taking turns on one Hamiltonian can never read each other's
-// preparation.
+// time-dependent piece of it for the orbitals psi at time t, so the next
+// consumer of the same state can skip the density build and the potential
+// assembly. psi is named by its storage: a marked band set must not be
+// edited in place. Every method that changes what Apply or the energy
+// bookkeeping returns clears the mark, whoever calls it, so two propagators
+// taking turns on one Hamiltonian never read each other's preparation.
 func (h *Hamiltonian) MarkPrepared(psi []complex128, t float64) {
 	h.prepPsi, h.prepT = &psi[0], t
 }
@@ -215,10 +216,8 @@ func (h *Hamiltonian) UpdatePotential(rho []float64) {
 }
 
 // UpdatePotentialScaled is UpdatePotential with the semi-local exchange
-// attenuation supplied by the caller. The distributed solver uses it: its
-// Hamiltonian is built without the hybrid term (the exchange lives across
-// ranks), so the 1 - alpha belongs to the solver; every rank assembles the
-// identical potential from the allreduced density.
+// attenuation supplied by the caller: the distributed solver's Hamiltonian
+// is built without the hybrid term, so the 1 - alpha belongs to the solver.
 func (h *Hamiltonian) UpdatePotentialScaled(rho []float64, exScale float64) {
 	h.PotEnergies = potential.AssembleVeff(h.G, h.veffWave, rho, h.vloc, exScale)
 	h.prepPsi = nil
@@ -374,9 +373,10 @@ func (h *Hamiltonian) applyOne(dst, src []complex128, sc *applyScratch, withFock
 		dst[s] = complex(h.KineticFactor(s), 0) * src[s]
 	}
 	box, vbox := sc.box, sc.vbox
-	h.G.ToRealSerialWS(box, src, sc.fws)
-	for k := range vbox {
-		vbox[k] = complex(h.veffWave[k], 0) * box[k]
+	h.G.ToRealSlabWS(box, src, sc.fws)
+	for k, v := range h.veffWave {
+		vbox.Re[k] = v * box.Re[k]
+		vbox.Im[k] = v * box.Im[k]
 	}
 	if h.nlBloch != nil {
 		h.nlBloch.Apply(vbox, box)
@@ -386,7 +386,7 @@ func (h *Hamiltonian) applyOne(dst, src []complex128, sc *applyScratch, withFock
 	if withFock {
 		h.fockOp.ApplyReal(vbox, box)
 	}
-	h.G.FromRealSerialWS(sc.c, vbox, sc.fws)
+	h.G.FromRealSlabWS(sc.c, vbox, sc.fws)
 	for s := 0; s < ng; s++ {
 		dst[s] += sc.c[s]
 	}
@@ -461,7 +461,7 @@ func (h *Hamiltonian) TotalEnergy(psi []complex128, nb int, occ float64) EnergyB
 		c := psi[j*ng : (j+1)*ng]
 		kin[j] = occ * h.KineticEnergyBand(c)
 		sc := wss[w]
-		h.G.ToRealSerialWS(sc.box, c, sc.fws)
+		h.G.ToRealSlabWS(sc.box, c, sc.fws)
 		nl[j] = occ * h.NL.Energy(sc.box)
 	})
 	h.scratch.Release(wss)

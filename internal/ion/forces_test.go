@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ptdft/internal/grid"
+	"ptdft/internal/lanes"
 	"ptdft/internal/lattice"
 	"ptdft/internal/potential"
 	"ptdft/internal/pseudo"
@@ -73,10 +74,11 @@ func TestLocalForceMatchesFD(t *testing.T) {
 // MD projectors of the cell's current geometry at fixed orbitals.
 func nonlocalEnergy(g *grid.Grid, pots map[int]*pseudo.Potential, psi []complex128, nb int, occ float64) float64 {
 	nl := pseudo.BuildNonlocalMD(g, pots)
-	box := make([]complex128, g.NTot)
+	box := lanes.New(g.NTot)
+	ws := g.Plan.NewWorkspace()
 	var e float64
 	for b := 0; b < nb; b++ {
-		g.ToRealSerial(box, psi[b*g.NG:(b+1)*g.NG])
+		g.ToRealSlabWS(box, psi[b*g.NG:(b+1)*g.NG], ws)
 		e += occ * nl.Energy(box)
 	}
 	return e

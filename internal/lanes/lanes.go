@@ -12,7 +12,8 @@
 // Two layout conventions share the type:
 //
 //   - Grid slab: element i of an n-point field lives at Re[i]/Im[i]. This
-//     is how real-space boxes and accumulators are stored in fock and dist.
+//     is how real-space boxes and accumulators are stored in fock, dist,
+//     hamiltonian and the potential assembly.
 //   - Lane block: Width interleaved pencils of length n, element k of lane
 //     l at Re[k*Width+l]. This is the FFT working layout - the butterfly
 //     arithmetic is identical for all Width pencils, so the lane index is
@@ -87,16 +88,6 @@ func Unpack(dst []complex128, src Slab) {
 	_ = im[len(dst)-1]
 	for i := range dst {
 		dst[i] = complex(re[i], im[i])
-	}
-}
-
-// UnpackAdd accumulates the slab into interleaved complex128 values.
-func UnpackAdd(dst []complex128, src Slab) {
-	re, im := src.Re, src.Im
-	_ = re[len(dst)-1]
-	_ = im[len(dst)-1]
-	for i := range dst {
-		dst[i] += complex(re[i], im[i])
 	}
 }
 

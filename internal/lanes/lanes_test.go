@@ -100,16 +100,6 @@ func TestKernelsMatchComplexReference(t *testing.T) {
 		}
 		requireClose(t, sd, want, tol)
 
-		// UnpackAdd
-		dst := append([]complex128(nil), d...)
-		UnpackAdd(dst, sa)
-		for i := range dst {
-			w := d[i] + a[i]
-			if cmplx.Abs(dst[i]-w) > tol {
-				t.Fatalf("UnpackAdd n=%d i=%d got %v want %v", n, i, dst[i], w)
-			}
-		}
-
 		// AddNorm2
 		acc := make([]float64, n)
 		for i := range acc {

@@ -106,6 +106,14 @@ type Field interface {
 	A(t float64) [3]float64
 }
 
+// At is f.A(t), with a nil field meaning no external driving.
+func At(f Field, t float64) [3]float64 {
+	if f == nil {
+		return [3]float64{}
+	}
+	return f.A(t)
+}
+
 // A implements Field for Pulse.
 func (p *Pulse) A(t float64) [3]float64 { return p.Avec(t) }
 

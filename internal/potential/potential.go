@@ -1,10 +1,12 @@
 // Package potential evaluates the density-dependent local potentials of
-// Eq. 2: the electron density on the dense grid, the Hartree potential
-// (Poisson solve in G space), the semi-local exchange-correlation
-// potential, and the static local pseudopotential assembled from form
-// factors and structure factors. These are the "others" components of the
-// paper's cost breakdown (section 3.4) - cheap in absolute terms but the
+// Eq. 2: the electron density on the dense grid (Density), the static local
+// pseudopotential from form factors and structure factors (BuildVloc,
+// Local), and the effective potential V_loc + V_H[rho] + V_xc[rho] on the
+// wavefunction grid with its energy pieces (AssembleVeff). These are the
+// "others" components of the paper's cost breakdown (section 3.4) - the
 // part that limits strong scaling once the Fock operator is accelerated.
+// SCFPotential, Hartree and XCPotential are the unfused dense-grid chain,
+// the reference the assembly is tested against.
 package potential
 
 import (
@@ -209,10 +211,9 @@ func XCPotential(rho []float64, exScale, dv float64) ([]float64, float64) {
 	return v, exc * dv
 }
 
-// SCFPotential is the dense-grid reference of the potential assembly: three
-// scalar transforms (Hartree there and back, nothing fused) and Veff = Vloc +
-// VH + Vxc on the dense grid with the energy pieces. The step path is
-// AssembleVeff; the tests hold it against this.
+// SCFPotential is the dense-grid reference of AssembleVeff: Veff = Vloc +
+// VH + Vxc on the dense grid through three scalar transforms, nothing
+// fused, with the energy pieces.
 func SCFPotential(g *grid.Grid, rho, vloc []float64, exScale float64) ([]float64, Energies) {
 	vh, eh := Hartree(g, rho)
 	vxc, exc := XCPotential(rho, exScale, g.DV())
@@ -227,9 +228,8 @@ func SCFPotential(g *grid.Grid, rho, vloc []float64, exScale float64) ([]float64
 }
 
 // Local is the static local pseudopotential in the two forms the assembly
-// reads: V_loc(r) on the dense grid (the E_loc sum, the forces) and its
-// Fourier coefficients on the wave-box G's. It is rebuilt as a whole when
-// the atoms move, so the two cannot drift apart.
+// reads: on the dense grid (E_loc, forces) and as Fourier coefficients on
+// the wave-box G's. Replaced as a whole when the atoms move.
 type Local struct {
 	Dense []float64
 	WaveG lanes.Slab
@@ -259,8 +259,8 @@ func NewLocal(g *grid.Grid, dense []float64) *Local {
 // splitPair separates the spectra of two real fields transformed together
 // as z = f + i g, at dense-box point k whose -G partner is m: by Hermitian
 // symmetry F_k = (Z_k + conj Z_m)/2 and G_k = (Z_k - conj Z_m)/2i. It
-// returns 2 F_k and 2 G_k. On a self-conjugate point (m == k, the G = 0 and
-// Nyquist points of an even box) that is 2 Re Z_k and 2 Im Z_k, both real.
+// returns 2 F_k and 2 G_k (both real where m == k: G = 0 and the Nyquist
+// points of an even box).
 func splitPair(z lanes.Slab, k, m int32) (f2, g2 complex128) {
 	a, b, c, d := z.Re[k], z.Im[k], z.Re[m], z.Im[m]
 	return complex(a+c, b-d), complex(b+d, c-a)
@@ -268,15 +268,14 @@ func splitPair(z lanes.Slab, k, m int32) (f2, g2 complex128) {
 
 // AssembleVeff builds the effective local potential Vloc + VH[rho] +
 // Vxc[rho] on the wavefunction grid into veffWave and returns the energy
-// pieces, in one dense transform: v_xc is evaluated point-wise, rho and v_xc
-// ride the Re and Im halves of one grid-owned dense slab through a single
-// forward transform, splitPair recovers both spectra, V_eff,G = V_loc,G +
-// 4 pi rho_G/G^2 + v_xc,G is assembled on the wave-box G's only (each
-// Miller index copied from the dense box) and synthesized by one wave-box
-// inverse whose real part is kept. E_H is the G-space sum (Omega/2) sum_G
-// 4 pi |rho_G|^2/G^2 over the full dense spectrum, in index order; E_xc and
-// E_loc are block-ordered real-space sums. Nothing depends on the worker
-// count, and at one worker nothing is allocated.
+// pieces, in one dense transform: rho and the point-wise v_xc ride the Re
+// and Im halves of one grid-owned slab through a forward transform,
+// splitPair recovers both spectra, V_eff,G = V_loc,G + 4 pi rho_G/G^2 +
+// v_xc,G is assembled on the wave-box G's only (each Miller index copied
+// from the dense box) and one wave-box inverse synthesizes it, real part
+// kept. E_H is (Omega/2) sum_G 4 pi |rho_G|^2/G^2 over the full dense
+// spectrum in index order. Nothing depends on the worker count, and at one
+// worker nothing is allocated (DESIGN.md section 5).
 func AssembleVeff(g *grid.Grid, veffWave, rho []float64, loc *Local, exScale float64) Energies {
 	if len(rho) != g.NDTot || len(veffWave) != g.NTot || len(loc.Dense) != g.NDTot {
 		panic("potential: AssembleVeff buffer size mismatch")
@@ -294,13 +293,11 @@ func AssembleVeff(g *grid.Grid, veffWave, rho []float64, loc *Local, exScale flo
 		r2, _ := splitPair(z, int32(k), m)
 		eh += coul[k] * (real(r2)*real(r2) + imag(r2)*imag(r2))
 	}
-	// The transform is unnormalized and splitPair returns twice the
-	// coefficient: rho_G = r2 / (2 NDTot).
+	// Unnormalized transform, doubled coefficient: rho_G = r2 / (2 NDTot).
 	half := 0.5 / float64(g.NDTot)
 	eh *= 0.5 * g.Volume() * half * half
 
-	// The wave-box spectrum rides (veffWave, scratch): after the inverse the
-	// real part is already in place and the imaginary part is dropped.
+	// After the inverse the real part is in place; the rest is dropped.
 	w := lanes.Slab{Re: veffWave, Im: ws.Acc[:g.NTot]}
 	for i, k := range g.WaveToDense {
 		r2, v2 := splitPair(z, k, minus[k])

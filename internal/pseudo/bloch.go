@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"ptdft/internal/grid"
+	"ptdft/internal/lanes"
 )
 
 // NonlocalBloch holds phase-twisted Kleinman-Bylander projectors for a
@@ -55,9 +56,10 @@ func BuildNonlocalBloch(g *grid.Grid, pots map[int]*Potential, k [3]float64) *No
 }
 
 // Apply accumulates dst += sum_a D_a |beta_a><beta_a|u> for the
-// cell-periodic part u in real space on the wavefunction grid.
-func (nl *NonlocalBloch) Apply(dst, src []complex128) {
-	if len(dst) != nl.ng || len(src) != nl.ng {
+// cell-periodic part u in real space on the wavefunction grid (split re/im
+// layout, as Nonlocal.Apply).
+func (nl *NonlocalBloch) Apply(dst, src lanes.Slab) {
+	if dst.Len() != nl.ng || src.Len() != nl.ng {
 		panic("pseudo: NonlocalBloch.Apply buffer size mismatch")
 	}
 	for _, p := range nl.projs {
@@ -65,14 +67,16 @@ func (nl *NonlocalBloch) Apply(dst, src []complex128) {
 		for k, ix := range p.idx {
 			// <beta|u> = sum conj(val) * u * dv
 			v := p.val[k]
-			acc += complex(real(v), -imag(v)) * src[ix]
+			acc += complex(real(v), -imag(v)) * complex(src.Re[ix], src.Im[ix])
 		}
 		acc *= complex(nl.dv*p.d, 0)
 		if acc == 0 {
 			continue
 		}
 		for k, ix := range p.idx {
-			dst[ix] += p.val[k] * acc
+			v := p.val[k] * acc
+			dst.Re[ix] += real(v)
+			dst.Im[ix] += imag(v)
 		}
 	}
 }

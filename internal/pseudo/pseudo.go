@@ -15,6 +15,7 @@ import (
 	"math"
 
 	"ptdft/internal/grid"
+	"ptdft/internal/lanes"
 )
 
 // ProjectorSpec describes one Kleinman-Bylander channel with a Gaussian
@@ -175,43 +176,47 @@ func (nl *Nonlocal) MemoryBytes() int64 {
 	return b
 }
 
+// project returns <beta|psi> / dv for one projector.
+func (p *sparseProjector) project(src lanes.Slab) (re, im float64) {
+	for k, ix := range p.idx {
+		re += p.val[k] * src.Re[ix]
+		im += p.val[k] * src.Im[ix]
+	}
+	return re, im
+}
+
 // Apply accumulates the nonlocal potential action dst += sum_a D_a
 // |beta_a><beta_a|psi> for a wavefunction given in real space on the
-// wavefunction grid. dst and src have length NTot and may not alias.
-func (nl *Nonlocal) Apply(dst, src []complex128) {
-	if len(dst) != nl.ng || len(src) != nl.ng {
+// wavefunction grid, in the split re/im layout the slab transforms produce.
+// dst and src have length NTot and may not alias.
+func (nl *Nonlocal) Apply(dst, src lanes.Slab) {
+	if dst.Len() != nl.ng || src.Len() != nl.ng {
 		panic("pseudo: Nonlocal.Apply buffer size mismatch")
 	}
-	for _, p := range nl.projs {
-		var re, im float64
-		for k, ix := range p.idx {
-			v := src[ix]
-			re += p.val[k] * real(v)
-			im += p.val[k] * imag(v)
-		}
-		c := complex(re*nl.dv*p.d, im*nl.dv*p.d)
-		if c == 0 {
+	for i := range nl.projs {
+		p := &nl.projs[i]
+		re, im := p.project(src)
+		re *= nl.dv * p.d
+		im *= nl.dv * p.d
+		if re == 0 && im == 0 {
 			continue
 		}
 		for k, ix := range p.idx {
-			dst[ix] += complex(p.val[k], 0) * c
+			dst.Re[ix] += p.val[k] * re
+			dst.Im[ix] += p.val[k] * im
 		}
 	}
 }
 
 // Energy returns sum_a D_a |<beta_a|psi>|^2 for a real-space wavefunction.
-func (nl *Nonlocal) Energy(src []complex128) float64 {
-	if len(src) != nl.ng {
+func (nl *Nonlocal) Energy(src lanes.Slab) float64 {
+	if src.Len() != nl.ng {
 		panic("pseudo: Nonlocal.Energy buffer size mismatch")
 	}
 	var e float64
-	for _, p := range nl.projs {
-		var re, im float64
-		for k, ix := range p.idx {
-			v := src[ix]
-			re += p.val[k] * real(v)
-			im += p.val[k] * imag(v)
-		}
+	for i := range nl.projs {
+		p := &nl.projs[i]
+		re, im := p.project(src)
 		re *= nl.dv
 		im *= nl.dv
 		e += p.d * (re*re + im*im)

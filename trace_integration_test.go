@@ -10,6 +10,7 @@ package ptdft_test
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"testing"
 
 	"ptdft/internal/sim"
@@ -128,5 +129,92 @@ func TestTraceChromeExportWellFormed(t *testing.T) {
 	}
 	if spans == 0 {
 		t.Error("no complete (ph=X) span events in the trace")
+	}
+}
+
+// buildCountSpec is a semilocal kick run: every density build and potential
+// assembly of a step is the PT-CN solver's own, none hides inside exchange.
+func buildCountSpec(ranks int) sim.Spec {
+	s := sim.Spec{
+		Cells: [3]int{1, 1, 1}, Ecut: 2, Method: "ptcn",
+		DtAs: 24, Steps: 3, Kick: 0.02, Seed: 1234,
+	}
+	if ranks > 1 {
+		s.Ranks, s.Exchange = ranks, "overlap"
+	}
+	return s
+}
+
+// buildCountEnergies are the three sample energies (Ha) of buildCountSpec
+// at the commit before the one-transform potential assembly, which changed
+// the arithmetic of E_H, E_xc and v_xc in the last bits: serial and 2-rank
+// printed the same digits.
+var buildCountEnergies = [3]float64{-0.7183520020637, -0.7183016903024, -0.7182592680205}
+
+// TestEachStateBuiltOnce uses the recorder as witness of the call counts:
+// from the second step on, one pass of the propagation loop - a step and
+// the observables after it - builds SCFIters + 2 densities (the trial
+// state, one per SCF iteration, the converged state) and assembles
+// SCFIters + 1 potentials, on every rank. The converged state's pair is
+// built by the energy observable and found again, not rebuilt, by the next
+// step's first residual; the first step has no one to inherit from and
+// builds one more of each.
+func TestEachStateBuiltOnce(t *testing.T) {
+	for _, ranks := range []int{1, 2} {
+		spec := buildCountSpec(ranks)
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder()
+		res, err := sim.Run(&spec, sim.Options{Trace: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Samples) != spec.Steps {
+			t.Fatalf("ranks %d: %d samples, want %d", ranks, len(res.Samples), spec.Steps)
+		}
+		for k, s := range res.Samples {
+			if d := s.Energy - buildCountEnergies[k]; d > 1e-10 || d < -1e-10 {
+				t.Errorf("ranks %d step %d: energy %.13f Ha, %.13f before this change", ranks, k+1, s.Energy, buildCountEnergies[k])
+			}
+		}
+		tracks := rec.Tracks()
+		if len(tracks) != ranks {
+			t.Fatalf("ranks %d: %d tracks", ranks, len(tracks))
+		}
+		for _, tr := range tracks {
+			var starts []int64
+			for _, sp := range tr.Spans {
+				if sp.Name == "step" {
+					starts = append(starts, sp.StartNs)
+				}
+			}
+			if len(starts) != spec.Steps {
+				t.Fatalf("ranks %d track %d: %d step spans, want %d", ranks, tr.ID, len(starts), spec.Steps)
+			}
+			density, potential := make([]int, spec.Steps), make([]int, spec.Steps)
+			for _, sp := range tr.Spans {
+				k := sort.Search(len(starts), func(i int) bool { return starts[i] > sp.StartNs }) - 1
+				if k < 0 {
+					continue
+				}
+				switch sp.Name {
+				case "density":
+					density[k]++
+				case "potential":
+					potential[k]++
+				}
+			}
+			for k, s := range res.Samples {
+				extra := 0
+				if k == 0 {
+					extra = 1
+				}
+				if density[k] != s.SCFIters+2+extra || potential[k] != s.SCFIters+1+extra {
+					t.Errorf("ranks %d track %d step %d (%d SCF iterations): %d density and %d potential spans, want %d and %d",
+						ranks, tr.ID, k+1, s.SCFIters, density[k], potential[k], s.SCFIters+2+extra, s.SCFIters+1+extra)
+				}
+			}
+		}
 	}
 }
