@@ -63,7 +63,7 @@ func (s *System) Prepare(psi []complex128, t float64) {
 // geometry rebuild or an exchange-cadence change in between costs a
 // rebuild, never a stale potential.
 func (s *System) EnsurePrepared(psi []complex128, t float64) {
-	if !s.H.PreparedFor(psi, t) || s.H.Field() != laser.At(s.Field, t) {
+	if !s.H.PreparedFor(psi, t, laser.At(s.Field, t)) {
 		s.Prepare(psi, t)
 	}
 }
@@ -144,7 +144,6 @@ type stepWorkspace struct {
 	hp   []complex128 // nb x NG: H psi
 	res  []complex128 // nb x NG: PT residual, returned by residual
 	half []complex128 // nb x NG: half-step RHS Psi_{n+1/2}
-	fp   []complex128 // nb x NG: fixed-point residual fed to the mixer
 	ov   []complex128 // nb x nb: projection matrix Psi^* H Psi
 }
 
@@ -159,7 +158,6 @@ func (p *PTCN) residual(psi []complex128) []complex128 {
 			hp:   make([]complex128, nb*ng),
 			res:  make([]complex128, nb*ng),
 			half: make([]complex128, nb*ng),
-			fp:   make([]complex128, nb*ng),
 			ov:   make([]complex128, nb*nb),
 		}
 	}
@@ -266,7 +264,7 @@ func (p *PTCN) Step(psi []complex128, dt float64) ([]complex128, StepStats, erro
 	stats.HApplications++
 
 	// Line 2: half-step RHS Psi_{n+1/2} = Psi_n - i dt/2 Rn.
-	half, fp := p.ws.half, p.ws.fp
+	half := p.ws.half
 	ihalf := complex(0, dt/2)
 	for i := range half {
 		half[i] = psi[i] - ihalf*rn[i]
@@ -288,13 +286,14 @@ func (p *PTCN) Step(psi []complex128, dt float64) ([]complex128, StepStats, erro
 		// R_f = Psi_f + i dt/2 (H Psi_f - Psi_f (Psi_f^* H Psi_f)) - Psi_{n+1/2}.
 		rf := p.residual(psif)
 		stats.HApplications++
-		for i := range fp {
-			// Mixer convention: next = x + beta*f, so pass f = -R_f.
-			fp[i] = half[i] - psif[i] - ihalf*rf[i]
+		for i := range rf {
+			// Mixer convention: next = x + beta*f, so pass f = -R_f; it
+			// overwrites the residual, which the mixer copies.
+			rf[i] = half[i] - psif[i] - ihalf*rf[i]
 		}
 
 		// Line 7: Anderson mixing per band.
-		psif = mixer.Mix(psif, fp)
+		psif = mixer.Mix(psif, rf)
 
 		// Line 8-9: density change convergence monitor.
 		rhoNew := s.density(psif)

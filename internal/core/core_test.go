@@ -484,6 +484,9 @@ func TestEnsurePreparedSkipsOnlyWhenMarked(t *testing.T) {
 // density per build - not the residual, projection and fixed-point buffers
 // (step workspace) nor anything in UpdatePotential.
 func TestPTCNStepBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
 	g := grid.MustNew(lattice.MustSiliconSupercell(2, 1, 1), 3)
 	h := hamiltonian.New(g, map[int]*pseudo.Potential{0: pseudo.SiliconAH()}, hamiltonian.Config{})

@@ -150,11 +150,10 @@ func (s *PTCNSolver) prepare(rho []float64, t float64) {
 // core.System.EnsurePrepared. Every writer of H clears the mark, so the
 // branch is the same on every rank. Collective.
 func (s *PTCNSolver) ensurePrepared(local []complex128, t float64) {
-	if s.H.PreparedFor(local, t) && s.H.Field() == laser.At(s.Field, t) {
-		return
+	if !s.H.PreparedFor(local, t, laser.At(s.Field, t)) {
+		s.prepare(s.density(local), t)
+		s.H.MarkPrepared(local, t)
 	}
-	s.prepare(s.density(local), t)
-	s.H.MarkPrepared(local, t)
 }
 
 // exchangeWS returns the solver's exchange workspace, allocated on first

@@ -192,9 +192,9 @@ func (h *Hamiltonian) MarkPrepared(psi []complex128, t float64) {
 }
 
 // PreparedFor reports whether the MarkPrepared mark still stands for
-// (psi, t).
-func (h *Hamiltonian) PreparedFor(psi []complex128, t float64) bool {
-	return h.prepPsi != nil && len(psi) > 0 && h.prepPsi == &psi[0] && h.prepT == t
+// (psi, t) and the field on H is a, the field the owner would install at t.
+func (h *Hamiltonian) PreparedFor(psi []complex128, t float64, a [3]float64) bool {
+	return h.prepPsi != nil && len(psi) > 0 && h.prepPsi == &psi[0] && h.prepT == t && h.aField == a
 }
 
 // Hybrid reports whether the Fock exchange operator is active.

@@ -2,6 +2,7 @@ package potential
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -127,7 +128,7 @@ func TestSplitPairEvenBox(t *testing.T) {
 	g.PlanD.Forward(h, h)
 	for k, m := range g.MinusGDense {
 		f2, h2 := splitPair(z, int32(k), m)
-		if d := math.Max(cmplxAbs(f2/2-f[k]), cmplxAbs(h2/2-h[k])); d > 1e-10 {
+		if d := math.Max(cmplx.Abs(f2/2-f[k]), cmplx.Abs(h2/2-h[k])); d > 1e-10 {
 			t.Fatalf("point %d (partner %d): split off by %g", k, m, d)
 		}
 		if int(m) == k && (imag(f2) != 0 || imag(h2) != 0) {
@@ -135,8 +136,6 @@ func TestSplitPairEvenBox(t *testing.T) {
 		}
 	}
 }
-
-func cmplxAbs(v complex128) float64 { return math.Hypot(real(v), imag(v)) }
 
 // A density or a destination of the wrong length must fail, not be
 // zero-padded into a wrong potential.
