@@ -1,144 +1,38 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, plus real-kernel benchmarks and the ablation studies
-// DESIGN.md calls out (exchange communication strategies, ACE compression,
-// single-precision MPI). The Summit-scale experiments evaluate the
-// calibrated model (internal/perf); the Real* benchmarks execute the
-// actual numerical kernels at laptop scale.
+// Benchmarks of real code that bench/ has no row or probe for: the Fig. 6
+// PT-CN-vs-RK4 comparison executed on Si8, the laser envelope, the MTS
+// cadences and the Ehrenfest ion step on 2 real ranks, and the Anderson
+// history and ACE propagation ablations. They time and report; they write
+// no file. Everything with a twin under bench/ (kernel probes, the dist
+// step, the job server) is measured there - `bash bench/run.sh` - and the
+// Summit-scale tables are assertions in internal/perf/model_test.go and
+// output of `summitsim -experiment ...`.
 //
-// Run everything:  go test -bench=. -benchmem
-// One experiment:  go test -bench=BenchmarkFig6 -v
+// Run everything:  go test -run '^$' -bench . -benchmem
+// One experiment:  go test -run '^$' -bench BenchmarkFig6 -v
 package ptdft_test
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
 	"ptdft/internal/core"
 	"ptdft/internal/dist"
-	"ptdft/internal/fock"
 	"ptdft/internal/grid"
 	"ptdft/internal/hamiltonian"
 	"ptdft/internal/ion"
-	"ptdft/internal/lanes"
 	"ptdft/internal/laser"
 	"ptdft/internal/lattice"
-	"ptdft/internal/mixing"
 	"ptdft/internal/mpi"
-	"ptdft/internal/parallel"
-	"ptdft/internal/perf"
-	"ptdft/internal/potential"
-	"ptdft/internal/pseudo"
-	"ptdft/internal/scf"
-	"ptdft/internal/trace"
-	"ptdft/internal/units"
 	"ptdft/internal/wavefunc"
 	"ptdft/internal/xc"
 )
 
-// ---------------------------------------------------------------------------
-// Shared laptop-scale fixture: a converged Si8 ground state.
-
-var (
-	fixOnce sync.Once
-	fixG    *grid.Grid
-	fixPsi  []complex128
-	fixNB   int
-)
-
-func siPots() map[int]*pseudo.Potential {
-	return map[int]*pseudo.Potential{0: pseudo.SiliconAH()}
-}
-
-func buildFixture() {
-	cell := lattice.MustSiliconSupercell(1, 1, 1)
-	fixG = grid.MustNew(cell, 3)
-	fixNB = cell.NumBands()
-	h := hamiltonian.New(fixG, siPots(), hamiltonian.Config{})
-	res, err := scf.GroundState(fixG, h, fixNB, scf.Defaults())
-	if err != nil {
-		panic(err)
-	}
-	fixPsi = res.Psi
-}
-
-func fixture(b *testing.B) (*grid.Grid, []complex128, int) {
-	b.Helper()
-	fixOnce.Do(buildFixture)
-	return fixG, wavefunc.Clone(fixPsi), fixNB
-}
-
-// ---------------------------------------------------------------------------
-// Table 1: component wall-clock times across GPU counts.
-
-func BenchmarkTable1ComponentTimes(b *testing.B) {
-	m := perf.New(perf.Reference)
-	var sink float64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, p := range perf.GPUCounts {
-			br := m.SCF(p)
-			sink += br.PerSCF + m.StepTotal(p) + m.Speedup(p)
-		}
-	}
-	_ = sink
-	b.ReportMetric(m.StepTotal(768), "s/step@768GPU")
-	b.ReportMetric(m.Speedup(768), "speedup@768GPU")
-	b.ReportMetric(m.StepTotal(768)/3600*20, "h/fs@768GPU") // 20 steps of 50 as per fs
-}
-
-// Table 2: MPI / memcpy / computation breakdown.
-
-func BenchmarkTable2CommBreakdown(b *testing.B) {
-	m := perf.New(perf.Reference)
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for _, p := range perf.GPUCounts {
-			c := m.Comm(p)
-			sink += c.MPITotal + c.ComputeTime
-		}
-	}
-	_ = sink
-	c := m.Comm(3072)
-	b.ReportMetric(c.BcastTime, "bcast_s@3072GPU")
-	b.ReportMetric(c.MPITotal/c.Total*100, "mpi_pct@3072GPU")
-}
-
-// Fig. 3: Fock exchange optimization stages at 72 GPUs.
-
-func BenchmarkFig3FockOptimizationStages(b *testing.B) {
-	m := perf.New(perf.Reference)
-	var stages []perf.FockStage
-	for i := 0; i < b.N; i++ {
-		stages = m.FockStages(72)
-	}
-	b.ReportMetric(stages[0].Seconds/stages[len(stages)-1].Seconds, "cpu_gpu_ratio")
-	b.ReportMetric(stages[len(stages)-1].Seconds, "final_s")
-}
-
-// Fig. 6: RK4 vs PT-CN per 50 as (Summit model).
-
-func BenchmarkFig6PTCNvsRK4(b *testing.B) {
-	m := perf.New(perf.Reference)
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for _, p := range []int{36, 72, 144, 288, 384, 768} {
-			sink += m.RK4StepTotal(p) / m.StepTotal(p)
-		}
-	}
-	_ = sink
-	b.ReportMetric(m.PTCNvsRK4(36), "ratio@36GPU")
-	b.ReportMetric(m.PTCNvsRK4(768), "ratio@768GPU")
-}
-
-// Fig. 6 (real physics): the same comparison executed on Si8. One PT-CN
-// step of 48 as versus the equivalent span of RK4 steps.
-
+// Fig. 6 executed on Si8: one PT-CN step of 48 as versus the equivalent
+// span of RK4 steps.
 func BenchmarkFig6RealPTCNvsRK4(b *testing.B) {
-	g, psi0, nb := fixture(b)
+	g, psi0, nb := fixtureT(b)
 	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
 	h := hamiltonian.New(g, siPots(), hamiltonian.Config{})
 	sys := &core.System{G: g, H: h, NB: nb, Occ: 2, Field: kick}
@@ -167,84 +61,7 @@ func BenchmarkFig6RealPTCNvsRK4(b *testing.B) {
 	})
 }
 
-// Fig. 7: strong scaling of total time and components.
-
-func BenchmarkFig7StrongScaling(b *testing.B) {
-	m := perf.New(perf.Reference)
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for _, p := range perf.GPUCounts {
-			br := m.SCF(p)
-			sink += br.FockComp + br.ResidComp + br.AMComp + br.DensityComp
-		}
-	}
-	_ = sink
-	t36, t384 := m.StepTotal(36), m.StepTotal(384)
-	b.ReportMetric(t36/t384/(384.0/36.0)*100, "parallel_eff_pct@384")
-}
-
-// Fig. 8: weak scaling 48..1536 atoms.
-
-func BenchmarkFig8WeakScaling(b *testing.B) {
-	natoms := []int{48, 96, 192, 384, 768, 1536}
-	var pts []perf.WeakScalingPoint
-	for i := 0; i < b.N; i++ {
-		pts = perf.WeakScaling(natoms)
-	}
-	for _, pt := range pts {
-		if pt.Natom == 192 {
-			b.ReportMetric(pt.Time, "si192_s_per_50as")
-		}
-	}
-	b.ReportMetric(perf.GrowthExponent(pts[len(pts)-2], pts[len(pts)-1]), "final_exponent")
-}
-
-// Fig. 9: per-SCF component times.
-
-func BenchmarkFig9SCFComponents(b *testing.B) {
-	m := perf.New(perf.Reference)
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for _, p := range []int{36, 72, 144, 288, 768} {
-			br := m.SCF(p)
-			sink += br.HPsiTotal + br.ResidTotal + br.DensityTotal + br.AMTotal + br.Others
-		}
-	}
-	_ = sink
-	b.ReportMetric(m.SCF(768).Others/m.SCF(768).PerSCF*100, "others_pct@768")
-	b.ReportMetric(m.SCF(36).Others/m.SCF(36).PerSCF*100, "others_pct@36")
-}
-
-// Fig. 10: communication class breakdown.
-
-func BenchmarkFig10CommBreakdown(b *testing.B) {
-	m := perf.New(perf.Reference)
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for _, p := range perf.GPUCounts {
-			c := m.Comm(p)
-			sink += c.BcastTime + c.MemcpyTime + c.A2AVTime + c.AllreduceTime
-		}
-	}
-	_ = sink
-	b.ReportMetric(m.Comm(768).BcastTime, "bcast_s@768")
-	b.ReportMetric(m.Comm(768).ComputeTime, "compute_s@768")
-}
-
-// Section 6 power comparison.
-
-func BenchmarkPowerComparison(b *testing.B) {
-	m := perf.New(perf.Reference)
-	var pc float64
-	for i := 0; i < b.N; i++ {
-		c := m.M.ComparePower(3072, 72, m.CPUStepSeconds, m.StepTotal(72))
-		pc = c.SpeedupAtEqualPower
-	}
-	b.ReportMetric(pc, "speedup_equal_power")
-}
-
 // Fig. 4b: the 380 nm laser pulse evaluation cost.
-
 func BenchmarkLaserPulse(b *testing.B) {
 	p := laser.New380nm(0.01, 600, 150)
 	var sink float64
@@ -256,544 +73,19 @@ func BenchmarkLaserPulse(b *testing.B) {
 	_ = sink
 }
 
-// ---------------------------------------------------------------------------
-// Real kernel benchmarks (actual numerics at Si8 scale).
-//
-// The Fock/FFT benchmarks below write their measurements into
-// BENCH_fock.json at the module root (go test -bench 'Fock|FFT' -run '^$'),
-// seeding the repository's benchmark trajectory: each record is keyed by
-// (benchmark, PTDFT_BENCH_LABEL), so baselines recorded before an
-// optimization stay in the file next to the numbers after it.
-
-// recordBench upserts this benchmark's measurement into BENCH_fock.json.
-// Call it after the timed loop; allocsPerOp < 0 means "not measured".
-func recordBench(b *testing.B, g *grid.Grid, nb int, allocsPerOp float64) {
-	b.Helper()
-	if b.N == 0 {
-		return
-	}
-	nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	if err := perf.RecordMeasurement("BENCH_fock.json", b.Name(), nsPerOp, allocsPerOp, g.N, nb, parallel.MaxWorkers()); err != nil {
-		b.Logf("bench record not written: %v", err)
-	}
-}
-
-// processAllocs returns the process-wide heap allocation count (the Mallocs
-// delta across all goroutines) incurred by one execution of fn. Used for
-// ops that fan out across rank goroutines, where the per-goroutine view of
-// testing.AllocsPerRun's averaging window is too coarse to fence manually.
-func processAllocs(fn func()) float64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs - before.Mallocs)
-}
-
-// distAllocs measures the per-op process-wide allocations of a collective:
-// every rank calls it with the same n and body, rank 0 snapshots the global
-// malloc counter around the barrier-fenced loop and gets the per-op delta,
-// the other ranks get -1. The one unmeasured leading call warms any
-// lazily-grown workspace so the fenced loop sees the steady state.
-func distAllocs(c *mpi.Comm, n int, body func()) float64 {
-	body()
-	c.Barrier()
-	var before, after runtime.MemStats
-	if c.Rank() == 0 {
-		runtime.ReadMemStats(&before)
-	}
-	c.Barrier()
-	for i := 0; i < n; i++ {
-		body()
-	}
-	c.Barrier()
-	if c.Rank() != 0 {
-		return -1
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(n)
-}
-
-func BenchmarkRealFockApplyAllBands(b *testing.B) {
-	g, psi, nb := fixture(b)
-	op := fock.NewOperator(g, xc.HSE06(), psi, nb)
-	out := make([]complex128, nb*g.NG)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := range out {
-			out[k] = 0
-		}
-		op.Apply(out, psi, nb)
-	}
-	b.StopTimer()
-	// Apply on the reference set runs the symmetric path: nb(nb+1)/2 pairs.
-	b.ReportMetric(float64(nb*(nb+1)/2), "fft_pairs/op")
-	allocs := testing.AllocsPerRun(1, func() { op.Apply(out, psi, nb) })
-	recordBench(b, g, nb, allocs)
-}
-
-// BenchmarkFockApplyGeneric is the generic (non-reference) application of
-// the exchange to a single band: nb fused Poisson contractions with no
-// symmetry to exploit - the pure hot-path number.
-func BenchmarkFockApplyGeneric(b *testing.B) {
-	g, psi, nb := fixture(b)
-	op := fock.NewOperator(g, xc.HSE06(), psi, nb)
-	x := wavefunc.Random(g, 1, 99)
-	out := make([]complex128, g.NG)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := range out {
-			out[k] = 0
-		}
-		op.Apply(out, x, 1)
-	}
-	b.StopTimer()
-	allocs := testing.AllocsPerRun(1, func() { op.Apply(out, x, 1) })
-	recordBench(b, g, nb, allocs)
-}
-
-// BenchmarkFockApplyToReference is the symmetry-halved application to the
-// operator's own orbital set - the dominant call of the PT-CN refresh.
-func BenchmarkFockApplyToReference(b *testing.B) {
-	g, psi, nb := fixture(b)
-	op := fock.NewOperator(g, xc.HSE06(), psi, nb)
-	out := make([]complex128, nb*g.NG)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := range out {
-			out[k] = 0
-		}
-		op.ApplyToReference(out)
-	}
-	b.StopTimer()
-	allocs := testing.AllocsPerRun(1, func() { op.ApplyToReference(out) })
-	recordBench(b, g, nb, allocs)
-}
-
-// BenchmarkFockEnergy streams the exchange energy on the reference set.
-func BenchmarkFockEnergy(b *testing.B) {
-	g, psi, nb := fixture(b)
-	op := fock.NewOperator(g, xc.HSE06(), psi, nb)
-	var sink float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += op.Energy(psi, nb)
-	}
-	b.StopTimer()
-	_ = sink
-	allocs := testing.AllocsPerRun(1, func() { _ = op.Energy(psi, nb) })
-	recordBench(b, g, nb, allocs)
-}
-
-// BenchmarkFFTPoissonSolve times one fused Poisson round trip on the
-// wavefunction box - the atom the nb^2 exchange cost is built from. Since
-// PR 8 the production solve runs over the lane-blocked SoA layout
-// (PoissonSlabWS); this measures exactly that path.
-func BenchmarkFFTPoissonSolve(b *testing.B) {
-	g, psi, nb := fixture(b)
-	kernel := fock.BuildKernel(g, xc.HSE06())
-	buf := lanes.New(g.NTot)
-	ws := g.Plan.NewWorkspace()
-	g.ToRealSlabWS(buf, psi[:g.NG], ws)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Plan.PoissonSlabWS(buf, kernel, ws)
-	}
-	b.StopTimer()
-	allocs := testing.AllocsPerRun(1, func() { g.Plan.PoissonSlabWS(buf, kernel, ws) })
-	recordBench(b, g, nb, allocs)
-}
-
-// BenchmarkFFTSerial3D times one serial 3D transform of the wavefunction
-// box through the plan-owned workspace path.
-func BenchmarkFFTSerial3D(b *testing.B) {
-	g, psi, _ := fixture(b)
-	buf := make([]complex128, g.NTot)
-	g.ToRealSerial(buf, psi[:g.NG])
-	ws := g.Plan.NewWorkspace()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Plan.ApplySerialWS(buf, buf, i%2 == 0, ws)
-	}
-	b.StopTimer()
-	allocs := testing.AllocsPerRun(1, func() { g.Plan.ApplySerialWS(buf, buf, false, ws) })
-	recordBench(b, g, 1, allocs)
-}
-
-func BenchmarkRealACEApply(b *testing.B) {
-	g, psi, nb := fixture(b)
-	op := fock.NewOperator(g, xc.HSE06(), psi, nb)
-	ace, err := fock.NewACE(op, psi, nb)
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := make([]complex128, nb*g.NG)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := range out {
-			out[k] = 0
-		}
-		ace.Apply(out, psi, nb)
-	}
-}
-
-func BenchmarkRealHamiltonianApply(b *testing.B) {
-	g, psi, nb := fixture(b)
-	for _, mode := range []struct {
-		name   string
-		hybrid bool
-	}{{"semilocal", false}, {"hybrid", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			h := hamiltonian.New(g, siPots(), hamiltonian.Config{Hybrid: mode.hybrid, Params: xc.HSE06()})
-			rho := potential.Density(g, psi, nb, 2)
-			h.UpdatePotential(rho)
-			if mode.hybrid {
-				h.SetFockOrbitals(psi, nb)
-			}
-			out := make([]complex128, nb*g.NG)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Apply(out, psi, nb)
-			}
-		})
-	}
-}
-
-// BenchmarkRealDensity times one density build at one and at two workers in
-// the same run (16 bands are two band groups, so two workers is all the
-// build can use): the second must not be slower than the first.
-func BenchmarkRealDensity(b *testing.B) {
-	g, psi, nb := fixture(b)
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(workers))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				potential.Density(g, psi, nb, 2)
-			}
-		})
-	}
-}
-
-func BenchmarkRealOrthogonalization(b *testing.B) {
-	g, psi, nb := fixture(b)
-	work := make([]complex128, len(psi))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		copy(work, psi)
-		if err := wavefunc.Orthonormalize(work, nb, g.NG); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRealAndersonMixing(b *testing.B) {
-	g, psi, nb := fixture(b)
-	f := make([]complex128, len(psi))
-	for i := range f {
-		f[i] = psi[i] * complex(0.01, 0.005)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bm := mixing.NewBandMixer(nb, g.NG, 20, 0.4)
-		x := psi
-		for it := 0; it < 5; it++ {
-			x = bm.Mix(x, f)
-		}
-	}
-}
-
-func BenchmarkRealPTCNStep(b *testing.B) {
-	g, psi0, nb := fixture(b)
-	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
-	for _, mode := range []struct {
-		name   string
-		hybrid bool
-	}{{"semilocal", false}, {"hybrid", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			h := hamiltonian.New(g, siPots(), hamiltonian.Config{Hybrid: mode.hybrid, Params: xc.HSE06()})
-			sys := &core.System{G: g, H: h, NB: nb, Occ: 2, Field: kick}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := core.NewPTCN(sys, core.DefaultPTCN())
-				if _, _, err := p.Step(wavefunc.Clone(psi0), 1.0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// Ablation: the three exchange communication strategies of section 3.2
-// (sequential broadcast, overlapped broadcast, round-robin) and the
-// single-precision payload option, on real distributed executions.
-
-func BenchmarkRealDistributedExchange(b *testing.B) {
-	g, psi, nb := fixture(b)
-	kernel := fock.BuildKernel(g, xc.HSE06())
-	cases := []struct {
-		name string
-		opt  dist.ExchangeOptions
-	}{
-		{"bcast", dist.ExchangeOptions{Strategy: dist.BcastSequential}},
-		{"bcast_overlap", dist.ExchangeOptions{Strategy: dist.BcastOverlapped}},
-		{"roundrobin", dist.ExchangeOptions{Strategy: dist.RoundRobin}},
-		{"steal", dist.ExchangeOptions{Strategy: dist.Steal}},
-		{"bcast_singleprec", dist.ExchangeOptions{Strategy: dist.BcastSequential, SinglePrecision: true}},
-		{"overlap_singleprec", dist.ExchangeOptions{Strategy: dist.BcastOverlapped, SinglePrecision: true}},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mpi.Run(4, func(c *mpi.Comm) {
-					d, err := dist.NewCtx(c, g, nb, 2)
-					if err != nil {
-						panic(err)
-					}
-					lo, hi := d.BandRange(c.Rank())
-					local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
-					d.FockExchange(local, local, kernel, 0.25, tc.opt)
-				})
-			}
-		})
-	}
-}
-
-// Ablation: the distributed ACE compression against the exact distributed
-// exchange on real 4-rank executions - the paper's section-1 PT-vs-PT+ACE
-// trade-off in wall-clock form, recorded into BENCH_fock.json. "exact" is
-// one exact exchange application (what every inner SCF iteration pays on
-// the plain PT path), "ace_build" is one collective Xi construction (the
-// per-step cost of the held cadence: one exact application plus two
-// transposes, an allreduced nb x nb overlap, replicated Cholesky and the
-// slab triangular solve), and "ace_apply" is one compressed application
-// (what each inner iteration pays once Xi is held: two transposes plus one
-// nb x nb allreduce instead of nb broadcasts and nb x nbl Poisson solves).
-func BenchmarkDistExchange(b *testing.B) {
-	g, psi, nb := fixture(b)
-	kernel := fock.BuildKernel(g, xc.HSE06())
-	opt := dist.ExchangeOptions{Strategy: dist.BcastOverlapped}
-	const ranks = 4
-	run := func(b *testing.B, body func(d *dist.Ctx, local []complex128, ex *dist.ExchangeWorkspace)) {
-		b.Helper()
-		b.ReportAllocs()
-		mpi.Run(ranks, func(c *mpi.Comm) {
-			d, err := dist.NewCtx(c, g, nb, 2)
-			if err != nil {
-				panic(err)
-			}
-			lo, hi := d.BandRange(c.Rank())
-			local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
-			body(d, local, d.NewExchangeWorkspace())
-		})
-	}
-	b.Run("exact", func(b *testing.B) {
-		var allocs float64
-		run(b, func(d *dist.Ctx, local []complex128, ex *dist.ExchangeWorkspace) {
-			for i := 0; i < b.N; i++ {
-				d.FockExchangeWS(local, local, kernel, 0.25, opt, ex)
-			}
-			if a := distAllocs(d.C, 2, func() { d.FockExchangeWS(local, local, kernel, 0.25, opt, ex) }); a >= 0 {
-				allocs = a
-			}
-		})
-		recordBench(b, g, nb, allocs)
-	})
-	b.Run("ace_build", func(b *testing.B) {
-		var allocs float64
-		run(b, func(d *dist.Ctx, local []complex128, ex *dist.ExchangeWorkspace) {
-			a := d.NewACE()
-			for i := 0; i < b.N; i++ {
-				if err := a.Rebuild(local, nil, kernel, 0.25, opt, ex); err != nil {
-					panic(err)
-				}
-			}
-			if al := distAllocs(d.C, 2, func() {
-				if err := a.Rebuild(local, nil, kernel, 0.25, opt, ex); err != nil {
-					panic(err)
-				}
-			}); al >= 0 {
-				allocs = al
-			}
-		})
-		recordBench(b, g, nb, allocs)
-	})
-	b.Run("ace_apply", func(b *testing.B) {
-		var allocs float64
-		run(b, func(d *dist.Ctx, local []complex128, ex *dist.ExchangeWorkspace) {
-			a := d.NewACE()
-			if err := a.Rebuild(local, nil, kernel, 0.25, opt, ex); err != nil {
-				panic(err)
-			}
-			out := make([]complex128, len(local))
-			for i := 0; i < b.N; i++ {
-				a.Apply(out, local)
-			}
-			if al := distAllocs(d.C, 2, func() { a.Apply(out, local) }); al >= 0 {
-				allocs = al
-			}
-		})
-		recordBench(b, g, nb, allocs)
-	})
-}
-
-// Tentpole ablation (PR 6): straggler resilience of the exchange
-// schedules. One op is one collective exact exchange on 8 real ranks with
-// rank 0's compute sections stretched 2x by the injected perturbation
-// model - the jittered-node scenario the dynamic work queue exists for.
-// The static schedules pin a fixed share of the Poisson solves on the slow
-// rank and wait for it; under steal the fast ranks claim the chunks the
-// straggler never reaches. Recorded into BENCH_fock.json: the trajectory
-// test pins steal >= 1.3x faster than the best static strategy under the
-// pr6-steal label.
-func BenchmarkDistExchangeStraggler(b *testing.B) {
-	g, psi, nb := fixture(b)
-	kernel := fock.BuildKernel(g, xc.HSE06())
-	const ranks = 8
-	p := &mpi.Perturb{ComputeScale: func(rank int) float64 {
-		if rank == 0 {
-			return 2.0
-		}
-		return 1.0
-	}}
-	for _, tc := range []struct {
-		name string
-		opt  dist.ExchangeOptions
-	}{
-		{"bcast", dist.ExchangeOptions{Strategy: dist.BcastSequential}},
-		{"overlap", dist.ExchangeOptions{Strategy: dist.BcastOverlapped}},
-		{"roundrobin", dist.ExchangeOptions{Strategy: dist.RoundRobin}},
-		{"steal", dist.ExchangeOptions{Strategy: dist.Steal}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			// One worker per rank: the schedule's balance is under
-			// measurement, not the thread pool's.
-			defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
-			b.ReportAllocs()
-			var allocs float64
-			mpi.RunPerturbed(ranks, p, func(c *mpi.Comm) {
-				d, err := dist.NewCtx(c, g, nb, 2)
-				if err != nil {
-					panic(err)
-				}
-				lo, hi := d.BandRange(c.Rank())
-				local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
-				ex := d.NewExchangeWorkspace()
-				d.FockExchangeWS(local, local, kernel, 0.25, tc.opt, ex) // warm
-				c.Barrier()
-				if c.Rank() == 0 {
-					b.ResetTimer()
-				}
-				for i := 0; i < b.N; i++ {
-					d.FockExchangeWS(local, local, kernel, 0.25, tc.opt, ex)
-				}
-				c.Barrier()
-				if c.Rank() == 0 {
-					b.StopTimer()
-				}
-				if a := distAllocs(c, 2, func() { d.FockExchangeWS(local, local, kernel, 0.25, tc.opt, ex) }); a >= 0 {
-					allocs = a
-				}
-			})
-			recordBench(b, g, nb, allocs)
-		})
-	}
-}
-
-// Scaling curves for the dynamic schedule, recorded into BENCH_fock.json
-// alongside the straggler ablation. "strong" applies the exchange to the
-// fixed Si8 reference set on growing rank counts; "weak" grows the band
-// count with the ranks (nb = 4 x ranks) so the per-rank block stays fixed
-// while the global pair work grows - the regime the SC'19 weak-scaling
-// figure probes. Both run unperturbed: the number on record is where the
-// halved triangle count and the queue overheads leave the dynamic schedule
-// relative to the overlapped broadcast when nothing straggles.
-func BenchmarkDistExchangeScaling(b *testing.B) {
-	g, psi, nb := fixture(b)
-	kernel := fock.BuildKernel(g, xc.HSE06())
-	runOne := func(b *testing.B, ranks int, block []complex128, bands int, s dist.ExchangeStrategy) {
-		b.Helper()
-		defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
-		opt := dist.ExchangeOptions{Strategy: s}
-		b.ReportAllocs()
-		var allocs float64
-		mpi.Run(ranks, func(c *mpi.Comm) {
-			d, err := dist.NewCtx(c, g, bands, 2)
-			if err != nil {
-				panic(err)
-			}
-			lo, hi := d.BandRange(c.Rank())
-			local := wavefunc.Clone(block[lo*g.NG : hi*g.NG])
-			ex := d.NewExchangeWorkspace()
-			d.FockExchangeWS(local, local, kernel, 0.25, opt, ex) // warm
-			c.Barrier()
-			if c.Rank() == 0 {
-				b.ResetTimer()
-			}
-			for i := 0; i < b.N; i++ {
-				d.FockExchangeWS(local, local, kernel, 0.25, opt, ex)
-			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				b.StopTimer()
-			}
-			if a := distAllocs(c, 2, func() { d.FockExchangeWS(local, local, kernel, 0.25, opt, ex) }); a >= 0 {
-				allocs = a
-			}
-		})
-		recordBench(b, g, bands, allocs)
-	}
-	strategies := []struct {
-		name string
-		s    dist.ExchangeStrategy
-	}{{"overlap", dist.BcastOverlapped}, {"steal", dist.Steal}}
-	for _, ranks := range []int{1, 2, 4, 8} {
-		for _, st := range strategies {
-			ranks, st := ranks, st
-			b.Run(fmt.Sprintf("strong_r%d_%s", ranks, st.name), func(b *testing.B) {
-				runOne(b, ranks, psi, nb, st.s)
-			})
-		}
-	}
-	for _, ranks := range []int{1, 2, 4, 8} {
-		wnb := 4 * ranks
-		wpsi := wavefunc.Random(g, wnb, 7)
-		for _, st := range strategies {
-			ranks, st := ranks, st
-			b.Run(fmt.Sprintf("weak_r%d_%s", ranks, st.name), func(b *testing.B) {
-				runOne(b, ranks, wpsi, wnb, st.s)
-			})
-		}
-	}
-}
-
-// Tentpole ablation: multiple time stepping. One op is one full M = 4
-// cycle of hybrid PT-CN on 2 real ranks (2 keeps the per-rank exchange
-// share dominant at laptop scale; more ranks shrink nbl until transpose
-// and semi-local overheads mask the cadence); every step is timed individually
-// and the *median* per-step wall time is recorded into BENCH_fock.json -
-// the median is the honest MTS number, because an M-cycle is one expensive
-// outer step (ACE rebuild) followed by M-1 cheap frozen steps, and the
-// typical step is what production throughput is made of. "everystep" is
-// the exact-exchange reference every inner iteration of which pays nb
-// broadcasts and nb x nbl Poisson solves; "mts4" refreshes the compressed
-// operator every 4th step and propagates the rest with the held Xi (two
-// transposes plus one nb x nb allreduce per application). "hold1" is the
-// -acehold (M = 1) cadence - ACE rebuilt every step - which separates the
-// compression's contribution from the cadence's: hold1-vs-everystep
-// prices ACE alone, mts4-vs-hold1 the skipped rebuilds.
+// Multiple time stepping. One op is one full M = 4 cycle of hybrid PT-CN on
+// 2 real ranks (2 keeps the per-rank exchange share dominant at laptop
+// scale; more ranks shrink nbl until transpose and semi-local overheads mask
+// the cadence). Every step is timed individually and the median per-step
+// wall time is reported: an M-cycle is one expensive outer step (ACE
+// rebuild) followed by M-1 cheap frozen steps, and the typical step is what
+// production throughput is made of. "everystep" is the exact-exchange
+// reference; "mts4" refreshes the compressed operator every 4th step;
+// "hold1" is the -acehold (M = 1) cadence - ACE rebuilt every step - which
+// separates the compression's contribution from the cadence's:
+// hold1-vs-everystep prices ACE alone, mts4-vs-hold1 the skipped rebuilds.
 func BenchmarkMTSStep(b *testing.B) {
-	g, psi0, nb := fixture(b)
+	g, psi0, nb := fixtureT(b)
 	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
 	const ranks, cycle = 2, 4
 	const dt = 1.0
@@ -807,7 +99,8 @@ func BenchmarkMTSStep(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var stepNs []float64
-			oneCycle := func() {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
 				mpi.Run(ranks, func(c *mpi.Comm) {
 					d, err := dist.NewCtx(c, g, nb, 2)
 					if err != nil {
@@ -828,257 +121,67 @@ func BenchmarkMTSStep(b *testing.B) {
 					}
 				})
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				oneCycle()
-			}
-			b.StopTimer()
-			med := median(stepNs)
-			b.ReportMetric(med, "ns/step-median")
-			// Allocations per step, world setup amortized over the cycle -
-			// the same granularity as the recorded median step time.
-			allocs := processAllocs(oneCycle) / cycle
-			if err := perf.RecordMeasurement("BENCH_fock.json", b.Name(), med, allocs, g.N, nb, parallel.MaxWorkers()); err != nil {
-				b.Logf("bench record not written: %v", err)
-			}
+			sort.Float64s(stepNs)
+			b.ReportMetric(stepNs[len(stepNs)/2], "ns/step-median")
 		})
 	}
 }
 
-// Observability overhead (PR 10): the same hybrid ACE PT-CN step on 2
-// real ranks, once with every recording site on the nil disabled path
-// ("untraced") and once with a live flight recorder attached to both
-// ranks ("traced"). The two arms run identical code - only the recorder
-// differs - so the recorded median-step ratio prices the tracing layer
-// itself: span begin/end bookkeeping on every step, SCF iteration,
-// exchange application, FFT and message. The trajectory check pins the
-// enabled overhead at <= 3%; the disabled path is priced separately by
-// BenchmarkTraceDisabledPath (zero allocations, sub-ns per site).
-func BenchmarkDistStep(b *testing.B) {
-	g, psi0, nb := fixture(b)
-	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
-	const ranks, cycle = 2, 4
-	const dt = 1.0
-	opt := dist.ExchangeOptions{Strategy: dist.BcastOverlapped, ACE: true}
-	for _, mode := range []struct {
-		name   string
-		traced bool
+// The Ehrenfest coupled step. One "step" op is one full ion step on 2 real
+// ranks - half kick, drift, geometry rebuild (projectors + local
+// potential), one coupled hybrid PT-CN electronic step, and the closing
+// force build + half kick. One "forces" op is the Hellmann-Feynman force
+// assembly alone (local structure-factor gradients + nonlocal projector
+// gradients + Ewald, with its collectives). The pair prices what ion
+// dynamics adds on top of a bare electronic step.
+func BenchmarkEhrenfestStep(b *testing.B) {
+	_, psi0, nb := fixtureT(b)
+	pots := siPots()
+	for _, arm := range []struct {
+		name string
+		op   func(v *ion.Verlet) error
 	}{
-		{"untraced", false},
-		{"traced", true},
+		{"step", (*ion.Verlet).Step},
+		{"forces", (*ion.Verlet).ComputeForces},
 	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var stepNs []float64
-			oneCycle := func() {
-				// A fresh recorder per cycle bounds the span buffers; the
-				// untraced arm passes nil tracks through the same calls.
-				var rec *trace.Recorder
-				if mode.traced {
-					rec = trace.NewRecorder()
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			mpi.Run(2, func(c *mpi.Comm) {
+				cell := lattice.MustSiliconSupercell(1, 1, 1)
+				if err := cell.DisplaceAtom(0, [3]float64{0.2, 0, 0}); err != nil {
+					panic(err)
 				}
-				mpi.Run(ranks, func(c *mpi.Comm) {
-					c.SetTrace(rec.Track(c.Rank(), fmt.Sprintf("rank %d", c.Rank())))
-					d, err := dist.NewCtx(c, g, nb, 2)
-					if err != nil {
+				g := grid.MustNew(cell, 3)
+				d, err := dist.NewCtx(c, g, nb, 2)
+				if err != nil {
+					panic(err)
+				}
+				h := hamiltonian.New(g, pots, hamiltonian.Config{IonDynamics: true})
+				s := dist.NewPTCNSolver(d, h, xc.HSE06(), true, nil, core.DefaultPTCN(), dist.ExchangeOptions{Strategy: dist.BcastOverlapped})
+				lo, hi := d.BandRange(c.Rank())
+				de := &ion.DistElectrons{S: s, Local: wavefunc.Clone(psi0[lo*g.NG : hi*g.NG]), Pots: pots}
+				v, err := ion.NewVerlet(cell, de, 2.0, 1)
+				if err != nil {
+					panic(err)
+				}
+				for i := 0; i < b.N; i++ {
+					if err := arm.op(v); err != nil {
 						panic(err)
 					}
-					h := hamiltonian.New(g, siPots(), hamiltonian.Config{})
-					s := dist.NewPTCNSolver(d, h, xc.HSE06(), true, kick, core.DefaultPTCN(), opt)
-					lo, hi := d.BandRange(c.Rank())
-					local := wavefunc.Clone(psi0[lo*g.NG : hi*g.NG])
-					for step := 0; step < cycle; step++ {
-						start := time.Now()
-						if local, _, err = s.Step(local, dt); err != nil {
-							panic(err)
-						}
-						if c.Rank() == 0 {
-							stepNs = append(stepNs, float64(time.Since(start).Nanoseconds()))
-						}
-					}
-				})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				oneCycle()
-			}
-			b.StopTimer()
-			med := median(stepNs)
-			b.ReportMetric(med, "ns/step-median")
-			allocs := processAllocs(oneCycle) / cycle
-			if err := perf.RecordMeasurement("BENCH_fock.json", b.Name(), med, allocs, g.N, nb, parallel.MaxWorkers()); err != nil {
-				b.Logf("bench record not written: %v", err)
-			}
-		})
-	}
-}
-
-// BenchmarkTraceDisabledPath prices one untraced instrumentation site:
-// a Begin/End pair on a nil *trace.Track, which is what every recording
-// site in the solver and comm layers degenerates to when no recorder is
-// attached. The contract the trajectory check pins is zero allocations -
-// the whole disabled path is two nil checks.
-func BenchmarkTraceDisabledPath(b *testing.B) {
-	var tr *trace.Track
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ref := tr.Begin("step", "step")
-		tr.End(ref)
-	}
-	b.StopTimer()
-	allocs := testing.AllocsPerRun(1000, func() {
-		ref := tr.Begin("step", "step")
-		tr.End(ref)
-	})
-	if err := perf.RecordMeasurement("BENCH_fock.json", b.Name(), float64(b.Elapsed().Nanoseconds())/float64(b.N), allocs, [3]int{0, 0, 0}, 0, parallel.MaxWorkers()); err != nil {
-		b.Logf("bench record not written: %v", err)
-	}
-}
-
-// Tentpole ablation (PR 5): the Ehrenfest coupled step. One "step" op is
-// one full ion step on 2 real ranks - half kick, drift, geometry rebuild
-// (projectors + local potential), one coupled hybrid PT-CN electronic
-// step, and the closing force build + half kick. One "forces" op is the
-// Hellmann-Feynman force assembly alone (local structure-factor gradients
-// + nonlocal projector gradients + Ewald, with its collectives). The pair
-// prices what ion dynamics adds on top of a bare electronic step: the
-// trajectory check pins the force build at a fraction of the coupled
-// step, so MD composes with the hybrid cadences instead of dominating
-// them.
-func BenchmarkEhrenfestStep(b *testing.B) {
-	g, psi0, nb := fixture(b)
-	const ranks = 2
-	pots := siPots()
-	newCell := func() *lattice.Cell {
-		c := lattice.MustSiliconSupercell(1, 1, 1)
-		if err := c.DisplaceAtom(0, [3]float64{0.2, 0, 0}); err != nil {
-			panic(err)
-		}
-		return c
-	}
-	b.Run("step", func(b *testing.B) {
-		b.ReportAllocs()
-		var allocs float64
-		mpi.Run(ranks, func(c *mpi.Comm) {
-			cellR := newCell()
-			gR := grid.MustNew(cellR, 3)
-			d, err := dist.NewCtx(c, gR, nb, 2)
-			if err != nil {
-				panic(err)
-			}
-			h := hamiltonian.New(gR, pots, hamiltonian.Config{IonDynamics: true})
-			s := dist.NewPTCNSolver(d, h, xc.HSE06(), true, nil, core.DefaultPTCN(), dist.ExchangeOptions{Strategy: dist.BcastOverlapped})
-			lo, hi := d.BandRange(c.Rank())
-			de := &ion.DistElectrons{S: s, Local: wavefunc.Clone(psi0[lo*gR.NG : hi*gR.NG]), Pots: pots}
-			v, err := ion.NewVerlet(cellR, de, 2.0, 1)
-			if err != nil {
-				panic(err)
-			}
-			for i := 0; i < b.N; i++ {
-				if err := v.Step(); err != nil {
-					panic(err)
 				}
-			}
-			if a := distAllocs(c, 1, func() {
-				if err := v.Step(); err != nil {
-					panic(err)
-				}
-			}); a >= 0 {
-				allocs = a
-			}
+			})
 		})
-		recordBench(b, g, nb, allocs)
-	})
-	b.Run("forces", func(b *testing.B) {
-		b.ReportAllocs()
-		var allocs float64
-		mpi.Run(ranks, func(c *mpi.Comm) {
-			cellR := newCell()
-			gR := grid.MustNew(cellR, 3)
-			d, err := dist.NewCtx(c, gR, nb, 2)
-			if err != nil {
-				panic(err)
-			}
-			h := hamiltonian.New(gR, pots, hamiltonian.Config{IonDynamics: true})
-			s := dist.NewPTCNSolver(d, h, xc.HSE06(), true, nil, core.DefaultPTCN(), dist.ExchangeOptions{Strategy: dist.BcastOverlapped})
-			lo, hi := d.BandRange(c.Rank())
-			de := &ion.DistElectrons{S: s, Local: wavefunc.Clone(psi0[lo*gR.NG : hi*gR.NG]), Pots: pots}
-			v, err := ion.NewVerlet(cellR, de, 2.0, 1)
-			if err != nil {
-				panic(err)
-			}
-			for i := 0; i < b.N; i++ {
-				if err := v.ComputeForces(); err != nil {
-					panic(err)
-				}
-			}
-			if a := distAllocs(c, 2, func() {
-				if err := v.ComputeForces(); err != nil {
-					panic(err)
-				}
-			}); a >= 0 {
-				allocs = a
-			}
-		})
-		recordBench(b, g, nb, allocs)
-	})
-}
-
-// median returns the middle of a sample (mean of the two middles for even
-// counts); 0 for an empty sample.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
-}
-
-func BenchmarkRealAlltoallvTranspose(b *testing.B) {
-	g, psi, nb := fixture(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		mpi.Run(4, func(c *mpi.Comm) {
-			d, err := dist.NewCtx(c, g, nb, 2)
-			if err != nil {
-				panic(err)
-			}
-			lo, hi := d.BandRange(c.Rank())
-			local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
-			gd := d.BandToG(local, false)
-			d.GToBand(gd, false)
-		})
-	}
-}
-
-func BenchmarkRealGroundStateSCF(b *testing.B) {
-	cell := lattice.MustSiliconSupercell(1, 1, 1)
-	g := grid.MustNew(cell, 3)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := hamiltonian.New(g, siPots(), hamiltonian.Config{})
-		if _, err := scf.GroundState(g, h, cell.NumBands(), scf.Defaults()); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
 // Ablation: Anderson mixing history depth. The paper uses 20 copies of the
 // wavefunctions; shallower histories need more SCF iterations per PT-CN
 // step. The custom metric reports iterations to convergence.
-
 func BenchmarkAblationAndersonHistory(b *testing.B) {
-	g, psi0, nb := fixture(b)
+	g, psi0, nb := fixtureT(b)
 	kick := &laser.Kick{K: 0.05, Pol: [3]float64{0, 0, 1}}
 	for _, hist := range []int{2, 5, 10, 20} {
-		b.Run(history(hist), func(b *testing.B) {
+		b.Run(fmt.Sprintf("hist%d", hist), func(b *testing.B) {
 			h := hamiltonian.New(g, siPots(), hamiltonian.Config{})
 			sys := &core.System{G: g, H: h, NB: nb, Occ: 2, Field: kick}
 			opt := core.DefaultPTCN()
@@ -1097,16 +200,11 @@ func BenchmarkAblationAndersonHistory(b *testing.B) {
 	}
 }
 
-func history(n int) string {
-	return map[int]string{2: "hist2", 5: "hist5", 10: "hist10", 20: "hist20"}[n]
-}
-
 // Ablation: PT-CN propagation with the ACE-compressed exchange versus the
 // exact operator (the paper found plain PT faster on GPUs; ACE shines on
 // CPUs where FFTs are relatively costlier - ref [22]).
-
 func BenchmarkAblationACEPropagation(b *testing.B) {
-	g, psi0, nb := fixture(b)
+	g, psi0, nb := fixtureT(b)
 	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
 	for _, mode := range []struct {
 		name string
@@ -1125,19 +223,4 @@ func BenchmarkAblationACEPropagation(b *testing.B) {
 			}
 		})
 	}
-}
-
-// Sanity: the bench harness exposes the paper's headline in real units.
-
-func BenchmarkHeadline15HoursPerFs(b *testing.B) {
-	m := perf.New(perf.Reference)
-	var hoursPerFs float64
-	for i := 0; i < b.N; i++ {
-		stepsPerFs := 1000.0 / 50.0 // 50 as steps
-		hoursPerFs = m.StepTotal(768) * stepsPerFs / 3600
-	}
-	// Paper abstract: "the wall clock time is only 1.5 hours per
-	// femtosecond" on 768 GPUs.
-	b.ReportMetric(hoursPerFs, "hours_per_fs@768GPU")
-	_ = units.AttosecondPerAU
 }

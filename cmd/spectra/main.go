@@ -5,102 +5,109 @@
 // macroscopic current, and Fourier-transform it into the dynamical
 // conductivity.
 //
-//	spectra -cells 1,1,1 -ecut 4 -dt 12 -steps 200 -kick 0.005
+//	spectra -ecut 4 -dt 12 -steps 200 -kick 0.005
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
-	"ptdft/internal/core"
-	"ptdft/internal/grid"
-	"ptdft/internal/hamiltonian"
-	"ptdft/internal/laser"
-	"ptdft/internal/lattice"
 	"ptdft/internal/observe"
-	"ptdft/internal/pseudo"
 	"ptdft/internal/scf"
+	"ptdft/internal/sim"
 	"ptdft/internal/trace"
 	"ptdft/internal/units"
-	"ptdft/internal/xc"
 )
 
-func main() {
-	ecut := flag.Float64("ecut", 4, "kinetic energy cutoff (Ha)")
-	dtAs := flag.Float64("dt", 12, "PT-CN time step (as)")
-	steps := flag.Int("steps", 120, "number of steps to record")
-	kick := flag.Float64("kick", 0.005, "delta-kick amplitude (au)")
-	hybrid := flag.Bool("hybrid", false, "use the hybrid functional")
-	omegaMaxEV := flag.Float64("wmax", 15, "spectrum range (eV)")
-	nw := flag.Int("nw", 150, "frequency points")
-	eta := flag.Float64("eta", 0.005, "damping (au)")
-	traceFile := flag.String("tracefile", "", "record the propagation's span timeline and write it here as Chrome trace-event JSON")
-	flag.Parse()
+type config struct {
+	spec      sim.Spec
+	wmaxEV    float64
+	nw        int
+	eta       float64
+	traceFile string
+}
 
-	if err := run(*ecut, *dtAs, *steps, *kick, *hybrid, *omegaMaxEV, *nw, *eta, *traceFile); err != nil {
+// parseFlags reads the command line into a run description and rejects the
+// values the spectrum is undefined for, before any work is done.
+func parseFlags(args []string) (*config, error) {
+	c := &config{spec: sim.Spec{Cells: [3]int{1, 1, 1}, Seed: scf.Defaults().Seed}}
+	fs := flag.NewFlagSet("spectra", flag.ContinueOnError)
+	fs.Float64Var(&c.spec.Ecut, "ecut", 4, "kinetic energy cutoff (Ha)")
+	fs.Float64Var(&c.spec.DtAs, "dt", 12, "PT-CN time step (as)")
+	fs.IntVar(&c.spec.Steps, "steps", 120, "number of steps to record")
+	fs.Float64Var(&c.spec.Kick, "kick", 0.005, "delta-kick amplitude (au)")
+	fs.BoolVar(&c.spec.Hybrid, "hybrid", false, "use the hybrid functional")
+	fs.Float64Var(&c.wmaxEV, "wmax", 15, "spectrum range (eV)")
+	fs.IntVar(&c.nw, "nw", 150, "frequency points")
+	fs.Float64Var(&c.eta, "eta", 0.005, "damping (au)")
+	fs.StringVar(&c.traceFile, "tracefile", "", "record the propagation's span timeline and write it here as Chrome trace-event JSON")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	switch {
+	case c.spec.Kick == 0:
+		return nil, errors.New("-kick 0: the conductivity is the current divided by the kick; want a nonzero amplitude")
+	case c.spec.Steps < 1:
+		return nil, fmt.Errorf("-steps %d: want at least one recorded step", c.spec.Steps)
+	case c.nw < 1:
+		return nil, fmt.Errorf("-nw %d: want at least one frequency point", c.nw)
+	}
+	return c, c.spec.Validate()
+}
+
+func main() {
+	c, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "spectra:", err)
+		os.Exit(2)
+	}
+	if err := run(c); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(ecut, dtAs float64, steps int, kick float64, hybrid bool, wmaxEV float64, nw int, eta float64, traceFile string) error {
-	cell := lattice.MustSiliconSupercell(1, 1, 1)
-	g, err := grid.New(cell, ecut)
-	if err != nil {
-		return err
-	}
-	nb := cell.NumBands()
-	h := hamiltonian.New(g, map[int]*pseudo.Potential{0: pseudo.SiliconAH()},
-		hamiltonian.Config{Hybrid: hybrid, Params: xc.HSE06()})
-	gs, err := scf.GroundState(g, h, nb, scf.Defaults())
+func run(c *config) error {
+	spec := &c.spec
+	gs, err := sim.GroundState(spec)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "ground state E = %.6f Ha; propagating %d steps of %.1f as\n",
-		gs.Energy.Total(), steps, dtAs)
+		gs.Energy.Total(), spec.Steps, spec.DtAs)
 
 	var rec *trace.Recorder
-	if traceFile != "" {
+	if c.traceFile != "" {
 		rec = trace.NewRecorder()
 	}
-	tr := rec.Track(0, "rank 0")
-	h.SetTrace(tr)
-
-	field := &laser.Kick{K: kick, Pol: [3]float64{0, 0, 1}}
-	sys := &core.System{G: g, H: h, NB: nb, Occ: 2, Field: field, Tr: tr}
-	p := core.NewPTCN(sys, core.DefaultPTCN())
-	dt := units.AttosecondsToAU(dtAs)
-
-	psi := gs.Psi
-	jz := make([]float64, 0, steps+1)
-	sys.Prepare(psi, 0)
-	j0 := observe.Current(sys, psi)
-	_ = j0 // pre-kick current is zero by time reversal
-	for i := 0; i < steps; i++ {
-		var err error
-		psi, _, err = p.Step(psi, dt)
-		if err != nil {
-			return fmt.Errorf("step %d: %w", i, err)
+	res, err := sim.Run(spec, sim.Options{Ground: gs, Trace: rec, OnSample: func(s observe.Sample) {
+		if s.Step%20 == 0 {
+			fmt.Fprintf(os.Stderr, "  step %d/%d  t=%.3f fs  Jz=%.4e\n", s.Step, spec.Steps, s.TimeFs, s.CurrentZ)
 		}
-		sys.Prepare(psi, p.Time)
-		j := observe.Current(sys, psi)
-		jz = append(jz, j[2])
-		if (i+1)%20 == 0 {
-			fmt.Fprintf(os.Stderr, "  step %d/%d  t=%.3f fs  Jz=%.4e\n", i+1, steps, p.Time*units.FemtosecondPerAU, j[2])
-		}
+	}})
+	if err != nil {
+		return err
+	}
+	jz := make([]float64, len(res.Samples))
+	for i, s := range res.Samples {
+		jz[i] = s.CurrentZ
 	}
 
-	wmax := wmaxEV / units.EVPerHartree
-	// jz[i] was recorded after step i+1, i.e. at t = (i+1)*dt: pass t0 = dt
-	// so the transform phases every sample at its true time.
-	omegas, sigma := observe.AbsorptionSpectrum(jz, dt, dt, kick, wmax, nw, eta)
+	dt := units.AttosecondsToAU(spec.DtAs)
+	// Sample i was recorded after step i+1, i.e. at t = (i+1)*dt: pass
+	// t0 = dt so the transform phases every sample at its true time.
+	omegas, sigma := observe.AbsorptionSpectrum(jz, dt, dt, spec.Kick, c.wmaxEV/units.EVPerHartree, c.nw, c.eta)
 	fmt.Println("# omega_eV  Re_sigma(arb)")
 	for i := range omegas {
 		fmt.Printf("%10.4f %14.6e\n", omegas[i]*units.EVPerHartree, sigma[i])
 	}
 	if rec != nil {
-		f, err := os.Create(traceFile)
+		f, err := os.Create(c.traceFile)
 		if err != nil {
 			return err
 		}
@@ -111,7 +118,7 @@ func run(ecut, dtAs float64, steps int, kick float64, hybrid bool, wmaxEV float6
 		if err != nil {
 			return fmt.Errorf("writing trace file: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (Chrome trace-event JSON)\n", traceFile)
+		fmt.Fprintf(os.Stderr, "wrote %s (Chrome trace-event JSON)\n", c.traceFile)
 	}
 	return nil
 }

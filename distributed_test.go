@@ -1,9 +1,9 @@
 // Distributed integration tests: the internal/dist PT-CN solver against
 // the serial core.PTCN reference on the shared Si8 fixture, across rank
-// counts, exchange strategies and wire precisions. These are the tests the
-// strategy/precision ablations of bench_test.go lean on: if the three
-// communication variants did not propagate identically, their wall-clock
-// comparison would be meaningless.
+// counts, exchange strategies and wire precisions. These are the tests
+// every strategy/precision timing leans on: if the communication variants
+// did not propagate identically, their wall-clock comparison would be
+// meaningless.
 package ptdft_test
 
 import (

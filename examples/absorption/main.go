@@ -12,29 +12,13 @@ import (
 	"fmt"
 	"log"
 
-	"ptdft/internal/core"
-	"ptdft/internal/grid"
-	"ptdft/internal/hamiltonian"
-	"ptdft/internal/laser"
-	"ptdft/internal/lattice"
 	"ptdft/internal/observe"
-	"ptdft/internal/pseudo"
 	"ptdft/internal/scf"
+	"ptdft/internal/sim"
 	"ptdft/internal/units"
 )
 
 func main() {
-	cell := lattice.MustSiliconSupercell(1, 1, 1)
-	g := grid.MustNew(cell, 3.5)
-	nb := cell.NumBands()
-	h := hamiltonian.New(g, map[int]*pseudo.Potential{0: pseudo.SiliconAH()},
-		hamiltonian.Config{})
-	gs, err := scf.GroundState(g, h, nb, scf.Defaults())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("ground state: %.6f Ha\n", gs.Energy.Total())
-
 	const (
 		kick    = 0.005
 		dtAs    = 18.0
@@ -42,24 +26,24 @@ func main() {
 		wmaxEV  = 20.0
 		npoints = 60
 	)
-	field := &laser.Kick{K: kick, Pol: [3]float64{0, 0, 1}}
-	sys := &core.System{G: g, H: h, NB: nb, Occ: 2, Field: field}
-	prop := core.NewPTCN(sys, core.DefaultPTCN())
-	dt := units.AttosecondsToAU(dtAs)
-
-	psi := gs.Psi
-	jz := make([]float64, 0, nsteps)
-	for i := 0; i < nsteps; i++ {
-		psi, _, err = prop.Step(psi, dt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sys.Prepare(psi, prop.Time)
-		j := observe.Current(sys, psi)
-		jz = append(jz, j[2])
+	spec := &sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 3.5, DtAs: dtAs, Steps: nsteps, Kick: kick, Seed: scf.Defaults().Seed}
+	gs, err := sim.GroundState(spec)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("propagated %.2f fs; transforming current trace\n", prop.Time*units.FemtosecondPerAU)
+	fmt.Printf("ground state: %.6f Ha\n", gs.Energy.Total())
 
+	res, err := sim.Run(spec, sim.Options{Ground: gs})
+	if err != nil {
+		log.Fatal(err)
+	}
+	jz := make([]float64, len(res.Samples))
+	for i, s := range res.Samples {
+		jz[i] = s.CurrentZ
+	}
+	fmt.Printf("propagated %.2f fs; transforming current trace\n", res.Time*units.FemtosecondPerAU)
+
+	dt := units.AttosecondsToAU(dtAs)
 	wmax := wmaxEV / units.EVPerHartree
 	// jz[i] was recorded after step i+1, i.e. at t = (i+1)*dt: t0 = dt.
 	omegas, sigma := observe.AbsorptionSpectrum(jz, dt, dt, kick, wmax, npoints, 0.01)

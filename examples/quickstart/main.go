@@ -9,53 +9,37 @@ import (
 	"fmt"
 	"log"
 
-	"ptdft/internal/core"
-	"ptdft/internal/grid"
-	"ptdft/internal/hamiltonian"
-	"ptdft/internal/laser"
-	"ptdft/internal/lattice"
 	"ptdft/internal/observe"
-	"ptdft/internal/pseudo"
 	"ptdft/internal/scf"
-	"ptdft/internal/units"
+	"ptdft/internal/sim"
 )
 
 func main() {
-	// 1. Build the physical system: one conventional silicon cell
-	//    (8 atoms, 32 valence electrons, 16 doubly-occupied orbitals).
-	cell := lattice.MustSiliconSupercell(1, 1, 1)
-	g := grid.MustNew(cell, 4.0) // 4 Ha cutoff: laptop scale
-	fmt.Printf("Si%d: wavefunction grid %v, G-sphere %d, bands %d\n",
-		cell.NumAtoms(), g.N, g.NG, cell.NumBands())
+	// 1. Describe the run: one conventional silicon cell (8 atoms, 32
+	//    valence electrons, 16 doubly-occupied orbitals) at a 4 Ha cutoff
+	//    (laptop scale), a weak delta kick, ten PT-CN steps of 24 as.
+	spec := &sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 4, DtAs: 24, Steps: 10, Kick: 0.02, Seed: scf.Defaults().Seed}
+	cell, g, nb, err := spec.System()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("Si%d: wavefunction grid %v, G-sphere %d, bands %d\n", cell.NumAtoms(), g.N, g.NG, nb)
 
-	// 2. Assemble the Hamiltonian and converge the ground state.
-	h := hamiltonian.New(g, map[int]*pseudo.Potential{0: pseudo.SiliconAH()},
-		hamiltonian.Config{})
-	gs, err := scf.GroundState(g, h, cell.NumBands(), scf.Defaults())
+	// 2. Converge the ground state.
+	gs, err := sim.GroundState(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("ground state energy: %.8f Ha after %d SCF iterations\n",
 		gs.Energy.Total(), gs.SCFIterations)
 
-	// 3. Excite with a weak delta kick and propagate with PT-CN.
-	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
-	sys := &core.System{G: g, H: h, NB: cell.NumBands(), Occ: 2, Field: kick}
-	prop := core.NewPTCN(sys, core.DefaultPTCN())
-
-	dt := units.AttosecondsToAU(24)
-	psi := gs.Psi
+	// 3. Kick it and propagate with PT-CN, printing each step as it lands.
 	fmt.Printf("\n%8s %16s %14s %5s\n", "t (as)", "E (Ha)", "J_z (au)", "SCF")
-	for step := 0; step < 10; step++ {
-		var stats core.StepStats
-		psi, stats, err = prop.Step(psi, dt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		e := observe.Energy(sys, psi, prop.Time)
-		j := observe.Current(sys, psi)
-		fmt.Printf("%8.1f %16.8f %14.4e %5d\n",
-			units.AUToAttoseconds(prop.Time), e.Total(), j[2], stats.SCFIterations)
+	_, err = sim.Run(spec, sim.Options{Ground: gs, OnSample: func(s observe.Sample) {
+		fmt.Printf("%8.1f %16.8f %14.4e %5d\n", s.TimeFs*1000, s.Energy, s.CurrentZ, s.SCFIters)
+	}})
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println("\nenergy is conserved after the kick - the PT-CN propagation is stable")
 	fmt.Println("at steps ~50x larger than explicit RK4 would allow.")

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ptdft/internal/checkpoint"
@@ -14,9 +15,12 @@ import (
 	"ptdft/internal/grid"
 	"ptdft/internal/hamiltonian"
 	"ptdft/internal/laser"
+	"ptdft/internal/lattice"
 	"ptdft/internal/linalg"
 	"ptdft/internal/observe"
 	"ptdft/internal/potential"
+	"ptdft/internal/pseudo"
+	"ptdft/internal/scf"
 	"ptdft/internal/units"
 	"ptdft/internal/wavefunc"
 	"ptdft/internal/xc"
@@ -232,12 +236,33 @@ func TestOrbitalNormsPreservedThroughPipeline(t *testing.T) {
 	}
 }
 
-// fixtureT adapts the benchmark fixture for tests.
-func fixtureT(t *testing.T) (*grid.Grid, []complex128, int) {
-	t.Helper()
+// The shared laptop-scale fixture of the root tests and benchmarks: a
+// converged semi-local Si8 ground state at Ecut 3, solved once per process.
+var (
+	fixOnce sync.Once
+	fixG    *grid.Grid
+	fixPsi  []complex128
+	fixNB   int
+)
+
+func siPots() map[int]*pseudo.Potential {
+	return map[int]*pseudo.Potential{0: pseudo.SiliconAH()}
+}
+
+// fixtureT returns the fixture's grid, a private copy of its orbitals and
+// the band count.
+func fixtureT(tb testing.TB) (*grid.Grid, []complex128, int) {
+	tb.Helper()
 	fixOnce.Do(func() {
-		// Same initialization as the benchmark fixture.
-		buildFixture()
+		cell := lattice.MustSiliconSupercell(1, 1, 1)
+		fixG = grid.MustNew(cell, 3)
+		fixNB = cell.NumBands()
+		h := hamiltonian.New(fixG, siPots(), hamiltonian.Config{})
+		res, err := scf.GroundState(fixG, h, fixNB, scf.Defaults())
+		if err != nil {
+			panic(err)
+		}
+		fixPsi = res.Psi
 	})
 	return fixG, wavefunc.Clone(fixPsi), fixNB
 }

@@ -338,7 +338,7 @@ func TestExchangePipelinesDoNotInflateVolume(t *testing.T) {
 // benchmark claim: with one 4x straggler on four ranks, the dynamic
 // schedule finishes the exchange measurably faster than the static
 // pipeline on the identical workload. (The quantitative 1.3x bound on
-// eight ranks is pinned against BENCH_fock.json by the trajectory test.)
+// eight ranks is regenerated by `summitsim -experiment sched`.)
 func TestStealBalancesStragglers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based")

@@ -9,7 +9,6 @@ import (
 	"ptdft/internal/lattice"
 	"ptdft/internal/linalg"
 	"ptdft/internal/parallel"
-	"ptdft/internal/perf"
 	"ptdft/internal/wavefunc"
 	"ptdft/internal/xc"
 )
@@ -286,13 +285,5 @@ func BenchmarkFockApplySingleBand(b *testing.B) {
 			v[k] = 0
 		}
 		op.Apply(v, x, 1)
-	}
-	b.StopTimer()
-	if b.N > 0 {
-		allocs := testing.AllocsPerRun(1, func() { op.Apply(v, x, 1) })
-		nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		if err := perf.RecordMeasurement("BENCH_fock.json", "BenchmarkFockApplySingleBand", nsPerOp, allocs, g.N, nb, parallel.MaxWorkers()); err != nil {
-			b.Logf("bench record not written: %v", err)
-		}
 	}
 }

@@ -173,44 +173,6 @@ func (p *Plan3) apply(dst, src []complex128, inverse bool) {
 	})
 }
 
-// ForwardBatch applies Forward to nb arrays stored back to back in src,
-// writing the transforms back to back into dst. This mirrors the batched
-// CUFFT execution of the paper (optimization step 2 in section 3.2): the
-// batch is distributed across the worker pool one transform per task so
-// wide batches saturate all workers even when individual grids are small.
-func (p *Plan3) ForwardBatch(dst, src []complex128, nb int) { p.applyBatch(dst, src, nb, false) }
-
-// InverseBatch applies Inverse to nb arrays stored back to back.
-func (p *Plan3) InverseBatch(dst, src []complex128, nb int) { p.applyBatch(dst, src, nb, true) }
-
-func (p *Plan3) applyBatch(dst, src []complex128, nb int, inverse bool) {
-	n := p.Size()
-	if len(dst) != nb*n || len(src) != nb*n {
-		panic(fmt.Sprintf("fourier: batch buffer mismatch: want %d elements, dst %d, src %d", nb*n, len(dst), len(src)))
-	}
-	// Individual transforms run single-threaded inside a batch; the batch
-	// dimension supplies the parallelism. Each worker binds one workspace.
-	nw := parallel.NumWorkers(nb)
-	wss := make([]*Workspace3, nw)
-	for i := range wss {
-		wss[i] = p.getWS()
-	}
-	parallel.ForWorker(nb, func(w, b int) {
-		d := dst[b*n : (b+1)*n]
-		s := src[b*n : (b+1)*n]
-		p.applySerial(d, s, inverse, wss[w])
-		if inverse {
-			scale := complex(1/float64(n), 0)
-			for i := range d {
-				d[i] *= scale
-			}
-		}
-	})
-	for _, ws := range wss {
-		p.putWS(ws)
-	}
-}
-
 // ApplySerial runs a single transform without touching the worker pool,
 // for callers that manage their own outer parallelism. The inverse variant
 // includes the 1/N normalization. Scratch comes from the plan's pool;

@@ -313,28 +313,6 @@ func TestPlan3InPlaceAliasing(t *testing.T) {
 	}
 }
 
-func TestPlan3Batch(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	p := MustPlan3(4, 5, 6)
-	nb := 7
-	n := p.Size()
-	src := randomVec(rng, nb*n)
-	dst := make([]complex128, nb*n)
-	p.ForwardBatch(dst, src, nb)
-	for b := 0; b < nb; b++ {
-		want := make([]complex128, n)
-		p.Forward(want, src[b*n:(b+1)*n])
-		if d := maxAbsDiff(dst[b*n:(b+1)*n], want); d > 1e-10 {
-			t.Errorf("batch %d: forward differs by %g", b, d)
-		}
-	}
-	back := make([]complex128, nb*n)
-	p.InverseBatch(back, dst, nb)
-	if d := maxAbsDiff(back, src); d > 1e-9 {
-		t.Errorf("batch round trip differs by %g", d)
-	}
-}
-
 func TestApplySerialMatchesParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := MustPlan3(6, 6, 6)

@@ -19,7 +19,6 @@ package hamiltonian
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"sync"
 
@@ -350,9 +349,6 @@ func (h *Hamiltonian) SetBloch(k [3]float64, nl *pseudo.NonlocalBloch) {
 	h.prepPsi = nil
 }
 
-// Bloch returns the current k-point.
-func (h *Hamiltonian) Bloch() [3]float64 { return h.bloch }
-
 // KineticFactor returns 1/2 |G_s + k + A|^2 for sphere entry s.
 func (h *Hamiltonian) KineticFactor(s int) float64 {
 	g := h.G.GVec[s]
@@ -521,7 +517,3 @@ func (h *Hamiltonian) KineticEnergyBand(c []complex128) float64 {
 	}
 	return k
 }
-
-// IsFinite reports whether a number is neither NaN nor Inf; used by SCF
-// sanity checks.
-func IsFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -91,25 +91,6 @@ func Unpack(dst []complex128, src Slab) {
 	}
 }
 
-// Scale multiplies every element by the real factor a.
-func Scale(s Slab, a float64) {
-	re, im := s.Re, s.Im
-	n := len(re)
-	i := 0
-	for ; i+Width <= n; i += Width {
-		r := (*[Width]float64)(re[i:])
-		m := (*[Width]float64)(im[i:])
-		for l := 0; l < Width; l++ {
-			r[l] *= a
-			m[l] *= a
-		}
-	}
-	for ; i < n; i++ {
-		re[i] *= a
-		im[i] *= a
-	}
-}
-
 // PairConj forms the exchange pair density dst = conj(a) * b elementwise.
 // This is the Alg. 2 gather product in SoA form: 4 multiplies per element
 // with no interleave shuffles.
@@ -135,84 +116,6 @@ func PairConj(dst, a, b Slab) {
 	for ; i < n; i++ {
 		dst.Re[i] = a.Re[i]*b.Re[i] + a.Im[i]*b.Im[i]
 		dst.Im[i] = a.Re[i]*b.Im[i] - a.Im[i]*b.Re[i]
-	}
-}
-
-// MulAccum accumulates dst += s * a * b (complex elementwise product,
-// uniform real scale) - the scatter side of the exchange contraction. The
-// real scale saves half the multiplies of the complex128 formulation,
-// where s rode along as a full complex factor.
-func MulAccum(dst, a, b Slab, s float64) {
-	n := len(dst.Re)
-	_ = a.Re[n-1]
-	_ = a.Im[n-1]
-	_ = b.Re[n-1]
-	_ = b.Im[n-1]
-	i := 0
-	for ; i+Width <= n; i += Width {
-		ar := (*[Width]float64)(a.Re[i:])
-		ai := (*[Width]float64)(a.Im[i:])
-		br := (*[Width]float64)(b.Re[i:])
-		bi := (*[Width]float64)(b.Im[i:])
-		dr := (*[Width]float64)(dst.Re[i:])
-		di := (*[Width]float64)(dst.Im[i:])
-		for l := 0; l < Width; l++ {
-			dr[l] += s * (ar[l]*br[l] - ai[l]*bi[l])
-			di[l] += s * (ar[l]*bi[l] + ai[l]*br[l])
-		}
-	}
-	for ; i < n; i++ {
-		dst.Re[i] += s * (a.Re[i]*b.Re[i] - a.Im[i]*b.Im[i])
-		dst.Im[i] += s * (a.Re[i]*b.Im[i] + a.Im[i]*b.Re[i])
-	}
-}
-
-// MulConjAccum accumulates dst += s * a * conj(b) - the mirror side of the
-// symmetric pair contraction.
-func MulConjAccum(dst, a, b Slab, s float64) {
-	n := len(dst.Re)
-	_ = a.Re[n-1]
-	_ = a.Im[n-1]
-	_ = b.Re[n-1]
-	_ = b.Im[n-1]
-	i := 0
-	for ; i+Width <= n; i += Width {
-		ar := (*[Width]float64)(a.Re[i:])
-		ai := (*[Width]float64)(a.Im[i:])
-		br := (*[Width]float64)(b.Re[i:])
-		bi := (*[Width]float64)(b.Im[i:])
-		dr := (*[Width]float64)(dst.Re[i:])
-		di := (*[Width]float64)(dst.Im[i:])
-		for l := 0; l < Width; l++ {
-			dr[l] += s * (ar[l]*br[l] + ai[l]*bi[l])
-			di[l] += s * (ai[l]*br[l] - ar[l]*bi[l])
-		}
-	}
-	for ; i < n; i++ {
-		dst.Re[i] += s * (a.Re[i]*b.Re[i] + a.Im[i]*b.Im[i])
-		dst.Im[i] += s * (a.Im[i]*b.Re[i] - a.Re[i]*b.Im[i])
-	}
-}
-
-// Add accumulates dst += a elementwise.
-func Add(dst, a Slab) {
-	n := len(dst.Re)
-	_ = a.Re[n-1]
-	_ = a.Im[n-1]
-	i := 0
-	for ; i+Width <= n; i += Width {
-		ar := (*[Width]float64)(a.Re[i:])
-		ai := (*[Width]float64)(a.Im[i:])
-		dr := (*[Width]float64)(dst.Re[i:])
-		di := (*[Width]float64)(dst.Im[i:])
-		for l := 0; l < Width; l++ {
-			dr[l] += ar[l]
-			di[l] += ai[l]
-		}
-	}
-	for ; i < n; i++ {
-		dst.Re[i] += a.Re[i]
-		dst.Im[i] += a.Im[i]
 	}
 }
 

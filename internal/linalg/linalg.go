@@ -426,18 +426,6 @@ func MatMul(c, a, b []complex128, m, k, n int) {
 	})
 }
 
-// ConjTranspose returns the conjugate transpose of the row-major m x n
-// matrix a as an n x m matrix.
-func ConjTranspose(a []complex128, m, n int) []complex128 {
-	t := make([]complex128, m*n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			t[j*m+i] = cmplx.Conj(a[i*n+j])
-		}
-	}
-	return t
-}
-
 // Dot returns <a|b> = sum conj(a_i) b_i.
 func Dot(a, b []complex128) complex128 {
 	var re, im float64

@@ -320,14 +320,6 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
-func TestConjTranspose(t *testing.T) {
-	a := []complex128{complex(1, 2), complex(3, 4), complex(5, 6), complex(7, 8), complex(9, 10), complex(11, 12)}
-	tr := ConjTranspose(a, 2, 3)
-	if tr[0] != complex(1, -2) || tr[1] != complex(7, -8) || tr[5] != complex(11, -12) {
-		t.Fatalf("ConjTranspose wrong: %v", tr)
-	}
-}
-
 func TestDotNorm(t *testing.T) {
 	a := []complex128{complex(3, 4)}
 	if Norm2(a) != 5 {

@@ -278,12 +278,6 @@ func (c *Comm) SetTrace(t *trace.Track) { c.tr = t }
 // per-rank timeline without extra plumbing.
 func (c *Comm) Trace() *trace.Track { return c.tr }
 
-// CloneHandle returns an equivalent handle; retained for API compatibility
-// with thread-multiple MPI usage (handles share all state).
-func (c *Comm) CloneHandle() *Comm {
-	return &Comm{rank: c.rank, w: c.w, scale: c.scale, tr: c.tr}
-}
-
 // Perturb is an injectable per-rank latency and slowdown model: simulated
 // stragglers and NIC delay, so load-balance and overlap wins are measurable
 // without hardware. Both fields are optional.

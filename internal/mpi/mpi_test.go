@@ -193,7 +193,7 @@ func TestConcurrentTaggedBcastsOverlap(t *testing.T) {
 			}
 			results[band] = buf
 			go func(band, root int, buf []complex128) {
-				Bcast(c2(c), root, 100+band, buf)
+				Bcast(c, root, 100+band, buf)
 				done <- band
 			}(band, root, buf)
 		}
@@ -209,14 +209,6 @@ func TestConcurrentTaggedBcastsOverlap(t *testing.T) {
 			}
 		}
 	})
-}
-
-// c2 clones a Comm handle with a private pending buffer so concurrent
-// goroutines on one rank do not race on the tag-matching map. (Concurrent
-// collectives from one rank must use disjoint peer pairs or distinct
-// handles, as real MPI requires thread-multiple handling.)
-func c2(c *Comm) *Comm {
-	return c.CloneHandle()
 }
 
 func TestSinglePrecisionConversion(t *testing.T) {

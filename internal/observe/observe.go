@@ -74,20 +74,6 @@ func NormError(s *core.System, psi []complex128) float64 {
 	return m
 }
 
-// Dipole integrates the current to the induced dipole moment per cell:
-// P(t) = -Omega * int_0^t J dt' (electron charge -1), by trapezoid.
-func Dipole(currents [][3]float64, dt, volume float64) [][3]float64 {
-	out := make([][3]float64, len(currents))
-	var acc [3]float64
-	for i := 1; i < len(currents); i++ {
-		for d := 0; d < 3; d++ {
-			acc[d] += 0.5 * (currents[i-1][d] + currents[i][d]) * dt
-			out[i][d] = -volume * acc[d]
-		}
-	}
-	return out
-}
-
 // LayerCharge integrates the electron density over the slab
 // zLo <= z < zHi (Cartesian bohr, axis z), the region charge used to track
 // interlayer charge transfer.

@@ -77,23 +77,6 @@ func TestEnergyMatchesHamiltonian(t *testing.T) {
 	}
 }
 
-func TestDipoleIntegration(t *testing.T) {
-	// Constant current j for time T gives dipole -Omega*j*T.
-	currents := make([][3]float64, 11)
-	for i := range currents {
-		currents[i] = [3]float64{0, 0, 2}
-	}
-	dip := Dipole(currents, 0.1, 5.0)
-	last := dip[len(dip)-1]
-	want := -5.0 * 2 * 1.0 // Omega * j * total time
-	if math.Abs(last[2]-want) > 1e-12 {
-		t.Errorf("dipole %g, want %g", last[2], want)
-	}
-	if dip[0][2] != 0 {
-		t.Error("dipole must start at zero")
-	}
-}
-
 func TestAbsorptionSpectrumPeakAtOscillation(t *testing.T) {
 	// A damped cosine current at omega0 must produce a spectral peak at
 	// omega0.

@@ -6,6 +6,10 @@
 // calibration points; everything else - scaling shape, component ranking,
 // crossover points, weak-scaling exponents, RK4/PT-CN ratios - follows
 // from the model and is compared against the paper in EXPERIMENTS.md.
+// The package is arithmetic only: it measures nothing and writes nothing
+// (measurements of this repository's own code live under bench/), and its
+// tests hold it against the paper's cells within stated bands and pin the
+// headline numbers it reports (TestReportedNumbers).
 //
 // Calibration sources (all from the paper):
 //   - Table 1 at 36 GPUs: per-SCF component times for Si1536.

@@ -303,3 +303,40 @@ func TestPowerComparisonSection6(t *testing.T) {
 		t.Errorf("equal-power speedup = %.1f, paper reports 7", pc.SpeedupAtEqualPower)
 	}
 }
+
+func TestReportedNumbers(t *testing.T) {
+	// The model's own headline outputs, to four figures: the numbers
+	// EXPERIMENTS.md quotes and `summitsim` prints. The tests above hold
+	// the model against the paper within a band; this one holds it still.
+	m := New(Reference)
+	stages := m.FockStages(72)
+	c768, c3072 := m.Comm(768), m.Comm(3072)
+	weak := WeakScaling([]int{48, 96, 192, 384, 768, 1536})
+	hoursPerFs := m.StepTotal(768) * (1000.0 / 50.0) / 3600 // 50 as steps
+	for _, row := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"Table 1: s/step at 768 GPUs", m.StepTotal(768), 250.8},
+		{"Table 1: speedup at 768 GPUs", m.Speedup(768), 35.38},
+		{"abstract (1.5 h/fs): hours per fs at 768 GPUs", hoursPerFs, 1.393},
+		{"Table 2: Bcast s at 3072 GPUs", c3072.BcastTime, 169.5},
+		{"Table 2: MPI % at 3072 GPUs", c3072.MPITotal / c3072.Total * 100, 75.85},
+		{"Fig. 3: first/last stage ratio", stages[0].Seconds / stages[len(stages)-1].Seconds, 7.492},
+		{"Fig. 3: final stage s", stages[len(stages)-1].Seconds, 46.50},
+		{"Fig. 6: RK4/PT-CN at 36 GPUs", m.PTCNvsRK4(36), 15.88},
+		{"Fig. 6: RK4/PT-CN at 768 GPUs", m.PTCNvsRK4(768), 31.00},
+		{"Fig. 7: parallel efficiency % at 384 GPUs", m.StepTotal(36) / m.StepTotal(384) / (384.0 / 36.0) * 100, 68.28},
+		{"Fig. 8: Si192 s per 50 as", weak[2].Time, 9.537},
+		{"Fig. 8: final growth exponent", GrowthExponent(weak[4], weak[5]), 1.859},
+		{"Fig. 9: others % at 36 GPUs", m.SCF(36).Others / m.SCF(36).PerSCF * 100, 2.516},
+		{"Fig. 9: others % at 768 GPUs", m.SCF(768).Others / m.SCF(768).PerSCF * 100, 16.15},
+		{"Fig. 10: Bcast s at 768 GPUs", c768.BcastTime, 84.73},
+		{"Fig. 10: compute s at 768 GPUs", c768.ComputeTime, 139.8},
+		{"section 6: speedup at equal power", m.M.ComparePower(3072, 72, m.cpuStep(), m.StepTotal(72)).SpeedupAtEqualPower, 6.962},
+	} {
+		if relErr(row.got, row.want) > 5e-4 {
+			t.Errorf("%s = %.5g, want %.4g", row.name, row.got, row.want)
+		}
+	}
+}

@@ -11,7 +11,12 @@ import (
 	"testing"
 
 	"ptdft/internal/checkpoint"
+	"ptdft/internal/core"
+	"ptdft/internal/hamiltonian"
+	"ptdft/internal/laser"
 	"ptdft/internal/observe"
+	"ptdft/internal/units"
+	"ptdft/internal/xc"
 )
 
 // testSpec is the smallest real system: Si8, low cutoff, a short PT-CN
@@ -495,5 +500,35 @@ func TestRunSerialEqualsDistributed(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunCurrentEqualsHandLoop: the J_z series of Run is the one a
+// core.PTCN + System.Prepare + observe.Current loop records on the same
+// ground state - the identity cmd/spectra and the kick examples rest on
+// since they stopped stepping the solver themselves.
+func TestRunCurrentEqualsHandLoop(t *testing.T) {
+	spec := testSpec()
+	spec.Steps = 3
+	res, err := Run(&spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, g, nb, err := spec.System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hamiltonian.New(g, spec.Pots(), hamiltonian.Config{Params: xc.HSE06()})
+	sys := &core.System{G: g, H: h, NB: nb, Occ: 2, Field: &laser.Kick{K: spec.Kick, Pol: [3]float64{0, 0, 1}}}
+	p := core.NewPTCN(sys, core.DefaultPTCN())
+	psi := res.Ground.Psi
+	for i, s := range res.Samples {
+		if psi, _, err = p.Step(psi, units.AttosecondsToAU(spec.DtAs)); err != nil {
+			t.Fatal(err)
+		}
+		sys.Prepare(psi, p.Time)
+		if jz := observe.Current(sys, psi)[2]; math.Abs(jz-s.CurrentZ) > 1e-12 {
+			t.Errorf("step %d: J_z %.15e from Run, %.15e from the hand loop", i+1, s.CurrentZ, jz)
+		}
 	}
 }
