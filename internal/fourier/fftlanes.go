@@ -14,6 +14,16 @@ import "ptdft/internal/lanes"
 
 const lw = lanes.Width
 
+// useAVX2 selects the vector kernels of bfly_amd64.s over the Go loops
+// below for the radix-2/3/4 combines and the full-group row copies. It is
+// set once, at init, from what the CPU reports (bfly_amd64.go) and stays
+// false on every other GOARCH; nothing a user sets reaches it. Both paths
+// produce the same bits - the kernels evaluate the Go expressions operation
+// for operation, without fused multiply-add - so the Go loops are the
+// portable path and the oracle (TestVecKernelsBitIdentical flips this
+// variable in-package).
+var useAVX2 bool
+
 // transformLanes runs one unnormalized transform over a lane block of
 // lanes.Width pencils. dst and src are lane blocks of length n*Width and
 // must not alias; plans with a Bluestein fallback require a workspace from
@@ -41,9 +51,20 @@ func (p *Plan) recurseLanes(dst, src lanes.Slab, stride, d int, inverse bool) {
 	}
 	st := &p.stages[d]
 	r, m := st.r, st.m
-	for q := 0; q < r; q++ {
-		sub := lanes.Slab{Re: src.Re[q*stride*lw:], Im: src.Im[q*stride*lw:]}
-		p.recurseLanes(dst.Slice(q*m*lw, (q+1)*m*lw), sub, stride*r, d+1, inverse)
+	if m == 1 {
+		// Last stage: the r sub-transforms are single rows, copied here
+		// instead of through r leaf calls.
+		if !copyRowsVec(dst, 0, lw, src, 0, stride*lw, r) {
+			for q := 0; q < r; q++ {
+				*(*[lw]float64)(dst.Re[q*lw:]) = *(*[lw]float64)(src.Re[q*stride*lw:])
+				*(*[lw]float64)(dst.Im[q*lw:]) = *(*[lw]float64)(src.Im[q*stride*lw:])
+			}
+		}
+	} else {
+		for q := 0; q < r; q++ {
+			sub := lanes.Slab{Re: src.Re[q*stride*lw:], Im: src.Im[q*stride*lw:]}
+			p.recurseLanes(dst.Slice(q*m*lw, (q+1)*m*lw), sub, stride*r, d+1, inverse)
+		}
 	}
 	twre, twim := st.twFre, st.twFim
 	rore, roim := st.rootFre, st.rootFim
@@ -52,6 +73,9 @@ func (p *Plan) recurseLanes(dst, src lanes.Slab, stride, d int, inverse bool) {
 		rore, roim = st.rootIre, st.rootIim
 	}
 	dre, dim := dst.Re, dst.Im
+	if combineVec(r, m, dre, dim, twre, twim, rore, roim) {
+		return
+	}
 	switch r {
 	case 2:
 		for k := 0; k < m; k++ {

@@ -49,69 +49,72 @@ func FuzzLaneVsScalar(f *testing.F) {
 		check := func(what string, ref []complex128, got lanes.Slab) {
 			t.Helper()
 			if d := maxDiff(ref, got); d > tol {
-				t.Errorf("%dx%dx%d nb=%d: %s lane vs scalar max diff %g (tol %g)", nx, ny, nz, nb, what, d, tol)
+				t.Errorf("%dx%dx%d nb=%d kernels=%v: %s lane vs scalar max diff %g (tol %g)", nx, ny, nz, nb, useAVX2, what, d, tol)
 			}
 		}
 
-		// Raw transform, forward and inverse.
-		for _, inverse := range []bool{false, true} {
-			ref := make([]complex128, n)
-			p.RawSerialWS(ref, src, inverse, ws)
-			s, d := lanes.New(n), lanes.New(n)
+		// Every check runs on the Go loops and on the vector kernels.
+		forEachVec(func(bool) {
+			// Raw transform, forward and inverse.
+			for _, inverse := range []bool{false, true} {
+				ref := make([]complex128, n)
+				p.RawSerialWS(ref, src, inverse, ws)
+				s, d := lanes.New(n), lanes.New(n)
+				lanes.Pack(s, src)
+				p.RawSlabWS(d, s, inverse, ws)
+				check("raw transform", ref, d)
+			}
+
+			// Fused Poisson solve.
+			ref := append([]complex128(nil), src...)
+			p.PoissonSerialWS(ref, kernel, ws)
+			s := lanes.New(n)
 			lanes.Pack(s, src)
-			p.RawSlabWS(d, s, inverse, ws)
-			check("raw transform", ref, d)
-		}
+			p.PoissonSlabWS(s, kernel, ws)
+			check("Poisson", ref, s)
 
-		// Fused Poisson solve.
-		ref := append([]complex128(nil), src...)
-		p.PoissonSerialWS(ref, kernel, ws)
-		s := lanes.New(n)
-		lanes.Pack(s, src)
-		p.PoissonSlabWS(s, kernel, ws)
-		check("Poisson", ref, s)
-
-		// nb-band contraction: the fock-style accumulation of nb pair
-		// contractions into nb accumulator rows.
-		phi := randGridRng(rng, nb*n)
-		refAcc := make([]complex128, nb*n)
-		buf := make([]complex128, n)
-		sphi, sacc, ssrc, sbuf := lanes.New(nb*n), lanes.New(nb*n), lanes.New(n), lanes.New(n)
-		lanes.Pack(sphi, phi)
-		lanes.Pack(ssrc, src)
-		for b := 0; b < nb; b++ {
-			row := phi[b*n : (b+1)*n]
-			p.ContractSerialWS(refAcc[b*n:(b+1)*n], row, src, buf, kernel, complex(-0.25, 0), ws)
-			p.ContractSlabWS(sacc.Row(b, n), sphi.Row(b, n), ssrc, sbuf, kernel, -0.25, ws)
-		}
-		check("nb-band contraction", refAcc, sacc)
-
-		// Two-sided pair contraction, off-diagonal and diagonal, against a
-		// spelled-out scalar oracle (no kernel-symmetry assumption: conj(v)
-		// is taken explicitly).
-		if nb >= 2 {
-			phiI, phiJ := phi[:n], phi[n:2*n]
-			v := make([]complex128, n)
-			for i := range v {
-				v[i] = complex(real(phiI[i]), -imag(phiI[i])) * phiJ[i]
+			// nb-band contraction: the fock-style accumulation of nb pair
+			// contractions into nb accumulator rows.
+			phi := randGridRng(rng, nb*n)
+			refAcc := make([]complex128, nb*n)
+			buf := make([]complex128, n)
+			sphi, sacc, ssrc, sbuf := lanes.New(nb*n), lanes.New(nb*n), lanes.New(n), lanes.New(n)
+			lanes.Pack(sphi, phi)
+			lanes.Pack(ssrc, src)
+			for b := 0; b < nb; b++ {
+				row := phi[b*n : (b+1)*n]
+				p.ContractSerialWS(refAcc[b*n:(b+1)*n], row, src, buf, kernel, complex(-0.25, 0), ws)
+				p.ContractSlabWS(sacc.Row(b, n), sphi.Row(b, n), ssrc, sbuf, kernel, -0.25, ws)
 			}
-			p.PoissonSerialWS(v, kernel, ws)
-			refI := make([]complex128, n)
-			refJ := make([]complex128, n)
-			for i := range v {
-				refJ[i] += -0.25 * phiI[i] * v[i]
-				refI[i] += -0.25 * phiJ[i] * complex(real(v[i]), -imag(v[i]))
+			check("nb-band contraction", refAcc, sacc)
+
+			// Two-sided pair contraction, off-diagonal and diagonal, against a
+			// spelled-out scalar oracle (no kernel-symmetry assumption: conj(v)
+			// is taken explicitly).
+			if nb >= 2 {
+				phiI, phiJ := phi[:n], phi[n:2*n]
+				v := make([]complex128, n)
+				for i := range v {
+					v[i] = complex(real(phiI[i]), -imag(phiI[i])) * phiJ[i]
+				}
+				p.PoissonSerialWS(v, kernel, ws)
+				refI := make([]complex128, n)
+				refJ := make([]complex128, n)
+				for i := range v {
+					refJ[i] += -0.25 * phiI[i] * v[i]
+					refI[i] += -0.25 * phiJ[i] * complex(real(v[i]), -imag(v[i]))
+				}
+				accI, accJ := lanes.New(n), lanes.New(n)
+				p.ContractPairSlabWS(accI, accJ, sphi.Row(0, n), sphi.Row(1, n), sbuf, kernel, -0.25, false, ws)
+				check("pair contraction accJ", refJ, accJ)
+				check("pair contraction accI", refI, accI)
 			}
-			accI, accJ := lanes.New(n), lanes.New(n)
-			p.ContractPairSlabWS(accI, accJ, sphi.Row(0, n), sphi.Row(1, n), sbuf, kernel, -0.25, false, ws)
-			check("pair contraction accJ", refJ, accJ)
-			check("pair contraction accI", refI, accI)
-		}
-		refD := make([]complex128, n)
-		p.ContractSerialWS(refD, src, src, buf, kernel, complex(-0.25, 0), ws)
-		accD := lanes.New(n)
-		p.ContractPairSlabWS(accD, accD, ssrc, ssrc, sbuf, kernel, -0.25, true, ws)
-		check("diagonal pair contraction", refD, accD)
+			refD := make([]complex128, n)
+			p.ContractSerialWS(refD, src, src, buf, kernel, complex(-0.25, 0), ws)
+			accD := lanes.New(n)
+			p.ContractPairSlabWS(accD, accD, ssrc, ssrc, sbuf, kernel, -0.25, true, ws)
+			check("diagonal pair contraction", refD, accD)
+		})
 	})
 }
 
@@ -138,6 +141,8 @@ func FuzzPrunedVsRaw(f *testing.F) {
 		}
 		p := MustPlan3(nx, ny, nz)
 		box, rows, planes := prunedCase(rand.New(rand.NewSource(seed)), p, float64(bkeep)/255)
-		checkPrunedVsRaw(t, p, box, rows, planes, 1e-12*(1+math.Sqrt(float64(p.Size()))))
+		forEachVec(func(bool) {
+			checkPrunedVsRaw(t, p, box, rows, planes, 1e-12*(1+math.Sqrt(float64(p.Size()))))
+		})
 	})
 }

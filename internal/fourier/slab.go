@@ -27,8 +27,8 @@ import (
 //	        contiguous Width-wide copy per element.
 
 func (p *Plan3) checkSlab(s lanes.Slab, what string) {
-	if s.Len() != p.Size() {
-		panic(fmt.Sprintf("fourier: slab %s length %d != grid %d", what, s.Len(), p.Size()))
+	if len(s.Re) != p.Size() || len(s.Im) != p.Size() {
+		panic(fmt.Sprintf("fourier: slab %s length %d/%d != grid %d", what, len(s.Re), len(s.Im), p.Size()))
 	}
 }
 
@@ -94,6 +94,9 @@ func zeroTailLanes(b lanes.Slab, n, L int) {
 // fast path is an 8-wide copy per element.
 func gatherStrided(b lanes.Slab, src lanes.Slab, off, n, stride, L int) {
 	if L == lw {
+		if copyRowsVec(b, 0, lw, src, off, stride, n) {
+			return
+		}
 		for k := 0; k < n; k++ {
 			o := off + k*stride
 			*(*[lw]float64)(b.Re[k*lw:]) = *(*[lw]float64)(src.Re[o:])
@@ -117,6 +120,9 @@ func gatherStrided(b lanes.Slab, src lanes.Slab, off, n, stride, L int) {
 // scatterStrided is the inverse of gatherStrided.
 func scatterStrided(dst lanes.Slab, b lanes.Slab, off, n, stride, L int) {
 	if L == lw {
+		if copyRowsVec(dst, off, stride, b, 0, lw, n) {
+			return
+		}
 		for k := 0; k < n; k++ {
 			o := off + k*stride
 			*(*[lw]float64)(dst.Re[o:]) = *(*[lw]float64)(b.Re[k*lw:])

@@ -1,0 +1,64 @@
+package fourier_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"testing"
+
+	"ptdft/internal/fourier"
+	"ptdft/internal/sim"
+)
+
+// TestVecKernelsSameTrajectory is the end-to-end face of
+// TestVecKernelsBitIdentical: the benchmark's three solver rows, ground
+// state and four steps each, hash to the same samples and final orbitals on
+// the Go loops and on the vector kernels. On a host without AVX2 it runs
+// the Go loops once and compares nothing.
+func TestVecKernelsSameTrajectory(t *testing.T) {
+	rows := []struct {
+		name string
+		spec sim.Spec
+	}{
+		{"semilocal_serial_si16", sim.Spec{Cells: [3]int{2, 1, 1}, Ecut: 3, Kick: 0.02}},
+		{"exact_2rank_si8", sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 3, Hybrid: true, Ranks: 2, Exchange: "overlap", Kick: 0.02}},
+		{"ace_mts_2rank_si8e6", sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 6, Hybrid: true, ACE: true, MTS: 4, Ranks: 2, Exchange: "overlap", PulseE0: 0.01}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var hashes []string
+			fourier.ForEachVec(func(bool) {
+				spec := row.spec
+				spec.Steps, spec.DtAs, spec.Seed = 4, 24, 19
+				if err := spec.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				res, err := sim.Run(&spec, sim.Options{PulseSteps: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				hashes = append(hashes, hashResult(res))
+			})
+			if len(hashes) == 2 && hashes[0] != hashes[1] {
+				t.Errorf("trajectory differs: Go loops %s, vector kernels %s", hashes[0], hashes[1])
+			}
+		})
+	}
+}
+
+func hashResult(res *sim.Result) string {
+	h := sha256.New()
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+		}
+	}
+	for _, s := range res.Samples {
+		put(s.TimeFs, s.Energy, s.CurrentZ, s.Excited, float64(s.SCFIters))
+	}
+	for _, c := range res.Psi {
+		put(real(c), imag(c))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}

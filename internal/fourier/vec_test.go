@@ -1,0 +1,240 @@
+package fourier
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"ptdft/internal/lanes"
+)
+
+// forEachVec runs fn on the Go loops and then, where init found AVX2, on the
+// vector kernels, and puts useAVX2 back. Tests in this package do not run in
+// parallel, so flipping the package variable is safe.
+func forEachVec(fn func(vec bool)) {
+	host := useAVX2
+	defer func() { useAVX2 = host }()
+	useAVX2 = false
+	fn(false)
+	if host {
+		useAVX2 = true
+		fn(true)
+	}
+}
+
+// goFusesMulAdd reports whether this build of the Go loops rounds x*y + z
+// once (GOAMD64=v3 lets gc emit VFMADD). The kernels never fuse, so on such
+// a build the two paths legitimately differ in the last bit and the oracle
+// comparison does not apply; the kernels are then the only path a v3 binary
+// can take, since v3 requires AVX2.
+func goFusesMulAdd() bool {
+	x, y, z := fuseProbe[0], fuseProbe[1], fuseProbe[2]
+	return x*y+z != 0
+}
+
+// (1+2^-30)(1-2^-30) = 1 - 2^-60 rounds to 1, so the unfused sum with -1 is
+// exactly 0 and the fused one is -2^-60. A variable, so nothing folds.
+var fuseProbe = [3]float64{1 + 1.0/(1<<30), 1 - 1.0/(1<<30), -1}
+
+func skipUnlessBothPaths(t *testing.T) {
+	t.Helper()
+	if !useAVX2 {
+		t.Skip("host has no AVX2 (or GOARCH is not amd64): the Go loops are the only path, nothing to compare")
+	}
+	if goFusesMulAdd() {
+		t.Skip("this build fuses multiply-add in the Go loops (GOAMD64=v3): they are not the kernels' bit oracle")
+	}
+}
+
+func randLaneSlab(rng *rand.Rand, n int) lanes.Slab {
+	s := lanes.New(n)
+	for i := 0; i < n; i++ {
+		s.Re[i] = rng.NormFloat64()
+		s.Im[i] = rng.NormFloat64()
+	}
+	return s
+}
+
+func cloneSlab(s lanes.Slab) lanes.Slab {
+	return lanes.Slab{Re: append([]float64(nil), s.Re...), Im: append([]float64(nil), s.Im...)}
+}
+
+// sameBits compares with ==: a NaN anywhere fails, and no transform of
+// finite data produces one.
+func sameBits(t *testing.T, what string, goPath, vec lanes.Slab) {
+	t.Helper()
+	for i := range goPath.Re {
+		if goPath.Re[i] != vec.Re[i] || goPath.Im[i] != vec.Im[i] {
+			t.Errorf("%s: element %d: Go loops (%v, %v), kernels (%v, %v)", what, i, goPath.Re[i], goPath.Im[i], vec.Re[i], vec.Im[i])
+			return
+		}
+	}
+}
+
+// TestVecKernelsBitIdentical is the pin under the vector kernels: with the
+// package variable flipped in place, every transform the step runs gives the
+// same float64s from the Go loops and from bfly_amd64.s.
+func TestVecKernelsBitIdentical(t *testing.T) {
+	skipUnlessBothPaths(t)
+	rng := rand.New(rand.NewSource(19))
+
+	// 1-D: every fast length up to 128 (radix 2, 3 and 4 stages in every
+	// order the planner builds, with generic radix 5 and 7 stages between
+	// them), 25, 35 and 49 by name (generic-only plans: the dispatch must
+	// decline them), and 67 (Bluestein, whose inner length-256 plan is all
+	// radix 4).
+	var lengths []int
+	for n := 1; n <= 128; n++ {
+		if IsFast(n) {
+			lengths = append(lengths, n)
+		}
+	}
+	lengths = append(lengths, 25, 35, 49, 67)
+	for _, n := range lengths {
+		p := MustPlan(n)
+		ws := p.NewWorkspace()
+		src := randLaneSlab(rng, n*lw)
+		for _, inverse := range []bool{false, true} {
+			var out [2]lanes.Slab
+			forEachVec(func(vec bool) {
+				dst := lanes.New(n * lw)
+				p.transformLanes(dst, src, inverse, ws)
+				out[b2i(vec)] = dst
+			})
+			sameBits(t, fmt.Sprintf("transformLanes n=%d inverse=%v", n, inverse), out[0], out[1])
+		}
+	}
+
+	// 3-D: the slab entry points on the four production boxes (wave and
+	// dense box of Si16/Ecut 3, of Si8/Ecut 2-3 and of Si8/Ecut 6).
+	for _, dims := range [][3]int{{18, 9, 9}, {36, 18, 18}, {12, 12, 12}, {24, 24, 24}} {
+		p := MustPlan3(dims[0], dims[1], dims[2])
+		n := p.Size()
+		ws := p.NewWorkspace()
+		src, phi := randLaneSlab(rng, n), randLaneSlab(rng, n)
+		acc0 := randLaneSlab(rng, n)
+		kernel := make([]float64, n)
+		for i := range kernel {
+			kernel[i] = rng.Float64()
+		}
+		box, rows, planes := prunedCase(rng, p, 0.15)
+		pruned := lanes.New(n)
+		lanes.Pack(pruned, box)
+
+		ops := []struct {
+			name string
+			run  func() []lanes.Slab
+		}{
+			{"RawSlabWS forward", func() []lanes.Slab {
+				d := lanes.New(n)
+				p.RawSlabWS(d, src, false, ws)
+				return []lanes.Slab{d}
+			}},
+			{"RawSlabWS inverse in place", func() []lanes.Slab {
+				d := cloneSlab(src)
+				p.RawSlabWS(d, d, true, ws)
+				return []lanes.Slab{d}
+			}},
+			{"InversePrunedSlabWS", func() []lanes.Slab {
+				d := cloneSlab(pruned)
+				p.InversePrunedSlabWS(d, rows, planes, ws)
+				return []lanes.Slab{d}
+			}},
+			{"PoissonSlabWS", func() []lanes.Slab {
+				d := cloneSlab(src)
+				p.PoissonSlabWS(d, kernel, ws)
+				return []lanes.Slab{d}
+			}},
+			{"ContractSlabWS", func() []lanes.Slab {
+				d := cloneSlab(acc0)
+				p.ContractSlabWS(d, phi, src, lanes.New(n), kernel, -0.25, ws)
+				return []lanes.Slab{d}
+			}},
+			{"ContractPairSlabWS", func() []lanes.Slab {
+				accI, accJ := cloneSlab(acc0), cloneSlab(acc0)
+				p.ContractPairSlabWS(accI, accJ, phi, src, lanes.New(n), kernel, -0.25, false, ws)
+				return []lanes.Slab{accI, accJ}
+			}},
+			{"ContractPairSlabWS diag", func() []lanes.Slab {
+				accJ := cloneSlab(acc0)
+				p.ContractPairSlabWS(accJ, accJ, phi, phi, lanes.New(n), kernel, -0.25, true, ws)
+				return []lanes.Slab{accJ}
+			}},
+		}
+		for _, op := range ops {
+			var out [2][]lanes.Slab
+			forEachVec(func(vec bool) { out[b2i(vec)] = op.run() })
+			for i := range out[0] {
+				sameBits(t, fmt.Sprintf("%v %s output %d", dims, op.name, i), out[0][i], out[1][i])
+			}
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestVecBoundsPanic feeds each path what the assembly must never see - a
+// slab with a short Im half, a short twiddle table, a strided source that
+// ends before the last row - and requires the Go loops and the kernel
+// wrappers alike to panic before touching memory they do not own.
+func TestVecBoundsPanic(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"short Im", func() {
+			p := MustPlan3(8, 8, 8)
+			s := lanes.New(p.Size())
+			s.Im = s.Im[:p.Size()-1]
+			p.RawSlabWS(s, s, false, p.NewWorkspace())
+		}},
+		{"short twiddle table", func() {
+			p := MustPlan(12)
+			st := &p.stages[0]
+			st.twFre = st.twFre[:len(st.twFre)-1]
+			p.transformLanes(lanes.New(12*lw), lanes.New(12*lw), false, nil)
+		}},
+		{"short lane block", func() {
+			p := MustPlan(12)
+			p.transformLanes(lanes.Slab{Re: make([]float64, 12*lw), Im: make([]float64, 12*lw-1)}, lanes.New(12*lw), false, nil)
+		}},
+		{"short strided source", func() {
+			gatherStrided(lanes.New(4*lw), lanes.New(3*20+lw-1), 0, 4, 20, lw)
+		}},
+		{"short strided destination", func() {
+			scatterStrided(lanes.Slab{Re: make([]float64, 3*20+lw), Im: make([]float64, 3*20+lw-1)}, lanes.New(4*lw), 0, 4, 20, lw)
+		}},
+	}
+	for _, tc := range cases {
+		forEachVec(func(vec bool) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s (vector kernels %v): no panic", tc.name, vec)
+				}
+			}()
+			tc.run()
+		})
+	}
+}
+
+// BenchmarkTransformLanes times one lane-block transform (Width pencils) at
+// the production axis lengths on each path this host has; it is the number
+// to look at first when touching recurseLanes or a kernel.
+func BenchmarkTransformLanes(b *testing.B) {
+	for _, n := range []int{9, 12, 18, 24, 36} {
+		p := MustPlan(n)
+		src, dst := randLaneSlab(rand.New(rand.NewSource(1)), n*lw), lanes.New(n*lw)
+		forEachVec(func(vec bool) {
+			b.Run(fmt.Sprintf("n=%d/kernels=%v", n, vec), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					p.transformLanes(dst, src, i&1 == 1, nil)
+				}
+			})
+		})
+	}
+}
