@@ -7,6 +7,7 @@ package mixing
 
 import (
 	"fmt"
+	"math/cmplx"
 
 	"ptdft/internal/linalg"
 	"ptdft/internal/parallel"
@@ -24,6 +25,10 @@ type Anderson struct {
 	maxHist int
 	beta    float64
 	xs, fs  [][]complex128
+	// gram[i*maxHist+j] = <f_i|f_j> over the current history. Each Mix adds
+	// one row (m inner products) and its conjugate column instead of
+	// recomputing all m^2; dropping the oldest pair shifts it up and left.
+	gram []complex128
 }
 
 // NewAnderson creates a mixer with history depth maxHist (the paper uses
@@ -39,6 +44,7 @@ func NewAnderson(maxHist int, beta float64) *Anderson {
 func (a *Anderson) Reset() {
 	a.xs = a.xs[:0]
 	a.fs = a.fs[:0]
+	clear(a.gram)
 }
 
 // HistoryLen reports the current history depth.
@@ -64,11 +70,26 @@ func (a *Anderson) Mix(x, f []complex128) []complex128 {
 	fc := append([]complex128(nil), f...)
 	a.xs = append(a.xs, xc)
 	a.fs = append(a.fs, fc)
-	if len(a.xs) > a.maxHist {
+	h := a.maxHist
+	if a.gram == nil {
+		a.gram = make([]complex128, h*h)
+	}
+	if len(a.xs) > h {
 		a.xs = a.xs[1:]
 		a.fs = a.fs[1:]
+		for i := 0; i < h-1; i++ {
+			copy(a.gram[i*h:i*h+h-1], a.gram[(i+1)*h+1:(i+2)*h])
+		}
 	}
 	m := len(a.xs)
+	// Dot(b, a) is the exact conjugate of Dot(a, b) (the same products,
+	// subtracted the other way round), so the column costs nothing and the
+	// matrix is the one m^2 inner products would give.
+	for j := 0; j < m; j++ {
+		v := linalg.Dot(fc, a.fs[j])
+		a.gram[j*h+m-1] = cmplx.Conj(v)
+		a.gram[(m-1)*h+j] = v // last, so the diagonal keeps Dot's own +0i
+	}
 	out := make([]complex128, len(x))
 	if m == 1 {
 		for i := range out {
@@ -102,13 +123,8 @@ func (a *Anderson) coefficients(m int) []complex128 {
 	sys := make([]complex128, n*n)
 	var trace float64
 	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			v := linalg.Dot(a.fs[i], a.fs[j])
-			sys[i*n+j] = v
-			if i == j {
-				trace += real(v)
-			}
-		}
+		copy(sys[i*n:i*n+m], a.gram[i*a.maxHist:])
+		trace += real(sys[i*n+i])
 	}
 	// Tikhonov regularization keeps the system solvable when residuals
 	// become linearly dependent near convergence.

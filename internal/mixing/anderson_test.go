@@ -227,3 +227,37 @@ func TestMemoryAccountingTwentyCopies(t *testing.T) {
 		t.Errorf("memory = %d, want %d", a.MemoryBytes(), want)
 	}
 }
+
+// The Gram matrix the mixer carries from call to call must be, bit for bit,
+// the one m^2 inner products over the current history give - through the
+// growth phase, through every shift once the history is full (maxHist 4,
+// 30 calls) and across a Reset.
+func TestAndersonGramIncrementalMatchesFromScratch(t *testing.T) {
+	const n, maxHist = 40, 4
+	rng := rand.New(rand.NewSource(23))
+	a := NewAnderson(maxHist, 0.5)
+	check := func(call int) {
+		t.Helper()
+		m := a.HistoryLen()
+		for i := 0; i < m; i++ {
+			for j := 0; j < m; j++ {
+				want := linalg.Dot(a.fs[i], a.fs[j])
+				if got := a.gram[i*maxHist+j]; got != want {
+					t.Fatalf("call %d, history %d: gram[%d][%d] = %v, from scratch %v", call, m, i, j, got, want)
+				}
+			}
+		}
+	}
+	for call := 0; call < 30; call++ {
+		if call == 17 {
+			a.Reset()
+		}
+		x, f := make([]complex128, n), make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			f[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		a.Mix(x, f)
+		check(call)
+	}
+}
