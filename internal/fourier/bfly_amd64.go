@@ -17,7 +17,7 @@ import (
 func init() { useAVX2 = hasAVX2() }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv0() (eax, edx uint32)
+func xgetbv0() (eax uint32)
 
 // hasAVX2 reports whether the CPU has AVX2 and the OS saves the ymm state
 // across context switches (OSXSAVE set, XCR0 enabling both the SSE and AVX
@@ -32,7 +32,7 @@ func hasAVX2() bool {
 	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
 		return false
 	}
-	if xcr0, _ := xgetbv0(); xcr0&6 != 6 {
+	if xgetbv0()&6 != 6 {
 		return false
 	}
 	const avx2 = 1 << 5

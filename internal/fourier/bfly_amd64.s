@@ -25,12 +25,11 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL DX, edx+20(FP)
 	RET
 
-// func xgetbv0() (eax, edx uint32)
-TEXT ·xgetbv0(SB), NOSPLIT, $0-8
+// func xgetbv0() (eax uint32)
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	XORL CX, CX
 	XGETBV
 	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
 	RET
 
 // Register plan shared by the three butterflies:
@@ -58,19 +57,30 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	DECQ CX      \
 	JNZ  loop
 
-// Radix 2, one half row. Y14, Y15 = wr, wi of this k.
+// TWMUL(dr, di, wr, wi, or, oi) loads one half row (dr, di) of a block and
+// multiplies it by that block's twiddle (wr, wi) of this k:
 //
-//	tr = br*wr - bi*wi;  ti = br*wi + bi*wr
-//	br = ar - tr;  bi = ai - ti;  ar += tr;  ai += ti
+//	or = sr*wr - si*wi;  oi = sr*wi + si*wr
+//
+// Clobbers Y8-Y11.
+#define TWMUL(dr, di, wr, wi, or, oi) \
+	VBROADCASTSD wr, Y8  \
+	VBROADCASTSD wi, Y9  \
+	VMOVUPD dr, Y10      \
+	VMOVUPD di, Y11      \
+	VMULPD  Y8, Y10, or  \
+	VMULPD  Y9, Y11, oi  \
+	VSUBPD  oi, or, or   \
+	VMULPD  Y9, Y10, oi  \
+	VMULPD  Y8, Y11, Y10 \
+	VADDPD  Y10, oi, oi
+
+// Radix 2, one half row.
+//
+//	t = b*tw1
+//	b = a - t;  a += t
 #define BFLY2(off) \
-	VMOVUPD off(SI)(BX*1), Y0 \
-	VMOVUPD off(DI)(BX*1), Y1 \
-	VMULPD  Y14, Y0, Y2 \
-	VMULPD  Y15, Y1, Y3 \
-	VSUBPD  Y3, Y2, Y2  \
-	VMULPD  Y15, Y0, Y3 \
-	VMULPD  Y14, Y1, Y4 \
-	VADDPD  Y4, Y3, Y3  \
+	TWMUL(off(SI)(BX*1), off(DI)(BX*1), (R8)(AX*1), (R9)(AX*1), Y2, Y3) \
 	VMOVUPD off(SI), Y0 \
 	VMOVUPD off(DI), Y1 \
 	VSUBPD  Y2, Y0, Y4  \
@@ -91,31 +101,11 @@ TEXT ·bfly2AVX2(SB), NOSPLIT, $0-40
 	MOVQ m+32(FP), CX
 	SETUP
 loop2:
-	VBROADCASTSD (R8)(AX*1), Y14
-	VBROADCASTSD (R9)(AX*1), Y15
 	BFLY2(0)
 	BFLY2(32)
 	NEXTROW(loop2)
 	VZEROUPPER
 	RET
-
-// TWMUL(dr, di, wr, wi, or, oi) loads one half row (dr, di) of a block and
-// multiplies it by that block's twiddle (wr, wi) of this k:
-//
-//	or = sr*wr - si*wi;  oi = sr*wi + si*wr
-//
-// Clobbers Y8-Y11.
-#define TWMUL(dr, di, wr, wi, or, oi) \
-	VBROADCASTSD wr, Y8  \
-	VBROADCASTSD wi, Y9  \
-	VMOVUPD dr, Y10      \
-	VMOVUPD di, Y11      \
-	VMULPD  Y8, Y10, or  \
-	VMULPD  Y9, Y11, oi  \
-	VSUBPD  oi, or, or   \
-	VMULPD  Y9, Y10, oi  \
-	VMULPD  Y8, Y11, Y10 \
-	VADDPD  Y10, oi, oi
 
 // ROT3(OP, ua, ub, va, vb, a0, dst) stores
 //

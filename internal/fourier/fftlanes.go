@@ -43,17 +43,13 @@ func (p *Plan) transformLanes(dst, src lanes.Slab, inverse bool, ws *Workspace) 
 
 // recurseLanes is the decimation-in-time step over a lane block: identical
 // index structure to recurse, with every element offset scaled by Width.
+// The plan has at least one stage (transformLanes handles n == 1).
 func (p *Plan) recurseLanes(dst, src lanes.Slab, stride, d int, inverse bool) {
-	if d == len(p.stages) {
-		*(*[lw]float64)(dst.Re) = *(*[lw]float64)(src.Re)
-		*(*[lw]float64)(dst.Im) = *(*[lw]float64)(src.Im)
-		return
-	}
 	st := &p.stages[d]
 	r, m := st.r, st.m
 	if m == 1 {
-		// Last stage: the r sub-transforms are single rows, copied here
-		// instead of through r leaf calls.
+		// Last stage: the r sub-transforms are single rows (recurse's
+		// leaves), copied here instead of through r more calls.
 		if !copyRowsVec(dst, 0, lw, src, 0, stride*lw, r) {
 			for q := 0; q < r; q++ {
 				*(*[lw]float64)(dst.Re[q*lw:]) = *(*[lw]float64)(src.Re[q*stride*lw:])

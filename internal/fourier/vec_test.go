@@ -95,11 +95,11 @@ func TestVecKernelsBitIdentical(t *testing.T) {
 		ws := p.NewWorkspace()
 		src := randLaneSlab(rng, n*lw)
 		for _, inverse := range []bool{false, true} {
-			var out [2]lanes.Slab
-			forEachVec(func(vec bool) {
+			var out []lanes.Slab // Go loops, then kernels
+			forEachVec(func(bool) {
 				dst := lanes.New(n * lw)
 				p.transformLanes(dst, src, inverse, ws)
-				out[b2i(vec)] = dst
+				out = append(out, dst)
 			})
 			sameBits(t, fmt.Sprintf("transformLanes n=%d inverse=%v", n, inverse), out[0], out[1])
 		}
@@ -162,20 +162,13 @@ func TestVecKernelsBitIdentical(t *testing.T) {
 			}},
 		}
 		for _, op := range ops {
-			var out [2][]lanes.Slab
-			forEachVec(func(vec bool) { out[b2i(vec)] = op.run() })
+			var out [][]lanes.Slab // Go loops, then kernels
+			forEachVec(func(bool) { out = append(out, op.run()) })
 			for i := range out[0] {
 				sameBits(t, fmt.Sprintf("%v %s output %d", dims, op.name, i), out[0][i], out[1][i])
 			}
 		}
 	}
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // TestVecBoundsPanic feeds each path what the assembly must never see - a

@@ -4,7 +4,8 @@
 // every kernel below walks the arrays in fixed Width-wide blocks through
 // *[Width]float64 views, so the compiler drops the bounds checks and the
 // inner loops are straight-line float64 arithmetic with Width independent
-// dependency chains - the plain-Go rendition of the SPMD-Go
+// dependency chains (stock gc emits them scalar; the FFT butterflies have
+// AVX2 twins in internal/fourier) - the plain-Go rendition of the SPMD-Go
 // uniform/varying discipline (coefficients like twiddles and kernel values
 // are "uniform": one scalar load serves all Width lanes; the data is
 // "varying": one element per lane).
@@ -20,12 +21,14 @@
 //     the vector dimension.
 //
 // Remainders (n not a multiple of Width) are handled by scalar tail loops
-// here and by scalar-epilogue pencils in the FFT passes; no kernel ever
-// requires padded lengths.
+// here; in the FFT passes a partial lane group runs through the same lane
+// kernels with its unused lanes zero-filled (fourier/slab.go). No kernel
+// ever requires padded lengths.
 package lanes
 
 // Width is the lane count: 8 float64 lanes = one 64-byte cache line per
-// block, and two AVX-512 (or four AVX2) vector registers per slab array.
+// block, which is one AVX-512 zmm or two AVX2 ymm per array (Re and Im
+// each). internal/fourier's amd64 kernels process a row as those two ymm.
 const Width = 8
 
 // Slab is n complex values in split re/im layout. The zero Slab is empty;
