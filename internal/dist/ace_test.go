@@ -144,7 +144,7 @@ func TestDistStepAllocs(t *testing.T) {
 				}
 				ihalf := complex(0, 0.5)
 				iteration := func() {
-					rf, err := s.residual(local)
+					rf, err := s.residual(local, s.Ex.MTSPeriod <= 0)
 					if err != nil {
 						panic(err)
 					}

@@ -47,7 +47,6 @@ const (
 	tagACEProj     = 100     // AllreduceSum consumes 100 and 101 (apply projections)
 	tagForces      = 110     // AllreduceSum consumes 110 and 111 (ion force partials)
 	tagStealReduce = 120     // work-stealing remote-contribution Alltoallv
-	tagStealMode   = 130     // AllreduceSum consumes 130 and 131 (schedule shape vote)
 	tagExchBcast   = 1 << 10 // + global band index
 	tagExchRing    = 1 << 11 // + ring hop
 	tagExchPsi     = 1 << 12 // + global band index (steal rectangle-mode targets)

@@ -243,9 +243,8 @@ func TestCommunicationIsMetered(t *testing.T) {
 		t.Errorf("single precision volume ratio %g, want 2", ratio)
 	}
 	// The steal schedule broadcasts the same nb reference bands over the
-	// same trees as bcast, claims chunks over the RMA counter, votes on the
-	// schedule shape, and ships its remote contributions in one Alltoallv;
-	// nothing bills to P2P.
+	// same trees as bcast, claims chunks over the RMA counter, and ships its
+	// remote contributions in one Alltoallv; nothing bills to P2P.
 	sl := run(ExchangeOptions{Strategy: Steal})
 	if sl.BytesFor(mpi.ClassBcast) != bc.BytesFor(mpi.ClassBcast) {
 		t.Errorf("steal Bcast bytes = %d, want bcast's %d", sl.BytesFor(mpi.ClassBcast), bc.BytesFor(mpi.ClassBcast))

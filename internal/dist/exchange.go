@@ -220,6 +220,15 @@ func (ws *ExchangeWorkspace) ensureWorkers(nw int) {
 	}
 }
 
+// selfReferenced reports whether phi and psi are one block by storage, the
+// rule Hamiltonian.PreparedFor uses: the case where one Poisson solve serves
+// both (i, j) and (j, i). The call sites decide it - the solver passes the
+// iterate as its own reference, ACE.Rebuild passes phi twice - so every rank
+// takes the same branch without inspecting values.
+func selfReferenced(phi, psi []complex128) bool {
+	return len(phi) > 0 && len(phi) == len(psi) && &phi[0] == &psi[0]
+}
+
 // FockExchange applies the distributed screened Fock exchange
 // V_X[phi] psi_j for every local band j and returns the band-major result
 // (sphere coefficients): each reference band phi_i - owned rank by rank
@@ -276,7 +285,7 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 	case RoundRobin:
 		d.exchangeRoundRobin(phi, opt.SinglePrecision, ws)
 	case Steal:
-		d.exchangeSteal(phi, psi, opt.SinglePrecision, opt.StealChunk, ws)
+		d.exchangeSteal(phi, psi, opt.SinglePrecision, opt.SinglePrecision || !selfReferenced(phi, psi), opt.StealChunk, ws)
 	default:
 		d.exchangeBcastSequential(phi, opt.SinglePrecision, ws)
 	}

@@ -243,17 +243,18 @@ func (s *PTCNSolver) ResumeMTS(phase int, phiRef []complex128) error {
 }
 
 // applyH computes H psi into hp for the local band block: the semi-local
-// part per band, plus the distributed Fock exchange. Without a hold
-// cadence the exchange takes the current block as its own reference
-// (V_X[P] with P from the iterate, as in Alg. 1 line 5); under
-// MTS the reference is frozen at the Psi_n of the last outer step. localG
+// part per band, plus the distributed Fock exchange. With selfRef the exact
+// exchange takes the current block as its own reference (V_X[P] with P from
+// the iterate, as in Alg. 1 line 5 - and the first residual of an MTS outer
+// step, whose frozen reference was copied from this very block); otherwise
+// the reference is the Psi_n frozen at the last MTS outer step. localG
 // is the caller's transpose of local into the G layout, reused by the ACE
 // build and application so the iterate crosses the wire once per residual.
 // In ACE mode the exchange goes through the compressed operator, rebuilt
 // per the configured cadence; a failed rebuild (degenerate reference set)
 // is a loud, rank-symmetric error, never a silent fallback to the exact
 // operator.
-func (s *PTCNSolver) applyH(hp, local, localG []complex128) error {
+func (s *PTCNSolver) applyH(hp, local, localG []complex128, selfRef bool) error {
 	nbl := len(local) / s.D.G.NG
 	s.H.Apply(hp, local, nbl)
 	if !s.Hybrid {
@@ -273,7 +274,7 @@ func (s *PTCNSolver) applyH(hp, local, localG []complex128) error {
 		return nil
 	}
 	phi := local
-	if s.Ex.MTSPeriod > 0 {
+	if !selfRef {
 		// Exact exchange under a hold cadence: the frozen Psi_n of the
 		// last outer step is the reference the strategies ship.
 		phi = s.mtsPhi
@@ -291,14 +292,14 @@ func (s *PTCNSolver) applyH(hp, local, localG []complex128) error {
 // layout: psi and H psi are transposed, the overlap is accumulated
 // slab-wise and allreduced, the projection applied per slab, and the
 // result transposed back - three Alltoallv and one Allreduce per call
-// (Fig. 1's data path).
-func (s *PTCNSolver) residual(local []complex128) ([]complex128, error) {
+// (Fig. 1's data path). selfRef is applyH's.
+func (s *PTCNSolver) residual(local []complex128, selfRef bool) ([]complex128, error) {
 	ref := s.D.C.Trace().Begin("residual", "solver")
 	defer s.D.C.Trace().End(ref)
 	nb := s.D.NB
 	ws := s.stepWS()
 	s.D.BandToGWS(ws.psiG, local, false, ws.tw)
-	if err := s.applyH(ws.hp, local, ws.psiG); err != nil {
+	if err := s.applyH(ws.hp, local, ws.psiG, selfRef); err != nil {
 		return nil, err
 	}
 	s.D.BandToGWS(ws.hpG, ws.hp, false, ws.tw)
@@ -360,7 +361,9 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 	// cadences rebuild from Psi_n at the step's first exchange application
 	// - and freeze the exact-path reference at Psi_n. Intermediate MTS
 	// steps touch neither: the operator of the last outer step propagates.
-	if m := s.Ex.MTSPeriod; m <= 0 || s.stepIndex%m == 0 {
+	m := s.Ex.MTSPeriod
+	outer := m <= 0 || s.stepIndex%m == 0
+	if outer {
 		s.aceStale = true
 		// The frozen reference backs the exact-path application (any M)
 		// and mid-cycle checkpointing (M > 1); under ACE at M = 1 neither
@@ -373,7 +376,7 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 	// Residual at t_n with the current state's H - already prepared when
 	// the energy observable of the previous step asked for it.
 	s.ensurePrepared(local, s.Time)
-	rn, err := s.residual(local)
+	rn, err := s.residual(local, outer)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -395,7 +398,7 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 	for j := 0; j < s.Opt.MaxSCF; j++ {
 		iterRef := s.D.C.Trace().Begin("scf_iter", "solver")
 		s.prepare(rhof, tNext)
-		rf, err := s.residual(psif)
+		rf, err := s.residual(psif, m <= 0)
 		if err != nil {
 			s.D.C.Trace().EndN(iterRef, int64(j))
 			return nil, stats, err

@@ -8,11 +8,11 @@
 //
 // Two schedule shapes share the machinery:
 //
-//   - Triangle: when the reference and target blocks hold the same values
-//     at full wire precision (the dominant case - the exact operator on the
-//     live iterate, the ACE build), one Poisson solve serves the unordered
-//     pair (i, j): acc_j += -alpha phi_i v and acc_i += -alpha phi_j
-//     conj(v) with v = Poisson[phi_i^* phi_j], exactly the serial
+//   - Triangle: when the reference and target are one block by storage
+//     (selfReferenced) at full wire precision (the dominant case - the exact
+//     operator on the live iterate, the ACE build), one Poisson solve serves
+//     the unordered pair (i, j): acc_j += -alpha phi_i v and acc_i += -alpha
+//     phi_j conj(v) with v = Poisson[phi_i^* phi_j], exactly the serial
 //     operator's pair symmetry. nb(nb+1)/2 solves instead of nb*nb.
 //   - Rectangle: when the blocks differ (frozen MTS references) or the
 //     wire rounds phi to single precision (the mirrored contribution would
@@ -110,23 +110,6 @@ func stealChunkSize(npairs, size, req int) int {
 	return c
 }
 
-// sameBlock reports whether two band blocks carry identical values (the
-// pair symmetry is only valid when reference and target coincide).
-func sameBlock(a, b []complex128) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 || &a[0] == &b[0] {
-		return true
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ensureSteal sizes the schedule and buffers for this exchange shape.
 // Everything is grown once and kept; switching between triangle and
 // rectangle (the MTS cadence alternates them) only refills the pair index
@@ -220,23 +203,10 @@ func (ws *ExchangeWorkspace) stealContract(i, j, myLo int, st *stealState) {
 // exchangeSteal runs the dynamic schedule: pipeline the band broadcasts,
 // claim readiness-ordered pair chunks from the shared counter, contract,
 // then reduce remotely-computed contributions to their owners.
-func (d *Ctx) exchangeSteal(phi, psi []complex128, single bool, chunkReq int, ws *ExchangeWorkspace) {
+func (d *Ctx) exchangeSteal(phi, psi []complex128, single, rect bool, chunkReq int, ws *ExchangeWorkspace) {
 	ng, ntot, nb := d.G.NG, d.G.NTot, d.NB
 	rank, size := d.C.Rank(), d.C.Size()
 	myLo, _ := d.BandRange(rank)
-	same := sameBlock(phi, psi)
-	if size > 1 {
-		// The schedule shape must agree across ranks (it decides tags and
-		// pair counts), and each rank can only inspect its local blocks:
-		// vote, and take the triangle only when every rank's blocks match.
-		vote := []int64{0}
-		if same {
-			vote[0] = 1
-		}
-		mpi.AllreduceSum(d.C, tagStealMode, vote)
-		same = vote[0] == int64(size)
-	}
-	rect := single || !same
 	st := ws.ensureSteal(rect)
 	chunk := stealChunkSize(st.npairs, size, chunkReq)
 	nchunks := (st.npairs + chunk - 1) / chunk
