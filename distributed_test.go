@@ -18,6 +18,7 @@ import (
 	"ptdft/internal/mpi"
 	"ptdft/internal/observe"
 	"ptdft/internal/potential"
+	"ptdft/internal/trace"
 	"ptdft/internal/wavefunc"
 	"ptdft/internal/xc"
 )
@@ -359,5 +360,134 @@ func TestDistributedOrbitalNormsPreserved(t *testing.T) {
 	got, _, _ := propagate(t, g, psi0, nb, false, 4, 2, 1.5, dist.ExchangeOptions{})
 	if e := wavefunc.OrthonormalityError(got, nb, g.NG); e > 1e-10 {
 		t.Errorf("gathered band set orthonormality error %g", e)
+	}
+}
+
+// TestKeptExchangeNeverServedStale: the V_X[Psi]Psi the energy observable
+// leaves on the solver serves the next Step's first exchange application of
+// the same block and nothing else. Every row runs its script twice on two
+// ranks - with the energy evaluated where the script says, and without -
+// and the final step must land on the same bits either way; the exchange
+// spans of that step tell whether the kept product was taken (one
+// application fewer) or, as each invalidation row demands, dropped.
+func TestKeptExchangeNeverServedStale(t *testing.T) {
+	g, psi0, nb := fixtureT(t)
+	const dt, ranks = 1.0, 2
+	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
+	type solver = dist.PTCNSolver
+	step := func(s *solver, local []complex128) []complex128 {
+		out, _, err := s.Step(local, dt)
+		if err != nil {
+			panic(err)
+		}
+		return out
+	}
+	exact := dist.ExchangeOptions{Strategy: dist.BcastOverlapped}
+	for _, tc := range []struct {
+		name string
+		opt  dist.ExchangeOptions
+		// script drives solver s from block local to the (solver, block) of
+		// the final step, calling energy where the observable would run;
+		// fresh builds a second solver on the same rank.
+		script func(s *solver, local []complex128, energy func(*solver, []complex128), fresh func() *solver) (*solver, []complex128)
+		kept   bool
+	}{
+		{"observed", exact, func(s *solver, local []complex128, energy func(*solver, []complex128), _ func() *solver) (*solver, []complex128) {
+			energy(s, local)
+			return s, local
+		}, true},
+		// The single-precision wire rounds the reference of the energy's
+		// application and of the residual's alike: the same product.
+		{"singleprec", dist.ExchangeOptions{Strategy: dist.BcastOverlapped, SinglePrecision: true}, func(s *solver, local []complex128, energy func(*solver, []complex128), _ func() *solver) (*solver, []complex128) {
+			energy(s, local)
+			return s, local
+		}, true},
+		{"IonGeometryChanged", exact, func(s *solver, local []complex128, energy func(*solver, []complex128), _ func() *solver) (*solver, []complex128) {
+			energy(s, local)
+			s.IonGeometryChanged()
+			return s, local
+		}, false},
+		{"ResumeMTS", dist.ExchangeOptions{Strategy: dist.BcastOverlapped, MTSPeriod: 1}, func(s *solver, local []complex128, energy func(*solver, []complex128), _ func() *solver) (*solver, []complex128) {
+			energy(s, local)
+			if err := s.ResumeMTS(0, nil); err != nil {
+				panic(err)
+			}
+			return s, local
+		}, false},
+		// The product lives on the solver that evaluated the energy; another
+		// solver stepping the same storage has none to take.
+		{"second solver on the same storage", exact, func(s *solver, local []complex128, energy func(*solver, []complex128), fresh func() *solver) (*solver, []complex128) {
+			energy(s, local)
+			return fresh(), local
+		}, false},
+		// A caller that keeps its state in one buffer: the inner MTS step
+		// after the energy applies no exchange at all, so only the step's own
+		// clearing of the mark keeps the next outer step's ace_build from
+		// taking the product of what the buffer held two states ago.
+		{"block reused in place", dist.ExchangeOptions{Strategy: dist.BcastOverlapped, ACE: true, MTSPeriod: 2}, func(s *solver, buf []complex128, energy func(*solver, []complex128), _ func() *solver) (*solver, []complex128) {
+			copy(buf, step(s, buf))
+			energy(s, buf)
+			copy(buf, step(s, buf))
+			return s, buf
+		}, false},
+	} {
+		run := func(observe bool) (psi []complex128, exchanges, scfIters int) {
+			psi = make([]complex128, nb*g.NG)
+			rec := trace.NewRecorder()
+			mpi.Run(ranks, func(c *mpi.Comm) {
+				c.SetTrace(rec.Track(c.Rank(), "rank"))
+				d, err := dist.NewCtx(c, g, nb, 2)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				fresh := func() *solver {
+					h := hamiltonian.New(g, siPots(), hamiltonian.Config{})
+					return dist.NewPTCNSolver(d, h, xc.HSE06(), true, kick, core.DefaultPTCN(), tc.opt)
+				}
+				lo, hi := d.BandRange(c.Rank())
+				s, local := tc.script(fresh(), wavefunc.Clone(psi0[lo*g.NG:hi*g.NG]), func(s *solver, local []complex128) {
+					if observe {
+						s.TotalEnergy(local, s.Time)
+					}
+				}, fresh)
+				out, stats, err := s.Step(local, dt)
+				if err != nil {
+					t.Errorf("%s: rank %d: %v", tc.name, c.Rank(), err)
+					return
+				}
+				full := d.Gather(out)
+				if c.Rank() == 0 {
+					copy(psi, full)
+					scfIters = stats.SCFIterations
+				}
+			})
+			spans := rec.Tracks()[0].Spans
+			last := -1
+			for i, sp := range spans {
+				if sp.Name == "step" {
+					last = i
+				}
+			}
+			for _, sp := range spans {
+				if sp.Name == "exchange" && sp.StartNs >= spans[last].StartNs {
+					exchanges++
+				}
+			}
+			return psi, exchanges, scfIters
+		}
+		bare, nBare, _ := run(false)
+		got, nObs, scfIters := run(true)
+		if d := wavefunc.MaxDiff(bare, got); d != 0 {
+			t.Errorf("%s: the step depends on whether the energy was observed (max diff %g)", tc.name, d)
+		}
+		want := nBare
+		if tc.kept {
+			want--
+		}
+		if nObs != want {
+			t.Errorf("%s: %d exchange applications in the final step (%d SCF iterations) after an energy evaluation, %d without; want %d",
+				tc.name, nObs, scfIters, nBare, want)
+		}
 	}
 }

@@ -85,6 +85,13 @@ func (d *Ctx) NewACE() *ACE {
 // reference set is symmetric across ranks and is returned loudly rather
 // than silently falling back to the exact operator.
 func (a *ACE) Rebuild(phi, phiG []complex128, kernel []float64, alpha float64, opt ExchangeOptions, ex *ExchangeWorkspace) error {
+	return a.rebuild(phi, phiG, nil, kernel, alpha, opt, ex)
+}
+
+// rebuild is Rebuild for a caller that may already hold vx = V_X[Phi] Phi on
+// its local block (the solver, after an energy evaluation of the same
+// state); a nil vx is computed here.
+func (a *ACE) rebuild(phi, phiG, vx []complex128, kernel []float64, alpha float64, opt ExchangeOptions, ex *ExchangeWorkspace) error {
 	d := a.d
 	ref := d.C.Trace().Begin("ace_build", "solver")
 	defer d.C.Trace().End(ref)
@@ -93,7 +100,9 @@ func (a *ACE) Rebuild(phi, phiG []complex128, kernel []float64, alpha float64, o
 
 	// W = V_X Phi on the local band block, delivered by the configured
 	// exchange strategy; ex.vx is only borrowed, so transpose immediately.
-	vx := d.FockExchangeWS(phi, phi, kernel, alpha, opt, ex)
+	if vx == nil {
+		vx = d.FockExchangeWS(phi, phi, kernel, alpha, opt, ex)
+	}
 	d.BandToGWS(a.xiG, vx, false, a.tw)
 	if phiG == nil {
 		d.BandToGWS(a.phiG, phi, false, a.tw)

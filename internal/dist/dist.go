@@ -35,21 +35,21 @@ import (
 // broadcast needs a distinct tag per band (two broadcasts are in flight at
 // once) and the round-robin ring a tag per hop.
 const (
-	tagGather      = 10
-	tagBandToG     = 20
-	tagGToBand     = 30
-	tagDensity     = 40      // AllreduceSum consumes 40 and 41
-	tagOverlap     = 50      // AllreduceSum consumes 50 and 51
-	tagScalars     = 60      // AllreduceSum consumes 60 and 61
-	tagCurrent     = 70      // AllreduceSum consumes 70 and 71
-	tagExcited     = 80      // AllreduceSum consumes 80 and 81
-	tagACE         = 90      // AllreduceSum consumes 90 and 91 (build overlap)
-	tagACEProj     = 100     // AllreduceSum consumes 100 and 101 (apply projections)
-	tagForces      = 110     // AllreduceSum consumes 110 and 111 (ion force partials)
-	tagStealReduce = 120     // work-stealing remote-contribution Alltoallv
-	tagExchBcast   = 1 << 10 // + global band index
-	tagExchRing    = 1 << 11 // + ring hop
-	tagExchPsi     = 1 << 12 // + global band index (steal rectangle-mode targets)
+	tagGather     = 10
+	tagBandToG    = 20
+	tagGToBand    = 30
+	tagDensity    = 40      // AllreduceSum consumes 40 and 41
+	tagOverlap    = 50      // AllreduceSum consumes 50 and 51
+	tagScalars    = 60      // AllreduceSum consumes 60 and 61
+	tagCurrent    = 70      // AllreduceSum consumes 70 and 71
+	tagExcited    = 80      // AllreduceSum consumes 80 and 81
+	tagACE        = 90      // AllreduceSum consumes 90 and 91 (build overlap)
+	tagACEProj    = 100     // AllreduceSum consumes 100 and 101 (apply projections)
+	tagForces     = 110     // AllreduceSum consumes 110 and 111 (ion force partials)
+	tagExchReturn = 120     // returnToOwners: the pair-symmetric schedules' Alltoallv
+	tagExchBcast  = 1 << 10 // + global band index
+	tagExchRing   = 1 << 11 // + ring hop
+	tagExchPsi    = 1 << 12 // + global band index (steal rectangle-mode targets)
 )
 
 // Ctx owns one rank's view of the band-index x G-space decomposition: the

@@ -237,6 +237,26 @@ func TestCommunicationIsMetered(t *testing.T) {
 	if rr.BytesFor(mpi.ClassP2P) == 0 || rr.BytesFor(mpi.ClassBcast) != 0 {
 		t.Errorf("roundrobin strategy billed Bcast=%d P2P=%d", rr.BytesFor(mpi.ClassBcast), rr.BytesFor(mpi.ClassP2P))
 	}
+	// The pair symmetry changes who solves what, not what is shipped out: a
+	// self-referenced application bills the one-sided application's Bcast (or
+	// ring) bytes, plus the mirrored rows going home - every rank returns one
+	// sphere row per band it does not own, (NB - nbl) x NG x 16 B, in one
+	// Alltoallv. The one-sided fold returns nothing.
+	for _, strat := range staticStrategies {
+		_, _, sym := applyExchange(t, g, psi, nb, 4, ExchangeOptions{Strategy: strat}, false)
+		_, _, one := applyExchange(t, g, psi, nb, 4, ExchangeOptions{Strategy: strat}, true)
+		for _, class := range []mpi.OpClass{mpi.ClassBcast, mpi.ClassP2P} {
+			if sym.BytesFor(class) != one.BytesFor(class) {
+				t.Errorf("%v: self-referenced application bills %d %v bytes, one-sided %d", strat, sym.BytesFor(class), class, one.BytesFor(class))
+			}
+		}
+		if got, want := sym.BytesFor(mpi.ClassAlltoallv), int64(4*(nb-nb/4)*g.NG*16); got != want {
+			t.Errorf("%v: self-referenced application returns %d Alltoallv bytes, want %d", strat, got, want)
+		}
+		if one.BytesFor(mpi.ClassAlltoallv) != 0 {
+			t.Errorf("%v: one-sided application bills %d Alltoallv bytes, want 0", strat, one.BytesFor(mpi.ClassAlltoallv))
+		}
+	}
 	bcS := run(ExchangeOptions{Strategy: BcastSequential, SinglePrecision: true})
 	ratio := float64(bc.BytesFor(mpi.ClassBcast)) / float64(bcS.BytesFor(mpi.ClassBcast))
 	if math.Abs(ratio-2) > 1e-9 {

@@ -148,10 +148,24 @@ type ExchangeWorkspace struct {
 	// Per-application fold state, bound by FockExchangeWS so the strategy
 	// loops call ws.process as a plain method instead of through a freshly
 	// allocated closure (the strict zero-allocation contract of the solver
-	// hot loop).
+	// hot loop). sym selects the pair-symmetric fold: reference and target
+	// are one block (selfReferenced) at full wire precision.
 	kernel []float64
 	alpha  float64
 	nbl    int
+	sym    bool
+
+	// Mirrored side of the pair-symmetric fold. mir row 0 accumulates what
+	// this rank's solves contribute to the arriving band when another rank
+	// owns it, rows 1.. are the partial sums of fold workers 1..; js lists
+	// the arriving band's local partners. remG stages the finished rows on
+	// the sphere and send slices it per owner for returnToOwners - the one
+	// return path of the static and the steal schedules, allocated on the
+	// first multi-rank application that needs it.
+	mir  lanes.Slab     // nw x NTot (SoA)
+	js   []int          // nbl
+	remG []complex128   // NB x NG
+	send [][]complex128 // Alltoallv views into remG, one per rank
 
 	// steal holds the work-stealing schedule's buffers, allocated on the
 	// first Steal-strategy call so the static strategies pay nothing.
@@ -170,6 +184,7 @@ func (d *Ctx) NewExchangeWorkspace() *ExchangeWorkspace {
 		phiR:    lanes.New(ntot),
 		ring:    make([]complex128, nbl*ng),
 		vx:      make([]complex128, nbl*ng),
+		js:      make([]int, 0, nbl),
 		fftPhi:  d.G.Plan.NewWorkspace(),
 		ch:      make(chan []complex128, 1),
 	}
@@ -214,6 +229,7 @@ func (ws *ExchangeWorkspace) ensureWorkers(nw int) {
 	ntot := ws.g.G.NTot
 	if ws.pairs.Len() < nw*ntot {
 		ws.pairs = lanes.New(nw * ntot)
+		ws.mir = lanes.New(nw * ntot)
 	}
 	for len(ws.fft) < nw {
 		ws.fft = append(ws.fft, ws.g.G.Plan.NewWorkspace())
@@ -262,6 +278,18 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 	nw := parallel.NumWorkers(nbl)
 	ws.ensureWorkers(nw)
 	ws.kernel, ws.alpha, ws.nbl = kernel, alpha, nbl
+	ws.sym = !opt.SinglePrecision && selfReferenced(phi, psi)
+	// Both pair-symmetric schedules, and steal in any shape, solve pairs
+	// whose other band lives elsewhere; those rows go home after the loop.
+	returns := d.C.Size() > 1 && (ws.sym || opt.Strategy == Steal)
+	if returns && ws.remG == nil {
+		ws.remG = make([]complex128, d.NB*ng)
+		ws.send = make([][]complex128, d.C.Size())
+		for r := range ws.send {
+			lo, hi := d.BandRange(r)
+			ws.send[r] = ws.remG[lo*ng : hi*ng]
+		}
+	}
 
 	// Real-space local psi bands and accumulators, computed once. The
 	// nw <= 1 branches run the loops inline - no closures, no goroutines -
@@ -285,7 +313,7 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 	case RoundRobin:
 		d.exchangeRoundRobin(phi, opt.SinglePrecision, ws)
 	case Steal:
-		d.exchangeSteal(phi, psi, opt.SinglePrecision, opt.SinglePrecision || !selfReferenced(phi, psi), opt.StealChunk, ws)
+		d.exchangeSteal(phi, psi, opt.SinglePrecision, opt.StealChunk, ws)
 	default:
 		d.exchangeBcastSequential(phi, opt.SinglePrecision, ws)
 	}
@@ -301,41 +329,136 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 		})
 	}
 	d.C.Trace().EndN(fftRef, int64(nbl))
-	// Contributions other ranks computed for our bands arrive on the sphere
-	// (the steal reduce runs after the claim loop), so they join after the
-	// accumulator projection above.
-	if st := ws.steal; st != nil && st.pending {
-		for i := range st.vxAdd {
-			ws.vx[i] += st.vxAdd[i]
-		}
-		st.pending = false
+	if returns {
+		ws.returnToOwners()
 	}
 	return ws.vx
 }
 
-// process folds one reference band (sphere coefficients) into every local
-// accumulator through the shared Alg. 2 inner step, using the fold state
-// bound by FockExchangeWS. Scratch is bound out of the hot loop: one phiR
-// reused across reference bands (process runs sequentially) and one pair
-// buffer plus FFT workspace per worker (ForWorker serializes all iterations
-// of a worker index).
-func (ws *ExchangeWorkspace) process(band []complex128) {
+// returnToOwners ships the rows staged in remG - contributions this rank's
+// solves made to bands owned elsewhere - to their owners with one dense
+// Alltoallv of sphere coefficients, and adds what the other ranks computed
+// for this rank's bands into vx in rank order. Always double precision: the
+// single-precision wire format rounds only the reference orbitals. The
+// payload shape is fixed (every non-owned band, zeros where nothing was
+// contributed), whoever solved what.
+func (ws *ExchangeWorkspace) returnToOwners() {
+	d := ws.g
+	ref := d.C.Trace().Begin("exchange_return", "solver")
+	parts := mpi.Alltoallv(d.C, tagExchReturn, ws.send)
+	for r, blk := range parts {
+		if r == d.C.Rank() {
+			continue
+		}
+		for i := range blk {
+			ws.vx[i] += blk[i]
+		}
+	}
+	d.C.Trace().End(ref)
+}
+
+// process folds global reference band i (sphere coefficients) into the local
+// accumulators through the shared Alg. 2 inner step, using the fold state
+// bound by FockExchangeWS; the contract span counts the Poisson solves.
+// Scratch is bound out of the hot loop: one phiR reused across reference
+// bands (process runs sequentially) and one pair buffer plus FFT workspace
+// per worker (ForWorker serializes all iterations of a worker index). The
+// one-sided fold below is the path for traffic that cannot use the pair
+// symmetry - a frozen MTS reference, a single-precision wire - exactly as
+// fock.Operator.Apply sits beside ApplyToReference.
+func (ws *ExchangeWorkspace) process(band []complex128, i int) {
 	d := ws.g
 	ntot := d.G.NTot
 	ref := d.C.Trace().Begin("contract", "fock")
-	defer d.C.Trace().End(ref)
 	t0 := d.C.WorkStart() // straggler model: stretch this rank's fold work
-	d.G.ToRealSlabWS(ws.phiR, band, ws.fftPhi)
-	if parallel.NumWorkers(ws.nbl) <= 1 {
-		for j := 0; j < ws.nbl; j++ {
-			fock.ContractReferenceWS(d.G, ws.kernel, ws.alpha, ws.phiR, ws.psiReal.Row(j, ntot), ws.acc.Row(j, ntot), ws.pairs.Row(0, ntot), ws.fft[0])
-		}
+	n := ws.nbl
+	if ws.sym {
+		n = ws.processSymmetric(band, i)
 	} else {
-		parallel.ForWorker(ws.nbl, func(w, j int) {
-			fock.ContractReferenceWS(d.G, ws.kernel, ws.alpha, ws.phiR, ws.psiReal.Row(j, ntot), ws.acc.Row(j, ntot), ws.pairs.Row(w, ntot), ws.fft[w])
-		})
+		d.G.ToRealSlabWS(ws.phiR, band, ws.fftPhi)
+		if parallel.NumWorkers(ws.nbl) <= 1 {
+			for j := 0; j < ws.nbl; j++ {
+				fock.ContractReferenceWS(d.G, ws.kernel, ws.alpha, ws.phiR, ws.psiReal.Row(j, ntot), ws.acc.Row(j, ntot), ws.pairs.Row(0, ntot), ws.fft[0])
+			}
+		} else {
+			parallel.ForWorker(ws.nbl, func(w, j int) {
+				fock.ContractReferenceWS(d.G, ws.kernel, ws.alpha, ws.phiR, ws.psiReal.Row(j, ntot), ws.acc.Row(j, ntot), ws.pairs.Row(w, ntot), ws.fft[w])
+			})
+		}
 	}
 	d.C.WorkEnd(t0)
+	d.C.Trace().EndN(ref, int64(n))
+}
+
+// processSymmetric is the two-sided fold of a self-referenced application:
+// one Poisson solve per unordered pair {i, j} serves acc_j and, mirrored,
+// band i (fock.ContractPairReferenceWS). It returns the number of solves.
+//
+// Ownership: a band of this rank's own block meets only its local partners
+// j >= i, with no communication at all. A band owned elsewhere meets the
+// checkerboard half of the block - the pair {a < b} belongs to owner(b) when
+// a + b is even and to owner(a) otherwise - so every unordered pair is solved
+// exactly once across ranks; its mirrored sum is projected to the sphere as
+// soon as the band is done and staged for returnToOwners, which keeps the
+// real-space memory at O(nbl) rows.
+//
+// Fold order: every partner adds into band i's accumulator, so the partners
+// are split statically over the workers; worker 0 adds into the accumulator
+// itself, worker w > 0 into mir row w, and the rows are folded in worker
+// order afterwards. The sum is the same bits on every run at a fixed worker
+// count (ForWorker's dynamic claims never decide what is added to what).
+func (ws *ExchangeWorkspace) processSymmetric(band []complex128, i int) int {
+	d := ws.g
+	ng, ntot, nbl := d.G.NG, d.G.NTot, ws.nbl
+	lo, _ := d.BandRange(d.C.Rank())
+	own := i >= lo && i < lo+nbl
+	phiI, accI, js := ws.phiR, ws.mir.Row(0, ntot), ws.js[:0]
+	if own {
+		phiI, accI = ws.psiReal.Row(i-lo, ntot), ws.acc.Row(i-lo, ntot)
+		for j := i - lo; j < nbl; j++ {
+			js = append(js, j)
+		}
+	} else {
+		for j := 0; j < nbl; j++ {
+			if ((i+lo+j)%2 == 0) == (i < lo+j) {
+				js = append(js, j)
+			}
+		}
+		if len(js) == 0 { // a one-band block on the other colour
+			clear(ws.remG[i*ng : (i+1)*ng])
+			return 0
+		}
+		d.G.ToRealSlabWS(phiI, band, ws.fftPhi)
+	}
+	nw := parallel.NumWorkers(len(js))
+	if nw <= 1 {
+		for _, j := range js {
+			fock.ContractPairReferenceWS(d.G, ws.kernel, ws.alpha, phiI, ws.psiReal.Row(j, ntot), accI, ws.acc.Row(j, ntot), ws.pairs.Row(0, ntot), lo+j == i, ws.fft[0])
+		}
+	} else {
+		parallel.ForWorker(nw, func(_, w int) {
+			part := accI
+			if w > 0 {
+				part = ws.mir.Row(w, ntot)
+			}
+			for _, j := range js[w*len(js)/nw : (w+1)*len(js)/nw] {
+				fock.ContractPairReferenceWS(d.G, ws.kernel, ws.alpha, phiI, ws.psiReal.Row(j, ntot), part, ws.acc.Row(j, ntot), ws.pairs.Row(w, ntot), lo+j == i, ws.fft[w])
+			}
+		})
+		for w := 1; w < nw; w++ {
+			part := ws.mir.Row(w, ntot)
+			for k := range part.Re {
+				accI.Re[k] += part.Re[k]
+				accI.Im[k] += part.Im[k]
+			}
+			part.Zero()
+		}
+	}
+	if !own {
+		d.G.FromRealSlabWS(ws.remG[i*ng:(i+1)*ng], accI, ws.fftPhi)
+		accI.Zero()
+	}
+	return len(js)
 }
 
 // bcastBand broadcasts one band from root into buf, optionally through a
@@ -363,7 +486,7 @@ func (d *Ctx) exchangeBcastSequential(phi []complex128, single bool, ws *Exchang
 			copy(buf, phi[(i-myLo)*ng:(i-myLo+1)*ng])
 		}
 		d.bcastBand(buf, owner, tagExchBcast+i, single)
-		ws.process(buf)
+		ws.process(buf, i)
 	}
 }
 
@@ -401,7 +524,7 @@ func (d *Ctx) exchangeBcastOverlapped(phi []complex128, single bool, ws *Exchang
 		if i+1 < d.NB {
 			fetch(i + 1)
 		}
-		ws.process(band)
+		ws.process(band, i)
 	}
 }
 
@@ -428,7 +551,7 @@ func (d *Ctx) exchangeRoundRobin(phi []complex128, single bool, ws *ExchangeWork
 		src := (rank - t + size) % size
 		lo, hi := d.BandRange(src)
 		for i := 0; i < hi-lo; i++ {
-			ws.process(cur[i*ng : (i+1)*ng])
+			ws.process(cur[i*ng:(i+1)*ng], lo+i)
 		}
 		if t == size-1 {
 			break

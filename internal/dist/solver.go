@@ -66,6 +66,14 @@ type PTCNSolver struct {
 	// retains it only so checkpoints can persist the reference Xi was
 	// built from.
 	mtsPhi []complex128
+	// vxFor marks, by storage as Hamiltonian.MarkPrepared does, the block
+	// whose V_X[Psi]Psi still sits in the exchange workspace's result buffer:
+	// the energy observable applies the exact operator to the converged state
+	// and the next Step's first exchange application asks for the same
+	// product. keptVX hands it out once; every other exchange application,
+	// that first residual itself, a geometry change and ResumeMTS clear the
+	// mark. A marked block must not be edited in place.
+	vxFor *complex128
 }
 
 // stepWorkspace owns every band-block buffer of the solver hot loop, bound
@@ -170,7 +178,22 @@ func (s *PTCNSolver) exchangeWS() *ExchangeWorkspace {
 // band-block allocations. phi is the reference block the strategies ship
 // (the iterate itself, or the frozen MTS reference).
 func (s *PTCNSolver) exchange(phi, psi []complex128) []complex128 {
+	if vx := s.keptVX(psi); vx != nil && selfReferenced(phi, psi) {
+		return vx
+	}
 	return s.D.FockExchangeWS(phi, psi, s.kernel, s.Hyb.Alpha, s.Ex, s.exchangeWS())
+}
+
+// keptVX returns the V_X[Psi]Psi the energy observable left behind for this
+// very block, or nil, and clears the mark either way: whatever the caller
+// does next overwrites the workspace's result buffer.
+func (s *PTCNSolver) keptVX(local []complex128) []complex128 {
+	kept := s.vxFor
+	s.vxFor = nil
+	if kept == nil || kept != &local[0] {
+		return nil
+	}
+	return s.exWS.vx
 }
 
 // freezeRef snapshots this rank's band block as the frozen exchange
@@ -212,6 +235,7 @@ func (s *PTCNSolver) MTSRef() []complex128 {
 // step and rebuilds from Psi_n anyway). Collective when the compressed
 // operator must be reconstructed: all ranks call it together.
 func (s *PTCNSolver) ResumeMTS(phase int, phiRef []complex128) error {
+	s.vxFor = nil
 	m := s.Ex.MTSPeriod
 	if m <= 0 {
 		if phase != 0 {
@@ -265,7 +289,7 @@ func (s *PTCNSolver) applyH(hp, local, localG []complex128, selfRef bool) error 
 			s.ace = s.D.NewACE()
 		}
 		if s.aceStale || s.Ex.MTSPeriod <= 0 {
-			if err := s.ace.Rebuild(local, localG, s.kernel, s.Hyb.Alpha, s.Ex, s.exchangeWS()); err != nil {
+			if err := s.ace.rebuild(local, localG, s.keptVX(local), s.kernel, s.Hyb.Alpha, s.Ex, s.exchangeWS()); err != nil {
 				return err
 			}
 			s.aceStale = false
@@ -377,6 +401,9 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 	// the energy observable of the previous step asked for it.
 	s.ensurePrepared(local, s.Time)
 	rn, err := s.residual(local, outer)
+	// A kept exchange product serves this residual or nobody: a held ACE
+	// operator applies no exchange, and the mark must not outlive the step.
+	s.vxFor = nil
 	if err != nil {
 		return nil, stats, err
 	}
@@ -444,6 +471,7 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 // unchanged - it has no explicit position dependence.
 func (s *PTCNSolver) IonGeometryChanged() {
 	s.H.RebuildGeometry()
+	s.vxFor = nil
 }
 
 // GlobalDensity returns the allreduced electron density of the band set
@@ -474,13 +502,13 @@ func (s *PTCNSolver) AllreduceForces(f [][3]float64) {
 // TotalEnergy evaluates the energy functional for the local block at time
 // t, with H made current for it first (ensurePrepared; the exchange below
 // is the "+1 energy evaluation" Fock application of the paper's per-step
-// accounting). The
-// kinetic, nonlocal and exchange partial sums are allreduced; the
-// Hartree/XC/local terms come from the replicated potential assembly and
-// are already global. The exchange term always goes through the exact
-// operator - on its own reference set the ACE compression reproduces it
+// accounting). The kinetic, nonlocal and exchange partial sums are
+// allreduced; the Hartree/XC/local terms come from the replicated potential
+// assembly and are already global. The exchange term always goes through the
+// exact operator - on its own reference set the ACE compression reproduces it
 // exactly, so the once-per-step energy pays no accuracy for skipping the
-// compressed path. Collective.
+// compressed path - and its V_X[Psi]Psi is kept for the next Step (vxFor).
+// Collective.
 func (s *PTCNSolver) TotalEnergy(local []complex128, t float64) hamiltonian.EnergyBreakdown {
 	ref := s.D.C.Trace().Begin("energy", "observe")
 	defer s.D.C.Trace().End(ref)
@@ -490,7 +518,9 @@ func (s *PTCNSolver) TotalEnergy(local []complex128, t float64) hamiltonian.Ener
 	eb := s.H.TotalEnergy(local, nbl, s.Occ)
 	part := []float64{eb.Kinetic, eb.Nonlocal, 0}
 	if s.Hybrid {
+		s.vxFor = nil // the observable never reads a kept product, it makes one
 		vx := s.exchange(local, local)
+		s.vxFor = &local[0]
 		var ex float64
 		for j := 0; j < nbl; j++ {
 			ex += real(linalg.Dot(local[j*ng:(j+1)*ng], vx[j*ng:(j+1)*ng]))

@@ -26,19 +26,15 @@
 // broadcast pipeline instead of waiting for the full reference set.
 //
 // Contributions to bands this rank does not own are staged in real space
-// and shipped to their owners after the claim loop with one dense
-// Alltoallv of sphere coefficients; FockExchangeWS folds the received sum
-// into vx after the accumulator projection. The reduce always runs in
-// double precision - single-precision wire payloads round only the
-// reference orbitals, as in the static strategies - so the result matches
-// bcast to accumulation-order rounding regardless of which rank computed
-// which pair.
+// (any rank may claim any pair, so NB rows of it) and go home through
+// ExchangeWorkspace.returnToOwners, the return path the static strategies'
+// pair-symmetric fold uses too; the result matches bcast to accumulation-
+// order rounding regardless of which rank computed which pair.
 package dist
 
 import (
 	"ptdft/internal/fock"
 	"ptdft/internal/lanes"
-	"ptdft/internal/mpi"
 )
 
 // stealState holds the work-stealing schedule's buffers, allocated lazily
@@ -56,12 +52,8 @@ type stealState struct {
 	allR    lanes.Slab // NB x NTot: every reference band in real space (SoA)
 	psiAllR lanes.Slab // NB x NTot: every target band (rectangle, size > 1)
 	psiBand [2][]complex128
-	remR    lanes.Slab     // NB x NTot: accumulators for bands owned elsewhere (SoA)
-	remG    []complex128   // NB x NG: remote contributions on the sphere
-	touched []bool         // NB: remote bands this rank contributed to
-	send    [][]complex128 // Alltoallv views into remG, one per rank
-	vxAdd   []complex128   // nbl x NG: summed contributions received for our bands
-	pending bool           // vxAdd awaits the post-projection fold
+	remR    lanes.Slab // NB x NTot: accumulators for bands owned elsewhere (SoA)
+	touched []bool     // NB: remote bands this rank contributed to
 }
 
 // stealPairCount returns how many pairs the schedule hands out.
@@ -138,14 +130,7 @@ func (ws *ExchangeWorkspace) ensureSteal(rect bool) *stealState {
 	if size > 1 {
 		if st.remR.Len() < nb*ntot {
 			st.remR = lanes.New(nb * ntot)
-			st.remG = make([]complex128, nb*ng)
 			st.touched = make([]bool, nb)
-			st.vxAdd = make([]complex128, ws.nbl*ng)
-			st.send = make([][]complex128, size)
-			for r := 0; r < size; r++ {
-				lo, hi := d.BandRange(r)
-				st.send[r] = st.remG[lo*ng : hi*ng]
-			}
 		}
 		if rect && st.psiAllR.Len() < nb*ntot {
 			st.psiAllR = lanes.New(nb * ntot)
@@ -203,10 +188,11 @@ func (ws *ExchangeWorkspace) stealContract(i, j, myLo int, st *stealState) {
 // exchangeSteal runs the dynamic schedule: pipeline the band broadcasts,
 // claim readiness-ordered pair chunks from the shared counter, contract,
 // then reduce remotely-computed contributions to their owners.
-func (d *Ctx) exchangeSteal(phi, psi []complex128, single, rect bool, chunkReq int, ws *ExchangeWorkspace) {
+func (d *Ctx) exchangeSteal(phi, psi []complex128, single bool, chunkReq int, ws *ExchangeWorkspace) {
 	ng, ntot, nb := d.G.NG, d.G.NTot, d.NB
 	rank, size := d.C.Rank(), d.C.Size()
 	myLo, _ := d.BandRange(rank)
+	rect := !ws.sym
 	st := ws.ensureSteal(rect)
 	chunk := stealChunkSize(st.npairs, size, chunkReq)
 	nchunks := (st.npairs + chunk - 1) / chunk
@@ -312,37 +298,19 @@ func (d *Ctx) exchangeSteal(phi, psi []complex128, single, rect bool, chunkReq i
 	// if all remaining chunks were stolen by someone else.
 	ensure(nb - 1)
 
-	// Reduce: project the staged remote accumulators onto the sphere and
-	// ship each band's contribution to its owner in one dense Alltoallv
-	// (always double precision). Untouched rows go as zeros - the payload
-	// shape stays deterministic regardless of who claimed what.
+	// Project the staged remote accumulators onto the sphere for
+	// returnToOwners; untouched rows go as zeros.
 	for b := 0; b < nb; b++ {
 		if d.bandOwner(b) == rank {
 			continue
 		}
-		row := st.remG[b*ng : (b+1)*ng]
+		row := ws.remG[b*ng : (b+1)*ng]
 		if st.touched[b] {
 			d.G.FromRealSlabWS(row, st.remR.Row(b, ntot), ws.fft[0])
 			st.remR.Row(b, ntot).Zero()
 			st.touched[b] = false
 		} else {
-			for k := range row {
-				row[k] = 0
-			}
+			clear(row)
 		}
 	}
-	parts := mpi.Alltoallv(d.C, tagStealReduce, st.send)
-	for i := range st.vxAdd {
-		st.vxAdd[i] = 0
-	}
-	for r := 0; r < size; r++ {
-		if r == rank {
-			continue
-		}
-		blk := parts[r]
-		for i := range blk {
-			st.vxAdd[i] += blk[i]
-		}
-	}
-	st.pending = true
 }

@@ -332,6 +332,13 @@ func TestExchangePipelinesDoNotInflateVolume(t *testing.T) {
 	if sl.BytesFor(mpi.ClassBcast) != seq.BytesFor(mpi.ClassBcast) {
 		t.Errorf("steal broadcast-ahead ships %d Bcast bytes, sequential %d", sl.BytesFor(mpi.ClassBcast), seq.BytesFor(mpi.ClassBcast))
 	}
+	// All three return their mirrored rows through the same stage: one
+	// Alltoallv of one sphere row per band a rank does not own.
+	for _, st := range []*mpi.Stats{seq, ovl, sl} {
+		if got, want := st.BytesFor(mpi.ClassAlltoallv), int64(4*(nb-nb/4)*g.NG*16); got != want {
+			t.Errorf("return stage ships %d Alltoallv bytes, want %d", got, want)
+		}
+	}
 }
 
 // TestStealBalancesStragglers is the load-balance smoke check behind the

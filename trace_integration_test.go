@@ -132,24 +132,23 @@ func TestTraceChromeExportWellFormed(t *testing.T) {
 	}
 }
 
-// buildCountSpec is a semilocal kick run: every density build and potential
-// assembly of a step is the PT-CN solver's own, none hides inside exchange.
-func buildCountSpec(ranks int) sim.Spec {
+// buildCountSpec is a kick run whose every density build and potential
+// assembly is the PT-CN solver's own, none hides inside exchange: semilocal
+// on one or two ranks, and on two ranks the hybrid functional with the exact
+// operator or with ACE under MTS 2.
+func buildCountSpec(ranks int, hybrid, aceMTS bool) sim.Spec {
 	s := sim.Spec{
 		Cells: [3]int{1, 1, 1}, Ecut: 2, Method: "ptcn",
-		DtAs: 24, Steps: 3, Kick: 0.02, Seed: 1234,
+		DtAs: 24, Steps: 3, Kick: 0.02, Seed: 1234, Hybrid: hybrid,
 	}
 	if ranks > 1 {
 		s.Ranks, s.Exchange = ranks, "overlap"
 	}
+	if aceMTS {
+		s.ACE, s.MTS, s.Steps = true, 2, 4
+	}
 	return s
 }
-
-// buildCountEnergies are the three sample energies (Ha) of buildCountSpec
-// at the commit before the one-transform potential assembly, which changed
-// the arithmetic of E_H, E_xc and v_xc in the last bits: serial and 2-rank
-// printed the same digits.
-var buildCountEnergies = [3]float64{-0.7183520020637, -0.7183016903024, -0.7182592680205}
 
 // TestEachStateBuiltOnce uses the recorder as witness of the call counts:
 // from the second step on, one pass of the propagation loop - a step and
@@ -158,10 +157,31 @@ var buildCountEnergies = [3]float64{-0.7183520020637, -0.7183016903024, -0.71825
 // SCFIters + 1 potentials, on every rank. The converged state's pair is
 // built by the energy observable and found again, not rebuilt, by the next
 // step's first residual; the first step has no one to inherit from and
-// builds one more of each.
+// builds one more of each. The exchange column is the same rule for
+// V_X[Psi]Psi: the exact operator is applied SCFIters + 1 times per pass
+// (the energy's product serves the next first residual), and under ACE with
+// MTS only by the energy - the outer step's ace_build takes the energy's
+// product as its W and applies no exchange of its own. The energies are
+// those of the commit before each count dropped.
 func TestEachStateBuiltOnce(t *testing.T) {
-	for _, ranks := range []int{1, 2} {
-		spec := buildCountSpec(ranks)
+	semilocal := []float64{-0.7183520020637, -0.7183016903024, -0.7182592680205}
+	for _, tc := range []struct {
+		name     string
+		spec     sim.Spec
+		energies []float64
+		// exchange is the number of exchange spans of loop pass k >= 1.
+		exchange func(scfIters int) int
+	}{
+		{"serial", buildCountSpec(1, false, false), semilocal, func(int) int { return 0 }},
+		{"2 ranks", buildCountSpec(2, false, false), semilocal, func(int) int { return 0 }},
+		{"2 ranks hybrid", buildCountSpec(2, true, false),
+			[]float64{-0.8327736810622, -0.8327250097738, -0.8326851332637},
+			func(scfIters int) int { return scfIters + 1 }},
+		{"2 ranks hybrid ACE MTS", buildCountSpec(2, true, true),
+			[]float64{-0.8331002364732, -0.8339420867509, -0.8341690681394, -0.8348589231763},
+			func(int) int { return 1 }},
+	} {
+		spec := tc.spec
 		if err := spec.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -171,16 +191,16 @@ func TestEachStateBuiltOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(res.Samples) != spec.Steps {
-			t.Fatalf("ranks %d: %d samples, want %d", ranks, len(res.Samples), spec.Steps)
+			t.Fatalf("%s: %d samples, want %d", tc.name, len(res.Samples), spec.Steps)
 		}
 		for k, s := range res.Samples {
-			if d := s.Energy - buildCountEnergies[k]; d > 1e-10 || d < -1e-10 {
-				t.Errorf("ranks %d step %d: energy %.13f Ha, %.13f before this change", ranks, k+1, s.Energy, buildCountEnergies[k])
+			if d := s.Energy - tc.energies[k]; d > 1e-10 || d < -1e-10 {
+				t.Errorf("%s step %d: energy %.13f Ha, %.13f before this change", tc.name, k+1, s.Energy, tc.energies[k])
 			}
 		}
 		tracks := rec.Tracks()
-		if len(tracks) != ranks {
-			t.Fatalf("ranks %d: %d tracks", ranks, len(tracks))
+		if len(tracks) != max(spec.Ranks, 1) {
+			t.Fatalf("%s: %d tracks", tc.name, len(tracks))
 		}
 		for _, tr := range tracks {
 			var starts []int64
@@ -190,9 +210,10 @@ func TestEachStateBuiltOnce(t *testing.T) {
 				}
 			}
 			if len(starts) != spec.Steps {
-				t.Fatalf("ranks %d track %d: %d step spans, want %d", ranks, tr.ID, len(starts), spec.Steps)
+				t.Fatalf("%s track %d: %d step spans, want %d", tc.name, tr.ID, len(starts), spec.Steps)
 			}
-			density, potential := make([]int, spec.Steps), make([]int, spec.Steps)
+			density, potential, exchange := make([]int, spec.Steps), make([]int, spec.Steps), make([]int, spec.Steps)
+			var aceBuildEnd int64 // end of the latest ace_build span of a pass k >= 1
 			for _, sp := range tr.Spans {
 				k := sort.Search(len(starts), func(i int) bool { return starts[i] > sp.StartNs }) - 1
 				if k < 0 {
@@ -203,6 +224,15 @@ func TestEachStateBuiltOnce(t *testing.T) {
 					density[k]++
 				case "potential":
 					potential[k]++
+				case "ace_build":
+					if k > 0 {
+						aceBuildEnd = sp.StartNs + sp.DurNs
+					}
+				case "exchange":
+					exchange[k]++
+					if sp.StartNs < aceBuildEnd {
+						t.Errorf("%s track %d step %d: ace_build applied the exchange itself after an energy evaluation", tc.name, tr.ID, k+1)
+					}
 				}
 			}
 			for k, s := range res.Samples {
@@ -211,8 +241,12 @@ func TestEachStateBuiltOnce(t *testing.T) {
 					extra = 1
 				}
 				if density[k] != s.SCFIters+2+extra || potential[k] != s.SCFIters+1+extra {
-					t.Errorf("ranks %d track %d step %d (%d SCF iterations): %d density and %d potential spans, want %d and %d",
-						ranks, tr.ID, k+1, s.SCFIters, density[k], potential[k], s.SCFIters+2+extra, s.SCFIters+1+extra)
+					t.Errorf("%s track %d step %d (%d SCF iterations): %d density and %d potential spans, want %d and %d",
+						tc.name, tr.ID, k+1, s.SCFIters, density[k], potential[k], s.SCFIters+2+extra, s.SCFIters+1+extra)
+				}
+				if want := tc.exchange(s.SCFIters); spec.Hybrid && exchange[k] != want+extra {
+					t.Errorf("%s track %d step %d (%d SCF iterations): %d exchange spans, want %d",
+						tc.name, tr.ID, k+1, s.SCFIters, exchange[k], want+extra)
 				}
 			}
 		}
