@@ -145,6 +145,9 @@ type stepWorkspace struct {
 	res  []complex128 // nb x NG: PT residual, returned by residual
 	half []complex128 // nb x NG: half-step RHS Psi_{n+1/2}
 	ov   []complex128 // nb x nb: projection matrix Psi^* H Psi
+	// mixer is Reset per step, so its history vectors, Gram matrices and
+	// least squares scratch are allocated once.
+	mixer *mixing.BandMixer
 }
 
 // residual computes the PT residual R = H psi - psi (psi^* H psi) - the
@@ -159,6 +162,8 @@ func (p *PTCN) residual(psi []complex128) []complex128 {
 			res:  make([]complex128, nb*ng),
 			half: make([]complex128, nb*ng),
 			ov:   make([]complex128, nb*nb),
+
+			mixer: mixing.NewBandMixer(nb, ng, p.Opt.MixHistory, p.Opt.MixBeta),
 		}
 	}
 	ws := p.ws
@@ -274,7 +279,8 @@ func (p *PTCN) Step(psi []complex128, dt float64) ([]complex128, StepStats, erro
 	// Line 3: density of the trial state.
 	rhof := s.density(psif)
 
-	mixer := mixing.NewBandMixer(nb, ng, p.Opt.MixHistory, p.Opt.MixBeta)
+	mixer := p.ws.mixer
+	mixer.Reset()
 	tNext := p.Time + dt
 	converged := false
 	for j := 0; j < p.Opt.MaxSCF; j++ {
@@ -293,7 +299,7 @@ func (p *PTCN) Step(psi []complex128, dt float64) ([]complex128, StepStats, erro
 		}
 
 		// Line 7: Anderson mixing per band.
-		psif = mixer.Mix(psif, rf)
+		mixer.MixInto(psif, psif, rf)
 
 		// Line 8-9: density change convergence monitor.
 		rhoNew := s.density(psif)

@@ -26,7 +26,6 @@ import (
 	"ptdft/internal/mpi"
 	"ptdft/internal/observe"
 	"ptdft/internal/potential"
-	"ptdft/internal/wavefunc"
 	"ptdft/internal/xc"
 )
 
@@ -86,11 +85,15 @@ type stepWorkspace struct {
 	res  []complex128 // nbl x NG: PT residual, returned by residual
 	half []complex128 // nbl x NG: half-step RHS Psi_{n+1/2}
 	fp   []complex128 // nbl x NG: fixed-point residual fed to the mixer
+	psif []complex128 // nbl x NG: the SCF iterate Psi_f, mixed in place
 	psiG []complex128 // NB x w: iterate in the G layout
 	hpG  []complex128 // NB x w: H psi in the G layout
 	resG []complex128 // NB x w: residual in the G layout
 	ov   []complex128 // nb x nb: overlap / projection matrix
 	tw   *TransposeWorkspace
+	// mixer is Reset per step, so its history vectors, Gram matrices and
+	// least squares scratch are allocated once.
+	mixer *mixing.BandMixer
 }
 
 // stepWS returns the solver's step workspace, allocating it on first use.
@@ -103,11 +106,14 @@ func (s *PTCNSolver) stepWS() *stepWorkspace {
 			res:  make([]complex128, nbl*ng),
 			half: make([]complex128, nbl*ng),
 			fp:   make([]complex128, nbl*ng),
+			psif: make([]complex128, nbl*ng),
 			psiG: make([]complex128, nb*w),
 			hpG:  make([]complex128, nb*w),
 			resG: make([]complex128, nb*w),
 			ov:   make([]complex128, nb*nb),
 			tw:   s.D.NewTransposeWorkspace(),
+
+			mixer: mixing.NewBandMixer(nbl, ng, s.Opt.MixHistory, s.Opt.MixBeta),
 		}
 	}
 	return s.ws
@@ -415,11 +421,13 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 	for i := range half {
 		half[i] = local[i] - ihalf*rn[i]
 	}
-	psif := wavefunc.Clone(half)
+	// The iterate lives in the workspace: orthonormalize returns the new
+	// state in storage of its own.
+	psif := ws.psif
+	copy(psif, half)
 	rhof := s.density(psif)
 
-	nbl := len(local) / s.D.G.NG
-	mixer := mixing.NewBandMixer(nbl, s.D.G.NG, s.Opt.MixHistory, s.Opt.MixBeta)
+	ws.mixer.Reset()
 	tNext := s.Time + dt
 	converged := false
 	for j := 0; j < s.Opt.MaxSCF; j++ {
@@ -435,7 +443,7 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 			// Mixer convention: next = x + beta*f, so pass f = -R_f.
 			ws.fp[i] = half[i] - psif[i] - ihalf*rf[i]
 		}
-		psif = mixer.Mix(psif, ws.fp)
+		ws.mixer.MixInto(psif, psif, ws.fp)
 		rhoNew := s.density(psif)
 		stats.DensityError = potential.DensityDiff(s.D.G, rhoNew, rhof, s.Occ*float64(s.D.NB))
 		rhof = rhoNew

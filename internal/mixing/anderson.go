@@ -29,6 +29,12 @@ type Anderson struct {
 	// one row (m inner products) and its conjugate column instead of
 	// recomputing all m^2; dropping the oldest pair shifts it up and left.
 	gram []complex128
+	// free holds the history vectors Reset and the history cap released;
+	// record reuses them, so a mixer kept across problems of one size stops
+	// allocating once its history has been full. sys and rhs are the
+	// bordered system's scratch.
+	free     [][]complex128
+	sys, rhs []complex128
 }
 
 // NewAnderson creates a mixer with history depth maxHist (the paper uses
@@ -40,11 +46,25 @@ func NewAnderson(maxHist int, beta float64) *Anderson {
 	return &Anderson{maxHist: maxHist, beta: beta}
 }
 
-// Reset clears the history (new time step / new SCF problem).
+// Reset clears the history (new time step / new SCF problem) and keeps its
+// vectors for the next one.
 func (a *Anderson) Reset() {
+	a.free = append(append(a.free, a.xs...), a.fs...)
 	a.xs = a.xs[:0]
 	a.fs = a.fs[:0]
 	clear(a.gram)
+}
+
+// record returns a history copy of v in a recycled vector when one fits.
+func (a *Anderson) record(v []complex128) []complex128 {
+	var c []complex128
+	if n := len(a.free); n > 0 && cap(a.free[n-1]) >= len(v) {
+		c, a.free = a.free[n-1][:len(v)], a.free[:n-1]
+	} else {
+		c = make([]complex128, len(v))
+	}
+	copy(c, v)
+	return c
 }
 
 // HistoryLen reports the current history depth.
@@ -63,24 +83,34 @@ func (a *Anderson) MemoryBytes() int64 {
 // Mix records the pair (x, f) and returns the next iterate. The returned
 // slice is freshly allocated; x and f are copied into the history.
 func (a *Anderson) Mix(x, f []complex128) []complex128 {
-	if len(x) != len(f) {
-		panic(fmt.Sprintf("mixing: x and f lengths differ: %d vs %d", len(x), len(f)))
+	out := make([]complex128, len(x))
+	a.MixInto(out, x, f)
+	return out
+}
+
+// MixInto is Mix writing the next iterate into the caller's out, which may
+// be x itself: x and f are copied into the history before out is written.
+func (a *Anderson) MixInto(out, x, f []complex128) {
+	if len(x) != len(f) || len(out) != len(x) {
+		panic(fmt.Sprintf("mixing: out, x and f lengths differ: %d, %d, %d", len(out), len(x), len(f)))
 	}
-	xc := append([]complex128(nil), x...)
-	fc := append([]complex128(nil), f...)
-	a.xs = append(a.xs, xc)
-	a.fs = append(a.fs, fc)
 	h := a.maxHist
 	if a.gram == nil {
 		a.gram = make([]complex128, h*h)
+		a.sys = make([]complex128, (h+1)*(h+1))
+		a.rhs = make([]complex128, h+1)
 	}
-	if len(a.xs) > h {
-		a.xs = a.xs[1:]
-		a.fs = a.fs[1:]
+	if len(a.xs) == h {
+		a.free = append(a.free, a.xs[0], a.fs[0])
+		a.xs = a.xs[:copy(a.xs, a.xs[1:])]
+		a.fs = a.fs[:copy(a.fs, a.fs[1:])]
 		for i := 0; i < h-1; i++ {
 			copy(a.gram[i*h:i*h+h-1], a.gram[(i+1)*h+1:(i+2)*h])
 		}
 	}
+	fc := a.record(f)
+	a.xs = append(a.xs, a.record(x))
+	a.fs = append(a.fs, fc)
 	m := len(a.xs)
 	// Dot(b, a) is the exact conjugate of Dot(a, b) (the same products,
 	// subtracted the other way round), so the column costs nothing and the
@@ -90,13 +120,13 @@ func (a *Anderson) Mix(x, f []complex128) []complex128 {
 		a.gram[j*h+m-1] = cmplx.Conj(v)
 		a.gram[(m-1)*h+j] = v // last, so the diagonal keeps Dot's own +0i
 	}
-	out := make([]complex128, len(x))
 	if m == 1 {
 		for i := range out {
 			out[i] = x[i] + complex(a.beta, 0)*f[i]
 		}
-		return out
+		return
 	}
+	clear(out)
 	c := a.coefficients(m)
 	for k := 0; k < m; k++ {
 		ck := c[k]
@@ -109,7 +139,6 @@ func (a *Anderson) Mix(x, f []complex128) []complex128 {
 			out[i] += ck * (xk[i] + b*fk[i])
 		}
 	}
-	return out
 }
 
 // coefficients solves the bordered system
@@ -120,7 +149,9 @@ func (a *Anderson) Mix(x, f []complex128) []complex128 {
 // with A_ij = <f_i|f_j>, regularized for near-degenerate histories.
 func (a *Anderson) coefficients(m int) []complex128 {
 	n := m + 1
-	sys := make([]complex128, n*n)
+	sys, rhs := a.sys[:n*n], a.rhs[:n]
+	clear(sys)
+	clear(rhs)
 	var trace float64
 	for i := 0; i < m; i++ {
 		copy(sys[i*n:i*n+m], a.gram[i*a.maxHist:])
@@ -136,7 +167,6 @@ func (a *Anderson) coefficients(m int) []complex128 {
 		sys[i*n+m] = 1
 		sys[m*n+i] = 1
 	}
-	rhs := make([]complex128, n)
 	rhs[m] = 1
 	if err := linalg.SolveLinear(sys, rhs, n, 1); err != nil {
 		// Degenerate history: fall back to plain mixing on the latest pair.
@@ -165,19 +195,23 @@ func NewBandMixer(nb, ng, maxHist int, beta float64) *BandMixer {
 }
 
 // Mix applies per-band Anderson mixing to the band-major iterate x and
-// residual f, returning the new iterate (band-major). Bands mix in
-// parallel.
+// residual f, returning the new iterate (band-major, freshly allocated).
 func (bm *BandMixer) Mix(x, f []complex128) []complex128 {
-	nb := len(bm.mixers)
-	if len(x) != nb*bm.ng || len(f) != nb*bm.ng {
+	out := make([]complex128, len(x))
+	bm.MixInto(out, x, f)
+	return out
+}
+
+// MixInto is Mix writing the new iterate into the caller's out, which may
+// be x itself. Bands mix in parallel.
+func (bm *BandMixer) MixInto(out, x, f []complex128) {
+	nb, ng := len(bm.mixers), bm.ng
+	if len(out) != nb*ng || len(x) != nb*ng || len(f) != nb*ng {
 		panic("mixing: BandMixer buffer size mismatch")
 	}
-	out := make([]complex128, len(x))
 	parallel.For(nb, func(i int) {
-		r := bm.mixers[i].Mix(x[i*bm.ng:(i+1)*bm.ng], f[i*bm.ng:(i+1)*bm.ng])
-		copy(out[i*bm.ng:(i+1)*bm.ng], r)
+		bm.mixers[i].MixInto(out[i*ng:(i+1)*ng], x[i*ng:(i+1)*ng], f[i*ng:(i+1)*ng])
 	})
-	return out
 }
 
 // Reset clears all band histories.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -259,5 +260,51 @@ func TestAndersonGramIncrementalMatchesFromScratch(t *testing.T) {
 		}
 		a.Mix(x, f)
 		check(call)
+	}
+}
+
+// A mixer kept across problems (Reset, recycled history vectors, the
+// iterate written over x) must produce the bits of a fresh mixer's Mix.
+func TestMixIntoRecycledMatchesFresh(t *testing.T) {
+	const nb, ng, maxHist = 3, 17, 4
+	rng := rand.New(rand.NewSource(29))
+	kept := NewBandMixer(nb, ng, maxHist, 0.4)
+	for problem := 0; problem < 3; problem++ {
+		kept.Reset()
+		fresh := NewBandMixer(nb, ng, maxHist, 0.4)
+		x := make([]complex128, nb*ng)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		inPlace := append([]complex128(nil), x...)
+		for call := 0; call < 7; call++ {
+			f := make([]complex128, nb*ng)
+			for i := range f {
+				f[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			x = fresh.Mix(x, f)
+			kept.MixInto(inPlace, inPlace, f)
+			for i := range x {
+				if x[i] != inPlace[i] {
+					t.Fatalf("problem %d call %d: kept mixer gives %v at %d, fresh %v", problem, call, inPlace[i], i, x[i])
+				}
+			}
+		}
+	}
+	before := kept.MemoryBytes()
+	var m0, m1 runtime.MemStats
+	kept.Reset()
+	x, f := make([]complex128, nb*ng), make([]complex128, nb*ng)
+	runtime.ReadMemStats(&m0)
+	for call := 0; call < 7; call++ {
+		kept.MixInto(x, x, f)
+	}
+	runtime.ReadMemStats(&m1)
+	if kept.MemoryBytes() != before {
+		t.Errorf("history holds %d bytes after a recycled problem, %d before", kept.MemoryBytes(), before)
+	}
+	// Only parallel.For's per-call bookkeeping is left, far below one vector.
+	if b := m1.TotalAlloc - m0.TotalAlloc; b > 7*ng*16 {
+		t.Errorf("a warm mixer allocated %d bytes over 7 calls", b)
 	}
 }
