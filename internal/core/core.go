@@ -158,11 +158,10 @@ func (p *PTCN) residual(psi []complex128) []complex128 {
 	nb, ng := p.Sys.NB, p.Sys.G.NG
 	if p.ws == nil || len(p.ws.hp) != nb*ng {
 		p.ws = &stepWorkspace{
-			hp:   make([]complex128, nb*ng),
-			res:  make([]complex128, nb*ng),
-			half: make([]complex128, nb*ng),
-			ov:   make([]complex128, nb*nb),
-
+			hp:    make([]complex128, nb*ng),
+			res:   make([]complex128, nb*ng),
+			half:  make([]complex128, nb*ng),
+			ov:    make([]complex128, nb*nb),
 			mixer: mixing.NewBandMixer(nb, ng, p.Opt.MixHistory, p.Opt.MixBeta),
 		}
 	}

@@ -215,19 +215,9 @@ func TestParseStrategy(t *testing.T) {
 // and single precision halves the shipped volume.
 func TestCommunicationIsMetered(t *testing.T) {
 	g, psi, nb := testGrid(t)
-	hyb := xc.HSE06()
-	kernel := fock.BuildKernel(g, hyb)
 	run := func(opt ExchangeOptions) *mpi.Stats {
-		return mpi.Run(4, func(c *mpi.Comm) {
-			d, err := NewCtx(c, g, nb, 2)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			lo, hi := d.BandRange(c.Rank())
-			local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
-			d.FockExchange(local, local, kernel, hyb.Alpha, opt)
-		})
+		_, _, stats := applyExchange(t, g, psi, nb, 4, opt, false)
+		return stats
 	}
 	bc := run(ExchangeOptions{Strategy: BcastSequential})
 	if bc.BytesFor(mpi.ClassBcast) == 0 || bc.BytesFor(mpi.ClassP2P) != 0 {

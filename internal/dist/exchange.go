@@ -155,16 +155,11 @@ type ExchangeWorkspace struct {
 	nbl    int
 	sym    bool
 
-	// Mirrored side of the pair-symmetric fold. mir row 0 accumulates what
-	// this rank's solves contribute to the arriving band when another rank
-	// owns it, rows 1.. are the partial sums of fold workers 1..; js lists
-	// the arriving band's local partners. remG stages the finished rows on
-	// the sphere and send slices it per owner for returnToOwners - the one
-	// return path of the static and the steal schedules, allocated on the
-	// first multi-rank application that needs it.
-	mir  lanes.Slab     // nw x NTot (SoA)
-	js   []int          // nbl
-	remG []complex128   // NB x NG
+	// Mirrored side of the pair-symmetric fold (processSymmetric), and the
+	// staging of returnToOwners - the one return path of the static and the
+	// steal schedules, allocated on the first application that needs it.
+	mir  lanes.Slab     // nw x NTot: row 0 the arriving band's sum, rows 1.. worker partials (SoA)
+	remG []complex128   // NB x NG: finished rows for bands owned elsewhere, on the sphere
 	send [][]complex128 // Alltoallv views into remG, one per rank
 
 	// steal holds the work-stealing schedule's buffers, allocated on the
@@ -184,7 +179,6 @@ func (d *Ctx) NewExchangeWorkspace() *ExchangeWorkspace {
 		phiR:    lanes.New(ntot),
 		ring:    make([]complex128, nbl*ng),
 		vx:      make([]complex128, nbl*ng),
-		js:      make([]int, 0, nbl),
 		fftPhi:  d.G.Plan.NewWorkspace(),
 		ch:      make(chan []complex128, 1),
 	}
@@ -279,8 +273,8 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 	ws.ensureWorkers(nw)
 	ws.kernel, ws.alpha, ws.nbl = kernel, alpha, nbl
 	ws.sym = !opt.SinglePrecision && selfReferenced(phi, psi)
-	// Both pair-symmetric schedules, and steal in any shape, solve pairs
-	// whose other band lives elsewhere; those rows go home after the loop.
+	// The symmetric fold, and steal in any shape, solve pairs for bands
+	// owned elsewhere; those rows go home after the projection below.
 	returns := d.C.Size() > 1 && (ws.sym || opt.Strategy == Steal)
 	if returns && ws.remG == nil {
 		ws.remG = make([]complex128, d.NB*ng)
@@ -335,13 +329,11 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 	return ws.vx
 }
 
-// returnToOwners ships the rows staged in remG - contributions this rank's
-// solves made to bands owned elsewhere - to their owners with one dense
-// Alltoallv of sphere coefficients, and adds what the other ranks computed
-// for this rank's bands into vx in rank order. Always double precision: the
-// single-precision wire format rounds only the reference orbitals. The
-// payload shape is fixed (every non-owned band, zeros where nothing was
-// contributed), whoever solved what.
+// returnToOwners ships the rows staged in remG to their owners with one
+// dense Alltoallv of sphere coefficients and adds what the other ranks
+// computed for this rank's bands into vx in rank order. Always double
+// precision (the single-precision wire rounds only the reference orbitals),
+// and always every non-owned band, zeros where nothing was contributed.
 func (ws *ExchangeWorkspace) returnToOwners() {
 	d := ws.g
 	ref := d.C.Trace().Begin("exchange_return", "solver")
@@ -363,9 +355,8 @@ func (ws *ExchangeWorkspace) returnToOwners() {
 // Scratch is bound out of the hot loop: one phiR reused across reference
 // bands (process runs sequentially) and one pair buffer plus FFT workspace
 // per worker (ForWorker serializes all iterations of a worker index). The
-// one-sided fold below is the path for traffic that cannot use the pair
-// symmetry - a frozen MTS reference, a single-precision wire - exactly as
-// fock.Operator.Apply sits beside ApplyToReference.
+// one-sided fold serves what cannot use the pair symmetry (a frozen MTS
+// reference, a single-precision wire), as Apply sits beside ApplyToReference.
 func (ws *ExchangeWorkspace) process(band []complex128, i int) {
 	d := ws.g
 	ntot := d.G.NTot
@@ -394,45 +385,42 @@ func (ws *ExchangeWorkspace) process(band []complex128, i int) {
 // one Poisson solve per unordered pair {i, j} serves acc_j and, mirrored,
 // band i (fock.ContractPairReferenceWS). It returns the number of solves.
 //
-// Ownership: a band of this rank's own block meets only its local partners
+// Ownership: a band of this rank's own block meets its local partners
 // j >= i, with no communication at all. A band owned elsewhere meets the
 // checkerboard half of the block - the pair {a < b} belongs to owner(b) when
 // a + b is even and to owner(a) otherwise - so every unordered pair is solved
-// exactly once across ranks; its mirrored sum is projected to the sphere as
-// soon as the band is done and staged for returnToOwners, which keeps the
-// real-space memory at O(nbl) rows.
+// once across ranks; the mirrored sum is projected to the sphere as soon as
+// the band is done and staged for returnToOwners, which keeps the real-space
+// memory at O(nbl) rows.
 //
 // Fold order: every partner adds into band i's accumulator, so the partners
 // are split statically over the workers; worker 0 adds into the accumulator
 // itself, worker w > 0 into mir row w, and the rows are folded in worker
-// order afterwards. The sum is the same bits on every run at a fixed worker
-// count (ForWorker's dynamic claims never decide what is added to what).
+// order afterwards - the same bits on every run at a fixed worker count
+// (ForWorker's dynamic claims never decide what is added to what).
 func (ws *ExchangeWorkspace) processSymmetric(band []complex128, i int) int {
 	d := ws.g
 	ng, ntot, nbl := d.G.NG, d.G.NTot, ws.nbl
 	lo, _ := d.BandRange(d.C.Rank())
 	own := i >= lo && i < lo+nbl
-	phiI, accI, js := ws.phiR, ws.mir.Row(0, ntot), ws.js[:0]
+	// Partners are the local bands j0, j0+dj, ...
+	phiI, accI, j0, dj := ws.phiR, ws.mir.Row(0, ntot), (i+lo)%2, 2
 	if own {
-		phiI, accI = ws.psiReal.Row(i-lo, ntot), ws.acc.Row(i-lo, ntot)
-		for j := i - lo; j < nbl; j++ {
-			js = append(js, j)
-		}
-	} else {
-		for j := 0; j < nbl; j++ {
-			if ((i+lo+j)%2 == 0) == (i < lo+j) {
-				js = append(js, j)
-			}
-		}
-		if len(js) == 0 { // a one-band block on the other colour
-			clear(ws.remG[i*ng : (i+1)*ng])
-			return 0
-		}
+		phiI, accI, j0, dj = ws.psiReal.Row(i-lo, ntot), ws.acc.Row(i-lo, ntot), i-lo, 1
+	} else if i > lo {
+		j0 = 1 - j0 // i is the pair's upper band: ours when the sum is odd
+	}
+	n := (nbl - j0 + dj - 1) / dj
+	if n == 0 { // a one-band block on the other colour
+		clear(ws.remG[i*ng : (i+1)*ng])
+		return 0
+	}
+	if !own {
 		d.G.ToRealSlabWS(phiI, band, ws.fftPhi)
 	}
-	nw := parallel.NumWorkers(len(js))
+	nw := parallel.NumWorkers(n)
 	if nw <= 1 {
-		for _, j := range js {
+		for j := j0; j < nbl; j += dj {
 			fock.ContractPairReferenceWS(d.G, ws.kernel, ws.alpha, phiI, ws.psiReal.Row(j, ntot), accI, ws.acc.Row(j, ntot), ws.pairs.Row(0, ntot), lo+j == i, ws.fft[0])
 		}
 	} else {
@@ -441,7 +429,8 @@ func (ws *ExchangeWorkspace) processSymmetric(band []complex128, i int) int {
 			if w > 0 {
 				part = ws.mir.Row(w, ntot)
 			}
-			for _, j := range js[w*len(js)/nw : (w+1)*len(js)/nw] {
+			for k := w * n / nw; k < (w+1)*n/nw; k++ {
+				j := j0 + k*dj
 				fock.ContractPairReferenceWS(d.G, ws.kernel, ws.alpha, phiI, ws.psiReal.Row(j, ntot), part, ws.acc.Row(j, ntot), ws.pairs.Row(w, ntot), lo+j == i, ws.fft[w])
 			}
 		})
@@ -458,7 +447,7 @@ func (ws *ExchangeWorkspace) processSymmetric(band []complex128, i int) int {
 		d.G.FromRealSlabWS(ws.remG[i*ng:(i+1)*ng], accI, ws.fftPhi)
 		accI.Zero()
 	}
-	return len(js)
+	return n
 }
 
 // bcastBand broadcasts one band from root into buf, optionally through a

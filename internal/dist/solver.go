@@ -66,12 +66,11 @@ type PTCNSolver struct {
 	// built from.
 	mtsPhi []complex128
 	// vxFor marks, by storage as Hamiltonian.MarkPrepared does, the block
-	// whose V_X[Psi]Psi still sits in the exchange workspace's result buffer:
-	// the energy observable applies the exact operator to the converged state
-	// and the next Step's first exchange application asks for the same
-	// product. keptVX hands it out once; every other exchange application,
-	// that first residual itself, a geometry change and ResumeMTS clear the
-	// mark. A marked block must not be edited in place.
+	// whose V_X[Psi]Psi the energy observable left in the exchange
+	// workspace's result buffer; the next Step's first exchange application
+	// asks for the same product. keptVX hands it out once; every other
+	// exchange application, that first residual itself, a geometry change and
+	// ResumeMTS clear the mark. A marked block must not be edited in place.
 	vxFor *complex128
 }
 
@@ -102,17 +101,16 @@ func (s *PTCNSolver) stepWS() *stepWorkspace {
 		nbl, ng := s.D.NumLocalBands(), s.D.G.NG
 		nb, w := s.D.NB, s.D.NumLocalG()
 		s.ws = &stepWorkspace{
-			hp:   make([]complex128, nbl*ng),
-			res:  make([]complex128, nbl*ng),
-			half: make([]complex128, nbl*ng),
-			fp:   make([]complex128, nbl*ng),
-			psif: make([]complex128, nbl*ng),
-			psiG: make([]complex128, nb*w),
-			hpG:  make([]complex128, nb*w),
-			resG: make([]complex128, nb*w),
-			ov:   make([]complex128, nb*nb),
-			tw:   s.D.NewTransposeWorkspace(),
-
+			hp:    make([]complex128, nbl*ng),
+			res:   make([]complex128, nbl*ng),
+			half:  make([]complex128, nbl*ng),
+			fp:    make([]complex128, nbl*ng),
+			psif:  make([]complex128, nbl*ng),
+			psiG:  make([]complex128, nb*w),
+			hpG:   make([]complex128, nb*w),
+			resG:  make([]complex128, nb*w),
+			ov:    make([]complex128, nb*nb),
+			tw:    s.D.NewTransposeWorkspace(),
 			mixer: mixing.NewBandMixer(nbl, ng, s.Opt.MixHistory, s.Opt.MixBeta),
 		}
 	}

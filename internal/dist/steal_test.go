@@ -309,19 +309,9 @@ func TestStealMatchesBcastACE(t *testing.T) {
 // bill exactly the sequential Bcast volume for its reference distribution.
 func TestExchangePipelinesDoNotInflateVolume(t *testing.T) {
 	g, psi, nb := testGrid(t)
-	hyb := xc.HSE06()
-	kernel := fock.BuildKernel(g, hyb)
 	run := func(opt ExchangeOptions) *mpi.Stats {
-		return mpi.Run(4, func(c *mpi.Comm) {
-			d, err := NewCtx(c, g, nb, 2)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			lo, hi := d.BandRange(c.Rank())
-			local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
-			d.FockExchange(local, local, kernel, hyb.Alpha, opt)
-		})
+		_, _, stats := applyExchange(t, g, psi, nb, 4, opt, false)
+		return stats
 	}
 	seq := run(ExchangeOptions{Strategy: BcastSequential})
 	ovl := run(ExchangeOptions{Strategy: BcastOverlapped})
