@@ -79,7 +79,6 @@ func parseFlags() (*config, error) {
 	flag.StringVar(&c.csvPath, "csv", "", "write per-step observables to this CSV file")
 	flag.BoolVar(&c.quiet, "q", false, "suppress per-step output")
 	flag.StringVar(&s.Exchange, "exchange", "overlap", "distributed exchange strategy: "+strings.Join(dist.StrategyNames(), ", "))
-	flag.IntVar(&s.StealChunk, "stealchunk", 0, "pairs per work-queue claim under -exchange steal (0 = auto)")
 	flag.BoolVar(&s.SinglePrec, "singleprec", false, "single-precision MPI payloads (distributed runs)")
 	flag.StringVar(&c.savePath, "save", "", "write a restart checkpoint here after the last step")
 	flag.StringVar(&c.loadPath, "load", "", "resume from a checkpoint instead of the ground state")

@@ -19,11 +19,11 @@
 // Two experiments are measured, not modeled, and run only when named
 // (they take seconds and are not part of `-experiment all`):
 // `-experiment sched` runs the real distributed exchange (internal/dist
-// over the goroutine MPI runtime) under injected per-rank slowdowns and
-// NIC delay, comparing the static schedules against the dynamic work
-// queue; `-experiment faults` runs a real propagation through sim.Run with
-// injected rank crashes, sweeping crash step x checkpoint cadence to
-// measure recovery overhead.
+// over the goroutine MPI runtime) under injected NIC delay, comparing the
+// sequential broadcast against the overlapped pipeline; `-experiment
+// faults` runs a real propagation through sim.Run with injected rank
+// crashes, sweeping crash step x checkpoint cadence to measure recovery
+// overhead.
 package main
 
 import (
@@ -38,7 +38,6 @@ import (
 func main() {
 	experiment := flag.String("experiment", "all", "which experiment to regenerate (table1,table2,fig3,fig6,fig7,fig8,fig9,fig10,power,flops,all; sched and faults measure the real distributed code and run only when named)")
 	natom := flag.Int("natoms", 1536, "silicon system size (atoms)")
-	stragglerFactor := flag.Float64("straggler", 2.0, "compute slowdown of rank 0 in the sched experiment's straggler rows")
 	traceFile := flag.String("tracefile", "", "with -experiment sched or faults: record the measured runs' per-rank span timeline and write it here as Chrome trace-event JSON")
 	flag.Parse()
 
@@ -94,7 +93,7 @@ func main() {
 		rec = trace.NewRecorder()
 	}
 	if *experiment == "sched" {
-		sched(*stragglerFactor, rec)
+		sched(rec)
 		any = true
 	}
 	if *experiment == "faults" {

@@ -16,54 +16,80 @@ import (
 )
 
 func TestRunToRunBitIdentical(t *testing.T) {
+	exact := sim.Spec{
+		Cells: [3]int{1, 1, 1}, Ecut: 2, DtAs: 24, Steps: 2, Kick: 0.02, Seed: 7,
+		Hybrid: true, Ranks: 2,
+	}
+	exactBcast, exactOverlap := exact, exact
+	exactBcast.Exchange, exactOverlap.Exchange = "bcast", "overlap"
 	specs := []struct {
 		name string
 		spec sim.Spec
+		// acrossWorkers: the bits do not depend on the worker count either.
+		// The hybrid rows fold the pair-symmetric exchange in a split fixed
+		// per worker count, so 1 and 2 workers agree to rounding only.
+		acrossWorkers bool
 	}{
 		{"serial LDA", sim.Spec{
 			Cells: [3]int{1, 1, 1}, Ecut: 2, DtAs: 24, Steps: 3, Kick: 0.02, Seed: 7,
-		}},
+		}, true},
 		{"2-rank hybrid ACE MTS", sim.Spec{
 			Cells: [3]int{1, 1, 1}, Ecut: 2, DtAs: 24, Steps: 4, Kick: 0.02, Seed: 7,
 			Hybrid: true, ACE: true, MTS: 2, Ranks: 2, Exchange: "overlap",
-		}},
+		}, false},
+		{"2-rank exact bcast", exactBcast, false},
+		{"2-rank exact overlap", exactOverlap, false},
 	}
 	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
+	run := func(t *testing.T, spec sim.Spec) *sim.Result {
+		t.Helper()
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(&spec, sim.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Samples) != spec.Steps {
+			t.Fatalf("%d samples, want %d", len(res.Samples), spec.Steps)
+		}
+		return res
+	}
 	for _, tc := range specs {
-		spec := tc.spec
+		var atOneWorker *sim.Result
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers %d", tc.name, workers), func(t *testing.T) {
 				parallel.SetMaxWorkers(workers)
-				var runs [2]*sim.Result
-				for i := range runs {
-					s := spec
-					if err := s.Validate(); err != nil {
-						t.Fatal(err)
-					}
-					res, err := sim.Run(&s, sim.Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					runs[i] = res
-				}
-				a, b := runs[0], runs[1]
-				if len(a.Psi) != len(b.Psi) || len(a.Samples) != len(b.Samples) || len(a.Samples) != spec.Steps {
-					t.Fatalf("shape differs: %d/%d orbitals coefficients, %d/%d samples", len(a.Psi), len(b.Psi), len(a.Samples), len(b.Samples))
-				}
-				for i := range a.Psi {
-					if math.Float64bits(real(a.Psi[i])) != math.Float64bits(real(b.Psi[i])) ||
-						math.Float64bits(imag(a.Psi[i])) != math.Float64bits(imag(b.Psi[i])) {
-						t.Fatalf("final Psi differs at coefficient %d: %v vs %v", i, a.Psi[i], b.Psi[i])
-					}
-				}
-				for i := range a.Samples {
-					x, y := a.Samples[i], b.Samples[i]
-					x.WallSec, y.WallSec = 0, 0 // the one field that is a clock reading
-					if x != y {
-						t.Fatalf("sample %d differs:\n  %+v\n  %+v", i, x, y)
-					}
+				a := run(t, tc.spec)
+				sameBits(t, a, run(t, tc.spec))
+				if workers == 1 {
+					atOneWorker = a
+				} else if tc.acrossWorkers && atOneWorker != nil {
+					sameBits(t, atOneWorker, a)
 				}
 			})
+		}
+	}
+}
+
+// sameBits fails unless two results carry the same final orbitals and the
+// same samples, bit for bit.
+func sameBits(t *testing.T, a, b *sim.Result) {
+	t.Helper()
+	if len(a.Psi) != len(b.Psi) || len(a.Samples) != len(b.Samples) {
+		t.Fatalf("shape differs: %d/%d orbitals coefficients, %d/%d samples", len(a.Psi), len(b.Psi), len(a.Samples), len(b.Samples))
+	}
+	for i := range a.Psi {
+		if math.Float64bits(real(a.Psi[i])) != math.Float64bits(real(b.Psi[i])) ||
+			math.Float64bits(imag(a.Psi[i])) != math.Float64bits(imag(b.Psi[i])) {
+			t.Fatalf("final Psi differs at coefficient %d: %v vs %v", i, a.Psi[i], b.Psi[i])
+		}
+	}
+	for i := range a.Samples {
+		x, y := a.Samples[i], b.Samples[i]
+		x.WallSec, y.WallSec = 0, 0 // the one field that is a clock reading
+		if x != y {
+			t.Fatalf("sample %d differs:\n  %+v\n  %+v", i, x, y)
 		}
 	}
 }

@@ -21,13 +21,13 @@ func siPots() map[int]*pseudo.Potential {
 // TestDistACEExactOnReference: the compression reproduces the exact
 // operator on its own reference span, V_ACE Phi = V_X Phi, so applying the
 // freshly built Xi to the reference block must match the distributed exact
-// exchange to round-off - on every rank count and under every strategy.
+// exchange to round-off - on every rank count and under both schedules.
 func TestDistACEExactOnReference(t *testing.T) {
 	g, psi, nb := testGrid(t)
 	hyb := xc.HSE06()
 	kernel := fock.BuildKernel(g, hyb)
 	for _, ranks := range []int{1, 2, 4} {
-		for _, strat := range []ExchangeStrategy{BcastSequential, BcastOverlapped, RoundRobin, Steal} {
+		for _, strat := range strategies {
 			opt := ExchangeOptions{Strategy: strat}
 			mpi.Run(ranks, func(c *mpi.Comm) {
 				d, err := NewCtx(c, g, nb, 2)
@@ -97,7 +97,7 @@ func TestDistACEDegenerateSetFailsLoudly(t *testing.T) {
 // mpi layer's Send/Bcast copies model the interconnect and are exempt) and
 // no goroutine fan-out (allocation at the edges, per DESIGN.md section 5).
 // The iterations themselves always run: under -race they drive the
-// lane-blocked SoA exchange path through every strategy with the detector
+// lane-blocked SoA exchange path through every mode with the detector
 // armed, and only the allocation counts (meaningless there - sync.Pool
 // drops items under -race) are suspended.
 func TestDistStepAllocs(t *testing.T) {
@@ -108,20 +108,12 @@ func TestDistStepAllocs(t *testing.T) {
 		opt  ExchangeOptions
 	}{
 		{"exact_bcast", ExchangeOptions{Strategy: BcastSequential}},
-		{"exact_roundrobin", ExchangeOptions{Strategy: RoundRobin}},
 		{"ace", ExchangeOptions{Strategy: BcastSequential, ACE: true}},
 		// The MTS hold cadences: the frozen-operator residual path (the
 		// cost that dominates the M-1 intermediate steps) must stay
 		// zero-alloc too.
 		{"ace_mts", ExchangeOptions{Strategy: BcastSequential, ACE: true, MTSPeriod: 4}},
 		{"exact_mts", ExchangeOptions{Strategy: BcastSequential, MTSPeriod: 4}},
-		// The work queue must ride the existing workspaces: the triangle
-		// schedule (live iterate), the ACE build, and the rectangle
-		// schedule (frozen MTS references) all claim from preallocated
-		// pair tables and contract into preallocated accumulators.
-		{"exact_steal", ExchangeOptions{Strategy: Steal}},
-		{"ace_steal", ExchangeOptions{Strategy: Steal, ACE: true}},
-		{"exact_steal_mts", ExchangeOptions{Strategy: Steal, MTSPeriod: 4}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			mpi.Run(1, func(c *mpi.Comm) {

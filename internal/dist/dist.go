@@ -1,11 +1,11 @@
 // Package dist implements the paper's section 3 parallelization on the
 // goroutine message-passing runtime of internal/mpi: the two-dimensional
 // band-index x G-space decomposition of Fig. 1, the MPI_Alltoallv layout
-// transpose between the two layouts, the three Fock-exchange communication
-// strategies of section 3.2 (sequential broadcast, broadcast overlapped
-// with computation, round-robin point-to-point), single-precision MPI
-// payloads (optimization 4), and a distributed PT-CN propagator that
-// mirrors Algorithm 1 band-block by band-block.
+// transpose between the two layouts, the two Fock-exchange communication
+// schedules of section 3.2 (sequential broadcast, broadcast overlapped
+// with computation), single-precision MPI payloads (optimization 4), and a
+// distributed PT-CN propagator that mirrors Algorithm 1 band-block by
+// band-block.
 //
 // Layouts. In the band-index layout each rank owns a contiguous block of
 // bands with every G coefficient of those bands: this is where H*Psi, the
@@ -33,7 +33,7 @@ import (
 // same order on every rank, and the mailbox runtime preserves per-tag FIFO
 // order, so a fixed tag per call site is safe; only the pipelined exchange
 // broadcast needs a distinct tag per band (two broadcasts are in flight at
-// once) and the round-robin ring a tag per hop.
+// once).
 const (
 	tagGather     = 10
 	tagBandToG    = 20
@@ -48,8 +48,6 @@ const (
 	tagForces     = 110     // AllreduceSum consumes 110 and 111 (ion force partials)
 	tagExchReturn = 120     // returnToOwners: the pair-symmetric schedules' Alltoallv
 	tagExchBcast  = 1 << 10 // + global band index
-	tagExchRing   = 1 << 11 // + ring hop
-	tagExchPsi    = 1 << 12 // + global band index (steal rectangle-mode targets)
 )
 
 // Ctx owns one rank's view of the band-index x G-space decomposition: the

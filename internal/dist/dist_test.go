@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"testing"
+	"time"
 
 	"ptdft/internal/fock"
 	"ptdft/internal/grid"
@@ -147,34 +148,46 @@ func TestTransposeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFockExchangeMatchesSerialOperator checks all three strategies
-// against the serial fock.Operator on the gathered band set: identical
-// reference data, so double precision must agree to accumulation-order
-// round-off and single precision within wire precision.
+// TestFockExchangeMatchesSerialOperator checks both schedules against the
+// serial fock.Operator on the gathered band set: identical reference data,
+// so double precision must agree to accumulation-order round-off and single
+// precision within wire precision - on even (4 ranks) and uneven (3 ranks)
+// band blocks, and with a reference block distinct from the target (the
+// one-sided fold a frozen MTS reference takes).
 func TestFockExchangeMatchesSerialOperator(t *testing.T) {
 	g, psi, nb := testGrid(t)
 	hyb := xc.HSE06()
 	kernel := fock.BuildKernel(g, hyb)
-	want := make([]complex128, nb*g.NG)
-	fock.NewOperator(g, hyb, psi, nb).Apply(want, psi, nb)
+	frozen := wavefunc.Random(g, nb, 11)
+	serial := func(ref []complex128) []complex128 {
+		want := make([]complex128, nb*g.NG)
+		fock.NewOperator(g, hyb, ref, nb).Apply(want, psi, nb)
+		return want
+	}
+	wantSelf, wantFrozen := serial(psi), serial(frozen)
 
 	cases := []struct {
-		name string
-		opt  ExchangeOptions
-		tol  float64
+		name      string
+		ranks     int
+		opt       ExchangeOptions
+		frozenRef bool
+		tol       float64
 	}{
-		{"bcast", ExchangeOptions{Strategy: BcastSequential}, 1e-12},
-		{"overlap", ExchangeOptions{Strategy: BcastOverlapped}, 1e-12},
-		{"roundrobin", ExchangeOptions{Strategy: RoundRobin}, 1e-11},
-		{"bcast_single", ExchangeOptions{Strategy: BcastSequential, SinglePrecision: true}, 1e-5},
-		{"steal", ExchangeOptions{Strategy: Steal}, 1e-12},
-		{"steal_chunk1", ExchangeOptions{Strategy: Steal, StealChunk: 1}, 1e-12},
-		{"steal_single", ExchangeOptions{Strategy: Steal, SinglePrecision: true}, 1e-5},
+		{"bcast", 4, ExchangeOptions{Strategy: BcastSequential}, false, 1e-12},
+		{"overlap", 4, ExchangeOptions{Strategy: BcastOverlapped}, false, 1e-12},
+		{"bcast_single", 4, ExchangeOptions{Strategy: BcastSequential, SinglePrecision: true}, false, 1e-5},
+		{"overlap_uneven", 3, ExchangeOptions{}, false, 1e-12},
+		{"overlap_uneven_single", 3, ExchangeOptions{SinglePrecision: true}, false, 1e-5},
+		{"overlap_uneven_frozen", 3, ExchangeOptions{}, true, 1e-12},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			want := wantSelf
+			if tc.frozenRef {
+				want = wantFrozen
+			}
 			got := make([]complex128, nb*g.NG)
-			mpi.Run(4, func(c *mpi.Comm) {
+			mpi.Run(tc.ranks, func(c *mpi.Comm) {
 				d, err := NewCtx(c, g, nb, 2)
 				if err != nil {
 					t.Error(err)
@@ -182,7 +195,11 @@ func TestFockExchangeMatchesSerialOperator(t *testing.T) {
 				}
 				lo, hi := d.BandRange(c.Rank())
 				local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
-				vx := d.FockExchange(local, local, kernel, hyb.Alpha, tc.opt)
+				phi := local
+				if tc.frozenRef {
+					phi = wavefunc.Clone(frozen[lo*g.NG : hi*g.NG])
+				}
+				vx := d.FockExchange(phi, local, kernel, hyb.Alpha, tc.opt)
 				full := d.Gather(vx)
 				if c.Rank() == 0 {
 					copy(got, full)
@@ -210,35 +227,24 @@ func TestParseStrategy(t *testing.T) {
 	}
 }
 
-// TestCommunicationIsMetered pins the exchange strategies to their
-// collective classes: broadcasts bill to MPI_Bcast, the ring to Send/Recv,
-// and single precision halves the shipped volume.
+// TestCommunicationIsMetered pins the exchange schedules to their
+// collective classes: the reference bands bill to MPI_Bcast, nothing to
+// Send/Recv, and single precision halves the shipped volume.
 func TestCommunicationIsMetered(t *testing.T) {
 	g, psi, nb := testGrid(t)
-	run := func(opt ExchangeOptions) *mpi.Stats {
-		_, _, stats := applyExchange(t, g, psi, nb, 4, opt, false)
-		return stats
-	}
-	bc := run(ExchangeOptions{Strategy: BcastSequential})
-	if bc.BytesFor(mpi.ClassBcast) == 0 || bc.BytesFor(mpi.ClassP2P) != 0 {
-		t.Errorf("bcast strategy billed Bcast=%d P2P=%d", bc.BytesFor(mpi.ClassBcast), bc.BytesFor(mpi.ClassP2P))
-	}
-	rr := run(ExchangeOptions{Strategy: RoundRobin})
-	if rr.BytesFor(mpi.ClassP2P) == 0 || rr.BytesFor(mpi.ClassBcast) != 0 {
-		t.Errorf("roundrobin strategy billed Bcast=%d P2P=%d", rr.BytesFor(mpi.ClassBcast), rr.BytesFor(mpi.ClassP2P))
-	}
 	// The pair symmetry changes who solves what, not what is shipped out: a
-	// self-referenced application bills the one-sided application's Bcast (or
-	// ring) bytes, plus the mirrored rows going home - every rank returns one
+	// self-referenced application bills the one-sided application's Bcast
+	// bytes, plus the mirrored rows going home - every rank returns one
 	// sphere row per band it does not own, (NB - nbl) x NG x 16 B, in one
 	// Alltoallv. The one-sided fold returns nothing.
-	for _, strat := range staticStrategies {
+	for _, strat := range strategies {
 		_, _, sym := applyExchange(t, g, psi, nb, 4, ExchangeOptions{Strategy: strat}, false)
 		_, _, one := applyExchange(t, g, psi, nb, 4, ExchangeOptions{Strategy: strat}, true)
-		for _, class := range []mpi.OpClass{mpi.ClassBcast, mpi.ClassP2P} {
-			if sym.BytesFor(class) != one.BytesFor(class) {
-				t.Errorf("%v: self-referenced application bills %d %v bytes, one-sided %d", strat, sym.BytesFor(class), class, one.BytesFor(class))
-			}
+		if sym.BytesFor(mpi.ClassBcast) == 0 || sym.BytesFor(mpi.ClassP2P) != 0 {
+			t.Errorf("%v billed Bcast=%d P2P=%d", strat, sym.BytesFor(mpi.ClassBcast), sym.BytesFor(mpi.ClassP2P))
+		}
+		if sym.BytesFor(mpi.ClassBcast) != one.BytesFor(mpi.ClassBcast) {
+			t.Errorf("%v: self-referenced application bills %d Bcast bytes, one-sided %d", strat, sym.BytesFor(mpi.ClassBcast), one.BytesFor(mpi.ClassBcast))
 		}
 		if got, want := sym.BytesFor(mpi.ClassAlltoallv), int64(4*(nb-nb/4)*g.NG*16); got != want {
 			t.Errorf("%v: self-referenced application returns %d Alltoallv bytes, want %d", strat, got, want)
@@ -247,22 +253,68 @@ func TestCommunicationIsMetered(t *testing.T) {
 			t.Errorf("%v: one-sided application bills %d Alltoallv bytes, want 0", strat, one.BytesFor(mpi.ClassAlltoallv))
 		}
 	}
-	bcS := run(ExchangeOptions{Strategy: BcastSequential, SinglePrecision: true})
+	_, _, bc := applyExchange(t, g, psi, nb, 4, ExchangeOptions{Strategy: BcastSequential}, false)
+	_, _, bcS := applyExchange(t, g, psi, nb, 4, ExchangeOptions{Strategy: BcastSequential, SinglePrecision: true}, false)
 	ratio := float64(bc.BytesFor(mpi.ClassBcast)) / float64(bcS.BytesFor(mpi.ClassBcast))
 	if math.Abs(ratio-2) > 1e-9 {
 		t.Errorf("single precision volume ratio %g, want 2", ratio)
 	}
-	// The steal schedule broadcasts the same nb reference bands over the
-	// same trees as bcast, claims chunks over the RMA counter, and ships its
-	// remote contributions in one Alltoallv; nothing bills to P2P.
-	sl := run(ExchangeOptions{Strategy: Steal})
-	if sl.BytesFor(mpi.ClassBcast) != bc.BytesFor(mpi.ClassBcast) {
-		t.Errorf("steal Bcast bytes = %d, want bcast's %d", sl.BytesFor(mpi.ClassBcast), bc.BytesFor(mpi.ClassBcast))
+}
+
+// TestExchangePipelinesDoNotInflateVolume: broadcast-ahead changes when
+// payloads move, never how much moves. The overlapped pipeline must bill
+// exactly the sequential schedule's bytes, and both return their mirrored
+// rows through one Alltoallv of one sphere row per band a rank does not own.
+func TestExchangePipelinesDoNotInflateVolume(t *testing.T) {
+	g, psi, nb := testGrid(t)
+	_, _, seq := applyExchange(t, g, psi, nb, 4, ExchangeOptions{Strategy: BcastSequential}, false)
+	_, _, ovl := applyExchange(t, g, psi, nb, 4, ExchangeOptions{Strategy: BcastOverlapped}, false)
+	if ovl.TotalBytes() != seq.TotalBytes() {
+		t.Errorf("overlapped pipeline ships %d bytes, sequential %d", ovl.TotalBytes(), seq.TotalBytes())
 	}
-	if sl.BytesFor(mpi.ClassRMA) == 0 || sl.CallsFor(mpi.ClassRMA) != sl.BytesFor(mpi.ClassRMA)/8 {
-		t.Errorf("steal RMA accounting: bytes=%d calls=%d", sl.BytesFor(mpi.ClassRMA), sl.CallsFor(mpi.ClassRMA))
+	for _, st := range []*mpi.Stats{seq, ovl} {
+		if got, want := st.BytesFor(mpi.ClassAlltoallv), int64(4*(nb-nb/4)*g.NG*16); got != want {
+			t.Errorf("return stage ships %d Alltoallv bytes, want %d", got, want)
+		}
 	}
-	if sl.BytesFor(mpi.ClassAlltoallv) == 0 || sl.BytesFor(mpi.ClassP2P) != 0 {
-		t.Errorf("steal strategy billed Alltoallv=%d P2P=%d", sl.BytesFor(mpi.ClassAlltoallv), sl.BytesFor(mpi.ClassP2P))
+}
+
+// TestFetchPipelineForwardsFaults: a crash landing inside the overlapped
+// fetch goroutine (which runs mpi calls off the rank's main goroutine) must
+// be forwarded to the main goroutine and recovered by the tolerant runner -
+// not kill the process, not hang.
+func TestFetchPipelineForwardsFaults(t *testing.T) {
+	g, psi, nb := testGrid(t)
+	hyb := xc.HSE06()
+	kernel := fock.BuildKernel(g, hyb)
+	p := &mpi.Perturb{
+		Deadline: 1 * time.Second,
+		Fault:    &mpi.Fault{Crashes: []mpi.CrashRankAt{{Rank: 1, AfterCalls: 3}}},
+	}
+	start := time.Now()
+	_, fail := mpi.RunTolerant(4, p, func(c *mpi.Comm) {
+		d, err := NewCtx(c, g, nb, 2)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		lo, hi := d.BandRange(c.Rank())
+		local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
+		d.FockExchange(local, local, kernel, hyb.Alpha, ExchangeOptions{Strategy: BcastOverlapped})
+	})
+	if elapsed := time.Since(start); elapsed > 20*time.Second {
+		t.Fatalf("exchange under injected crash took %v", elapsed)
+	}
+	if fail == nil {
+		t.Fatal("injected crash vanished")
+	}
+	found := false
+	for _, r := range fail.Crashed {
+		if r == 1 {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("crashed ranks %v do not include rank 1", fail.Crashed)
 	}
 }

@@ -1,5 +1,5 @@
-// Fock-exchange communication: the three strategies of section 3.2 for
-// shipping the reference orbitals phi to every rank, and the distributed
+// Fock-exchange communication: the two broadcast schedules of section 3.2
+// for shipping the reference orbitals phi to every rank, and the distributed
 // application of the screened exchange operator to the local band block.
 package dist
 
@@ -18,30 +18,17 @@ import (
 type ExchangeStrategy int
 
 const (
+	// BcastOverlapped posts the broadcast of band i+1 while band i is
+	// being folded into the local accumulators, hiding the broadcast
+	// latency behind the FFT work (section 3.2, optimization 5 - the
+	// paper overlaps MPI_Bcast with GPU computation the same way). The
+	// zero value, and the default of every front end.
+	BcastOverlapped ExchangeStrategy = iota
 	// BcastSequential broadcasts each reference band from its owner in
 	// global band order and computes its contribution before the next
 	// broadcast starts - the paper's baseline binomial-tree scheme
 	// (section 3.2, optimization 3).
-	BcastSequential ExchangeStrategy = iota
-	// BcastOverlapped posts the broadcast of band i+1 while band i is
-	// being folded into the local accumulators, hiding the broadcast
-	// latency behind the FFT work (section 3.2, optimization 5 - the
-	// paper overlaps MPI_Bcast with GPU computation the same way).
-	BcastOverlapped
-	// RoundRobin passes band blocks around a ring with point-to-point
-	// Send/Recv instead of broadcasts: after P-1 hops every rank has
-	// folded in every block. Trades the log(P) tree for P-1 neighbor
-	// messages; the paper discusses it as the broadcast alternative.
-	RoundRobin
-	// Steal replaces the static band-ownership schedule with a dynamic
-	// work queue over the symmetric exchange pairs: ranks claim pair
-	// chunks on demand through an MPI_Fetch_and_op counter (the HONPAS
-	// dynamic parallel distribution, arXiv:2009.03555) while the band
-	// broadcasts run ahead of the contraction on the overlapped pipeline.
-	// A straggling rank simply claims fewer chunks instead of gating
-	// every round. See steal.go for the schedule and DESIGN.md for the
-	// overlap timeline.
-	Steal
+	BcastSequential
 )
 
 // strategyTable is the single source of truth for strategy names: String,
@@ -51,10 +38,8 @@ var strategyTable = []struct {
 	strategy ExchangeStrategy
 	name     string
 }{
-	{BcastSequential, "bcast"},
 	{BcastOverlapped, "overlap"},
-	{RoundRobin, "roundrobin"},
-	{Steal, "steal"},
+	{BcastSequential, "bcast"},
 }
 
 // String names the strategy as the -exchange flag spells it.
@@ -116,17 +101,11 @@ type ExchangeOptions struct {
 	// per step from Psi_n and held through the inner SCF iterations, the
 	// Jia & Lin cadence (arXiv:1809.09609). Consumed by PTCNSolver.
 	MTSPeriod int
-	// StealChunk sets how many consecutive exchange pairs one work-queue
-	// claim hands out under the Steal strategy. 0 picks a balance-oriented
-	// default (about eight claims per rank); larger chunks cut counter
-	// traffic, smaller chunks improve straggler resilience. Ignored by the
-	// static strategies.
-	StealChunk int
 }
 
 // ExchangeWorkspace holds every buffer one rank's FockExchange needs:
 // real-space band blocks, per-worker Poisson scratch with FFT line
-// workspaces, the wire buffers of the communication strategies, and the
+// workspaces, the wire buffers of the broadcast pipeline, and the
 // result block. The distributed solver builds one per rank and reuses it
 // across SCF iterations, so the steady-state exchange performs no
 // band-block allocations (the mailbox copies inside the mpi layer's
@@ -138,14 +117,13 @@ type ExchangeWorkspace struct {
 	pairs   lanes.Slab            // nw x NTot: per-worker Poisson buffers (SoA)
 	phiR    lanes.Slab            // NTot: current reference band in real space (SoA)
 	band    [2]([]complex128)     // NG wire buffers (two for the overlapped pipeline)
-	ring    []complex128          // nbl x NG: round-robin staging block
 	vx      []complex128          // nbl x NG: result block, valid until the next call
 	fft     []*fourier.Workspace3 // nw: per-worker FFT line scratch
 	fftPhi  *fourier.Workspace3
 	ch      chan []complex128 // overlapped-fetch handoff, capacity 1
 	fault   any               // fault panic forwarded off a fetch goroutine
 
-	// Per-application fold state, bound by FockExchangeWS so the strategy
+	// Per-application fold state, bound by FockExchangeWS so the schedule
 	// loops call ws.process as a plain method instead of through a freshly
 	// allocated closure (the strict zero-allocation contract of the solver
 	// hot loop). sym selects the pair-symmetric fold: reference and target
@@ -156,15 +134,11 @@ type ExchangeWorkspace struct {
 	sym    bool
 
 	// Mirrored side of the pair-symmetric fold (processSymmetric), and the
-	// staging of returnToOwners - the one return path of the static and the
-	// steal schedules, allocated on the first application that needs it.
+	// staging of returnToOwners, allocated on the first application that
+	// needs it.
 	mir  lanes.Slab     // nw x NTot: row 0 the arriving band's sum, rows 1.. worker partials (SoA)
 	remG []complex128   // NB x NG: finished rows for bands owned elsewhere, on the sphere
 	send [][]complex128 // Alltoallv views into remG, one per rank
-
-	// steal holds the work-stealing schedule's buffers, allocated on the
-	// first Steal-strategy call so the static strategies pay nothing.
-	steal *stealState
 }
 
 // NewExchangeWorkspace allocates the exchange scratch for this rank's band
@@ -177,7 +151,6 @@ func (d *Ctx) NewExchangeWorkspace() *ExchangeWorkspace {
 		psiReal: lanes.New(nbl * ntot),
 		acc:     lanes.New(nbl * ntot),
 		phiR:    lanes.New(ntot),
-		ring:    make([]complex128, nbl*ng),
 		vx:      make([]complex128, nbl*ng),
 		fftPhi:  d.G.Plan.NewWorkspace(),
 		ch:      make(chan []complex128, 1),
@@ -273,9 +246,9 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 	ws.ensureWorkers(nw)
 	ws.kernel, ws.alpha, ws.nbl = kernel, alpha, nbl
 	ws.sym = !opt.SinglePrecision && selfReferenced(phi, psi)
-	// The symmetric fold, and steal in any shape, solve pairs for bands
-	// owned elsewhere; those rows go home after the projection below.
-	returns := d.C.Size() > 1 && (ws.sym || opt.Strategy == Steal)
+	// The symmetric fold solves pairs for bands owned elsewhere; those rows
+	// go home after the projection below.
+	returns := d.C.Size() > 1 && ws.sym
 	if returns && ws.remG == nil {
 		ws.remG = make([]complex128, d.NB*ng)
 		ws.send = make([][]complex128, d.C.Size())
@@ -301,15 +274,10 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 	d.C.Trace().EndN(fftRef, int64(nbl))
 	ws.acc.Zero()
 
-	switch opt.Strategy {
-	case BcastOverlapped:
-		d.exchangeBcastOverlapped(phi, opt.SinglePrecision, ws)
-	case RoundRobin:
-		d.exchangeRoundRobin(phi, opt.SinglePrecision, ws)
-	case Steal:
-		d.exchangeSteal(phi, psi, opt.SinglePrecision, opt.StealChunk, ws)
-	default:
+	if opt.Strategy == BcastSequential {
 		d.exchangeBcastSequential(phi, opt.SinglePrecision, ws)
+	} else {
+		d.exchangeBcastOverlapped(phi, opt.SinglePrecision, ws)
 	}
 
 	fftRef = d.C.Trace().Begin("fft_from_real", "fft")
@@ -361,7 +329,6 @@ func (ws *ExchangeWorkspace) process(band []complex128, i int) {
 	d := ws.g
 	ntot := d.G.NTot
 	ref := d.C.Trace().Begin("contract", "fock")
-	t0 := d.C.WorkStart() // straggler model: stretch this rank's fold work
 	n := ws.nbl
 	if ws.sym {
 		n = ws.processSymmetric(band, i)
@@ -377,7 +344,6 @@ func (ws *ExchangeWorkspace) process(band []complex128, i int) {
 			})
 		}
 	}
-	d.C.WorkEnd(t0)
 	d.C.Trace().EndN(ref, int64(n))
 }
 
@@ -514,44 +480,5 @@ func (d *Ctx) exchangeBcastOverlapped(phi []complex128, single bool, ws *Exchang
 			fetch(i + 1)
 		}
 		ws.process(band, i)
-	}
-}
-
-// exchangeRoundRobin circulates band blocks around the rank ring: at hop t
-// each rank holds (and folds in) the block originally owned by rank
-// (rank - t) mod P, then passes it to the next rank. The starting block is
-// staged in the workspace ring buffer; the blocks received on later hops
-// are the mailbox copies the mpi layer makes anyway (its Send semantics),
-// so the caller side adds no allocations of its own.
-func (d *Ctx) exchangeRoundRobin(phi []complex128, single bool, ws *ExchangeWorkspace) {
-	ng := d.G.NG
-	rank, size := d.C.Rank(), d.C.Size()
-	cur := ws.ring[:len(phi)]
-	copy(cur, phi)
-	if single {
-		// Round own block through the wire precision up front (in place)
-		// so all strategies compute from identically rounded reference
-		// data.
-		for i := range cur {
-			cur[i] = complex128(complex64(cur[i]))
-		}
-	}
-	for t := 0; t < size; t++ {
-		src := (rank - t + size) % size
-		lo, hi := d.BandRange(src)
-		for i := 0; i < hi-lo; i++ {
-			ws.process(cur[i*ng:(i+1)*ng], lo+i)
-		}
-		if t == size-1 {
-			break
-		}
-		next, prev := (rank+1)%size, (rank-1+size)%size
-		if single {
-			mpi.Send(d.C, next, tagExchRing+t, mpi.SingleOf(cur))
-			cur = mpi.DoubleOf(mpi.Recv[complex64](d.C, prev, tagExchRing+t))
-		} else {
-			mpi.Send(d.C, next, tagExchRing+t, cur)
-			cur = mpi.Recv[complex128](d.C, prev, tagExchRing+t)
-		}
 	}
 }

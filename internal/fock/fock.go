@@ -299,7 +299,7 @@ func ContractReference(g *grid.Grid, kernel []float64, alpha float64, phiReal, s
 
 // ContractReferenceWS is the SoA ContractReference with caller-owned FFT
 // scratch, for loops that bind one workspace per worker: all four buffers
-// are lane-blocked slabs, so the distributed exchange strategies chain
+// are lane-blocked slabs, so the distributed exchange schedules chain
 // contractions without re-interleaving between stages.
 func ContractReferenceWS(g *grid.Grid, kernel []float64, alpha float64, phiReal, srcReal, dstReal, pair lanes.Slab, fws *fourier.Workspace3) {
 	g.Plan.ContractSlabWS(dstReal, phiReal, srcReal, pair, kernel, -alpha, fws)
@@ -307,8 +307,8 @@ func ContractReferenceWS(g *grid.Grid, kernel []float64, alpha float64, phiReal,
 
 // ContractPairReferenceWS is the two-sided symmetric SoA contraction: one
 // Poisson solve accumulating both accJ += -alpha phi_i v and (for i != j)
-// accI += -alpha phi_j conj(v), v = Poisson[phi_i^* phi_j]. The triangle
-// half of the dist steal schedule and the serial symmetric path share it.
+// accI += -alpha phi_j conj(v), v = Poisson[phi_i^* phi_j]. The distributed
+// pair-symmetric fold (dist.ExchangeWorkspace) runs on it.
 func ContractPairReferenceWS(g *grid.Grid, kernel []float64, alpha float64, phiI, phiJ, accI, accJ, pair lanes.Slab, diag bool, fws *fourier.Workspace3) {
 	g.Plan.ContractPairSlabWS(accI, accJ, phiI, phiJ, pair, kernel, -alpha, diag, fws)
 }

@@ -28,8 +28,8 @@ const DefaultDeadline = 10 * time.Second
 // two triggers should be set:
 //
 //   - AfterCalls > 0 kills the rank the moment its N-th metered
-//     communication operation (sends of any class, plus RMA fetch-ops -
-//     the operations counted in Stats.Calls) begins, before the payload is
+//     communication operation (sends of any class - the operations
+//     counted in Stats.Calls) begins, before the payload is
 //     delivered. This lands crashes at arbitrary, phase-unaligned points
 //     inside collectives.
 //   - AfterStep > 0 kills the rank when the application announces that
@@ -163,12 +163,6 @@ func RunTolerant(size int, p *Perturb, f func(c *Comm)) (*Stats, *Failure) {
 			}
 		}
 	}
-	scales := make([]float64, size)
-	if p != nil && p.ComputeScale != nil {
-		for r := range scales {
-			scales[r] = p.ComputeScale(r)
-		}
-	}
 	var wg sync.WaitGroup
 	panics := make([]any, size)
 	for r := 0; r < size; r++ {
@@ -180,7 +174,7 @@ func RunTolerant(size int, p *Perturb, f func(c *Comm)) (*Stats, *Failure) {
 					panics[rank] = p
 				}
 			}()
-			f(&Comm{rank: rank, w: w, scale: scales[rank]})
+			f(&Comm{rank: rank, w: w})
 		}(r)
 	}
 	wg.Wait()

@@ -3,10 +3,9 @@
 // their own goroutines and communicate through tag-matched mailboxes. It
 // provides the collectives the paper's implementation is built from -
 // MPI_Bcast (binomial tree), MPI_Allreduce, MPI_Alltoallv, MPI_Allgatherv,
-// and point-to-point Send/Recv for the round-robin exchange variant - and
-// it meters bytes and calls per collective class so the communication
-// volumes of Table 2 can be measured from the functional code rather than
-// estimated.
+// and point-to-point Send/Recv - and it meters bytes and calls per
+// collective class so the communication volumes of Table 2 can be measured
+// from the functional code rather than estimated.
 //
 // Tags make concurrent collectives safe: the overlapped broadcast pipeline
 // of the Fock operator (section 3.2, optimization 5) posts the broadcast of
@@ -44,7 +43,6 @@ const (
 	ClassAllreduce
 	ClassAlltoallv
 	ClassAllgatherv
-	ClassRMA
 	numClasses
 )
 
@@ -64,8 +62,6 @@ func (c OpClass) String() string {
 		return "MPI_Alltoallv"
 	case ClassAllgatherv:
 		return "MPI_AllGatherv"
-	case ClassRMA:
-		return "MPI_Fetch_and_op"
 	default:
 		return "unknown"
 	}
@@ -218,16 +214,7 @@ type world struct {
 	sent  [][numClasses]atomic.Int64 // per source rank
 	recv  [][numClasses]atomic.Int64 // per destination rank
 
-	// RMA counter windows for FetchAdd, keyed by the caller-chosen window
-	// id (int64 -> *atomic.Int64). Counters spring into existence at zero
-	// on first touch and live until ForgetCounter or the end of the run.
-	counters sync.Map
-	// queueTick is each rank's private count of WorkQueueTicket calls.
-	// Distinct ranks write distinct slots, so no synchronization is needed.
-	queueTick []int64
-
-	// perturb, when non-nil, injects per-rank compute slowdowns and wire
-	// latency (straggler simulation); see RunPerturbed.
+	// perturb, when non-nil, injects wire latency; see RunPerturbed.
 	perturb *Perturb
 
 	// Hard-fault state (see fault.go): the injection plan, the peer-loss
@@ -255,10 +242,9 @@ type world struct {
 // use by multiple goroutines of that rank (distinct tags per concurrent
 // receive stream).
 type Comm struct {
-	rank  int
-	w     *world
-	scale float64      // compute slowdown factor from the perturbation model
-	tr    *trace.Track // span timeline of this rank; nil = tracing disabled
+	rank int
+	w    *world
+	tr   *trace.Track // span timeline of this rank; nil = tracing disabled
 }
 
 // Rank returns this rank's index in [0, Size).
@@ -278,19 +264,14 @@ func (c *Comm) SetTrace(t *trace.Track) { c.tr = t }
 // per-rank timeline without extra plumbing.
 func (c *Comm) Trace() *trace.Track { return c.tr }
 
-// Perturb is an injectable per-rank latency and slowdown model: simulated
-// stragglers and NIC delay, so load-balance and overlap wins are measurable
-// without hardware. Both fields are optional.
+// Perturb is an injectable latency and failure model: simulated NIC delay,
+// so the overlap win is measurable without hardware, and hard faults. Every
+// field is optional.
 type Perturb struct {
 	// WireDelay, when non-nil, returns extra transit latency charged to the
 	// sender for each message of the given byte size from src to dst (NIC
 	// or link congestion). Return 0 for unaffected links.
 	WireDelay func(src, dst int, bytes int64) time.Duration
-	// ComputeScale, when non-nil, returns the compute slowdown factor of a
-	// rank: 1 means nominal speed, 2 means the rank computes twice as
-	// slowly (a straggler). Values <= 1 leave the rank unperturbed. The
-	// slowdown applies to code sections bracketed by WorkStart/WorkEnd.
-	ComputeScale func(rank int) float64
 	// Fault, when non-nil, arms hard-failure injection: scheduled rank
 	// crashes and probabilistic message drops (see fault.go). Use
 	// RunTolerant to observe the failures instead of panicking.
@@ -311,8 +292,7 @@ func Run(size int, f func(c *Comm)) *Stats {
 }
 
 // RunPerturbed is Run under a perturbation model: every message send is
-// delayed by p.WireDelay and every WorkStart/WorkEnd section is stretched
-// by p.ComputeScale. A nil p (or nil fields) reproduces Run exactly.
+// delayed by p.WireDelay. A nil p (or nil fields) reproduces Run exactly.
 // Injected hard faults (p.Fault, or a tripped p.Deadline) end the run
 // with a panic naming every dead rank; use RunTolerant to observe them as
 // a value instead.
@@ -322,62 +302,6 @@ func RunPerturbed(size int, p *Perturb, f func(c *Comm)) *Stats {
 		panic("mpi: run failed: " + fail.Error())
 	}
 	return st
-}
-
-// WorkStart opens a perturbed compute section on this rank: pair it with
-// WorkEnd around the computation whose duration the straggler model should
-// stretch. On an unperturbed rank it is free (no clock read) and WorkEnd is
-// a no-op.
-func (c *Comm) WorkStart() time.Time {
-	if c.scale <= 1 {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// WorkEnd closes a perturbed compute section: a rank with ComputeScale s
-// sleeps (s-1) times the section's measured duration, so its effective
-// compute rate is 1/s of nominal.
-func (c *Comm) WorkEnd(t0 time.Time) {
-	if t0.IsZero() {
-		return
-	}
-	time.Sleep(time.Duration(float64(time.Since(t0)) * (c.scale - 1)))
-}
-
-// FetchAdd atomically adds delta to the shared counter `key` and returns
-// the value before the addition - MPI_Fetch_and_op(MPI_SUM) on a runtime-
-// hosted window, the primitive of the HONPAS dynamic parallel distribution
-// (arXiv:2009.03555) that the work-stealing exchange schedule claims pair
-// chunks with. Counters spring into existence at zero on first touch, are
-// shared by all ranks of the communicator, and are metered under ClassRMA
-// (one 8-byte operation per call).
-func (c *Comm) FetchAdd(key, delta int64) int64 {
-	v, ok := c.w.counters.Load(key)
-	if !ok {
-		v, _ = c.w.counters.LoadOrStore(key, new(atomic.Int64))
-	}
-	c.accountTransfer(c.rank, ClassRMA, 8)
-	prev := v.(*atomic.Int64).Add(delta) - delta
-	c.tr.Event(ClassRMA.String(), "xfer", 8, prev)
-	return prev
-}
-
-// ForgetCounter releases the RMA counter `key`. Only safe once no rank can
-// touch the key again (the work-queue protocol has each rank overshoot the
-// chunk count exactly once, so the rank drawing the last overshoot ticket
-// knows every other rank is done claiming).
-func (c *Comm) ForgetCounter(key int64) { c.w.counters.Delete(key) }
-
-// WorkQueueTicket returns a communicator-unique RMA counter key for the
-// caller's next dynamic work-queue epoch. Collective: every rank must call
-// it once per epoch, in the same order; each rank counts its own calls, so
-// the N-th call agrees across ranks without communication (collectives are
-// issued in the same order on every rank). Keys are never reused.
-func (c *Comm) WorkQueueTicket() int64 {
-	t := c.w.queueTick[c.rank]
-	c.w.queueTick[c.rank]++
-	return t
 }
 
 func elemSize[T Elem]() int64 {
@@ -612,13 +536,12 @@ func Allgatherv[T Elem](c *Comm, tag int, data []T) [][]T {
 // newWorld allocates the shared state for a communicator of the given size.
 func newWorld(size int) *world {
 	w := &world{
-		size:      size,
-		splits:    map[int64]*world{},
-		sent:      make([][numClasses]atomic.Int64, size),
-		recv:      make([][numClasses]atomic.Int64, size),
-		queueTick: make([]int64, size),
-		opCalls:   make([]atomic.Int64, size),
-		failed:    make([]atomic.Pointer[RankFailure], size),
+		size:    size,
+		splits:  map[int64]*world{},
+		sent:    make([][numClasses]atomic.Int64, size),
+		recv:    make([][numClasses]atomic.Int64, size),
+		opCalls: make([]atomic.Int64, size),
+		failed:  make([]atomic.Pointer[RankFailure], size),
 	}
 	w.barrierCv = sync.NewCond(&w.barrierMu)
 	w.boxes = make([][]*pairBox, size)
@@ -699,12 +622,10 @@ func (c *Comm) Split(tag int, color int64, key int) *Comm {
 	c.w.splitMu.Unlock()
 	c.Barrier()
 
-	// The compute-slowdown factor follows the rank into the sub-
-	// communicator (a straggler node is slow in every group it joins), as
-	// does the span track (sub-communicator traffic appears on the parent
-	// rank's timeline); wire delays are keyed by parent-world rank pairs
-	// and do not.
-	return &Comm{rank: myRank, w: child, scale: c.scale, tr: c.tr}
+	// The span track follows the rank into the sub-communicator (its
+	// traffic appears on the parent rank's timeline); wire delays are keyed
+	// by parent-world rank pairs and do not.
+	return &Comm{rank: myRank, w: child, tr: c.tr}
 }
 
 // SubStats snapshots the communication statistics of a sub-communicator

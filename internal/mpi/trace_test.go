@@ -33,7 +33,6 @@ func TestCommSpans(t *testing.T) {
 		}
 		Alltoallv(c, 20, send)
 		Allgatherv(c, 30, []int64{int64(c.Rank())})
-		c.FetchAdd(7, 1)
 		c.Barrier()
 	})
 

@@ -331,7 +331,7 @@ func TestE2ESCFCacheHitIdenticalResult(t *testing.T) {
 // TestE2ECancelAndErrors: cancel over the API, and every malformed or
 // conflicting request returns the typed JSON error envelope.
 func TestE2ECancelAndErrors(t *testing.T) {
-	_, ts := startE2E(t, Config{Workers: 1})
+	s, ts := startE2E(t, Config{Workers: 1})
 
 	// Malformed JSON.
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader("{nope"))
@@ -349,6 +349,21 @@ func TestE2ECancelAndErrors(t *testing.T) {
 	}
 	if code, _ := apiError(t, resp); resp.StatusCode != http.StatusBadRequest || code != "bad_request" {
 		t.Errorf("unknown field: status %d code %s, want 400 bad_request", resp.StatusCode, code)
+	}
+
+	// A field a past version accepted (steal_chunk, removed with its
+	// schedule) is an unknown field too: an otherwise runnable old-style
+	// body is refused before it reaches the queue.
+	resp, err = http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"cells":[1,1,1],"ecut":2,"steps":3,"steal_chunk":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := apiError(t, resp); resp.StatusCode != http.StatusBadRequest || code != "bad_request" || !strings.Contains(msg, "steal_chunk") {
+		t.Errorf("removed field: status %d code %s (%s), want 400 bad_request naming steal_chunk", resp.StatusCode, code, msg)
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Errorf("rejected body left %d job(s) in the queue", len(jobs))
 	}
 
 	// A body beyond the 1 MiB bound is cut off, not buffered.

@@ -41,7 +41,7 @@ import (
 
 // tagStop is the AllreduceSum tag (consumes tagStop and tagStop+1) for
 // the per-step shutdown vote: far above the dist tag namespace (fixed
-// tags end at 131; the exchange windows are 1<<10..1<<12 + band index).
+// tags end at 131; the exchange window is 1<<10 + band index).
 const tagStop = 9000
 
 // Options carries the runtime wiring of one Run: hooks, checkpointing,
@@ -84,7 +84,7 @@ type Options struct {
 	// of absolute time, which the checkpoint carries. 0 means Spec.Steps.
 	PulseSteps int
 	// Perturb, when set, returns the perturbation model (fault injection,
-	// peer-loss deadline, stragglers) the distributed world of launch
+	// peer-loss deadline, wire delay) the distributed world of launch
 	// `attempt` runs under; attempt 0 is the first launch, each recovery
 	// relaunch asks again. Set by the fault experiments and tests, nil in
 	// production; serial runs have no world and ignore it.
@@ -511,7 +511,6 @@ func (r *runner) distEngine(c *mpi.Comm, cell *lattice.Cell) (*engine, error) {
 		SinglePrecision: spec.SinglePrec,
 		ACE:             spec.ACE,
 		MTSPeriod:       spec.MTS,
-		StealChunk:      spec.StealChunk,
 	})
 	s.Time = r.t0
 	lo, hi := d.BandRange(c.Rank())

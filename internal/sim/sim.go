@@ -52,7 +52,6 @@ type Spec struct {
 	Ranks      int     `json:"ranks,omitempty"`       // goroutine-MPI ranks (0/1 = serial)
 	Seed       int64   `json:"seed,omitempty"`        // ground-state starting-guess seed
 	Exchange   string  `json:"exchange,omitempty"`    // distributed exchange strategy (default "overlap")
-	StealChunk int     `json:"steal_chunk,omitempty"` // pairs per claim under "steal" (0 = auto)
 	SinglePrec bool    `json:"single_prec,omitempty"` // single-precision MPI payloads
 	MD         bool    `json:"md,omitempty"`          // Ehrenfest ion dynamics
 	IonSteps   int     `json:"ion_steps,omitempty"`   // ion MD steps (trajectory length under MD)
@@ -140,12 +139,6 @@ func (s *Spec) Validate() error {
 	}
 	if _, err := dist.ParseStrategy(s.Exchange); err != nil {
 		return err
-	}
-	if s.StealChunk < 0 {
-		return fmt.Errorf("sim: steal_chunk wants a positive chunk size (or 0 for auto), got %d", s.StealChunk)
-	}
-	if ex, _ := dist.ParseStrategy(s.Exchange); s.StealChunk > 0 && ex != dist.Steal {
-		return fmt.Errorf("sim: steal_chunk tunes the work-queue granularity of exchange=steal; it does nothing under exchange=%s", s.Exchange)
 	}
 	if s.Displace != "" {
 		if _, _, err := ParseDisplace(s.Displace); err != nil {

@@ -12,6 +12,7 @@ import (
 
 	"ptdft/internal/checkpoint"
 	"ptdft/internal/core"
+	"ptdft/internal/dist"
 	"ptdft/internal/hamiltonian"
 	"ptdft/internal/laser"
 	"ptdft/internal/observe"
@@ -53,8 +54,10 @@ func TestSpecValidateRules(t *testing.T) {
 		{"negative ranks", func(s *Spec) { s.Ranks = -2 }, "rank"},
 		{"distributed rk4", func(s *Spec) { s.Ranks = 2; s.Method = "rk4" }, "ptcn"},
 		{"bad exchange", func(s *Spec) { s.Exchange = "quantum" }, "strategy"},
-		{"negative steal chunk", func(s *Spec) { s.StealChunk = -1 }, "chunk"},
-		{"steal chunk wrong strategy", func(s *Spec) { s.StealChunk = 4 }, "steal"},
+		// The schedules PR 21 removed fail like any unknown name, listing
+		// the two that remain.
+		{"removed exchange steal", func(s *Spec) { s.Exchange = "steal" }, "valid: overlap, bcast"},
+		{"removed exchange roundrobin", func(s *Spec) { s.Exchange = "roundrobin" }, "valid: overlap, bcast"},
 		{"bad displace", func(s *Spec) { s.Displace = "frog" }, "displace"},
 		{"indivisible bands", func(s *Spec) { s.Ranks = 3 }, "divisible"},
 	}
@@ -87,6 +90,16 @@ func TestSpecNormalizeDefaults(t *testing.T) {
 	// the M = 1 cycle): no engine sees a second cadence knob.
 	if !s.ACE || s.MTS != 1 {
 		t.Errorf("acehold normalized to ace=%v mts=%d, want ace=true mts=1", s.ACE, s.MTS)
+	}
+}
+
+// TestZeroExchangeOptionsIsTheDefaultSchedule: a dist.ExchangeOptions{}
+// literal selects the schedule every front end defaults to.
+func TestZeroExchangeOptionsIsTheDefaultSchedule(t *testing.T) {
+	var s Spec
+	s.Normalize()
+	if zero := (dist.ExchangeOptions{}).Strategy.String(); zero != s.Exchange {
+		t.Errorf("dist.ExchangeOptions{} selects %q, a zero Spec normalizes to %q", zero, s.Exchange)
 	}
 }
 

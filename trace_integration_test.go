@@ -19,7 +19,7 @@ import (
 
 // tracedSpec is the smallest trajectory that exercises every traced
 // subsystem at once: hybrid exchange (fock spans), ACE (build/apply),
-// MTS cadence, and 2-rank distribution (wait/xfer/steal spans).
+// MTS cadence, and 2-rank distribution (wait/xfer spans).
 func tracedSpec() sim.Spec {
 	return sim.Spec{
 		Cells: [3]int{1, 1, 1}, Ecut: 2, Method: "ptcn",
