@@ -285,21 +285,13 @@ func (op *Operator) applyRealWS(dst, src lanes.Slab, ws *Workspace) {
 	}
 }
 
-// ContractReference accumulates the exchange contribution of one reference
-// orbital into dstReal for a wavefunction, all in real space on the
-// wavefunction box: dstReal += -alpha * phi * Poisson[phi^* src]. pair is a
-// caller-provided NTot scratch buffer. This is the shared (i, j) inner step
-// of Alg. 2; the serial Operator and the distributed exchange of
-// internal/dist both fold bands through it.
-func ContractReference(g *grid.Grid, kernel []float64, alpha float64, phiReal, srcReal, dstReal, pair []complex128) {
-	ws := g.Plan.CheckoutWorkspace()
-	g.Plan.ContractSerialWS(dstReal, phiReal, srcReal, pair, kernel, complex(-alpha, 0), ws)
-	g.Plan.ReturnWorkspace(ws)
-}
-
-// ContractReferenceWS is the SoA ContractReference with caller-owned FFT
-// scratch, for loops that bind one workspace per worker: all four buffers
-// are lane-blocked slabs, so the distributed exchange schedules chain
+// ContractReferenceWS accumulates the exchange contribution of one
+// reference orbital into dstReal for a wavefunction, all in real space on
+// the wavefunction box: dstReal += -alpha * phi * Poisson[phi^* src]. pair
+// is a caller-provided NTot scratch slab and fws caller-owned FFT scratch,
+// for loops that bind one workspace per worker. This is the (i, j) inner
+// step of Alg. 2 that the distributed exchange of internal/dist folds bands
+// through: all four buffers are lane-blocked slabs, so its schedules chain
 // contractions without re-interleaving between stages.
 func ContractReferenceWS(g *grid.Grid, kernel []float64, alpha float64, phiReal, srcReal, dstReal, pair lanes.Slab, fws *fourier.Workspace3) {
 	g.Plan.ContractSlabWS(dstReal, phiReal, srcReal, pair, kernel, -alpha, fws)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ptdft/internal/grid"
+	"ptdft/internal/lanes"
 	"ptdft/internal/lattice"
 	"ptdft/internal/linalg"
 	"ptdft/internal/parallel"
@@ -178,24 +179,24 @@ func TestApplyToReferenceMatchesApply(t *testing.T) {
 				phi := wavefunc.Random(g, nb, 42)
 				op := NewOperator(g, tc.hyb, phi, nb)
 				// Independent oracle: the spelled-out nb^2 loop over
-				// ContractReference, bypassing Apply entirely so neither
+				// ContractReferenceWS, bypassing Apply entirely so neither
 				// the reference detection nor the pair schedule is
-				// involved in producing the expected values.
-				phiR := make([]complex128, nb*ntot)
+				// involved in producing the expected values. What this
+				// checks is the schedule; the transforms underneath are
+				// pinned against the naive DFT in internal/fourier.
+				fws := g.Plan.NewWorkspace()
+				phiR := lanes.New(nb * ntot)
 				for i := 0; i < nb; i++ {
-					g.ToRealSerial(phiR[i*ntot:(i+1)*ntot], phi[i*ng:(i+1)*ng])
+					g.ToRealSlabWS(phiR.Row(i, ntot), phi[i*ng:(i+1)*ng], fws)
 				}
 				want := make([]complex128, nb*ng)
-				acc := make([]complex128, ntot)
-				pair := make([]complex128, ntot)
+				acc, pair := lanes.New(ntot), lanes.New(ntot)
 				for j := 0; j < nb; j++ {
-					for k := range acc {
-						acc[k] = 0
-					}
+					acc.Zero()
 					for i := 0; i < nb; i++ {
-						ContractReference(g, kernel, tc.hyb.Alpha, phiR[i*ntot:(i+1)*ntot], phiR[j*ntot:(j+1)*ntot], acc, pair)
+						ContractReferenceWS(g, kernel, tc.hyb.Alpha, phiR.Row(i, ntot), phiR.Row(j, ntot), acc, pair, fws)
 					}
-					g.FromReal(want[j*ng:(j+1)*ng], acc)
+					g.FromRealSlabWS(want[j*ng:(j+1)*ng], acc, fws)
 				}
 				got := make([]complex128, nb*ng)
 				op.ApplyToReference(got)

@@ -1,26 +1,33 @@
-// Package fourier implements complex discrete Fourier transforms used by the
+// Package fourier implements the complex discrete Fourier transforms of the
 // plane-wave machinery: mixed-radix Cooley-Tukey for sizes whose prime
 // factors are at most 61 and a Bluestein chirp-z fallback for everything
-// else, plus 3D plans that parallelize over grid pencils. It is the CUFFT
+// else, under 3D plans whose axis passes each transform lanes.Width pencils
+// at once in the split re/im layout of internal/lanes. It is the CUFFT
 // stand-in of the reproduction: the Fock exchange operator performs all of
 // its N^2 Poisson-like solves through these plans.
 //
-// Conventions: Forward computes X[k] = sum_j x[j] exp(-2*pi*i*j*k/N) with no
-// normalization; Inverse carries the 1/N factor so Inverse(Forward(x)) == x.
+// There is one implementation. fft.go plans a length (factorization,
+// twiddle tables, Bluestein kernels), fftlanes.go transforms a lane block,
+// slab.go runs the 3D passes and their fused Poisson and contraction forms
+// over grid slabs, and fft3.go holds the one adapter that lets a
+// []complex128 caller (setup code, the MD forces) reach them.
 //
-// Memory discipline: all per-transform scratch lives in plan-owned
-// Workspace objects. NewPlan precomputes every twiddle table the butterfly
+// Conventions: a forward transform computes X[k] = sum_j x[j]
+// exp(-2*pi*i*j*k/N); the Raw entry points apply no normalization in either
+// direction and ApplySerialWS carries 1/N on the inverse.
+//
+// Memory discipline: all per-transform scratch lives in Workspace objects
+// made by the plan. NewPlan precomputes every twiddle table the butterfly
 // passes read (one dense table per recursion level, so the hot loops index
 // sequentially with no modular arithmetic), and callers either hold an
-// explicit Workspace or draw one from the plan's sync.Pool - either way the
-// steady-state transform performs zero heap allocations.
+// explicit Workspace3 or check one out of the 3D plan's pool - either way
+// the steady-state transform performs zero heap allocations.
 package fourier
 
 import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sync"
 
 	"ptdft/internal/lanes"
 )
@@ -34,28 +41,28 @@ const maxDirectRadix = 61
 // decimation-in-time recursion: a length-n_l twiddle table indexed q*m+k
 // (replacing the (q*k*step) mod N lookups of a table-free implementation)
 // and the order-r roots of unity for the cross-output butterfly.
+//
+// The tables are split re/im, the uniform-coefficient layout of the lane
+// butterflies (internal/lanes): one scalar load serves a whole lane group.
+// The inverse tables are the conjugates of the forward ones, so the two
+// directions share the real half and differ in the imaginary one.
 type stage struct {
-	r, m     int
-	twF, twI []complex128 // tw[q*m+k] = exp(∓2*pi*i*q*k*step/N), len r*m
-	rootF    []complex128 // rootF[q] = exp(-2*pi*i*q/r), len r
-	rootI    []complex128
-	// Split re/im copies of the same tables for the lane-blocked SoA
-	// butterflies (internal/lanes layout): one scalar load per lane group
-	// instead of a complex128 load per element.
-	twFre, twFim, twIre, twIim         []float64
-	rootFre, rootFim, rootIre, rootIim []float64
+	r, m int
+	// tw[q*m+k] = exp(∓2*pi*i*q*k*step/N), len r*m.
+	twRe, twFim, twIim []float64
+	// root[q] = exp(∓2*pi*i*q/r), len r.
+	rootRe, rootFim, rootIim []float64
 }
 
 // Plan holds precomputed twiddle tables for a 1D transform of fixed length.
 // A Plan is immutable after creation and safe for concurrent use; scratch
-// needed by the Bluestein fallback is checked out of a pool (or passed
-// explicitly as a Workspace), never allocated per call.
+// needed by the Bluestein fallback is passed explicitly as a Workspace,
+// never allocated per call.
 type Plan struct {
 	n       int
 	factors []int   // prime factorization of n, ascending (4s merged)
 	stages  []stage // one entry per recursion level, top level first
 	blu     *bluestein
-	pool    sync.Pool // *Workspace
 }
 
 // Workspace is the per-call scratch of one 1D transform. Only plans that
@@ -63,24 +70,18 @@ type Plan struct {
 // zero-cost empty workspace. A Workspace must not be shared between
 // concurrent transforms.
 type Workspace struct {
-	a, fa   []complex128 // Bluestein convolution buffers, length blu.m
-	la, lfa lanes.Slab   // lane-blocked Bluestein buffers, length blu.m*lanes.Width
+	la, lfa lanes.Slab // Bluestein convolution lane blocks, length blu.m*lanes.Width
 }
 
 // NewWorkspace allocates the scratch one transform of this plan needs.
 func (p *Plan) NewWorkspace() *Workspace {
 	ws := &Workspace{}
 	if p.blu != nil {
-		ws.a = make([]complex128, p.blu.m)
-		ws.fa = make([]complex128, p.blu.m)
 		ws.la = lanes.New(p.blu.m * lanes.Width)
 		ws.lfa = lanes.New(p.blu.m * lanes.Width)
 	}
 	return ws
 }
-
-func (p *Plan) getWS() *Workspace   { return p.pool.Get().(*Workspace) }
-func (p *Plan) putWS(ws *Workspace) { p.pool.Put(ws) }
 
 // NewPlan creates a transform plan for length n >= 1. All setup work -
 // factorization, per-level twiddle tables, Bluestein kernels - happens
@@ -99,13 +100,12 @@ func NewPlan(n int) (*Plan, error) {
 	} else {
 		p.buildStages()
 	}
-	p.pool.New = func() any { return p.NewWorkspace() }
 	return p, nil
 }
 
 // buildStages tabulates the combine twiddles for every recursion level.
 // Level l transforms length n_l = n / prod(r_0..r_{l-1}), splitting off
-// r_l = the largest remaining factor; its table twF[q*m+k] equals the
+// r_l = the largest remaining factor; its forward table tw[q*m+k] equals the
 // global twiddle exp(-2*pi*i*q*k*step/N) with step = N/n_l.
 func (p *Plan) buildStages() {
 	n := p.n
@@ -117,42 +117,22 @@ func (p *Plan) buildStages() {
 		m := nl / r
 		st := stage{
 			r: r, m: m,
-			twF:   make([]complex128, nl),
-			twI:   make([]complex128, nl),
-			rootF: make([]complex128, r),
-			rootI: make([]complex128, r),
+			twRe: make([]float64, nl), twFim: make([]float64, nl), twIim: make([]float64, nl),
+			rootRe: make([]float64, r), rootFim: make([]float64, r), rootIim: make([]float64, r),
 		}
 		step := n / nl
 		for q := 0; q < r; q++ {
 			for k := 0; k < m; k++ {
 				e := (q * k * step) % n
 				s, c := math.Sincos(-2 * math.Pi * float64(e) / float64(n))
-				st.twF[q*m+k] = complex(c, s)
-				st.twI[q*m+k] = complex(c, -s)
+				st.twRe[q*m+k], st.twFim[q*m+k], st.twIim[q*m+k] = c, s, -s
 			}
 			s, c := math.Sincos(-2 * math.Pi * float64(q) / float64(r))
-			st.rootF[q] = complex(c, s)
-			st.rootI[q] = complex(c, -s)
+			st.rootRe[q], st.rootFim[q], st.rootIim[q] = c, s, -s
 		}
-		st.twFre, st.twFim = splitComplex(st.twF)
-		st.twIre, st.twIim = splitComplex(st.twI)
-		st.rootFre, st.rootFim = splitComplex(st.rootF)
-		st.rootIre, st.rootIim = splitComplex(st.rootI)
 		p.stages = append(p.stages, st)
 		nl = m
 	}
-}
-
-// splitComplex copies a complex table into separate re/im arrays, the
-// uniform-coefficient layout the lane-blocked butterflies read.
-func splitComplex(c []complex128) (re, im []float64) {
-	re = make([]float64, len(c))
-	im = make([]float64, len(c))
-	for i, v := range c {
-		re[i] = real(v)
-		im[i] = imag(v)
-	}
-	return re, im
 }
 
 // MustPlan is NewPlan that panics on error; for use with known-good sizes.
@@ -166,130 +146,6 @@ func MustPlan(n int) *Plan {
 
 // Len reports the transform length.
 func (p *Plan) Len() int { return p.n }
-
-// Forward computes the unnormalized DFT of src into dst.
-// dst and src must have length Len() and must not alias.
-func (p *Plan) Forward(dst, src []complex128) {
-	p.transform(dst, src, false)
-}
-
-// Inverse computes the inverse DFT (including the 1/N factor) of src into
-// dst. dst and src must have length Len() and must not alias.
-func (p *Plan) Inverse(dst, src []complex128) {
-	p.transform(dst, src, true)
-	scale := complex(1/float64(p.n), 0)
-	for i := range dst {
-		dst[i] *= scale
-	}
-}
-
-// transform is TransformWS with pool-backed scratch.
-func (p *Plan) transform(dst, src []complex128, inverse bool) {
-	if p.blu == nil {
-		p.TransformWS(dst, src, inverse, nil)
-		return
-	}
-	ws := p.getWS()
-	p.TransformWS(dst, src, inverse, ws)
-	p.putWS(ws)
-}
-
-// TransformWS runs one unnormalized transform using the caller's
-// workspace. ws may be nil for mixed-radix plans (no scratch needed); plans
-// with a Bluestein fallback require a workspace from NewWorkspace.
-func (p *Plan) TransformWS(dst, src []complex128, inverse bool, ws *Workspace) {
-	if len(dst) != p.n || len(src) != p.n {
-		panic(fmt.Sprintf("fourier: buffer length mismatch: plan %d, dst %d, src %d", p.n, len(dst), len(src)))
-	}
-	if p.n == 1 {
-		dst[0] = src[0]
-		return
-	}
-	if p.blu != nil {
-		if ws == nil || ws.a == nil {
-			ws = p.getWS()
-			p.blu.transform(dst, src, inverse, ws)
-			p.putWS(ws)
-			return
-		}
-		p.blu.transform(dst, src, inverse, ws)
-		return
-	}
-	p.recurse(dst, src, 1, 0, inverse)
-}
-
-// recurse performs the decimation-in-time mixed-radix step at recursion
-// depth d: split into r sub-transforms of length m reading src with stride,
-// then combine in place in dst using the stage's precomputed tables.
-func (p *Plan) recurse(dst, src []complex128, stride, d int, inverse bool) {
-	if d == len(p.stages) {
-		dst[0] = src[0]
-		return
-	}
-	st := &p.stages[d]
-	r, m := st.r, st.m
-	for q := 0; q < r; q++ {
-		p.recurse(dst[q*m:(q+1)*m], src[q*stride:], stride*r, d+1, inverse)
-	}
-	tw, root := st.twF, st.rootF
-	if inverse {
-		tw, root = st.twI, st.rootI
-	}
-	// Combine: X[k + p*m] = sum_q tw[q*m+k] * root[(q*p) mod r] * F_q[k].
-	switch r {
-	case 2:
-		for k := 0; k < m; k++ {
-			a := dst[k]
-			b := dst[m+k] * tw[m+k]
-			dst[k] = a + b
-			dst[m+k] = a - b
-		}
-	case 3:
-		w1, w2 := root[1], root[2]
-		for k := 0; k < m; k++ {
-			a := dst[k]
-			b := dst[m+k] * tw[m+k]
-			c := dst[2*m+k] * tw[2*m+k]
-			dst[k] = a + b + c
-			dst[m+k] = a + b*w1 + c*w2
-			dst[2*m+k] = a + b*w2 + c*w1
-		}
-	case 4:
-		// root[1] is -i forward, +i inverse.
-		j := root[1]
-		for k := 0; k < m; k++ {
-			a := dst[k]
-			b := dst[m+k] * tw[m+k]
-			c := dst[2*m+k] * tw[2*m+k]
-			d := dst[3*m+k] * tw[3*m+k]
-			apc, amc := a+c, a-c
-			bpd, bmd := b+d, (b-d)*j
-			dst[k] = apc + bpd
-			dst[m+k] = amc + bmd
-			dst[2*m+k] = apc - bpd
-			dst[3*m+k] = amc - bmd
-		}
-	default:
-		var t [maxDirectRadix]complex128
-		for k := 0; k < m; k++ {
-			for q := 0; q < r; q++ {
-				t[q] = dst[q*m+k] * tw[q*m+k]
-			}
-			for pp := 0; pp < r; pp++ {
-				acc := t[0]
-				idx := 0
-				for q := 1; q < r; q++ {
-					idx += pp
-					if idx >= r {
-						idx -= r
-					}
-					acc += t[q] * root[idx]
-				}
-				dst[pp*m+k] = acc
-			}
-		}
-	}
-}
 
 // mergeRadix4 rewrites pairs of 2s as radix-4 passes, which have a cheaper
 // butterfly, keeping the list sorted ascending.
@@ -362,22 +218,18 @@ func NextFast(n int) int {
 }
 
 // bluestein implements the chirp-z transform for arbitrary lengths via a
-// power-of-two convolution. Its two convolution buffers live in the
-// caller's Workspace, so repeated transforms allocate nothing.
+// power-of-two convolution (transformLanes in fftlanes.go). Its two
+// convolution buffers live in the caller's Workspace, so repeated
+// transforms allocate nothing.
 type bluestein struct {
 	n     int
 	m     int // power-of-two convolution length >= 2n-1
 	inner *Plan
-	// chirpF / chirpI are the pre/post multipliers exp(∓i*pi*j^2/n) for the
-	// forward and inverse transforms.
-	chirpF []complex128
-	chirpI []complex128
-	// kernelF / kernelB are the precomputed forward FFTs of the padded
-	// conjugate-chirp sequences for the forward and inverse transforms.
-	kernelF []complex128
-	kernelB []complex128
-	// Split re/im copies for the lane-blocked path.
-	chirpFre, chirpFim, chirpIre, chirpIim     []float64
+	// chirp is the pre/post multiplier exp(∓i*pi*j^2/n) of the forward (F)
+	// and inverse (I) transform, a conjugate pair sharing its real half;
+	// kernelF / kernelB are the forward transforms of the padded
+	// conjugate-chirp sequences the two directions convolve with.
+	chirpRe, chirpFim, chirpIim                []float64
 	kernelFre, kernelFim, kernelBre, kernelBim []float64
 }
 
@@ -391,58 +243,26 @@ func newBluestein(n int) (*bluestein, error) {
 		return nil, err
 	}
 	b := &bluestein{n: n, m: m, inner: inner}
-	b.chirpF = make([]complex128, n)
-	b.chirpI = make([]complex128, n)
+	b.chirpRe, b.chirpFim, b.chirpIim = make([]float64, n), make([]float64, n), make([]float64, n)
+	// One lane transform builds both kernels: lane 0 carries the forward
+	// transform's sequence (the conjugate chirp), lane 1 the inverse's.
+	seq, out := lanes.New(m*lw), lanes.New(m*lw)
 	for j := 0; j < n; j++ {
 		// j^2 mod 2n keeps the argument bounded for large n.
 		e := float64((j * j) % (2 * n))
-		b.chirpF[j] = cmplx.Exp(complex(0, -math.Pi*e/float64(n)))
-		b.chirpI[j] = cmplx.Conj(b.chirpF[j])
-	}
-	mk := func(conjugate bool) []complex128 {
-		seq := make([]complex128, m)
-		for j := 0; j < n; j++ {
-			c := b.chirpF[j]
-			if conjugate {
-				c = cmplx.Conj(c)
-			}
-			// The convolution kernel is the conjugate chirp.
-			seq[j] = cmplx.Conj(c)
-			if j > 0 {
-				seq[m-j] = cmplx.Conj(c)
-			}
+		c := cmplx.Exp(complex(0, -math.Pi*e/float64(n)))
+		b.chirpRe[j], b.chirpFim[j], b.chirpIim[j] = real(c), imag(c), -imag(c)
+		for _, k := range []int{j, (m - j) % m} {
+			seq.Re[k*lw], seq.Im[k*lw] = real(c), -imag(c)
+			seq.Re[k*lw+1], seq.Im[k*lw+1] = real(c), imag(c)
 		}
-		out := make([]complex128, m)
-		inner.Forward(out, seq)
-		return out
 	}
-	b.kernelF = mk(false)
-	b.kernelB = mk(true)
-	b.chirpFre, b.chirpFim = splitComplex(b.chirpF)
-	b.chirpIre, b.chirpIim = splitComplex(b.chirpI)
-	b.kernelFre, b.kernelFim = splitComplex(b.kernelF)
-	b.kernelBre, b.kernelBim = splitComplex(b.kernelB)
+	inner.transformLanes(out, seq, false, nil)
+	b.kernelFre, b.kernelFim = make([]float64, m), make([]float64, m)
+	b.kernelBre, b.kernelBim = make([]float64, m), make([]float64, m)
+	for i := 0; i < m; i++ {
+		b.kernelFre[i], b.kernelFim[i] = out.Re[i*lw], out.Im[i*lw]
+		b.kernelBre[i], b.kernelBim[i] = out.Re[i*lw+1], out.Im[i*lw+1]
+	}
 	return b, nil
-}
-
-func (b *bluestein) transform(dst, src []complex128, inverse bool, ws *Workspace) {
-	chirp, kernel := b.chirpF, b.kernelF
-	if inverse {
-		chirp, kernel = b.chirpI, b.kernelB
-	}
-	a, fa := ws.a, ws.fa
-	for j := 0; j < b.n; j++ {
-		a[j] = src[j] * chirp[j]
-	}
-	for j := b.n; j < b.m; j++ {
-		a[j] = 0
-	}
-	b.inner.Forward(fa, a)
-	for i := range fa {
-		fa[i] *= kernel[i]
-	}
-	b.inner.Inverse(a, fa)
-	for k := 0; k < b.n; k++ {
-		dst[k] = a[k] * chirp[k]
-	}
 }

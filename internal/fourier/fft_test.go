@@ -7,25 +7,59 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ptdft/internal/lanes"
 )
 
-// naiveDFT is the O(N^2) reference implementation.
+// naiveDFT is the O(N^2) reference every transform in this package is held
+// to: the defining sum, written without looking at the code under test. Its
+// roots of unity come from one table of N, indexed j*k mod N, so the
+// oracle's own error stays near the rounding of the sum.
 func naiveDFT(x []complex128, inverse bool) []complex128 {
 	n := len(x)
-	out := make([]complex128, n)
 	sign := -1.0
 	if inverse {
 		sign = 1.0
 	}
+	w := make([]complex128, n)
+	for j := range w {
+		w[j] = cmplx.Exp(complex(0, sign*2*math.Pi*float64(j)/float64(n)))
+	}
+	out := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		var acc complex128
 		for j := 0; j < n; j++ {
-			acc += x[j] * cmplx.Exp(complex(0, sign*2*math.Pi*float64(j*k)/float64(n)))
+			acc += x[j] * w[j*k%n]
 		}
 		if inverse {
 			acc /= complex(float64(n), 0)
 		}
 		out[k] = acc
+	}
+	return out
+}
+
+// transform1D runs one length-n transform through the code under test,
+// transformLanes, and returns it in the oracle's layout and normalization
+// (1/N on the inverse). x rides in one lane of a lane block whose other
+// lanes hold noise, which must not leak into it.
+func transform1D(p *Plan, x []complex128, inverse bool, lane int) []complex128 {
+	n := p.Len()
+	rng := rand.New(rand.NewSource(int64(n)))
+	src, dst := lanes.New(n*lw), lanes.New(n*lw)
+	for i := range src.Re {
+		src.Re[i], src.Im[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	for k, v := range x {
+		src.Re[k*lw+lane], src.Im[k*lw+lane] = real(v), imag(v)
+	}
+	p.transformLanes(dst, src, inverse, p.NewWorkspace())
+	out := make([]complex128, n)
+	for k := range out {
+		out[k] = complex(dst.Re[k*lw+lane], dst.Im[k*lw+lane])
+		if inverse {
+			out[k] /= complex(float64(n), 0)
+		}
 	}
 	return out
 }
@@ -54,10 +88,9 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 	for _, n := range sizes {
 		p := MustPlan(n)
 		x := randomVec(rng, n)
-		got := make([]complex128, n)
-		p.Forward(got, x)
+		got := transform1D(p, x, false, n%lw)
 		want := naiveDFT(x, false)
-		if d := maxAbsDiff(got, want); d > 1e-9*float64(n) {
+		if d := maxAbsDiff(got, want); d > 1e-12*float64(n) {
 			t.Errorf("n=%d: forward max diff %g", n, d)
 		}
 	}
@@ -68,10 +101,9 @@ func TestInverseMatchesNaiveDFT(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 12, 21, 32, 60, 97, 120} {
 		p := MustPlan(n)
 		x := randomVec(rng, n)
-		got := make([]complex128, n)
-		p.Inverse(got, x)
+		got := transform1D(p, x, true, n%lw)
 		want := naiveDFT(x, true)
-		if d := maxAbsDiff(got, want); d > 1e-9*float64(n) {
+		if d := maxAbsDiff(got, want); d > 1e-12*float64(n) {
 			t.Errorf("n=%d: inverse max diff %g", n, d)
 		}
 	}
@@ -84,11 +116,8 @@ func TestRoundTripProperty(t *testing.T) {
 		f := func(seed int64) bool {
 			local := rand.New(rand.NewSource(seed))
 			x := randomVec(local, n)
-			fx := make([]complex128, n)
-			back := make([]complex128, n)
-			p.Forward(fx, x)
-			p.Inverse(back, fx)
-			return maxAbsDiff(back, x) < 1e-9*float64(n)
+			back := transform1D(p, transform1D(p, x, false, 0), true, lw-1)
+			return maxAbsDiff(back, x) < 1e-12*float64(n)
 		}
 		cfg := &quick.Config{MaxCount: 20, Rand: rng}
 		if err := quick.Check(f, cfg); err != nil {
@@ -102,8 +131,7 @@ func TestParseval(t *testing.T) {
 	for _, n := range []int{8, 15, 60, 101} {
 		p := MustPlan(n)
 		x := randomVec(rng, n)
-		fx := make([]complex128, n)
-		p.Forward(fx, x)
+		fx := transform1D(p, x, false, 3)
 		var st, sf float64
 		for i := 0; i < n; i++ {
 			st += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
@@ -127,10 +155,7 @@ func TestLinearity(t *testing.T) {
 	for i := range z {
 		z[i] = x[i] + alpha*y[i]
 	}
-	fx, fy, fz := make([]complex128, n), make([]complex128, n), make([]complex128, n)
-	p.Forward(fx, x)
-	p.Forward(fy, y)
-	p.Forward(fz, z)
+	fx, fy, fz := transform1D(p, x, false, 0), transform1D(p, y, false, 1), transform1D(p, z, false, 2)
 	for i := range fz {
 		want := fx[i] + alpha*fy[i]
 		if cmplx.Abs(fz[i]-want) > 1e-9 {
@@ -144,8 +169,7 @@ func TestDeltaTransformsToConstant(t *testing.T) {
 	p := MustPlan(n)
 	x := make([]complex128, n)
 	x[0] = 1
-	fx := make([]complex128, n)
-	p.Forward(fx, x)
+	fx := transform1D(p, x, false, 5)
 	for i, v := range fx {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Fatalf("delta transform not constant at %d: %v", i, v)
@@ -163,9 +187,7 @@ func TestShiftTheorem(t *testing.T) {
 	for i := range x {
 		shifted[i] = x[(i+s)%n]
 	}
-	fx, fs := make([]complex128, n), make([]complex128, n)
-	p.Forward(fx, x)
-	p.Forward(fs, shifted)
+	fx, fs := transform1D(p, x, false, 4), transform1D(p, shifted, false, 4)
 	for k := 0; k < n; k++ {
 		phase := cmplx.Exp(complex(0, 2*math.Pi*float64(k*s)/float64(n)))
 		if cmplx.Abs(fs[k]-fx[k]*phase) > 1e-9 {
@@ -235,8 +257,9 @@ func TestMergeRadix4(t *testing.T) {
 	}
 }
 
+// naiveDFT3 transforms axis by axis with the 1D reference; inverse carries
+// the 1/N of all three axes.
 func naiveDFT3(x []complex128, nx, ny, nz int, inverse bool) []complex128 {
-	// Transform axis by axis with the 1D reference.
 	out := make([]complex128, len(x))
 	copy(out, x)
 	// z axis
@@ -272,77 +295,86 @@ func naiveDFT3(x []complex128, nx, ny, nz int, inverse bool) []complex128 {
 	return out
 }
 
+// packed returns x as a grid slab.
+func packed(x []complex128) lanes.Slab {
+	s := lanes.New(len(x))
+	lanes.Pack(s, x)
+	return s
+}
+
+// tol3 is the absolute tolerance of a 3D comparison against the naive
+// oracle on ~N(0,1) inputs: rounding grows with the magnitude the
+// unnormalized transform accumulates.
+func tol3(n int) float64 { return 1e-12 * (1 + math.Sqrt(float64(n))) }
+
+// TestPlan3MatchesNaive holds the 3D transform itself, RawSlabWS, to the
+// naive oracle on every lane-remainder shape of slabGrids (with its
+// Bluestein axis) plus an nz = 18 box, whose y pass runs the 8 + 8 + 2 lane
+// groups of the production wave box - forward and inverse, out of place and
+// in place.
 func TestPlan3MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	dims := [][3]int{{2, 3, 4}, {4, 4, 4}, {3, 5, 6}, {6, 5, 4}, {8, 9, 10}}
-	for _, d := range dims {
+	for _, d := range append([][3]int{{2, 3, 4}, {6, 5, 18}}, slabGrids...) {
 		p := MustPlan3(d[0], d[1], d[2])
-		x := randomVec(rng, p.Size())
-		got := make([]complex128, p.Size())
-		p.Forward(got, x)
-		want := naiveDFT3(x, d[0], d[1], d[2], false)
-		if diff := maxAbsDiff(got, want); diff > 1e-8 {
-			t.Errorf("dims %v: 3D forward max diff %g", d, diff)
+		n := p.Size()
+		ws := p.NewWorkspace()
+		x := randomVec(rng, n)
+		for _, inverse := range []bool{false, true} {
+			want := naiveDFT3(x, d[0], d[1], d[2], inverse)
+			if inverse { // the oracle normalizes, RawSlabWS does not
+				for i := range want {
+					want[i] *= complex(float64(n), 0)
+				}
+			}
+			src, dst := packed(x), lanes.New(n)
+			p.RawSlabWS(dst, src, inverse, ws)
+			if diff := maxDiff(want, dst); diff > tol3(n) {
+				t.Errorf("dims %v inverse=%v: max diff %g from the naive DFT", d, inverse, diff)
+			}
+			if maxDiff(x, src) != 0 {
+				t.Errorf("dims %v inverse=%v: the out-of-place transform wrote its source", d, inverse)
+			}
+			p.RawSlabWS(src, src, inverse, ws)
+			if diff := maxDiff(want, src); diff > tol3(n) {
+				t.Errorf("dims %v inverse=%v: in-place max diff %g from the naive DFT", d, inverse, diff)
+			}
 		}
 	}
 }
 
+// TestPlan3RoundTrip is the adapter's round trip: a []complex128 grid goes
+// forward (checked against the oracle) and back through ApplySerialWS on
+// one workspace and returns.
 func TestPlan3RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	p := MustPlan3(6, 10, 12)
-	x := randomVec(rng, p.Size())
-	fx := make([]complex128, p.Size())
-	back := make([]complex128, p.Size())
-	p.Forward(fx, x)
-	p.Inverse(back, fx)
-	if d := maxAbsDiff(back, x); d > 1e-9 {
-		t.Errorf("3D round trip max diff %g", d)
+	for _, d := range [][3]int{{6, 10, 12}, {4, 67, 3}} {
+		p := MustPlan3(d[0], d[1], d[2])
+		ws := p.NewWorkspace()
+		x := randomVec(rng, p.Size())
+		fx := make([]complex128, p.Size())
+		back := make([]complex128, p.Size())
+		p.ApplySerialWS(fx, x, false, ws)
+		if diff := maxAbsDiff(fx, naiveDFT3(x, d[0], d[1], d[2], false)); diff > tol3(p.Size()) {
+			t.Errorf("dims %v: adapter forward max diff %g from the naive DFT", d, diff)
+		}
+		p.ApplySerialWS(back, fx, true, ws)
+		if diff := maxAbsDiff(back, x); diff > 1e-12 {
+			t.Errorf("dims %v: 3D round trip max diff %g", d, diff)
+		}
 	}
 }
 
 func TestPlan3InPlaceAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p := MustPlan3(4, 6, 5)
+	ws := p.NewWorkspace()
 	x := randomVec(rng, p.Size())
 	want := make([]complex128, p.Size())
-	p.Forward(want, x)
+	p.ApplySerialWS(want, x, false, ws)
 	// In-place: dst aliases src.
-	p.Forward(x, x)
-	if d := maxAbsDiff(x, want); d > 1e-10 {
+	p.ApplySerialWS(x, x, false, ws)
+	if d := maxAbsDiff(x, want); d != 0 {
 		t.Errorf("in-place 3D transform differs from out-of-place by %g", d)
-	}
-}
-
-func TestApplySerialMatchesParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	p := MustPlan3(6, 6, 6)
-	x := randomVec(rng, p.Size())
-	a := make([]complex128, p.Size())
-	b := make([]complex128, p.Size())
-	p.Forward(a, x)
-	p.ApplySerial(b, x, false)
-	if d := maxAbsDiff(a, b); d > 1e-12 {
-		t.Errorf("serial/parallel forward differ by %g", d)
-	}
-	p.Inverse(a, x)
-	p.ApplySerial(b, x, true)
-	if d := maxAbsDiff(a, b); d > 1e-12 {
-		t.Errorf("serial/parallel inverse differ by %g", d)
-	}
-}
-
-func BenchmarkFFT1D60(b *testing.B)  { benchFFT1D(b, 60) }
-func BenchmarkFFT1D128(b *testing.B) { benchFFT1D(b, 128) }
-
-func benchFFT1D(b *testing.B, n int) {
-	p := MustPlan(n)
-	rng := rand.New(rand.NewSource(1))
-	x := randomVec(rng, n)
-	y := make([]complex128, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Forward(y, x)
 	}
 }
 
@@ -350,36 +382,45 @@ func BenchmarkFFT3DWavefunctionGrid(b *testing.B) {
 	// 18^3 is a typical laptop-scale wavefunction box for Si8 at 10 Ha.
 	p := MustPlan3(18, 18, 18)
 	rng := rand.New(rand.NewSource(1))
-	x := randomVec(rng, p.Size())
-	y := make([]complex128, p.Size())
+	x := packed(randomVec(rng, p.Size()))
+	y := lanes.New(p.Size())
+	ws := p.NewWorkspace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Forward(y, x)
+		p.RawSlabWS(y, x, false, ws)
 	}
 }
 
+// TestPlanConcurrentUse: plans are immutable after creation, so many
+// goroutines transforming through one plan must not interfere (the batched
+// Fock loop relies on this). Each goroutine draws its workspaces from the
+// plan's pool and goes through the adapter, whose grid slab a recycled
+// workspace may or may not carry yet; CI runs this with the race detector
+// armed.
 func TestPlanConcurrentUse(t *testing.T) {
-	// Plans are immutable after creation: many goroutines transforming
-	// through one plan must not interfere (the batched Fock loop relies
-	// on this).
 	p := MustPlan3(6, 9, 10)
 	rng := rand.New(rand.NewSource(42))
 	inputs := make([][]complex128, 16)
 	wants := make([][]complex128, 16)
+	ws := p.NewWorkspace()
 	for i := range inputs {
 		inputs[i] = randomVec(rng, p.Size())
 		wants[i] = make([]complex128, p.Size())
-		p.ApplySerial(wants[i], inputs[i], false)
+		p.ApplySerialWS(wants[i], inputs[i], false, ws)
 	}
 	done := make(chan error, len(inputs))
 	for i := range inputs {
 		go func(i int) {
 			got := make([]complex128, p.Size())
-			p.ApplySerial(got, inputs[i], false)
-			if maxAbsDiff(got, wants[i]) > 1e-12 {
-				done <- fmt.Errorf("goroutine %d: concurrent transform differs", i)
-				return
+			for rep := 0; rep < 4; rep++ {
+				ws := p.CheckoutWorkspace()
+				p.ApplySerialWS(got, inputs[i], false, ws)
+				p.ReturnWorkspace(ws)
+				if maxAbsDiff(got, wants[i]) != 0 {
+					done <- fmt.Errorf("goroutine %d: concurrent transform differs", i)
+					return
+				}
 			}
 			done <- nil
 		}(i)
@@ -393,16 +434,21 @@ func TestPlanConcurrentUse(t *testing.T) {
 
 func TestBluesteinLargePrime(t *testing.T) {
 	// Sizes with prime factors beyond the direct-radix bound route through
-	// the chirp-z path; verify a large prime against the naive DFT.
-	for _, n := range []int{127, 251} {
+	// the chirp-z path; verify large primes against the naive DFT in both
+	// directions (each has its own chirp and convolution kernel).
+	for _, n := range []int{67, 127, 251} {
 		p := MustPlan(n)
+		if p.blu == nil {
+			t.Fatalf("n=%d: not a Bluestein plan", n)
+		}
 		rng := rand.New(rand.NewSource(int64(n)))
 		x := randomVec(rng, n)
-		got := make([]complex128, n)
-		p.Forward(got, x)
-		want := naiveDFT(x, false)
-		if d := maxAbsDiff(got, want); d > 1e-8*float64(n) {
-			t.Errorf("n=%d: Bluestein differs from naive DFT by %g", n, d)
+		for _, inverse := range []bool{false, true} {
+			got := transform1D(p, x, inverse, 6)
+			want := naiveDFT(x, inverse)
+			if d := maxAbsDiff(got, want); d > 1e-12*float64(n) {
+				t.Errorf("n=%d inverse=%v: Bluestein differs from naive DFT by %g", n, inverse, d)
+			}
 		}
 	}
 }

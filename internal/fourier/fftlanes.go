@@ -2,15 +2,14 @@ package fourier
 
 import "ptdft/internal/lanes"
 
-// This file is the lane-blocked SoA rendition of the 1D transform: the same
-// mixed-radix recursion and Bluestein fallback as fft.go, but operating on
-// lanes.Width pencils at once. Data lives in a lane block - a Slab of
-// length n*lanes.Width with element k of pencil l at offset k*Width+l - so
-// each butterfly loads its twiddle once (uniform) and applies it to Width
-// independent pencils (varying) in a fixed-width, bounds-check-free inner
-// loop. One recursion walk and one twiddle stream now serve Width pencils,
-// amortizing the call overhead and table traffic that dominate the scalar
-// per-pencil path.
+// This file is the 1D transform: the mixed-radix recursion and Bluestein
+// fallback that fft.go plans, operating on lanes.Width pencils at once.
+// Data lives in a lane block - a Slab of length n*lanes.Width with element
+// k of pencil l at offset k*Width+l - so each butterfly loads its twiddle
+// once (uniform) and applies it to Width independent pencils (varying) in a
+// fixed-width, bounds-check-free inner loop. One recursion walk and one
+// twiddle stream serve Width pencils, amortizing the call overhead and
+// table traffic that dominate a per-pencil transform.
 
 const lw = lanes.Width
 
@@ -41,15 +40,18 @@ func (p *Plan) transformLanes(dst, src lanes.Slab, inverse bool, ws *Workspace) 
 	p.recurseLanes(dst, src, 1, 0, inverse)
 }
 
-// recurseLanes is the decimation-in-time step over a lane block: identical
-// index structure to recurse, with every element offset scaled by Width.
-// The plan has at least one stage (transformLanes handles n == 1).
+// recurseLanes performs the decimation-in-time mixed-radix step at recursion
+// depth d over a lane block: split into r sub-transforms of length m reading
+// src with stride, then combine in place in dst using the stage's
+// precomputed tables, X[k + p*m] = sum_q tw[q*m+k] * root[(q*p) mod r] *
+// F_q[k]. Every element offset is scaled by Width. The plan has at least
+// one stage (transformLanes handles n == 1).
 func (p *Plan) recurseLanes(dst, src lanes.Slab, stride, d int, inverse bool) {
 	st := &p.stages[d]
 	r, m := st.r, st.m
 	if m == 1 {
-		// Last stage: the r sub-transforms are single rows (recurse's
-		// leaves), copied here instead of through r more calls.
+		// Last stage: the r sub-transforms are single rows, copied here
+		// instead of through r more calls.
 		if !copyRowsVec(dst, 0, lw, src, 0, stride*lw, r) {
 			for q := 0; q < r; q++ {
 				*(*[lw]float64)(dst.Re[q*lw:]) = *(*[lw]float64)(src.Re[q*stride*lw:])
@@ -62,11 +64,10 @@ func (p *Plan) recurseLanes(dst, src lanes.Slab, stride, d int, inverse bool) {
 			p.recurseLanes(dst.Slice(q*m*lw, (q+1)*m*lw), sub, stride*r, d+1, inverse)
 		}
 	}
-	twre, twim := st.twFre, st.twFim
-	rore, roim := st.rootFre, st.rootFim
+	twre, twim := st.twRe, st.twFim
+	rore, roim := st.rootRe, st.rootFim
 	if inverse {
-		twre, twim = st.twIre, st.twIim
-		rore, roim = st.rootIre, st.rootIim
+		twim, roim = st.twIim, st.rootIim
 	}
 	dre, dim := dst.Re, dst.Im
 	if combineVec(r, m, dre, dim, twre, twim, rore, roim) {
@@ -116,8 +117,8 @@ func (p *Plan) recurseLanes(dst, src lanes.Slab, stride, d int, inverse bool) {
 			}
 		}
 	case 4:
-		// root[1] is ∓i (up to rounding); keep the tabulated value so the
-		// lane path tracks the scalar path bit for bit.
+		// root[1] is ∓i up to rounding; the tabulated value is what the
+		// vector kernel multiplies by, and every pinned trajectory has it.
 		jr, ji := rore[1], roim[1]
 		for k := 0; k < m; k++ {
 			w1r, w1i := twre[m+k], twim[m+k]
@@ -192,10 +193,10 @@ func (p *Plan) recurseLanes(dst, src lanes.Slab, stride, d int, inverse bool) {
 // normalization of the inner inverse is folded into the final chirp
 // multiply, saving one pass over the convolution buffer.
 func (b *bluestein) transformLanes(dst, src lanes.Slab, inverse bool, ws *Workspace) {
-	chre, chim := b.chirpFre, b.chirpFim
+	chre, chim := b.chirpRe, b.chirpFim
 	kre, kim := b.kernelFre, b.kernelFim
 	if inverse {
-		chre, chim = b.chirpIre, b.chirpIim
+		chim = b.chirpIim
 		kre, kim = b.kernelBre, b.kernelBim
 	}
 	la, lfa := ws.la, ws.lfa

@@ -2,21 +2,30 @@ package fourier
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
 	"ptdft/internal/lanes"
 )
 
-// FuzzLaneVsScalar is the property pin of the lane-blocked SoA kernel
-// layer: for ANY (grid, nb, lane-remainder) shape the slab kernels must
-// agree with the scalar []complex128 reference path to 1e-12. The seed
-// corpus crosses lane-multiple pencil counts, off-by-one remainders, grids
-// smaller than one lane group, axes that are not multiples of lanes.Width,
-// and Bluestein lengths (primes above maxDirectRadix); the fuzzer then
-// mutates freely inside the capped shape space. The corpus runs as part of
-// a plain `go test`, so the property is checked on every CI run; `go test
-// -fuzz FuzzLaneVsScalar ./internal/fourier` explores beyond it.
+// fuzzDim maps a fuzzed byte onto an axis length in [1, 67], a corpus byte
+// b in that range onto b itself; 67 is the one Bluestein length (a prime
+// above maxDirectRadix) inside the capped shape space.
+func fuzzDim(b uint8) int { return 1 + (int(b)+66)%67 }
+
+// FuzzLaneVsScalar is the property pin of the transform layer: for ANY
+// (grid, nb, lane-remainder) shape the slab kernels must agree with the
+// scalar oracle - the naive O(N^2) DFT of fft_test.go and the manual
+// forward, kernel, inverse sequence built from it - to 1e-12 of the
+// magnitudes involved. The seed corpus crosses lane-multiple pencil counts,
+// off-by-one remainders, grids smaller than one lane group, axes that are
+// not multiples of lanes.Width, and Bluestein lengths (primes above
+// maxDirectRadix); the fuzzer then mutates freely inside the capped shape
+// space, whose 2000-point bound keeps one oracle evaluation to a few
+// milliseconds. The corpus runs as part of a plain `go test`, so the
+// property is checked on every CI run; `go test -fuzz FuzzLaneVsScalar
+// ./internal/fourier` explores beyond it.
 func FuzzLaneVsScalar(f *testing.F) {
 	f.Add(uint8(8), uint8(8), uint8(8), uint8(4), int64(1))
 	f.Add(uint8(8), uint8(9), uint8(10), uint8(3), int64(2))
@@ -24,95 +33,99 @@ func FuzzLaneVsScalar(f *testing.F) {
 	f.Add(uint8(4), uint8(67), uint8(3), uint8(2), int64(4)) // Bluestein axis: 67 is prime
 	f.Add(uint8(1), uint8(16), uint8(5), uint8(6), int64(5)) // single-pencil x, lane-multiple y
 	f.Add(uint8(13), uint8(2), uint8(9), uint8(5), int64(6)) // 13 and 9: no lane multiple anywhere
-	f.Add(uint8(31), uint8(4), uint8(4), uint8(2), int64(7)) // Bluestein axis: 31 is prime
+	f.Add(uint8(31), uint8(4), uint8(4), uint8(2), int64(7)) // one generic radix-31 stage
 	f.Add(uint8(3), uint8(3), uint8(3), uint8(1), int64(8))  // smaller than one lane group
 	f.Fuzz(func(t *testing.T, bx, by, bz, bnb uint8, seed int64) {
-		nx := 1 + int(bx)%67
-		ny := 1 + int(by)%67
-		nz := 1 + int(bz)%67
+		dims := [3]int{fuzzDim(bx), fuzzDim(by), fuzzDim(bz)}
 		nb := 1 + int(bnb)%6
-		n := nx * ny * nz
-		if n > 5000 {
-			t.Skip("grid too large for a fuzz iteration")
+		n := dims[0] * dims[1] * dims[2]
+		if n > 2000 {
+			t.Skip("grid too large for a fuzz iteration against the O(N^2) oracle")
 		}
-		p := MustPlan3(nx, ny, nz)
+		p := MustPlan3(dims[0], dims[1], dims[2])
 		ws := p.NewWorkspace()
 		rng := rand.New(rand.NewSource(seed))
-		src := randGridRng(rng, n)
-		kernel := make([]float64, n)
-		for i := range kernel {
-			kernel[i] = rng.Float64()
+		src := randomVec(rng, n)
+		kernel := randKernel(rng, n)
+		phi := randomVec(rng, nb*n)
+
+		// The oracle's side, computed once: raw transforms, the Poisson
+		// solve, the nb-band contraction (the fock-style accumulation of nb
+		// pair contractions into nb accumulator rows), and the two-sided
+		// pair contraction with conj(v) taken explicitly (no kernel-symmetry
+		// assumption).
+		const scale = -0.25
+		solve := func(phi, src []complex128) []complex128 { // Poisson[conj(phi) ⊙ src]
+			pair := make([]complex128, n)
+			for i := range pair {
+				pair[i] = cmplx.Conj(phi[i]) * src[i]
+			}
+			return manualPoisson(pair, kernel, dims)
 		}
-		// The tolerance is absolute against ~N(0,1) inputs; scale it with
+		contract := func(acc, phi, src []complex128) {
+			for i, v := range solve(phi, src) {
+				acc[i] += scale * phi[i] * v
+			}
+		}
+		refFwd := naiveDFT3(src, dims[0], dims[1], dims[2], false)
+		refInv := naiveDFT3(src, dims[0], dims[1], dims[2], true)
+		for i := range refInv {
+			refInv[i] *= complex(float64(n), 0)
+		}
+		refPoisson := manualPoisson(src, kernel, dims)
+		refAcc := make([]complex128, nb*n)
+		for b := 0; b < nb; b++ {
+			contract(refAcc[b*n:(b+1)*n], phi[b*n:(b+1)*n], src)
+		}
+		refD := make([]complex128, n)
+		contract(refD, src, src)
+		var refI, refJ []complex128
+		if nb >= 2 {
+			phiI, phiJ := phi[:n], phi[n:2*n]
+			refI, refJ = make([]complex128, n), make([]complex128, n)
+			for i, v := range solve(phiI, phiJ) {
+				refJ[i] = scale * phiI[i] * v
+				refI[i] = scale * phiJ[i] * cmplx.Conj(v)
+			}
+		}
+
+		// The tolerance is absolute against ~N(0,1) inputs; it scales with
 		// the magnitude the unnormalized forward transform accumulates.
-		tol := 1e-12 * (1 + math.Sqrt(float64(n)))
+		tol := tol3(n)
 		check := func(what string, ref []complex128, got lanes.Slab) {
 			t.Helper()
 			if d := maxDiff(ref, got); d > tol {
-				t.Errorf("%dx%dx%d nb=%d kernels=%v: %s lane vs scalar max diff %g (tol %g)", nx, ny, nz, nb, useAVX2, what, d, tol)
+				t.Errorf("%v nb=%d kernels=%v: %s lane vs oracle max diff %g (tol %g)", dims, nb, useAVX2, what, d, tol)
 			}
 		}
 
 		// Every check runs on the Go loops and on the vector kernels.
 		forEachVec(func(bool) {
-			// Raw transform, forward and inverse.
-			for _, inverse := range []bool{false, true} {
-				ref := make([]complex128, n)
-				p.RawSerialWS(ref, src, inverse, ws)
-				s, d := lanes.New(n), lanes.New(n)
-				lanes.Pack(s, src)
-				p.RawSlabWS(d, s, inverse, ws)
-				check("raw transform", ref, d)
-			}
+			d := lanes.New(n)
+			p.RawSlabWS(d, packed(src), false, ws)
+			check("forward transform", refFwd, d)
+			p.RawSlabWS(d, packed(src), true, ws)
+			check("inverse transform", refInv, d)
 
-			// Fused Poisson solve.
-			ref := append([]complex128(nil), src...)
-			p.PoissonSerialWS(ref, kernel, ws)
-			s := lanes.New(n)
-			lanes.Pack(s, src)
+			s := packed(src)
 			p.PoissonSlabWS(s, kernel, ws)
-			check("Poisson", ref, s)
+			check("Poisson", refPoisson, s)
 
-			// nb-band contraction: the fock-style accumulation of nb pair
-			// contractions into nb accumulator rows.
-			phi := randGridRng(rng, nb*n)
-			refAcc := make([]complex128, nb*n)
-			buf := make([]complex128, n)
-			sphi, sacc, ssrc, sbuf := lanes.New(nb*n), lanes.New(nb*n), lanes.New(n), lanes.New(n)
-			lanes.Pack(sphi, phi)
-			lanes.Pack(ssrc, src)
+			sphi, ssrc := packed(phi), packed(src)
+			sacc, sbuf := lanes.New(nb*n), lanes.New(n)
 			for b := 0; b < nb; b++ {
-				row := phi[b*n : (b+1)*n]
-				p.ContractSerialWS(refAcc[b*n:(b+1)*n], row, src, buf, kernel, complex(-0.25, 0), ws)
-				p.ContractSlabWS(sacc.Row(b, n), sphi.Row(b, n), ssrc, sbuf, kernel, -0.25, ws)
+				p.ContractSlabWS(sacc.Row(b, n), sphi.Row(b, n), ssrc, sbuf, kernel, scale, ws)
 			}
 			check("nb-band contraction", refAcc, sacc)
 
-			// Two-sided pair contraction, off-diagonal and diagonal, against a
-			// spelled-out scalar oracle (no kernel-symmetry assumption: conj(v)
-			// is taken explicitly).
 			if nb >= 2 {
-				phiI, phiJ := phi[:n], phi[n:2*n]
-				v := make([]complex128, n)
-				for i := range v {
-					v[i] = complex(real(phiI[i]), -imag(phiI[i])) * phiJ[i]
-				}
-				p.PoissonSerialWS(v, kernel, ws)
-				refI := make([]complex128, n)
-				refJ := make([]complex128, n)
-				for i := range v {
-					refJ[i] += -0.25 * phiI[i] * v[i]
-					refI[i] += -0.25 * phiJ[i] * complex(real(v[i]), -imag(v[i]))
-				}
 				accI, accJ := lanes.New(n), lanes.New(n)
-				p.ContractPairSlabWS(accI, accJ, sphi.Row(0, n), sphi.Row(1, n), sbuf, kernel, -0.25, false, ws)
+				p.ContractPairSlabWS(accI, accJ, sphi.Row(0, n), sphi.Row(1, n), sbuf, kernel, scale, false, ws)
 				check("pair contraction accJ", refJ, accJ)
 				check("pair contraction accI", refI, accI)
 			}
-			refD := make([]complex128, n)
-			p.ContractSerialWS(refD, src, src, buf, kernel, complex(-0.25, 0), ws)
 			accD := lanes.New(n)
-			p.ContractPairSlabWS(accD, accD, ssrc, ssrc, sbuf, kernel, -0.25, true, ws)
+			p.ContractPairSlabWS(accD, accD, ssrc, ssrc, sbuf, kernel, scale, true, ws)
 			check("diagonal pair contraction", refD, accD)
 		})
 	})
@@ -133,9 +146,7 @@ func FuzzPrunedVsRaw(f *testing.F) {
 	f.Add(uint8(9), uint8(9), uint8(10), uint8(2), int64(6))   // (almost) no row listed
 	f.Add(uint8(1), uint8(1), uint8(31), uint8(255), int64(7))
 	f.Fuzz(func(t *testing.T, bx, by, bz, bkeep uint8, seed int64) {
-		nx := 1 + int(bx)%67
-		ny := 1 + int(by)%67
-		nz := 1 + int(bz)%67
+		nx, ny, nz := fuzzDim(bx), fuzzDim(by), fuzzDim(bz)
 		if nx*ny*nz > 5000 {
 			t.Skip("grid too large for a fuzz iteration")
 		}

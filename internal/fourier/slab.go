@@ -6,10 +6,10 @@ import (
 	"ptdft/internal/lanes"
 )
 
-// This file is the slab (grid-layout SoA) face of the 3D plan: the same
-// fused passes as fft3.go's serial path, but the grid lives in a
-// lanes.Slab (element i at Re[i]/Im[i]) and every axis pass transforms
-// lanes.Width pencils at once through transformLanes. Pencil-count
+// This file is the 3D transform: the grid lives in a lanes.Slab (element i
+// at Re[i]/Im[i]) and every axis pass transforms lanes.Width pencils at once
+// through transformLanes, with the Poisson kernel multiply and the exchange
+// pair product fused into the passes that touch the data anyway. Pencil-count
 // remainders (grids whose pencil counts are not multiples of Width) run
 // through the same lane kernels with the unused lanes zero-filled - the
 // transform of a zero lane is zero, so the padding never leaks into real
@@ -218,8 +218,9 @@ func (p *Plan3) xPassKernelSlab(buf lanes.Slab, kernel []float64, ws *Workspace3
 }
 
 // RawSlabWS runs one unnormalized transform over a grid slab (no 1/N on
-// the inverse), the SoA counterpart of RawSerialWS. dst and src may be the
-// same slab.
+// the inverse). dst and src may be the same slab. Callers fold the
+// normalization into a pointwise scaling they already do (the grid
+// scatter/gather, the Poisson kernel multiply).
 func (p *Plan3) RawSlabWS(dst, src lanes.Slab, inverse bool, ws *Workspace3) {
 	p.checkSlab(dst, "dst")
 	p.checkSlab(src, "src")
@@ -251,8 +252,13 @@ func (p *Plan3) InversePrunedSlabWS(buf lanes.Slab, rows, planes []int, ws *Work
 //
 //	buf <- IFFT[ kernel ⊙ FFT[buf] ] / N
 //
-// the SoA counterpart of PoissonSerialWS: five grid passes, each
-// transforming Width pencils per lane-kernel call.
+// i.e. forward transform, pointwise kernel multiply (with the inverse
+// normalization folded in), inverse transform. The kernel multiply rides
+// inside the x pass - each lane group of x lines is forward-transformed,
+// multiplied by kernel/N while still in the lane block and
+// inverse-transformed before being written back - so the round trip makes
+// five grid passes instead of the seven of a forward + multiply + inverse
+// sequence.
 func (p *Plan3) PoissonSlabWS(buf lanes.Slab, kernel []float64, ws *Workspace3) {
 	p.checkSlab(buf, "buf")
 	if len(kernel) != p.Size() {
@@ -269,11 +275,12 @@ func (p *Plan3) PoissonSlabWS(buf lanes.Slab, kernel []float64, ws *Workspace3) 
 //
 //	dst += scale * phi ⊙ Poisson[ conj(phi) ⊙ src ]
 //
-// the SoA counterpart of ContractSerialWS. The pair product is formed
-// inside the first z gather and the accumulation inside the last z
-// scatter; scale is real (the -alpha/2-or-alpha prefactor is always real),
-// which halves the multiplies of the complex-scale formulation. buf is
-// caller scratch of grid size and must not alias dst.
+// the (i, j) inner step of Alg. 2, where Poisson[.] is the PoissonSlabWS
+// round trip. The pair product is formed inside the first z gather and the
+// accumulation inside the last z scatter, so the whole contraction makes
+// five passes over the grid; scale is real (the -alpha/2-or-alpha prefactor
+// always is), which halves the multiplies of a complex scale. buf is caller
+// scratch of grid size and must not alias dst.
 func (p *Plan3) ContractSlabWS(dst, phi, src, buf lanes.Slab, kernel []float64, scale float64, ws *Workspace3) {
 	p.checkSlab(dst, "dst")
 	p.checkSlab(phi, "phi")
@@ -344,8 +351,8 @@ func (p *Plan3) ContractSlabWS(dst, phi, src, buf lanes.Slab, kernel []float64, 
 //	accI += scale * phiJ ⊙ conj(v)   (skipped when diag)
 //
 // This is the (i, j) step of the symmetry-halved reference application;
-// fusing the second side saves the separate read-modify-write pass the
-// scalar path performs over the pair buffer.
+// fusing the second side saves a separate read-modify-write pass over the
+// pair buffer.
 func (p *Plan3) ContractPairSlabWS(accI, accJ, phiI, phiJ, buf lanes.Slab, kernel []float64, scale float64, diag bool, ws *Workspace3) {
 	p.checkSlab(accJ, "accJ")
 	p.checkSlab(phiI, "phiI")

@@ -2,6 +2,7 @@ package fourier
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -22,14 +23,6 @@ var slabGrids = [][3]int{
 	{13, 2, 9},
 }
 
-func randGridRng(rng *rand.Rand, n int) []complex128 {
-	c := make([]complex128, n)
-	for i := range c {
-		c[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	return c
-}
-
 func maxDiff(a []complex128, s lanes.Slab) float64 {
 	var m float64
 	for i, v := range a {
@@ -43,101 +36,142 @@ func maxDiff(a []complex128, s lanes.Slab) float64 {
 	return m
 }
 
+// TestRawSlabMatchesSerial pins what the []complex128 adapter is: a change
+// of layout around RawSlabWS and nothing else, so on every shape, in both
+// directions, out of place and in place, RawSerialWS returns RawSlabWS's
+// bits (TestPlan3MatchesNaive holds those to the oracle).
 func TestRawSlabMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, dims := range slabGrids {
 		p := MustPlan3(dims[0], dims[1], dims[2])
 		n := p.Size()
-		src := randGridRng(rng, n)
+		src := randomVec(rng, n)
 		for _, inverse := range []bool{false, true} {
-			ref := make([]complex128, n)
 			ws := p.NewWorkspace()
-			p.RawSerialWS(ref, src, inverse, ws)
+			want := lanes.New(n)
+			p.RawSlabWS(want, packed(src), inverse, ws)
 
-			ss := lanes.New(n)
-			lanes.Pack(ss, src)
-			ds := lanes.New(n)
-			p.RawSlabWS(ds, ss, inverse, ws)
-			if d := maxDiff(ref, ds); d > 1e-12 {
-				t.Errorf("grid %v inverse=%v: slab vs serial max diff %g", dims, inverse, d)
+			got := make([]complex128, n)
+			p.RawSerialWS(got, src, inverse, ws)
+			if d := maxDiff(got, want); d != 0 {
+				t.Errorf("grid %v inverse=%v: adapter differs from the slab transform by %g", dims, inverse, d)
 			}
-			// In-place (dst == src) must match too.
-			p.RawSlabWS(ss, ss, inverse, ws)
-			if d := maxDiff(ref, ss); d > 1e-12 {
-				t.Errorf("grid %v inverse=%v: in-place slab max diff %g", dims, inverse, d)
+			copy(got, src)
+			p.RawSerialWS(got, got, inverse, ws)
+			if d := maxDiff(got, want); d != 0 {
+				t.Errorf("grid %v inverse=%v: in-place adapter differs from the slab transform by %g", dims, inverse, d)
 			}
 		}
 	}
 }
 
-func TestPoissonSlabMatchesSerial(t *testing.T) {
+// RawSerialWS is the unnormalized core: its inverse must equal
+// ApplySerialWS's scaled back up by N.
+func TestRawSerialWSUnnormalized(t *testing.T) {
+	p := MustPlan3(6, 5, 4)
+	n := p.Size()
+	src := randomVec(rand.New(rand.NewSource(2)), n)
+	norm := make([]complex128, n)
+	raw := make([]complex128, n)
+	ws := p.NewWorkspace()
+	p.ApplySerialWS(norm, src, true, ws)
+	p.RawSerialWS(raw, src, true, ws)
+	for i := range norm {
+		if d := cmplx.Abs(raw[i] - norm[i]*complex(float64(n), 0)); d > 1e-12 {
+			t.Fatalf("raw inverse differs at %d by %g", i, d)
+		}
+	}
+}
+
+// manualPoisson is the unfused oracle of the Poisson round trip: naive
+// forward, pointwise kernel multiply, naive (normalized) inverse.
+func manualPoisson(src []complex128, kernel []float64, dims [3]int) []complex128 {
+	f := naiveDFT3(src, dims[0], dims[1], dims[2], false)
+	for i := range f {
+		f[i] *= complex(kernel[i], 0)
+	}
+	return naiveDFT3(f, dims[0], dims[1], dims[2], true)
+}
+
+func randKernel(rng *rand.Rand, n int) []float64 {
+	kernel := make([]float64, n)
+	for i := range kernel {
+		kernel[i] = rng.Float64()
+	}
+	return kernel
+}
+
+// The fused Poisson round trip must equal the unfused forward + pointwise
+// kernel multiply + normalized inverse sequence of the oracle.
+func TestPoissonSlabMatchesManual(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, dims := range slabGrids {
 		p := MustPlan3(dims[0], dims[1], dims[2])
 		n := p.Size()
-		src := randGridRng(rng, n)
-		kernel := make([]float64, n)
-		for i := range kernel {
-			kernel[i] = rng.Float64()
-		}
-		ws := p.NewWorkspace()
-
-		ref := append([]complex128(nil), src...)
-		p.PoissonSerialWS(ref, kernel, ws)
-
-		s := lanes.New(n)
-		lanes.Pack(s, src)
-		p.PoissonSlabWS(s, kernel, ws)
-		if d := maxDiff(ref, s); d > 1e-12 {
-			t.Errorf("grid %v: Poisson slab vs serial max diff %g", dims, d)
+		src := randomVec(rng, n)
+		kernel := randKernel(rng, n)
+		s := packed(src)
+		p.PoissonSlabWS(s, kernel, p.NewWorkspace())
+		if d := maxDiff(manualPoisson(src, kernel, dims), s); d > tol3(n) {
+			t.Errorf("grid %v: fused Poisson differs from the manual sequence by %g", dims, d)
 		}
 	}
 }
 
-func TestContractSlabMatchesSerial(t *testing.T) {
+// The fully fused contraction must equal the spelled-out pair product,
+// Poisson solve, and accumulation onto a nonzero start.
+func TestContractSlabMatchesManual(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, dims := range slabGrids {
 		p := MustPlan3(dims[0], dims[1], dims[2])
 		n := p.Size()
-		phi := randGridRng(rng, n)
-		src := randGridRng(rng, n)
-		dst0 := randGridRng(rng, n)
-		kernel := make([]float64, n)
-		for i := range kernel {
-			kernel[i] = rng.Float64()
-		}
+		phi := randomVec(rng, n)
+		src := randomVec(rng, n)
+		want := randomVec(rng, n)
+		kernel := randKernel(rng, n)
 		scale := -0.3125
-		ws := p.NewWorkspace()
 
-		ref := append([]complex128(nil), dst0...)
-		buf := make([]complex128, n)
-		p.ContractSerialWS(ref, phi, src, buf, kernel, complex(scale, 0), ws)
+		sdst := packed(want)
+		pair := make([]complex128, n)
+		for k := range pair {
+			pair[k] = cmplx.Conj(phi[k]) * src[k]
+		}
+		pair = manualPoisson(pair, kernel, dims)
+		for k := range want {
+			want[k] += complex(scale, 0) * phi[k] * pair[k]
+		}
 
-		sphi, ssrc, sdst, sbuf := lanes.New(n), lanes.New(n), lanes.New(n), lanes.New(n)
-		lanes.Pack(sphi, phi)
-		lanes.Pack(ssrc, src)
-		lanes.Pack(sdst, dst0)
-		p.ContractSlabWS(sdst, sphi, ssrc, sbuf, kernel, scale, ws)
-		if d := maxDiff(ref, sdst); d > 1e-12 {
-			t.Errorf("grid %v: Contract slab vs serial max diff %g", dims, d)
+		p.ContractSlabWS(sdst, packed(phi), packed(src), lanes.New(n), kernel, scale, p.NewWorkspace())
+		if d := maxDiff(want, sdst); d > tol3(n) {
+			t.Errorf("grid %v: fused contraction differs from the manual sequence by %g", dims, d)
 		}
 	}
 }
 
+// TestSlabTransformAllocs: with a caller-held workspace the slab transforms
+// allocate nothing, the Bluestein fallback included, and the []complex128
+// adapter allocates nothing after the call that made the workspace's grid
+// slab.
 func TestSlabTransformAllocs(t *testing.T) {
 	for _, dims := range [][3]int{{8, 9, 10}, {4, 67, 3}} {
 		p := MustPlan3(dims[0], dims[1], dims[2])
 		n := p.Size()
 		s := lanes.New(n)
+		c := make([]complex128, n)
 		kernel := make([]float64, n)
 		ws := p.NewWorkspace()
-		p.PoissonSlabWS(s, kernel, ws) // warm
-		allocs := testing.AllocsPerRun(5, func() {
+		if allocs := testing.AllocsPerRun(5, func() {
 			p.RawSlabWS(s, s, false, ws)
 			p.PoissonSlabWS(s, kernel, ws)
-		})
-		if allocs != 0 {
+		}); allocs != 0 {
 			t.Errorf("grid %v: slab transforms allocated %v per run", dims, allocs)
+		}
+		p.RawSerialWS(c, c, false, ws) // the first adapter call on ws
+		if allocs := testing.AllocsPerRun(5, func() {
+			p.RawSerialWS(c, c, false, ws)
+			p.ApplySerialWS(c, c, true, ws)
+		}); allocs != 0 {
+			t.Errorf("grid %v: the []complex128 adapter allocated %v per run on a used workspace", dims, allocs)
 		}
 	}
 }
@@ -158,25 +192,6 @@ func BenchmarkPoissonSlab(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.PoissonSlabWS(s, kernel, ws)
-	}
-}
-
-func BenchmarkPoissonSerialRef(b *testing.B) {
-	p := MustPlan3(36, 36, 36)
-	n := p.Size()
-	buf := make([]complex128, n)
-	for i := range buf {
-		buf[i] = complex(float64(i%17)*0.1, 0)
-	}
-	kernel := make([]float64, n)
-	for i := range kernel {
-		kernel[i] = 1 / float64(i+1)
-	}
-	ws := p.NewWorkspace()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.PoissonSerialWS(buf, kernel, ws)
 	}
 }
 

@@ -189,7 +189,7 @@ func TestVecBoundsPanic(t *testing.T) {
 		{"short twiddle table", func() {
 			p := MustPlan(12)
 			st := &p.stages[0]
-			st.twFre = st.twFre[:len(st.twFre)-1]
+			st.twRe = st.twRe[:len(st.twRe)-1]
 			p.transformLanes(lanes.New(12*lw), lanes.New(12*lw), false, nil)
 		}},
 		{"short lane block", func() {

@@ -251,66 +251,21 @@ func (g *Grid) DV() float64 { return g.Volume() / float64(g.NDTot) }
 // DVWave returns the real-space volume element of the wavefunction grid.
 func (g *Grid) DVWave() float64 { return g.Volume() / float64(g.NTot) }
 
-// ToReal transforms sphere coefficients c (length NG) to real-space values
-// psi(r) on the wavefunction box (length NTot): psi = (1/sqrt(Omega)) *
-// sum_G c_G exp(iG.r). box is overwritten.
-func (g *Grid) ToReal(box []complex128, c []complex128) {
-	g.scatterAndTransform(box, c, g.SphereIdx, g.Plan, g.NTot)
-}
-
-// ToRealDense is ToReal onto the dense box (zero padding in G space),
-// used when accumulating the charge density.
-func (g *Grid) ToRealDense(box []complex128, c []complex128) {
-	g.scatterAndTransform(box, c, g.SphereIdxD, g.PlanD, g.NDTot)
-}
-
-func (g *Grid) scatterAndTransform(box, c []complex128, idx []int, plan *fourier.Plan3, ntot int) {
-	if len(box) != ntot || len(c) != g.NG {
-		panic("grid: ToReal buffer size mismatch")
-	}
-	for i := range box {
-		box[i] = 0
-	}
-	for s, k := range idx {
-		box[k] = c[s]
-	}
-	// Unnormalized exp(+iG.r) synthesis = N * normalized inverse.
-	plan.Inverse(box, box)
-	scale := complex(float64(ntot)/math.Sqrt(g.Volume()), 0)
-	for i := range box {
-		box[i] *= scale
-	}
-}
-
-// FromReal projects real-space values on the wavefunction box back onto the
-// sphere coefficients: c_G = (sqrt(Omega)/NTot) * Forward(psi)[G]. It is the
-// exact inverse of ToReal. box is destroyed.
-func (g *Grid) FromReal(c []complex128, box []complex128) {
-	if len(box) != g.NTot || len(c) != g.NG {
-		panic("grid: FromReal buffer size mismatch")
-	}
-	g.Plan.Forward(box, box)
-	scale := complex(math.Sqrt(g.Volume())/float64(g.NTot), 0)
-	for s, k := range g.SphereIdx {
-		c[s] = box[k] * scale
-	}
-}
-
-// ToRealSerial is ToReal without worker-pool parallelism, in the scalar
-// complex128 layout (the MD force assembly, benchmarks and tests; the step
-// path uses ToRealSlabWS). FFT scratch comes from the plan's pool. The
-// 1/sqrt(Omega) normalization is folded into the sphere scatter and the
-// synthesis runs unnormalized.
+// ToRealSerial transforms sphere coefficients c (length NG) to real-space
+// values psi(r) = (1/sqrt(Omega)) * sum_G c_G exp(iG.r) on the wavefunction
+// box (length NTot) in the interleaved complex128 layout, for setup code,
+// benchmarks and tests; the step path uses ToRealSlabWS, which this is a
+// layout adapter around. box is overwritten. FFT scratch comes from the
+// plan's pool. The 1/sqrt(Omega) normalization is folded into the sphere
+// scatter and the synthesis runs unnormalized.
 func (g *Grid) ToRealSerial(box []complex128, c []complex128) {
 	if len(box) != g.NTot || len(c) != g.NG {
 		panic("grid: ToRealSerial buffer size mismatch")
 	}
-	for i := range box {
-		box[i] = 0
-	}
-	scale := complex(1/math.Sqrt(g.Volume()), 0)
+	clear(box)
+	scale := 1 / math.Sqrt(g.Volume())
 	for s, k := range g.SphereIdx {
-		box[k] = c[s] * scale
+		box[k] = complex(real(c[s])*scale, imag(c[s])*scale)
 	}
 	ws := g.Plan.CheckoutWorkspace()
 	g.Plan.RawSerialWS(box, box, true, ws)
@@ -336,9 +291,11 @@ func (g *Grid) ToRealSlabWS(box lanes.Slab, c []complex128, ws *fourier.Workspac
 	g.Plan.RawSlabWS(box, box, true, ws)
 }
 
-// FromRealSlabWS is FromReal over a SoA box, serial, with caller-owned FFT
-// scratch; the sqrt(Omega)/N normalization is applied on the NG sphere
-// entries during the gather. The box is consumed (transformed in place).
+// FromRealSlabWS projects real-space values on the wavefunction box back
+// onto the sphere coefficients, c_G = (sqrt(Omega)/NTot) * Forward(psi)[G] -
+// the exact inverse of ToRealSlabWS - with caller-owned FFT scratch; the
+// normalization is applied on the NG sphere entries during the gather. The
+// box is consumed (transformed in place).
 func (g *Grid) FromRealSlabWS(c []complex128, box lanes.Slab, ws *fourier.Workspace3) {
 	if box.Len() != g.NTot || len(c) != g.NG {
 		panic("grid: FromRealSlab buffer size mismatch")
@@ -352,7 +309,7 @@ func (g *Grid) FromRealSlabWS(c []complex128, box lanes.Slab, ws *fourier.Worksp
 
 // ToRealDenseSlabWS synthesizes sum_G c_G exp(iG.r) on the dense box (zero
 // padding in G space) into a split re/im box, WITHOUT the 1/sqrt(Omega) of
-// ToReal: the density build folds that factor, squared, into its own
+// ToRealSlabWS: the density build folds that factor, squared, into its own
 // scaling. Only the z-rows and x-planes the sphere touches are transformed
 // along z and y (fourier.Plan3.InversePrunedSlabWS); the box is zeroed and
 // scattered here, which is that method's precondition.
@@ -375,28 +332,25 @@ func (g *Grid) DenseForward(dst, src []complex128) {
 	if len(dst) != g.NDTot || len(src) != g.NDTot {
 		panic("grid: DenseForward buffer size mismatch")
 	}
-	g.PlanD.Forward(dst, src)
-	scale := complex(1/float64(g.NDTot), 0)
-	parallel.ForBlock(len(dst), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] *= scale
-		}
-	})
+	ws := g.PlanD.CheckoutWorkspace()
+	g.PlanD.RawSerialWS(dst, src, false, ws)
+	g.PlanD.ReturnWorkspace(ws)
+	scale := 1 / float64(g.NDTot)
+	for i, v := range dst {
+		dst[i] = complex(real(v)*scale, imag(v)*scale)
+	}
 }
 
 // DenseInverse synthesizes a real-space dense field from Fourier
-// coefficients: f(r) = sum_G f_G exp(iG.r). dst may alias src.
+// coefficients: f(r) = sum_G f_G exp(iG.r), the unnormalized inverse. dst
+// may alias src.
 func (g *Grid) DenseInverse(dst, src []complex128) {
 	if len(dst) != g.NDTot || len(src) != g.NDTot {
 		panic("grid: DenseInverse buffer size mismatch")
 	}
-	g.PlanD.Inverse(dst, src)
-	scale := complex(float64(g.NDTot), 0)
-	parallel.ForBlock(len(dst), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] *= scale
-		}
-	})
+	ws := g.PlanD.CheckoutWorkspace()
+	g.PlanD.RawSerialWS(dst, src, true, ws)
+	g.PlanD.ReturnWorkspace(ws)
 }
 
 // WavePointPositions returns the Cartesian coordinates of wavefunction-box

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ptdft/internal/lanes"
 	"ptdft/internal/lattice"
 )
 
@@ -88,10 +89,11 @@ func TestToRealFromRealRoundTrip(t *testing.T) {
 	for i := range c {
 		c[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	box := make([]complex128, g.NTot)
-	g.ToReal(box, c)
+	box := lanes.New(g.NTot)
+	ws := g.Plan.NewWorkspace()
+	g.ToRealSlabWS(box, c, ws)
 	c2 := make([]complex128, g.NG)
-	g.FromReal(c2, box)
+	g.FromRealSlabWS(c2, box, ws)
 	for i := range c {
 		if cmplx.Abs(c[i]-c2[i]) > 1e-10 {
 			t.Fatalf("round trip differs at %d: %v vs %v", i, c[i], c2[i])
@@ -99,20 +101,22 @@ func TestToRealFromRealRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSerialTransformsMatchParallel(t *testing.T) {
+// ToRealSerial is the step path's ToRealSlabWS in the interleaved layout:
+// the same bits, point for point.
+func TestToRealSerialMatchesSlab(t *testing.T) {
 	g := si8Grid(t, 4)
 	rng := rand.New(rand.NewSource(2))
 	c := make([]complex128, g.NG)
 	for i := range c {
 		c[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	a := make([]complex128, g.NTot)
+	a := lanes.New(g.NTot)
 	b := make([]complex128, g.NTot)
-	g.ToReal(a, c)
+	g.ToRealSlabWS(a, c, g.Plan.NewWorkspace())
 	g.ToRealSerial(b, c)
-	for i := range a {
-		if cmplx.Abs(a[i]-b[i]) > 1e-10 {
-			t.Fatalf("serial ToReal differs at %d", i)
+	for i := range b {
+		if b[i] != complex(a.Re[i], a.Im[i]) {
+			t.Fatalf("ToRealSerial differs from ToRealSlabWS at %d: %v vs (%v, %v)", i, b[i], a.Re[i], a.Im[i])
 		}
 	}
 }
@@ -132,7 +136,7 @@ func TestNormalizationParseval(t *testing.T) {
 		c[i] *= s
 	}
 	box := make([]complex128, g.NTot)
-	g.ToReal(box, c)
+	g.ToRealSerial(box, c)
 	var integral float64
 	for _, v := range box {
 		integral += real(v)*real(v) + imag(v)*imag(v)
@@ -141,10 +145,8 @@ func TestNormalizationParseval(t *testing.T) {
 	if math.Abs(integral-1) > 1e-10 {
 		t.Errorf("wave box norm integral = %g, want 1", integral)
 	}
-	boxD := make([]complex128, g.NDTot)
-	g.ToRealDense(boxD, c)
 	integral = 0
-	for _, v := range boxD {
+	for _, v := range toRealDense(g, c) {
 		integral += real(v)*real(v) + imag(v)*imag(v)
 	}
 	integral *= g.DV()
@@ -217,7 +219,8 @@ func TestWaveToDensePlaneWave(t *testing.T) {
 	for i, k := range g.WaveToDense {
 		wave[i] = dense[k] * complex(float64(g.NTot), 0)
 	}
-	g.Plan.Inverse(wave, wave)
+	// wave holds NTot * f_G; the normalized inverse synthesizes sum_G f_G exp(iG.r).
+	g.Plan.ApplySerialWS(wave, wave, true, g.Plan.NewWorkspace())
 	idx = 0
 	for ix := 0; ix < g.N[0]; ix++ {
 		x := float64(ix) / float64(g.N[0]) * g.Cell.L[0]
@@ -319,6 +322,19 @@ func TestSphereRowsAndPlanesCoverSphereExactly(t *testing.T) {
 	}
 }
 
+// toRealDense is the unpruned oracle of the dense synthesis: psi(r) =
+// (1/sqrt(Omega)) sum_G c_G exp(iG.r) on the dense box, every pencil of the
+// zero-padded box transformed.
+func toRealDense(g *Grid, c []complex128) []complex128 {
+	box := make([]complex128, g.NDTot)
+	scale := complex(1/math.Sqrt(g.Volume()), 0)
+	for s, k := range g.SphereIdxD {
+		box[k] = c[s] * scale
+	}
+	g.DenseInverse(box, box)
+	return box
+}
+
 func TestToRealDenseSlabMatchesToRealDense(t *testing.T) {
 	g := si8Grid(t, 3)
 	rng := rand.New(rand.NewSource(5))
@@ -326,8 +342,7 @@ func TestToRealDenseSlabMatchesToRealDense(t *testing.T) {
 	for i := range c {
 		c[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	ref := make([]complex128, g.NDTot)
-	g.ToRealDense(ref, c)
+	ref := toRealDense(g, c)
 	sc := g.AcquireDenseScratch(1)
 	defer g.ReleaseDenseScratch(sc)
 	// Run twice: the second call must not see the first one's leftovers.
@@ -366,5 +381,26 @@ func TestMinusGDenseInvolution(t *testing.T) {
 		if g.CoulombDense[0] != 0 {
 			t.Errorf("ecut %g: Coulomb kernel at G = 0 is %g, want 0", ecut, g.CoulombDense[0])
 		}
+	}
+}
+
+// The []complex128 entry points run on pooled plan workspaces; once a first
+// call has given the pooled workspace its grid slab they allocate nothing.
+func TestSerialLayoutTransformAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	g := si8Grid(t, 3)
+	c := make([]complex128, g.NG)
+	box := make([]complex128, g.NTot)
+	dense := make([]complex128, g.NDTot)
+	g.ToRealSerial(box, c)
+	g.DenseForward(dense, dense)
+	if a := testing.AllocsPerRun(10, func() {
+		g.ToRealSerial(box, c)
+		g.DenseForward(dense, dense)
+		g.DenseInverse(dense, dense)
+	}); a != 0 {
+		t.Errorf("ToRealSerial + DenseForward + DenseInverse allocate %v per run", a)
 	}
 }

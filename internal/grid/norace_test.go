@@ -1,5 +1,5 @@
 //go:build !race
 
-package fourier
+package grid
 
 const raceEnabled = false

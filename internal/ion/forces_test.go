@@ -7,6 +7,7 @@ import (
 	"ptdft/internal/grid"
 	"ptdft/internal/lanes"
 	"ptdft/internal/lattice"
+	"ptdft/internal/parallel"
 	"ptdft/internal/potential"
 	"ptdft/internal/pseudo"
 	"ptdft/internal/wavefunc"
@@ -116,6 +117,19 @@ func TestNonlocalForceMatchesFD(t *testing.T) {
 				t.Errorf("atom %d component %d: analytic %g vs FD %g (diff %g)", atom, d, forces[atom][d], fd, diff)
 			}
 		}
+	}
+
+	// The assembly synthesizes every band into per-worker scratch it
+	// recycles, so what a call allocates (the partial-force table, the loop's
+	// closure and goroutines) is bounded by the worker count, not the band
+	// count: 8 per call at 2 workers, where a box per band would be 16 more.
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(2))
+	nb = 16
+	psi = wavefunc.Random(g, nb, 12)
+	nl.Forces(forces, g, psi, nb, 2) // fills the scratch pool
+	allocs := testing.AllocsPerRun(5, func() { nl.Forces(forces, g, psi, nb, 2) })
+	if bound := float64(4 + 4*parallel.MaxWorkers()); allocs > bound && !raceEnabled {
+		t.Errorf("Forces on %d bands allocates %v per call, want at most %v at %d workers", nb, allocs, bound, parallel.MaxWorkers())
 	}
 }
 

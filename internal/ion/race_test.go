@@ -1,6 +1,6 @@
 //go:build race
 
-package fourier
+package ion
 
 // raceEnabled reports that the race detector is active; sync.Pool drops
 // items randomly under race, so allocation pins are meaningless.

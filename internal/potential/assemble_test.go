@@ -16,8 +16,8 @@ import (
 
 // restrictToWave is the last stage of the reference chain: forward
 // transform of the dense real field, every wave-box Miller index copied
-// from the dense box, scalar inverse on the wave box, real part kept. It
-// computes its own index map (not grid.WaveToDense).
+// from the dense box, normalized inverse on the wave box, real part kept.
+// It computes its own index map (not grid.WaveToDense).
 func restrictToWave(g *grid.Grid, dense []float64) []float64 {
 	src := make([]complex128, g.NDTot)
 	for i, v := range dense {
@@ -41,7 +41,7 @@ func restrictToWave(g *grid.Grid, dense []float64) []float64 {
 			}
 		}
 	}
-	g.Plan.Inverse(dst, dst)
+	g.Plan.ApplySerialWS(dst, dst, true, g.Plan.NewWorkspace())
 	out := make([]float64, g.NTot)
 	for i, v := range dst {
 		out[i] = real(v)
@@ -123,9 +123,10 @@ func TestSplitPairEvenBox(t *testing.T) {
 		z.Re[i], z.Im[i] = rng.NormFloat64(), rng.NormFloat64()
 		f[i], h[i] = complex(z.Re[i], 0), complex(z.Im[i], 0)
 	}
-	g.PlanD.RawSlabWS(z, z, false, g.PlanD.NewWorkspace())
-	g.PlanD.Forward(f, f)
-	g.PlanD.Forward(h, h)
+	ws := g.PlanD.NewWorkspace()
+	g.PlanD.RawSlabWS(z, z, false, ws)
+	g.PlanD.RawSerialWS(f, f, false, ws)
+	g.PlanD.RawSerialWS(h, h, false, ws)
 	for k, m := range g.MinusGDense {
 		f2, h2 := splitPair(z, int32(k), m)
 		if d := math.Max(cmplx.Abs(f2/2-f[k]), cmplx.Abs(h2/2-h[k])); d > 1e-10 {

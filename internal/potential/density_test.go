@@ -12,18 +12,18 @@ import (
 )
 
 // densityOracle is the density build Density replaced, kept as the
-// reference: one unpruned scalar dense-box FFT per band, summed in band
-// order.
+// reference: one unpruned dense-box FFT per band through the []complex128
+// adapter, summed in band order.
 func densityOracle(g *grid.Grid, bands []complex128, nb int, occ float64) []float64 {
 	rho := make([]float64, g.NDTot)
 	box := make([]complex128, g.NDTot)
-	scale := float64(g.NDTot) / math.Sqrt(g.Volume())
+	scale := 1 / math.Sqrt(g.Volume())
 	for i := 0; i < nb; i++ {
 		clear(box)
 		for s, k := range g.SphereIdxD {
 			box[k] = bands[i*g.NG+s]
 		}
-		g.PlanD.ApplySerial(box, box, true)
+		g.DenseInverse(box, box)
 		for j, v := range box {
 			re, im := real(v)*scale, imag(v)*scale
 			rho[j] += occ * (re*re + im*im)

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"ptdft/internal/grid"
+	"ptdft/internal/lanes"
 )
 
 // BuildNonlocalBandLimited constructs the sparse real-space projectors by
@@ -44,7 +45,7 @@ func buildBandLimited(g *grid.Grid, pos [][3]float64, center [3]float64, spec Pr
 	}
 	rc2 := spec.Rc * spec.Rc
 	pref := math.Pow(2*math.Pi, 1.5) * spec.Rc * spec.Rc * spec.Rc / g.Volume()
-	coeff := make([]complex128, g.NTot)
+	coeff := lanes.New(g.NTot)
 	idx := 0
 	for ix := 0; ix < n[0]; ix++ {
 		mx := ix
@@ -68,14 +69,15 @@ func buildBandLimited(g *grid.Grid, pos [][3]float64, center [3]float64, spec Pr
 				amp := pref * math.Exp(-q2*rc2/2)
 				ph := gx*center[0] + gy*center[1] + gz*center[2]
 				s, c := math.Sincos(-ph)
-				coeff[idx] = complex(amp*c, amp*s)
+				coeff.Re[idx], coeff.Im[idx] = amp*c, amp*s
 				idx++
 			}
 		}
 	}
 	// Synthesize beta(r) = sum_G coeff_G exp(iG.r): unnormalized inverse.
-	g.Plan.Inverse(coeff, coeff)
-	scale := float64(g.NTot)
+	ws := g.Plan.CheckoutWorkspace()
+	g.Plan.RawSlabWS(coeff, coeff, true, ws)
+	g.Plan.ReturnWorkspace(ws)
 	var sp sparseProjector
 	rmax2 := spec.Rmax * spec.Rmax
 	for i, p := range pos {
@@ -89,7 +91,7 @@ func buildBandLimited(g *grid.Grid, pos [][3]float64, center [3]float64, spec Pr
 			continue
 		}
 		sp.idx = append(sp.idx, int32(i))
-		sp.val = append(sp.val, real(coeff[i])*scale)
+		sp.val = append(sp.val, coeff.Re[i])
 	}
 	var norm float64
 	for _, v := range sp.val {

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 
+	"ptdft/internal/fourier"
 	"ptdft/internal/grid"
+	"ptdft/internal/lanes"
 	"ptdft/internal/parallel"
 )
 
@@ -32,13 +34,18 @@ import (
 // rebuild these once per ion step; static runs keep the sparse builders.
 func BuildNonlocalMD(g *grid.Grid, pots map[int]*Potential) *Nonlocal {
 	nl := &Nonlocal{ng: g.NTot, dv: g.DVWave()}
+	nl.forceScratch.New = func() *forceScratch {
+		return &forceScratch{box: lanes.New(g.NTot), fft: g.Plan.NewWorkspace()}
+	}
+	ws := nl.forceScratch.Get()
+	defer nl.forceScratch.Put(ws)
 	for ai, atom := range g.Cell.Atoms {
 		pot, ok := pots[atom.Species]
 		if !ok {
 			continue
 		}
 		for _, spec := range pot.Projectors {
-			sp := buildMD(g, atom.Pos, spec)
+			sp := buildMD(g, atom.Pos, spec, ws)
 			sp.d = spec.D
 			sp.atom = ai
 			nl.projs = append(nl.projs, sp)
@@ -47,11 +54,19 @@ func BuildNonlocalMD(g *grid.Grid, pots map[int]*Potential) *Nonlocal {
 	return nl
 }
 
+// forceScratch is one worker's wave-box scratch: the real-space box a band
+// or a projector field is synthesized into, and the FFT scratch of the
+// synthesis.
+type forceScratch struct {
+	box lanes.Slab
+	fft *fourier.Workspace3
+}
+
 // buildMD synthesizes one Gaussian channel and its three center-gradient
 // fields from sphere coefficients. The Gaussian transform is
 // exp(-q^2 rc^2/2) up to a constant absorbed by the normalization; the
 // gradient coefficients carry the extra -i G_d.
-func buildMD(g *grid.Grid, center [3]float64, spec ProjectorSpec) sparseProjector {
+func buildMD(g *grid.Grid, center [3]float64, spec ProjectorSpec, ws *forceScratch) sparseProjector {
 	ng := g.NG
 	rc2 := spec.Rc * spec.Rc
 	c := make([]complex128, ng)
@@ -68,7 +83,6 @@ func buildMD(g *grid.Grid, center [3]float64, spec ProjectorSpec) sparseProjecto
 	// independent of the center. Scaling here makes <beta|beta> = 1 exactly.
 	scale := 1 / math.Sqrt(norm)
 
-	box := make([]complex128, g.NTot)
 	sp := sparseProjector{
 		idx: make([]int32, g.NTot),
 		val: make([]float64, g.NTot),
@@ -76,9 +90,9 @@ func buildMD(g *grid.Grid, center [3]float64, spec ProjectorSpec) sparseProjecto
 	for i := range sp.idx {
 		sp.idx[i] = int32(i)
 	}
-	g.ToReal(box, c)
-	for i, v := range box {
-		sp.val[i] = real(v) * scale
+	g.ToRealSlabWS(ws.box, c, ws.fft)
+	for i, v := range ws.box.Re {
+		sp.val[i] = v * scale
 	}
 	cd := make([]complex128, ng)
 	for d := 0; d < 3; d++ {
@@ -86,10 +100,10 @@ func buildMD(g *grid.Grid, center [3]float64, spec ProjectorSpec) sparseProjecto
 			// d/dR_d of e^{-iG.R} brings down -i G_d.
 			cd[s] = c[s] * complex(0, -g.GVec[s][d])
 		}
-		g.ToReal(box, cd)
+		g.ToRealSlabWS(ws.box, cd, ws.fft)
 		gv := make([]float64, g.NTot)
-		for i, v := range box {
-			gv[i] = real(v) * scale
+		for i, v := range ws.box.Re {
+			gv[i] = v * scale
 		}
 		sp.grad[d] = gv
 	}
@@ -113,8 +127,9 @@ func (nl *Nonlocal) HasGradients() bool {
 //
 //	F_a = -2 occ D_a sum_b Re[ conj(p_b) <d beta_a/d R | psi_b> ].
 //
-// psi is band-major sphere coefficients. The band loop is parallel but the
-// reduction is performed in fixed (band, projector) order, so the result is
+// psi is band-major sphere coefficients. The band loop is parallel, each
+// worker synthesizing its bands into one recycled box, but the reduction is
+// performed in fixed (band, projector) order, so the result is
 // bit-reproducible - the distributed solver allreduces per-rank partials
 // and every rank must integrate the identical ion trajectory.
 func (nl *Nonlocal) Forces(dst [][3]float64, g *grid.Grid, psi []complex128, nb int, occ float64) error {
@@ -127,16 +142,16 @@ func (nl *Nonlocal) Forces(dst [][3]float64, g *grid.Grid, psi []complex128, nb 
 	np := len(nl.projs)
 	// part[b*np+k] is band b's contribution through projector k.
 	part := make([][3]float64, nb*np)
-	parallel.For(nb, func(b int) {
-		box := make([]complex128, g.NTot)
-		g.ToRealSerial(box, psi[b*g.NG:(b+1)*g.NG])
+	wss := nl.forceScratch.Acquire(parallel.NumWorkers(nb))
+	parallel.ForWorker(nb, func(w, b int) {
+		box := wss[w].box
+		g.ToRealSlabWS(box, psi[b*g.NG:(b+1)*g.NG], wss[w].fft)
 		for k := range nl.projs {
 			p := &nl.projs[k]
 			var pre, pim float64
 			for j, ix := range p.idx {
-				v := box[ix]
-				pre += p.val[j] * real(v)
-				pim += p.val[j] * imag(v)
+				pre += p.val[j] * box.Re[ix]
+				pim += p.val[j] * box.Im[ix]
 			}
 			pre *= nl.dv
 			pim *= nl.dv
@@ -145,9 +160,8 @@ func (nl *Nonlocal) Forces(dst [][3]float64, g *grid.Grid, psi []complex128, nb 
 				gd := p.grad[d]
 				var qre, qim float64
 				for j, ix := range p.idx {
-					v := box[ix]
-					qre += gd[j] * real(v)
-					qim += gd[j] * imag(v)
+					qre += gd[j] * box.Re[ix]
+					qim += gd[j] * box.Im[ix]
 				}
 				qre *= nl.dv
 				qim *= nl.dv
@@ -157,6 +171,7 @@ func (nl *Nonlocal) Forces(dst [][3]float64, g *grid.Grid, psi []complex128, nb 
 			part[b*np+k] = f
 		}
 	})
+	nl.forceScratch.Release(wss)
 	for b := 0; b < nb; b++ {
 		for k := range nl.projs {
 			a := nl.projs[k].atom

@@ -16,6 +16,7 @@ import (
 
 	"ptdft/internal/grid"
 	"ptdft/internal/lanes"
+	"ptdft/internal/parallel"
 )
 
 // ProjectorSpec describes one Kleinman-Bylander channel with a Gaussian
@@ -96,6 +97,9 @@ type Nonlocal struct {
 	projs []sparseProjector
 	ng    int // wavefunction box size the projectors index into
 	dv    float64
+	// forceScratch recycles the per-worker boxes of Forces; BuildNonlocalMD,
+	// the one builder whose projectors Forces accepts, sets it up.
+	forceScratch parallel.ScratchPool[*forceScratch]
 }
 
 type sparseProjector struct {
