@@ -81,7 +81,7 @@ func BenchmarkLaserPulse(b *testing.B) {
 // rebuild) followed by M-1 cheap frozen steps, and the typical step is what
 // production throughput is made of. "everystep" is the exact-exchange
 // reference; "mts4" refreshes the compressed operator every 4th step;
-// "hold1" is the -acehold (M = 1) cadence - ACE rebuilt every step - which
+// "hold1" is the -ace -mts 1 cadence - ACE rebuilt every step - which
 // separates the compression's contribution from the cadence's:
 // hold1-vs-everystep prices ACE alone, mts4-vs-hold1 the skipped rebuilds.
 func BenchmarkMTSStep(b *testing.B) {

@@ -67,7 +67,6 @@ func parseFlags() (*config, error) {
 	flag.Float64Var(&s.Ecut, "ecut", 4, "kinetic energy cutoff (Ha); the paper uses 10")
 	flag.BoolVar(&s.Hybrid, "hybrid", false, "use the HSE-like hybrid functional (screened Fock exchange)")
 	flag.BoolVar(&s.ACE, "ace", false, "apply exchange through the ACE compression (serial and distributed runs)")
-	flag.BoolVar(&s.ACEHold, "acehold", false, "alias of -ace -mts 1: ACE built once per step and held through the inner SCF (Jia & Lin cadence)")
 	flag.IntVar(&s.MTS, "mts", 0, "multiple time stepping: refresh the hybrid exchange every M steps, frozen in between (0 = off; requires -hybrid and -method ptcn)")
 	flag.StringVar(&s.Method, "method", "ptcn", "time integrator: ptcn or rk4")
 	flag.Float64Var(&s.DtAs, "dt", 24, "time step in attoseconds (paper: 50 for PT-CN, 0.5 for RK4)")

@@ -114,16 +114,39 @@ func TestStopDistributedIsSymmetric(t *testing.T) {
 	}
 }
 
+// parseArgs runs parseFlags over args on a fresh flag set and returns the
+// set it registered its flags on.
+func parseArgs(args ...string) (*flag.FlagSet, error) {
+	oldCmd, oldArgs := flag.CommandLine, os.Args
+	defer func() { flag.CommandLine, os.Args = oldCmd, oldArgs }()
+	fs := flag.NewFlagSet("ptdft", flag.ContinueOnError)
+	flag.CommandLine = fs
+	os.Args = append([]string{"ptdft"}, args...)
+	_, err := parseFlags()
+	return fs, err
+}
+
+// TestRemovedFlagsAreUnknown: -acehold (the alias of -ace -mts 1) and
+// -stealchunk are not registered, and the cadence the alias named is
+// accepted under its one remaining spelling.
+func TestRemovedFlagsAreUnknown(t *testing.T) {
+	fs, err := parseArgs("-hybrid", "-ace", "-mts", "1")
+	if err != nil {
+		t.Fatalf("-hybrid -ace -mts 1 rejected: %v", err)
+	}
+	for _, name := range []string{"acehold", "stealchunk"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("-%s is still a flag", name)
+		}
+	}
+}
+
 // TestCkptEveryFlagValidation drives parseFlags (on a fresh flag set) to
 // pin the -ckptevery gate: a cadence needs -save, and negative cadences
 // are rejected.
 func TestCkptEveryFlagValidation(t *testing.T) {
 	parse := func(args ...string) error {
-		oldCmd, oldArgs := flag.CommandLine, os.Args
-		defer func() { flag.CommandLine, os.Args = oldCmd, oldArgs }()
-		flag.CommandLine = flag.NewFlagSet("ptdft", flag.ContinueOnError)
-		os.Args = append([]string{"ptdft"}, args...)
-		_, err := parseFlags()
+		_, err := parseArgs(args...)
 		return err
 	}
 	if err := parse("-ckptevery", "2"); err == nil || !strings.Contains(err.Error(), "-save") {

@@ -152,13 +152,13 @@ func TestDistributedACEMatchesExactStep(t *testing.T) {
 	}
 }
 
-// TestDistributedACEHoldCadence: the Jia & Lin cadence (ACE at M = 1,
-// what -acehold selects) builds Xi from Psi_n once per step and holds it
-// through the inner SCF, trading the
-// per-iteration exchange construction for a controlled compression error
-// on the iterates that leave the reference span. One step must converge
-// and stay physically close to the exact propagation - the accuracy side
-// of the PT-vs-PT+ACE trade-off the ablation benchmark times.
+// TestDistributedACEHoldCadence: the Jia & Lin cadence (-ace -mts 1)
+// builds Xi from Psi_n once per step and holds it through the inner SCF,
+// trading the per-iteration exchange construction for a controlled
+// compression error on the iterates that leave the reference span. One
+// step must converge and stay physically close to the exact propagation -
+// the accuracy side of the PT-vs-PT+ACE trade-off the ablation benchmark
+// times.
 func TestDistributedACEHoldCadence(t *testing.T) {
 	g, psi0, nb := fixtureT(t)
 	const steps, dt = 1, 1.0

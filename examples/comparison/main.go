@@ -14,79 +14,65 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"time"
 
-	"ptdft/internal/core"
-	"ptdft/internal/grid"
-	"ptdft/internal/hamiltonian"
-	"ptdft/internal/laser"
-	"ptdft/internal/lattice"
 	"ptdft/internal/potential"
-	"ptdft/internal/pseudo"
 	"ptdft/internal/scf"
+	"ptdft/internal/sim"
 	"ptdft/internal/units"
 	"ptdft/internal/wavefunc"
-	"ptdft/internal/xc"
 )
 
-func main() {
-	cell := lattice.MustSiliconSupercell(1, 1, 1)
-	g := grid.MustNew(cell, 3.5)
-	nb := cell.NumBands()
-	h := hamiltonian.New(g, map[int]*pseudo.Potential{0: pseudo.SiliconAH()},
-		hamiltonian.Config{})
-	gs, err := scf.GroundState(g, h, nb, scf.Defaults())
+const tEndAU = 4.0 // ~97 as of physical time
+
+// run propagates spec to tEndAU in steps of dtAU from the shared ground
+// state and returns the result, the H applications it cost (hPerStep plus
+// one per SCF iteration, each step) and the wall time of the steps.
+func run(spec sim.Spec, gs *scf.Result, dtAU float64, hPerStep int) (*sim.Result, int, float64) {
+	spec.DtAs = units.AUToAttoseconds(dtAU)
+	spec.Steps = int(math.Round(tEndAU / dtAU))
+	res, err := sim.Run(&spec, sim.Options{Ground: gs})
 	if err != nil {
 		log.Fatal(err)
 	}
-	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
-	sys := &core.System{G: g, H: h, NB: nb, Occ: 2, Field: kick}
-
-	const tEndAU = 4.0 // ~97 as of physical time
-	fmt.Printf("propagating Si%d for %.0f as after a kick\n\n",
-		cell.NumAtoms(), units.AUToAttoseconds(tEndAU))
-
-	// PT-CN with ~48 as steps.
-	pt := core.NewPTCN(sys, core.DefaultPTCN())
-	psiPT := wavefunc.Clone(gs.Psi)
-	startPT := time.Now()
-	hAppsPT := 0
-	for pt.Time < tEndAU-1e-9 {
-		var stats core.StepStats
-		psiPT, stats, err = pt.Step(psiPT, 2.0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		hAppsPT += stats.HApplications
+	hApps, wall := 0, 0.0
+	for _, s := range res.Samples {
+		hApps += hPerStep + s.SCFIters
+		wall += s.WallSec
 	}
-	wallPT := time.Since(startPT)
+	return res, hApps, wall
+}
 
-	// RK4 needs ~0.6 as steps for comparable accuracy/stability here.
-	rk := core.NewRK4(sys)
-	psiRK := wavefunc.Clone(gs.Psi)
-	startRK := time.Now()
-	hAppsRK := 0
-	for rk.Time < tEndAU-1e-9 {
-		var stats core.StepStats
-		psiRK, stats, err = rk.Step(psiRK, 0.025)
-		if err != nil {
-			log.Fatal(err)
-		}
-		hAppsRK += stats.HApplications
+func main() {
+	base := sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 3.5, Kick: 0.02, Seed: scf.Defaults().Seed}
+	_, g, nb, err := base.System()
+	if err != nil {
+		log.Fatal(err)
 	}
-	wallRK := time.Since(startRK)
+	gs, err := sim.GroundState(&base)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("propagating Si8 for %.0f as after a kick\n\n", units.AUToAttoseconds(tEndAU))
 
-	rhoPT := potential.Density(g, psiPT, nb, 2)
-	rhoRK := potential.Density(g, psiRK, nb, 2)
+	// PT-CN with ~48 as steps: the residual at t_n plus one H application
+	// per SCF iteration. RK4 needs ~0.6 as steps for comparable
+	// accuracy/stability here, four H applications each.
+	rk4 := base
+	rk4.Method = "rk4"
+	resPT, hAppsPT, wallPT := run(base, gs, 2.0, 1)
+	resRK, hAppsRK, wallRK := run(rk4, gs, 0.025, 4)
+
+	rhoPT := potential.Density(g, resPT.Psi, nb, 2)
+	rhoRK := potential.Density(g, resRK.Psi, nb, 2)
 	dd := potential.DensityDiff(g, rhoPT, rhoRK, 2*float64(nb))
-	fid := wavefunc.SubspaceFidelity(psiPT, psiRK, nb, g.NG)
+	fid := wavefunc.SubspaceFidelity(resPT.Psi, resRK.Psi, nb, g.NG)
 
 	fmt.Printf("%-22s %14s %14s\n", "", "PT-CN (48 as)", "RK4 (0.6 as)")
 	fmt.Printf("%-22s %14d %14d\n", "H applications", hAppsPT, hAppsRK)
-	fmt.Printf("%-22s %14.2f %14.2f\n", "wall time (s)", wallPT.Seconds(), wallRK.Seconds())
+	fmt.Printf("%-22s %14.2f %14.2f\n", "wall time (s)", wallPT, wallRK)
 	fmt.Printf("\nobservable agreement: density diff %.2e, subspace fidelity %.6f\n", dd, fid)
 	fmt.Printf("H-application advantage: %.1fx fewer for PT-CN\n", float64(hAppsRK)/float64(hAppsPT))
-	fmt.Printf("wall-clock advantage:    %.1fx\n", wallRK.Seconds()/wallPT.Seconds())
+	fmt.Printf("wall-clock advantage:    %.1fx\n", wallRK/wallPT)
 	if math.Abs(fid-1) > 1e-3 {
 		fmt.Println("WARNING: propagators disagree - tighten the RK4 step")
 	}
@@ -97,39 +83,20 @@ func main() {
 	// (MTS, M = 4: the ACE-compressed exchange rebuilt from Psi_n on every
 	// 4th step and held frozen in between) over the same physical span.
 	fmt.Println("\nhybrid functional: every-step exchange vs MTS (M=4, ACE)")
-	hh := hamiltonian.New(g, map[int]*pseudo.Potential{0: pseudo.SiliconAH()},
-		hamiltonian.Config{Hybrid: true, UseACE: true, Params: xc.HSE06()})
-	hopt := scf.Defaults()
-	hopt.HybridOuter = 3
-	hgs, err := scf.GroundState(g, hh, nb, hopt)
+	every := base
+	every.Hybrid, every.ACE = true, true
+	mts := every
+	mts.MTS = 4
+	hgs, err := sim.GroundState(&every)
 	if err != nil {
 		log.Fatal(err)
 	}
-	hsys := &core.System{G: g, H: hh, NB: nb, Occ: 2, Field: kick}
-	runHybrid := func(mts int) (time.Duration, int, []complex128) {
-		p := core.NewPTCN(hsys, core.DefaultPTCN())
-		p.MTS = mts
-		psi := wavefunc.Clone(hgs.Psi)
-		start := time.Now()
-		hApps := 0
-		for p.Time < tEndAU-1e-9 {
-			var stats core.StepStats
-			var err error
-			psi, stats, err = p.Step(psi, 1.0)
-			if err != nil {
-				log.Fatal(err)
-			}
-			hApps += stats.HApplications
-		}
-		return time.Since(start), hApps, psi
-	}
-	wallEvery, appsEvery, psiEvery := runHybrid(0)
-	wallMTS, appsMTS, psiMTS := runHybrid(4)
+	resEvery, appsEvery, wallEvery := run(every, hgs, 1.0, 1)
+	resMTS, appsMTS, wallMTS := run(mts, hgs, 1.0, 1)
 	ddH := potential.DensityDiff(g,
-		potential.Density(g, psiEvery, nb, 2), potential.Density(g, psiMTS, nb, 2), 2*float64(nb))
+		potential.Density(g, resEvery.Psi, nb, 2), potential.Density(g, resMTS.Psi, nb, 2), 2*float64(nb))
 	fmt.Printf("%-22s %14s %14s\n", "", "every step", "MTS M=4")
 	fmt.Printf("%-22s %14d %14d\n", "H applications", appsEvery, appsMTS)
-	fmt.Printf("%-22s %14.2f %14.2f\n", "wall time (s)", wallEvery.Seconds(), wallMTS.Seconds())
-	fmt.Printf("\nMTS wall-clock advantage: %.1fx at density deviation %.1e\n",
-		wallEvery.Seconds()/wallMTS.Seconds(), ddH)
+	fmt.Printf("%-22s %14.2f %14.2f\n", "wall time (s)", wallEvery, wallMTS)
+	fmt.Printf("\nMTS wall-clock advantage: %.1fx at density deviation %.1e\n", wallEvery/wallMTS, ddH)
 }

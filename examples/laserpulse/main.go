@@ -12,16 +12,11 @@ import (
 	"fmt"
 	"log"
 
-	"ptdft/internal/core"
-	"ptdft/internal/grid"
-	"ptdft/internal/hamiltonian"
 	"ptdft/internal/laser"
-	"ptdft/internal/lattice"
 	"ptdft/internal/observe"
-	"ptdft/internal/pseudo"
 	"ptdft/internal/scf"
+	"ptdft/internal/sim"
 	"ptdft/internal/units"
-	"ptdft/internal/xc"
 )
 
 func main() {
@@ -31,46 +26,36 @@ func main() {
 	e0 := flag.Float64("e0", 0.01, "pulse peak field (Ha/bohr)")
 	flag.Parse()
 
-	cell := lattice.MustSiliconSupercell(1, 1, 1)
-	g := grid.MustNew(cell, 3.5)
-	nb := cell.NumBands()
-	h := hamiltonian.New(g, map[int]*pseudo.Potential{0: pseudo.SiliconAH()},
-		hamiltonian.Config{Hybrid: *hybrid, Params: xc.HSE06()})
-
-	opt := scf.Defaults()
-	gs, err := scf.GroundState(g, h, nb, opt)
+	// 380 nm pulse whose envelope spans the simulated window (sim.Run
+	// centers it at half the trajectory).
+	spec := &sim.Spec{
+		Cells: [3]int{1, 1, 1}, Ecut: 3.5, Hybrid: *hybrid,
+		DtAs: *dtAs, Steps: *steps, PulseE0: *e0, Seed: scf.Defaults().Seed,
+	}
+	gs, err := sim.GroundState(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	e0gs := gs.Energy.Total()
-	fmt.Printf("Si%d ground state (hybrid=%v): %.8f Ha\n", cell.NumAtoms(), *hybrid, e0gs)
-
-	// 380 nm pulse centered inside the simulated window.
-	dt := units.AttosecondsToAU(*dtAs)
-	total := dt * float64(*steps)
-	pulse := laser.New380nm(*e0, total/2, total/6)
+	fmt.Printf("Si8 ground state (hybrid=%v): %.8f Ha\n", *hybrid, e0gs)
 	fmt.Printf("pulse: 380 nm (%.2f eV photon), E0 = %g Ha/bohr, center %.1f as\n",
-		units.WavelengthNmToOmegaAU(380)*units.EVPerHartree, *e0, units.AUToAttoseconds(total/2))
+		units.WavelengthNmToOmegaAU(380)*units.EVPerHartree, *e0, *dtAs*float64(*steps)/2)
 
-	sys := &core.System{G: g, H: h, NB: nb, Occ: 2, Field: pulse}
-	prop := core.NewPTCN(sys, core.DefaultPTCN())
-	psi := gs.Psi
-
+	// The field sim.Run will propagate under (nil, hence zero, at -e0 0).
+	pulse, _ := spec.Field(spec.Steps).(*laser.Pulse)
 	fmt.Printf("\n%8s %12s %12s %16s %12s\n", "t (as)", "E(t) field", "A(t)", "E_tot (Ha)", "J_z (au)")
-	for i := 0; i < *steps; i++ {
-		var err error
-		psi, _, err = prop.Step(psi, dt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		e := observe.Energy(sys, psi, prop.Time)
-		j := observe.Current(sys, psi)
-		ef := pulse.Efield(prop.Time)
-		av := pulse.Avec(prop.Time)
+	res, err := sim.Run(spec, sim.Options{Ground: gs, OnSample: func(s observe.Sample) {
+		t := s.TimeFs / units.FemtosecondPerAU
 		fmt.Printf("%8.1f %12.5f %12.5f %16.8f %12.4e\n",
-			units.AUToAttoseconds(prop.Time), ef[2], av[2], e.Total(), j[2])
+			s.TimeFs*1000, pulse.Efield(t)[2], pulse.Avec(t)[2], s.Energy, s.CurrentZ)
+	}})
+	if err != nil {
+		log.Fatal(err)
 	}
-	eFinal := observe.Energy(sys, psi, prop.Time).Total()
+	eFinal := e0gs
+	if n := len(res.Samples); n > 0 {
+		eFinal = res.Samples[n-1].Energy
+	}
 	fmt.Printf("\nenergy absorbed from the pulse: %.3e Ha (%.3f eV)\n",
 		eFinal-e0gs, (eFinal-e0gs)*units.EVPerHartree)
 }

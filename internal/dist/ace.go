@@ -172,6 +172,3 @@ func (a *ACE) ApplyFromG(dst, psiG []complex128) {
 		}
 	})
 }
-
-// Rank reports the compression rank (number of reference orbitals).
-func (a *ACE) Rank() int { return a.nb }

@@ -14,7 +14,7 @@
 // reference orbitals) is in place. In the G-space layout each rank owns a
 // contiguous slab of the G sphere for every band: this is where overlap
 // matrices, the PT residual projection and the Trsm orthogonalization run,
-// because those couple all bands at each G. BandToG/GToBand transpose
+// because those couple all bands at each G. BandToGWS/GToBandWS transpose
 // between the two with one MPI_Alltoallv, exactly the data movement the
 // paper's Fig. 1 depicts.
 //
@@ -82,12 +82,6 @@ func NewCtx(c *mpi.Comm, g *grid.Grid, nb, dims int) (*Ctx, error) {
 	}
 	return &Ctx{C: c, G: g, NB: nb, Dims: dims}, nil
 }
-
-// Rank returns this rank's index.
-func (d *Ctx) Rank() int { return d.C.Rank() }
-
-// Size returns the communicator size.
-func (d *Ctx) Size() int { return d.C.Size() }
 
 // BandRange returns the contiguous half-open global band range [lo, hi)
 // owned by rank. Blocks are balanced to within one band, cover [0, NB)
@@ -185,19 +179,12 @@ func roundSingle(x []complex128) {
 	}
 }
 
-// BandToG transposes this rank's band-layout block (local bands x full NG)
-// into the G-space layout (all NB bands x local G slab) with one
-// MPI_Alltoallv. When single is true the wire payload is down-converted to
-// complex64, halving the transpose volume (section 3.2, optimization 4);
-// the returned data is always complex128. Collective.
-func (d *Ctx) BandToG(local []complex128, single bool) []complex128 {
-	out := make([]complex128, d.NB*d.NumLocalG())
-	d.BandToGWS(out, local, single, d.NewTransposeWorkspace())
-	return out
-}
-
-// BandToGWS is BandToG with a caller-owned destination (NB x local slab)
-// and staging workspace. Collective.
+// BandToGWS transposes this rank's band-layout block (local bands x full
+// NG) into the G-space layout (all NB bands x local G slab, the
+// caller-owned dst) with one MPI_Alltoallv through the staging workspace
+// tw. When single is true the wire payload is down-converted to complex64,
+// halving the transpose volume (section 3.2, optimization 4); dst is
+// always complex128. Collective.
 func (d *Ctx) BandToGWS(dst, local []complex128, single bool, tw *TransposeWorkspace) {
 	if d.Dims < 2 {
 		panic("dist: BandToG requires a dims=2 decomposition")

@@ -134,13 +134,17 @@ func TestTransposeRoundTrip(t *testing.T) {
 			}
 			lo, hi := d.BandRange(c.Rank())
 			local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
+			gd := make([]complex128, d.NB*d.NumLocalG())
+			tw := d.NewTransposeWorkspace()
 			// Double precision round trip is exact.
-			back := d.GToBand(d.BandToG(local, false), false)
+			d.BandToGWS(gd, local, false, tw)
+			back := d.GToBand(gd, false)
 			if diff := wavefunc.MaxDiff(local, back); diff != 0 {
 				t.Errorf("ranks=%d rank %d: double transpose round trip differs by %g", ranks, c.Rank(), diff)
 			}
 			// Single precision round trip loses only wire precision.
-			back = d.GToBand(d.BandToG(local, true), true)
+			d.BandToGWS(gd, local, true, tw)
+			back = d.GToBand(gd, true)
 			if diff := wavefunc.MaxDiff(local, back); diff > 1e-6 {
 				t.Errorf("ranks=%d rank %d: single transpose round trip differs by %g", ranks, c.Rank(), diff)
 			}
@@ -199,7 +203,7 @@ func TestFockExchangeMatchesSerialOperator(t *testing.T) {
 				if tc.frozenRef {
 					phi = wavefunc.Clone(frozen[lo*g.NG : hi*g.NG])
 				}
-				vx := d.FockExchange(phi, local, kernel, hyb.Alpha, tc.opt)
+				vx := d.FockExchangeWS(phi, local, kernel, hyb.Alpha, tc.opt, d.NewExchangeWorkspace())
 				full := d.Gather(vx)
 				if c.Rank() == 0 {
 					copy(got, full)
@@ -300,7 +304,7 @@ func TestFetchPipelineForwardsFaults(t *testing.T) {
 		}
 		lo, hi := d.BandRange(c.Rank())
 		local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
-		d.FockExchange(local, local, kernel, hyb.Alpha, ExchangeOptions{Strategy: BcastOverlapped})
+		d.FockExchangeWS(local, local, kernel, hyb.Alpha, ExchangeOptions{Strategy: BcastOverlapped}, d.NewExchangeWorkspace())
 	})
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
 		t.Fatalf("exchange under injected crash took %v", elapsed)

@@ -212,7 +212,7 @@ func selfReferenced(phi, psi []complex128) bool {
 	return len(phi) > 0 && len(phi) == len(psi) && &phi[0] == &psi[0]
 }
 
-// FockExchange applies the distributed screened Fock exchange
+// FockExchangeWS applies the distributed screened Fock exchange
 // V_X[phi] psi_j for every local band j and returns the band-major result
 // (sphere coefficients): each reference band phi_i - owned rank by rank
 // across the communicator - is delivered to every rank by the selected
@@ -220,15 +220,9 @@ func selfReferenced(phi, psi []complex128) bool {
 // Poisson solve per (i, j) pair, the Alg. 2 inner loop. phi and psi are
 // this rank's band blocks; kernel is the screened Coulomb kernel K(G) on
 // the wavefunction box (fock.BuildKernel); alpha is the exchange mixing
-// fraction. Collective: all ranks must call it together with the same
-// options.
-func (d *Ctx) FockExchange(phi, psi []complex128, kernel []float64, alpha float64, opt ExchangeOptions) []complex128 {
-	return d.FockExchangeWS(phi, psi, kernel, alpha, opt, d.NewExchangeWorkspace())
-}
-
-// FockExchangeWS is FockExchange with caller-owned scratch. The returned
-// slice is ws.vx: it stays valid until the next call with the same
-// workspace. Collective.
+// fraction. The scratch is the caller's: the returned slice is ws.vx and
+// stays valid until the next call with the same workspace. Collective:
+// all ranks must call it together with the same options.
 func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha float64, opt ExchangeOptions, ws *ExchangeWorkspace) []complex128 {
 	exRef := d.C.Trace().Begin("exchange", "solver")
 	defer d.C.Trace().End(exRef)

@@ -39,7 +39,7 @@ func applyExchange(t *testing.T, g *grid.Grid, psi []complex128, nb, ranks int, 
 		if oneSided {
 			phi = wavefunc.Clone(local)
 		}
-		full := d.Gather(d.FockExchange(phi, local, kernel, hyb.Alpha, opt))
+		full := d.Gather(d.FockExchangeWS(phi, local, kernel, hyb.Alpha, opt, d.NewExchangeWorkspace()))
 		if c.Rank() == 0 {
 			copy(vx, full)
 		}

@@ -91,6 +91,3 @@ func (a *ACE) Apply(dst, src []complex128, nbands int) {
 		}
 	})
 }
-
-// Rank reports the compression rank (number of reference orbitals).
-func (a *ACE) Rank() int { return a.nb }

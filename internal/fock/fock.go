@@ -237,12 +237,6 @@ func pairSchedule(nb int) (pairs [][2]int, rounds [][][2]int) {
 	return pairs, rounds
 }
 
-// NumBands reports the number of reference orbitals.
-func (op *Operator) NumBands() int { return op.nb }
-
-// Alpha reports the exchange mixing fraction.
-func (op *Operator) Alpha() float64 { return op.alpha }
-
 // IsReference reports whether src (band-major sphere coefficients) equals
 // the operator's own reference orbital set - the case where the symmetric
 // ApplyToReference path applies. The scan exits at the first mismatch, so

@@ -121,8 +121,8 @@ func TestACEMatchesExactOnSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ace.Rank() != 4 {
-		t.Errorf("ACE rank %d, want 4", ace.Rank())
+	if ace.nb != 4 {
+		t.Errorf("ACE rank %d, want 4", ace.nb)
 	}
 	exact := make([]complex128, 4*ng)
 	op.Apply(exact, phi, 4)

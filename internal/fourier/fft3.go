@@ -88,9 +88,6 @@ func MustPlan3(nx, ny, nz int) *Plan3 {
 	return p
 }
 
-// Dims reports the grid dimensions.
-func (p *Plan3) Dims() (nx, ny, nz int) { return p.nx, p.ny, p.nz }
-
 // Size reports the total number of grid points.
 func (p *Plan3) Size() int { return p.nx * p.ny * p.nz }
 

@@ -199,7 +199,7 @@ func BenchmarkPoissonSlab(b *testing.B) {
 // the x-planes they lie in, and a box that is nonzero only inside those
 // rows - the shape InversePrunedSlabWS declares as its precondition.
 func prunedCase(rng *rand.Rand, p *Plan3, keep float64) (box []complex128, rows, planes []int) {
-	nx, ny, nz := p.Dims()
+	nx, ny, nz := p.nx, p.ny, p.nz
 	box = make([]complex128, p.Size())
 	for r := 0; r < nx*ny; r++ {
 		if rng.Float64() >= keep {
@@ -234,7 +234,7 @@ func checkPrunedVsRaw(t *testing.T, p *Plan3, box []complex128, rows, planes []i
 	for i := 0; i < n; i++ {
 		d = math.Max(d, math.Max(math.Abs(got.Re[i]-ref.Re[i]), math.Abs(got.Im[i]-ref.Im[i])))
 	}
-	nx, ny, nz := p.Dims()
+	nx, ny, nz := p.nx, p.ny, p.nz
 	if d > tol {
 		t.Errorf("grid %dx%dx%d, %d rows in %d planes: pruned vs full inverse max diff %g (tol %g)",
 			nx, ny, nz, len(rows), len(planes), d, tol)

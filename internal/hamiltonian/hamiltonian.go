@@ -120,29 +120,19 @@ type Config struct {
 	Hybrid bool            // include the Fock exchange operator
 	UseACE bool            // apply exchange through the ACE compression
 	Params xc.HybridParams // mixing/screening; ignored unless Hybrid
-	// BandLimitedProjectors builds the real-space nonlocal projectors by
-	// Fourier interpolation (ref [37] scheme) instead of point sampling,
-	// removing the egg-box translation error at the cost of a denser
-	// projector when the support radius is widened.
-	BandLimitedProjectors bool
 	// IonDynamics builds the force-ready nonlocal projectors
 	// (pseudo.BuildNonlocalMD): band-limited to the G-sphere, full-grid
 	// support, with the center-gradient fields the Hellmann-Feynman force
-	// assembly needs. Required for Ehrenfest MD; takes precedence over
-	// BandLimitedProjectors.
+	// assembly needs. Required for Ehrenfest MD.
 	IonDynamics bool
 }
 
 // buildNL constructs the nonlocal projector set the configuration selects.
 func buildNL(g *grid.Grid, pots map[int]*pseudo.Potential, cfg Config) *pseudo.Nonlocal {
-	switch {
-	case cfg.IonDynamics:
+	if cfg.IonDynamics {
 		return pseudo.BuildNonlocalMD(g, pots)
-	case cfg.BandLimitedProjectors:
-		return pseudo.BuildNonlocalBandLimited(g, pots)
-	default:
-		return pseudo.BuildNonlocal(g, pots)
 	}
+	return pseudo.BuildNonlocal(g, pots)
 }
 
 // New builds a Hamiltonian for the grid, assembling the static local
@@ -321,10 +311,6 @@ func (h *Hamiltonian) ACEActive() bool { return h.hybrid && h.useACE && h.ace !=
 // recent refresh (nil when the current operator is the compression). Users
 // read this to learn which operator actually propagated their run.
 func (h *Hamiltonian) ACEFallbacks() (int, error) { return h.aceFallbacks, h.aceErr }
-
-// FockOperator exposes the current exchange operator (nil when not hybrid
-// or before the first SetFockOrbitals).
-func (h *Hamiltonian) FockOperator() *fock.Operator { return h.fockOp }
 
 // SetTrace attaches a span track to every exchange operator this
 // Hamiltonian builds (current and future - the propagation operator is

@@ -202,30 +202,6 @@ func BenchmarkApplyHybrid(b *testing.B) {
 	}
 }
 
-func TestBandLimitedProjectorConfig(t *testing.T) {
-	g := grid.MustNew(lattice.MustSiliconSupercell(1, 1, 1), 3)
-	nb := 4
-	psi := wavefunc.Random(g, nb, 1)
-	rho := potential.Density(g, psi, nb, 2)
-	apply := func(bl bool) []complex128 {
-		h := New(g, siPots(), Config{BandLimitedProjectors: bl})
-		h.UpdatePotential(rho)
-		out := make([]complex128, nb*g.NG)
-		h.Apply(out, psi, nb)
-		return out
-	}
-	a := apply(false)
-	b := apply(true)
-	// Different discretizations of the same operator: close but not equal.
-	d := wavefunc.MaxDiff(a, b)
-	if d == 0 {
-		t.Error("band-limited option had no effect")
-	}
-	if d > 0.1 {
-		t.Errorf("band-limited projectors change H*psi by %g - too much", d)
-	}
-}
-
 // TestACEFallbackSurfacedAndRecoverable: a degenerate reference set (zero
 // band) makes the ACE Cholesky fail. The refresh must (1) report the
 // fallback through ACEActive/ACEFallbacks instead of silently downgrading,
@@ -294,7 +270,7 @@ func TestFockOrbitalHold(t *testing.T) {
 		t.Fatal("hold not active after SetFockOrbitalsFrozen")
 	}
 	h.SetFockOrbitals(phiB, nb) // must be a no-op
-	if !h.FockOperator().IsReference(phiA, nb) {
+	if !h.fockOp.IsReference(phiA, nb) {
 		t.Error("held reference clobbered by SetFockOrbitals")
 	}
 	if ref := h.FrozenFockRef(); wavefunc.MaxDiff(ref, phiA) != 0 {
@@ -322,7 +298,7 @@ func TestFockOrbitalHold(t *testing.T) {
 		t.Error("FrozenFockRef non-nil after release")
 	}
 	h.SetFockOrbitals(phiB, nb)
-	if !h.FockOperator().IsReference(phiB, nb) {
+	if !h.fockOp.IsReference(phiB, nb) {
 		t.Error("SetFockOrbitals inert after release")
 	}
 }

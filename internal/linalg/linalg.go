@@ -403,29 +403,6 @@ func backSubstHCols(l, m []complex128, n int) []complex128 {
 	return x
 }
 
-// MatMul computes c = a*b for row-major a (m x k) and b (k x n).
-func MatMul(c, a, b []complex128, m, k, n int) {
-	if len(c) != m*n || len(a) != m*k || len(b) != k*n {
-		panic("linalg: MatMul dims mismatch")
-	}
-	parallel.For(m, func(i int) {
-		ci := c[i*n : (i+1)*n]
-		for j := range ci {
-			ci[j] = 0
-		}
-		for p := 0; p < k; p++ {
-			f := a[i*k+p]
-			if f == 0 {
-				continue
-			}
-			bp := b[p*n : (p+1)*n]
-			for j := range ci {
-				ci[j] += f * bp[j]
-			}
-		}
-	})
-}
-
 // Dot returns <a|b> = sum conj(a_i) b_i.
 func Dot(a, b []complex128) complex128 {
 	var re, im float64
@@ -435,23 +412,4 @@ func Dot(a, b []complex128) complex128 {
 		im += real(x)*imag(y) - imag(x)*real(y)
 	}
 	return complex(re, im)
-}
-
-// Norm2 returns the Euclidean norm of a.
-func Norm2(a []complex128) float64 {
-	var s float64
-	for _, x := range a {
-		s += real(x)*real(x) + imag(x)*imag(x)
-	}
-	return math.Sqrt(s)
-}
-
-// AXPY computes y += alpha*x.
-func AXPY(alpha complex128, x, y []complex128) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i := range y {
-		y[i] += alpha * x[i]
-	}
 }

@@ -70,16 +70,6 @@ func (a *Anderson) record(v []complex128) []complex128 {
 // HistoryLen reports the current history depth.
 func (a *Anderson) HistoryLen() int { return len(a.xs) }
 
-// MemoryBytes reports the history storage, mirroring the paper's accounting
-// of up to 20 wavefunction copies.
-func (a *Anderson) MemoryBytes() int64 {
-	var b int64
-	for i := range a.xs {
-		b += int64(len(a.xs[i])+len(a.fs[i])) * 16
-	}
-	return b
-}
-
 // Mix records the pair (x, f) and returns the next iterate. The returned
 // slice is freshly allocated; x and f are copied into the history.
 func (a *Anderson) Mix(x, f []complex128) []complex128 {
@@ -221,15 +211,6 @@ func (bm *BandMixer) Reset() {
 	}
 }
 
-// MemoryBytes totals the history storage across bands.
-func (bm *BandMixer) MemoryBytes() int64 {
-	var b int64
-	for _, m := range bm.mixers {
-		b += m.MemoryBytes()
-	}
-	return b
-}
-
 // RealMixer adapts Anderson mixing to real vectors (density SCF).
 type RealMixer struct{ a *Anderson }
 
@@ -253,6 +234,3 @@ func (r *RealMixer) Mix(x, f []float64) []float64 {
 	}
 	return out
 }
-
-// Reset clears the history.
-func (r *RealMixer) Reset() { r.a.Reset() }

@@ -256,7 +256,7 @@ func TestTolerantCleanRun(t *testing.T) {
 	if fail != nil {
 		t.Fatalf("unexpected failure: %v", fail)
 	}
-	if st.CallsFor(ClassAllreduce) == 0 {
+	if st.Calls[ClassAllreduce] == 0 {
 		t.Fatal("statistics missing from clean tolerant run")
 	}
 }

@@ -46,9 +46,6 @@ const (
 	numClasses
 )
 
-// NumClasses reports how many collective classes are metered.
-const NumClasses = int(numClasses)
-
 // String names the class as the paper's tables do.
 func (c OpClass) String() string {
 	switch c {
@@ -90,13 +87,6 @@ func (s *Stats) TotalBytes() int64 {
 
 // BytesFor returns the byte count of one class.
 func (s *Stats) BytesFor(c OpClass) int64 { return s.Bytes[c] }
-
-// CallsFor returns the call count of one class.
-func (s *Stats) CallsFor(c OpClass) int64 { return s.Calls[c] }
-
-// Ranks reports how many ranks the per-rank breakdown covers (0 when the
-// Stats were not produced by Run/RunPerturbed).
-func (s *Stats) Ranks() int { return len(s.sent) }
 
 // SentBy returns the bytes rank `rank` shipped under one class.
 func (s *Stats) SentBy(rank int, c OpClass) int64 { return s.sent[rank][c] }
@@ -232,10 +222,6 @@ type world struct {
 	barrierN   int
 	barrierGen int
 	barrierCv  *sync.Cond
-
-	// Sub-communicator registry for Split.
-	splitMu sync.Mutex
-	splits  map[int64]*world
 }
 
 // Comm is one rank's handle on the communicator. It is safe for concurrent
@@ -537,7 +523,6 @@ func Allgatherv[T Elem](c *Comm, tag int, data []T) [][]T {
 func newWorld(size int) *world {
 	w := &world{
 		size:    size,
-		splits:  map[int64]*world{},
 		sent:    make([][numClasses]atomic.Int64, size),
 		recv:    make([][numClasses]atomic.Int64, size),
 		opCalls: make([]atomic.Int64, size),
@@ -552,91 +537,6 @@ func newWorld(size int) *world {
 		}
 	}
 	return w
-}
-
-// Split partitions the communicator into sub-communicators by color, the
-// MPI_Comm_split analogue used for the k-point parallelization layer the
-// paper describes in section 3.1 ("wavefunctions can naturally be grouped
-// according to the k-points, which adds an additional layer of
-// parallelization"). All ranks must call Split collectively with the same
-// tag; ranks sharing a color receive a new Comm ordered by (key, rank).
-// Each sub-communicator has independent byte accounting that is NOT folded
-// into the parent's Run statistics; use SubStats to retrieve it.
-func (c *Comm) Split(tag int, color int64, key int) *Comm {
-	// Gather (color, key) from every rank.
-	mine := []int64{color, int64(key), int64(c.rank)}
-	all := Allgatherv(c, tag, mine)
-
-	// Build my group sorted by (key, parent rank).
-	type member struct {
-		key        int64
-		parentRank int
-	}
-	var group []member
-	for r := 0; r < c.w.size; r++ {
-		if all[r][0] == color {
-			group = append(group, member{key: all[r][1], parentRank: int(all[r][2])})
-		}
-	}
-	for i := 1; i < len(group); i++ {
-		for j := i; j > 0; j-- {
-			a, b := group[j], group[j-1]
-			if a.key < b.key || (a.key == b.key && a.parentRank < b.parentRank) {
-				group[j], group[j-1] = group[j-1], group[j]
-			} else {
-				break
-			}
-		}
-	}
-	myRank := -1
-	for i, m := range group {
-		if m.parentRank == c.rank {
-			myRank = i
-		}
-	}
-
-	// All ranks of a color share one child world through the registry;
-	// the last arriver retires the key so a later Split with the same
-	// color builds a fresh world. The parent barrier below makes the
-	// registry phase collective, so successive Splits cannot interleave.
-	c.w.splitMu.Lock()
-	child, ok := c.w.splits[color]
-	if !ok {
-		child = newWorld(len(group))
-		// Peer-loss detection follows the ranks into the group: a
-		// member stuck behind a dead parent-world rank must still
-		// unblock. Crash schedules do not (they key parent ranks).
-		child.deadline = c.w.deadline
-		c.w.splits[color] = child
-	}
-	child.barrierMu.Lock()
-	child.barrierN++
-	full := child.barrierN == child.size
-	if full {
-		child.barrierN = 0
-	}
-	child.barrierMu.Unlock()
-	if full {
-		delete(c.w.splits, color)
-	}
-	c.w.splitMu.Unlock()
-	c.Barrier()
-
-	// The span track follows the rank into the sub-communicator (its
-	// traffic appears on the parent rank's timeline); wire delays are keyed
-	// by parent-world rank pairs and do not.
-	return &Comm{rank: myRank, w: child, tr: c.tr}
-}
-
-// SubStats snapshots the communication statistics of a sub-communicator
-// created by Split.
-func (c *Comm) SubStats() *Stats {
-	st := &Stats{}
-	for i := 0; i < int(numClasses); i++ {
-		st.Bytes[i] = c.w.bytes[i].Load()
-		st.Calls[i] = c.w.calls[i].Load()
-	}
-	return st
 }
 
 // SingleOf converts a double-precision complex payload to single precision

@@ -30,12 +30,12 @@ func TestStatsConservationInvariants(t *testing.T) {
 				Recv[complex128](c, 0, 40)
 			}
 		})
-		if st.Ranks() != size {
-			t.Fatalf("size=%d: per-rank breakdown covers %d ranks", size, st.Ranks())
+		if len(st.sent) != size {
+			t.Fatalf("size=%d: per-rank breakdown covers %d ranks", size, len(st.sent))
 		}
 		// Per-class conservation: sent totals == received totals == the
 		// global class counter.
-		for cl := OpClass(0); cl < OpClass(NumClasses); cl++ {
+		for cl := OpClass(0); cl < numClasses; cl++ {
 			var sent, recv int64
 			for r := 0; r < size; r++ {
 				sent += st.SentBy(r, cl)

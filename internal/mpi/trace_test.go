@@ -82,13 +82,13 @@ func TestCommMatrixJSON(t *testing.T) {
 	if m.Ranks != ranks || len(m.SentBytes) != ranks || len(m.RecvBytes) != ranks {
 		t.Fatalf("matrix shape wrong: %+v", m)
 	}
-	if len(m.Classes) != NumClasses || m.Classes[ClassBcast] != "MPI_Bcast" {
+	if len(m.Classes) != int(numClasses) || m.Classes[ClassBcast] != "MPI_Bcast" {
 		t.Fatalf("class labels wrong: %v", m.Classes)
 	}
 	if m.TotalBytes != st.TotalBytes() {
 		t.Fatalf("total %d != %d", m.TotalBytes, st.TotalBytes())
 	}
-	for cl := 0; cl < NumClasses; cl++ {
+	for cl := 0; cl < int(numClasses); cl++ {
 		var sent, recv int64
 		for r := 0; r < ranks; r++ {
 			sent += m.SentBytes[r][cl]

@@ -61,13 +61,6 @@ func (f *Feed) Close() {
 	f.wake = make(chan struct{})
 }
 
-// Closed reports whether the feed was completed.
-func (f *Feed) Closed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.closed
-}
-
 // Len returns the number of samples appended so far.
 func (f *Feed) Len() int {
 	f.mu.Lock()

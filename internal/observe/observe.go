@@ -57,23 +57,6 @@ func Energy(s *core.System, psi []complex128, t float64) hamiltonian.EnergyBreak
 	return s.H.TotalEnergy(psi, s.NB, s.Occ)
 }
 
-// NormError returns the maximum deviation of band norms from 1.
-func NormError(s *core.System, psi []complex128) float64 {
-	ng := s.G.NG
-	var m float64
-	for b := 0; b < s.NB; b++ {
-		var n float64
-		c := psi[b*ng : (b+1)*ng]
-		for g := range c {
-			n += real(c[g])*real(c[g]) + imag(c[g])*imag(c[g])
-		}
-		if d := math.Abs(n - 1); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // LayerCharge integrates the electron density over the slab
 // zLo <= z < zHi (Cartesian bohr, axis z), the region charge used to track
 // interlayer charge transfer.

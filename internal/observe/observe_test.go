@@ -54,20 +54,6 @@ func TestKickInducesDiamagneticCurrent(t *testing.T) {
 	}
 }
 
-func TestNormErrorZeroForOrthonormal(t *testing.T) {
-	sys, psi := setupSys(t)
-	if e := NormError(sys, psi); e > 1e-10 {
-		t.Errorf("norm error %g for orthonormal set", e)
-	}
-	bad := wavefunc.Clone(psi)
-	for i := 0; i < sys.G.NG; i++ {
-		bad[i] *= 1.1
-	}
-	if e := NormError(sys, bad); math.Abs(e-0.21) > 1e-10 {
-		t.Errorf("norm error %g, want 0.21 (1.1^2-1)", e)
-	}
-}
-
 func TestEnergyMatchesHamiltonian(t *testing.T) {
 	sys, psi := setupSys(t)
 	eb := Energy(sys, psi, 0)

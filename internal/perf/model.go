@@ -243,11 +243,6 @@ func (m *Model) RK4StepTotal(p int) float64 {
 	return 100 * perRK4Step
 }
 
-// PTCNvsRK4 returns the Fig. 6 speedup ratio at p GPUs.
-func (m *Model) PTCNvsRK4(p int) float64 {
-	return m.RK4StepTotal(p) / m.StepTotal(p)
-}
-
 // FockStage identifies one bar of Fig. 3.
 type FockStage struct {
 	Name    string

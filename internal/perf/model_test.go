@@ -182,8 +182,8 @@ func TestRK4Ratio(t *testing.T) {
 	// (paper text); the chart bars indicate >=15x. Require the ratio to
 	// be large and to grow with P.
 	m := New(Reference)
-	r36 := m.PTCNvsRK4(36)
-	r768 := m.PTCNvsRK4(768)
+	r36 := m.RK4StepTotal(36) / m.StepTotal(36)
+	r768 := m.RK4StepTotal(768) / m.StepTotal(768)
 	if r36 < 14 || r36 > 26 {
 		t.Errorf("RK4/PT-CN ratio at 36 GPUs = %.1f, paper reports ~20", r36)
 	}
@@ -324,8 +324,8 @@ func TestReportedNumbers(t *testing.T) {
 		{"Table 2: MPI % at 3072 GPUs", c3072.MPITotal / c3072.Total * 100, 75.85},
 		{"Fig. 3: first/last stage ratio", stages[0].Seconds / stages[len(stages)-1].Seconds, 7.492},
 		{"Fig. 3: final stage s", stages[len(stages)-1].Seconds, 46.50},
-		{"Fig. 6: RK4/PT-CN at 36 GPUs", m.PTCNvsRK4(36), 15.88},
-		{"Fig. 6: RK4/PT-CN at 768 GPUs", m.PTCNvsRK4(768), 31.00},
+		{"Fig. 6: RK4/PT-CN at 36 GPUs", m.RK4StepTotal(36) / m.StepTotal(36), 15.88},
+		{"Fig. 6: RK4/PT-CN at 768 GPUs", m.RK4StepTotal(768) / m.StepTotal(768), 31.00},
 		{"Fig. 7: parallel efficiency % at 384 GPUs", m.StepTotal(36) / m.StepTotal(384) / (384.0 / 36.0) * 100, 68.28},
 		{"Fig. 8: Si192 s per 50 as", weak[2].Time, 9.537},
 		{"Fig. 8: final growth exponent", GrowthExponent(weak[4], weak[5]), 1.859},

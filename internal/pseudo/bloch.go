@@ -80,6 +80,3 @@ func (nl *NonlocalBloch) Apply(dst, src lanes.Slab) {
 		}
 	}
 }
-
-// NumProjectors reports the number of projector channels.
-func (nl *NonlocalBloch) NumProjectors() int { return len(nl.projs) }

@@ -31,7 +31,7 @@ import (
 //
 // The cost is a dense support (NTot points per projector instead of the
 // Rmax ball) and 4x the projector storage - acceptable for MD runs, which
-// rebuild these once per ion step; static runs keep the sparse builders.
+// rebuild these once per ion step; static runs keep the sparse builder.
 func BuildNonlocalMD(g *grid.Grid, pots map[int]*Potential) *Nonlocal {
 	nl := &Nonlocal{ng: g.NTot, dv: g.DVWave()}
 	nl.forceScratch.New = func() *forceScratch {

@@ -87,7 +87,7 @@ func TestMDProjectorGradientMatchesFD(t *testing.T) {
 	}
 }
 
-// TestForcesRequiresGradients: the sparse builders carry no gradients and
+// TestForcesRequiresGradients: the sparse builder carries no gradients and
 // must be rejected loudly by the force assembly, never return zeros.
 func TestForcesRequiresGradients(t *testing.T) {
 	cell := lattice.MustSiliconSupercell(1, 1, 1)
@@ -97,9 +97,6 @@ func TestForcesRequiresGradients(t *testing.T) {
 	dst := make([][3]float64, cell.NumAtoms())
 	if err := BuildNonlocal(g, pots).Forces(dst, g, psi, 1, 2); err == nil {
 		t.Error("point-sampled projectors accepted by Forces")
-	}
-	if err := BuildNonlocalBandLimited(g, pots).Forces(dst, g, psi, 1, 2); err == nil {
-		t.Error("band-limited truncated projectors accepted by Forces")
 	}
 	if !BuildNonlocalMD(g, pots).HasGradients() {
 		t.Error("MD projectors report no gradients")

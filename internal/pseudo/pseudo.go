@@ -167,19 +167,6 @@ func buildSparse(pos [][3]float64, cellL, center [3]float64, spec ProjectorSpec,
 	return sp
 }
 
-// NumProjectors reports the number of projector channels (atoms x channels).
-func (nl *Nonlocal) NumProjectors() int { return len(nl.projs) }
-
-// MemoryBytes estimates the storage of the sparse projectors, mirroring the
-// paper's 432 MB accounting for Si1536.
-func (nl *Nonlocal) MemoryBytes() int64 {
-	var b int64
-	for _, p := range nl.projs {
-		b += int64(len(p.idx))*4 + int64(len(p.val))*8
-	}
-	return b
-}
-
 // project returns <beta|psi> / dv for one projector.
 func (p *sparseProjector) project(src lanes.Slab) (re, im float64) {
 	for k, ix := range p.idx {

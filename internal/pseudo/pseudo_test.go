@@ -37,11 +37,8 @@ func TestNonlocalProjectorCount(t *testing.T) {
 	cell := lattice.MustSiliconSupercell(1, 1, 1)
 	g := grid.MustNew(cell, 4)
 	nl := BuildNonlocal(g, map[int]*Potential{0: SiliconAH()})
-	if nl.NumProjectors() != 8 {
-		t.Errorf("projectors = %d, want 8 (one per Si atom)", nl.NumProjectors())
-	}
-	if nl.MemoryBytes() <= 0 {
-		t.Error("projector memory accounting is zero")
+	if len(nl.projs) != 8 {
+		t.Errorf("projectors = %d, want 8 (one per Si atom)", len(nl.projs))
 	}
 }
 
@@ -127,80 +124,6 @@ func TestBuildSparseNormalization(t *testing.T) {
 	}
 	if len(sp.idx) == 0 || len(sp.idx) == g.NTot {
 		t.Errorf("projector support %d not sparse in %d points", len(sp.idx), g.NTot)
-	}
-}
-
-func TestBandLimitedProjectorsReduceEggBox(t *testing.T) {
-	// The ref [37] motivation: Fourier-interpolated (band-limited)
-	// projectors are translation invariant on the grid - the egg-box
-	// ripple of point sampling disappears to machine precision. This
-	// holds for full-cell support; truncating to a finite rmax
-	// reintroduces a boundary ripple for either construction (the
-	// trade-off ref [37]'s mask smoothing addresses), which is why the
-	// comparison here uses untruncated projectors.
-	cell := lattice.MustSiliconSupercell(1, 1, 1)
-	g := grid.MustNew(cell, 3)
-	spec := ProjectorSpec{D: 0.35, Rc: 1.1, Rmax: 99}
-	sampled := EggBoxError(g, spec, false, 8)
-	limited := EggBoxError(g, spec, true, 8)
-	if limited > sampled/100 {
-		t.Errorf("band limiting did not remove egg-box: sampled %g vs limited %g", sampled, limited)
-	}
-	if sampled < 1e-6 {
-		t.Errorf("point-sampled egg-box suspiciously small (%g): metric broken?", sampled)
-	}
-}
-
-func TestBandLimitedNonlocalHermitianAndNormalized(t *testing.T) {
-	cell := lattice.MustSiliconSupercell(1, 1, 1)
-	g := grid.MustNew(cell, 3)
-	nl := BuildNonlocalBandLimited(g, map[int]*Potential{0: SiliconAH()})
-	if nl.NumProjectors() != 8 {
-		t.Fatalf("projectors = %d, want 8", nl.NumProjectors())
-	}
-	rng := rand.New(rand.NewSource(7))
-	a := make([]complex128, g.NTot)
-	b := make([]complex128, g.NTot)
-	for i := range a {
-		a[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	va := make([]complex128, g.NTot)
-	vb := make([]complex128, g.NTot)
-	applyC(nl, va, a)
-	applyC(nl, vb, b)
-	var ba, ab complex128
-	for i := range a {
-		ba += cmplx.Conj(b[i]) * va[i]
-		ab += cmplx.Conj(a[i]) * vb[i]
-	}
-	if cmplx.Abs(ba-cmplx.Conj(ab)) > 1e-8*(1+cmplx.Abs(ba)) {
-		t.Error("band-limited nonlocal not Hermitian")
-	}
-	for trial := 0; trial < 3; trial++ {
-		if e := energyC(nl, a); e < 0 {
-			t.Fatalf("band-limited energy %g < 0 for positive D", e)
-		}
-	}
-}
-
-func TestBandLimitedMatchesSampledLoosely(t *testing.T) {
-	// Both constructions represent the same physical projector; their
-	// action on a smooth function should agree to grid-resolution level.
-	cell := lattice.MustSiliconSupercell(1, 1, 1)
-	g := grid.MustNew(cell, 4)
-	pots := map[int]*Potential{0: SiliconAH()}
-	a := BuildNonlocal(g, pots)
-	b := BuildNonlocalBandLimited(g, pots)
-	// Smooth test function: the lowest plane wave.
-	src := make([]complex128, g.NTot)
-	for i := range src {
-		src[i] = 1
-	}
-	ea := energyC(a, src)
-	eb := energyC(b, src)
-	if math.Abs(ea-eb) > 0.05*(math.Abs(ea)+1e-12) {
-		t.Errorf("sampled vs band-limited energies differ too much: %g vs %g", ea, eb)
 	}
 }
 

@@ -9,7 +9,6 @@ package scf
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"ptdft/internal/grid"
 	"ptdft/internal/hamiltonian"
@@ -263,23 +262,4 @@ func teter(x float64) float64 {
 	x2 := x * x
 	num := 27 + 18*x + 12*x2 + 8*x2*x
 	return num / (num + 16*x2*x2)
-}
-
-// Gap returns the HOMO-LUMO gap estimate from a band-energy list with nocc
-// occupied orbitals; requires len(bands) > nocc.
-func Gap(bands []float64, nocc int) (float64, error) {
-	if nocc <= 0 || nocc >= len(bands) {
-		return 0, fmt.Errorf("scf: cannot compute gap with %d occupied of %d bands", nocc, len(bands))
-	}
-	sorted := append([]float64(nil), bands...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	gap := sorted[nocc] - sorted[nocc-1]
-	if math.IsNaN(gap) {
-		return 0, errors.New("scf: NaN band energies")
-	}
-	return gap, nil
 }

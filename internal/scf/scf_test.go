@@ -108,23 +108,6 @@ func TestGroundStateHybridConverges(t *testing.T) {
 	}
 }
 
-func TestGapComputation(t *testing.T) {
-	bands := []float64{-0.5, -0.4, -0.1, 0.2}
-	gap, err := Gap(bands, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(gap-0.3) > 1e-12 {
-		t.Errorf("gap = %g, want 0.3", gap)
-	}
-	if _, err := Gap(bands, 4); err == nil {
-		t.Error("expected error when all bands occupied")
-	}
-	if _, err := Gap(bands, 0); err == nil {
-		t.Error("expected error for zero occupation")
-	}
-}
-
 func TestTeterPreconditioner(t *testing.T) {
 	// ~1 at x=0, decaying beyond; monotone in between.
 	if math.Abs(teter(0)-1) > 1e-12 {

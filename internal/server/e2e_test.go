@@ -352,15 +352,18 @@ func TestE2ECancelAndErrors(t *testing.T) {
 	}
 
 	// A field a past version accepted (steal_chunk, removed with its
-	// schedule) is an unknown field too: an otherwise runnable old-style
-	// body is refused before it reaches the queue.
-	resp, err = http.Post(ts.URL+"/jobs", "application/json",
-		strings.NewReader(`{"cells":[1,1,1],"ecut":2,"steps":3,"steal_chunk":4}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, msg := apiError(t, resp); resp.StatusCode != http.StatusBadRequest || code != "bad_request" || !strings.Contains(msg, "steal_chunk") {
-		t.Errorf("removed field: status %d code %s (%s), want 400 bad_request naming steal_chunk", resp.StatusCode, code, msg)
+	// schedule; acehold, the removed alias of ace + mts 1) is an unknown
+	// field too: an otherwise runnable old-style body is refused before it
+	// reaches the queue.
+	for field, val := range map[string]string{"steal_chunk": "4", "acehold": "true"} {
+		resp, err = http.Post(ts.URL+"/jobs", "application/json",
+			strings.NewReader(`{"cells":[1,1,1],"ecut":2,"steps":3,"hybrid":true,"`+field+`":`+val+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, msg := apiError(t, resp); resp.StatusCode != http.StatusBadRequest || code != "bad_request" || !strings.Contains(msg, field) {
+			t.Errorf("removed field: status %d code %s (%s), want 400 bad_request naming %s", resp.StatusCode, code, msg, field)
+		}
 	}
 	if jobs := s.List(); len(jobs) != 0 {
 		t.Errorf("rejected body left %d job(s) in the queue", len(jobs))

@@ -99,7 +99,8 @@ type Job struct {
 	persistMu sync.Mutex
 }
 
-// View is the JSON representation of a job in API responses.
+// View is the JSON representation of a job, in API responses and as the
+// on-disk record.
 type View struct {
 	ID          string    `json:"id"`
 	State       State     `json:"state"`
@@ -114,8 +115,8 @@ type View struct {
 	Samples []observe.Sample `json:"samples,omitempty"`
 }
 
-// view snapshots the job for an API response. Callers hold the server's
-// mutex; the feed snapshot is internally synchronized.
+// view snapshots the job for an API response or a record write. Callers
+// hold the server's mutex; the feed snapshot is internally synchronized.
 func (j *Job) view(withSamples bool) View {
 	v := View{
 		ID: j.ID, State: j.State, Spec: j.Spec, Error: j.Err,

@@ -14,24 +14,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"ptdft/internal/observe"
-	"ptdft/internal/sim"
 )
-
-// record is the on-disk form of a job.
-type record struct {
-	ID          string           `json:"id"`
-	Spec        sim.Spec         `json:"spec"`
-	State       State            `json:"state"`
-	Error       string           `json:"error,omitempty"`
-	SubmittedAt time.Time        `json:"submitted_at"`
-	StartedAt   time.Time        `json:"started_at,omitzero"`
-	FinishedAt  time.Time        `json:"finished_at,omitzero"`
-	Metrics     Metrics          `json:"metrics"`
-	Samples     []observe.Sample `json:"samples,omitempty"`
-}
 
 func (s *Server) recordPath(id string) string { return filepath.Join(s.cfg.Dir, id+".json") }
 func (s *Server) ckptPath(id string) string   { return filepath.Join(s.cfg.Dir, id+".ckp") }
@@ -49,20 +34,7 @@ func (s *Server) persist(j *Job) {
 	j.persistMu.Lock()
 	defer j.persistMu.Unlock()
 	s.mu.Lock()
-	rec := record{
-		ID: j.ID, Spec: j.Spec, State: j.State, Error: j.Err,
-		SubmittedAt: j.SubmittedAt, StartedAt: j.StartedAt, FinishedAt: j.FinishedAt,
-		Metrics: j.Metrics,
-		Samples: j.Feed.Snapshot(),
-	}
-	// Detach the phase map: it keeps accumulating under s.mu while the
-	// marshal below runs outside it.
-	if j.Metrics.PhaseSeconds != nil {
-		rec.Metrics.PhaseSeconds = make(map[string]float64, len(j.Metrics.PhaseSeconds))
-		for name, sec := range j.Metrics.PhaseSeconds {
-			rec.Metrics.PhaseSeconds[name] = sec
-		}
-	}
+	rec := j.view(true)
 	s.mu.Unlock()
 	data, err := json.MarshalIndent(&rec, "", " ")
 	if err != nil {
@@ -165,12 +137,12 @@ func (s *Server) adopt() error {
 }
 
 // readRecord loads and validates one job record file.
-func readRecord(path string) (*record, error) {
+func readRecord(path string) (*View, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var rec record
+	var rec View
 	if err := json.Unmarshal(data, &rec); err != nil {
 		return nil, fmt.Errorf("corrupt job record: %w", err)
 	}

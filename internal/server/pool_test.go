@@ -319,7 +319,7 @@ func TestPoolCancel(t *testing.T) {
 
 // writeRecord drops one job record file into the server directory, the
 // way a crashed server would have left it.
-func writeRecord(t *testing.T, dir string, rec record) {
+func writeRecord(t *testing.T, dir string, rec View) {
 	t.Helper()
 	data, err := json.Marshal(&rec)
 	if err != nil {
@@ -342,7 +342,7 @@ func TestPoolZeroRemainderResumeCompletes(t *testing.T) {
 	spec.MD = true
 	spec.IonSteps = 3
 	spec.IonDtAs = 96
-	writeRecord(t, dir, record{
+	writeRecord(t, dir, View{
 		ID: "j000001", Spec: spec, State: StateRunning,
 		SubmittedAt: time.Now().UTC(), StartedAt: time.Now().UTC(),
 		Metrics: Metrics{StepsDone: 3},
@@ -385,7 +385,7 @@ func TestPoolZeroRemainderResumeCompletes(t *testing.T) {
 func TestPoolAdoptTruncatesOverPersistedSamples(t *testing.T) {
 	dir := t.TempDir()
 	spec := fakeSpec(7, 5)
-	writeRecord(t, dir, record{
+	writeRecord(t, dir, View{
 		ID: "j000001", Spec: spec, State: StateRunning,
 		SubmittedAt: time.Now().UTC(), StartedAt: time.Now().UTC(),
 		Metrics: Metrics{StepsDone: 4},
@@ -431,7 +431,7 @@ func TestPoolAdoptQuarantinesCorruptRecord(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "j000001.json"), []byte(`{"id":"j0000`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	writeRecord(t, dir, record{
+	writeRecord(t, dir, View{
 		ID: "j000002", Spec: fakeSpec(2, 1), State: StateDone,
 		SubmittedAt: time.Now().UTC(), FinishedAt: time.Now().UTC(),
 	})

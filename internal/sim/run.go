@@ -202,18 +202,15 @@ func Run(spec *Spec, opt Options) (*Result, error) {
 	}
 	res.Ground = gs
 
-	var field laser.Field
+	pulseSteps := spec.Steps
+	if opt.PulseSteps > 0 {
+		pulseSteps = opt.PulseSteps
+	}
+	field := spec.Field(pulseSteps)
 	switch {
 	case spec.PulseE0 != 0:
-		pulseSteps := spec.Steps
-		if opt.PulseSteps > 0 {
-			pulseSteps = opt.PulseSteps
-		}
-		sigma := units.AttosecondsToAU(spec.DtAs) * float64(pulseSteps) / 4
-		field = laser.New380nm(spec.PulseE0, 2*sigma, sigma)
 		opt.logf("field: 380nm pulse, E0=%.4g Ha/bohr, envelope over %d steps", spec.PulseE0, pulseSteps)
 	case spec.Kick != 0:
-		field = &laser.Kick{K: spec.Kick, Pol: [3]float64{0, 0, 1}}
 		opt.logf("field: delta kick A=%.4g au along z", spec.Kick)
 	}
 
@@ -270,6 +267,19 @@ func Run(spec *Spec, opt Options) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// Field builds the spec's external field: the 380nm pulse shaped from
+// pulseSteps electronic steps (Options.PulseSteps), else the kick, else nil.
+func (s *Spec) Field(pulseSteps int) laser.Field {
+	switch {
+	case s.PulseE0 != 0:
+		sigma := units.AttosecondsToAU(s.DtAs) * float64(pulseSteps) / 4
+		return laser.New380nm(s.PulseE0, 2*sigma, sigma)
+	case s.Kick != 0:
+		return &laser.Kick{K: s.Kick, Pol: [3]float64{0, 0, 1}}
+	}
+	return nil
 }
 
 // GroundState solves the spec's ground-state SCF (the cache-miss path of

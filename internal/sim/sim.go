@@ -42,7 +42,6 @@ type Spec struct {
 	Ecut       float64 `json:"ecut"`                  // kinetic energy cutoff (Ha)
 	Hybrid     bool    `json:"hybrid,omitempty"`      // HSE-like screened-exchange functional
 	ACE        bool    `json:"ace,omitempty"`         // apply exchange through the ACE compression
-	ACEHold    bool    `json:"acehold,omitempty"`     // alias of ace + mts 1 (the Jia & Lin hold cadence)
 	MTS        int     `json:"mts,omitempty"`         // exchange refresh period M (0 = off)
 	Method     string  `json:"method,omitempty"`      // "ptcn" (default) or "rk4"
 	DtAs       float64 `json:"dt_as,omitempty"`       // electronic time step in attoseconds (default 24)
@@ -73,14 +72,6 @@ func (s *Spec) Normalize() {
 	}
 	if s.MD && s.IonDtAs == 0 {
 		s.IonDtAs = 96
-	}
-	if s.ACEHold {
-		// acehold is an alias: the Jia & Lin hold (ACE built once per step
-		// from Psi_n, held through the inner SCF) is the M = 1 MTS cycle.
-		s.ACE = true
-		if s.MTS == 0 {
-			s.MTS = 1
-		}
 	}
 }
 
@@ -113,8 +104,6 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("sim: mts freezes the hybrid exchange between outer steps; it needs hybrid")
 	case s.MTS > 0 && s.Method != "ptcn":
 		return fmt.Errorf("sim: mts is a PT-CN refresh cadence; method %s does not support it", s.Method)
-	case s.MTS > 1 && s.ACEHold:
-		return fmt.Errorf("sim: acehold is an alias of ace + mts=1; it cannot combine with mts=%d - pick one cadence", s.MTS)
 	}
 	if s.MD {
 		if s.Method != "ptcn" {

@@ -43,11 +43,19 @@ func TestSpecValidateRules(t *testing.T) {
 		{"bad method", func(s *Spec) { s.Method = "euler" }, "method"},
 		{"negative steps", func(s *Spec) { s.Steps = -1 }, "step count"},
 		{"ace without hybrid", func(s *Spec) { s.ACE = true }, "hybrid"},
-		// acehold is ace + mts 1, which the serial engine runs as well.
-		{"acehold serial", func(s *Spec) { s.ACEHold = true; s.Hybrid = true }, ""},
+		// The Jia & Lin hold cadence is ace + mts 1; the serial engine runs
+		// it as well as the distributed one, with or without MD.
+		{"ace mts 1 serial", func(s *Spec) { s.ACE = true; s.MTS = 1; s.Hybrid = true }, ""},
+		{"ace mts 1 md 2 ranks", func(s *Spec) {
+			s.ACE = true
+			s.MTS = 1
+			s.Hybrid = true
+			s.MD = true
+			s.IonSteps = 1
+			s.Ranks = 2
+		}, ""},
 		{"mts without hybrid", func(s *Spec) { s.MTS = 4 }, "hybrid"},
 		{"mts with rk4", func(s *Spec) { s.MTS = 4; s.Hybrid = true; s.Method = "rk4" }, "PT-CN"},
-		{"mts vs acehold", func(s *Spec) { s.MTS = 2; s.ACEHold = true; s.Hybrid = true; s.Ranks = 2 }, "cadence"},
 		{"md with rk4", func(s *Spec) { s.MD = true; s.IonSteps = 2; s.Method = "rk4" }, "PT-CN"},
 		{"md zero ion steps", func(s *Spec) { s.MD = true; s.IonSteps = 0 }, "ion_steps"},
 		{"md bad tiling", func(s *Spec) { s.MD = true; s.IonSteps = 2; s.IonDtAs = 100 }, "multiple"},
@@ -81,15 +89,15 @@ func TestSpecValidateRules(t *testing.T) {
 
 // TestSpecNormalizeDefaults: a sparse JSON spec gets the CLI defaults.
 func TestSpecNormalizeDefaults(t *testing.T) {
-	s := Spec{Cells: [3]int{1, 1, 1}, Ecut: 2, Steps: 1, MD: true, IonSteps: 1, ACEHold: true, Hybrid: true, Ranks: 2}
+	s := Spec{Cells: [3]int{1, 1, 1}, Ecut: 2, Steps: 1, MD: true, IonSteps: 1, ACE: true, MTS: 1, Hybrid: true, Ranks: 2}
 	s.Normalize()
 	if s.Method != "ptcn" || s.Exchange != "overlap" || s.DtAs != 24 || s.IonDtAs != 96 {
 		t.Errorf("defaults not filled: %+v", s)
 	}
-	// acehold is a parse-time alias of ace + mts 1 (the Jia & Lin hold is
-	// the M = 1 cycle): no engine sees a second cadence knob.
+	// Defaults only: the cadence (here the Jia & Lin hold, ace + mts 1) is
+	// what the spec wrote, and no other field selects one.
 	if !s.ACE || s.MTS != 1 {
-		t.Errorf("acehold normalized to ace=%v mts=%d, want ace=true mts=1", s.ACE, s.MTS)
+		t.Errorf("normalize changed the cadence to ace=%v mts=%d, want ace=true mts=1", s.ACE, s.MTS)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Exporters for the span flight recorder: Chrome trace-event JSON
 // (loadable in chrome://tracing and Perfetto, one pid per recorder and
 // one tid per track, "X" complete events in microseconds) and a
-// structured JSON dump that keeps the raw nanosecond spans for scripted
-// analysis. The Table-1 text exporter is Recorder.Profile + Report
+// structured snapshot that keeps the raw nanosecond spans for tests to
+// inspect. The Table-1 text exporter is Recorder.Profile + Report
 // (trace.go).
 package trace
 
@@ -67,14 +67,14 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
 }
 
-// TrackJSON is one track of the structured JSON dump.
+// TrackJSON is one track of the structured snapshot.
 type TrackJSON struct {
 	ID    int        `json:"id"`
 	Label string     `json:"label"`
 	Spans []SpanJSON `json:"spans"`
 }
 
-// SpanJSON is one span of the structured JSON dump, in raw nanoseconds.
+// SpanJSON is one span of the structured snapshot, in raw nanoseconds.
 type SpanJSON struct {
 	Name    string `json:"name"`
 	Cat     string `json:"cat,omitempty"`
@@ -84,7 +84,7 @@ type SpanJSON struct {
 	N       int64  `json:"n,omitempty"`
 }
 
-// Tracks returns the recorder's content as the structured JSON model
+// Tracks returns the recorder's content as the structured snapshot
 // (ordered by track id, open spans closed at the snapshot instant).
 func (r *Recorder) Tracks() []TrackJSON {
 	snaps := r.snapshot()
@@ -101,13 +101,4 @@ func (r *Recorder) Tracks() []TrackJSON {
 		out[i] = TrackJSON{ID: ts.id, Label: ts.label, Spans: spans}
 	}
 	return out
-}
-
-// WriteJSON writes the structured dump: {"tracks": [...]}.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(struct {
-		Tracks []TrackJSON `json:"tracks"`
-	}{Tracks: r.Tracks()})
 }

@@ -147,25 +147,3 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 }
 
-// TestStructuredJSON checks the raw-nanosecond dump round-trips.
-func TestStructuredJSON(t *testing.T) {
-	r := NewRecorder()
-	r.Track(2, "rank 2").Record(Span{Name: "exchange", Cat: "solver", Start: 7, Dur: 11, Bytes: 3, N: 4})
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	var dump struct {
-		Tracks []TrackJSON `json:"tracks"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if len(dump.Tracks) != 1 || dump.Tracks[0].ID != 2 || len(dump.Tracks[0].Spans) != 1 {
-		t.Fatalf("dump shape wrong: %+v", dump)
-	}
-	s := dump.Tracks[0].Spans[0]
-	if s.Name != "exchange" || s.StartNs != 7 || s.DurNs != 11 || s.Bytes != 3 || s.N != 4 {
-		t.Fatalf("span round-trip wrong: %+v", s)
-	}
-}
