@@ -111,9 +111,32 @@ type PTCNOptions struct {
 	MixBeta    float64 // Anderson relaxation
 }
 
-// DefaultPTCN mirrors the paper's settings (section 4).
+// DefaultPTCN takes MaxSCF, TolDensity and MixHistory from the paper
+// (section 4). MixBeta is 1 because the mixer is fed PreconditionCN's
+// approximate Newton step, not the raw residual the paper damps.
 func DefaultPTCN() PTCNOptions {
-	return PTCNOptions{MaxSCF: 40, TolDensity: 1e-6, MixHistory: 20, MixBeta: 0.4}
+	return PTCNOptions{MaxSCF: 40, TolDensity: 1e-6, MixHistory: 20, MixBeta: 1}
+}
+
+// PreconditionCN applies the diagonal approximate inverse of the
+// Crank-Nicolson Jacobian to a band block in place: coefficient s of local
+// band j is divided by 1 + i dt/2 (kin[s] - eps_j), with eps_j the real
+// diagonal of the nb x nb projection matrix ov = Psi^* H Psi at global band
+// lo + j. Linearising Alg. 1 line 6 around the iterate and keeping the part
+// diagonal in G leaves exactly this operator (DESIGN.md, "Preconditioned
+// Crank-Nicolson fixed point"); both PT-CN solvers feed the mixer through it.
+func PreconditionCN(f []complex128, kin []float64, ov []complex128, nb, lo int, dt float64) {
+	ng := len(kin)
+	for j := 0; j < len(f)/ng; j++ {
+		eps := real(ov[(lo+j)*nb+lo+j])
+		fj := f[j*ng : (j+1)*ng]
+		for s, k := range kin {
+			// 1/(1 + ix) = (1 - ix)/(1 + x^2): no complex division.
+			x := dt / 2 * (k - eps)
+			d := 1 / (1 + x*x)
+			fj[s] *= complex(d, -x*d)
+		}
+	}
 }
 
 // PTCN is the parallel transport Crank-Nicolson propagator (Algorithm 1).
@@ -144,6 +167,7 @@ type stepWorkspace struct {
 	hp   []complex128 // nb x NG: H psi
 	res  []complex128 // nb x NG: PT residual, returned by residual
 	half []complex128 // nb x NG: half-step RHS Psi_{n+1/2}
+	psif []complex128 // nb x NG: the SCF iterate Psi_f, mixed in place
 	ov   []complex128 // nb x nb: projection matrix Psi^* H Psi
 	// mixer is Reset per step, so its history vectors, Gram matrices and
 	// least squares scratch are allocated once.
@@ -161,6 +185,7 @@ func (p *PTCN) residual(psi []complex128) []complex128 {
 			hp:    make([]complex128, nb*ng),
 			res:   make([]complex128, nb*ng),
 			half:  make([]complex128, nb*ng),
+			psif:  make([]complex128, nb*ng),
 			ov:    make([]complex128, nb*nb),
 			mixer: mixing.NewBandMixer(nb, ng, p.Opt.MixHistory, p.Opt.MixBeta),
 		}
@@ -267,13 +292,19 @@ func (p *PTCN) Step(psi []complex128, dt float64) ([]complex128, StepStats, erro
 	rn := p.residual(psi)
 	stats.HApplications++
 
-	// Line 2: half-step RHS Psi_{n+1/2} = Psi_n - i dt/2 Rn.
+	// Line 2: half-step RHS Psi_{n+1/2} = Psi_n - i dt/2 Rn, and the trial
+	// state Psi_n - i dt K Rn, the Crank-Nicolson equation linearised at
+	// Psi_n (the paper starts from Psi_{n+1/2}).
 	half := p.ws.half
-	ihalf := complex(0, dt/2)
+	ihalf, idt := complex(0, dt/2), complex(0, dt)
 	for i := range half {
 		half[i] = psi[i] - ihalf*rn[i]
 	}
-	psif := wavefunc.Clone(half)
+	PreconditionCN(rn, h.Kinetic(), p.ws.ov, nb, 0, dt)
+	psif := p.ws.psif
+	for i := range psif {
+		psif[i] = psi[i] - idt*rn[i]
+	}
 
 	// Line 3: density of the trial state.
 	rhof := s.density(psif)
@@ -297,7 +328,8 @@ func (p *PTCN) Step(psi []complex128, dt float64) ([]complex128, StepStats, erro
 			rf[i] = half[i] - psif[i] - ihalf*rf[i]
 		}
 
-		// Line 7: Anderson mixing per band.
+		// Line 7: Anderson mixing per band, on the preconditioned residual.
+		PreconditionCN(rf, h.Kinetic(), p.ws.ov, nb, 0, dt)
 		mixer.MixInto(psif, psif, rf)
 
 		// Line 8-9: density change convergence monitor.
@@ -316,17 +348,19 @@ func (p *PTCN) Step(psi []complex128, dt float64) ([]complex128, StepStats, erro
 			p.Opt.MaxSCF, stats.DensityError)
 	}
 
-	// Line 11: re-orthogonalize.
+	// Line 11: re-orthogonalize, into storage of the new state's own (the
+	// converged iterate stays in the workspace).
 	orthRef := s.Tr.Begin("orthonormalize", "solver")
 	stats.OrthogonalityE = wavefunc.OrthonormalityError(psif, nb, ng)
-	if err := wavefunc.Orthonormalize(psif, nb, ng); err != nil {
+	out := wavefunc.Clone(psif)
+	if err := wavefunc.Orthonormalize(out, nb, ng); err != nil {
 		s.Tr.End(orthRef)
 		return nil, stats, fmt.Errorf("core: orthogonalization failed: %w", err)
 	}
 	s.Tr.End(orthRef)
 	p.Time = tNext
 	p.StepIndex++
-	return psif, stats, nil
+	return out, stats, nil
 }
 
 // RK4 is the explicit 4th-order Runge-Kutta propagator for the original

@@ -330,6 +330,36 @@ func TestPTCNMTSResumeMidCycle(t *testing.T) {
 	}
 }
 
+// The converged iterate solves the Crank-Nicolson equation itself,
+// Psi_f + i dt/2 R(Psi_f) = Psi_{n+1/2}, whatever path the preconditioned
+// mixer took to it: a wrong preconditioner that converged (in density
+// change) somewhere else fails here. The iterate is read from the step
+// workspace, before the orthonormalization.
+func TestPTCNSolvesCNEquation(t *testing.T) {
+	sys, psi := groundStateSystem(t, 3, false, &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}})
+	opt := DefaultPTCN()
+	opt.TolDensity = 1e-10
+	p := NewPTCN(sys, opt)
+	for _, dt := range []float64{1.0, 2.07} {
+		next, _, err := p.Step(psi, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		psif, half := p.ws.psif, p.ws.half
+		sys.Prepare(psif, p.Time)
+		rf := p.residual(psif)
+		var n2 float64
+		for i, r := range rf {
+			d := psif[i] + complex(0, dt/2)*r - half[i]
+			n2 += real(d)*real(d) + imag(d)*imag(d)
+		}
+		if n := math.Sqrt(n2); n > 1e-8 {
+			t.Errorf("dt %g: converged iterate misses the CN equation by %.3e, want <= 1e-8", dt, n)
+		}
+		psi = next
+	}
+}
+
 func TestPTCNFailsGracefullyWhenNotConverging(t *testing.T) {
 	sys, psi := groundStateSystem(t, 3, false, nil)
 	opt := DefaultPTCN()

@@ -413,16 +413,22 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 	}
 	stats.HApplications++
 
-	// Half-step RHS Psi_{n+1/2} = Psi_n - i dt/2 Rn.
+	// Half-step RHS Psi_{n+1/2} = Psi_n - i dt/2 Rn, and the trial state
+	// Psi_n - i dt K Rn (core.PreconditionCN; ws.ov is allreduced, so every
+	// rank divides by the same band energies).
 	half := ws.half
-	ihalf := complex(0, dt/2)
+	ihalf, idt := complex(0, dt/2), complex(0, dt)
 	for i := range half {
 		half[i] = local[i] - ihalf*rn[i]
 	}
+	lo, _ := s.D.BandRange(s.D.C.Rank())
+	core.PreconditionCN(rn, s.H.Kinetic(), ws.ov, s.D.NB, lo, dt)
 	// The iterate lives in the workspace: orthonormalize returns the new
 	// state in storage of its own.
 	psif := ws.psif
-	copy(psif, half)
+	for i := range psif {
+		psif[i] = local[i] - idt*rn[i]
+	}
 	rhof := s.density(psif)
 
 	ws.mixer.Reset()
@@ -441,6 +447,7 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 			// Mixer convention: next = x + beta*f, so pass f = -R_f.
 			ws.fp[i] = half[i] - psif[i] - ihalf*rf[i]
 		}
+		core.PreconditionCN(ws.fp, s.H.Kinetic(), ws.ov, s.D.NB, lo, dt)
 		ws.mixer.MixInto(psif, psif, ws.fp)
 		rhoNew := s.density(psif)
 		stats.DensityError = potential.DensityDiff(s.D.G, rhoNew, rhof, s.Occ*float64(s.D.NB))

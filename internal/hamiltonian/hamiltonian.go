@@ -48,6 +48,7 @@ type Hamiltonian struct {
 	vloc     *potential.Local
 	veffWave []float64 // Vloc+VH+Vxc on the wavefunction grid
 	aField   [3]float64
+	kin      []float64 // 1/2|G+k+A|^2 per sphere entry, rebuilt by rebuildKinetic
 	fockOp   *fock.Operator
 	ace      *fock.ACE
 	useACE   bool // ACE requested; the active operator is ACEActive()
@@ -149,6 +150,8 @@ func New(g *grid.Grid, pots map[int]*pseudo.Potential, cfg Config) *Hamiltonian 
 		vloc:   potential.NewLocal(g, potential.BuildVloc(g, pots)),
 	}
 	h.veffWave = make([]float64, g.NTot)
+	h.kin = make([]float64, g.NG)
+	h.rebuildKinetic()
 	h.scratch.New = h.newScratch
 	return h
 }
@@ -220,8 +223,9 @@ func (h *Hamiltonian) VlocDense() []float64 { return h.vloc.Dense }
 func (h *Hamiltonian) SetField(a [3]float64) {
 	if a != h.aField {
 		h.prepPsi = nil
+		h.aField = a
+		h.rebuildKinetic()
 	}
-	h.aField = a
 }
 
 // Field returns the current vector potential.
@@ -332,6 +336,7 @@ func (h *Hamiltonian) SetTrace(t *trace.Track) {
 func (h *Hamiltonian) SetBloch(k [3]float64, nl *pseudo.NonlocalBloch) {
 	h.bloch = k
 	h.nlBloch = nl
+	h.rebuildKinetic()
 	h.prepPsi = nil
 }
 
@@ -344,6 +349,18 @@ func (h *Hamiltonian) KineticFactor(s int) float64 {
 	return 0.5 * (dx*dx + dy*dy + dz*dz)
 }
 
+// rebuildKinetic refills the kinetic diagonal after the field or the Bloch
+// vector changed (an ion drift moves neither them nor the G vectors).
+func (h *Hamiltonian) rebuildKinetic() {
+	for s := range h.kin {
+		h.kin[s] = h.KineticFactor(s)
+	}
+}
+
+// Kinetic returns the kinetic diagonal 1/2 |G_s + k + A|^2 over the sphere
+// (read-only; SetField and SetBloch rewrite it in place).
+func (h *Hamiltonian) Kinetic() []float64 { return h.kin }
+
 // applyOne computes dst = H src for a single band of sphere coefficients,
 // using caller-provided scratch. No worker-pool parallelism: callers
 // parallelize over bands. withFock selects whether the exchange is folded
@@ -351,8 +368,8 @@ func (h *Hamiltonian) KineticFactor(s int) float64 {
 // reference and the symmetry-halved ApplyToReference runs instead.
 func (h *Hamiltonian) applyOne(dst, src []complex128, sc *applyScratch, withFock bool) {
 	ng := h.G.NG
-	for s := 0; s < ng; s++ {
-		dst[s] = complex(h.KineticFactor(s), 0) * src[s]
+	for s, k := range h.kin {
+		dst[s] = complex(k, 0) * src[s]
 	}
 	box, vbox := sc.box, sc.vbox
 	h.G.ToRealSlabWS(box, src, sc.fws)
@@ -499,7 +516,7 @@ func (h *Hamiltonian) KineticEnergyBand(c []complex128) float64 {
 	var k float64
 	for s := range c {
 		v := c[s]
-		k += h.KineticFactor(s) * (real(v)*real(v) + imag(v)*imag(v))
+		k += h.kin[s] * (real(v)*real(v) + imag(v)*imag(v))
 	}
 	return k
 }

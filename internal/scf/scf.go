@@ -179,6 +179,7 @@ func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int)
 
 	// Rayleigh quotients and preconditioned residuals.
 	w := make([]complex128, nb*ng)
+	kin := h.Kinetic()
 	parallel.For(nb, func(j int) {
 		p := psi[j*ng : (j+1)*ng]
 		hpj := hp[j*ng : (j+1)*ng]
@@ -190,7 +191,7 @@ func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int)
 		wj := w[j*ng : (j+1)*ng]
 		for s := 0; s < ng; s++ {
 			r := hpj[s] - complex(theta, 0)*p[s]
-			wj[s] = complex(teter(h.KineticFactor(s)/ekin), 0) * r
+			wj[s] = complex(teter(kin[s]/ekin), 0) * r
 		}
 	})
 

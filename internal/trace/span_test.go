@@ -146,4 +146,3 @@ func TestChromeTraceGolden(t *testing.T) {
 		t.Fatalf("golden mismatch:\n got %s\nwant %s", got, want)
 	}
 }
-
