@@ -1,5 +1,11 @@
 package fourier
 
-// ForEachVec exposes forEachVec to the external test package, which may
-// import the solver packages that import this one.
-var ForEachVec = forEachVec
+// ForEachVec, GoFusesMulAdd and HostHasAVX2 expose the in-package test
+// helpers to the external test package, which may import the solver
+// packages that import this one.
+var (
+	ForEachVec    = forEachVec
+	GoFusesMulAdd = goFusesMulAdd
+)
+
+func HostHasAVX2() bool { return useAVX2 }

@@ -5,25 +5,39 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"ptdft/internal/fourier"
+	"ptdft/internal/parallel"
 	"ptdft/internal/sim"
 )
 
 // TestVecKernelsSameTrajectory is the end-to-end face of
 // TestVecKernelsBitIdentical: the benchmark's three solver rows, ground
-// state and four steps each, hash to the same samples and final orbitals on
-// the Go loops and on the vector kernels. On a host without AVX2 it runs
-// the Go loops once and compares nothing.
+// state and four steps each at one worker, hash to the same samples and
+// final orbitals on the Go loops and on the vector kernels - and to the
+// pinned hash, which holds the step path's bits across any rewrite of the
+// transforms under it.
+//
+// The pins apply on amd64 hosts with AVX2 whose build does not fuse
+// multiply-add in Go code: arm64 and GOAMD64=v3 builds fuse, and math.Exp
+// takes an FMA branch on CPUs with AVX and FMA, which every AVX2 CPU has.
+// Hybrid bits depend on the worker count (the static split of the
+// pair-symmetric fold), hence one worker. A change that is meant to move
+// bits regenerates them: run this test with the pins blanked and copy the
+// hashes it reports.
 func TestVecKernelsSameTrajectory(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	pinned := runtime.GOARCH == "amd64" && fourier.HostHasAVX2() && !fourier.GoFusesMulAdd()
 	rows := []struct {
 		name string
 		spec sim.Spec
+		pin  string
 	}{
-		{"semilocal_serial_si16", sim.Spec{Cells: [3]int{2, 1, 1}, Ecut: 3, Kick: 0.02}},
-		{"exact_2rank_si8", sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 3, Hybrid: true, Ranks: 2, Exchange: "overlap", Kick: 0.02}},
-		{"ace_mts_2rank_si8e6", sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 6, Hybrid: true, ACE: true, MTS: 4, Ranks: 2, Exchange: "overlap", PulseE0: 0.01}},
+		{"semilocal_serial_si16", sim.Spec{Cells: [3]int{2, 1, 1}, Ecut: 3, Kick: 0.02}, "769179e73f39c787"},
+		{"exact_2rank_si8", sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 3, Hybrid: true, Ranks: 2, Exchange: "overlap", Kick: 0.02}, "341df689f41b4116"},
+		{"ace_mts_2rank_si8e6", sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 6, Hybrid: true, ACE: true, MTS: 4, Ranks: 2, Exchange: "overlap", PulseE0: 0.01}, "8001673247be0b5d"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -42,6 +56,9 @@ func TestVecKernelsSameTrajectory(t *testing.T) {
 			})
 			if len(hashes) == 2 && hashes[0] != hashes[1] {
 				t.Errorf("trajectory differs: Go loops %s, vector kernels %s", hashes[0], hashes[1])
+			}
+			if pinned && hashes[0] != row.pin {
+				t.Errorf("trajectory hash %s, pinned %s", hashes[0], row.pin)
 			}
 		})
 	}
