@@ -41,56 +41,84 @@ func hasAVX2() bool {
 }
 
 //go:noescape
-func bfly2AVX2(dre, dim, twre, twim *float64, m int)
+func bfly2AVX2(dre, dim, twre, twim *float64, m, blocks int)
 
 //go:noescape
-func bfly3AVX2(dre, dim, twre, twim *float64, m int, w1r, w1i, w2r, w2i float64)
+func bfly3AVX2(dre, dim, twre, twim *float64, m, blocks int, w1r, w1i, w2r, w2i float64)
 
 //go:noescape
-func bfly4AVX2(dre, dim, twre, twim *float64, m int, jr, ji float64)
+func bfly4AVX2(dre, dim, twre, twim *float64, m, blocks int, jr, ji float64)
 
 //go:noescape
-func copyRows8AVX2(dre, dim, sre, sim *float64, n, dstStride, srcStride int)
+func scatterRows8AVX2(dre, dim, sre, sim *float64, n, stride int)
 
-// combineVec runs the radix-r combine of one stage block (r sub-transforms
-// of m rows each, already in dre/dim) on the vector kernels and reports
-// whether it did; false leaves the block untouched for the Go loops.
-func combineVec(r, m int, dre, dim, twre, twim, rore, roim []float64) bool {
+//go:noescape
+func gatherRows8AVX2(dre, dim, sre, sim *float64, perm *int, n, stride int)
+
+// combineVec runs the radix-r combine of one stage over `blocks`
+// consecutive stage blocks (each r sub-transforms of m rows, already in
+// dre/dim) on the vector kernels and reports whether it did; false leaves
+// the blocks untouched for the Go loops.
+func combineVec(r, m, blocks int, dre, dim, twre, twim, rore, roim []float64) bool {
 	if !useAVX2 || r > 4 {
 		return false
 	}
-	if n := r * m; m < 1 || len(dre) < n*lw || len(dim) < n*lw || len(twre) < n || len(twim) < n {
-		panic(fmt.Sprintf("fourier: radix-%d stage of %d rows: data %d/%d floats, twiddles %d/%d",
-			r, m, len(dre), len(dim), len(twre), len(twim)))
+	if n := r * m; m < 1 || blocks < 1 || len(dre) < blocks*n*lw || len(dim) < blocks*n*lw || len(twre) < n || len(twim) < n {
+		panic(fmt.Sprintf("fourier: radix-%d stage of %d blocks of %d rows: data %d/%d floats, twiddles %d/%d",
+			r, blocks, m, len(dre), len(dim), len(twre), len(twim)))
 	}
 	switch r {
 	case 2:
-		bfly2AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m)
+		bfly2AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m, blocks)
 	case 3:
-		bfly3AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m, rore[1], roim[1], rore[2], roim[2])
+		bfly3AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m, blocks, rore[1], roim[1], rore[2], roim[2])
 	case 4:
-		bfly4AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m, rore[1], roim[1])
+		bfly4AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m, blocks, rore[1], roim[1])
 	}
 	return true
 }
 
-// copyRowsVec copies n rows of Width values, row k from src[sOff+k*sStride:]
-// to dst[dOff+k*dStride:], in both halves of the slabs, and reports whether
-// it did.
-func copyRowsVec(dst lanes.Slab, dOff, dStride int, src lanes.Slab, sOff, sStride, n int) bool {
+// scatterRowsVec copies the n rows of a lane block, row k to
+// dst[off+k*stride:], in both halves of the slabs, and reports whether it
+// did.
+func scatterRowsVec(dst lanes.Slab, b lanes.Slab, off, n, stride int) bool {
 	if !useAVX2 {
 		return false
 	}
 	if n < 1 {
 		return true
 	}
-	dEnd := dOff + (n-1)*dStride + lw
-	sEnd := sOff + (n-1)*sStride + lw
-	if dOff < 0 || sOff < 0 || dStride < 0 || sStride < 0 ||
-		dEnd > len(dst.Re) || dEnd > len(dst.Im) || sEnd > len(src.Re) || sEnd > len(src.Im) {
-		panic(fmt.Sprintf("fourier: %d strided rows reach [%d, %d) of a %d/%d slab and [%d, %d) of a %d/%d slab",
-			n, dOff, dEnd, len(dst.Re), len(dst.Im), sOff, sEnd, len(src.Re), len(src.Im)))
+	if end := off + (n-1)*stride + lw; off < 0 || stride < 0 || end > len(dst.Re) || end > len(dst.Im) ||
+		n*lw > len(b.Re) || n*lw > len(b.Im) {
+		panic(fmt.Sprintf("fourier: %d rows of a %d/%d block to [%d, %d) of a %d/%d slab",
+			n, len(b.Re), len(b.Im), off, end, len(dst.Re), len(dst.Im)))
 	}
-	copyRows8AVX2(&dst.Re[dOff], &dst.Im[dOff], &src.Re[sOff], &src.Im[sOff], n, dStride, sStride)
+	scatterRows8AVX2(&dst.Re[off], &dst.Im[off], &b.Re[0], &b.Im[0], n, stride)
+	return true
+}
+
+// gatherRowsVec fills the n rows of a lane block, row k with the Width
+// values at src[off+perm[k]*stride:], in both halves of the slabs, and
+// reports whether it did.
+func gatherRowsVec(b lanes.Slab, src lanes.Slab, off, n, stride int, perm []int) bool {
+	if !useAVX2 {
+		return false
+	}
+	if n < 1 {
+		return true
+	}
+	if n > len(perm) {
+		panic(fmt.Sprintf("fourier: %d permuted rows from a table of %d", n, len(perm)))
+	}
+	lo, hi := perm[0], perm[0]
+	for _, j := range perm[:n] {
+		lo, hi = min(lo, j), max(hi, j)
+	}
+	if sEnd := off + hi*stride + lw; n*lw > len(b.Re) || n*lw > len(b.Im) || off < 0 || stride < 0 || lo < 0 ||
+		sEnd > len(src.Re) || sEnd > len(src.Im) {
+		panic(fmt.Sprintf("fourier: %d rows at offsets %d..%d, stride %d, from %d: a %d/%d block and a %d/%d slab",
+			n, lo, hi, stride, off, len(b.Re), len(b.Im), len(src.Re), len(src.Im)))
+	}
+	gatherRows8AVX2(&b.Re[0], &b.Im[0], &src.Re[off], &src.Im[off], &perm[0], n, stride)
 	return true
 }

@@ -1,6 +1,6 @@
-// AVX2 renditions of the radix-2/3/4 combine loops of recurseLanes and of
-// the 8-float64 row copy behind gatherStrided/scatterStrided (fftlanes.go,
-// slab.go). One lane row is Width = 8 float64 = two ymm; every kernel walks
+// AVX2 renditions of the radix-2/3/4 combine loops of stage.combine and of
+// the 8-float64 row copies behind gatherStrided (permuted) and
+// scatterStrided (fftlanes.go, slab.go). One lane row is Width = 8 float64 = two ymm; every kernel walks
 // the low half (byte offset 0) and the high half (offset 32) of each row
 // with the same macro. The arithmetic is the Go loops' expression trees,
 // operation for operation: VMULPD, VADDPD and VSUBPD only, no fused
@@ -32,18 +32,23 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	MOVL AX, eax+0(FP)
 	RET
 
-// Register plan shared by the three butterflies:
+// Each butterfly runs one stage over `blocks` consecutive stage blocks of
+// r*m rows; within a block, sub-transform q is rows [q*m, (q+1)*m). Register
+// plan shared by the three:
 //
-//	SI, DI   &dre[k*8], &dim[k*8]      row k of block 0
-//	BX       m*64                      bytes from block q to block q+1
+//	SI, DI   &dre[k*8], &dim[k*8]      row k of sub-transform 0
+//	BX       m*64                      bytes from sub-transform q to q+1
 //	R11      3*m*64                    (radix 4)
 //	R8, R9   &twre[k], &twim[k]        twiddle column k of block 0
 //	AX       m*8                       bytes from twiddle block q to q+1
 //	R10      3*m*8                     (radix 4)
-//	CX       rows left
+//	CX       rows left in this block
+//	R12      blocks left
+//	R13      m
 // The argument loads are spelled out in each TEXT (not in SETUP) so that
 // go vet's asmdecl, which does not expand macros, checks every FP offset.
 #define SETUP \
+	MOVQ CX, R13 \
 	MOVQ CX, AX \
 	SHLQ $3, AX \
 	MOVQ CX, BX \
@@ -55,6 +60,18 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	ADDQ $8, R8  \
 	ADDQ $8, R9  \
 	DECQ CX      \
+	JNZ  loop
+
+// NEXTBLOCK(skip, loop) moves from the end of sub-transform 0 of one block
+// (skip = (r-1)*m*64 bytes before the next block) to row 0 of the next and
+// rewinds the twiddle column.
+#define NEXTBLOCK(skip, loop) \
+	ADDQ skip, SI \
+	ADDQ skip, DI \
+	SUBQ AX, R8   \
+	SUBQ AX, R9   \
+	MOVQ R13, CX  \
+	DECQ R12      \
 	JNZ  loop
 
 // TWMUL(dr, di, wr, wi, or, oi) loads one half row (dr, di) of a block and
@@ -92,18 +109,20 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	VMOVUPD Y0, off(SI) \
 	VMOVUPD Y1, off(DI)
 
-// func bfly2AVX2(dre, dim, twre, twim *float64, m int)
-TEXT ·bfly2AVX2(SB), NOSPLIT, $0-40
+// func bfly2AVX2(dre, dim, twre, twim *float64, m, blocks int)
+TEXT ·bfly2AVX2(SB), NOSPLIT, $0-48
 	MOVQ dre+0(FP), SI
 	MOVQ dim+8(FP), DI
 	MOVQ twre+16(FP), R8
 	MOVQ twim+24(FP), R9
 	MOVQ m+32(FP), CX
+	MOVQ blocks+40(FP), R12
 	SETUP
 loop2:
 	BFLY2(0)
 	BFLY2(32)
 	NEXTROW(loop2)
+	NEXTBLOCK(BX, loop2)
 	VZEROUPPER
 	RET
 
@@ -147,22 +166,25 @@ loop2:
 	ROT3(VSUBPD, Y14, Y15, Y12, Y13, Y6, off(SI)(BX*2)) \
 	ROT3(VADDPD, Y15, Y14, Y13, Y12, Y7, off(DI)(BX*2))
 
-// func bfly3AVX2(dre, dim, twre, twim *float64, m int, w1r, w1i, w2r, w2i float64)
-TEXT ·bfly3AVX2(SB), NOSPLIT, $0-72
+// func bfly3AVX2(dre, dim, twre, twim *float64, m, blocks int, w1r, w1i, w2r, w2i float64)
+TEXT ·bfly3AVX2(SB), NOSPLIT, $0-80
 	MOVQ dre+0(FP), SI
 	MOVQ dim+8(FP), DI
 	MOVQ twre+16(FP), R8
 	MOVQ twim+24(FP), R9
 	MOVQ m+32(FP), CX
+	MOVQ blocks+40(FP), R12
 	SETUP
-	VBROADCASTSD w1r+40(FP), Y12
-	VBROADCASTSD w1i+48(FP), Y13
-	VBROADCASTSD w2r+56(FP), Y14
-	VBROADCASTSD w2i+64(FP), Y15
+	LEAQ (BX)(BX*1), R10
+	VBROADCASTSD w1r+48(FP), Y12
+	VBROADCASTSD w1i+56(FP), Y13
+	VBROADCASTSD w2r+64(FP), Y14
+	VBROADCASTSD w2i+72(FP), Y15
 loop3:
 	BFLY3(0)
 	BFLY3(32)
 	NEXTROW(loop3)
+	NEXTBLOCK(R10, loop3)
 	VZEROUPPER
 	RET
 
@@ -209,41 +231,40 @@ loop3:
 	VSUBPD  Y5, Y7, Y0  \
 	VMOVUPD Y0, off(DI)(R11*1)
 
-// func bfly4AVX2(dre, dim, twre, twim *float64, m int, jr, ji float64)
-TEXT ·bfly4AVX2(SB), NOSPLIT, $0-56
+// func bfly4AVX2(dre, dim, twre, twim *float64, m, blocks int, jr, ji float64)
+TEXT ·bfly4AVX2(SB), NOSPLIT, $0-64
 	MOVQ dre+0(FP), SI
 	MOVQ dim+8(FP), DI
 	MOVQ twre+16(FP), R8
 	MOVQ twim+24(FP), R9
 	MOVQ m+32(FP), CX
+	MOVQ blocks+40(FP), R12
 	SETUP
 	LEAQ (AX)(AX*2), R10
 	LEAQ (BX)(BX*2), R11
-	VBROADCASTSD jr+40(FP), Y14
-	VBROADCASTSD ji+48(FP), Y15
+	VBROADCASTSD jr+48(FP), Y14
+	VBROADCASTSD ji+56(FP), Y15
 loop4:
 	BFLY4(0)
 	BFLY4(32)
 	NEXTROW(loop4)
+	NEXTBLOCK(R11, loop4)
 	VZEROUPPER
 	RET
 
-// func copyRows8AVX2(dre, dim, sre, sim *float64, n, dstStride, srcStride int)
+// func scatterRows8AVX2(dre, dim, sre, sim *float64, n, stride int)
 //
-// Copies n rows of 8 float64 in each of the re and im arrays; row k is read
-// at s + k*srcStride and written at d + k*dstStride (strides in elements).
-// Each row is loaded whole before it is stored.
-TEXT ·copyRows8AVX2(SB), NOSPLIT, $0-56
+// Copies n contiguous rows of 8 float64 in each of the re and im arrays;
+// row k is written at d + k*stride (stride in elements).
+TEXT ·scatterRows8AVX2(SB), NOSPLIT, $0-48
 	MOVQ dre+0(FP), DI
 	MOVQ dim+8(FP), R8
 	MOVQ sre+16(FP), SI
 	MOVQ sim+24(FP), R9
 	MOVQ n+32(FP), CX
-	MOVQ dstStride+40(FP), AX
-	MOVQ srcStride+48(FP), BX
+	MOVQ stride+40(FP), AX
 	SHLQ $3, AX
-	SHLQ $3, BX
-copyloop:
+scatterloop:
 	VMOVUPD (SI), Y0
 	VMOVUPD 32(SI), Y1
 	VMOVUPD (R9), Y2
@@ -252,11 +273,43 @@ copyloop:
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, (R8)
 	VMOVUPD Y3, 32(R8)
-	ADDQ BX, SI
-	ADDQ BX, R9
+	ADDQ $64, SI
+	ADDQ $64, R9
 	ADDQ AX, DI
 	ADDQ AX, R8
 	DECQ CX
-	JNZ  copyloop
+	JNZ  scatterloop
+	VZEROUPPER
+	RET
+
+// func gatherRows8AVX2(dre, dim, sre, sim *float64, perm *int, n, stride int)
+//
+// Fills n contiguous rows of 8 float64 in each of the re and im arrays; row
+// k is read at s + perm[k]*stride (stride in elements).
+TEXT ·gatherRows8AVX2(SB), NOSPLIT, $0-56
+	MOVQ dre+0(FP), DI
+	MOVQ dim+8(FP), R8
+	MOVQ sre+16(FP), SI
+	MOVQ sim+24(FP), R9
+	MOVQ perm+32(FP), DX
+	MOVQ n+40(FP), CX
+	MOVQ stride+48(FP), BX
+	SHLQ $3, BX
+gatherloop:
+	MOVQ    (DX), AX
+	IMULQ   BX, AX
+	VMOVUPD (SI)(AX*1), Y0
+	VMOVUPD 32(SI)(AX*1), Y1
+	VMOVUPD (R9)(AX*1), Y2
+	VMOVUPD 32(R9)(AX*1), Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (R8)
+	VMOVUPD Y3, 32(R8)
+	ADDQ $8, DX
+	ADDQ $64, DI
+	ADDQ $64, R8
+	DECQ CX
+	JNZ  gatherloop
 	VZEROUPPER
 	RET

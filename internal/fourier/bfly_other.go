@@ -7,8 +7,8 @@ import "ptdft/internal/lanes"
 // No vector kernels on this GOARCH: useAVX2 stays false and the Go loops in
 // fftlanes.go and slab.go are the only path.
 
-func combineVec(r, m int, dre, dim, twre, twim, rore, roim []float64) bool { return false }
+func combineVec(r, m, blocks int, dre, dim, twre, twim, rore, roim []float64) bool { return false }
 
-func copyRowsVec(dst lanes.Slab, dOff, dStride int, src lanes.Slab, sOff, sStride, n int) bool {
-	return false
-}
+func scatterRowsVec(dst lanes.Slab, b lanes.Slab, off, n, stride int) bool { return false }
+
+func gatherRowsVec(b lanes.Slab, src lanes.Slab, off, n, stride int, perm []int) bool { return false }

@@ -7,18 +7,21 @@
 // its N^2 Poisson-like solves through these plans.
 //
 // There is one implementation. fft.go plans a length (factorization,
-// twiddle tables, Bluestein kernels), fftlanes.go transforms a lane block,
-// slab.go runs the 3D passes and their fused Poisson and contraction forms
-// over grid slabs, and fft3.go holds the one adapter that lets a
-// []complex128 caller (setup code, the MD forces) reach them.
+// twiddle tables, Bluestein kernels, the digit-reversal order perm),
+// fftlanes.go transforms a lane block in place with one stage loop and no
+// recursion, slab.go runs the 3D passes - whose gathers read element
+// perm[k] into row k, so the permutation costs no pass of its own - and
+// their fused Poisson and contraction forms over grid slabs, and fft3.go
+// holds the one adapter that lets a []complex128 caller (setup code, the MD
+// forces) reach them.
 //
 // Conventions: a forward transform computes X[k] = sum_j x[j]
 // exp(-2*pi*i*j*k/N); the Raw entry points apply no normalization in either
 // direction and ApplySerialWS carries 1/N on the inverse.
 //
 // Memory discipline: all per-transform scratch lives in Workspace objects
-// made by the plan. NewPlan precomputes every twiddle table the butterfly
-// passes read (one dense table per recursion level, so the hot loops index
+// made by the plan. NewPlan precomputes every table the passes read (perm
+// and one dense twiddle table per stage, so the hot loops index
 // sequentially with no modular arithmetic), and callers either hold an
 // explicit Workspace3 or check one out of the 3D plan's pool - either way
 // the steady-state transform performs zero heap allocations.
@@ -38,7 +41,7 @@ import (
 const maxDirectRadix = 61
 
 // stage holds the precomputed combine tables for one level of the
-// decimation-in-time recursion: a length-n_l twiddle table indexed q*m+k
+// decimation-in-time factorization: a length-n_l twiddle table indexed q*m+k
 // (replacing the (q*k*step) mod N lookups of a table-free implementation)
 // and the order-r roots of unity for the cross-output butterfly.
 //
@@ -61,8 +64,11 @@ type stage struct {
 type Plan struct {
 	n       int
 	factors []int   // prime factorization of n, ascending (4s merged)
-	stages  []stage // one entry per recursion level, top level first
-	blu     *bluestein
+	stages  []stage // one entry per factorization level, top level first
+	// perm is the order the stage loop takes its input in: row k holds
+	// input element perm[k] (the identity without stages: Bluestein, n = 1).
+	perm []int
+	blu  *bluestein
 }
 
 // Workspace is the per-call scratch of one 1D transform. Only plans that
@@ -100,10 +106,27 @@ func NewPlan(n int) (*Plan, error) {
 	} else {
 		p.buildStages()
 	}
+	p.buildPerm()
 	return p, nil
 }
 
-// buildStages tabulates the combine twiddles for every recursion level.
+// buildPerm tabulates perm, the mixed-radix digit reversal: row
+// sum_l q_l*m_l holds input element sum_l q_l*s_l, with q_l < r_l and
+// s_l = r_0*...*r_{l-1} the input stride of level l; digits no stage
+// consumes (all of them without stages) keep their place.
+func (p *Plan) buildPerm() {
+	p.perm = make([]int, p.n)
+	for k := range p.perm {
+		j, s := 0, 1
+		for _, st := range p.stages {
+			j += k / st.m % st.r * s
+			s *= st.r
+		}
+		p.perm[k] = j + k/s*s
+	}
+}
+
+// buildStages tabulates the combine twiddles for every level.
 // Level l transforms length n_l = n / prod(r_0..r_{l-1}), splitting off
 // r_l = the largest remaining factor; its forward table tw[q*m+k] equals the
 // global twiddle exp(-2*pi*i*q*k*step/N) with step = N/n_l.
@@ -257,7 +280,8 @@ func newBluestein(n int) (*bluestein, error) {
 			seq.Re[k*lw+1], seq.Im[k*lw+1] = real(c), imag(c)
 		}
 	}
-	inner.transformLanes(out, seq, false, nil)
+	gatherStrided(out, seq, 0, m, lw, lw, inner.perm)
+	inner.transformLanes(out, false, nil)
 	b.kernelFre, b.kernelFim = make([]float64, m), make([]float64, m)
 	b.kernelBre, b.kernelBim = make([]float64, m), make([]float64, m)
 	for i := 0; i < m; i++ {

@@ -24,7 +24,7 @@ type Plan3 struct {
 // back to Bluestein. A Workspace3 must not be shared between concurrent
 // transforms.
 type Workspace3 struct {
-	lu, lv        lanes.Slab // lane blocks of the axis passes, maxdim*lanes.Width
+	lu, lv        lanes.Slab // maxdim*lanes.Width each; lv holds the Poisson x pass's inverse
 	wsx, wsy, wsz *Workspace
 	// grid is the grid slab RawSerialWS computes in, allocated by its first
 	// call: the workspaces of the step path, which never make one, do not

@@ -39,21 +39,31 @@ func naiveDFT(x []complex128, inverse bool) []complex128 {
 	return out
 }
 
+// laneTransform runs p over a lane block src in natural order the way a
+// pass does - the gather into perm order, then the in-place stage loop -
+// and returns the result, leaving src as it was.
+func laneTransform(p *Plan, src lanes.Slab, inverse bool, ws *Workspace) lanes.Slab {
+	b := lanes.New(p.n * lw)
+	gatherStrided(b, src, 0, p.n, lw, lw, p.perm)
+	p.transformLanes(b, inverse, ws)
+	return b
+}
+
 // transform1D runs one length-n transform through the code under test,
-// transformLanes, and returns it in the oracle's layout and normalization
+// laneTransform, and returns it in the oracle's layout and normalization
 // (1/N on the inverse). x rides in one lane of a lane block whose other
 // lanes hold noise, which must not leak into it.
 func transform1D(p *Plan, x []complex128, inverse bool, lane int) []complex128 {
 	n := p.Len()
 	rng := rand.New(rand.NewSource(int64(n)))
-	src, dst := lanes.New(n*lw), lanes.New(n*lw)
+	src := lanes.New(n * lw)
 	for i := range src.Re {
 		src.Re[i], src.Im[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
 	for k, v := range x {
 		src.Re[k*lw+lane], src.Im[k*lw+lane] = real(v), imag(v)
 	}
-	p.transformLanes(dst, src, inverse, p.NewWorkspace())
+	dst := laneTransform(p, src, inverse, p.NewWorkspace())
 	out := make([]complex128, n)
 	for k := range out {
 		out[k] = complex(dst.Re[k*lw+lane], dst.Im[k*lw+lane])
@@ -84,7 +94,9 @@ func maxAbsDiff(a, b []complex128) float64 {
 
 func TestForwardMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 15, 16, 17, 18, 20, 24, 30, 32, 36, 45, 48, 60, 64, 90, 97, 101, 120, 128}
+	// 7 and 14 run the generic radix-7 stage (no vector kernel), 210 =
+	// 2*3*5*7 every radix the fast sizes have, 97 and 101 Bluestein.
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 20, 24, 30, 32, 36, 45, 48, 60, 64, 90, 97, 101, 120, 128, 210}
 	for _, n := range sizes {
 		p := MustPlan(n)
 		x := randomVec(rng, n)
@@ -98,7 +110,7 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 
 func TestInverseMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 2, 3, 5, 8, 12, 21, 32, 60, 97, 120} {
+	for _, n := range []int{1, 2, 3, 5, 7, 8, 12, 14, 21, 32, 60, 97, 120, 210} {
 		p := MustPlan(n)
 		x := randomVec(rng, n)
 		got := transform1D(p, x, true, n%lw)

@@ -2,14 +2,16 @@ package fourier
 
 import "ptdft/internal/lanes"
 
-// This file is the 1D transform: the mixed-radix recursion and Bluestein
-// fallback that fft.go plans, operating on lanes.Width pencils at once.
-// Data lives in a lane block - a Slab of length n*lanes.Width with element
-// k of pencil l at offset k*Width+l - so each butterfly loads its twiddle
-// once (uniform) and applies it to Width independent pencils (varying) in a
-// fixed-width, bounds-check-free inner loop. One recursion walk and one
-// twiddle stream serve Width pencils, amortizing the call overhead and
-// table traffic that dominate a per-pencil transform.
+// This file is the 1D transform: the in-place mixed-radix stage loop and
+// the Bluestein fallback that fft.go plans, operating on lanes.Width
+// pencils at once. Data lives in a lane block - a Slab of length
+// n*lanes.Width with element k of pencil l at offset k*Width+l - so each
+// butterfly loads its twiddle once (uniform) and applies it to Width
+// independent pencils (varying) in a fixed-width, bounds-check-free inner
+// loop. There is no recursion and no second block: the digit-reversal
+// permutation of decimation in time lives in the gathers that fill the
+// block (the plan's perm, read by every pass in slab.go), and the stages
+// then combine the block where it lies.
 
 const lw = lanes.Width
 
@@ -23,56 +25,38 @@ const lw = lanes.Width
 // variable in-package).
 var useAVX2 bool
 
-// transformLanes runs one unnormalized transform over a lane block of
-// lanes.Width pencils. dst and src are lane blocks of length n*Width and
-// must not alias; plans with a Bluestein fallback require a workspace from
-// NewWorkspace.
-func (p *Plan) transformLanes(dst, src lanes.Slab, inverse bool, ws *Workspace) {
-	if p.n == 1 {
-		*(*[lw]float64)(dst.Re) = *(*[lw]float64)(src.Re)
-		*(*[lw]float64)(dst.Im) = *(*[lw]float64)(src.Im)
-		return
-	}
+// transformLanes runs one unnormalized transform in place over a lane block
+// b of n*Width: input in perm order (row k is element perm[k]), output in
+// natural order. The stages run deepest first, each over all of its blocks,
+// so every element meets the same butterflies in the same order as under a
+// recursion. Bluestein plans require a workspace from NewWorkspace.
+func (p *Plan) transformLanes(b lanes.Slab, inverse bool, ws *Workspace) {
 	if p.blu != nil {
-		p.blu.transformLanes(dst, src, inverse, ws)
+		p.blu.transformLanes(b, inverse, ws)
 		return
 	}
-	p.recurseLanes(dst, src, 1, 0, inverse)
+	for d := len(p.stages) - 1; d >= 0; d-- {
+		st := &p.stages[d]
+		r, m := st.r, st.m
+		twre, twim := st.twRe, st.twFim
+		rore, roim := st.rootRe, st.rootFim
+		if inverse {
+			twim, roim = st.twIim, st.rootIim
+		}
+		if combineVec(r, m, p.n/(r*m), b.Re, b.Im, twre, twim, rore, roim) {
+			continue
+		}
+		for o := 0; o < p.n*lw; o += r * m * lw {
+			combineLanes(r, m, b.Re[o:], b.Im[o:], twre, twim, rore, roim)
+		}
+	}
 }
 
-// recurseLanes performs the decimation-in-time mixed-radix step at recursion
-// depth d over a lane block: split into r sub-transforms of length m reading
-// src with stride, then combine in place in dst using the stage's
-// precomputed tables, X[k + p*m] = sum_q tw[q*m+k] * root[(q*p) mod r] *
-// F_q[k]. Every element offset is scaled by Width. The plan has at least
-// one stage (transformLanes handles n == 1).
-func (p *Plan) recurseLanes(dst, src lanes.Slab, stride, d int, inverse bool) {
-	st := &p.stages[d]
-	r, m := st.r, st.m
-	if m == 1 {
-		// Last stage: the r sub-transforms are single rows, copied here
-		// instead of through r more calls.
-		if !copyRowsVec(dst, 0, lw, src, 0, stride*lw, r) {
-			for q := 0; q < r; q++ {
-				*(*[lw]float64)(dst.Re[q*lw:]) = *(*[lw]float64)(src.Re[q*stride*lw:])
-				*(*[lw]float64)(dst.Im[q*lw:]) = *(*[lw]float64)(src.Im[q*stride*lw:])
-			}
-		}
-	} else {
-		for q := 0; q < r; q++ {
-			sub := lanes.Slab{Re: src.Re[q*stride*lw:], Im: src.Im[q*stride*lw:]}
-			p.recurseLanes(dst.Slice(q*m*lw, (q+1)*m*lw), sub, stride*r, d+1, inverse)
-		}
-	}
-	twre, twim := st.twRe, st.twFim
-	rore, roim := st.rootRe, st.rootFim
-	if inverse {
-		twim, roim = st.twIim, st.rootIim
-	}
-	dre, dim := dst.Re, dst.Im
-	if combineVec(r, m, dre, dim, twre, twim, rore, roim) {
-		return
-	}
+// combineLanes is the Go rendition of one stage block's radix-r butterfly,
+// in place over r sub-transforms of m rows each: X[k + p*m] = sum_q
+// tw[q*m+k] * root[(q*p) mod r] * F_q[k], every element offset scaled by
+// Width.
+func combineLanes(r, m int, dre, dim, twre, twim, rore, roim []float64) {
 	switch r {
 	case 2:
 		for k := 0; k < m; k++ {
@@ -189,10 +173,13 @@ func (p *Plan) recurseLanes(dst, src lanes.Slab, stride, d int, inverse bool) {
 	}
 }
 
-// transformLanes is the lane-blocked Bluestein chirp-z transform. The 1/m
-// normalization of the inner inverse is folded into the final chirp
-// multiply, saving one pass over the convolution buffer.
-func (b *bluestein) transformLanes(dst, src lanes.Slab, inverse bool, ws *Workspace) {
+// transformLanes is the lane-blocked Bluestein chirp-z transform, in place
+// on x in natural order. The multiplies that feed its two power-of-two
+// inner transforms write their rows in the inner plan's perm order (rows
+// past n are the convolution's zero padding). The 1/m normalization of the
+// inner inverse is folded into the final chirp multiply, saving one pass
+// over the convolution buffer.
+func (b *bluestein) transformLanes(x lanes.Slab, inverse bool, ws *Workspace) {
 	chre, chim := b.chirpRe, b.chirpFim
 	kre, kim := b.kernelFre, b.kernelFim
 	if inverse {
@@ -200,43 +187,45 @@ func (b *bluestein) transformLanes(dst, src lanes.Slab, inverse bool, ws *Worksp
 		kre, kim = b.kernelBre, b.kernelBim
 	}
 	la, lfa := ws.la, ws.lfa
-	for j := 0; j < b.n; j++ {
+	perm := b.inner.perm
+	for k, j := range perm {
+		ar := (*[lw]float64)(la.Re[k*lw:])
+		ai := (*[lw]float64)(la.Im[k*lw:])
+		if j >= b.n {
+			*ar, *ai = [lw]float64{}, [lw]float64{}
+			continue
+		}
 		wr, wi := chre[j], chim[j]
-		sr := (*[lw]float64)(src.Re[j*lw:])
-		si := (*[lw]float64)(src.Im[j*lw:])
-		ar := (*[lw]float64)(la.Re[j*lw:])
-		ai := (*[lw]float64)(la.Im[j*lw:])
+		sr := (*[lw]float64)(x.Re[j*lw:])
+		si := (*[lw]float64)(x.Im[j*lw:])
 		for l := 0; l < lw; l++ {
 			ar[l] = sr[l]*wr - si[l]*wi
 			ai[l] = sr[l]*wi + si[l]*wr
 		}
 	}
-	for j := b.n * lw; j < b.m*lw; j++ {
-		la.Re[j] = 0
-		la.Im[j] = 0
-	}
-	b.inner.recurseLanes(lfa, la, 1, 0, false)
-	for i := 0; i < b.m; i++ {
+	b.inner.transformLanes(la, false, nil)
+	for k, i := range perm {
 		wr, wi := kre[i], kim[i]
-		ar := (*[lw]float64)(lfa.Re[i*lw:])
-		ai := (*[lw]float64)(lfa.Im[i*lw:])
+		ar := (*[lw]float64)(la.Re[i*lw:])
+		ai := (*[lw]float64)(la.Im[i*lw:])
+		fr := (*[lw]float64)(lfa.Re[k*lw:])
+		fi := (*[lw]float64)(lfa.Im[k*lw:])
 		for l := 0; l < lw; l++ {
-			xr := ar[l]*wr - ai[l]*wi
-			ai[l] = ar[l]*wi + ai[l]*wr
-			ar[l] = xr
+			fr[l] = ar[l]*wr - ai[l]*wi
+			fi[l] = ar[l]*wi + ai[l]*wr
 		}
 	}
-	b.inner.recurseLanes(la, lfa, 1, 0, true)
+	b.inner.transformLanes(lfa, true, nil)
 	invm := 1 / float64(b.m)
 	for k := 0; k < b.n; k++ {
 		wr, wi := chre[k]*invm, chim[k]*invm
-		ar := (*[lw]float64)(la.Re[k*lw:])
-		ai := (*[lw]float64)(la.Im[k*lw:])
-		dr := (*[lw]float64)(dst.Re[k*lw:])
-		di := (*[lw]float64)(dst.Im[k*lw:])
+		fr := (*[lw]float64)(lfa.Re[k*lw:])
+		fi := (*[lw]float64)(lfa.Im[k*lw:])
+		xr := (*[lw]float64)(x.Re[k*lw:])
+		xi := (*[lw]float64)(x.Im[k*lw:])
 		for l := 0; l < lw; l++ {
-			dr[l] = ar[l]*wr - ai[l]*wi
-			di[l] = ar[l]*wi + ai[l]*wr
+			xr[l] = fr[l]*wr - fi[l]*wi
+			xi[l] = fr[l]*wi + fi[l]*wr
 		}
 	}
 }

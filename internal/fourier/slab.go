@@ -9,7 +9,11 @@ import (
 // This file is the 3D transform: the grid lives in a lanes.Slab (element i
 // at Re[i]/Im[i]) and every axis pass transforms lanes.Width pencils at once
 // through transformLanes, with the Poisson kernel multiply and the exchange
-// pair product fused into the passes that touch the data anyway. Pencil-count
+// pair product fused into the passes that touch the data anyway. Each pass
+// gathers a lane group into ws.lu in its axis plan's digit-reversal order
+// (element perm[k] into row k), transforms it there in place - one stage
+// loop, no recursion - and scatters the natural order back out of the same
+// block, so the permutation costs no pass of its own. Pencil-count
 // remainders (grids whose pencil counts are not multiples of Width) run
 // through the same lane kernels with the unused lanes zero-filled - the
 // transform of a zero lane is zero, so the padding never leaks into real
@@ -43,7 +47,7 @@ func (p *Plan3) zPassSlab(dst, src lanes.Slab, rows []int, inverse bool, ws *Wor
 		n = len(rows)
 	}
 	lu := ws.lu.Slice(0, nz*lw)
-	lv := ws.lv.Slice(0, nz*lw)
+	perm := p.pz.perm
 	var bases [lw]int
 	for r0 := 0; r0 < n; r0 += lw {
 		L := min(lw, n-r0)
@@ -56,20 +60,20 @@ func (p *Plan3) zPassSlab(dst, src lanes.Slab, rows []int, inverse bool, ws *Wor
 			bases[l] = base
 			rre := src.Re[base : base+nz]
 			rim := src.Im[base : base+nz]
-			for k := 0; k < nz; k++ {
-				lu.Re[k*lw+l] = rre[k]
-				lu.Im[k*lw+l] = rim[k]
+			for k, j := range perm {
+				lu.Re[k*lw+l] = rre[j]
+				lu.Im[k*lw+l] = rim[j]
 			}
 		}
 		zeroTailLanes(lu, nz, L)
-		p.pz.transformLanes(lv, lu, inverse, ws.wsz)
+		p.pz.transformLanes(lu, inverse, ws.wsz)
 		for l := 0; l < L; l++ {
 			base := bases[l]
 			rre := dst.Re[base : base+nz]
 			rim := dst.Im[base : base+nz]
 			for k := 0; k < nz; k++ {
-				rre[k] = lv.Re[k*lw+l]
-				rim[k] = lv.Im[k*lw+l]
+				rre[k] = lu.Re[k*lw+l]
+				rim[k] = lu.Im[k*lw+l]
 			}
 		}
 	}
@@ -89,23 +93,24 @@ func zeroTailLanes(b lanes.Slab, n, L int) {
 }
 
 // gatherStrided packs Width pencils of length n with element stride into a
-// lane block: lane l element k reads src[off + k*stride + l]. The Width
-// consecutive source values per element are contiguous, so the full-group
-// fast path is an 8-wide copy per element.
-func gatherStrided(b lanes.Slab, src lanes.Slab, off, n, stride, L int) {
+// lane block in the digit-reversal order perm: lane l of row k reads
+// src[off + perm[k]*stride + l]. The Width consecutive source values per
+// element are contiguous, so the full-group fast path is an 8-wide copy per
+// row.
+func gatherStrided(b lanes.Slab, src lanes.Slab, off, n, stride, L int, perm []int) {
 	if L == lw {
-		if copyRowsVec(b, 0, lw, src, off, stride, n) {
+		if gatherRowsVec(b, src, off, n, stride, perm) {
 			return
 		}
 		for k := 0; k < n; k++ {
-			o := off + k*stride
+			o := off + perm[k]*stride
 			*(*[lw]float64)(b.Re[k*lw:]) = *(*[lw]float64)(src.Re[o:])
 			*(*[lw]float64)(b.Im[k*lw:]) = *(*[lw]float64)(src.Im[o:])
 		}
 		return
 	}
 	for k := 0; k < n; k++ {
-		o := off + k*stride
+		o := off + perm[k]*stride
 		for l := 0; l < L; l++ {
 			b.Re[k*lw+l] = src.Re[o+l]
 			b.Im[k*lw+l] = src.Im[o+l]
@@ -117,10 +122,11 @@ func gatherStrided(b lanes.Slab, src lanes.Slab, off, n, stride, L int) {
 	}
 }
 
-// scatterStrided is the inverse of gatherStrided.
+// scatterStrided is the inverse of gatherStrided in natural order: row k
+// goes to dst[off + k*stride].
 func scatterStrided(dst lanes.Slab, b lanes.Slab, off, n, stride, L int) {
 	if L == lw {
-		if copyRowsVec(dst, off, stride, b, 0, lw, n) {
+		if scatterRowsVec(dst, b, off, n, stride) {
 			return
 		}
 		for k := 0; k < n; k++ {
@@ -148,7 +154,6 @@ func (p *Plan3) yPassSlab(dst lanes.Slab, planes []int, inverse bool, ws *Worksp
 		n = len(planes)
 	}
 	lu := ws.lu.Slice(0, ny*lw)
-	lv := ws.lv.Slice(0, ny*lw)
 	for i := 0; i < n; i++ {
 		ix := i
 		if planes != nil {
@@ -157,9 +162,9 @@ func (p *Plan3) yPassSlab(dst lanes.Slab, planes []int, inverse bool, ws *Worksp
 		base := ix * ny * nz
 		for iz0 := 0; iz0 < nz; iz0 += lw {
 			L := min(lw, nz-iz0)
-			gatherStrided(lu, dst, base+iz0, ny, nz, L)
-			p.py.transformLanes(lv, lu, inverse, ws.wsy)
-			scatterStrided(dst, lv, base+iz0, ny, nz, L)
+			gatherStrided(lu, dst, base+iz0, ny, nz, L, p.py.perm)
+			p.py.transformLanes(lu, inverse, ws.wsy)
+			scatterStrided(dst, lu, base+iz0, ny, nz, L)
 		}
 	}
 }
@@ -169,51 +174,54 @@ func (p *Plan3) xPassSlab(dst lanes.Slab, inverse bool, ws *Workspace3) {
 	nx, ny, nz := p.nx, p.ny, p.nz
 	stride := ny * nz
 	lu := ws.lu.Slice(0, nx*lw)
-	lv := ws.lv.Slice(0, nx*lw)
 	for r0 := 0; r0 < stride; r0 += lw {
 		L := min(lw, stride-r0)
-		gatherStrided(lu, dst, r0, nx, stride, L)
-		p.px.transformLanes(lv, lu, inverse, ws.wsx)
-		scatterStrided(dst, lv, r0, nx, stride, L)
+		gatherStrided(lu, dst, r0, nx, stride, L, p.px.perm)
+		p.px.transformLanes(lu, inverse, ws.wsx)
+		scatterStrided(dst, lu, r0, nx, stride, L)
 	}
 }
 
 // xPassKernelSlab is the kernel-fused x pass of the Poisson round trip:
 // per lane group, forward transform, multiply by kernel (carrying the
 // global 1/N), inverse transform, write back. The kernel values are
-// varying (one per lane), read as contiguous Width-wide blocks.
+// varying (one per lane), read as contiguous Width-wide blocks. The
+// multiply reads the forward result from ws.lu in natural order and writes
+// the inverse's input into ws.lv in perm order, so the round trip moves no
+// row more often than a forward pass and an inverse pass would.
 func (p *Plan3) xPassKernelSlab(buf lanes.Slab, kernel []float64, ws *Workspace3) {
 	nx, ny, nz := p.nx, p.ny, p.nz
 	stride := ny * nz
 	invN := 1 / float64(p.Size())
 	lu := ws.lu.Slice(0, nx*lw)
 	lv := ws.lv.Slice(0, nx*lw)
+	perm := p.px.perm
+	var pad [lw]float64
 	for r0 := 0; r0 < stride; r0 += lw {
 		L := min(lw, stride-r0)
-		gatherStrided(lu, buf, r0, nx, stride, L)
-		p.px.transformLanes(lv, lu, false, ws.wsx)
-		if L == lw {
-			for k := 0; k < nx; k++ {
-				kv := (*[lw]float64)(kernel[r0+k*stride:])
-				vr := (*[lw]float64)(lv.Re[k*lw:])
-				vi := (*[lw]float64)(lv.Im[k*lw:])
-				for l := 0; l < lw; l++ {
-					s := kv[l] * invN
-					vr[l] *= s
-					vi[l] *= s
-				}
+		gatherStrided(lu, buf, r0, nx, stride, L, perm)
+		p.px.transformLanes(lu, false, ws.wsx)
+		for k, i := range perm {
+			o := r0 + i*stride
+			kv := &pad
+			if L == lw {
+				kv = (*[lw]float64)(kernel[o:])
+			} else {
+				// Lanes past L are padding: they multiply by zero.
+				copy(pad[:], kernel[o:o+L])
 			}
-		} else {
-			for k := 0; k < nx; k++ {
-				for l := 0; l < L; l++ {
-					s := kernel[r0+k*stride+l] * invN
-					lv.Re[k*lw+l] *= s
-					lv.Im[k*lw+l] *= s
-				}
+			ur := (*[lw]float64)(lu.Re[i*lw:])
+			ui := (*[lw]float64)(lu.Im[i*lw:])
+			vr := (*[lw]float64)(lv.Re[k*lw:])
+			vi := (*[lw]float64)(lv.Im[k*lw:])
+			for l := 0; l < lw; l++ {
+				s := kv[l] * invN
+				vr[l] = ur[l] * s
+				vi[l] = ui[l] * s
 			}
 		}
-		p.px.transformLanes(lu, lv, true, ws.wsx)
-		scatterStrided(buf, lu, r0, nx, stride, L)
+		p.px.transformLanes(lv, true, ws.wsx)
+		scatterStrided(buf, lv, r0, nx, stride, L)
 	}
 }
 
@@ -276,71 +284,14 @@ func (p *Plan3) PoissonSlabWS(buf lanes.Slab, kernel []float64, ws *Workspace3) 
 //	dst += scale * phi ⊙ Poisson[ conj(phi) ⊙ src ]
 //
 // the (i, j) inner step of Alg. 2, where Poisson[.] is the PoissonSlabWS
-// round trip. The pair product is formed inside the first z gather and the
-// accumulation inside the last z scatter, so the whole contraction makes
-// five passes over the grid; scale is real (the -alpha/2-or-alpha prefactor
-// always is), which halves the multiplies of a complex scale. buf is caller
-// scratch of grid size and must not alias dst.
+// round trip: the one-sided (diag) form of ContractPairSlabWS, which forms
+// the pair product inside the first z gather and the accumulation inside
+// the last z scatter, so the whole contraction makes five passes over the
+// grid; scale is real (the -alpha/2-or-alpha prefactor always is), which
+// halves the multiplies of a complex scale. buf is caller scratch of grid
+// size and must not alias dst.
 func (p *Plan3) ContractSlabWS(dst, phi, src, buf lanes.Slab, kernel []float64, scale float64, ws *Workspace3) {
-	p.checkSlab(dst, "dst")
-	p.checkSlab(phi, "phi")
-	p.checkSlab(src, "src")
-	p.checkSlab(buf, "buf")
-	if len(kernel) != p.Size() {
-		panic(fmt.Sprintf("fourier: Contract kernel length %d != grid %d", len(kernel), p.Size()))
-	}
-	nz := p.nz
-	rows := p.nx * p.ny
-	lu := ws.lu.Slice(0, nz*lw)
-	lv := ws.lv.Slice(0, nz*lw)
-	// Forward z pass with the pair product conj(phi)*src fused into the
-	// gather transpose.
-	for r0 := 0; r0 < rows; r0 += lw {
-		L := min(lw, rows-r0)
-		for l := 0; l < L; l++ {
-			base := (r0 + l) * nz
-			for k := 0; k < nz; k++ {
-				pr, pi := phi.Re[base+k], phi.Im[base+k]
-				sr, si := src.Re[base+k], src.Im[base+k]
-				lu.Re[k*lw+l] = pr*sr + pi*si
-				lu.Im[k*lw+l] = pr*si - pi*sr
-			}
-		}
-		zeroTailLanes(lu, nz, L)
-		p.pz.transformLanes(lv, lu, false, ws.wsz)
-		for l := 0; l < L; l++ {
-			base := (r0 + l) * nz
-			for k := 0; k < nz; k++ {
-				buf.Re[base+k] = lv.Re[k*lw+l]
-				buf.Im[base+k] = lv.Im[k*lw+l]
-			}
-		}
-	}
-	p.yPassSlab(buf, nil, false, ws)
-	p.xPassKernelSlab(buf, kernel, ws)
-	p.yPassSlab(buf, nil, true, ws)
-	// Inverse z pass with dst += scale*phi*v fused into the scatter.
-	for r0 := 0; r0 < rows; r0 += lw {
-		L := min(lw, rows-r0)
-		for l := 0; l < L; l++ {
-			base := (r0 + l) * nz
-			for k := 0; k < nz; k++ {
-				lu.Re[k*lw+l] = buf.Re[base+k]
-				lu.Im[k*lw+l] = buf.Im[base+k]
-			}
-		}
-		zeroTailLanes(lu, nz, L)
-		p.pz.transformLanes(lv, lu, true, ws.wsz)
-		for l := 0; l < L; l++ {
-			base := (r0 + l) * nz
-			for k := 0; k < nz; k++ {
-				vr, vi := lv.Re[k*lw+l], lv.Im[k*lw+l]
-				pr, pi := phi.Re[base+k], phi.Im[base+k]
-				dst.Re[base+k] += scale * (pr*vr - pi*vi)
-				dst.Im[base+k] += scale * (pr*vi + pi*vr)
-			}
-		}
-	}
+	p.ContractPairSlabWS(dst, dst, phi, src, buf, kernel, scale, true, ws)
 }
 
 // ContractPairSlabWS is the two-sided symmetric pair contraction: one
@@ -352,7 +303,8 @@ func (p *Plan3) ContractSlabWS(dst, phi, src, buf lanes.Slab, kernel []float64, 
 //
 // This is the (i, j) step of the symmetry-halved reference application;
 // fusing the second side saves a separate read-modify-write pass over the
-// pair buffer.
+// pair buffer. The pair product conj(phiI) ⊙ phiJ is formed inside the
+// first z gather.
 func (p *Plan3) ContractPairSlabWS(accI, accJ, phiI, phiJ, buf lanes.Slab, kernel []float64, scale float64, diag bool, ws *Workspace3) {
 	p.checkSlab(accJ, "accJ")
 	p.checkSlab(phiI, "phiI")
@@ -361,28 +313,31 @@ func (p *Plan3) ContractPairSlabWS(accI, accJ, phiI, phiJ, buf lanes.Slab, kerne
 	if !diag {
 		p.checkSlab(accI, "accI")
 	}
+	if len(kernel) != p.Size() {
+		panic(fmt.Sprintf("fourier: Contract kernel length %d != grid %d", len(kernel), p.Size()))
+	}
 	nz := p.nz
 	rows := p.nx * p.ny
 	lu := ws.lu.Slice(0, nz*lw)
-	lv := ws.lv.Slice(0, nz*lw)
+	perm := p.pz.perm
 	for r0 := 0; r0 < rows; r0 += lw {
 		L := min(lw, rows-r0)
 		for l := 0; l < L; l++ {
 			base := (r0 + l) * nz
-			for k := 0; k < nz; k++ {
-				pr, pi := phiI.Re[base+k], phiI.Im[base+k]
-				sr, si := phiJ.Re[base+k], phiJ.Im[base+k]
+			for k, j := range perm {
+				pr, pi := phiI.Re[base+j], phiI.Im[base+j]
+				sr, si := phiJ.Re[base+j], phiJ.Im[base+j]
 				lu.Re[k*lw+l] = pr*sr + pi*si
 				lu.Im[k*lw+l] = pr*si - pi*sr
 			}
 		}
 		zeroTailLanes(lu, nz, L)
-		p.pz.transformLanes(lv, lu, false, ws.wsz)
+		p.pz.transformLanes(lu, false, ws.wsz)
 		for l := 0; l < L; l++ {
 			base := (r0 + l) * nz
 			for k := 0; k < nz; k++ {
-				buf.Re[base+k] = lv.Re[k*lw+l]
-				buf.Im[base+k] = lv.Im[k*lw+l]
+				buf.Re[base+k] = lu.Re[k*lw+l]
+				buf.Im[base+k] = lu.Im[k*lw+l]
 			}
 		}
 	}
@@ -393,18 +348,18 @@ func (p *Plan3) ContractPairSlabWS(accI, accJ, phiI, phiJ, buf lanes.Slab, kerne
 		L := min(lw, rows-r0)
 		for l := 0; l < L; l++ {
 			base := (r0 + l) * nz
-			for k := 0; k < nz; k++ {
-				lu.Re[k*lw+l] = buf.Re[base+k]
-				lu.Im[k*lw+l] = buf.Im[base+k]
+			for k, j := range perm {
+				lu.Re[k*lw+l] = buf.Re[base+j]
+				lu.Im[k*lw+l] = buf.Im[base+j]
 			}
 		}
 		zeroTailLanes(lu, nz, L)
-		p.pz.transformLanes(lv, lu, true, ws.wsz)
+		p.pz.transformLanes(lu, true, ws.wsz)
 		if diag {
 			for l := 0; l < L; l++ {
 				base := (r0 + l) * nz
 				for k := 0; k < nz; k++ {
-					vr, vi := lv.Re[k*lw+l], lv.Im[k*lw+l]
+					vr, vi := lu.Re[k*lw+l], lu.Im[k*lw+l]
 					pr, pi := phiI.Re[base+k], phiI.Im[base+k]
 					accJ.Re[base+k] += scale * (pr*vr - pi*vi)
 					accJ.Im[base+k] += scale * (pr*vi + pi*vr)
@@ -415,7 +370,7 @@ func (p *Plan3) ContractPairSlabWS(accI, accJ, phiI, phiJ, buf lanes.Slab, kerne
 		for l := 0; l < L; l++ {
 			base := (r0 + l) * nz
 			for k := 0; k < nz; k++ {
-				vr, vi := lv.Re[k*lw+l], lv.Im[k*lw+l]
+				vr, vi := lu.Re[k*lw+l], lu.Im[k*lw+l]
 				ir, ii := phiI.Re[base+k], phiI.Im[base+k]
 				jr, ji := phiJ.Re[base+k], phiJ.Im[base+k]
 				accJ.Re[base+k] += scale * (ir*vr - ii*vi)

@@ -1,6 +1,7 @@
 package fourier
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -176,22 +177,25 @@ func TestSlabTransformAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkPoissonSlab(b *testing.B) {
-	p := MustPlan3(36, 36, 36)
-	n := p.Size()
-	s := lanes.New(n)
-	for i := 0; i < n; i++ {
-		s.Re[i] = float64(i%17) * 0.1
-	}
-	kernel := make([]float64, n)
-	for i := range kernel {
-		kernel[i] = 1 / float64(i+1)
-	}
-	ws := p.NewWorkspace()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.PoissonSlabWS(s, kernel, ws)
+// BenchmarkContractPairSlab times one two-sided pair contraction, the
+// exchange's unit of work, on the wave boxes the benchmark rows run: 9^3
+// and 12^3 (Si8 at Ecut 2-3), 18x9x9 (Si16 at Ecut 3) and 7^3, whose
+// radix-7 axes take the generic butterfly.
+func BenchmarkContractPairSlab(b *testing.B) {
+	for _, d := range [][3]int{{9, 9, 9}, {12, 12, 12}, {18, 9, 9}, {7, 7, 7}} {
+		p := MustPlan3(d[0], d[1], d[2])
+		n := p.Size()
+		rng := rand.New(rand.NewSource(1))
+		accI, accJ := lanes.New(n), lanes.New(n)
+		phiI, phiJ, buf := packed(randomVec(rng, n)), packed(randomVec(rng, n)), lanes.New(n)
+		kernel := randKernel(rng, n)
+		ws := p.NewWorkspace()
+		b.Run(fmt.Sprintf("%dx%dx%d", d[0], d[1], d[2]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.ContractPairSlabWS(accI, accJ, phiI, phiJ, buf, kernel, -0.25, false, ws)
+			}
+		})
 	}
 }
 

@@ -96,13 +96,23 @@ func TestVecKernelsBitIdentical(t *testing.T) {
 		src := randLaneSlab(rng, n*lw)
 		for _, inverse := range []bool{false, true} {
 			var out []lanes.Slab // Go loops, then kernels
-			forEachVec(func(bool) {
-				dst := lanes.New(n * lw)
-				p.transformLanes(dst, src, inverse, ws)
-				out = append(out, dst)
-			})
+			forEachVec(func(bool) { out = append(out, laneTransform(p, src, inverse, ws)) })
 			sameBits(t, fmt.Sprintf("transformLanes n=%d inverse=%v", n, inverse), out[0], out[1])
 		}
+	}
+
+	// The permuted row gather on its own, at an offset and a stride, with
+	// every fast length's table.
+	for _, n := range lengths {
+		p := MustPlan(n)
+		src := randLaneSlab(rng, 5+n*11)
+		var out []lanes.Slab
+		forEachVec(func(bool) {
+			b := lanes.New(n * lw)
+			gatherStrided(b, src, 5, n, 11, lw, p.perm)
+			out = append(out, b)
+		})
+		sameBits(t, fmt.Sprintf("gatherStrided n=%d", n), out[0], out[1])
 	}
 
 	// 3-D: the slab entry points on the four production boxes (wave and
@@ -173,7 +183,8 @@ func TestVecKernelsBitIdentical(t *testing.T) {
 
 // TestVecBoundsPanic feeds each path what the assembly must never see - a
 // slab with a short Im half, a short twiddle table, a strided source that
-// ends before the last row - and requires the Go loops and the kernel
+// ends before the last row, a permutation table shorter than the block or
+// pointing past the source - and requires the Go loops and the kernel
 // wrappers alike to panic before touching memory they do not own.
 func TestVecBoundsPanic(t *testing.T) {
 	cases := []struct {
@@ -190,14 +201,20 @@ func TestVecBoundsPanic(t *testing.T) {
 			p := MustPlan(12)
 			st := &p.stages[0]
 			st.twRe = st.twRe[:len(st.twRe)-1]
-			p.transformLanes(lanes.New(12*lw), lanes.New(12*lw), false, nil)
+			p.transformLanes(lanes.New(12*lw), false, nil)
 		}},
 		{"short lane block", func() {
 			p := MustPlan(12)
-			p.transformLanes(lanes.Slab{Re: make([]float64, 12*lw), Im: make([]float64, 12*lw-1)}, lanes.New(12*lw), false, nil)
+			p.transformLanes(lanes.Slab{Re: make([]float64, 12*lw), Im: make([]float64, 12*lw-1)}, false, nil)
 		}},
 		{"short strided source", func() {
-			gatherStrided(lanes.New(4*lw), lanes.New(3*20+lw-1), 0, 4, 20, lw)
+			gatherStrided(lanes.New(4*lw), lanes.New(3*20+lw-1), 0, 4, 20, lw, []int{0, 1, 2, 3})
+		}},
+		{"short permutation table", func() {
+			gatherStrided(lanes.New(4*lw), lanes.New(3*20+lw), 0, 4, 20, lw, []int{0, 2, 1})
+		}},
+		{"permutation past the source", func() {
+			gatherStrided(lanes.New(4*lw), lanes.New(3*20+lw), 0, 4, 20, lw, []int{0, 2, 1, 4})
 		}},
 		{"short strided destination", func() {
 			scatterStrided(lanes.Slab{Re: make([]float64, 3*20+lw), Im: make([]float64, 3*20+lw-1)}, lanes.New(4*lw), 0, 4, 20, lw)
@@ -215,17 +232,19 @@ func TestVecBoundsPanic(t *testing.T) {
 	}
 }
 
-// BenchmarkTransformLanes times one lane-block transform (Width pencils) at
-// the production axis lengths on each path this host has; it is the number
-// to look at first when touching recurseLanes or a kernel.
+// BenchmarkTransformLanes times one lane-block transform (Width pencils) as
+// a pass runs it - the gather into perm order and the in-place stage loop -
+// at the production axis lengths on each path this host has; it is the
+// number to look at first when touching the stage loop or a kernel.
 func BenchmarkTransformLanes(b *testing.B) {
-	for _, n := range []int{9, 12, 18, 24, 36} {
+	for _, n := range []int{7, 9, 12, 14, 18, 24, 36} {
 		p := MustPlan(n)
-		src, dst := randLaneSlab(rand.New(rand.NewSource(1)), n*lw), lanes.New(n*lw)
+		src, blk := randLaneSlab(rand.New(rand.NewSource(1)), n*lw), lanes.New(n*lw)
 		forEachVec(func(vec bool) {
 			b.Run(fmt.Sprintf("n=%d/kernels=%v", n, vec), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					p.transformLanes(dst, src, i&1 == 1, nil)
+					gatherStrided(blk, src, 0, n, lw, lw, p.perm)
+					p.transformLanes(blk, i&1 == 1, nil)
 				}
 			})
 		})
