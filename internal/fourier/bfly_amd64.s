@@ -1,11 +1,12 @@
-// AVX2 renditions of the radix-2/3/4 combine loops of stage.combine and of
+// AVX2 renditions of the radix-2/3/4 combine loops of combineLanes and of
 // the 8-float64 row copies behind gatherStrided (permuted) and
-// scatterStrided (fftlanes.go, slab.go). One lane row is Width = 8 float64 = two ymm; every kernel walks
-// the low half (byte offset 0) and the high half (offset 32) of each row
-// with the same macro. The arithmetic is the Go loops' expression trees,
-// operation for operation: VMULPD, VADDPD and VSUBPD only, no fused
-// multiply-add, so every lane rounds exactly where the Go loop rounds and
-// the output is the same bits (DESIGN.md section 5, "Vector kernels").
+// scatterStrided (fftlanes.go, slab.go). One lane row is Width = 8 float64
+// = two ymm; every kernel walks the low half (byte offset 0) and the high
+// half (offset 32) of each row with the same macro. The arithmetic is the
+// Go loops' expression trees, operation for operation: VMULPD, VADDPD and
+// VSUBPD only, no fused multiply-add, so every lane rounds exactly where
+// the Go loop rounds and the output is the same bits (DESIGN.md section 5,
+// "Vector kernels").
 //
 // Operand order: the Go assembler writes VSUBPD b, a, dst for dst = a - b.
 //

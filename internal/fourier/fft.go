@@ -36,7 +36,7 @@ import (
 )
 
 // maxDirectRadix is the largest prime handled by the O(r^2) generic
-// butterfly inside the mixed-radix recursion. Larger prime factors route the
+// butterfly of the mixed-radix stage loop. Larger prime factors route the
 // whole transform through Bluestein.
 const maxDirectRadix = 61
 
