@@ -50,6 +50,9 @@ func bfly3AVX2(dre, dim, twre, twim *float64, m, blocks int, w1r, w1i, w2r, w2i 
 func bfly4AVX2(dre, dim, twre, twim *float64, m, blocks int, jr, ji float64)
 
 //go:noescape
+func bfly7AVX2(dre, dim, twre, twim *float64, m, blocks int, c1, c2, c3, c4, c6, n1, n2, n3, n4, n6 float64)
+
+//go:noescape
 func scatterRows8AVX2(dre, dim, sre, sim *float64, n, stride int)
 
 //go:noescape
@@ -58,9 +61,10 @@ func gatherRows8AVX2(dre, dim, sre, sim *float64, perm *int, n, stride int)
 // combineVec runs the radix-r combine of one stage over `blocks`
 // consecutive stage blocks (each r sub-transforms of m rows, already in
 // dre/dim) on the vector kernels and reports whether it did; false leaves
-// the blocks untouched for the Go loops.
+// the blocks untouched for the Go loops. Radix 5 has no kernel: no workload
+// the benchmark runs has a factor-5 axis, so one would be unmeasured code.
 func combineVec(r, m, blocks int, dre, dim, twre, twim, rore, roim []float64) bool {
-	if !useAVX2 || r > 4 {
+	if !useAVX2 || r == 5 {
 		return false
 	}
 	if n := r * m; m < 1 || blocks < 1 || len(dre) < blocks*n*lw || len(dim) < blocks*n*lw || len(twre) < n || len(twim) < n {
@@ -74,6 +78,9 @@ func combineVec(r, m, blocks int, dre, dim, twre, twim, rore, roim []float64) bo
 		bfly3AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m, blocks, rore[1], roim[1], rore[2], roim[2])
 	case 4:
 		bfly4AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m, blocks, rore[1], roim[1])
+	case 7:
+		bfly7AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m, blocks,
+			rore[1], rore[2], rore[3], rore[4], rore[6], roim[1], roim[2], roim[3], roim[4], roim[6])
 	}
 	return true
 }

@@ -1,5 +1,5 @@
-// AVX2 renditions of the radix-2/3/4 combine loops of combineLanes and of
-// the 8-float64 row copies behind gatherStrided (permuted) and
+// AVX2 renditions of the radix-2/3/4/7 combine loops of combineLanes and
+// of the 8-float64 row copies behind gatherStrided (permuted) and
 // scatterStrided (fftlanes.go, slab.go). One lane row is Width = 8 float64
 // = two ymm; every kernel walks the low half (byte offset 0) and the high
 // half (offset 32) of each row with the same macro. The arithmetic is the
@@ -35,14 +35,14 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 
 // Each butterfly runs one stage over `blocks` consecutive stage blocks of
 // r*m rows; within a block, sub-transform q is rows [q*m, (q+1)*m). Register
-// plan shared by the three:
+// plan shared by the four:
 //
 //	SI, DI   &dre[k*8], &dim[k*8]      row k of sub-transform 0
 //	BX       m*64                      bytes from sub-transform q to q+1
-//	R11      3*m*64                    (radix 4)
+//	R11, R14 3*m*64, 5*m*64            (radix 4, 7; radix 7)
 //	R8, R9   &twre[k], &twim[k]        twiddle column k of block 0
 //	AX       m*8                       bytes from twiddle block q to q+1
-//	R10      3*m*8                     (radix 4)
+//	R10, DX  3*m*8, 5*m*8              (radix 4, 7; radix 7)
 //	CX       rows left in this block
 //	R12      blocks left
 //	R13      m
@@ -64,11 +64,11 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	JNZ  loop
 
 // NEXTBLOCK(skip, loop) moves from the end of sub-transform 0 of one block
-// (skip = (r-1)*m*64 bytes before the next block) to row 0 of the next and
-// rewinds the twiddle column.
+// (skip = (r-1)*m*64 bytes before the next block, an index*scale operand)
+// to row 0 of the next and rewinds the twiddle column.
 #define NEXTBLOCK(skip, loop) \
-	ADDQ skip, SI \
-	ADDQ skip, DI \
+	LEAQ (SI)(skip), SI \
+	LEAQ (DI)(skip), DI \
 	SUBQ AX, R8   \
 	SUBQ AX, R9   \
 	MOVQ R13, CX  \
@@ -123,7 +123,7 @@ loop2:
 	BFLY2(0)
 	BFLY2(32)
 	NEXTROW(loop2)
-	NEXTBLOCK(BX, loop2)
+	NEXTBLOCK(BX*1, loop2)
 	VZEROUPPER
 	RET
 
@@ -176,7 +176,6 @@ TEXT ·bfly3AVX2(SB), NOSPLIT, $0-80
 	MOVQ m+32(FP), CX
 	MOVQ blocks+40(FP), R12
 	SETUP
-	LEAQ (BX)(BX*1), R10
 	VBROADCASTSD w1r+48(FP), Y12
 	VBROADCASTSD w1i+56(FP), Y13
 	VBROADCASTSD w2r+64(FP), Y14
@@ -185,7 +184,7 @@ loop3:
 	BFLY3(0)
 	BFLY3(32)
 	NEXTROW(loop3)
-	NEXTBLOCK(R10, loop3)
+	NEXTBLOCK(BX*2, loop3)
 	VZEROUPPER
 	RET
 
@@ -249,7 +248,106 @@ loop4:
 	BFLY4(0)
 	BFLY4(32)
 	NEXTROW(loop4)
-	NEXTBLOCK(R11, loop4)
+	NEXTBLOCK(R11*1, loop4)
+	VZEROUPPER
+	RET
+
+// The radix-7 butterfly takes combineLanes' symmetric form. Per half row,
+// every twiddled pair (rows q and 7-q) is folded into s = t_q + t_{7-q} and
+// d = t_q - t_{7-q}, which stay in registers; each output pair X[p], X[7-p]
+// is then formed one part (real, imaginary) at a time from the tabulated
+// roots c + i*n, broadcast from the argument frame at each use, and row 0 -
+// which every part reads as a - is written last.
+
+// SUMDIFF(sr, si, dr, di) folds the twiddled pair u (row q, Y0/Y1) and
+// v (row 7-q, Y2/Y3) into s = u + v and d = u - v.
+#define SUMDIFF(sr, si, dr, di) \
+	VADDPD Y2, Y0, sr \
+	VADDPD Y3, Y1, si \
+	VSUBPD Y2, Y0, dr \
+	VSUBPD Y3, Y1, di
+
+// MACC(c, x, acc): acc += c*x. Clobbers Y3.
+#define MACC(c, x, acc) \
+	VBROADCASTSD c, Y3 \
+	VMULPD x, Y3, Y3   \
+	VADDPD Y3, acc, acc
+
+// PAIR7(a, c1, x1, c2, x2, c3, x3, n1, y1, n2, y2, n3, y3, P, M, dp, dm)
+// stores one part of an output pair: the real part takes x = s_re,
+// y = d_im, P = VSUBPD, M = VADDPD; the imaginary part x = s_im, y = d_re,
+// P = VADDPD, M = VSUBPD.
+//
+//	e = a + c1*x1 + c2*x2 + c3*x3;  o = n1*y1 + n2*y2 + n3*y3
+//	dp = e P o;  dm = e M o
+//
+// Clobbers Y0-Y3.
+#define PAIR7(a, c1, x1, c2, x2, c3, x3, n1, y1, n2, y2, n3, y3, P, M, dp, dm) \
+	VBROADCASTSD c1, Y3 \
+	VMULPD x1, Y3, Y0   \
+	VADDPD a, Y0, Y0    \
+	MACC(c2, x2, Y0)    \
+	MACC(c3, x3, Y0)    \
+	VBROADCASTSD n1, Y3 \
+	VMULPD y1, Y3, Y1   \
+	MACC(n2, y2, Y1)    \
+	MACC(n3, y3, Y1)    \
+	P Y1, Y0, Y2        \
+	VMOVUPD Y2, dp      \
+	M Y1, Y0, Y2        \
+	VMOVUPD Y2, dm
+
+// Radix 7, one half row; c_j, n_j = rore[j], roim[j]. s1/d1 live in Y4-Y7,
+// s2/d2 in Y12-Y15 and s3/d3 in Y8-Y11 (TWMUL's scratch, free once the
+// last pair is folded).
+//
+//	X[1], X[6] = a + c1*s1 + c2*s2 + c3*s3 ± i*(n1*d1 + n2*d2 + n3*d3)
+//	X[2], X[5] = a + c2*s1 + c4*s2 + c6*s3 ± i*(n2*d1 + n4*d2 + n6*d3)
+//	X[3], X[4] = a + c3*s1 + c6*s2 + c2*s3 ± i*(n3*d1 + n6*d2 + n2*d3)
+//	X[0]       = a + s1 + s2 + s3
+#define BFLY7(off, c1, c2, c3, c4, c6, n1, n2, n3, n4, n6) \
+	TWMUL(off(SI)(BX*1), off(DI)(BX*1), (R8)(AX*1), (R9)(AX*1), Y0, Y1)     \
+	TWMUL(off(SI)(R11*2), off(DI)(R11*2), (R8)(R10*2), (R9)(R10*2), Y2, Y3) \
+	SUMDIFF(Y4, Y5, Y6, Y7)                                                 \
+	TWMUL(off(SI)(BX*2), off(DI)(BX*2), (R8)(AX*2), (R9)(AX*2), Y0, Y1)     \
+	TWMUL(off(SI)(R14*1), off(DI)(R14*1), (R8)(DX*1), (R9)(DX*1), Y2, Y3)   \
+	SUMDIFF(Y12, Y13, Y14, Y15)                                             \
+	TWMUL(off(SI)(R11*1), off(DI)(R11*1), (R8)(R10*1), (R9)(R10*1), Y0, Y1) \
+	TWMUL(off(SI)(BX*4), off(DI)(BX*4), (R8)(AX*4), (R9)(AX*4), Y2, Y3)     \
+	SUMDIFF(Y8, Y9, Y10, Y11)                                               \
+	PAIR7(off(SI), c1, Y4, c2, Y12, c3, Y8, n1, Y7, n2, Y15, n3, Y11, VSUBPD, VADDPD, off(SI)(BX*1), off(SI)(R11*2)) \
+	PAIR7(off(DI), c1, Y5, c2, Y13, c3, Y9, n1, Y6, n2, Y14, n3, Y10, VADDPD, VSUBPD, off(DI)(BX*1), off(DI)(R11*2)) \
+	PAIR7(off(SI), c2, Y4, c4, Y12, c6, Y8, n2, Y7, n4, Y15, n6, Y11, VSUBPD, VADDPD, off(SI)(BX*2), off(SI)(R14*1)) \
+	PAIR7(off(DI), c2, Y5, c4, Y13, c6, Y9, n2, Y6, n4, Y14, n6, Y10, VADDPD, VSUBPD, off(DI)(BX*2), off(DI)(R14*1)) \
+	PAIR7(off(SI), c3, Y4, c6, Y12, c2, Y8, n3, Y7, n6, Y15, n2, Y11, VSUBPD, VADDPD, off(SI)(R11*1), off(SI)(BX*4)) \
+	PAIR7(off(DI), c3, Y5, c6, Y13, c2, Y9, n3, Y6, n6, Y14, n2, Y10, VADDPD, VSUBPD, off(DI)(R11*1), off(DI)(BX*4)) \
+	VADDPD  off(SI), Y4, Y0 \
+	VADDPD  Y12, Y0, Y0     \
+	VADDPD  Y8, Y0, Y0      \
+	VMOVUPD Y0, off(SI)     \
+	VADDPD  off(DI), Y5, Y0 \
+	VADDPD  Y13, Y0, Y0     \
+	VADDPD  Y9, Y0, Y0      \
+	VMOVUPD Y0, off(DI)
+
+// func bfly7AVX2(dre, dim, twre, twim *float64, m, blocks int, c1, c2, c3, c4, c6, n1, n2, n3, n4, n6 float64)
+TEXT ·bfly7AVX2(SB), NOSPLIT, $0-128
+	MOVQ dre+0(FP), SI
+	MOVQ dim+8(FP), DI
+	MOVQ twre+16(FP), R8
+	MOVQ twim+24(FP), R9
+	MOVQ m+32(FP), CX
+	MOVQ blocks+40(FP), R12
+	SETUP
+	LEAQ (AX)(AX*2), R10
+	LEAQ (BX)(BX*2), R11
+	LEAQ (AX)(AX*4), DX
+	LEAQ (BX)(BX*4), R14
+loop7:
+	BFLY7(0, c1+48(FP), c2+56(FP), c3+64(FP), c4+72(FP), c6+80(FP), n1+88(FP), n2+96(FP), n3+104(FP), n4+112(FP), n6+120(FP))
+	BFLY7(32, c1+48(FP), c2+56(FP), c3+64(FP), c4+72(FP), c6+80(FP), n1+88(FP), n2+96(FP), n3+104(FP), n4+112(FP), n6+120(FP))
+	NEXTROW(loop7)
+	NEXTBLOCK(R11*2, loop7)
 	VZEROUPPER
 	RET
 

@@ -1,44 +1,40 @@
 // Package fourier implements the complex discrete Fourier transforms of the
-// plane-wave machinery: mixed-radix Cooley-Tukey for sizes whose prime
-// factors are at most 61 and a Bluestein chirp-z fallback for everything
-// else, under 3D plans whose axis passes each transform lanes.Width pencils
-// at once in the split re/im layout of internal/lanes. It is the CUFFT
+// plane-wave machinery: mixed-radix Cooley-Tukey over a closed set of
+// lengths, those whose prime factors are at most 7 (the sizes NextFast
+// picks), with a dedicated butterfly for every radix in {2, 3, 4, 5, 7},
+// under 3D plans whose axis passes each transform lanes.Width pencils at
+// once in the split re/im layout of internal/lanes. It is the CUFFT
 // stand-in of the reproduction: the Fock exchange operator performs all of
 // its N^2 Poisson-like solves through these plans.
 //
 // There is one implementation. fft.go plans a length (factorization,
-// twiddle tables, Bluestein kernels, the digit-reversal order perm),
-// fftlanes.go transforms a lane block in place with one stage loop and no
-// recursion, slab.go runs the 3D passes - whose gathers read element
-// perm[k] into row k, so the permutation costs no pass of its own - and
-// their fused Poisson and contraction forms over grid slabs, and fft3.go
-// holds the one adapter that lets a []complex128 caller (setup code, the MD
-// forces) reach them.
+// twiddle tables, the digit-reversal order perm), fftlanes.go transforms a
+// lane block in place with one stage loop and no recursion, slab.go runs
+// the 3D passes - whose gathers read element perm[k] into row k, so the
+// permutation costs no pass of its own - and their fused Poisson and
+// contraction forms over grid slabs, and fft3.go holds the one adapter that
+// lets a []complex128 caller (setup code, the MD forces) reach them.
 //
 // Conventions: a forward transform computes X[k] = sum_j x[j]
 // exp(-2*pi*i*j*k/N); the Raw entry points apply no normalization in either
 // direction and ApplySerialWS carries 1/N on the inverse.
 //
-// Memory discipline: all per-transform scratch lives in Workspace objects
-// made by the plan. NewPlan precomputes every table the passes read (perm
+// Memory discipline: NewPlan precomputes every table the passes read (perm
 // and one dense twiddle table per stage, so the hot loops index
-// sequentially with no modular arithmetic), and callers either hold an
-// explicit Workspace3 or check one out of the 3D plan's pool - either way
-// the steady-state transform performs zero heap allocations.
+// sequentially with no modular arithmetic); a 1D plan needs no scratch of
+// its own, and callers either hold an explicit Workspace3 or check one out
+// of the 3D plan's pool - either way the steady-state transform performs
+// zero heap allocations.
 package fourier
 
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
-
-	"ptdft/internal/lanes"
 )
 
-// maxDirectRadix is the largest prime handled by the O(r^2) generic
-// butterfly of the mixed-radix stage loop. Larger prime factors route the
-// whole transform through Bluestein.
-const maxDirectRadix = 61
+// maxRadix is the largest prime with a butterfly of its own; NewPlan
+// rejects a length with any larger prime factor.
+const maxRadix = 7
 
 // stage holds the precomputed combine tables for one level of the
 // decimation-in-time factorization: a length-n_l twiddle table indexed q*m+k
@@ -58,62 +54,39 @@ type stage struct {
 }
 
 // Plan holds precomputed twiddle tables for a 1D transform of fixed length.
-// A Plan is immutable after creation and safe for concurrent use; scratch
-// needed by the Bluestein fallback is passed explicitly as a Workspace,
-// never allocated per call.
+// A Plan is immutable after creation and safe for concurrent use; it
+// transforms a lane block in place and needs no scratch of its own.
 type Plan struct {
 	n       int
 	factors []int   // prime factorization of n, ascending (4s merged)
 	stages  []stage // one entry per factorization level, top level first
 	// perm is the order the stage loop takes its input in: row k holds
-	// input element perm[k] (the identity without stages: Bluestein, n = 1).
+	// input element perm[k] (the identity for n = 1, which has no stages).
 	perm []int
-	blu  *bluestein
 }
 
-// Workspace is the per-call scratch of one 1D transform. Only plans that
-// fall back to Bluestein need backing storage; mixed-radix plans carry a
-// zero-cost empty workspace. A Workspace must not be shared between
-// concurrent transforms.
-type Workspace struct {
-	la, lfa lanes.Slab // Bluestein convolution lane blocks, length blu.m*lanes.Width
-}
-
-// NewWorkspace allocates the scratch one transform of this plan needs.
-func (p *Plan) NewWorkspace() *Workspace {
-	ws := &Workspace{}
-	if p.blu != nil {
-		ws.la = lanes.New(p.blu.m * lanes.Width)
-		ws.lfa = lanes.New(p.blu.m * lanes.Width)
-	}
-	return ws
-}
-
-// NewPlan creates a transform plan for length n >= 1. All setup work -
-// factorization, per-level twiddle tables, Bluestein kernels - happens
+// NewPlan creates a transform plan for length n >= 1 whose prime factors
+// are at most 7 - every length NextFast returns. All setup work -
+// factorization, per-level twiddle tables, the digit reversal - happens
 // here; the transform itself reads precomputed tables only.
 func NewPlan(n int) (*Plan, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fourier: transform length %d < 1", n)
 	}
-	p := &Plan{n: n, factors: mergeRadix4(factorize(n))}
-	if len(p.factors) > 0 && p.factors[len(p.factors)-1] > maxDirectRadix {
-		b, err := newBluestein(n)
-		if err != nil {
-			return nil, err
-		}
-		p.blu = b
-	} else {
-		p.buildStages()
+	f := factorize(n)
+	if len(f) > 0 && f[len(f)-1] > maxRadix {
+		return nil, fmt.Errorf("fourier: transform length %d has prime factor %d; lengths must factor into 2, 3, 5 and 7 (NextFast(%d) = %d)",
+			n, f[len(f)-1], n, NextFast(n))
 	}
+	p := &Plan{n: n, factors: mergeRadix4(f)}
+	p.buildStages()
 	p.buildPerm()
 	return p, nil
 }
 
 // buildPerm tabulates perm, the mixed-radix digit reversal: row
 // sum_l q_l*m_l holds input element sum_l q_l*s_l, with q_l < r_l and
-// s_l = r_0*...*r_{l-1} the input stride of level l; digits no stage
-// consumes (all of them without stages) keep their place.
+// s_l = r_0*...*r_{l-1} the input stride of level l.
 func (p *Plan) buildPerm() {
 	p.perm = make([]int, p.n)
 	for k := range p.perm {
@@ -122,7 +95,7 @@ func (p *Plan) buildPerm() {
 			j += k / st.m % st.r * s
 			s *= st.r
 		}
-		p.perm[k] = j + k/s*s
+		p.perm[k] = j
 	}
 }
 
@@ -238,55 +211,4 @@ func NextFast(n int) int {
 		n++
 	}
 	return n
-}
-
-// bluestein implements the chirp-z transform for arbitrary lengths via a
-// power-of-two convolution (transformLanes in fftlanes.go). Its two
-// convolution buffers live in the caller's Workspace, so repeated
-// transforms allocate nothing.
-type bluestein struct {
-	n     int
-	m     int // power-of-two convolution length >= 2n-1
-	inner *Plan
-	// chirp is the pre/post multiplier exp(∓i*pi*j^2/n) of the forward (F)
-	// and inverse (I) transform, a conjugate pair sharing its real half;
-	// kernelF / kernelB are the forward transforms of the padded
-	// conjugate-chirp sequences the two directions convolve with.
-	chirpRe, chirpFim, chirpIim                []float64
-	kernelFre, kernelFim, kernelBre, kernelBim []float64
-}
-
-func newBluestein(n int) (*bluestein, error) {
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
-	inner, err := NewPlan(m)
-	if err != nil {
-		return nil, err
-	}
-	b := &bluestein{n: n, m: m, inner: inner}
-	b.chirpRe, b.chirpFim, b.chirpIim = make([]float64, n), make([]float64, n), make([]float64, n)
-	// One lane transform builds both kernels: lane 0 carries the forward
-	// transform's sequence (the conjugate chirp), lane 1 the inverse's.
-	seq, out := lanes.New(m*lw), lanes.New(m*lw)
-	for j := 0; j < n; j++ {
-		// j^2 mod 2n keeps the argument bounded for large n.
-		e := float64((j * j) % (2 * n))
-		c := cmplx.Exp(complex(0, -math.Pi*e/float64(n)))
-		b.chirpRe[j], b.chirpFim[j], b.chirpIim[j] = real(c), imag(c), -imag(c)
-		for _, k := range []int{j, (m - j) % m} {
-			seq.Re[k*lw], seq.Im[k*lw] = real(c), -imag(c)
-			seq.Re[k*lw+1], seq.Im[k*lw+1] = real(c), imag(c)
-		}
-	}
-	gatherStrided(out, seq, 0, m, lw, lw, inner.perm)
-	inner.transformLanes(out, false, nil)
-	b.kernelFre, b.kernelFim = make([]float64, m), make([]float64, m)
-	b.kernelBre, b.kernelBim = make([]float64, m), make([]float64, m)
-	for i := 0; i < m; i++ {
-		b.kernelFre[i], b.kernelFim[i] = out.Re[i*lw], out.Im[i*lw]
-		b.kernelBre[i], b.kernelBim[i] = out.Re[i*lw+1], out.Im[i*lw+1]
-	}
-	return b, nil
 }

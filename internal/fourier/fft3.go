@@ -20,12 +20,11 @@ type Plan3 struct {
 }
 
 // Workspace3 is the scratch one 3D transform needs: two lane blocks sized
-// for the longest axis plus the 1D workspaces of any axis plan that falls
-// back to Bluestein. A Workspace3 must not be shared between concurrent
-// transforms.
+// for the longest axis, which every axis pass transforms in place (the 1D
+// plans need nothing more). A Workspace3 must not be shared between
+// concurrent transforms.
 type Workspace3 struct {
-	lu, lv        lanes.Slab // maxdim*lanes.Width each; lv holds the Poisson x pass's inverse
-	wsx, wsy, wsz *Workspace
+	lu, lv lanes.Slab // maxdim*lanes.Width each; lv holds the Poisson x pass's inverse
 	// grid is the grid slab RawSerialWS computes in, allocated by its first
 	// call: the workspaces of the step path, which never make one, do not
 	// carry it.
@@ -41,13 +40,7 @@ func (p *Plan3) NewWorkspace() *Workspace3 {
 	if p.nz > n {
 		n = p.nz
 	}
-	return &Workspace3{
-		lu:  lanes.New(n * lanes.Width),
-		lv:  lanes.New(n * lanes.Width),
-		wsx: p.px.NewWorkspace(),
-		wsy: p.py.NewWorkspace(),
-		wsz: p.pz.NewWorkspace(),
-	}
+	return &Workspace3{lu: lanes.New(n * lanes.Width), lv: lanes.New(n * lanes.Width)}
 }
 
 // CheckoutWorkspace draws a workspace from the plan's pool, for callers

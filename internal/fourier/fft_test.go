@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -42,10 +43,10 @@ func naiveDFT(x []complex128, inverse bool) []complex128 {
 // laneTransform runs p over a lane block src in natural order the way a
 // pass does - the gather into perm order, then the in-place stage loop -
 // and returns the result, leaving src as it was.
-func laneTransform(p *Plan, src lanes.Slab, inverse bool, ws *Workspace) lanes.Slab {
+func laneTransform(p *Plan, src lanes.Slab, inverse bool) lanes.Slab {
 	b := lanes.New(p.n * lw)
 	gatherStrided(b, src, 0, p.n, lw, lw, p.perm)
-	p.transformLanes(b, inverse, ws)
+	p.transformLanes(b, inverse)
 	return b
 }
 
@@ -63,7 +64,7 @@ func transform1D(p *Plan, x []complex128, inverse bool, lane int) []complex128 {
 	for k, v := range x {
 		src.Re[k*lw+lane], src.Im[k*lw+lane] = real(v), imag(v)
 	}
-	dst := laneTransform(p, src, inverse, p.NewWorkspace())
+	dst := laneTransform(p, src, inverse)
 	out := make([]complex128, n)
 	for k := range out {
 		out[k] = complex(dst.Re[k*lw+lane], dst.Im[k*lw+lane])
@@ -94,9 +95,9 @@ func maxAbsDiff(a, b []complex128) float64 {
 
 func TestForwardMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// 7 and 14 run the generic radix-7 stage (no vector kernel), 210 =
-	// 2*3*5*7 every radix the fast sizes have, 97 and 101 Bluestein.
-	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 20, 24, 30, 32, 36, 45, 48, 60, 64, 90, 97, 101, 120, 128, 210}
+	// 5, 7, 25, 35 and 49 are radix-5/7 stages alone, 10, 14, 15 and 21
+	// behind a radix-2 or -3 stage, and 210 = 2*3*5*7 has every radix.
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20, 21, 24, 25, 30, 32, 35, 36, 45, 48, 49, 60, 64, 90, 120, 128, 210}
 	for _, n := range sizes {
 		p := MustPlan(n)
 		x := randomVec(rng, n)
@@ -110,7 +111,7 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 
 func TestInverseMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 2, 3, 5, 7, 8, 12, 14, 21, 32, 60, 97, 120, 210} {
+	for _, n := range []int{1, 2, 3, 5, 7, 8, 10, 12, 14, 15, 21, 32, 35, 49, 60, 120, 210} {
 		p := MustPlan(n)
 		x := randomVec(rng, n)
 		got := transform1D(p, x, true, n%lw)
@@ -123,7 +124,7 @@ func TestInverseMatchesNaiveDFT(t *testing.T) {
 
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{4, 7, 30, 64, 97, 100, 210} {
+	for _, n := range []int{4, 5, 7, 30, 49, 64, 210} {
 		p := MustPlan(n)
 		f := func(seed int64) bool {
 			local := rand.New(rand.NewSource(seed))
@@ -140,7 +141,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestParseval(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{8, 15, 60, 101} {
+	for _, n := range []int{8, 14, 15, 35, 60} {
 		p := MustPlan(n)
 		x := randomVec(rng, n)
 		fx := transform1D(p, x, false, 3)
@@ -208,12 +209,18 @@ func TestShiftTheorem(t *testing.T) {
 	}
 }
 
+// TestNewPlanRejectsBadLength: a length outside the closed set - below 1,
+// or with a prime factor above 7 - is an error naming what is wrong, never
+// a panic or a silent fallback.
 func TestNewPlanRejectsBadLength(t *testing.T) {
-	if _, err := NewPlan(0); err == nil {
-		t.Error("NewPlan(0) should fail")
+	for n, want := range map[int]string{0: "< 1", -3: "< 1", 11: "factor 11", 13: "factor 13", 67: "factor 67", 97: "factor 97", 2 * 3 * 11: "factor 11"} {
+		p, err := NewPlan(n)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("NewPlan(%d) = %v, %v; want an error containing %q", n, p, err, want)
+		}
 	}
-	if _, err := NewPlan(-3); err == nil {
-		t.Error("NewPlan(-3) should fail")
+	if _, err := NewPlan3(4, 13, 4); err == nil || !strings.Contains(err.Error(), "factor 13") {
+		t.Errorf("NewPlan3(4, 13, 4): %v; want an error naming factor 13", err)
 	}
 }
 
@@ -321,9 +328,9 @@ func tol3(n int) float64 { return 1e-12 * (1 + math.Sqrt(float64(n))) }
 
 // TestPlan3MatchesNaive holds the 3D transform itself, RawSlabWS, to the
 // naive oracle on every lane-remainder shape of slabGrids (with its
-// Bluestein axis) plus an nz = 18 box, whose y pass runs the 8 + 8 + 2 lane
-// groups of the production wave box - forward and inverse, out of place and
-// in place.
+// radix-5 and radix-7 axes) plus an nz = 18 box, whose y pass runs the
+// 8 + 8 + 2 lane groups of the production wave box - forward and inverse,
+// out of place and in place.
 func TestPlan3MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, d := range append([][3]int{{2, 3, 4}, {6, 5, 18}}, slabGrids...) {
@@ -359,7 +366,7 @@ func TestPlan3MatchesNaive(t *testing.T) {
 // one workspace and returns.
 func TestPlan3RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for _, d := range [][3]int{{6, 10, 12}, {4, 67, 3}} {
+	for _, d := range [][3]int{{6, 10, 12}, {4, 49, 3}} {
 		p := MustPlan3(d[0], d[1], d[2])
 		ws := p.NewWorkspace()
 		x := randomVec(rng, p.Size())
@@ -440,27 +447,6 @@ func TestPlanConcurrentUse(t *testing.T) {
 	for range inputs {
 		if err := <-done; err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-func TestBluesteinLargePrime(t *testing.T) {
-	// Sizes with prime factors beyond the direct-radix bound route through
-	// the chirp-z path; verify large primes against the naive DFT in both
-	// directions (each has its own chirp and convolution kernel).
-	for _, n := range []int{67, 127, 251} {
-		p := MustPlan(n)
-		if p.blu == nil {
-			t.Fatalf("n=%d: not a Bluestein plan", n)
-		}
-		rng := rand.New(rand.NewSource(int64(n)))
-		x := randomVec(rng, n)
-		for _, inverse := range []bool{false, true} {
-			got := transform1D(p, x, inverse, 6)
-			want := naiveDFT(x, inverse)
-			if d := maxAbsDiff(got, want); d > 1e-12*float64(n) {
-				t.Errorf("n=%d inverse=%v: Bluestein differs from naive DFT by %g", n, inverse, d)
-			}
 		}
 	}
 }

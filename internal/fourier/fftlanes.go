@@ -2,21 +2,23 @@ package fourier
 
 import "ptdft/internal/lanes"
 
-// This file is the 1D transform: the in-place mixed-radix stage loop and
-// the Bluestein fallback that fft.go plans, operating on lanes.Width
-// pencils at once. Data lives in a lane block - a Slab of length
-// n*lanes.Width with element k of pencil l at offset k*Width+l - so each
-// butterfly loads its twiddle once (uniform) and applies it to Width
-// independent pencils (varying) in a fixed-width, bounds-check-free inner
-// loop. There is no recursion and no second block: the digit-reversal
-// permutation of decimation in time lives in the gathers that fill the
-// block (the plan's perm, read by every pass in slab.go), and the stages
-// then combine the block where it lies.
+// This file is the 1D transform: the in-place mixed-radix stage loop that
+// fft.go plans, operating on lanes.Width pencils at once, with one
+// butterfly per radix in {2, 3, 4, 5, 7} - the only radices a plan can
+// have. Data lives in a lane block - a Slab of length n*lanes.Width with
+// element k of pencil l at offset k*Width+l - so each butterfly loads its
+// twiddle once (uniform) and applies it to Width independent pencils
+// (varying) in a fixed-width, bounds-check-free inner loop. There is no
+// recursion and no second block: the digit-reversal permutation of
+// decimation in time lives in the gathers that fill the block (the plan's
+// perm, read by every pass in slab.go), and the stages then combine the
+// block where it lies.
 
 const lw = lanes.Width
 
 // useAVX2 selects the vector kernels of bfly_amd64.s over the Go loops
-// below for the radix-2/3/4 combines and the full-group row copies. It is
+// below for the radix-2/3/4/7 combines and the full-group row copies
+// (radix 5 always runs the Go loop). It is
 // set once, at init, from what the CPU reports (bfly_amd64.go) and stays
 // false on every other GOARCH; nothing a user sets reaches it. Both paths
 // produce the same bits - the kernels evaluate the Go expressions operation
@@ -29,12 +31,8 @@ var useAVX2 bool
 // b of n*Width: input in perm order (row k is element perm[k]), output in
 // natural order. The stages run deepest first, each over all of its blocks,
 // so every element meets the same butterflies in the same order as under a
-// recursion. Bluestein plans require a workspace from NewWorkspace.
-func (p *Plan) transformLanes(b lanes.Slab, inverse bool, ws *Workspace) {
-	if p.blu != nil {
-		p.blu.transformLanes(b, inverse, ws)
-		return
-	}
+// recursion.
+func (p *Plan) transformLanes(b lanes.Slab, inverse bool) {
 	for d := len(p.stages) - 1; d >= 0; d-- {
 		st := &p.stages[d]
 		r, m := st.r, st.m
@@ -56,6 +54,15 @@ func (p *Plan) transformLanes(b lanes.Slab, inverse bool, ws *Workspace) {
 // in place over r sub-transforms of m rows each: X[k + p*m] = sum_q
 // tw[q*m+k] * root[(q*p) mod r] * F_q[k], every element offset scaled by
 // Width.
+//
+// Radix 5 and 7 take the symmetric form: with t_q = tw_q * F_q[k] and
+// a = F_0[k], s_q = t_q + t_{r-q} and d_q = t_q - t_{r-q} for q <= r/2,
+//
+//	X[p]   = a + sum_q c_qp*s_q + i*sum_q n_qp*d_q
+//	X[r-p] = a + sum_q c_qp*s_q - i*sum_q n_qp*d_q
+//
+// where c_qp + i*n_qp = root[(q*p) mod r], the tabulated value: 60 real
+// multiplies per radix-7 row where the direct sum takes 196.
 func combineLanes(r, m int, dre, dim, twre, twim, rore, roim []float64) {
 	switch r {
 	case 2:
@@ -139,93 +146,78 @@ func combineLanes(r, m int, dre, dim, twre, twim, rore, roim []float64) {
 				ei[l] = amci - bmdi
 			}
 		}
-	default:
-		var tr, ti [maxDirectRadix][lw]float64
+	case 5:
+		c1, c2, c4 := rore[1], rore[2], rore[4]
+		n1, n2, n4 := roim[1], roim[2], roim[4]
 		for k := 0; k < m; k++ {
-			for q := 0; q < r; q++ {
-				wr, wi := twre[q*m+k], twim[q*m+k]
-				sr := (*[lw]float64)(dre[(q*m+k)*lw:])
-				si := (*[lw]float64)(dim[(q*m+k)*lw:])
-				for l := 0; l < lw; l++ {
-					tr[q][l] = sr[l]*wr - si[l]*wi
-					ti[q][l] = sr[l]*wi + si[l]*wr
-				}
+			w1r, w1i := twre[m+k], twim[m+k]
+			w2r, w2i := twre[2*m+k], twim[2*m+k]
+			w3r, w3i := twre[3*m+k], twim[3*m+k]
+			w4r, w4i := twre[4*m+k], twim[4*m+k]
+			x0r, x0i := laneRow(dre, k), laneRow(dim, k)
+			x1r, x1i := laneRow(dre, m+k), laneRow(dim, m+k)
+			x2r, x2i := laneRow(dre, 2*m+k), laneRow(dim, 2*m+k)
+			x3r, x3i := laneRow(dre, 3*m+k), laneRow(dim, 3*m+k)
+			x4r, x4i := laneRow(dre, 4*m+k), laneRow(dim, 4*m+k)
+			for l := 0; l < lw; l++ {
+				t1r, t1i := x1r[l]*w1r-x1i[l]*w1i, x1r[l]*w1i+x1i[l]*w1r
+				t2r, t2i := x2r[l]*w2r-x2i[l]*w2i, x2r[l]*w2i+x2i[l]*w2r
+				t3r, t3i := x3r[l]*w3r-x3i[l]*w3i, x3r[l]*w3i+x3i[l]*w3r
+				t4r, t4i := x4r[l]*w4r-x4i[l]*w4i, x4r[l]*w4i+x4i[l]*w4r
+				s1r, s1i, d1r, d1i := t1r+t4r, t1i+t4i, t1r-t4r, t1i-t4i
+				s2r, s2i, d2r, d2i := t2r+t3r, t2i+t3i, t2r-t3r, t2i-t3i
+				ar, ai := x0r[l], x0i[l]
+				er, ei := ar+c1*s1r+c2*s2r, ai+c1*s1i+c2*s2i
+				or, oi := n1*d1r+n2*d2r, n1*d1i+n2*d2i
+				x1r[l], x1i[l], x4r[l], x4i[l] = er-oi, ei+or, er+oi, ei-or
+				er, ei = ar+c2*s1r+c4*s2r, ai+c2*s1i+c4*s2i
+				or, oi = n2*d1r+n4*d2r, n2*d1i+n4*d2i
+				x2r[l], x2i[l], x3r[l], x3i[l] = er-oi, ei+or, er+oi, ei-or
+				x0r[l], x0i[l] = ar+s1r+s2r, ai+s1i+s2i
 			}
-			for pp := 0; pp < r; pp++ {
-				accr := tr[0]
-				acci := ti[0]
-				idx := 0
-				for q := 1; q < r; q++ {
-					idx += pp
-					if idx >= r {
-						idx -= r
-					}
-					wr, wi := rore[idx], roim[idx]
-					for l := 0; l < lw; l++ {
-						accr[l] += tr[q][l]*wr - ti[q][l]*wi
-						acci[l] += tr[q][l]*wi + ti[q][l]*wr
-					}
-				}
-				*(*[lw]float64)(dre[(pp*m+k)*lw:]) = accr
-				*(*[lw]float64)(dim[(pp*m+k)*lw:]) = acci
+		}
+	case 7:
+		c1, c2, c3, c4, c6 := rore[1], rore[2], rore[3], rore[4], rore[6]
+		n1, n2, n3, n4, n6 := roim[1], roim[2], roim[3], roim[4], roim[6]
+		for k := 0; k < m; k++ {
+			w1r, w1i := twre[m+k], twim[m+k]
+			w2r, w2i := twre[2*m+k], twim[2*m+k]
+			w3r, w3i := twre[3*m+k], twim[3*m+k]
+			w4r, w4i := twre[4*m+k], twim[4*m+k]
+			w5r, w5i := twre[5*m+k], twim[5*m+k]
+			w6r, w6i := twre[6*m+k], twim[6*m+k]
+			x0r, x0i := laneRow(dre, k), laneRow(dim, k)
+			x1r, x1i := laneRow(dre, m+k), laneRow(dim, m+k)
+			x2r, x2i := laneRow(dre, 2*m+k), laneRow(dim, 2*m+k)
+			x3r, x3i := laneRow(dre, 3*m+k), laneRow(dim, 3*m+k)
+			x4r, x4i := laneRow(dre, 4*m+k), laneRow(dim, 4*m+k)
+			x5r, x5i := laneRow(dre, 5*m+k), laneRow(dim, 5*m+k)
+			x6r, x6i := laneRow(dre, 6*m+k), laneRow(dim, 6*m+k)
+			for l := 0; l < lw; l++ {
+				t1r, t1i := x1r[l]*w1r-x1i[l]*w1i, x1r[l]*w1i+x1i[l]*w1r
+				t2r, t2i := x2r[l]*w2r-x2i[l]*w2i, x2r[l]*w2i+x2i[l]*w2r
+				t3r, t3i := x3r[l]*w3r-x3i[l]*w3i, x3r[l]*w3i+x3i[l]*w3r
+				t4r, t4i := x4r[l]*w4r-x4i[l]*w4i, x4r[l]*w4i+x4i[l]*w4r
+				t5r, t5i := x5r[l]*w5r-x5i[l]*w5i, x5r[l]*w5i+x5i[l]*w5r
+				t6r, t6i := x6r[l]*w6r-x6i[l]*w6i, x6r[l]*w6i+x6i[l]*w6r
+				s1r, s1i, d1r, d1i := t1r+t6r, t1i+t6i, t1r-t6r, t1i-t6i
+				s2r, s2i, d2r, d2i := t2r+t5r, t2i+t5i, t2r-t5r, t2i-t5i
+				s3r, s3i, d3r, d3i := t3r+t4r, t3i+t4i, t3r-t4r, t3i-t4i
+				ar, ai := x0r[l], x0i[l]
+				er, ei := ar+c1*s1r+c2*s2r+c3*s3r, ai+c1*s1i+c2*s2i+c3*s3i
+				or, oi := n1*d1r+n2*d2r+n3*d3r, n1*d1i+n2*d2i+n3*d3i
+				x1r[l], x1i[l], x6r[l], x6i[l] = er-oi, ei+or, er+oi, ei-or
+				er, ei = ar+c2*s1r+c4*s2r+c6*s3r, ai+c2*s1i+c4*s2i+c6*s3i
+				or, oi = n2*d1r+n4*d2r+n6*d3r, n2*d1i+n4*d2i+n6*d3i
+				x2r[l], x2i[l], x5r[l], x5i[l] = er-oi, ei+or, er+oi, ei-or
+				er, ei = ar+c3*s1r+c6*s2r+c2*s3r, ai+c3*s1i+c6*s2i+c2*s3i
+				or, oi = n3*d1r+n6*d2r+n2*d3r, n3*d1i+n6*d2i+n2*d3i
+				x3r[l], x3i[l], x4r[l], x4i[l] = er-oi, ei+or, er+oi, ei-or
+				x0r[l], x0i[l] = ar+s1r+s2r+s3r, ai+s1i+s2i+s3i
 			}
 		}
 	}
 }
 
-// transformLanes is the lane-blocked Bluestein chirp-z transform, in place
-// on x in natural order. The multiplies that feed its two power-of-two
-// inner transforms write their rows in the inner plan's perm order (rows
-// past n are the convolution's zero padding). The 1/m normalization of the
-// inner inverse is folded into the final chirp multiply, saving one pass
-// over the convolution buffer.
-func (b *bluestein) transformLanes(x lanes.Slab, inverse bool, ws *Workspace) {
-	chre, chim := b.chirpRe, b.chirpFim
-	kre, kim := b.kernelFre, b.kernelFim
-	if inverse {
-		chim = b.chirpIim
-		kre, kim = b.kernelBre, b.kernelBim
-	}
-	la, lfa := ws.la, ws.lfa
-	perm := b.inner.perm
-	for k, j := range perm {
-		ar := (*[lw]float64)(la.Re[k*lw:])
-		ai := (*[lw]float64)(la.Im[k*lw:])
-		if j >= b.n {
-			*ar, *ai = [lw]float64{}, [lw]float64{}
-			continue
-		}
-		wr, wi := chre[j], chim[j]
-		sr := (*[lw]float64)(x.Re[j*lw:])
-		si := (*[lw]float64)(x.Im[j*lw:])
-		for l := 0; l < lw; l++ {
-			ar[l] = sr[l]*wr - si[l]*wi
-			ai[l] = sr[l]*wi + si[l]*wr
-		}
-	}
-	b.inner.transformLanes(la, false, nil)
-	for k, i := range perm {
-		wr, wi := kre[i], kim[i]
-		ar := (*[lw]float64)(la.Re[i*lw:])
-		ai := (*[lw]float64)(la.Im[i*lw:])
-		fr := (*[lw]float64)(lfa.Re[k*lw:])
-		fi := (*[lw]float64)(lfa.Im[k*lw:])
-		for l := 0; l < lw; l++ {
-			fr[l] = ar[l]*wr - ai[l]*wi
-			fi[l] = ar[l]*wi + ai[l]*wr
-		}
-	}
-	b.inner.transformLanes(lfa, true, nil)
-	invm := 1 / float64(b.m)
-	for k := 0; k < b.n; k++ {
-		wr, wi := chre[k]*invm, chim[k]*invm
-		fr := (*[lw]float64)(lfa.Re[k*lw:])
-		fi := (*[lw]float64)(lfa.Im[k*lw:])
-		xr := (*[lw]float64)(x.Re[k*lw:])
-		xi := (*[lw]float64)(x.Im[k*lw:])
-		for l := 0; l < lw; l++ {
-			xr[l] = fr[l]*wr - fi[l]*wi
-			xi[l] = fr[l]*wi + fi[l]*wr
-		}
-	}
-}
+// laneRow is row i of one half of a lane block.
+func laneRow(d []float64, i int) *[lw]float64 { return (*[lw]float64)(d[i*lw:]) }

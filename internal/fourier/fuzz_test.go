@@ -9,10 +9,10 @@ import (
 	"ptdft/internal/lanes"
 )
 
-// fuzzDim maps a fuzzed byte onto an axis length in [1, 67], a corpus byte
-// b in that range onto b itself; 67 is the one Bluestein length (a prime
-// above maxDirectRadix) inside the capped shape space.
-func fuzzDim(b uint8) int { return 1 + (int(b)+66)%67 }
+// fuzzDim maps a fuzzed byte onto an axis length in the closed set: the
+// {2,3,5,7}-smooth lengths up to 64, a corpus byte b in [1, 64] onto
+// NextFast(b) (b itself when b is in the set).
+func fuzzDim(b uint8) int { return NextFast(1 + (int(b)+63)%64) }
 
 // FuzzLaneVsScalar is the property pin of the transform layer: for ANY
 // (grid, nb, lane-remainder) shape the slab kernels must agree with the
@@ -20,9 +20,9 @@ func fuzzDim(b uint8) int { return 1 + (int(b)+66)%67 }
 // forward, kernel, inverse sequence built from it - to 1e-12 of the
 // magnitudes involved. The seed corpus crosses lane-multiple pencil counts,
 // off-by-one remainders, grids smaller than one lane group, axes that are
-// not multiples of lanes.Width, and Bluestein lengths (primes above
-// maxDirectRadix); the fuzzer then mutates freely inside the capped shape
-// space, whose 2000-point bound keeps one oracle evaluation to a few
+// not multiples of lanes.Width, and axes that stack radix-5 and radix-7
+// stages; the fuzzer then mutates freely inside the capped shape space,
+// whose 2000-point bound keeps one oracle evaluation to a few
 // milliseconds. The corpus runs as part of a plain `go test`, so the
 // property is checked on every CI run; `go test -fuzz FuzzLaneVsScalar
 // ./internal/fourier` explores beyond it.
@@ -30,10 +30,10 @@ func FuzzLaneVsScalar(f *testing.F) {
 	f.Add(uint8(8), uint8(8), uint8(8), uint8(4), int64(1))
 	f.Add(uint8(8), uint8(9), uint8(10), uint8(3), int64(2))
 	f.Add(uint8(5), uint8(7), uint8(3), uint8(1), int64(3))
-	f.Add(uint8(4), uint8(67), uint8(3), uint8(2), int64(4)) // Bluestein axis: 67 is prime
+	f.Add(uint8(4), uint8(49), uint8(3), uint8(2), int64(4)) // two radix-7 stages
 	f.Add(uint8(1), uint8(16), uint8(5), uint8(6), int64(5)) // single-pencil x, lane-multiple y
-	f.Add(uint8(13), uint8(2), uint8(9), uint8(5), int64(6)) // 13 and 9: no lane multiple anywhere
-	f.Add(uint8(31), uint8(4), uint8(4), uint8(2), int64(7)) // one generic radix-31 stage
+	f.Add(uint8(21), uint8(2), uint8(9), uint8(5), int64(6)) // 21 and 9: no lane multiple anywhere
+	f.Add(uint8(35), uint8(4), uint8(4), uint8(2), int64(7)) // a radix-5 and a radix-7 stage
 	f.Add(uint8(3), uint8(3), uint8(3), uint8(1), int64(8))  // smaller than one lane group
 	f.Fuzz(func(t *testing.T, bx, by, bz, bnb uint8, seed int64) {
 		dims := [3]int{fuzzDim(bx), fuzzDim(by), fuzzDim(bz)}
@@ -135,16 +135,16 @@ func FuzzLaneVsScalar(f *testing.F) {
 // ANY grid shape and ANY subset of z-rows, InversePrunedSlabWS on a box that
 // is zero outside the subset equals the full RawSlabWS inverse. The corpus
 // covers the production dense boxes' shapes in miniature (row counts that
-// are and are not multiples of lanes.Width, a single row, every row, a
-// Bluestein axis) and runs in a plain `go test`.
+// are and are not multiples of lanes.Width, a single row, every row,
+// radix-5 and radix-7 axes) and runs in a plain `go test`.
 func FuzzPrunedVsRaw(f *testing.F) {
 	f.Add(uint8(8), uint8(8), uint8(8), uint8(40), int64(1))
 	f.Add(uint8(12), uint8(6), uint8(6), uint8(25), int64(2)) // the 36x18x18 aspect
 	f.Add(uint8(5), uint8(7), uint8(3), uint8(128), int64(3))
-	f.Add(uint8(4), uint8(67), uint8(3), uint8(30), int64(4))  // Bluestein axis: 67 is prime
-	f.Add(uint8(13), uint8(2), uint8(9), uint8(255), int64(5)) // every row listed
+	f.Add(uint8(4), uint8(49), uint8(3), uint8(30), int64(4))  // two radix-7 stages
+	f.Add(uint8(15), uint8(2), uint8(9), uint8(255), int64(5)) // every row listed
 	f.Add(uint8(9), uint8(9), uint8(10), uint8(2), int64(6))   // (almost) no row listed
-	f.Add(uint8(1), uint8(1), uint8(31), uint8(255), int64(7))
+	f.Add(uint8(1), uint8(1), uint8(35), uint8(255), int64(7))
 	f.Fuzz(func(t *testing.T, bx, by, bz, bkeep uint8, seed int64) {
 		nx, ny, nz := fuzzDim(bx), fuzzDim(by), fuzzDim(bz)
 		if nx*ny*nz > 5000 {

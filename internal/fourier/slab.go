@@ -66,7 +66,7 @@ func (p *Plan3) zPassSlab(dst, src lanes.Slab, rows []int, inverse bool, ws *Wor
 			}
 		}
 		zeroTailLanes(lu, nz, L)
-		p.pz.transformLanes(lu, inverse, ws.wsz)
+		p.pz.transformLanes(lu, inverse)
 		for l := 0; l < L; l++ {
 			base := bases[l]
 			rre := dst.Re[base : base+nz]
@@ -163,7 +163,7 @@ func (p *Plan3) yPassSlab(dst lanes.Slab, planes []int, inverse bool, ws *Worksp
 		for iz0 := 0; iz0 < nz; iz0 += lw {
 			L := min(lw, nz-iz0)
 			gatherStrided(lu, dst, base+iz0, ny, nz, L, p.py.perm)
-			p.py.transformLanes(lu, inverse, ws.wsy)
+			p.py.transformLanes(lu, inverse)
 			scatterStrided(dst, lu, base+iz0, ny, nz, L)
 		}
 	}
@@ -177,7 +177,7 @@ func (p *Plan3) xPassSlab(dst lanes.Slab, inverse bool, ws *Workspace3) {
 	for r0 := 0; r0 < stride; r0 += lw {
 		L := min(lw, stride-r0)
 		gatherStrided(lu, dst, r0, nx, stride, L, p.px.perm)
-		p.px.transformLanes(lu, inverse, ws.wsx)
+		p.px.transformLanes(lu, inverse)
 		scatterStrided(dst, lu, r0, nx, stride, L)
 	}
 }
@@ -200,7 +200,7 @@ func (p *Plan3) xPassKernelSlab(buf lanes.Slab, kernel []float64, ws *Workspace3
 	for r0 := 0; r0 < stride; r0 += lw {
 		L := min(lw, stride-r0)
 		gatherStrided(lu, buf, r0, nx, stride, L, perm)
-		p.px.transformLanes(lu, false, ws.wsx)
+		p.px.transformLanes(lu, false)
 		for k, i := range perm {
 			o := r0 + i*stride
 			kv := &pad
@@ -220,7 +220,7 @@ func (p *Plan3) xPassKernelSlab(buf lanes.Slab, kernel []float64, ws *Workspace3
 				vi[l] = ui[l] * s
 			}
 		}
-		p.px.transformLanes(lv, true, ws.wsx)
+		p.px.transformLanes(lv, true)
 		scatterStrided(buf, lv, r0, nx, stride, L)
 	}
 }
@@ -332,7 +332,7 @@ func (p *Plan3) ContractPairSlabWS(accI, accJ, phiI, phiJ, buf lanes.Slab, kerne
 			}
 		}
 		zeroTailLanes(lu, nz, L)
-		p.pz.transformLanes(lu, false, ws.wsz)
+		p.pz.transformLanes(lu, false)
 		for l := 0; l < L; l++ {
 			base := (r0 + l) * nz
 			for k := 0; k < nz; k++ {
@@ -354,7 +354,7 @@ func (p *Plan3) ContractPairSlabWS(accI, accJ, phiI, phiJ, buf lanes.Slab, kerne
 			}
 		}
 		zeroTailLanes(lu, nz, L)
-		p.pz.transformLanes(lu, true, ws.wsz)
+		p.pz.transformLanes(lu, true)
 		if diag {
 			for l := 0; l < L; l++ {
 				base := (r0 + l) * nz

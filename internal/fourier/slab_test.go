@@ -12,7 +12,7 @@ import (
 
 // slabGrids crosses the lane-remainder space: pencil counts that are
 // multiples of lanes.Width, off-by-one remainders, tiny grids smaller than
-// one lane group, and a Bluestein axis (67 is prime > maxDirectRadix).
+// one lane group, and axes that stack radix-5 and radix-7 stages (49, 35).
 var slabGrids = [][3]int{
 	{8, 8, 8},
 	{8, 9, 10},
@@ -20,8 +20,8 @@ var slabGrids = [][3]int{
 	{4, 6, 12},
 	{3, 3, 3},
 	{1, 16, 5},
-	{4, 67, 3},
-	{13, 2, 9},
+	{4, 49, 3},
+	{35, 2, 9},
 }
 
 func maxDiff(a []complex128, s lanes.Slab) float64 {
@@ -150,11 +150,10 @@ func TestContractSlabMatchesManual(t *testing.T) {
 }
 
 // TestSlabTransformAllocs: with a caller-held workspace the slab transforms
-// allocate nothing, the Bluestein fallback included, and the []complex128
-// adapter allocates nothing after the call that made the workspace's grid
-// slab.
+// allocate nothing, on every radix, and the []complex128 adapter allocates
+// nothing after the call that made the workspace's grid slab.
 func TestSlabTransformAllocs(t *testing.T) {
-	for _, dims := range [][3]int{{8, 9, 10}, {4, 67, 3}} {
+	for _, dims := range [][3]int{{8, 9, 10}, {14, 7, 15}} {
 		p := MustPlan3(dims[0], dims[1], dims[2])
 		n := p.Size()
 		s := lanes.New(n)
@@ -179,10 +178,10 @@ func TestSlabTransformAllocs(t *testing.T) {
 
 // BenchmarkContractPairSlab times one two-sided pair contraction, the
 // exchange's unit of work, on the wave boxes the benchmark rows run: 9^3
-// and 12^3 (Si8 at Ecut 2-3), 18x9x9 (Si16 at Ecut 3) and 7^3, whose
-// radix-7 axes take the generic butterfly.
+// (Si8 at Ecut 3), 12^3 (Si8 at Ecut 6), 18x9x9 (Si16 at Ecut 3), and 7^3
+// and 14x7x7 (Si8 and Si16 at Ecut 2), whose axes take radix-7 stages.
 func BenchmarkContractPairSlab(b *testing.B) {
-	for _, d := range [][3]int{{9, 9, 9}, {12, 12, 12}, {18, 9, 9}, {7, 7, 7}} {
+	for _, d := range [][3]int{{9, 9, 9}, {12, 12, 12}, {18, 9, 9}, {7, 7, 7}, {14, 7, 7}} {
 		p := MustPlan3(d[0], d[1], d[2])
 		n := p.Size()
 		rng := rand.New(rand.NewSource(1))
@@ -253,7 +252,7 @@ func TestInversePrunedSlabMatchesRaw(t *testing.T) {
 		{18, 18, 18}, // Si8 / Ecut 3
 		{14, 14, 14}, // Si8 / Ecut 2
 		{5, 7, 3},    // 35 rows, 3- and 21-pencil passes: no multiple of Width
-		{4, 67, 6},   // Bluestein y axis
+		{4, 35, 6},   // a radix-5-and-7 y axis
 	}
 	for _, dims := range grids {
 		p := MustPlan3(dims[0], dims[1], dims[2])

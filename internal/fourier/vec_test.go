@@ -78,25 +78,22 @@ func TestVecKernelsBitIdentical(t *testing.T) {
 	skipUnlessBothPaths(t)
 	rng := rand.New(rand.NewSource(19))
 
-	// 1-D: every fast length up to 128 (radix 2, 3 and 4 stages in every
-	// order the planner builds, with generic radix 5 and 7 stages between
-	// them), 25, 35 and 49 by name (generic-only plans: the dispatch must
-	// decline them), and 67 (Bluestein, whose inner length-256 plan is all
-	// radix 4).
+	// 1-D: every length of the closed set up to 128 (radix 2, 3, 4, 5 and
+	// 7 stages in every order the planner builds; 49 is a plan of radix-7
+	// kernels alone, and 35 mixes one with radix 5, which stays on the Go
+	// loop on both paths).
 	var lengths []int
 	for n := 1; n <= 128; n++ {
 		if IsFast(n) {
 			lengths = append(lengths, n)
 		}
 	}
-	lengths = append(lengths, 25, 35, 49, 67)
 	for _, n := range lengths {
 		p := MustPlan(n)
-		ws := p.NewWorkspace()
 		src := randLaneSlab(rng, n*lw)
 		for _, inverse := range []bool{false, true} {
 			var out []lanes.Slab // Go loops, then kernels
-			forEachVec(func(bool) { out = append(out, laneTransform(p, src, inverse, ws)) })
+			forEachVec(func(bool) { out = append(out, laneTransform(p, src, inverse)) })
 			sameBits(t, fmt.Sprintf("transformLanes n=%d inverse=%v", n, inverse), out[0], out[1])
 		}
 	}
@@ -115,9 +112,10 @@ func TestVecKernelsBitIdentical(t *testing.T) {
 		sameBits(t, fmt.Sprintf("gatherStrided n=%d", n), out[0], out[1])
 	}
 
-	// 3-D: the slab entry points on the four production boxes (wave and
-	// dense box of Si16/Ecut 3, of Si8/Ecut 2-3 and of Si8/Ecut 6).
-	for _, dims := range [][3]int{{18, 9, 9}, {36, 18, 18}, {12, 12, 12}, {24, 24, 24}} {
+	// 3-D: the slab entry points on the production boxes, wave and dense:
+	// Si16/Ecut 3, Si8/Ecut 6, Si8/Ecut 3 and Si8/Ecut 2 (the job row's
+	// radix-7 boxes).
+	for _, dims := range [][3]int{{18, 9, 9}, {36, 18, 18}, {12, 12, 12}, {24, 24, 24}, {9, 9, 9}, {18, 18, 18}, {7, 7, 7}, {14, 14, 14}} {
 		p := MustPlan3(dims[0], dims[1], dims[2])
 		n := p.Size()
 		ws := p.NewWorkspace()
@@ -197,15 +195,12 @@ func TestVecBoundsPanic(t *testing.T) {
 			s.Im = s.Im[:p.Size()-1]
 			p.RawSlabWS(s, s, false, p.NewWorkspace())
 		}},
-		{"short twiddle table", func() {
-			p := MustPlan(12)
-			st := &p.stages[0]
-			st.twRe = st.twRe[:len(st.twRe)-1]
-			p.transformLanes(lanes.New(12*lw), false, nil)
-		}},
+		{"short twiddle table", func() { shortTwiddles(12) }},
+		{"short radix-5 twiddle table", func() { shortTwiddles(10) }},
+		{"short radix-7 twiddle table", func() { shortTwiddles(14) }},
 		{"short lane block", func() {
 			p := MustPlan(12)
-			p.transformLanes(lanes.Slab{Re: make([]float64, 12*lw), Im: make([]float64, 12*lw-1)}, false, nil)
+			p.transformLanes(lanes.Slab{Re: make([]float64, 12*lw), Im: make([]float64, 12*lw-1)}, false)
 		}},
 		{"short strided source", func() {
 			gatherStrided(lanes.New(4*lw), lanes.New(3*20+lw-1), 0, 4, 20, lw, []int{0, 1, 2, 3})
@@ -232,20 +227,31 @@ func TestVecBoundsPanic(t *testing.T) {
 	}
 }
 
+// shortTwiddles runs an n-point plan whose top stage (the largest radix)
+// lost the last entry of its twiddle table.
+func shortTwiddles(n int) {
+	p := MustPlan(n)
+	st := &p.stages[0]
+	st.twRe = st.twRe[:len(st.twRe)-1]
+	p.transformLanes(lanes.New(n*lw), false)
+}
+
 // BenchmarkTransformLanes times one lane-block transform (Width pencils) as
 // a pass runs it - the gather into perm order and the in-place stage loop -
-// at the production axis lengths on each path this host has; it is the
-// number to look at first when touching the stage loop or a kernel.
+// at the production axis lengths on each path this host has, per transform
+// and per point; it is the number to look at first when touching the stage
+// loop or a kernel.
 func BenchmarkTransformLanes(b *testing.B) {
-	for _, n := range []int{7, 9, 12, 14, 18, 24, 36} {
+	for _, n := range []int{5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 21, 24, 28, 36} {
 		p := MustPlan(n)
 		src, blk := randLaneSlab(rand.New(rand.NewSource(1)), n*lw), lanes.New(n*lw)
 		forEachVec(func(vec bool) {
 			b.Run(fmt.Sprintf("n=%d/kernels=%v", n, vec), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					gatherStrided(blk, src, 0, n, lw, lw, p.perm)
-					p.transformLanes(blk, i&1 == 1, nil)
+					p.transformLanes(blk, i&1 == 1)
 				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
 			})
 		})
 	}
