@@ -8,6 +8,7 @@ package ptdft_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ptdft/internal/core"
@@ -61,7 +62,9 @@ func propagate(t *testing.T, g *grid.Grid, psi0 []complex128, nb int, hybrid boo
 
 // TestDistributedSemilocalMatchesSerial propagates the semi-local system
 // distributed over several rank counts and compares density and energy
-// against the serial core.PTCN propagator.
+// against the serial core.PTCN propagator. Both run core.CN's one step
+// body, so on one rank the distributed solver is the serial one bit for
+// bit: state, energy and current.
 func TestDistributedSemilocalMatchesSerial(t *testing.T) {
 	g, psi0, nb := fixtureT(t)
 	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
@@ -80,8 +83,13 @@ func TestDistributedSemilocalMatchesSerial(t *testing.T) {
 	refE := observe.Energy(sys, ref, p.Time).Total()
 	refJ := observe.Current(sys, ref)
 
-	for _, ranks := range []int{2, 3, 4} {
+	for _, ranks := range []int{1, 2, 3, 4} {
 		got, e, j := propagate(t, g, psi0, nb, false, ranks, steps, dt, dist.ExchangeOptions{})
+		if ranks == 1 {
+			if d := wavefunc.MaxDiff(ref, got); d != 0 || e != refE || j != refJ {
+				t.Errorf("ranks=1: not the serial bits: state max diff %g, energy %v vs %v, current %v vs %v", d, e, refE, j, refJ)
+			}
+		}
 		rho := potential.Density(g, got, nb, 2)
 		if d := potential.DensityDiff(g, refRho, rho, 32); d > 1e-7 {
 			t.Errorf("ranks=%d: density differs from serial by %g", ranks, d)
@@ -98,6 +106,77 @@ func TestDistributedSemilocalMatchesSerial(t *testing.T) {
 			t.Errorf("ranks=%d: subspace fidelity %g, want 1", ranks, f)
 		}
 	}
+}
+
+// TestDistributedSolvesCNEquation is TestPTCNSolvesCNEquation on two ranks:
+// the converged iterate, read from the solver's workspace before the
+// orthonormalization, solves Psi_f + i dt/2 R(Psi_f) = Psi_{n+1/2}, with
+// the norm taken over the whole band set (each rank's share allreduced).
+func TestDistributedSolvesCNEquation(t *testing.T) {
+	g, psi0, nb := fixtureT(t)
+	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
+	opt := core.DefaultPTCN()
+	opt.TolDensity = 1e-10
+	mpi.Run(2, func(c *mpi.Comm) {
+		d, err := dist.NewCtx(c, g, nb, 2)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		h := hamiltonian.New(g, siPots(), hamiltonian.Config{})
+		s := dist.NewPTCNSolver(d, h, xc.HSE06(), false, kick, opt, dist.ExchangeOptions{})
+		lo, hi := d.BandRange(c.Rank())
+		local := wavefunc.Clone(psi0[lo*g.NG : hi*g.NG])
+		for _, dt := range []float64{1.0, 2.07} {
+			next, _, err := s.Step(local, dt)
+			if err != nil {
+				t.Errorf("rank %d: %v", c.Rank(), err)
+				return
+			}
+			psif, half := s.Iterate()
+			s.Refresh(psif, s.Density(psif), s.Time)
+			rf, _, err := s.Residual(psif, false)
+			if err != nil {
+				t.Errorf("rank %d: %v", c.Rank(), err)
+				return
+			}
+			n2 := []float64{0}
+			for i, r := range rf {
+				f := psif[i] + complex(0, dt/2)*r - half[i]
+				n2[0] += real(f)*real(f) + imag(f)*imag(f)
+			}
+			mpi.AllreduceSum(c, 9100, n2)
+			if n := math.Sqrt(n2[0]); n > 1e-8 && c.Rank() == 0 {
+				t.Errorf("dt %g: converged iterate misses the CN equation by %.3e, want <= 1e-8", dt, n)
+			}
+			local = next
+		}
+	})
+}
+
+// TestDistributedFailsFastOnNonFiniteDensityError: a NaN in one rank's
+// block makes the allreduced density error NaN on every rank, and every
+// rank's step ends after that first SCF iteration with the same error.
+func TestDistributedFailsFastOnNonFiniteDensityError(t *testing.T) {
+	g, psi0, nb := fixtureT(t)
+	psi0[5] = complex(math.NaN(), 0)
+	mpi.Run(2, func(c *mpi.Comm) {
+		d, err := dist.NewCtx(c, g, nb, 2)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		h := hamiltonian.New(g, siPots(), hamiltonian.Config{})
+		s := dist.NewPTCNSolver(d, h, xc.HSE06(), false, nil, core.DefaultPTCN(), dist.ExchangeOptions{})
+		lo, hi := d.BandRange(c.Rank())
+		_, stats, err := s.Step(wavefunc.Clone(psi0[lo*g.NG:hi*g.NG]), 1.0)
+		if err == nil || !strings.Contains(err.Error(), "iteration 1") || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("rank %d: step from a NaN state: err %v, want the non-finite density error of iteration 1", c.Rank(), err)
+		}
+		if stats.SCFIterations != 1 {
+			t.Errorf("rank %d: step from a NaN state ran %d SCF iterations, want 1", c.Rank(), stats.SCFIterations)
+		}
+	})
 }
 
 // TestDistributedStrategiesAgree runs one hybrid PT-CN step under both

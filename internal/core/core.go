@@ -31,7 +31,8 @@ import (
 	"ptdft/internal/wavefunc"
 )
 
-// System bundles the pieces of a time-dependent simulation.
+// System bundles the pieces of a time-dependent simulation. It is the serial
+// PT-CN solver's BandBlock, whose block is the whole band set.
 type System struct {
 	G     *grid.Grid
 	H     *hamiltonian.Hamiltonian
@@ -44,13 +45,17 @@ type System struct {
 	// SCF-iteration spans on it; exchange-level spans come from the
 	// Hamiltonian's forwarded copy.
 	Tr *trace.Track
+
+	// Residual's buffers, allocated on first use and reused across SCF
+	// iterations and steps: H psi, the PT residual, Psi^* H Psi.
+	hp, res, ov []complex128
 }
 
 // Prepare refreshes every time- and state-dependent piece of H for the
 // given orbitals at time t - the "update the potential and the
 // Hamiltonian" step of Alg. 1 line 5 - and marks H as prepared for them.
 func (s *System) Prepare(psi []complex128, t float64) {
-	s.PrepareWithDensity(psi, s.density(psi), t)
+	s.Refresh(psi, s.Density(psi), t)
 	s.H.MarkPrepared(psi, t)
 }
 
@@ -68,30 +73,59 @@ func (s *System) EnsurePrepared(psi []complex128, t float64) {
 	}
 }
 
-// density and updatePotential are potential.Density and
-// Hamiltonian.UpdatePotential under the "density" and "potential" spans the
-// distributed solver also records, so a serial and a distributed profile
-// have the same rows.
-func (s *System) density(psi []complex128) []float64 {
+// Density is potential.Density under the "density" span the distributed
+// solver also records (Refresh's "potential" span likewise), so a serial and
+// a distributed profile have the same rows.
+func (s *System) Density(psi []complex128) []float64 {
 	ref := s.Tr.Begin("density", "solver")
 	rho := potential.Density(s.G, psi, s.NB, s.Occ)
 	s.Tr.End(ref)
 	return rho
 }
 
-func (s *System) updatePotential(rho []float64) {
+// Refresh is Prepare with a caller-supplied density (used inside the PT-CN
+// SCF loop, where the density of the current iterate is already known). It
+// leaves H unmarked: nothing ties rho to psi.
+func (s *System) Refresh(psi []complex128, rho []float64, t float64) {
+	s.H.SetField(laser.At(s.Field, t))
 	ref := s.Tr.Begin("potential", "solver")
 	s.H.UpdatePotential(rho)
 	s.Tr.End(ref)
+	s.H.SetFockOrbitals(psi, s.NB)
 }
 
-// PrepareWithDensity is Prepare with a caller-supplied density (used inside
-// the PT-CN SCF loop, where the density of the current iterate is already
-// known). It leaves H unmarked: nothing ties rho to psi.
-func (s *System) PrepareWithDensity(psi []complex128, rho []float64, t float64) {
-	s.H.SetField(laser.At(s.Field, t))
-	s.updatePotential(rho)
-	s.H.SetFockOrbitals(psi, s.NB)
+// Residual computes the PT residual R = H psi - psi (psi^* H psi) - the
+// right-hand side of the PT equation of motion, whose smallness relative to
+// H psi is what buys the large steps - and the projection matrix into the
+// System's buffers; both are valid until the next call. The serial
+// exchange cadence lives on H, so first is not read.
+func (s *System) Residual(psi []complex128, first bool) (res, ov []complex128, err error) {
+	nb, ng := s.NB, s.G.NG
+	if len(s.hp) != nb*ng {
+		s.hp, s.res, s.ov = make([]complex128, nb*ng), make([]complex128, nb*ng), make([]complex128, nb*nb)
+	}
+	s.H.Apply(s.hp, psi, nb)
+	linalg.Overlap(s.ov, psi, s.hp, nb, nb, ng)
+	// res = hp - psi * S, band-major: res_j = hp_j - sum_i S[i][j] psi_i.
+	linalg.ApplyMatrix(s.res, psi, s.ov, nb, nb, ng)
+	for i := range s.res {
+		s.res[i] = s.hp[i] - s.res[i]
+	}
+	return s.res, s.ov, nil
+}
+
+// Orthonormalize re-orthogonalizes the band set into storage of its own (a
+// converged iterate stays where it is) and reports the orthonormality error
+// before it.
+func (s *System) Orthonormalize(psi []complex128) ([]complex128, float64, error) {
+	ref := s.Tr.Begin("orthonormalize", "solver")
+	defer s.Tr.End(ref)
+	oerr := wavefunc.OrthonormalityError(psi, s.NB, s.G.NG)
+	out := wavefunc.Clone(psi)
+	if err := wavefunc.Orthonormalize(out, s.NB, s.G.NG); err != nil {
+		return nil, oerr, fmt.Errorf("core: orthogonalization failed: %w", err)
+	}
+	return out, oerr, nil
 }
 
 // StepStats records the work done in one propagation step - the quantities
@@ -139,81 +173,197 @@ func PreconditionCN(f []complex128, kin []float64, ov []complex128, nb, lo int, 
 	}
 }
 
-// PTCN is the parallel transport Crank-Nicolson propagator (Algorithm 1).
-type PTCN struct {
-	Sys  *System
+// BandBlock is what the Crank-Nicolson loop asks of the bands it advances:
+// the whole band set for the serial solver (System), one rank's band block
+// for the distributed one, whose operations are collective.
+type BandBlock interface {
+	// EnsurePrepared makes H current for psi at time t unless it still is.
+	EnsurePrepared(psi []complex128, t float64)
+	// Refresh rebuilds H at time t from the iterate psi and the density rho
+	// of the whole band set (Alg. 1 line 5).
+	Refresh(psi []complex128, rho []float64, t float64)
+	// Density returns the charge density of the whole band set.
+	Density(psi []complex128) []float64
+	// Residual returns the PT residual of the block and the nb x nb
+	// projection matrix Psi^* H Psi of the whole set, both valid until the
+	// next call; first marks the residual at Psi_n, the rest are at
+	// iterates.
+	Residual(psi []complex128, first bool) (res, ov []complex128, err error)
+	// Orthonormalize returns the re-orthogonalized block in storage of its
+	// own and the orthonormality error before it.
+	Orthonormalize(psi []complex128) ([]complex128, float64, error)
+}
+
+// Bands places a BandBlock in the band set: NB bands of Occ electrons on
+// grid G, the block's first at global index Lo. H supplies the
+// preconditioner's kinetic diagonal and Tr takes the scf_iter spans.
+type Bands struct {
+	G      *grid.Grid
+	H      *hamiltonian.Hamiltonian
+	NB, Lo int
+	Occ    float64
+	Tr     *trace.Track
+}
+
+// CN is the Crank-Nicolson state both PT-CN solvers carry between steps,
+// and its Advance is their one step body (Algorithm 1).
+type CN struct {
 	Opt  PTCNOptions
 	Time float64 // current simulation time (au)
 
 	// MTS is the multiple-time-stepping refresh period M (Mandal et al.,
-	// arXiv:2110.07670, adapted to PT-CN): when M >= 1 and the Hamiltonian
-	// is hybrid, the Fock/ACE exchange operator is rebuilt from Psi_n only
-	// on outer steps (StepIndex mod M == 0) and held frozen - through the
-	// inner SCF and through the M-1 intermediate steps - while the
-	// semi-local physics advances every step. 0 (the default) refreshes
-	// the exchange at every H rebuild, the pre-MTS behavior.
+	// arXiv:2110.07670, adapted to PT-CN): when M >= 1 and the functional is
+	// hybrid, the exchange operator is rebuilt from Psi_n only on outer
+	// steps (StepIndex mod M == 0) and held frozen - through the inner SCF
+	// and through the M-1 intermediate steps - while the semi-local physics
+	// advances every step. 0 (the default) refreshes the exchange at every
+	// H rebuild, the pre-MTS behavior.
 	MTS int
-	// StepIndex counts completed steps and anchors the MTS cycle; set it
-	// (or call ResumeMTS) when resuming from a checkpoint so the segment
+	// StepIndex counts completed steps and anchors the MTS cycle;
+	// ResumeMTS sets it when resuming from a checkpoint so the segment
 	// lands on the correct outer/inner phase.
 	StepIndex int
 
-	ws *stepWorkspace
+	// The step's own buffers, reused across SCF iterations and steps: the
+	// half-step RHS Psi_{n+1/2} and the SCF iterate Psi_f, mixed in place.
+	// The mixer is Reset per step, so its history vectors, Gram matrices
+	// and least squares scratch are allocated once.
+	half, psif []complex128
+	mixer      *mixing.BandMixer
 }
 
-// stepWorkspace owns the band-set buffers of the step's hot loop, reused
-// across SCF iterations and steps (the twin of dist's stepWorkspace).
-type stepWorkspace struct {
-	hp   []complex128 // nb x NG: H psi
-	res  []complex128 // nb x NG: PT residual, returned by residual
-	half []complex128 // nb x NG: half-step RHS Psi_{n+1/2}
-	psif []complex128 // nb x NG: the SCF iterate Psi_f, mixed in place
-	ov   []complex128 // nb x nb: projection matrix Psi^* H Psi
-	// mixer is Reset per step, so its history vectors, Gram matrices and
-	// least squares scratch are allocated once.
-	mixer *mixing.BandMixer
+// MTSPhase reports the position within the current MTS cycle: the number
+// of steps completed since the last outer step, in [0, M); 0 when MTS is
+// off. A checkpoint taken at phase 0 needs no frozen reference - the next
+// step is an outer step and rebuilds from Psi_n.
+func (c *CN) MTSPhase() int {
+	if c.MTS > 0 {
+		return c.StepIndex % c.MTS
+	}
+	return 0
 }
 
-// residual computes the PT residual R = H psi - psi (psi^* H psi) - the
-// right-hand side of the PT equation of motion, whose smallness relative to
-// H psi is what buys the large steps - into the step workspace; the
-// returned slice is valid until the next call.
-func (p *PTCN) residual(psi []complex128) []complex128 {
-	nb, ng := p.Sys.NB, p.Sys.G.NG
-	if p.ws == nil || len(p.ws.hp) != nb*ng {
-		p.ws = &stepWorkspace{
-			hp:    make([]complex128, nb*ng),
-			res:   make([]complex128, nb*ng),
-			half:  make([]complex128, nb*ng),
-			psif:  make([]complex128, nb*ng),
-			ov:    make([]complex128, nb*nb),
-			mixer: mixing.NewBandMixer(nb, ng, p.Opt.MixHistory, p.Opt.MixBeta),
+// ResumeCycle lands the step count on a checkpoint's MTS phase (the loaded
+// cumulative step modulo M) and reports whether the solver must reinstall
+// phiRef, the frozen exchange reference of the last outer step: only
+// mid-cycle on a hybrid run, where a missing reference is an error.
+func (c *CN) ResumeCycle(phase int, phiRef []complex128, hybrid bool) (bool, error) {
+	if m := max(c.MTS, 1); phase < 0 || phase >= m {
+		return false, fmt.Errorf("core: resuming at MTS phase %d, outside the cycle [0, %d)", phase, m)
+	}
+	c.StepIndex = phase
+	if phase == 0 || !hybrid {
+		return false, nil
+	}
+	if phiRef == nil {
+		return false, fmt.Errorf("core: resuming mid-cycle (phase %d of %d) needs the frozen exchange reference", phase, c.MTS)
+	}
+	return true, nil
+}
+
+// Iterate returns the last step's converged iterate Psi_f, before the
+// orthonormalization, and its half-step RHS Psi_{n+1/2}: workspace, valid
+// until the next step.
+func (c *CN) Iterate() (psif, half []complex128) { return c.psif, c.half }
+
+// Advance moves the block psi by dt with Algorithm 1 and returns the new
+// block, under whatever exchange cadence the solver set up for the step.
+// Every branch reads replicated data (the global density, the allreduced
+// projection matrix), so on a distributed block success and failure are
+// symmetric across ranks.
+func (c *CN) Advance(b BandBlock, at Bands, psi []complex128, dt float64) ([]complex128, StepStats, error) {
+	var stats StepStats
+	// Line 1: residual Rn at time tn with the current state's H - already
+	// prepared when the energy observable of the previous step asked for it.
+	b.EnsurePrepared(psi, c.Time)
+	rn, ov, err := b.Residual(psi, true)
+	if err != nil {
+		return nil, stats, err
+	}
+	stats.HApplications++
+	if len(c.psif) != len(psi) {
+		c.half, c.psif = make([]complex128, len(psi)), make([]complex128, len(psi))
+		c.mixer = mixing.NewBandMixer(len(psi)/at.G.NG, at.G.NG, c.Opt.MixHistory, c.Opt.MixBeta)
+	}
+
+	// Line 2: half-step RHS Psi_{n+1/2} = Psi_n - i dt/2 Rn, and the trial
+	// state Psi_n - i dt K Rn, the Crank-Nicolson equation linearised at
+	// Psi_n (the paper starts from Psi_{n+1/2}).
+	half, psif := c.half, c.psif
+	ihalf, idt := complex(0, dt/2), complex(0, dt)
+	for i := range half {
+		half[i] = psi[i] - ihalf*rn[i]
+	}
+	PreconditionCN(rn, at.H.Kinetic(), ov, at.NB, at.Lo, dt)
+	for i := range psif {
+		psif[i] = psi[i] - idt*rn[i]
+	}
+
+	// Line 3: density of the trial state.
+	rhof := b.Density(psif)
+
+	c.mixer.Reset()
+	tNext := c.Time + dt
+	for j := 0; j < c.Opt.MaxSCF; j++ {
+		iterRef := at.Tr.Begin("scf_iter", "solver")
+		// Line 5: refresh H_f from the current iterate.
+		b.Refresh(psif, rhof, tNext)
+
+		// Line 6: fixed-point residual
+		// R_f = Psi_f + i dt/2 (H Psi_f - Psi_f (Psi_f^* H Psi_f)) - Psi_{n+1/2}.
+		rf, ov, err := b.Residual(psif, false)
+		if err != nil {
+			at.Tr.EndN(iterRef, int64(j))
+			return nil, stats, err
+		}
+		stats.HApplications++
+		for i := range rf {
+			// Mixer convention: next = x + beta*f, so pass f = -R_f; it
+			// overwrites the residual, which the mixer copies.
+			rf[i] = half[i] - psif[i] - ihalf*rf[i]
+		}
+
+		// Line 7: Anderson mixing per band, on the preconditioned residual.
+		PreconditionCN(rf, at.H.Kinetic(), ov, at.NB, at.Lo, dt)
+		c.mixer.MixInto(psif, psif, rf)
+
+		// Line 8-9: density change convergence monitor.
+		rhoNew := b.Density(psif)
+		stats.DensityError = potential.DensityDiff(at.G, rhoNew, rhof, at.Occ*float64(at.NB))
+		rhof = rhoNew
+		stats.SCFIterations++
+		at.Tr.EndN(iterRef, int64(j))
+		if e := stats.DensityError; math.IsNaN(e) || math.IsInf(e, 0) {
+			return nil, stats, fmt.Errorf("core: PT-CN SCF iteration %d: density error %v is not finite", j+1, e)
+		}
+		if stats.DensityError < c.Opt.TolDensity {
+			// Line 11: re-orthogonalize; the converged iterate stays in the
+			// workspace.
+			out, oerr, err := b.Orthonormalize(psif)
+			stats.OrthogonalityE = oerr
+			if err != nil {
+				return nil, stats, err
+			}
+			c.Time = tNext
+			c.StepIndex++
+			return out, stats, nil
 		}
 	}
-	ws := p.ws
-	p.Sys.H.Apply(ws.hp, psi, nb)
-	linalg.Overlap(ws.ov, psi, ws.hp, nb, nb, ng)
-	// res = hp - psi * S, band-major: res_j = hp_j - sum_i S[i][j] psi_i.
-	linalg.ApplyMatrix(ws.res, psi, ws.ov, nb, nb, ng)
-	for i := range ws.res {
-		ws.res[i] = ws.hp[i] - ws.res[i]
-	}
-	return ws.res
+	return nil, stats, fmt.Errorf("core: PT-CN SCF did not converge in %d iterations (density error %.3e)",
+		c.Opt.MaxSCF, stats.DensityError)
+}
+
+// PTCN is the serial parallel transport Crank-Nicolson propagator: the
+// whole band set of one System, with the exchange cadence held on its
+// Hamiltonian.
+type PTCN struct {
+	Sys *System
+	CN
 }
 
 // NewPTCN builds a PT-CN propagator starting at t = 0.
 func NewPTCN(sys *System, opt PTCNOptions) *PTCN {
-	return &PTCN{Sys: sys, Opt: opt}
-}
-
-// MTSPhase reports the position within the current MTS cycle, in [0, M);
-// 0 when MTS is off. A checkpoint taken at phase 0 needs no frozen
-// reference - the next step is an outer step and rebuilds from Psi_n.
-func (p *PTCN) MTSPhase() int {
-	if p.MTS > 0 {
-		return p.StepIndex % p.MTS
-	}
-	return 0
+	return &PTCN{Sys: sys, CN: CN{Opt: opt}}
 }
 
 // MTSRef exposes the frozen exchange reference of the current MTS cycle
@@ -231,24 +381,11 @@ func (p *PTCN) MTSRef() []complex128 {
 // saved at the last outer step (required mid-cycle, ignored at phase 0
 // where the next step rebuilds anyway).
 func (p *PTCN) ResumeMTS(phase int, phiRef []complex128) error {
-	if p.MTS <= 0 {
-		if phase != 0 {
-			return fmt.Errorf("core: ResumeMTS(phase=%d) without MTS", phase)
-		}
-		return nil
+	install, err := p.ResumeCycle(phase, phiRef, p.Sys.H.Hybrid())
+	if install {
+		p.Sys.H.SetFockOrbitalsFrozen(phiRef, p.Sys.NB)
 	}
-	if phase < 0 || phase >= p.MTS {
-		return fmt.Errorf("core: ResumeMTS phase %d outside cycle [0, %d)", phase, p.MTS)
-	}
-	p.StepIndex = phase
-	if phase == 0 || !p.Sys.H.Hybrid() {
-		return nil
-	}
-	if phiRef == nil {
-		return fmt.Errorf("core: resuming mid-cycle (phase %d of %d) needs the frozen exchange reference", phase, p.MTS)
-	}
-	p.Sys.H.SetFockOrbitalsFrozen(phiRef, p.Sys.NB)
-	return nil
+	return err
 }
 
 // IonGeometryChanged is the coupled-step hook of the Ehrenfest ion
@@ -265,102 +402,24 @@ func (p *PTCN) IonGeometryChanged() {
 // Step advances psi by dt using Algorithm 1 and returns the new orbitals.
 func (p *PTCN) Step(psi []complex128, dt float64) ([]complex128, StepStats, error) {
 	s := p.Sys
-	g, h, nb := s.G, s.H, s.NB
-	ng := g.NG
-	var stats StepStats
 	stepRef := s.Tr.Begin("step", "step")
 	defer s.Tr.EndN(stepRef, int64(p.StepIndex))
 
 	// Exchange refresh cadence. MTS outer steps freeze the operator at
-	// Psi_n; the hold makes every SetFockOrbitals below (and in the
+	// Psi_n; the hold makes every SetFockOrbitals of the step (and of the
 	// observable evaluations between steps) a no-op until the next outer
 	// step. Without MTS this propagator owns the per-refresh schedule, so
 	// a hold left behind by a previous MTS propagator on the same
 	// Hamiltonian is released rather than silently freezing this run.
-	if h.Hybrid() {
+	if h := s.H; h.Hybrid() {
 		switch {
-		case p.MTS > 0 && p.StepIndex%p.MTS == 0:
-			h.SetFockOrbitalsFrozen(psi, nb)
+		case p.MTS > 0 && p.MTSPhase() == 0:
+			h.SetFockOrbitalsFrozen(psi, s.NB)
 		case p.MTS <= 0 && h.FockHeld():
 			h.ReleaseFockHold()
 		}
 	}
-
-	// Line 1: residual Rn at time tn with the current state's H - already
-	// prepared when the energy observable of the previous step asked for it.
-	s.EnsurePrepared(psi, p.Time)
-	rn := p.residual(psi)
-	stats.HApplications++
-
-	// Line 2: half-step RHS Psi_{n+1/2} = Psi_n - i dt/2 Rn, and the trial
-	// state Psi_n - i dt K Rn, the Crank-Nicolson equation linearised at
-	// Psi_n (the paper starts from Psi_{n+1/2}).
-	half := p.ws.half
-	ihalf, idt := complex(0, dt/2), complex(0, dt)
-	for i := range half {
-		half[i] = psi[i] - ihalf*rn[i]
-	}
-	PreconditionCN(rn, h.Kinetic(), p.ws.ov, nb, 0, dt)
-	psif := p.ws.psif
-	for i := range psif {
-		psif[i] = psi[i] - idt*rn[i]
-	}
-
-	// Line 3: density of the trial state.
-	rhof := s.density(psif)
-
-	mixer := p.ws.mixer
-	mixer.Reset()
-	tNext := p.Time + dt
-	converged := false
-	for j := 0; j < p.Opt.MaxSCF; j++ {
-		iterRef := s.Tr.Begin("scf_iter", "solver")
-		// Line 5: refresh H_f from the current iterate.
-		s.PrepareWithDensity(psif, rhof, tNext)
-
-		// Line 6: fixed-point residual
-		// R_f = Psi_f + i dt/2 (H Psi_f - Psi_f (Psi_f^* H Psi_f)) - Psi_{n+1/2}.
-		rf := p.residual(psif)
-		stats.HApplications++
-		for i := range rf {
-			// Mixer convention: next = x + beta*f, so pass f = -R_f; it
-			// overwrites the residual, which the mixer copies.
-			rf[i] = half[i] - psif[i] - ihalf*rf[i]
-		}
-
-		// Line 7: Anderson mixing per band, on the preconditioned residual.
-		PreconditionCN(rf, h.Kinetic(), p.ws.ov, nb, 0, dt)
-		mixer.MixInto(psif, psif, rf)
-
-		// Line 8-9: density change convergence monitor.
-		rhoNew := s.density(psif)
-		stats.DensityError = potential.DensityDiff(g, rhoNew, rhof, s.Occ*float64(nb))
-		rhof = rhoNew
-		stats.SCFIterations++
-		s.Tr.EndN(iterRef, int64(j))
-		if stats.DensityError < p.Opt.TolDensity {
-			converged = true
-			break
-		}
-	}
-	if !converged {
-		return nil, stats, fmt.Errorf("core: PT-CN SCF did not converge in %d iterations (density error %.3e)",
-			p.Opt.MaxSCF, stats.DensityError)
-	}
-
-	// Line 11: re-orthogonalize, into storage of the new state's own (the
-	// converged iterate stays in the workspace).
-	orthRef := s.Tr.Begin("orthonormalize", "solver")
-	stats.OrthogonalityE = wavefunc.OrthonormalityError(psif, nb, ng)
-	out := wavefunc.Clone(psif)
-	if err := wavefunc.Orthonormalize(out, nb, ng); err != nil {
-		s.Tr.End(orthRef)
-		return nil, stats, fmt.Errorf("core: orthogonalization failed: %w", err)
-	}
-	s.Tr.End(orthRef)
-	p.Time = tNext
-	p.StepIndex++
-	return out, stats, nil
+	return p.Advance(s, Bands{G: s.G, H: s.H, NB: s.NB, Occ: s.Occ, Tr: s.Tr}, psi, dt)
 }
 
 // RK4 is the explicit 4th-order Runge-Kutta propagator for the original

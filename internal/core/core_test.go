@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ptdft/internal/grid"
@@ -345,9 +346,9 @@ func TestPTCNSolvesCNEquation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		psif, half := p.ws.psif, p.ws.half
+		psif, half := p.Iterate()
 		sys.Prepare(psif, p.Time)
-		rf := p.residual(psif)
+		rf, _, _ := sys.Residual(psif, false)
 		var n2 float64
 		for i, r := range rf {
 			d := psif[i] + complex(0, dt/2)*r - half[i]
@@ -368,6 +369,21 @@ func TestPTCNFailsGracefullyWhenNotConverging(t *testing.T) {
 	p := NewPTCN(sys, opt)
 	if _, _, err := p.Step(psi, 1.0); err == nil {
 		t.Error("expected convergence failure error")
+	}
+}
+
+// A NaN in the state makes the first density error NaN, which no tolerance
+// test can ever pass: the step must end there, not after MaxSCF iterations.
+func TestPTCNFailsFastOnNonFiniteDensityError(t *testing.T) {
+	sys, psi := groundStateSystem(t, 3, false, nil)
+	bad := wavefunc.Clone(psi)
+	bad[5] = complex(math.NaN(), 0)
+	_, stats, err := NewPTCN(sys, DefaultPTCN()).Step(bad, 1.0)
+	if err == nil || !strings.Contains(err.Error(), "iteration 1") || !strings.Contains(err.Error(), "not finite") {
+		t.Errorf("step from a NaN state: err %v, want the non-finite density error of iteration 1", err)
+	}
+	if stats.SCFIterations != 1 {
+		t.Errorf("step from a NaN state ran %d SCF iterations, want 1", stats.SCFIterations)
 	}
 }
 

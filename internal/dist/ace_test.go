@@ -125,8 +125,9 @@ func TestDistStepAllocs(t *testing.T) {
 				h := hamiltonian.New(g, siPots(), hamiltonian.Config{})
 				s := NewPTCNSolver(d, h, xc.HSE06(), true, nil, core.DefaultPTCN(), mode.opt)
 				local := wavefunc.Clone(psi)
-				rho := s.density(local)
-				s.prepare(rho, 0)
+				half := wavefunc.Clone(psi)
+				rho := s.Density(local)
+				s.Refresh(local, rho, 0)
 				// Prime the hold-cadence state the way an outer step
 				// would: mark the compressed operator stale and freeze
 				// the exact-path reference at Psi_n.
@@ -136,13 +137,12 @@ func TestDistStepAllocs(t *testing.T) {
 				}
 				ihalf := complex(0, 0.5)
 				iteration := func() {
-					rf, err := s.residual(local, s.Ex.MTSPeriod <= 0)
+					rf, _, err := s.Residual(local, false)
 					if err != nil {
 						panic(err)
 					}
-					ws := s.ws
-					for i := range ws.fp {
-						ws.fp[i] = ws.half[i] - local[i] - ihalf*rf[i]
+					for i := range rf {
+						rf[i] = half[i] - local[i] - ihalf*rf[i]
 					}
 				}
 				// Warm up: workspaces allocate on first use.

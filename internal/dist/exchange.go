@@ -99,7 +99,7 @@ type ExchangeOptions struct {
 	// exact-exchange path (the compression is exact on its own reference
 	// span). 1 makes every step an outer step - with ACE, Xi is built once
 	// per step from Psi_n and held through the inner SCF iterations, the
-	// Jia & Lin cadence (arXiv:1809.09609). Consumed by PTCNSolver.
+	// Jia & Lin cadence (arXiv:1809.09609). PTCNSolver runs it as CN.MTS.
 	MTSPeriod int
 }
 

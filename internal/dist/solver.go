@@ -1,6 +1,7 @@
-// Distributed PT-CN: Algorithm 1 executed band-block by band-block. Each
-// rank advances its band block with the shared-state pieces (density,
-// potential, exchange reference) synchronized by collectives:
+// Distributed PT-CN: Algorithm 1 (core.CN.Advance) executed band-block by
+// band-block. Each rank advances its band block with the shared-state
+// pieces (density, potential, exchange reference) synchronized by
+// collectives:
 //
 //   - the charge density is accumulated from local bands and MPI_Allreduced
 //     (section 3.4), so every rank rebuilds an identical potential and the
@@ -22,7 +23,6 @@ import (
 	"ptdft/internal/hamiltonian"
 	"ptdft/internal/laser"
 	"ptdft/internal/linalg"
-	"ptdft/internal/mixing"
 	"ptdft/internal/mpi"
 	"ptdft/internal/observe"
 	"ptdft/internal/potential"
@@ -30,21 +30,21 @@ import (
 )
 
 // PTCNSolver propagates one rank's band block with the parallel transport
-// Crank-Nicolson integrator. The Hamiltonian must be built without the
-// hybrid term (hamiltonian.Config{}); when useHybrid is set the solver
-// applies the exchange itself - through the distributed communication
-// strategies, or through the distributed ACE compression when Ex.ACE is
-// set - since the reference orbitals live across ranks.
+// Crank-Nicolson integrator: core.CN's step body over collective band-block
+// operations. The Hamiltonian must be built without the hybrid term
+// (hamiltonian.Config{}); when useHybrid is set the solver applies the
+// exchange itself - through the distributed communication strategies, or
+// through the distributed ACE compression when Ex.ACE is set - since the
+// reference orbitals live across ranks.
 type PTCNSolver struct {
+	core.CN
 	D      *Ctx
 	H      *hamiltonian.Hamiltonian
 	Hyb    xc.HybridParams
 	Hybrid bool
 	Field  laser.Field
-	Opt    core.PTCNOptions
 	Ex     ExchangeOptions
 	Occ    float64 // orbital occupation (2 for closed shell)
-	Time   float64 // current simulation time (au)
 
 	kernel []float64 // screened Coulomb kernel, built once when hybrid
 	exWS   *ExchangeWorkspace
@@ -55,10 +55,6 @@ type PTCNSolver struct {
 	// cadence rebuilds from Psi_n and then holds through the inner SCF
 	// iterations and the M-1 intermediate steps that follow.
 	aceStale bool
-	// stepIndex counts completed Steps and anchors the MTS cycle: step n
-	// is an outer step iff n mod M == 0. ResumeMTS restores it from a
-	// checkpoint so a resumed segment lands on the correct cycle phase.
-	stepIndex int
 	// mtsPhi is this rank's frozen exchange reference block, copied from
 	// Psi_n at the last outer step of a hold cadence. The exact-exchange
 	// path ships it as the reference of V_X[Phi_frozen]; the ACE path
@@ -74,25 +70,20 @@ type PTCNSolver struct {
 	vxFor *complex128
 }
 
-// stepWorkspace owns every band-block buffer of the solver hot loop, bound
-// to the solver and reused across steps and SCF iterations so the
-// per-iteration residual path performs no heap allocations (the mailbox
-// copies inside the mpi layer remain - they model the wire, and vanish on
-// one rank). TestDistStepAllocs pins the contract.
+// stepWorkspace owns the residual and orthonormalization buffers of the
+// solver hot loop (core.CN owns the iterate and the mixer), bound to the
+// solver and reused across steps and SCF iterations so the per-iteration
+// residual path performs no heap allocations (the mailbox copies inside the
+// mpi layer remain - they model the wire, and vanish on one rank).
+// TestDistStepAllocs pins the contract.
 type stepWorkspace struct {
 	hp   []complex128 // nbl x NG: H psi
-	res  []complex128 // nbl x NG: PT residual, returned by residual
-	half []complex128 // nbl x NG: half-step RHS Psi_{n+1/2}
-	fp   []complex128 // nbl x NG: fixed-point residual fed to the mixer
-	psif []complex128 // nbl x NG: the SCF iterate Psi_f, mixed in place
+	res  []complex128 // nbl x NG: PT residual, returned by Residual
 	psiG []complex128 // NB x w: iterate in the G layout
 	hpG  []complex128 // NB x w: H psi in the G layout
 	resG []complex128 // NB x w: residual in the G layout
 	ov   []complex128 // nb x nb: overlap / projection matrix
 	tw   *TransposeWorkspace
-	// mixer is Reset per step, so its history vectors, Gram matrices and
-	// least squares scratch are allocated once.
-	mixer *mixing.BandMixer
 }
 
 // stepWS returns the solver's step workspace, allocating it on first use.
@@ -101,17 +92,13 @@ func (s *PTCNSolver) stepWS() *stepWorkspace {
 		nbl, ng := s.D.NumLocalBands(), s.D.G.NG
 		nb, w := s.D.NB, s.D.NumLocalG()
 		s.ws = &stepWorkspace{
-			hp:    make([]complex128, nbl*ng),
-			res:   make([]complex128, nbl*ng),
-			half:  make([]complex128, nbl*ng),
-			fp:    make([]complex128, nbl*ng),
-			psif:  make([]complex128, nbl*ng),
-			psiG:  make([]complex128, nb*w),
-			hpG:   make([]complex128, nb*w),
-			resG:  make([]complex128, nb*w),
-			ov:    make([]complex128, nb*nb),
-			tw:    s.D.NewTransposeWorkspace(),
-			mixer: mixing.NewBandMixer(nbl, ng, s.Opt.MixHistory, s.Opt.MixBeta),
+			hp:   make([]complex128, nbl*ng),
+			res:  make([]complex128, nbl*ng),
+			psiG: make([]complex128, nb*w),
+			hpG:  make([]complex128, nb*w),
+			resG: make([]complex128, nb*w),
+			ov:   make([]complex128, nb*nb),
+			tw:   s.D.NewTransposeWorkspace(),
 		}
 	}
 	return s.ws
@@ -119,7 +106,7 @@ func (s *PTCNSolver) stepWS() *stepWorkspace {
 
 // NewPTCNSolver builds the distributed propagator starting at t = 0.
 func NewPTCNSolver(d *Ctx, h *hamiltonian.Hamiltonian, hyb xc.HybridParams, useHybrid bool, field laser.Field, opt core.PTCNOptions, ex ExchangeOptions) *PTCNSolver {
-	s := &PTCNSolver{D: d, H: h, Hyb: hyb, Hybrid: useHybrid, Field: field, Opt: opt, Ex: ex, Occ: 2}
+	s := &PTCNSolver{CN: core.CN{Opt: opt, MTS: ex.MTSPeriod}, D: d, H: h, Hyb: hyb, Hybrid: useHybrid, Field: field, Ex: ex, Occ: 2}
 	if useHybrid {
 		s.kernel = fock.BuildKernel(d.G, hyb)
 	}
@@ -135,10 +122,12 @@ func (s *PTCNSolver) exScale() float64 {
 	return 1
 }
 
-// density accumulates the global charge density: local bands on the dense
-// grid, then MPI_Allreduce in deterministic rank order so every rank holds
-// bit-identical data. Collective.
-func (s *PTCNSolver) density(local []complex128) []float64 {
+// Density accumulates the global charge density of the band set whose
+// local block this rank holds: local bands on the dense grid, then
+// MPI_Allreduce in deterministic rank order so every rank holds
+// bit-identical data (the force assembly derives the local-pseudopotential
+// force from it too). Collective.
+func (s *PTCNSolver) Density(local []complex128) []float64 {
 	ref := s.D.C.Trace().Begin("density", "solver")
 	nbl := len(local) / s.D.G.NG
 	rho := potential.Density(s.D.G, local, nbl, s.Occ)
@@ -147,23 +136,24 @@ func (s *PTCNSolver) density(local []complex128) []float64 {
 	return rho
 }
 
-// prepare refreshes the field and the density-dependent potential for the
-// given global density; each rank assembles the identical Veff redundantly
-// from the allreduced density.
-func (s *PTCNSolver) prepare(rho []float64, t float64) {
+// Refresh installs the field at t and the potential of the global density
+// rho; each rank assembles the identical Veff redundantly from the
+// allreduced density. The exchange reference is the residual's business,
+// so the iterate itself is not read.
+func (s *PTCNSolver) Refresh(_ []complex128, rho []float64, t float64) {
 	s.H.SetField(laser.At(s.Field, t))
 	ref := s.D.C.Trace().Begin("potential", "solver")
 	s.H.UpdatePotentialScaled(rho, s.exScale())
 	s.D.C.Trace().End(ref)
 }
 
-// ensurePrepared makes H current for this rank's block at time t (global
-// density, field, potential) unless H is still marked for it - the twin of
-// core.System.EnsurePrepared. Every writer of H clears the mark, so the
-// branch is the same on every rank. Collective.
-func (s *PTCNSolver) ensurePrepared(local []complex128, t float64) {
+// EnsurePrepared makes H current for this rank's block at time t (global
+// density, field, potential) unless H is still marked for it, as
+// core.System.EnsurePrepared does. Every writer of H clears the mark, so
+// the branch is the same on every rank. Collective.
+func (s *PTCNSolver) EnsurePrepared(local []complex128, t float64) {
 	if !s.H.PreparedFor(local, t, laser.At(s.Field, t)) {
-		s.prepare(s.density(local), t)
+		s.Refresh(local, s.Density(local), t)
 		s.H.MarkPrepared(local, t)
 	}
 }
@@ -210,52 +200,25 @@ func (s *PTCNSolver) freezeRef(local []complex128) {
 	copy(s.mtsPhi, local)
 }
 
-// MTSPhase reports the position within the current MTS cycle: the number
-// of steps completed since the last outer step, in [0, M). It is 0 when no
-// hold cadence is active, and 0 at cycle boundaries - where a checkpoint
-// needs no frozen reference because the next step rebuilds anyway.
-func (s *PTCNSolver) MTSPhase() int {
-	if m := s.Ex.MTSPeriod; m > 0 {
-		return s.stepIndex % m
-	}
-	return 0
-}
-
 // MTSRef exposes this rank's frozen exchange reference block (nil before
 // the first outer step or when no hold cadence is active). Checkpointing
 // gathers it so a resumed segment can reconstruct the frozen operator.
 func (s *PTCNSolver) MTSRef() []complex128 {
-	if s.Ex.MTSPeriod <= 0 {
+	if s.MTS <= 0 {
 		return nil
 	}
 	return s.mtsPhi
 }
 
 // ResumeMTS restores the multiple-time-stepping cadence state after a
-// checkpoint load: phase is the position within the M-step cycle (the
-// loaded cumulative step modulo M) and phiRef is this rank's band block of
-// the frozen exchange reference saved at the last outer step - required
-// when phase > 0, ignored at a cycle boundary (the next step is an outer
-// step and rebuilds from Psi_n anyway). Collective when the compressed
-// operator must be reconstructed: all ranks call it together.
+// checkpoint load (core.CN.ResumeCycle): phiRef is this rank's band block
+// of the frozen exchange reference saved at the last outer step. Collective
+// when the compressed operator must be reconstructed: all ranks call it
+// together.
 func (s *PTCNSolver) ResumeMTS(phase int, phiRef []complex128) error {
 	s.vxFor = nil
-	m := s.Ex.MTSPeriod
-	if m <= 0 {
-		if phase != 0 {
-			return fmt.Errorf("dist: ResumeMTS(phase=%d) without an MTS cadence", phase)
-		}
-		return nil
-	}
-	if phase < 0 || phase >= m {
-		return fmt.Errorf("dist: ResumeMTS phase %d outside cycle [0, %d)", phase, m)
-	}
-	s.stepIndex = phase
-	if phase == 0 || !s.Hybrid {
-		return nil
-	}
-	if phiRef == nil {
-		return fmt.Errorf("dist: resuming mid-cycle (phase %d of %d) needs the frozen exchange reference", phase, m)
+	if install, err := s.ResumeCycle(phase, phiRef, s.Hybrid); !install {
+		return err
 	}
 	s.freezeRef(phiRef)
 	if s.Ex.ACE {
@@ -292,7 +255,7 @@ func (s *PTCNSolver) applyH(hp, local, localG []complex128, selfRef bool) error 
 		if s.ace == nil {
 			s.ace = s.D.NewACE()
 		}
-		if s.aceStale || s.Ex.MTSPeriod <= 0 {
+		if s.aceStale || s.MTS <= 0 {
 			if err := s.ace.rebuild(local, localG, s.keptVX(local), s.kernel, s.Hyb.Alpha, s.Ex, s.exchangeWS()); err != nil {
 				return err
 			}
@@ -314,21 +277,29 @@ func (s *PTCNSolver) applyH(hp, local, localG []complex128, selfRef bool) error 
 	return nil
 }
 
-// residual computes the PT residual R = H psi - psi (Psi^* H Psi) for the
-// local block into the step workspace; the returned slice is ws.res, valid
-// until the next call. The band-coupled projection runs in the G-space
-// layout: psi and H psi are transposed, the overlap is accumulated
-// slab-wise and allreduced, the projection applied per slab, and the
-// result transposed back - three Alltoallv and one Allreduce per call
-// (Fig. 1's data path). selfRef is applyH's.
-func (s *PTCNSolver) residual(local []complex128, selfRef bool) ([]complex128, error) {
+// Residual computes the PT residual R = H psi - psi (Psi^* H Psi) for the
+// local block and the allreduced projection matrix into the step
+// workspace, both valid until the next call. The band-coupled projection
+// runs in the G-space layout: psi and H psi are transposed, the overlap is
+// accumulated slab-wise and allreduced, the projection applied per slab,
+// and the result transposed back - three Alltoallv and one Allreduce per
+// call (Fig. 1's data path). The exact exchange is self-referenced (see
+// applyH) at every residual without MTS and, under a hold cadence, at the
+// first residual of an outer step only. A kept exchange product serves the
+// first residual or nobody: a held ACE operator applies no exchange, and
+// the mark must not outlive it.
+func (s *PTCNSolver) Residual(local []complex128, first bool) ([]complex128, []complex128, error) {
 	ref := s.D.C.Trace().Begin("residual", "solver")
 	defer s.D.C.Trace().End(ref)
 	nb := s.D.NB
 	ws := s.stepWS()
 	s.D.BandToGWS(ws.psiG, local, false, ws.tw)
-	if err := s.applyH(ws.hp, local, ws.psiG, selfRef); err != nil {
-		return nil, err
+	err := s.applyH(ws.hp, local, ws.psiG, s.MTS <= 0 || first && s.MTSPhase() == 0)
+	if first {
+		s.vxFor = nil
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	s.D.BandToGWS(ws.hpG, ws.hp, false, ws.tw)
 	w := s.D.NumLocalG()
@@ -339,14 +310,14 @@ func (s *PTCNSolver) residual(local []complex128, selfRef bool) ([]complex128, e
 		ws.resG[i] = ws.hpG[i] - ws.resG[i]
 	}
 	s.D.GToBandWS(ws.res, ws.resG, false, ws.tw)
-	return ws.res, nil
+	return ws.res, ws.ov, nil
 }
 
-// orthonormalize re-orthogonalizes the global band set from local blocks:
+// Orthonormalize re-orthogonalizes the global band set from local blocks:
 // overlap in the G layout, replicated Cholesky, Trsm per slab (section
 // 3.4). It returns the new block and the pre-factorization orthonormality
-// error.
-func (s *PTCNSolver) orthonormalize(local []complex128) ([]complex128, float64, error) {
+// error. Collective.
+func (s *PTCNSolver) Orthonormalize(local []complex128) ([]complex128, float64, error) {
 	ref := s.D.C.Trace().Begin("orthonormalize", "solver")
 	defer s.D.C.Trace().End(ref)
 	nb := s.D.NB
@@ -376,106 +347,32 @@ func (s *PTCNSolver) orthonormalize(local []complex128) ([]complex128, float64, 
 	return s.D.GToBand(ws.psiG, false), oerr, nil
 }
 
-// Step advances the local band block by dt with Algorithm 1. All ranks
-// must call it together; the convergence decision is made on the global
-// density, so success and failure are symmetric across ranks.
+// Step advances the local band block by dt with Algorithm 1 (core.CN's
+// Advance). All ranks must call it together.
 func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.StepStats, error) {
-	stepRef := s.D.C.Trace().Begin("step", "step")
-	defer s.D.C.Trace().EndN(stepRef, int64(s.stepIndex))
-	var stats core.StepStats
-	ws := s.stepWS()
+	tr := s.D.C.Trace()
+	stepRef := tr.Begin("step", "step")
+	defer tr.EndN(stepRef, int64(s.StepIndex))
 	// Exchange refresh cadence. Outer steps (every step without MTS; every
 	// M-th step with it) mark the compressed operator stale - so the hold
 	// cadences rebuild from Psi_n at the step's first exchange application
 	// - and freeze the exact-path reference at Psi_n. Intermediate MTS
 	// steps touch neither: the operator of the last outer step propagates.
-	m := s.Ex.MTSPeriod
-	outer := m <= 0 || s.stepIndex%m == 0
-	if outer {
+	if s.MTSPhase() == 0 {
 		s.aceStale = true
 		// The frozen reference backs the exact-path application (any M)
 		// and mid-cycle checkpointing (M > 1); under ACE at M = 1 neither
 		// reads it, so the hold cadence skips the per-step copy.
-		if s.Hybrid && m > 0 && (!s.Ex.ACE || m > 1) {
+		if s.Hybrid && s.MTS > 0 && (!s.Ex.ACE || s.MTS > 1) {
 			s.freezeRef(local)
 		}
 	}
-
-	// Residual at t_n with the current state's H - already prepared when
-	// the energy observable of the previous step asked for it.
-	s.ensurePrepared(local, s.Time)
-	rn, err := s.residual(local, outer)
-	// A kept exchange product serves this residual or nobody: a held ACE
-	// operator applies no exchange, and the mark must not outlive the step.
-	s.vxFor = nil
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.HApplications++
-
-	// Half-step RHS Psi_{n+1/2} = Psi_n - i dt/2 Rn, and the trial state
-	// Psi_n - i dt K Rn (core.PreconditionCN; ws.ov is allreduced, so every
-	// rank divides by the same band energies).
-	half := ws.half
-	ihalf, idt := complex(0, dt/2), complex(0, dt)
-	for i := range half {
-		half[i] = local[i] - ihalf*rn[i]
-	}
 	lo, _ := s.D.BandRange(s.D.C.Rank())
-	core.PreconditionCN(rn, s.H.Kinetic(), ws.ov, s.D.NB, lo, dt)
-	// The iterate lives in the workspace: orthonormalize returns the new
-	// state in storage of its own.
-	psif := ws.psif
-	for i := range psif {
-		psif[i] = local[i] - idt*rn[i]
-	}
-	rhof := s.density(psif)
-
-	ws.mixer.Reset()
-	tNext := s.Time + dt
-	converged := false
-	for j := 0; j < s.Opt.MaxSCF; j++ {
-		iterRef := s.D.C.Trace().Begin("scf_iter", "solver")
-		s.prepare(rhof, tNext)
-		rf, err := s.residual(psif, m <= 0)
-		if err != nil {
-			s.D.C.Trace().EndN(iterRef, int64(j))
-			return nil, stats, err
-		}
-		stats.HApplications++
-		for i := range ws.fp {
-			// Mixer convention: next = x + beta*f, so pass f = -R_f.
-			ws.fp[i] = half[i] - psif[i] - ihalf*rf[i]
-		}
-		core.PreconditionCN(ws.fp, s.H.Kinetic(), ws.ov, s.D.NB, lo, dt)
-		ws.mixer.MixInto(psif, psif, ws.fp)
-		rhoNew := s.density(psif)
-		stats.DensityError = potential.DensityDiff(s.D.G, rhoNew, rhof, s.Occ*float64(s.D.NB))
-		rhof = rhoNew
-		stats.SCFIterations++
-		s.D.C.Trace().EndN(iterRef, int64(j))
-		if stats.DensityError < s.Opt.TolDensity {
-			converged = true
-			break
-		}
-	}
-	if !converged {
-		return nil, stats, fmt.Errorf("dist: PT-CN SCF did not converge in %d iterations (density error %.3e)",
-			s.Opt.MaxSCF, stats.DensityError)
-	}
-
-	out, oerr, err := s.orthonormalize(psif)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.OrthogonalityE = oerr
-	s.Time = tNext
-	s.stepIndex++
-	return out, stats, nil
+	return s.Advance(s, core.Bands{G: s.D.G, H: s.H, NB: s.D.NB, Lo: lo, Occ: s.Occ, Tr: tr}, local, dt)
 }
 
 // IonGeometryChanged is the coupled-step hook of the Ehrenfest ion
-// integrator, the distributed twin of core.PTCN.IonGeometryChanged: it
+// integrator, as core.PTCN.IonGeometryChanged is the serial one: it
 // rebuilds this rank's static geometry-dependent operators after an ion
 // drift. Each rank owns a cloned cell (and grid/Hamiltonian built on it),
 // so concurrent rebuilds never touch shared memory; the replicated ion
@@ -485,14 +382,6 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 func (s *PTCNSolver) IonGeometryChanged() {
 	s.H.RebuildGeometry()
 	s.vxFor = nil
-}
-
-// GlobalDensity returns the allreduced electron density of the band set
-// whose local block this rank holds - bit-identical on every rank (the
-// reduction runs in deterministic rank order). The force assembly derives
-// the local-pseudopotential force from it. Collective.
-func (s *PTCNSolver) GlobalDensity(local []complex128) []float64 {
-	return s.density(local)
 }
 
 // AllreduceForces sums per-rank force partials (one [3] per atom) across
@@ -513,7 +402,7 @@ func (s *PTCNSolver) AllreduceForces(f [][3]float64) {
 }
 
 // TotalEnergy evaluates the energy functional for the local block at time
-// t, with H made current for it first (ensurePrepared; the exchange below
+// t, with H made current for it first (EnsurePrepared; the exchange below
 // is the "+1 energy evaluation" Fock application of the paper's per-step
 // accounting). The kinetic, nonlocal and exchange partial sums are
 // allreduced; the Hartree/XC/local terms come from the replicated potential
@@ -527,7 +416,7 @@ func (s *PTCNSolver) TotalEnergy(local []complex128, t float64) hamiltonian.Ener
 	defer s.D.C.Trace().End(ref)
 	ng := s.D.G.NG
 	nbl := len(local) / ng
-	s.ensurePrepared(local, t)
+	s.EnsurePrepared(local, t)
 	eb := s.H.TotalEnergy(local, nbl, s.Occ)
 	part := []float64{eb.Kinetic, eb.Nonlocal, 0}
 	if s.Hybrid {

@@ -86,7 +86,7 @@ func (de *DistElectrons) StepElectrons(dt float64) error {
 // Collective.
 func (de *DistElectrons) ElectronForces() ([][3]float64, error) {
 	g := de.S.D.G
-	rho := de.S.GlobalDensity(de.Local)
+	rho := de.S.Density(de.Local)
 	f := LocalForces(g, de.Pots, rho)
 	nbl := len(de.Local) / g.NG
 	nlf := make([][3]float64, g.Cell.NumAtoms())

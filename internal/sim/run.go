@@ -100,7 +100,7 @@ func (o *Options) logf(format string, args ...any) {
 	}
 }
 
-// stopped reports whether a shutdown was requested.
+// stopRequested reports whether a shutdown was requested.
 func (o *Options) stopRequested() bool {
 	if o.Stop == nil {
 		return false
