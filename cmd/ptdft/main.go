@@ -87,7 +87,7 @@ func parseFlags() (*config, error) {
 	flag.Float64Var(&s.IonDtAs, "iondt", 96, "ion time step in attoseconds (with -md); must be an integer multiple of -dt")
 	flag.StringVar(&s.Displace, "displace", "", "displace one atom before the ground state: i:dx,dy,dz (Bohr), e.g. 0:0.2,0,0")
 	flag.StringVar(&c.traceFile, "tracefile", "", "record a per-rank span timeline and write it here as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
-	flag.StringVar(&c.commFile, "commfile", "", "write the per-rank send/recv byte matrices here as JSON (distributed runs; the heat-map dump)")
+	flag.StringVar(&c.commFile, "commfile", "", "write the per-rank send/recv byte matrices here as JSON (runs on two or more ranks; the heat-map dump)")
 	flag.BoolVar(&c.profReport, "profilereport", false, "print the flight-recorder phase breakdown (span-level Table 1) after the run")
 	flag.Parse()
 	parts := strings.Split(*cellsStr, ",")
@@ -243,8 +243,8 @@ func run(cfg *config) error {
 		fmt.Printf("wrote %s (Chrome trace-event JSON; open in chrome://tracing or Perfetto)\n", cfg.traceFile)
 	}
 	if cfg.commFile != "" {
-		if res.Comm == nil {
-			fmt.Fprintln(os.Stderr, "-commfile: serial run moved no MPI bytes; skipping the matrix dump")
+		if res.BytesMoved == 0 {
+			fmt.Fprintln(os.Stderr, "-commfile: the run moved no MPI bytes (one rank, or RK4); skipping the matrix dump")
 		} else {
 			data, err := res.Comm.MatrixJSON()
 			if err != nil {

@@ -97,8 +97,8 @@ func (s *System) Refresh(psi []complex128, rho []float64, t float64) {
 // Residual computes the PT residual R = H psi - psi (psi^* H psi) - the
 // right-hand side of the PT equation of motion, whose smallness relative to
 // H psi is what buys the large steps - and the projection matrix into the
-// System's buffers; both are valid until the next call. The serial
-// exchange cadence lives on H, so first is not read.
+// System's buffers; both are valid until the next call. The serial solver
+// refreshes the exchange at every H rebuild, so first is not read.
 func (s *System) Residual(psi []complex128, first bool) (res, ov []complex128, err error) {
 	nb, ng := s.NB, s.G.NG
 	if len(s.hp) != nb*ng {
@@ -217,10 +217,11 @@ type CN struct {
 	// steps (StepIndex mod M == 0) and held frozen - through the inner SCF
 	// and through the M-1 intermediate steps - while the semi-local physics
 	// advances every step. 0 (the default) refreshes the exchange at every
-	// H rebuild, the pre-MTS behavior.
+	// H rebuild, the pre-MTS behavior. Only dist.PTCNSolver holds an
+	// exchange operator; PTCN.Step refuses M >= 1 on a hybrid Hamiltonian.
 	MTS int
 	// StepIndex counts completed steps and anchors the MTS cycle;
-	// ResumeMTS sets it when resuming from a checkpoint so the segment
+	// ResumeCycle sets it when resuming from a checkpoint so the segment
 	// lands on the correct outer/inner phase.
 	StepIndex int
 
@@ -354,8 +355,9 @@ func (c *CN) Advance(b BandBlock, at Bands, psi []complex128, dt float64) ([]com
 }
 
 // PTCN is the serial parallel transport Crank-Nicolson propagator: the
-// whole band set of one System, with the exchange cadence held on its
-// Hamiltonian.
+// whole band set of one System, with the exchange refreshed from the iterate
+// at every H rebuild. It has no MTS cadence; the frozen-exchange cadences
+// are dist.PTCNSolver's, which sim.Run runs on one rank for a serial run.
 type PTCN struct {
 	Sys *System
 	CN
@@ -366,59 +368,26 @@ func NewPTCN(sys *System, opt PTCNOptions) *PTCN {
 	return &PTCN{Sys: sys, CN: CN{Opt: opt}}
 }
 
-// MTSRef exposes the frozen exchange reference of the current MTS cycle
-// (nil when MTS is off, no hold is active, or the functional is not
-// hybrid), for checkpoint persistence.
-func (p *PTCN) MTSRef() []complex128 {
-	if p.MTS <= 0 {
-		return nil
-	}
-	return p.Sys.H.FrozenFockRef()
-}
-
-// ResumeMTS restores the MTS cadence after a checkpoint load: phase is the
-// loaded cumulative step modulo M, phiRef the frozen exchange reference
-// saved at the last outer step (required mid-cycle, ignored at phase 0
-// where the next step rebuilds anyway).
-func (p *PTCN) ResumeMTS(phase int, phiRef []complex128) error {
-	install, err := p.ResumeCycle(phase, phiRef, p.Sys.H.Hybrid())
-	if install {
-		p.Sys.H.SetFockOrbitalsFrozen(phiRef, p.Sys.NB)
-	}
-	return err
-}
-
 // IonGeometryChanged is the coupled-step hook of the Ehrenfest ion
 // integrator: after an ion drift it rebuilds the Hamiltonian's static
 // geometry-dependent operators (nonlocal projectors, local
 // pseudopotential). The exchange operator carries no explicit position
-// dependence - a frozen MTS reference stays valid across the rebuild and
-// the next outer step re-anchors it on the propagated orbitals - so the
-// MTS cadence composes with ion stepping without special cases.
+// dependence and is rebuilt from the iterate at the next refresh anyway.
 func (p *PTCN) IonGeometryChanged() {
 	p.Sys.H.RebuildGeometry()
 }
 
 // Step advances psi by dt using Algorithm 1 and returns the new orbitals.
+// A hybrid step with MTS >= 1 is an error: this solver cannot freeze the
+// exchange, and refreshing it every iteration instead would be a silent
+// change of cadence.
 func (p *PTCN) Step(psi []complex128, dt float64) ([]complex128, StepStats, error) {
 	s := p.Sys
+	if p.MTS > 0 && s.H.Hybrid() {
+		return nil, StepStats{}, fmt.Errorf("core: serial PT-CN has no MTS cadence (MTS %d on a hybrid Hamiltonian); run it with dist.PTCNSolver", p.MTS)
+	}
 	stepRef := s.Tr.Begin("step", "step")
 	defer s.Tr.EndN(stepRef, int64(p.StepIndex))
-
-	// Exchange refresh cadence. MTS outer steps freeze the operator at
-	// Psi_n; the hold makes every SetFockOrbitals of the step (and of the
-	// observable evaluations between steps) a no-op until the next outer
-	// step. Without MTS this propagator owns the per-refresh schedule, so
-	// a hold left behind by a previous MTS propagator on the same
-	// Hamiltonian is released rather than silently freezing this run.
-	if h := s.H; h.Hybrid() {
-		switch {
-		case p.MTS > 0 && p.MTSPhase() == 0:
-			h.SetFockOrbitalsFrozen(psi, s.NB)
-		case p.MTS <= 0 && h.FockHeld():
-			h.ReleaseFockHold()
-		}
-	}
 	return p.Advance(s, Bands{G: s.G, H: s.H, NB: s.NB, Occ: s.Occ, Tr: s.Tr}, psi, dt)
 }
 
@@ -453,12 +422,6 @@ func (r *RK4) derivative(psi []complex128, t float64) []complex128 {
 
 // Step advances psi by dt with four H rebuilds/applications.
 func (r *RK4) Step(psi []complex128, dt float64) ([]complex128, StepStats, error) {
-	// RK4 rebuilds the exchange reference at every derivative; a frozen
-	// hold left on the Hamiltonian by an MTS propagator would silently
-	// stale it, so take the refresh schedule back.
-	if r.Sys.H.FockHeld() {
-		r.Sys.H.ReleaseFockHold()
-	}
 	stepRef := r.Sys.Tr.Begin("step", "step")
 	defer r.Sys.Tr.EndN(stepRef, int64(r.steps))
 	n := len(psi)

@@ -234,103 +234,6 @@ func TestPTCNHybridRuns(t *testing.T) {
 	}
 }
 
-// TestPTCNMTSAccuracy: serial multiple time stepping - the exchange frozen
-// at the last outer step - must stay physically close to the every-step
-// hybrid propagation, with the frozen-exchange error bounded at the test
-// discretization (the same dt x kick scaling as the held-ACE cadence).
-func TestPTCNMTSAccuracy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hybrid propagation is slow")
-	}
-	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
-	sys, psi0 := groundStateSystem(t, 3, true, kick)
-	const steps, dt = 2, 1.0
-
-	run := func(mts int) []complex128 {
-		p := NewPTCN(sys, DefaultPTCN())
-		p.MTS = mts
-		cur := wavefunc.Clone(psi0)
-		var err error
-		for i := 0; i < steps; i++ {
-			if cur, _, err = p.Step(cur, dt); err != nil {
-				t.Fatalf("mts=%d step %d: %v", mts, i, err)
-			}
-		}
-		return cur
-	}
-	ref := run(0)
-	mts := run(2)
-	rhoRef := potential.Density(sys.G, ref, sys.NB, 2)
-	rhoMTS := potential.Density(sys.G, mts, sys.NB, 2)
-	if d := potential.DensityDiff(sys.G, rhoRef, rhoMTS, 2*float64(sys.NB)); d > 4e-3 {
-		t.Errorf("M=2 density deviates from every-step hybrid by %g", d)
-	}
-	if f := wavefunc.SubspaceFidelity(ref, mts, sys.NB, sys.G.NG); math.Abs(f-1) > 4e-3 {
-		t.Errorf("M=2 subspace fidelity %g", f)
-	}
-}
-
-// TestPTCNMTSResumeMidCycle: a serial mid-cycle resume - fresh Hamiltonian,
-// frozen reference reinstalled through ResumeMTS - reproduces the
-// uninterrupted M = 2 trajectory to 1e-10.
-func TestPTCNMTSResumeMidCycle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hybrid propagation is slow")
-	}
-	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
-	sys, psi0 := groundStateSystem(t, 3, true, kick)
-	const dt = 1.0
-
-	// Uninterrupted: one full M = 2 cycle.
-	p := NewPTCN(sys, DefaultPTCN())
-	p.MTS = 2
-	full := wavefunc.Clone(psi0)
-	var err error
-	for i := 0; i < 2; i++ {
-		if full, _, err = p.Step(full, dt); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Interrupted after step 1 (phase 1, mid-cycle; the outer step of the
-	// fresh cycle re-freezes over the previous run's hold).
-	p1 := NewPTCN(sys, DefaultPTCN())
-	p1.MTS = 2
-	half := wavefunc.Clone(psi0)
-	if half, _, err = p1.Step(half, dt); err != nil {
-		t.Fatal(err)
-	}
-	if p1.MTSPhase() != 1 {
-		t.Fatalf("phase after 1 of 2 steps = %d, want 1", p1.MTSPhase())
-	}
-	phiRef := wavefunc.Clone(p1.MTSRef())
-
-	// Resume on a fresh Hamiltonian, as a restarted job would.
-	h2 := hamiltonian.New(sys.G, map[int]*pseudo.Potential{0: pseudo.SiliconAH()},
-		hamiltonian.Config{Hybrid: true, Params: xc.HSE06()})
-	sys2 := &System{G: sys.G, H: h2, NB: sys.NB, Occ: 2, Field: kick}
-	p2 := NewPTCN(sys2, DefaultPTCN())
-	p2.MTS = 2
-	p2.Time = p1.Time
-	if err := p2.ResumeMTS(1, phiRef); err != nil {
-		t.Fatal(err)
-	}
-	resumed := wavefunc.Clone(half)
-	if resumed, _, err = p2.Step(resumed, dt); err != nil {
-		t.Fatal(err)
-	}
-	if d := wavefunc.MaxDiff(full, resumed); d > 1e-10 {
-		t.Errorf("resumed mid-cycle trajectory deviates by %g (tol 1e-10)", d)
-	}
-
-	// Mid-cycle resume without the frozen reference must fail loudly.
-	p3 := NewPTCN(sys2, DefaultPTCN())
-	p3.MTS = 2
-	if err := p3.ResumeMTS(1, nil); err == nil {
-		t.Error("mid-cycle resume without frozen reference accepted")
-	}
-}
-
 // The converged iterate solves the Crank-Nicolson equation itself,
 // Psi_f + i dt/2 R(Psi_f) = Psi_{n+1/2}, whatever path the preconditioned
 // mixer took to it: a wrong preconditioner that converged (in density
@@ -384,6 +287,24 @@ func TestPTCNFailsFastOnNonFiniteDensityError(t *testing.T) {
 	}
 	if stats.SCFIterations != 1 {
 		t.Errorf("step from a NaN state ran %d SCF iterations, want 1", stats.SCFIterations)
+	}
+}
+
+// The serial solver cannot freeze the exchange: MTS on a hybrid Hamiltonian
+// is an error before any work, never a silent per-iteration refresh.
+func TestPTCNRejectsHybridMTS(t *testing.T) {
+	g := grid.MustNew(lattice.MustSiliconSupercell(1, 1, 1), 2)
+	h := hamiltonian.New(g, map[int]*pseudo.Potential{0: pseudo.SiliconAH()},
+		hamiltonian.Config{Hybrid: true, Params: xc.HSE06()})
+	nb := g.Cell.NumBands()
+	p := NewPTCN(&System{G: g, H: h, NB: nb, Occ: 2}, DefaultPTCN())
+	p.MTS = 2
+	out, stats, err := p.Step(wavefunc.Random(g, nb, 3), 1.0)
+	if err == nil || !strings.Contains(err.Error(), "MTS") {
+		t.Fatalf("hybrid step with MTS 2: err %v, want the no-MTS-cadence error", err)
+	}
+	if out != nil || stats.HApplications != 0 || p.Time != 0 || p.StepIndex != 0 {
+		t.Errorf("the refused step did work: out %v, %d H applications, time %g, step %d", out != nil, stats.HApplications, p.Time, p.StepIndex)
 	}
 }
 

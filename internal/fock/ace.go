@@ -7,8 +7,7 @@
 // PT-vs-PT+ACE trade-off at laptop scale: construction costs one exact
 // exchange application plus an nb x nb Cholesky, after which each
 // application is nb dot products instead of nb Poisson solves - the
-// operator the hamiltonian package holds through the serial MTS
-// cadence.
+// operator the hamiltonian package rebuilds at every exchange refresh.
 package fock
 
 import (

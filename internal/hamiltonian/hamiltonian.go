@@ -62,20 +62,6 @@ type Hamiltonian struct {
 	aceFallbacks int
 	aceWarn      sync.Once
 
-	// Frozen-exchange hold (the serial side of the MTS cadence): while
-	// fockHold is set, SetFockOrbitals is a no-op, so the operator built by
-	// SetFockOrbitalsFrozen - from the Psi_n of the last MTS outer step -
-	// survives the per-refresh Prepare calls of the inner SCF and of the
-	// observable evaluations between steps. frozenPhi keeps the reference
-	// the operator was built from, so checkpoints can persist it.
-	fockHold  bool
-	frozenPhi []complex128
-	// energyOp evaluates the exchange energy while a hold is active: the
-	// energy convention is the exact operator on the state's own span
-	// (matching the distributed solver), which the frozen propagation
-	// operator cannot provide. Lazily built, refreshed per evaluation.
-	energyOp *fock.Operator
-
 	// Bloch-vector state for k-point sampling (section 3.1): the kinetic
 	// term becomes 1/2|G+k+A|^2 and the nonlocal projectors carry the
 	// exp(-ik.r) twist. Zero k with a nil nlBloch is the Gamma point.
@@ -161,10 +147,7 @@ func New(g *grid.Grid, pots map[int]*pseudo.Potential, cfg Config) *Hamiltonian 
 // structure factors) - from the cell's current atom positions. The ion
 // integrator calls this after every drift. The density-dependent
 // potentials are refreshed by the next UpdatePotential as usual, and the
-// Fock/ACE exchange carries no explicit position dependence: a frozen MTS
-// operator remains valid across the rebuild and the next outer-step
-// refresh re-anchors it on orbitals already propagated under the new
-// geometry.
+// Fock/ACE exchange carries no explicit position dependence.
 func (h *Hamiltonian) RebuildGeometry() {
 	h.NL = buildNL(h.G, h.pots, h.cfg)
 	h.vloc = potential.NewLocal(h.G, potential.BuildVloc(h.G, h.pots))
@@ -232,12 +215,9 @@ func (h *Hamiltonian) SetField(a [3]float64) {
 func (h *Hamiltonian) Field() [3]float64 { return h.aField }
 
 // SetFockOrbitals refreshes the exchange reference orbitals (the density
-// matrix P of V_X[P]). phi is band-major sphere coefficients. While a
-// frozen-exchange hold is active (SetFockOrbitalsFrozen) the call is a
-// no-op: the MTS cadence owns the refresh schedule and per-refresh callers
-// must not clobber the held operator.
+// matrix P of V_X[P]). phi is band-major sphere coefficients.
 func (h *Hamiltonian) SetFockOrbitals(phi []complex128, nb int) {
-	if !h.hybrid || h.fockHold {
+	if !h.hybrid {
 		return
 	}
 	h.prepPsi = nil
@@ -266,45 +246,6 @@ func (h *Hamiltonian) SetFockOrbitals(phi []complex128, nb int) {
 	}
 }
 
-// SetFockOrbitalsFrozen installs phi as the exchange reference and freezes
-// it: subsequent SetFockOrbitals calls are no-ops until ReleaseFockHold or
-// the next SetFockOrbitalsFrozen. This is the serial MTS outer-step
-// refresh - the held operator (exact or ACE) then propagates the inner SCF
-// iterations and the intermediate steps of the cycle. A copy of phi is
-// retained for FrozenFockRef so checkpoints can persist the reference.
-func (h *Hamiltonian) SetFockOrbitalsFrozen(phi []complex128, nb int) {
-	if !h.hybrid {
-		return
-	}
-	h.fockHold = false
-	h.SetFockOrbitals(phi, nb)
-	if len(h.frozenPhi) != len(phi) {
-		h.frozenPhi = make([]complex128, len(phi))
-	}
-	copy(h.frozenPhi, phi)
-	h.fockHold = true
-}
-
-// ReleaseFockHold lifts the frozen-exchange hold, returning SetFockOrbitals
-// to its per-refresh behavior.
-func (h *Hamiltonian) ReleaseFockHold() {
-	h.fockHold = false
-	h.prepPsi = nil
-}
-
-// FockHeld reports whether the exchange reference is currently frozen.
-func (h *Hamiltonian) FockHeld() bool { return h.fockHold }
-
-// FrozenFockRef returns the reference orbitals the held exchange operator
-// was built from (nil when no hold is active). The slice is owned by the
-// Hamiltonian; callers must copy it to mutate.
-func (h *Hamiltonian) FrozenFockRef() []complex128 {
-	if !h.fockHold {
-		return nil
-	}
-	return h.frozenPhi
-}
-
 // ACEActive reports whether the exchange currently propagates through the
 // ACE compression (requested and successfully built for the present
 // reference set).
@@ -323,9 +264,6 @@ func (h *Hamiltonian) SetTrace(t *trace.Track) {
 	h.tr = t
 	if h.fockOp != nil {
 		h.fockOp.SetTrace(t)
-	}
-	if h.energyOp != nil {
-		h.energyOp.SetTrace(t)
 	}
 }
 
@@ -477,23 +415,7 @@ func (h *Hamiltonian) TotalEnergy(psi []complex128, nb int, occ float64) EnergyB
 		Local:    h.PotEnergies.Local,
 	}
 	if h.hybrid && h.fockOp != nil {
-		if h.fockHold && !h.fockOp.IsReference(psi, nb) {
-			// MTS hold: the propagation operator is referenced on the
-			// frozen Psi_outer, but the once-per-step energy convention is
-			// the exact exchange on psi's own span (the same convention as
-			// the distributed solver, where the compression reproduces it
-			// exactly). A dedicated operator pays one reference refresh
-			// plus the pair-symmetric energy per evaluation.
-			if h.energyOp == nil {
-				h.energyOp = fock.NewOperator(h.G, h.Hyb, psi, nb)
-				h.energyOp.SetTrace(h.tr)
-			} else {
-				h.energyOp.SetOrbitals(psi, nb)
-			}
-			eb.Exchange = h.energyOp.Energy(psi, nb)
-		} else {
-			eb.Exchange = h.fockOp.Energy(psi, nb)
-		}
+		eb.Exchange = h.fockOp.Energy(psi, nb)
 	}
 	return eb
 }

@@ -253,56 +253,6 @@ func TestACEFallbackSurfacedAndRecoverable(t *testing.T) {
 	}
 }
 
-// TestFockOrbitalHold: the frozen-exchange hold behind the MTS cadence.
-// While held, per-refresh SetFockOrbitals calls (the inner SCF, the
-// observable evaluations between steps) must not move the reference; a
-// release restores the per-refresh behavior.
-func TestFockOrbitalHold(t *testing.T) {
-	g, h := buildH(t, true, 3)
-	nb := 4
-	phiA := wavefunc.Random(g, nb, 11)
-	phiB := wavefunc.Random(g, nb, 12)
-	rho := potential.Density(g, phiA, nb, 2)
-	h.UpdatePotential(rho)
-
-	h.SetFockOrbitalsFrozen(phiA, nb)
-	if !h.FockHeld() {
-		t.Fatal("hold not active after SetFockOrbitalsFrozen")
-	}
-	h.SetFockOrbitals(phiB, nb) // must be a no-op
-	if !h.fockOp.IsReference(phiA, nb) {
-		t.Error("held reference clobbered by SetFockOrbitals")
-	}
-	if ref := h.FrozenFockRef(); wavefunc.MaxDiff(ref, phiA) != 0 {
-		t.Error("FrozenFockRef does not return the frozen orbitals")
-	}
-
-	// The frozen operator is what Apply uses on an iterate outside the
-	// reference span: V_X[phiA] psi, not V_X[psi] psi.
-	want := make([]complex128, nb*g.NG)
-	ref := New(g, siPots(), Config{Hybrid: true, Params: xc.HSE06()})
-	ref.UpdatePotential(rho)
-	ref.SetFockOrbitals(phiA, nb)
-	ref.Apply(want, phiB, nb)
-	got := make([]complex128, nb*g.NG)
-	h.Apply(got, phiB, nb)
-	if d := wavefunc.MaxDiff(got, want); d > 1e-12 {
-		t.Errorf("held Apply differs from V_X[frozen] by %g", d)
-	}
-
-	h.ReleaseFockHold()
-	if h.FockHeld() {
-		t.Error("hold still active after release")
-	}
-	if h.FrozenFockRef() != nil {
-		t.Error("FrozenFockRef non-nil after release")
-	}
-	h.SetFockOrbitals(phiB, nb)
-	if !h.fockOp.IsReference(phiB, nb) {
-		t.Error("SetFockOrbitals inert after release")
-	}
-}
-
 // RebuildGeometry must refresh both forms of the local pseudopotential the
 // assembly reads (dense real space and wave-box G space): after an atom
 // moves, UpdatePotential gives the bits of a Hamiltonian built on the moved

@@ -76,10 +76,6 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 	phases := 1
 	if h.Hybrid() {
 		phases = 1 + opt.HybridOuter
-		// A self-consistency solve owns the exchange refresh schedule: a
-		// frozen hold left by a previous MTS propagation on this
-		// Hamiltonian would silently no-op the phase refreshes below.
-		h.ReleaseFockHold()
 	}
 	totalIter := 0
 	for phase := 0; phase < phases; phase++ {

@@ -1,16 +1,18 @@
 // Run: one propagation loop over one per-rank engine, shared by the CLI
-// and the job server. An engine is serial (core.PTCN or core.RK4 on the
-// calling goroutine) or distributed (dist.PTCNSolver on each rank of a
-// goroutine-MPI world); Ehrenfest MD is an ion.Verlet wrapped around either.
+// and the job server. Every PT-CN run is a goroutine-MPI world of
+// max(Ranks, 1) ranks, each advancing its band block with dist.PTCNSolver
+// (a serial run is the one-rank world); RK4, which dist does not implement,
+// runs core.RK4 on the calling goroutine. Ehrenfest MD is an ion.Verlet
+// wrapped around the PT-CN engine.
 // The loop owns what every run needs once: cooperative shutdown (the Stop
 // channel finishes the step in flight, checkpoints the completed steps, and
 // returns), per-step observable emission, periodic rolling checkpoints,
 // and the gather of the restartable state a resumed segment starts from.
 //
 // Who retries what: the loop itself never retries. propagate launches the
-// distributed world under mpi.RunTolerant and, when ranks are lost (an
-// *mpi.Failure: injected crashes, peer-loss deadlines), reloads the newest
-// rolling checkpoint and relaunches the same loop, up to maxRestarts times.
+// world under mpi.RunTolerant and, when ranks are lost (an *mpi.Failure:
+// injected crashes, peer-loss deadlines), reloads the newest rolling
+// checkpoint and relaunches the same loop, up to maxRestarts times.
 // Application errors (SCF divergence, a failed save) are rank-symmetric -
 // a relaunch would fail identically - and end the run at once. Preemption
 // and daemon restarts are retried one level up, by the job server, through
@@ -71,7 +73,7 @@ type Options struct {
 	CkptEvery int
 	SavePath  string
 	// Trace, when set, records per-rank span timelines for the whole
-	// segment: the engines attach one track per rank (track 0 serially)
+	// segment: the engines attach one track per rank (track 0 under RK4)
 	// and the solver/comm layers fill it. Result carries the folded
 	// aggregates; export the recorder for the full timeline. nil (the
 	// default) keeps every recording site on its zero-alloc disabled path.
@@ -87,7 +89,8 @@ type Options struct {
 	// peer-loss deadline, wire delay) the distributed world of launch
 	// `attempt` runs under; attempt 0 is the first launch, each recovery
 	// relaunch asks again. Set by the fault experiments and tests, nil in
-	// production; serial runs have no world and ignore it.
+	// production. A one-rank PT-CN run has a world too; only RK4 has none
+	// and ignores it.
 	Perturb func(attempt int) *mpi.Perturb
 	// Logf receives progress notices (system, ground state, cadence,
 	// communication volume, recovery); nil silences them.
@@ -127,17 +130,19 @@ type Result struct {
 	EhrenfestDrift float64           // max |E_tot - E_0| over the segment (MD only)
 	Final          *checkpoint.State // the assembled restartable state
 
-	// Rank-failure recovery (distributed runs): world relaunches performed,
+	// Rank-failure recovery (PT-CN runs): world relaunches performed,
 	// completed steps re-run because they postdated the recovery point, and
 	// one line per failed launch naming the lost ranks.
 	Restarts  int
 	LostSteps int
 	Failures  []string
 
-	// Observability aggregates (zero/nil unless Options.Trace was set, and
-	// Comm only on distributed runs): cumulative busy seconds summed over
-	// rank timelines, total bytes moved through the communicator, the
-	// per-phase wall breakdown, and the raw comm ledgers for heat maps.
+	// Observability aggregates (zero/nil unless Options.Trace was set;
+	// Comm is set on every PT-CN run, a one-rank world included, and nil
+	// only under RK4, which has no world): cumulative busy seconds summed
+	// over rank timelines, total bytes moved through the communicator (0 on
+	// one rank), the per-phase wall breakdown, and the raw comm ledgers for
+	// heat maps.
 	RankSeconds  float64
 	BytesMoved   int64
 	PhaseSeconds map[string]float64
@@ -172,8 +177,9 @@ type runner struct {
 }
 
 // Run executes the spec to completion (or until Stop fires), returning
-// the trajectory segment. Ranks selects the engine (serial or
-// distributed) and MD wraps it in the ion integrator, exactly like the CLI.
+// the trajectory segment. Method selects the engine (a PT-CN world of
+// max(Ranks, 1) ranks, or serial RK4) and MD wraps it in the ion
+// integrator, exactly like the CLI.
 func Run(spec *Spec, opt Options) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -301,30 +307,13 @@ func GroundState(spec *Spec) (*scf.Result, error) {
 const maxRestarts = 3
 
 // propagate builds the engine the spec asks for and runs the loop on it:
-// on the calling goroutine when serial, on every rank of a goroutine-MPI
-// world when distributed - relaunching that world from the newest
-// checkpoint when it loses ranks.
+// PT-CN on every rank of a goroutine-MPI world of max(Ranks, 1) ranks -
+// relaunching that world from the newest checkpoint when it loses ranks -
+// and RK4 on the calling goroutine.
 func (r *runner) propagate(cell *lattice.Cell) error {
 	spec, opt := r.spec, r.opt
-	if spec.Ranks <= 1 {
-		h := hamiltonian.New(r.g, spec.Pots(), hamiltonian.Config{
-			Hybrid: spec.Hybrid, UseACE: spec.ACE, Params: xc.HSE06(), IonDynamics: spec.MD,
-		})
-		e, err := r.serialEngine(cell, h)
-		if err == nil {
-			err = r.loop(e)
-		}
-		// Report which exchange operator actually propagated the run: a
-		// degenerate reference set downgrades an ACE refresh to the exact
-		// operator, and that must never stay invisible.
-		if err == nil && spec.ACE {
-			if n, lastErr := h.ACEFallbacks(); n > 0 {
-				opt.logf("exchange operator: ACE with %d refresh(es) fallen back to exact exchange (last failure: %v)", n, lastErr)
-			} else {
-				opt.logf("exchange operator: ACE (no fallbacks)")
-			}
-		}
-		return err
+	if spec.Method != "ptcn" {
+		return r.runRK4(cell)
 	}
 	op := "none (semi-local)"
 	switch {
@@ -337,7 +326,8 @@ func (r *runner) propagate(cell *lattice.Cell) error {
 	case spec.Hybrid:
 		op = "exact exchange"
 	}
-	opt.logf("distributed: %d ranks, exchange strategy %v, operator %s, single precision %v", spec.Ranks, r.ex, op, spec.SinglePrec)
+	ranks := max(spec.Ranks, 1)
+	opt.logf("distributed: %d ranks, exchange strategy %v, operator %s, single precision %v", ranks, r.ex, op, spec.SinglePrec)
 	var stats *mpi.Stats
 	for attempt := 0; ; attempt++ {
 		var p *mpi.Perturb
@@ -350,7 +340,7 @@ func (r *runner) propagate(cell *lattice.Cell) error {
 		// surface as the Failure instead, once every survivor has unblocked.
 		var rootErr error
 		var fail *mpi.Failure
-		stats, fail = mpi.RunTolerant(spec.Ranks, p, func(c *mpi.Comm) {
+		stats, fail = mpi.RunTolerant(ranks, p, func(c *mpi.Comm) {
 			e, err := r.distEngine(c, cell)
 			if err == nil {
 				err = r.loop(e)
@@ -426,7 +416,7 @@ type engine struct {
 	root bool          // this rank emits samples, runs the hooks and writes checkpoints
 	tr   *trace.Track  // nil when tracing is off
 	cell *lattice.Cell // the cell this engine's grid and Hamiltonian follow
-	el   ion.Electrons // the PT-CN electrons, for the ion integrator (nil under rk4)
+	el   ion.Electrons // the PT-CN electrons, for the ion integrator (nil under RK4)
 	scf  *int          // cumulative inner-SCF iterations; the loop resets it per step
 
 	// reached announces the cumulative loop step about to run: the trigger
@@ -443,59 +433,54 @@ type engine struct {
 	agree func(flag bool) bool
 }
 
-// serialEngine propagates the whole band set on the calling goroutine
-// (track 0) with core.PTCN or core.RK4.
-func (r *runner) serialEngine(cell *lattice.Cell, h *hamiltonian.Hamiltonian) (*engine, error) {
+// runRK4 runs the loop on the whole band set on the calling goroutine
+// (track 0) with core.RK4, the Fig. 6 comparator dist does not implement.
+// RK4 has no inner SCF, so the per-step SCF count stays 0.
+func (r *runner) runRK4(cell *lattice.Cell) error {
+	spec := r.spec
+	h := hamiltonian.New(r.g, spec.Pots(), hamiltonian.Config{Hybrid: spec.Hybrid, UseACE: spec.ACE, Params: xc.HSE06()})
 	tr := r.opt.Trace.Track(0, "rank 0")
 	h.SetTrace(tr)
 	sys := &core.System{G: r.g, H: h, NB: r.nb, Occ: 2, Field: r.field, Tr: tr}
-	se := &ion.SerialElectrons{Psi: wavefunc.Clone(r.psi0), Pots: r.spec.Pots()}
-	e := &engine{
-		root: true, tr: tr, cell: cell, scf: &se.SCF,
-		observe: func() (float64, float64) {
-			return observe.Current(sys, se.Psi)[2], observe.ExcitedElectrons(sys, r.psiGS, se.Psi)
-		},
-		agree:   func(flag bool) bool { return flag },
+	rk := core.NewRK4(sys)
+	rk.Time = r.t0
+	psi := wavefunc.Clone(r.psi0)
+	var scf int
+	err := r.loop(&engine{
+		root: true, tr: tr, cell: cell, scf: &scf,
 		reached: func(int64) {},
-	}
-	if r.spec.Method == "rk4" {
-		rk := core.NewRK4(sys)
-		rk.Time = r.t0
-		e.step = func(dt float64) error {
-			psi, _, err := rk.Step(se.Psi, dt)
+		step: func(dt float64) error {
+			out, _, err := rk.Step(psi, dt)
 			if err == nil {
-				se.Psi = psi
+				psi = out
 			}
 			return err
+		},
+		energy: func() (float64, error) { return observe.Energy(sys, psi, rk.Time).Total(), nil },
+		now:    func() float64 { return rk.Time },
+		observe: func() (float64, float64) {
+			return observe.Current(sys, psi)[2], observe.ExcitedElectrons(sys, r.psiGS, psi)
+		},
+		gather: func() ([]complex128, int, []complex128) { return psi, 0, nil },
+		agree:  func(flag bool) bool { return flag },
+	})
+	// Report which exchange operator actually propagated the run: a
+	// degenerate reference set downgrades an ACE refresh to the exact
+	// operator, and that must never stay invisible.
+	if err == nil && spec.ACE {
+		if n, lastErr := h.ACEFallbacks(); n > 0 {
+			r.opt.logf("exchange operator: ACE with %d refresh(es) fallen back to exact exchange (last failure: %v)", n, lastErr)
+		} else {
+			r.opt.logf("exchange operator: ACE (no fallbacks)")
 		}
-		e.energy = func() (float64, error) { return observe.Energy(sys, se.Psi, rk.Time).Total(), nil }
-		e.now = func() float64 { return rk.Time }
-		e.gather = func() ([]complex128, int, []complex128) { return se.Psi, 0, nil }
-		return e, nil
 	}
-	pt := core.NewPTCN(sys, core.DefaultPTCN())
-	pt.Time, pt.MTS = r.t0, r.spec.MTS
-	if r.loaded != nil {
-		if err := pt.ResumeMTS(int(r.loaded.MTSPhase), r.loaded.PhiRef); err != nil {
-			return nil, err
-		}
-	}
-	se.P = pt
-	e.el, e.step, e.energy = se, se.StepElectrons, se.ElectronicEnergy
-	e.now = func() float64 { return pt.Time }
-	e.gather = func() (psi []complex128, phase int, ref []complex128) {
-		if phase = pt.MTSPhase(); phase != 0 {
-			ref = pt.MTSRef()
-		}
-		return se.Psi, phase, ref
-	}
-	return e, nil
+	return err
 }
 
 // distEngine propagates this rank's band block with dist.PTCNSolver
-// inside mpi.Run, recording onto the rank's own track through the Comm
-// handle (nil recorder -> nil track -> every site stays on its disabled
-// path).
+// inside the world (one rank for a serial run), recording onto the rank's
+// own track through the Comm handle (nil recorder -> nil track -> every
+// site stays on its disabled path).
 func (r *runner) distEngine(c *mpi.Comm, cell *lattice.Cell) (*engine, error) {
 	spec := r.spec
 	c.SetTrace(r.opt.Trace.Track(c.Rank(), fmt.Sprintf("rank %d", c.Rank())))

@@ -1,16 +1,16 @@
 // Package sim is the reusable run layer shared by cmd/ptdft and the job
 // server (internal/server, cmd/ptdftd): a JSON-serializable simulation
 // Spec with the full flag-validation rules, the ground-state solve, and
-// one propagation loop over one per-rank engine - serial (core.PTCN or
-// core.RK4) or distributed (dist.PTCNSolver on each rank of a goroutine-MPI
-// world), either of them optionally wrapped in the Ehrenfest ion
-// integrator - with hooks for streaming observables, cooperative
+// one propagation loop over one per-rank engine - PT-CN as dist.PTCNSolver
+// on each rank of a goroutine-MPI world (a serial run is a one-rank world),
+// optionally wrapped in the Ehrenfest ion integrator, or the serial RK4
+// comparator (core.RK4) - with hooks for streaming observables, cooperative
 // preemption, checkpoint-backed resume, and a pre-computed (cached) ground
 // state. cmd/ptdft's CLI is a thin flag front-end over this package; the
 // server multiplexes many Specs over a worker pool.
 //
 // Retries live at two levels and nowhere else. Run retries lost ranks: a
-// distributed world that goes down with an *mpi.Failure is relaunched from
+// world that goes down with an *mpi.Failure is relaunched from
 // the newest rolling checkpoint (or replayed from its own start), up to a
 // constant budget, and the caller sees one uninterrupted sample feed plus
 // Result.Restarts/LostSteps/Failures. The job server retries whole
@@ -125,6 +125,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.Ranks > 1 && s.Method != "ptcn" {
 		return fmt.Errorf("sim: distributed runs support method ptcn only")
+	}
+	if s.SinglePrec && s.Ranks <= 1 {
+		return fmt.Errorf("sim: single_prec rounds the orbital payloads sent between ranks; it needs ranks > 1, got %d", s.Ranks)
 	}
 	if _, err := dist.ParseStrategy(s.Exchange); err != nil {
 		return err

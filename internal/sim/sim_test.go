@@ -43,8 +43,8 @@ func TestSpecValidateRules(t *testing.T) {
 		{"bad method", func(s *Spec) { s.Method = "euler" }, "method"},
 		{"negative steps", func(s *Spec) { s.Steps = -1 }, "step count"},
 		{"ace without hybrid", func(s *Spec) { s.ACE = true }, "hybrid"},
-		// The Jia & Lin hold cadence is ace + mts 1; the serial engine runs
-		// it as well as the distributed one, with or without MD.
+		// The Jia & Lin hold cadence is ace + mts 1; a serial run propagates
+		// it as a one-rank world, like any rank count, with or without MD.
 		{"ace mts 1 serial", func(s *Spec) { s.ACE = true; s.MTS = 1; s.Hybrid = true }, ""},
 		{"ace mts 1 md 2 ranks", func(s *Spec) {
 			s.ACE = true
@@ -61,6 +61,11 @@ func TestSpecValidateRules(t *testing.T) {
 		{"md bad tiling", func(s *Spec) { s.MD = true; s.IonSteps = 2; s.IonDtAs = 100 }, "multiple"},
 		{"negative ranks", func(s *Spec) { s.Ranks = -2 }, "rank"},
 		{"distributed rk4", func(s *Spec) { s.Ranks = 2; s.Method = "rk4" }, "ptcn"},
+		// One rank sends no orbital payloads to round: a serial single_prec
+		// would be dropped, or round its own orbitals for nothing.
+		{"single_prec serial", func(s *Spec) { s.SinglePrec = true }, "ranks > 1"},
+		{"single_prec 1 rank", func(s *Spec) { s.SinglePrec = true; s.Ranks = 1 }, "ranks > 1"},
+		{"single_prec 2 ranks", func(s *Spec) { s.SinglePrec = true; s.Ranks = 2 }, ""},
 		{"bad exchange", func(s *Spec) { s.Exchange = "quantum" }, "strategy"},
 		// The schedules PR 21 removed fail like any unknown name, listing
 		// the two that remain.
@@ -200,9 +205,9 @@ func maxDiff3(a, b [][3]float64) float64 {
 // through an in-memory checkpoint (the server's preempt/resume path,
 // without the disk) agrees with the uninterrupted run - same ground state,
 // same samples, same final orbitals and, under MD, the same ion state -
-// on both engines, with and without the ion integrator. The MTS rows split
-// mid-cycle, so the in-memory Final must carry the frozen exchange
-// reference. The uninterrupted run also writes rolling checkpoints every 2
+// on one and two ranks, with and without the ion integrator, and on the
+// serial RK4 engine. The MTS rows split mid-cycle, so the in-memory Final
+// must carry the frozen exchange reference. The uninterrupted run also writes rolling checkpoints every 2
 // steps: exactly the files {2, 4, ..., final} numbered by cumulative
 // electronic step, the last one equal to Final.
 func TestRunSplitEqualsContinuous(t *testing.T) {
@@ -210,6 +215,7 @@ func TestRunSplitEqualsContinuous(t *testing.T) {
 	aceMTS2 := func(s *Spec) { s.Hybrid, s.ACE, s.MTS = true, true, 2 }
 	exactMTS3 := func(s *Spec) { s.Hybrid, s.MTS = true, 3 }
 	ranks2 := func(s *Spec) { s.Ranks = 2 }
+	rk4 := func(s *Spec) { s.Method, s.DtAs = "rk4", 0.5 }
 	both := func(mods ...func(*Spec)) func(*Spec) {
 		return func(s *Spec) {
 			for _, m := range mods {
@@ -221,15 +227,16 @@ func TestRunSplitEqualsContinuous(t *testing.T) {
 		runCase
 		total, split int
 	}{
-		{runCase{"serial LDA", lda}, 6, 3},
-		{runCase{"serial ACE MTS2", aceMTS2}, 6, 3},
-		{runCase{"serial exact MTS3", exactMTS3}, 6, 2},
+		{runCase{"1-rank LDA", lda}, 6, 3},
+		{runCase{"1-rank ACE MTS2", aceMTS2}, 6, 3},
+		{runCase{"1-rank exact MTS3", exactMTS3}, 6, 2},
+		{runCase{"serial RK4", rk4}, 6, 3},
 		{runCase{"2-rank LDA", ranks2}, 6, 3},
 		{runCase{"2-rank ACE MTS2", both(ranks2, aceMTS2)}, 6, 3},
 		{runCase{"2-rank exact MTS3", both(ranks2, exactMTS3)}, 6, 2},
-		{runCase{"serial MD LDA", withMD(2)}, 3, 1},
-		{runCase{"serial MD ACE MTS2", both(aceMTS2, withMD(3))}, 3, 1},
-		{runCase{"serial MD exact MTS3", both(exactMTS3, withMD(2))}, 3, 1},
+		{runCase{"1-rank MD LDA", withMD(2)}, 3, 1},
+		{runCase{"1-rank MD ACE MTS2", both(aceMTS2, withMD(3))}, 3, 1},
+		{runCase{"1-rank MD exact MTS3", both(exactMTS3, withMD(2))}, 3, 1},
 		{runCase{"2-rank MD LDA", both(ranks2, withMD(2))}, 3, 1},
 		{runCase{"2-rank MD ACE MTS2", both(ranks2, aceMTS2, withMD(3))}, 3, 1},
 		{runCase{"2-rank MD exact MTS3", both(ranks2, exactMTS3, withMD(2))}, 3, 1},
@@ -482,9 +489,9 @@ func TestRunPeriodicSaveFailure(t *testing.T) {
 	}
 }
 
-// TestRunSerialEqualsDistributed: the two engines are one propagation.
-// From one shared ground state the serial and the 2-rank run of one spec
-// agree on every sample, semi-local and hybrid.
+// TestRunSerialEqualsDistributed: the rank count is a layout, not a
+// propagation. From one shared ground state the serial (one-rank) and the
+// 2-rank run of one spec agree on every sample, semi-local and hybrid.
 func TestRunSerialEqualsDistributed(t *testing.T) {
 	for _, tc := range []runCase{
 		{"LDA", func(s *Spec) {}},

@@ -6,7 +6,8 @@
 # the union of spans must cover >= 95% of the first-to-last extent - the
 # observability acceptance bar: a hot phase the instrumentation misses
 # shows up here as a coverage hole, not in a viewer three weeks later.
-# CI runs it against a fresh 2-rank hybrid ACE+MTS trace on every PR.
+# CI runs it against fresh 2-rank and serial hybrid ACE+MTS traces on
+# every PR.
 # Run locally from the module root with: sh scripts/tracecheck.sh <trace.json>
 set -u
 
