@@ -404,7 +404,10 @@ func TestDistributedMTSCheckpointResume(t *testing.T) {
 
 // TestDistributedHybridMatchesSerial checks the distributed hybrid path
 // against the serial hybrid propagator: same screened exchange, same
-// exchange attenuation of the semi-local functional.
+// exchange attenuation of the semi-local functional. The serial operator
+// runs the distributed exchange's pair fold (fock.FoldPairs) and the same
+// sphere dot for the energy, so on one rank the two are one solver bit for
+// bit: state, energy and current.
 func TestDistributedHybridMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hybrid propagation is slow")
@@ -419,15 +422,23 @@ func TestDistributedHybridMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	refE := observe.Energy(sys, ref, p.Time).Total()
-
-	got, e, _ := propagate(t, g, psi0, nb, true, 4, 1, 1.0, dist.ExchangeOptions{Strategy: dist.BcastOverlapped})
+	refJ := observe.Current(sys, ref)
 	refRho := potential.Density(g, ref, nb, 2)
-	rho := potential.Density(g, got, nb, 2)
-	if d := potential.DensityDiff(g, refRho, rho, 32); d > 1e-6 {
-		t.Errorf("hybrid density differs from serial by %g", d)
-	}
-	if d := math.Abs(e - refE); d > 1e-6 {
-		t.Errorf("hybrid energy %.10f vs serial %.10f", e, refE)
+
+	for _, ranks := range []int{1, 4} {
+		got, e, j := propagate(t, g, psi0, nb, true, ranks, 1, 1.0, dist.ExchangeOptions{Strategy: dist.BcastOverlapped})
+		if ranks == 1 {
+			if d := wavefunc.MaxDiff(ref, got); d != 0 || e != refE || j != refJ {
+				t.Errorf("ranks=1: not the serial bits: state max diff %g, energy %v vs %v, current %v vs %v", d, e, refE, j, refJ)
+			}
+		}
+		rho := potential.Density(g, got, nb, 2)
+		if d := potential.DensityDiff(g, refRho, rho, 32); d > 1e-6 {
+			t.Errorf("ranks=%d: hybrid density differs from serial by %g", ranks, d)
+		}
+		if d := math.Abs(e - refE); d > 1e-6 {
+			t.Errorf("ranks=%d: hybrid energy %.10f vs serial %.10f", ranks, e, refE)
+		}
 	}
 }
 

@@ -69,8 +69,8 @@ func oneStep(g *grid.Grid, pots map[int]*pseudo.Potential, psi0 []complex128, nb
 			panic(err)
 		}
 		h := hamiltonian.New(g, pots, hamiltonian.Config{})
-		s := dist.NewPTCNSolver(d, h, xc.HSE06(), true, field, core.DefaultPTCN(),
-			dist.ExchangeOptions{Strategy: dist.BcastOverlapped, SinglePrecision: true})
+		// The production exchange: double-precision wire, pair-symmetric fold.
+		s := dist.NewPTCNSolver(d, h, xc.HSE06(), true, field, core.DefaultPTCN(), dist.ExchangeOptions{})
 		lo, hi := d.BandRange(c.Rank())
 		local := wavefunc.Clone(psi0[lo*g.NG : hi*g.NG])
 		if _, _, err := s.Step(local, 1.0); err != nil {

@@ -7,11 +7,13 @@
 //	V_ACE = -Xi Xi^H,  Xi = W conj(L)^{-1},  -Phi^H W = L L^H,  W = V_X Phi.
 //
 // Construction (collective): W is computed band-block by band-block with
-// the configured exchange communication strategy (the same nb broadcasts /
-// ring hops and nb x nbl fused Poisson solves as one exact application),
-// Phi and W are transposed into the G layout with one MPI_Alltoallv each,
-// the nb x nb overlap -Phi^H W is accumulated slab-wise and MPI_Allreduced
-// in deterministic rank order, the Cholesky factorization is replicated on
+// the configured exchange communication strategy - one exact application,
+// nb broadcasts, and the reference being Phi itself, one fused Poisson
+// solve per unordered pair, nb(nb+1)/2 over all ranks (nb x nbl per rank
+// on a single-precision wire, which forces the one-sided fold) - Phi and W
+// are transposed into the G layout with one MPI_Alltoallv each, the
+// nb x nb overlap -Phi^H W is accumulated slab-wise and MPI_Allreduced in
+// deterministic rank order, the Cholesky factorization is replicated on
 // every rank (bit-identical inputs, so the success/failure decision is
 // symmetric), and the triangular solve for Xi runs slab-locally - each G
 // column of the band recurrence is independent, so the G layout needs no
@@ -23,9 +25,9 @@
 // accounting - the rank-nb update -Xi (Xi^H Psi) evaluated per slab, and
 // one transpose back. Per application that is at most two MPI_Alltoallv
 // plus one nb x nb MPI_Allreduce, versus nb broadcasts of NG coefficients
-// and nb x nbl Poisson solves for the exact operator; the solver's
-// residual already holds the iterate transposed into the G layout and
-// hands it to ApplyFromG, so the inbound transpose is not paid twice.
+// and the pair solves of the exact operator; the solver's residual already
+// holds the iterate transposed into the G layout and hands it to
+// ApplyFromG, so the inbound transpose is not paid twice.
 package dist
 
 import (

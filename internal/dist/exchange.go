@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"ptdft/internal/fock"
-	"ptdft/internal/fourier"
 	"ptdft/internal/lanes"
 	"ptdft/internal/mpi"
 	"ptdft/internal/parallel"
@@ -85,8 +84,8 @@ type ExchangeOptions struct {
 	// compressed exchange (dist.ACE): Xi is constructed collectively with
 	// the selected strategy and each application costs two layout
 	// transposes plus one nb x nb Allreduce instead of nb broadcasts and
-	// nb x nbl Poisson solves. Consumed by PTCNSolver; FockExchange itself
-	// always applies the exact operator.
+	// the pair solves. Consumed by PTCNSolver; FockExchange itself always
+	// applies the exact operator.
 	ACE bool
 	// MTSPeriod enables multiple time stepping (Mandal et al.,
 	// arXiv:2110.07670, adapted to the PT-CN gauge): the hybrid exchange
@@ -104,22 +103,19 @@ type ExchangeOptions struct {
 }
 
 // ExchangeWorkspace holds every buffer one rank's FockExchange needs:
-// real-space band blocks, per-worker Poisson scratch with FFT line
-// workspaces, the wire buffers of the broadcast pipeline, and the
-// result block. The distributed solver builds one per rank and reuses it
-// across SCF iterations, so the steady-state exchange performs no
-// band-block allocations (the mailbox copies inside the mpi layer's
-// Send/Bcast semantics remain - they model the wire).
+// real-space band blocks, per-worker fock.Workspace scratch (Poisson
+// buffer, fold partial, FFT line workspace), the wire buffers of the
+// broadcast pipeline, and the result block. The distributed solver builds
+// one per rank and reuses it across SCF iterations, so the steady-state
+// exchange performs no band-block allocations (the mailbox copies inside
+// the mpi layer's Send/Bcast semantics remain - they model the wire).
 type ExchangeWorkspace struct {
 	g       *Ctx
-	psiReal lanes.Slab            // nbl x NTot: local bands in real space (SoA)
-	acc     lanes.Slab            // nbl x NTot: exchange accumulators (SoA)
-	pairs   lanes.Slab            // nw x NTot: per-worker Poisson buffers (SoA)
-	phiR    lanes.Slab            // NTot: current reference band in real space (SoA)
-	band    [2]([]complex128)     // NG wire buffers (two for the overlapped pipeline)
-	vx      []complex128          // nbl x NG: result block, valid until the next call
-	fft     []*fourier.Workspace3 // nw: per-worker FFT line scratch
-	fftPhi  *fourier.Workspace3
+	psiReal lanes.Slab        // nbl x NTot: local bands in real space (SoA)
+	acc     lanes.Slab        // nbl x NTot: exchange accumulators (SoA)
+	wss     []*fock.Workspace // nw: per-worker scratch (wss[0].Src: an arriving band in real space)
+	band    [2]([]complex128) // NG wire buffers (two for the overlapped pipeline)
+	vx      []complex128      // nbl x NG: result block, valid until the next call
 	ch      chan []complex128 // overlapped-fetch handoff, capacity 1
 	fault   any               // fault panic forwarded off a fetch goroutine
 
@@ -133,10 +129,8 @@ type ExchangeWorkspace struct {
 	nbl    int
 	sym    bool
 
-	// Mirrored side of the pair-symmetric fold (processSymmetric), and the
-	// staging of returnToOwners, allocated on the first application that
-	// needs it.
-	mir  lanes.Slab     // nw x NTot: row 0 the arriving band's sum, rows 1.. worker partials (SoA)
+	// The staging of returnToOwners, allocated on the first application
+	// that needs it.
 	remG []complex128   // NB x NG: finished rows for bands owned elsewhere, on the sphere
 	send [][]complex128 // Alltoallv views into remG, one per rank
 }
@@ -150,9 +144,7 @@ func (d *Ctx) NewExchangeWorkspace() *ExchangeWorkspace {
 		g:       d,
 		psiReal: lanes.New(nbl * ntot),
 		acc:     lanes.New(nbl * ntot),
-		phiR:    lanes.New(ntot),
 		vx:      make([]complex128, nbl*ng),
-		fftPhi:  d.G.Plan.NewWorkspace(),
 		ch:      make(chan []complex128, 1),
 	}
 	ws.band[0] = make([]complex128, ng)
@@ -190,16 +182,11 @@ func (ws *ExchangeWorkspace) refault() {
 	panic("dist: fetch pipeline closed without a recorded fault")
 }
 
-// ensureWorkers grows the per-worker Poisson buffers and FFT workspaces to
-// cover nw workers. Scratch scales with parallelism, not band count.
+// ensureWorkers grows the per-worker scratch to cover nw workers. Scratch
+// scales with parallelism, not band count.
 func (ws *ExchangeWorkspace) ensureWorkers(nw int) {
-	ntot := ws.g.G.NTot
-	if ws.pairs.Len() < nw*ntot {
-		ws.pairs = lanes.New(nw * ntot)
-		ws.mir = lanes.New(nw * ntot)
-	}
-	for len(ws.fft) < nw {
-		ws.fft = append(ws.fft, ws.g.G.Plan.NewWorkspace())
+	for len(ws.wss) < nw {
+		ws.wss = append(ws.wss, fock.NewWorkspace(ws.g.G))
 	}
 }
 
@@ -258,11 +245,11 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 	fftRef := d.C.Trace().Begin("fft_to_real", "fft")
 	if nw <= 1 {
 		for j := 0; j < nbl; j++ {
-			d.G.ToRealSlabWS(ws.psiReal.Row(j, ntot), psi[j*ng:(j+1)*ng], ws.fft[0])
+			d.G.ToRealSlabWS(ws.psiReal.Row(j, ntot), psi[j*ng:(j+1)*ng], ws.wss[0].FFT)
 		}
 	} else {
 		parallel.ForWorker(nbl, func(w, j int) {
-			d.G.ToRealSlabWS(ws.psiReal.Row(j, ntot), psi[j*ng:(j+1)*ng], ws.fft[w])
+			d.G.ToRealSlabWS(ws.psiReal.Row(j, ntot), psi[j*ng:(j+1)*ng], ws.wss[w].FFT)
 		})
 	}
 	d.C.Trace().EndN(fftRef, int64(nbl))
@@ -277,11 +264,11 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 	fftRef = d.C.Trace().Begin("fft_from_real", "fft")
 	if nw <= 1 {
 		for j := 0; j < nbl; j++ {
-			d.G.FromRealSlabWS(ws.vx[j*ng:(j+1)*ng], ws.acc.Row(j, ntot), ws.fft[0])
+			d.G.FromRealSlabWS(ws.vx[j*ng:(j+1)*ng], ws.acc.Row(j, ntot), ws.wss[0].FFT)
 		}
 	} else {
 		parallel.ForWorker(nbl, func(w, j int) {
-			d.G.FromRealSlabWS(ws.vx[j*ng:(j+1)*ng], ws.acc.Row(j, ntot), ws.fft[w])
+			d.G.FromRealSlabWS(ws.vx[j*ng:(j+1)*ng], ws.acc.Row(j, ntot), ws.wss[w].FFT)
 		})
 	}
 	d.C.Trace().EndN(fftRef, int64(nbl))
@@ -312,13 +299,13 @@ func (ws *ExchangeWorkspace) returnToOwners() {
 }
 
 // process folds global reference band i (sphere coefficients) into the local
-// accumulators through the shared Alg. 2 inner step, using the fold state
-// bound by FockExchangeWS; the contract span counts the Poisson solves.
-// Scratch is bound out of the hot loop: one phiR reused across reference
-// bands (process runs sequentially) and one pair buffer plus FFT workspace
-// per worker (ForWorker serializes all iterations of a worker index). The
-// one-sided fold serves what cannot use the pair symmetry (a frozen MTS
-// reference, a single-precision wire), as Apply sits beside ApplyToReference.
+// accumulators, using the fold state bound by FockExchangeWS; the contract
+// span counts the Poisson solves. Scratch is bound out of the hot loop: one
+// fock.Workspace per worker (ForWorker serializes all iterations of a worker
+// index), worker 0's Src the arriving band in real space (process runs
+// sequentially). The one-sided fold serves what cannot use the pair symmetry
+// (a frozen MTS reference, a single-precision wire), as Apply sits beside
+// ApplyToReference.
 func (ws *ExchangeWorkspace) process(band []complex128, i int) {
 	d := ws.g
 	ntot := d.G.NTot
@@ -327,14 +314,15 @@ func (ws *ExchangeWorkspace) process(band []complex128, i int) {
 	if ws.sym {
 		n = ws.processSymmetric(band, i)
 	} else {
-		d.G.ToRealSlabWS(ws.phiR, band, ws.fftPhi)
+		phi := ws.wss[0].Src
+		d.G.ToRealSlabWS(phi, band, ws.wss[0].FFT)
 		if parallel.NumWorkers(ws.nbl) <= 1 {
 			for j := 0; j < ws.nbl; j++ {
-				fock.ContractReferenceWS(d.G, ws.kernel, ws.alpha, ws.phiR, ws.psiReal.Row(j, ntot), ws.acc.Row(j, ntot), ws.pairs.Row(0, ntot), ws.fft[0])
+				d.G.Plan.ContractSlabWS(ws.acc.Row(j, ntot), phi, ws.psiReal.Row(j, ntot), ws.wss[0].Pair, ws.kernel, -ws.alpha, ws.wss[0].FFT)
 			}
 		} else {
 			parallel.ForWorker(ws.nbl, func(w, j int) {
-				fock.ContractReferenceWS(d.G, ws.kernel, ws.alpha, ws.phiR, ws.psiReal.Row(j, ntot), ws.acc.Row(j, ntot), ws.pairs.Row(w, ntot), ws.fft[w])
+				d.G.Plan.ContractSlabWS(ws.acc.Row(j, ntot), phi, ws.psiReal.Row(j, ntot), ws.wss[w].Pair, ws.kernel, -ws.alpha, ws.wss[w].FFT)
 			})
 		}
 	}
@@ -343,28 +331,24 @@ func (ws *ExchangeWorkspace) process(band []complex128, i int) {
 
 // processSymmetric is the two-sided fold of a self-referenced application:
 // one Poisson solve per unordered pair {i, j} serves acc_j and, mirrored,
-// band i (fock.ContractPairReferenceWS). It returns the number of solves.
+// band i (fock.FoldPairs, the fold the serial operator runs). It returns the
+// number of solves.
 //
 // Ownership: a band of this rank's own block meets its local partners
 // j >= i, with no communication at all. A band owned elsewhere meets the
 // checkerboard half of the block - the pair {a < b} belongs to owner(b) when
 // a + b is even and to owner(a) otherwise - so every unordered pair is solved
-// once across ranks; the mirrored sum is projected to the sphere as soon as
-// the band is done and staged for returnToOwners, which keeps the real-space
-// memory at O(nbl) rows.
-//
-// Fold order: every partner adds into band i's accumulator, so the partners
-// are split statically over the workers; worker 0 adds into the accumulator
-// itself, worker w > 0 into mir row w, and the rows are folded in worker
-// order afterwards - the same bits on every run at a fixed worker count
-// (ForWorker's dynamic claims never decide what is added to what).
+// once across ranks; its mirrored sum collects in worker 0's Acc, is
+// projected to the sphere as soon as the band is done and staged for
+// returnToOwners, which keeps the real-space memory at O(nbl) rows.
 func (ws *ExchangeWorkspace) processSymmetric(band []complex128, i int) int {
 	d := ws.g
 	ng, ntot, nbl := d.G.NG, d.G.NTot, ws.nbl
 	lo, _ := d.BandRange(d.C.Rank())
 	own := i >= lo && i < lo+nbl
 	// Partners are the local bands j0, j0+dj, ...
-	phiI, accI, j0, dj := ws.phiR, ws.mir.Row(0, ntot), (i+lo)%2, 2
+	w0 := ws.wss[0]
+	phiI, accI, j0, dj := w0.Src, w0.Acc, (i+lo)%2, 2
 	if own {
 		phiI, accI, j0, dj = ws.psiReal.Row(i-lo, ntot), ws.acc.Row(i-lo, ntot), i-lo, 1
 	} else if i > lo {
@@ -376,36 +360,12 @@ func (ws *ExchangeWorkspace) processSymmetric(band []complex128, i int) int {
 		return 0
 	}
 	if !own {
-		d.G.ToRealSlabWS(phiI, band, ws.fftPhi)
-	}
-	nw := parallel.NumWorkers(n)
-	if nw <= 1 {
-		for j := j0; j < nbl; j += dj {
-			fock.ContractPairReferenceWS(d.G, ws.kernel, ws.alpha, phiI, ws.psiReal.Row(j, ntot), accI, ws.acc.Row(j, ntot), ws.pairs.Row(0, ntot), lo+j == i, ws.fft[0])
-		}
-	} else {
-		parallel.ForWorker(nw, func(_, w int) {
-			part := accI
-			if w > 0 {
-				part = ws.mir.Row(w, ntot)
-			}
-			for k := w * n / nw; k < (w+1)*n/nw; k++ {
-				j := j0 + k*dj
-				fock.ContractPairReferenceWS(d.G, ws.kernel, ws.alpha, phiI, ws.psiReal.Row(j, ntot), part, ws.acc.Row(j, ntot), ws.pairs.Row(w, ntot), lo+j == i, ws.fft[w])
-			}
-		})
-		for w := 1; w < nw; w++ {
-			part := ws.mir.Row(w, ntot)
-			for k := range part.Re {
-				accI.Re[k] += part.Re[k]
-				accI.Im[k] += part.Im[k]
-			}
-			part.Zero()
-		}
-	}
-	if !own {
-		d.G.FromRealSlabWS(ws.remG[i*ng:(i+1)*ng], accI, ws.fftPhi)
+		d.G.ToRealSlabWS(phiI, band, w0.FFT)
 		accI.Zero()
+	}
+	fock.FoldPairs(d.G, ws.kernel, ws.alpha, phiI, accI, ws.psiReal, ws.acc, j0, dj, n, own, ws.wss)
+	if !own {
+		d.G.FromRealSlabWS(ws.remG[i*ng:(i+1)*ng], accI, w0.FFT)
 	}
 	return n
 }

@@ -12,14 +12,18 @@
 // Performance contract: the hot path is allocation-free in steady state.
 // All per-band scratch (real-space boxes, pair buffers, FFT line scratch)
 // lives in Operator-owned Workspace objects bound one-per-worker through
-// parallel.ForWorker, the Poisson solves run through the fused
-// fourier.Plan3 round trips, and when the operator acts on its own
-// reference set the conjugate-pair symmetry
+// parallel.ForWorker, and the Poisson solves run through the fused
+// fourier.Plan3 round trips. When the operator acts on its own reference
+// set the conjugate-pair symmetry
 //
 //	Poisson[phi_i* phi_j] = conj(Poisson[phi_j* phi_i])
 //
-// halves the FFT count to nb(nb+1)/2 solves (ApplyToReference) - the
-// dominant case in the PT-CN SCF refresh, Energy, and ACE construction.
+// halves the FFT count to nb(nb+1)/2 solves - the dominant case in the
+// PT-CN SCF refresh, Energy, and ACE construction. FoldPairs is that
+// symmetric fold, written once: ApplyToReference and Energy run it over
+// partners j >= i, and the distributed exchange of internal/dist runs it
+// over each rank's share of the pairs, so the serial operator is the
+// one-rank distributed one bit for bit.
 //
 // The package also implements the adaptively compressed exchange (ACE)
 // representation (refs [22], [24] of the paper) as an optional
@@ -34,6 +38,7 @@ import (
 	"ptdft/internal/fourier"
 	"ptdft/internal/grid"
 	"ptdft/internal/lanes"
+	"ptdft/internal/linalg"
 	"ptdft/internal/parallel"
 	"ptdft/internal/trace"
 	"ptdft/internal/xc"
@@ -57,13 +62,6 @@ type Operator struct {
 	phi []complex128
 	nb  int
 
-	// pairs enumerates the upper triangle (i <= j) once; rounds is the
-	// same set arranged as a round-robin tournament schedule - within a
-	// round no two pairs share a band, so the symmetric accumulation is
-	// both race-free and deterministic.
-	pairs  [][2]int
-	rounds [][][2]int
-
 	// Workspace recycling: ws feeds both single-shot callers (ApplyReal)
 	// and the band-parallel entry points; accPool recycles the symmetric
 	// path's nb x NTot SoA accumulator, so concurrent calls stay correct
@@ -85,22 +83,22 @@ func (op *Operator) SetTrace(t *trace.Track) { op.tr = t }
 // vector, and the FFT line scratch. Obtain one from NewWorkspace; a
 // Workspace must not be used by two goroutines at once.
 type Workspace struct {
-	src  lanes.Slab   // NTot: band in real space (SoA)
-	acc  lanes.Slab   // NTot: exchange accumulator in real space (SoA)
-	pair lanes.Slab   // NTot: Poisson solve buffer (SoA)
-	sph  []complex128 // NG: sphere-coefficient scratch
-	fft  *fourier.Workspace3
+	Src  lanes.Slab          // NTot: a band in real space (SoA)
+	Acc  lanes.Slab          // NTot: an exchange accumulator in real space (SoA)
+	Pair lanes.Slab          // NTot: Poisson solve buffer (SoA)
+	FFT  *fourier.Workspace3 // FFT line scratch
+	sph  []complex128        // NG: sphere-coefficient scratch
 }
 
-// NewWorkspace allocates the scratch one worker needs for Apply-family
-// calls on this operator.
-func (op *Operator) NewWorkspace() *Workspace {
+// NewWorkspace allocates the scratch one worker needs for an exchange
+// application on grid g.
+func NewWorkspace(g *grid.Grid) *Workspace {
 	return &Workspace{
-		src:  lanes.New(op.g.NTot),
-		acc:  lanes.New(op.g.NTot),
-		pair: lanes.New(op.g.NTot),
-		sph:  make([]complex128, op.g.NG),
-		fft:  op.g.Plan.NewWorkspace(),
+		Src:  lanes.New(g.NTot),
+		Acc:  lanes.New(g.NTot),
+		Pair: lanes.New(g.NTot),
+		FFT:  g.Plan.NewWorkspace(),
+		sph:  make([]complex128, g.NG),
 	}
 }
 
@@ -119,13 +117,11 @@ func (op *Operator) acquireAcc() *lanes.Slab {
 	return acc
 }
 
-func (op *Operator) releaseAcc(acc *lanes.Slab) { op.accPool.Put(acc) }
-
 // NewOperator builds the Fock operator for hybrid parameters hyb and
 // reference orbitals phi given as sphere coefficients (band-major, nb x NG).
 func NewOperator(g *grid.Grid, hyb xc.HybridParams, phi []complex128, nb int) *Operator {
 	op := &Operator{g: g, alpha: hyb.Alpha, nb: nb}
-	op.ws.New = op.NewWorkspace
+	op.ws.New = func() *Workspace { return NewWorkspace(g) }
 	op.accPool.New = func() *lanes.Slab { return lanes.NewPtr(op.nb * op.g.NTot) }
 	op.kernel = BuildKernel(g, hyb)
 	op.SetOrbitals(phi, nb)
@@ -175,9 +171,6 @@ func (op *Operator) SetOrbitals(phi []complex128, nb int) {
 	if len(phi) != nb*op.g.NG {
 		panic(fmt.Sprintf("fock: SetOrbitals size mismatch: %d bands x NG %d != %d", nb, op.g.NG, len(phi)))
 	}
-	if nb != op.nb || op.pairs == nil {
-		op.pairs, op.rounds = pairSchedule(nb)
-	}
 	op.nb = nb
 	ntot := op.g.NTot
 	if op.phiReal.Len() != nb*ntot {
@@ -190,51 +183,9 @@ func (op *Operator) SetOrbitals(phi []complex128, nb int) {
 	nw := parallel.NumWorkers(nb)
 	wss := op.ws.Acquire(nw)
 	parallel.ForWorker(nb, func(w, i int) {
-		op.g.ToRealSlabWS(op.phiReal.Row(i, ntot), phi[i*op.g.NG:(i+1)*op.g.NG], wss[w].fft)
+		op.g.ToRealSlabWS(op.phiReal.Row(i, ntot), phi[i*op.g.NG:(i+1)*op.g.NG], wss[w].FFT)
 	})
 	op.ws.Release(wss)
-}
-
-// pairSchedule enumerates the upper-triangle band pairs (i <= j) and
-// arranges the off-diagonal ones as a round-robin tournament (circle
-// method): within each round every band appears in at most one pair, so
-// the two-sided accumulation of ApplyToReference runs in parallel without
-// write conflicts and with a deterministic accumulation order. The
-// diagonal pairs form one final, trivially disjoint round.
-func pairSchedule(nb int) (pairs [][2]int, rounds [][][2]int) {
-	m := nb
-	if m%2 == 1 {
-		m++
-	}
-	for t := 0; t < m-1; t++ {
-		var round [][2]int
-		add := func(a, b int) {
-			if a >= nb || b >= nb {
-				return // the bye of an odd band count
-			}
-			if a > b {
-				a, b = b, a
-			}
-			round = append(round, [2]int{a, b})
-		}
-		if m > 1 {
-			add(m-1, t%(m-1))
-		}
-		for k := 1; k < m/2; k++ {
-			add((t+k)%(m-1), (t-k+m-1)%(m-1))
-		}
-		if len(round) > 0 {
-			rounds = append(rounds, round)
-			pairs = append(pairs, round...)
-		}
-	}
-	var diag [][2]int
-	for i := 0; i < nb; i++ {
-		diag = append(diag, [2]int{i, i})
-	}
-	rounds = append(rounds, diag)
-	pairs = append(pairs, diag...)
-	return pairs, rounds
 }
 
 // IsReference reports whether src (band-major sphere coefficients) equals
@@ -275,28 +226,56 @@ func (op *Operator) ApplyReal(dst, src lanes.Slab) {
 func (op *Operator) applyRealWS(dst, src lanes.Slab, ws *Workspace) {
 	ntot := op.g.NTot
 	for i := 0; i < op.nb; i++ {
-		op.g.Plan.ContractSlabWS(dst, op.phiReal.Row(i, ntot), src, ws.pair, op.kernel, -op.alpha, ws.fft)
+		op.g.Plan.ContractSlabWS(dst, op.phiReal.Row(i, ntot), src, ws.Pair, op.kernel, -op.alpha, ws.FFT)
 	}
 }
 
-// ContractReferenceWS accumulates the exchange contribution of one
-// reference orbital into dstReal for a wavefunction, all in real space on
-// the wavefunction box: dstReal += -alpha * phi * Poisson[phi^* src]. pair
-// is a caller-provided NTot scratch slab and fws caller-owned FFT scratch,
-// for loops that bind one workspace per worker. This is the (i, j) inner
-// step of Alg. 2 that the distributed exchange of internal/dist folds bands
-// through: all four buffers are lane-blocked slabs, so its schedules chain
-// contractions without re-interleaving between stages.
-func ContractReferenceWS(g *grid.Grid, kernel []float64, alpha float64, phiReal, srcReal, dstReal, pair lanes.Slab, fws *fourier.Workspace3) {
-	g.Plan.ContractSlabWS(dstReal, phiReal, srcReal, pair, kernel, -alpha, fws)
-}
-
-// ContractPairReferenceWS is the two-sided symmetric SoA contraction: one
-// Poisson solve accumulating both accJ += -alpha phi_i v and (for i != j)
-// accI += -alpha phi_j conj(v), v = Poisson[phi_i^* phi_j]. The distributed
-// pair-symmetric fold (dist.ExchangeWorkspace) runs on it.
-func ContractPairReferenceWS(g *grid.Grid, kernel []float64, alpha float64, phiI, phiJ, accI, accJ, pair lanes.Slab, diag bool, fws *fourier.Workspace3) {
-	g.Plan.ContractPairSlabWS(accI, accJ, phiI, phiJ, pair, kernel, -alpha, diag, fws)
+// FoldPairs is the pair-symmetric fold of one reference band phi_i (real
+// space, SoA) over the partner rows j = j0, j0+dj, ... (n of them) of the
+// band block psi: one Poisson solve v = Poisson[phi_i^* psi_j] per pair
+// accumulates acc_j += -alpha phi_i v and accI += -alpha psi_j conj(v),
+// the second side skipped for the diagonal pair when diag says the first
+// partner j0 is phi_i itself. Every self-referenced exchange application
+// runs it: ApplyToReference and Energy over partners j >= i, internal/dist
+// over each rank's share of the pairs.
+//
+// Fold order: every partner adds into accI, so the partners are split
+// statically over parallel.NumWorkers(n) workers; worker 0 adds into accI
+// itself, worker w > 0 into wss[w].Acc, and those rows are folded into accI
+// in worker order afterwards - the same bits on every run at a fixed worker
+// count (ForWorker's dynamic claims never decide what is added to what).
+// wss needs NumWorkers(n) entries; the fold touches only their Pair and FFT
+// scratch and, for w > 0, Acc, so wss[0].Src and wss[0].Acc stay free for
+// the caller's phi_i and accI.
+func FoldPairs(g *grid.Grid, kernel []float64, alpha float64, phiI, accI, psi, acc lanes.Slab, j0, dj, n int, diag bool, wss []*Workspace) {
+	ntot := g.NTot
+	nw := parallel.NumWorkers(n)
+	if nw <= 1 {
+		// Serial fast path: no closure, no goroutines (zero-alloc).
+		for k := 0; k < n; k++ {
+			j := j0 + k*dj
+			g.Plan.ContractPairSlabWS(accI, acc.Row(j, ntot), phiI, psi.Row(j, ntot), wss[0].Pair, kernel, -alpha, diag && k == 0, wss[0].FFT)
+		}
+		return
+	}
+	parallel.ForWorker(nw, func(_, w int) {
+		ws, part := wss[w], accI
+		if w > 0 {
+			part = ws.Acc
+			part.Zero()
+		}
+		for k := w * n / nw; k < (w+1)*n/nw; k++ {
+			j := j0 + k*dj
+			g.Plan.ContractPairSlabWS(part, acc.Row(j, ntot), phiI, psi.Row(j, ntot), ws.Pair, kernel, -alpha, diag && k == 0, ws.FFT)
+		}
+	})
+	for w := 1; w < nw; w++ {
+		part := wss[w].Acc
+		for k := range part.Re {
+			accI.Re[k] += part.Re[k]
+			accI.Im[k] += part.Im[k]
+		}
+	}
 }
 
 // Apply computes V_X applied to nbands sphere-coefficient bands
@@ -336,10 +315,10 @@ func (op *Operator) Apply(dst, src []complex128, nbands int) {
 // fused contractions, back to the sphere, accumulate into dst.
 func (op *Operator) applyBand(dst, src []complex128, j int, ws *Workspace) {
 	ng := op.g.NG
-	op.g.ToRealSlabWS(ws.src, src[j*ng:(j+1)*ng], ws.fft)
-	ws.acc.Zero()
-	op.applyRealWS(ws.acc, ws.src, ws)
-	op.g.FromRealSlabWS(ws.sph, ws.acc, ws.fft)
+	op.g.ToRealSlabWS(ws.Src, src[j*ng:(j+1)*ng], ws.FFT)
+	ws.Acc.Zero()
+	op.applyRealWS(ws.Acc, ws.Src, ws)
+	op.g.FromRealSlabWS(ws.sph, ws.Acc, ws.FFT)
 	d := dst[j*ng : (j+1)*ng]
 	for s := range d {
 		d[s] += ws.sph[s]
@@ -360,124 +339,87 @@ func (op *Operator) ApplyToReference(dst []complex128) {
 	}
 	ref := op.tr.Begin("exchange", "fock")
 	defer op.tr.End(ref)
-	acc := op.acquireAcc()
-	nw := parallel.NumWorkers(nb)
-	wss := op.ws.Acquire(nw)
-	// Rounds are barriers: within one round no two pairs share a band, so
-	// both sides of each pair accumulate without locks, and the fixed
-	// round order keeps the floating-point accumulation deterministic.
-	if nw <= 1 {
+	acc, wss := op.foldReference()
+	if len(wss) <= 1 {
 		// Serial fast path: no closures, no goroutines (zero-alloc).
-		for _, round := range op.rounds {
-			for t := range round {
-				op.contractPair(acc, round[t][0], round[t][1], wss[0])
-			}
-		}
 		for j := 0; j < nb; j++ {
 			op.gatherBand(dst, acc, j, wss[0])
 		}
 	} else {
-		for _, round := range op.rounds {
-			r := round
-			parallel.ForWorker(len(r), func(w, t int) {
-				op.contractPair(acc, r[t][0], r[t][1], wss[w])
-			})
-		}
 		parallel.ForWorker(nb, func(w, j int) {
 			op.gatherBand(dst, acc, j, wss[w])
 		})
 	}
 	op.ws.Release(wss)
-	op.releaseAcc(acc)
-}
-
-// contractPair performs the single Poisson solve of the unordered pair
-// (i, j) and accumulates both sides of the symmetry into the SoA
-// accumulator: acc_j += -alpha phi_i v and (for i != j)
-// acc_i += -alpha phi_j conj(v), with v = Poisson[phi_i^* phi_j]. Both
-// accumulations ride inside the inverse z pass of the fused solve.
-func (op *Operator) contractPair(acc *lanes.Slab, i, j int, ws *Workspace) {
-	ntot := op.g.NTot
-	phiI := op.phiReal.Row(i, ntot)
-	phiJ := op.phiReal.Row(j, ntot)
-	op.g.Plan.ContractPairSlabWS(acc.Row(i, ntot), acc.Row(j, ntot), phiI, phiJ, ws.pair, op.kernel, -op.alpha, i == j, ws.fft)
+	op.accPool.Put(acc)
 }
 
 // gatherBand projects real-space accumulator band j back onto the sphere
-// and adds it into dst (the accumulator is consumed).
+// and adds it into dst.
 func (op *Operator) gatherBand(dst []complex128, acc *lanes.Slab, j int, ws *Workspace) {
 	ng, ntot := op.g.NG, op.g.NTot
-	op.g.FromRealSlabWS(ws.sph, acc.Row(j, ntot), ws.fft)
+	op.g.FromRealSlabWS(ws.sph, acc.Row(j, ntot), ws.FFT)
 	d := dst[j*ng : (j+1)*ng]
 	for s := range d {
 		d[s] += ws.sph[s]
 	}
 }
 
+// foldReference runs FoldPairs for every reference band i over its
+// partners j >= i, band after band as the one-rank distributed exchange
+// receives them, into a pooled nb x NTot accumulator. The caller projects
+// the rows and returns the accumulator and the NumWorkers(nb) workspaces.
+func (op *Operator) foldReference() (*lanes.Slab, []*Workspace) {
+	nb, ntot := op.nb, op.g.NTot
+	acc := op.acquireAcc()
+	wss := op.ws.Acquire(parallel.NumWorkers(nb))
+	for i := 0; i < nb; i++ {
+		FoldPairs(op.g, op.kernel, op.alpha, op.phiReal.Row(i, ntot), acc.Row(i, ntot), op.phiReal, *acc, i, 1, nb-i, true, wss)
+	}
+	return acc, wss
+}
+
 // Energy returns the exchange energy E_X = sum_j Re<psi_j|V_X psi_j> for a
 // band set (the spin factor 2 and the 1/2 double counting cancel for a
 // closed shell). The evaluation streams band by band through worker
-// workspaces - no nbands x NG buffer is formed - and when psi is the
-// operator's own reference set it uses the pair symmetry to halve the
-// Poisson solves.
+// workspaces - no nbands x NG buffer is formed. On the operator's own
+// reference set it is the symmetric fold followed by the sphere dot
+// internal/dist's energy takes, band by band; otherwise each band runs the
+// one-sided contraction and the real-space dot.
 func (op *Operator) Energy(psi []complex128, nbands int) float64 {
-	ng := op.g.NG
+	ng, ntot := op.g.NG, op.g.NTot
 	if len(psi) != nbands*ng {
 		panic("fock: Energy buffer size mismatch")
 	}
-	if op.IsReference(psi, nbands) {
-		return op.energyReference()
-	}
-	// Generic path: per band, <psi_j|V_X psi_j> evaluated as the
-	// real-space inner product dV * sum_r conj(psi_j(r)) (V_X psi_j)(r),
-	// which equals the sphere-coefficient dot product by Parseval.
+	// Per-band terms land in their own slots and are summed in band order.
 	eband := make([]float64, nbands)
-	nw := parallel.NumWorkers(nbands)
-	wss := op.ws.Acquire(nw)
-	parallel.ForWorker(nbands, func(w, j int) {
-		ws := wss[w]
-		op.g.ToRealSlabWS(ws.src, psi[j*ng:(j+1)*ng], ws.fft)
-		ws.acc.Zero()
-		op.applyRealWS(ws.acc, ws.src, ws)
-		eband[j] = lanes.DotRe(ws.src, ws.acc)
-	})
-	op.ws.Release(wss)
+	scale := op.g.DVWave() // the real-space dot's volume element
+	if op.IsReference(psi, nbands) {
+		acc, wss := op.foldReference()
+		parallel.ForWorker(nbands, func(w, j int) {
+			ws := wss[w]
+			op.g.FromRealSlabWS(ws.sph, acc.Row(j, ntot), ws.FFT)
+			eband[j] = real(linalg.Dot(psi[j*ng:(j+1)*ng], ws.sph))
+		})
+		op.ws.Release(wss)
+		op.accPool.Put(acc)
+		scale = 1 // a sphere dot carries none
+	} else {
+		// <psi_j|V_X psi_j> as the real-space inner product dV * sum_r
+		// conj(psi_j(r)) (V_X psi_j)(r), the sphere dot by Parseval.
+		wss := op.ws.Acquire(parallel.NumWorkers(nbands))
+		parallel.ForWorker(nbands, func(w, j int) {
+			ws := wss[w]
+			op.g.ToRealSlabWS(ws.Src, psi[j*ng:(j+1)*ng], ws.FFT)
+			ws.Acc.Zero()
+			op.applyRealWS(ws.Acc, ws.Src, ws)
+			eband[j] = lanes.DotRe(ws.Src, ws.Acc)
+		})
+		op.ws.Release(wss)
+	}
 	var e float64
 	for _, v := range eband {
 		e += v
 	}
-	return e * op.g.DVWave()
-}
-
-// energyReference evaluates E_X on the reference set with one Poisson
-// solve per unordered pair: E_X = -alpha dV sum_{i<=j} w_ij Re sum_r
-// conj(rho_ij(r)) Poisson[rho_ij](r) with rho_ij = phi_i^* phi_j and
-// w_ij = 2 - delta_ij (the (j,i) term is the complex conjugate).
-func (op *Operator) energyReference() float64 {
-	ntot := op.g.NTot
-	epair := make([]float64, len(op.pairs))
-	nw := parallel.NumWorkers(len(op.pairs))
-	wss := op.ws.Acquire(nw)
-	parallel.ForWorker(len(op.pairs), func(w, t int) {
-		ws := wss[w]
-		i, j := op.pairs[t][0], op.pairs[t][1]
-		phiI := op.phiReal.Row(i, ntot)
-		phiJ := op.phiReal.Row(j, ntot)
-		pair, rho := ws.pair, ws.src
-		lanes.PairConj(pair, phiI, phiJ)
-		copy(rho.Re, pair.Re)
-		copy(rho.Im, pair.Im)
-		op.g.Plan.PoissonSlabWS(pair, op.kernel, ws.fft)
-		s := lanes.DotRe(rho, pair)
-		if i != j {
-			s *= 2
-		}
-		epair[t] = s
-	})
-	op.ws.Release(wss)
-	var e float64
-	for _, v := range epair {
-		e += v
-	}
-	return -op.alpha * op.g.DVWave() * e
+	return e * scale
 }

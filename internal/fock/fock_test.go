@@ -157,7 +157,8 @@ func TestACEHermitianNegative(t *testing.T) {
 // TestApplyToReferenceMatchesApply pins the conjugate-pair symmetry: the
 // halved nb(nb+1)/2-solve path must agree with the generic band-by-band
 // application to well below 1e-12, for both the screened HSE06 kernel and
-// an unscreened hybrid. Odd nb exercises the round-robin bye.
+// an unscreened hybrid. At three workers the fold's static split runs
+// uneven partner runs (nb = 4, 5) and a single partner (nb = 1).
 func TestApplyToReferenceMatchesApply(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -167,9 +168,8 @@ func TestApplyToReferenceMatchesApply(t *testing.T) {
 		{"hybrid_unscreened", xc.HybridParams{Alpha: 0.3, Omega: 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Force goroutine fan-out so the round-parallel accumulation
-			// and worker-bound workspaces are exercised even on 1-CPU
-			// hosts.
+			// Force goroutine fan-out so the fold's worker partials and
+			// worker-bound workspaces are exercised even on 1-CPU hosts.
 			defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(3))
 			g := grid.MustNew(lattice.MustSiliconSupercell(1, 1, 1), 3)
 			ng := g.NG
@@ -178,12 +178,12 @@ func TestApplyToReferenceMatchesApply(t *testing.T) {
 			for _, nb := range []int{1, 4, 5} {
 				phi := wavefunc.Random(g, nb, 42)
 				op := NewOperator(g, tc.hyb, phi, nb)
-				// Independent oracle: the spelled-out nb^2 loop over
-				// ContractReferenceWS, bypassing Apply entirely so neither
-				// the reference detection nor the pair schedule is
-				// involved in producing the expected values. What this
-				// checks is the schedule; the transforms underneath are
-				// pinned against the naive DFT in internal/fourier.
+				// Independent oracle: the spelled-out nb^2 loop of one-sided
+				// contractions, bypassing Apply entirely so neither the
+				// reference detection nor the pair fold is involved in
+				// producing the expected values. What this checks is the
+				// fold; the transforms underneath are pinned against the
+				// naive DFT in internal/fourier.
 				fws := g.Plan.NewWorkspace()
 				phiR := lanes.New(nb * ntot)
 				for i := 0; i < nb; i++ {
@@ -194,7 +194,7 @@ func TestApplyToReferenceMatchesApply(t *testing.T) {
 				for j := 0; j < nb; j++ {
 					acc.Zero()
 					for i := 0; i < nb; i++ {
-						ContractReferenceWS(g, kernel, tc.hyb.Alpha, phiR.Row(i, ntot), phiR.Row(j, ntot), acc, pair, fws)
+						g.Plan.ContractSlabWS(acc, phiR.Row(i, ntot), phiR.Row(j, ntot), pair, kernel, -tc.hyb.Alpha, fws)
 					}
 					g.FromRealSlabWS(want[j*ng:(j+1)*ng], acc, fws)
 				}
@@ -216,25 +216,49 @@ func TestApplyToReferenceMatchesApply(t *testing.T) {
 }
 
 // TestEnergyMatchesApplyDot pins the streaming Energy against the
-// spelled-out sum_j Re<psi_j|V_X psi_j>, on and off the reference set.
+// spelled-out sum_j Re<psi_j|V_X psi_j>. On the reference set both run the
+// one fold and the same sphere dot, so they agree bit for bit (the energy
+// internal/dist takes from its exchange product is this sum); off it,
+// band-by-band one-sided applications agree to round-off.
 func TestEnergyMatchesApplyDot(t *testing.T) {
 	g, phi, op := setup(t, 4)
 	ng := g.NG
-	manual := func(psi []complex128, nb int) float64 {
+	dot := func(psi, vx []complex128, nb int) float64 {
 		var e float64
 		for j := 0; j < nb; j++ {
-			vx := make([]complex128, ng)
-			op.Apply(vx, psi[j*ng:(j+1)*ng], 1)
-			e += real(linalg.Dot(psi[j*ng:(j+1)*ng], vx))
+			e += real(linalg.Dot(psi[j*ng:(j+1)*ng], vx[j*ng:(j+1)*ng]))
 		}
 		return e
 	}
-	if want, got := manual(phi, 4), op.Energy(phi, 4); math.Abs(want-got) > 1e-12*(1+math.Abs(want)) {
-		t.Errorf("reference-set energy %g, want %g", got, want)
+	vx := make([]complex128, 4*ng)
+	op.Apply(vx, phi, 4)
+	if want, got := dot(phi, vx, 4), op.Energy(phi, 4); got != want {
+		t.Errorf("reference-set energy %v, want %v bit for bit", got, want)
 	}
 	psi := wavefunc.Random(g, 3, 77)
-	if want, got := manual(psi, 3), op.Energy(psi, 3); math.Abs(want-got) > 1e-12*(1+math.Abs(want)) {
+	vx = make([]complex128, 3*ng)
+	for j := 0; j < 3; j++ {
+		op.Apply(vx[j*ng:(j+1)*ng], psi[j*ng:(j+1)*ng], 1)
+	}
+	if want, got := dot(psi, vx, 3), op.Energy(psi, 3); math.Abs(want-got) > 1e-12*(1+math.Abs(want)) {
 		t.Errorf("generic energy %g, want %g", got, want)
+	}
+}
+
+// TestApplyToReferenceRepeatsBits: at two workers the fold splits every
+// band's partners statically and adds the partial rows in worker order, so
+// repeated applications give the same bits whichever goroutine runs first.
+func TestApplyToReferenceRepeatsBits(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(2))
+	g, _, op := setup(t, 7)
+	first := make([]complex128, 7*g.NG)
+	op.ApplyToReference(first)
+	for run := 0; run < 4; run++ {
+		again := make([]complex128, 7*g.NG)
+		op.ApplyToReference(again)
+		if d := wavefunc.MaxDiff(first, again); d != 0 {
+			t.Fatalf("run %d differs from the first by %g", run+1, d)
+		}
 	}
 }
 
@@ -264,8 +288,8 @@ func TestFockApplyAllocs(t *testing.T) {
 		t.Errorf("steady-state ApplyToReference allocates %v per call, want 0", a)
 	}
 	// The streaming Energy rides the same slab workspaces; its per-call
-	// allocations are the documented O(nb) edge tables (the eband/epair
-	// partial sums and the worker table), never grid-sized buffers.
+	// allocations are O(nb) edge tables (the per-band partial sums and the
+	// worker closure), never grid-sized buffers.
 	op.Energy(phi, nb)
 	if a := testing.AllocsPerRun(5, func() { op.Energy(phi, nb) }); a > 4 && !raceEnabled {
 		t.Errorf("steady-state Energy allocates %v per call, want <= 4 edge tables", a)

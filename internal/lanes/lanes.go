@@ -94,34 +94,6 @@ func Unpack(dst []complex128, src Slab) {
 	}
 }
 
-// PairConj forms the exchange pair density dst = conj(a) * b elementwise.
-// This is the Alg. 2 gather product in SoA form: 4 multiplies per element
-// with no interleave shuffles.
-func PairConj(dst, a, b Slab) {
-	n := len(dst.Re)
-	_ = a.Re[n-1]
-	_ = a.Im[n-1]
-	_ = b.Re[n-1]
-	_ = b.Im[n-1]
-	i := 0
-	for ; i+Width <= n; i += Width {
-		ar := (*[Width]float64)(a.Re[i:])
-		ai := (*[Width]float64)(a.Im[i:])
-		br := (*[Width]float64)(b.Re[i:])
-		bi := (*[Width]float64)(b.Im[i:])
-		dr := (*[Width]float64)(dst.Re[i:])
-		di := (*[Width]float64)(dst.Im[i:])
-		for l := 0; l < Width; l++ {
-			dr[l] = ar[l]*br[l] + ai[l]*bi[l]
-			di[l] = ar[l]*bi[l] - ai[l]*br[l]
-		}
-	}
-	for ; i < n; i++ {
-		dst.Re[i] = a.Re[i]*b.Re[i] + a.Im[i]*b.Im[i]
-		dst.Im[i] = a.Re[i]*b.Im[i] - a.Im[i]*b.Re[i]
-	}
-}
-
 // AddNorm2 accumulates dst[i] += |s_i|^2 = Re^2 + Im^2 - one orbital's
 // contribution to the charge density, read straight from the split box.
 func AddNorm2(dst []float64, s Slab) {

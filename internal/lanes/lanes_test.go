@@ -24,15 +24,6 @@ func toSlab(c []complex128) Slab {
 	return s
 }
 
-func requireClose(t *testing.T, got Slab, want []complex128, tol float64) {
-	t.Helper()
-	for i, w := range want {
-		if math.Abs(got.Re[i]-real(w)) > tol || math.Abs(got.Im[i]-imag(w)) > tol {
-			t.Fatalf("element %d: got (%g,%g) want %v", i, got.Re[i], got.Im[i], w)
-		}
-	}
-}
-
 func TestPackUnpackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range sizes {
@@ -56,15 +47,6 @@ func TestKernelsMatchComplexReference(t *testing.T) {
 		b := randComplex(rng, n)
 		d := randComplex(rng, n)
 		sa, sb := toSlab(a), toSlab(b)
-
-		// PairConj
-		sd := New(n)
-		want := make([]complex128, n)
-		PairConj(sd, sa, sb)
-		for i := range want {
-			want[i] = cmplx.Conj(a[i]) * b[i]
-		}
-		requireClose(t, sd, want, tol)
 
 		// AddNorm2
 		acc := make([]float64, n)

@@ -1,17 +1,16 @@
 // Hard-fault injection and failure detection for the goroutine MPI
-// runtime: rank crashes (a panic with a typed RankFailure), probabilistic
-// message drops, and a receive/barrier deadline that turns a peer that
-// went silent into a loud PeerLostError instead of an eternal hang. The
-// model mirrors what a ULFM-style MPI gives a fault-tolerant application:
-// a failed rank stops participating, survivors learn about it from
-// timed-out operations, and the job-level supervisor (the attempt loop of
-// sim.Run) tears the world down and relaunches from a checkpoint.
+// runtime: rank crashes (a panic with a typed RankFailure) and a
+// receive/barrier deadline that turns a peer that went silent into a loud
+// PeerLostError instead of an eternal hang. The model mirrors what a
+// ULFM-style MPI gives a fault-tolerant application: a failed rank stops
+// participating, survivors learn about it from timed-out operations, and
+// the job-level supervisor (the attempt loop of sim.Run) tears the world
+// down and relaunches from a checkpoint.
 package mpi
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -44,20 +43,12 @@ type CrashRankAt struct {
 }
 
 // Fault is the hard-failure injection plan of one run: scheduled rank
-// crashes and/or probabilistic message loss.
+// crashes.
 type Fault struct {
 	// Crashes lists the scheduled rank failures. Faults are per-run: a
 	// supervisor that relaunches the world passes a fresh (usually empty)
 	// Fault for the retry attempt.
 	Crashes []CrashRankAt
-	// DropProb, when > 0, is the probability that any single message
-	// delivery is lost in transit: the sender is billed (it did the work),
-	// the receiver never sees the payload and trips its deadline. Drawn
-	// from a deterministic stream seeded by DropSeed.
-	DropProb float64
-	// DropSeed seeds the drop stream (0 is replaced by 1 so the zero
-	// value is still deterministic).
-	DropSeed int64
 }
 
 // RankFailure is the panic value of an injected rank crash. It satisfies
@@ -150,17 +141,8 @@ func RunTolerant(size int, p *Perturb, f func(c *Comm)) (*Stats, *Failure) {
 	w.perturb = p
 	if p != nil {
 		w.deadline = p.Deadline
-		if w.fault = p.Fault; w.fault != nil {
-			if w.deadline == 0 {
-				w.deadline = DefaultDeadline
-			}
-			if w.fault.DropProb > 0 {
-				seed := w.fault.DropSeed
-				if seed == 0 {
-					seed = 1
-				}
-				w.dropRng = rand.New(rand.NewSource(seed))
-			}
+		if w.fault = p.Fault; w.fault != nil && w.deadline == 0 {
+			w.deadline = DefaultDeadline
 		}
 	}
 	var wg sync.WaitGroup
@@ -284,15 +266,4 @@ func (w *world) deadRanks() []int {
 		}
 	}
 	return dead
-}
-
-// dropMessage draws one Bernoulli trial from the shared drop stream.
-func (w *world) dropMessage() bool {
-	if w.dropRng == nil {
-		return false
-	}
-	w.dropMu.Lock()
-	lost := w.dropRng.Float64() < w.fault.DropProb
-	w.dropMu.Unlock()
-	return lost
 }

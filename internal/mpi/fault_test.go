@@ -145,65 +145,6 @@ func TestDeadlineTripsEveryCollective(t *testing.T) {
 	}
 }
 
-// TestMessageDropsTripDeadline loses every message on the wire and checks
-// the receiver detects the loss while the sender finishes cleanly.
-func TestMessageDropsTripDeadline(t *testing.T) {
-	p := &Perturb{
-		Deadline: 150 * time.Millisecond,
-		Fault:    &Fault{DropProb: 1, DropSeed: 42},
-	}
-	st, fail := RunTolerant(2, p, func(c *Comm) {
-		if c.Rank() == 0 {
-			Send(c, 1, 7, []float64{1, 2, 3})
-			return
-		}
-		Recv[float64](c, 0, 7)
-	})
-	if fail == nil || len(fail.PeerLost) != 1 || fail.PeerLost[0] != 1 {
-		t.Fatalf("fail = %+v, want rank 1 peer-lost", fail)
-	}
-	// The sender is billed for the ship attempt even though the payload
-	// was lost.
-	if got := st.SentBy(0, ClassP2P); got != 24 {
-		t.Fatalf("sender billed %d bytes, want 24", got)
-	}
-	if got := st.RecvBy(1, ClassP2P); got != 0 {
-		t.Fatalf("receiver billed %d bytes for a dropped message, want 0", got)
-	}
-}
-
-// TestPartialDropsAreDeterministic reruns the same seeded drop plan and
-// checks the loss pattern is reproducible.
-func TestPartialDropsAreDeterministic(t *testing.T) {
-	run := func() (sent, recvd int64) {
-		p := &Perturb{
-			Deadline: 100 * time.Millisecond,
-			Fault:    &Fault{DropProb: 0.5, DropSeed: 7},
-		}
-		st, _ := RunTolerant(2, p, func(c *Comm) {
-			defer func() { recover() }() // peer-loss after first dropped message is expected
-			if c.Rank() == 0 {
-				for i := 0; i < 20; i++ {
-					Send(c, 1, 10+i, []float64{float64(i)})
-				}
-				return
-			}
-			for i := 0; i < 20; i++ {
-				Recv[float64](c, 0, 10+i)
-			}
-		})
-		return st.SentBy(0, ClassP2P), st.RecvBy(1, ClassP2P)
-	}
-	s1, r1 := run()
-	s2, r2 := run()
-	if s1 != s2 || r1 != r2 {
-		t.Fatalf("drop pattern not deterministic: (%d,%d) vs (%d,%d)", s1, r1, s2, r2)
-	}
-	if r1 >= s1 {
-		t.Fatalf("expected some loss at DropProb=0.5: sent %d, received %d", s1, r1)
-	}
-}
-
 // TestRunPerturbedPanicsOnFault checks the non-tolerant entry points keep
 // their contract: an injected fault ends the run with a loud panic that
 // names the dead rank.

@@ -20,7 +20,6 @@ package mpi
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,14 +208,11 @@ type world struct {
 
 	// Hard-fault state (see fault.go): the injection plan, the peer-loss
 	// detection deadline (0 = wait forever), per-rank metered-operation
-	// counters for AfterCalls crashes, the crash ledger, and the shared
-	// message-drop stream.
+	// counters for AfterCalls crashes, and the crash ledger.
 	fault    *Fault
 	deadline time.Duration
 	opCalls  []atomic.Int64
 	failed   []atomic.Pointer[RankFailure]
-	dropMu   sync.Mutex
-	dropRng  *rand.Rand
 
 	barrierMu  sync.Mutex
 	barrierN   int
@@ -259,8 +255,8 @@ type Perturb struct {
 	// or link congestion). Return 0 for unaffected links.
 	WireDelay func(src, dst int, bytes int64) time.Duration
 	// Fault, when non-nil, arms hard-failure injection: scheduled rank
-	// crashes and probabilistic message drops (see fault.go). Use
-	// RunTolerant to observe the failures instead of panicking.
+	// crashes (see fault.go). Use RunTolerant to observe the failures
+	// instead of panicking.
 	Fault *Fault
 	// Deadline bounds every blocking receive and barrier wait: a rank
 	// that waits longer presumes its peer dead and panics with a
@@ -319,20 +315,9 @@ func (c *Comm) accountTransfer(to int, class OpClass, bytes int64) {
 
 // deliver copies data into the destination mailbox with accounting, and
 // charges the sender any injected wire latency for the (src, dst) link.
-// Under an armed drop model the message may be lost in transit: the
-// sender is billed for the ship attempt, the receiver never sees it and
-// eventually trips its deadline.
 func deliver[T Elem](c *Comm, to, tag int, data []T, class OpClass) {
 	bytes := int64(len(data)) * elemSize[T]()
 	ref := c.tr.Begin(class.String(), "xfer")
-	if c.w.dropMessage() {
-		c.maybeCrashOnCall()
-		c.w.bytes[class].Add(bytes)
-		c.w.calls[class].Add(1)
-		c.w.sent[c.rank][class].Add(bytes)
-		c.tr.EndBytes(ref, bytes)
-		return
-	}
 	out := make([]T, len(data))
 	copy(out, data)
 	c.accountTransfer(to, class, bytes)

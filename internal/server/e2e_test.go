@@ -234,7 +234,7 @@ func TestE2EPreemptResumeMatchesUninterrupted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full preempt/resume trajectory comparison: skipped in -short mode")
 	}
-	const steps = 30
+	const steps = 60
 	pulsed := e2eSpec(steps)
 	pulsed.Kick = 0
 	pulsed.PulseE0 = 0.005
@@ -245,11 +245,13 @@ func TestE2EPreemptResumeMatchesUninterrupted(t *testing.T) {
 	}
 	_, ts := startE2E(t, Config{Workers: 1})
 	v := submit(t, ts, pulsed)
-	// Preempt once the trajectory is well underway but far from done.
+	// Preempt once the trajectory is underway but far from done: on one
+	// thread the poll and the preempt request each queue behind the
+	// running step loop, so the window is most of the trajectory.
 	deadline := time.Now().Add(120 * time.Second)
 	for {
 		got := getJob(t, ts, v.ID)
-		if got.State == StateRunning && got.Metrics.StepsDone >= 5 {
+		if got.State == StateRunning && got.Metrics.StepsDone >= 2 {
 			break
 		}
 		if got.State.Terminal() || time.Now().After(deadline) {
