@@ -22,23 +22,23 @@ func TestRunToRunBitIdentical(t *testing.T) {
 	}
 	exactBcast, exactOverlap := exact, exact
 	exactBcast.Exchange, exactOverlap.Exchange = "bcast", "overlap"
+	// Each row must also give the same bits at one and two workers: no sum
+	// is ordered by the worker count (the exchange's pair-lane calls split
+	// their passes by pencil, so every accumulator element takes its adds on
+	// one worker).
 	specs := []struct {
 		name string
 		spec sim.Spec
-		// acrossWorkers: the bits do not depend on the worker count either.
-		// The hybrid rows fold the pair-symmetric exchange in a split fixed
-		// per worker count, so 1 and 2 workers agree to rounding only.
-		acrossWorkers bool
 	}{
 		{"serial LDA", sim.Spec{
 			Cells: [3]int{1, 1, 1}, Ecut: 2, DtAs: 24, Steps: 3, Kick: 0.02, Seed: 7,
-		}, true},
+		}},
 		{"2-rank hybrid ACE MTS", sim.Spec{
 			Cells: [3]int{1, 1, 1}, Ecut: 2, DtAs: 24, Steps: 4, Kick: 0.02, Seed: 7,
 			Hybrid: true, ACE: true, MTS: 2, Ranks: 2, Exchange: "overlap",
-		}, false},
-		{"2-rank exact bcast", exactBcast, false},
-		{"2-rank exact overlap", exactOverlap, false},
+		}},
+		{"2-rank exact bcast", exactBcast},
+		{"2-rank exact overlap", exactOverlap},
 	}
 	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
 	run := func(t *testing.T, spec sim.Spec) *sim.Result {
@@ -64,7 +64,7 @@ func TestRunToRunBitIdentical(t *testing.T) {
 				sameBits(t, a, run(t, tc.spec))
 				if workers == 1 {
 					atOneWorker = a
-				} else if tc.acrossWorkers && atOneWorker != nil {
+				} else if atOneWorker != nil {
 					sameBits(t, atOneWorker, a)
 				}
 			})

@@ -405,9 +405,9 @@ func TestDistributedMTSCheckpointResume(t *testing.T) {
 // TestDistributedHybridMatchesSerial checks the distributed hybrid path
 // against the serial hybrid propagator: same screened exchange, same
 // exchange attenuation of the semi-local functional. The serial operator
-// runs the distributed exchange's pair fold (fock.FoldPairs) and the same
-// sphere dot for the energy, so on one rank the two are one solver bit for
-// bit: state, energy and current.
+// runs the distributed exchange's pair fold (fock.PairStream.FoldPairs) and
+// the same sphere dot for the energy, so on one rank the two are one solver
+// bit for bit: state, energy and current.
 func TestDistributedHybridMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hybrid propagation is slow")

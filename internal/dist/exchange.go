@@ -103,17 +103,18 @@ type ExchangeOptions struct {
 }
 
 // ExchangeWorkspace holds every buffer one rank's FockExchange needs:
-// real-space band blocks, per-worker fock.Workspace scratch (Poisson
-// buffer, fold partial, FFT line workspace), the wire buffers of the
-// broadcast pipeline, and the result block. The distributed solver builds
-// one per rank and reuses it across SCF iterations, so the steady-state
-// exchange performs no band-block allocations (the mailbox copies inside
-// the mpi layer's Send/Bcast semantics remain - they model the wire).
+// real-space band blocks, per-worker fock.Workspace scratch (worker 0's
+// pair stream runs the fold), the held bands, the wire buffers of the
+// broadcast pipeline, and the result block.
+// The distributed solver builds one per rank and reuses it across SCF
+// iterations, so the steady-state exchange performs no band-block
+// allocations (the mailbox copies inside the mpi layer's Send/Bcast
+// semantics remain - they model the wire).
 type ExchangeWorkspace struct {
 	g       *Ctx
 	psiReal lanes.Slab        // nbl x NTot: local bands in real space (SoA)
 	acc     lanes.Slab        // nbl x NTot: exchange accumulators (SoA)
-	wss     []*fock.Workspace // nw: per-worker scratch (wss[0].Src: an arriving band in real space)
+	wss     []*fock.Workspace // nw: per-worker scratch
 	band    [2]([]complex128) // NG wire buffers (two for the overlapped pipeline)
 	vx      []complex128      // nbl x NG: result block, valid until the next call
 	ch      chan []complex128 // overlapped-fetch handoff, capacity 1
@@ -124,10 +125,17 @@ type ExchangeWorkspace struct {
 	// allocated closure (the strict zero-allocation contract of the solver
 	// hot loop). sym selects the pair-symmetric fold: reference and target
 	// are one block (selfReferenced) at full wire precision.
-	kernel []float64
-	alpha  float64
-	nbl    int
-	sym    bool
+	nbl int
+	sym bool
+
+	// Arriving bands held, round robin, until their pairs are solved: slot k
+	// holds band heldBand[k] (-1: none) in real space and, in the symmetric
+	// fold, its mirrored accumulator. A slot comes round again after at
+	// least Width-1 more queued pairs, and the stream never leaves more
+	// than Width-1 unsolved. Allocated on first use.
+	held, heldAcc lanes.Slab
+	heldBand      [lanes.Width]int
+	nheld         int
 
 	// The staging of returnToOwners, allocated on the first application
 	// that needs it.
@@ -225,7 +233,7 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 
 	nw := parallel.NumWorkers(nbl)
 	ws.ensureWorkers(nw)
-	ws.kernel, ws.alpha, ws.nbl = kernel, alpha, nbl
+	ws.nbl = nbl
 	ws.sym = !opt.SinglePrecision && selfReferenced(phi, psi)
 	// The symmetric fold solves pairs for bands owned elsewhere; those rows
 	// go home after the projection below.
@@ -254,6 +262,8 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 	}
 	d.C.Trace().EndN(fftRef, int64(nbl))
 	ws.acc.Zero()
+	ws.wss[0].Pairs.Start(d.G, kernel, alpha, ws.wss[:nw])
+	ws.heldBand, ws.nheld = [lanes.Width]int{-1, -1, -1, -1, -1, -1, -1, -1}, 0
 
 	if opt.Strategy == BcastSequential {
 		d.exchangeBcastSequential(phi, opt.SinglePrecision, ws)
@@ -298,75 +308,93 @@ func (ws *ExchangeWorkspace) returnToOwners() {
 	d.C.Trace().End(ref)
 }
 
-// process folds global reference band i (sphere coefficients) into the local
-// accumulators, using the fold state bound by FockExchangeWS; the contract
-// span counts the Poisson solves. Scratch is bound out of the hot loop: one
-// fock.Workspace per worker (ForWorker serializes all iterations of a worker
-// index), worker 0's Src the arriving band in real space (process runs
-// sequentially). The one-sided fold serves what cannot use the pair symmetry
-// (a frozen MTS reference, a single-precision wire), as Apply sits beside
-// ApplyToReference.
+// process queues the pairs of global reference band i (sphere
+// coefficients) on worker 0's pair stream and, after the last band, solves
+// what is still queued; the contract span counts the band's solves. The
+// one-sided fold serves what cannot use the pair symmetry (a frozen MTS
+// reference, a single-precision wire), as Apply sits beside
+// ApplyToReference: the held band against all nbl local rows.
 func (ws *ExchangeWorkspace) process(band []complex128, i int) {
 	d := ws.g
 	ntot := d.G.NTot
 	ref := d.C.Trace().Begin("contract", "fock")
+	s := &ws.wss[0].Pairs
 	n := ws.nbl
 	if ws.sym {
 		n = ws.processSymmetric(band, i)
 	} else {
-		phi := ws.wss[0].Src
-		d.G.ToRealSlabWS(phi, band, ws.wss[0].FFT)
-		if parallel.NumWorkers(ws.nbl) <= 1 {
-			for j := 0; j < ws.nbl; j++ {
-				d.G.Plan.ContractSlabWS(ws.acc.Row(j, ntot), phi, ws.psiReal.Row(j, ntot), ws.wss[0].Pair, ws.kernel, -ws.alpha, ws.wss[0].FFT)
-			}
-		} else {
-			parallel.ForWorker(ws.nbl, func(w, j int) {
-				d.G.Plan.ContractSlabWS(ws.acc.Row(j, ntot), phi, ws.psiReal.Row(j, ntot), ws.wss[w].Pair, ws.kernel, -ws.alpha, ws.wss[w].FFT)
-			})
+		s.FoldPairs(ws.held.Row(ws.hold(band, i), ntot), lanes.Slab{}, ws.psiReal, ws.acc, 0, 1, n, false)
+	}
+	if i == d.NB-1 {
+		s.Flush()
+		for k := range ws.heldBand {
+			ws.project(k)
 		}
 	}
 	d.C.Trace().EndN(ref, int64(n))
 }
 
-// processSymmetric is the two-sided fold of a self-referenced application:
-// one Poisson solve per unordered pair {i, j} serves acc_j and, mirrored,
-// band i (fock.FoldPairs, the fold the serial operator runs). It returns the
-// number of solves.
+// hold converts band i into the next held slot (zeroing its accumulator in
+// the symmetric fold) and returns the slot.
+func (ws *ExchangeWorkspace) hold(band []complex128, i int) int {
+	ntot := ws.g.G.NTot
+	if ws.held.Len() == 0 {
+		ws.held, ws.heldAcc = lanes.New(lanes.Width*ntot), lanes.New(lanes.Width*ntot)
+	}
+	k := ws.nheld % lanes.Width
+	ws.nheld++
+	ws.project(k)
+	ws.heldBand[k] = i
+	ws.g.G.ToRealSlabWS(ws.held.Row(k, ntot), band, ws.wss[0].FFT)
+	if ws.sym {
+		ws.heldAcc.Row(k, ntot).Zero()
+	}
+	return k
+}
+
+// project empties held slot k, staging a symmetric fold's finished
+// mirrored sum on the sphere for returnToOwners.
+func (ws *ExchangeWorkspace) project(k int) {
+	ng := ws.g.G.NG
+	if i := ws.heldBand[k]; ws.sym && i >= 0 {
+		ws.g.G.FromRealSlabWS(ws.remG[i*ng:(i+1)*ng], ws.heldAcc.Row(k, ws.g.G.NTot), ws.wss[0].FFT)
+	}
+	ws.heldBand[k] = -1
+}
+
+// processSymmetric queues the two-sided fold of a self-referenced
+// application: one Poisson solve per unordered pair {i, j} serves acc_j
+// and, mirrored, band i (fock.PairStream.FoldPairs, the fold the serial
+// operator runs). It returns the number of solves.
 //
 // Ownership: a band of this rank's own block meets its local partners
 // j >= i, with no communication at all. A band owned elsewhere meets the
 // checkerboard half of the block - the pair {a < b} belongs to owner(b) when
 // a + b is even and to owner(a) otherwise - so every unordered pair is solved
-// once across ranks; its mirrored sum collects in worker 0's Acc, is
-// projected to the sphere as soon as the band is done and staged for
-// returnToOwners, which keeps the real-space memory at O(nbl) rows.
+// once across ranks; it is held until its pairs are solved, and its mirrored
+// sum then goes to the sphere and is staged for returnToOwners, which keeps
+// the real-space memory at O(nbl + Width) rows.
 func (ws *ExchangeWorkspace) processSymmetric(band []complex128, i int) int {
 	d := ws.g
 	ng, ntot, nbl := d.G.NG, d.G.NTot, ws.nbl
+	s := &ws.wss[0].Pairs
 	lo, _ := d.BandRange(d.C.Rank())
-	own := i >= lo && i < lo+nbl
-	// Partners are the local bands j0, j0+dj, ...
-	w0 := ws.wss[0]
-	phiI, accI, j0, dj := w0.Src, w0.Acc, (i+lo)%2, 2
-	if own {
-		phiI, accI, j0, dj = ws.psiReal.Row(i-lo, ntot), ws.acc.Row(i-lo, ntot), i-lo, 1
-	} else if i > lo {
+	if i >= lo && i < lo+nbl {
+		s.FoldPairs(ws.psiReal.Row(i-lo, ntot), ws.acc.Row(i-lo, ntot), ws.psiReal, ws.acc, i-lo, 1, nbl-(i-lo), true)
+		return nbl - (i - lo)
+	}
+	// Partners are the local bands j0, j0+2, ...
+	j0 := (i + lo) % 2
+	if i > lo {
 		j0 = 1 - j0 // i is the pair's upper band: ours when the sum is odd
 	}
-	n := (nbl - j0 + dj - 1) / dj
+	n := (nbl - j0 + 1) / 2
 	if n == 0 { // a one-band block on the other colour
 		clear(ws.remG[i*ng : (i+1)*ng])
 		return 0
 	}
-	if !own {
-		d.G.ToRealSlabWS(phiI, band, w0.FFT)
-		accI.Zero()
-	}
-	fock.FoldPairs(d.G, ws.kernel, ws.alpha, phiI, accI, ws.psiReal, ws.acc, j0, dj, n, own, ws.wss)
-	if !own {
-		d.G.FromRealSlabWS(ws.remG[i*ng:(i+1)*ng], accI, w0.FFT)
-	}
+	k := ws.hold(band, i)
+	s.FoldPairs(ws.held.Row(k, ntot), ws.heldAcc.Row(k, ntot), ws.psiReal, ws.acc, j0, 2, n, false)
 	return n
 }
 

@@ -1,7 +1,11 @@
 package dist
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"ptdft/internal/fock"
@@ -22,7 +26,12 @@ var strategies = []ExchangeStrategy{BcastOverlapped, BcastSequential}
 // selfReferenced and so takes the one-sided fold.
 func applyExchange(t *testing.T, g *grid.Grid, psi []complex128, nb, ranks int, opt ExchangeOptions, oneSided bool) (vx []complex128, solves []int64, stats *mpi.Stats) {
 	t.Helper()
-	hyb := xc.HSE06()
+	return applyExchangeWith(t, g, xc.HSE06(), psi, nb, ranks, opt, oneSided)
+}
+
+// applyExchangeWith is applyExchange for the hybrid parameters hyb.
+func applyExchangeWith(t *testing.T, g *grid.Grid, hyb xc.HybridParams, psi []complex128, nb, ranks int, opt ExchangeOptions, oneSided bool) (vx []complex128, solves []int64, stats *mpi.Stats) {
+	t.Helper()
 	kernel := fock.BuildKernel(g, hyb)
 	vx = make([]complex128, nb*g.NG)
 	rec := trace.NewRecorder()
@@ -60,9 +69,9 @@ func applyExchange(t *testing.T, g *grid.Grid, psi []complex128, nb, ranks int, 
 // owners) is the one-sided application and the serial operator's symmetric
 // path to round-off - on even and uneven blocks, at one and two fold
 // workers. On one rank it is the serial operator bit for bit: both run
-// fock.FoldPairs over partners j >= i, band after band. It sets the worker
-// count itself so the race job runs the static split and its ordered fold
-// with the detector armed. The contract spans
+// fock.PairStream.FoldPairs over partners j >= i, band after band. It sets
+// the worker count itself so the race job runs the pair-lane calls' static
+// pencil split with the detector armed. The contract spans
 // are the witness that every unordered pair is solved once: nb(nb+1)/2
 // solves over all ranks against nb^2 one-sided, each rank within nbl/2 + 1
 // of its even share nbl(nbl+1)/2 + (nb-nbl)nbl/2.
@@ -115,3 +124,85 @@ func TestStaticTriangleMatchesOneSided(t *testing.T) {
 		}
 	}
 }
+
+// TestPairStreamBits pins the exchange's arithmetic, not only its
+// tolerance: FockExchangeWS's gathered result, hashed, for ranks 1-4,
+// nb 7, 8 and 16, the pair-symmetric and the one-sided fold, pinned - the
+// adds into every accumulator element happen in one fixed pair order, and
+// the pins hold that order through any rewrite of how the pairs are
+// batched. Two workers must repeat run to run and, since the pair-lane
+// calls split their passes by pencil, give the one-worker hash. The kernel
+// is the unscreened one (no math.Exp, whose amd64 routine takes an FMA
+// branch on some CPUs), so the pins apply on every amd64 build whose Go
+// loops do not fuse multiply-add.
+func TestPairStreamBits(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
+	g, _, _ := testGrid(t)
+	hyb := xc.HybridParams{Alpha: 0.25}
+	pinned := runtime.GOARCH == "amd64" && !fusesMulAdd()
+	pins := map[string]string{
+		"nb=7 ranks=1 oneSided=false":  "2fc4a44150186051",
+		"nb=7 ranks=1 oneSided=true":   "2fc4a44150186051",
+		"nb=7 ranks=2 oneSided=false":  "43b3d636c780aac9",
+		"nb=7 ranks=2 oneSided=true":   "2fc4a44150186051",
+		"nb=7 ranks=3 oneSided=false":  "d89e3ca3a5d05be5",
+		"nb=7 ranks=3 oneSided=true":   "2fc4a44150186051",
+		"nb=7 ranks=4 oneSided=false":  "883f42de6c72c53d",
+		"nb=7 ranks=4 oneSided=true":   "2fc4a44150186051",
+		"nb=8 ranks=1 oneSided=false":  "d7eedec7c9790dde",
+		"nb=8 ranks=1 oneSided=true":   "d7eedec7c9790dde",
+		"nb=8 ranks=2 oneSided=false":  "e715fb9b20c67f02",
+		"nb=8 ranks=2 oneSided=true":   "d7eedec7c9790dde",
+		"nb=8 ranks=3 oneSided=false":  "b59b1e9e6cda2552",
+		"nb=8 ranks=3 oneSided=true":   "d7eedec7c9790dde",
+		"nb=8 ranks=4 oneSided=false":  "6e23f0299df110f2",
+		"nb=8 ranks=4 oneSided=true":   "d7eedec7c9790dde",
+		"nb=16 ranks=1 oneSided=false": "56cf81851c4050f0",
+		"nb=16 ranks=1 oneSided=true":  "56cf81851c4050f0",
+		"nb=16 ranks=2 oneSided=false": "8bd97293abf70249",
+		"nb=16 ranks=2 oneSided=true":  "56cf81851c4050f0",
+		"nb=16 ranks=3 oneSided=false": "000968ddce48acaf",
+		"nb=16 ranks=3 oneSided=true":  "56cf81851c4050f0",
+		"nb=16 ranks=4 oneSided=false": "4db951a71789b6af",
+		"nb=16 ranks=4 oneSided=true":  "56cf81851c4050f0",
+	}
+	for _, nb := range []int{7, 8, 16} {
+		psi := wavefunc.Random(g, nb, int64(60+nb))
+		for ranks := 1; ranks <= 4; ranks++ {
+			for _, oneSided := range []bool{false, true} {
+				for _, workers := range []int{1, 2} {
+					parallel.SetMaxWorkers(workers)
+					name := fmt.Sprintf("nb=%d ranks=%d oneSided=%v", nb, ranks, oneSided)
+					vx, _, _ := applyExchangeWith(t, g, hyb, psi, nb, ranks, ExchangeOptions{}, oneSided)
+					if h := hashVec(vx); pinned && h != pins[name] {
+						t.Errorf("%s workers=%d: hash %s, pinned %s", name, workers, h, pins[name])
+					}
+					if workers == 1 {
+						continue
+					}
+					again, _, _ := applyExchangeWith(t, g, hyb, psi, nb, ranks, ExchangeOptions{}, oneSided)
+					if d := wavefunc.MaxDiff(vx, again); d != 0 {
+						t.Errorf("%s workers=2: repeated application differs by %g", name, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+func hashVec(v []complex128) string {
+	h := sha256.New()
+	for _, c := range v {
+		binary.Write(h, binary.LittleEndian, [2]uint64{math.Float64bits(real(c)), math.Float64bits(imag(c))})
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// fusesMulAdd reports whether this build rounds x*y + z once (arm64, or
+// GOAMD64=v3): (1+2^-30)(1-2^-30) - 1 is 0 unfused and -2^-60 fused.
+func fusesMulAdd() bool {
+	x, y, z := fuseProbe[0], fuseProbe[1], fuseProbe[2]
+	return x*y+z != 0
+}
+
+var fuseProbe = [3]float64{1 + 1.0/(1<<30), 1 - 1.0/(1<<30), -1}

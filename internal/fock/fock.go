@@ -10,20 +10,22 @@
 // Eq. 2); in the PT-CN SCF loop it is refreshed every iteration.
 //
 // Performance contract: the hot path is allocation-free in steady state.
-// All per-band scratch (real-space boxes, pair buffers, FFT line scratch)
+// All per-band scratch (real-space boxes, pair streams, FFT line scratch)
 // lives in Operator-owned Workspace objects bound one-per-worker through
-// parallel.ForWorker, and the Poisson solves run through the fused
-// fourier.Plan3 round trips. When the operator acts on its own reference
-// set the conjugate-pair symmetry
+// parallel.ForWorker. Every Poisson solve runs eight pairs wide: a
+// PairStream hands an application's pairs, in fold order, to the fused
+// pair-lane contraction fourier.Plan3.ContractPairsWS. When the operator
+// acts on its own reference set the conjugate-pair symmetry
 //
 //	Poisson[phi_i* phi_j] = conj(Poisson[phi_j* phi_i])
 //
 // halves the FFT count to nb(nb+1)/2 solves - the dominant case in the
-// PT-CN SCF refresh, Energy, and ACE construction. FoldPairs is that
-// symmetric fold, written once: ApplyToReference and Energy run it over
-// partners j >= i, and the distributed exchange of internal/dist runs it
-// over each rank's share of the pairs, so the serial operator is the
-// one-rank distributed one bit for bit.
+// PT-CN SCF refresh, Energy, and ACE construction. PairStream.FoldPairs is
+// that symmetric fold, written once: ApplyToReference and Energy run it
+// over partners j >= i, and the distributed exchange of internal/dist runs
+// it over each rank's share of the pairs, so the serial operator is the
+// one-rank distributed one bit for bit. ApplyReal and Apply put the
+// reference bands in the lanes against one uniform target band.
 //
 // The package also implements the adaptively compressed exchange (ACE)
 // representation (refs [22], [24] of the paper) as an optional
@@ -79,27 +81,74 @@ type Operator struct {
 func (op *Operator) SetTrace(t *trace.Track) { op.tr = t }
 
 // Workspace is the per-worker scratch of one exchange application: two
-// real-space SoA boxes, the pair (Poisson) slab, a sphere-coefficient
+// real-space SoA boxes, the worker's pair stream, a sphere-coefficient
 // vector, and the FFT line scratch. Obtain one from NewWorkspace; a
 // Workspace must not be used by two goroutines at once.
 type Workspace struct {
-	Src  lanes.Slab          // NTot: a band in real space (SoA)
-	Acc  lanes.Slab          // NTot: an exchange accumulator in real space (SoA)
-	Pair lanes.Slab          // NTot: Poisson solve buffer (SoA)
-	FFT  *fourier.Workspace3 // FFT line scratch
-	sph  []complex128        // NG: sphere-coefficient scratch
+	Src   lanes.Slab          // NTot: a band in real space (SoA)
+	Acc   lanes.Slab          // NTot: an exchange accumulator in real space (SoA)
+	FFT   *fourier.Workspace3 // FFT line scratch
+	Pairs PairStream          // the pair lanes this worker's solves run in
+	sph   []complex128        // NG: sphere-coefficient scratch
 }
 
 // NewWorkspace allocates the scratch one worker needs for an exchange
-// application on grid g.
+// application on grid g (the pair block waits for the stream's first Start).
 func NewWorkspace(g *grid.Grid) *Workspace {
 	return &Workspace{
-		Src:  lanes.New(g.NTot),
-		Acc:  lanes.New(g.NTot),
-		Pair: lanes.New(g.NTot),
-		FFT:  g.Plan.NewWorkspace(),
-		sph:  make([]complex128, g.NG),
+		Src: lanes.New(g.NTot),
+		Acc: lanes.New(g.NTot),
+		FFT: g.Plan.NewWorkspace(),
+		sph: make([]complex128, g.NG),
 	}
+}
+
+// PairStream runs an application's Poisson solves lanes.Width pairs per
+// fourier.Plan3.ContractPairsWS call, packed in queue order across
+// reference-band boundaries, so only a Flush runs a short call and at most
+// Width-1 queued pairs are ever unsolved. Lanes add in lane order: every
+// accumulator element takes its adds in queue order.
+type PairStream struct {
+	plan   *fourier.Plan3
+	kernel []float64
+	scale  float64
+	ffts   []*fourier.Workspace3
+	buf    lanes.Slab // Width*NTot: the pairs, band-interleaved
+	pl     fourier.PairLanes
+}
+
+// Start binds the empty stream to one application: the kernel, the
+// exchange fraction and the workers each call splits its passes over.
+func (s *PairStream) Start(g *grid.Grid, kernel []float64, alpha float64, wss []*Workspace) {
+	s.plan, s.kernel, s.scale = g.Plan, kernel, -alpha
+	s.ffts = s.ffts[:0]
+	for _, ws := range wss {
+		s.ffts = append(s.ffts, ws.FFT)
+	}
+	if s.buf.Len() != lanes.Width*g.NTot {
+		s.buf = lanes.New(lanes.Width * g.NTot)
+	}
+}
+
+// Add queues the pair (a, b) into accumulators accA, accB - lane
+// semantics of fourier.PairLanes, scale -alpha; none may change until the
+// pair is solved.
+func (s *PairStream) Add(a, b, accA, accB lanes.Slab) {
+	l := s.pl.N
+	s.pl.A[l], s.pl.B[l], s.pl.AccA[l], s.pl.AccB[l] = a, b, accA, accB
+	s.pl.N++
+	if s.pl.N == lanes.Width {
+		s.Flush()
+	}
+}
+
+// Flush solves the queued pairs.
+func (s *PairStream) Flush() {
+	if s.pl.N == 0 {
+		return
+	}
+	s.plan.ContractPairsWS(&s.pl, s.buf, s.kernel, s.scale, s.ffts)
+	s.pl.N = 0
 }
 
 // acquireAcc hands out the nb x NTot real-space SoA accumulator of the
@@ -211,7 +260,7 @@ func (op *Operator) IsReference(src []complex128, nb int) bool {
 // real space on the wavefunction box, both in the split re/im layout
 // (length NTot). This is the per-band inner loop of Alg. 2 (lines 6-10): nb
 // Poisson solves, each a fused forward FFT, kernel multiply, and inverse
-// FFT.
+// FFT, the reference bands in the lanes against the uniform psi.
 func (op *Operator) ApplyReal(dst, src lanes.Slab) {
 	if dst.Len() != op.g.NTot || src.Len() != op.g.NTot {
 		panic("fock: ApplyReal buffer size mismatch")
@@ -222,59 +271,33 @@ func (op *Operator) ApplyReal(dst, src lanes.Slab) {
 }
 
 // applyRealWS folds every reference band into the SoA accumulator dst
-// using the caller's workspace (pair slab + FFT scratch).
+// through the caller's workspace alone (its pair stream and FFT scratch).
 func (op *Operator) applyRealWS(dst, src lanes.Slab, ws *Workspace) {
-	ntot := op.g.NTot
+	s := &ws.Pairs
+	s.Start(op.g, op.kernel, op.alpha, []*Workspace{ws})
 	for i := 0; i < op.nb; i++ {
-		op.g.Plan.ContractSlabWS(dst, op.phiReal.Row(i, ntot), src, ws.Pair, op.kernel, -op.alpha, ws.FFT)
+		s.Add(op.phiReal.Row(i, op.g.NTot), src, lanes.Slab{}, dst)
 	}
+	s.Flush()
 }
 
-// FoldPairs is the pair-symmetric fold of one reference band phi_i (real
-// space, SoA) over the partner rows j = j0, j0+dj, ... (n of them) of the
-// band block psi: one Poisson solve v = Poisson[phi_i^* psi_j] per pair
-// accumulates acc_j += -alpha phi_i v and accI += -alpha psi_j conj(v),
-// the second side skipped for the diagonal pair when diag says the first
-// partner j0 is phi_i itself. Every self-referenced exchange application
-// runs it: ApplyToReference and Energy over partners j >= i, internal/dist
-// over each rank's share of the pairs.
-//
-// Fold order: every partner adds into accI, so the partners are split
-// statically over parallel.NumWorkers(n) workers; worker 0 adds into accI
-// itself, worker w > 0 into wss[w].Acc, and those rows are folded into accI
-// in worker order afterwards - the same bits on every run at a fixed worker
-// count (ForWorker's dynamic claims never decide what is added to what).
-// wss needs NumWorkers(n) entries; the fold touches only their Pair and FFT
-// scratch and, for w > 0, Acc, so wss[0].Src and wss[0].Acc stay free for
-// the caller's phi_i and accI.
-func FoldPairs(g *grid.Grid, kernel []float64, alpha float64, phiI, accI, psi, acc lanes.Slab, j0, dj, n int, diag bool, wss []*Workspace) {
-	ntot := g.NTot
-	nw := parallel.NumWorkers(n)
-	if nw <= 1 {
-		// Serial fast path: no closure, no goroutines (zero-alloc).
-		for k := 0; k < n; k++ {
-			j := j0 + k*dj
-			g.Plan.ContractPairSlabWS(accI, acc.Row(j, ntot), phiI, psi.Row(j, ntot), wss[0].Pair, kernel, -alpha, diag && k == 0, wss[0].FFT)
+// FoldPairs queues the pair-symmetric fold of one reference band phi_i
+// (real space, SoA) over the partner rows j = j0, j0+dj, ... (n of them) of
+// the band block psi: each pair's solve v = Poisson[phi_i^* psi_j]
+// accumulates acc_j += -alpha phi_i v and accI += -alpha psi_j conj(v), the
+// second side skipped for the diagonal pair when diag says the first
+// partner j0 is phi_i itself, and for every pair when accI is empty (the
+// one-sided fold). Every self-referenced exchange application runs it:
+// ApplyToReference and Energy over partners j >= i, band after band,
+// internal/dist over each rank's share of the pairs.
+func (s *PairStream) FoldPairs(phiI, accI, psi, acc lanes.Slab, j0, dj, n int, diag bool) {
+	ntot := s.plan.Size()
+	for k := 0; k < n; k++ {
+		j, side := j0+k*dj, accI
+		if diag && k == 0 {
+			side = lanes.Slab{}
 		}
-		return
-	}
-	parallel.ForWorker(nw, func(_, w int) {
-		ws, part := wss[w], accI
-		if w > 0 {
-			part = ws.Acc
-			part.Zero()
-		}
-		for k := w * n / nw; k < (w+1)*n/nw; k++ {
-			j := j0 + k*dj
-			g.Plan.ContractPairSlabWS(part, acc.Row(j, ntot), phiI, psi.Row(j, ntot), ws.Pair, kernel, -alpha, diag && k == 0, ws.FFT)
-		}
-	})
-	for w := 1; w < nw; w++ {
-		part := wss[w].Acc
-		for k := range part.Re {
-			accI.Re[k] += part.Re[k]
-			accI.Im[k] += part.Im[k]
-		}
+		s.Add(phiI, psi.Row(j, ntot), side, acc.Row(j, ntot))
 	}
 }
 
@@ -367,15 +390,18 @@ func (op *Operator) gatherBand(dst []complex128, acc *lanes.Slab, j int, ws *Wor
 
 // foldReference runs FoldPairs for every reference band i over its
 // partners j >= i, band after band as the one-rank distributed exchange
-// receives them, into a pooled nb x NTot accumulator. The caller projects
-// the rows and returns the accumulator and the NumWorkers(nb) workspaces.
+// receives them, into a pooled nb x NTot accumulator, on NumWorkers(nb)
+// workers. The caller projects the rows and returns both.
 func (op *Operator) foldReference() (*lanes.Slab, []*Workspace) {
 	nb, ntot := op.nb, op.g.NTot
 	acc := op.acquireAcc()
 	wss := op.ws.Acquire(parallel.NumWorkers(nb))
+	s := &wss[0].Pairs
+	s.Start(op.g, op.kernel, op.alpha, wss)
 	for i := 0; i < nb; i++ {
-		FoldPairs(op.g, op.kernel, op.alpha, op.phiReal.Row(i, ntot), acc.Row(i, ntot), op.phiReal, *acc, i, 1, nb-i, true, wss)
+		s.FoldPairs(op.phiReal.Row(i, ntot), acc.Row(i, ntot), op.phiReal, *acc, i, 1, nb-i, true)
 	}
+	s.Flush()
 	return acc, wss
 }
 
@@ -387,39 +413,51 @@ func (op *Operator) foldReference() (*lanes.Slab, []*Workspace) {
 // internal/dist's energy takes, band by band; otherwise each band runs the
 // one-sided contraction and the real-space dot.
 func (op *Operator) Energy(psi []complex128, nbands int) float64 {
-	ng, ntot := op.g.NG, op.g.NTot
-	if len(psi) != nbands*ng {
+	if len(psi) != nbands*op.g.NG {
 		panic("fock: Energy buffer size mismatch")
 	}
-	// Per-band terms land in their own slots and are summed in band order.
-	eband := make([]float64, nbands)
-	scale := op.g.DVWave() // the real-space dot's volume element
+	var acc *lanes.Slab
+	var wss []*Workspace
+	scale := 1.0 // a sphere dot carries no volume element
 	if op.IsReference(psi, nbands) {
-		acc, wss := op.foldReference()
-		parallel.ForWorker(nbands, func(w, j int) {
-			ws := wss[w]
-			op.g.FromRealSlabWS(ws.sph, acc.Row(j, ntot), ws.FFT)
-			eband[j] = real(linalg.Dot(psi[j*ng:(j+1)*ng], ws.sph))
-		})
-		op.ws.Release(wss)
-		op.accPool.Put(acc)
-		scale = 1 // a sphere dot carries none
+		acc, wss = op.foldReference()
 	} else {
-		// <psi_j|V_X psi_j> as the real-space inner product dV * sum_r
-		// conj(psi_j(r)) (V_X psi_j)(r), the sphere dot by Parseval.
-		wss := op.ws.Acquire(parallel.NumWorkers(nbands))
-		parallel.ForWorker(nbands, func(w, j int) {
-			ws := wss[w]
-			op.g.ToRealSlabWS(ws.Src, psi[j*ng:(j+1)*ng], ws.FFT)
-			ws.Acc.Zero()
-			op.applyRealWS(ws.Acc, ws.Src, ws)
-			eband[j] = lanes.DotRe(ws.Src, ws.Acc)
-		})
-		op.ws.Release(wss)
+		wss = op.ws.Acquire(parallel.NumWorkers(nbands))
+		scale = op.g.DVWave()
 	}
+	// Per-band terms summed in band order; inline on one worker (zero-alloc).
 	var e float64
-	for _, v := range eband {
-		e += v
+	if len(wss) <= 1 {
+		for j := 0; j < nbands; j++ {
+			e += op.bandEnergy(psi, j, acc, wss[0])
+		}
+	} else {
+		eband := make([]float64, nbands)
+		parallel.ForWorker(nbands, func(w, j int) {
+			eband[j] = op.bandEnergy(psi, j, acc, wss[w])
+		})
+		for _, v := range eband {
+			e += v
+		}
+	}
+	op.ws.Release(wss)
+	if acc != nil {
+		op.accPool.Put(acc)
 	}
 	return e * scale
+}
+
+// bandEnergy is band j's term of Energy: the sphere dot against row j of
+// the folded acc or, without one, the real-space sum conj(psi_j) V_X psi_j
+// (the sphere dot by Parseval once Energy applies the volume element).
+func (op *Operator) bandEnergy(psi []complex128, j int, acc *lanes.Slab, ws *Workspace) float64 {
+	ng, ntot := op.g.NG, op.g.NTot
+	if acc != nil {
+		op.g.FromRealSlabWS(ws.sph, acc.Row(j, ntot), ws.FFT)
+		return real(linalg.Dot(psi[j*ng:(j+1)*ng], ws.sph))
+	}
+	op.g.ToRealSlabWS(ws.Src, psi[j*ng:(j+1)*ng], ws.FFT)
+	ws.Acc.Zero()
+	op.applyRealWS(ws.Acc, ws.Src, ws)
+	return lanes.DotRe(ws.Src, ws.Acc)
 }

@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"ptdft/internal/fourier"
 	"ptdft/internal/grid"
 	"ptdft/internal/lanes"
 	"ptdft/internal/lattice"
@@ -190,11 +191,13 @@ func TestApplyToReferenceMatchesApply(t *testing.T) {
 					g.ToRealSlabWS(phiR.Row(i, ntot), phi[i*ng:(i+1)*ng], fws)
 				}
 				want := make([]complex128, nb*ng)
-				acc, pair := lanes.New(ntot), lanes.New(ntot)
+				acc, pairs := lanes.New(ntot), lanes.New(lanes.Width*ntot)
 				for j := 0; j < nb; j++ {
 					acc.Zero()
 					for i := 0; i < nb; i++ {
-						g.Plan.ContractSlabWS(acc, phiR.Row(i, ntot), phiR.Row(j, ntot), pair, kernel, -tc.hyb.Alpha, fws)
+						pl := fourier.PairLanes{N: 1}
+						pl.A[0], pl.B[0], pl.AccB[0] = phiR.Row(i, ntot), phiR.Row(j, ntot), acc
+						g.Plan.ContractPairsWS(&pl, pairs, kernel, -tc.hyb.Alpha, []*fourier.Workspace3{fws})
 					}
 					g.FromRealSlabWS(want[j*ng:(j+1)*ng], acc, fws)
 				}
@@ -287,12 +290,13 @@ func TestFockApplyAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(5, func() { op.ApplyToReference(full) }); a > 0 && !raceEnabled {
 		t.Errorf("steady-state ApplyToReference allocates %v per call, want 0", a)
 	}
-	// The streaming Energy rides the same slab workspaces; its per-call
-	// allocations are O(nb) edge tables (the per-band partial sums and the
-	// worker closure), never grid-sized buffers.
-	op.Energy(phi, nb)
-	if a := testing.AllocsPerRun(5, func() { op.Energy(phi, nb) }); a > 4 && !raceEnabled {
-		t.Errorf("steady-state Energy allocates %v per call, want <= 4 edge tables", a)
+	// The streaming Energy rides the same slab workspaces, on and off the
+	// reference set.
+	for _, psi := range [][]complex128{phi, wavefunc.Random(g, nb, 3)} {
+		op.Energy(psi, nb)
+		if a := testing.AllocsPerRun(5, func() { op.Energy(psi, nb) }); a > 0 && !raceEnabled {
+			t.Errorf("steady-state Energy allocates %v per call, want 0", a)
+		}
 	}
 }
 

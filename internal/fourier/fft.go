@@ -11,8 +11,9 @@
 // twiddle tables, the digit-reversal order perm), fftlanes.go transforms a
 // lane block in place with one stage loop and no recursion, slab.go runs
 // the 3D passes - whose gathers read element perm[k] into row k, so the
-// permutation costs no pass of its own - and their fused Poisson and
-// contraction forms over grid slabs, and fft3.go holds the one adapter that
+// permutation costs no pass of its own - their fused Poisson form over
+// grid slabs and the exchange's pair-lane contraction, and fft3.go holds
+// the one adapter that
 // lets a []complex128 caller (setup code, the MD forces) reach them.
 //
 // Conventions: a forward transform computes X[k] = sum_j x[j]

@@ -9,14 +9,16 @@ import (
 
 // Plan3 is a three-dimensional transform plan over a row-major grid with
 // index (ix*Ny + iy)*Nz + iz. Every transform runs on the calling goroutine
-// (callers parallelize over bands or pairs, one workspace per worker). A
-// Plan3 is immutable and safe for concurrent use: per-call scratch lives in
-// Workspace3 objects held by callers or drawn from the plan's pool, so
-// steady-state transforms allocate nothing.
+// (callers parallelize over bands, one workspace per worker) except the
+// pair-lane contraction, which splits its passes over the workspaces it is
+// given. A Plan3 is immutable and safe for concurrent use: per-call scratch
+// lives in Workspace3 objects held by callers or drawn from the plan's
+// pool, so steady-state transforms allocate nothing.
 type Plan3 struct {
 	nx, ny, nz int
 	px, py, pz *Plan
 	pool       sync.Pool // *Workspace3
+	pairs      *Plan3    // ContractPairsWS's buffer as a grid of Width floats per point
 }
 
 // Workspace3 is the scratch one 3D transform needs: two lane blocks sized
@@ -68,6 +70,7 @@ func NewPlan3(nx, ny, nz int) (*Plan3, error) {
 		return nil, err
 	}
 	p := &Plan3{nx: nx, ny: ny, nz: nz, px: px, py: py, pz: pz}
+	p.pairs = &Plan3{nx: nx, ny: ny, nz: nz * lanes.Width, px: px, py: py}
 	p.pool.New = func() any { return p.NewWorkspace() }
 	return p, nil
 }

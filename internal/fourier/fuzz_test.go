@@ -1,6 +1,7 @@
 package fourier
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -112,20 +113,26 @@ func FuzzLaneVsScalar(f *testing.F) {
 			check("Poisson", refPoisson, s)
 
 			sphi, ssrc := packed(phi), packed(src)
-			sacc, sbuf := lanes.New(nb*n), lanes.New(n)
+			sacc, sbuf, one := lanes.New(nb*n), lanes.New(lw*n), []*Workspace3{ws}
+			pl := PairLanes{N: nb}
 			for b := 0; b < nb; b++ {
-				p.ContractSlabWS(sacc.Row(b, n), sphi.Row(b, n), ssrc, sbuf, kernel, scale, ws)
+				pl.A[b], pl.B[b], pl.AccB[b] = sphi.Row(b, n), ssrc, sacc.Row(b, n)
 			}
+			p.ContractPairsWS(&pl, sbuf, kernel, scale, one)
 			check("nb-band contraction", refAcc, sacc)
 
 			if nb >= 2 {
 				accI, accJ := lanes.New(n), lanes.New(n)
-				p.ContractPairSlabWS(accI, accJ, sphi.Row(0, n), sphi.Row(1, n), sbuf, kernel, scale, false, ws)
+				pl = PairLanes{N: 1}
+				pl.A[0], pl.B[0], pl.AccA[0], pl.AccB[0] = sphi.Row(0, n), sphi.Row(1, n), accI, accJ
+				p.ContractPairsWS(&pl, sbuf, kernel, scale, one)
 				check("pair contraction accJ", refJ, accJ)
 				check("pair contraction accI", refI, accI)
 			}
 			accD := lanes.New(n)
-			p.ContractPairSlabWS(accD, accD, ssrc, ssrc, sbuf, kernel, scale, true, ws)
+			pl = PairLanes{N: 1}
+			pl.A[0], pl.B[0], pl.AccB[0] = ssrc, ssrc, accD
+			p.ContractPairsWS(&pl, sbuf, kernel, scale, one)
 			check("diagonal pair contraction", refD, accD)
 		})
 	})
@@ -154,6 +161,32 @@ func FuzzPrunedVsRaw(f *testing.F) {
 		box, rows, planes := prunedCase(rand.New(rand.NewSource(seed)), p, float64(bkeep)/255)
 		forEachVec(func(bool) {
 			checkPrunedVsRaw(t, p, box, rows, planes, 1e-12*(1+math.Sqrt(float64(p.Size()))))
+		})
+	})
+}
+
+// FuzzPairLanes is the property pin of the pair-lane contraction: for ANY
+// grid shape, pair count, lane shape and worker count, ContractPairsWS
+// equals its test-side composition (pair product, PoissonSlabWS,
+// accumulation lane after lane) bit for bit, on the Go loops and on the
+// vector kernels. The corpus runs in a plain `go test`.
+func FuzzPairLanes(f *testing.F) {
+	f.Add(uint8(9), uint8(9), uint8(9), uint8(8), uint8(0), uint8(1), int64(1))
+	f.Add(uint8(7), uint8(7), uint8(7), uint8(5), uint8(2), uint8(2), int64(2))
+	f.Add(uint8(5), uint8(7), uint8(3), uint8(1), uint8(1), uint8(3), int64(3))
+	f.Add(uint8(18), uint8(9), uint8(9), uint8(3), uint8(3), uint8(1), int64(4))
+	f.Add(uint8(1), uint8(16), uint8(35), uint8(7), uint8(2), uint8(4), int64(5))
+	f.Fuzz(func(t *testing.T, bx, by, bz, bnp, bshape, bnw uint8, seed int64) {
+		p := MustPlan3(fuzzDim(bx), fuzzDim(by), fuzzDim(bz))
+		if p.Size() > 5000 {
+			t.Skip("grid too large for a fuzz iteration")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		shape := []string{"uniform A", "uniform B", "varying", "diag"}[bshape%4]
+		specs, bands, accs := pairCase(rng, p.Size(), 1+int(bnp)%lw, shape)
+		kernel := randKernel(rng, p.Size())
+		forEachVec(func(vec bool) {
+			checkPairsExact(t, p, specs, bands, accs, kernel, 1+int(bnw)%4, fmt.Sprintf("%dx%dx%d %s kernels=%v", p.nx, p.ny, p.nz, shape, vec))
 		})
 	})
 }

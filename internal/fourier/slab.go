@@ -4,13 +4,14 @@ import (
 	"fmt"
 
 	"ptdft/internal/lanes"
+	"ptdft/internal/parallel"
 )
 
 // This file is the 3D transform: the grid lives in a lanes.Slab (element i
 // at Re[i]/Im[i]) and every axis pass transforms lanes.Width pencils at once
-// through transformLanes, with the Poisson kernel multiply and the exchange
-// pair product fused into the passes that touch the data anyway. Each pass
-// gathers a lane group into ws.lu in its axis plan's digit-reversal order
+// through transformLanes, with the Poisson kernel multiply fused into the
+// pass that touches the data anyway. Each pass gathers a lane group into
+// ws.lu in its axis plan's digit-reversal order
 // (element perm[k] into row k), transforms it there in place - one stage
 // loop, no recursion - and scatters the natural order back out of the same
 // block, so the permutation costs no pass of its own. Pencil-count
@@ -29,6 +30,11 @@ import (
 //	x pass: lanes = Width consecutive flat pencil indices r in [0, Ny*Nz);
 //	        element ix of the group starts at r0 + ix*Ny*Nz - again one
 //	        contiguous Width-wide copy per element.
+//
+// Those are row lanes, for one field. The exchange's ContractPairsWS (end
+// of file) makes lane l pair l instead, element g of Width pairs one row:
+// every pass, z included, moves contiguous rows, with no transpose and no
+// partial lane group.
 
 func (p *Plan3) checkSlab(s lanes.Slab, what string) {
 	if len(s.Re) != p.Size() || len(s.Im) != p.Size() {
@@ -182,27 +188,39 @@ func (p *Plan3) xPassSlab(dst lanes.Slab, inverse bool, ws *Workspace3) {
 	}
 }
 
-// xPassKernelSlab is the kernel-fused x pass of the Poisson round trip:
-// per lane group, forward transform, multiply by kernel (carrying the
-// global 1/N), inverse transform, write back. The kernel values are
-// varying (one per lane), read as contiguous Width-wide blocks. The
+// xPassKernelSlab is the kernel-fused x pass of the Poisson round trip over
+// the x pencils [lo, hi) (lo a multiple of Width): per lane group, forward
+// transform, multiply by kernel (carrying the global 1/N, N = len(kernel)),
+// inverse transform, write back. The kernel values are varying (one per
+// lane), read as contiguous Width-wide blocks - or, on the pair layout,
+// uniform: one load per grid point for its Width pairs. The
 // multiply reads the forward result from ws.lu in natural order and writes
 // the inverse's input into ws.lv in perm order, so the round trip moves no
 // row more often than a forward pass and an inverse pass would.
-func (p *Plan3) xPassKernelSlab(buf lanes.Slab, kernel []float64, ws *Workspace3) {
+func (p *Plan3) xPassKernelSlab(buf lanes.Slab, kernel []float64, lo, hi int, uniform bool, ws *Workspace3) {
 	nx, ny, nz := p.nx, p.ny, p.nz
 	stride := ny * nz
-	invN := 1 / float64(p.Size())
+	invN := 1 / float64(len(kernel))
 	lu := ws.lu.Slice(0, nx*lw)
 	lv := ws.lv.Slice(0, nx*lw)
 	perm := p.px.perm
 	var pad [lw]float64
-	for r0 := 0; r0 < stride; r0 += lw {
-		L := min(lw, stride-r0)
+	for r0 := lo; r0 < hi; r0 += lw {
+		L := min(lw, hi-r0)
 		gatherStrided(lu, buf, r0, nx, stride, L, perm)
 		p.px.transformLanes(lu, false)
 		for k, i := range perm {
 			o := r0 + i*stride
+			ur, ui := laneRow(lu.Re, i), laneRow(lu.Im, i)
+			vr, vi := laneRow(lv.Re, k), laneRow(lv.Im, k)
+			if uniform {
+				s := kernel[o/lw] * invN
+				for l := 0; l < lw; l++ {
+					vr[l] = ur[l] * s
+					vi[l] = ui[l] * s
+				}
+				continue
+			}
 			kv := &pad
 			if L == lw {
 				kv = (*[lw]float64)(kernel[o:])
@@ -210,10 +228,6 @@ func (p *Plan3) xPassKernelSlab(buf lanes.Slab, kernel []float64, ws *Workspace3
 				// Lanes past L are padding: they multiply by zero.
 				copy(pad[:], kernel[o:o+L])
 			}
-			ur := (*[lw]float64)(lu.Re[i*lw:])
-			ui := (*[lw]float64)(lu.Im[i*lw:])
-			vr := (*[lw]float64)(lv.Re[k*lw:])
-			vi := (*[lw]float64)(lv.Im[k*lw:])
 			for l := 0; l < lw; l++ {
 				s := kv[l] * invN
 				vr[l] = ur[l] * s
@@ -274,109 +288,121 @@ func (p *Plan3) PoissonSlabWS(buf lanes.Slab, kernel []float64, ws *Workspace3) 
 	}
 	p.zPassSlab(buf, buf, nil, false, ws)
 	p.yPassSlab(buf, nil, false, ws)
-	p.xPassKernelSlab(buf, kernel, ws)
+	p.xPassKernelSlab(buf, kernel, 0, p.ny*p.nz, false, ws)
 	p.yPassSlab(buf, nil, true, ws)
 	p.zPassSlab(buf, buf, nil, true, ws)
 }
 
-// ContractSlabWS is the fused Fock-exchange contraction over grid slabs:
-//
-//	dst += scale * phi ⊙ Poisson[ conj(phi) ⊙ src ]
-//
-// the (i, j) inner step of Alg. 2, where Poisson[.] is the PoissonSlabWS
-// round trip: the one-sided (diag) form of ContractPairSlabWS, which forms
-// the pair product inside the first z gather and the accumulation inside
-// the last z scatter, so the whole contraction makes five passes over the
-// grid; scale is real (the -alpha/2-or-alpha prefactor always is), which
-// halves the multiplies of a complex scale. buf is caller scratch of grid
-// size and must not alias dst.
-func (p *Plan3) ContractSlabWS(dst, phi, src, buf lanes.Slab, kernel []float64, scale float64, ws *Workspace3) {
-	p.ContractPairSlabWS(dst, dst, phi, src, buf, kernel, scale, true, ws)
+// PairLanes is one call of the pair-lane contraction: lane l < N solves
+// v_l = Poisson[conj(A[l]) ⊙ B[l]] and accumulates AccB[l] += scale * A[l] ⊙
+// v_l and, unless AccA[l] is empty, AccA[l] += scale * B[l] ⊙ conj(v_l). A
+// side shared by every lane (uniform) is the same grid slab in each entry;
+// no operand may alias an accumulator.
+type PairLanes struct {
+	N                int
+	A, B, AccA, AccB [lw]lanes.Slab
 }
 
-// ContractPairSlabWS is the two-sided symmetric pair contraction: one
-// Poisson solve of v = Poisson[conj(phiI) ⊙ phiJ] with BOTH accumulations
-// of the conjugate-pair symmetry fused into the final inverse z pass:
-//
-//	accJ += scale * phiI ⊙ v
-//	accI += scale * phiJ ⊙ conj(v)   (skipped when diag)
-//
-// This is the (i, j) step of the symmetry-halved reference application;
-// fusing the second side saves a separate read-modify-write pass over the
-// pair buffer. The pair product conj(phiI) ⊙ phiJ is formed inside the
-// first z gather.
-func (p *Plan3) ContractPairSlabWS(accI, accJ, phiI, phiJ, buf lanes.Slab, kernel []float64, scale float64, diag bool, ws *Workspace3) {
-	p.checkSlab(accJ, "accJ")
-	p.checkSlab(phiI, "phiI")
-	p.checkSlab(phiJ, "phiJ")
-	p.checkSlab(buf, "buf")
-	if !diag {
-		p.checkSlab(accI, "accI")
+// ContractPairsWS is the fused Fock-exchange contraction over pair lanes:
+// the (i, j) steps of Alg. 2 for pl.N pairs at once, each the PoissonSlabWS
+// round trip of its pair product, the products formed inside the first z
+// pass and the accumulations inside the last. buf (Width*Size() elements)
+// holds the pairs band-interleaved, element g of lane l at g*Width + l: a z
+// pencil is a lane block, transformed where it lies, and the y and x passes
+// (on p.pairs) gather contiguous Width-wide rows at a stride. Each lane runs
+// the butterflies of a single-pair solve, and every accumulator element
+// takes its adds in lane order. The pencils of each pass are cut into
+// len(wss) static shares, run on as many workers; a z-row, so every add
+// into an element, stays in one share, so the bits do not depend on the
+// worker count.
+func (p *Plan3) ContractPairsWS(pl *PairLanes, buf lanes.Slab, kernel []float64, scale float64, wss []*Workspace3) {
+	n := p.Size()
+	if pl.N < 1 || pl.N > lw || len(wss) < 1 || len(buf.Re) != n*lw || len(buf.Im) != n*lw || len(kernel) != n {
+		panic(fmt.Sprintf("fourier: %d pairs, %d workers, pair buffer %d/%d and kernel %d for a grid of %d",
+			pl.N, len(wss), len(buf.Re), len(buf.Im), len(kernel), n))
 	}
-	if len(kernel) != p.Size() {
-		panic(fmt.Sprintf("fourier: Contract kernel length %d != grid %d", len(kernel), p.Size()))
-	}
-	nz := p.nz
-	rows := p.nx * p.ny
-	lu := ws.lu.Slice(0, nz*lw)
-	perm := p.pz.perm
-	for r0 := 0; r0 < rows; r0 += lw {
-		L := min(lw, rows-r0)
-		for l := 0; l < L; l++ {
-			base := (r0 + l) * nz
-			for k, j := range perm {
-				pr, pi := phiI.Re[base+j], phiI.Im[base+j]
-				sr, si := phiJ.Re[base+j], phiJ.Im[base+j]
-				lu.Re[k*lw+l] = pr*sr + pi*si
-				lu.Im[k*lw+l] = pr*si - pi*sr
-			}
-		}
-		zeroTailLanes(lu, nz, L)
-		p.pz.transformLanes(lu, false)
-		for l := 0; l < L; l++ {
-			base := (r0 + l) * nz
-			for k := 0; k < nz; k++ {
-				buf.Re[base+k] = lu.Re[k*lw+l]
-				buf.Im[base+k] = lu.Im[k*lw+l]
-			}
+	for l := 0; l < pl.N; l++ {
+		p.checkSlab(pl.A[l], "A")
+		p.checkSlab(pl.B[l], "B")
+		p.checkSlab(pl.AccB[l], "AccB")
+		if pl.AccA[l].Len() != 0 {
+			p.checkSlab(pl.AccA[l], "AccA")
 		}
 	}
-	p.yPassSlab(buf, nil, false, ws)
-	p.xPassKernelSlab(buf, kernel, ws)
-	p.yPassSlab(buf, nil, true, ws)
-	for r0 := 0; r0 < rows; r0 += lw {
-		L := min(lw, rows-r0)
-		for l := 0; l < L; l++ {
-			base := (r0 + l) * nz
-			for k, j := range perm {
-				lu.Re[k*lw+l] = buf.Re[base+j]
-				lu.Im[k*lw+l] = buf.Im[base+j]
-			}
+	for pass := 0; pass < 5; pass++ {
+		if len(wss) == 1 {
+			p.pairPass(pass, pl, buf, kernel, scale, 0, 1, wss[0])
+		} else {
+			p.pairPassParallel(pass, pl, buf, kernel, scale, wss)
 		}
-		zeroTailLanes(lu, nz, L)
-		p.pz.transformLanes(lu, true)
-		if diag {
-			for l := 0; l < L; l++ {
-				base := (r0 + l) * nz
-				for k := 0; k < nz; k++ {
-					vr, vi := lu.Re[k*lw+l], lu.Im[k*lw+l]
-					pr, pi := phiI.Re[base+k], phiI.Im[base+k]
-					accJ.Re[base+k] += scale * (pr*vr - pi*vi)
-					accJ.Im[base+k] += scale * (pr*vi + pi*vr)
+	}
+}
+
+// pairPassParallel runs every share of one pass of ContractPairsWS.
+func (p *Plan3) pairPassParallel(pass int, pl *PairLanes, buf lanes.Slab, kernel []float64, scale float64, wss []*Workspace3) {
+	parallel.ForWorker(len(wss), func(w, share int) {
+		p.pairPass(pass, pl, buf, kernel, scale, share, len(wss), wss[w])
+	})
+}
+
+// pairPass runs worker w's share of pass 0-4 of ContractPairsWS: z forward
+// with the pair products, y forward, x with the kernel, y inverse, z
+// inverse with the accumulations.
+func (p *Plan3) pairPass(pass int, pl *PairLanes, buf lanes.Slab, kernel []float64, scale float64, w, nw int, ws *Workspace3) {
+	nx, ny, nz := p.nx, p.ny, p.nz
+	share := func(n int) (int, int) { return w * n / nw, (w + 1) * n / nw }
+	switch pass {
+	case 0:
+		lo, hi := share(nx * ny)
+		for r := lo; r < hi; r++ {
+			base := r * nz
+			blk := buf.Slice(base*lw, (base+nz)*lw)
+			for l := 0; l < pl.N; l++ {
+				ar, ai := pl.A[l].Re[base:base+nz], pl.A[l].Im[base:base+nz]
+				br, bi := pl.B[l].Re[base:base+nz], pl.B[l].Im[base:base+nz]
+				for k, j := range p.pz.perm {
+					pr, pi := ar[j], ai[j]
+					sr, si := br[j], bi[j]
+					blk.Re[k*lw+l] = pr*sr + pi*si
+					blk.Im[k*lw+l] = pr*si - pi*sr
 				}
 			}
-			continue
+			zeroTailLanes(blk, nz, pl.N)
+			p.pz.transformLanes(blk, false)
 		}
-		for l := 0; l < L; l++ {
-			base := (r0 + l) * nz
-			for k := 0; k < nz; k++ {
-				vr, vi := lu.Re[k*lw+l], lu.Im[k*lw+l]
-				ir, ii := phiI.Re[base+k], phiI.Im[base+k]
-				jr, ji := phiJ.Re[base+k], phiJ.Im[base+k]
-				accJ.Re[base+k] += scale * (ir*vr - ii*vi)
-				accJ.Im[base+k] += scale * (ir*vi + ii*vr)
-				accI.Re[base+k] += scale * (jr*vr + ji*vi)
-				accI.Im[base+k] += scale * (ji*vr - jr*vi)
+	case 1, 3: // the x-planes are independent: px.perm orders them as well as any
+		lo, hi := share(nx)
+		p.pairs.yPassSlab(buf, p.px.perm[lo:hi], pass == 3, ws)
+	case 2:
+		lo, hi := share(ny * nz)
+		p.pairs.xPassKernelSlab(buf, kernel, lo*lw, hi*lw, true, ws)
+	case 4:
+		lo, hi := share(nx * ny)
+		lu := ws.lu.Slice(0, nz*lw)
+		for r := lo; r < hi; r++ {
+			base := r * nz
+			gatherStrided(lu, buf, base*lw, nz, lw, lw, p.pz.perm)
+			p.pz.transformLanes(lu, true)
+			for l := 0; l < pl.N; l++ {
+				ar, ai := pl.A[l].Re[base:base+nz], pl.A[l].Im[base:base+nz]
+				cr, ci := pl.AccB[l].Re[base:base+nz], pl.AccB[l].Im[base:base+nz]
+				if pl.AccA[l].Len() == 0 {
+					for k := range cr {
+						vr, vi := lu.Re[k*lw+l], lu.Im[k*lw+l]
+						cr[k] += scale * (ar[k]*vr - ai[k]*vi)
+						ci[k] += scale * (ar[k]*vi + ai[k]*vr)
+					}
+					continue
+				}
+				br, bi := pl.B[l].Re[base:base+nz], pl.B[l].Im[base:base+nz]
+				dr, di := pl.AccA[l].Re[base:base+nz], pl.AccA[l].Im[base:base+nz]
+				for k := range cr {
+					vr, vi := lu.Re[k*lw+l], lu.Im[k*lw+l]
+					cr[k] += scale * (ar[k]*vr - ai[k]*vi)
+					ci[k] += scale * (ar[k]*vi + ai[k]*vr)
+					dr[k] += scale * (br[k]*vr + bi[k]*vi)
+					di[k] += scale * (bi[k]*vr - br[k]*vi)
+				}
 			}
 		}
 	}

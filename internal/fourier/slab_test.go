@@ -119,38 +119,170 @@ func TestPoissonSlabMatchesManual(t *testing.T) {
 	}
 }
 
-// The fully fused contraction must equal the spelled-out pair product,
-// Poisson solve, and accumulation onto a nonzero start.
+// The fused contraction must equal the spelled-out pair product, Poisson
+// solve, and accumulation onto a nonzero start, built from the naive DFT:
+// one lane the one-sided way, and two lanes that share their reference band
+// the two-sided way.
 func TestContractSlabMatchesManual(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, dims := range slabGrids {
 		p := MustPlan3(dims[0], dims[1], dims[2])
 		n := p.Size()
-		phi := randomVec(rng, n)
-		src := randomVec(rng, n)
-		want := randomVec(rng, n)
+		phi, src, src2 := randomVec(rng, n), randomVec(rng, n), randomVec(rng, n)
+		start := [3][]complex128{randomVec(rng, n), randomVec(rng, n), randomVec(rng, n)}
 		kernel := randKernel(rng, n)
 		scale := -0.3125
-
-		sdst := packed(want)
-		pair := make([]complex128, n)
-		for k := range pair {
-			pair[k] = cmplx.Conj(phi[k]) * src[k]
+		solve := func(a, b []complex128) []complex128 {
+			pair := make([]complex128, n)
+			for k := range pair {
+				pair[k] = cmplx.Conj(a[k]) * b[k]
+			}
+			return manualPoisson(pair, kernel, dims)
 		}
-		pair = manualPoisson(pair, kernel, dims)
-		for k := range want {
-			want[k] += complex(scale, 0) * phi[k] * pair[k]
+		var want [3][]complex128
+		for i := range want {
+			want[i] = append([]complex128(nil), start[i]...)
+		}
+		for k, v := range solve(phi, src) {
+			want[0][k] += complex(scale, 0) * phi[k] * v
+		}
+		v1, v2 := solve(phi, src), solve(phi, src2)
+		for k := range v1 {
+			want[1][k] += complex(scale, 0) * (src[k]*cmplx.Conj(v1[k]) + src2[k]*cmplx.Conj(v2[k]))
+			want[2][k] += complex(scale, 0) * phi[k] * v2[k]
 		}
 
-		p.ContractSlabWS(sdst, packed(phi), packed(src), lanes.New(n), kernel, scale, p.NewWorkspace())
-		if d := maxDiff(want, sdst); d > tol3(n) {
-			t.Errorf("grid %v: fused contraction differs from the manual sequence by %g", dims, d)
+		buf, ws := lanes.New(lw*n), []*Workspace3{p.NewWorkspace()}
+		one := PairLanes{N: 1}
+		one.A[0], one.B[0], one.AccB[0] = packed(phi), packed(src), packed(start[0])
+		p.ContractPairsWS(&one, buf, kernel, scale, ws)
+		if d := maxDiff(want[0], one.AccB[0]); d > tol3(n) {
+			t.Errorf("grid %v: one-sided contraction differs from the manual sequence by %g", dims, d)
+		}
+		two := PairLanes{N: 2}
+		two.A[0], two.A[1] = packed(phi), packed(phi)
+		two.B[0], two.B[1] = packed(src), packed(src2)
+		accI, accJ := packed(start[1]), packed(start[2])
+		two.AccA[0], two.AccA[1] = accI, accI
+		two.AccB[0], two.AccB[1] = lanes.New(n), accJ
+		p.ContractPairsWS(&two, buf, kernel, scale, ws)
+		if d := math.Max(maxDiff(want[1], accI), maxDiff(want[2], accJ)); d > tol3(n) {
+			t.Errorf("grid %v: two-sided contraction differs from the manual sequence by %g", dims, d)
 		}
 	}
 }
 
+// laneSpec is one lane of a pair-lane case: operand and accumulator
+// indices, accA < 0 for a lane without the mirrored side.
+type laneSpec struct{ a, b, accA, accB int }
+
+// pairCase draws np lanes over a few operand bands and accumulators in one
+// of the shapes the exchange runs: "uniform A" (one reference band against
+// partners, its mirrored sum in one accumulator), "uniform B" (the reference
+// bands against one band, one accumulator: ApplyReal), "varying" (a packed
+// stream: both sides and both accumulators per lane), "diag" (a band with
+// itself, one side). Accumulators come back with random starts.
+func pairCase(rng *rand.Rand, n, np int, shape string) (specs []laneSpec, bands, accs []lanes.Slab) {
+	for i := 0; i < 4; i++ {
+		bands = append(bands, randLaneSlab(rng, n))
+		accs = append(accs, randLaneSlab(rng, n))
+	}
+	for l := 0; l < np; l++ {
+		a, b := rng.Intn(4), rng.Intn(4)
+		switch shape {
+		case "uniform A":
+			specs = append(specs, laneSpec{0, b, 0, b})
+		case "uniform B":
+			specs = append(specs, laneSpec{a, 0, -1, 0})
+		case "varying":
+			specs = append(specs, laneSpec{a, b, a, b})
+		case "diag":
+			specs = append(specs, laneSpec{a, a, -1, a})
+		}
+	}
+	return specs, bands, accs
+}
+
+// buildLanes binds specs to operand and accumulator slabs.
+func buildLanes(specs []laneSpec, bands, accs []lanes.Slab) *PairLanes {
+	pl := &PairLanes{N: len(specs)}
+	for l, sp := range specs {
+		pl.A[l], pl.B[l], pl.AccB[l] = bands[sp.a], bands[sp.b], accs[sp.accB]
+		if sp.accA >= 0 {
+			pl.AccA[l] = accs[sp.accA]
+		}
+	}
+	return pl
+}
+
+// contractOracle is ContractPairsWS composed on the test side: lane after
+// lane, the pair product, PoissonSlabWS and the accumulation - the
+// expressions the kernel evaluates, so the comparison is ==.
+func contractOracle(p *Plan3, pl *PairLanes, kernel []float64, scale float64) {
+	n := p.Size()
+	v, ws := lanes.New(n), p.NewWorkspace()
+	for l := 0; l < pl.N; l++ {
+		a, b, c, d := pl.A[l], pl.B[l], pl.AccB[l], pl.AccA[l]
+		for g := 0; g < n; g++ {
+			v.Re[g] = a.Re[g]*b.Re[g] + a.Im[g]*b.Im[g]
+			v.Im[g] = a.Re[g]*b.Im[g] - a.Im[g]*b.Re[g]
+		}
+		p.PoissonSlabWS(v, kernel, ws)
+		for g := 0; g < n; g++ {
+			vr, vi := v.Re[g], v.Im[g]
+			c.Re[g] += scale * (a.Re[g]*vr - a.Im[g]*vi)
+			c.Im[g] += scale * (a.Re[g]*vi + a.Im[g]*vr)
+			if d.Len() != 0 {
+				d.Re[g] += scale * (b.Re[g]*vr + b.Im[g]*vi)
+				d.Im[g] += scale * (b.Im[g]*vr - b.Re[g]*vi)
+			}
+		}
+	}
+}
+
+// checkPairsExact runs one pair-lane case through the kernel on nw workers
+// and through the oracle, and requires the same bits in every accumulator.
+func checkPairsExact(t *testing.T, p *Plan3, specs []laneSpec, bands, accs []lanes.Slab, kernel []float64, nw int, what string) {
+	t.Helper()
+	n := p.Size()
+	want := make([]lanes.Slab, len(accs))
+	for i := range accs {
+		want[i] = cloneSlab(accs[i])
+	}
+	contractOracle(p, buildLanes(specs, bands, want), kernel, -0.3125)
+	wss := make([]*Workspace3, nw)
+	for w := range wss {
+		wss[w] = p.NewWorkspace()
+	}
+	buf := randLaneSlab(rand.New(rand.NewSource(int64(n))), lw*n) // stale lanes must not leak
+	p.ContractPairsWS(buildLanes(specs, bands, accs), buf, kernel, -0.3125, wss)
+	for i := range accs {
+		sameBits(t, fmt.Sprintf("%s accumulator %d", what, i), want[i], accs[i])
+	}
+}
+
+// TestContractPairsExact is the bit oracle of the pair-lane contraction: on
+// every benchmark box and two odd ones, for 1 to 8 pairs in every lane
+// shape, on one and three workers and on both paths, the kernel equals the
+// test-side composition with ==.
+func TestContractPairsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, dims := range [][3]int{{9, 9, 9}, {12, 12, 12}, {18, 9, 9}, {7, 7, 7}, {14, 7, 7}, {5, 7, 3}} {
+		p := MustPlan3(dims[0], dims[1], dims[2])
+		kernel := randKernel(rng, p.Size())
+		forEachVec(func(vec bool) {
+			for np := 1; np <= lw; np++ {
+				for _, shape := range []string{"uniform A", "uniform B", "varying", "diag"} {
+					specs, bands, accs := pairCase(rng, p.Size(), np, shape)
+					checkPairsExact(t, p, specs, bands, accs, kernel, 1+np%3, fmt.Sprintf("%v %d pairs %s kernels=%v", dims, np, shape, vec))
+				}
+			}
+		})
+	}
+}
+
 // TestSlabTransformAllocs: with a caller-held workspace the slab transforms
-// allocate nothing, on every radix, and the []complex128 adapter allocates
+// and the pair-lane contraction allocate nothing, on every radix, and the []complex128 adapter allocates
 // nothing after the call that made the workspace's grid slab.
 func TestSlabTransformAllocs(t *testing.T) {
 	for _, dims := range [][3]int{{8, 9, 10}, {14, 7, 15}} {
@@ -160,9 +292,14 @@ func TestSlabTransformAllocs(t *testing.T) {
 		c := make([]complex128, n)
 		kernel := make([]float64, n)
 		ws := p.NewWorkspace()
+		pl, pairs, one := PairLanes{N: lw}, lanes.New(lw*n), []*Workspace3{ws}
+		for l := range pl.A {
+			pl.A[l], pl.B[l], pl.AccA[l], pl.AccB[l] = s, s, lanes.New(n), lanes.New(n)
+		}
 		if allocs := testing.AllocsPerRun(5, func() {
 			p.RawSlabWS(s, s, false, ws)
 			p.PoissonSlabWS(s, kernel, ws)
+			p.ContractPairsWS(&pl, pairs, kernel, 1, one)
 		}); allocs != 0 {
 			t.Errorf("grid %v: slab transforms allocated %v per run", dims, allocs)
 		}
@@ -176,25 +313,32 @@ func TestSlabTransformAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkContractPairSlab times one two-sided pair contraction, the
-// exchange's unit of work, on the wave boxes the benchmark rows run: 9^3
-// (Si8 at Ecut 3), 12^3 (Si8 at Ecut 6), 18x9x9 (Si16 at Ecut 3), and 7^3
-// and 14x7x7 (Si8 and Si16 at Ecut 2), whose axes take radix-7 stages.
+// BenchmarkContractPairSlab times one pair-lane contraction call, the
+// exchange's unit of work, at 1, 4 and 8 pairs (one reference band against
+// partners, both sides accumulated, as FoldPairs queues them) on the wave
+// boxes the benchmark rows run: 9^3 (Si8 at Ecut 3), 12^3 (Si8 at Ecut 6),
+// 18x9x9 (Si16 at Ecut 3), and 7^3 and 14x7x7 (Si8 and Si16 at Ecut 2),
+// whose axes take radix-7 stages.
 func BenchmarkContractPairSlab(b *testing.B) {
 	for _, d := range [][3]int{{9, 9, 9}, {12, 12, 12}, {18, 9, 9}, {7, 7, 7}, {14, 7, 7}} {
 		p := MustPlan3(d[0], d[1], d[2])
 		n := p.Size()
 		rng := rand.New(rand.NewSource(1))
-		accI, accJ := lanes.New(n), lanes.New(n)
-		phiI, phiJ, buf := packed(randomVec(rng, n)), packed(randomVec(rng, n)), lanes.New(n)
-		kernel := randKernel(rng, n)
-		ws := p.NewWorkspace()
-		b.Run(fmt.Sprintf("%dx%dx%d", d[0], d[1], d[2]), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.ContractPairSlabWS(accI, accJ, phiI, phiJ, buf, kernel, -0.25, false, ws)
-			}
-		})
+		pl := PairLanes{}
+		phiI, accI := randLaneSlab(rng, n), lanes.New(n)
+		for l := 0; l < lw; l++ {
+			pl.A[l], pl.B[l], pl.AccA[l], pl.AccB[l] = phiI, randLaneSlab(rng, n), accI, lanes.New(n)
+		}
+		buf, kernel, wss := lanes.New(lw*n), randKernel(rng, n), []*Workspace3{p.NewWorkspace()}
+		for _, np := range []int{1, 4, 8} {
+			b.Run(fmt.Sprintf("%dx%dx%d/pairs=%d", d[0], d[1], d[2], np), func(b *testing.B) {
+				b.ReportAllocs()
+				pl.N = np
+				for i := 0; i < b.N; i++ {
+					p.ContractPairsWS(&pl, buf, kernel, -0.25, wss)
+				}
+			})
+		}
 	}
 }
 

@@ -17,17 +17,17 @@ import (
 // TestVecKernelsBitIdentical: the benchmark's three solver rows and its job
 // row's spec, ground state and four steps each at one worker, hash to the
 // same samples and final orbitals on the Go loops and on the vector kernels
-// - and to the
-// pinned hash, which holds the step path's bits across any rewrite of the
-// transforms under it.
+// - and to the pinned hash, which holds the step path's bits across any
+// rewrite of the transforms under it. A third run at two workers must hash
+// the same: every sum of the step path is ordered by the data, never by
+// the worker count (the exchange's pair-lane calls split their passes by
+// pencil, so each accumulator element takes its adds on one worker).
 //
 // The pins apply on amd64 hosts with AVX2 whose build does not fuse
 // multiply-add in Go code: arm64 and GOAMD64=v3 builds fuse, and math.Exp
-// takes an FMA branch on CPUs with AVX and FMA, which every AVX2 CPU has.
-// Hybrid bits depend on the worker count (the static split of the
-// pair-symmetric fold), hence one worker. A change that is meant to move
-// bits regenerates them: run this test with the pins blanked and copy the
-// hashes it reports.
+// takes an FMA branch on CPUs with AVX and FMA, which every AVX2 CPU has. A
+// change that is meant to move bits regenerates them: run this test with
+// the pins blanked and copy the hashes it reports.
 func TestVecKernelsSameTrajectory(t *testing.T) {
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
 	pinned := runtime.GOARCH == "amd64" && fourier.HostHasAVX2() && !fourier.GoFusesMulAdd()
@@ -44,8 +44,7 @@ func TestVecKernelsSameTrajectory(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			var hashes []string
-			fourier.ForEachVec(func(bool) {
+			run := func() string {
 				spec := row.spec
 				spec.Steps, spec.DtAs, spec.Seed = 4, 24, 19
 				if err := spec.Validate(); err != nil {
@@ -55,11 +54,18 @@ func TestVecKernelsSameTrajectory(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				hashes = append(hashes, hashResult(res))
-			})
+				return hashResult(res)
+			}
+			var hashes []string
+			fourier.ForEachVec(func(bool) { hashes = append(hashes, run()) })
 			if len(hashes) == 2 && hashes[0] != hashes[1] {
 				t.Errorf("trajectory differs: Go loops %s, vector kernels %s", hashes[0], hashes[1])
 			}
+			parallel.SetMaxWorkers(2)
+			if h := run(); h != hashes[0] {
+				t.Errorf("trajectory differs: one worker %s, two workers %s", hashes[0], h)
+			}
+			parallel.SetMaxWorkers(1)
 			if pinned && hashes[0] != row.pin {
 				t.Errorf("trajectory hash %s, pinned %s", hashes[0], row.pin)
 			}

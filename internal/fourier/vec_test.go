@@ -153,19 +153,29 @@ func TestVecKernelsBitIdentical(t *testing.T) {
 				p.PoissonSlabWS(d, kernel, ws)
 				return []lanes.Slab{d}
 			}},
-			{"ContractSlabWS", func() []lanes.Slab {
+			{"ContractPairsWS uniform B", func() []lanes.Slab {
 				d := cloneSlab(acc0)
-				p.ContractSlabWS(d, phi, src, lanes.New(n), kernel, -0.25, ws)
+				pl := PairLanes{N: 3}
+				for l := 0; l < 3; l++ {
+					pl.A[l], pl.B[l], pl.AccB[l] = phi, src, d
+				}
+				p.ContractPairsWS(&pl, lanes.New(lw*n), kernel, -0.25, []*Workspace3{ws})
 				return []lanes.Slab{d}
 			}},
-			{"ContractPairSlabWS", func() []lanes.Slab {
+			{"ContractPairsWS two-sided", func() []lanes.Slab {
 				accI, accJ := cloneSlab(acc0), cloneSlab(acc0)
-				p.ContractPairSlabWS(accI, accJ, phi, src, lanes.New(n), kernel, -0.25, false, ws)
+				pl := PairLanes{N: lw}
+				for l := range pl.A {
+					pl.A[l], pl.B[l], pl.AccA[l], pl.AccB[l] = phi, src, accI, accJ
+				}
+				p.ContractPairsWS(&pl, lanes.New(lw*n), kernel, -0.25, []*Workspace3{ws})
 				return []lanes.Slab{accI, accJ}
 			}},
-			{"ContractPairSlabWS diag", func() []lanes.Slab {
+			{"ContractPairsWS diag", func() []lanes.Slab {
 				accJ := cloneSlab(acc0)
-				p.ContractPairSlabWS(accJ, accJ, phi, phi, lanes.New(n), kernel, -0.25, true, ws)
+				pl := PairLanes{N: 1}
+				pl.A[0], pl.B[0], pl.AccB[0] = phi, phi, accJ
+				p.ContractPairsWS(&pl, lanes.New(lw*n), kernel, -0.25, []*Workspace3{ws})
 				return []lanes.Slab{accJ}
 			}},
 		}
