@@ -141,30 +141,30 @@ func TestPairStreamBits(t *testing.T) {
 	hyb := xc.HybridParams{Alpha: 0.25}
 	pinned := runtime.GOARCH == "amd64" && !fusesMulAdd()
 	pins := map[string]string{
-		"nb=7 ranks=1 oneSided=false":  "2fc4a44150186051",
-		"nb=7 ranks=1 oneSided=true":   "2fc4a44150186051",
-		"nb=7 ranks=2 oneSided=false":  "43b3d636c780aac9",
-		"nb=7 ranks=2 oneSided=true":   "2fc4a44150186051",
-		"nb=7 ranks=3 oneSided=false":  "d89e3ca3a5d05be5",
-		"nb=7 ranks=3 oneSided=true":   "2fc4a44150186051",
-		"nb=7 ranks=4 oneSided=false":  "883f42de6c72c53d",
-		"nb=7 ranks=4 oneSided=true":   "2fc4a44150186051",
-		"nb=8 ranks=1 oneSided=false":  "d7eedec7c9790dde",
-		"nb=8 ranks=1 oneSided=true":   "d7eedec7c9790dde",
-		"nb=8 ranks=2 oneSided=false":  "e715fb9b20c67f02",
-		"nb=8 ranks=2 oneSided=true":   "d7eedec7c9790dde",
-		"nb=8 ranks=3 oneSided=false":  "b59b1e9e6cda2552",
-		"nb=8 ranks=3 oneSided=true":   "d7eedec7c9790dde",
-		"nb=8 ranks=4 oneSided=false":  "6e23f0299df110f2",
-		"nb=8 ranks=4 oneSided=true":   "d7eedec7c9790dde",
-		"nb=16 ranks=1 oneSided=false": "56cf81851c4050f0",
-		"nb=16 ranks=1 oneSided=true":  "56cf81851c4050f0",
-		"nb=16 ranks=2 oneSided=false": "8bd97293abf70249",
-		"nb=16 ranks=2 oneSided=true":  "56cf81851c4050f0",
-		"nb=16 ranks=3 oneSided=false": "000968ddce48acaf",
-		"nb=16 ranks=3 oneSided=true":  "56cf81851c4050f0",
-		"nb=16 ranks=4 oneSided=false": "4db951a71789b6af",
-		"nb=16 ranks=4 oneSided=true":  "56cf81851c4050f0",
+		"nb=7 ranks=1 oneSided=false":  "33fa660d529925e0",
+		"nb=7 ranks=1 oneSided=true":   "33fa660d529925e0",
+		"nb=7 ranks=2 oneSided=false":  "68c4f6569080fc17",
+		"nb=7 ranks=2 oneSided=true":   "33fa660d529925e0",
+		"nb=7 ranks=3 oneSided=false":  "81c686da620829a7",
+		"nb=7 ranks=3 oneSided=true":   "33fa660d529925e0",
+		"nb=7 ranks=4 oneSided=false":  "12b0659d3b539cf7",
+		"nb=7 ranks=4 oneSided=true":   "33fa660d529925e0",
+		"nb=8 ranks=1 oneSided=false":  "1949d32fdcfc6d01",
+		"nb=8 ranks=1 oneSided=true":   "1949d32fdcfc6d01",
+		"nb=8 ranks=2 oneSided=false":  "cc3e6a14dc55aa49",
+		"nb=8 ranks=2 oneSided=true":   "1949d32fdcfc6d01",
+		"nb=8 ranks=3 oneSided=false":  "6f28349461f364fd",
+		"nb=8 ranks=3 oneSided=true":   "1949d32fdcfc6d01",
+		"nb=8 ranks=4 oneSided=false":  "fe213db2e05b6edd",
+		"nb=8 ranks=4 oneSided=true":   "1949d32fdcfc6d01",
+		"nb=16 ranks=1 oneSided=false": "ff6a783e585d490b",
+		"nb=16 ranks=1 oneSided=true":  "ff6a783e585d490b",
+		"nb=16 ranks=2 oneSided=false": "524ded79d7a0a7d2",
+		"nb=16 ranks=2 oneSided=true":  "ff6a783e585d490b",
+		"nb=16 ranks=3 oneSided=false": "ef6cbd3cef7ef263",
+		"nb=16 ranks=3 oneSided=true":  "ff6a783e585d490b",
+		"nb=16 ranks=4 oneSided=false": "2491a67685b0d60c",
+		"nb=16 ranks=4 oneSided=true":  "ff6a783e585d490b",
 	}
 	for _, nb := range []int{7, 8, 16} {
 		psi := wavefunc.Random(g, nb, int64(60+nb))

@@ -14,22 +14,24 @@ import (
 // indexing. Selection is the host's business, never the user's: useAVX2 is
 // set once, here, from CPUID.
 
-func init() { useAVX2 = hasAVX2() }
+func init() { useAVX2 = hasAVX2FMA() }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax uint32)
 
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves the ymm state
-// across context switches (OSXSAVE set, XCR0 enabling both the SSE and AVX
-// state components) - the same three-step test as the runtime's
-// internal/cpu, which a module cannot import.
-func hasAVX2() bool {
+// hasAVX2FMA reports whether the CPU has AVX2 and FMA and the OS saves the
+// ymm state across context switches (OSXSAVE set, XCR0 enabling both the
+// SSE and AVX state components) - the same three-step test as the runtime's
+// internal/cpu, which a module cannot import. The kernels fuse every
+// multiply-add the Go loops write as math.FMA, so a CPU without FMA
+// (CPUID.1:ECX bit 12) runs the Go loops.
+func hasAVX2FMA() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&fma == 0 || ecx&osxsave == 0 || ecx&avx == 0 {
 		return false
 	}
 	if xgetbv0()&6 != 6 {
@@ -44,10 +46,10 @@ func hasAVX2() bool {
 func bfly2AVX2(dre, dim, twre, twim *float64, m, blocks int)
 
 //go:noescape
-func bfly3AVX2(dre, dim, twre, twim *float64, m, blocks int, w1r, w1i, w2r, w2i float64)
+func bfly3AVX2(dre, dim, twre, twim *float64, m, blocks int, c1, n1 float64)
 
 //go:noescape
-func bfly4AVX2(dre, dim, twre, twim *float64, m, blocks int, jr, ji float64)
+func bfly4AVX2(dre, dim, twre, twim *float64, m, blocks int, inverse bool)
 
 //go:noescape
 func bfly7AVX2(dre, dim, twre, twim *float64, m, blocks int, c1, c2, c3, c4, c6, n1, n2, n3, n4, n6 float64)
@@ -75,9 +77,9 @@ func combineVec(r, m, blocks int, dre, dim, twre, twim, rore, roim []float64) bo
 	case 2:
 		bfly2AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m, blocks)
 	case 3:
-		bfly3AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m, blocks, rore[1], roim[1], rore[2], roim[2])
+		bfly3AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m, blocks, rore[1], roim[1])
 	case 4:
-		bfly4AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m, blocks, rore[1], roim[1])
+		bfly4AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m, blocks, roim[1] > 0)
 	case 7:
 		bfly7AVX2(&dre[0], &dim[0], &twre[0], &twim[0], m, blocks,
 			rore[1], rore[2], rore[3], rore[4], rore[6], roim[1], roim[2], roim[3], roim[4], roim[6])

@@ -1,14 +1,18 @@
-// AVX2 renditions of the radix-2/3/4/7 combine loops of combineLanes and
-// of the 8-float64 row copies behind gatherStrided (permuted) and
+// AVX2 + FMA renditions of the radix-2/3/4/7 combine loops of combineLanes
+// and of the 8-float64 row copies behind gatherStrided (permuted) and
 // scatterStrided (fftlanes.go, slab.go). One lane row is Width = 8 float64
 // = two ymm; every kernel walks the low half (byte offset 0) and the high
 // half (offset 32) of each row with the same macro. The arithmetic is the
-// Go loops' expression trees, operation for operation: VMULPD, VADDPD and
-// VSUBPD only, no fused multiply-add, so every lane rounds exactly where
-// the Go loop rounds and the output is the same bits (DESIGN.md section 5,
-// "Vector kernels").
+// Go loops' expression trees, operation for operation: each math.FMA is one
+// VFMADD231PD (VFNMADD231PD where its first factor is negated, VFMSUB231PD
+// where its addend is), every other product a VMULPD, every add a VADDPD or
+// VSUBPD, so every lane rounds exactly where the Go loop rounds and the
+// output is the same bits (DESIGN.md section 5, "Vector kernels"). Like the
+// Go loops, the k = 0 row of every stage block takes its inputs as loaded:
+// its twiddles are exactly 1 + 0i.
 //
-// Operand order: the Go assembler writes VSUBPD b, a, dst for dst = a - b.
+// Operand order: the Go assembler writes VSUBPD b, a, dst for dst = a - b,
+// and VFMADD231PD b, a, dst for dst = a*b + dst.
 //
 // The callers (bfly_amd64.go) have checked every length; nothing here is
 // bounds-checked.
@@ -34,8 +38,9 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	RET
 
 // Each butterfly runs one stage over `blocks` consecutive stage blocks of
-// r*m rows; within a block, sub-transform q is rows [q*m, (q+1)*m). Register
-// plan shared by the four:
+// r*m rows; within a block, sub-transform q is rows [q*m, (q+1)*m), and row
+// k = 0 runs the body with LOAD, rows k >= 1 with TWMUL. Register plan
+// shared by the four:
 //
 //	SI, DI   &dre[k*8], &dim[k*8]      row k of sub-transform 0
 //	BX       m*64                      bytes from sub-transform q to q+1
@@ -46,7 +51,8 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 //	CX       rows left in this block
 //	R12      blocks left
 //	R13      m
-// The argument loads are spelled out in each TEXT (not in SETUP) so that
+// Radix 4 uses DX and R14 instead for the rows X[1] and X[3] go to. The
+// argument loads are spelled out in each TEXT (not in SETUP) so that
 // go vet's asmdecl, which does not expand macros, checks every FP offset.
 #define SETUP \
 	MOVQ CX, R13 \
@@ -55,13 +61,13 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	MOVQ CX, BX \
 	SHLQ $6, BX
 
-#define NEXTROW(loop) \
+// NEXTROW steps to row k+1 and leaves ZF set when the block is done.
+#define NEXTROW \
 	ADDQ $64, SI \
 	ADDQ $64, DI \
 	ADDQ $8, R8  \
 	ADDQ $8, R9  \
-	DECQ CX      \
-	JNZ  loop
+	DECQ CX
 
 // NEXTBLOCK(skip, loop) moves from the end of sub-transform 0 of one block
 // (skip = (r-1)*m*64 bytes before the next block, an index*scale operand)
@@ -76,29 +82,33 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	JNZ  loop
 
 // TWMUL(dr, di, wr, wi, or, oi) loads one half row (dr, di) of a block and
-// multiplies it by that block's twiddle (wr, wi) of this k:
+// multiplies it by that block's twiddle (wr, wi) of this k, as twiddle
+// rounds it:
 //
-//	or = sr*wr - si*wi;  oi = sr*wi + si*wr
+//	or = fma(sr, wr, -(si*wi));  oi = fma(sr, wi, si*wr)
 //
 // Clobbers Y8-Y11.
 #define TWMUL(dr, di, wr, wi, or, oi) \
-	VBROADCASTSD wr, Y8  \
-	VBROADCASTSD wi, Y9  \
-	VMOVUPD dr, Y10      \
-	VMOVUPD di, Y11      \
-	VMULPD  Y8, Y10, or  \
-	VMULPD  Y9, Y11, oi  \
-	VSUBPD  oi, or, or   \
-	VMULPD  Y9, Y10, oi  \
-	VMULPD  Y8, Y11, Y10 \
-	VADDPD  Y10, oi, oi
+	VBROADCASTSD wr, Y8     \
+	VBROADCASTSD wi, Y9     \
+	VMOVUPD dr, Y10         \
+	VMOVUPD di, Y11         \
+	VMULPD  Y9, Y11, or     \
+	VFMSUB231PD Y8, Y10, or \
+	VMULPD  Y8, Y11, oi     \
+	VFMADD231PD Y9, Y10, oi
 
-// Radix 2, one half row.
+// LOAD is TWMUL for k = 0: the half row as it is.
+#define LOAD(dr, di, wr, wi, or, oi) \
+	VMOVUPD dr, or \
+	VMOVUPD di, oi
+
+// Radix 2, one half row; LD is LOAD or TWMUL.
 //
 //	t = b*tw1
 //	b = a - t;  a += t
-#define BFLY2(off) \
-	TWMUL(off(SI)(BX*1), off(DI)(BX*1), (R8)(AX*1), (R9)(AX*1), Y2, Y3) \
+#define BFLY2(off, LD) \
+	LD(off(SI)(BX*1), off(DI)(BX*1), (R8)(AX*1), (R9)(AX*1), Y2, Y3) \
 	VMOVUPD off(SI), Y0 \
 	VMOVUPD off(DI), Y1 \
 	VSUBPD  Y2, Y0, Y4  \
@@ -119,56 +129,56 @@ TEXT ·bfly2AVX2(SB), NOSPLIT, $0-48
 	MOVQ m+32(FP), CX
 	MOVQ blocks+40(FP), R12
 	SETUP
-loop2:
-	BFLY2(0)
-	BFLY2(32)
-	NEXTROW(loop2)
-	NEXTBLOCK(BX*1, loop2)
+block2:
+	BFLY2(0, LOAD)
+	BFLY2(32, LOAD)
+	NEXTROW
+	JZ   next2
+row2:
+	BFLY2(0, TWMUL)
+	BFLY2(32, TWMUL)
+	NEXTROW
+	JNZ  row2
+next2:
+	NEXTBLOCK(BX*1, block2)
 	VZEROUPPER
 	RET
 
-// ROT3(OP, ua, ub, va, vb, a0, dst) stores
+// Radix 3, one half row, in the symmetric form; Y12, Y13 = c1, n1 (the
+// stage's root[1]).
 //
-//	dst = a0 + (xr*ua OP xi*ub) + (yr*va OP yi*vb)
-//
-// with x in Y2/Y3 and y in Y4/Y5: a real output passes VSUBPD and each root
-// as (re, im), an imaginary output VADDPD and each root as (im, re).
-// Clobbers Y0, Y1, Y8.
-#define ROT3(OP, ua, ub, va, vb, a0, dst) \
-	VMULPD ua, Y2, Y0  \
-	VMULPD ub, Y3, Y1  \
-	OP     Y1, Y0, Y0  \
-	VADDPD Y0, a0, Y0  \
-	VMULPD va, Y4, Y1  \
-	VMULPD vb, Y5, Y8  \
-	OP     Y8, Y1, Y1  \
-	VADDPD Y1, Y0, Y0  \
-	VMOVUPD Y0, dst
+//	t1 = b*tw1;  t2 = c*tw2;  s = t1 + t2;  d = t1 - t2
+//	a = a0 + s;  e = fma(c1, s, a0)
+//	b = (fma(-n1, d_im, e_re), fma(n1, d_re, e_im))
+//	c = (fma(n1, d_im, e_re), fma(-n1, d_re, e_im))
+#define BFLY3(off, LD) \
+	LD(off(SI)(BX*1), off(DI)(BX*1), (R8)(AX*1), (R9)(AX*1), Y2, Y3) \
+	LD(off(SI)(BX*2), off(DI)(BX*2), (R8)(AX*2), (R9)(AX*2), Y4, Y5) \
+	VADDPD  Y4, Y2, Y0         \
+	VADDPD  Y5, Y3, Y1         \
+	VSUBPD  Y4, Y2, Y2         \
+	VSUBPD  Y5, Y3, Y3         \
+	VMOVUPD off(SI), Y6        \
+	VMOVUPD off(DI), Y7        \
+	VADDPD  Y0, Y6, Y4         \
+	VMOVUPD Y4, off(SI)        \
+	VADDPD  Y1, Y7, Y5         \
+	VMOVUPD Y5, off(DI)        \
+	VFMADD231PD  Y12, Y0, Y6   \
+	VFMADD231PD  Y12, Y1, Y7   \
+	VMOVAPD Y6, Y4             \
+	VFNMADD231PD Y13, Y3, Y4   \
+	VMOVUPD Y4, off(SI)(BX*1)  \
+	VFMADD231PD  Y13, Y3, Y6   \
+	VMOVUPD Y6, off(SI)(BX*2)  \
+	VMOVAPD Y7, Y5             \
+	VFMADD231PD  Y13, Y2, Y5   \
+	VMOVUPD Y5, off(DI)(BX*1)  \
+	VFNMADD231PD Y13, Y2, Y7   \
+	VMOVUPD Y7, off(DI)(BX*2)
 
-// Radix 3, one half row. Y12-Y15 = w1r, w1i, w2r, w2i (the stage's roots).
-//
-//	x = b*tw1;  y = c*tw2
-//	a = a0 + x + y
-//	b = a0 + x*w1 + y*w2
-//	c = a0 + x*w2 + y*w1
-#define BFLY3(off) \
-	TWMUL(off(SI)(BX*1), off(DI)(BX*1), (R8)(AX*1), (R9)(AX*1), Y2, Y3) \
-	TWMUL(off(SI)(BX*2), off(DI)(BX*2), (R8)(AX*2), (R9)(AX*2), Y4, Y5) \
-	VMOVUPD off(SI), Y6 \
-	VMOVUPD off(DI), Y7 \
-	VADDPD  Y2, Y6, Y0  \
-	VADDPD  Y4, Y0, Y0  \
-	VMOVUPD Y0, off(SI) \
-	VADDPD  Y3, Y7, Y0  \
-	VADDPD  Y5, Y0, Y0  \
-	VMOVUPD Y0, off(DI) \
-	ROT3(VSUBPD, Y12, Y13, Y14, Y15, Y6, off(SI)(BX*1)) \
-	ROT3(VADDPD, Y13, Y12, Y15, Y14, Y7, off(DI)(BX*1)) \
-	ROT3(VSUBPD, Y14, Y15, Y12, Y13, Y6, off(SI)(BX*2)) \
-	ROT3(VADDPD, Y15, Y14, Y13, Y12, Y7, off(DI)(BX*2))
-
-// func bfly3AVX2(dre, dim, twre, twim *float64, m, blocks int, w1r, w1i, w2r, w2i float64)
-TEXT ·bfly3AVX2(SB), NOSPLIT, $0-80
+// func bfly3AVX2(dre, dim, twre, twim *float64, m, blocks int, c1, n1 float64)
+TEXT ·bfly3AVX2(SB), NOSPLIT, $0-64
 	MOVQ dre+0(FP), SI
 	MOVQ dim+8(FP), DI
 	MOVQ twre+16(FP), R8
@@ -176,28 +186,35 @@ TEXT ·bfly3AVX2(SB), NOSPLIT, $0-80
 	MOVQ m+32(FP), CX
 	MOVQ blocks+40(FP), R12
 	SETUP
-	VBROADCASTSD w1r+48(FP), Y12
-	VBROADCASTSD w1i+56(FP), Y13
-	VBROADCASTSD w2r+64(FP), Y14
-	VBROADCASTSD w2i+72(FP), Y15
-loop3:
-	BFLY3(0)
-	BFLY3(32)
-	NEXTROW(loop3)
-	NEXTBLOCK(BX*2, loop3)
+	VBROADCASTSD c1+48(FP), Y12
+	VBROADCASTSD n1+56(FP), Y13
+block3:
+	BFLY3(0, LOAD)
+	BFLY3(32, LOAD)
+	NEXTROW
+	JZ   next3
+row3:
+	BFLY3(0, TWMUL)
+	BFLY3(32, TWMUL)
+	NEXTROW
+	JNZ  row3
+next3:
+	NEXTBLOCK(BX*2, block3)
 	VZEROUPPER
 	RET
 
-// Radix 4, one half row. Y14, Y15 = jr, ji (the stage's root[1], ∓i up to
-// rounding; multiplied out as tabulated, like the Go loop).
+// Radix 4, one half row. root[1] is exactly -i forward, so (x - z)*root[1]
+// is a swap of parts and a sign: DX and R14 are the byte offsets of the
+// rows X[1] and X[3] go to (m*64 and 3*m*64, exchanged by the inverse).
 //
 //	x = b*tw1;  y = c*tw2;  z = e*tw3
-//	apc = a + y;  amc = a - y;  bpd = x + z;  bmd = (x - z)*j
-//	a = apc + bpd;  b = amc + bmd;  c = apc - bpd;  e = amc - bmd
-#define BFLY4(off) \
-	TWMUL(off(SI)(BX*1), off(DI)(BX*1), (R8)(AX*1), (R9)(AX*1), Y0, Y1)   \
-	TWMUL(off(SI)(BX*2), off(DI)(BX*2), (R8)(AX*2), (R9)(AX*2), Y2, Y3)   \
-	TWMUL(off(SI)(R11*1), off(DI)(R11*1), (R8)(R10*1), (R9)(R10*1), Y4, Y5) \
+//	apc = a + y;  amc = a - y;  bpd = x + z;  d = x - z
+//	a = apc + bpd;  c = apc - bpd
+//	X[1] = (amc_re + d_im, amc_im - d_re);  X[3] = (amc_re - d_im, amc_im + d_re)
+#define BFLY4(off, LD) \
+	LD(off(SI)(BX*1), off(DI)(BX*1), (R8)(AX*1), (R9)(AX*1), Y0, Y1)   \
+	LD(off(SI)(BX*2), off(DI)(BX*2), (R8)(AX*2), (R9)(AX*2), Y2, Y3)   \
+	LD(off(SI)(R11*1), off(DI)(R11*1), (R8)(R10*1), (R9)(R10*1), Y4, Y5) \
 	VMOVUPD off(SI), Y6 \
 	VMOVUPD off(DI), Y7 \
 	VADDPD  Y2, Y6, Y8  \
@@ -208,31 +225,25 @@ loop3:
 	VADDPD  Y5, Y1, Y3  \
 	VSUBPD  Y4, Y0, Y0  \
 	VSUBPD  Y5, Y1, Y1  \
-	VMULPD  Y14, Y0, Y4 \
-	VMULPD  Y15, Y1, Y5 \
-	VSUBPD  Y5, Y4, Y4  \
-	VMULPD  Y15, Y0, Y5 \
-	VMULPD  Y14, Y1, Y0 \
-	VADDPD  Y0, Y5, Y5  \
-	VADDPD  Y2, Y8, Y0  \
-	VMOVUPD Y0, off(SI) \
-	VADDPD  Y3, Y9, Y0  \
-	VMOVUPD Y0, off(DI) \
-	VADDPD  Y4, Y6, Y0  \
-	VMOVUPD Y0, off(SI)(BX*1) \
-	VADDPD  Y5, Y7, Y0  \
-	VMOVUPD Y0, off(DI)(BX*1) \
-	VSUBPD  Y2, Y8, Y0  \
-	VMOVUPD Y0, off(SI)(BX*2) \
-	VSUBPD  Y3, Y9, Y0  \
-	VMOVUPD Y0, off(DI)(BX*2) \
-	VSUBPD  Y4, Y6, Y0  \
-	VMOVUPD Y0, off(SI)(R11*1) \
-	VSUBPD  Y5, Y7, Y0  \
-	VMOVUPD Y0, off(DI)(R11*1)
+	VADDPD  Y2, Y8, Y4  \
+	VMOVUPD Y4, off(SI) \
+	VADDPD  Y3, Y9, Y4  \
+	VMOVUPD Y4, off(DI) \
+	VSUBPD  Y2, Y8, Y4  \
+	VMOVUPD Y4, off(SI)(BX*2) \
+	VSUBPD  Y3, Y9, Y4  \
+	VMOVUPD Y4, off(DI)(BX*2) \
+	VADDPD  Y1, Y6, Y4  \
+	VMOVUPD Y4, off(SI)(DX*1) \
+	VSUBPD  Y0, Y7, Y4  \
+	VMOVUPD Y4, off(DI)(DX*1) \
+	VSUBPD  Y1, Y6, Y4  \
+	VMOVUPD Y4, off(SI)(R14*1) \
+	VADDPD  Y0, Y7, Y4  \
+	VMOVUPD Y4, off(DI)(R14*1)
 
-// func bfly4AVX2(dre, dim, twre, twim *float64, m, blocks int, jr, ji float64)
-TEXT ·bfly4AVX2(SB), NOSPLIT, $0-64
+// func bfly4AVX2(dre, dim, twre, twim *float64, m, blocks int, inverse bool)
+TEXT ·bfly4AVX2(SB), NOSPLIT, $0-49
 	MOVQ dre+0(FP), SI
 	MOVQ dim+8(FP), DI
 	MOVQ twre+16(FP), R8
@@ -242,13 +253,23 @@ TEXT ·bfly4AVX2(SB), NOSPLIT, $0-64
 	SETUP
 	LEAQ (AX)(AX*2), R10
 	LEAQ (BX)(BX*2), R11
-	VBROADCASTSD jr+48(FP), Y14
-	VBROADCASTSD ji+56(FP), Y15
-loop4:
-	BFLY4(0)
-	BFLY4(32)
-	NEXTROW(loop4)
-	NEXTBLOCK(R11*1, loop4)
+	MOVQ BX, DX
+	MOVQ R11, R14
+	CMPB inverse+48(FP), $0
+	JEQ  block4
+	XCHGQ DX, R14
+block4:
+	BFLY4(0, LOAD)
+	BFLY4(32, LOAD)
+	NEXTROW
+	JZ   next4
+row4:
+	BFLY4(0, TWMUL)
+	BFLY4(32, TWMUL)
+	NEXTROW
+	JNZ  row4
+next4:
+	NEXTBLOCK(R11*1, block4)
 	VZEROUPPER
 	RET
 
@@ -267,25 +288,23 @@ loop4:
 	VSUBPD Y2, Y0, dr \
 	VSUBPD Y3, Y1, di
 
-// MACC(c, x, acc): acc += c*x. Clobbers Y3.
+// MACC(c, x, acc): acc = fma(c, x, acc). Clobbers Y3.
 #define MACC(c, x, acc) \
 	VBROADCASTSD c, Y3 \
-	VMULPD x, Y3, Y3   \
-	VADDPD Y3, acc, acc
+	VFMADD231PD x, Y3, acc
 
 // PAIR7(a, c1, x1, c2, x2, c3, x3, n1, y1, n2, y2, n3, y3, P, M, dp, dm)
 // stores one part of an output pair: the real part takes x = s_re,
 // y = d_im, P = VSUBPD, M = VADDPD; the imaginary part x = s_im, y = d_re,
 // P = VADDPD, M = VSUBPD.
 //
-//	e = a + c1*x1 + c2*x2 + c3*x3;  o = n1*y1 + n2*y2 + n3*y3
+//	e = macc3(a, c1, x1, c2, x2, c3, x3);  o = macc2(n1*y1, n2, y2, n3, y3)
 //	dp = e P o;  dm = e M o
 //
 // Clobbers Y0-Y3.
 #define PAIR7(a, c1, x1, c2, x2, c3, x3, n1, y1, n2, y2, n3, y3, P, M, dp, dm) \
-	VBROADCASTSD c1, Y3 \
-	VMULPD x1, Y3, Y0   \
-	VADDPD a, Y0, Y0    \
+	VMOVUPD a, Y0       \
+	MACC(c1, x1, Y0)    \
 	MACC(c2, x2, Y0)    \
 	MACC(c3, x3, Y0)    \
 	VBROADCASTSD n1, Y3 \
@@ -305,16 +324,16 @@ loop4:
 //	X[2], X[5] = a + c2*s1 + c4*s2 + c6*s3 ± i*(n2*d1 + n4*d2 + n6*d3)
 //	X[3], X[4] = a + c3*s1 + c6*s2 + c2*s3 ± i*(n3*d1 + n6*d2 + n2*d3)
 //	X[0]       = a + s1 + s2 + s3
-#define BFLY7(off, c1, c2, c3, c4, c6, n1, n2, n3, n4, n6) \
-	TWMUL(off(SI)(BX*1), off(DI)(BX*1), (R8)(AX*1), (R9)(AX*1), Y0, Y1)     \
-	TWMUL(off(SI)(R11*2), off(DI)(R11*2), (R8)(R10*2), (R9)(R10*2), Y2, Y3) \
-	SUMDIFF(Y4, Y5, Y6, Y7)                                                 \
-	TWMUL(off(SI)(BX*2), off(DI)(BX*2), (R8)(AX*2), (R9)(AX*2), Y0, Y1)     \
-	TWMUL(off(SI)(R14*1), off(DI)(R14*1), (R8)(DX*1), (R9)(DX*1), Y2, Y3)   \
-	SUMDIFF(Y12, Y13, Y14, Y15)                                             \
-	TWMUL(off(SI)(R11*1), off(DI)(R11*1), (R8)(R10*1), (R9)(R10*1), Y0, Y1) \
-	TWMUL(off(SI)(BX*4), off(DI)(BX*4), (R8)(AX*4), (R9)(AX*4), Y2, Y3)     \
-	SUMDIFF(Y8, Y9, Y10, Y11)                                               \
+#define BFLY7(off, LD, c1, c2, c3, c4, c6, n1, n2, n3, n4, n6) \
+	LD(off(SI)(BX*1), off(DI)(BX*1), (R8)(AX*1), (R9)(AX*1), Y0, Y1)     \
+	LD(off(SI)(R11*2), off(DI)(R11*2), (R8)(R10*2), (R9)(R10*2), Y2, Y3) \
+	SUMDIFF(Y4, Y5, Y6, Y7)                                              \
+	LD(off(SI)(BX*2), off(DI)(BX*2), (R8)(AX*2), (R9)(AX*2), Y0, Y1)     \
+	LD(off(SI)(R14*1), off(DI)(R14*1), (R8)(DX*1), (R9)(DX*1), Y2, Y3)   \
+	SUMDIFF(Y12, Y13, Y14, Y15)                                          \
+	LD(off(SI)(R11*1), off(DI)(R11*1), (R8)(R10*1), (R9)(R10*1), Y0, Y1) \
+	LD(off(SI)(BX*4), off(DI)(BX*4), (R8)(AX*4), (R9)(AX*4), Y2, Y3)     \
+	SUMDIFF(Y8, Y9, Y10, Y11)                                            \
 	PAIR7(off(SI), c1, Y4, c2, Y12, c3, Y8, n1, Y7, n2, Y15, n3, Y11, VSUBPD, VADDPD, off(SI)(BX*1), off(SI)(R11*2)) \
 	PAIR7(off(DI), c1, Y5, c2, Y13, c3, Y9, n1, Y6, n2, Y14, n3, Y10, VADDPD, VSUBPD, off(DI)(BX*1), off(DI)(R11*2)) \
 	PAIR7(off(SI), c2, Y4, c4, Y12, c6, Y8, n2, Y7, n4, Y15, n6, Y11, VSUBPD, VADDPD, off(SI)(BX*2), off(SI)(R14*1)) \
@@ -343,11 +362,18 @@ TEXT ·bfly7AVX2(SB), NOSPLIT, $0-128
 	LEAQ (BX)(BX*2), R11
 	LEAQ (AX)(AX*4), DX
 	LEAQ (BX)(BX*4), R14
-loop7:
-	BFLY7(0, c1+48(FP), c2+56(FP), c3+64(FP), c4+72(FP), c6+80(FP), n1+88(FP), n2+96(FP), n3+104(FP), n4+112(FP), n6+120(FP))
-	BFLY7(32, c1+48(FP), c2+56(FP), c3+64(FP), c4+72(FP), c6+80(FP), n1+88(FP), n2+96(FP), n3+104(FP), n4+112(FP), n6+120(FP))
-	NEXTROW(loop7)
-	NEXTBLOCK(R11*2, loop7)
+block7:
+	BFLY7(0, LOAD, c1+48(FP), c2+56(FP), c3+64(FP), c4+72(FP), c6+80(FP), n1+88(FP), n2+96(FP), n3+104(FP), n4+112(FP), n6+120(FP))
+	BFLY7(32, LOAD, c1+48(FP), c2+56(FP), c3+64(FP), c4+72(FP), c6+80(FP), n1+88(FP), n2+96(FP), n3+104(FP), n4+112(FP), n6+120(FP))
+	NEXTROW
+	JZ   next7
+row7:
+	BFLY7(0, TWMUL, c1+48(FP), c2+56(FP), c3+64(FP), c4+72(FP), c6+80(FP), n1+88(FP), n2+96(FP), n3+104(FP), n4+112(FP), n6+120(FP))
+	BFLY7(32, TWMUL, c1+48(FP), c2+56(FP), c3+64(FP), c4+72(FP), c6+80(FP), n1+88(FP), n2+96(FP), n3+104(FP), n4+112(FP), n6+120(FP))
+	NEXTROW
+	JNZ  row7
+next7:
+	NEXTBLOCK(R11*2, block7)
 	VZEROUPPER
 	RET
 

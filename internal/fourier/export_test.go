@@ -8,4 +8,5 @@ var (
 	GoFusesMulAdd = goFusesMulAdd
 )
 
+// HostHasAVX2 reports whether the vector kernels run here (AVX2 and FMA).
 func HostHasAVX2() bool { return useAVX2 }

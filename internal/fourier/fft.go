@@ -120,16 +120,28 @@ func (p *Plan) buildStages() {
 		step := n / nl
 		for q := 0; q < r; q++ {
 			for k := 0; k < m; k++ {
-				e := (q * k * step) % n
-				s, c := math.Sincos(-2 * math.Pi * float64(e) / float64(n))
+				c, s := unitRoot(q*k*step, n)
 				st.twRe[q*m+k], st.twFim[q*m+k], st.twIim[q*m+k] = c, s, -s
 			}
-			s, c := math.Sincos(-2 * math.Pi * float64(q) / float64(r))
+			c, s := unitRoot(q, r)
 			st.rootRe[q], st.rootFim[q], st.rootIim[q] = c, s, -s
 		}
 		p.stages = append(p.stages, st)
 		nl = m
 	}
+}
+
+// unitRoot returns exp(-2*pi*i*e/n) as (cos, sin). The quarter turns are
+// exact - 1 + 0i at e = 0, which the butterflies skip multiplying by, and
+// radix 4's root[1] = -i, which they apply as a swap of parts - where Sincos
+// of the rounded angle leaves ~1e-16 in the part that should be zero.
+func unitRoot(e, n int) (c, s float64) {
+	e %= n
+	if 4*e%n == 0 {
+		return [4]float64{1, 0, -1, 0}[4*e/n], [4]float64{0, -1, 0, 1}[4*e/n]
+	}
+	s, c = math.Sincos(-2 * math.Pi * float64(e) / float64(n))
+	return c, s
 }
 
 // MustPlan is NewPlan that panics on error; for use with known-good sizes.

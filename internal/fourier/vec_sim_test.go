@@ -23,11 +23,12 @@ import (
 // the worker count (the exchange's pair-lane calls split their passes by
 // pencil, so each accumulator element takes its adds on one worker).
 //
-// The pins apply on amd64 hosts with AVX2 whose build does not fuse
-// multiply-add in Go code: arm64 and GOAMD64=v3 builds fuse, and math.Exp
-// takes an FMA branch on CPUs with AVX and FMA, which every AVX2 CPU has. A
-// change that is meant to move bits regenerates them: run this test with
-// the pins blanked and copy the hashes it reports.
+// The pins apply on amd64 hosts with AVX2 and FMA whose build does not fuse
+// multiply-add in Go code: the butterflies round the same under any build,
+// but the rest of the step path does not - arm64 and GOAMD64=v3 builds fuse
+// its plain a*b+c, and math.Exp takes an FMA branch on CPUs with AVX and
+// FMA. A change that is meant to move bits regenerates them: run this test
+// with the pins blanked and copy the hashes it reports.
 func TestVecKernelsSameTrajectory(t *testing.T) {
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
 	pinned := runtime.GOARCH == "amd64" && fourier.HostHasAVX2() && !fourier.GoFusesMulAdd()
@@ -36,11 +37,11 @@ func TestVecKernelsSameTrajectory(t *testing.T) {
 		spec sim.Spec
 		pin  string
 	}{
-		{"semilocal_serial_si16", sim.Spec{Cells: [3]int{2, 1, 1}, Ecut: 3, Kick: 0.02}, "769179e73f39c787"},
-		{"exact_2rank_si8", sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 3, Hybrid: true, Ranks: 2, Exchange: "overlap", Kick: 0.02}, "f86fe4ba74648aba"},
-		{"ace_mts_2rank_si8e6", sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 6, Hybrid: true, ACE: true, MTS: 4, Ranks: 2, Exchange: "overlap", PulseE0: 0.01}, "524c035a99367da0"},
+		{"semilocal_serial_si16", sim.Spec{Cells: [3]int{2, 1, 1}, Ecut: 3, Kick: 0.02}, "680f5ad3db8189c0"},
+		{"exact_2rank_si8", sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 3, Hybrid: true, Ranks: 2, Exchange: "overlap", Kick: 0.02}, "332432f1316918d1"},
+		{"ace_mts_2rank_si8e6", sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 6, Hybrid: true, ACE: true, MTS: 4, Ranks: 2, Exchange: "overlap", PulseE0: 0.01}, "5228d41f93c662ad"},
 		// The job row's 7^3 wave and 14^3 dense boxes: the radix-7 kernel.
-		{"ptdftd_jobs", sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 2, Kick: 0.02}, "ac71d48e88290df5"},
+		{"ptdftd_jobs", sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 2, Kick: 0.02}, "dcee2e73603aba97"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

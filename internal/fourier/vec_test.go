@@ -22,11 +22,12 @@ func forEachVec(fn func(vec bool)) {
 	}
 }
 
-// goFusesMulAdd reports whether this build of the Go loops rounds x*y + z
-// once (GOAMD64=v3 lets gc emit VFMADD). The kernels never fuse, so on such
-// a build the two paths legitimately differ in the last bit and the oracle
-// comparison does not apply; the kernels are then the only path a v3 binary
-// can take, since v3 requires AVX2.
+// goFusesMulAdd reports whether this build rounds a Go x*y + z once
+// (GOAMD64=v3 lets gc emit VFMADD). The butterflies cannot tell - combineLanes
+// spells every fusion out as math.FMA and forbids the rest with float64(...),
+// so the oracle comparison holds on any build - but the step path beyond
+// them (math.Exp, the solvers) can, and TestVecKernelsSameTrajectory's pins
+// apply only where it does not fuse.
 func goFusesMulAdd() bool {
 	x, y, z := fuseProbe[0], fuseProbe[1], fuseProbe[2]
 	return x*y+z != 0
@@ -39,10 +40,7 @@ var fuseProbe = [3]float64{1 + 1.0/(1<<30), 1 - 1.0/(1<<30), -1}
 func skipUnlessBothPaths(t *testing.T) {
 	t.Helper()
 	if !useAVX2 {
-		t.Skip("host has no AVX2 (or GOARCH is not amd64): the Go loops are the only path, nothing to compare")
-	}
-	if goFusesMulAdd() {
-		t.Skip("this build fuses multiply-add in the Go loops (GOAMD64=v3): they are not the kernels' bit oracle")
+		t.Skip("host has no AVX2 and FMA (or GOARCH is not amd64): the Go loops are the only path, nothing to compare")
 	}
 }
 
@@ -184,6 +182,36 @@ func TestVecKernelsBitIdentical(t *testing.T) {
 			forEachVec(func(bool) { out = append(out, op.run()) })
 			for i := range out[0] {
 				sameBits(t, fmt.Sprintf("%v %s output %d", dims, op.name, i), out[0][i], out[1][i])
+			}
+		}
+	}
+}
+
+// TestTrivialTwiddles pins what the butterflies' k = 0 skip and radix 4's
+// sign swap rest on: in every stage of every closed-set length up to 128,
+// both directions, the k = 0 twiddle of every sub-transform q is exactly
+// 1 + 0i, and a radix-4 stage's root[1] is exactly -i forward and +i
+// inverse. Skipping a multiply by 1 + 0i, or applying ∓i as a swap of parts
+// and signs, then changes at most the sign of a zero.
+func TestTrivialTwiddles(t *testing.T) {
+	for n := 1; n <= 128; n++ {
+		if !IsFast(n) {
+			continue
+		}
+		for d, st := range MustPlan(n).stages {
+			for _, dir := range []struct {
+				name        string
+				twim, rooti []float64
+				want        float64
+			}{{"forward", st.twFim, st.rootFim, -1}, {"inverse", st.twIim, st.rootIim, 1}} {
+				for q := 0; q < st.r; q++ {
+					if re, im := st.twRe[q*st.m], dir.twim[q*st.m]; re != 1 || im != 0 {
+						t.Errorf("n=%d stage %d (radix %d) %s: tw[%d*m] = %v + %vi, want 1 + 0i", n, d, st.r, dir.name, q, re, im)
+					}
+				}
+				if st.r == 4 && (st.rootRe[1] != 0 || dir.rooti[1] != dir.want) {
+					t.Errorf("n=%d stage %d %s: radix-4 root[1] = %v + %vi, want %vi", n, d, dir.name, st.rootRe[1], dir.rooti[1], dir.want)
+				}
 			}
 		}
 	}
