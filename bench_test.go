@@ -93,9 +93,9 @@ func BenchmarkMTSStep(b *testing.B) {
 		name string
 		opt  dist.ExchangeOptions
 	}{
-		{"everystep", dist.ExchangeOptions{Strategy: dist.BcastOverlapped}},
-		{"hold1", dist.ExchangeOptions{Strategy: dist.BcastOverlapped, ACE: true, MTSPeriod: 1}},
-		{"mts4", dist.ExchangeOptions{Strategy: dist.BcastOverlapped, ACE: true, MTSPeriod: 4}},
+		{"everystep", dist.ExchangeOptions{}},
+		{"hold1", dist.ExchangeOptions{ACE: true, MTSPeriod: 1}},
+		{"mts4", dist.ExchangeOptions{ACE: true, MTSPeriod: 4}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var stepNs []float64
@@ -157,7 +157,7 @@ func BenchmarkEhrenfestStep(b *testing.B) {
 					panic(err)
 				}
 				h := hamiltonian.New(g, pots, hamiltonian.Config{IonDynamics: true})
-				s := dist.NewPTCNSolver(d, h, xc.HSE06(), true, nil, core.DefaultPTCN(), dist.ExchangeOptions{Strategy: dist.BcastOverlapped})
+				s := dist.NewPTCNSolver(d, h, xc.HSE06(), true, nil, core.DefaultPTCN(), dist.ExchangeOptions{})
 				lo, hi := d.BandRange(c.Rank())
 				de := &ion.DistElectrons{S: s, Local: wavefunc.Clone(psi0[lo*g.NG : hi*g.NG]), Pots: pots}
 				v, err := ion.NewVerlet(cell, de, 2.0, 1)

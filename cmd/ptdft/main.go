@@ -32,7 +32,6 @@ import (
 	"syscall"
 
 	"ptdft/internal/checkpoint"
-	"ptdft/internal/dist"
 	"ptdft/internal/observe"
 	"ptdft/internal/sim"
 	"ptdft/internal/trace"
@@ -66,8 +65,8 @@ func parseFlags() (*config, error) {
 	cellsStr := flag.String("cells", "1,1,1", "supercell repetitions nx,ny,nz (8 Si atoms per cell)")
 	flag.Float64Var(&s.Ecut, "ecut", 4, "kinetic energy cutoff (Ha); the paper uses 10")
 	flag.BoolVar(&s.Hybrid, "hybrid", false, "use the HSE-like hybrid functional (screened Fock exchange)")
-	flag.BoolVar(&s.ACE, "ace", false, "apply exchange through the ACE compression (serial and distributed runs)")
-	flag.IntVar(&s.MTS, "mts", 0, "multiple time stepping: refresh the hybrid exchange every M steps, frozen in between (0 = off; requires -hybrid and -method ptcn)")
+	flag.BoolVar(&s.ACE, "ace", false, "apply exchange through the ACE compression, held for -mts steps (requires -hybrid and -mts)")
+	flag.IntVar(&s.MTS, "mts", 0, "ACE refresh period: rebuild Xi from Psi_n every M steps, held in between (requires -ace; 1 is the Jia & Lin cadence)")
 	flag.StringVar(&s.Method, "method", "ptcn", "time integrator: ptcn or rk4")
 	flag.Float64Var(&s.DtAs, "dt", 24, "time step in attoseconds (paper: 50 for PT-CN, 0.5 for RK4)")
 	flag.IntVar(&s.Steps, "steps", 5, "number of propagation steps")
@@ -77,7 +76,6 @@ func parseFlags() (*config, error) {
 	flag.Int64Var(&s.Seed, "seed", 1234, "ground-state starting guess seed")
 	flag.StringVar(&c.csvPath, "csv", "", "write per-step observables to this CSV file")
 	flag.BoolVar(&c.quiet, "q", false, "suppress per-step output")
-	flag.StringVar(&s.Exchange, "exchange", "overlap", "distributed exchange strategy: "+strings.Join(dist.StrategyNames(), ", "))
 	flag.BoolVar(&s.SinglePrec, "singleprec", false, "single-precision MPI payloads (distributed runs)")
 	flag.StringVar(&c.savePath, "save", "", "write a restart checkpoint here after the last step")
 	flag.StringVar(&c.loadPath, "load", "", "resume from a checkpoint instead of the ground state")
@@ -101,8 +99,8 @@ func parseFlags() (*config, error) {
 		}
 		s.Cells[i] = v
 	}
-	// The full simulation rule set (exchange cadences, MD tiling, strategy
-	// names) lives with the spec, so a typo fails before the ground-state
+	// The full simulation rule set (exchange cadences, MD tiling) lives
+	// with the spec, so a typo fails before the ground-state
 	// SCF runs, not after.
 	if err := s.Validate(); err != nil {
 		return nil, err

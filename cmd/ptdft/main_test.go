@@ -21,7 +21,6 @@ func testConfig(t *testing.T) *config {
 		spec: sim.Spec{
 			Cells: [3]int{1, 1, 1}, Ecut: 2, Method: "ptcn",
 			DtAs: 24, Steps: 6, Kick: 0.02, Seed: 1234,
-			Exchange: "bcast",
 		},
 		quiet: true,
 		stop:  make(chan struct{}),
@@ -126,15 +125,16 @@ func parseArgs(args ...string) (*flag.FlagSet, error) {
 	return fs, err
 }
 
-// TestRemovedFlagsAreUnknown: -acehold (the alias of -ace -mts 1) and
-// -stealchunk are not registered, and the cadence the alias named is
-// accepted under its one remaining spelling.
+// TestRemovedFlagsAreUnknown: -acehold (the alias of -ace -mts 1),
+// -stealchunk and -exchange (overlap is the one schedule) are not
+// registered, and the cadence the alias named is accepted under its one
+// remaining spelling.
 func TestRemovedFlagsAreUnknown(t *testing.T) {
 	fs, err := parseArgs("-hybrid", "-ace", "-mts", "1")
 	if err != nil {
 		t.Fatalf("-hybrid -ace -mts 1 rejected: %v", err)
 	}
-	for _, name := range []string{"acehold", "stealchunk"} {
+	for _, name := range []string{"acehold", "stealchunk", "exchange"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("-%s is still a flag", name)
 		}

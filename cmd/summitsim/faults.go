@@ -5,8 +5,7 @@
 // last durable checkpoint, re-run after the relaunch) plus the fixed
 // teardown/relaunch cost, so the table makes the cadence trade-off
 // concrete: frequent checkpoints buy cheap recovery with more I/O, sparse
-// ones the reverse. Measured, not modeled - runs only when named, like
-// sched.
+// ones the reverse. Measured, not modeled - runs only when named.
 package main
 
 import (

@@ -16,11 +16,8 @@
 // Output is aligned text matching the rows/series the paper reports, for
 // side-by-side comparison in EXPERIMENTS.md.
 //
-// Two experiments are measured, not modeled, and run only when named
-// (they take seconds and are not part of `-experiment all`):
-// `-experiment sched` runs the real distributed exchange (internal/dist
-// over the goroutine MPI runtime) under injected NIC delay, comparing the
-// sequential broadcast against the overlapped pipeline; `-experiment
+// One experiment is measured, not modeled, and runs only when named (it
+// takes seconds and is not part of `-experiment all`): `-experiment
 // faults` runs a real propagation through sim.Run with injected rank
 // crashes, sweeping crash step x checkpoint cadence to measure recovery
 // overhead.
@@ -36,9 +33,9 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to regenerate (table1,table2,fig3,fig6,fig7,fig8,fig9,fig10,power,flops,all; sched and faults measure the real distributed code and run only when named)")
+	experiment := flag.String("experiment", "all", "which experiment to regenerate (table1,table2,fig3,fig6,fig7,fig8,fig9,fig10,power,flops,all; faults measures the real distributed code and runs only when named)")
 	natom := flag.Int("natoms", 1536, "silicon system size (atoms)")
-	traceFile := flag.String("tracefile", "", "with -experiment sched or faults: record the measured runs' per-rank span timeline and write it here as Chrome trace-event JSON")
+	traceFile := flag.String("tracefile", "", "with -experiment faults: record the measured runs' per-rank span timeline and write it here as Chrome trace-event JSON")
 	flag.Parse()
 
 	m := perf.New(perf.SiliconSystem(*natom))
@@ -84,17 +81,13 @@ func main() {
 		flops(m)
 		any = true
 	}
-	// Measured, not modeled: only run when asked for by name. These are
-	// the experiments a timeline dump makes sense for - they drive the
-	// real goroutine-MPI runtime, so -tracefile captures every world the
-	// experiment launched on shared per-rank tracks.
+	// Measured, not modeled: only run when asked for by name. This is the
+	// experiment a timeline dump makes sense for - it drives the real
+	// goroutine-MPI runtime, so -tracefile captures every world it launched
+	// on shared per-rank tracks.
 	var rec *trace.Recorder
-	if *traceFile != "" && (*experiment == "sched" || *experiment == "faults") {
+	if *traceFile != "" && *experiment == "faults" {
 		rec = trace.NewRecorder()
-	}
-	if *experiment == "sched" {
-		sched(rec)
-		any = true
 	}
 	if *experiment == "faults" {
 		faults(rec)

@@ -100,7 +100,7 @@ func ehrenfestDistributed(t *testing.T, cell *lattice.Cell, psi0 []complex128, n
 			return
 		}
 		h := hamiltonian.New(g, siPots(), hamiltonian.Config{IonDynamics: true})
-		s := dist.NewPTCNSolver(d, h, xc.HSE06(), hybrid, nil, core.DefaultPTCN(), dist.ExchangeOptions{Strategy: dist.BcastOverlapped})
+		s := dist.NewPTCNSolver(d, h, xc.HSE06(), hybrid, nil, core.DefaultPTCN(), dist.ExchangeOptions{})
 		lo, hi := d.BandRange(c.Rank())
 		de := &ion.DistElectrons{S: s, Local: wavefunc.Clone(psi0[lo*g.NG : hi*g.NG]), Pots: siPots()}
 		v, err := ion.NewVerlet(cellR, de, dtIon, k)
@@ -217,7 +217,7 @@ func TestEhrenfestCheckpointResume(t *testing.T) {
 				return
 			}
 			h := hamiltonian.New(g, siPots(), hamiltonian.Config{IonDynamics: true})
-			opt := dist.ExchangeOptions{Strategy: dist.BcastOverlapped, ACE: true, MTSPeriod: mts}
+			opt := dist.ExchangeOptions{ACE: true, MTSPeriod: mts}
 			s := dist.NewPTCNSolver(d, h, xc.HSE06(), true, nil, core.DefaultPTCN(), opt)
 			s.Time = t0
 			lo, hi := d.BandRange(c.Rank())
@@ -364,7 +364,7 @@ func TestPTCNNoLaserEnergyConservation(t *testing.T) {
 			return
 		}
 		hD := hamiltonian.New(g, siPots(), hamiltonian.Config{IonDynamics: true})
-		s := dist.NewPTCNSolver(d, hD, xc.HSE06(), true, nil, core.DefaultPTCN(), dist.ExchangeOptions{Strategy: dist.BcastOverlapped})
+		s := dist.NewPTCNSolver(d, hD, xc.HSE06(), true, nil, core.DefaultPTCN(), dist.ExchangeOptions{})
 		lo, hi := d.BandRange(c.Rank())
 		local := wavefunc.Clone(psi0[lo*g.NG : hi*g.NG])
 		e0 := s.TotalEnergy(local, 0).Total()

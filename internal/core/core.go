@@ -213,12 +213,12 @@ type CN struct {
 
 	// MTS is the multiple-time-stepping refresh period M (Mandal et al.,
 	// arXiv:2110.07670, adapted to PT-CN): when M >= 1 and the functional is
-	// hybrid, the exchange operator is rebuilt from Psi_n only on outer
+	// hybrid, the ACE exchange operator is rebuilt from Psi_n only on outer
 	// steps (StepIndex mod M == 0) and held frozen - through the inner SCF
 	// and through the M-1 intermediate steps - while the semi-local physics
-	// advances every step. 0 (the default) refreshes the exchange at every
-	// H rebuild, the pre-MTS behavior. Only dist.PTCNSolver holds an
-	// exchange operator; PTCN.Step refuses M >= 1 on a hybrid Hamiltonian.
+	// advances every step. 0 (the default) applies the exchange to the
+	// iterate at every H rebuild. Only dist.PTCNSolver holds an exchange
+	// operator; PTCN.Step refuses M >= 1 on a hybrid Hamiltonian.
 	MTS int
 	// StepIndex counts completed steps and anchors the MTS cycle;
 	// ResumeCycle sets it when resuming from a checkpoint so the segment
@@ -356,8 +356,8 @@ func (c *CN) Advance(b BandBlock, at Bands, psi []complex128, dt float64) ([]com
 
 // PTCN is the serial parallel transport Crank-Nicolson propagator: the
 // whole band set of one System, with the exchange refreshed from the iterate
-// at every H rebuild. It has no MTS cadence; the frozen-exchange cadences
-// are dist.PTCNSolver's, which sim.Run runs on one rank for a serial run.
+// at every H rebuild. It has no MTS cadence; the held ACE cadence is
+// dist.PTCNSolver's, which sim.Run runs on one rank for a serial run.
 type PTCN struct {
 	Sys *System
 	CN

@@ -6,8 +6,8 @@
 //
 //	V_ACE = -Xi Xi^H,  Xi = W conj(L)^{-1},  -Phi^H W = L L^H,  W = V_X Phi.
 //
-// Construction (collective): W is computed band-block by band-block with
-// the configured exchange communication strategy - one exact application,
+// Construction (collective): W is computed band-block by band-block through
+// the exchange's broadcast pipeline - one exact application,
 // nb broadcasts, and the reference being Phi itself, one fused Poisson
 // solve per unordered pair, nb(nb+1)/2 over all ranks (nb x nbl per rank
 // on a single-precision wire, which forces the one-sided fold) - Phi and W
@@ -80,8 +80,8 @@ func (d *Ctx) NewACE() *ACE {
 // local bands, sphere coefficients). phiG may carry the caller's already
 // transposed copy of phi in the G layout (the solver's residual holds one
 // anyway), saving one Alltoallv; pass nil to transpose internally.
-// kernel/alpha/opt select the screened kernel and the communication
-// strategy of the W = V_X Phi stage; ex is the caller's exchange workspace
+// kernel/alpha/opt select the screened kernel and the wire precision of the
+// W = V_X Phi stage; ex is the caller's exchange workspace
 // (the solver shares one across the exact and ACE paths). Collective: all
 // ranks must call it together; the Cholesky failure of a degenerate
 // reference set is symmetric across ranks and is returned loudly rather
@@ -100,8 +100,8 @@ func (a *ACE) rebuild(phi, phiG, vx []complex128, kernel []float64, alpha float6
 	nb := a.nb
 	w := d.NumLocalG()
 
-	// W = V_X Phi on the local band block, delivered by the configured
-	// exchange strategy; ex.vx is only borrowed, so transpose immediately.
+	// W = V_X Phi on the local band block; ex.vx is only borrowed, so
+	// transpose immediately.
 	if vx == nil {
 		vx = d.FockExchangeWS(phi, phi, kernel, alpha, opt, ex)
 	}

@@ -152,12 +152,12 @@ func TestTransposeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFockExchangeMatchesSerialOperator checks both schedules against the
+// TestFockExchangeMatchesSerialOperator checks the exchange against the
 // serial fock.Operator on the gathered band set: identical reference data,
 // so double precision must agree to accumulation-order round-off and single
 // precision within wire precision - on even (4 ranks) and uneven (3 ranks)
 // band blocks, and with a reference block distinct from the target (the
-// one-sided fold a frozen MTS reference takes).
+// one-sided fold).
 func TestFockExchangeMatchesSerialOperator(t *testing.T) {
 	g, psi, nb := testGrid(t)
 	hyb := xc.HSE06()
@@ -177,9 +177,8 @@ func TestFockExchangeMatchesSerialOperator(t *testing.T) {
 		frozenRef bool
 		tol       float64
 	}{
-		{"bcast", 4, ExchangeOptions{Strategy: BcastSequential}, false, 1e-12},
-		{"overlap", 4, ExchangeOptions{Strategy: BcastOverlapped}, false, 1e-12},
-		{"bcast_single", 4, ExchangeOptions{Strategy: BcastSequential, SinglePrecision: true}, false, 1e-5},
+		{"overlap", 4, ExchangeOptions{}, false, 1e-12},
+		{"overlap_single", 4, ExchangeOptions{SinglePrecision: true}, false, 1e-5},
 		{"overlap_uneven", 3, ExchangeOptions{}, false, 1e-12},
 		{"overlap_uneven_single", 3, ExchangeOptions{SinglePrecision: true}, false, 1e-5},
 		{"overlap_uneven_frozen", 3, ExchangeOptions{}, true, 1e-12},
@@ -216,24 +215,9 @@ func TestFockExchangeMatchesSerialOperator(t *testing.T) {
 	}
 }
 
-func TestParseStrategy(t *testing.T) {
-	for _, name := range StrategyNames() {
-		s, err := ParseStrategy(name)
-		if err != nil {
-			t.Errorf("ParseStrategy(%q): %v", name, err)
-		}
-		if s.String() != name {
-			t.Errorf("ParseStrategy(%q).String() = %q", name, s.String())
-		}
-	}
-	if _, err := ParseStrategy("banana"); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-}
-
-// TestCommunicationIsMetered pins the exchange schedules to their
-// collective classes: the reference bands bill to MPI_Bcast, nothing to
-// Send/Recv, and single precision halves the shipped volume.
+// TestCommunicationIsMetered pins the exchange to its collective classes:
+// the reference bands bill to MPI_Bcast, nothing to Send/Recv, and single
+// precision halves the shipped volume.
 func TestCommunicationIsMetered(t *testing.T) {
 	g, psi, nb := testGrid(t)
 	// The pair symmetry changes who solves what, not what is shipped out: a
@@ -241,25 +225,22 @@ func TestCommunicationIsMetered(t *testing.T) {
 	// bytes, plus the mirrored rows going home - every rank returns one
 	// sphere row per band it does not own, (NB - nbl) x NG x 16 B, in one
 	// Alltoallv. The one-sided fold returns nothing.
-	for _, strat := range strategies {
-		_, _, sym := applyExchange(t, g, psi, nb, 4, ExchangeOptions{Strategy: strat}, false)
-		_, _, one := applyExchange(t, g, psi, nb, 4, ExchangeOptions{Strategy: strat}, true)
-		if sym.BytesFor(mpi.ClassBcast) == 0 || sym.BytesFor(mpi.ClassP2P) != 0 {
-			t.Errorf("%v billed Bcast=%d P2P=%d", strat, sym.BytesFor(mpi.ClassBcast), sym.BytesFor(mpi.ClassP2P))
-		}
-		if sym.BytesFor(mpi.ClassBcast) != one.BytesFor(mpi.ClassBcast) {
-			t.Errorf("%v: self-referenced application bills %d Bcast bytes, one-sided %d", strat, sym.BytesFor(mpi.ClassBcast), one.BytesFor(mpi.ClassBcast))
-		}
-		if got, want := sym.BytesFor(mpi.ClassAlltoallv), int64(4*(nb-nb/4)*g.NG*16); got != want {
-			t.Errorf("%v: self-referenced application returns %d Alltoallv bytes, want %d", strat, got, want)
-		}
-		if one.BytesFor(mpi.ClassAlltoallv) != 0 {
-			t.Errorf("%v: one-sided application bills %d Alltoallv bytes, want 0", strat, one.BytesFor(mpi.ClassAlltoallv))
-		}
+	_, _, sym := applyExchange(t, g, psi, nb, 4, ExchangeOptions{}, false)
+	_, _, one := applyExchange(t, g, psi, nb, 4, ExchangeOptions{}, true)
+	if sym.BytesFor(mpi.ClassBcast) == 0 || sym.BytesFor(mpi.ClassP2P) != 0 {
+		t.Errorf("billed Bcast=%d P2P=%d", sym.BytesFor(mpi.ClassBcast), sym.BytesFor(mpi.ClassP2P))
 	}
-	_, _, bc := applyExchange(t, g, psi, nb, 4, ExchangeOptions{Strategy: BcastSequential}, false)
-	_, _, bcS := applyExchange(t, g, psi, nb, 4, ExchangeOptions{Strategy: BcastSequential, SinglePrecision: true}, false)
-	ratio := float64(bc.BytesFor(mpi.ClassBcast)) / float64(bcS.BytesFor(mpi.ClassBcast))
+	if sym.BytesFor(mpi.ClassBcast) != one.BytesFor(mpi.ClassBcast) {
+		t.Errorf("self-referenced application bills %d Bcast bytes, one-sided %d", sym.BytesFor(mpi.ClassBcast), one.BytesFor(mpi.ClassBcast))
+	}
+	if got, want := sym.BytesFor(mpi.ClassAlltoallv), int64(4*(nb-nb/4)*g.NG*16); got != want {
+		t.Errorf("self-referenced application returns %d Alltoallv bytes, want %d", got, want)
+	}
+	if one.BytesFor(mpi.ClassAlltoallv) != 0 {
+		t.Errorf("one-sided application bills %d Alltoallv bytes, want 0", one.BytesFor(mpi.ClassAlltoallv))
+	}
+	_, _, single := applyExchange(t, g, psi, nb, 4, ExchangeOptions{SinglePrecision: true}, false)
+	ratio := float64(sym.BytesFor(mpi.ClassBcast)) / float64(single.BytesFor(mpi.ClassBcast))
 	if math.Abs(ratio-2) > 1e-9 {
 		t.Errorf("single precision volume ratio %g, want 2", ratio)
 	}
@@ -267,19 +248,24 @@ func TestCommunicationIsMetered(t *testing.T) {
 
 // TestExchangePipelinesDoNotInflateVolume: broadcast-ahead changes when
 // payloads move, never how much moves. The overlapped pipeline must bill
-// exactly the sequential schedule's bytes, and both return their mirrored
-// rows through one Alltoallv of one sphere row per band a rank does not own.
+// exactly one tree broadcast per reference band - every other rank receives
+// it once - and return the mirrored rows through one Alltoallv of one
+// sphere row per band a rank does not own; no other exchange traffic (the
+// test's gather bills Allgatherv).
 func TestExchangePipelinesDoNotInflateVolume(t *testing.T) {
 	g, psi, nb := testGrid(t)
-	_, _, seq := applyExchange(t, g, psi, nb, 4, ExchangeOptions{Strategy: BcastSequential}, false)
-	_, _, ovl := applyExchange(t, g, psi, nb, 4, ExchangeOptions{Strategy: BcastOverlapped}, false)
-	if ovl.TotalBytes() != seq.TotalBytes() {
-		t.Errorf("overlapped pipeline ships %d bytes, sequential %d", ovl.TotalBytes(), seq.TotalBytes())
+	const ranks = 4
+	_, _, ovl := applyExchange(t, g, psi, nb, ranks, ExchangeOptions{}, false)
+	row := int64(g.NG * 16)
+	if got, want := ovl.BytesFor(mpi.ClassBcast), int64(nb*(ranks-1))*row; got != want {
+		t.Errorf("overlapped pipeline broadcasts %d bytes, want %d", got, want)
 	}
-	for _, st := range []*mpi.Stats{seq, ovl} {
-		if got, want := st.BytesFor(mpi.ClassAlltoallv), int64(4*(nb-nb/4)*g.NG*16); got != want {
-			t.Errorf("return stage ships %d Alltoallv bytes, want %d", got, want)
-		}
+	ret := int64(ranks*(nb-nb/ranks)) * row
+	if got := ovl.BytesFor(mpi.ClassAlltoallv); got != ret {
+		t.Errorf("return stage ships %d Alltoallv bytes, want %d", got, ret)
+	}
+	if p2p, ar := ovl.BytesFor(mpi.ClassP2P), ovl.BytesFor(mpi.ClassAllreduce); p2p != 0 || ar != 0 {
+		t.Errorf("exchange bills %d P2P and %d Allreduce bytes, want none", p2p, ar)
 	}
 }
 
@@ -304,7 +290,7 @@ func TestFetchPipelineForwardsFaults(t *testing.T) {
 		}
 		lo, hi := d.BandRange(c.Rank())
 		local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
-		d.FockExchangeWS(local, local, kernel, hyb.Alpha, ExchangeOptions{Strategy: BcastOverlapped}, d.NewExchangeWorkspace())
+		d.FockExchangeWS(local, local, kernel, hyb.Alpha, ExchangeOptions{}, d.NewExchangeWorkspace())
 	})
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
 		t.Fatalf("exchange under injected crash took %v", elapsed)

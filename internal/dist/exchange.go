@@ -1,75 +1,23 @@
-// Fock-exchange communication: the two broadcast schedules of section 3.2
-// for shipping the reference orbitals phi to every rank, and the distributed
-// application of the screened exchange operator to the local band block.
+// Fock-exchange communication: the overlapped broadcast pipeline of section
+// 3.2 that ships the reference orbitals phi to every rank, and the
+// distributed application of the screened exchange operator to the local
+// band block.
 package dist
 
 import (
-	"fmt"
-	"strings"
-
 	"ptdft/internal/fock"
 	"ptdft/internal/lanes"
 	"ptdft/internal/mpi"
 	"ptdft/internal/parallel"
 )
 
-// ExchangeStrategy selects how the exchange reference orbitals travel.
-type ExchangeStrategy int
+// ExchangeStrategy names the exchange schedule. The overlapped pipeline is
+// the only one, so the type carries no value; bench/ still names
+// ExchangeOptions.Strategy.
+type ExchangeStrategy struct{}
 
-const (
-	// BcastOverlapped posts the broadcast of band i+1 while band i is
-	// being folded into the local accumulators, hiding the broadcast
-	// latency behind the FFT work (section 3.2, optimization 5 - the
-	// paper overlaps MPI_Bcast with GPU computation the same way). The
-	// zero value, and the default of every front end.
-	BcastOverlapped ExchangeStrategy = iota
-	// BcastSequential broadcasts each reference band from its owner in
-	// global band order and computes its contribution before the next
-	// broadcast starts - the paper's baseline binomial-tree scheme
-	// (section 3.2, optimization 3).
-	BcastSequential
-)
-
-// strategyTable is the single source of truth for strategy names: String,
-// StrategyNames and ParseStrategy all derive from it, so adding a strategy
-// means adding exactly one row.
-var strategyTable = []struct {
-	strategy ExchangeStrategy
-	name     string
-}{
-	{BcastOverlapped, "overlap"},
-	{BcastSequential, "bcast"},
-}
-
-// String names the strategy as the -exchange flag spells it.
-func (s ExchangeStrategy) String() string {
-	for _, e := range strategyTable {
-		if e.strategy == s {
-			return e.name
-		}
-	}
-	return fmt.Sprintf("ExchangeStrategy(%d)", int(s))
-}
-
-// StrategyNames lists the recognized strategy names in flag order.
-func StrategyNames() []string {
-	names := make([]string, len(strategyTable))
-	for i, e := range strategyTable {
-		names[i] = e.name
-	}
-	return names
-}
-
-// ParseStrategy resolves a CLI name to a strategy, rejecting unknown names
-// instead of silently mapping them to the zero value.
-func ParseStrategy(name string) (ExchangeStrategy, error) {
-	for _, e := range strategyTable {
-		if e.name == name {
-			return e.strategy, nil
-		}
-	}
-	return 0, fmt.Errorf("dist: unknown exchange strategy %q (valid: %s)", name, strings.Join(StrategyNames(), ", "))
-}
+// String names the schedule as stored specs spell it.
+func (ExchangeStrategy) String() string { return "overlap" }
 
 // ExchangeOptions bundle the communication choices for one exchange
 // application. SinglePrecision down-converts the orbital payloads to
@@ -81,24 +29,19 @@ type ExchangeOptions struct {
 	SinglePrecision bool
 
 	// ACE applies the Fock operator through the distributed adaptively
-	// compressed exchange (dist.ACE): Xi is constructed collectively with
-	// the selected strategy and each application costs two layout
-	// transposes plus one nb x nb Allreduce instead of nb broadcasts and
-	// the pair solves. Consumed by PTCNSolver; FockExchange itself always
-	// applies the exact operator.
+	// compressed exchange (dist.ACE), held with period MTSPeriod: each
+	// application costs two layout transposes plus one nb x nb Allreduce
+	// instead of nb broadcasts and the pair solves. Consumed by PTCNSolver;
+	// FockExchange itself always applies the exact operator.
 	ACE bool
-	// MTSPeriod enables multiple time stepping (Mandal et al.,
-	// arXiv:2110.07670, adapted to the PT-CN gauge): the hybrid exchange
-	// operator is refreshed from Psi_n only on "outer" steps - every M-th
-	// step - and the frozen operator (the held Xi in ACE mode, the frozen
-	// reference orbitals of the exact operator otherwise) propagates the
-	// M-1 intermediate steps together with the per-step semi-local
-	// physics. 0 disables MTS: the operator is rebuilt from the iterate at
-	// every refresh, which keeps PT+ACE numerically equivalent to the
-	// exact-exchange path (the compression is exact on its own reference
-	// span). 1 makes every step an outer step - with ACE, Xi is built once
-	// per step from Psi_n and held through the inner SCF iterations, the
-	// Jia & Lin cadence (arXiv:1809.09609). PTCNSolver runs it as CN.MTS.
+	// MTSPeriod is the ACE hold period M >= 1, set exactly when ACE is
+	// (Mandal et al., arXiv:2110.07670, adapted to the PT-CN gauge): Xi is
+	// rebuilt from Psi_n only on outer steps - every M-th step - and held
+	// through the inner SCF iterations and the M-1 intermediate steps,
+	// while the semi-local physics advances every step. M = 1 is the Jia &
+	// Lin cadence (arXiv:1809.09609). Without ACE the exact operator acts on
+	// the iterate at every residual and there is no cadence. PTCNSolver
+	// runs it as CN.MTS.
 	MTSPeriod int
 }
 
@@ -210,9 +153,9 @@ func selfReferenced(phi, psi []complex128) bool {
 // FockExchangeWS applies the distributed screened Fock exchange
 // V_X[phi] psi_j for every local band j and returns the band-major result
 // (sphere coefficients): each reference band phi_i - owned rank by rank
-// across the communicator - is delivered to every rank by the selected
-// strategy and folded into the local accumulators with one fused FFT
-// Poisson solve per (i, j) pair, the Alg. 2 inner loop. phi and psi are
+// across the communicator - is broadcast to every rank and folded into the
+// local accumulators with one fused FFT Poisson solve per (i, j) pair, the
+// Alg. 2 inner loop. phi and psi are
 // this rank's band blocks; kernel is the screened Coulomb kernel K(G) on
 // the wavefunction box (fock.BuildKernel); alpha is the exchange mixing
 // fraction. The scratch is the caller's: the returned slice is ws.vx and
@@ -265,11 +208,7 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 	ws.wss[0].Pairs.Start(d.G, kernel, alpha, ws.wss[:nw])
 	ws.heldBand, ws.nheld = [lanes.Width]int{-1, -1, -1, -1, -1, -1, -1, -1}, 0
 
-	if opt.Strategy == BcastSequential {
-		d.exchangeBcastSequential(phi, opt.SinglePrecision, ws)
-	} else {
-		d.exchangeBcastOverlapped(phi, opt.SinglePrecision, ws)
-	}
+	d.broadcastBands(phi, opt.SinglePrecision, ws)
 
 	fftRef = d.C.Trace().Begin("fft_from_real", "fft")
 	if nw <= 1 {
@@ -311,8 +250,8 @@ func (ws *ExchangeWorkspace) returnToOwners() {
 // process queues the pairs of global reference band i (sphere
 // coefficients) on worker 0's pair stream and, after the last band, solves
 // what is still queued; the contract span counts the band's solves. The
-// one-sided fold serves what cannot use the pair symmetry (a frozen MTS
-// reference, a single-precision wire), as Apply sits beside
+// one-sided fold serves what cannot use the pair symmetry (a single-precision
+// wire, a reference block that is not the target), as Apply sits beside
 // ApplyToReference: the held band against all nbl local rows.
 func (ws *ExchangeWorkspace) process(band []complex128, i int) {
 	d := ws.g
@@ -411,34 +350,24 @@ func (d *Ctx) bcastBand(buf []complex128, root, tag int, single bool) {
 	mpi.Bcast(d.C, root, tag, buf)
 }
 
-// exchangeBcastSequential delivers reference bands in global order, one
-// blocking broadcast each into the workspace wire buffer.
-func (d *Ctx) exchangeBcastSequential(phi []complex128, single bool, ws *ExchangeWorkspace) {
+// broadcastBands delivers the reference bands in global order and folds
+// each into the accumulators. The broadcast of band i+1 runs on its own
+// goroutine (distinct tag, so the Comm handle is safe) while band i is
+// folded, hiding the broadcast behind the FFT work (section 3.2,
+// optimization 5 - the paper overlaps MPI_Bcast with GPU computation the
+// same way). The two wire buffers ping-pong so the in-flight fetch never
+// touches the band being processed. One rank has no broadcast to hide and
+// runs the loop goroutine-free.
+func (d *Ctx) broadcastBands(phi []complex128, single bool, ws *ExchangeWorkspace) {
 	ng := d.G.NG
-	myLo, _ := d.BandRange(d.C.Rank())
-	buf := ws.band[0]
-	for i := 0; i < d.NB; i++ {
-		owner := d.bandOwner(i)
-		if owner == d.C.Rank() {
-			copy(buf, phi[(i-myLo)*ng:(i-myLo+1)*ng])
-		}
-		d.bcastBand(buf, owner, tagExchBcast+i, single)
-		ws.process(buf, i)
-	}
-}
-
-// exchangeBcastOverlapped pipelines the broadcasts: the fetch of band i+1
-// runs on its own goroutine (distinct tag, so the Comm handle is safe)
-// while band i is folded into the accumulators. The two wire buffers
-// ping-pong so the in-flight fetch never touches the band being processed.
-// On one rank there is no broadcast to hide and the pipeline degenerates to
-// the sequential loop (keeping the single-rank path goroutine-free).
-func (d *Ctx) exchangeBcastOverlapped(phi []complex128, single bool, ws *ExchangeWorkspace) {
 	if d.C.Size() == 1 {
-		d.exchangeBcastSequential(phi, single, ws)
+		for i := 0; i < d.NB; i++ {
+			copy(ws.band[0], phi[i*ng:(i+1)*ng])
+			d.bcastBand(ws.band[0], 0, tagExchBcast+i, single)
+			ws.process(ws.band[0], i)
+		}
 		return
 	}
-	ng := d.G.NG
 	myLo, _ := d.BandRange(d.C.Rank())
 	fetch := func(i int) {
 		go func() {

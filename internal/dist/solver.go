@@ -6,8 +6,8 @@
 //   - the charge density is accumulated from local bands and MPI_Allreduced
 //     (section 3.4), so every rank rebuilds an identical potential and the
 //     SCF convergence decision is symmetric across ranks;
-//   - the Fock exchange ships reference orbitals by the configured
-//     strategy (section 3.2);
+//   - the Fock exchange ships reference orbitals through the overlapped
+//     broadcast pipeline (section 3.2);
 //   - the PT residual projection and the Trsm orthogonalization run in the
 //     G-space layout after an Alltoallv transpose (sections 3.3-3.4),
 //     where every rank holds all bands over its G slab and the nb x nb
@@ -33,8 +33,8 @@ import (
 // Crank-Nicolson integrator: core.CN's step body over collective band-block
 // operations. The Hamiltonian must be built without the hybrid term
 // (hamiltonian.Config{}); when useHybrid is set the solver applies the
-// exchange itself - through the distributed communication strategies, or
-// through the distributed ACE compression when Ex.ACE is set - since the
+// exchange itself - exact at every residual, or through the distributed ACE
+// compression held with period Ex.MTSPeriod when Ex.ACE is set - since the
 // reference orbitals live across ranks.
 type PTCNSolver struct {
 	core.CN
@@ -56,10 +56,8 @@ type PTCNSolver struct {
 	// iterations and the M-1 intermediate steps that follow.
 	aceStale bool
 	// mtsPhi is this rank's frozen exchange reference block, copied from
-	// Psi_n at the last outer step of a hold cadence. The exact-exchange
-	// path ships it as the reference of V_X[Phi_frozen]; the ACE path
-	// retains it only so checkpoints can persist the reference Xi was
-	// built from.
+	// Psi_n at the last outer step of a cadence with M > 1, so that a
+	// mid-cycle checkpoint can persist the reference Xi was built from.
 	mtsPhi []complex128
 	// vxFor marks, by storage as Hamiltonian.MarkPrepared does, the block
 	// whose V_X[Psi]Psi the energy observable left in the exchange
@@ -104,8 +102,13 @@ func (s *PTCNSolver) stepWS() *stepWorkspace {
 	return s.ws
 }
 
-// NewPTCNSolver builds the distributed propagator starting at t = 0.
+// NewPTCNSolver builds the distributed propagator starting at t = 0. ACE
+// and a hold period come together (ExchangeOptions.MTSPeriod); either one
+// alone is a programming error.
 func NewPTCNSolver(d *Ctx, h *hamiltonian.Hamiltonian, hyb xc.HybridParams, useHybrid bool, field laser.Field, opt core.PTCNOptions, ex ExchangeOptions) *PTCNSolver {
+	if ex.ACE != (ex.MTSPeriod > 0) {
+		panic(fmt.Sprintf("dist: ACE is held with a period M >= 1 and nothing else has one (ACE %v, MTSPeriod %d)", ex.ACE, ex.MTSPeriod))
+	}
 	s := &PTCNSolver{CN: core.CN{Opt: opt, MTS: ex.MTSPeriod}, D: d, H: h, Hyb: hyb, Hybrid: useHybrid, Field: field, Ex: ex, Occ: 2}
 	if useHybrid {
 		s.kernel = fock.BuildKernel(d.G, hyb)
@@ -167,15 +170,15 @@ func (s *PTCNSolver) exchangeWS() *ExchangeWorkspace {
 	return s.exWS
 }
 
-// exchange applies the distributed Fock exchange V_X[phi] psi through the
-// solver's reusable workspace, so the per-iteration exchange performs no
-// band-block allocations. phi is the reference block the strategies ship
-// (the iterate itself, or the frozen MTS reference).
-func (s *PTCNSolver) exchange(phi, psi []complex128) []complex128 {
-	if vx := s.keptVX(psi); vx != nil && selfReferenced(phi, psi) {
+// exchange applies the distributed Fock exchange V_X[Psi] Psi to this rank's
+// block through the solver's reusable workspace, so the per-iteration
+// exchange performs no band-block allocations - or hands out the product the
+// energy observable kept for this very block.
+func (s *PTCNSolver) exchange(local []complex128) []complex128 {
+	if vx := s.keptVX(local); vx != nil {
 		return vx
 	}
-	return s.D.FockExchangeWS(phi, psi, s.kernel, s.Hyb.Alpha, s.Ex, s.exchangeWS())
+	return s.D.FockExchangeWS(local, local, s.kernel, s.Hyb.Alpha, s.Ex, s.exchangeWS())
 }
 
 // keptVX returns the V_X[Psi]Psi the energy observable left behind for this
@@ -201,8 +204,8 @@ func (s *PTCNSolver) freezeRef(local []complex128) {
 }
 
 // MTSRef exposes this rank's frozen exchange reference block (nil before
-// the first outer step or when no hold cadence is active). Checkpointing
-// gathers it so a resumed segment can reconstruct the frozen operator.
+// the first outer step or when no cadence with M > 1 is active).
+// Checkpointing gathers it so a resumed segment can rebuild the held Xi.
 func (s *PTCNSolver) MTSRef() []complex128 {
 	if s.MTS <= 0 {
 		return nil
@@ -221,31 +224,26 @@ func (s *PTCNSolver) ResumeMTS(phase int, phiRef []complex128) error {
 		return err
 	}
 	s.freezeRef(phiRef)
-	if s.Ex.ACE {
-		if s.ace == nil {
-			s.ace = s.D.NewACE()
-		}
-		if err := s.ace.Rebuild(s.mtsPhi, nil, s.kernel, s.Hyb.Alpha, s.Ex, s.exchangeWS()); err != nil {
-			return err
-		}
-		s.aceStale = false
+	if s.ace == nil {
+		s.ace = s.D.NewACE()
 	}
+	if err := s.ace.Rebuild(s.mtsPhi, nil, s.kernel, s.Hyb.Alpha, s.Ex, s.exchangeWS()); err != nil {
+		return err
+	}
+	s.aceStale = false
 	return nil
 }
 
 // applyH computes H psi into hp for the local band block: the semi-local
-// part per band, plus the distributed Fock exchange. With selfRef the exact
-// exchange takes the current block as its own reference (V_X[P] with P from
-// the iterate, as in Alg. 1 line 5 - and the first residual of an MTS outer
-// step, whose frozen reference was copied from this very block); otherwise
-// the reference is the Psi_n frozen at the last MTS outer step. localG
-// is the caller's transpose of local into the G layout, reused by the ACE
-// build and application so the iterate crosses the wire once per residual.
-// In ACE mode the exchange goes through the compressed operator, rebuilt
-// per the configured cadence; a failed rebuild (degenerate reference set)
-// is a loud, rank-symmetric error, never a silent fallback to the exact
+// part per band, plus the distributed Fock exchange - exact, with the block
+// as its own reference (V_X[P] with P from the iterate, as in Alg. 1 line
+// 5), or through the held ACE operator, rebuilt from this very block when
+// an outer step marked it stale. localG is the caller's transpose of local
+// into the G layout, reused by the ACE build and application so the iterate
+// crosses the wire once per residual. A failed rebuild (degenerate reference
+// set) is a loud, rank-symmetric error, never a silent fallback to the exact
 // operator.
-func (s *PTCNSolver) applyH(hp, local, localG []complex128, selfRef bool) error {
+func (s *PTCNSolver) applyH(hp, local, localG []complex128) error {
 	nbl := len(local) / s.D.G.NG
 	s.H.Apply(hp, local, nbl)
 	if !s.Hybrid {
@@ -255,7 +253,7 @@ func (s *PTCNSolver) applyH(hp, local, localG []complex128, selfRef bool) error 
 		if s.ace == nil {
 			s.ace = s.D.NewACE()
 		}
-		if s.aceStale || s.MTS <= 0 {
+		if s.aceStale {
 			if err := s.ace.rebuild(local, localG, s.keptVX(local), s.kernel, s.Hyb.Alpha, s.Ex, s.exchangeWS()); err != nil {
 				return err
 			}
@@ -264,13 +262,7 @@ func (s *PTCNSolver) applyH(hp, local, localG []complex128, selfRef bool) error 
 		s.ace.ApplyFromG(hp, localG)
 		return nil
 	}
-	phi := local
-	if !selfRef {
-		// Exact exchange under a hold cadence: the frozen Psi_n of the
-		// last outer step is the reference the strategies ship.
-		phi = s.mtsPhi
-	}
-	vx := s.exchange(phi, local)
+	vx := s.exchange(local)
 	for i := range hp {
 		hp[i] += vx[i]
 	}
@@ -283,18 +275,16 @@ func (s *PTCNSolver) applyH(hp, local, localG []complex128, selfRef bool) error 
 // runs in the G-space layout: psi and H psi are transposed, the overlap is
 // accumulated slab-wise and allreduced, the projection applied per slab,
 // and the result transposed back - three Alltoallv and one Allreduce per
-// call (Fig. 1's data path). The exact exchange is self-referenced (see
-// applyH) at every residual without MTS and, under a hold cadence, at the
-// first residual of an outer step only. A kept exchange product serves the
-// first residual or nobody: a held ACE operator applies no exchange, and
-// the mark must not outlive it.
+// call (Fig. 1's data path). A kept exchange product serves the first
+// residual or nobody: a held ACE operator applies no exchange, and the mark
+// must not outlive it.
 func (s *PTCNSolver) Residual(local []complex128, first bool) ([]complex128, []complex128, error) {
 	ref := s.D.C.Trace().Begin("residual", "solver")
 	defer s.D.C.Trace().End(ref)
 	nb := s.D.NB
 	ws := s.stepWS()
 	s.D.BandToGWS(ws.psiG, local, false, ws.tw)
-	err := s.applyH(ws.hp, local, ws.psiG, s.MTS <= 0 || first && s.MTSPhase() == 0)
+	err := s.applyH(ws.hp, local, ws.psiG)
 	if first {
 		s.vxFor = nil
 	}
@@ -353,17 +343,14 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 	tr := s.D.C.Trace()
 	stepRef := tr.Begin("step", "step")
 	defer tr.EndN(stepRef, int64(s.StepIndex))
-	// Exchange refresh cadence. Outer steps (every step without MTS; every
-	// M-th step with it) mark the compressed operator stale - so the hold
-	// cadences rebuild from Psi_n at the step's first exchange application
-	// - and freeze the exact-path reference at Psi_n. Intermediate MTS
-	// steps touch neither: the operator of the last outer step propagates.
+	// ACE hold cadence. Outer steps (every M-th step) mark the compressed
+	// operator stale, so it is rebuilt from Psi_n at the step's first
+	// exchange application and held after; intermediate steps keep the
+	// operator of the last outer step. Only a mid-cycle checkpoint (M > 1)
+	// reads the Psi_n it was built from, so only then is it copied.
 	if s.MTSPhase() == 0 {
 		s.aceStale = true
-		// The frozen reference backs the exact-path application (any M)
-		// and mid-cycle checkpointing (M > 1); under ACE at M = 1 neither
-		// reads it, so the hold cadence skips the per-step copy.
-		if s.Hybrid && s.MTS > 0 && (!s.Ex.ACE || s.MTS > 1) {
+		if s.Hybrid && s.MTS > 1 {
 			s.freezeRef(local)
 		}
 	}
@@ -421,7 +408,7 @@ func (s *PTCNSolver) TotalEnergy(local []complex128, t float64) hamiltonian.Ener
 	part := []float64{eb.Kinetic, eb.Nonlocal, 0}
 	if s.Hybrid {
 		s.vxFor = nil // the observable never reads a kept product, it makes one
-		vx := s.exchange(local, local)
+		vx := s.exchange(local)
 		s.vxFor = &local[0]
 		var ex float64
 		for j := 0; j < nbl; j++ {

@@ -17,8 +17,6 @@ import (
 	"ptdft/internal/xc"
 )
 
-var strategies = []ExchangeStrategy{BcastOverlapped, BcastSequential}
-
 // applyExchange runs one FockExchange of the band set psi on `ranks` ranks
 // and returns the gathered result, the Poisson solves each rank's contract
 // spans counted, and the communication ledger. With oneSided every rank
@@ -64,8 +62,7 @@ func applyExchangeWith(t *testing.T, g *grid.Grid, hyb xc.HybridParams, psi []co
 	return vx, solves, stats
 }
 
-// TestStaticTriangleMatchesOneSided: under both schedules a
-// self-referenced application (the two-sided fold, rows returned to their
+// TestStaticTriangleMatchesOneSided: a self-referenced application (the two-sided fold, rows returned to their
 // owners) is the one-sided application and the serial operator's symmetric
 // path to round-off - on even and uneven blocks, at one and two fold
 // workers. On one rank it is the serial operator bit for bit: both run
@@ -91,33 +88,30 @@ func TestStaticTriangleMatchesOneSided(t *testing.T) {
 			want := make([]complex128, nb*g.NG)
 			fock.NewOperator(g, xc.HSE06(), psi, nb).ApplyToReference(want)
 			for _, ranks := range []int{1, 2, 3, 4} {
-				for _, strat := range strategies {
-					name := fmt.Sprintf("nb=%d workers=%d ranks=%d %v", nb, workers, ranks, strat)
-					opt := ExchangeOptions{Strategy: strat}
-					sym, symSolves, _ := applyExchange(t, g, psi, nb, ranks, opt, false)
-					one, oneSolves, _ := applyExchange(t, g, psi, nb, ranks, opt, true)
-					if d := wavefunc.MaxDiff(sym, one); d > 1e-12 {
-						t.Errorf("%s: self-referenced differs from one-sided by %g", name, d)
+				name := fmt.Sprintf("nb=%d workers=%d ranks=%d", nb, workers, ranks)
+				sym, symSolves, _ := applyExchange(t, g, psi, nb, ranks, ExchangeOptions{}, false)
+				one, oneSolves, _ := applyExchange(t, g, psi, nb, ranks, ExchangeOptions{}, true)
+				if d := wavefunc.MaxDiff(sym, one); d > 1e-12 {
+					t.Errorf("%s: self-referenced differs from one-sided by %g", name, d)
+				}
+				if d := wavefunc.MaxDiff(sym, want); d > 1e-12 || ranks == 1 && d != 0 {
+					t.Errorf("%s: self-referenced differs from fock.Operator.ApplyToReference by %g", name, d)
+				}
+				if n := total(oneSolves); n != nb*nb {
+					t.Errorf("%s: one-sided application solved %d pairs, want %d", name, n, nb*nb)
+				}
+				if n := total(symSolves); n != nb*(nb+1)/2 {
+					t.Errorf("%s: self-referenced application solved %d pairs, want %d", name, n, nb*(nb+1)/2)
+				}
+				for r, n := range symSolves {
+					nbl := int64((r+1)*nb/ranks - r*nb/ranks)
+					// Twice the distance from the even share, in integers.
+					off := 2*n - nbl*(nbl+1) - (int64(nb)-nbl)*nbl
+					if off < 0 {
+						off = -off
 					}
-					if d := wavefunc.MaxDiff(sym, want); d > 1e-12 || ranks == 1 && d != 0 {
-						t.Errorf("%s: self-referenced differs from fock.Operator.ApplyToReference by %g", name, d)
-					}
-					if n := total(oneSolves); n != nb*nb {
-						t.Errorf("%s: one-sided application solved %d pairs, want %d", name, n, nb*nb)
-					}
-					if n := total(symSolves); n != nb*(nb+1)/2 {
-						t.Errorf("%s: self-referenced application solved %d pairs, want %d", name, n, nb*(nb+1)/2)
-					}
-					for r, n := range symSolves {
-						nbl := int64((r+1)*nb/ranks - r*nb/ranks)
-						// Twice the distance from the even share, in integers.
-						off := 2*n - nbl*(nbl+1) - (int64(nb)-nbl)*nbl
-						if off < 0 {
-							off = -off
-						}
-						if off > nbl+2 {
-							t.Errorf("%s: rank %d (%d bands) solved %d pairs, more than nbl/2+1 off its even share", name, r, nbl, n)
-						}
+					if off > nbl+2 {
+						t.Errorf("%s: rank %d (%d bands) solved %d pairs, more than nbl/2+1 off its even share", name, r, nbl, n)
 					}
 				}
 			}

@@ -138,7 +138,6 @@ func RunTolerant(size int, p *Perturb, f func(c *Comm)) (*Stats, *Failure) {
 		panic("mpi: communicator size must be >= 1")
 	}
 	w := newWorld(size)
-	w.perturb = p
 	if p != nil {
 		w.deadline = p.Deadline
 		if w.fault = p.Fault; w.fault != nil && w.deadline == 0 {

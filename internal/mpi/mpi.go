@@ -203,9 +203,6 @@ type world struct {
 	sent  [][numClasses]atomic.Int64 // per source rank
 	recv  [][numClasses]atomic.Int64 // per destination rank
 
-	// perturb, when non-nil, injects wire latency; see RunPerturbed.
-	perturb *Perturb
-
 	// Hard-fault state (see fault.go): the injection plan, the peer-loss
 	// detection deadline (0 = wait forever), per-rank metered-operation
 	// counters for AfterCalls crashes, and the crash ledger.
@@ -246,14 +243,9 @@ func (c *Comm) SetTrace(t *trace.Track) { c.tr = t }
 // per-rank timeline without extra plumbing.
 func (c *Comm) Trace() *trace.Track { return c.tr }
 
-// Perturb is an injectable latency and failure model: simulated NIC delay,
-// so the overlap win is measurable without hardware, and hard faults. Every
-// field is optional.
+// Perturb is an injectable failure model: hard faults and the peer-loss
+// deadline that turns them into errors. Every field is optional.
 type Perturb struct {
-	// WireDelay, when non-nil, returns extra transit latency charged to the
-	// sender for each message of the given byte size from src to dst (NIC
-	// or link congestion). Return 0 for unaffected links.
-	WireDelay func(src, dst int, bytes int64) time.Duration
 	// Fault, when non-nil, arms hard-failure injection: scheduled rank
 	// crashes (see fault.go). Use RunTolerant to observe the failures
 	// instead of panicking.
@@ -273,9 +265,8 @@ func Run(size int, f func(c *Comm)) *Stats {
 	return RunPerturbed(size, nil, f)
 }
 
-// RunPerturbed is Run under a perturbation model: every message send is
-// delayed by p.WireDelay. A nil p (or nil fields) reproduces Run exactly.
-// Injected hard faults (p.Fault, or a tripped p.Deadline) end the run
+// RunPerturbed is Run under a perturbation model. A nil p (or nil fields)
+// reproduces Run exactly. Injected hard faults (p.Fault, or a tripped p.Deadline) end the run
 // with a panic naming every dead rank; use RunTolerant to observe them as
 // a value instead.
 func RunPerturbed(size int, p *Perturb, f func(c *Comm)) *Stats {
@@ -313,19 +304,13 @@ func (c *Comm) accountTransfer(to int, class OpClass, bytes int64) {
 	c.w.recv[to][class].Add(bytes)
 }
 
-// deliver copies data into the destination mailbox with accounting, and
-// charges the sender any injected wire latency for the (src, dst) link.
+// deliver copies data into the destination mailbox with accounting.
 func deliver[T Elem](c *Comm, to, tag int, data []T, class OpClass) {
 	bytes := int64(len(data)) * elemSize[T]()
 	ref := c.tr.Begin(class.String(), "xfer")
 	out := make([]T, len(data))
 	copy(out, data)
 	c.accountTransfer(to, class, bytes)
-	if p := c.w.perturb; p != nil && p.WireDelay != nil {
-		if d := p.WireDelay(c.rank, to, bytes); d > 0 {
-			time.Sleep(d)
-		}
-	}
 	c.w.boxes[c.rank][to].put(tag, out)
 	c.tr.EndBytes(ref, bytes)
 }

@@ -20,7 +20,7 @@ import (
 func e2eSpec(steps int) sim.Spec {
 	return sim.Spec{
 		Cells: [3]int{1, 1, 1}, Ecut: 2, Method: "ptcn",
-		DtAs: 24, Steps: steps, Kick: 0.02, Seed: 1234, Exchange: "bcast",
+		DtAs: 24, Steps: steps, Kick: 0.02, Seed: 1234,
 	}
 }
 

@@ -86,7 +86,7 @@ type Options struct {
 	// of absolute time, which the checkpoint carries. 0 means Spec.Steps.
 	PulseSteps int
 	// Perturb, when set, returns the perturbation model (fault injection,
-	// peer-loss deadline, wire delay) the distributed world of launch
+	// peer-loss deadline) the distributed world of launch
 	// `attempt` runs under; attempt 0 is the first launch, each recovery
 	// relaunch asks again. Set by the fault experiments and tests, nil in
 	// production. A one-rank PT-CN run has a world too; only RK4 has none
@@ -157,7 +157,6 @@ type runner struct {
 	g      *grid.Grid
 	nb     int
 	natom  int64
-	ex     dist.ExchangeStrategy
 	field  laser.Field
 	dt     float64
 	t0     float64
@@ -232,13 +231,9 @@ func Run(spec *Spec, opt Options) (*Result, error) {
 		opt.logf("resumed at t = %.2f as (step %d)", units.AUToAttoseconds(st.Time), st.Step)
 	}
 
-	ex, err := spec.ExchangeStrategy()
-	if err != nil {
-		return nil, err
-	}
 	r := &runner{
 		spec: spec, opt: &opt, g: g, nb: nb, natom: int64(cell.NumAtoms()),
-		ex: ex, field: field, dt: units.AttosecondsToAU(spec.DtAs), t0: t0,
+		field: field, dt: units.AttosecondsToAU(spec.DtAs), t0: t0,
 		loaded: opt.Resume, psiGS: gs.Psi, psi0: psiStart, res: res,
 	}
 	r.start = r.baseStep()
@@ -317,17 +312,13 @@ func (r *runner) propagate(cell *lattice.Cell) error {
 	}
 	op := "none (semi-local)"
 	switch {
-	case spec.Hybrid && spec.MTS > 0 && spec.ACE:
-		op = fmt.Sprintf("ACE frozen between outer steps (MTS M=%d)", spec.MTS)
-	case spec.Hybrid && spec.MTS > 0:
-		op = fmt.Sprintf("exact exchange frozen between outer steps (MTS M=%d)", spec.MTS)
-	case spec.Hybrid && spec.ACE:
-		op = "ACE (rebuilt per refresh)"
+	case spec.ACE:
+		op = fmt.Sprintf("ACE held between outer steps (MTS M=%d)", spec.MTS)
 	case spec.Hybrid:
 		op = "exact exchange"
 	}
 	ranks := max(spec.Ranks, 1)
-	opt.logf("distributed: %d ranks, exchange strategy %v, operator %s, single precision %v", ranks, r.ex, op, spec.SinglePrec)
+	opt.logf("distributed: %d ranks, operator %s, single precision %v", ranks, op, spec.SinglePrec)
 	var stats *mpi.Stats
 	for attempt := 0; ; attempt++ {
 		var p *mpi.Perturb
@@ -438,7 +429,7 @@ type engine struct {
 // RK4 has no inner SCF, so the per-step SCF count stays 0.
 func (r *runner) runRK4(cell *lattice.Cell) error {
 	spec := r.spec
-	h := hamiltonian.New(r.g, spec.Pots(), hamiltonian.Config{Hybrid: spec.Hybrid, UseACE: spec.ACE, Params: xc.HSE06()})
+	h := hamiltonian.New(r.g, spec.Pots(), hamiltonian.Config{Hybrid: spec.Hybrid, Params: xc.HSE06()})
 	tr := r.opt.Trace.Track(0, "rank 0")
 	h.SetTrace(tr)
 	sys := &core.System{G: r.g, H: h, NB: r.nb, Occ: 2, Field: r.field, Tr: tr}
@@ -446,7 +437,7 @@ func (r *runner) runRK4(cell *lattice.Cell) error {
 	rk.Time = r.t0
 	psi := wavefunc.Clone(r.psi0)
 	var scf int
-	err := r.loop(&engine{
+	return r.loop(&engine{
 		root: true, tr: tr, cell: cell, scf: &scf,
 		reached: func(int64) {},
 		step: func(dt float64) error {
@@ -464,17 +455,6 @@ func (r *runner) runRK4(cell *lattice.Cell) error {
 		gather: func() ([]complex128, int, []complex128) { return psi, 0, nil },
 		agree:  func(flag bool) bool { return flag },
 	})
-	// Report which exchange operator actually propagated the run: a
-	// degenerate reference set downgrades an ACE refresh to the exact
-	// operator, and that must never stay invisible.
-	if err == nil && spec.ACE {
-		if n, lastErr := h.ACEFallbacks(); n > 0 {
-			r.opt.logf("exchange operator: ACE with %d refresh(es) fallen back to exact exchange (last failure: %v)", n, lastErr)
-		} else {
-			r.opt.logf("exchange operator: ACE (no fallbacks)")
-		}
-	}
-	return err
 }
 
 // distEngine propagates this rank's band block with dist.PTCNSolver
@@ -502,7 +482,6 @@ func (r *runner) distEngine(c *mpi.Comm, cell *lattice.Cell) (*engine, error) {
 	}
 	h := hamiltonian.New(g, spec.Pots(), hamiltonian.Config{IonDynamics: spec.MD})
 	s := dist.NewPTCNSolver(d, h, xc.HSE06(), spec.Hybrid, r.field, core.DefaultPTCN(), dist.ExchangeOptions{
-		Strategy:        r.ex,
 		SinglePrecision: spec.SinglePrec,
 		ACE:             spec.ACE,
 		MTSPeriod:       spec.MTS,
@@ -605,7 +584,7 @@ func (r *runner) loop(e *engine) error {
 		st := &checkpoint.State{
 			Time: e.now(), Step: checkpoint.ContinuationStep(r.loaded, done*k), NBands: r.nb, NG: r.g.NG,
 			Natom: r.natom, Ecut: spec.Ecut, Hybrid: spec.Hybrid, Psi: psi,
-			MTSPeriod: int64(spec.MTS), MTSPhase: int64(phase), MTSACE: spec.ACE && spec.MTS > 0,
+			MTSPeriod: int64(spec.MTS), MTSPhase: int64(phase), MTSACE: spec.ACE,
 			PhiRef: ref,
 		}
 		if v != nil {

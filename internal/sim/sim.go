@@ -41,8 +41,8 @@ type Spec struct {
 	Cells      [3]int  `json:"cells"`                 // supercell repetitions (8 Si atoms per cell)
 	Ecut       float64 `json:"ecut"`                  // kinetic energy cutoff (Ha)
 	Hybrid     bool    `json:"hybrid,omitempty"`      // HSE-like screened-exchange functional
-	ACE        bool    `json:"ace,omitempty"`         // apply exchange through the ACE compression
-	MTS        int     `json:"mts,omitempty"`         // exchange refresh period M (0 = off)
+	ACE        bool    `json:"ace,omitempty"`         // apply exchange through the ACE compression, held for mts steps
+	MTS        int     `json:"mts,omitempty"`         // ACE refresh period M >= 1 (0 without ace)
 	Method     string  `json:"method,omitempty"`      // "ptcn" (default) or "rk4"
 	DtAs       float64 `json:"dt_as,omitempty"`       // electronic time step in attoseconds (default 24)
 	Steps      int     `json:"steps"`                 // propagation steps (electronic; ignored under MD)
@@ -50,7 +50,7 @@ type Spec struct {
 	PulseE0    float64 `json:"pulse_e0,omitempty"`    // 380nm pulse peak field (Ha/bohr); overrides Kick
 	Ranks      int     `json:"ranks,omitempty"`       // goroutine-MPI ranks (0/1 = serial)
 	Seed       int64   `json:"seed,omitempty"`        // ground-state starting-guess seed
-	Exchange   string  `json:"exchange,omitempty"`    // distributed exchange strategy (default "overlap")
+	Exchange   string  `json:"exchange,omitempty"`    // legacy: "overlap", the one exchange schedule, or empty
 	SinglePrec bool    `json:"single_prec,omitempty"` // single-precision MPI payloads
 	MD         bool    `json:"md,omitempty"`          // Ehrenfest ion dynamics
 	IonSteps   int     `json:"ion_steps,omitempty"`   // ion MD steps (trajectory length under MD)
@@ -63,9 +63,6 @@ type Spec struct {
 func (s *Spec) Normalize() {
 	if s.Method == "" {
 		s.Method = "ptcn"
-	}
-	if s.Exchange == "" {
-		s.Exchange = "overlap"
 	}
 	if s.DtAs == 0 {
 		s.DtAs = 24
@@ -105,6 +102,15 @@ func (s *Spec) Validate() error {
 	case s.MTS > 0 && s.Method != "ptcn":
 		return fmt.Errorf("sim: mts is a PT-CN refresh cadence; method %s does not support it", s.Method)
 	}
+	// The hybrid space is exact exchange at every iteration or ACE held for
+	// M >= 1 steps; each other cadence is dominated by one of the two
+	// (EXPERIMENTS.md "One hybrid configuration").
+	switch {
+	case s.ACE && s.MTS == 0:
+		return &RemovedError{Config: "ace without mts (Xi rebuilt at every refresh)", Use: "ace with mts 1 (Xi built once per step), or exact exchange (no ace)"}
+	case s.MTS > 0 && !s.ACE:
+		return &RemovedError{Config: "mts without ace (exact exchange of a frozen reference)", Use: "ace with the same mts"}
+	}
 	if s.MD {
 		if s.Method != "ptcn" {
 			return fmt.Errorf("sim: md couples the ions to the PT-CN propagator; method %s does not support it", s.Method)
@@ -129,7 +135,7 @@ func (s *Spec) Validate() error {
 	if s.SinglePrec && s.Ranks <= 1 {
 		return fmt.Errorf("sim: single_prec rounds the orbital payloads sent between ranks; it needs ranks > 1, got %d", s.Ranks)
 	}
-	if _, err := dist.ParseStrategy(s.Exchange); err != nil {
+	if err := s.checkExchange(); err != nil {
 		return err
 	}
 	if s.Displace != "" {
@@ -204,9 +210,33 @@ func (s *Spec) System() (*lattice.Cell, *grid.Grid, int, error) {
 	return cell, g, cell.NumBands(), nil
 }
 
-// ExchangeStrategy resolves the spec's exchange strategy name.
+// RemovedError rejects a spec that asks for a configuration this version
+// deleted, naming the configuration that replaces it.
+type RemovedError struct {
+	Config string // what the spec asked for
+	Use    string // what to ask for instead
+}
+
+func (e *RemovedError) Error() string {
+	return fmt.Sprintf("sim: %s was removed; use %s", e.Config, e.Use)
+}
+
+// checkExchange accepts the legacy exchange field only as the one schedule,
+// so a stored record that names it still loads.
+func (s *Spec) checkExchange() error {
+	switch s.Exchange {
+	case "", "overlap":
+		return nil
+	case "bcast":
+		return &RemovedError{Config: `exchange "bcast"`, Use: `exchange "overlap" or no exchange field (the same bits)`}
+	}
+	return fmt.Errorf("sim: unknown exchange strategy %q (the one schedule is overlap)", s.Exchange)
+}
+
+// ExchangeStrategy returns the exchange schedule, rejecting what Validate
+// rejects.
 func (s *Spec) ExchangeStrategy() (dist.ExchangeStrategy, error) {
-	return dist.ParseStrategy(s.Exchange)
+	return dist.ExchangeStrategy{}, s.checkExchange()
 }
 
 // Functional names the exchange-correlation treatment of the ground-state

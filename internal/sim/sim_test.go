@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -25,7 +26,7 @@ import (
 func testSpec() Spec {
 	return Spec{
 		Cells: [3]int{1, 1, 1}, Ecut: 2, Method: "ptcn",
-		DtAs: 24, Steps: 6, Kick: 0.02, Seed: 1234, Exchange: "bcast",
+		DtAs: 24, Steps: 6, Kick: 0.02, Seed: 1234,
 	}
 }
 
@@ -67,10 +68,18 @@ func TestSpecValidateRules(t *testing.T) {
 		{"single_prec 1 rank", func(s *Spec) { s.SinglePrec = true; s.Ranks = 1 }, "ranks > 1"},
 		{"single_prec 2 ranks", func(s *Spec) { s.SinglePrec = true; s.Ranks = 2 }, ""},
 		{"bad exchange", func(s *Spec) { s.Exchange = "quantum" }, "strategy"},
-		// The schedules PR 21 removed fail like any unknown name, listing
-		// the two that remain.
-		{"removed exchange steal", func(s *Spec) { s.Exchange = "steal" }, "valid: overlap, bcast"},
-		{"removed exchange roundrobin", func(s *Spec) { s.Exchange = "roundrobin" }, "valid: overlap, bcast"},
+		// The exchange field survives for stored records: "overlap" is the
+		// one schedule, the older removed ones fail like any unknown name,
+		// and bcast - the same bits as overlap - names its replacement.
+		{"exchange overlap", func(s *Spec) { s.Exchange = "overlap" }, ""},
+		{"removed exchange steal", func(s *Spec) { s.Exchange = "steal" }, "the one schedule is overlap"},
+		{"removed exchange roundrobin", func(s *Spec) { s.Exchange = "roundrobin" }, "the one schedule is overlap"},
+		{"removed exchange bcast", func(s *Spec) { s.Exchange = "bcast" }, `was removed; use exchange "overlap"`},
+		// ACE rebuilt at every refresh is the exact step at a higher price,
+		// and exact exchange of a frozen reference costs more solves than
+		// exact exchange of the iterate: both name what replaces them.
+		{"ace without mts", func(s *Spec) { s.Hybrid, s.ACE = true, true }, "was removed; use ace with mts 1"},
+		{"mts without ace", func(s *Spec) { s.Hybrid, s.MTS = true, 4 }, "was removed; use ace with the same mts"},
 		{"bad displace", func(s *Spec) { s.Displace = "frog" }, "displace"},
 		{"indivisible bands", func(s *Spec) { s.Ranks = 3 }, "divisible"},
 	}
@@ -88,6 +97,10 @@ func TestSpecValidateRules(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v does not mention %q", err, tc.want)
 			}
+			var removed *RemovedError
+			if errors.As(err, &removed) != strings.Contains(tc.want, "was removed") {
+				t.Errorf("error %v: typed as removed %v", err, removed != nil)
+			}
 		})
 	}
 }
@@ -96,7 +109,7 @@ func TestSpecValidateRules(t *testing.T) {
 func TestSpecNormalizeDefaults(t *testing.T) {
 	s := Spec{Cells: [3]int{1, 1, 1}, Ecut: 2, Steps: 1, MD: true, IonSteps: 1, ACE: true, MTS: 1, Hybrid: true, Ranks: 2}
 	s.Normalize()
-	if s.Method != "ptcn" || s.Exchange != "overlap" || s.DtAs != 24 || s.IonDtAs != 96 {
+	if s.Method != "ptcn" || s.DtAs != 24 || s.IonDtAs != 96 {
 		t.Errorf("defaults not filled: %+v", s)
 	}
 	// Defaults only: the cadence (here the Jia & Lin hold, ace + mts 1) is
@@ -107,12 +120,12 @@ func TestSpecNormalizeDefaults(t *testing.T) {
 }
 
 // TestZeroExchangeOptionsIsTheDefaultSchedule: a dist.ExchangeOptions{}
-// literal selects the schedule every front end defaults to.
+// literal selects the schedule a zero Spec resolves to, overlap.
 func TestZeroExchangeOptionsIsTheDefaultSchedule(t *testing.T) {
 	var s Spec
-	s.Normalize()
-	if zero := (dist.ExchangeOptions{}).Strategy.String(); zero != s.Exchange {
-		t.Errorf("dist.ExchangeOptions{} selects %q, a zero Spec normalizes to %q", zero, s.Exchange)
+	got, err := s.ExchangeStrategy()
+	if err != nil || got != (dist.ExchangeOptions{}).Strategy || got.String() != "overlap" {
+		t.Errorf("a zero Spec resolves to %q (%v), dist.ExchangeOptions{} to %q", got, err, (dist.ExchangeOptions{}).Strategy)
 	}
 }
 
@@ -213,7 +226,7 @@ func maxDiff3(a, b [][3]float64) float64 {
 func TestRunSplitEqualsContinuous(t *testing.T) {
 	lda := func(s *Spec) {}
 	aceMTS2 := func(s *Spec) { s.Hybrid, s.ACE, s.MTS = true, true, 2 }
-	exactMTS3 := func(s *Spec) { s.Hybrid, s.MTS = true, 3 }
+	aceMTS3 := func(s *Spec) { s.Hybrid, s.ACE, s.MTS = true, true, 3 }
 	ranks2 := func(s *Spec) { s.Ranks = 2 }
 	rk4 := func(s *Spec) { s.Method, s.DtAs = "rk4", 0.5 }
 	both := func(mods ...func(*Spec)) func(*Spec) {
@@ -229,17 +242,17 @@ func TestRunSplitEqualsContinuous(t *testing.T) {
 	}{
 		{runCase{"1-rank LDA", lda}, 6, 3},
 		{runCase{"1-rank ACE MTS2", aceMTS2}, 6, 3},
-		{runCase{"1-rank exact MTS3", exactMTS3}, 6, 2},
+		{runCase{"1-rank ACE MTS3", aceMTS3}, 6, 2},
 		{runCase{"serial RK4", rk4}, 6, 3},
 		{runCase{"2-rank LDA", ranks2}, 6, 3},
 		{runCase{"2-rank ACE MTS2", both(ranks2, aceMTS2)}, 6, 3},
-		{runCase{"2-rank exact MTS3", both(ranks2, exactMTS3)}, 6, 2},
+		{runCase{"2-rank ACE MTS3", both(ranks2, aceMTS3)}, 6, 2},
 		{runCase{"1-rank MD LDA", withMD(2)}, 3, 1},
 		{runCase{"1-rank MD ACE MTS2", both(aceMTS2, withMD(3))}, 3, 1},
-		{runCase{"1-rank MD exact MTS3", both(exactMTS3, withMD(2))}, 3, 1},
+		{runCase{"1-rank MD ACE MTS3", both(aceMTS3, withMD(2))}, 3, 1},
 		{runCase{"2-rank MD LDA", both(ranks2, withMD(2))}, 3, 1},
 		{runCase{"2-rank MD ACE MTS2", both(ranks2, aceMTS2, withMD(3))}, 3, 1},
-		{runCase{"2-rank MD exact MTS3", both(ranks2, exactMTS3, withMD(2))}, 3, 1},
+		{runCase{"2-rank MD ACE MTS3", both(ranks2, aceMTS3, withMD(2))}, 3, 1},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
