@@ -76,7 +76,6 @@ func parseFlags() (*config, error) {
 	flag.Int64Var(&s.Seed, "seed", 1234, "ground-state starting guess seed")
 	flag.StringVar(&c.csvPath, "csv", "", "write per-step observables to this CSV file")
 	flag.BoolVar(&c.quiet, "q", false, "suppress per-step output")
-	flag.BoolVar(&s.SinglePrec, "singleprec", false, "single-precision MPI payloads (distributed runs)")
 	flag.StringVar(&c.savePath, "save", "", "write a restart checkpoint here after the last step")
 	flag.StringVar(&c.loadPath, "load", "", "resume from a checkpoint instead of the ground state")
 	flag.IntVar(&c.ckptEvery, "ckptevery", 0, "write a durable rolling checkpoint every N steps (ion steps with -md) to the -save path; 0 = final save only")

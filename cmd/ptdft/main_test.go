@@ -126,15 +126,15 @@ func parseArgs(args ...string) (*flag.FlagSet, error) {
 }
 
 // TestRemovedFlagsAreUnknown: -acehold (the alias of -ace -mts 1),
-// -stealchunk and -exchange (overlap is the one schedule) are not
-// registered, and the cadence the alias named is accepted under its one
-// remaining spelling.
+// -stealchunk, -exchange (overlap is the one schedule) and -singleprec (the
+// wire is double precision) are not registered, and the cadence the alias
+// named is accepted under its one remaining spelling.
 func TestRemovedFlagsAreUnknown(t *testing.T) {
 	fs, err := parseArgs("-hybrid", "-ace", "-mts", "1")
 	if err != nil {
 		t.Fatalf("-hybrid -ace -mts 1 rejected: %v", err)
 	}
-	for _, name := range []string{"acehold", "stealchunk", "exchange"} {
+	for _, name := range []string{"acehold", "stealchunk", "exchange", "singleprec"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("-%s is still a flag", name)
 		}

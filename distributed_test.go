@@ -176,23 +176,6 @@ func TestDistributedFailsFastOnNonFiniteDensityError(t *testing.T) {
 	})
 }
 
-// TestDistributedStrategiesAgree runs one hybrid PT-CN step over the two
-// wire formats the exchange has left - double, and the orbital payloads
-// rounded to single precision: the propagation must stay within wire
-// precision of the double run.
-func TestDistributedStrategiesAgree(t *testing.T) {
-	g, psi0, nb := fixtureT(t)
-	const steps, dt = 1, 1.0
-	base, eBase, _ := propagate(t, g, psi0, nb, true, 4, steps, dt, dist.ExchangeOptions{})
-	got, e, _ := propagate(t, g, psi0, nb, true, 4, steps, dt, dist.ExchangeOptions{SinglePrecision: true})
-	if d := wavefunc.MaxDiff(base, got); d > 1e-4 {
-		t.Errorf("orbitals differ from the double-precision wire by %g (tol 1e-4)", d)
-	}
-	if d := math.Abs(e - eBase); d > 1e-4 {
-		t.Errorf("energy differs from the double-precision wire by %g (tol 1e-4)", d)
-	}
-}
-
 // TestDistributedACEHoldCadence: the Jia & Lin cadence (-ace -mts 1)
 // builds Xi from Psi_n once per step and holds it through the inner SCF,
 // trading the per-iteration exchange construction for a controlled
@@ -440,12 +423,6 @@ func TestKeptExchangeNeverServedStale(t *testing.T) {
 		kept   bool
 	}{
 		{"observed", exact, func(s *solver, local []complex128, energy func(*solver, []complex128), _ func() *solver) (*solver, []complex128) {
-			energy(s, local)
-			return s, local
-		}, true},
-		// The single-precision wire rounds the reference of the energy's
-		// application and of the residual's alike: the same product.
-		{"singleprec", dist.ExchangeOptions{SinglePrecision: true}, func(s *solver, local []complex128, energy func(*solver, []complex128), _ func() *solver) (*solver, []complex128) {
 			energy(s, local)
 			return s, local
 		}, true},

@@ -9,8 +9,7 @@
 // Construction (collective): W is computed band-block by band-block through
 // the exchange's broadcast pipeline - one exact application,
 // nb broadcasts, and the reference being Phi itself, one fused Poisson
-// solve per unordered pair, nb(nb+1)/2 over all ranks (nb x nbl per rank
-// on a single-precision wire, which forces the one-sided fold) - Phi and W
+// solve per unordered pair, nb(nb+1)/2 over all ranks - Phi and W
 // are transposed into the G layout with one MPI_Alltoallv each, the
 // nb x nb overlap -Phi^H W is accumulated slab-wise and MPI_Allreduced in
 // deterministic rank order, the Cholesky factorization is replicated on
@@ -80,8 +79,8 @@ func (d *Ctx) NewACE() *ACE {
 // local bands, sphere coefficients). phiG may carry the caller's already
 // transposed copy of phi in the G layout (the solver's residual holds one
 // anyway), saving one Alltoallv; pass nil to transpose internally.
-// kernel/alpha/opt select the screened kernel and the wire precision of the
-// W = V_X Phi stage; ex is the caller's exchange workspace
+// kernel, alpha and opt are the screened kernel, mixing fraction and options of
+// the W = V_X Phi stage; ex is the caller's exchange workspace
 // (the solver shares one across the exact and ACE paths). Collective: all
 // ranks must call it together; the Cholesky failure of a degenerate
 // reference set is symmetric across ranks and is returned loudly rather

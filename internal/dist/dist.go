@@ -1,11 +1,12 @@
 // Package dist implements the paper's section 3 parallelization on the
 // goroutine message-passing runtime of internal/mpi: the two-dimensional
 // band-index x G-space decomposition of Fig. 1, the MPI_Alltoallv layout
-// transpose between the two layouts, the two Fock-exchange communication
-// schedules of section 3.2 (sequential broadcast, broadcast overlapped
-// with computation), single-precision MPI payloads (optimization 4), and a
-// distributed PT-CN propagator that mirrors Algorithm 1 band-block by
-// band-block.
+// transpose between the two layouts, the Fock-exchange broadcast of
+// section 3.2 overlapped with computation (optimization 5) and folded over
+// unordered band pairs, and a distributed PT-CN propagator that mirrors
+// Algorithm 1 band-block by band-block. Every payload travels in double
+// precision; the paper's single-precision MPI (optimization 4) is modelled
+// by perf.Model, not run.
 //
 // Layouts. In the band-index layout each rank owns a contiguous block of
 // bands with every G coefficient of those bands: this is where H*Psi, the
@@ -46,7 +47,7 @@ const (
 	tagACE        = 90      // AllreduceSum consumes 90 and 91 (build overlap)
 	tagACEProj    = 100     // AllreduceSum consumes 100 and 101 (apply projections)
 	tagForces     = 110     // AllreduceSum consumes 110 and 111 (ion force partials)
-	tagExchReturn = 120     // returnToOwners: the pair-symmetric schedules' Alltoallv
+	tagExchReturn = 120     // returnToOwners: the pair-symmetric fold's Alltoallv
 	tagExchBcast  = 1 << 10 // + global band index
 )
 
@@ -171,23 +172,14 @@ func (d *Ctx) NewTransposeWorkspace() *TransposeWorkspace {
 	}
 }
 
-// roundSingle rounds a block through the single-precision wire format in
-// place, so a size-1 communicator sees the same rounding as a real transfer.
-func roundSingle(x []complex128) {
-	for i := range x {
-		x[i] = complex128(complex64(x[i]))
-	}
-}
-
 // BandToGWS transposes this rank's band-layout block (local bands x full
 // NG) into the G-space layout (all NB bands x local G slab, the
 // caller-owned dst) with one MPI_Alltoallv through the staging workspace
-// tw. When single is true the wire payload is down-converted to complex64,
-// halving the transpose volume (section 3.2, optimization 4); dst is
-// always complex128. Collective.
+// tw. single must be false: the parameter stays only because bench/ still
+// passes it. Collective.
 func (d *Ctx) BandToGWS(dst, local []complex128, single bool, tw *TransposeWorkspace) {
-	if d.Dims < 2 {
-		panic("dist: BandToG requires a dims=2 decomposition")
+	if d.Dims < 2 || single {
+		panic("dist: BandToG requires a dims=2 decomposition and the double-precision wire")
 	}
 	ng := d.G.NG
 	nbl := d.NumLocalBands()
@@ -200,12 +192,8 @@ func (d *Ctx) BandToGWS(dst, local []complex128, single bool, tw *TransposeWorks
 	}
 	size := d.C.Size()
 	if size == 1 {
-		// The two layouts coincide on one rank; only the wire rounding of
-		// the single-precision format remains observable.
+		// The two layouts coincide on one rank.
 		copy(dst, local)
-		if single {
-			roundSingle(dst)
-		}
 		return
 	}
 	off := 0
@@ -219,7 +207,7 @@ func (d *Ctx) BandToGWS(dst, local []complex128, single bool, tw *TransposeWorks
 		}
 		tw.send[r] = buf
 	}
-	recv := d.alltoallv(tw.send, tagBandToG, single)
+	recv := mpi.Alltoallv(d.C, tagBandToG, tw.send)
 	for r := 0; r < size; r++ {
 		blo, bhi := d.BandRange(r)
 		for j := 0; j < bhi-blo; j++ {
@@ -230,17 +218,18 @@ func (d *Ctx) BandToGWS(dst, local []complex128, single bool, tw *TransposeWorks
 
 // GToBand is the inverse transpose: from the G-space layout (all NB bands x
 // local G slab) back to this rank's band-layout block. Collective.
-func (d *Ctx) GToBand(gd []complex128, single bool) []complex128 {
+func (d *Ctx) GToBand(gd []complex128) []complex128 {
 	out := make([]complex128, d.NumLocalBands()*d.G.NG)
-	d.GToBandWS(out, gd, single, d.NewTransposeWorkspace())
+	d.GToBandWS(out, gd, false, d.NewTransposeWorkspace())
 	return out
 }
 
 // GToBandWS is GToBand with a caller-owned destination (local bands x NG)
-// and staging workspace. Collective.
+// and staging workspace; single must be false, as for BandToGWS.
+// Collective.
 func (d *Ctx) GToBandWS(dst, gd []complex128, single bool, tw *TransposeWorkspace) {
-	if d.Dims < 2 {
-		panic("dist: GToBand requires a dims=2 decomposition")
+	if d.Dims < 2 || single {
+		panic("dist: GToBand requires a dims=2 decomposition and the double-precision wire")
 	}
 	w := d.NumLocalG()
 	if len(gd) != d.NB*w {
@@ -254,9 +243,6 @@ func (d *Ctx) GToBandWS(dst, gd []complex128, single bool, tw *TransposeWorkspac
 	size := d.C.Size()
 	if size == 1 {
 		copy(dst, gd)
-		if single {
-			roundSingle(dst)
-		}
 		return
 	}
 	off := 0
@@ -269,7 +255,7 @@ func (d *Ctx) GToBandWS(dst, gd []complex128, single bool, tw *TransposeWorkspac
 		}
 		tw.send[r] = buf
 	}
-	recv := d.alltoallv(tw.send, tagGToBand, single)
+	recv := mpi.Alltoallv(d.C, tagGToBand, tw.send)
 	for r := 0; r < size; r++ {
 		rglo, rghi := d.GRange(r)
 		rw := rghi - rglo
@@ -277,23 +263,4 @@ func (d *Ctx) GToBandWS(dst, gd []complex128, single bool, tw *TransposeWorkspac
 			copy(dst[j*ng+rglo:j*ng+rghi], recv[r][j*rw:(j+1)*rw])
 		}
 	}
-}
-
-// alltoallv runs the personalized all-to-all in double or single wire
-// precision. In single mode every block - including the rank's own - is
-// passed through complex64, so all ranks see identically rounded data.
-func (d *Ctx) alltoallv(send [][]complex128, tag int, single bool) [][]complex128 {
-	if !single {
-		return mpi.Alltoallv(d.C, tag, send)
-	}
-	s32 := make([][]complex64, len(send))
-	for i := range send {
-		s32[i] = mpi.SingleOf(send[i])
-	}
-	r32 := mpi.Alltoallv(d.C, tag, s32)
-	out := make([][]complex128, len(r32))
-	for i := range r32 {
-		out[i] = mpi.DoubleOf(r32[i])
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -136,17 +135,11 @@ func TestTransposeRoundTrip(t *testing.T) {
 			local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
 			gd := make([]complex128, d.NB*d.NumLocalG())
 			tw := d.NewTransposeWorkspace()
-			// Double precision round trip is exact.
+			// The round trip is exact.
 			d.BandToGWS(gd, local, false, tw)
-			back := d.GToBand(gd, false)
+			back := d.GToBand(gd)
 			if diff := wavefunc.MaxDiff(local, back); diff != 0 {
-				t.Errorf("ranks=%d rank %d: double transpose round trip differs by %g", ranks, c.Rank(), diff)
-			}
-			// Single precision round trip loses only wire precision.
-			d.BandToGWS(gd, local, true, tw)
-			back = d.GToBand(gd, true)
-			if diff := wavefunc.MaxDiff(local, back); diff > 1e-6 {
-				t.Errorf("ranks=%d rank %d: single transpose round trip differs by %g", ranks, c.Rank(), diff)
+				t.Errorf("ranks=%d rank %d: transpose round trip differs by %g", ranks, c.Rank(), diff)
 			}
 		})
 	}
@@ -154,95 +147,76 @@ func TestTransposeRoundTrip(t *testing.T) {
 
 // TestFockExchangeMatchesSerialOperator checks the exchange against the
 // serial fock.Operator on the gathered band set: identical reference data,
-// so double precision must agree to accumulation-order round-off and single
-// precision within wire precision - on even (4 ranks) and uneven (3 ranks)
-// band blocks, and with a reference block distinct from the target (the
-// one-sided fold).
+// so it must agree to accumulation-order round-off - on even (4 ranks) and
+// uneven (3 ranks) band blocks.
 func TestFockExchangeMatchesSerialOperator(t *testing.T) {
 	g, psi, nb := testGrid(t)
 	hyb := xc.HSE06()
-	kernel := fock.BuildKernel(g, hyb)
-	frozen := wavefunc.Random(g, nb, 11)
-	serial := func(ref []complex128) []complex128 {
-		want := make([]complex128, nb*g.NG)
-		fock.NewOperator(g, hyb, ref, nb).Apply(want, psi, nb)
-		return want
-	}
-	wantSelf, wantFrozen := serial(psi), serial(frozen)
-
-	cases := []struct {
-		name      string
-		ranks     int
-		opt       ExchangeOptions
-		frozenRef bool
-		tol       float64
-	}{
-		{"overlap", 4, ExchangeOptions{}, false, 1e-12},
-		{"overlap_single", 4, ExchangeOptions{SinglePrecision: true}, false, 1e-5},
-		{"overlap_uneven", 3, ExchangeOptions{}, false, 1e-12},
-		{"overlap_uneven_single", 3, ExchangeOptions{SinglePrecision: true}, false, 1e-5},
-		{"overlap_uneven_frozen", 3, ExchangeOptions{}, true, 1e-12},
-	}
-	for _, tc := range cases {
+	want := make([]complex128, nb*g.NG)
+	fock.NewOperator(g, hyb, psi, nb).Apply(want, psi, nb)
+	for _, tc := range []struct {
+		name  string
+		ranks int
+	}{{"overlap", 4}, {"overlap_uneven", 3}} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := wantSelf
-			if tc.frozenRef {
-				want = wantFrozen
-			}
-			got := make([]complex128, nb*g.NG)
-			mpi.Run(tc.ranks, func(c *mpi.Comm) {
-				d, err := NewCtx(c, g, nb, 2)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				lo, hi := d.BandRange(c.Rank())
-				local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
-				phi := local
-				if tc.frozenRef {
-					phi = wavefunc.Clone(frozen[lo*g.NG : hi*g.NG])
-				}
-				vx := d.FockExchangeWS(phi, local, kernel, hyb.Alpha, tc.opt, d.NewExchangeWorkspace())
-				full := d.Gather(vx)
-				if c.Rank() == 0 {
-					copy(got, full)
-				}
-			})
-			if diff := wavefunc.MaxDiff(got, want); diff > tc.tol {
-				t.Errorf("%s: distributed exchange differs from serial operator by %g (tol %g)", tc.name, diff, tc.tol)
+			got, _, _ := applyExchange(t, g, psi, nb, tc.ranks)
+			if diff := wavefunc.MaxDiff(got, want); diff > 1e-12 {
+				t.Errorf("%s: distributed exchange differs from serial operator by %g (tol 1e-12)", tc.name, diff)
 			}
 		})
 	}
 }
 
+// TestFockExchangeRefusesOtherWires: the exchange folds unordered pairs, so
+// it takes one block as reference and target on the double-precision wire
+// and panics on anything else - a reference that is another block of equal
+// values, or the single-precision option bench/ can still spell - and so
+// do the transposes on a single-precision wire.
+func TestFockExchangeRefusesOtherWires(t *testing.T) {
+	g, psi, nb := testGrid(t)
+	kernel := fock.BuildKernel(g, xc.HSE06())
+	mpi.Run(1, func(c *mpi.Comm) {
+		d, err := NewCtx(c, g, nb, 2)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		local := wavefunc.Clone(psi)
+		gd := make([]complex128, nb*g.NG)
+		for name, call := range map[string]func(){
+			"two blocks": func() {
+				d.FockExchangeWS(wavefunc.Clone(local), local, kernel, 0.25, ExchangeOptions{}, d.NewExchangeWorkspace())
+			},
+			"single precision": func() {
+				d.FockExchangeWS(local, local, kernel, 0.25, ExchangeOptions{SinglePrecision: true}, d.NewExchangeWorkspace())
+			},
+			"BandToGWS single": func() { d.BandToGWS(gd, local, true, d.NewTransposeWorkspace()) },
+			"GToBandWS single": func() { d.GToBandWS(local, gd, true, d.NewTransposeWorkspace()) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: no panic", name)
+					}
+				}()
+				call()
+			}()
+		}
+	})
+}
+
 // TestCommunicationIsMetered pins the exchange to its collective classes:
-// the reference bands bill to MPI_Bcast, nothing to Send/Recv, and single
-// precision halves the shipped volume.
+// the reference bands bill to MPI_Bcast, nothing to Send/Recv, and the
+// mirrored rows going home - every rank returns one sphere row per band it
+// does not own, (NB - nbl) x NG x 16 B - to one Alltoallv.
 func TestCommunicationIsMetered(t *testing.T) {
 	g, psi, nb := testGrid(t)
-	// The pair symmetry changes who solves what, not what is shipped out: a
-	// self-referenced application bills the one-sided application's Bcast
-	// bytes, plus the mirrored rows going home - every rank returns one
-	// sphere row per band it does not own, (NB - nbl) x NG x 16 B, in one
-	// Alltoallv. The one-sided fold returns nothing.
-	_, _, sym := applyExchange(t, g, psi, nb, 4, ExchangeOptions{}, false)
-	_, _, one := applyExchange(t, g, psi, nb, 4, ExchangeOptions{}, true)
-	if sym.BytesFor(mpi.ClassBcast) == 0 || sym.BytesFor(mpi.ClassP2P) != 0 {
-		t.Errorf("billed Bcast=%d P2P=%d", sym.BytesFor(mpi.ClassBcast), sym.BytesFor(mpi.ClassP2P))
+	_, _, stats := applyExchange(t, g, psi, nb, 4)
+	if stats.BytesFor(mpi.ClassBcast) == 0 || stats.BytesFor(mpi.ClassP2P) != 0 {
+		t.Errorf("billed Bcast=%d P2P=%d", stats.BytesFor(mpi.ClassBcast), stats.BytesFor(mpi.ClassP2P))
 	}
-	if sym.BytesFor(mpi.ClassBcast) != one.BytesFor(mpi.ClassBcast) {
-		t.Errorf("self-referenced application bills %d Bcast bytes, one-sided %d", sym.BytesFor(mpi.ClassBcast), one.BytesFor(mpi.ClassBcast))
-	}
-	if got, want := sym.BytesFor(mpi.ClassAlltoallv), int64(4*(nb-nb/4)*g.NG*16); got != want {
-		t.Errorf("self-referenced application returns %d Alltoallv bytes, want %d", got, want)
-	}
-	if one.BytesFor(mpi.ClassAlltoallv) != 0 {
-		t.Errorf("one-sided application bills %d Alltoallv bytes, want 0", one.BytesFor(mpi.ClassAlltoallv))
-	}
-	_, _, single := applyExchange(t, g, psi, nb, 4, ExchangeOptions{SinglePrecision: true}, false)
-	ratio := float64(sym.BytesFor(mpi.ClassBcast)) / float64(single.BytesFor(mpi.ClassBcast))
-	if math.Abs(ratio-2) > 1e-9 {
-		t.Errorf("single precision volume ratio %g, want 2", ratio)
+	if got, want := stats.BytesFor(mpi.ClassAlltoallv), int64(4*(nb-nb/4)*g.NG*16); got != want {
+		t.Errorf("application returns %d Alltoallv bytes, want %d", got, want)
 	}
 }
 
@@ -255,7 +229,7 @@ func TestCommunicationIsMetered(t *testing.T) {
 func TestExchangePipelinesDoNotInflateVolume(t *testing.T) {
 	g, psi, nb := testGrid(t)
 	const ranks = 4
-	_, _, ovl := applyExchange(t, g, psi, nb, ranks, ExchangeOptions{}, false)
+	_, _, ovl := applyExchange(t, g, psi, nb, ranks)
 	row := int64(g.NG * 16)
 	if got, want := ovl.BytesFor(mpi.ClassBcast), int64(nb*(ranks-1))*row; got != want {
 		t.Errorf("overlapped pipeline broadcasts %d bytes, want %d", got, want)

@@ -19,11 +19,11 @@ type ExchangeStrategy struct{}
 // String names the schedule as stored specs spell it.
 func (ExchangeStrategy) String() string { return "overlap" }
 
-// ExchangeOptions bundle the communication choices for one exchange
-// application. SinglePrecision down-converts the orbital payloads to
-// complex64 on the wire (section 3.2, optimization 4: "single precision
-// MPI"), halving the dominant communication volume; wavefunctions are
-// converted back to double precision for computation.
+// ExchangeOptions bundle the exchange cadence of the distributed solver.
+// The orbitals always travel in double precision: the paper's
+// single-precision MPI (section 3.2, optimization 4) is modelled by
+// perf.Model, not run. SinglePrecision stays only because bench/ still
+// names it; FockExchangeWS panics when it is set.
 type ExchangeOptions struct {
 	Strategy        ExchangeStrategy
 	SinglePrecision bool
@@ -63,25 +63,22 @@ type ExchangeWorkspace struct {
 	ch      chan []complex128 // overlapped-fetch handoff, capacity 1
 	fault   any               // fault panic forwarded off a fetch goroutine
 
-	// Per-application fold state, bound by FockExchangeWS so the schedule
-	// loops call ws.process as a plain method instead of through a freshly
-	// allocated closure (the strict zero-allocation contract of the solver
-	// hot loop). sym selects the pair-symmetric fold: reference and target
-	// are one block (selfReferenced) at full wire precision.
+	// nbl is bound per application so the broadcast loop calls ws.process
+	// as a plain method, not a freshly allocated closure (the solver hot
+	// loop's zero-allocation contract).
 	nbl int
-	sym bool
 
 	// Arriving bands held, round robin, until their pairs are solved: slot k
-	// holds band heldBand[k] (-1: none) in real space and, in the symmetric
-	// fold, its mirrored accumulator. A slot comes round again after at
-	// least Width-1 more queued pairs, and the stream never leaves more
-	// than Width-1 unsolved. Allocated on first use.
+	// holds band heldBand[k] (-1: none) in real space and its mirrored
+	// accumulator. A slot comes round again after at least Width-1 more
+	// queued pairs, and the stream never leaves more than Width-1 unsolved.
+	// Allocated on first use.
 	held, heldAcc lanes.Slab
 	heldBand      [lanes.Width]int
 	nheld         int
 
-	// The staging of returnToOwners, allocated on the first application
-	// that needs it.
+	// The staging of returnToOwners, allocated on the first multi-rank
+	// application.
 	remG []complex128   // NB x NG: finished rows for bands owned elsewhere, on the sphere
 	send [][]complex128 // Alltoallv views into remG, one per rank
 }
@@ -143,21 +140,22 @@ func (ws *ExchangeWorkspace) ensureWorkers(nw int) {
 
 // selfReferenced reports whether phi and psi are one block by storage, the
 // rule Hamiltonian.PreparedFor uses: the case where one Poisson solve serves
-// both (i, j) and (j, i). The call sites decide it - the solver passes the
-// iterate as its own reference, ACE.Rebuild passes phi twice - so every rank
-// takes the same branch without inspecting values.
+// both (i, j) and (j, i). Every call site passes one block - the solver the
+// iterate as its own reference, ACE.Rebuild phi twice - and FockExchangeWS
+// refuses anything else.
 func selfReferenced(phi, psi []complex128) bool {
 	return len(phi) > 0 && len(phi) == len(psi) && &phi[0] == &psi[0]
 }
 
 // FockExchangeWS applies the distributed screened Fock exchange
-// V_X[phi] psi_j for every local band j and returns the band-major result
+// V_X[phi] phi_j for every local band j and returns the band-major result
 // (sphere coefficients): each reference band phi_i - owned rank by rank
 // across the communicator - is broadcast to every rank and folded into the
-// local accumulators with one fused FFT Poisson solve per (i, j) pair, the
-// Alg. 2 inner loop. phi and psi are
-// this rank's band blocks; kernel is the screened Coulomb kernel K(G) on
-// the wavefunction box (fock.BuildKernel); alpha is the exchange mixing
+// accumulators with one fused FFT Poisson solve per unordered pair {i, j},
+// the Alg. 2 inner loop with the pair symmetry of Jia & Lin
+// (arXiv:1809.09609). phi and psi must be one block, this rank's
+// (selfReferenced); kernel is the screened Coulomb kernel K(G) on the
+// wavefunction box (fock.BuildKernel); alpha is the exchange mixing
 // fraction. The scratch is the caller's: the returned slice is ws.vx and
 // stays valid until the next call with the same workspace. Collective:
 // all ranks must call it together with the same options.
@@ -167,8 +165,8 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 	ng := d.G.NG
 	ntot := d.G.NTot
 	nbl := d.NumLocalBands()
-	if len(phi) != nbl*ng || len(psi) != nbl*ng {
-		panic("dist: FockExchange band block size mismatch")
+	if len(psi) != nbl*ng || !selfReferenced(phi, psi) || opt.SinglePrecision {
+		panic("dist: FockExchange wants phi and psi to be one block of this rank's bands, on the double-precision wire")
 	}
 	if len(kernel) != ntot {
 		panic("dist: FockExchange kernel must cover the wavefunction box")
@@ -177,11 +175,9 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 	nw := parallel.NumWorkers(nbl)
 	ws.ensureWorkers(nw)
 	ws.nbl = nbl
-	ws.sym = !opt.SinglePrecision && selfReferenced(phi, psi)
-	// The symmetric fold solves pairs for bands owned elsewhere; those rows
-	// go home after the projection below.
-	returns := d.C.Size() > 1 && ws.sym
-	if returns && ws.remG == nil {
+	// The fold solves pairs for bands owned elsewhere; those rows go home
+	// after the projection below.
+	if d.C.Size() > 1 && ws.remG == nil {
 		ws.remG = make([]complex128, d.NB*ng)
 		ws.send = make([][]complex128, d.C.Size())
 		for r := range ws.send {
@@ -208,7 +204,7 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 	ws.wss[0].Pairs.Start(d.G, kernel, alpha, ws.wss[:nw])
 	ws.heldBand, ws.nheld = [lanes.Width]int{-1, -1, -1, -1, -1, -1, -1, -1}, 0
 
-	d.broadcastBands(phi, opt.SinglePrecision, ws)
+	d.broadcastBands(phi, ws)
 
 	fftRef = d.C.Trace().Begin("fft_from_real", "fft")
 	if nw <= 1 {
@@ -221,7 +217,7 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 		})
 	}
 	d.C.Trace().EndN(fftRef, int64(nbl))
-	if returns {
+	if d.C.Size() > 1 {
 		ws.returnToOwners()
 	}
 	return ws.vx
@@ -229,9 +225,8 @@ func (d *Ctx) FockExchangeWS(phi, psi []complex128, kernel []float64, alpha floa
 
 // returnToOwners ships the rows staged in remG to their owners with one
 // dense Alltoallv of sphere coefficients and adds what the other ranks
-// computed for this rank's bands into vx in rank order. Always double
-// precision (the single-precision wire rounds only the reference orbitals),
-// and always every non-owned band, zeros where nothing was contributed.
+// computed for this rank's bands into vx in rank order: always every
+// non-owned band, zeros where nothing was contributed.
 func (ws *ExchangeWorkspace) returnToOwners() {
 	d := ws.g
 	ref := d.C.Trace().Begin("exchange_return", "solver")
@@ -249,23 +244,13 @@ func (ws *ExchangeWorkspace) returnToOwners() {
 
 // process queues the pairs of global reference band i (sphere
 // coefficients) on worker 0's pair stream and, after the last band, solves
-// what is still queued; the contract span counts the band's solves. The
-// one-sided fold serves what cannot use the pair symmetry (a single-precision
-// wire, a reference block that is not the target), as Apply sits beside
-// ApplyToReference: the held band against all nbl local rows.
+// what is still queued; the contract span counts the band's solves.
 func (ws *ExchangeWorkspace) process(band []complex128, i int) {
 	d := ws.g
-	ntot := d.G.NTot
 	ref := d.C.Trace().Begin("contract", "fock")
-	s := &ws.wss[0].Pairs
-	n := ws.nbl
-	if ws.sym {
-		n = ws.processSymmetric(band, i)
-	} else {
-		s.FoldPairs(ws.held.Row(ws.hold(band, i), ntot), lanes.Slab{}, ws.psiReal, ws.acc, 0, 1, n, false)
-	}
+	n := ws.processSymmetric(band, i)
 	if i == d.NB-1 {
-		s.Flush()
+		ws.wss[0].Pairs.Flush()
 		for k := range ws.heldBand {
 			ws.project(k)
 		}
@@ -273,38 +258,20 @@ func (ws *ExchangeWorkspace) process(band []complex128, i int) {
 	d.C.Trace().EndN(ref, int64(n))
 }
 
-// hold converts band i into the next held slot (zeroing its accumulator in
-// the symmetric fold) and returns the slot.
-func (ws *ExchangeWorkspace) hold(band []complex128, i int) int {
-	ntot := ws.g.G.NTot
-	if ws.held.Len() == 0 {
-		ws.held, ws.heldAcc = lanes.New(lanes.Width*ntot), lanes.New(lanes.Width*ntot)
-	}
-	k := ws.nheld % lanes.Width
-	ws.nheld++
-	ws.project(k)
-	ws.heldBand[k] = i
-	ws.g.G.ToRealSlabWS(ws.held.Row(k, ntot), band, ws.wss[0].FFT)
-	if ws.sym {
-		ws.heldAcc.Row(k, ntot).Zero()
-	}
-	return k
-}
-
-// project empties held slot k, staging a symmetric fold's finished
-// mirrored sum on the sphere for returnToOwners.
+// project empties held slot k, staging its finished mirrored sum on the
+// sphere for returnToOwners.
 func (ws *ExchangeWorkspace) project(k int) {
 	ng := ws.g.G.NG
-	if i := ws.heldBand[k]; ws.sym && i >= 0 {
+	if i := ws.heldBand[k]; i >= 0 {
 		ws.g.G.FromRealSlabWS(ws.remG[i*ng:(i+1)*ng], ws.heldAcc.Row(k, ws.g.G.NTot), ws.wss[0].FFT)
 	}
 	ws.heldBand[k] = -1
 }
 
-// processSymmetric queues the two-sided fold of a self-referenced
-// application: one Poisson solve per unordered pair {i, j} serves acc_j
-// and, mirrored, band i (fock.PairStream.FoldPairs, the fold the serial
-// operator runs). It returns the number of solves.
+// processSymmetric queues the two-sided fold: one Poisson solve per
+// unordered pair {i, j} serves acc_j and, mirrored, band i
+// (fock.PairStream.FoldPairs, the fold the serial operator runs). It
+// returns the number of solves.
 //
 // Ownership: a band of this rank's own block meets its local partners
 // j >= i, with no communication at all. A band owned elsewhere meets the
@@ -332,22 +299,18 @@ func (ws *ExchangeWorkspace) processSymmetric(band []complex128, i int) int {
 		clear(ws.remG[i*ng : (i+1)*ng])
 		return 0
 	}
-	k := ws.hold(band, i)
+	// Hold band i in the next slot, its mirrored accumulator zeroed.
+	if ws.held.Len() == 0 {
+		ws.held, ws.heldAcc = lanes.New(lanes.Width*ntot), lanes.New(lanes.Width*ntot)
+	}
+	k := ws.nheld % lanes.Width
+	ws.nheld++
+	ws.project(k)
+	ws.heldBand[k] = i
+	d.G.ToRealSlabWS(ws.held.Row(k, ntot), band, ws.wss[0].FFT)
+	ws.heldAcc.Row(k, ntot).Zero()
 	s.FoldPairs(ws.held.Row(k, ntot), ws.heldAcc.Row(k, ntot), ws.psiReal, ws.acc, j0, 2, n, false)
 	return n
-}
-
-// bcastBand broadcasts one band from root into buf, optionally through a
-// single-precision wire format. In single mode the root's own copy passes
-// through complex64 too, so every rank computes from identical values.
-func (d *Ctx) bcastBand(buf []complex128, root, tag int, single bool) {
-	if single {
-		b32 := mpi.SingleOf(buf)
-		mpi.Bcast(d.C, root, tag, b32)
-		copy(buf, mpi.DoubleOf(b32))
-		return
-	}
-	mpi.Bcast(d.C, root, tag, buf)
 }
 
 // broadcastBands delivers the reference bands in global order and folds
@@ -356,15 +319,13 @@ func (d *Ctx) bcastBand(buf []complex128, root, tag int, single bool) {
 // folded, hiding the broadcast behind the FFT work (section 3.2,
 // optimization 5 - the paper overlaps MPI_Bcast with GPU computation the
 // same way). The two wire buffers ping-pong so the in-flight fetch never
-// touches the band being processed. One rank has no broadcast to hide and
-// runs the loop goroutine-free.
-func (d *Ctx) broadcastBands(phi []complex128, single bool, ws *ExchangeWorkspace) {
+// touches the band being processed. One rank owns every band: nothing is
+// broadcast, and the loop runs goroutine-free.
+func (d *Ctx) broadcastBands(phi []complex128, ws *ExchangeWorkspace) {
 	ng := d.G.NG
 	if d.C.Size() == 1 {
 		for i := 0; i < d.NB; i++ {
-			copy(ws.band[0], phi[i*ng:(i+1)*ng])
-			d.bcastBand(ws.band[0], 0, tagExchBcast+i, single)
-			ws.process(ws.band[0], i)
+			ws.process(nil, i) // every band is local: its pairs read psiReal
 		}
 		return
 	}
@@ -377,7 +338,7 @@ func (d *Ctx) broadcastBands(phi []complex128, single bool, ws *ExchangeWorkspac
 			if owner == d.C.Rank() {
 				copy(buf, phi[(i-myLo)*ng:(i-myLo+1)*ng])
 			}
-			d.bcastBand(buf, owner, tagExchBcast+i, single)
+			mpi.Bcast(d.C, owner, tagExchBcast+i, buf)
 			ws.ch <- buf
 		}()
 	}

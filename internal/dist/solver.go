@@ -334,7 +334,7 @@ func (s *PTCNSolver) Orthonormalize(local []complex128) ([]complex128, float64, 
 	linalg.SolveLowerBands(ws.ov, ws.psiG, nb, w)
 	// The orthonormalized block becomes the caller's new state, so this
 	// final transpose returns a fresh slice rather than workspace memory.
-	return s.D.GToBand(ws.psiG, false), oerr, nil
+	return s.D.GToBand(ws.psiG), oerr, nil
 }
 
 // Step advances the local band block by dt with Algorithm 1 (core.CN's

@@ -508,25 +508,3 @@ func newWorld(size int) *world {
 	}
 	return w
 }
-
-// SingleOf converts a double-precision complex payload to single precision
-// for transfer, halving the communication volume (section 3.2,
-// optimization 4: "single precision MPI").
-func SingleOf(data []complex128) []complex64 {
-	out := make([]complex64, len(data))
-	for i, v := range data {
-		out[i] = complex64(v)
-	}
-	return out
-}
-
-// DoubleOf converts a received single-precision payload back for
-// computation ("wavefunctions are converted back to the double precision
-// format for computation").
-func DoubleOf(data []complex64) []complex128 {
-	out := make([]complex128, len(data))
-	for i, v := range data {
-		out[i] = complex128(v)
-	}
-	return out
-}

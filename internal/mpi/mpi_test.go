@@ -211,23 +211,6 @@ func TestConcurrentTaggedBcastsOverlap(t *testing.T) {
 	})
 }
 
-func TestSinglePrecisionConversion(t *testing.T) {
-	in := []complex128{complex(1.00000001, -2), complex(3e-20, 4e20)}
-	s := SingleOf(in)
-	back := DoubleOf(s)
-	if len(back) != len(in) {
-		t.Fatal("length changed")
-	}
-	// Single precision keeps ~7 digits.
-	if math.Abs(real(back[0])-1.00000001) > 1e-6 {
-		t.Errorf("conversion error too large: %v", back[0])
-	}
-	// Volume halves.
-	if 8*len(s) != 16*len(in)/2 {
-		t.Error("single precision payload is not half the size")
-	}
-}
-
 func TestRunPropagatesPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

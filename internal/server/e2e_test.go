@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -520,6 +522,49 @@ func TestE2ERestartResumesRealJob(t *testing.T) {
 	}
 	if d := math.Abs(last.CurrentZ - refLast.CurrentZ); d > 1e-10 {
 		t.Errorf("final current differs from uninterrupted run by %g", d)
+	}
+}
+
+// TestE2EAdoptFailsRemovedConfigurations: an interrupted record whose spec
+// asks for a configuration this version removed is failed at adoption with
+// the typed error, on disk too, without a worker spending a ground state on
+// it; the queue behind it still runs.
+func TestE2EAdoptFailsRemovedConfigurations(t *testing.T) {
+	dir := t.TempDir()
+	removed := []func(*sim.Spec){
+		func(s *sim.Spec) { s.Hybrid, s.Ranks, s.Exchange = true, 2, "bcast" },
+		func(s *sim.Spec) { s.Hybrid, s.ACE = true, true },
+		func(s *sim.Spec) { s.Hybrid, s.Ranks, s.SinglePrec = true, 2, true },
+	}
+	for i, mod := range removed {
+		spec := e2eSpec(3)
+		mod(&spec)
+		writeRecord(t, dir, View{
+			ID: fmt.Sprintf("j%06d", i+1), Spec: spec, State: StateRunning,
+			SubmittedAt: time.Now().UTC(), StartedAt: time.Now().UTC(),
+		})
+	}
+	s, ts := startE2E(t, Config{Workers: 1, Dir: dir})
+	for i := range removed {
+		id := fmt.Sprintf("j%06d", i+1)
+		v := getJob(t, ts, id)
+		if v.State != StateFailed || !strings.Contains(v.Error, "was removed") {
+			t.Errorf("adopted %s: state %s, error %q; want failed, naming what was removed", id, v.State, v.Error)
+		}
+		if rec, err := readRecord(filepath.Join(dir, id+".json")); err != nil || rec.State != StateFailed {
+			t.Errorf("record of %s on disk: %v, %v; want failed", id, rec, err)
+		}
+	}
+	if m := s.snapshotMetrics(); m.scfMisses != 0 || m.scfHits != 0 {
+		t.Errorf("adoption solved %d ground states (%d cached), want none", m.scfMisses, m.scfHits)
+	}
+	next := submit(t, ts, e2eSpec(2))
+	if next.ID != fmt.Sprintf("j%06d", len(removed)+1) {
+		t.Errorf("next job is %s, want the id after the adopted ones", next.ID)
+	}
+	waitHTTP(t, ts, next.ID, StateDone)
+	if m := s.snapshotMetrics(); m.scfMisses != 1 {
+		t.Errorf("%d cold ground states after one fresh job, want 1", m.scfMisses)
 	}
 }
 

@@ -4,7 +4,7 @@
 // they make jobs durable across server restarts: on start the server
 // scans the directory, re-registers terminal jobs as history, and
 // re-queues every interrupted job with its newest loadable checkpoint as
-// the resume point.
+// the resume point - or fails it, when its spec no longer validates.
 package server
 
 import (
@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"ptdft/internal/observe"
 )
@@ -64,6 +65,9 @@ func (s *Server) persist(j *Job) {
 // terminal jobs as queryable history, interrupted ones (queued, running,
 // preempted) back onto the queue with the newest loadable checkpoint as
 // their resume point. Queue order is submission order (sequential IDs).
+// An interrupted job whose spec no longer validates - a configuration a
+// later version removed (sim.RemovedError) - is recorded as failed with
+// that error instead, before a worker spends a ground state on it.
 // An unreadable or corrupt record is quarantined (logged and skipped),
 // not fatal: one torn file must not refuse the whole directory.
 func (s *Server) adopt() error {
@@ -103,6 +107,14 @@ func (s *Server) adopt() error {
 				j.Feed.Append(smp)
 			}
 			j.Feed.Close()
+		} else if err := j.Spec.Validate(); err != nil {
+			j.State, j.Err, j.FinishedAt = StateFailed, err.Error(), time.Now().UTC()
+			for _, smp := range rec.Samples {
+				j.Feed.Append(smp)
+			}
+			j.Feed.Close()
+			s.persist(j)
+			s.logf("adopt: job %s failed: %v", j.ID, err)
 		} else {
 			// The process that ran this job is gone; whatever state it was
 			// in, it continues from its newest durable checkpoint (or from

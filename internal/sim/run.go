@@ -318,7 +318,7 @@ func (r *runner) propagate(cell *lattice.Cell) error {
 		op = "exact exchange"
 	}
 	ranks := max(spec.Ranks, 1)
-	opt.logf("distributed: %d ranks, operator %s, single precision %v", ranks, op, spec.SinglePrec)
+	opt.logf("distributed: %d ranks, operator %s", ranks, op)
 	var stats *mpi.Stats
 	for attempt := 0; ; attempt++ {
 		var p *mpi.Perturb
@@ -482,9 +482,8 @@ func (r *runner) distEngine(c *mpi.Comm, cell *lattice.Cell) (*engine, error) {
 	}
 	h := hamiltonian.New(g, spec.Pots(), hamiltonian.Config{IonDynamics: spec.MD})
 	s := dist.NewPTCNSolver(d, h, xc.HSE06(), spec.Hybrid, r.field, core.DefaultPTCN(), dist.ExchangeOptions{
-		SinglePrecision: spec.SinglePrec,
-		ACE:             spec.ACE,
-		MTSPeriod:       spec.MTS,
+		ACE:       spec.ACE,
+		MTSPeriod: spec.MTS,
 	})
 	s.Time = r.t0
 	lo, hi := d.BandRange(c.Rank())

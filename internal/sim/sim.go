@@ -51,7 +51,7 @@ type Spec struct {
 	Ranks      int     `json:"ranks,omitempty"`       // goroutine-MPI ranks (0/1 = serial)
 	Seed       int64   `json:"seed,omitempty"`        // ground-state starting-guess seed
 	Exchange   string  `json:"exchange,omitempty"`    // legacy: "overlap", the one exchange schedule, or empty
-	SinglePrec bool    `json:"single_prec,omitempty"` // single-precision MPI payloads
+	SinglePrec bool    `json:"single_prec,omitempty"` // removed: Validate rejects true; kept while bench/ reads it
 	MD         bool    `json:"md,omitempty"`          // Ehrenfest ion dynamics
 	IonSteps   int     `json:"ion_steps,omitempty"`   // ion MD steps (trajectory length under MD)
 	IonDtAs    float64 `json:"ion_dt_as,omitempty"`   // ion time step (attoseconds); integer multiple of DtAs
@@ -132,8 +132,8 @@ func (s *Spec) Validate() error {
 	if s.Ranks > 1 && s.Method != "ptcn" {
 		return fmt.Errorf("sim: distributed runs support method ptcn only")
 	}
-	if s.SinglePrec && s.Ranks <= 1 {
-		return fmt.Errorf("sim: single_prec rounds the orbital payloads sent between ranks; it needs ranks > 1, got %d", s.Ranks)
+	if s.SinglePrec {
+		return &RemovedError{Config: "single_prec (orbitals rounded to complex64 on the wire)", Use: "no single_prec (the double-precision wire; perf.Model models the paper's single-precision MPI)"}
 	}
 	if err := s.checkExchange(); err != nil {
 		return err

@@ -62,11 +62,11 @@ func TestSpecValidateRules(t *testing.T) {
 		{"md bad tiling", func(s *Spec) { s.MD = true; s.IonSteps = 2; s.IonDtAs = 100 }, "multiple"},
 		{"negative ranks", func(s *Spec) { s.Ranks = -2 }, "rank"},
 		{"distributed rk4", func(s *Spec) { s.Ranks = 2; s.Method = "rk4" }, "ptcn"},
-		// One rank sends no orbital payloads to round: a serial single_prec
-		// would be dropped, or round its own orbitals for nothing.
-		{"single_prec serial", func(s *Spec) { s.SinglePrec = true }, "ranks > 1"},
-		{"single_prec 1 rank", func(s *Spec) { s.SinglePrec = true; s.Ranks = 1 }, "ranks > 1"},
-		{"single_prec 2 ranks", func(s *Spec) { s.SinglePrec = true; s.Ranks = 2 }, ""},
+		// The single-precision wire saved no time on goroutine mailboxes and
+		// broke the exchange's pair symmetry: removed at every rank count.
+		{"single_prec serial", func(s *Spec) { s.SinglePrec = true }, "was removed; use no single_prec"},
+		{"single_prec 1 rank", func(s *Spec) { s.SinglePrec = true; s.Ranks = 1 }, "was removed; use no single_prec"},
+		{"single_prec 2 ranks", func(s *Spec) { s.SinglePrec = true; s.Ranks = 2 }, "was removed; use no single_prec"},
 		{"bad exchange", func(s *Spec) { s.Exchange = "quantum" }, "strategy"},
 		// The exchange field survives for stored records: "overlap" is the
 		// one schedule, the older removed ones fail like any unknown name,
