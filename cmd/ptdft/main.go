@@ -9,6 +9,7 @@
 //	ptdft -hybrid -ace -mts 4 -ranks 4 -steps 8   # exchange refreshed every 4th step
 //	ptdft -md -displace 0:0.2,0,0 -ionsteps 20 -iondt 96 -dt 24 -kick 0   # Ehrenfest MD
 //	ptdft -steps 100 -save traj.ckp -ckptevery 10   # durable rolling checkpoints; SIGINT checkpoints and exits
+//	ptdft -steps 100 -load traj.ckp -save traj.ckp   # resume: -steps is still the whole trajectory
 //
 // Output: one line per step (time, energy, current, excited carriers, SCF
 // count) plus a trace breakdown, and optionally a CSV file for plotting.
@@ -69,7 +70,7 @@ func parseFlags() (*config, error) {
 	flag.IntVar(&s.MTS, "mts", 0, "ACE refresh period: rebuild Xi from Psi_n every M steps, held in between (requires -ace; 1 is the Jia & Lin cadence)")
 	flag.StringVar(&s.Method, "method", "ptcn", "time integrator: ptcn or rk4")
 	flag.Float64Var(&s.DtAs, "dt", 24, "time step in attoseconds (paper: 50 for PT-CN, 0.5 for RK4)")
-	flag.IntVar(&s.Steps, "steps", 5, "number of propagation steps")
+	flag.IntVar(&s.Steps, "steps", 5, "trajectory length in propagation steps; a -load resume continues up to it")
 	flag.Float64Var(&s.Kick, "kick", 0.02, "delta-kick vector potential (au); 0 disables")
 	flag.Float64Var(&s.PulseE0, "pulse", 0, "380nm Gaussian pulse peak field (Ha/bohr); overrides -kick")
 	flag.IntVar(&s.Ranks, "ranks", 0, "distribute over N goroutine-MPI ranks (0 = serial)")
@@ -77,10 +78,10 @@ func parseFlags() (*config, error) {
 	flag.StringVar(&c.csvPath, "csv", "", "write per-step observables to this CSV file")
 	flag.BoolVar(&c.quiet, "q", false, "suppress per-step output")
 	flag.StringVar(&c.savePath, "save", "", "write a restart checkpoint here after the last step")
-	flag.StringVar(&c.loadPath, "load", "", "resume from a checkpoint instead of the ground state")
+	flag.StringVar(&c.loadPath, "load", "", "resume from a checkpoint instead of the ground state, up to -steps (-ionsteps with -md)")
 	flag.IntVar(&c.ckptEvery, "ckptevery", 0, "write a durable rolling checkpoint every N steps (ion steps with -md) to the -save path; 0 = final save only")
 	flag.BoolVar(&s.MD, "md", false, "Ehrenfest ion dynamics: velocity-Verlet ions coupled to PT-CN electrons (Hellmann-Feynman forces)")
-	flag.IntVar(&s.IonSteps, "ionsteps", 10, "number of ion MD steps (with -md; replaces -steps as the trajectory length)")
+	flag.IntVar(&s.IonSteps, "ionsteps", 10, "trajectory length in ion MD steps (with -md; replaces -steps); a -load resume continues up to it")
 	flag.Float64Var(&s.IonDtAs, "iondt", 96, "ion time step in attoseconds (with -md); must be an integer multiple of -dt")
 	flag.StringVar(&s.Displace, "displace", "", "displace one atom before the ground state: i:dx,dy,dz (Bohr), e.g. 0:0.2,0,0")
 	flag.StringVar(&c.traceFile, "tracefile", "", "record a per-rank span timeline and write it here as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
@@ -172,22 +173,14 @@ func run(cfg *config) error {
 	if spec.MD {
 		stepLabel = "ion step"
 	}
-	// A resumed pulse run keeps the original envelope: -steps counts the
-	// remaining segment, so the field is shaped by the total trajectory
-	// (completed + remaining) and matches the uninterrupted run.
-	pulseSteps := 0
-	if loaded != nil && !spec.MD {
-		pulseSteps = int(loaded.Step) + spec.Steps
-	}
 	res, err := sim.Run(spec, sim.Options{
-		Stop:       cfg.stop,
-		AfterStep:  cfg.afterStep,
-		Trace:      rec,
-		PulseSteps: pulseSteps,
-		Resume:     loaded,
-		Ckpt:       roll,
-		CkptEvery:  cfg.ckptEvery,
-		SavePath:   cfg.savePath,
+		Stop:      cfg.stop,
+		AfterStep: cfg.afterStep,
+		Trace:     rec,
+		Resume:    loaded,
+		Ckpt:      roll,
+		CkptEvery: cfg.ckptEvery,
+		SavePath:  cfg.savePath,
 		Logf: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},
@@ -206,8 +199,8 @@ func run(cfg *config) error {
 	// The drivers return one sample per completed step, so a run stopped
 	// early by a signal checkpoints the steps that actually ran.
 	if res.Stopped {
-		fmt.Printf("interrupted: stopped after %d of %d steps; the checkpoint covers the completed steps\n",
-			len(res.Samples), spec.TotalSteps())
+		fmt.Printf("interrupted: stopped at step %d of %d; the checkpoint covers the completed steps\n",
+			res.Samples[len(res.Samples)-1].Step, spec.TotalSteps())
 	}
 	if cfg.savePath != "" {
 		fmt.Printf("checkpoint written to %s (step %d)\n", cfg.savePath, res.Final.Step)

@@ -11,6 +11,7 @@ import (
 	"ptdft/internal/checkpoint"
 	"ptdft/internal/sim"
 	"ptdft/internal/units"
+	"ptdft/internal/wavefunc"
 )
 
 // testConfig returns a minimal serial PT-CN run configuration (tiny cell,
@@ -110,6 +111,67 @@ func TestStopDistributedIsSymmetric(t *testing.T) {
 	}
 	if st.Step != 3 {
 		t.Errorf("checkpoint at step %d, want 3", st.Step)
+	}
+}
+
+// TestLoadContinuesToSteps: -steps is the trajectory length with or
+// without -load. A 6-step pulse run stopped after step 3 and resumed with
+// -load ... -steps 6 reproduces the uninterrupted run (the envelope is
+// shaped from the whole trajectory in both segments); -steps below the
+// checkpoint's step is an error naming both, and -steps equal to it runs
+// nothing.
+func TestLoadContinuesToSteps(t *testing.T) {
+	dir := t.TempDir()
+	pulsed := func(save string) *config {
+		cfg := testConfig(t)
+		cfg.spec.Kick, cfg.spec.PulseE0 = 0, 0.005
+		cfg.savePath = filepath.Join(dir, save)
+		return cfg
+	}
+	full := pulsed("full.ckp")
+	if err := run(full); err != nil {
+		t.Fatal(err)
+	}
+	first := pulsed("first.ckp")
+	first.afterStep = func(done int) {
+		if done == 3 {
+			close(first.stop)
+		}
+	}
+	if err := run(first); err != nil {
+		t.Fatal(err)
+	}
+	resumed := pulsed("resumed.ckp")
+	resumed.loadPath = first.savePath
+	if err := run(resumed); err != nil {
+		t.Fatal(err)
+	}
+	want, err := checkpoint.LoadFile(full.savePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := checkpoint.LoadFile(resumed.savePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Step != 6 || got.Time != want.Time {
+		t.Errorf("resumed run ended at step %d, t = %g; the uninterrupted one at step 6, t = %g", got.Step, got.Time, want.Time)
+	}
+	if d := wavefunc.MaxDiff(got.Psi, want.Psi); d > 1e-10 {
+		t.Errorf("resumed orbitals differ from the uninterrupted run by %g, want <= 1e-10", d)
+	}
+
+	short := pulsed("short.ckp")
+	short.loadPath, short.spec.Steps = first.savePath, 2
+	if err := run(short); err == nil || !strings.Contains(err.Error(), "at 3 steps") || !strings.Contains(err.Error(), "2 steps") {
+		t.Errorf("-steps 2 from a step-3 checkpoint: error %v does not name both step counts", err)
+	}
+
+	done := pulsed("done.ckp")
+	done.loadPath, done.spec.Steps = first.savePath, 3
+	done.afterStep = func(int) { t.Error("-steps equal to the checkpoint's step ran a step") }
+	if err := run(done); err != nil {
+		t.Errorf("-steps equal to the checkpoint's step: %v", err)
 	}
 }
 

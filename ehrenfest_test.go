@@ -58,35 +58,11 @@ func mdFixture(t *testing.T) (*lattice.Cell, []complex128, int) {
 	return mdCell.Clone(), wavefunc.Clone(mdPsi), mdNB
 }
 
-// ehrenfestSerial propagates `steps` ion steps serially and returns the
-// per-step total energies, the final positions and velocities, and the
-// final orbitals.
-func ehrenfestSerial(t *testing.T, cell *lattice.Cell, psi0 []complex128, nb int, hybrid bool, steps int, dtIon float64, k int) (energies []float64, pos, vel [][3]float64, psi []complex128) {
-	t.Helper()
-	g := grid.MustNew(cell, 3)
-	h := hamiltonian.New(g, siPots(), hamiltonian.Config{Hybrid: hybrid, Params: xc.HSE06(), IonDynamics: true})
-	sys := &core.System{G: g, H: h, NB: nb, Occ: 2}
-	pt := core.NewPTCN(sys, core.DefaultPTCN())
-	se := &ion.SerialElectrons{P: pt, Psi: wavefunc.Clone(psi0), Pots: siPots()}
-	v, err := ion.NewVerlet(cell, se, dtIon, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < steps; i++ {
-		if err := v.Step(); err != nil {
-			t.Fatalf("ion step %d: %v", i, err)
-		}
-		e, err := v.TotalEnergy()
-		if err != nil {
-			t.Fatal(err)
-		}
-		energies = append(energies, e)
-	}
-	return energies, cell.Positions(), append([][3]float64(nil), v.Vel...), se.Psi
-}
-
-// ehrenfestDistributed propagates the same trajectory over `ranks` ranks,
-// each rank on its own cell clone, and returns rank 0's view.
+// ehrenfestDistributed propagates `steps` ion steps over `ranks` ranks,
+// each rank on its own cell clone, and returns rank 0's view: the per-step
+// total energies, the final positions and velocities, and the final
+// orbitals. One rank is the serial oracle, pinned bit for bit to the
+// serial solver (TestDistributedHybridMatchesSerial).
 func ehrenfestDistributed(t *testing.T, cell *lattice.Cell, psi0 []complex128, nb int, hybrid bool, ranks, steps int, dtIon float64, k int) (energies []float64, pos, vel [][3]float64, psi []complex128) {
 	t.Helper()
 	energies = make([]float64, steps)
@@ -133,19 +109,19 @@ func ehrenfestDistributed(t *testing.T, cell *lattice.Cell, psi0 []complex128, n
 }
 
 // TestEhrenfestRankInvariant is the acceptance pin: the hybrid Ehrenfest
-// trajectory must be identical (1e-8) between the serial driver and 2- and
-// 4-rank distributed runs - positions, velocities and per-step total
-// energies. The distributed force assembly allreduces in deterministic
-// rank order, so the only differences are reduction-order round-off.
+// trajectory must be identical (1e-8) between the one-rank world and 2-
+// and 4-rank runs - positions, velocities and per-step total energies. The
+// distributed force assembly allreduces in deterministic rank order, so
+// the only differences are reduction-order round-off.
 func TestEhrenfestRankInvariant(t *testing.T) {
 	cell, psi0, nb := mdFixture(t)
 	const steps, dtIon, k = 3, 2.0, 2
-	eS, posS, velS, _ := ehrenfestSerial(t, cell, psi0, nb, true, steps, dtIon, k)
+	eS, posS, velS, _ := ehrenfestDistributed(t, cell, psi0, nb, true, 1, steps, dtIon, k)
 	for _, ranks := range []int{2, 4} {
 		eD, posD, velD, _ := ehrenfestDistributed(t, mdCell.Clone(), psi0, nb, true, ranks, steps, dtIon, k)
 		for i := range eS {
 			if d := math.Abs(eS[i] - eD[i]); d > 1e-8 {
-				t.Errorf("ranks=%d: step %d total energy differs by %g (serial %.12f, dist %.12f)", ranks, i, d, eS[i], eD[i])
+				t.Errorf("ranks=%d: step %d total energy differs by %g (1 rank %.12f, %d ranks %.12f)", ranks, i, d, eS[i], ranks, eD[i])
 			}
 		}
 		for a := range posS {
@@ -172,7 +148,7 @@ func TestEhrenfestEnergyConservation50Steps(t *testing.T) {
 	}
 	cell, psi0, nb := mdFixture(t)
 	const steps, dtIon, k = 50, 2.0, 1
-	energies, pos, _, _ := ehrenfestSerial(t, cell, psi0, nb, true, steps, dtIon, k)
+	energies, pos, _, _ := ehrenfestDistributed(t, cell, psi0, nb, true, 1, steps, dtIon, k)
 	var drift float64
 	for _, e := range energies {
 		if d := math.Abs(e - energies[0]); d > drift {
@@ -270,7 +246,7 @@ func TestEhrenfestCheckpointResume(t *testing.T) {
 					saved = &checkpoint.State{
 						Time: s.Time, Step: int64(steps * k), NBands: nb, NG: g.NG,
 						Natom: int64(cl.NumAtoms()), Ecut: 3, Hybrid: true, Psi: wavefunc.Clone(full),
-						MTSPeriod: mts, MTSPhase: int64(phase), MTSACE: true, PhiRef: wavefunc.Clone(phiRef),
+						MTSPeriod: mts, MTSPhase: int64(phase), PhiRef: wavefunc.Clone(phiRef),
 						IonSteps: int64(v.Steps), IonPos: cl.Positions(),
 						IonVel: append([][3]float64(nil), v.Vel...), IonForce: append([][3]float64(nil), v.F...),
 					}
@@ -299,7 +275,7 @@ func TestEhrenfestCheckpointResume(t *testing.T) {
 	if !loaded.HasIons() {
 		t.Fatal("checkpoint lost its ion section")
 	}
-	if err := loaded.Compatible(nb, loaded.NG, 8, 3, true, mts, true, true); err != nil {
+	if err := loaded.Compatible(nb, loaded.NG, 8, 3, true, mts, true); err != nil {
 		t.Fatal(err)
 	}
 	resumed, _ := runSpan(mdCell.Clone(), loaded.Psi, loaded.Time, loaded, 2, false)

@@ -4,11 +4,16 @@
 // about its site while the total energy (electronic + ion kinetic +
 // ion-ion) stays conserved.
 //
-// The force on the displaced atom also yields the harmonic estimate of
-// the oscillation period, T = 2 pi sqrt(M / k_eff) with k_eff = |F|/|dx|
-// - compare it against the turning points of the printed trajectory.
+// The trajectory is one MD spec run through sim.Run one ion step at a
+// time: each segment resumes from the previous segment's final state and
+// runs the spec up to its (one step longer) trajectory length, the way a
+// production run is split across job allocations. The ion position,
+// velocity and force come from each segment's Result.Final. The force on
+// the displaced atom also yields the harmonic estimate of the oscillation
+// period, T = 2 pi sqrt(M / k_eff) with k_eff = |F|/|dx| - compare it
+// against the turning points of the printed trajectory.
 //
-// Expected runtime: ~20 s on a laptop (-short: a few seconds, used by CI).
+// Expected runtime: a few seconds on a laptop (-short, which CI runs: ~1 s).
 package main
 
 import (
@@ -17,87 +22,68 @@ import (
 	"log"
 	"math"
 
-	"ptdft/internal/core"
-	"ptdft/internal/grid"
-	"ptdft/internal/hamiltonian"
-	"ptdft/internal/ion"
+	"ptdft/internal/checkpoint"
 	"ptdft/internal/lattice"
-	"ptdft/internal/pseudo"
 	"ptdft/internal/scf"
+	"ptdft/internal/sim"
 	"ptdft/internal/units"
 )
 
 func main() {
 	short := flag.Bool("short", false, "run a few ion steps only (CI smoke mode)")
 	flag.Parse()
-
-	// 1. Si8 with atom 0 displaced 0.2 Bohr along x: the distorted
-	//    geometry whose ground state seeds the trajectory.
-	const dx = 0.2
-	cell := lattice.MustSiliconSupercell(1, 1, 1)
-	if err := cell.DisplaceAtom(0, [3]float64{dx, 0, 0}); err != nil {
-		log.Fatal(err)
-	}
-	site := lattice.MustSiliconSupercell(1, 1, 1).Atoms[0].Pos
-	g := grid.MustNew(cell, 3)
-	pots := map[int]*pseudo.Potential{0: pseudo.SiliconAH()}
-
-	// 2. Ground state with the force-ready (gradient-capable) projectors.
-	h := hamiltonian.New(g, pots, hamiltonian.Config{IonDynamics: true})
-	gs, err := scf.GroundState(g, h, cell.NumBands(), scf.Defaults())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Si8, atom 0 displaced %.2f Bohr; ground state E = %.8f Ha\n", dx, gs.Energy.Total())
-
-	// 3. Couple PT-CN electrons to velocity-Verlet ions: one ion step of
-	//    8 au (~194 as) spans K = 4 electronic steps of 2 au (~48 as).
-	sys := &core.System{G: g, H: h, NB: cell.NumBands(), Occ: 2}
-	pt := core.NewPTCN(sys, core.DefaultPTCN())
-	se := &ion.SerialElectrons{P: pt, Psi: gs.Psi, Pots: pots}
-	const dtIon, kSub = 8.0, 4
-	v, err := ion.NewVerlet(cell, se, dtIon, kSub)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// The harmonic estimate from the initial restoring force.
-	if err := v.ComputeForces(); err != nil {
-		log.Fatal(err)
-	}
-	keff := -v.F[0][0] / dx
-	mass := units.SiliconMassAMU * units.ElectronMassPerAMU
-	period := 2 * math.Pi * math.Sqrt(mass/keff)
-	fmt.Printf("restoring force %.4f Ha/Bohr -> k_eff = %.3f Ha/Bohr^2, harmonic T = %.0f au (%.1f fs)\n\n",
-		v.F[0][0], keff, period, period*units.FemtosecondPerAU)
-
 	steps := 40
 	if *short {
 		steps = 4
 	}
-	e0, err := v.TotalEnergy()
+
+	// 1. Si8 with atom 0 displaced 0.2 Bohr along x, no field. One ion
+	//    step of 8 au (~194 as) spans K = 4 electronic steps of 2 au.
+	const dx = 0.2
+	spec := &sim.Spec{
+		Cells: [3]int{1, 1, 1}, Ecut: 3, MD: true, Displace: fmt.Sprintf("0:%g,0,0", dx),
+		DtAs: units.AUToAttoseconds(2), IonDtAs: units.AUToAttoseconds(8), Seed: scf.Defaults().Seed,
+	}
+	site := lattice.MustSiliconSupercell(1, 1, 1).Atoms[0].Pos
+	cell, err := spec.Cell()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%8s %12s %12s %16s %12s\n", "t (fs)", "x-x0 (Bohr)", "vx (au)", "E_total (Ha)", "drift (Ha)")
-	var maxDrift float64
-	for i := 0; i < steps; i++ {
-		if err := v.Step(); err != nil {
-			log.Fatal(err)
-		}
-		e, err := v.TotalEnergy()
+
+	// 2. Ground state of the distorted geometry with the force-ready
+	//    (gradient-capable) projectors, shared by every segment.
+	gs, err := sim.GroundState(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("Si8, atom 0 displaced %.2f Bohr; ground state E = %.8f Ha\n\n", dx, gs.Energy.Total())
+
+	// 3. One segment per ion step, each resumed from the last.
+	fmt.Printf("%8s %12s %12s %12s %16s %12s\n", "t (fs)", "x-x0 (Bohr)", "vx (au)", "Fx (Ha/Bohr)", "E_total (Ha)", "E-E_1 (Ha)")
+	var last *checkpoint.State
+	var e1, firstStep, maxDrift, keff float64
+	for n := 1; n <= steps; n++ {
+		spec.IonSteps = n
+		res, err := sim.Run(spec, sim.Options{Ground: gs, Resume: last})
 		if err != nil {
 			log.Fatal(err)
 		}
-		drift := math.Abs(e - e0)
-		if drift > maxDrift {
-			maxDrift = drift
+		last = res.Final
+		s := res.Samples[0]
+		d, _ := cell.MinimumImage(site, last.IonPos[0])
+		if n == 1 {
+			e1, firstStep = s.Energy, res.EhrenfestDrift
+			keff = -last.IonForce[0][0] / d[0]
 		}
-		d, _ := cell.MinimumImage(site, cell.Atoms[0].Pos)
-		fmt.Printf("%8.3f %12.5f %12.4e %16.8f %12.3e\n",
-			float64(v.Steps)*dtIon*units.FemtosecondPerAU, d[0], v.Vel[0][0], e, drift)
+		maxDrift = math.Max(maxDrift, math.Abs(s.Energy-e1))
+		fmt.Printf("%8.3f %12.5f %12.4e %12.4f %16.8f %12.3e\n",
+			s.TimeFs, d[0], last.IonVel[0][0], last.IonForce[0][0], s.Energy, s.Energy-e1)
 	}
-	fmt.Printf("\nmax total-energy drift over %d ion steps: %.3e Ha\n", steps, maxDrift)
+	mass := units.SiliconMassAMU * units.ElectronMassPerAMU
+	period := 2 * math.Pi * math.Sqrt(mass/keff)
+	fmt.Printf("\nrestoring force after one step -> k_eff = %.3f Ha/Bohr^2, harmonic T = %.0f au (%.1f fs)\n",
+		keff, period, period*units.FemtosecondPerAU)
+	fmt.Printf("total-energy drift: %.3e Ha in the first ion step, max %.3e Ha over the %d after it\n", firstStep, maxDrift, steps-1)
 	fmt.Println("the released atom accelerates back toward its lattice site while")
 	fmt.Println("E_electronic + E_ion-kinetic + E_ion-ion stays flat - the Ehrenfest")
 	fmt.Println("conservation law the PT-CN coupling is built to respect.")

@@ -42,7 +42,7 @@ func main() {
 		units.WavelengthNmToOmegaAU(380)*units.EVPerHartree, *e0, *dtAs*float64(*steps)/2)
 
 	// The field sim.Run will propagate under (nil, hence zero, at -e0 0).
-	pulse, _ := spec.Field(spec.Steps).(*laser.Pulse)
+	pulse, _ := spec.Field().(*laser.Pulse)
 	fmt.Printf("\n%8s %12s %12s %16s %12s\n", "t (as)", "E(t) field", "A(t)", "E_tot (Ha)", "J_z (au)")
 	res, err := sim.Run(spec, sim.Options{Ground: gs, OnSample: func(s observe.Sample) {
 		t := s.TimeFs / units.FemtosecondPerAU

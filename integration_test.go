@@ -113,7 +113,7 @@ func TestCheckpointRestartContinuesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.Compatible(nb, g.NG, 8, 3, false, 0, false, false); err != nil {
+	if err := loaded.Compatible(nb, g.NG, 8, 3, false, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	resumed, _ := run(loaded.Psi, loaded.Time, 2)

@@ -5,7 +5,8 @@
 // little-endian binary stream:
 //
 //	header            15 words: magic, version, time, step, bands, NG, atoms,
-//	                  Ecut, hybrid, MTS period, MTS phase, ACE flag,
+//	                  Ecut, hybrid, MTS period, MTS phase, ACE flag
+//	                  (1 exactly when the MTS period is set),
 //	                  reference bands, ions, ion steps - then its CRC64
 //	psi               bands x NG complex coefficients, then their CRC64
 //	frozen reference  (mid MTS cycle only) bands x NG, then its CRC64
@@ -56,18 +57,15 @@ type State struct {
 	Psi    []complex128 // band-major sphere coefficients
 
 	// MTS cadence state. MTSPeriod is the refresh period M the run
-	// propagated under (0 when MTS was off), MTSPhase the position
-	// within the M-step cycle at save time (Step mod M). MTSACE records
-	// which operator kind the frozen reference backs - the ACE compression
-	// or the exact exchange - so a resume cannot silently reconstruct the
-	// other kind from the same orbitals. PhiRef carries the frozen
-	// exchange reference orbitals of the last outer step - band-major,
-	// NBands x NG - and is present exactly when the save landed mid-cycle
-	// (MTSPhase > 0 on a hybrid run); at a cycle boundary the next step
-	// rebuilds from Psi anyway, so nothing is stored.
+	// propagated under (0 when MTS was off; MTS always holds the ACE
+	// compression), MTSPhase the position within the M-step cycle at save
+	// time (Step mod M). PhiRef carries the frozen exchange reference
+	// orbitals of the last outer step - band-major, NBands x NG - and is
+	// present exactly when the save landed mid-cycle (MTSPhase > 0 on a
+	// hybrid run); at a cycle boundary the next step rebuilds from Psi
+	// anyway, so nothing is stored.
 	MTSPeriod int64
 	MTSPhase  int64
-	MTSACE    bool
 	PhiRef    []complex128
 
 	// Ehrenfest ion state, present exactly when the run moved ions
@@ -112,8 +110,10 @@ func Save(w io.Writer, s *State) error {
 	if len(s.PhiRef) > 0 {
 		nref = uint64(s.NBands)
 	}
+	// The ACE word dates from when MTS could also freeze exact exchange;
+	// every MTS state now holds ACE, so it is 1 exactly when MTS is on.
 	ace := uint64(0)
-	if s.MTSACE {
+	if s.MTSPeriod > 0 {
 		ace = 1
 	}
 	header := []uint64{
@@ -286,8 +286,10 @@ func Load(r io.Reader) (*State, error) {
 
 		MTSPeriod: int64(word(9)),
 		MTSPhase:  int64(word(10)),
-		MTSACE:    word(11) != 0,
 		IonSteps:  int64(word(14)),
+	}
+	if s.MTSPhase > 0 && word(11) == 0 {
+		return nil, fmt.Errorf("checkpoint: mid-cycle MTS state (phase %d of %d) froze exact exchange, a cadence that was removed; restart from a cycle-boundary checkpoint", s.MTSPhase, s.MTSPeriod)
 	}
 	nref, nion := word(12), word(13)
 	// verifySection brackets one payload section with its own checksum
@@ -432,15 +434,14 @@ func LoadFile(path string) (*State, error) {
 // orbitals propagated under the screened-exchange Hamiltonian must not
 // silently continue under a semi-local one (or vice versa) - the
 // trajectories are not comparable. mts is the refresh period of the
-// resuming run (0 for no MTS) and ace whether its exchange goes through
-// the ACE compression: a state saved mid-cycle pins the whole cadence -
-// the frozen operator it carries is only meaningful under the same M *and*
-// the same operator kind - while a state saved at a cycle boundary may
-// change both freely. md reports whether the resuming run moves ions: an
-// Ehrenfest state must not silently continue with frozen ions (its stored
-// geometry would be ignored), nor a frozen-ion state under -md (there is
-// no velocity/force state to integrate from).
-func (s *State) Compatible(nbands, ng int, natom int64, ecut float64, hybrid bool, mts int, ace bool, md bool) error {
+// resuming run (0 for no MTS): a state saved mid-cycle pins it - the
+// frozen operator it carries is only meaningful under the same M - while
+// a state saved at a cycle boundary may change it freely. md reports
+// whether the resuming run moves ions: an Ehrenfest state must not
+// silently continue with frozen ions (its stored geometry would be
+// ignored), nor a frozen-ion state under -md (there is no velocity/force
+// state to integrate from).
+func (s *State) Compatible(nbands, ng int, natom int64, ecut float64, hybrid bool, mts int, md bool) error {
 	if s.NBands != nbands {
 		return fmt.Errorf("checkpoint: band count: checkpoint has %d, run has %d", s.NBands, nbands)
 	}
@@ -462,10 +463,6 @@ func (s *State) Compatible(nbands, ng int, natom int64, ecut float64, hybrid boo
 			return fmt.Errorf("checkpoint: mts period: checkpoint has %d (saved mid-cycle at phase %d), run has %d (rerun with -mts %d, or restart from a cycle-boundary checkpoint)",
 				s.MTSPeriod, s.MTSPhase, mts, s.MTSPeriod)
 		}
-		if s.MTSACE != ace {
-			return fmt.Errorf("checkpoint: exchange operator: checkpoint froze the %s, run applies the %s (rerun with the matching -ace flag, or restart from a cycle-boundary checkpoint)",
-				operatorKind(s.MTSACE), operatorKind(ace))
-		}
 		if s.Hybrid && len(s.PhiRef) == 0 {
 			return fmt.Errorf("checkpoint: mid-cycle MTS state (phase %d of %d) is missing its frozen exchange reference", s.MTSPhase, s.MTSPeriod)
 		}
@@ -475,14 +472,6 @@ func (s *State) Compatible(nbands, ng int, natom int64, ecut float64, hybrid boo
 			s.HasIons(), md)
 	}
 	return nil
-}
-
-// operatorKind names the exchange operator an MTS cycle froze.
-func operatorKind(ace bool) string {
-	if ace {
-		return "ACE-compressed exchange"
-	}
-	return "exact exchange"
 }
 
 // ContinuationStep returns the global step counter after advancing `steps`

@@ -53,7 +53,7 @@ func TestRoundTrip(t *testing.T) {
 func TestRoundTripMTS(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := sampleState(rng)
-	s.MTSPeriod, s.MTSPhase, s.MTSACE = 4, 3, true
+	s.MTSPeriod, s.MTSPhase = 4, 3
 	s.PhiRef = make([]complex128, len(s.Psi))
 	for i := range s.PhiRef {
 		s.PhiRef[i] = complex(rng.NormFloat64(), rng.NormFloat64())
@@ -66,8 +66,8 @@ func TestRoundTripMTS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MTSPeriod != 4 || got.MTSPhase != 3 || !got.MTSACE {
-		t.Errorf("MTS cadence lost: period %d phase %d ace %v", got.MTSPeriod, got.MTSPhase, got.MTSACE)
+	if got.MTSPeriod != 4 || got.MTSPhase != 3 {
+		t.Errorf("MTS cadence lost: period %d phase %d", got.MTSPeriod, got.MTSPhase)
 	}
 	for i := range s.PhiRef {
 		if got.PhiRef[i] != s.PhiRef[i] {
@@ -239,24 +239,24 @@ func TestSaveRejectsInconsistentState(t *testing.T) {
 
 func TestCompatible(t *testing.T) {
 	s := &State{NBands: 16, NG: 257, Natom: 8, Ecut: 3, Hybrid: true}
-	if err := s.Compatible(16, 257, 8, 3, true, 0, false, false); err != nil {
+	if err := s.Compatible(16, 257, 8, 3, true, 0, false); err != nil {
 		t.Errorf("unexpected incompatibility: %v", err)
 	}
-	if err := s.Compatible(16, 257, 8, 4, true, 0, false, false); err == nil {
+	if err := s.Compatible(16, 257, 8, 4, true, 0, false); err == nil {
 		t.Error("Ecut mismatch not detected")
 	}
-	if err := s.Compatible(32, 257, 8, 3, true, 0, false, false); err == nil {
+	if err := s.Compatible(32, 257, 8, 3, true, 0, false); err == nil {
 		t.Error("band mismatch not detected")
 	}
 	// A hybrid checkpoint must not resume under a semi-local Hamiltonian
 	// (or vice versa) - the propagated trajectories are not interchangeable.
-	if err := s.Compatible(16, 257, 8, 3, false, 0, false, false); err == nil {
+	if err := s.Compatible(16, 257, 8, 3, false, 0, false); err == nil {
 		t.Error("hybrid mismatch not detected")
 	} else if !strings.Contains(err.Error(), "hybrid") {
 		t.Errorf("hybrid mismatch error not descriptive: %v", err)
 	}
 	sl := &State{NBands: 16, NG: 257, Natom: 8, Ecut: 3, Hybrid: false}
-	if err := sl.Compatible(16, 257, 8, 3, true, 0, false, false); err == nil {
+	if err := sl.Compatible(16, 257, 8, 3, true, 0, false); err == nil {
 		t.Error("semi-local state resumed under hybrid not detected")
 	}
 }
@@ -272,34 +272,28 @@ func TestCompatibleMessagesReportExpectedVsGot(t *testing.T) {
 		err  error
 		want []string
 	}{
-		{"bands", s.Compatible(32, 257, 8, 3, true, 0, false, false),
+		{"bands", s.Compatible(32, 257, 8, 3, true, 0, false),
 			[]string{"band count", "checkpoint has 16", "run has 32"}},
-		{"ng", s.Compatible(16, 300, 8, 3, true, 0, false, false),
+		{"ng", s.Compatible(16, 300, 8, 3, true, 0, false),
 			[]string{"G-sphere size", "checkpoint has 257", "run has 300"}},
-		{"natom", s.Compatible(16, 257, 64, 3, true, 0, false, false),
+		{"natom", s.Compatible(16, 257, 64, 3, true, 0, false),
 			[]string{"atom count", "checkpoint has 8", "run has 64"}},
-		{"ecut", s.Compatible(16, 257, 8, 10, true, 0, false, false),
+		{"ecut", s.Compatible(16, 257, 8, 10, true, 0, false),
 			[]string{"energy cutoff", "checkpoint has 3 Ha", "run has 10 Ha"}},
-		{"hybrid", s.Compatible(16, 257, 8, 3, false, 0, false, false),
+		{"hybrid", s.Compatible(16, 257, 8, 3, false, 0, false),
 			[]string{"functional", "checkpoint has hybrid=true", "run has hybrid=false"}},
-		{"md", s.Compatible(16, 257, 8, 3, true, 0, false, true),
+		{"md", s.Compatible(16, 257, 8, 3, true, 0, true),
 			[]string{"ion dynamics", "checkpoint has md=false", "run has md=true"}},
 	}
 	mid := &State{NBands: 16, NG: 257, Natom: 8, Ecut: 3, Hybrid: true,
-		MTSPeriod: 4, MTSPhase: 2, MTSACE: true, PhiRef: make([]complex128, 16*257)}
+		MTSPeriod: 4, MTSPhase: 2, PhiRef: make([]complex128, 16*257)}
 	cases = append(cases,
 		struct {
 			name string
 			err  error
 			want []string
-		}{"mts", mid.Compatible(16, 257, 8, 3, true, 2, true, false),
+		}{"mts", mid.Compatible(16, 257, 8, 3, true, 2, false),
 			[]string{"mts period", "checkpoint has 4", "run has 2"}},
-		struct {
-			name string
-			err  error
-			want []string
-		}{"ace", mid.Compatible(16, 257, 8, 3, true, 4, false, false),
-			[]string{"exchange operator", "ACE-compressed exchange", "exact exchange"}},
 	)
 	for _, tc := range cases {
 		if tc.err == nil {
@@ -320,40 +314,27 @@ func TestCompatibleMessagesReportExpectedVsGot(t *testing.T) {
 func TestCompatibleMTS(t *testing.T) {
 	n := 16 * 257
 	mid := &State{NBands: 16, NG: 257, Natom: 8, Ecut: 3, Hybrid: true,
-		MTSPeriod: 4, MTSPhase: 2, MTSACE: true, PhiRef: make([]complex128, n)}
-	if err := mid.Compatible(16, 257, 8, 3, true, 4, true, false); err != nil {
+		MTSPeriod: 4, MTSPhase: 2, PhiRef: make([]complex128, n)}
+	if err := mid.Compatible(16, 257, 8, 3, true, 4, false); err != nil {
 		t.Errorf("matching mid-cycle resume rejected: %v", err)
 	}
-	if err := mid.Compatible(16, 257, 8, 3, true, 0, true, false); err == nil {
+	if err := mid.Compatible(16, 257, 8, 3, true, 0, false); err == nil {
 		t.Error("mid-cycle state resumed without -mts not detected")
 	} else if !strings.Contains(err.Error(), "-mts") {
 		t.Errorf("cadence mismatch error not descriptive: %v", err)
 	}
-	if err := mid.Compatible(16, 257, 8, 3, true, 2, true, false); err == nil {
+	if err := mid.Compatible(16, 257, 8, 3, true, 2, false); err == nil {
 		t.Error("mid-cycle period change not detected")
 	}
-	// The frozen operator kind is pinned too: the same orbitals back a
-	// different operator under -ace vs exact exchange, so flipping the
-	// flag mid-cycle must be loud, not a silent reconstruction.
-	if err := mid.Compatible(16, 257, 8, 3, true, 4, false, false); err == nil {
-		t.Error("mid-cycle ACE-to-exact flip not detected")
-	} else if !strings.Contains(err.Error(), "-ace") {
-		t.Errorf("operator-kind mismatch error not descriptive: %v", err)
-	}
-	mid.MTSACE = false
-	if err := mid.Compatible(16, 257, 8, 3, true, 4, true, false); err == nil {
-		t.Error("mid-cycle exact-to-ACE flip not detected")
-	}
-	mid.MTSACE = true
 	mid.PhiRef = nil
-	if err := mid.Compatible(16, 257, 8, 3, true, 4, true, false); err == nil {
+	if err := mid.Compatible(16, 257, 8, 3, true, 4, false); err == nil {
 		t.Error("mid-cycle state without frozen reference not detected")
 	}
-	// At a cycle boundary the cadence (period and operator kind) may
-	// change: the next step is an outer step under any setting.
-	boundary := &State{NBands: 16, NG: 257, Natom: 8, Ecut: 3, Hybrid: true, MTSPeriod: 4, MTSACE: true}
+	// At a cycle boundary the period may change: the next step is an outer
+	// step under any setting.
+	boundary := &State{NBands: 16, NG: 257, Natom: 8, Ecut: 3, Hybrid: true, MTSPeriod: 4}
 	for _, mts := range []int{0, 1, 2, 4, 8} {
-		if err := boundary.Compatible(16, 257, 8, 3, true, mts, false, false); err != nil {
+		if err := boundary.Compatible(16, 257, 8, 3, true, mts, false); err != nil {
 			t.Errorf("cycle-boundary resume under -mts %d rejected: %v", mts, err)
 		}
 	}

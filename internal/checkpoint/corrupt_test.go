@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc64"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,7 +16,7 @@ import (
 // reference and the ion block.
 func fullState(rng *rand.Rand) *State {
 	s := sampleState(rng)
-	s.MTSPeriod, s.MTSPhase, s.MTSACE = 4, 3, true
+	s.MTSPeriod, s.MTSPhase = 4, 3
 	s.PhiRef = make([]complex128, len(s.Psi))
 	for i := range s.PhiRef {
 		s.PhiRef[i] = complex(rng.NormFloat64(), rng.NormFloat64())
@@ -141,6 +143,40 @@ func TestV4ErrorsNameTheDamagedField(t *testing.T) {
 	_, err := Load(bytes.NewReader(clean[:headerEnd+100]))
 	if err == nil || !strings.Contains(err.Error(), "byte offset") {
 		t.Errorf("payload truncation error lacks byte offset: %v", err)
+	}
+}
+
+// TestLoadRejectsFrozenExactMidCycle: a v4 header whose ACE word is 0
+// marks an MTS cycle that froze exact exchange, a cadence that was
+// removed. Such a state saved mid-cycle fails to load, naming the removed
+// cadence; at a cycle boundary it carries no frozen operator and loads.
+func TestLoadRejectsFrozenExactMidCycle(t *testing.T) {
+	// exactWord saves s, zeroes the ACE header word and restores both
+	// checksums it covers, as a save by the removed cadence wrote them.
+	exactWord := func(s *State) []byte {
+		var buf bytes.Buffer
+		if err := Save(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		const hdrLen = 15 * 8
+		binary.LittleEndian.PutUint64(data[11*8:], 0)
+		binary.LittleEndian.PutUint64(data[hdrLen:], crc64.Checksum(data[:hdrLen], crcTab))
+		end := len(data) - 8
+		binary.LittleEndian.PutUint64(data[end:], crc64.Checksum(data[:end], crcTab))
+		return data
+	}
+	s := fullState(rand.New(rand.NewSource(15)))
+	if _, err := Load(bytes.NewReader(exactWord(s))); err == nil || !strings.Contains(err.Error(), "froze exact exchange, a cadence that was removed") {
+		t.Errorf("mid-cycle frozen-exact state: error %v does not name the removed cadence", err)
+	}
+	s.MTSPhase, s.PhiRef = 0, nil
+	got, err := Load(bytes.NewReader(exactWord(s)))
+	if err != nil {
+		t.Fatalf("cycle-boundary state with a zero ACE word rejected: %v", err)
+	}
+	if got.MTSPeriod != 4 || got.MTSPhase != 0 {
+		t.Errorf("cycle-boundary state loaded as period %d phase %d, want 4 and 0", got.MTSPeriod, got.MTSPhase)
 	}
 }
 

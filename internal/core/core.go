@@ -356,8 +356,11 @@ func (c *CN) Advance(b BandBlock, at Bands, psi []complex128, dt float64) ([]com
 
 // PTCN is the serial parallel transport Crank-Nicolson propagator: the
 // whole band set of one System, with the exchange refreshed from the iterate
-// at every H rebuild. It has no MTS cadence; the held ACE cadence is
-// dist.PTCNSolver's, which sim.Run runs on one rank for a serial run.
+// at every H rebuild. It has no MTS cadence and no ion coupling; the held
+// ACE cadence and Ehrenfest MD are dist.PTCNSolver's, which sim.Run runs on
+// one rank for a serial run. Its users are the benchmark's step probe,
+// examples/chargetransfer (two species, which sim.Spec cannot express) and
+// the reference tests.
 type PTCN struct {
 	Sys *System
 	CN
@@ -366,15 +369,6 @@ type PTCN struct {
 // NewPTCN builds a PT-CN propagator starting at t = 0.
 func NewPTCN(sys *System, opt PTCNOptions) *PTCN {
 	return &PTCN{Sys: sys, CN: CN{Opt: opt}}
-}
-
-// IonGeometryChanged is the coupled-step hook of the Ehrenfest ion
-// integrator: after an ion drift it rebuilds the Hamiltonian's static
-// geometry-dependent operators (nonlocal projectors, local
-// pseudopotential). The exchange operator carries no explicit position
-// dependence and is rebuilt from the iterate at the next refresh anyway.
-func (p *PTCN) IonGeometryChanged() {
-	p.Sys.H.RebuildGeometry()
 }
 
 // Step advances psi by dt using Algorithm 1 and returns the new orbitals.

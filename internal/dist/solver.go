@@ -359,9 +359,8 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 }
 
 // IonGeometryChanged is the coupled-step hook of the Ehrenfest ion
-// integrator, as core.PTCN.IonGeometryChanged is the serial one: it
-// rebuilds this rank's static geometry-dependent operators after an ion
-// drift. Each rank owns a cloned cell (and grid/Hamiltonian built on it),
+// integrator: it rebuilds this rank's static geometry-dependent operators
+// (nonlocal projectors, local pseudopotential) after an ion drift. Each rank owns a cloned cell (and grid/Hamiltonian built on it),
 // so concurrent rebuilds never touch shared memory; the replicated ion
 // trajectories stay bit-identical because the forces they integrate are
 // allreduced. A held exchange operator (MTS) survives the rebuild

@@ -51,7 +51,7 @@ func TestVecKernelsSameTrajectory(t *testing.T) {
 				if err := spec.Validate(); err != nil {
 					t.Fatal(err)
 				}
-				res, err := sim.Run(&spec, sim.Options{PulseSteps: 4})
+				res, err := sim.Run(&spec, sim.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,60 +1,9 @@
 package ion
 
 import (
-	"ptdft/internal/core"
 	"ptdft/internal/dist"
-	"ptdft/internal/observe"
-	"ptdft/internal/potential"
 	"ptdft/internal/pseudo"
 )
-
-// SerialElectrons couples the serial core.PTCN propagator to the ion
-// integrator. It owns the evolving orbital set; Psi always holds the
-// current state.
-type SerialElectrons struct {
-	P    *core.PTCN
-	Psi  []complex128
-	Pots map[int]*pseudo.Potential
-	SCF  int // cumulative inner-SCF iterations, for per-ion-step reporting
-}
-
-// StepElectrons advances the orbitals by one PT-CN step.
-func (se *SerialElectrons) StepElectrons(dt float64) error {
-	psi, stats, err := se.P.Step(se.Psi, dt)
-	if err != nil {
-		return err
-	}
-	se.Psi = psi
-	se.SCF += stats.SCFIterations
-	return nil
-}
-
-// ElectronForces assembles the electron contribution to the
-// Hellmann-Feynman force from the current orbitals: the local
-// pseudopotential force from the density plus the nonlocal projector
-// force.
-func (se *SerialElectrons) ElectronForces() ([][3]float64, error) {
-	sys := se.P.Sys
-	rho := potential.Density(sys.G, se.Psi, sys.NB, sys.Occ)
-	f := LocalForces(sys.G, se.Pots, rho)
-	if err := sys.H.NL.Forces(f, sys.G, se.Psi, sys.NB, sys.Occ); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// GeometryChanged rebuilds the static operators through the propagator's
-// coupled-step hook.
-func (se *SerialElectrons) GeometryChanged() error {
-	se.P.IonGeometryChanged()
-	return nil
-}
-
-// ElectronicEnergy evaluates the electronic total energy with H refreshed
-// from the current orbitals.
-func (se *SerialElectrons) ElectronicEnergy() (float64, error) {
-	return observe.Energy(se.P.Sys, se.Psi, se.P.Time).Total(), nil
-}
 
 // DistElectrons couples one rank of the distributed dist.PTCNSolver to the
 // ion integrator. Every method is collective: all ranks drive their

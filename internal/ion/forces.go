@@ -9,10 +9,11 @@
 // are no Pulay terms - and a trajectory's conserved quantity is
 // E_electronic + E_ion-kinetic + E_ion-ion.
 //
-// The integrator is solver-agnostic: serial core.PTCN and the distributed
-// dist.PTCNSolver plug in through the Electrons interface, and because the
-// distributed force assembly allreduces in deterministic rank order, every
-// rank integrates a bit-identical replica of the ion trajectory.
+// The integrator drives the electrons through the Electrons interface,
+// which dist.PTCNSolver implements on every rank of a world (DistElectrons;
+// a serial run is the one-rank world, as in sim.Run). The force assembly
+// allreduces in deterministic rank order, so every rank integrates a
+// bit-identical replica of the ion trajectory.
 package ion
 
 import (

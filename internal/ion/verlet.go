@@ -7,10 +7,10 @@ import (
 )
 
 // Electrons is the electronic half of the coupled Ehrenfest system: the
-// ion integrator drives it between force evaluations. core.PTCN and
-// dist.PTCNSolver plug in through the adapters in this package; every
-// method of a distributed implementation is collective, so all ranks run
-// the integrator in lockstep on replicated ion state.
+// ion integrator drives it between force evaluations. dist.PTCNSolver
+// plugs in through DistElectrons on every rank of a world (a serial run is
+// the one-rank world); every method is collective, so all ranks run the
+// integrator in lockstep on replicated ion state.
 type Electrons interface {
 	// StepElectrons advances the electronic state by one PT-CN step of dt.
 	StepElectrons(dt float64) error

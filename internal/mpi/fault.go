@@ -122,13 +122,14 @@ func (f *Failure) Error() string {
 	return strings.Join(parts, "; ")
 }
 
-// RunTolerant executes f on size ranks like RunPerturbed, but recovers
-// injected-fault panics (RankFailure, PeerLostError) instead of
-// re-raising them: if any rank failed, the returned Failure lists the
-// crashed and peer-lost ranks. A nil Failure means the run completed
-// cleanly on every rank. Non-fault panics are still programming bugs and
-// are re-raised with rank attribution. Stats are returned in either case
-// (for a failed run they meter the truncated traffic).
+// RunTolerant executes f on size ranks like Run, under the perturbation
+// model p (nil: none), but recovers injected-fault panics (RankFailure,
+// PeerLostError) instead of re-raising them: if any rank failed, the
+// returned Failure lists the crashed and peer-lost ranks. A nil Failure
+// means the run completed cleanly on every rank. Non-fault panics are
+// still programming bugs and are re-raised with rank attribution. Stats
+// are returned in either case (for a failed run they meter the truncated
+// traffic).
 //
 // When p carries a Fault but no Deadline, DefaultDeadline is applied so
 // surviving ranks always unblock: RunTolerant only returns once every

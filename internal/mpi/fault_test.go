@@ -104,9 +104,6 @@ func TestDeadlineTripsEveryCollective(t *testing.T) {
 		{"Barrier", func(c *Comm) {
 			c.Barrier() // rank 0 never enters
 		}},
-		{"Recv", func(c *Comm) {
-			Recv[float64](c, silent, 100+c.Rank()) // rank 0 never sends
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,29 +140,6 @@ func TestDeadlineTripsEveryCollective(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestRunPerturbedPanicsOnFault checks the non-tolerant entry points keep
-// their contract: an injected fault ends the run with a loud panic that
-// names the dead rank.
-func TestRunPerturbedPanicsOnFault(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("expected panic from RunPerturbed under an injected crash")
-		}
-		msg := fmt.Sprint(p)
-		if !strings.Contains(msg, "rank 1 crashed") {
-			t.Fatalf("panic %q does not name the crashed rank", msg)
-		}
-	}()
-	p := &Perturb{
-		Deadline: 100 * time.Millisecond,
-		Fault:    &Fault{Crashes: []CrashRankAt{{Rank: 1, AfterCalls: 1}}},
-	}
-	RunPerturbed(2, p, func(c *Comm) {
-		AllreduceSum(c, 100, make([]float64, 4))
-	})
 }
 
 // TestNonFaultPanicIsStillABug checks programming-error panics are not

@@ -2,10 +2,10 @@
 // for IBM Spectrum MPI in the reproduction: ranks execute SPMD functions on
 // their own goroutines and communicate through tag-matched mailboxes. It
 // provides the collectives the paper's implementation is built from -
-// MPI_Bcast (binomial tree), MPI_Allreduce, MPI_Alltoallv, MPI_Allgatherv,
-// and point-to-point Send/Recv - and it meters bytes and calls per
-// collective class so the communication volumes of Table 2 can be measured
-// from the functional code rather than estimated.
+// MPI_Bcast (binomial tree), MPI_Allreduce, MPI_Alltoallv and
+// MPI_Allgatherv - and it meters bytes and calls per collective class so
+// the communication volumes of Table 2 can be measured from the
+// functional code rather than estimated.
 //
 // Tags make concurrent collectives safe: the overlapped broadcast pipeline
 // of the Fock operator (section 3.2, optimization 5) posts the broadcast of
@@ -37,8 +37,7 @@ type OpClass int
 
 // Collective classes.
 const (
-	ClassP2P OpClass = iota
-	ClassBcast
+	ClassBcast OpClass = iota
 	ClassAllreduce
 	ClassAlltoallv
 	ClassAllgatherv
@@ -48,8 +47,6 @@ const (
 // String names the class as the paper's tables do.
 func (c OpClass) String() string {
 	switch c {
-	case ClassP2P:
-		return "Send/Recv"
 	case ClassBcast:
 		return "MPI_Bcast"
 	case ClassAllreduce:
@@ -233,7 +230,7 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return c.w.size }
 
 // SetTrace attaches a span track to this handle: every metered operation
-// then records wait spans (blocked in Recv or Barrier) and transfer
+// then records wait spans (blocked in a receive or Barrier) and transfer
 // spans (payload shipped, with byte counts matching the Stats ledgers)
 // under the operation's class name. A nil track disables recording.
 func (c *Comm) SetTrace(t *trace.Track) { c.tr = t }
@@ -260,17 +257,10 @@ type Perturb struct {
 
 // Run executes f on size ranks (one goroutine each) and returns the
 // accumulated communication statistics. It panics if any rank panics,
-// re-raising the first failure.
+// re-raising the first failure; use RunTolerant under a perturbation
+// model to observe injected faults as a value instead.
 func Run(size int, f func(c *Comm)) *Stats {
-	return RunPerturbed(size, nil, f)
-}
-
-// RunPerturbed is Run under a perturbation model. A nil p (or nil fields)
-// reproduces Run exactly. Injected hard faults (p.Fault, or a tripped p.Deadline) end the run
-// with a panic naming every dead rank; use RunTolerant to observe them as
-// a value instead.
-func RunPerturbed(size int, p *Perturb, f func(c *Comm)) *Stats {
-	st, fail := RunTolerant(size, p, f)
+	st, fail := RunTolerant(size, nil, f)
 	if fail != nil {
 		panic("mpi: run failed: " + fail.Error())
 	}
@@ -315,33 +305,20 @@ func deliver[T Elem](c *Comm, to, tag int, data []T, class OpClass) {
 	c.tr.EndBytes(ref, bytes)
 }
 
-// Send ships a copy of data to rank `to` with a matching tag.
-func Send[T Elem](c *Comm, to, tag int, data []T) {
-	if to == c.rank {
-		panic("mpi: self-send")
-	}
-	deliver(c, to, tag, data, ClassP2P)
-}
-
-// Recv receives a []T from rank `from` with the given tag, blocking until
-// a matching message arrives. Under a configured deadline a silent peer
-// trips a PeerLostError panic instead of hanging forever.
-func Recv[T Elem](c *Comm, from, tag int) []T {
-	return recvClass[T](c, from, tag, ClassP2P)
-}
-
-// recvClass is Recv with the wait span attributed to the collective class
-// driving it, so a trace splits "blocked waiting for a broadcast" from
-// "blocked waiting for a point-to-point message". The wait span brackets
-// the blocking take: the time to this rank is stall, the payload's ship
-// time is on the sender's transfer span.
+// recvClass receives a []T from rank `from` with the given tag, blocking
+// until a matching message arrives; under a configured deadline a silent
+// peer trips a PeerLostError panic instead of hanging forever. The wait
+// span is attributed to the collective class driving it, so a trace splits
+// "blocked waiting for a broadcast" from "blocked waiting for an
+// all-to-all". It brackets the blocking take: the time to this rank is
+// stall, the payload's ship time is on the sender's transfer span.
 func recvClass[T Elem](c *Comm, from, tag int, class OpClass) []T {
 	ref := c.tr.Begin(class.String()+" wait", "wait")
 	d := c.w.deadline
 	data, ok := c.w.boxes[from][c.rank].take(tag, d)
 	c.tr.End(ref)
 	if !ok {
-		c.lostPeer(from, fmt.Sprintf("Recv tag %d", tag), d)
+		c.lostPeer(from, fmt.Sprintf("%v receive tag %d", class, tag), d)
 	}
 	return data.([]T)
 }

@@ -7,40 +7,19 @@ import (
 	"testing"
 )
 
-func TestSendRecvRoundTrip(t *testing.T) {
-	Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			Send(c, 1, 7, []complex128{1, complex(2, 3)})
-			got := Recv[complex128](c, 1, 8)
-			if got[0] != 10 {
-				t.Errorf("rank0 received %v", got)
-			}
-		} else {
-			got := Recv[complex128](c, 0, 7)
-			if got[1] != complex(2, 3) {
-				t.Errorf("rank1 received %v", got)
-			}
-			Send(c, 0, 8, []complex128{10})
-		}
-	})
-}
-
+// TestRecvTagMatching: the mailbox under every collective buffers
+// out-of-order tags and matches each receive to its own.
 func TestRecvTagMatching(t *testing.T) {
-	// Out-of-order tags must be buffered and matched.
 	Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			Send(c, 1, 1, []float64{1})
-			Send(c, 1, 2, []float64{2})
-			Send(c, 1, 3, []float64{3})
+			deliver(c, 1, 1, []float64{1}, ClassBcast)
+			deliver(c, 1, 2, []float64{2}, ClassBcast)
+			deliver(c, 1, 3, []float64{3}, ClassBcast)
 		} else {
-			if v := Recv[float64](c, 0, 3); v[0] != 3 {
-				t.Errorf("tag 3 got %v", v)
-			}
-			if v := Recv[float64](c, 0, 1); v[0] != 1 {
-				t.Errorf("tag 1 got %v", v)
-			}
-			if v := Recv[float64](c, 0, 2); v[0] != 2 {
-				t.Errorf("tag 2 got %v", v)
+			for _, tag := range []int{3, 1, 2} {
+				if v := recvClass[float64](c, 0, tag, ClassBcast); v[0] != float64(tag) {
+					t.Errorf("tag %d got %v", tag, v)
+				}
 			}
 		}
 	})

@@ -23,12 +23,6 @@ func TestStatsConservationInvariants(t *testing.T) {
 			}
 			Alltoallv(c, 20, send)
 			Allgatherv(c, 30, data)
-			if c.Rank() == 0 {
-				Send(c, 1, 40, data)
-			}
-			if c.Rank() == 1 {
-				Recv[complex128](c, 0, 40)
-			}
 		})
 		if len(st.sent) != size {
 			t.Fatalf("size=%d: per-rank breakdown covers %d ranks", size, len(st.sent))
@@ -69,10 +63,6 @@ func TestStatsConservationInvariants(t *testing.T) {
 					st.SentBy(r, ClassAlltoallv), st.RecvBy(r, ClassAlltoallv))
 			}
 		}
-		// The point-to-point message is attributed to its endpoints.
-		if st.SentBy(0, ClassP2P) != n*16 || st.RecvBy(1, ClassP2P) != n*16 {
-			t.Errorf("size=%d: P2P attribution sent0=%d recv1=%d", size, st.SentBy(0, ClassP2P), st.RecvBy(1, ClassP2P))
-		}
 	}
 }
 
@@ -80,13 +70,16 @@ func TestStatsConservationInvariants(t *testing.T) {
 // deadline alone - changes neither what is delivered nor what is billed.
 func TestPerturbModel(t *testing.T) {
 	p := &Perturb{Deadline: time.Second}
-	st := RunPerturbed(2, p, func(c *Comm) {
+	st, fail := RunTolerant(2, p, func(c *Comm) {
 		data := []complex128{complex(float64(c.Rank()), 0)}
 		Bcast(c, 0, 1, data)
 		if data[0] != 0 {
 			t.Errorf("rank %d: perturbed broadcast delivered %v", c.Rank(), data[0])
 		}
 	})
+	if fail != nil {
+		t.Fatalf("a deadline alone failed the run: %v", fail)
+	}
 	if want := int64(16); st.BytesFor(ClassBcast) != want {
 		t.Errorf("perturbed Bcast bytes %d, want %d", st.BytesFor(ClassBcast), want)
 	}

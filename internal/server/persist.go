@@ -122,15 +122,10 @@ func (s *Server) adopt() error {
 			// truncated to the resume point: the record may have been
 			// persisted ahead of the checkpoint the job restarts from, and
 			// the resumed attempt re-streams everything past it.
-			limit := 0
 			if st, _, err := j.roll.Latest(); err == nil {
 				j.resume = st
-				if rec.Spec.MD {
-					limit = int(st.IonSteps)
-				} else {
-					limit = int(st.Step)
-				}
 			}
+			limit := j.Spec.Progress(j.resume)
 			for _, smp := range rec.Samples {
 				if smp.Step <= limit {
 					j.Feed.Append(smp)

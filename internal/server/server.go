@@ -369,67 +369,57 @@ func (s *Server) worker() {
 	}
 }
 
-// attempt runs one segment of the job: ground state through the SCF
-// cache, then the remaining steps from the resume point (if any).
+// attempt runs one segment of the job: the spec from the resume point (if
+// any) up to its trajectory length, with the ground state from the SCF
+// cache - unless the checkpoint already covers the trajectory (a
+// preempt/drain that fired as the final step completed, or a restart
+// adoption of a last-step checkpoint), which needs none.
 func (s *Server) attempt(j *Job) (*sim.Result, error) {
 	s.mu.Lock()
-	seg := j.Spec
+	spec := j.Spec
 	resume := j.resume
 	stop := j.stop
 	roll := j.roll
 	firstAttempt := j.resume == nil && j.Metrics.StepsDone == 0
 	s.mu.Unlock()
-	if resume != nil {
-		// The spec's step count is the TOTAL trajectory; a resumed segment
-		// runs only the remainder.
-		if seg.MD {
-			seg.IonSteps = j.Spec.IonSteps - int(resume.IonSteps)
+	left, err := spec.Remaining(resume)
+	if err != nil {
+		return nil, err
+	}
+	var gs *scf.Result
+	if left > 0 {
+		key, err := spec.SCFKey()
+		if err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		var hit bool
+		gs, hit, err = s.cache.GroundState(key, func() (*scf.Result, error) { return s.solve(&spec) })
+		if err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		if hit {
+			s.scfHits++
 		} else {
-			seg.Steps = j.Spec.Steps - int(resume.Step)
+			s.scfMisses++
 		}
-		if seg.TotalSteps() <= 0 {
-			// The checkpoint already covers the whole trajectory (a
-			// preempt/drain that fired as the final step completed, or a
-			// restart adoption of a last-step checkpoint): nothing to run.
-			// An MD segment of zero ion steps would not even validate.
-			return &sim.Result{Psi: resume.Psi, Time: resume.Time, Final: resume}, nil
+		if firstAttempt {
+			j.Metrics.SCFCacheHit = hit
+			j.Metrics.SCFWallSec = time.Since(start).Seconds()
 		}
+		s.mu.Unlock()
 	}
-
-	key, err := seg.SCFKey()
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	gs, hit, err := s.cache.GroundState(key, func() (*scf.Result, error) { return s.solve(&seg) })
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if hit {
-		s.scfHits++
-	} else {
-		s.scfMisses++
-	}
-	if firstAttempt {
-		j.Metrics.SCFCacheHit = hit
-		j.Metrics.SCFWallSec = time.Since(start).Seconds()
-	}
-	s.mu.Unlock()
 
 	// Each attempt records onto a fresh flight recorder; the folded
 	// aggregates accumulate across attempts on the job and the server.
 	rec := trace.NewRecorder()
 	segDone := 0
-	res, err := s.run(&seg, sim.Options{
+	res, err := s.run(&spec, sim.Options{
 		Trace:  rec,
 		Stop:   stop,
 		Ground: gs,
 		Resume: resume,
-		// The pulse envelope is shaped by the TOTAL trajectory length, not
-		// this segment's remainder, so a resumed job propagates under the
-		// identical laser field as an uninterrupted run.
-		PulseSteps: j.Spec.Steps,
 		OnSample: func(smp observe.Sample) {
 			j.Feed.Append(smp)
 			s.mu.Lock()

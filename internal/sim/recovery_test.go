@@ -58,7 +58,7 @@ func TestRunRecovery(t *testing.T) {
 	aceMTS2 := func(s *Spec) { s.Ranks, s.Hybrid, s.ACE, s.MTS, s.Exchange = 4, true, true, 2, "overlap" }
 	type row struct {
 		runCase
-		total, every int
+		total, every int // steps this run propagates, checkpoint cadence
 		prior        int // steps of an earlier segment the run resumes from (0: fresh)
 		noCkpt       bool
 		corruptAt    int // after this step, damage the newest checkpoint file (0: never)
@@ -132,9 +132,10 @@ func TestRunRecovery(t *testing.T) {
 	top := t
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
+			// The trajectory covers the earlier segment and this one.
 			spec := testSpec()
 			tc.mod(&spec)
-			setLen(&spec, tc.total)
+			setLen(&spec, tc.prior+tc.total)
 			key, err := spec.SCFKey()
 			if err != nil {
 				t.Fatal(err)
@@ -146,9 +147,9 @@ func TestRunRecovery(t *testing.T) {
 			}
 			opt := Options{Ground: grounds[key]}
 			if tc.prior > 0 {
-				head := spec
-				setLen(&head, tc.prior)
-				seg, err := Run(&head, opt)
+				head, headOpt := spec, stopAfter(tc.prior)
+				headOpt.Ground = opt.Ground
+				seg, err := Run(&head, headOpt)
 				if err != nil {
 					t.Fatal(err)
 				}

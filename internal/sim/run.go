@@ -64,7 +64,9 @@ type Options struct {
 	// means Run solves it. The orbitals are treated as read-only.
 	Ground *scf.Result
 	// Resume continues from a loaded checkpoint instead of the ground
-	// state. Run validates compatibility against the spec.
+	// state, up to the spec's TotalSteps. Run validates compatibility
+	// against the spec; a checkpoint that already covers the trajectory
+	// is the result as it stands (no ground state, no world).
 	Resume *checkpoint.State
 	// Ckpt, when set, receives a durable rolling checkpoint every
 	// CkptEvery steps (ion steps under MD) plus the final state. With
@@ -78,12 +80,8 @@ type Options struct {
 	// aggregates; export the recorder for the full timeline. nil (the
 	// default) keeps every recording site on its zero-alloc disabled path.
 	Trace *trace.Recorder
-	// PulseSteps overrides the electronic step count the 380nm pulse
-	// envelope is shaped from (sigma = dt*PulseSteps/4, peak at 2*sigma).
-	// When the spec covers only a segment of a longer trajectory (a
-	// checkpoint resume), set it to the TOTAL length so every segment
-	// propagates under the identical laser field; the field is a function
-	// of absolute time, which the checkpoint carries. 0 means Spec.Steps.
+	// PulseSteps, when set, must equal Spec.ElectronicSteps, the length
+	// the 380nm pulse envelope is shaped from; Run rejects any other value.
 	PulseSteps int
 	// Perturb, when set, returns the perturbation model (fault injection,
 	// peer-loss deadline) the distributed world of launch
@@ -190,6 +188,26 @@ func Run(spec *Spec, opt Options) (*Result, error) {
 	opt.logf("system: Si%d (%dx%dx%d cells), Ecut %.1f Ha; grid %v (NG=%d), bands %d",
 		cell.NumAtoms(), spec.Cells[0], spec.Cells[1], spec.Cells[2], spec.Ecut, g.N, g.NG, nb)
 
+	left, err := spec.Remaining(opt.Resume)
+	if err != nil {
+		return nil, err
+	}
+	if opt.PulseSteps != 0 && opt.PulseSteps != spec.ElectronicSteps() {
+		return nil, fmt.Errorf("sim: PulseSteps %d is not the trajectory's %d electronic steps the envelope is shaped from", opt.PulseSteps, spec.ElectronicSteps())
+	}
+	if st := opt.Resume; st != nil {
+		if err := st.Compatible(nb, g.NG, int64(cell.NumAtoms()), spec.Ecut, spec.Hybrid, spec.MTS, spec.MD); err != nil {
+			return nil, err
+		}
+		opt.logf("resumed at t = %.2f as, after %d of %d steps", units.AUToAttoseconds(st.Time), spec.TotalSteps()-left, spec.TotalSteps())
+		if left == 0 {
+			if err := opt.save(st); err != nil {
+				return nil, err
+			}
+			return &Result{Psi: st.Psi, Time: st.Time, Final: st}, nil
+		}
+	}
+
 	res := &Result{}
 	gs := opt.Ground
 	if gs != nil {
@@ -207,37 +225,25 @@ func Run(spec *Spec, opt Options) (*Result, error) {
 	}
 	res.Ground = gs
 
-	pulseSteps := spec.Steps
-	if opt.PulseSteps > 0 {
-		pulseSteps = opt.PulseSteps
-	}
-	field := spec.Field(pulseSteps)
+	field := spec.Field()
 	switch {
 	case spec.PulseE0 != 0:
-		opt.logf("field: 380nm pulse, E0=%.4g Ha/bohr, envelope over %d steps", spec.PulseE0, pulseSteps)
+		opt.logf("field: 380nm pulse, E0=%.4g Ha/bohr, envelope over %d steps", spec.PulseE0, spec.ElectronicSteps())
 	case spec.Kick != 0:
 		opt.logf("field: delta kick A=%.4g au along z", spec.Kick)
 	}
-
-	psiStart := gs.Psi
-	t0 := 0.0
+	psi0, t0 := gs.Psi, 0.0
 	if opt.Resume != nil {
-		st := opt.Resume
-		if err := st.Compatible(nb, g.NG, int64(cell.NumAtoms()), spec.Ecut, spec.Hybrid, spec.MTS, spec.ACE, spec.MD); err != nil {
-			return nil, err
-		}
-		psiStart = st.Psi
-		t0 = st.Time
-		opt.logf("resumed at t = %.2f as (step %d)", units.AUToAttoseconds(st.Time), st.Step)
+		psi0, t0 = opt.Resume.Psi, opt.Resume.Time
 	}
 
 	r := &runner{
 		spec: spec, opt: &opt, g: g, nb: nb, natom: int64(cell.NumAtoms()),
 		field: field, dt: units.AttosecondsToAU(spec.DtAs), t0: t0,
-		loaded: opt.Resume, psiGS: gs.Psi, psi0: psiStart, res: res,
+		loaded: opt.Resume, psiGS: gs.Psi, psi0: psi0, res: res,
 	}
 	r.start = r.baseStep()
-	r.target, r.emitted = r.start+spec.TotalSteps(), r.start
+	r.target, r.emitted = spec.TotalSteps(), r.start
 	if err := r.propagate(cell); err != nil {
 		return nil, err
 	}
@@ -258,24 +264,31 @@ func Run(spec *Spec, opt Options) (*Result, error) {
 	if spec.MTS > 0 {
 		opt.logf("MTS cadence: exchange refreshed every %d steps (ended at cycle phase %d)", spec.MTS, st.MTSPhase)
 	}
-	switch {
-	case opt.Ckpt != nil:
-		err = opt.Ckpt.Save(st)
-	case opt.SavePath != "":
-		err = checkpoint.SaveFile(opt.SavePath, st)
-	}
-	if err != nil {
+	if err := opt.save(st); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// Field builds the spec's external field: the 380nm pulse shaped from
-// pulseSteps electronic steps (Options.PulseSteps), else the kick, else nil.
-func (s *Spec) Field(pulseSteps int) laser.Field {
+// save writes the final state to the rolling sequence, else to SavePath.
+func (o *Options) save(st *checkpoint.State) error {
+	switch {
+	case o.Ckpt != nil:
+		return o.Ckpt.Save(st)
+	case o.SavePath != "":
+		return checkpoint.SaveFile(o.SavePath, st)
+	}
+	return nil
+}
+
+// Field builds the spec's external field: the 380nm pulse shaped from the
+// trajectory's ElectronicSteps, else the kick, else nil. The envelope is a
+// function of absolute time over the whole trajectory, so every segment of
+// a resumed run propagates under the identical field.
+func (s *Spec) Field() laser.Field {
 	switch {
 	case s.PulseE0 != 0:
-		sigma := units.AttosecondsToAU(s.DtAs) * float64(pulseSteps) / 4
+		sigma := units.AttosecondsToAU(s.DtAs) * float64(s.ElectronicSteps()) / 4
 		return laser.New380nm(s.PulseE0, 2*sigma, sigma)
 	case s.Kick != 0:
 		return &laser.Kick{K: s.Kick, Pol: [3]float64{0, 0, 1}}
@@ -375,7 +388,7 @@ func (r *runner) recoverFrom(fail *mpi.Failure) error {
 		if err != nil {
 			opt.logf("recovery: %v; replaying from step %d", err, r.baseStep())
 		} else {
-			if err := st.Compatible(r.nb, r.g.NG, r.natom, spec.Ecut, spec.Hybrid, spec.MTS, spec.ACE, spec.MD); err != nil {
+			if err := st.Compatible(r.nb, r.g.NG, r.natom, spec.Ecut, spec.Hybrid, spec.MTS, spec.MD); err != nil {
 				return fmt.Errorf("sim: last good checkpoint %s unusable: %w", file, err)
 			}
 			lo := checkpoint.ContinuationStep(r.loaded, 0)
@@ -583,8 +596,7 @@ func (r *runner) loop(e *engine) error {
 		st := &checkpoint.State{
 			Time: e.now(), Step: checkpoint.ContinuationStep(r.loaded, done*k), NBands: r.nb, NG: r.g.NG,
 			Natom: r.natom, Ecut: spec.Ecut, Hybrid: spec.Hybrid, Psi: psi,
-			MTSPeriod: int64(spec.MTS), MTSPhase: int64(phase), MTSACE: spec.ACE,
-			PhiRef: ref,
+			MTSPeriod: int64(spec.MTS), MTSPhase: int64(phase), PhiRef: ref,
 		}
 		if v != nil {
 			st.IonSteps = checkpoint.ContinuationIonSteps(r.loaded, done)
@@ -686,12 +698,4 @@ func (r *runner) substeps() int {
 
 // baseStep returns the cumulative step this launch starts at (loop
 // steps: ion steps under MD, electronic steps otherwise).
-func (r *runner) baseStep() int {
-	if r.loaded == nil {
-		return 0
-	}
-	if r.spec.MD {
-		return int(r.loaded.IonSteps)
-	}
-	return int(r.loaded.Step)
-}
+func (r *runner) baseStep() int { return r.spec.Progress(r.loaded) }

@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ptdft/internal/checkpoint"
 	"ptdft/internal/dist"
 	"ptdft/internal/grid"
 	"ptdft/internal/lattice"
@@ -45,7 +46,7 @@ type Spec struct {
 	MTS        int     `json:"mts,omitempty"`         // ACE refresh period M >= 1 (0 without ace)
 	Method     string  `json:"method,omitempty"`      // "ptcn" (default) or "rk4"
 	DtAs       float64 `json:"dt_as,omitempty"`       // electronic time step in attoseconds (default 24)
-	Steps      int     `json:"steps"`                 // propagation steps (electronic; ignored under MD)
+	Steps      int     `json:"steps"`                 // trajectory length in electronic steps (ignored under MD); a resume continues to it
 	Kick       float64 `json:"kick,omitempty"`        // delta-kick vector potential (au)
 	PulseE0    float64 `json:"pulse_e0,omitempty"`    // 380nm pulse peak field (Ha/bohr); overrides Kick
 	Ranks      int     `json:"ranks,omitempty"`       // goroutine-MPI ranks (0/1 = serial)
@@ -53,7 +54,7 @@ type Spec struct {
 	Exchange   string  `json:"exchange,omitempty"`    // legacy: "overlap", the one exchange schedule, or empty
 	SinglePrec bool    `json:"single_prec,omitempty"` // removed: Validate rejects true; kept while bench/ reads it
 	MD         bool    `json:"md,omitempty"`          // Ehrenfest ion dynamics
-	IonSteps   int     `json:"ion_steps,omitempty"`   // ion MD steps (trajectory length under MD)
+	IonSteps   int     `json:"ion_steps,omitempty"`   // trajectory length in ion steps under MD; a resume continues to it
 	IonDtAs    float64 `json:"ion_dt_as,omitempty"`   // ion time step (attoseconds); integer multiple of DtAs
 	Displace   string  `json:"displace,omitempty"`    // pre-SCF displacement "i:dx,dy,dz" (Bohr)
 }
@@ -274,12 +275,48 @@ func (s *Spec) SCFKey() (string, error) {
 func (s *Spec) IonSubsteps() int { return int(math.Round(s.IonDtAs / s.DtAs)) }
 
 // TotalSteps is the trajectory length in loop steps: ion steps under
-// MD, electronic steps otherwise.
+// MD, electronic steps otherwise. It is the whole trajectory for every
+// front end: a run resumed from a checkpoint continues up to it.
 func (s *Spec) TotalSteps() int {
 	if s.MD {
 		return s.IonSteps
 	}
 	return s.Steps
+}
+
+// ElectronicSteps is the trajectory length in electronic steps: Steps, or
+// IonSteps x K under MD. The pulse envelope is shaped from it.
+func (s *Spec) ElectronicSteps() int {
+	if s.MD {
+		return s.IonSteps * s.IonSubsteps()
+	}
+	return s.Steps
+}
+
+// Progress returns the loop steps (ion steps under MD) of the spec's
+// trajectory that checkpoint st has completed; 0 for nil, a fresh run.
+func (s *Spec) Progress(st *checkpoint.State) int {
+	switch {
+	case st == nil:
+		return 0
+	case s.MD:
+		return int(st.IonSteps)
+	}
+	return int(st.Step)
+}
+
+// Remaining returns the loop steps a run of the spec has left after
+// resuming from st (nil: a fresh run, which has them all). A checkpoint
+// past the trajectory's end is an error naming both step counts.
+func (s *Spec) Remaining(st *checkpoint.State) (int, error) {
+	done, unit := s.Progress(st), "steps"
+	if s.MD {
+		unit = "ion steps"
+	}
+	if done > s.TotalSteps() {
+		return 0, fmt.Errorf("sim: the checkpoint is at %d %s, past the trajectory's %d %s", done, unit, s.TotalSteps(), unit)
+	}
+	return s.TotalSteps() - done, nil
 }
 
 // Pots returns the pseudopotential table for the spec's species set

@@ -214,15 +214,28 @@ func maxDiff3(a, b [][3]float64) float64 {
 	return m
 }
 
+// stopAfter returns options whose run stops after n steps of its segment.
+func stopAfter(n int) Options {
+	stop := make(chan struct{})
+	return Options{Stop: stop, AfterStep: func(done int) {
+		if done == n {
+			close(stop)
+		}
+	}}
+}
+
 // TestRunSplitEqualsContinuous: running a trajectory in two segments
 // through an in-memory checkpoint (the server's preempt/resume path,
 // without the disk) agrees with the uninterrupted run - same ground state,
 // same samples, same final orbitals and, under MD, the same ion state -
 // on one and two ranks, with and without the ion integrator, and on the
-// serial RK4 engine. The MTS rows split mid-cycle, so the in-memory Final
-// must carry the frozen exchange reference. The uninterrupted run also writes rolling checkpoints every 2
-// steps: exactly the files {2, 4, ..., final} numbered by cumulative
-// electronic step, the last one equal to Final.
+// serial RK4 engine. Both segments run the uninterrupted run's spec: the
+// first is stopped after `split` steps, the second resumes and runs to the
+// spec's trajectory length. The MTS rows split mid-cycle, so the in-memory
+// Final must carry the frozen exchange reference. The uninterrupted run
+// also writes rolling checkpoints every 2 steps: exactly the files
+// {2, 4, ..., final} numbered by cumulative electronic step, the last one
+// equal to Final.
 func TestRunSplitEqualsContinuous(t *testing.T) {
 	lda := func(s *Spec) {}
 	aceMTS2 := func(s *Spec) { s.Hybrid, s.ACE, s.MTS = true, true, 2 }
@@ -256,20 +269,16 @@ func TestRunSplitEqualsContinuous(t *testing.T) {
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seg := func(n int) Spec {
-				s := testSpec()
-				tc.mod(&s)
-				setLen(&s, n)
-				return s
-			}
-			spec := seg(tc.total)
+			spec := testSpec()
+			tc.mod(&spec)
+			setLen(&spec, tc.total)
 			roll := &checkpoint.Rolling{Base: filepath.Join(t.TempDir(), "ck"), Keep: tc.total}
 			cont, err := Run(&spec, Options{Ckpt: roll, CkptEvery: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			specA := seg(tc.split)
-			optA := Options{}
+			specA := spec
+			optA := stopAfter(tc.split)
 			if i > 0 {
 				// The first row solves its ground state twice (run-to-run
 				// determinism); the others share one to save the SCF.
@@ -285,7 +294,7 @@ func TestRunSplitEqualsContinuous(t *testing.T) {
 			if spec.MTS > 0 && segA.Final.MTSPhase == 0 {
 				t.Fatalf("segment A ended on a cycle boundary; the row is meant to split mid-cycle")
 			}
-			specB := seg(tc.total - tc.split)
+			specB := spec
 			segB, err := Run(&specB, Options{Ground: segA.Ground, Resume: segA.Final})
 			if err != nil {
 				t.Fatal(err)
@@ -371,36 +380,29 @@ func TestRunSplitEqualsContinuous(t *testing.T) {
 }
 
 // TestRunPulseSplitEqualsContinuous: the 380nm pulse envelope is a
-// function of the TOTAL trajectory length, so a segment resumed through a
-// checkpoint must propagate under the identical field as the
-// uninterrupted run - Options.PulseSteps carries the total when the
-// spec's step count is only the remainder.
+// function of the whole trajectory, shaped from the spec's length, so a
+// run stopped after 3 of its 6 steps and resumed through a checkpoint
+// propagates under the identical field as the uninterrupted run.
 func TestRunPulseSplitEqualsContinuous(t *testing.T) {
-	pulsed := func(steps int) Spec {
-		s := testSpec()
-		s.Kick = 0
-		s.PulseE0 = 0.005
-		s.Steps = steps
-		return s
-	}
-	spec := pulsed(6)
+	spec := testSpec()
+	spec.Kick, spec.PulseE0 = 0, 0.005
 	cont, err := Run(&spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	specA := pulsed(3)
-	segA, err := Run(&specA, Options{PulseSteps: 6})
+	specA := spec
+	segA, err := Run(&specA, stopAfter(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	specB := pulsed(3)
-	segB, err := Run(&specB, Options{Ground: segA.Ground, Resume: segA.Final, PulseSteps: 6})
+	specB := spec
+	segB, err := Run(&specB, Options{Ground: segA.Ground, Resume: segA.Final})
 	if err != nil {
 		t.Fatal(err)
 	}
 	all := append(append([]observe.Sample{}, segA.Samples...), segB.Samples...)
-	if len(all) != len(cont.Samples) {
-		t.Fatalf("split yielded %d samples, continuous %d", len(all), len(cont.Samples))
+	if len(segA.Samples) != 3 || len(all) != len(cont.Samples) {
+		t.Fatalf("split yielded %d + %d samples, continuous %d", len(segA.Samples), len(segB.Samples), len(cont.Samples))
 	}
 	for i := range all {
 		if d := math.Abs(all[i].Energy - cont.Samples[i].Energy); d > 1e-10 {
@@ -415,6 +417,75 @@ func TestRunPulseSplitEqualsContinuous(t *testing.T) {
 	}
 	if maxd > 1e-10 {
 		t.Errorf("split and continuous orbitals differ by %g, want <= 1e-10", maxd)
+	}
+}
+
+// TestRunMDPulse: under MD the pulse envelope is shaped from the
+// trajectory's IonSteps x K electronic steps, and Steps - which MD
+// ignores - changes nothing. A spec that omits steps propagates finite
+// samples (an envelope shaped from zero steps has sigma = 0, a 0/0 field),
+// and setting steps leaves the trajectory bit for bit as it was.
+func TestRunMDPulse(t *testing.T) {
+	spec := Spec{Cells: [3]int{1, 1, 1}, Ecut: 2, MD: true, IonSteps: 2, PulseE0: 0.01}
+	res, err := Run(&spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Samples) != 2 {
+		t.Fatalf("%d samples, want 2", len(res.Samples))
+	}
+	for _, smp := range res.Samples {
+		for _, v := range []float64{smp.Energy, smp.CurrentZ, smp.Excited} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("step %d: sample %+v is not finite", smp.Step, smp)
+			}
+		}
+	}
+	withSteps := spec
+	withSteps.Steps = 5
+	other, err := Run(&withSteps, Options{Ground: res.Ground})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(other.Final, res.Final) {
+		t.Error("steps: 5 changed the MD trajectory")
+	}
+	for i, smp := range other.Samples {
+		if a, b := smp.Energy, res.Samples[i].Energy; a != b {
+			t.Errorf("ion step %d: energy %.15g with steps 5, %.15g without", i+1, a, b)
+		}
+	}
+}
+
+// TestRunResumeBounds: Run continues a checkpoint up to the spec's
+// trajectory length. A checkpoint at the end returns as it stands, without
+// a ground state; one past the end is an error naming both step counts;
+// and Options.PulseSteps may only restate the length the envelope is
+// shaped from.
+func TestRunResumeBounds(t *testing.T) {
+	spec := testSpec()
+	spec.Steps = 2
+	res, err := Run(&spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := Run(&spec, Options{Resume: res.Final})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.Final != res.Final || done.Ground != nil || len(done.Samples) != 0 {
+		t.Errorf("a checkpoint at the trajectory's end ran: %d samples, ground state %v", len(done.Samples), done.Ground != nil)
+	}
+	short := spec
+	short.Steps = 1
+	if _, err := Run(&short, Options{Resume: res.Final}); err == nil || !strings.Contains(err.Error(), "at 2 steps, past the trajectory's 1 steps") {
+		t.Errorf("a checkpoint past the trajectory's end: error %v does not name both step counts", err)
+	}
+	if _, err := Run(&spec, Options{Ground: res.Ground, PulseSteps: 3}); err == nil || !strings.Contains(err.Error(), "PulseSteps 3") {
+		t.Errorf("a PulseSteps other than the trajectory's length: error %v", err)
+	}
+	if _, err := Run(&spec, Options{Ground: res.Ground, PulseSteps: 2}); err != nil {
+		t.Errorf("PulseSteps equal to the trajectory's length rejected: %v", err)
 	}
 }
 
