@@ -16,8 +16,8 @@
 // With -md each line is one ion step and the energy column is the
 // conserved total (electronic + ion kinetic + ion-ion).
 //
-// The simulation itself - spec validation, ground state, the four
-// propagation drivers - lives in internal/sim, shared with the ptdftd job
+// The simulation itself - spec validation, ground state, the one
+// propagation loop - lives in internal/sim, shared with the ptdftd job
 // server; this command only parses flags, wires signals, and formats
 // output.
 package main
@@ -234,7 +234,7 @@ func run(cfg *config) error {
 	}
 	if cfg.commFile != "" {
 		if res.BytesMoved == 0 {
-			fmt.Fprintln(os.Stderr, "-commfile: the run moved no MPI bytes (one rank, or RK4); skipping the matrix dump")
+			fmt.Fprintln(os.Stderr, "-commfile: the run moved no MPI bytes (one rank); skipping the matrix dump")
 		} else {
 			data, err := res.Comm.MatrixJSON()
 			if err != nil {

@@ -1,12 +1,13 @@
 // Distributed integration tests: the internal/dist PT-CN solver against
 // the serial core.PTCN reference on the shared Si8 fixture, across rank
-// counts, exchange cadences and wire precisions.
+// counts, exchange cadences and wire precisions, and its RK4 step.
 package ptdft_test
 
 import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"ptdft/internal/core"
 	"ptdft/internal/dist"
@@ -132,7 +133,7 @@ func TestDistributedSolvesCNEquation(t *testing.T) {
 			}
 			psif, half := s.Iterate()
 			s.Refresh(psif, s.Density(psif), s.Time)
-			rf, _, err := s.Residual(psif, false)
+			rf, _, err := s.Residual(psif)
 			if err != nil {
 				t.Errorf("rank %d: %v", c.Rank(), err)
 				return
@@ -512,6 +513,44 @@ func TestKeptExchangeNeverServedStale(t *testing.T) {
 		if nObs != want {
 			t.Errorf("%s: %d exchange applications in the final step (%d SCF iterations) after an energy evaluation, %d without; want %d",
 				tc.name, nObs, scfIters, nBare, want)
+		}
+	}
+}
+
+// TestDistributedRK4BlowUpIsSymmetric: an RK4 step far past the stability
+// limit fails on every rank, in the same step, with the blow-up error - it
+// is decided on the allreduced density, so no rank leaves while its peer
+// waits in a collective (the peer-loss deadline would report that as a
+// Failure instead).
+func TestDistributedRK4BlowUpIsSymmetric(t *testing.T) {
+	g, psi0, nb := fixtureT(t)
+	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
+	const ranks, dt = 2, 4.0
+	errs, steps := make([]error, ranks), make([]int, ranks)
+	_, fail := mpi.RunTolerant(ranks, &mpi.Perturb{Deadline: 10 * time.Second}, func(c *mpi.Comm) {
+		d, err := dist.NewCtx(c, g, nb, 2)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		h := hamiltonian.New(g, siPots(), hamiltonian.Config{})
+		s := dist.NewPTCNSolver(d, h, xc.HSE06(), false, kick, core.DefaultPTCN(), dist.ExchangeOptions{})
+		lo, hi := d.BandRange(c.Rank())
+		local := wavefunc.Clone(psi0[lo*g.NG : hi*g.NG])
+		r := c.Rank()
+		for ; steps[r] < 100 && errs[r] == nil; steps[r]++ {
+			local, _, errs[r] = s.StepRK4(local, dt)
+		}
+	})
+	if fail != nil {
+		t.Fatalf("a rank was left waiting on its peer: %v", fail)
+	}
+	for r, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "blew up") {
+			t.Errorf("rank %d: error %v in step %d, want the blow-up error", r, err, steps[r])
+		}
+		if steps[r] != steps[0] {
+			t.Errorf("rank %d failed at step %d, rank 0 at step %d", r, steps[r], steps[0])
 		}
 	}
 }

@@ -203,7 +203,7 @@ func TestEhrenfestCheckpointResume(t *testing.T) {
 				if loaded.PhiRef != nil {
 					ref = loaded.PhiRef[lo*g.NG : hi*g.NG]
 				}
-				if err := s.ResumeMTS(int(loaded.MTSPhase), ref); err != nil {
+				if err := s.ResumeMTS(int(loaded.Step), ref); err != nil {
 					t.Error(err)
 					return
 				}

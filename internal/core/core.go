@@ -94,22 +94,29 @@ func (s *System) Refresh(psi []complex128, rho []float64, t float64) {
 	s.H.SetFockOrbitals(psi, s.NB)
 }
 
-// Residual computes the PT residual R = H psi - psi (psi^* H psi) - the
-// right-hand side of the PT equation of motion, whose smallness relative to
-// H psi is what buys the large steps - and the projection matrix into the
-// System's buffers; both are valid until the next call. The serial solver
-// refreshes the exchange at every H rebuild, so first is not read.
-func (s *System) Residual(psi []complex128, first bool) (res, ov []complex128, err error) {
+// ApplyH computes H psi of the whole band set into the System's buffer,
+// valid until the next ApplyH or Residual.
+func (s *System) ApplyH(psi []complex128) ([]complex128, error) {
 	nb, ng := s.NB, s.G.NG
 	if len(s.hp) != nb*ng {
 		s.hp, s.res, s.ov = make([]complex128, nb*ng), make([]complex128, nb*ng), make([]complex128, nb*nb)
 	}
 	s.H.Apply(s.hp, psi, nb)
-	linalg.Overlap(s.ov, psi, s.hp, nb, nb, ng)
+	return s.hp, nil
+}
+
+// Residual computes the PT residual R = H psi - psi (psi^* H psi) - the
+// right-hand side of the PT equation of motion, whose smallness relative to
+// H psi is what buys the large steps - and the projection matrix into the
+// System's buffers; both are valid until the next call.
+func (s *System) Residual(psi []complex128) (res, ov []complex128, err error) {
+	nb, ng := s.NB, s.G.NG
+	hp, _ := s.ApplyH(psi)
+	linalg.Overlap(s.ov, psi, hp, nb, nb, ng)
 	// res = hp - psi * S, band-major: res_j = hp_j - sum_i S[i][j] psi_i.
 	linalg.ApplyMatrix(s.res, psi, s.ov, nb, nb, ng)
 	for i := range s.res {
-		s.res[i] = s.hp[i] - s.res[i]
+		s.res[i] = hp[i] - s.res[i]
 	}
 	return s.res, s.ov, nil
 }
@@ -134,7 +141,7 @@ type StepStats struct {
 	SCFIterations  int     // PT-CN only
 	HApplications  int     // full H*Psi band-set applications
 	DensityError   float64 // final SCF residual (PT-CN)
-	OrthogonalityE float64 // orthonormality error before re-orthogonalization
+	OrthogonalityE float64 // orthonormality error before re-orthogonalization (RK4: on the steps that do one)
 }
 
 // PTCNOptions control the implicit solver.
@@ -173,9 +180,9 @@ func PreconditionCN(f []complex128, kin []float64, ov []complex128, nb, lo int, 
 	}
 }
 
-// BandBlock is what the Crank-Nicolson loop asks of the bands it advances:
-// the whole band set for the serial solver (System), one rank's band block
-// for the distributed one, whose operations are collective.
+// BandBlock is what the propagators ask of the bands they advance: the
+// whole band set for the serial solver (System), one rank's band block for
+// the distributed one, whose operations are collective.
 type BandBlock interface {
 	// EnsurePrepared makes H current for psi at time t unless it still is.
 	EnsurePrepared(psi []complex128, t float64)
@@ -184,11 +191,13 @@ type BandBlock interface {
 	Refresh(psi []complex128, rho []float64, t float64)
 	// Density returns the charge density of the whole band set.
 	Density(psi []complex128) []float64
+	// ApplyH returns H psi of the block under the H of the last Refresh,
+	// valid until the next ApplyH or Residual.
+	ApplyH(psi []complex128) ([]complex128, error)
 	// Residual returns the PT residual of the block and the nb x nb
 	// projection matrix Psi^* H Psi of the whole set, both valid until the
-	// next call; first marks the residual at Psi_n, the rest are at
-	// iterates.
-	Residual(psi []complex128, first bool) (res, ov []complex128, err error)
+	// next call.
+	Residual(psi []complex128) (res, ov []complex128, err error)
 	// Orthonormalize returns the re-orthogonalized block in storage of its
 	// own and the orthonormality error before it.
 	Orthonormalize(psi []complex128) ([]complex128, float64, error)
@@ -205,8 +214,9 @@ type Bands struct {
 	Tr     *trace.Track
 }
 
-// CN is the Crank-Nicolson state both PT-CN solvers carry between steps,
-// and its Advance is their one step body (Algorithm 1).
+// CN is the propagation state both solvers carry between steps: the clock,
+// the step count and the step buffers. Its Advance is their one PT-CN step
+// body (Algorithm 1), its AdvanceRK4 their one RK4 step body.
 type CN struct {
 	Opt  PTCNOptions
 	Time float64 // current simulation time (au)
@@ -220,17 +230,20 @@ type CN struct {
 	// iterate at every H rebuild. Only dist.PTCNSolver holds an exchange
 	// operator; PTCN.Step refuses M >= 1 on a hybrid Hamiltonian.
 	MTS int
-	// StepIndex counts completed steps and anchors the MTS cycle;
-	// ResumeCycle sets it when resuming from a checkpoint so the segment
-	// lands on the correct outer/inner phase.
+	// StepIndex counts the trajectory's completed steps and anchors the MTS
+	// cycle and RK4's re-orthonormalization; ResumeCycle sets it to a
+	// checkpoint's cumulative step, so a resumed segment lands on the
+	// continuous run's cadence.
 	StepIndex int
 
 	// The step's own buffers, reused across SCF iterations and steps: the
 	// half-step RHS Psi_{n+1/2} and the SCF iterate Psi_f, mixed in place.
 	// The mixer is Reset per step, so its history vectors, Gram matrices
-	// and least squares scratch are allocated once.
+	// and least squares scratch are allocated once. RK4 keeps its four
+	// slopes and its stage state in rk.
 	half, psif []complex128
 	mixer      *mixing.BandMixer
+	rk         [5][]complex128
 }
 
 // MTSPhase reports the position within the current MTS cycle: the number
@@ -244,15 +257,16 @@ func (c *CN) MTSPhase() int {
 	return 0
 }
 
-// ResumeCycle lands the step count on a checkpoint's MTS phase (the loaded
-// cumulative step modulo M) and reports whether the solver must reinstall
-// phiRef, the frozen exchange reference of the last outer step: only
-// mid-cycle on a hybrid run, where a missing reference is an error.
-func (c *CN) ResumeCycle(phase int, phiRef []complex128, hybrid bool) (bool, error) {
-	if m := max(c.MTS, 1); phase < 0 || phase >= m {
-		return false, fmt.Errorf("core: resuming at MTS phase %d, outside the cycle [0, %d)", phase, m)
+// ResumeCycle lands the step count on a checkpoint's cumulative step and
+// reports whether the solver must reinstall phiRef, the frozen exchange
+// reference of the last outer step: only mid-cycle on a hybrid run, where a
+// missing reference is an error.
+func (c *CN) ResumeCycle(step int, phiRef []complex128, hybrid bool) (bool, error) {
+	if step < 0 {
+		return false, fmt.Errorf("core: resuming at step %d", step)
 	}
-	c.StepIndex = phase
+	c.StepIndex = step
+	phase := c.MTSPhase()
 	if phase == 0 || !hybrid {
 		return false, nil
 	}
@@ -277,7 +291,7 @@ func (c *CN) Advance(b BandBlock, at Bands, psi []complex128, dt float64) ([]com
 	// Line 1: residual Rn at time tn with the current state's H - already
 	// prepared when the energy observable of the previous step asked for it.
 	b.EnsurePrepared(psi, c.Time)
-	rn, ov, err := b.Residual(psi, true)
+	rn, ov, err := b.Residual(psi)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -312,7 +326,7 @@ func (c *CN) Advance(b BandBlock, at Bands, psi []complex128, dt float64) ([]com
 
 		// Line 6: fixed-point residual
 		// R_f = Psi_f + i dt/2 (H Psi_f - Psi_f (Psi_f^* H Psi_f)) - Psi_{n+1/2}.
-		rf, ov, err := b.Residual(psif, false)
+		rf, ov, err := b.Residual(psif)
 		if err != nil {
 			at.Tr.EndN(iterRef, int64(j))
 			return nil, stats, err
@@ -382,81 +396,107 @@ func (p *PTCN) Step(psi []complex128, dt float64) ([]complex128, StepStats, erro
 	}
 	stepRef := s.Tr.Begin("step", "step")
 	defer s.Tr.EndN(stepRef, int64(p.StepIndex))
-	return p.Advance(s, Bands{G: s.G, H: s.H, NB: s.NB, Occ: s.Occ, Tr: s.Tr}, psi, dt)
+	return p.Advance(s, s.bands(), psi, dt)
 }
 
-// RK4 is the explicit 4th-order Runge-Kutta propagator for the original
-// Schroedinger-gauge equation i dPsi/dt = H(t, P) Psi - the baseline of
-// Fig. 6. Stability limits dt to ~0.5 as where PT-CN takes 50 as.
-type RK4 struct {
-	Sys  *System
-	Time float64
-	// ReorthoEvery re-orthonormalizes every k steps to curb drift
-	// (0 disables; explicit RK4 is not exactly unitary).
-	ReorthoEvery int
-	steps        int
-}
+// bands places the System's band set: all of it, from band 0.
+func (s *System) bands() Bands { return Bands{G: s.G, H: s.H, NB: s.NB, Occ: s.Occ, Tr: s.Tr} }
 
-// NewRK4 builds an RK4 propagator starting at t = 0.
-func NewRK4(sys *System) *RK4 { return &RK4{Sys: sys, ReorthoEvery: 20} }
+// rk4ReorthoEvery is RK4's re-orthonormalization period: explicit RK4 is
+// not exactly unitary, so every 20th step of the trajectory (StepIndex)
+// restores the orthonormality the drift erodes.
+const rk4ReorthoEvery = 20
 
-// derivative evaluates F(t, psi) = -i H(t, P[psi]) psi, rebuilding the
-// density, potentials and Fock operator from psi (the nonlinear TDDFT
-// right-hand side).
-func (r *RK4) derivative(psi []complex128, t float64) []complex128 {
-	s := r.Sys
-	s.Prepare(psi, t)
-	hp := make([]complex128, s.NB*s.G.NG)
-	s.H.Apply(hp, psi, s.NB)
-	for i := range hp {
-		hp[i] *= complex(0, -1)
-	}
-	return hp
-}
-
-// Step advances psi by dt with four H rebuilds/applications.
-func (r *RK4) Step(psi []complex128, dt float64) ([]complex128, StepStats, error) {
-	stepRef := r.Sys.Tr.Begin("step", "step")
-	defer r.Sys.Tr.EndN(stepRef, int64(r.steps))
+// AdvanceRK4 moves the block psi by dt with the explicit 4th-order
+// Runge-Kutta scheme for the Schroedinger-gauge equation
+// i dPsi/dt = H(t, P) Psi - the baseline of Fig. 6, whose stability limits
+// dt to ~0.5 as where PT-CN takes 50 as. Each slope rebuilds H from its
+// stage state (density, potential, exchange reference) and applies it once.
+// The step ends with H prepared for the new block, whose global density is
+// the blow-up check: replicated data, so on a distributed block success and
+// failure are symmetric across ranks.
+func (c *CN) AdvanceRK4(b BandBlock, at Bands, psi []complex128, dt float64) ([]complex128, StepStats, error) {
 	n := len(psi)
-	var stats StepStats
-	add := func(base []complex128, k []complex128, c float64) []complex128 {
-		out := make([]complex128, n)
-		cc := complex(c, 0)
-		for i := range out {
-			out[i] = base[i] + cc*k[i]
+	if len(c.rk[0]) != n {
+		for i := range c.rk {
+			c.rk[i] = make([]complex128, n)
 		}
-		return out
 	}
-	k1 := r.derivative(psi, r.Time)
-	k2 := r.derivative(add(psi, k1, dt/2), r.Time+dt/2)
-	k3 := r.derivative(add(psi, k2, dt/2), r.Time+dt/2)
-	k4 := r.derivative(add(psi, k3, dt), r.Time+dt)
-	stats.HApplications = 4
+	k1, k2, k3, k4, stage := c.rk[0], c.rk[1], c.rk[2], c.rk[3], c.rk[4]
+	// slope sets k = -i H(t, P[y]) y, the nonlinear TDDFT right-hand side.
+	slope := func(k, y []complex128) error {
+		hp, err := b.ApplyH(y)
+		if err != nil {
+			return err
+		}
+		for i := range k {
+			k[i] = hp[i] * complex(0, -1)
+		}
+		return nil
+	}
+	// stageAt sets stage = psi + h k and rebuilds H for it at time t.
+	stageAt := func(k []complex128, h, t float64) {
+		cc := complex(h, 0)
+		for i := range stage {
+			stage[i] = psi[i] + cc*k[i]
+		}
+		b.Refresh(stage, b.Density(stage), t)
+	}
+	stats := StepStats{HApplications: 4}
+	tNext, next := c.Time+dt, c.StepIndex+1
+	b.EnsurePrepared(psi, c.Time)
+	if err := slope(k1, psi); err != nil {
+		return nil, stats, err
+	}
+	stageAt(k1, dt/2, c.Time+dt/2)
+	if err := slope(k2, stage); err != nil {
+		return nil, stats, err
+	}
+	stageAt(k2, dt/2, c.Time+dt/2)
+	if err := slope(k3, stage); err != nil {
+		return nil, stats, err
+	}
+	stageAt(k3, dt, tNext)
+	if err := slope(k4, stage); err != nil {
+		return nil, stats, err
+	}
 	out := make([]complex128, n)
-	c := complex(dt/6, 0)
+	w := complex(dt/6, 0)
 	for i := range out {
-		out[i] = psi[i] + c*(k1[i]+2*k2[i]+2*k3[i]+k4[i])
+		out[i] = psi[i] + w*(k1[i]+2*k2[i]+2*k3[i]+k4[i])
 	}
-	r.Time += dt
-	r.steps++
-	stats.OrthogonalityE = wavefunc.OrthonormalityError(out, r.Sys.NB, r.Sys.G.NG)
-	if r.ReorthoEvery > 0 && r.steps%r.ReorthoEvery == 0 {
-		if err := wavefunc.Orthonormalize(out, r.Sys.NB, r.Sys.G.NG); err != nil {
-			return nil, stats, fmt.Errorf("core: RK4 orthogonalization failed: %w", err)
+	if next%rk4ReorthoEvery == 0 {
+		var err error
+		if out, stats.OrthogonalityE, err = b.Orthonormalize(out); err != nil {
+			return nil, stats, err
 		}
 	}
-	if !finite(out) {
-		return nil, stats, errors.New("core: RK4 blew up (NaN/Inf); time step too large for stability")
+	rho := b.Density(out)
+	for _, v := range rho {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, stats, errors.New("core: RK4 blew up (non-finite density); time step too large for stability")
+		}
 	}
+	b.Refresh(out, rho, tNext)
+	at.H.MarkPrepared(out, tNext)
+	c.Time, c.StepIndex = tNext, next
 	return out, stats, nil
 }
 
-func finite(x []complex128) bool {
-	for _, v := range x {
-		if math.IsNaN(real(v)) || math.IsNaN(imag(v)) || math.IsInf(real(v), 0) || math.IsInf(imag(v), 0) {
-			return false
-		}
-	}
-	return true
+// RK4 is the serial RK4 propagator: AdvanceRK4 over the whole band set of
+// one System, the oracle of the distributed solver's StepRK4.
+type RK4 struct {
+	Sys *System
+	CN
+}
+
+// NewRK4 builds an RK4 propagator starting at t = 0.
+func NewRK4(sys *System) *RK4 { return &RK4{Sys: sys} }
+
+// Step advances psi by dt with four H rebuilds and applications.
+func (r *RK4) Step(psi []complex128, dt float64) ([]complex128, StepStats, error) {
+	s := r.Sys
+	stepRef := s.Tr.Begin("step", "step")
+	defer s.Tr.EndN(stepRef, int64(r.StepIndex))
+	return r.AdvanceRK4(s, s.bands(), psi, dt)
 }

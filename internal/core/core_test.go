@@ -251,7 +251,7 @@ func TestPTCNSolvesCNEquation(t *testing.T) {
 		}
 		psif, half := p.Iterate()
 		sys.Prepare(psif, p.Time)
-		rf, _, _ := sys.Residual(psif, false)
+		rf, _, _ := sys.Residual(psif)
 		var n2 float64
 		for i, r := range rf {
 			d := psif[i] + complex(0, dt/2)*r - half[i]

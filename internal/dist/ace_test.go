@@ -60,9 +60,9 @@ func TestDistACEExactOnReference(t *testing.T) {
 // every residual: the per-refresh cadence, kept only as this oracle.
 type perRefreshACE struct{ *PTCNSolver }
 
-func (p perRefreshACE) Residual(local []complex128, first bool) ([]complex128, []complex128, error) {
+func (p perRefreshACE) Residual(local []complex128) ([]complex128, []complex128, error) {
 	p.aceStale = true
-	return p.PTCNSolver.Residual(local, first)
+	return p.PTCNSolver.Residual(local)
 }
 
 func (p perRefreshACE) Step(local []complex128, dt float64) ([]complex128, core.StepStats, error) {
@@ -201,7 +201,7 @@ func TestDistStepAllocs(t *testing.T) {
 				ihalf := complex(0, 0.5)
 				iteration := func() {
 					s.aceStale = s.aceStale || mode.name == "ace"
-					rf, _, err := s.Residual(local, false)
+					rf, _, err := s.Residual(local)
 					if err != nil {
 						panic(err)
 					}

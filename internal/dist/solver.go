@@ -61,10 +61,10 @@ type PTCNSolver struct {
 	mtsPhi []complex128
 	// vxFor marks, by storage as Hamiltonian.MarkPrepared does, the block
 	// whose V_X[Psi]Psi the energy observable left in the exchange
-	// workspace's result buffer; the next Step's first exchange application
+	// workspace's result buffer; the next step's first exchange application
 	// asks for the same product. keptVX hands it out once; every other
-	// exchange application, that first residual itself, a geometry change and
-	// ResumeMTS clear the mark. A marked block must not be edited in place.
+	// exchange application, every ApplyH, a geometry change and ResumeMTS
+	// clear the mark. A marked block must not be edited in place.
 	vxFor *complex128
 }
 
@@ -213,14 +213,14 @@ func (s *PTCNSolver) MTSRef() []complex128 {
 	return s.mtsPhi
 }
 
-// ResumeMTS restores the multiple-time-stepping cadence state after a
-// checkpoint load (core.CN.ResumeCycle): phiRef is this rank's band block
-// of the frozen exchange reference saved at the last outer step. Collective
-// when the compressed operator must be reconstructed: all ranks call it
-// together.
-func (s *PTCNSolver) ResumeMTS(phase int, phiRef []complex128) error {
+// ResumeMTS restores the step count and the multiple-time-stepping cadence
+// state after a checkpoint load at the trajectory's cumulative step
+// (core.CN.ResumeCycle): phiRef is this rank's band block of the frozen
+// exchange reference saved at the last outer step. Collective when the
+// compressed operator must be reconstructed: all ranks call it together.
+func (s *PTCNSolver) ResumeMTS(step int, phiRef []complex128) error {
 	s.vxFor = nil
-	if install, err := s.ResumeCycle(phase, phiRef, s.Hybrid); !install {
+	if install, err := s.ResumeCycle(step, phiRef, s.Hybrid); !install {
 		return err
 	}
 	s.freezeRef(phiRef)
@@ -234,61 +234,58 @@ func (s *PTCNSolver) ResumeMTS(phase int, phiRef []complex128) error {
 	return nil
 }
 
-// applyH computes H psi into hp for the local band block: the semi-local
-// part per band, plus the distributed Fock exchange - exact, with the block
-// as its own reference (V_X[P] with P from the iterate, as in Alg. 1 line
-// 5), or through the held ACE operator, rebuilt from this very block when
-// an outer step marked it stale. localG is the caller's transpose of local
-// into the G layout, reused by the ACE build and application so the iterate
-// crosses the wire once per residual. A failed rebuild (degenerate reference
-// set) is a loud, rank-symmetric error, never a silent fallback to the exact
-// operator.
-func (s *PTCNSolver) applyH(hp, local, localG []complex128) error {
-	nbl := len(local) / s.D.G.NG
-	s.H.Apply(hp, local, nbl)
+// ApplyH computes H psi for the local band block into the step workspace,
+// valid until the next ApplyH or Residual: the semi-local part per band,
+// plus the distributed Fock exchange - exact, with the block as its own
+// reference (V_X[P] with P from the iterate, as in Alg. 1 line 5), or
+// through the held ACE operator, rebuilt from this very block when an outer
+// step marked it stale. The block's transpose into the G layout, which the
+// ACE build and application read, stays in the workspace for Residual, so
+// the iterate crosses the wire once per H application. A kept exchange
+// product serves this application or nobody: a held ACE operator applies
+// no exchange, and the mark must not outlive it. A failed rebuild
+// (degenerate reference set) is a loud, rank-symmetric error, never a
+// silent fallback to the exact operator.
+func (s *PTCNSolver) ApplyH(local []complex128) ([]complex128, error) {
+	ws := s.stepWS()
+	s.D.BandToGWS(ws.psiG, local, false, ws.tw)
+	s.H.Apply(ws.hp, local, len(local)/s.D.G.NG)
 	if !s.Hybrid {
-		return nil
+		return ws.hp, nil
 	}
-	if s.Ex.ACE {
-		if s.ace == nil {
-			s.ace = s.D.NewACE()
+	if !s.Ex.ACE {
+		vx := s.exchange(local)
+		for i := range ws.hp {
+			ws.hp[i] += vx[i]
 		}
-		if s.aceStale {
-			if err := s.ace.rebuild(local, localG, s.keptVX(local), s.kernel, s.Hyb.Alpha, s.Ex, s.exchangeWS()); err != nil {
-				return err
-			}
-			s.aceStale = false
+		return ws.hp, nil
+	}
+	if s.ace == nil {
+		s.ace = s.D.NewACE()
+	}
+	if kept := s.keptVX(local); s.aceStale {
+		if err := s.ace.rebuild(local, ws.psiG, kept, s.kernel, s.Hyb.Alpha, s.Ex, s.exchangeWS()); err != nil {
+			return nil, err
 		}
-		s.ace.ApplyFromG(hp, localG)
-		return nil
+		s.aceStale = false
 	}
-	vx := s.exchange(local)
-	for i := range hp {
-		hp[i] += vx[i]
-	}
-	return nil
+	s.ace.ApplyFromG(ws.hp, ws.psiG)
+	return ws.hp, nil
 }
 
-// Residual computes the PT residual R = H psi - psi (Psi^* H Psi) for the
+// Residual computes the PT residual R = H psi - psi (Psi^* H psi) for the
 // local block and the allreduced projection matrix into the step
 // workspace, both valid until the next call. The band-coupled projection
-// runs in the G-space layout: psi and H psi are transposed, the overlap is
-// accumulated slab-wise and allreduced, the projection applied per slab,
-// and the result transposed back - three Alltoallv and one Allreduce per
-// call (Fig. 1's data path). A kept exchange product serves the first
-// residual or nobody: a held ACE operator applies no exchange, and the mark
-// must not outlive it.
-func (s *PTCNSolver) Residual(local []complex128, first bool) ([]complex128, []complex128, error) {
+// runs in the G-space layout: psi (by ApplyH) and H psi are transposed, the
+// overlap is accumulated slab-wise and allreduced, the projection applied
+// per slab, and the result transposed back - three Alltoallv and one
+// Allreduce per call (Fig. 1's data path).
+func (s *PTCNSolver) Residual(local []complex128) ([]complex128, []complex128, error) {
 	ref := s.D.C.Trace().Begin("residual", "solver")
 	defer s.D.C.Trace().End(ref)
 	nb := s.D.NB
 	ws := s.stepWS()
-	s.D.BandToGWS(ws.psiG, local, false, ws.tw)
-	err := s.applyH(ws.hp, local, ws.psiG)
-	if first {
-		s.vxFor = nil
-	}
-	if err != nil {
+	if _, err := s.ApplyH(local); err != nil {
 		return nil, nil, err
 	}
 	s.D.BandToGWS(ws.hpG, ws.hp, false, ws.tw)
@@ -354,8 +351,23 @@ func (s *PTCNSolver) Step(local []complex128, dt float64) ([]complex128, core.St
 			s.freezeRef(local)
 		}
 	}
+	return s.Advance(s, s.bands(), local, dt)
+}
+
+// StepRK4 advances the local band block by dt with the explicit RK4
+// baseline (core.CN's AdvanceRK4) over the same collective block operations
+// as Step. All ranks must call it together.
+func (s *PTCNSolver) StepRK4(local []complex128, dt float64) ([]complex128, core.StepStats, error) {
+	tr := s.D.C.Trace()
+	stepRef := tr.Begin("step", "step")
+	defer tr.EndN(stepRef, int64(s.StepIndex))
+	return s.AdvanceRK4(s, s.bands(), local, dt)
+}
+
+// bands places this rank's block in the band set.
+func (s *PTCNSolver) bands() core.Bands {
 	lo, _ := s.D.BandRange(s.D.C.Rank())
-	return s.Advance(s, core.Bands{G: s.D.G, H: s.H, NB: s.D.NB, Lo: lo, Occ: s.Occ, Tr: tr}, local, dt)
+	return core.Bands{G: s.D.G, H: s.H, NB: s.D.NB, Lo: lo, Occ: s.Occ, Tr: s.D.C.Trace()}
 }
 
 // IonGeometryChanged is the coupled-step hook of the Ehrenfest ion

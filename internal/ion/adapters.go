@@ -1,6 +1,7 @@
 package ion
 
 import (
+	"ptdft/internal/core"
 	"ptdft/internal/dist"
 	"ptdft/internal/pseudo"
 )
@@ -11,16 +12,22 @@ import (
 // force assembly allreduces in deterministic rank order, so the replicated
 // ion trajectories are bit-identical.
 type DistElectrons struct {
-	S     *dist.PTCNSolver
+	S *dist.PTCNSolver
+	// Step is the electronic step of the solver's block: S.Step (PT-CN)
+	// when nil, S.StepRK4 for the explicit baseline.
+	Step  func(local []complex128, dt float64) ([]complex128, core.StepStats, error)
 	Local []complex128 // this rank's band block (current state)
 	Pots  map[int]*pseudo.Potential
 	SCF   int // cumulative inner-SCF iterations, for per-ion-step reporting
 }
 
-// StepElectrons advances this rank's band block by one PT-CN step.
-// Collective.
+// StepElectrons advances this rank's band block by one step. Collective.
 func (de *DistElectrons) StepElectrons(dt float64) error {
-	local, stats, err := de.S.Step(de.Local, dt)
+	step := de.Step
+	if step == nil {
+		step = de.S.Step
+	}
+	local, stats, err := step(de.Local, dt)
 	if err != nil {
 		return err
 	}

@@ -34,7 +34,8 @@ func (f *fakeSim) solve(spec *sim.Spec) (*scf.Result, error) {
 }
 
 // run fakes one segment: per step, wait for the gate (if any) or a stop
-// request, then emit a sample. The resume contract matches sim.Run: the
+// request, then emit a sample. Stopped means the stop cut the segment
+// short, as in sim.Run. The resume contract matches sim.Run too: the
 // segment runs from the checkpoint's cumulative step up to the spec's
 // trajectory length, and a checkpoint that covers it is the result.
 func (f *fakeSim) run(spec *sim.Spec, opt sim.Options) (*sim.Result, error) {
@@ -75,13 +76,6 @@ func (f *fakeSim) run(spec *sim.Spec, opt sim.Options) (*sim.Result, error) {
 		done = i + 1
 		if opt.OnSample != nil {
 			opt.OnSample(observe.Sample{Step: base + done})
-		}
-	}
-	if opt.Stop != nil && !res.Stopped {
-		select {
-		case <-opt.Stop:
-			res.Stopped = true
-		default:
 		}
 	}
 	res.Final = &checkpoint.State{
@@ -339,8 +333,8 @@ func writeRecord(t *testing.T, dir string, rec View) {
 }
 
 // TestPoolZeroRemainderResumeCompletes: a checkpoint taken exactly at the
-// last step (a preempt/drain racing the final step, or a crash right
-// after it) re-adopts as a job with nothing left to run. It must go
+// last step (a crash right after it, before the record says done)
+// re-adopts as a job with nothing left to run. It must go
 // straight to done without building a ground state: the simulation layer
 // returns the checkpoint as it stands. The MD flavor is the sharp case:
 // the remainder is counted in ion steps.

@@ -371,9 +371,10 @@ func (s *Server) worker() {
 
 // attempt runs one segment of the job: the spec from the resume point (if
 // any) up to its trajectory length, with the ground state from the SCF
-// cache - unless the checkpoint already covers the trajectory (a
-// preempt/drain that fired as the final step completed, or a restart
-// adoption of a last-step checkpoint), which needs none.
+// cache - unless the checkpoint already covers the trajectory (a restart
+// adopting a last-step checkpoint), which needs none. A preempt or drain
+// that fires as the final step completes ends a finished segment: sim.Run
+// reports it not Stopped, and the job is done.
 func (s *Server) attempt(j *Job) (*sim.Result, error) {
 	s.mu.Lock()
 	spec := j.Spec

@@ -50,7 +50,7 @@ func stepFiles(t *testing.T, roll *checkpoint.Rolling) []string {
 // ion state, drift and the checkpoint files it leaves - while the live feed
 // sees every step exactly once, in order. Rank failures are retried up to
 // the budget; the rows cover a crash at a step boundary and inside a
-// collective, MD, a segment that starts mid MTS cycle, replay with no
+// collective, MD, RK4, a segment that starts mid MTS cycle, replay with no
 // checkpoint to fall back on, a corrupt newest checkpoint, and a crash of
 // each rank of a hybrid ACE MTS run at a seeded fuzzed step.
 func TestRunRecovery(t *testing.T) {
@@ -97,6 +97,12 @@ func TestRunRecovery(t *testing.T) {
 		{runCase: runCase{"mid-cycle start", aceMTS2}, total: 4, every: 2, prior: 3,
 			perturb:  crashOnce(mpi.CrashRankAt{Rank: 3, AfterStep: 6}, 2*time.Second),
 			restarts: 1, lost: 1, failure: "rank 3 crashed"},
+		// RK4 runs in the same world: the relaunch from the step-18
+		// checkpoint crosses the re-orthonormalization of step 20 on the
+		// trajectory's cadence.
+		{runCase: runCase{"RK4", func(s *Spec) { s.Ranks, s.Method, s.DtAs = 2, "rk4", 0.5 }}, total: 22, every: 6,
+			perturb:  crashOnce(mpi.CrashRankAt{Rank: 1, AfterStep: 21}, 2*time.Second),
+			restarts: 1, lost: 3, failure: "rank 1 crashed"},
 		{runCase: runCase{"retry budget", lda(2)}, total: 4, every: 2,
 			perturb: func(int) *mpi.Perturb {
 				return &mpi.Perturb{Deadline: 500 * time.Millisecond,

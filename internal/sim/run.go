@@ -1,9 +1,10 @@
-// Run: one propagation loop over one per-rank engine, shared by the CLI
-// and the job server. Every PT-CN run is a goroutine-MPI world of
-// max(Ranks, 1) ranks, each advancing its band block with dist.PTCNSolver
-// (a serial run is the one-rank world); RK4, which dist does not implement,
-// runs core.RK4 on the calling goroutine. Ehrenfest MD is an ion.Verlet
-// wrapped around the PT-CN engine.
+// Run: one propagation loop in one world, shared by the CLI and the job
+// server. Every run is a goroutine-MPI world of max(Ranks, 1) ranks, each
+// advancing its band block with dist.PTCNSolver (a serial run is the
+// one-rank world) by PT-CN or, for the Fig. 6 comparator, RK4 - the one
+// method-dependent choice is which of the solver's step functions the
+// rank's ion.DistElectrons calls. Ehrenfest MD is an ion.Verlet wrapped
+// around those electrons.
 // The loop owns what every run needs once: cooperative shutdown (the Stop
 // channel finishes the step in flight, checkpoints the completed steps, and
 // returns), per-step observable emission, periodic rolling checkpoints,
@@ -13,10 +14,10 @@
 // world under mpi.RunTolerant and, when ranks are lost (an *mpi.Failure:
 // injected crashes, peer-loss deadlines), reloads the newest rolling
 // checkpoint and relaunches the same loop, up to maxRestarts times.
-// Application errors (SCF divergence, a failed save) are rank-symmetric -
-// a relaunch would fail identically - and end the run at once. Preemption
-// and daemon restarts are retried one level up, by the job server, through
-// Options.Resume.
+// Application errors (SCF divergence, an RK4 blow-up, a failed save) are
+// rank-symmetric - a relaunch would fail identically - and end the run at
+// once. Preemption and daemon restarts are retried one level up, by the job
+// server, through Options.Resume.
 package sim
 
 import (
@@ -75,8 +76,8 @@ type Options struct {
 	CkptEvery int
 	SavePath  string
 	// Trace, when set, records per-rank span timelines for the whole
-	// segment: the engines attach one track per rank (track 0 under RK4)
-	// and the solver/comm layers fill it. Result carries the folded
+	// segment: the world attaches one track per rank and the solver/comm
+	// layers fill it. Result carries the folded
 	// aggregates; export the recorder for the full timeline. nil (the
 	// default) keeps every recording site on its zero-alloc disabled path.
 	Trace *trace.Recorder
@@ -87,8 +88,7 @@ type Options struct {
 	// peer-loss deadline) the distributed world of launch
 	// `attempt` runs under; attempt 0 is the first launch, each recovery
 	// relaunch asks again. Set by the fault experiments and tests, nil in
-	// production. A one-rank PT-CN run has a world too; only RK4 has none
-	// and ignores it.
+	// production. A one-rank run has a world too.
 	Perturb func(attempt int) *mpi.Perturb
 	// Logf receives progress notices (system, ground state, cadence,
 	// communication volume, recovery); nil silences them.
@@ -119,7 +119,7 @@ type Result struct {
 	Samples []observe.Sample // one per completed step (ion steps under MD)
 	Psi     []complex128     // full band set after the last completed step
 	Time    float64          // simulation time (au)
-	Stopped bool             // the segment ended on a shutdown request
+	Stopped bool             // a shutdown request ended the segment before the trajectory's end
 
 	Ground        *scf.Result // the ground state used (cached or solved)
 	GroundCached  bool        // true when Options.Ground supplied it
@@ -128,7 +128,7 @@ type Result struct {
 	EhrenfestDrift float64           // max |E_tot - E_0| over the segment (MD only)
 	Final          *checkpoint.State // the assembled restartable state
 
-	// Rank-failure recovery (PT-CN runs): world relaunches performed,
+	// Rank-failure recovery: world relaunches performed,
 	// completed steps re-run because they postdated the recovery point, and
 	// one line per failed launch naming the lost ranks.
 	Restarts  int
@@ -136,19 +136,18 @@ type Result struct {
 	Failures  []string
 
 	// Observability aggregates (zero/nil unless Options.Trace was set;
-	// Comm is set on every PT-CN run, a one-rank world included, and nil
-	// only under RK4, which has no world): cumulative busy seconds summed
-	// over rank timelines, total bytes moved through the communicator (0 on
-	// one rank), the per-phase wall breakdown, and the raw comm ledgers for
-	// heat maps.
+	// Comm is set on every run that propagates, a one-rank world included):
+	// cumulative busy seconds summed over rank timelines, total bytes moved
+	// through the communicator (0 on one rank), the per-phase wall
+	// breakdown, and the raw comm ledgers for heat maps.
 	RankSeconds  float64
 	BytesMoved   int64
 	PhaseSeconds map[string]float64
 	Comm         *mpi.Stats
 }
 
-// runner bundles the derived state of one Run that the engines and the
-// loop share.
+// runner bundles the derived state of one Run that the ranks' loops
+// share.
 type runner struct {
 	spec   *Spec
 	opt    *Options
@@ -174,9 +173,9 @@ type runner struct {
 }
 
 // Run executes the spec to completion (or until Stop fires), returning
-// the trajectory segment. Method selects the engine (a PT-CN world of
-// max(Ranks, 1) ranks, or serial RK4) and MD wraps it in the ion
-// integrator, exactly like the CLI.
+// the trajectory segment: a world of max(Ranks, 1) ranks stepping by the
+// spec's Method, wrapped in the ion integrator under MD, exactly like the
+// CLI.
 func Run(spec *Spec, opt Options) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -249,7 +248,7 @@ func Run(spec *Spec, opt Options) (*Result, error) {
 	}
 	st := res.Final
 	res.Psi, res.Time = st.Psi, st.Time
-	res.Stopped = opt.stopRequested()
+	res.Stopped = spec.Progress(st) < spec.TotalSteps()
 	if opt.Trace != nil {
 		res.RankSeconds = opt.Trace.RankSeconds()
 		res.PhaseSeconds = opt.Trace.PhaseSeconds()
@@ -314,15 +313,11 @@ func GroundState(spec *Spec) (*scf.Result, error) {
 // maxRestarts is the rank-failure retry budget of one Run.
 const maxRestarts = 3
 
-// propagate builds the engine the spec asks for and runs the loop on it:
-// PT-CN on every rank of a goroutine-MPI world of max(Ranks, 1) ranks -
-// relaunching that world from the newest checkpoint when it loses ranks -
-// and RK4 on the calling goroutine.
+// propagate runs the loop on every rank of a goroutine-MPI world of
+// max(Ranks, 1) ranks, relaunching that world from the newest checkpoint
+// when it loses ranks.
 func (r *runner) propagate(cell *lattice.Cell) error {
 	spec, opt := r.spec, r.opt
-	if spec.Method != "ptcn" {
-		return r.runRK4(cell)
-	}
 	op := "none (semi-local)"
 	switch {
 	case spec.ACE:
@@ -338,17 +333,15 @@ func (r *runner) propagate(cell *lattice.Cell) error {
 		if opt.Perturb != nil {
 			p = opt.Perturb(attempt)
 		}
-		// Every error the engines return is rank-symmetric (the same inputs,
-		// a global convergence criterion, a voted shutdown), so all ranks
-		// leave together and the root's error is the run's error. Lost ranks
-		// surface as the Failure instead, once every survivor has unblocked.
+		// Every error a rank's loop returns is rank-symmetric (the same
+		// inputs, a global convergence or blow-up criterion, a voted
+		// shutdown), so all ranks leave together and the root's error is the
+		// run's error. Lost ranks surface as the Failure instead, once every
+		// survivor has unblocked.
 		var rootErr error
 		var fail *mpi.Failure
 		stats, fail = mpi.RunTolerant(ranks, p, func(c *mpi.Comm) {
-			e, err := r.distEngine(c, cell)
-			if err == nil {
-				err = r.loop(e)
-			}
+			err := r.loop(c, cell)
 			if c.Rank() == 0 {
 				rootErr = err
 			}
@@ -409,72 +402,12 @@ func (r *runner) recoverFrom(fail *mpi.Failure) error {
 	return nil
 }
 
-// engine is one rank's propagator as the loop sees it: it advances the
-// electrons one step, evaluates the observables, reports its time and
-// gathers the restartable state. Under PT-CN the electrons are held by an
-// ion.Electrons adapter, which is also what an Ehrenfest run hands to the
-// ion integrator - MD wraps an engine, it is not another one. observe,
-// gather and agree are collective on a distributed engine: every rank
-// calls them in the same order.
-type engine struct {
-	root bool          // this rank emits samples, runs the hooks and writes checkpoints
-	tr   *trace.Track  // nil when tracing is off
-	cell *lattice.Cell // the cell this engine's grid and Hamiltonian follow
-	el   ion.Electrons // the PT-CN electrons, for the ion integrator (nil under RK4)
-	scf  *int          // cumulative inner-SCF iterations; the loop resets it per step
-
-	// reached announces the cumulative loop step about to run: the trigger
-	// of an injected step-boundary crash, a no-op without a world.
-	reached func(step int64)
-	step    func(dt float64) error
-	energy  func() (float64, error) // electronic total energy
-	now     func() float64          // simulation time (au)
-	observe func() (jz, nexc float64)
-	// gather returns the full band set, the MTS cycle phase and - mid-cycle
-	// only - the frozen exchange reference of the last outer step.
-	gather func() (psi []complex128, phase int, ref []complex128)
-	// agree reports whether any rank raised flag.
-	agree func(flag bool) bool
-}
-
-// runRK4 runs the loop on the whole band set on the calling goroutine
-// (track 0) with core.RK4, the Fig. 6 comparator dist does not implement.
-// RK4 has no inner SCF, so the per-step SCF count stays 0.
-func (r *runner) runRK4(cell *lattice.Cell) error {
-	spec := r.spec
-	h := hamiltonian.New(r.g, spec.Pots(), hamiltonian.Config{Hybrid: spec.Hybrid, Params: xc.HSE06()})
-	tr := r.opt.Trace.Track(0, "rank 0")
-	h.SetTrace(tr)
-	sys := &core.System{G: r.g, H: h, NB: r.nb, Occ: 2, Field: r.field, Tr: tr}
-	rk := core.NewRK4(sys)
-	rk.Time = r.t0
-	psi := wavefunc.Clone(r.psi0)
-	var scf int
-	return r.loop(&engine{
-		root: true, tr: tr, cell: cell, scf: &scf,
-		reached: func(int64) {},
-		step: func(dt float64) error {
-			out, _, err := rk.Step(psi, dt)
-			if err == nil {
-				psi = out
-			}
-			return err
-		},
-		energy: func() (float64, error) { return observe.Energy(sys, psi, rk.Time).Total(), nil },
-		now:    func() float64 { return rk.Time },
-		observe: func() (float64, float64) {
-			return observe.Current(sys, psi)[2], observe.ExcitedElectrons(sys, r.psiGS, psi)
-		},
-		gather: func() ([]complex128, int, []complex128) { return psi, 0, nil },
-		agree:  func(flag bool) bool { return flag },
-	})
-}
-
-// distEngine propagates this rank's band block with dist.PTCNSolver
-// inside the world (one rank for a serial run), recording onto the rank's
-// own track through the Comm handle (nil recorder -> nil track -> every
-// site stays on its disabled path).
-func (r *runner) distEngine(c *mpi.Comm, cell *lattice.Cell) (*engine, error) {
+// electrons builds this rank's solver over its band block inside the world
+// (one rank for a serial run), recording onto the rank's own track through
+// the Comm handle (nil recorder -> nil track -> every site stays on its
+// disabled path), and returns it with the cell its grid and Hamiltonian
+// follow.
+func (r *runner) electrons(c *mpi.Comm, cell *lattice.Cell) (*ion.DistElectrons, *lattice.Cell, error) {
 	spec := r.spec
 	c.SetTrace(r.opt.Trace.Track(c.Rank(), fmt.Sprintf("rank %d", c.Rank())))
 	g := r.g
@@ -486,12 +419,12 @@ func (r *runner) distEngine(c *mpi.Comm, cell *lattice.Cell) (*engine, error) {
 		cell = cell.Clone()
 		var err error
 		if g, err = grid.New(cell, spec.Ecut); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	d, err := dist.NewCtx(c, g, r.nb, 2)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	h := hamiltonian.New(g, spec.Pots(), hamiltonian.Config{IonDynamics: spec.MD})
 	s := dist.NewPTCNSolver(d, h, xc.HSE06(), spec.Hybrid, r.field, core.DefaultPTCN(), dist.ExchangeOptions{
@@ -502,53 +435,31 @@ func (r *runner) distEngine(c *mpi.Comm, cell *lattice.Cell) (*engine, error) {
 	lo, hi := d.BandRange(c.Rank())
 	ng := g.NG
 	de := &ion.DistElectrons{S: s, Local: wavefunc.Clone(r.psi0[lo*ng : hi*ng]), Pots: spec.Pots()}
+	if spec.Method == "rk4" {
+		de.Step = s.StepRK4
+	}
 	if r.loaded != nil {
-		// Land on the saved cycle phase; mid-cycle the frozen exchange
+		// Land on the saved step, and so on its cycle phase and RK4's
+		// re-orthonormalization cadence; mid-cycle the frozen exchange
 		// reference of the last outer step is restored (and the compressed
 		// operator reconstructed from it, collectively).
 		var ref []complex128
 		if r.loaded.PhiRef != nil {
 			ref = r.loaded.PhiRef[lo*ng : hi*ng]
 		}
-		if err := s.ResumeMTS(int(r.loaded.MTSPhase), ref); err != nil {
-			return nil, err
+		if err := s.ResumeMTS(int(r.loaded.Step), ref); err != nil {
+			return nil, nil, err
 		}
 	}
-	return &engine{
-		root: c.Rank() == 0, tr: c.Trace(), cell: cell, el: de, scf: &de.SCF,
-		reached: c.StepReached,
-		step:    de.StepElectrons, energy: de.ElectronicEnergy,
-		now: func() float64 { return s.Time },
-		observe: func() (float64, float64) {
-			return s.Current(de.Local)[2], s.ExcitedElectrons(r.psiGS, de.Local)
-		},
-		// The phase is rank-symmetric, so gathering the reference only
-		// mid-cycle is a collective-safe branch. Gather returns a fresh
-		// array on every rank.
-		gather: func() (psi []complex128, phase int, ref []complex128) {
-			psi = d.Gather(de.Local)
-			if phase = s.MTSPhase(); phase != 0 {
-				ref = d.Gather(s.MTSRef())
-			}
-			return psi, phase, ref
-		},
-		agree: func(flag bool) bool {
-			vote := []float64{0}
-			if flag {
-				vote[0] = 1
-			}
-			mpi.AllreduceSum(c, tagStop, vote)
-			return vote[0] != 0
-		},
-	}, nil
+	return de, cell, nil
 }
 
-// loop is the propagation loop (Alg. 1 with the observables after each
-// step), run once per rank: step, observe, emit, checkpoint, vote, repeat,
-// then gather the final state. One pass is one electronic step, or under
-// MD one velocity-Verlet ion step of K electronic steps at the midpoint
-// geometry, recording the conserved total (electronic + ion kinetic +
-// ion-ion) as the energy. The root fills r.res.
+// loop is the propagation loop, run once per rank on the rank's electrons:
+// step, observe, emit, checkpoint, vote, repeat, then gather the final
+// state. One pass is one electronic step, or under MD one velocity-Verlet
+// ion step of K electronic steps at the midpoint geometry, recording the
+// conserved total (electronic + ion kinetic + ion-ion) as the energy. The
+// root fills r.res.
 //
 // The loop runs from this launch's start (r.loaded) to the segment's
 // cumulative target. What a relaunch after a rank failure must not shift
@@ -556,16 +467,20 @@ func (r *runner) distEngine(c *mpi.Comm, cell *lattice.Cell) (*engine, error) {
 // drift baseline, the step numbers the hooks and errors report - and the
 // hooks fire only above the high-water mark, so a live feed never sees a
 // replayed step twice.
-func (r *runner) loop(e *engine) error {
+func (r *runner) loop(c *mpi.Comm, cell *lattice.Cell) error {
 	spec, opt := r.spec, r.opt
+	de, cell, err := r.electrons(c, cell)
+	if err != nil {
+		return err
+	}
+	s, root, tr := de.S, c.Rank() == 0, c.Trace()
 	k := r.substeps()
 	base := r.baseStep()
 	at := base // cumulative loop steps completed; at-r.start of them in this segment
-	total := e.energy
+	total := de.ElectronicEnergy
 	var v *ion.Verlet
 	if spec.MD {
-		var err error
-		if v, err = ion.NewVerlet(e.cell, e.el, units.AttosecondsToAU(spec.IonDtAs), k); err != nil {
+		if v, err = ion.NewVerlet(cell, de, units.AttosecondsToAU(spec.IonDtAs), k); err != nil {
 			return err
 		}
 		if r.loaded != nil && r.loaded.HasIons() {
@@ -581,7 +496,7 @@ func (r *runner) loop(e *engine) error {
 		if err != nil {
 			return err
 		}
-		if e.root && base == r.start {
+		if root && base == r.start {
 			r.e0 = e0
 		}
 		total = v.TotalEnergy
@@ -589,12 +504,18 @@ func (r *runner) loop(e *engine) error {
 	// state assembles the restartable state after the steps completed so
 	// far. The step counters are cumulative provenance: a resumed segment
 	// saves loaded.Step + its own steps, so a trajectory split across
-	// segments reports the true global step on every file.
+	// segments reports the true global step on every file. The MTS phase is
+	// rank-symmetric, so gathering the frozen reference only mid-cycle is a
+	// collective-safe branch; Gather returns a fresh array on every rank.
 	state := func() *checkpoint.State {
 		done := at - base
-		psi, phase, ref := e.gather()
+		psi, phase := s.D.Gather(de.Local), s.MTSPhase()
+		var ref []complex128
+		if phase != 0 {
+			ref = s.D.Gather(s.MTSRef())
+		}
 		st := &checkpoint.State{
-			Time: e.now(), Step: checkpoint.ContinuationStep(r.loaded, done*k), NBands: r.nb, NG: r.g.NG,
+			Time: s.Time, Step: checkpoint.ContinuationStep(r.loaded, done*k), NBands: r.nb, NG: r.g.NG,
 			Natom: r.natom, Ecut: spec.Ecut, Hybrid: spec.Hybrid, Psi: psi,
 			MTSPeriod: int64(spec.MTS), MTSPhase: int64(phase), PhiRef: ref,
 		}
@@ -609,51 +530,50 @@ func (r *runner) loop(e *engine) error {
 
 	var saveErr error
 	for at < r.target {
-		e.reached(int64(at))
+		c.StepReached(int64(at))
 		// The wall clock covers the step only, not the observables after it.
 		start := time.Now()
-		*e.scf = 0
-		var err error
+		de.SCF = 0
 		if v != nil {
-			ionRef := e.tr.Begin("ion_step", "step")
+			ionRef := tr.Begin("ion_step", "step")
 			err = v.Step()
-			e.tr.EndN(ionRef, int64(at-r.start))
+			tr.EndN(ionRef, int64(at-r.start))
 		} else {
-			err = e.step(r.dt)
+			err = de.StepElectrons(r.dt)
 		}
 		if err != nil {
-			// A convergence failure is decided on the global density, so
-			// every rank returns here together.
+			// A convergence failure or an RK4 blow-up is decided on the
+			// global density, so every rank returns here together.
 			return fmt.Errorf("step %d: %w", at-r.start, err)
 		}
 		wall := time.Since(start).Seconds()
-		obsRef := e.tr.Begin("observe", "observe")
+		obsRef := tr.Begin("observe", "observe")
 		energy, err := total()
 		if err != nil {
-			e.tr.End(obsRef)
+			tr.End(obsRef)
 			return err
 		}
-		jz, nexc := e.observe()
-		e.tr.End(obsRef)
+		jz, nexc := s.Current(de.Local)[2], s.ExcitedElectrons(r.psiGS, de.Local)
+		tr.End(obsRef)
 		at++
-		if e.root {
-			s := observe.Sample{
+		if root {
+			smp := observe.Sample{
 				Step:     at,
-				TimeFs:   e.now() * units.FemtosecondPerAU,
+				TimeFs:   s.Time * units.FemtosecondPerAU,
 				Energy:   energy,
 				CurrentZ: jz,
 				Excited:  nexc,
-				SCFIters: *e.scf,
+				SCFIters: de.SCF,
 				WallSec:  wall,
 			}
-			r.res.Samples = append(r.res.Samples, s)
+			r.res.Samples = append(r.res.Samples, smp)
 			if v != nil {
 				r.res.EhrenfestDrift = math.Max(r.res.EhrenfestDrift, math.Abs(energy-r.e0))
 			}
 			if at > r.emitted {
 				r.emitted = at
 				if opt.OnSample != nil {
-					opt.OnSample(s)
+					opt.OnSample(smp)
 				}
 				if opt.AfterStep != nil {
 					opt.AfterStep(at - r.start)
@@ -665,24 +585,28 @@ func (r *runner) loop(e *engine) error {
 		// save must not abort inside a collective (the other ranks would
 		// hang); the root records it and raises it in the vote below.
 		if opt.Ckpt != nil && opt.CkptEvery > 0 && (at-r.start)%opt.CkptEvery == 0 && at < r.target {
-			ckRef := e.tr.Begin("checkpoint", "io")
+			ckRef := tr.Begin("checkpoint", "io")
 			st := state()
-			if e.root {
+			if root {
 				if err := opt.Ckpt.Save(st); err != nil {
 					saveErr = fmt.Errorf("periodic checkpoint after step %d: %w", at-r.start, err)
 				}
 			}
-			e.tr.End(ckRef)
+			tr.End(ckRef)
 		}
 		// Shutdown vote: only the root sees the stop channel and the save
 		// error; the vote makes the break rank-symmetric, so no collective
 		// is left half-entered.
-		if e.agree(e.root && (saveErr != nil || opt.stopRequested())) {
+		vote := []float64{0}
+		if root && (saveErr != nil || opt.stopRequested()) {
+			vote[0] = 1
+		}
+		if mpi.AllreduceSum(c, tagStop, vote); vote[0] != 0 {
 			break
 		}
 	}
 	st := state()
-	if e.root {
+	if root {
 		r.res.Final = st
 	}
 	return saveErr

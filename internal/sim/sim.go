@@ -1,10 +1,10 @@
 // Package sim is the reusable run layer shared by cmd/ptdft and the job
 // server (internal/server, cmd/ptdftd): a JSON-serializable simulation
 // Spec with the full flag-validation rules, the ground-state solve, and
-// one propagation loop over one per-rank engine - PT-CN as dist.PTCNSolver
-// on each rank of a goroutine-MPI world (a serial run is a one-rank world),
-// optionally wrapped in the Ehrenfest ion integrator, or the serial RK4
-// comparator (core.RK4) - with hooks for streaming observables, cooperative
+// one propagation loop in one engine - dist.PTCNSolver's band block on each
+// rank of a goroutine-MPI world (a serial run is a one-rank world), stepped
+// by PT-CN or by the RK4 comparator and optionally wrapped in the Ehrenfest
+// ion integrator - with hooks for streaming observables, cooperative
 // preemption, checkpoint-backed resume, and a pre-computed (cached) ground
 // state. cmd/ptdft's CLI is a thin flag front-end over this package; the
 // server multiplexes many Specs over a worker pool.
@@ -37,7 +37,7 @@ import (
 // functional and exchange cadence, the integrator, and the parallel
 // layout. It is JSON-serializable (the job server's POST /jobs body) and
 // carries the same validation rules the ptdft CLI enforces, so a spec
-// that validates here runs on every engine.
+// that validates here runs on any rank count.
 type Spec struct {
 	Cells      [3]int  `json:"cells"`                 // supercell repetitions (8 Si atoms per cell)
 	Ecut       float64 `json:"ecut"`                  // kinetic energy cutoff (Ha)
@@ -92,6 +92,9 @@ func (s *Spec) Validate() error {
 	if s.Steps < 0 {
 		return fmt.Errorf("sim: negative step count %d", s.Steps)
 	}
+	if !(s.DtAs > 0) {
+		return fmt.Errorf("sim: dt_as wants a positive time step (as), got %g", s.DtAs)
+	}
 	if s.ACE && !s.Hybrid {
 		return fmt.Errorf("sim: ace selects the exchange operator of the hybrid functional; set hybrid")
 	}
@@ -119,8 +122,8 @@ func (s *Spec) Validate() error {
 		if s.IonSteps < 1 {
 			return fmt.Errorf("sim: md wants ion_steps >= 1, got %d", s.IonSteps)
 		}
-		if s.DtAs <= 0 || s.IonDtAs <= 0 {
-			return fmt.Errorf("sim: md wants positive time steps, got dt %g and ion_dt %g", s.DtAs, s.IonDtAs)
+		if !(s.IonDtAs > 0) {
+			return fmt.Errorf("sim: md wants a positive ion time step, got ion_dt %g", s.IonDtAs)
 		}
 		k := s.IonDtAs / s.DtAs
 		if k < 0.5 || math.Abs(k-math.Round(k)) > 1e-9*k {
@@ -129,9 +132,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Ranks < 0 {
 		return fmt.Errorf("sim: negative rank count %d", s.Ranks)
-	}
-	if s.Ranks > 1 && s.Method != "ptcn" {
-		return fmt.Errorf("sim: distributed runs support method ptcn only")
 	}
 	if s.SinglePrec {
 		return &RemovedError{Config: "single_prec (orbitals rounded to complex64 on the wire)", Use: "no single_prec (the double-precision wire; perf.Model models the paper's single-precision MPI)"}

@@ -18,6 +18,7 @@ import (
 	"ptdft/internal/laser"
 	"ptdft/internal/observe"
 	"ptdft/internal/units"
+	"ptdft/internal/wavefunc"
 	"ptdft/internal/xc"
 )
 
@@ -43,6 +44,7 @@ func TestSpecValidateRules(t *testing.T) {
 		{"zero ecut", func(s *Spec) { s.Ecut = 0 }, "ecut"},
 		{"bad method", func(s *Spec) { s.Method = "euler" }, "method"},
 		{"negative steps", func(s *Spec) { s.Steps = -1 }, "step count"},
+		{"negative dt", func(s *Spec) { s.DtAs = -24 }, "dt_as wants a positive time step"},
 		{"ace without hybrid", func(s *Spec) { s.ACE = true }, "hybrid"},
 		// The Jia & Lin hold cadence is ace + mts 1; a serial run propagates
 		// it as a one-rank world, like any rank count, with or without MD.
@@ -61,7 +63,8 @@ func TestSpecValidateRules(t *testing.T) {
 		{"md zero ion steps", func(s *Spec) { s.MD = true; s.IonSteps = 0 }, "ion_steps"},
 		{"md bad tiling", func(s *Spec) { s.MD = true; s.IonSteps = 2; s.IonDtAs = 100 }, "multiple"},
 		{"negative ranks", func(s *Spec) { s.Ranks = -2 }, "rank"},
-		{"distributed rk4", func(s *Spec) { s.Ranks = 2; s.Method = "rk4" }, "ptcn"},
+		// RK4 steps the same band blocks as PT-CN, on any rank count.
+		{"distributed rk4", func(s *Spec) { s.Ranks = 2; s.Method = "rk4" }, ""},
 		// The single-precision wire saved no time on goroutine mailboxes and
 		// broke the exchange's pair symmetry: removed at every rank count.
 		{"single_prec serial", func(s *Spec) { s.SinglePrec = true }, "was removed; use no single_prec"},
@@ -169,7 +172,7 @@ func TestSCFKeySensitivity(t *testing.T) {
 	}
 }
 
-// runCase is one row of the engine x integrator matrix the Run tests are
+// runCase is one row of the layout x integrator matrix the Run tests are
 // driven over: mod turns testSpec into the row's spec.
 type runCase struct {
 	name string
@@ -228,8 +231,10 @@ func stopAfter(n int) Options {
 // through an in-memory checkpoint (the server's preempt/resume path,
 // without the disk) agrees with the uninterrupted run - same ground state,
 // same samples, same final orbitals and, under MD, the same ion state -
-// on one and two ranks, with and without the ion integrator, and on the
-// serial RK4 engine. Both segments run the uninterrupted run's spec: the
+// on one and two ranks, with and without the ion integrator, and under
+// RK4. The RK4 rows split before the re-orthonormalization of step 20 and
+// must agree bit for bit: the cadence counts the trajectory's steps, not
+// the segment's. Both segments run the uninterrupted run's spec: the
 // first is stopped after `split` steps, the second resumes and runs to the
 // spec's trajectory length. The MTS rows split mid-cycle, so the in-memory
 // Final must carry the frozen exchange reference. The uninterrupted run
@@ -252,20 +257,22 @@ func TestRunSplitEqualsContinuous(t *testing.T) {
 	cases := []struct {
 		runCase
 		total, split int
+		bits         bool // split == continuous bit for bit, not to 1e-10
 	}{
-		{runCase{"1-rank LDA", lda}, 6, 3},
-		{runCase{"1-rank ACE MTS2", aceMTS2}, 6, 3},
-		{runCase{"1-rank ACE MTS3", aceMTS3}, 6, 2},
-		{runCase{"serial RK4", rk4}, 6, 3},
-		{runCase{"2-rank LDA", ranks2}, 6, 3},
-		{runCase{"2-rank ACE MTS2", both(ranks2, aceMTS2)}, 6, 3},
-		{runCase{"2-rank ACE MTS3", both(ranks2, aceMTS3)}, 6, 2},
-		{runCase{"1-rank MD LDA", withMD(2)}, 3, 1},
-		{runCase{"1-rank MD ACE MTS2", both(aceMTS2, withMD(3))}, 3, 1},
-		{runCase{"1-rank MD ACE MTS3", both(aceMTS3, withMD(2))}, 3, 1},
-		{runCase{"2-rank MD LDA", both(ranks2, withMD(2))}, 3, 1},
-		{runCase{"2-rank MD ACE MTS2", both(ranks2, aceMTS2, withMD(3))}, 3, 1},
-		{runCase{"2-rank MD ACE MTS3", both(ranks2, aceMTS3, withMD(2))}, 3, 1},
+		{runCase{"1-rank LDA", lda}, 6, 3, false},
+		{runCase{"1-rank ACE MTS2", aceMTS2}, 6, 3, false},
+		{runCase{"1-rank ACE MTS3", aceMTS3}, 6, 2, false},
+		{runCase{"serial RK4", rk4}, 20, 10, true},
+		{runCase{"2-rank RK4", both(ranks2, rk4)}, 20, 10, true},
+		{runCase{"2-rank LDA", ranks2}, 6, 3, false},
+		{runCase{"2-rank ACE MTS2", both(ranks2, aceMTS2)}, 6, 3, false},
+		{runCase{"2-rank ACE MTS3", both(ranks2, aceMTS3)}, 6, 2, false},
+		{runCase{"1-rank MD LDA", withMD(2)}, 3, 1, false},
+		{runCase{"1-rank MD ACE MTS2", both(aceMTS2, withMD(3))}, 3, 1, false},
+		{runCase{"1-rank MD ACE MTS3", both(aceMTS3, withMD(2))}, 3, 1, false},
+		{runCase{"2-rank MD LDA", both(ranks2, withMD(2))}, 3, 1, false},
+		{runCase{"2-rank MD ACE MTS2", both(ranks2, aceMTS2, withMD(3))}, 3, 1, false},
+		{runCase{"2-rank MD ACE MTS3", both(ranks2, aceMTS3, withMD(2))}, 3, 1, false},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -305,6 +312,10 @@ func TestRunSplitEqualsContinuous(t *testing.T) {
 			if want := elSteps(&spec, tc.total); segB.Final.Step != want {
 				t.Errorf("resumed final step %d, want %d", segB.Final.Step, want)
 			}
+			tol := 1e-10
+			if tc.bits {
+				tol = 0
+			}
 			all := append(append([]observe.Sample{}, segA.Samples...), segB.Samples...)
 			if len(all) != len(cont.Samples) {
 				t.Fatalf("split yielded %d samples, continuous %d", len(all), len(cont.Samples))
@@ -313,13 +324,13 @@ func TestRunSplitEqualsContinuous(t *testing.T) {
 				if all[i].Step != cont.Samples[i].Step {
 					t.Errorf("sample %d: step %d vs %d", i, all[i].Step, cont.Samples[i].Step)
 				}
-				if d := math.Abs(all[i].Energy - cont.Samples[i].Energy); d > 1e-10 {
+				if d := math.Abs(all[i].Energy - cont.Samples[i].Energy); d > tol {
 					t.Errorf("sample %d: energy differs by %g", i, d)
 				}
-				if d := math.Abs(all[i].CurrentZ - cont.Samples[i].CurrentZ); d > 1e-10 {
+				if d := math.Abs(all[i].CurrentZ - cont.Samples[i].CurrentZ); d > tol {
 					t.Errorf("sample %d: current differs by %g", i, d)
 				}
-				if d := math.Abs(all[i].Excited - cont.Samples[i].Excited); d > 1e-10 {
+				if d := math.Abs(all[i].Excited - cont.Samples[i].Excited); d > tol {
 					t.Errorf("sample %d: excited electrons differ by %g", i, d)
 				}
 			}
@@ -332,8 +343,8 @@ func TestRunSplitEqualsContinuous(t *testing.T) {
 					maxd = d
 				}
 			}
-			if maxd > 1e-10 {
-				t.Errorf("split and continuous orbitals differ by %g, want <= 1e-10", maxd)
+			if maxd > tol {
+				t.Errorf("split and continuous orbitals differ by %g, want <= %g", maxd, tol)
 			}
 			if spec.MD {
 				a, b := segB.Final, cont.Final
@@ -490,8 +501,8 @@ func TestRunResumeBounds(t *testing.T) {
 }
 
 // TestRunStopAndStream: the Stop channel ends the run after the step in
-// flight; OnSample saw exactly the completed steps, in order - on both
-// engines and under MD. The last row asks for 2^34 steps: the sample
+// flight; OnSample saw exactly the completed steps, in order - on one and
+// two ranks and under MD. The last row asks for 2^34 steps: the sample
 // history must grow with the steps that ran, never be sized from the spec
 // (a distributed run used to ask the runtime for ~1 TB before step one).
 func TestRunStopAndStream(t *testing.T) {
@@ -607,7 +618,7 @@ func TestRunSerialEqualsDistributed(t *testing.T) {
 					"current": a.CurrentZ - b.CurrentZ, "excited": a.Excited - b.Excited,
 				} {
 					if math.Abs(d) > 1e-9 {
-						t.Errorf("sample %d: %s differs by %g between the engines, want <= 1e-9", i, what, d)
+						t.Errorf("sample %d: %s differs by %g between 1 and 2 ranks, want <= 1e-9", i, what, d)
 					}
 				}
 			}
@@ -642,5 +653,86 @@ func TestRunCurrentEqualsHandLoop(t *testing.T) {
 		if jz := observe.Current(sys, psi)[2]; math.Abs(jz-s.CurrentZ) > 1e-12 {
 			t.Errorf("step %d: J_z %.15e from Run, %.15e from the hand loop", i+1, s.CurrentZ, jz)
 		}
+	}
+}
+
+// TestRunStopOnLastStepCompletes: a stop request that arrives as the last
+// step completes ends a finished segment, which Run must not report as
+// Stopped - the CLI would print "interrupted" and the job server would
+// requeue a done job.
+func TestRunStopOnLastStepCompletes(t *testing.T) {
+	spec := testSpec()
+	spec.Steps = 2
+	res, err := Run(&spec, stopAfter(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stopped || len(res.Samples) != 2 || res.Final.Step != 2 {
+		t.Errorf("Stopped %v after %d samples (final step %d), want a completed run of 2 steps", res.Stopped, len(res.Samples), res.Final.Step)
+	}
+}
+
+// TestRunRK4IsCoreRK4: RK4 runs in the one engine, dist.PTCNSolver's band
+// block in a world. On one rank it is core.RK4 over the serial
+// core.System bit for bit - every sample and the final orbitals, across
+// the re-orthonormalization of step 20, semi-local and exact hybrid - and
+// on two ranks it is the one-rank run to 1e-10.
+func TestRunRK4IsCoreRK4(t *testing.T) {
+	for _, hybrid := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hybrid=%v", hybrid), func(t *testing.T) {
+			spec := testSpec()
+			spec.Method, spec.DtAs, spec.Steps, spec.Hybrid = "rk4", 0.5, 21, hybrid
+			res, err := Run(&spec, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Comm == nil {
+				t.Error("an RK4 run returned no communication ledger")
+			}
+			_, g, nb, err := spec.System()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := hamiltonian.New(g, spec.Pots(), hamiltonian.Config{Hybrid: hybrid, Params: xc.HSE06()})
+			sys := &core.System{G: g, H: h, NB: nb, Occ: 2, Field: spec.Field()}
+			rk := core.NewRK4(sys)
+			psi := res.Ground.Psi
+			for i, s := range res.Samples {
+				if psi, _, err = rk.Step(psi, units.AttosecondsToAU(spec.DtAs)); err != nil {
+					t.Fatal(err)
+				}
+				want := observe.Sample{
+					Step: i + 1, TimeFs: rk.Time * units.FemtosecondPerAU,
+					Energy: observe.Energy(sys, psi, rk.Time).Total(), CurrentZ: observe.Current(sys, psi)[2],
+					Excited: observe.ExcitedElectrons(sys, res.Ground.Psi, psi), WallSec: s.WallSec,
+				}
+				if s != want {
+					t.Errorf("step %d: Run sampled %+v, core.RK4 %+v", i+1, s, want)
+				}
+			}
+			if len(res.Samples) != spec.Steps || !reflect.DeepEqual(res.Psi, psi) {
+				t.Errorf("%d samples; the final orbitals are not core.RK4's", len(res.Samples))
+			}
+
+			spec.Ranks = 2
+			ranked, err := Run(&spec, Options{Ground: res.Ground})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, a := range res.Samples {
+				b := ranked.Samples[i]
+				for what, d := range map[string]float64{
+					"time": a.TimeFs - b.TimeFs, "energy": a.Energy - b.Energy,
+					"current": a.CurrentZ - b.CurrentZ, "excited": a.Excited - b.Excited,
+				} {
+					if math.Abs(d) > 1e-10 {
+						t.Errorf("step %d: %s differs by %g between 1 and 2 ranks, want <= 1e-10", i+1, what, d)
+					}
+				}
+			}
+			if d := wavefunc.MaxDiff(res.Psi, ranked.Psi); d > 1e-10 {
+				t.Errorf("orbitals differ by %g between 1 and 2 ranks, want <= 1e-10", d)
+			}
+		})
 	}
 }
