@@ -4,6 +4,16 @@
 // wrapped in a density self-consistency loop with Anderson mixing, plus an
 // outer fixed-point loop over the Fock exchange operator for hybrid
 // functionals (the standard nested-SCF structure of hybrid DFT).
+//
+// Each outer phase fixes the exchange reference to the phase's starting
+// orbitals (Hamiltonian.SetFockOrbitals). A Hamiltonian configured with
+// UseACE - every hybrid ground state sim.GroundState solves - compresses
+// that reference's exchange into the ACE operator once per phase (one
+// self-referenced exact application, nb(nb+1)/2 pair solves), and every
+// inner H application pays two thin products for it instead of nb^2
+// solves. ACE is exact on its reference, so both operators share the
+// outer loop's fixed point; at the fixed HybridOuter phase count they
+// stop at different distances from it.
 package scf
 
 import (
@@ -57,7 +67,9 @@ type Result struct {
 
 // GroundState solves for the nb lowest orbitals of the self-consistent
 // Hamiltonian. For hybrid Hamiltonians it first converges the semi-local
-// problem, then alternates Fock-operator refreshes with density SCF.
+// problem, then runs HybridOuter phases, each a Fock-operator refresh
+// followed by density SCF. The reported energy evaluates the exact
+// exchange of the last phase's reference, with ACE or without.
 func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) (*Result, error) {
 	if nb < 1 {
 		return nil, errors.New("scf: need at least one band")

@@ -132,3 +132,38 @@ func TestGroundStateRejectsZeroBands(t *testing.T) {
 		t.Error("expected error for nb=0")
 	}
 }
+
+// TestACEOuterLoopReachesTheExactFixedPoint: the ACE outer loop and the
+// exact-reference one converge to the same ground state. Run long enough
+// for the fixed phase count's truncation to fade, both ground states,
+// evaluated with the exact exchange of their own orbitals, agree to 1e-6
+// Ha: routing the hybrid SCF through ACE moves where a fixed phase count
+// stops, not where the loop goes. No phase of the ACE loop may fall back
+// to the exact operator.
+func TestACEOuterLoopReachesTheExactFixedPoint(t *testing.T) {
+	energy := func(useACE bool) float64 {
+		g := grid.MustNew(lattice.MustSiliconSupercell(1, 1, 1), 2)
+		h := hamiltonian.New(g, map[int]*pseudo.Potential{0: pseudo.SiliconAH()},
+			hamiltonian.Config{Hybrid: true, UseACE: useACE, Params: xc.HSE06()})
+		nb := g.Cell.NumBands()
+		opt := Defaults()
+		opt.HybridOuter = 10
+		res, err := GroundState(g, h, nb, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := h.ACEFallbacks(); n != 0 || err != nil {
+			t.Fatalf("ACE %v: %d exchange refreshes fell back to the exact operator (%v)", useACE, n, err)
+		}
+		// The energy of the orbitals themselves: their density and the
+		// exact exchange referenced to them.
+		h.UpdatePotential(potential.Density(g, res.Psi, nb, 2))
+		h.SetFockOrbitals(res.Psi, nb)
+		return h.TotalEnergy(res.Psi, nb, 2).Total()
+	}
+	exact, ace := energy(false), energy(true)
+	t.Logf("exact %.10f ACE %.10f diff %.2e", exact, ace, ace-exact)
+	if d := math.Abs(ace - exact); d > 1e-6 {
+		t.Errorf("ground-state energy %.10f Ha through ACE, %.10f Ha with exact exchange: %.2e apart", ace, exact, d)
+	}
+}

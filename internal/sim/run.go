@@ -296,14 +296,18 @@ func (s *Spec) Field() laser.Field {
 }
 
 // GroundState solves the spec's ground-state SCF (the cache-miss path of
-// the job server, and the default path of Run).
+// the job server, and the default path of Run). A hybrid ground state
+// applies its exchange through the serial ACE built once per Fock phase,
+// whatever operator the spec propagates with: ACE is exact on its
+// reference, so the outer loop converges to the exact-exchange fixed point,
+// and an exact spec and its ACE twin share one ground state (SCFKey).
 func GroundState(spec *Spec) (*scf.Result, error) {
 	_, g, nb, err := spec.System()
 	if err != nil {
 		return nil, err
 	}
 	h := hamiltonian.New(g, spec.Pots(), hamiltonian.Config{
-		Hybrid: spec.Hybrid, UseACE: spec.ACE, Params: xc.HSE06(), IonDynamics: spec.MD,
+		Hybrid: spec.Hybrid, UseACE: spec.Hybrid, Params: xc.HSE06(), IonDynamics: spec.MD,
 	})
 	o := scf.Defaults()
 	o.Seed = spec.Seed

@@ -242,14 +242,13 @@ func (s *Spec) ExchangeStrategy() (dist.ExchangeStrategy, error) {
 
 // Functional names the exchange-correlation treatment of the ground-state
 // solve for cache keying: everything that changes the converged orbitals
-// beyond (cell, grid, bands) must be encoded here.
+// beyond (cell, grid, bands) must be encoded here. The propagation's
+// exchange operator is not: every hybrid ground state runs through ACE
+// (GroundState), so exact and ACE specs solve the same one.
 func (s *Spec) Functional() string {
 	name := "lda"
 	if s.Hybrid {
 		name = "hse06"
-		if s.ACE {
-			name += "+ace"
-		}
 	}
 	if s.MD {
 		// Ion dynamics switches the Hamiltonian to the gradient-capable

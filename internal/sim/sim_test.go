@@ -133,8 +133,10 @@ func TestZeroExchangeOptionsIsTheDefaultSchedule(t *testing.T) {
 }
 
 // TestSCFKeySensitivity: the cache key must separate every spec
-// dimension that changes the converged ground state - including the
-// functional-adjacent flags (ACE, MD) that perturb it at round-off.
+// dimension that changes the converged ground state - including MD's
+// projectors, which perturb it at round-off - and no other. The
+// propagation's exchange operator is not one: every hybrid ground state
+// runs through ACE.
 func TestSCFKeySensitivity(t *testing.T) {
 	key := func(mod func(*Spec)) string {
 		s := testSpec()
@@ -157,10 +159,12 @@ func TestSCFKeySensitivity(t *testing.T) {
 	if base != key(func(s *Spec) { s.Ranks = 4 }) {
 		t.Error("rank layout changed the key")
 	}
+	if key(func(s *Spec) { s.Hybrid = true }) != key(func(s *Spec) { s.Hybrid, s.ACE, s.MTS = true, true, 4 }) {
+		t.Error("ace changed the key")
+	}
 	for name, mod := range map[string]func(*Spec){
 		"ecut":     func(s *Spec) { s.Ecut = 3 },
 		"hybrid":   func(s *Spec) { s.Hybrid = true },
-		"ace":      func(s *Spec) { s.Hybrid = true; s.ACE = true },
 		"md":       func(s *Spec) { s.MD = true; s.IonSteps = 1; s.IonDtAs = 96 },
 		"seed":     func(s *Spec) { s.Seed = 99 },
 		"cells":    func(s *Spec) { s.Cells = [3]int{1, 1, 2} },
@@ -168,6 +172,37 @@ func TestSCFKeySensitivity(t *testing.T) {
 	} {
 		if base == key(mod) {
 			t.Errorf("%s change did not change the SCF key", name)
+		}
+	}
+}
+
+// TestACETwinsShareOneGroundState: GroundState ignores the propagation's
+// exchange operator, so an exact hybrid spec and its ACE/MTS twin (one
+// SCF key, TestSCFKeySensitivity) solve bit for bit the same ground state.
+func TestACETwinsShareOneGroundState(t *testing.T) {
+	exact := testSpec()
+	exact.Hybrid = true
+	twin := exact
+	twin.ACE, twin.MTS = true, 4
+	var got [2][]float64
+	for i, s := range []*Spec{&exact, &twin} {
+		r, err := GroundState(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := r.Energy
+		got[i] = append([]float64{b.Kinetic, b.Nonlocal, b.Hartree, b.XC, b.Local, b.Exchange}, r.BandEnergies...)
+		got[i] = append(got[i], r.Rho...)
+		for _, v := range r.Psi {
+			got[i] = append(got[i], real(v), imag(v))
+		}
+	}
+	if len(got[0]) != len(got[1]) {
+		t.Fatalf("%d values for the exact spec, %d for its ACE twin", len(got[0]), len(got[1]))
+	}
+	for i := range got[0] {
+		if math.Float64bits(got[0][i]) != math.Float64bits(got[1][i]) {
+			t.Fatalf("value %d (energy terms, band energies, density, orbitals): exact spec %v, ACE twin %v", i, got[0][i], got[1][i])
 		}
 	}
 }

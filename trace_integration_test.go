@@ -165,6 +165,10 @@ func buildCountSpec(ranks int, hybrid, aceMTS bool) sim.Spec {
 // those of PR 24: its preconditioned fixed point reaches the same 1e-6
 // density tolerance along a shorter path, which moved each of them by
 // 6e-10 to 6.5e-8 Ha from the values pinned while the counts dropped.
+// The exact-hybrid row's ground state runs through ACE like every hybrid
+// ground state; at the fixed four Fock phases its outer loop stops at a
+// different distance from the exact-exchange fixed point, which moved
+// those three energies by 1.7e-6 to 4.0e-6 Ha.
 func TestEachStateBuiltOnce(t *testing.T) {
 	semilocal := []float64{-0.7183520090408, -0.7183017041504, -0.7182592674561}
 	for _, tc := range []struct {
@@ -177,7 +181,7 @@ func TestEachStateBuiltOnce(t *testing.T) {
 		{"serial", buildCountSpec(1, false, false), semilocal, func(int) int { return 0 }},
 		{"2 ranks", buildCountSpec(2, false, false), semilocal, func(int) int { return 0 }},
 		{"2 ranks hybrid", buildCountSpec(2, true, false),
-			[]float64{-0.8327737210952, -0.8327250751796, -0.8326851470670},
+			[]float64{-0.8327720267499, -0.8327269189357, -0.8326891255802},
 			func(scfIters int) int { return scfIters + 1 }},
 		{"2 ranks hybrid ACE MTS", buildCountSpec(2, true, true),
 			[]float64{-0.8331002580085, -0.8339420927408, -0.8341690713540, -0.8348589751639},
