@@ -113,13 +113,14 @@ func TestStaticTriangleMatchesSerial(t *testing.T) {
 // rewrite of how the pairs are batched. Two workers must repeat run to run and, since the pair-lane
 // calls split their passes by pencil, give the one-worker hash. The kernel
 // is the unscreened one (no math.Exp, whose amd64 routine takes an FMA
-// branch on some CPUs), so the pins apply on every amd64 build whose Go
-// loops do not fuse multiply-add.
+// branch on some CPUs), and the exchange's own loops round every product
+// on its own (float64(...)), so the pins apply on every amd64 build,
+// GOAMD64=v3 included (CI runs it there).
 func TestPairStreamBits(t *testing.T) {
 	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
 	g, _, _ := testGrid(t)
 	hyb := xc.HybridParams{Alpha: 0.25}
-	pinned := runtime.GOARCH == "amd64" && !fusesMulAdd()
+	pinned := runtime.GOARCH == "amd64"
 	pins := map[string]string{
 		"nb=7 ranks=1":  "33fa660d529925e0",
 		"nb=7 ranks=2":  "68c4f6569080fc17",
@@ -163,12 +164,3 @@ func hashVec(v []complex128) string {
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
-
-// fusesMulAdd reports whether this build rounds x*y + z once (arm64, or
-// GOAMD64=v3): (1+2^-30)(1-2^-30) - 1 is 0 unfused and -2^-60 fused.
-func fusesMulAdd() bool {
-	x, y, z := fuseProbe[0], fuseProbe[1], fuseProbe[2]
-	return x*y+z != 0
-}
-
-var fuseProbe = [3]float64{1 + 1.0/(1<<30), 1 - 1.0/(1<<30), -1}

@@ -27,10 +27,10 @@
 // one-rank distributed one bit for bit. ApplyReal and Apply put the
 // reference bands in the lanes against one uniform target band.
 //
-// The package also implements the adaptively compressed exchange (ACE)
-// representation (refs [22], [24] of the paper) as an optional
-// lower-cost approximation used for ablation studies: V_ACE = -W W^H with
-// W = V_X Phi (Phi^H V_X Phi)^{-1/2} via Cholesky.
+// The package also implements the adaptively compressed exchange (ACE) of
+// refs [22], [24] of the paper, V_ACE = -W W^H with W = V_X Phi (Phi^H V_X
+// Phi)^{-1/2} via Cholesky: every hybrid ground state's SCF and every ace +
+// mts propagation apply it; the exact propagation applies V_X itself.
 package fock
 
 import (

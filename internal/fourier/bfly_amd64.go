@@ -131,3 +131,78 @@ func gatherRowsVec(b lanes.Slab, src lanes.Slab, off, n, stride int, perm []int)
 	gatherRows8AVX2(&b.Re[0], &b.Im[0], &src.Re[off], &src.Im[off], &perm[0], n, stride)
 	return true
 }
+
+//go:noescape
+func pairProductsAVX2(vre, vim, wre, wim *float64, tab **float64, zinv *int, nz, n, base int)
+
+//go:noescape
+func pairAccumulateAVX2(vre, vim, wre, wim *float64, tab **float64, nz, n, base int, scale float64)
+
+// pairRows is the pair kernels' view of a PairLanes: lane l's operand and
+// accumulator halves by their first element (nil from n on and for an
+// empty AccA), each checked by bindPairRows to hold size points, and zinv,
+// checked to map a z-row onto its lane block. The zero value runs no kernel.
+type pairRows struct {
+	ptr     [8][lw]*float64 // A.Re, A.Im, B.Re, B.Im, AccB.Re, AccB.Im, AccA.Re, AccA.Im
+	n, size int
+	zinv    []int
+}
+
+func bindPairRows(t *pairRows, pl *PairLanes, size int, zinv []int) {
+	if !useAVX2 {
+		return
+	}
+	bad := pl.N < 1 || pl.N > lw || len(zinv) > size
+	for _, k := range zinv {
+		bad = bad || k < 0 || k >= len(zinv)
+	}
+	for l := 0; l < pl.N && !bad; l++ {
+		for h, s := range [4]lanes.Slab{pl.A[l], pl.B[l], pl.AccB[l], pl.AccA[l]} {
+			if h == 3 && s.Len() == 0 {
+				break
+			}
+			if bad = len(s.Re) < size || len(s.Im) < size; bad {
+				break
+			}
+			t.ptr[2*h][l], t.ptr[2*h+1][l] = &s.Re[0], &s.Im[0]
+		}
+	}
+	if bad {
+		panic(fmt.Sprintf("fourier: %d pairs over %d-point rows of a %d-point grid: a lane count, slab or row out of range", pl.N, len(zinv), size))
+	}
+	t.n, t.size, t.zinv = pl.N, size, zinv
+}
+
+// pairRow reports whether the kernels take the z-row at base, after
+// checking it against t and its lane block v and scratch w.
+func (t *pairRows) pairRow(v, w lanes.Slab, base int) bool {
+	nz := len(t.zinv)
+	ok := t.n > 0 && nz >= 4
+	if ok && (base < 0 || base+nz > t.size || min(len(v.Re), len(v.Im), len(w.Re), len(w.Im)) < nz*lw) {
+		panic(fmt.Sprintf("fourier: z-row at %d of a %d-point grid, block %d/%d, scratch %d/%d", base, t.size, len(v.Re), len(v.Im), len(w.Re), len(w.Im)))
+	}
+	return ok
+}
+
+// pairProductsVec fills lanes l < n of v, the z-row at base's lane block:
+// row zinv[j] takes conj(A_l)⊙B_l at point base+j. w is scratch of v's
+// size. It reports whether it did.
+func pairProductsVec(t *pairRows, v, w lanes.Slab, base int) bool {
+	ok := t.pairRow(v, w, base)
+	if ok {
+		pairProductsAVX2(&v.Re[0], &v.Im[0], &w.Re[0], &w.Im[0], &t.ptr[0][0], &t.zinv[0], len(t.zinv), t.n, base)
+	}
+	return ok
+}
+
+// pairAccumulateVec does the z-row at base's accumulations from its
+// inverse-transformed lane block v, lane after lane: AccB_l +=
+// scale*A_l⊙v_l and, where bound, AccA_l += scale*B_l⊙conj(v_l). w is
+// scratch of v's size. It reports whether it did.
+func pairAccumulateVec(t *pairRows, v, w lanes.Slab, base int, scale float64) bool {
+	ok := t.pairRow(v, w, base)
+	if ok {
+		pairAccumulateAVX2(&v.Re[0], &v.Im[0], &w.Re[0], &w.Im[0], &t.ptr[0][0], len(t.zinv), t.n, base, scale)
+	}
+	return ok
+}

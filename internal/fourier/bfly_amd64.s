@@ -1,6 +1,7 @@
-// AVX2 + FMA renditions of the radix-2/3/4/7 combine loops of combineLanes
-// and of the 8-float64 row copies behind gatherStrided (permuted) and
-// scatterStrided (fftlanes.go, slab.go). One lane row is Width = 8 float64
+// AVX2 + FMA renditions of the radix-2/3/4/7 combine loops of combineLanes,
+// of the 8-float64 row copies behind gatherStrided (permuted) and
+// scatterStrided, and of pairPass's pair products and accumulations
+// (fftlanes.go, slab.go). One lane row is Width = 8 float64
 // = two ymm; every kernel walks the low half (byte offset 0) and the high
 // half (offset 32) of each row with the same macro. The arithmetic is the
 // Go loops' expression trees, operation for operation: each math.FMA is one
@@ -436,5 +437,219 @@ gatherloop:
 	ADDQ $64, R8
 	DECQ CX
 	JNZ  gatherloop
+	VZEROUPPER
+	RET
+
+// The pair kernels: the Go loops at the two ends of ContractPairsWS over
+// one z-row of nz >= 4 points, lane after lane, four points per ymm,
+// through the scratch w (point j of lane l at w[l*nz+j]) that 4x4
+// transposes move to and from the lane block. tab is pairRows.ptr. In the
+// lane loops BX = 8*(base+j) addresses point j of every slab, and of
+// scratch lane l through R11, R12; CX counts the points left.
+
+// NEXT4(loop, done) steps BX to the next chunk, or back to end at nz.
+#define NEXT4(loop, done) \
+	ADDQ $32, BX           \
+	SUBQ $4, CX            \
+	JZ   done              \
+	CMPQ CX, $4            \
+	JGE  loop              \
+	LEAQ -32(BX)(CX*8), BX \
+	MOVQ $4, CX            \
+	JMP  loop              \
+done:
+
+// XPOSE(s0, s1, s2, s3) loads four ymm into Y0-Y3 and transposes them as
+// a 4x4 block. Clobbers Y8-Y11.
+#define XPOSE(s0, s1, s2, s3) \
+	VMOVUPD s0, Y0                \
+	VMOVUPD s1, Y1                \
+	VMOVUPD s2, Y2                \
+	VMOVUPD s3, Y3                \
+	VUNPCKLPD Y1, Y0, Y8          \
+	VUNPCKHPD Y1, Y0, Y9          \
+	VUNPCKLPD Y3, Y2, Y10         \
+	VUNPCKHPD Y3, Y2, Y11         \
+	VPERM2F128 $0x20, Y10, Y8, Y0 \
+	VPERM2F128 $0x20, Y11, Y9, Y1 \
+	VPERM2F128 $0x31, Y10, Y8, Y2 \
+	VPERM2F128 $0x31, Y11, Y9, Y3
+
+// TOW(off, b, w) moves points j..j+3 (BX = 8j) of four lanes from rows
+// j..j+3 at b+off to w (R9 = 8*nz, R13 = 24*nz); FROMW, back to rows
+// zinv[j..j+3] (R10 = &zinv[0]).
+#define TOW(off, b, w) \
+	XPOSE(off(b)(BX*8), off+64(b)(BX*8), off+128(b)(BX*8), off+192(b)(BX*8)) \
+	VMOVUPD Y0, (w)         \
+	VMOVUPD Y1, (w)(R9*1)   \
+	VMOVUPD Y2, (w)(R9*2)   \
+	VMOVUPD Y3, (w)(R13*1)
+
+#define FROMW(off, b, w) \
+	XPOSE((w), (w)(R9*1), (w)(R9*2), (w)(R13*1)) \
+	ZROW(0, off, b, Y0)  \
+	ZROW(8, off, b, Y1)  \
+	ZROW(16, off, b, Y2) \
+	ZROW(24, off, b, Y3)
+
+#define ZROW(i, off, b, y) \
+	MOVQ i(R10)(BX*1), R8 \
+	SHLQ $6, R8           \
+	VMOVUPD y, off(b)(R8*1)
+
+// XCHUNKS(X, loop, done) runs X over the row: block DI, SI; scratch R11, R12.
+#define XCHUNKS(X, loop, done) \
+	LEAQ (R9)(R9*2), R13  \
+	XORQ BX, BX           \
+loop:                         \
+	LEAQ (R11)(BX*1), AX  \
+	LEAQ (R12)(BX*1), R14 \
+	X(0, DI, AX)          \
+	X(0, SI, R14)         \
+	LEAQ (AX)(R9*4), AX   \
+	LEAQ (R14)(R9*4), R14 \
+	X(32, DI, AX)         \
+	X(32, SI, R14)        \
+	NEXT4(loop, done)
+
+// func pairProductsAVX2(vre, vim, wre, wim *float64, tab **float64, zinv *int, nz, n, base int)
+//
+// A row that is not whole chunks ends with a chunk moved back to end at
+// nz, which rewrites what the one before it wrote.
+TEXT ·pairProductsAVX2(SB), NOSPLIT, $0-72
+	MOVQ wre+16(FP), R11
+	MOVQ wim+24(FP), R12
+	MOVQ tab+32(FP), R8
+	MOVQ nz+48(FP), R9
+	SHLQ $3, R9
+	MOVQ n+56(FP), DX
+	MOVQ base+64(FP), R13
+	SHLQ $3, R13
+	SUBQ R13, R11
+	SUBQ R13, R12
+plane:
+	MOVQ (R8), AX
+	MOVQ 64(R8), SI
+	MOVQ 128(R8), DI
+	MOVQ 192(R8), R10
+	MOVQ R13, BX
+	MOVQ nz+48(FP), CX
+pchunk:
+	// w = (ar*br + ai*bi, ar*bi - ai*br)
+	VMOVUPD (AX)(BX*1), Y8
+	VMOVUPD (SI)(BX*1), Y9
+	VMULPD  (DI)(BX*1), Y8, Y0
+	VMULPD  (R10)(BX*1), Y9, Y2
+	VADDPD  Y2, Y0, Y0
+	VMULPD  (R10)(BX*1), Y8, Y1
+	VMULPD  (DI)(BX*1), Y9, Y2
+	VSUBPD  Y2, Y1, Y1
+	VMOVUPD Y0, (R11)(BX*1)
+	VMOVUPD Y1, (R12)(BX*1)
+	NEXT4(pchunk, pnext)
+	ADDQ $8, R8
+	ADDQ R9, R11
+	ADDQ R9, R12
+	DECQ DX
+	JNZ  plane
+	MOVQ vre+0(FP), DI
+	MOVQ vim+8(FP), SI
+	MOVQ wre+16(FP), R11
+	MOVQ wim+24(FP), R12
+	MOVQ zinv+40(FP), R10
+	MOVQ nz+48(FP), CX
+	XCHUNKS(FROMW, prows, pdone)
+	VZEROUPPER
+	RET
+
+// ABODY(LD, ADD, ST, skip): a lane's accumulations at points j..j+3 (LD4,
+// ADD4, ST4) or j (LD1, ADD1, ST1, in lane 0), A in AX, SI, B in DI, R10,
+// AccB in R14, R9, AccA in R13 (nil: none), DX:
+//	AccB += s*(ar*vr - ai*vi), s*(ar*vi + ai*vr)
+//	AccA += s*(br*vr + bi*vi), s*(bi*vr - br*vi)
+#define ABODY(LD, ADD, ST, skip) \
+	LD((R11)(BX*1), Y0)  \
+	LD((R12)(BX*1), Y1)  \
+	LD((AX)(BX*1), Y8)   \
+	LD((SI)(BX*1), Y9)   \
+	LD((DI)(BX*1), Y12)  \
+	LD((R10)(BX*1), Y13) \
+	ACCPART(ADD, ST, Y8, Y0, Y9, Y1, VSUBPD, (R14)(BX*1))   \
+	ACCPART(ADD, ST, Y8, Y1, Y9, Y0, VADDPD, (R9)(BX*1))    \
+	TESTQ R13, R13 \
+	JZ    skip     \
+	ACCPART(ADD, ST, Y12, Y0, Y13, Y1, VADDPD, (R13)(BX*1)) \
+	ACCPART(ADD, ST, Y13, Y0, Y12, Y1, VSUBPD, (DX)(BX*1))  \
+skip:
+
+// ACCPART(ADD, ST, x, u, y, w, OP, acc): acc += s*(x*u OP y*w), s = Y14.
+#define ACCPART(ADD, ST, x, u, y, w, OP, acc) \
+	VMULPD u, x, Y10     \
+	VMULPD w, y, Y11     \
+	OP     Y11, Y10, Y10 \
+	VMULPD Y14, Y10, Y10 \
+	ADD(acc)             \
+	ST(acc)
+
+#define LD4(m, r) VMOVUPD m, r
+#define ADD4(m) VADDPD m, Y10, Y10
+#define ST4(m) VMOVUPD Y10, m
+#define LD1(m, r) VBROADCASTSD m, r
+#define ADD1(m) VBROADCASTSD m, Y11; VADDPD Y11, Y10, Y10
+#define ST1(m) VMOVSD X10, m
+
+// func pairAccumulateAVX2(vre, vim, wre, wim *float64, tab **float64, nz, n, base int, scale float64)
+//
+// A row that is not whole chunks ends point by point: a chunk moved back
+// to end at nz would load accumulators that the chunk before it stored in
+// part, which the CPU cannot forward from its store buffer.
+TEXT ·pairAccumulateAVX2(SB), NOSPLIT, $16-72
+	MOVQ vre+0(FP), DI
+	MOVQ vim+8(FP), SI
+	MOVQ wre+16(FP), R11
+	MOVQ wim+24(FP), R12
+	MOVQ nz+40(FP), CX
+	LEAQ (CX*8), R9
+	XCHUNKS(TOW, arows, adone)
+	MOVQ tab+32(FP), R8
+	MOVQ base+56(FP), AX
+	SHLQ $3, AX
+	SUBQ AX, R11
+	SUBQ AX, R12
+	VBROADCASTSD scale+64(FP), Y14
+	MOVQ R9, stride-8(SP)
+	MOVQ n+48(FP), AX
+	MOVQ AX, left-16(SP)
+alane:
+	MOVQ (R8), AX
+	MOVQ 64(R8), SI
+	MOVQ 128(R8), DI
+	MOVQ 192(R8), R10
+	MOVQ 256(R8), R14
+	MOVQ 320(R8), R9
+	MOVQ 384(R8), R13
+	MOVQ 448(R8), DX
+	MOVQ base+56(FP), BX
+	SHLQ $3, BX
+	MOVQ nz+40(FP), CX
+achunk:
+	ABODY(LD4, ADD4, ST4, askip)
+	ADDQ $32, BX
+	SUBQ $4, CX
+	CMPQ CX, $4
+	JGE  achunk
+	TESTQ CX, CX
+	JZ   anext
+apoint:
+	ABODY(LD1, ADD1, ST1, apskip)
+	ADDQ $8, BX
+	DECQ CX
+	JNZ  apoint
+anext:
+	ADDQ stride-8(SP), R11
+	ADDQ stride-8(SP), R12
+	ADDQ $8, R8
+	DECQ left-16(SP)
+	JNZ  alane
 	VZEROUPPER
 	RET

@@ -12,3 +12,11 @@ func combineVec(r, m, blocks int, dre, dim, twre, twim, rore, roim []float64) bo
 func scatterRowsVec(dst lanes.Slab, b lanes.Slab, off, n, stride int) bool { return false }
 
 func gatherRowsVec(b lanes.Slab, src lanes.Slab, off, n, stride int, perm []int) bool { return false }
+
+type pairRows struct{}
+
+func bindPairRows(t *pairRows, pl *PairLanes, size int, zinv []int) {}
+
+func pairProductsVec(t *pairRows, v, w lanes.Slab, base int) bool { return false }
+
+func pairAccumulateVec(t *pairRows, v, w lanes.Slab, base int, scale float64) bool { return false }

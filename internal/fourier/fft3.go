@@ -19,6 +19,7 @@ type Plan3 struct {
 	px, py, pz *Plan
 	pool       sync.Pool // *Workspace3
 	pairs      *Plan3    // ContractPairsWS's buffer as a grid of Width floats per point
+	zinv       []int     // pz.perm inverted: point j of a z-row is row zinv[j] of its lane block
 }
 
 // Workspace3 is the scratch one 3D transform needs: two lane blocks sized
@@ -71,6 +72,10 @@ func NewPlan3(nx, ny, nz int) (*Plan3, error) {
 	}
 	p := &Plan3{nx: nx, ny: ny, nz: nz, px: px, py: py, pz: pz}
 	p.pairs = &Plan3{nx: nx, ny: ny, nz: nz * lanes.Width, px: px, py: py}
+	p.zinv = make([]int, nz)
+	for k, j := range pz.perm {
+		p.zinv[j] = k
+	}
 	p.pool.New = func() any { return p.NewWorkspace() }
 	return p, nil
 }

@@ -347,24 +347,30 @@ func (p *Plan3) pairPassParallel(pass int, pl *PairLanes, buf lanes.Slab, kernel
 
 // pairPass runs worker w's share of pass 0-4 of ContractPairsWS: z forward
 // with the pair products, y forward, x with the kernel, y inverse, z
-// inverse with the accumulations.
+// inverse with the accumulations. The products and accumulations run on
+// the pair kernels where they take the row, else on the Go loops here,
+// their oracle, which write every product float64(...) so that no build
+// fuses it into an add.
 func (p *Plan3) pairPass(pass int, pl *PairLanes, buf lanes.Slab, kernel []float64, scale float64, w, nw int, ws *Workspace3) {
 	nx, ny, nz := p.nx, p.ny, p.nz
 	share := func(n int) (int, int) { return w * n / nw, (w + 1) * n / nw }
+	var t pairRows
+	if pass == 0 || pass == 4 {
+		bindPairRows(&t, pl, p.Size(), p.zinv)
+	}
 	switch pass {
 	case 0:
 		lo, hi := share(nx * ny)
 		for r := lo; r < hi; r++ {
 			base := r * nz
 			blk := buf.Slice(base*lw, (base+nz)*lw)
-			for l := 0; l < pl.N; l++ {
+			vec := pairProductsVec(&t, blk, ws.lv, base)
+			for l := 0; l < pl.N && !vec; l++ {
 				ar, ai := pl.A[l].Re[base:base+nz], pl.A[l].Im[base:base+nz]
 				br, bi := pl.B[l].Re[base:base+nz], pl.B[l].Im[base:base+nz]
 				for k, j := range p.pz.perm {
-					pr, pi := ar[j], ai[j]
-					sr, si := br[j], bi[j]
-					blk.Re[k*lw+l] = pr*sr + pi*si
-					blk.Im[k*lw+l] = pr*si - pi*sr
+					blk.Re[k*lw+l] = float64(ar[j]*br[j]) + float64(ai[j]*bi[j])
+					blk.Im[k*lw+l] = float64(ar[j]*bi[j]) - float64(ai[j]*br[j])
 				}
 			}
 			zeroTailLanes(blk, nz, pl.N)
@@ -383,25 +389,23 @@ func (p *Plan3) pairPass(pass int, pl *PairLanes, buf lanes.Slab, kernel []float
 			base := r * nz
 			gatherStrided(lu, buf, base*lw, nz, lw, lw, p.pz.perm)
 			p.pz.transformLanes(lu, true)
-			for l := 0; l < pl.N; l++ {
+			vec := pairAccumulateVec(&t, lu, ws.lv, base, scale)
+			for l := 0; l < pl.N && !vec; l++ {
 				ar, ai := pl.A[l].Re[base:base+nz], pl.A[l].Im[base:base+nz]
-				cr, ci := pl.AccB[l].Re[base:base+nz], pl.AccB[l].Im[base:base+nz]
-				if pl.AccA[l].Len() == 0 {
-					for k := range cr {
-						vr, vi := lu.Re[k*lw+l], lu.Im[k*lw+l]
-						cr[k] += scale * (ar[k]*vr - ai[k]*vi)
-						ci[k] += scale * (ar[k]*vi + ai[k]*vr)
-					}
-					continue
-				}
 				br, bi := pl.B[l].Re[base:base+nz], pl.B[l].Im[base:base+nz]
-				dr, di := pl.AccA[l].Re[base:base+nz], pl.AccA[l].Im[base:base+nz]
+				cr, ci := pl.AccB[l].Re[base:base+nz], pl.AccB[l].Im[base:base+nz]
+				dr, di := pl.AccA[l].Re, pl.AccA[l].Im
+				if len(dr) != 0 {
+					dr, di = dr[base:base+nz], di[base:base+nz]
+				}
 				for k := range cr {
 					vr, vi := lu.Re[k*lw+l], lu.Im[k*lw+l]
-					cr[k] += scale * (ar[k]*vr - ai[k]*vi)
-					ci[k] += scale * (ar[k]*vi + ai[k]*vr)
-					dr[k] += scale * (br[k]*vr + bi[k]*vi)
-					di[k] += scale * (bi[k]*vr - br[k]*vi)
+					cr[k] += float64(scale * (float64(ar[k]*vr) - float64(ai[k]*vi)))
+					ci[k] += float64(scale * (float64(ar[k]*vi) + float64(ai[k]*vr)))
+					if len(dr) != 0 {
+						dr[k] += float64(scale * (float64(br[k]*vr) + float64(bi[k]*vi)))
+						di[k] += float64(scale * (float64(bi[k]*vr) - float64(br[k]*vi)))
+					}
 				}
 			}
 		}

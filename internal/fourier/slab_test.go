@@ -217,24 +217,25 @@ func buildLanes(specs []laneSpec, bands, accs []lanes.Slab) *PairLanes {
 
 // contractOracle is ContractPairsWS composed on the test side: lane after
 // lane, the pair product, PoissonSlabWS and the accumulation - the
-// expressions the kernel evaluates, so the comparison is ==.
+// expressions the kernel evaluates, every product float64(...) so that no
+// build fuses it, so the comparison is ==.
 func contractOracle(p *Plan3, pl *PairLanes, kernel []float64, scale float64) {
 	n := p.Size()
 	v, ws := lanes.New(n), p.NewWorkspace()
 	for l := 0; l < pl.N; l++ {
 		a, b, c, d := pl.A[l], pl.B[l], pl.AccB[l], pl.AccA[l]
 		for g := 0; g < n; g++ {
-			v.Re[g] = a.Re[g]*b.Re[g] + a.Im[g]*b.Im[g]
-			v.Im[g] = a.Re[g]*b.Im[g] - a.Im[g]*b.Re[g]
+			v.Re[g] = float64(a.Re[g]*b.Re[g]) + float64(a.Im[g]*b.Im[g])
+			v.Im[g] = float64(a.Re[g]*b.Im[g]) - float64(a.Im[g]*b.Re[g])
 		}
 		p.PoissonSlabWS(v, kernel, ws)
 		for g := 0; g < n; g++ {
 			vr, vi := v.Re[g], v.Im[g]
-			c.Re[g] += scale * (a.Re[g]*vr - a.Im[g]*vi)
-			c.Im[g] += scale * (a.Re[g]*vi + a.Im[g]*vr)
+			c.Re[g] += float64(scale * (float64(a.Re[g]*vr) - float64(a.Im[g]*vi)))
+			c.Im[g] += float64(scale * (float64(a.Re[g]*vi) + float64(a.Im[g]*vr)))
 			if d.Len() != 0 {
-				d.Re[g] += scale * (b.Re[g]*vr + b.Im[g]*vi)
-				d.Im[g] += scale * (b.Im[g]*vr - b.Re[g]*vi)
+				d.Re[g] += float64(scale * (float64(b.Re[g]*vr) + float64(b.Im[g]*vi)))
+				d.Im[g] += float64(scale * (float64(b.Im[g]*vr) - float64(b.Re[g]*vi)))
 			}
 		}
 	}
@@ -314,30 +315,40 @@ func TestSlabTransformAllocs(t *testing.T) {
 }
 
 // BenchmarkContractPairSlab times one pair-lane contraction call, the
-// exchange's unit of work, at 1, 4 and 8 pairs (one reference band against
-// partners, both sides accumulated, as FoldPairs queues them) on the wave
-// boxes the benchmark rows run: 9^3 (Si8 at Ecut 3), 12^3 (Si8 at Ecut 6),
-// 18x9x9 (Si16 at Ecut 3), and 7^3 and 14x7x7 (Si8 and Si16 at Ecut 2),
-// whose axes take radix-7 stages.
+// exchange's unit of work, at 1, 4 and 8 pairs on the wave boxes the
+// benchmark rows run: 9^3 (Si8 at Ecut 3), 12^3 (Si8 at Ecut 6), 18x9x9
+// (Si16 at Ecut 3), and 7^3 and 14x7x7 (Si8 and Si16 at Ecut 2), whose axes
+// take radix-7 stages. It covers both accumulation branches: two-sided, one
+// reference band against partners with both sides accumulated, as
+// FoldPairs queues them; and one-sided, reference bands against one band
+// into one accumulator with AccA empty, as fock.Operator.ApplyReal queues
+// them.
 func BenchmarkContractPairSlab(b *testing.B) {
 	for _, d := range [][3]int{{9, 9, 9}, {12, 12, 12}, {18, 9, 9}, {7, 7, 7}, {14, 7, 7}} {
 		p := MustPlan3(d[0], d[1], d[2])
 		n := p.Size()
 		rng := rand.New(rand.NewSource(1))
-		pl := PairLanes{}
+		var two, one PairLanes
 		phiI, accI := randLaneSlab(rng, n), lanes.New(n)
+		psi, acc := randLaneSlab(rng, n), lanes.New(n)
 		for l := 0; l < lw; l++ {
-			pl.A[l], pl.B[l], pl.AccA[l], pl.AccB[l] = phiI, randLaneSlab(rng, n), accI, lanes.New(n)
+			two.A[l], two.B[l], two.AccA[l], two.AccB[l] = phiI, randLaneSlab(rng, n), accI, lanes.New(n)
+			one.A[l], one.B[l], one.AccB[l] = randLaneSlab(rng, n), psi, acc
 		}
 		buf, kernel, wss := lanes.New(lw*n), randKernel(rng, n), []*Workspace3{p.NewWorkspace()}
-		for _, np := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%dx%dx%d/pairs=%d", d[0], d[1], d[2], np), func(b *testing.B) {
-				b.ReportAllocs()
-				pl.N = np
-				for i := 0; i < b.N; i++ {
-					p.ContractPairsWS(&pl, buf, kernel, -0.25, wss)
-				}
-			})
+		for _, side := range []struct {
+			name string
+			pl   *PairLanes
+		}{{"two-sided", &two}, {"one-sided", &one}} {
+			for _, np := range []int{1, 4, 8} {
+				b.Run(fmt.Sprintf("%dx%dx%d/%s/pairs=%d", d[0], d[1], d[2], side.name, np), func(b *testing.B) {
+					b.ReportAllocs()
+					side.pl.N = np
+					for i := 0; i < b.N; i++ {
+						p.ContractPairsWS(side.pl, buf, kernel, -0.25, wss)
+					}
+				})
+			}
 		}
 	}
 }

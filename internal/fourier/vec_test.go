@@ -3,6 +3,7 @@ package fourier
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ptdft/internal/lanes"
@@ -220,7 +221,8 @@ func TestTrivialTwiddles(t *testing.T) {
 // TestVecBoundsPanic feeds each path what the assembly must never see - a
 // slab with a short Im half, a short twiddle table, a strided source that
 // ends before the last row, a permutation table shorter than the block or
-// pointing past the source - and requires the Go loops and the kernel
+// pointing past the source, a pair operand or accumulator short of the
+// grid, more pairs than lanes - and requires the Go loops and the kernel
 // wrappers alike to panic before touching memory they do not own.
 func TestVecBoundsPanic(t *testing.T) {
 	cases := []struct {
@@ -252,18 +254,49 @@ func TestVecBoundsPanic(t *testing.T) {
 		{"short strided destination", func() {
 			scatterStrided(lanes.Slab{Re: make([]float64, 3*20+lw), Im: make([]float64, 3*20+lw-1)}, lanes.New(4*lw), 0, 4, 20, lw)
 		}},
+		{"pair products: short operand Im", func() {
+			pairPassCase(0, func(pl *PairLanes) { pl.B[3].Im = shortSlice(pl.B[3].Im) })
+		}},
+		{"pair accumulations: short accumulator", func() {
+			pairPassCase(4, func(pl *PairLanes) { pl.AccA[5].Re = shortSlice(pl.AccA[5].Re) })
+		}},
+		{"pair accumulations: more lanes than Width", func() { pairPassCase(4, func(pl *PairLanes) { pl.N = lw + 1 }) }},
 	}
 	for _, tc := range cases {
 		forEachVec(func(vec bool) {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Errorf("%s (vector kernels %v): no panic", tc.name, vec)
+				}
+				// The pair kernels' wrappers panic with their own message;
+				// a runtime error there would be the kernel faulting.
+				if _, msg := r.(string); vec && strings.HasPrefix(tc.name, "pair") && !msg {
+					t.Errorf("%s (vector kernels): %v, not the wrapper's panic", tc.name, r)
 				}
 			}()
 			tc.run()
 		})
 	}
 }
+
+// pairPassCase runs pass 0 (the pair products) or 4 (the accumulations)
+// of an 8-pair contraction on a 9^3 grid after spoil has damaged its lanes,
+// past ContractPairsWS's own checks.
+func pairPassCase(pass int, spoil func(*PairLanes)) {
+	p := MustPlan3(9, 9, 9)
+	n := p.Size()
+	pl := &PairLanes{N: lw}
+	for l := range pl.A {
+		pl.A[l], pl.B[l], pl.AccA[l], pl.AccB[l] = lanes.New(n), lanes.New(n), lanes.New(n), lanes.New(n)
+	}
+	spoil(pl)
+	p.pairPass(pass, pl, lanes.New(lw*n), make([]float64, n), 1, 0, 1, p.NewWorkspace())
+}
+
+// shortSlice drops the last element of s, capacity included, so that the
+// Go loops' slicing fails where the wrappers' length checks do.
+func shortSlice(s []float64) []float64 { return s[: len(s)-1 : len(s)-1] }
 
 // shortTwiddles runs an n-point plan whose top stage (the largest radix)
 // lost the last entry of its twiddle table.

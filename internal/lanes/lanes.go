@@ -4,11 +4,11 @@
 // every kernel below walks the arrays in fixed Width-wide blocks through
 // *[Width]float64 views, so the compiler drops the bounds checks and the
 // inner loops are straight-line float64 arithmetic with Width independent
-// dependency chains (stock gc emits them scalar; the FFT butterflies have
-// AVX2 twins in internal/fourier) - the plain-Go rendition of the SPMD-Go
-// uniform/varying discipline (coefficients like twiddles and kernel values
-// are "uniform": one scalar load serves all Width lanes; the data is
-// "varying": one element per lane).
+// dependency chains (stock gc emits them scalar; the FFT butterflies and
+// the exchange's pair loops have AVX2 twins in internal/fourier) - the
+// plain-Go rendition of the SPMD-Go uniform/varying discipline
+// (coefficients like twiddles and kernel values are "uniform": one scalar
+// load serves all Width lanes; the data is "varying": one element per lane).
 //
 // Two layout conventions share the type:
 //

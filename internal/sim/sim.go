@@ -78,6 +78,12 @@ func (s *Spec) Normalize() {
 // normalizes first, so callers can hand it a sparse spec directly.
 func (s *Spec) Validate() error {
 	s.Normalize()
+	// NaN and ±Inf pass some checks below and fail only after a ground state.
+	for i, v := range [...]float64{s.Ecut, s.DtAs, s.Kick, s.PulseE0, s.IonDtAs} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("sim: %s wants a finite number, got %g", [...]string{"ecut", "dt_as", "kick", "pulse_e0", "ion_dt_as"}[i], v)
+		}
+	}
 	for _, v := range s.Cells {
 		if v < 1 {
 			return fmt.Errorf("sim: cells want nx,ny,nz >= 1, got %v", s.Cells)
@@ -173,8 +179,8 @@ func ParseDisplace(s string) (int, [3]float64, error) {
 		return 0, vec, fmt.Errorf("sim: displace wants three components, got %q", tail)
 	}
 	for i, p := range parts {
-		if vec[i], err = strconv.ParseFloat(strings.TrimSpace(p), 64); err != nil {
-			return 0, vec, fmt.Errorf("sim: displace: bad component %q", p)
+		if vec[i], err = strconv.ParseFloat(strings.TrimSpace(p), 64); err != nil || math.IsNaN(vec[i]) || math.IsInf(vec[i], 0) {
+			return 0, vec, fmt.Errorf("sim: displace: bad component %q (want a finite number)", p)
 		}
 	}
 	return atom, vec, nil

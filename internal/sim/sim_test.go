@@ -84,6 +84,15 @@ func TestSpecValidateRules(t *testing.T) {
 		{"ace without mts", func(s *Spec) { s.Hybrid, s.ACE = true, true }, "was removed; use ace with mts 1"},
 		{"mts without ace", func(s *Spec) { s.Hybrid, s.MTS = true, 4 }, "was removed; use ace with the same mts"},
 		{"bad displace", func(s *Spec) { s.Displace = "frog" }, "displace"},
+		// A non-finite float fails here, naming its field, not after a
+		// ground state.
+		{"NaN ecut", func(s *Spec) { s.Ecut = math.NaN() }, "ecut wants a finite number"},
+		{"Inf ecut", func(s *Spec) { s.Ecut = math.Inf(1) }, "ecut wants a finite number"},
+		{"Inf dt", func(s *Spec) { s.DtAs = math.Inf(1) }, "dt_as wants a finite number"},
+		{"NaN kick", func(s *Spec) { s.Kick = math.NaN() }, "kick wants a finite number"},
+		{"NaN pulse", func(s *Spec) { s.PulseE0 = math.NaN() }, "pulse_e0 wants a finite number"},
+		{"Inf ion dt", func(s *Spec) { s.MD, s.IonSteps, s.IonDtAs = true, 1, math.Inf(1) }, "ion_dt_as wants a finite number"},
+		{"NaN displace", func(s *Spec) { s.Displace = "0:NaN,0,0" }, "displace: bad component"},
 		{"indivisible bands", func(s *Spec) { s.Ranks = 3 }, "divisible"},
 	}
 	for _, tc := range cases {
