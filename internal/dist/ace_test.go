@@ -219,3 +219,30 @@ func TestDistStepAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestExcitedElectronsAllocs pins the per-step observable the same way: the
+// excited-electron count, which every run takes once per step, allocates
+// nothing in steady state - its overlap and partial sum live in the step
+// workspace - and repeats its value exactly.
+func TestExcitedElectronsAllocs(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	g, psi, nb := testGrid(t)
+	mpi.Run(1, func(c *mpi.Comm) {
+		d, err := NewCtx(c, g, nb, 2)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		h := hamiltonian.New(g, siPots(), hamiltonian.Config{})
+		s := NewPTCNSolver(d, h, xc.HSE06(), false, nil, core.DefaultPTCN(), ExchangeOptions{})
+		local := wavefunc.Clone(psi)
+		want := s.ExcitedElectrons(psi, local)
+		var got float64
+		if a := testing.AllocsPerRun(3, func() { got = s.ExcitedElectrons(psi, local) }); a > 0 && !raceEnabled {
+			t.Errorf("ExcitedElectrons allocates %.1f objects per call in steady state, want 0", a)
+		}
+		if got != want {
+			t.Errorf("ExcitedElectrons %v on its first call, %v in steady state", want, got)
+		}
+	})
+}

@@ -81,6 +81,8 @@ type stepWorkspace struct {
 	hpG  []complex128 // NB x w: H psi in the G layout
 	resG []complex128 // NB x w: residual in the G layout
 	ov   []complex128 // nb x nb: overlap / projection matrix
+	exc  []complex128 // NB x nbl: ExcitedElectrons' overlap
+	excS []float64    // 1: ExcitedElectrons' partial sum, allreduced
 	tw   *TransposeWorkspace
 }
 
@@ -96,6 +98,8 @@ func (s *PTCNSolver) stepWS() *stepWorkspace {
 			hpG:  make([]complex128, nb*w),
 			resG: make([]complex128, nb*w),
 			ov:   make([]complex128, nb*nb),
+			exc:  make([]complex128, nb*nbl),
+			excS: make([]float64, 1),
 			tw:   s.D.NewTransposeWorkspace(),
 		}
 	}
@@ -451,15 +455,17 @@ func (s *PTCNSolver) Current(local []complex128) [3]float64 {
 // subspace (observe.ExcitedElectrons distributed over bands): ref is the
 // full t = 0 band set, local this rank's current block. Each rank
 // accumulates |<ref_i|psi_j>|^2 over its local j and the partial sums are
-// allreduced. Collective.
+// allreduced. Collective; both buffers live in the step workspace, so a
+// call allocates nothing of its own.
 func (s *PTCNSolver) ExcitedElectrons(ref, local []complex128) float64 {
 	spanRef := s.D.C.Trace().Begin("excited", "observe")
 	defer s.D.C.Trace().End(spanRef)
 	ng := s.D.G.NG
 	nbl := len(local) / ng
-	overlap := make([]complex128, s.D.NB*nbl)
+	ws := s.stepWS()
+	overlap, part := ws.exc[:s.D.NB*nbl], ws.excS
 	linalg.Overlap(overlap, ref, local, s.D.NB, nbl, ng)
-	part := make([]float64, 1)
+	part[0] = 0
 	for _, v := range overlap {
 		part[0] += real(v)*real(v) + imag(v)*imag(v)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ptdft/internal/lanes"
+	"ptdft/internal/simd"
 )
 
 // The AVX2 lane kernels (bfly_amd64.s) and the only code that may call
@@ -11,36 +12,8 @@ import (
 // a kernel is reached through exactly one Go wrapper in this file, and the
 // wrapper asserts, before the call, every length the Go loop it replaces
 // would have checked through its (*[Width]float64) conversions and table
-// indexing. Selection is the host's business, never the user's: useAVX2 is
-// set once, here, from CPUID.
-
-func init() { useAVX2 = hasAVX2FMA() }
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv0() (eax uint32)
-
-// hasAVX2FMA reports whether the CPU has AVX2 and FMA and the OS saves the
-// ymm state across context switches (OSXSAVE set, XCR0 enabling both the
-// SSE and AVX state components) - the same three-step test as the runtime's
-// internal/cpu, which a module cannot import. The kernels fuse every
-// multiply-add the Go loops write as math.FMA, so a CPU without FMA
-// (CPUID.1:ECX bit 12) runs the Go loops.
-func hasAVX2FMA() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&fma == 0 || ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	if xgetbv0()&6 != 6 {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
-}
+// indexing. Selection is the host's business, never the user's: simd.AVX2
+// is set once, at init, from CPUID.
 
 //go:noescape
 func bfly2AVX2(dre, dim, twre, twim *float64, m, blocks int)
@@ -66,7 +39,7 @@ func gatherRows8AVX2(dre, dim, sre, sim *float64, perm *int, n, stride int)
 // the blocks untouched for the Go loops. Radix 5 has no kernel: no workload
 // the benchmark runs has a factor-5 axis, so one would be unmeasured code.
 func combineVec(r, m, blocks int, dre, dim, twre, twim, rore, roim []float64) bool {
-	if !useAVX2 || r == 5 {
+	if !simd.AVX2 || r == 5 {
 		return false
 	}
 	if n := r * m; m < 1 || blocks < 1 || len(dre) < blocks*n*lw || len(dim) < blocks*n*lw || len(twre) < n || len(twim) < n {
@@ -91,7 +64,7 @@ func combineVec(r, m, blocks int, dre, dim, twre, twim, rore, roim []float64) bo
 // dst[off+k*stride:], in both halves of the slabs, and reports whether it
 // did.
 func scatterRowsVec(dst lanes.Slab, b lanes.Slab, off, n, stride int) bool {
-	if !useAVX2 {
+	if !simd.AVX2 {
 		return false
 	}
 	if n < 1 {
@@ -110,7 +83,7 @@ func scatterRowsVec(dst lanes.Slab, b lanes.Slab, off, n, stride int) bool {
 // values at src[off+perm[k]*stride:], in both halves of the slabs, and
 // reports whether it did.
 func gatherRowsVec(b lanes.Slab, src lanes.Slab, off, n, stride int, perm []int) bool {
-	if !useAVX2 {
+	if !simd.AVX2 {
 		return false
 	}
 	if n < 1 {
@@ -149,7 +122,7 @@ type pairRows struct {
 }
 
 func bindPairRows(t *pairRows, pl *PairLanes, size int, zinv []int) {
-	if !useAVX2 {
+	if !simd.AVX2 {
 		return
 	}
 	bad := pl.N < 1 || pl.N > lw || len(zinv) > size

@@ -20,24 +20,6 @@
 
 #include "textflag.h"
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() (eax uint32)
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	RET
-
 // Each butterfly runs one stage over `blocks` consecutive stage blocks of
 // r*m rows; within a block, sub-transform q is rows [q*m, (q+1)*m), and row
 // k = 0 runs the body with LOAD, rows k >= 1 with TWMUL. Register plan

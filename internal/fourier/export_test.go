@@ -1,5 +1,7 @@
 package fourier
 
+import "ptdft/internal/simd"
+
 // ForEachVec, GoFusesMulAdd and HostHasAVX2 expose the in-package test
 // helpers to the external test package, which may import the solver
 // packages that import this one.
@@ -9,4 +11,4 @@ var (
 )
 
 // HostHasAVX2 reports whether the vector kernels run here (AVX2 and FMA).
-func HostHasAVX2() bool { return useAVX2 }
+func HostHasAVX2() bool { return simd.AVX2 }

@@ -22,16 +22,12 @@ import (
 
 const lw = lanes.Width
 
-// useAVX2 selects the vector kernels of bfly_amd64.s over the Go loops
+// simd.AVX2 selects the vector kernels of bfly_amd64.s over the Go loops
 // below for the radix-2/3/4/7 combines and the full-group row copies
-// (radix 5 always runs the Go loop). It is set once, at init, from what the
-// CPU reports - AVX2 and FMA, and the OS saving the ymm state
-// (bfly_amd64.go) - and stays false on every other GOARCH; nothing a user
-// sets reaches it. Both paths produce the same bits - the kernels evaluate
-// the Go expressions operation for operation, math.FMA as VFMADD231PD and
-// kin - so the Go loops are the portable path and the oracle
-// (TestVecKernelsBitIdentical flips this variable in-package).
-var useAVX2 bool
+// (radix 5 always runs the Go loop). Both paths produce the same bits - the
+// kernels evaluate the Go expressions operation for operation, math.FMA as
+// VFMADD231PD and kin - so the Go loops are the portable path and the
+// oracle (TestVecKernelsBitIdentical flips the switch in-package).
 
 // transformLanes runs one unnormalized transform in place over a lane block
 // b of n*Width: input in perm order (row k is element perm[k]), output in

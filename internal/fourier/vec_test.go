@@ -7,18 +7,21 @@ import (
 	"testing"
 
 	"ptdft/internal/lanes"
+	"ptdft/internal/simd"
 )
 
 // forEachVec runs fn on the Go loops and then, where init found AVX2, on the
-// vector kernels, and puts useAVX2 back. Tests in this package do not run in
-// parallel, so flipping the package variable is safe.
+// vector kernels, and puts simd.AVX2 back. The switch is shared, so both
+// kernel sets - this package's and internal/linalg's - go off and on
+// together. Tests in this package do not run in parallel, so flipping it is
+// safe.
 func forEachVec(fn func(vec bool)) {
-	host := useAVX2
-	defer func() { useAVX2 = host }()
-	useAVX2 = false
+	host := simd.AVX2
+	defer func() { simd.AVX2 = host }()
+	simd.AVX2 = false
 	fn(false)
 	if host {
-		useAVX2 = true
+		simd.AVX2 = true
 		fn(true)
 	}
 }
@@ -40,7 +43,7 @@ var fuseProbe = [3]float64{1 + 1.0/(1<<30), 1 - 1.0/(1<<30), -1}
 
 func skipUnlessBothPaths(t *testing.T) {
 	t.Helper()
-	if !useAVX2 {
+	if !simd.AVX2 {
 		t.Skip("host has no AVX2 and FMA (or GOARCH is not amd64): the Go loops are the only path, nothing to compare")
 	}
 }

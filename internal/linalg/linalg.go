@@ -21,34 +21,50 @@ import (
 
 // Overlap computes the na x nb overlap matrix s[i*nb+j] = <a_i | b_j> =
 // sum_g conj(a[i*ng+g]) * b[j*ng+g]. This is the S = Psi^* (H Psi) kernel of
-// Algorithm 3 in the paper. s must have length na*nb.
+// Algorithm 3 in the paper. s must have length na*nb. The rows go in blocks
+// of four, the vector kernel's block height, one block per worker task.
 func Overlap(s, a, b []complex128, na, nb, ng int) {
 	if len(s) != na*nb || len(a) != na*ng || len(b) != nb*ng {
 		panic(fmt.Sprintf("linalg: Overlap dims mismatch na=%d nb=%d ng=%d", na, nb, ng))
 	}
 	if parallel.MaxWorkers() <= 1 {
 		// Inline loop: no closure, no goroutines (zero-alloc hot path).
-		for i := 0; i < na; i++ {
-			overlapRow(s, a, b, i, nb, ng)
+		for i := 0; i < na; i += 4 {
+			overlapRows(s, a, b, i, na, nb, ng)
 		}
 		return
 	}
-	parallel.For(na, func(i int) {
-		overlapRow(s, a, b, i, nb, ng)
+	parallel.For((na+3)/4, func(k int) {
+		overlapRows(s, a, b, 4*k, na, nb, ng)
 	})
 }
 
-// overlapRow fills row i of the overlap matrix.
-func overlapRow(s, a, b []complex128, i, nb, ng int) {
+// overlapRows fills rows [i, min(i+4, na)) of the overlap matrix: the
+// vector kernel takes whole 4x4 blocks where it runs, overlapRow the rest.
+func overlapRows(s, a, b []complex128, i, na, nb, ng int) {
+	j0 := 0
+	if na-i >= 4 {
+		j0 = overlapVec(s, a, b, i, nb, ng)
+	}
+	for r := i; r < min(i+4, na); r++ {
+		overlapRow(s, a, b, r, j0, nb, ng)
+	}
+}
+
+// overlapRow fills columns [j0, nb) of row i of the overlap matrix. Each
+// conj(x)*y is accumulated in parts to stay in registers, every product
+// float64(...), which no build may fuse into the add that follows: the
+// vector kernels do not fuse either, so the Go loops round where they do on
+// every GOARCH (gc fuses a plain a*b+c on arm64 and similar targets).
+func overlapRow(s, a, b []complex128, i, j0, nb, ng int) {
 	ai := a[i*ng : (i+1)*ng]
-	for j := 0; j < nb; j++ {
+	for j := j0; j < nb; j++ {
 		bj := b[j*ng : (j+1)*ng]
 		var re, im float64
 		for g := range ai {
 			x, y := ai[g], bj[g]
-			// conj(x)*y accumulated in parts to stay in registers.
-			re += real(x)*real(y) + imag(x)*imag(y)
-			im += real(x)*imag(y) - imag(x)*real(y)
+			re += float64(real(x)*real(y)) + float64(imag(x)*imag(y))
+			im += float64(real(x)*imag(y)) - float64(imag(x)*real(y))
 		}
 		s[i*nb+j] = complex(re, im)
 	}
@@ -74,20 +90,25 @@ func ApplyMatrix(dst, src, u []complex128, nOut, nIn, ng int) {
 	})
 }
 
-// applyMatrixCol computes output band j of the rotation.
+// applyMatrixCol computes output band j of the rotation: the vector kernel
+// takes whole chunks of eight points where it runs, the Go loop the rest.
+// Each point sums its input bands in ascending order, skipping zero
+// coefficients, with Go's complex product spelled out in parts so that no
+// build fuses it.
 func applyMatrixCol(dst, src, u []complex128, j, nOut, nIn, ng int) {
-	dj := dst[j*ng : (j+1)*ng]
-	for g := range dj {
-		dj[g] = 0
-	}
+	lo := applyMatrixVec(dst, src, u, j, nOut, nIn, ng)
+	dj := dst[j*ng+lo : (j+1)*ng]
+	clear(dj)
 	for i := 0; i < nIn; i++ {
 		c := u[i*nOut+j]
 		if c == 0 {
 			continue
 		}
-		si := src[i*ng : (i+1)*ng]
-		for g := range dj {
-			dj[g] += c * si[g]
+		cr, ci := real(c), imag(c)
+		si := src[i*ng+lo : (i+1)*ng]
+		si = si[:len(dj)]
+		for g, x := range si {
+			dj[g] += complex(float64(cr*real(x))-float64(ci*imag(x)), float64(cr*imag(x))+float64(ci*real(x)))
 		}
 	}
 }
@@ -403,13 +424,13 @@ func backSubstHCols(l, m []complex128, n int) []complex128 {
 	return x
 }
 
-// Dot returns <a|b> = sum conj(a_i) b_i.
+// Dot returns <a|b> = sum conj(a_i) b_i, summed as overlapRow sums.
 func Dot(a, b []complex128) complex128 {
 	var re, im float64
 	for i := range a {
 		x, y := a[i], b[i]
-		re += real(x)*real(y) + imag(x)*imag(y)
-		im += real(x)*imag(y) - imag(x)*real(y)
+		re += float64(real(x)*real(y)) + float64(imag(x)*imag(y))
+		im += float64(real(x)*imag(y)) - float64(imag(x)*real(y))
 	}
 	return complex(re, im)
 }

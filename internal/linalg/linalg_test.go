@@ -322,25 +322,6 @@ func TestDotNorm(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func BenchmarkOverlap32x32(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n, ng := 32, 4096
-	x := randMat(rng, n, ng)
-	s := make([]complex128, n*n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Overlap(s, x, x, n, n, ng)
-	}
-}
-
 func BenchmarkCholesky64(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	n := 64
