@@ -455,8 +455,7 @@ func (s *PTCNSolver) Current(local []complex128) [3]float64 {
 // subspace (observe.ExcitedElectrons distributed over bands): ref is the
 // full t = 0 band set, local this rank's current block. Each rank
 // accumulates |<ref_i|psi_j>|^2 over its local j and the partial sums are
-// allreduced. Collective; both buffers live in the step workspace, so a
-// call allocates nothing of its own.
+// allreduced, both in the step workspace. Collective.
 func (s *PTCNSolver) ExcitedElectrons(ref, local []complex128) float64 {
 	spanRef := s.D.C.Trace().Begin("excited", "observe")
 	defer s.D.C.Trace().End(spanRef)

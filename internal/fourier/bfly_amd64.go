@@ -3,8 +3,8 @@ package fourier
 import (
 	"fmt"
 
+	"ptdft/internal/hostcpu"
 	"ptdft/internal/lanes"
-	"ptdft/internal/simd"
 )
 
 // The AVX2 lane kernels (bfly_amd64.s) and the only code that may call
@@ -12,7 +12,7 @@ import (
 // a kernel is reached through exactly one Go wrapper in this file, and the
 // wrapper asserts, before the call, every length the Go loop it replaces
 // would have checked through its (*[Width]float64) conversions and table
-// indexing. Selection is the host's business, never the user's: simd.AVX2
+// indexing. Selection is the host's business, never the user's: hostcpu.AVX2
 // is set once, at init, from CPUID.
 
 //go:noescape
@@ -39,7 +39,7 @@ func gatherRows8AVX2(dre, dim, sre, sim *float64, perm *int, n, stride int)
 // the blocks untouched for the Go loops. Radix 5 has no kernel: no workload
 // the benchmark runs has a factor-5 axis, so one would be unmeasured code.
 func combineVec(r, m, blocks int, dre, dim, twre, twim, rore, roim []float64) bool {
-	if !simd.AVX2 || r == 5 {
+	if !hostcpu.AVX2 || r == 5 {
 		return false
 	}
 	if n := r * m; m < 1 || blocks < 1 || len(dre) < blocks*n*lw || len(dim) < blocks*n*lw || len(twre) < n || len(twim) < n {
@@ -64,7 +64,7 @@ func combineVec(r, m, blocks int, dre, dim, twre, twim, rore, roim []float64) bo
 // dst[off+k*stride:], in both halves of the slabs, and reports whether it
 // did.
 func scatterRowsVec(dst lanes.Slab, b lanes.Slab, off, n, stride int) bool {
-	if !simd.AVX2 {
+	if !hostcpu.AVX2 {
 		return false
 	}
 	if n < 1 {
@@ -83,7 +83,7 @@ func scatterRowsVec(dst lanes.Slab, b lanes.Slab, off, n, stride int) bool {
 // values at src[off+perm[k]*stride:], in both halves of the slabs, and
 // reports whether it did.
 func gatherRowsVec(b lanes.Slab, src lanes.Slab, off, n, stride int, perm []int) bool {
-	if !simd.AVX2 {
+	if !hostcpu.AVX2 {
 		return false
 	}
 	if n < 1 {
@@ -122,7 +122,7 @@ type pairRows struct {
 }
 
 func bindPairRows(t *pairRows, pl *PairLanes, size int, zinv []int) {
-	if !simd.AVX2 {
+	if !hostcpu.AVX2 {
 		return
 	}
 	bad := pl.N < 1 || pl.N > lw || len(zinv) > size

@@ -4,7 +4,7 @@ package fourier
 
 import "ptdft/internal/lanes"
 
-// No vector kernels on this GOARCH: simd.AVX2 stays false and the Go loops in
+// No vector kernels on this GOARCH: hostcpu.AVX2 stays false and the Go loops in
 // fftlanes.go and slab.go are the only path.
 
 func combineVec(r, m, blocks int, dre, dim, twre, twim, rore, roim []float64) bool { return false }

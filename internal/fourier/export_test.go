@@ -1,6 +1,6 @@
 package fourier
 
-import "ptdft/internal/simd"
+import "ptdft/internal/hostcpu"
 
 // ForEachVec, GoFusesMulAdd and HostHasAVX2 expose the in-package test
 // helpers to the external test package, which may import the solver
@@ -11,4 +11,4 @@ var (
 )
 
 // HostHasAVX2 reports whether the vector kernels run here (AVX2 and FMA).
-func HostHasAVX2() bool { return simd.AVX2 }
+func HostHasAVX2() bool { return hostcpu.AVX2 }

@@ -22,7 +22,7 @@ import (
 
 const lw = lanes.Width
 
-// simd.AVX2 selects the vector kernels of bfly_amd64.s over the Go loops
+// hostcpu.AVX2 selects the vector kernels of bfly_amd64.s over the Go loops
 // below for the radix-2/3/4/7 combines and the full-group row copies
 // (radix 5 always runs the Go loop). Both paths produce the same bits - the
 // kernels evaluate the Go expressions operation for operation, math.FMA as

@@ -7,8 +7,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"ptdft/internal/hostcpu"
 	"ptdft/internal/lanes"
-	"ptdft/internal/simd"
 )
 
 // fuzzDim maps a fuzzed byte onto an axis length in the closed set: the
@@ -97,7 +97,7 @@ func FuzzLaneVsScalar(f *testing.F) {
 		check := func(what string, ref []complex128, got lanes.Slab) {
 			t.Helper()
 			if d := maxDiff(ref, got); d > tol {
-				t.Errorf("%v nb=%d kernels=%v: %s lane vs oracle max diff %g (tol %g)", dims, nb, simd.AVX2, what, d, tol)
+				t.Errorf("%v nb=%d kernels=%v: %s lane vs oracle max diff %g (tol %g)", dims, nb, hostcpu.AVX2, what, d, tol)
 			}
 		}
 

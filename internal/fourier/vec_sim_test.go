@@ -14,11 +14,13 @@ import (
 )
 
 // TestVecKernelsSameTrajectory is the end-to-end face of
-// TestVecKernelsBitIdentical: the benchmark's three solver rows and its job
-// row's spec, ground state and four steps each at one worker, hash to the
-// same samples and final orbitals on the Go loops and on the vector kernels
-// - and to the pinned hash, which holds the step path's bits across any
-// rewrite of the transforms under it. A third run at two workers must hash
+// TestVecKernelsBitIdentical and linalg's TestBandProductsBitIdentical: the
+// benchmark's three solver rows and its job row's spec, ground state and
+// four steps each at one worker, hash to the same samples and final
+// orbitals on the Go loops and on the vector kernels (ForEachVec turns the
+// FFT and the band-block kernels off and on together) - and to the pinned
+// hash, which holds the step path's bits across any rewrite of the
+// transforms and the band-block products under it. A third run at two workers must hash
 // the same: every sum of the step path is ordered by the data, never by
 // the worker count (the exchange's pair-lane calls split their passes by
 // pencil, so each accumulator element takes its adds on one worker).

@@ -6,22 +6,22 @@ import (
 	"strings"
 	"testing"
 
+	"ptdft/internal/hostcpu"
 	"ptdft/internal/lanes"
-	"ptdft/internal/simd"
 )
 
 // forEachVec runs fn on the Go loops and then, where init found AVX2, on the
-// vector kernels, and puts simd.AVX2 back. The switch is shared, so both
+// vector kernels, and puts hostcpu.AVX2 back. The switch is shared, so both
 // kernel sets - this package's and internal/linalg's - go off and on
 // together. Tests in this package do not run in parallel, so flipping it is
 // safe.
 func forEachVec(fn func(vec bool)) {
-	host := simd.AVX2
-	defer func() { simd.AVX2 = host }()
-	simd.AVX2 = false
+	host := hostcpu.AVX2
+	defer func() { hostcpu.AVX2 = host }()
+	hostcpu.AVX2 = false
 	fn(false)
 	if host {
-		simd.AVX2 = true
+		hostcpu.AVX2 = true
 		fn(true)
 	}
 }
@@ -43,7 +43,7 @@ var fuseProbe = [3]float64{1 + 1.0/(1<<30), 1 - 1.0/(1<<30), -1}
 
 func skipUnlessBothPaths(t *testing.T) {
 	t.Helper()
-	if !simd.AVX2 {
+	if !hostcpu.AVX2 {
 		t.Skip("host has no AVX2 and FMA (or GOARCH is not amd64): the Go loops are the only path, nothing to compare")
 	}
 }

@@ -1,4 +1,4 @@
-package simd
+package hostcpu
 
 func init() { AVX2 = hasAVX2FMA() }
 

@@ -1,4 +1,4 @@
-// The CPUID and XGETBV probes behind hasAVX2FMA (simd_amd64.go).
+// The CPUID and XGETBV probes behind hasAVX2FMA (hostcpu_amd64.go).
 
 #include "textflag.h"
 

@@ -8,6 +8,12 @@
 // Matrices are stored row-major in flat []complex128 slices with explicit
 // dimensions. Band sets ("wavefunction blocks") are stored band-major:
 // band i occupies elements [i*ng, (i+1)*ng).
+//
+// On amd64 hosts with AVX2 (hostcpu.AVX2) the band-block products Overlap
+// and ApplyMatrix run on two assembly kernels (linalg_amd64.s) that take
+// the Go loops' operations in the Go loops' order, with no FMA, so both
+// paths give the same bits; the Go loops are the portable path and the
+// oracle, and write every product float64(...) so that no build fuses them.
 package linalg
 
 import (

@@ -3,7 +3,7 @@ package linalg
 import (
 	"fmt"
 
-	"ptdft/internal/simd"
+	"ptdft/internal/hostcpu"
 )
 
 // The AVX2 band-block kernels (linalg_amd64.s) and the only code that may
@@ -11,7 +11,7 @@ import (
 // is internal/fourier's: a kernel is reached through exactly one Go wrapper
 // in this file, and the wrapper asserts, before the call, every length the
 // Go loop it replaces would have checked through its slicing. Selection is
-// simd.AVX2, set once at init from CPUID.
+// hostcpu.AVX2, set once at init from CPUID.
 
 //go:noescape
 func overlap4x4AVX2(sum *[32]float64, a, b *complex128, ng, pairs int)
@@ -24,7 +24,7 @@ func applyMatrixAVX2(dst, src, u *complex128, nIn, nOut, ng, chunks int)
 // loop: 0 when it ran nothing. The kernel sums the points in pairs; an odd
 // last point continues from its partial sums here, as overlapRow would.
 func overlapVec(s, a, b []complex128, i, nb, ng int) int {
-	if !simd.AVX2 || nb < 4 || ng < 2 {
+	if !hostcpu.AVX2 || nb < 4 || ng < 2 {
 		return 0
 	}
 	nb4 := nb &^ 3
@@ -54,7 +54,7 @@ func overlapVec(s, a, b []complex128, i, nb, ng int) int {
 // rotation on the kernel and returns ng&^7, the first point it leaves to the
 // Go loop: 0 when it ran nothing.
 func applyMatrixVec(dst, src, u []complex128, j, nOut, nIn, ng int) int {
-	if !simd.AVX2 || ng < 8 || nIn < 1 {
+	if !hostcpu.AVX2 || ng < 8 || nIn < 1 {
 		return 0
 	}
 	if j < 0 || j >= nOut || len(dst) < (j+1)*ng || len(src) < nIn*ng || len(u) < (nIn-1)*nOut+j+1 {

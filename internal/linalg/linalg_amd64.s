@@ -1,15 +1,10 @@
 // AVX2 renditions of overlapRow's and applyMatrixCol's inner loops
-// (linalg.go). The arithmetic is the Go loops' expression trees, operation
-// for operation and with no FMA: every product a VMULPD, every add a VADDPD,
-// VSUBPD or VADDSUBPD, each output's sum taken over the same operands in the
-// same order, so every element rounds exactly where the Go loop rounds and
-// the output is the same bits (DESIGN.md section 5, "Vector kernels").
-//
-// Operand order: the Go assembler writes VSUBPD b, a, dst for dst = a - b
-// and VADDSUBPD b, a, dst for dst = (a0 - b0, a1 + b1, ...).
-//
+// (linalg.go): the Go loops' expression trees, operation for operation and
+// with no FMA, each output summed over the same operands in the same order,
+// so the output is the same bits (DESIGN.md section 5, "Vector kernels").
 // The callers (linalg_amd64.go) have checked every length; nothing here is
-// bounds-checked.
+// bounds-checked. Operand order: the Go assembler writes VSUBPD b, a, dst
+// for dst = a - b and VADDSUBPD b, a, dst for dst = (a0 - b0, a1 + b1, ...).
 
 #include "textflag.h"
 
@@ -106,9 +101,8 @@ ovdone:
 	RET
 
 // CMUL(off, S, T, ACC) adds c*s to two complex accumulators, s the two
-// points at off(AX), c broadcast in parts to Y4 and Y5: T = cr*s, S =
-// ci*swap(s), T = (cr*sr - ci*si, cr*si + ci*sr), Go's complex product;
-// ACC += T.
+// points at off(AX), c broadcast in parts to Y4, Y5: T = cr*s, S = ci*swap(s),
+// T = (cr*sr - ci*si, cr*si + ci*sr), Go's complex product; ACC += T.
 #define CMUL(off, S, T, ACC) \
 	VMULPD    off(AX), Y4, T   \
 	VPERMILPD $5, off(AX), S   \
@@ -119,10 +113,9 @@ ovdone:
 // func applyMatrixAVX2(dst, src, u *complex128, nIn, nOut, ng, chunks int)
 //
 // The first 8*chunks points of one output band of the rotation: dst[g] =
-// sum over i of c_i*src[i*ng+g] with c_i = u[i*nOut], i ascending, skipping
-// every c_i == 0 (either sign of zero in either part) as applyMatrixCol
-// does. The eight complex accumulators (Y0..Y3) stay in registers across
-// all nIn input bands.
+// sum over i ascending of c_i*src[i*ng+g], c_i = u[i*nOut], skipping every
+// c_i == 0 as applyMatrixCol does. The eight complex accumulators (Y0..Y3)
+// stay in registers across all nIn input bands.
 //
 //	DI      dst at the chunk
 //	SI      src band 0 at the chunk

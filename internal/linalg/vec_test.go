@@ -6,20 +6,20 @@ import (
 	"math/rand"
 	"testing"
 
+	"ptdft/internal/hostcpu"
 	"ptdft/internal/parallel"
-	"ptdft/internal/simd"
 )
 
 // forEachVec runs fn on the Go loops and then, where init found AVX2, on the
-// vector kernels, and puts simd.AVX2 back. Tests in this package do not run
+// vector kernels, and puts hostcpu.AVX2 back. Tests in this package do not run
 // in parallel, so flipping the switch is safe.
 func forEachVec(fn func(vec bool)) {
-	host := simd.AVX2
-	defer func() { simd.AVX2 = host }()
-	simd.AVX2 = false
+	host := hostcpu.AVX2
+	defer func() { hostcpu.AVX2 = host }()
+	hostcpu.AVX2 = false
 	fn(false)
 	if host {
-		simd.AVX2 = true
+		hostcpu.AVX2 = true
 		fn(true)
 	}
 }
@@ -60,13 +60,13 @@ func bandProducts(a, b, u []complex128, na, nb, ng int) error {
 	}
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
 	want := make([][]complex128, len(products))
-	host := simd.AVX2
-	simd.AVX2 = false
+	host := hostcpu.AVX2
+	hostcpu.AVX2 = false
 	for p, pr := range products {
 		want[p] = make([]complex128, pr.n)
 		pr.run(want[p])
 	}
-	simd.AVX2 = host
+	hostcpu.AVX2 = host
 	var err error
 	forEachVec(func(vec bool) {
 		for _, workers := range []int{1, 2} {
