@@ -8,7 +8,7 @@
 // rests on: a plane-wave Kohn-Sham solver (FFTs, pseudopotentials,
 // Hartree/XC, LOBPCG ground state), the distributed implementation of the
 // paper's section 3 (band-index / G-space hybrid parallelization,
-// broadcast-pipelined, pair-symmetric Fock exchange) on a goroutine
+// broadcast, pair-symmetric Fock exchange) on a goroutine
 // message-passing runtime, and a calibrated Summit performance model that
 // regenerates the paper's Tables 1-2 and Figures 3, 6-10 (single-precision
 // MPI among its ablations).

@@ -7,7 +7,7 @@
 //	V_ACE = -Xi Xi^H,  Xi = W conj(L)^{-1},  -Phi^H W = L L^H,  W = V_X Phi.
 //
 // Construction (collective): W is computed band-block by band-block through
-// the exchange's broadcast pipeline - one exact application,
+// the exchange's broadcast loop - one exact application,
 // nb broadcasts, and the reference being Phi itself, one fused Poisson
 // solve per unordered pair, nb(nb+1)/2 over all ranks - Phi and W
 // are transposed into the G layout with one MPI_Alltoallv each, the

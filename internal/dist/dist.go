@@ -2,11 +2,11 @@
 // goroutine message-passing runtime of internal/mpi: the two-dimensional
 // band-index x G-space decomposition of Fig. 1, the MPI_Alltoallv layout
 // transpose between the two layouts, the Fock-exchange broadcast of
-// section 3.2 overlapped with computation (optimization 5) and folded over
-// unordered band pairs, and a distributed PT-CN propagator that mirrors
-// Algorithm 1 band-block by band-block. Every payload travels in double
-// precision; the paper's single-precision MPI (optimization 4) is modelled
-// by perf.Model, not run.
+// section 3.2 folded over unordered band pairs, and a distributed PT-CN
+// propagator that mirrors Algorithm 1 band-block by band-block. Every
+// payload travels in double precision; the paper's single-precision MPI
+// (optimization 4) and its overlap of the broadcast with the fold
+// (optimization 5) are modelled by perf.Model, not run.
 //
 // Layouts. In the band-index layout each rank owns a contiguous block of
 // bands with every G coefficient of those bands: this is where H*Psi, the
@@ -32,45 +32,42 @@ import (
 
 // Tag blocks for the collectives of one Ctx. Collectives are issued in the
 // same order on every rank, and the mailbox runtime preserves per-tag FIFO
-// order, so a fixed tag per call site is safe; only the pipelined exchange
-// broadcast needs a distinct tag per band (two broadcasts are in flight at
-// once).
+// order, so a fixed tag per call site is safe.
 const (
 	tagGather     = 10
 	tagBandToG    = 20
 	tagGToBand    = 30
-	tagDensity    = 40      // AllreduceSum consumes 40 and 41
-	tagOverlap    = 50      // AllreduceSum consumes 50 and 51
-	tagScalars    = 60      // AllreduceSum consumes 60 and 61
-	tagCurrent    = 70      // AllreduceSum consumes 70 and 71
-	tagExcited    = 80      // AllreduceSum consumes 80 and 81
-	tagACE        = 90      // AllreduceSum consumes 90 and 91 (build overlap)
-	tagACEProj    = 100     // AllreduceSum consumes 100 and 101 (apply projections)
-	tagForces     = 110     // AllreduceSum consumes 110 and 111 (ion force partials)
-	tagExchReturn = 120     // returnToOwners: the pair-symmetric fold's Alltoallv
-	tagExchBcast  = 1 << 10 // + global band index
+	tagDensity    = 40  // AllreduceSum consumes 40 and 41
+	tagOverlap    = 50  // AllreduceSum consumes 50 and 51
+	tagScalars    = 60  // AllreduceSum consumes 60 and 61
+	tagCurrent    = 70  // AllreduceSum consumes 70 and 71
+	tagExcited    = 80  // AllreduceSum consumes 80 and 81
+	tagACE        = 90  // AllreduceSum consumes 90 and 91 (build overlap)
+	tagACEProj    = 100 // AllreduceSum consumes 100 and 101 (apply projections)
+	tagForces     = 110 // AllreduceSum consumes 110 and 111 (ion force partials)
+	tagExchReturn = 120 // returnToOwners: the pair-symmetric fold's Alltoallv
+	tagExchBcast  = 130 // broadcastBands: one reference band per call
 )
 
 // Ctx owns one rank's view of the band-index x G-space decomposition: the
 // communicator, the grid, and the partition arithmetic shared by the
 // transpose, gather and exchange operations.
 type Ctx struct {
-	C    *mpi.Comm
-	G    *grid.Grid
-	NB   int // global number of bands
-	Dims int // decomposition dimensions: 1 = band only, 2 = band x G
+	C  *mpi.Comm
+	G  *grid.Grid
+	NB int // global number of bands
 }
 
-// NewCtx validates and builds the decomposition context. dims selects how
-// many index spaces are partitioned: 1 partitions bands only (no transposed
-// layout, so the G-space operations are unavailable), 2 partitions both
-// bands and the G sphere across the same ranks as the paper does.
+// NewCtx validates and builds the decomposition context, which partitions
+// both the bands and the G sphere across the same ranks as the paper does.
+// dims must be 2, the number of partitioned index spaces: the parameter
+// stays only because bench/ still passes it.
 func NewCtx(c *mpi.Comm, g *grid.Grid, nb, dims int) (*Ctx, error) {
 	if c == nil || g == nil {
 		return nil, fmt.Errorf("dist: nil communicator or grid")
 	}
-	if dims != 1 && dims != 2 {
-		return nil, fmt.Errorf("dist: unsupported decomposition dims %d (want 1 or 2)", dims)
+	if dims != 2 {
+		return nil, fmt.Errorf("dist: unsupported decomposition dims %d (want 2: bands x G sphere)", dims)
 	}
 	if nb < 1 {
 		return nil, fmt.Errorf("dist: non-positive band count %d", nb)
@@ -78,10 +75,10 @@ func NewCtx(c *mpi.Comm, g *grid.Grid, nb, dims int) (*Ctx, error) {
 	if nb < c.Size() {
 		return nil, fmt.Errorf("dist: %d bands cannot feed %d ranks (band-index parallelization needs ranks <= bands)", nb, c.Size())
 	}
-	if dims == 2 && g.NG < c.Size() {
+	if g.NG < c.Size() {
 		return nil, fmt.Errorf("dist: G sphere of %d coefficients cannot be sliced across %d ranks", g.NG, c.Size())
 	}
-	return &Ctx{C: c, G: g, NB: nb, Dims: dims}, nil
+	return &Ctx{C: c, G: g, NB: nb}, nil
 }
 
 // BandRange returns the contiguous half-open global band range [lo, hi)
@@ -178,8 +175,8 @@ func (d *Ctx) NewTransposeWorkspace() *TransposeWorkspace {
 // tw. single must be false: the parameter stays only because bench/ still
 // passes it. Collective.
 func (d *Ctx) BandToGWS(dst, local []complex128, single bool, tw *TransposeWorkspace) {
-	if d.Dims < 2 || single {
-		panic("dist: BandToG requires a dims=2 decomposition and the double-precision wire")
+	if single {
+		panic("dist: BandToG requires the double-precision wire")
 	}
 	ng := d.G.NG
 	nbl := d.NumLocalBands()
@@ -228,8 +225,8 @@ func (d *Ctx) GToBand(gd []complex128) []complex128 {
 // and staging workspace; single must be false, as for BandToGWS.
 // Collective.
 func (d *Ctx) GToBandWS(dst, gd []complex128, single bool, tw *TransposeWorkspace) {
-	if d.Dims < 2 || single {
-		panic("dist: GToBand requires a dims=2 decomposition and the double-precision wire")
+	if single {
+		panic("dist: GToBand requires the double-precision wire")
 	}
 	w := d.NumLocalG()
 	if len(gd) != d.NB*w {

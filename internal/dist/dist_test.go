@@ -91,8 +91,8 @@ func TestNewCtxValidation(t *testing.T) {
 		if _, err := NewCtx(nil, g, nb, 2); err == nil {
 			t.Error("nil communicator accepted")
 		}
-		if _, err := NewCtx(c, g, nb, 1); err != nil {
-			t.Errorf("dims=1 rejected: %v", err)
+		if _, err := NewCtx(c, g, nb, 1); err == nil {
+			t.Error("dims=1 accepted")
 		}
 	})
 }
@@ -220,12 +220,11 @@ func TestCommunicationIsMetered(t *testing.T) {
 	}
 }
 
-// TestExchangePipelinesDoNotInflateVolume: broadcast-ahead changes when
-// payloads move, never how much moves. The overlapped pipeline must bill
-// exactly one tree broadcast per reference band - every other rank receives
-// it once - and return the mirrored rows through one Alltoallv of one
-// sphere row per band a rank does not own; no other exchange traffic (the
-// test's gather bills Allgatherv).
+// TestExchangePipelinesDoNotInflateVolume: the exchange's byte-count pin.
+// The broadcast loop must bill exactly one tree broadcast per reference
+// band - every other rank receives it once - and return the mirrored rows
+// through one Alltoallv of one sphere row per band a rank does not own; no
+// other exchange traffic (the test's gather bills Allgatherv).
 func TestExchangePipelinesDoNotInflateVolume(t *testing.T) {
 	g, psi, nb := testGrid(t)
 	const ranks = 4
@@ -243,42 +242,66 @@ func TestExchangePipelinesDoNotInflateVolume(t *testing.T) {
 	}
 }
 
-// TestFetchPipelineForwardsFaults: a crash landing inside the overlapped
-// fetch goroutine (which runs mpi calls off the rank's main goroutine) must
-// be forwarded to the main goroutine and recovered by the tolerant runner -
-// not kill the process, not hang.
-func TestFetchPipelineForwardsFaults(t *testing.T) {
+// TestExchangeCrashIsRecovered: a rank crash inside the exchange - in the
+// reference-band broadcasts or in returnToOwners' Alltoallv - is recovered
+// by the tolerant runner within the peer-loss deadline: it does not kill
+// the process, does not hang, and is reported against the crashed rank.
+// Rank 1's metered calls in one application are its broadcast sends (one
+// sphere row each), then its Alltoallv sends.
+func TestExchangeCrashIsRecovered(t *testing.T) {
 	g, psi, nb := testGrid(t)
 	hyb := xc.HSE06()
 	kernel := fock.BuildKernel(g, hyb)
-	p := &mpi.Perturb{
-		Deadline: 1 * time.Second,
-		Fault:    &mpi.Fault{Crashes: []mpi.CrashRankAt{{Rank: 1, AfterCalls: 3}}},
-	}
-	start := time.Now()
-	_, fail := mpi.RunTolerant(4, p, func(c *mpi.Comm) {
-		d, err := NewCtx(c, g, nb, 2)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		lo, hi := d.BandRange(c.Rank())
-		local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
-		d.FockExchangeWS(local, local, kernel, hyb.Alpha, ExchangeOptions{}, d.NewExchangeWorkspace())
-	})
-	if elapsed := time.Since(start); elapsed > 20*time.Second {
-		t.Fatalf("exchange under injected crash took %v", elapsed)
-	}
-	if fail == nil {
-		t.Fatal("injected crash vanished")
-	}
-	found := false
-	for _, r := range fail.Crashed {
-		if r == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("crashed ranks %v do not include rank 1", fail.Crashed)
+	const ranks = 4
+	row := int64(g.NG * 16)
+	_, _, clean := applyExchange(t, g, psi, nb, ranks)
+	bcasts := clean.SentBy(1, mpi.ClassBcast) / row
+	for _, tc := range []struct {
+		name  string
+		after int64 // rank 1 crashes as its after-th metered call begins
+	}{
+		{"third_call", 3},
+		{"first_broadcast", 1},
+		{"return_alltoallv", bcasts + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &mpi.Perturb{
+				Deadline: 1 * time.Second,
+				Fault:    &mpi.Fault{Crashes: []mpi.CrashRankAt{{Rank: 1, AfterCalls: tc.after}}},
+			}
+			start := time.Now()
+			st, fail := mpi.RunTolerant(ranks, p, func(c *mpi.Comm) {
+				d, err := NewCtx(c, g, nb, 2)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				lo, hi := d.BandRange(c.Rank())
+				local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
+				d.FockExchangeWS(local, local, kernel, hyb.Alpha, ExchangeOptions{}, d.NewExchangeWorkspace())
+			})
+			if elapsed := time.Since(start); elapsed > 20*time.Second {
+				t.Fatalf("exchange under injected crash took %v", elapsed)
+			}
+			if fail == nil {
+				t.Fatal("injected crash vanished")
+			}
+			found := false
+			for _, r := range fail.Crashed {
+				if r == 1 {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("crashed ranks %v do not include rank 1", fail.Crashed)
+			}
+			// The crash fires before its call's payload moves.
+			if got, want := st.SentBy(1, mpi.ClassBcast), min(tc.after-1, bcasts)*row; got != want {
+				t.Errorf("rank 1 broadcast %d bytes before crashing, want %d", got, want)
+			}
+			if got := st.SentBy(1, mpi.ClassAlltoallv); got != 0 {
+				t.Errorf("rank 1 returned %d Alltoallv bytes before crashing, want none", got)
+			}
+		})
 	}
 }

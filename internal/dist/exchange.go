@@ -1,7 +1,6 @@
-// Fock-exchange communication: the overlapped broadcast pipeline of section
-// 3.2 that ships the reference orbitals phi to every rank, and the
-// distributed application of the screened exchange operator to the local
-// band block.
+// Fock-exchange communication: the broadcast loop of section 3.2 that
+// ships the reference orbitals phi to every rank, and the distributed
+// application of the screened exchange operator to the local band block.
 package dist
 
 import (
@@ -11,12 +10,13 @@ import (
 	"ptdft/internal/parallel"
 )
 
-// ExchangeStrategy names the exchange schedule. The overlapped pipeline is
-// the only one, so the type carries no value; bench/ still names
+// ExchangeStrategy names the exchange schedule. There is one, the broadcast
+// loop, so the type carries no value; bench/ still names
 // ExchangeOptions.Strategy.
 type ExchangeStrategy struct{}
 
-// String names the schedule as stored specs spell it.
+// String names the schedule as stored specs spell it ("overlap", the name
+// the one schedule had when it overlapped its broadcasts).
 func (ExchangeStrategy) String() string { return "overlap" }
 
 // ExchangeOptions bundle the exchange cadence of the distributed solver.
@@ -47,8 +47,8 @@ type ExchangeOptions struct {
 
 // ExchangeWorkspace holds every buffer one rank's FockExchange needs:
 // real-space band blocks, per-worker fock.Workspace scratch (worker 0's
-// pair stream runs the fold), the held bands, the wire buffers of the
-// broadcast pipeline, and the result block.
+// pair stream runs the fold), the held bands, the broadcast's wire
+// buffer, and the result block.
 // The distributed solver builds one per rank and reuses it across SCF
 // iterations, so the steady-state exchange performs no band-block
 // allocations (the mailbox copies inside the mpi layer's Send/Bcast
@@ -58,10 +58,8 @@ type ExchangeWorkspace struct {
 	psiReal lanes.Slab        // nbl x NTot: local bands in real space (SoA)
 	acc     lanes.Slab        // nbl x NTot: exchange accumulators (SoA)
 	wss     []*fock.Workspace // nw: per-worker scratch
-	band    [2]([]complex128) // NG wire buffers (two for the overlapped pipeline)
+	band    []complex128      // NG: the wire buffer of the broadcast loop
 	vx      []complex128      // nbl x NG: result block, valid until the next call
-	ch      chan []complex128 // overlapped-fetch handoff, capacity 1
-	fault   any               // fault panic forwarded off a fetch goroutine
 
 	// nbl is bound per application so the broadcast loop calls ws.process
 	// as a plain method, not a freshly allocated closure (the solver hot
@@ -92,42 +90,11 @@ func (d *Ctx) NewExchangeWorkspace() *ExchangeWorkspace {
 		g:       d,
 		psiReal: lanes.New(nbl * ntot),
 		acc:     lanes.New(nbl * ntot),
+		band:    make([]complex128, ng),
 		vx:      make([]complex128, nbl*ng),
-		ch:      make(chan []complex128, 1),
 	}
-	ws.band[0] = make([]complex128, ng)
-	ws.band[1] = make([]complex128, ng)
 	ws.ensureWorkers(parallel.NumWorkers(nbl))
 	return ws
-}
-
-// forwardFault is deferred on every fetch-pipeline goroutine: an
-// injected-fault panic there (a scheduled crash or a lost peer, raised
-// inside the mpi layer) must not kill the process - only the rank's main
-// goroutine is recovered by the tolerant runner. The fault is stashed and
-// the handoff channel closed, so the main goroutine's next receive
-// re-raises it on the recoverable goroutine. Non-fault panics are bugs
-// and propagate. The workspace is dead after a forwarded fault; resilient
-// drivers rebuild their contexts per attempt.
-func (ws *ExchangeWorkspace) forwardFault() {
-	p := recover()
-	if p == nil {
-		return
-	}
-	if !mpi.IsFault(p) {
-		panic(p)
-	}
-	ws.fault = p
-	close(ws.ch)
-}
-
-// refault re-raises a fault forwarded off a fetch goroutine (the closed-
-// channel receive path).
-func (ws *ExchangeWorkspace) refault() {
-	if ws.fault != nil {
-		panic(ws.fault)
-	}
-	panic("dist: fetch pipeline closed without a recorded fault")
 }
 
 // ensureWorkers grows the per-worker scratch to cover nw workers. Scratch
@@ -314,43 +281,28 @@ func (ws *ExchangeWorkspace) processSymmetric(band []complex128, i int) int {
 }
 
 // broadcastBands delivers the reference bands in global order and folds
-// each into the accumulators. The broadcast of band i+1 runs on its own
-// goroutine (distinct tag, so the Comm handle is safe) while band i is
-// folded, hiding the broadcast behind the FFT work (section 3.2,
-// optimization 5 - the paper overlaps MPI_Bcast with GPU computation the
-// same way). The two wire buffers ping-pong so the in-flight fetch never
-// touches the band being processed. One rank owns every band: nothing is
-// broadcast, and the loop runs goroutine-free.
+// each into the accumulators: the owner copies band i into the one wire
+// buffer, mpi.Bcast ships it, and every rank folds it before band i+1 is
+// sent. The paper overlaps MPI_Bcast of band i+1 with the GPU's fold of
+// band i (section 3.2, optimization 5); here a broadcast is a memory copy
+// on the cores that fold, and the overlapped schedule never measured
+// faster (EXPERIMENTS.md), so perf.Model prices the overlap and this loop
+// runs without it. One rank owns every band: nothing is broadcast.
 func (d *Ctx) broadcastBands(phi []complex128, ws *ExchangeWorkspace) {
-	ng := d.G.NG
 	if d.C.Size() == 1 {
 		for i := 0; i < d.NB; i++ {
 			ws.process(nil, i) // every band is local: its pairs read psiReal
 		}
 		return
 	}
+	ng := d.G.NG
 	myLo, _ := d.BandRange(d.C.Rank())
-	fetch := func(i int) {
-		go func() {
-			defer ws.forwardFault()
-			buf := ws.band[i%2]
-			owner := d.bandOwner(i)
-			if owner == d.C.Rank() {
-				copy(buf, phi[(i-myLo)*ng:(i-myLo+1)*ng])
-			}
-			mpi.Bcast(d.C, owner, tagExchBcast+i, buf)
-			ws.ch <- buf
-		}()
-	}
-	fetch(0)
 	for i := 0; i < d.NB; i++ {
-		band, ok := <-ws.ch
-		if !ok {
-			ws.refault()
+		owner := d.bandOwner(i)
+		if owner == d.C.Rank() {
+			copy(ws.band, phi[(i-myLo)*ng:(i-myLo+1)*ng])
 		}
-		if i+1 < d.NB {
-			fetch(i + 1)
-		}
-		ws.process(band, i)
+		mpi.Bcast(d.C, owner, tagExchBcast, ws.band)
+		ws.process(ws.band, i)
 	}
 }

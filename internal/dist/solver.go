@@ -6,8 +6,8 @@
 //   - the charge density is accumulated from local bands and MPI_Allreduced
 //     (section 3.4), so every rank rebuilds an identical potential and the
 //     SCF convergence decision is symmetric across ranks;
-//   - the Fock exchange ships reference orbitals through the overlapped
-//     broadcast pipeline (section 3.2);
+//   - the Fock exchange ships reference orbitals one MPI_Bcast per band,
+//     each folded before the next is sent (section 3.2);
 //   - the PT residual projection and the Trsm orthogonalization run in the
 //     G-space layout after an Alltoallv transpose (sections 3.3-3.4),
 //     where every rank holds all bands over its G slab and the nb x nb

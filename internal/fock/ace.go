@@ -48,7 +48,7 @@ func NewACE(op *Operator, phi []complex128, nb int) (*ACE, error) {
 	ref := op.tr.Begin("ace_build", "solver")
 	defer op.tr.End(ref)
 	w := make([]complex128, nb*ng)
-	if op.IsReference(phi, nb) {
+	if op.isReference(phi, nb) {
 		op.ApplyToReference(w)
 	} else {
 		op.Apply(w, phi, nb)

@@ -24,8 +24,8 @@
 // that symmetric fold, written once: ApplyToReference and Energy run it
 // over partners j >= i, and the distributed exchange of internal/dist runs
 // it over each rank's share of the pairs, so the serial operator is the
-// one-rank distributed one bit for bit. ApplyReal and Apply put the
-// reference bands in the lanes against one uniform target band.
+// one-rank distributed one bit for bit. Apply on any other band set puts
+// the reference bands in the lanes against one uniform target band.
 //
 // The package also implements the adaptively compressed exchange (ACE) of
 // refs [22], [24] of the paper, V_ACE = -W W^H with W = V_X Phi (Phi^H V_X
@@ -47,7 +47,7 @@ import (
 )
 
 // Operator applies the screened Fock exchange for a fixed reference
-// orbital set. Safe for concurrent Apply/ApplyReal/Energy calls once
+// orbital set. Safe for concurrent Apply/Energy calls once
 // built: scratch is checked out of internal pools, never shared.
 type Operator struct {
 	g      *grid.Grid
@@ -64,10 +64,10 @@ type Operator struct {
 	phi []complex128
 	nb  int
 
-	// Workspace recycling: ws feeds both single-shot callers (ApplyReal)
-	// and the band-parallel entry points; accPool recycles the symmetric
-	// path's nb x NTot SoA accumulator, so concurrent calls stay correct
-	// (a second caller simply builds a transient slab).
+	// Workspace recycling: ws feeds the band-parallel entry points;
+	// accPool recycles the symmetric path's nb x NTot SoA accumulator, so
+	// concurrent calls stay correct (a second caller simply builds a
+	// transient slab).
 	ws      parallel.ScratchPool[*Workspace]
 	accPool parallel.ScratchPool[*lanes.Slab]
 
@@ -237,11 +237,11 @@ func (op *Operator) SetOrbitals(phi []complex128, nb int) {
 	op.ws.Release(wss)
 }
 
-// IsReference reports whether src (band-major sphere coefficients) equals
+// isReference reports whether src (band-major sphere coefficients) equals
 // the operator's own reference orbital set - the case where the symmetric
 // ApplyToReference path applies. The scan exits at the first mismatch, so
 // the common negative costs a handful of comparisons.
-func (op *Operator) IsReference(src []complex128, nb int) bool {
+func (op *Operator) isReference(src []complex128, nb int) bool {
 	if nb != op.nb || len(src) != len(op.phi) {
 		return false
 	}
@@ -256,22 +256,12 @@ func (op *Operator) IsReference(src []complex128, nb int) bool {
 	return true
 }
 
-// ApplyReal accumulates (V_X psi)(r) into dst for a wavefunction given in
-// real space on the wavefunction box, both in the split re/im layout
-// (length NTot). This is the per-band inner loop of Alg. 2 (lines 6-10): nb
-// Poisson solves, each a fused forward FFT, kernel multiply, and inverse
-// FFT, the reference bands in the lanes against the uniform psi.
-func (op *Operator) ApplyReal(dst, src lanes.Slab) {
-	if dst.Len() != op.g.NTot || src.Len() != op.g.NTot {
-		panic("fock: ApplyReal buffer size mismatch")
-	}
-	ws := op.ws.Get()
-	op.applyRealWS(dst, src, ws)
-	op.ws.Put(ws)
-}
-
-// applyRealWS folds every reference band into the SoA accumulator dst
-// through the caller's workspace alone (its pair stream and FFT scratch).
+// applyRealWS accumulates (V_X psi)(r) into the SoA accumulator dst for a
+// band src in real space, through the caller's workspace alone (its pair
+// stream and FFT scratch). This is the per-band inner loop of Alg. 2
+// (lines 6-10): nb Poisson solves, each a fused forward FFT, kernel
+// multiply, and inverse FFT, the reference bands in the lanes against the
+// uniform psi.
 func (op *Operator) applyRealWS(dst, src lanes.Slab, ws *Workspace) {
 	s := &ws.Pairs
 	s.Start(op.g, op.kernel, op.alpha, []*Workspace{ws})
@@ -312,7 +302,7 @@ func (op *Operator) Apply(dst, src []complex128, nbands int) {
 	if len(dst) != nbands*ng || len(src) != nbands*ng {
 		panic("fock: Apply buffer size mismatch")
 	}
-	if op.IsReference(src, nbands) {
+	if op.isReference(src, nbands) {
 		op.ApplyToReference(dst)
 		return
 	}
@@ -419,7 +409,7 @@ func (op *Operator) Energy(psi []complex128, nbands int) float64 {
 	var acc *lanes.Slab
 	var wss []*Workspace
 	scale := 1.0 // a sphere dot carries no volume element
-	if op.IsReference(psi, nbands) {
+	if op.isReference(psi, nbands) {
 		acc, wss = op.foldReference()
 	} else {
 		wss = op.ws.Acquire(parallel.NumWorkers(nbands))

@@ -179,9 +179,9 @@ type laneSpec struct{ a, b, accA, accB int }
 // pairCase draws np lanes over a few operand bands and accumulators in one
 // of the shapes the exchange runs: "uniform A" (one reference band against
 // partners, its mirrored sum in one accumulator), "uniform B" (the reference
-// bands against one band, one accumulator: ApplyReal), "varying" (a packed
-// stream: both sides and both accumulators per lane), "diag" (a band with
-// itself, one side). Accumulators come back with random starts.
+// bands against one band, one accumulator: fock.Operator.Apply off its
+// reference set), "varying" (a packed stream: both sides and both
+// accumulators per lane), "diag" (a band with itself, one side). Accumulators come back with random starts.
 func pairCase(rng *rand.Rand, n, np int, shape string) (specs []laneSpec, bands, accs []lanes.Slab) {
 	for i := 0; i < 4; i++ {
 		bands = append(bands, randLaneSlab(rng, n))
@@ -321,8 +321,8 @@ func TestSlabTransformAllocs(t *testing.T) {
 // take radix-7 stages. It covers both accumulation branches: two-sided, one
 // reference band against partners with both sides accumulated, as
 // FoldPairs queues them; and one-sided, reference bands against one band
-// into one accumulator with AccA empty, as fock.Operator.ApplyReal queues
-// them.
+// into one accumulator with AccA empty, as fock.Operator.Apply queues them
+// off its reference set.
 func BenchmarkContractPairSlab(b *testing.B) {
 	for _, d := range [][3]int{{9, 9, 9}, {12, 12, 12}, {18, 9, 9}, {7, 7, 7}, {14, 7, 7}} {
 		p := MustPlan3(d[0], d[1], d[2])

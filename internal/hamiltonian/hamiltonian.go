@@ -300,11 +300,9 @@ func (h *Hamiltonian) rebuildKinetic() {
 func (h *Hamiltonian) Kinetic() []float64 { return h.kin }
 
 // applyOne computes dst = H src for a single band of sphere coefficients,
-// using caller-provided scratch. No worker-pool parallelism: callers
-// parallelize over bands. withFock selects whether the exchange is folded
-// in per band here; Apply clears it when the whole band set is the Fock
-// reference and the symmetry-halved ApplyToReference runs instead.
-func (h *Hamiltonian) applyOne(dst, src []complex128, sc *applyScratch, withFock bool) {
+// the semi-local terms only, using caller-provided scratch. No worker-pool
+// parallelism: callers parallelize over bands.
+func (h *Hamiltonian) applyOne(dst, src []complex128, sc *applyScratch) {
 	ng := h.G.NG
 	for s, k := range h.kin {
 		dst[s] = complex(k, 0) * src[s]
@@ -320,50 +318,44 @@ func (h *Hamiltonian) applyOne(dst, src []complex128, sc *applyScratch, withFock
 	} else {
 		h.NL.Apply(vbox, box)
 	}
-	if withFock {
-		h.fockOp.ApplyReal(vbox, box)
-	}
 	h.G.FromRealSlabWS(sc.c, vbox, sc.fws)
 	for s := 0; s < ng; s++ {
 		dst[s] += sc.c[s]
 	}
 }
 
-// Apply computes dst = H src for nb band-major sphere-coefficient bands,
-// parallelizing over bands with one scratch workspace per worker. dst and
-// src must not alias. When the hybrid exchange acts on its own reference
-// set - the PT-CN refresh, where SetFockOrbitals(psi) is followed by
-// Apply(_, psi) - the Fock term runs through the symmetry-halved
-// fock.Operator.ApplyToReference instead of nb^2 per-band solves.
+// Apply computes dst = H src for nb band-major sphere-coefficient bands:
+// the semi-local terms band-parallel, with one scratch workspace per
+// worker, then the exchange through the active operator. dst and src must
+// not alias. The exact operator routes its own reference set - the PT-CN
+// refresh, where SetFockOrbitals(psi) is followed by Apply(_, psi) -
+// through the symmetry-halved fock.Operator.ApplyToReference.
 func (h *Hamiltonian) Apply(dst, src []complex128, nb int) {
 	ng := h.G.NG
 	if len(dst) != nb*ng || len(src) != nb*ng {
 		panic("hamiltonian: Apply buffer size mismatch")
 	}
-	aceActive := h.ACEActive()
-	// A failed ACE build (h.ace == nil despite useACE) must still apply
-	// the exact operator: the fallback downgrades, never drops, the
-	// exchange.
-	fockReal := h.hybrid && h.fockOp != nil && !aceActive
-	fused := fockReal && h.fockOp.IsReference(src, nb)
 	nw := parallel.NumWorkers(nb)
 	wss := h.scratch.Acquire(nw)
 	if nw <= 1 {
 		// Serial fast path: no closure, no goroutines (zero-alloc).
 		for j := 0; j < nb; j++ {
-			h.applyOne(dst[j*ng:(j+1)*ng], src[j*ng:(j+1)*ng], wss[0], fockReal && !fused)
+			h.applyOne(dst[j*ng:(j+1)*ng], src[j*ng:(j+1)*ng], wss[0])
 		}
 	} else {
 		parallel.ForWorker(nb, func(w, j int) {
-			h.applyOne(dst[j*ng:(j+1)*ng], src[j*ng:(j+1)*ng], wss[w], fockReal && !fused)
+			h.applyOne(dst[j*ng:(j+1)*ng], src[j*ng:(j+1)*ng], wss[w])
 		})
 	}
 	h.scratch.Release(wss)
-	if fused {
-		h.fockOp.ApplyToReference(dst)
-	}
-	if aceActive {
+	// A failed ACE build (h.ace == nil despite useACE) must still apply
+	// the exact operator: the fallback downgrades, never drops, the
+	// exchange.
+	switch {
+	case h.ACEActive():
 		h.ace.Apply(dst, src, nb)
+	case h.hybrid && h.fockOp != nil:
+		h.fockOp.Apply(dst, src, nb)
 	}
 }
 

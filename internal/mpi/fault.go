@@ -193,9 +193,9 @@ func RunTolerant(size int, p *Perturb, f func(c *Comm)) (*Stats, *Failure) {
 		}
 	}
 	for r := 0; r < size; r++ {
-		// The crash ledger also catches faults absorbed by helper
-		// goroutines (overlapped-fetch pipelines) whose rank's main
-		// goroutine happened to finish.
+		// The crash ledger also catches a crash raised on a helper
+		// goroutine sharing the rank's Comm, whose panic the rank's
+		// main goroutine never sees.
 		if rf := w.failed[r].Load(); rf != nil {
 			note(r, rf, true)
 			continue

@@ -7,11 +7,11 @@
 // the communication volumes of Table 2 can be measured from the
 // functional code rather than estimated.
 //
-// Tags make concurrent collectives safe: the overlapped broadcast pipeline
-// of the Fock operator (section 3.2, optimization 5) posts the broadcast of
-// band i+1 while band i is being processed, exactly as the paper overlaps
-// MPI_Bcast with GPU computation. A Comm handle may be used from multiple
-// goroutines of its rank as long as concurrent receives use distinct tags.
+// Tags separate message streams. The distributed code issues every call
+// from its rank's own goroutine, a fixed tag per call site; a Comm handle
+// may still be used from several goroutines of its rank as long as
+// concurrent receives use distinct tags (the mailboxes and meters are
+// synchronised).
 //
 // Tag namespace: each (src, dst, tag) triple identifies a message stream;
 // AllreduceSum internally consumes tag and tag+1.

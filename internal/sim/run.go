@@ -43,8 +43,8 @@ import (
 )
 
 // tagStop is the AllreduceSum tag (consumes tagStop and tagStop+1) for
-// the per-step shutdown vote: far above the dist tag namespace (fixed
-// tags end at 131; the exchange window is 1<<10 + band index).
+// the per-step shutdown vote: far above the dist tag namespace (its fixed
+// tags end at 130).
 const tagStop = 9000
 
 // Options carries the runtime wiring of one Run: hooks, checkpointing,

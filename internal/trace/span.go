@@ -32,8 +32,9 @@ type SpanRef int32
 const noSpan SpanRef = -1
 
 // Track is one append-only timeline. A track is owned by one logical
-// actor (a rank), but its methods are mutex-guarded because pipelined
-// fetch goroutines share the owner's Comm handle and record concurrently.
+// actor (a rank), but its methods are mutex-guarded, so any goroutine
+// handed the track (a helper sharing the rank's Comm) may record
+// concurrently.
 // All methods are safe on a nil receiver; that is the disabled path.
 type Track struct {
 	rec   *Recorder
@@ -205,25 +206,23 @@ func (r *Recorder) snapshot() []trackSnap {
 	return out
 }
 
-// PhaseSeconds sums span durations by name across all tracks. Nested
-// spans each contribute their own duration (a "step" span includes the
+// PhaseSeconds is Profile as a map: each span name's summed duration,
+// nested spans each contributing their own (a "step" span includes the
 // "density" spans inside it), matching how the flat profile is read.
 func (r *Recorder) PhaseSeconds() map[string]float64 {
 	if r == nil {
 		return nil
 	}
 	out := make(map[string]float64)
-	for _, ts := range r.snapshot() {
-		for _, s := range ts.spans {
-			out[s.Name] += float64(s.Dur) / 1e9
-		}
+	for _, reg := range r.Profile() {
+		out[reg.Name] = reg.Seconds
 	}
 	return out
 }
 
 // RankSeconds returns the total busy time summed over tracks, counting
-// overlapping spans on one track once (union of intervals), so nesting
-// and concurrent fetch-pipeline spans do not double-bill.
+// overlapping spans on one track once (union of intervals), so nested and
+// concurrent spans do not double-bill.
 func (r *Recorder) RankSeconds() float64 {
 	if r == nil {
 		return 0

@@ -20,8 +20,8 @@ type Region struct {
 }
 
 // Profile folds the recorded spans into one Region per span name, sorted
-// by descending time. Nested spans each contribute their own duration,
-// like PhaseSeconds.
+// by descending time. Nested spans each contribute their own duration;
+// PhaseSeconds is the same fold as a map.
 func (r *Recorder) Profile() []Region {
 	index := map[string]int{}
 	var out []Region

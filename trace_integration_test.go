@@ -73,6 +73,32 @@ func TestTraceCoverageDistributedHybrid(t *testing.T) {
 	}
 }
 
+// TestPhaseSecondsIsProfile: the phase map and the flat profile are one
+// fold of the recorded spans, so on a finished 2-rank hybrid run every
+// span name's PhaseSeconds equals its Region.Seconds bit for bit, and
+// Result carries the same map.
+func TestPhaseSecondsIsProfile(t *testing.T) {
+	spec := tracedSpec()
+	rec := trace.NewRecorder()
+	res, err := sim.Run(&spec, sim.Options{Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := rec.Profile()
+	ph := rec.PhaseSeconds()
+	if len(regions) == 0 || len(ph) != len(regions) || len(res.PhaseSeconds) != len(regions) {
+		t.Fatalf("%d regions, %d phases, %d in Result", len(regions), len(ph), len(res.PhaseSeconds))
+	}
+	for _, reg := range regions {
+		if got, ok := ph[reg.Name]; !ok || got != reg.Seconds {
+			t.Errorf("PhaseSeconds[%q] = %v (present %v), Region.Seconds %v", reg.Name, got, ok, reg.Seconds)
+		}
+		if got := res.PhaseSeconds[reg.Name]; got != reg.Seconds {
+			t.Errorf("Result.PhaseSeconds[%q] = %v, Region.Seconds %v", reg.Name, got, reg.Seconds)
+		}
+	}
+}
+
 // TestTraceChromeExportWellFormed re-parses the emitted Chrome trace of
 // a real run and checks the structural contract the viewers (and
 // scripts/tracecheck.sh) rely on.
