@@ -49,6 +49,10 @@ type System struct {
 	// Residual's buffers, allocated on first use and reused across SCF
 	// iterations and steps: H psi, the PT residual, Psi^* H Psi.
 	hp, res, ov []complex128
+
+	// refreshErr is the exchange build error of the last Refresh, returned
+	// by every ApplyH until the next Refresh.
+	refreshErr error
 }
 
 // Prepare refreshes every time- and state-dependent piece of H for the
@@ -91,12 +95,16 @@ func (s *System) Refresh(psi []complex128, rho []float64, t float64) {
 	ref := s.Tr.Begin("potential", "solver")
 	s.H.UpdatePotential(rho)
 	s.Tr.End(ref)
-	s.H.SetFockOrbitals(psi, s.NB)
+	s.refreshErr = s.H.SetFockOrbitals(psi, s.NB)
 }
 
 // ApplyH computes H psi of the whole band set into the System's buffer,
-// valid until the next ApplyH or Residual.
+// valid until the next ApplyH or Residual. It returns the exchange build
+// error of the last Refresh instead, if there was one.
 func (s *System) ApplyH(psi []complex128) ([]complex128, error) {
+	if s.refreshErr != nil {
+		return nil, s.refreshErr
+	}
 	nb, ng := s.NB, s.G.NG
 	if len(s.hp) != nb*ng {
 		s.hp, s.res, s.ov = make([]complex128, nb*ng), make([]complex128, nb*ng), make([]complex128, nb*nb)
@@ -111,7 +119,10 @@ func (s *System) ApplyH(psi []complex128) ([]complex128, error) {
 // System's buffers; both are valid until the next call.
 func (s *System) Residual(psi []complex128) (res, ov []complex128, err error) {
 	nb, ng := s.NB, s.G.NG
-	hp, _ := s.ApplyH(psi)
+	hp, err := s.ApplyH(psi)
+	if err != nil {
+		return nil, nil, err
+	}
 	linalg.Overlap(s.ov, psi, hp, nb, nb, ng)
 	// res = hp - psi * S, band-major: res_j = hp_j - sum_i S[i][j] psi_i.
 	linalg.ApplyMatrix(s.res, psi, s.ov, nb, nb, ng)

@@ -308,6 +308,33 @@ func TestPTCNRejectsHybridMTS(t *testing.T) {
 	}
 }
 
+// A hybrid UseACE System refreshed on a degenerate reference set (a zero
+// band) returns the ACE build error from ApplyH, and from the Residual that
+// calls it, until a healthy Refresh clears it.
+func TestApplyHReturnsACEBuildError(t *testing.T) {
+	g := grid.MustNew(lattice.MustSiliconSupercell(1, 1, 1), 2)
+	h := hamiltonian.New(g, map[int]*pseudo.Potential{0: pseudo.SiliconAH()},
+		hamiltonian.Config{Hybrid: true, UseACE: true, Params: xc.HSE06()})
+	nb := g.Cell.NumBands()
+	sys := &System{G: g, H: h, NB: nb, Occ: 2}
+	psi := wavefunc.Random(g, nb, 3)
+	degenerate := wavefunc.Clone(psi)
+	for i := 0; i < g.NG; i++ {
+		degenerate[i] = 0
+	}
+	sys.Refresh(degenerate, sys.Density(psi), 0)
+	if _, err := sys.ApplyH(psi); err == nil || !strings.Contains(err.Error(), "ACE") {
+		t.Fatalf("ApplyH after a degenerate refresh: err %v, want the ACE build error", err)
+	}
+	if _, _, err := sys.Residual(psi); err == nil {
+		t.Fatal("Residual after a degenerate refresh returned no error")
+	}
+	sys.Refresh(psi, sys.Density(psi), 0)
+	if _, err := sys.ApplyH(psi); err != nil {
+		t.Fatalf("ApplyH after a healthy refresh: %v", err)
+	}
+}
+
 // observed is energyOf the way the propagation loop asks for it: through
 // EnsurePrepared, which leaves H marked for the next step's first residual.
 func observed(s *System, psi []complex128, tm float64) float64 {

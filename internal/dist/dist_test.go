@@ -255,7 +255,7 @@ func TestExchangeCrashIsRecovered(t *testing.T) {
 	const ranks = 4
 	row := int64(g.NG * 16)
 	_, _, clean := applyExchange(t, g, psi, nb, ranks)
-	bcasts := clean.SentBy(1, mpi.ClassBcast) / row
+	bcasts := clean.Matrix().SentBytes[1][mpi.ClassBcast] / row
 	for _, tc := range []struct {
 		name  string
 		after int64 // rank 1 crashes as its after-th metered call begins
@@ -296,10 +296,11 @@ func TestExchangeCrashIsRecovered(t *testing.T) {
 				t.Errorf("crashed ranks %v do not include rank 1", fail.Crashed)
 			}
 			// The crash fires before its call's payload moves.
-			if got, want := st.SentBy(1, mpi.ClassBcast), min(tc.after-1, bcasts)*row; got != want {
+			sent := st.Matrix().SentBytes[1]
+			if got, want := sent[mpi.ClassBcast], min(tc.after-1, bcasts)*row; got != want {
 				t.Errorf("rank 1 broadcast %d bytes before crashing, want %d", got, want)
 			}
-			if got := st.SentBy(1, mpi.ClassAlltoallv); got != 0 {
+			if got := sent[mpi.ClassAlltoallv]; got != 0 {
 				t.Errorf("rank 1 returned %d Alltoallv bytes before crashing, want none", got)
 			}
 		})

@@ -38,8 +38,9 @@ type ACE struct {
 // NewACE builds the compressed operator from a Fock operator and the
 // reference orbitals phi (band-major sphere coefficients, nb x NG).
 // The construction performs the pairwise FFT work once; when phi is the
-// operator's own reference set (the usual case) the symmetry-halved
-// ApplyToReference path runs nb(nb+1)/2 Poisson solves instead of nb^2.
+// operator's own reference set (the usual case) Operator.Apply routes it
+// through the symmetry-halved ApplyToReference, nb(nb+1)/2 Poisson solves
+// instead of nb^2.
 func NewACE(op *Operator, phi []complex128, nb int) (*ACE, error) {
 	ng := op.g.NG
 	if len(phi) != nb*ng {
@@ -48,11 +49,7 @@ func NewACE(op *Operator, phi []complex128, nb int) (*ACE, error) {
 	ref := op.tr.Begin("ace_build", "solver")
 	defer op.tr.End(ref)
 	w := make([]complex128, nb*ng)
-	if op.isReference(phi, nb) {
-		op.ApplyToReference(w)
-	} else {
-		op.Apply(w, phi, nb)
-	}
+	op.Apply(w, phi, nb)
 	m := make([]complex128, nb*nb)
 	linalg.Overlap(m, phi, w, nb, nb, ng)
 	// -M must be Hermitian positive definite (V_X is negative definite on

@@ -18,10 +18,6 @@
 package hamiltonian
 
 import (
-	"fmt"
-	"os"
-	"sync"
-
 	"ptdft/internal/fock"
 	"ptdft/internal/fourier"
 	"ptdft/internal/grid"
@@ -51,16 +47,7 @@ type Hamiltonian struct {
 	kin      []float64 // 1/2|G+k+A|^2 per sphere entry, rebuilt by rebuildKinetic
 	fockOp   *fock.Operator
 	ace      *fock.ACE
-	useACE   bool // ACE requested; the active operator is ACEActive()
-
-	// ACE fallback bookkeeping: when the compression fails for one
-	// reference set (degenerate orbitals), that refresh falls back to the
-	// exact operator, the failure is counted and kept inspectable, and the
-	// next refresh retries - the request is never silently dropped for the
-	// rest of the run.
-	aceErr       error
-	aceFallbacks int
-	aceWarn      sync.Once
+	useACE   bool // Apply goes through ace, rebuilt on every refresh
 
 	// Bloch-vector state for k-point sampling (section 3.1): the kinetic
 	// term becomes 1/2|G+k+A|^2 and the nonlocal projectors carry the
@@ -215,10 +202,12 @@ func (h *Hamiltonian) SetField(a [3]float64) {
 func (h *Hamiltonian) Field() [3]float64 { return h.aField }
 
 // SetFockOrbitals refreshes the exchange reference orbitals (the density
-// matrix P of V_X[P]). phi is band-major sphere coefficients.
-func (h *Hamiltonian) SetFockOrbitals(phi []complex128, nb int) {
+// matrix P of V_X[P]). phi is band-major sphere coefficients. Under UseACE
+// it also rebuilds the compression, and returns fock.NewACE's error (a
+// degenerate reference set); until a later refresh succeeds, Apply panics.
+func (h *Hamiltonian) SetFockOrbitals(phi []complex128, nb int) error {
 	if !h.hybrid {
-		return
+		return nil
 	}
 	h.prepPsi = nil
 	if h.fockOp == nil {
@@ -227,35 +216,13 @@ func (h *Hamiltonian) SetFockOrbitals(phi []complex128, nb int) {
 	} else {
 		h.fockOp.SetOrbitals(phi, nb)
 	}
-	if h.useACE {
-		ace, err := fock.NewACE(h.fockOp, phi, nb)
-		if err != nil {
-			// Fall back to the exact operator for this reference set only
-			// (the compression can fail only for degenerate sets), surface
-			// the downgrade, and retry at the next refresh.
-			h.ace = nil
-			h.aceErr = err
-			h.aceFallbacks++
-			h.aceWarn.Do(func() {
-				fmt.Fprintf(os.Stderr, "hamiltonian: ACE compression failed, falling back to the exact exchange operator for this refresh: %v\n", err)
-			})
-			return
-		}
-		h.ace = ace
-		h.aceErr = nil
+	if !h.useACE {
+		return nil
 	}
+	var err error
+	h.ace, err = fock.NewACE(h.fockOp, phi, nb)
+	return err
 }
-
-// ACEActive reports whether the exchange currently propagates through the
-// ACE compression (requested and successfully built for the present
-// reference set).
-func (h *Hamiltonian) ACEActive() bool { return h.hybrid && h.useACE && h.ace != nil }
-
-// ACEFallbacks reports how many exchange refreshes fell back to the exact
-// operator because the ACE construction failed, and the error of the most
-// recent refresh (nil when the current operator is the compression). Users
-// read this to learn which operator actually propagated their run.
-func (h *Hamiltonian) ACEFallbacks() (int, error) { return h.aceFallbacks, h.aceErr }
 
 // SetTrace attaches a span track to every exchange operator this
 // Hamiltonian builds (current and future - the propagation operator is
@@ -326,10 +293,10 @@ func (h *Hamiltonian) applyOne(dst, src []complex128, sc *applyScratch) {
 
 // Apply computes dst = H src for nb band-major sphere-coefficient bands:
 // the semi-local terms band-parallel, with one scratch workspace per
-// worker, then the exchange through the active operator. dst and src must
-// not alias. The exact operator routes its own reference set - the PT-CN
-// refresh, where SetFockOrbitals(psi) is followed by Apply(_, psi) -
-// through the symmetry-halved fock.Operator.ApplyToReference.
+// worker, then the exchange: ACE under UseACE, else the exact operator.
+// dst and src must not alias. The exact operator routes its own reference
+// set - the PT-CN refresh, where SetFockOrbitals(psi) is followed by
+// Apply(_, psi) - through the symmetry-halved fock.Operator.ApplyToReference.
 func (h *Hamiltonian) Apply(dst, src []complex128, nb int) {
 	ng := h.G.NG
 	if len(dst) != nb*ng || len(src) != nb*ng {
@@ -348,13 +315,12 @@ func (h *Hamiltonian) Apply(dst, src []complex128, nb int) {
 		})
 	}
 	h.scratch.Release(wss)
-	// A failed ACE build (h.ace == nil despite useACE) must still apply
-	// the exact operator: the fallback downgrades, never drops, the
-	// exchange.
 	switch {
-	case h.ACEActive():
+	case h.ace != nil:
 		h.ace.Apply(dst, src, nb)
-	case h.hybrid && h.fockOp != nil:
+	case h.useACE && h.fockOp != nil:
+		panic("hamiltonian: Apply after a failed ACE build (SetFockOrbitals returned its error)")
+	case h.fockOp != nil:
 		h.fockOp.Apply(dst, src, nb)
 	}
 }

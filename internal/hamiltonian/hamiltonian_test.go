@@ -202,54 +202,53 @@ func BenchmarkApplyHybrid(b *testing.B) {
 	}
 }
 
-// TestACEFallbackSurfacedAndRecoverable: a degenerate reference set (zero
-// band) makes the ACE Cholesky fail. The refresh must (1) report the
-// fallback through ACEActive/ACEFallbacks instead of silently downgrading,
-// (2) still apply the exact exchange operator, and (3) retry - a later
-// refresh with a healthy set reactivates the compression rather than
-// leaving useACE permanently disabled.
-func TestACEFallbackSurfacedAndRecoverable(t *testing.T) {
+// TestACEBuildFailureIsAnError: a degenerate reference set (zero band)
+// makes the ACE Cholesky fail. The refresh must (1) return the error,
+// (2) leave no operator to apply - Apply after the dropped error panics
+// rather than running stale or exact exchange - and (3) let a later
+// refresh with a healthy set build the compression again, exact on its
+// reference.
+func TestACEBuildFailureIsAnError(t *testing.T) {
 	g := grid.MustNew(lattice.MustSiliconSupercell(1, 1, 1), 3)
 	nb := 4
 	h := New(g, siPots(), Config{Hybrid: true, UseACE: true, Params: xc.HSE06()})
 	psi := wavefunc.Random(g, nb, 11)
 	rho := potential.Density(g, psi, nb, 2)
 	h.UpdatePotential(rho)
+	hp := make([]complex128, nb*g.NG)
 
 	// Degenerate set: band 0 zeroed makes -Phi^H V_X Phi singular.
 	degenerate := wavefunc.Clone(psi)
 	for i := 0; i < g.NG; i++ {
 		degenerate[i] = 0
 	}
-	h.SetFockOrbitals(degenerate, nb)
-	if h.ACEActive() {
-		t.Fatal("ACE reported active after a failed compression")
+	if err := h.SetFockOrbitals(degenerate, nb); err == nil {
+		t.Fatal("ACE build on a degenerate reference set returned no error")
 	}
-	n, lastErr := h.ACEFallbacks()
-	if n != 1 || lastErr == nil {
-		t.Fatalf("fallback not surfaced: count=%d err=%v", n, lastErr)
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Apply after a failed ACE build did not panic")
+			}
+		}()
+		h.Apply(hp, psi, nb)
+	}()
 
-	// The fallback refresh must still carry the exact exchange: compare
-	// against a hybrid Hamiltonian that never requested ACE.
+	// A healthy refresh builds ACE again: on its reference it is the exact
+	// operator of a hybrid Hamiltonian that never requested ACE.
+	if err := h.SetFockOrbitals(psi, nb); err != nil {
+		t.Fatalf("ACE build on a healthy set: %v", err)
+	}
 	ref := New(g, siPots(), Config{Hybrid: true, Params: xc.HSE06()})
 	ref.UpdatePotential(rho)
-	ref.SetFockOrbitals(degenerate, nb)
-	hp := make([]complex128, nb*g.NG)
+	if err := ref.SetFockOrbitals(psi, nb); err != nil {
+		t.Fatal(err)
+	}
 	want := make([]complex128, nb*g.NG)
 	h.Apply(hp, psi, nb)
 	ref.Apply(want, psi, nb)
-	if d := wavefunc.MaxDiff(hp, want); d > 1e-12 {
-		t.Errorf("fallback apply differs from the exact hybrid operator by %g", d)
-	}
-
-	// A healthy refresh reactivates the compression.
-	h.SetFockOrbitals(psi, nb)
-	if !h.ACEActive() {
-		t.Fatal("ACE did not recover after a healthy refresh")
-	}
-	if _, lastErr := h.ACEFallbacks(); lastErr != nil {
-		t.Errorf("recovered operator still reports error: %v", lastErr)
+	if d := wavefunc.MaxDiff(hp, want); d > 1e-10 {
+		t.Errorf("rebuilt ACE differs from the exact operator on its reference by %g", d)
 	}
 }
 

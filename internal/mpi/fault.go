@@ -1,6 +1,6 @@
 // Hard-fault injection and failure detection for the goroutine MPI
 // runtime: rank crashes (a panic with a typed RankFailure) and a
-// receive/barrier deadline that turns a peer that went silent into a loud
+// receive deadline that turns a peer that went silent into a loud
 // PeerLostError instead of an eternal hang. The model mirrors what a
 // ULFM-style MPI gives a fault-tolerant application: a failed rank stops
 // participating, survivors learn about it from timed-out operations, and
@@ -66,23 +66,19 @@ func (f *RankFailure) Error() string {
 // detection failures.
 var ErrPeerLost = errors.New("mpi: peer lost")
 
-// PeerLostError is the panic value raised by a receive or barrier that
-// waited past the configured deadline: the peer is presumed dead. It
-// wraps ErrPeerLost.
+// PeerLostError is the panic value raised by a receive (Barrier's
+// included) that waited past the configured deadline: the peer is
+// presumed dead. It wraps ErrPeerLost.
 type PeerLostError struct {
 	Rank int           // the detecting rank
-	Peer int           // the silent peer, or -1 when unattributable (barrier)
+	Peer int           // the silent peer it was waiting on
 	Op   string        // the operation that timed out
 	Wait time.Duration // how long it waited
 	Dead []int         // ranks already known crashed at detection time
 }
 
 func (e *PeerLostError) Error() string {
-	who := "a peer"
-	if e.Peer >= 0 {
-		who = fmt.Sprintf("rank %d", e.Peer)
-	}
-	msg := fmt.Sprintf("mpi: rank %d lost %s (%s gave no answer within %v)", e.Rank, who, e.Op, e.Wait)
+	msg := fmt.Sprintf("mpi: rank %d lost rank %d (%s gave no answer within %v)", e.Rank, e.Peer, e.Op, e.Wait)
 	if len(e.Dead) > 0 {
 		msg += fmt.Sprintf("; known dead: %v", e.Dead)
 	}
@@ -91,11 +87,9 @@ func (e *PeerLostError) Error() string {
 
 func (e *PeerLostError) Unwrap() error { return ErrPeerLost }
 
-// IsFault reports whether a recovered panic value is an injected-fault
+// isFault reports whether a recovered panic value is an injected-fault
 // signal (*RankFailure or *PeerLostError) rather than a programming bug.
-// Helper goroutines that run communication off the rank's main goroutine
-// use it to forward fault panics instead of killing the process.
-func IsFault(p any) bool {
+func isFault(p any) bool {
 	switch p.(type) {
 	case *RankFailure, *PeerLostError:
 		return true
@@ -161,7 +155,7 @@ func RunTolerant(size int, p *Perturb, f func(c *Comm)) (*Stats, *Failure) {
 	}
 	wg.Wait()
 	for r, pv := range panics {
-		if pv != nil && !IsFault(pv) {
+		if pv != nil && !isFault(pv) {
 			panic(fmt.Sprintf("mpi: rank %d panicked: %v", r, pv))
 		}
 	}
@@ -193,9 +187,9 @@ func RunTolerant(size int, p *Perturb, f func(c *Comm)) (*Stats, *Failure) {
 		}
 	}
 	for r := 0; r < size; r++ {
-		// The crash ledger also catches a crash raised on a helper
-		// goroutine sharing the rank's Comm, whose panic the rank's
-		// main goroutine never sees.
+		// The crash ledger exists for PeerLostError.Dead. A crash is
+		// recorded there before it panics, so it names the rank even if
+		// f recovered that panic itself.
 		if rf := w.failed[r].Load(); rf != nil {
 			note(r, rf, true)
 			continue

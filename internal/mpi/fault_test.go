@@ -134,8 +134,13 @@ func TestDeadlineTripsEveryCollective(t *testing.T) {
 				var pl *PeerLostError
 				if !errors.As(fail.Errs[r], &pl) {
 					t.Errorf("%s: rank %d error is not a *PeerLostError", tc.name, r)
-				} else if pl.Wait != deadline {
+					continue
+				}
+				if pl.Wait != deadline {
 					t.Errorf("%s: reported wait %v, want %v", tc.name, pl.Wait, deadline)
+				}
+				if pl.Peer < 0 || pl.Peer >= size || pl.Peer == r {
+					t.Errorf("%s: rank %d names peer %d, want another rank in [0, %d)", tc.name, r, pl.Peer, size)
 				}
 			}
 		})

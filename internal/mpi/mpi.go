@@ -14,7 +14,8 @@
 // synchronised).
 //
 // Tag namespace: each (src, dst, tag) triple identifies a message stream;
-// AllreduceSum internally consumes tag and tag+1.
+// AllreduceSum internally consumes tag and tag+1, and negative tags are
+// reserved (Barrier).
 package mpi
 
 import (
@@ -83,12 +84,6 @@ func (s *Stats) TotalBytes() int64 {
 
 // BytesFor returns the byte count of one class.
 func (s *Stats) BytesFor(c OpClass) int64 { return s.Bytes[c] }
-
-// SentBy returns the bytes rank `rank` shipped under one class.
-func (s *Stats) SentBy(rank int, c OpClass) int64 { return s.sent[rank][c] }
-
-// RecvBy returns the bytes rank `rank` received under one class.
-func (s *Stats) RecvBy(rank int, c OpClass) int64 { return s.recv[rank][c] }
 
 // CommMatrix is the JSON heat-map form of the per-rank ledgers: one row
 // per rank, one column per collective class, on both the send and the
@@ -207,11 +202,6 @@ type world struct {
 	deadline time.Duration
 	opCalls  []atomic.Int64
 	failed   []atomic.Pointer[RankFailure]
-
-	barrierMu  sync.Mutex
-	barrierN   int
-	barrierGen int
-	barrierCv  *sync.Cond
 }
 
 // Comm is one rank's handle on the communicator. It is safe for concurrent
@@ -323,50 +313,25 @@ func recvClass[T Elem](c *Comm, from, tag int, class OpClass) []T {
 	return data.([]T)
 }
 
-// Barrier blocks until every rank has entered it. Reusable. Under a
-// configured deadline a barrier that never completes (a peer died before
-// entering) trips a PeerLostError panic on every waiting rank.
+// tagBarrier is Barrier's reserved tag; the tags callers pass are
+// non-negative.
+const tagBarrier = -1
+
+// Barrier blocks until every rank has entered it: a dissemination barrier
+// over the mailboxes, in which round k signals rank+2^k and waits for
+// rank-2^k. Unmetered. Under a configured deadline a peer that never
+// signals trips a PeerLostError panic naming it, as in every collective.
 func (c *Comm) Barrier() {
 	ref := c.tr.Begin("MPI_Barrier wait", "wait")
 	defer c.tr.End(ref)
-	w := c.w
-	w.barrierMu.Lock()
-	gen := w.barrierGen
-	w.barrierN++
-	if w.barrierN == w.size {
-		w.barrierN = 0
-		w.barrierGen++
-		w.barrierCv.Broadcast()
-		w.barrierMu.Unlock()
-		return
-	}
-	deadline := w.deadline
-	var limit time.Time
-	if deadline > 0 {
-		limit = time.Now().Add(deadline)
-	}
-	for gen == w.barrierGen {
-		if deadline <= 0 {
-			w.barrierCv.Wait()
-			continue
+	size, d := c.w.size, c.w.deadline
+	for step := 1; step < size; step <<= 1 {
+		c.w.boxes[c.rank][(c.rank+step)%size].put(tagBarrier, nil)
+		from := (c.rank - step + size) % size
+		if _, ok := c.w.boxes[from][c.rank].take(tagBarrier, d); !ok {
+			c.lostPeer(from, "Barrier", d)
 		}
-		remaining := time.Until(limit)
-		if remaining <= 0 {
-			// Withdraw so the count stays consistent for any
-			// later-generation bookkeeping, then report the loss.
-			w.barrierN--
-			w.barrierMu.Unlock()
-			c.lostPeer(-1, "Barrier", deadline)
-		}
-		t := time.AfterFunc(remaining+time.Millisecond, func() {
-			w.barrierMu.Lock()
-			w.barrierCv.Broadcast()
-			w.barrierMu.Unlock()
-		})
-		w.barrierCv.Wait()
-		t.Stop()
 	}
-	w.barrierMu.Unlock()
 }
 
 // Bcast broadcasts root's data to all ranks over a binomial tree (the
@@ -475,7 +440,6 @@ func newWorld(size int) *world {
 		opCalls: make([]atomic.Int64, size),
 		failed:  make([]atomic.Pointer[RankFailure], size),
 	}
-	w.barrierCv = sync.NewCond(&w.barrierMu)
 	w.boxes = make([][]*pairBox, size)
 	for s := 0; s < size; s++ {
 		w.boxes[s] = make([]*pairBox, size)

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -141,22 +142,33 @@ func TestAllgatherv(t *testing.T) {
 	})
 }
 
+// TestBarrier: no rank leaves a barrier before every rank has entered it,
+// three consecutive barriers deep, on power-of-two sizes and on the sizes
+// whose last dissemination round wraps past rank 0. The barrier ships no
+// metered bytes.
 func TestBarrier(t *testing.T) {
-	var counter atomic.Int64
-	Run(8, func(c *Comm) {
-		counter.Add(1)
-		c.Barrier()
-		if counter.Load() != 8 {
-			t.Errorf("rank %d passed barrier with counter %d", c.Rank(), counter.Load())
-		}
-		c.Barrier()
-		c.Barrier() // reusable
-	})
+	for _, size := range []int{1, 2, 3, 5, 8} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			var entered [3]atomic.Int64
+			st := Run(size, func(c *Comm) {
+				for b := range entered {
+					entered[b].Add(1)
+					c.Barrier()
+					if n := entered[b].Load(); n != int64(size) {
+						t.Errorf("rank %d left barrier %d with %d of %d ranks entered", c.Rank(), b, n, size)
+					}
+				}
+			})
+			if st.TotalBytes() != 0 {
+				t.Errorf("barriers metered %d bytes", st.TotalBytes())
+			}
+		})
+	}
 }
 
 func TestConcurrentTaggedBcastsOverlap(t *testing.T) {
-	// The Fock pipeline posts the next band's broadcast while processing
-	// the current one; distinct tags keep them separable.
+	// The documented guarantee: a Comm may be used from several goroutines
+	// of its rank as long as they use distinct tags.
 	size := 4
 	nb := 8
 	Run(size, func(c *Comm) {

@@ -24,16 +24,17 @@ func TestStatsConservationInvariants(t *testing.T) {
 			Alltoallv(c, 20, send)
 			Allgatherv(c, 30, data)
 		})
-		if len(st.sent) != size {
-			t.Fatalf("size=%d: per-rank breakdown covers %d ranks", size, len(st.sent))
+		m := st.Matrix()
+		if m.Ranks != size {
+			t.Fatalf("size=%d: per-rank breakdown covers %d ranks", size, m.Ranks)
 		}
 		// Per-class conservation: sent totals == received totals == the
 		// global class counter.
 		for cl := OpClass(0); cl < numClasses; cl++ {
 			var sent, recv int64
 			for r := 0; r < size; r++ {
-				sent += st.SentBy(r, cl)
-				recv += st.RecvBy(r, cl)
+				sent += m.SentBytes[r][cl]
+				recv += m.RecvBytes[r][cl]
 			}
 			if sent != st.BytesFor(cl) || recv != st.BytesFor(cl) {
 				t.Errorf("size=%d %v: sent=%d recv=%d, class total %d", size, cl, sent, recv, st.BytesFor(cl))
@@ -58,9 +59,8 @@ func TestStatsConservationInvariants(t *testing.T) {
 		// Uniform payloads: each rank's Alltoallv send total equals its
 		// receive total.
 		for r := 0; r < size; r++ {
-			if st.SentBy(r, ClassAlltoallv) != st.RecvBy(r, ClassAlltoallv) {
-				t.Errorf("size=%d rank %d: Alltoallv sent %d != recv %d", size, r,
-					st.SentBy(r, ClassAlltoallv), st.RecvBy(r, ClassAlltoallv))
+			if sent, recv := m.SentBytes[r][ClassAlltoallv], m.RecvBytes[r][ClassAlltoallv]; sent != recv {
+				t.Errorf("size=%d rank %d: Alltoallv sent %d != recv %d", size, r, sent, recv)
 			}
 		}
 	}

