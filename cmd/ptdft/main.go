@@ -26,8 +26,10 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -217,18 +219,16 @@ func run(cfg *config) error {
 		}
 		fmt.Println()
 		trace.Report(os.Stdout, rec.Profile())
+		// Every track's spans should cover >= 95% of its timeline; a hole
+		// is a hot phase the instrumentation misses.
+		cov := rec.Coverage()
+		for _, id := range slices.Sorted(maps.Keys(cov)) {
+			fmt.Printf("rank %d: spans cover %.1f%% of its timeline\n", id, 100*cov[id])
+		}
 	}
 	if cfg.traceFile != "" {
-		f, err := os.Create(cfg.traceFile)
-		if err != nil {
+		if err := rec.WriteChromeTraceFile(cfg.traceFile); err != nil {
 			return err
-		}
-		err = rec.WriteChromeTrace(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("writing trace file: %w", err)
 		}
 		fmt.Printf("wrote %s (Chrome trace-event JSON; open in chrome://tracing or Perfetto)\n", cfg.traceFile)
 	}

@@ -107,16 +107,8 @@ func run(c *config) error {
 		fmt.Printf("%10.4f %14.6e\n", omegas[i]*units.EVPerHartree, sigma[i])
 	}
 	if rec != nil {
-		f, err := os.Create(c.traceFile)
-		if err != nil {
+		if err := rec.WriteChromeTraceFile(c.traceFile); err != nil {
 			return err
-		}
-		err = rec.WriteChromeTrace(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("writing trace file: %w", err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (Chrome trace-event JSON)\n", c.traceFile)
 	}

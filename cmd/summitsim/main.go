@@ -98,25 +98,12 @@ func main() {
 		os.Exit(2)
 	}
 	if rec != nil {
-		if err := dumpTrace(rec, *traceFile); err != nil {
+		if err := rec.WriteChromeTraceFile(*traceFile); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Printf("\nwrote %s (Chrome trace-event JSON; open in chrome://tracing or Perfetto)\n", *traceFile)
 	}
-}
-
-// dumpTrace writes the recorder's timeline as Chrome trace-event JSON.
-func dumpTrace(rec *trace.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = rec.WriteChromeTrace(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 func header(title string) {

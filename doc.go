@@ -18,7 +18,7 @@
 //	cmd/ptdft      - run ground state + rt-TDDFT on silicon supercells
 //	cmd/summitsim  - regenerate every table/figure of the evaluation
 //	cmd/spectra    - absorption spectrum from a delta-kick run
-//	examples/...   - five runnable walkthroughs
+//	examples/...   - seven runnable walkthroughs
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-reproduction record.

@@ -111,7 +111,7 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 				var err error
 				psi, err = eigStep(g, h, psi, nb)
 				if err != nil {
-					return nil, fmt.Errorf("scf: eigensolver failed at iteration %d: %w", it, err)
+					return nil, fmt.Errorf("scf: phase %d eigensolver failed at iteration %d: %w", phase, it, err)
 				}
 			}
 			rhoOut := potential.Density(g, psi, nb, occ)
@@ -181,7 +181,9 @@ func sanitizeDensity(g *grid.Grid, rho []float64, nelec float64) []float64 {
 
 // eigStep performs one two-block LOBPCG-style update: expand the subspace
 // with Teter-preconditioned residuals, solve the 2nb x 2nb projected
-// generalized eigenproblem, and keep the lowest nb Ritz vectors.
+// generalized eigenproblem, and keep the lowest nb Ritz vectors. A
+// singular overlap of [psi | w] (a band or residual in the span of the
+// others) fails the Cholesky of the pencil, and that is the error.
 func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int) ([]complex128, error) {
 	ng := g.NG
 	hp := make([]complex128, nb*ng)
@@ -225,20 +227,7 @@ func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int)
 
 	_, vecs, err := linalg.GenEigChol(a, b, m)
 	if err != nil {
-		// Degenerate expansion (residuals collinear with psi near
-		// convergence): orthonormalize the basis and retry with B = I.
-		if err2 := wavefunc.Orthonormalize(basis, m, ng); err2 != nil {
-			// Last resort: keep psi unchanged this step.
-			return psi, nil
-		}
-		h.Apply(hbasis[:nb*ng], basis[:nb*ng], nb)
-		h.Apply(hbasis[nb*ng:], basis[nb*ng:], nb)
-		linalg.Overlap(a, basis, hbasis, m, m, ng)
-		hermitize(a, m)
-		_, vecs, err = linalg.HermEig(a, m)
-		if err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("%dx%d Rayleigh-Ritz pencil: %w", m, m, err)
 	}
 	// Rotate onto the lowest nb Ritz vectors: u[i*nb+j] = vecs[i*m+j].
 	u := make([]complex128, m*nb)

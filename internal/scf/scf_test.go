@@ -1,7 +1,9 @@
 package scf
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"ptdft/internal/grid"
@@ -130,6 +132,24 @@ func TestGroundStateRejectsZeroBands(t *testing.T) {
 	g, h := siSetup(3, false)
 	if _, err := GroundState(g, h, 0, Defaults()); err == nil {
 		t.Error("expected error for nb=0")
+	}
+}
+
+// TestEigStepSingularBasisFails: an all-zero band has a zero residual,
+// so the overlap of [psi | w] is singular and the step reports it instead
+// of returning psi unchanged.
+func TestEigStepSingularBasisFails(t *testing.T) {
+	g, h := siSetup(3, false)
+	nb, ng := g.Cell.NumBands(), g.NG
+	psi := wavefunc.Random(g, nb, 1)
+	h.UpdatePotential(potential.Density(g, psi, nb, 2))
+	clear(psi[3*ng : 4*ng])
+	out, err := eigStep(g, h, psi, nb)
+	if err == nil {
+		t.Fatalf("eigStep on a band set with a zero band returned %d coefficients and no error", len(out))
+	}
+	if pencil := fmt.Sprintf("%dx%d", 2*nb, 2*nb); !strings.Contains(err.Error(), pencil) {
+		t.Errorf("error %q does not name the %s pencil", err, pencil)
 	}
 }
 

@@ -8,7 +8,10 @@ package trace
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"os"
 )
 
 // chromeEvent is one entry of the Chrome trace-event "traceEvents"
@@ -65,6 +68,19 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
+}
+
+// WriteChromeTraceFile writes WriteChromeTrace's JSON to path, creating
+// or truncating the file. It is the one way the commands write a trace.
+func (r *Recorder) WriteChromeTraceFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := errors.Join(r.WriteChromeTrace(f), f.Close()); err != nil {
+		return fmt.Errorf("writing trace file %s: %w", path, err)
+	}
+	return nil
 }
 
 // TrackJSON is one track of the structured snapshot.

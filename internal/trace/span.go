@@ -14,7 +14,7 @@ import (
 	"time"
 )
 
-// Span is one timed interval (or instantaneous event, Dur 0) on a track.
+// Span is one timed interval on a track.
 type Span struct {
 	Name  string
 	Cat   string
@@ -92,17 +92,6 @@ func (t *Track) EndN(ref SpanRef, n int64) {
 	t.mu.Lock()
 	t.spans[ref].Dur = now - t.spans[ref].Start
 	t.spans[ref].N = n
-	t.mu.Unlock()
-}
-
-// Event records an instantaneous marker (Dur 0) with attribution.
-func (t *Track) Event(name, cat string, bytes, n int64) {
-	if t == nil {
-		return
-	}
-	now := t.rec.now()
-	t.mu.Lock()
-	t.spans = append(t.spans, Span{Name: name, Cat: cat, Start: now, Bytes: bytes, N: n})
 	t.mu.Unlock()
 }
 
@@ -236,8 +225,9 @@ func (r *Recorder) RankSeconds() float64 {
 
 // Coverage reports, per track id, the union-of-spans busy time as a
 // fraction of the track's first-to-last extent (1 for a track with a
-// single span; 0 for an empty extent). This is the quantity the
-// trace-validation checker enforces on emitted Chrome traces.
+// single span; 0 for an empty extent). A hot phase the instrumentation
+// misses shows up here as a hole; ptdft -profilereport prints it per
+// track.
 func (r *Recorder) Coverage() map[int]float64 {
 	if r == nil {
 		return nil

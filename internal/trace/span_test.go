@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -60,7 +62,7 @@ func TestSpanUnionGaps(t *testing.T) {
 	}
 }
 
-// TestSpanConcurrent exercises concurrent Begin/End/Event on one track
+// TestSpanConcurrent exercises concurrent Begin/End on one track
 // and on the recorder from many goroutines; run under -race this pins
 // the locking discipline the shared-Comm fetch pipelines rely on.
 func TestSpanConcurrent(t *testing.T) {
@@ -75,7 +77,7 @@ func TestSpanConcurrent(t *testing.T) {
 			own := r.Track(1+w, "own")
 			for i := 0; i < perWorker; i++ {
 				ref := shared.Begin("op", "comm")
-				own.Event("tick", "sched", int64(i), int64(w))
+				own.EndN(own.Begin("tick", "sched"), int64(w))
 				shared.EndBytes(ref, int64(i))
 			}
 		}(w)
@@ -106,7 +108,6 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		ref := tr.Begin("step", "step")
-		tr.Event("tick", "sched", 1, 2)
 		tr.EndBytes(ref, 99)
 		tr.End(ref)
 		tr.EndN(ref, 3)
@@ -144,5 +145,35 @@ func TestChromeTraceGolden(t *testing.T) {
 	got := strings.TrimSpace(buf.String())
 	if got != want {
 		t.Fatalf("golden mismatch:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestWriteChromeTraceFile: the file holds exactly WriteChromeTrace's
+// bytes, replaces a longer file it finds at the path, and a path it cannot
+// create is an error naming it.
+func TestWriteChromeTraceFile(t *testing.T) {
+	r := NewRecorder()
+	r.Track(0, "rank 0").Record(Span{Name: "step", Cat: "step", Start: 0, Dur: 2_000_000})
+	var want bytes.Buffer
+	if err := r.WriteChromeTrace(&want); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := os.WriteFile(path, bytes.Repeat([]byte("x"), 4*want.Len()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteChromeTraceFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("file holds\n%s\nwant\n%s", got, want.Bytes())
+	}
+	bad := filepath.Join(t.TempDir(), "missing", "trace.json")
+	if err := r.WriteChromeTraceFile(bad); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("WriteChromeTraceFile(%s) = %v, want an error naming the path", bad, err)
 	}
 }

@@ -1,16 +1,20 @@
-// Flight-recorder integration tests: a real 2-rank hybrid ACE+MTS
-// trajectory through sim.Run with tracing on must yield a Chrome trace
-// whose per-rank span timelines cover (nearly) all of the measured wall
-// time, and Result aggregates that agree with the comm ledgers. This is
-// the acceptance gate for the observability layer: if instrumentation
-// misses a hot phase, coverage drops below the bar and this test names
-// the gap before a human stares at a half-empty timeline.
+// Flight-recorder integration tests: a real hybrid ACE+MTS trajectory
+// through sim.Run with tracing on, serial and on two ranks, must yield a
+// Chrome trace whose per-rank span timelines cover (nearly) all of the
+// measured wall time, and Result aggregates that agree with the comm
+// ledgers and the flat profile. This is the acceptance gate for the
+// observability layer: if instrumentation misses a hot phase, coverage
+// drops below the bar and this test names the gap before a human stares
+// at a half-empty timeline.
 package ptdft_test
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"ptdft/internal/sim"
@@ -19,71 +23,121 @@ import (
 
 // tracedSpec is the smallest trajectory that exercises every traced
 // subsystem at once: hybrid exchange (fock spans), ACE (build/apply),
-// MTS cadence, and 2-rank distribution (wait/xfer spans).
-func tracedSpec() sim.Spec {
+// MTS cadence, and with ranks 2 the distribution (wait/xfer spans).
+func tracedSpec(ranks int) sim.Spec {
 	return sim.Spec{
 		Cells: [3]int{1, 1, 1}, Ecut: 2, Method: "ptcn",
 		DtAs: 24, Steps: 4, Kick: 0.02, Seed: 1234,
-		Hybrid: true, ACE: true, MTS: 2, Ranks: 2, Exchange: "overlap",
+		Hybrid: true, ACE: true, MTS: 2, Ranks: ranks, Exchange: "overlap",
 	}
 }
 
-func TestTraceCoverageDistributedHybrid(t *testing.T) {
-	spec := tracedSpec()
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	rec := trace.NewRecorder()
-	res, err := sim.Run(&spec, sim.Options{Trace: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
+// tracedRun is one traced trajectory, run once per world size and shared
+// by the three flight-recorder tests below.
+type tracedRun struct {
+	once sync.Once
+	rec  *trace.Recorder
+	res  *sim.Result
+	err  error
+}
 
-	// The folded aggregates must be populated and mutually consistent.
+var tracedRuns = map[int]*tracedRun{0: {}, 2: {}}
+
+// forEachWorld runs check as one subtest per world size (serial and two
+// ranks) on that size's traced run, tracing it on first use.
+func forEachWorld(t *testing.T, check func(t *testing.T, tracks int, rec *trace.Recorder, res *sim.Result)) {
+	for _, ranks := range []int{0, 2} {
+		tracks := max(ranks, 1)
+		t.Run(fmt.Sprintf("ranks=%d", tracks), func(t *testing.T) {
+			run := tracedRuns[ranks]
+			run.once.Do(func() {
+				spec := tracedSpec(ranks)
+				if run.err = spec.Validate(); run.err != nil {
+					return
+				}
+				run.rec = trace.NewRecorder()
+				run.res, run.err = sim.Run(&spec, sim.Options{Trace: run.rec})
+			})
+			if run.err != nil {
+				t.Fatal(run.err)
+			}
+			check(t, tracks, run.rec, run.res)
+		})
+	}
+}
+
+// TestTraceCoverageDistributedHybrid: the Result aggregates are populated
+// and every track's spans cover >= 95% of its timeline.
+func TestTraceCoverageDistributedHybrid(t *testing.T) {
+	forEachWorld(t, func(t *testing.T, tracks int, rec *trace.Recorder, res *sim.Result) {
+		checkResultAggregates(t, tracks, res)
+		cov := rec.Coverage()
+		if len(cov) != tracks {
+			t.Fatalf("coverage over %d tracks, want %d: %v", len(cov), tracks, cov)
+		}
+		// The step spans alone cover >= 95% of a rank's timeline (phases
+		// nest inside them), so a gap means a driver stopped opening step
+		// spans somewhere.
+		for id, c := range cov {
+			if c < 0.95 {
+				t.Errorf("rank %d coverage %.3f < 0.95", id, c)
+			}
+		}
+	})
+}
+
+// TestPhaseSecondsIsProfile: PhaseSeconds and the flat profile are one
+// fold of the recorded spans.
+func TestPhaseSecondsIsProfile(t *testing.T) {
+	forEachWorld(t, func(t *testing.T, _ int, rec *trace.Recorder, res *sim.Result) {
+		checkPhaseSecondsIsProfile(t, rec, res)
+	})
+}
+
+// TestTraceChromeExportWellFormed: the exported Chrome trace has the
+// structure viewers rely on, and the coverage recomputed from its spans
+// agrees with Recorder.Coverage.
+func TestTraceChromeExportWellFormed(t *testing.T) {
+	forEachWorld(t, func(t *testing.T, tracks int, rec *trace.Recorder, _ *sim.Result) {
+		cov := rec.Coverage()
+		exported := checkChromeExport(t, tracks, rec)
+		if len(exported) != tracks {
+			t.Errorf("%d exported timelines, want %d", len(exported), tracks)
+		}
+		for id, c := range exported {
+			if math.Abs(c-cov[id]) > 1e-9 {
+				t.Errorf("rank %d exported coverage %.12f, Recorder.Coverage %.12f", id, c, cov[id])
+			}
+		}
+	})
+}
+
+// checkResultAggregates: the folded aggregates are populated and agree
+// with the comm ledgers (no bytes move in a one-rank world).
+func checkResultAggregates(t *testing.T, ranks int, res *sim.Result) {
+	t.Helper()
 	if res.RankSeconds <= 0 {
 		t.Errorf("RankSeconds = %v, want > 0", res.RankSeconds)
 	}
 	if res.Comm == nil {
-		t.Fatal("Comm ledgers missing on a distributed run")
+		t.Fatal("Comm ledgers missing")
 	}
-	if res.BytesMoved <= 0 || res.BytesMoved != res.Comm.TotalBytes() {
-		t.Errorf("BytesMoved = %d, Comm.TotalBytes = %d; want equal and > 0",
+	if res.BytesMoved != res.Comm.TotalBytes() || (ranks > 1) != (res.BytesMoved > 0) {
+		t.Errorf("BytesMoved = %d, Comm.TotalBytes = %d; want equal, > 0 on more than one rank",
 			res.BytesMoved, res.Comm.TotalBytes())
-	}
-	if len(res.PhaseSeconds) == 0 {
-		t.Error("PhaseSeconds empty")
 	}
 	for _, phase := range []string{"step", "exchange", "ace_build", "ace_apply"} {
 		if res.PhaseSeconds[phase] <= 0 {
 			t.Errorf("phase %q missing from breakdown %v", phase, res.PhaseSeconds)
 		}
 	}
-
-	// Every rank's timeline must cover >= 95% of its extent: the step
-	// spans alone guarantee this (phases nest inside them), so a gap
-	// means a driver stopped opening step spans somewhere.
-	cov := rec.Coverage()
-	if len(cov) != spec.Ranks {
-		t.Fatalf("coverage over %d tracks, want %d: %v", len(cov), spec.Ranks, cov)
-	}
-	for id, c := range cov {
-		if c < 0.95 {
-			t.Errorf("rank %d coverage %.3f < 0.95", id, c)
-		}
-	}
 }
 
-// TestPhaseSecondsIsProfile: the phase map and the flat profile are one
-// fold of the recorded spans, so on a finished 2-rank hybrid run every
-// span name's PhaseSeconds equals its Region.Seconds bit for bit, and
-// Result carries the same map.
-func TestPhaseSecondsIsProfile(t *testing.T) {
-	spec := tracedSpec()
-	rec := trace.NewRecorder()
-	res, err := sim.Run(&spec, sim.Options{Trace: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
+// checkPhaseSecondsIsProfile: the phase map and the flat profile are one
+// fold of the recorded spans, so every span name's PhaseSeconds equals its
+// Region.Seconds bit for bit, and Result carries the same map.
+func checkPhaseSecondsIsProfile(t *testing.T, rec *trace.Recorder, res *sim.Result) {
+	t.Helper()
 	regions := rec.Profile()
 	ph := rec.PhaseSeconds()
 	if len(regions) == 0 || len(ph) != len(regions) || len(res.PhaseSeconds) != len(regions) {
@@ -99,15 +153,13 @@ func TestPhaseSecondsIsProfile(t *testing.T) {
 	}
 }
 
-// TestTraceChromeExportWellFormed re-parses the emitted Chrome trace of
-// a real run and checks the structural contract the viewers (and
-// scripts/tracecheck.sh) rely on.
-func TestTraceChromeExportWellFormed(t *testing.T) {
-	spec := tracedSpec()
-	rec := trace.NewRecorder()
-	if _, err := sim.Run(&spec, sim.Options{Trace: rec}); err != nil {
-		t.Fatal(err)
-	}
+// checkChromeExport re-parses the recorder's Chrome trace, checks the
+// structural contract the viewers rely on - every event is a thread_name
+// record or a well-formed complete (X) span, and every span's tid is
+// named before it - and returns each tid's span union as a fraction of its
+// first-to-last extent.
+func checkChromeExport(t *testing.T, ranks int, rec *trace.Recorder) map[int]float64 {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := rec.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -130,11 +182,11 @@ func TestTraceChromeExportWellFormed(t *testing.T) {
 		t.Errorf("displayTimeUnit = %q, want ms", doc.DisplayTimeUnit)
 	}
 	meta := map[int]bool{}
-	spans := 0
+	spans := map[int][][2]float64{}
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
 		case "M":
-			if ev.Name != "thread_name" || ev.Args["name"] == "" {
+			if label, _ := ev.Args["name"].(string); ev.Name != "thread_name" || label == "" {
 				t.Errorf("malformed metadata event %+v", ev)
 			}
 			meta[ev.Tid] = true
@@ -145,17 +197,36 @@ func TestTraceChromeExportWellFormed(t *testing.T) {
 			if !meta[ev.Tid] {
 				t.Errorf("span on tid %d before its thread_name metadata", ev.Tid)
 			}
-			spans++
+			spans[ev.Tid] = append(spans[ev.Tid], [2]float64{ev.Ts, ev.Ts + ev.Dur})
 		default:
 			t.Errorf("unexpected event phase %q", ev.Ph)
 		}
 	}
-	if len(meta) != 2 {
-		t.Errorf("got %d thread_name records, want 2 (one per rank)", len(meta))
+	if len(meta) != ranks {
+		t.Errorf("got %d thread_name records, want one per rank", len(meta))
 	}
-	if spans == 0 {
-		t.Error("no complete (ph=X) span events in the trace")
+	cov := make(map[int]float64, len(spans))
+	for tid, ss := range spans {
+		sort.Slice(ss, func(i, j int) bool { return ss[i][0] < ss[j][0] })
+		lo, hi := ss[0][0], ss[0][1]
+		cur := ss[0]
+		var union float64
+		for _, s := range ss[1:] {
+			hi = max(hi, s[1])
+			if s[0] > cur[1] {
+				union += cur[1] - cur[0]
+				cur = s
+			} else {
+				cur[1] = max(cur[1], s[1])
+			}
+		}
+		union += cur[1] - cur[0]
+		cov[tid] = 0
+		if hi > lo {
+			cov[tid] = union / (hi - lo)
+		}
 	}
+	return cov
 }
 
 // buildCountSpec is a kick run whose every density build and potential
