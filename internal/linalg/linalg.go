@@ -1,9 +1,11 @@
 // Package linalg provides the dense complex linear algebra used by the
 // plane-wave code: band overlap matrices (the Psi*H*Psi products of the
 // PT-CN residual), subspace rotations, Cholesky factorization and triangular
-// solves for orthogonalization, a Hermitian Jacobi eigensolver for subspace
-// diagonalization, and small dense solvers for the Anderson mixing least
-// squares problems. It is the CUBLAS/cuSOLVER stand-in of the reproduction.
+// solves for orthogonalization, a Hermitian eigensolver (Householder
+// tridiagonalization and implicit QL, the zheev recipe) for the
+// Rayleigh-Ritz pencils of the ground state, and small dense solvers for the
+// Anderson mixing least squares problems. It is the CUBLAS/cuSOLVER
+// stand-in of the reproduction.
 //
 // Matrices are stored row-major in flat []complex128 slices with explicit
 // dimensions. Band sets ("wavefunction blocks") are stored band-major:
@@ -249,108 +251,205 @@ func SolveLinear(a, b []complex128, n, k int) error {
 	return nil
 }
 
-// HermEig diagonalizes the Hermitian n x n matrix a (not modified) with the
-// cyclic Jacobi method. It returns eigenvalues in ascending order and the
-// row-major matrix v whose column k (v[i*n+k]) is the unit eigenvector for
-// eigenvalue k. Intended for the small subspace problems of the eigensolver
-// and for analysis; O(n^3) per sweep.
+// HermEig diagonalizes the Hermitian n x n matrix a (not modified; only
+// its lower triangle and the real part of its diagonal are read) the way
+// LAPACK's zheev does: Householder reduction to a tridiagonal T = Q^H A Q,
+// a diagonal unitary D that makes T's sub-diagonal real, implicit QL on
+// that real tridiagonal (tql2) giving its eigenvectors Z, and V = Q D Z.
+// It returns the eigenvalues in ascending order and the row-major v whose
+// column k (v[i*n+k]) is the unit eigenvector for eigenvalue k, or an error
+// for a non-finite matrix or a QL iteration that does not converge. It is
+// serial, so its bits do not depend on the worker count. O(n^3).
 func HermEig(a []complex128, n int) ([]float64, []complex128, error) {
 	if len(a) != n*n {
 		panic("linalg: HermEig dims mismatch")
 	}
 	w := make([]complex128, n*n)
-	copy(w, a)
-	v := make([]complex128, n*n)
 	for i := 0; i < n; i++ {
-		v[i*n+i] = 1
+		for j := 0; j <= i; j++ {
+			x := a[i*n+j]
+			if cmplx.IsNaN(x) || cmplx.IsInf(x) {
+				return nil, nil, fmt.Errorf("linalg: HermEig: non-finite element (%d,%d) = %v", i, j, x)
+			}
+			w[i*n+j], w[j*n+i] = x, cmplx.Conj(x)
+		}
+		w[i*n+i] = complex(real(w[i*n+i]), 0)
 	}
-	var norm float64
-	for i := range w {
-		norm += real(w[i])*real(w[i]) + imag(w[i])*imag(w[i])
+	d, e, h := tridiagonalize(w, n)
+	off := make([]float64, n)
+	for k, x := range e {
+		off[k] = cmplx.Abs(x)
 	}
-	norm = math.Sqrt(norm)
-	if norm == 0 {
-		return make([]float64, n), v, nil
+	z, err := tql2(d, off)
+	if err != nil {
+		return nil, nil, err
 	}
-	tol := 1e-14 * norm
-	const maxSweeps = 60
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		var off float64
-		for p := 0; p < n; p++ {
-			for q := p + 1; q < n; q++ {
-				off += cmplx.Abs(w[p*n+q])
+	// D Z with delta_0 = 1 and delta_{i+1} = delta_i e_i/|e_i|, so that
+	// (D^H T D)[i+1][i] = |e_i|; then Q = P_0 ... P_{n-2}, P_{n-2} first.
+	v := make([]complex128, n*n)
+	delta := complex128(1)
+	for i := 0; i < n; i++ {
+		if i > 0 && e[i-1] != 0 {
+			delta *= e[i-1] / complex(cmplx.Abs(e[i-1]), 0)
+		}
+		for k := 0; k < n; k++ {
+			v[i*n+k] = delta * complex(z[k*n+i], 0)
+		}
+	}
+	s := make([]complex128, n)
+	for k := n - 2; k >= 0; k-- {
+		if h[k] == 0 {
+			continue
+		}
+		u := w[k*n+k+1 : (k+1)*n]
+		clear(s)
+		for i, ui := range u {
+			for j, x := range v[(k+1+i)*n : (k+2+i)*n] {
+				s[j] += cmplx.Conj(ui) * x
 			}
 		}
-		if off < tol {
-			evals, evecs := sortEig(w, v, n)
-			return evals, evecs, nil
+		for j := range s {
+			s[j] /= complex(h[k], 0)
 		}
-		for p := 0; p < n; p++ {
-			for q := p + 1; q < n; q++ {
-				beta := w[p*n+q]
-				ab := cmplx.Abs(beta)
-				if ab < tol/float64(n*n) {
-					continue
-				}
-				alpha := real(w[p*n+p])
-				gamma := real(w[q*n+q])
-				// Phase of the off-diagonal element.
-				phase := beta / complex(ab, 0)
-				var theta float64
-				if alpha == gamma {
-					theta = math.Pi / 4
-				} else {
-					theta = 0.5 * math.Atan2(2*ab, alpha-gamma)
-				}
-				c := math.Cos(theta)
-				s := complex(math.Sin(theta), 0) * cmplx.Conj(phase)
-				// Columns p,q transform by U = [[c, -conj(s)], [s, c]].
-				for i := 0; i < n; i++ {
-					wip, wiq := w[i*n+p], w[i*n+q]
-					w[i*n+p] = complex(c, 0)*wip + s*wiq
-					w[i*n+q] = -cmplx.Conj(s)*wip + complex(c, 0)*wiq
-				}
-				for i := 0; i < n; i++ {
-					wpi, wqi := w[p*n+i], w[q*n+i]
-					w[p*n+i] = complex(c, 0)*wpi + cmplx.Conj(s)*wqi
-					w[q*n+i] = -s*wpi + complex(c, 0)*wqi
-				}
-				for i := 0; i < n; i++ {
-					vip, viq := v[i*n+p], v[i*n+q]
-					v[i*n+p] = complex(c, 0)*vip + s*viq
-					v[i*n+q] = -cmplx.Conj(s)*vip + complex(c, 0)*viq
-				}
-				// Clean tiny Hermiticity drift on the diagonal.
-				w[p*n+p] = complex(real(w[p*n+p]), 0)
-				w[q*n+q] = complex(real(w[q*n+q]), 0)
+		for i, ui := range u {
+			for j := range s {
+				v[(k+1+i)*n+j] -= ui * s[j]
 			}
 		}
 	}
-	return nil, nil, errors.New("linalg: Jacobi eigensolver did not converge")
+	return d, v, nil
 }
 
-func sortEig(w, v []complex128, n int) ([]float64, []complex128) {
-	evals := make([]float64, n)
-	order := make([]int, n)
+// tridiagonalize reduces the Hermitian w (n x n, both triangles held) in
+// place to T = Q^H W Q, Q = P_0 ... P_{n-2}. The reflector P_k = I - u u^H
+// / h[k] acts on indices k+1..n-1, zeroes column k below the sub-diagonal,
+// and is left in row k of w (u_i at w[k*n+k+1+i]); a column already zero
+// there takes none (h[k] = 0). It returns T's diagonal d and complex
+// sub-diagonal e (e[k] = T[k+1][k], e[n-1] = 0).
+func tridiagonalize(w []complex128, n int) (d []float64, e []complex128, h []float64) {
+	d, e, h = make([]float64, n), make([]complex128, n), make([]float64, n)
+	q := make([]complex128, n)
+	for k := 0; k < n-1; k++ {
+		u := w[k*n+k+1 : (k+1)*n] // column k below the diagonal, conjugated
+		var sigma float64
+		for i, x := range u {
+			u[i] = cmplx.Conj(x)
+			if i > 0 {
+				sigma += real(x)*real(x) + imag(x)*imag(x)
+			}
+		}
+		if e[k] = u[0]; sigma == 0 {
+			continue
+		}
+		// u = x + phase*r e_0 with phase = x_0/|x_0| adds without
+		// cancellation; P_k x = -phase*r e_0 and u^H x = h = r(r + |x_0|).
+		aa := cmplx.Abs(u[0])
+		r := math.Sqrt(aa*aa + sigma)
+		phase := complex128(1)
+		if aa != 0 {
+			phase = u[0] / complex(aa, 0)
+		}
+		u[0] += phase * complex(r, 0)
+		e[k] = -phase * complex(r, 0)
+		h[k] = r * (r + aa)
+		// W22 <- P_k W22 P_k = W22 - u q^H - q u^H with p = W22 u / h and
+		// q = p - (u^H p / 2h) u.
+		var up float64
+		for i := range u {
+			var acc complex128
+			for j, x := range w[(k+1+i)*n+k+1 : (k+2+i)*n] {
+				acc += x * u[j]
+			}
+			q[i] = acc / complex(h[k], 0)
+			up += real(cmplx.Conj(u[i]) * q[i])
+		}
+		for i := range u {
+			q[i] -= complex(up/(2*h[k]), 0) * u[i]
+		}
+		for i, ui := range u {
+			row := w[(k+1+i)*n+k+1 : (k+2+i)*n]
+			for j := range row {
+				row[j] -= ui*cmplx.Conj(q[j]) + q[i]*cmplx.Conj(u[j])
+			}
+		}
+	}
+	for k := range d {
+		d[k] = real(w[k*n+k])
+	}
+	return d, e, h
+}
+
+// tql2 diagonalizes the real symmetric tridiagonal with diagonal d and
+// sub-diagonal e (e[k] couples k and k+1, e[n-1] = 0; destroyed) by
+// implicit QL with Wilkinson shifts (EISPACK tql2, as in JAMA). d becomes
+// the eigenvalues in ascending order; row k of the returned n x n z is the
+// unit eigenvector for d[k]. It fails after 30n QL sweeps (LAPACK steqr).
+func tql2(d, e []float64) ([]float64, error) {
+	const eps = 0x1p-52
+	n := len(d)
+	z := make([]float64, n*n)
 	for i := 0; i < n; i++ {
-		evals[i] = real(w[i*n+i])
-		order[i] = i
+		z[i*n+i] = 1
 	}
-	// Insertion sort: n is small.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && evals[order[j]] < evals[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
+	var f, tst1 float64
+	sweeps := 0
+	for l := 0; l < n; l++ {
+		tst1 = math.Max(tst1, math.Abs(d[l])+math.Abs(e[l]))
+		m := l
+		for m < n-1 && math.Abs(e[m]) > eps*tst1 {
+			m++
+		}
+		for m > l && math.Abs(e[l]) > eps*tst1 {
+			if sweeps++; sweeps > 30*n {
+				return nil, fmt.Errorf("linalg: HermEig: QL iteration did not converge at eigenvalue %d", l)
+			}
+			// Shift from the leading 2x2 block, then one sweep from m up to l.
+			g := d[l]
+			p := (d[l+1] - g) / (2 * e[l])
+			r := math.Copysign(math.Hypot(p, 1), p)
+			d[l] = e[l] / (p + r)
+			d[l+1] = e[l] * (p + r)
+			dl1, hs := d[l+1], g-d[l]
+			for i := l + 2; i < n; i++ {
+				d[i] -= hs
+			}
+			f += hs
+			p = d[m]
+			c, c2, c3, el1 := 1.0, 1.0, 1.0, e[l+1]
+			var s, s2 float64
+			for i := m - 1; i >= l; i-- {
+				c3, c2, s2 = c2, c, s
+				g, hs = c*e[i], c*p
+				r = math.Hypot(p, e[i])
+				e[i+1] = s * r
+				s, c = e[i]/r, p/r
+				p = c*d[i] - s*g
+				d[i+1] = hs + s*(c*g+s*d[i])
+				zi, zi1 := z[i*n:(i+1)*n], z[(i+1)*n:(i+2)*n]
+				for k, t := range zi1 {
+					zi1[k] = s*zi[k] + c*t
+					zi[k] = c*zi[k] - s*t
+				}
+			}
+			p = -s * s2 * c3 * el1 * e[l] / dl1
+			e[l], d[l] = s*p, c*p
+		}
+		d[l] += f
+		e[l] = 0
+	}
+	for i := 0; i < n-1; i++ { // selection sort, rows of z along
+		k := i
+		for j := i + 1; j < n; j++ {
+			if d[j] < d[k] {
+				k = j
+			}
+		}
+		d[i], d[k] = d[k], d[i]
+		for j := 0; j < n; j++ {
+			z[i*n+j], z[k*n+j] = z[k*n+j], z[i*n+j]
 		}
 	}
-	sorted := make([]float64, n)
-	vs := make([]complex128, n*n)
-	for k, idx := range order {
-		sorted[k] = evals[idx]
-		for i := 0; i < n; i++ {
-			vs[i*n+k] = v[i*n+idx]
-		}
-	}
-	return sorted, vs
+	return z, nil
 }
 
 // GenEigChol solves the generalized Hermitian eigenproblem A x = lambda B x
@@ -366,31 +465,22 @@ func GenEigChol(a, b []complex128, n int) ([]float64, []complex128, error) {
 	if err := CholeskyLower(l, n); err != nil {
 		return nil, nil, err
 	}
-	// at = L^{-1} A L^{-H}: first Y = L^{-1} A (forward substitution on
-	// rows), then at = Y L^{-H} which is (L^{-1} Y^H)^H column-wise.
+	// Atilde = L^{-1} Y^H with Y = L^{-1} A: Y^H = A L^{-H}, A Hermitian.
 	y := make([]complex128, n*n)
 	copy(y, a)
 	forwardSubstRows(l, y, n)
-	// Z = L^{-1} * Y^H, then at = Z^H.
-	z := make([]complex128, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			z[i*n+j] = cmplx.Conj(y[j*n+i])
-		}
-	}
-	forwardSubstRows(l, z, n)
 	at := make([]complex128, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			at[i*n+j] = cmplx.Conj(z[j*n+i])
+			at[i*n+j] = cmplx.Conj(y[j*n+i])
 		}
 	}
-	evals, yv, err := HermEig(at, n)
+	forwardSubstRows(l, at, n)
+	evals, x, err := HermEig(at, n)
 	if err != nil {
 		return nil, nil, err
 	}
-	// x = L^{-H} y: back substitution on each column.
-	x := backSubstHCols(l, yv, n)
+	backSubstHCols(l, x, n)
 	return evals, x, nil
 }
 
@@ -413,10 +503,8 @@ func forwardSubstRows(l, m []complex128, n int) {
 	}
 }
 
-// backSubstHCols returns L^{-H} m where m columns are vectors.
-func backSubstHCols(l, m []complex128, n int) []complex128 {
-	x := make([]complex128, n*n)
-	copy(x, m)
+// backSubstHCols overwrites x, whose columns are vectors, with L^{-H} x.
+func backSubstHCols(l, x []complex128, n int) {
 	// Solve L^H x = m: back substitution, row i depends on rows > i.
 	for i := n - 1; i >= 0; i-- {
 		for col := 0; col < n; col++ {
@@ -427,7 +515,6 @@ func backSubstHCols(l, m []complex128, n int) []complex128 {
 			x[i*n+col] = v / complex(real(l[i*n+i]), 0)
 		}
 	}
-	return x
 }
 
 // Dot returns <a|b> = sum conj(a_i) b_i, summed as overlapRow sums.

@@ -63,6 +63,10 @@ type Result struct {
 	SCFIterations int
 	Converged     bool
 	DensityError  float64
+	// EigSteps counts eigensolver steps (one 2nb x 2nb pencil solve each),
+	// HApplications band applications of H (an Apply to nb bands is nb).
+	EigSteps      int
+	HApplications int
 }
 
 // GroundState solves for the nb lowest orbitals of the self-consistent
@@ -109,7 +113,7 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 		for it := 0; it < iters; it++ {
 			for e := 0; e < opt.EigIters; e++ {
 				var err error
-				psi, err = eigStep(g, h, psi, nb)
+				psi, err = eigStep(g, h, psi, nb, res)
 				if err != nil {
 					return nil, fmt.Errorf("scf: phase %d eigensolver failed at iteration %d: %w", phase, it, err)
 				}
@@ -138,6 +142,7 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 	res.Rho = rho
 	res.SCFIterations = totalIter
 	res.BandEnergies = h.BandEnergies(psi, nb)
+	res.HApplications += nb
 	res.Energy = h.TotalEnergy(psi, nb, occ)
 	return res, nil
 }
@@ -153,7 +158,7 @@ func DiagonalizeFixed(g *grid.Grid, h *hamiltonian.Hamiltonian, nb, iters int, s
 	psi := wavefunc.Random(g, nb, seed)
 	var err error
 	for i := 0; i < iters; i++ {
-		psi, err = eigStep(g, h, psi, nb)
+		psi, err = eigStep(g, h, psi, nb, &Result{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -183,11 +188,14 @@ func sanitizeDensity(g *grid.Grid, rho []float64, nelec float64) []float64 {
 // with Teter-preconditioned residuals, solve the 2nb x 2nb projected
 // generalized eigenproblem, and keep the lowest nb Ritz vectors. A
 // singular overlap of [psi | w] (a band or residual in the span of the
-// others) fails the Cholesky of the pencil, and that is the error.
-func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int) ([]complex128, error) {
+// others) fails the Cholesky of the pencil, and that is the error. The step
+// and its band applications of H are counted into work.
+func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int, work *Result) ([]complex128, error) {
 	ng := g.NG
+	work.EigSteps++
 	hp := make([]complex128, nb*ng)
 	h.Apply(hp, psi, nb)
+	work.HApplications += nb
 
 	// Rayleigh quotients and preconditioned residuals.
 	w := make([]complex128, nb*ng)
@@ -214,6 +222,7 @@ func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int)
 	copy(basis[nb*ng:], w)
 	hw := make([]complex128, nb*ng)
 	h.Apply(hw, w, nb)
+	work.HApplications += nb
 	hbasis := make([]complex128, m*ng)
 	copy(hbasis[:nb*ng], hp)
 	copy(hbasis[nb*ng:], hw)

@@ -72,6 +72,27 @@ func TestGroundStateEigenResiduals(t *testing.T) {
 	}
 }
 
+// TestGroundStateWorkCounts pins what the Si8 LDA ground state at Ecut 3
+// (nb = 16, so 32x32 Rayleigh-Ritz pencils) spends: SCF iterations, pencil
+// solves and band applications of H, exactly. Every eigStep applies H to
+// the nb bands and to their nb residuals, and the band energies apply it
+// once more. A change to the pencil solver moves round-off, not these.
+func TestGroundStateWorkCounts(t *testing.T) {
+	g, h := siSetup(3, false)
+	nb := g.Cell.NumBands()
+	res, err := GroundState(g, h, nb, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SCFIterations != 15 || res.EigSteps != 60 || res.HApplications != 1936 {
+		t.Errorf("SCF iterations %d, eigensolver steps %d, band applications of H %d; want 15, 60, 1936",
+			res.SCFIterations, res.EigSteps, res.HApplications)
+	}
+	if want := 2*nb*res.EigSteps + nb; res.HApplications != want {
+		t.Errorf("band applications of H %d, want 2nb per eigensolver step + nb = %d", res.HApplications, want)
+	}
+}
+
 func TestGroundStateBandEnergiesOrderedAfterSort(t *testing.T) {
 	g, h := siSetup(3, false)
 	nb := g.Cell.NumBands()
@@ -144,7 +165,7 @@ func TestEigStepSingularBasisFails(t *testing.T) {
 	psi := wavefunc.Random(g, nb, 1)
 	h.UpdatePotential(potential.Density(g, psi, nb, 2))
 	clear(psi[3*ng : 4*ng])
-	out, err := eigStep(g, h, psi, nb)
+	out, err := eigStep(g, h, psi, nb, &Result{})
 	if err == nil {
 		t.Fatalf("eigStep on a band set with a zero band returned %d coefficients and no error", len(out))
 	}
