@@ -213,29 +213,22 @@ func (d *Ctx) BandToGWS(dst, local []complex128, single bool, tw *TransposeWorks
 	}
 }
 
-// GToBand is the inverse transpose: from the G-space layout (all NB bands x
-// local G slab) back to this rank's band-layout block. Collective.
-func (d *Ctx) GToBand(gd []complex128) []complex128 {
-	out := make([]complex128, d.NumLocalBands()*d.G.NG)
-	d.GToBandWS(out, gd, false, d.NewTransposeWorkspace())
-	return out
-}
-
-// GToBandWS is GToBand with a caller-owned destination (local bands x NG)
-// and staging workspace; single must be false, as for BandToGWS.
+// GToBandWS is the inverse transpose: from the G-space layout gd (all NB
+// bands x local G slab) back to this rank's band-layout block dst (local
+// bands x NG), staged through tw; single must be false, as for BandToGWS.
 // Collective.
 func (d *Ctx) GToBandWS(dst, gd []complex128, single bool, tw *TransposeWorkspace) {
 	if single {
-		panic("dist: GToBand requires the double-precision wire")
+		panic("dist: GToBandWS requires the double-precision wire")
 	}
 	w := d.NumLocalG()
 	if len(gd) != d.NB*w {
-		panic("dist: GToBand slab size mismatch")
+		panic("dist: GToBandWS slab size mismatch")
 	}
 	ng := d.G.NG
 	nbl := d.NumLocalBands()
 	if len(dst) != nbl*ng {
-		panic("dist: GToBand destination size mismatch")
+		panic("dist: GToBandWS destination size mismatch")
 	}
 	size := d.C.Size()
 	if size == 1 {

@@ -137,7 +137,8 @@ func TestTransposeRoundTrip(t *testing.T) {
 			tw := d.NewTransposeWorkspace()
 			// The round trip is exact.
 			d.BandToGWS(gd, local, false, tw)
-			back := d.GToBand(gd)
+			back := make([]complex128, len(local))
+			d.GToBandWS(back, gd, false, tw)
 			if diff := wavefunc.MaxDiff(local, back); diff != 0 {
 				t.Errorf("ranks=%d rank %d: transpose round trip differs by %g", ranks, c.Rank(), diff)
 			}

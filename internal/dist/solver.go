@@ -334,8 +334,10 @@ func (s *PTCNSolver) Orthonormalize(local []complex128) ([]complex128, float64, 
 	}
 	linalg.SolveLowerBands(ws.ov, ws.psiG, nb, w)
 	// The orthonormalized block becomes the caller's new state, so this
-	// final transpose returns a fresh slice rather than workspace memory.
-	return s.D.GToBand(ws.psiG), oerr, nil
+	// final transpose writes a fresh slice rather than workspace memory.
+	out := make([]complex128, len(local))
+	s.D.GToBandWS(out, ws.psiG, false, ws.tw)
+	return out, oerr, nil
 }
 
 // Step advances the local band block by dt with Algorithm 1 (core.CN's

@@ -251,25 +251,27 @@ func SolveLinear(a, b []complex128, n, k int) error {
 	return nil
 }
 
-// HermEig diagonalizes the Hermitian n x n matrix a (not modified; only
+// hermEig diagonalizes the Hermitian n x n matrix a (not modified; only
 // its lower triangle and the real part of its diagonal are read) the way
 // LAPACK's zheev does: Householder reduction to a tridiagonal T = Q^H A Q,
 // a diagonal unitary D that makes T's sub-diagonal real, implicit QL on
 // that real tridiagonal (tql2) giving its eigenvectors Z, and V = Q D Z.
-// It returns the eigenvalues in ascending order and the row-major v whose
-// column k (v[i*n+k]) is the unit eigenvector for eigenvalue k, or an error
-// for a non-finite matrix or a QL iteration that does not converge. It is
-// serial, so its bits do not depend on the worker count. O(n^3).
-func HermEig(a []complex128, n int) ([]float64, []complex128, error) {
-	if len(a) != n*n {
-		panic("linalg: HermEig dims mismatch")
+// It returns all n eigenvalues in ascending order and the row-major n x k v
+// whose column c (v[i*k+c]) is the unit eigenvector for eigenvalue c, or an
+// error for a non-finite matrix or a QL iteration that does not converge.
+// Each column of V is back-transformed on its own, so the k kept columns
+// are those of k = n bit for bit. It is serial, so its bits do not depend on
+// the worker count. O(n^3).
+func hermEig(a []complex128, n, k int) ([]float64, []complex128, error) {
+	if len(a) != n*n || k < 0 || k > n {
+		panic("linalg: hermEig dims mismatch")
 	}
 	w := make([]complex128, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			x := a[i*n+j]
 			if cmplx.IsNaN(x) || cmplx.IsInf(x) {
-				return nil, nil, fmt.Errorf("linalg: HermEig: non-finite element (%d,%d) = %v", i, j, x)
+				return nil, nil, fmt.Errorf("linalg: hermEig: non-finite element (%d,%d) = %v", i, j, x)
 			}
 			w[i*n+j], w[j*n+i] = x, cmplx.Conj(x)
 		}
@@ -277,8 +279,8 @@ func HermEig(a []complex128, n int) ([]float64, []complex128, error) {
 	}
 	d, e, h := tridiagonalize(w, n)
 	off := make([]float64, n)
-	for k, x := range e {
-		off[k] = cmplx.Abs(x)
+	for p, x := range e {
+		off[p] = cmplx.Abs(x)
 	}
 	z, err := tql2(d, off)
 	if err != nil {
@@ -286,34 +288,34 @@ func HermEig(a []complex128, n int) ([]float64, []complex128, error) {
 	}
 	// D Z with delta_0 = 1 and delta_{i+1} = delta_i e_i/|e_i|, so that
 	// (D^H T D)[i+1][i] = |e_i|; then Q = P_0 ... P_{n-2}, P_{n-2} first.
-	v := make([]complex128, n*n)
+	v := make([]complex128, n*k)
 	delta := complex128(1)
 	for i := 0; i < n; i++ {
 		if i > 0 && e[i-1] != 0 {
 			delta *= e[i-1] / complex(cmplx.Abs(e[i-1]), 0)
 		}
-		for k := 0; k < n; k++ {
-			v[i*n+k] = delta * complex(z[k*n+i], 0)
+		for c := 0; c < k; c++ {
+			v[i*k+c] = delta * complex(z[c*n+i], 0)
 		}
 	}
-	s := make([]complex128, n)
-	for k := n - 2; k >= 0; k-- {
-		if h[k] == 0 {
+	s := make([]complex128, k)
+	for p := n - 2; p >= 0; p-- {
+		if h[p] == 0 {
 			continue
 		}
-		u := w[k*n+k+1 : (k+1)*n]
+		u := w[p*n+p+1 : (p+1)*n]
 		clear(s)
 		for i, ui := range u {
-			for j, x := range v[(k+1+i)*n : (k+2+i)*n] {
-				s[j] += cmplx.Conj(ui) * x
+			for c, x := range v[(p+1+i)*k : (p+2+i)*k] {
+				s[c] += cmplx.Conj(ui) * x
 			}
 		}
-		for j := range s {
-			s[j] /= complex(h[k], 0)
+		for c := range s {
+			s[c] /= complex(h[p], 0)
 		}
 		for i, ui := range u {
-			for j := range s {
-				v[(k+1+i)*n+j] -= ui * s[j]
+			for c := range s {
+				v[(p+1+i)*k+c] -= ui * s[c]
 			}
 		}
 	}
@@ -401,7 +403,7 @@ func tql2(d, e []float64) ([]float64, error) {
 		}
 		for m > l && math.Abs(e[l]) > eps*tst1 {
 			if sweeps++; sweeps > 30*n {
-				return nil, fmt.Errorf("linalg: HermEig: QL iteration did not converge at eigenvalue %d", l)
+				return nil, fmt.Errorf("linalg: hermEig: QL iteration did not converge at eigenvalue %d", l)
 			}
 			// Shift from the leading 2x2 block, then one sweep from m up to l.
 			g := d[l]
@@ -453,68 +455,52 @@ func tql2(d, e []float64) ([]float64, error) {
 }
 
 // GenEigChol solves the generalized Hermitian eigenproblem A x = lambda B x
-// with B positive definite, via B = L L^H, Atilde = L^{-1} A L^{-H}.
-// a and b are not modified. Eigenvectors are returned B-orthonormal as
-// columns of the row-major matrix x (x[i*n+k] is component i of vector k).
-func GenEigChol(a, b []complex128, n int) ([]float64, []complex128, error) {
-	if len(a) != n*n || len(b) != n*n {
+// with B positive definite, via B = L L^H, Atilde = L^{-1} A L^{-H}, for
+// the eigenvectors of the k lowest eigenvalues, as LAPACK's zhegvx does for
+// an index range. a and b are not modified. It returns all n eigenvalues in
+// ascending order and the k eigenvectors B-orthonormal as the columns of
+// the row-major n x k matrix x (x[i*k+c] is component i of vector c); each
+// column is computed on its own, so they are those of k = n bit for bit.
+func GenEigChol(a, b []complex128, n, k int) ([]float64, []complex128, error) {
+	if len(a) != n*n || len(b) != n*n || k < 0 || k > n {
 		panic("linalg: GenEigChol dims mismatch")
 	}
-	l := make([]complex128, n*n)
-	copy(l, b)
-	if err := CholeskyLower(l, n); err != nil {
+	// The lower Cholesky factor of conj(B) is conj(L), the factor with which
+	// SolveLowerBands applies L^{-1} to the rows of an n x n matrix.
+	lc := make([]complex128, n*n)
+	for i, x := range b {
+		lc[i] = cmplx.Conj(x)
+	}
+	if err := CholeskyLower(lc, n); err != nil {
 		return nil, nil, err
 	}
 	// Atilde = L^{-1} Y^H with Y = L^{-1} A: Y^H = A L^{-H}, A Hermitian.
 	y := make([]complex128, n*n)
 	copy(y, a)
-	forwardSubstRows(l, y, n)
+	SolveLowerBands(lc, y, n, n)
 	at := make([]complex128, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			at[i*n+j] = cmplx.Conj(y[j*n+i])
 		}
 	}
-	forwardSubstRows(l, at, n)
-	evals, x, err := HermEig(at, n)
+	SolveLowerBands(lc, at, n, n)
+	evals, x, err := hermEig(at, n, k)
 	if err != nil {
 		return nil, nil, err
 	}
-	backSubstHCols(l, x, n)
-	return evals, x, nil
-}
-
-// forwardSubstRows overwrites m (n x n row-major) with L^{-1} m.
-func forwardSubstRows(l, m []complex128, n int) {
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			c := l[i*n+j]
-			if c == 0 {
-				continue
-			}
-			for col := 0; col < n; col++ {
-				m[i*n+col] -= c * m[j*n+col]
-			}
-		}
-		inv := 1 / l[i*n+i]
-		for col := 0; col < n; col++ {
-			m[i*n+col] *= inv
-		}
-	}
-}
-
-// backSubstHCols overwrites x, whose columns are vectors, with L^{-H} x.
-func backSubstHCols(l, x []complex128, n int) {
-	// Solve L^H x = m: back substitution, row i depends on rows > i.
+	// x <- L^{-H} x by back substitution, row i after the rows below it;
+	// L^H[i][j] = conj(L[j][i]) = lc[j*n+i].
 	for i := n - 1; i >= 0; i-- {
-		for col := 0; col < n; col++ {
-			v := x[i*n+col]
+		for c := 0; c < k; c++ {
+			v := x[i*k+c]
 			for j := i + 1; j < n; j++ {
-				v -= cmplx.Conj(l[j*n+i]) * x[j*n+col]
+				v -= lc[j*n+i] * x[j*k+c]
 			}
-			x[i*n+col] = v / complex(real(l[i*n+i]), 0)
+			x[i*k+c] = v / complex(real(lc[i*n+i]), 0)
 		}
 	}
+	return evals, x, nil
 }
 
 // Dot returns <a|b> = sum conj(a_i) b_i, summed as overlapRow sums.

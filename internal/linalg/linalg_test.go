@@ -209,7 +209,7 @@ func TestSolveLinearSingular(t *testing.T) {
 	}
 }
 
-// eigCase is one Hermitian matrix HermEig must diagonalize, with its
+// eigCase is one Hermitian matrix hermEig must diagonalize, with its
 // spectrum in ascending order where it is known exactly.
 type eigCase struct {
 	name string
@@ -291,7 +291,7 @@ func frobenius(a []complex128) float64 {
 	return math.Sqrt(s)
 }
 
-// checkEig holds HermEig's contract on one matrix: ascending eigenvalues,
+// checkEig holds hermEig's contract on one matrix: ascending eigenvalues,
 // ||A v_k - lambda_k v_k|| <= 1e-12 ||A||, orthonormal columns, the
 // eigenvalues summing to the trace, and the spectrum where it is known.
 func checkEig(t *testing.T, c eigCase, evals []float64, v []complex128) {
@@ -343,7 +343,7 @@ func checkEig(t *testing.T, c eigCase, evals []float64, v []complex128) {
 func TestHermEigDiagonalizes(t *testing.T) {
 	for _, c := range eigCases() {
 		t.Run(c.name, func(t *testing.T) {
-			evals, v, err := HermEig(c.a, c.n)
+			evals, v, err := hermEig(c.a, c.n, c.n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,7 +352,7 @@ func TestHermEigDiagonalizes(t *testing.T) {
 	}
 }
 
-// sameEigBits reports whether two HermEig results are equal bit for bit.
+// sameEigBits reports whether two hermEig results are equal bit for bit.
 func sameEigBits(e1, e2 []float64, v1, v2 []complex128) bool {
 	for k := range e1 {
 		if math.Float64bits(e1[k]) != math.Float64bits(e2[k]) {
@@ -374,9 +374,9 @@ func TestHermEigSameBitsAnyWorkers(t *testing.T) {
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
 	for _, c := range eigCases() {
 		parallel.SetMaxWorkers(1)
-		e1, v1, err1 := HermEig(c.a, c.n)
+		e1, v1, err1 := hermEig(c.a, c.n, c.n)
 		parallel.SetMaxWorkers(2)
-		e2, v2, err2 := HermEig(c.a, c.n)
+		e2, v2, err2 := hermEig(c.a, c.n, c.n)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: %v, %v", c.name, err1, err2)
 		}
@@ -399,8 +399,8 @@ func TestHermEigReadsLowerTriangle(t *testing.T) {
 			b[i*n+j] = complex(math.NaN(), 1)
 		}
 	}
-	e1, v1, err1 := HermEig(a, n)
-	e2, v2, err2 := HermEig(b, n)
+	e1, v1, err1 := hermEig(a, n, n)
+	e2, v2, err2 := hermEig(b, n, n)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("%v, %v", err1, err2)
 	}
@@ -415,8 +415,8 @@ func TestHermEigRejectsNonFinite(t *testing.T) {
 	for _, bad := range []complex128{complex(math.NaN(), 0), complex(0, math.Inf(1))} {
 		a := randHermitian(rand.New(rand.NewSource(3)), 5)
 		a[3*5+1], a[1*5+3] = bad, cmplx.Conj(bad)
-		if _, _, err := HermEig(a, 5); err == nil {
-			t.Errorf("HermEig with element %v returned no error", bad)
+		if _, _, err := hermEig(a, 5, 5); err == nil {
+			t.Errorf("hermEig with element %v returned no error", bad)
 		}
 	}
 }
@@ -427,7 +427,7 @@ func TestHermEigTraceProperty(t *testing.T) {
 		local := rand.New(rand.NewSource(seed))
 		n := 1 + int(uint64(seed)%64)
 		a := randHermitian(local, n)
-		evals, _, err := HermEig(a, n)
+		evals, _, err := hermEig(a, n, n)
 		if err != nil {
 			return false
 		}
@@ -443,14 +443,35 @@ func TestHermEigTraceProperty(t *testing.T) {
 	}
 }
 
+// TestGenEigChol holds the full solve (k = n) to A x = lambda B x and
+// X^H B X = I, and the solves for k = 1 and n/2 columns to its first k
+// columns and its eigenvalues bit for bit, at 1 and 2 workers.
 func TestGenEigChol(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{1, 7, 32, 64} {
 		a := randHermitian(rng, n)
 		b := randHPD(rng, n)
-		evals, x, err := GenEigChol(a, b, n)
+		parallel.SetMaxWorkers(1)
+		evals, x, err := GenEigChol(a, b, n, n)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			parallel.SetMaxWorkers(workers)
+			for _, k := range []int{1, n / 2, n} {
+				ek, xk, err := GenEigChol(a, b, n, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first := make([]complex128, 0, n*k)
+				for i := 0; i < n; i++ {
+					first = append(first, x[i*n:i*n+k]...)
+				}
+				if len(xk) != n*k || !sameEigBits(evals, ek, first, xk) {
+					t.Errorf("n=%d k=%d, %d workers: not the first k columns of the k = n solve bit for bit", n, k, workers)
+				}
+			}
 		}
 		scale := frobenius(a) + frobenius(b)*math.Max(math.Abs(evals[0]), math.Abs(evals[n-1]))
 		for k := 0; k < n; k++ {
@@ -520,7 +541,7 @@ func BenchmarkCholesky64(b *testing.B) {
 
 // BenchmarkGenEigChol times the Rayleigh-Ritz pencil solve of the ground
 // state's eigensolver step at its two sizes, 2nb = 32 (Si8) and 64 (Si16),
-// on one fixed random pencil.
+// on one fixed random pencil, keeping the nb = n/2 vectors the step keeps.
 func BenchmarkGenEigChol(b *testing.B) {
 	for _, n := range []int{32, 64} {
 		rng := rand.New(rand.NewSource(11))
@@ -528,7 +549,7 @@ func BenchmarkGenEigChol(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := GenEigChol(a, s, n); err != nil {
+				if _, _, err := GenEigChol(a, s, n, n/2); err != nil {
 					b.Fatal(err)
 				}
 			}

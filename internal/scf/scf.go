@@ -19,6 +19,7 @@ package scf
 import (
 	"errors"
 	"fmt"
+	"math/cmplx"
 
 	"ptdft/internal/grid"
 	"ptdft/internal/hamiltonian"
@@ -93,6 +94,9 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 	if h.Hybrid() {
 		phases = 1 + opt.HybridOuter
 	}
+	// The eigensolver's two-block basis [psi | w] and its image under H.
+	basis := make([]complex128, 2*nb*g.NG)
+	hbasis := make([]complex128, 2*nb*g.NG)
 	totalIter := 0
 	for phase := 0; phase < phases; phase++ {
 		if phase > 0 {
@@ -112,9 +116,7 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 		var lastErr float64
 		for it := 0; it < iters; it++ {
 			for e := 0; e < opt.EigIters; e++ {
-				var err error
-				psi, err = eigStep(g, h, psi, nb, res)
-				if err != nil {
+				if err := eigStep(g, h, psi, basis, hbasis, nb, res); err != nil {
 					return nil, fmt.Errorf("scf: phase %d eigensolver failed at iteration %d: %w", phase, it, err)
 				}
 			}
@@ -156,10 +158,10 @@ func DiagonalizeFixed(g *grid.Grid, h *hamiltonian.Hamiltonian, nb, iters int, s
 		return nil, nil, errors.New("scf: need at least one band")
 	}
 	psi := wavefunc.Random(g, nb, seed)
-	var err error
+	basis := make([]complex128, 2*nb*g.NG)
+	hbasis := make([]complex128, 2*nb*g.NG)
 	for i := 0; i < iters; i++ {
-		psi, err = eigStep(g, h, psi, nb, &Result{})
-		if err != nil {
+		if err := eigStep(g, h, psi, basis, hbasis, nb, &Result{}); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -184,21 +186,24 @@ func sanitizeDensity(g *grid.Grid, rho []float64, nelec float64) []float64 {
 	return rho
 }
 
-// eigStep performs one two-block LOBPCG-style update: expand the subspace
-// with Teter-preconditioned residuals, solve the 2nb x 2nb projected
-// generalized eigenproblem, and keep the lowest nb Ritz vectors. A
-// singular overlap of [psi | w] (a band or residual in the span of the
-// others) fails the Cholesky of the pencil, and that is the error. The step
-// and its band applications of H are counted into work.
-func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int, work *Result) ([]complex128, error) {
+// eigStep performs one two-block LOBPCG-style update of psi in place:
+// expand the subspace with Teter-preconditioned residuals, solve the
+// 2nb x 2nb projected generalized eigenproblem, and rotate psi onto the
+// lowest nb Ritz vectors. basis and hbasis (2nb bands each, the caller's)
+// receive [psi | w] and its image under H. A singular overlap of [psi | w]
+// (a band or residual in the span of the others) fails the Cholesky of the
+// pencil, and that is the error, with psi untouched. The step and its band
+// applications of H are counted into work.
+func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi, basis, hbasis []complex128, nb int, work *Result) error {
 	ng := g.NG
 	work.EigSteps++
-	hp := make([]complex128, nb*ng)
+	copy(basis[:nb*ng], psi)
+	hp := hbasis[:nb*ng]
 	h.Apply(hp, psi, nb)
 	work.HApplications += nb
 
 	// Rayleigh quotients and preconditioned residuals.
-	w := make([]complex128, nb*ng)
+	w := basis[nb*ng:]
 	kin := h.Kinetic()
 	parallel.For(nb, func(j int) {
 		p := psi[j*ng : (j+1)*ng]
@@ -214,19 +219,11 @@ func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int,
 			wj[s] = complex(teter(kin[s]/ekin), 0) * r
 		}
 	})
-
-	// Build the expanded basis [psi | w] and the projected matrices.
-	m := 2 * nb
-	basis := make([]complex128, m*ng)
-	copy(basis[:nb*ng], psi)
-	copy(basis[nb*ng:], w)
-	hw := make([]complex128, nb*ng)
-	h.Apply(hw, w, nb)
+	h.Apply(hbasis[nb*ng:], w, nb)
 	work.HApplications += nb
-	hbasis := make([]complex128, m*ng)
-	copy(hbasis[:nb*ng], hp)
-	copy(hbasis[nb*ng:], hw)
 
+	// The projected matrices of the expanded basis [psi | w].
+	m := 2 * nb
 	a := make([]complex128, m*m)
 	b := make([]complex128, m*m)
 	linalg.Overlap(a, basis, hbasis, m, m, ng)
@@ -234,21 +231,13 @@ func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int,
 	hermitize(a, m)
 	hermitize(b, m)
 
-	_, vecs, err := linalg.GenEigChol(a, b, m)
+	_, u, err := linalg.GenEigChol(a, b, m, nb)
 	if err != nil {
-		return nil, fmt.Errorf("%dx%d Rayleigh-Ritz pencil: %w", m, m, err)
+		return fmt.Errorf("%dx%d Rayleigh-Ritz pencil: %w", m, m, err)
 	}
-	// Rotate onto the lowest nb Ritz vectors: u[i*nb+j] = vecs[i*m+j].
-	u := make([]complex128, m*nb)
-	for i := 0; i < m; i++ {
-		copy(u[i*nb:(i+1)*nb], vecs[i*m:i*m+nb])
-	}
-	out := make([]complex128, nb*ng)
-	linalg.ApplyMatrix(out, basis, u, nb, m, ng)
-	if err := wavefunc.Orthonormalize(out, nb, ng); err != nil {
-		return nil, err
-	}
-	return out, nil
+	// basis holds psi's copy, and ApplyMatrix clears its output first.
+	linalg.ApplyMatrix(psi, basis, u, nb, m, ng)
+	return wavefunc.Orthonormalize(psi, nb, ng)
 }
 
 // hermitize symmetrizes numerical noise: a <- (a + a^H)/2.
@@ -256,14 +245,12 @@ func hermitize(a []complex128, n int) {
 	for i := 0; i < n; i++ {
 		a[i*n+i] = complex(real(a[i*n+i]), 0)
 		for j := i + 1; j < n; j++ {
-			v := (a[i*n+j] + conj(a[j*n+i])) / 2
+			v := (a[i*n+j] + cmplx.Conj(a[j*n+i])) / 2
 			a[i*n+j] = v
-			a[j*n+i] = conj(v)
+			a[j*n+i] = cmplx.Conj(v)
 		}
 	}
 }
-
-func conj(c complex128) complex128 { return complex(real(c), -imag(c)) }
 
 // teter is the Teter-Payne-Allan preconditioner profile: ~1 for low kinetic
 // energy components, ~x^-4 decay for high ones.

@@ -3,6 +3,8 @@ package scf
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"ptdft/internal/hamiltonian"
 	"ptdft/internal/lattice"
 	"ptdft/internal/linalg"
+	"ptdft/internal/parallel"
 	"ptdft/internal/potential"
 	"ptdft/internal/pseudo"
 	"ptdft/internal/wavefunc"
@@ -157,20 +160,55 @@ func TestGroundStateRejectsZeroBands(t *testing.T) {
 }
 
 // TestEigStepSingularBasisFails: an all-zero band has a zero residual,
-// so the overlap of [psi | w] is singular and the step reports it instead
-// of returning psi unchanged.
+// so the overlap of [psi | w] is singular and the step reports it, with
+// psi left as it was, instead of rotating psi.
 func TestEigStepSingularBasisFails(t *testing.T) {
 	g, h := siSetup(3, false)
 	nb, ng := g.Cell.NumBands(), g.NG
 	psi := wavefunc.Random(g, nb, 1)
 	h.UpdatePotential(potential.Density(g, psi, nb, 2))
 	clear(psi[3*ng : 4*ng])
-	out, err := eigStep(g, h, psi, nb, &Result{})
+	before := append([]complex128(nil), psi...)
+	basis, hbasis := make([]complex128, 2*nb*ng), make([]complex128, 2*nb*ng)
+	err := eigStep(g, h, psi, basis, hbasis, nb, &Result{})
 	if err == nil {
-		t.Fatalf("eigStep on a band set with a zero band returned %d coefficients and no error", len(out))
+		t.Fatal("eigStep on a band set with a zero band returned no error")
 	}
 	if pencil := fmt.Sprintf("%dx%d", 2*nb, 2*nb); !strings.Contains(err.Error(), pencil) {
 		t.Errorf("error %q does not name the %s pencil", err, pencil)
+	}
+	for i := range psi {
+		if psi[i] != before[i] {
+			t.Fatalf("psi changed at coefficient %d by the failed step", i)
+		}
+	}
+}
+
+// TestEigStepAllocation: the step works in its caller's two 2nb-band
+// blocks, so one warm step on Si8 (nb = 16) at one worker allocates less
+// than those blocks hold; what is left is the pencil and its solve.
+func TestEigStepAllocation(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g, h := siSetup(3, false)
+	nb, ng := g.Cell.NumBands(), g.NG
+	psi := wavefunc.Random(g, nb, 1)
+	h.UpdatePotential(potential.Density(g, psi, nb, 2))
+	basis, hbasis := make([]complex128, 2*nb*ng), make([]complex128, 2*nb*ng)
+	if err := eigStep(g, h, psi, basis, hbasis, nb, &Result{}); err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := eigStep(g, h, psi, basis, hbasis, nb, &Result{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	blocks := uint64(2 * 2 * nb * ng * 16)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= blocks {
+		t.Errorf("one eigStep (nb=%d, NG=%d) allocated %d B, want < %d B (two 2nb-band blocks)", nb, ng, got, blocks)
+	} else {
+		t.Logf("one eigStep (nb=%d, NG=%d) allocated %d B", nb, ng, got)
 	}
 }
 

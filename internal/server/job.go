@@ -65,7 +65,7 @@ type Metrics struct {
 
 // Job is one submitted simulation. The server's mutex guards every field
 // except Feed (internally synchronized) and stop (closed at most once,
-// under the server's mutex, tracked by stopSent).
+// under the server's mutex, when intent is set).
 type Job struct {
 	ID          string
 	Spec        sim.Spec
@@ -81,11 +81,11 @@ type Job struct {
 	Feed *observe.Feed
 
 	// stop requests a graceful interruption of the running attempt;
-	// intent records why ("preempt", "cancel", "drain") so the worker
-	// knows which transition to take when the driver returns.
-	stop     chan struct{}
-	stopSent bool
-	intent   string
+	// intent records why ("preempt", "cancel", "drain"; "" until stop is
+	// closed) so the worker knows which transition to take when the driver
+	// returns.
+	stop   chan struct{}
+	intent string
 
 	// resume is the checkpoint the next attempt continues from; roll is
 	// the job's durable rolling checkpoint sequence (nil without a

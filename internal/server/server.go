@@ -209,11 +209,10 @@ func (s *Server) Preempt(id string) error {
 	if !ok {
 		return errNotFound
 	}
-	if j.State != StateRunning || j.stopSent {
+	if j.State != StateRunning || j.intent != "" {
 		return fmt.Errorf("%w: job %s is %s", errConflict, id, j.State)
 	}
 	j.intent = "preempt"
-	j.stopSent = true
 	close(j.stop)
 	return nil
 }
@@ -236,9 +235,8 @@ func (s *Server) Cancel(id string) error {
 		s.persist(j)
 		s.logf("job %s canceled while queued", id)
 		return nil
-	case j.State == StateRunning && !j.stopSent:
+	case j.State == StateRunning && j.intent == "":
 		j.intent = "cancel"
-		j.stopSent = true
 		close(j.stop)
 		s.mu.Unlock()
 		return nil
@@ -275,9 +273,8 @@ func (s *Server) Drain() {
 	}
 	s.draining = true
 	for _, j := range s.jobs {
-		if j.State == StateRunning && !j.stopSent {
+		if j.State == StateRunning && j.intent == "" {
 			j.intent = "drain"
-			j.stopSent = true
 			close(j.stop)
 		}
 	}
@@ -310,7 +307,6 @@ func (s *Server) worker() {
 		}
 		j.State = StateRunning
 		j.stop = make(chan struct{})
-		j.stopSent = false
 		j.intent = ""
 		if j.StartedAt.IsZero() {
 			j.StartedAt = time.Now().UTC()
@@ -340,7 +336,6 @@ func (s *Server) worker() {
 			}
 			s.logf("job %s canceled after %d steps", j.ID, j.Metrics.StepsDone)
 		case res.Stopped && j.intent == "preempt":
-			j.State = StatePreempted
 			j.resume = res.Final
 			j.Metrics.Preemptions++
 			// Automatic resume: back of the queue, next free worker.

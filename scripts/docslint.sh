@@ -50,7 +50,8 @@ for f in scripts/*.sh; do
 		fail=1
 	fi
 done
-# Docs name only what exists. In README.md and DESIGN.md, every exported
+# Docs name only what exists. In README.md, DESIGN.md and the verify skill
+# (.claude/skills/verify/SKILL.md, the build-and-run notes), every exported
 # CamelCase name (upper-case first letter, a lower-case letter, no "_")
 # inside backticks must be found by git grep -w in the Go sources (*.go,
 # *.s), whether it stands bare (`GroundState`), qualified by a package under
@@ -102,7 +103,7 @@ missing=$(awk -v pkgs="$pkgs" '
 					print FILENAME ":" FNR ":" c[k]
 			}
 		}
-	}' README.md DESIGN.md | while IFS=: read -r doc line name; do
+	}' README.md DESIGN.md .claude/skills/verify/SKILL.md | while IFS=: read -r doc line name; do
 	case "$name" in
 	*\*) git grep -qF "${name%\*}" -- '*.go' '*.s' ;;
 	*) git grep -qw "$name" -- '*.go' '*.s' ;;
