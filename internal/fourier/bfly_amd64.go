@@ -33,6 +33,15 @@ func scatterRows8AVX2(dre, dim, sre, sim *float64, n, stride int)
 //go:noescape
 func gatherRows8AVX2(dre, dim, sre, sim *float64, perm *int, n, stride int)
 
+//go:noescape
+func addNorm2Rows8AVX2(acc, sre, sim *float64, n, stride int)
+
+//go:noescape
+func zGatherAVX2(dre, dim, sre, sim *float64, zinv *int, nz int)
+
+//go:noescape
+func zScatterAVX2(dre, dim, sre, sim *float64, nz int)
+
 // combineVec runs the radix-r combine of one stage over `blocks`
 // consecutive stage blocks (each r sub-transforms of m rows, already in
 // dre/dim) on the vector kernels and reports whether it did; false leaves
@@ -79,29 +88,60 @@ func scatterRowsVec(dst lanes.Slab, b lanes.Slab, off, n, stride int) bool {
 	return true
 }
 
-// gatherRowsVec fills the n rows of a lane block, row k with the Width
-// values at src[off+perm[k]*stride:], in both halves of the slabs, and
-// reports whether it did.
-func gatherRowsVec(b lanes.Slab, src lanes.Slab, off, n, stride int, perm []int) bool {
+// gatherRowsVec fills the pl.n rows of a lane block, row k with the Width
+// values at src[off+pl.perm[k]*stride:], in both halves of the slabs, and
+// reports whether it did. NewPlan checked pl.perm to be a permutation of
+// [0, pl.n), so the last row read is at most pl.n-1 strides in.
+func gatherRowsVec(b lanes.Slab, src lanes.Slab, off, stride int, pl *Plan) bool {
+	if !hostcpu.AVX2 {
+		return false
+	}
+	n := pl.n
+	if sEnd := off + (n-1)*stride + lw; n > len(pl.perm) || n*lw > len(b.Re) || n*lw > len(b.Im) || off < 0 || stride < 0 ||
+		sEnd > len(src.Re) || sEnd > len(src.Im) {
+		panic(fmt.Sprintf("fourier: %d rows of a %d-entry table, stride %d, from %d: a %d/%d block and a %d/%d slab",
+			n, len(pl.perm), stride, off, len(b.Re), len(b.Im), len(src.Re), len(src.Im)))
+	}
+	gatherRows8AVX2(&b.Re[0], &b.Im[0], &src.Re[off], &src.Im[off], &pl.perm[0], n, stride)
+	return true
+}
+
+// addNorm2RowsVec adds the squared moduli of the n rows of a lane block,
+// row k into acc[off+k*stride:], and reports whether it did.
+func addNorm2RowsVec(acc []float64, b lanes.Slab, off, n, stride int) bool {
 	if !hostcpu.AVX2 {
 		return false
 	}
 	if n < 1 {
 		return true
 	}
-	if n > len(perm) {
-		panic(fmt.Sprintf("fourier: %d permuted rows from a table of %d", n, len(perm)))
+	if end := off + (n-1)*stride + lw; off < 0 || stride < 0 || end > len(acc) || n*lw > len(b.Re) || n*lw > len(b.Im) {
+		panic(fmt.Sprintf("fourier: |.|^2 of %d rows of a %d/%d block into [%d, %d) of %d", n, len(b.Re), len(b.Im), off, end, len(acc)))
 	}
-	lo, hi := perm[0], perm[0]
-	for _, j := range perm[:n] {
-		lo, hi = min(lo, j), max(hi, j)
+	addNorm2Rows8AVX2(&acc[off], &b.Re[0], &b.Im[0], n, stride)
+	return true
+}
+
+// zRowsVec moves the Width z-rows of the slab s from base on to or from
+// the lane block b on the transposing kernels and reports whether it did:
+// a gather puts point j of row l into row zinv[j], lane l, the z pass's
+// input order; a scatter writes row k, lane l back to point k of row l.
+// They take nz >= 4, one 4x4 transpose per four points. p.zinv inverts a
+// permutation NewPlan checked, so it maps a row onto the block's nz rows.
+func zRowsVec(b, s lanes.Slab, base int, p *Plan3, gather bool) bool {
+	nz := p.nz
+	if !hostcpu.AVX2 || nz < 4 {
+		return false
 	}
-	if sEnd := off + hi*stride + lw; n*lw > len(b.Re) || n*lw > len(b.Im) || off < 0 || stride < 0 || lo < 0 ||
-		sEnd > len(src.Re) || sEnd > len(src.Im) {
-		panic(fmt.Sprintf("fourier: %d rows at offsets %d..%d, stride %d, from %d: a %d/%d block and a %d/%d slab",
-			n, lo, hi, stride, off, len(b.Re), len(b.Im), len(src.Re), len(src.Im)))
+	if end := base + lw*nz; base < 0 || end > len(s.Re) || end > len(s.Im) || len(p.zinv) != nz ||
+		nz*lw > len(b.Re) || nz*lw > len(b.Im) {
+		panic(fmt.Sprintf("fourier: %d z-rows of %d points at %d of a %d/%d slab, block %d/%d", lw, nz, base, len(s.Re), len(s.Im), len(b.Re), len(b.Im)))
 	}
-	gatherRows8AVX2(&b.Re[0], &b.Im[0], &src.Re[off], &src.Im[off], &perm[0], n, stride)
+	if gather {
+		zGatherAVX2(&b.Re[0], &b.Im[0], &s.Re[base], &s.Im[base], &p.zinv[0], nz)
+	} else {
+		zScatterAVX2(&s.Re[base], &s.Im[base], &b.Re[0], &b.Im[0], nz)
+	}
 	return true
 }
 
@@ -113,22 +153,21 @@ func pairAccumulateAVX2(vre, vim, wre, wim *float64, tab **float64, nz, n, base 
 
 // pairRows is the pair kernels' view of a PairLanes: lane l's operand and
 // accumulator halves by their first element (nil from n on and for an
-// empty AccA), each checked by bindPairRows to hold size points, and zinv,
-// checked to map a z-row onto its lane block. The zero value runs no kernel.
+// empty AccA), each checked by bindPairRows to hold size points, and the
+// plan's zinv, which maps a z-row onto its lane block (it inverts a
+// permutation NewPlan checked). The zero value runs no kernel.
 type pairRows struct {
 	ptr     [8][lw]*float64 // A.Re, A.Im, B.Re, B.Im, AccB.Re, AccB.Im, AccA.Re, AccA.Im
 	n, size int
 	zinv    []int
 }
 
-func bindPairRows(t *pairRows, pl *PairLanes, size int, zinv []int) {
+func bindPairRows(t *pairRows, pl *PairLanes, p *Plan3) {
 	if !hostcpu.AVX2 {
 		return
 	}
-	bad := pl.N < 1 || pl.N > lw || len(zinv) > size
-	for _, k := range zinv {
-		bad = bad || k < 0 || k >= len(zinv)
-	}
+	size, zinv := p.Size(), p.zinv
+	bad := pl.N < 1 || pl.N > lw
 	for l := 0; l < pl.N && !bad; l++ {
 		for h, s := range [4]lanes.Slab{pl.A[l], pl.B[l], pl.AccB[l], pl.AccA[l]} {
 			if h == 3 && s.Len() == 0 {

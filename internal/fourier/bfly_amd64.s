@@ -1,7 +1,8 @@
 // AVX2 + FMA renditions of the radix-2/3/4/7 combine loops of combineLanes,
 // of the 8-float64 row copies behind gatherStrided (permuted) and
-// scatterStrided, and of pairPass's pair products and accumulations
-// (fftlanes.go, slab.go). One lane row is Width = 8 float64
+// scatterStrided, of addNorm2Strided's squared moduli, of the z pass's
+// transposing gather and scatter, and of pairPass's pair products and
+// accumulations (fftlanes.go, slab.go). One lane row is Width = 8 float64
 // = two ymm; every kernel walks the low half (byte offset 0) and the high
 // half (offset 32) of each row with the same macro. The arithmetic is the
 // Go loops' expression trees, operation for operation: each math.FMA is one
@@ -422,10 +423,48 @@ gatherloop:
 	VZEROUPPER
 	RET
 
+// func addNorm2Rows8AVX2(acc, sre, sim *float64, n, stride int)
+//
+// Adds the squared moduli of n contiguous rows of 8 complex values, split
+// re/im, to acc: row k at acc + k*stride (stride in elements) takes
+// re*re + im*im, two products and two adds as the Go loop rounds them.
+TEXT ·addNorm2Rows8AVX2(SB), NOSPLIT, $0-40
+	MOVQ acc+0(FP), DI
+	MOVQ sre+8(FP), SI
+	MOVQ sim+16(FP), R9
+	MOVQ n+24(FP), CX
+	MOVQ stride+32(FP), AX
+	SHLQ $3, AX
+norm2loop:
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD (R9), Y2
+	VMOVUPD 32(R9), Y3
+	VMULPD  Y0, Y0, Y0
+	VMULPD  Y1, Y1, Y1
+	VMULPD  Y2, Y2, Y2
+	VMULPD  Y3, Y3, Y3
+	VADDPD  Y2, Y0, Y0
+	VADDPD  Y3, Y1, Y1
+	VADDPD  (DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ $64, SI
+	ADDQ $64, R9
+	ADDQ AX, DI
+	DECQ CX
+	JNZ  norm2loop
+	VZEROUPPER
+	RET
+
 // The pair kernels: the Go loops at the two ends of ContractPairsWS over
 // one z-row of nz >= 4 points, lane after lane, four points per ymm,
 // through the scratch w (point j of lane l at w[l*nz+j]) that 4x4
-// transposes move to and from the lane block. tab is pairRows.ptr. In the
+// transposes move to and from the lane block. w has the layout of Width
+// consecutive z-rows of a grid slab, so the same transposes are the z
+// pass's gather and scatter of a whole lane group (zGatherAVX2,
+// zScatterAVX2). tab is pairRows.ptr. In the
 // lane loops BX = 8*(base+j) addresses point j of every slab, and of
 // scratch lane l through R11, R12; CX counts the points left.
 
@@ -493,6 +532,37 @@ loop:                         \
 	X(32, DI, AX)         \
 	X(32, SI, R14)        \
 	NEXT4(loop, done)
+
+// func zGatherAVX2(dre, dim, sre, sim *float64, zinv *int, nz int)
+//
+// Fills the lane block d from the 8 z-rows of nz >= 4 points at s: point j
+// of row l goes to row zinv[j], lane l.
+TEXT ·zGatherAVX2(SB), NOSPLIT, $0-48
+	MOVQ dre+0(FP), DI
+	MOVQ dim+8(FP), SI
+	MOVQ sre+16(FP), R11
+	MOVQ sim+24(FP), R12
+	MOVQ zinv+32(FP), R10
+	MOVQ nz+40(FP), CX
+	LEAQ (CX*8), R9
+	XCHUNKS(FROMW, zgrows, zgdone)
+	VZEROUPPER
+	RET
+
+// func zScatterAVX2(dre, dim, sre, sim *float64, nz int)
+//
+// Writes the lane block s back to the 8 z-rows of nz >= 4 points at d in
+// natural order: row k, lane l goes to point k of row l.
+TEXT ·zScatterAVX2(SB), NOSPLIT, $0-40
+	MOVQ dre+0(FP), R11
+	MOVQ dim+8(FP), R12
+	MOVQ sre+16(FP), DI
+	MOVQ sim+24(FP), SI
+	MOVQ nz+32(FP), CX
+	LEAQ (CX*8), R9
+	XCHUNKS(TOW, zsrows, zsdone)
+	VZEROUPPER
+	RET
 
 // func pairProductsAVX2(vre, vim, wre, wim *float64, tab **float64, zinv *int, nz, n, base int)
 //

@@ -11,11 +11,15 @@ func combineVec(r, m, blocks int, dre, dim, twre, twim, rore, roim []float64) bo
 
 func scatterRowsVec(dst lanes.Slab, b lanes.Slab, off, n, stride int) bool { return false }
 
-func gatherRowsVec(b lanes.Slab, src lanes.Slab, off, n, stride int, perm []int) bool { return false }
+func gatherRowsVec(b lanes.Slab, src lanes.Slab, off, stride int, pl *Plan) bool { return false }
+
+func addNorm2RowsVec(acc []float64, b lanes.Slab, off, n, stride int) bool { return false }
+
+func zRowsVec(b, s lanes.Slab, base int, p *Plan3, gather bool) bool { return false }
 
 type pairRows struct{}
 
-func bindPairRows(t *pairRows, pl *PairLanes, size int, zinv []int) {}
+func bindPairRows(t *pairRows, pl *PairLanes, p *Plan3) {}
 
 func pairProductsVec(t *pairRows, v, w lanes.Slab, base int) bool { return false }
 

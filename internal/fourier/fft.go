@@ -98,6 +98,20 @@ func (p *Plan) buildPerm() {
 		}
 		p.perm[k] = j
 	}
+	checkPerm(p.perm)
+}
+
+// checkPerm panics unless perm is a permutation of [0, len(perm)). The
+// gather kernels index with a plan's perm and its inverse unchecked; this
+// is the check they rest on, made once per plan instead of once per call.
+func checkPerm(perm []int) {
+	seen := make([]bool, len(perm))
+	for k, j := range perm {
+		if j < 0 || j >= len(perm) || seen[j] {
+			panic(fmt.Sprintf("fourier: digit reversal of %d maps row %d to %d, not a permutation", len(perm), k, j))
+		}
+		seen[j] = true
+	}
 }
 
 // buildStages tabulates the combine twiddles for every level.

@@ -123,7 +123,7 @@ func exactRoots(n int) []ddRoot {
 // and returns the result, leaving src as it was.
 func laneTransform(p *Plan, src lanes.Slab, inverse bool) lanes.Slab {
 	b := lanes.New(p.n * lw)
-	gatherStrided(b, src, 0, p.n, lw, lw, p.perm)
+	gatherStrided(b, src, 0, lw, lw, p)
 	p.transformLanes(b, inverse)
 	return b
 }

@@ -45,7 +45,8 @@ func (p *Plan3) checkSlab(s lanes.Slab, what string) {
 // zPassSlab transforms along z, src -> dst (which may be the same slab).
 // rows lists the z-rows (flat index ix*Ny + iy) to transform, Width of them
 // per lane group; nil means every row. Rows not listed are neither read nor
-// written.
+// written. A whole group of consecutive rows is one contiguous block of
+// the slab, which the transposing kernels move where they take it.
 func (p *Plan3) zPassSlab(dst, src lanes.Slab, rows []int, inverse bool, ws *Workspace3) {
 	nz := p.nz
 	n := p.nx * p.ny
@@ -58,14 +59,16 @@ func (p *Plan3) zPassSlab(dst, src lanes.Slab, rows []int, inverse bool, ws *Wor
 	for r0 := 0; r0 < n; r0 += lw {
 		L := min(lw, n-r0)
 		for l := 0; l < L; l++ {
-			r := r0 + l
+			bases[l] = (r0 + l) * nz
 			if rows != nil {
-				r = rows[r]
+				bases[l] = rows[r0+l] * nz
 			}
-			base := r * nz
-			bases[l] = base
-			rre := src.Re[base : base+nz]
-			rim := src.Im[base : base+nz]
+		}
+		block := rows == nil && L == lw
+		vec := block && zRowsVec(lu, src, bases[0], p, true)
+		for l := 0; l < L && !vec; l++ {
+			rre := src.Re[bases[l] : bases[l]+nz]
+			rim := src.Im[bases[l] : bases[l]+nz]
 			for k, j := range perm {
 				lu.Re[k*lw+l] = rre[j]
 				lu.Im[k*lw+l] = rim[j]
@@ -73,10 +76,10 @@ func (p *Plan3) zPassSlab(dst, src lanes.Slab, rows []int, inverse bool, ws *Wor
 		}
 		zeroTailLanes(lu, nz, L)
 		p.pz.transformLanes(lu, inverse)
-		for l := 0; l < L; l++ {
-			base := bases[l]
-			rre := dst.Re[base : base+nz]
-			rim := dst.Im[base : base+nz]
+		vec = block && zRowsVec(lu, dst, bases[0], p, false)
+		for l := 0; l < L && !vec; l++ {
+			rre := dst.Re[bases[l] : bases[l]+nz]
+			rim := dst.Im[bases[l] : bases[l]+nz]
 			for k := 0; k < nz; k++ {
 				rre[k] = lu.Re[k*lw+l]
 				rim[k] = lu.Im[k*lw+l]
@@ -98,14 +101,15 @@ func zeroTailLanes(b lanes.Slab, n, L int) {
 	}
 }
 
-// gatherStrided packs Width pencils of length n with element stride into a
-// lane block in the digit-reversal order perm: lane l of row k reads
-// src[off + perm[k]*stride + l]. The Width consecutive source values per
-// element are contiguous, so the full-group fast path is an 8-wide copy per
-// row.
-func gatherStrided(b lanes.Slab, src lanes.Slab, off, n, stride, L int, perm []int) {
+// gatherStrided packs Width pencils of length pl.n with element stride
+// into a lane block in the plan's digit-reversal order: lane l of row k
+// reads src[off + pl.perm[k]*stride + l]. The Width consecutive source
+// values per element are contiguous, so the full-group fast path is an
+// 8-wide copy per row.
+func gatherStrided(b lanes.Slab, src lanes.Slab, off, stride, L int, pl *Plan) {
+	n, perm := pl.n, pl.perm
 	if L == lw {
-		if gatherRowsVec(b, src, off, n, stride, perm) {
+		if gatherRowsVec(b, src, off, stride, pl) {
 			return
 		}
 		for k := 0; k < n; k++ {
@@ -151,6 +155,22 @@ func scatterStrided(dst lanes.Slab, b lanes.Slab, off, n, stride, L int) {
 	}
 }
 
+// addNorm2Strided is scatterStrided that adds each value's squared modulus
+// into acc instead of writing the value: acc[off + k*stride + l] +=
+// |row k, lane l|^2, lanes l < L.
+func addNorm2Strided(acc []float64, b lanes.Slab, off, n, stride, L int) {
+	if L == lw && addNorm2RowsVec(acc, b, off, n, stride) {
+		return
+	}
+	for k := 0; k < n; k++ {
+		a := acc[off+k*stride:][:L]
+		re, im := b.Re[k*lw:][:L], b.Im[k*lw:][:L]
+		for l := range a {
+			a[l] += float64(re[l]*re[l]) + float64(im[l]*im[l])
+		}
+	}
+}
+
 // yPassSlab transforms along y (stride nz) in place. planes lists the
 // x-planes ix to transform; nil means every plane.
 func (p *Plan3) yPassSlab(dst lanes.Slab, planes []int, inverse bool, ws *Workspace3) {
@@ -168,23 +188,29 @@ func (p *Plan3) yPassSlab(dst lanes.Slab, planes []int, inverse bool, ws *Worksp
 		base := ix * ny * nz
 		for iz0 := 0; iz0 < nz; iz0 += lw {
 			L := min(lw, nz-iz0)
-			gatherStrided(lu, dst, base+iz0, ny, nz, L, p.py.perm)
+			gatherStrided(lu, dst, base+iz0, nz, L, p.py)
 			p.py.transformLanes(lu, inverse)
 			scatterStrided(dst, lu, base+iz0, ny, nz, L)
 		}
 	}
 }
 
-// xPassSlab transforms along x (stride ny*nz) in place.
-func (p *Plan3) xPassSlab(dst lanes.Slab, inverse bool, ws *Workspace3) {
+// xPassSlab transforms along x (stride ny*nz) in place or, given acc,
+// adds each transformed point's squared modulus into acc where it would
+// have written the point, and leaves dst as the y pass left it.
+func (p *Plan3) xPassSlab(dst lanes.Slab, acc []float64, inverse bool, ws *Workspace3) {
 	nx, ny, nz := p.nx, p.ny, p.nz
 	stride := ny * nz
 	lu := ws.lu.Slice(0, nx*lw)
 	for r0 := 0; r0 < stride; r0 += lw {
 		L := min(lw, stride-r0)
-		gatherStrided(lu, dst, r0, nx, stride, L, p.px.perm)
+		gatherStrided(lu, dst, r0, stride, L, p.px)
 		p.px.transformLanes(lu, inverse)
-		scatterStrided(dst, lu, r0, nx, stride, L)
+		if acc != nil {
+			addNorm2Strided(acc, lu, r0, nx, stride, L)
+		} else {
+			scatterStrided(dst, lu, r0, nx, stride, L)
+		}
 	}
 }
 
@@ -207,7 +233,7 @@ func (p *Plan3) xPassKernelSlab(buf lanes.Slab, kernel []float64, lo, hi int, un
 	var pad [lw]float64
 	for r0 := lo; r0 < hi; r0 += lw {
 		L := min(lw, hi-r0)
-		gatherStrided(lu, buf, r0, nx, stride, L, perm)
+		gatherStrided(lu, buf, r0, stride, L, p.px)
 		p.px.transformLanes(lu, false)
 		for k, i := range perm {
 			o := r0 + i*stride
@@ -248,26 +274,32 @@ func (p *Plan3) RawSlabWS(dst, src lanes.Slab, inverse bool, ws *Workspace3) {
 	p.checkSlab(src, "src")
 	p.zPassSlab(dst, src, nil, inverse, ws)
 	p.yPassSlab(dst, nil, inverse, ws)
-	p.xPassSlab(dst, inverse, ws)
+	p.xPassSlab(dst, nil, inverse, ws)
 }
 
-// InversePrunedSlabWS is RawSlabWS(buf, buf, true, ws) for a box that is
-// zero outside a declared set of z-rows, as a zero-padded sphere of Fourier
-// coefficients is: the z pass runs only over rows (flat indices ix*Ny + iy
-// of the z-rows that may hold nonzeros), the y pass only over planes (the
-// x-planes ix those rows lie in) and the x pass over everything. Rows and
-// planes left out would transform zeros to zeros, so the result is the full
-// transform with those pencils' work skipped.
+// AddNorm2PrunedSlabWS adds |x_i|^2 into acc[i], x the unnormalized
+// inverse transform of buf (RawSlabWS(buf, buf, true, ws)), for a box that
+// is zero outside a declared set of z-rows, as a zero-padded sphere of
+// Fourier coefficients is: one orbital's share of a density. The z pass
+// runs only over rows (flat indices ix*Ny + iy of the z-rows that may hold
+// nonzeros), the y pass only over planes (the x-planes ix those rows lie
+// in) and the x pass over everything, adding each transformed lane row's
+// squared moduli into acc where the full inverse would have written the
+// row; the rows and planes left out would transform zeros to zeros. buf is
+// consumed: it is left holding the y pass's output.
 //
 // Precondition: every nonzero of buf lies in a listed row, every listed
 // row lies in a listed plane, and both lists are duplicate-free. Nothing
 // checks it; data outside the lists is silently treated as zero by the
 // passes that skip it and read by the ones that do not.
-func (p *Plan3) InversePrunedSlabWS(buf lanes.Slab, rows, planes []int, ws *Workspace3) {
+func (p *Plan3) AddNorm2PrunedSlabWS(acc []float64, buf lanes.Slab, rows, planes []int, ws *Workspace3) {
 	p.checkSlab(buf, "buf")
+	if len(acc) != p.Size() {
+		panic(fmt.Sprintf("fourier: accumulator length %d != grid %d", len(acc), p.Size()))
+	}
 	p.zPassSlab(buf, buf, rows, true, ws)
 	p.yPassSlab(buf, planes, true, ws)
-	p.xPassSlab(buf, true, ws)
+	p.xPassSlab(buf, acc, true, ws)
 }
 
 // PoissonSlabWS is the fused Poisson round trip over a grid slab:
@@ -356,7 +388,7 @@ func (p *Plan3) pairPass(pass int, pl *PairLanes, buf lanes.Slab, kernel []float
 	share := func(n int) (int, int) { return w * n / nw, (w + 1) * n / nw }
 	var t pairRows
 	if pass == 0 || pass == 4 {
-		bindPairRows(&t, pl, p.Size(), p.zinv)
+		bindPairRows(&t, pl, p)
 	}
 	switch pass {
 	case 0:
@@ -387,7 +419,7 @@ func (p *Plan3) pairPass(pass int, pl *PairLanes, buf lanes.Slab, kernel []float
 		lu := ws.lu.Slice(0, nz*lw)
 		for r := lo; r < hi; r++ {
 			base := r * nz
-			gatherStrided(lu, buf, base*lw, nz, lw, lw, p.pz.perm)
+			gatherStrided(lu, buf, base*lw, lw, lw, p.pz)
 			p.pz.transformLanes(lu, true)
 			vec := pairAccumulateVec(&t, lu, ws.lv, base, scale)
 			for l := 0; l < pl.N && !vec; l++ {

@@ -108,10 +108,36 @@ func TestVecKernelsBitIdentical(t *testing.T) {
 		var out []lanes.Slab
 		forEachVec(func(bool) {
 			b := lanes.New(n * lw)
-			gatherStrided(b, src, 5, n, 11, lw, p.perm)
+			gatherStrided(b, src, 5, 11, lw, p)
 			out = append(out, b)
 		})
 		sameBits(t, fmt.Sprintf("gatherStrided n=%d", n), out[0], out[1])
+	}
+
+	// The squared-modulus accumulation and the z pass's transposing gather
+	// and scatter on their own: every fast row length, a whole lane group
+	// of rows (the kernels' case) and a partial one (the Go loops').
+	for _, n := range lengths {
+		b, acc0 := randLaneSlab(rng, n*lw), randLaneSlab(rng, 5+n*11)
+		var out []lanes.Slab
+		forEachVec(func(bool) {
+			acc := cloneSlab(acc0)
+			addNorm2Strided(acc.Re, b, 5, n, 11, lw)
+			addNorm2Strided(acc.Im, b, 5, n, 11, 3)
+			out = append(out, acc)
+		})
+		sameBits(t, fmt.Sprintf("addNorm2Strided n=%d", n), out[0], out[1])
+		p := MustPlan3(3, 4, n) // 12 rows: one group of Width, one of 4
+		src := randLaneSlab(rng, p.Size())
+		for _, inverse := range []bool{false, true} {
+			out = out[:0]
+			forEachVec(func(bool) {
+				d := lanes.New(p.Size())
+				p.zPassSlab(d, src, nil, inverse, p.NewWorkspace())
+				out = append(out, d)
+			})
+			sameBits(t, fmt.Sprintf("zPassSlab nz=%d inverse=%v", n, inverse), out[0], out[1])
+		}
 	}
 
 	// 3-D: the slab entry points on the production boxes, wave and dense:
@@ -145,10 +171,10 @@ func TestVecKernelsBitIdentical(t *testing.T) {
 				p.RawSlabWS(d, d, true, ws)
 				return []lanes.Slab{d}
 			}},
-			{"InversePrunedSlabWS", func() []lanes.Slab {
-				d := cloneSlab(pruned)
-				p.InversePrunedSlabWS(d, rows, planes, ws)
-				return []lanes.Slab{d}
+			{"AddNorm2PrunedSlabWS", func() []lanes.Slab {
+				acc := cloneSlab(acc0)
+				p.AddNorm2PrunedSlabWS(acc.Re, cloneSlab(pruned), rows, planes, ws)
+				return []lanes.Slab{acc}
 			}},
 			{"PoissonSlabWS", func() []lanes.Slab {
 				d := cloneSlab(src)
@@ -222,11 +248,13 @@ func TestTrivialTwiddles(t *testing.T) {
 }
 
 // TestVecBoundsPanic feeds each path what the assembly must never see - a
-// slab with a short Im half, a short twiddle table, a strided source that
-// ends before the last row, a permutation table shorter than the block or
-// pointing past the source, a pair operand or accumulator short of the
-// grid, more pairs than lanes - and requires the Go loops and the kernel
-// wrappers alike to panic before touching memory they do not own.
+// slab with a short Im half, a short twiddle table, a strided source,
+// destination or accumulator that ends before the last row, a permutation
+// table shorter than the block, z-rows short of the grid, a pair operand or
+// accumulator short of the grid, more pairs than lanes - and requires the
+// Go loops and the kernel wrappers alike to panic before touching memory
+// they do not own; and NewPlan's check, the one the kernels rest on, to
+// reject a digit reversal that is no permutation.
 func TestVecBoundsPanic(t *testing.T) {
 	cases := []struct {
 		name string
@@ -246,16 +274,30 @@ func TestVecBoundsPanic(t *testing.T) {
 			p.transformLanes(lanes.Slab{Re: make([]float64, 12*lw), Im: make([]float64, 12*lw-1)}, false)
 		}},
 		{"short strided source", func() {
-			gatherStrided(lanes.New(4*lw), lanes.New(3*20+lw-1), 0, 4, 20, lw, []int{0, 1, 2, 3})
+			gatherStrided(lanes.New(4*lw), lanes.New(3*20+lw-1), 0, 20, lw, MustPlan(4))
 		}},
 		{"short permutation table", func() {
-			gatherStrided(lanes.New(4*lw), lanes.New(3*20+lw), 0, 4, 20, lw, []int{0, 2, 1})
+			gatherStrided(lanes.New(4*lw), lanes.New(3*20+lw), 0, 20, lw, &Plan{n: 4, perm: []int{0, 2, 1}})
 		}},
-		{"permutation past the source", func() {
-			gatherStrided(lanes.New(4*lw), lanes.New(3*20+lw), 0, 4, 20, lw, []int{0, 2, 1, 4})
-		}},
+		{"digit reversal past its length", func() { checkPerm([]int{0, 2, 1, 4}) }},
+		{"digit reversal with a repeat", func() { checkPerm([]int{0, 2, 2, 1}) }},
 		{"short strided destination", func() {
 			scatterStrided(lanes.Slab{Re: make([]float64, 3*20+lw), Im: make([]float64, 3*20+lw-1)}, lanes.New(4*lw), 0, 4, 20, lw)
+		}},
+		{"short strided accumulator", func() {
+			addNorm2Strided(make([]float64, 3*20+lw-1), lanes.New(4*lw), 0, 4, 20, lw)
+		}},
+		{"z rows: short source Im", func() {
+			p := MustPlan3(2, 4, 9)
+			src := lanes.New(p.Size())
+			src.Im = shortSlice(src.Im)
+			p.zPassSlab(lanes.New(p.Size()), src, nil, false, p.NewWorkspace())
+		}},
+		{"z rows: short destination Re", func() {
+			p := MustPlan3(2, 4, 9)
+			dst := lanes.New(p.Size())
+			dst.Re = shortSlice(dst.Re)
+			p.zPassSlab(dst, lanes.New(p.Size()), nil, false, p.NewWorkspace())
 		}},
 		{"pair products: short operand Im", func() {
 			pairPassCase(0, func(pl *PairLanes) { pl.B[3].Im = shortSlice(pl.B[3].Im) })
@@ -322,7 +364,7 @@ func BenchmarkTransformLanes(b *testing.B) {
 		forEachVec(func(vec bool) {
 			b.Run(fmt.Sprintf("n=%d/kernels=%v", n, vec), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					gatherStrided(blk, src, 0, n, lw, lw, p.perm)
+					gatherStrided(blk, src, 0, lw, lw, p)
 					p.transformLanes(blk, i&1 == 1)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")

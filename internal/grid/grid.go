@@ -49,7 +49,7 @@ type Grid struct {
 	// dense-box z-rows (flat index ix*ND[1] + iy) and x-planes (ix) that
 	// hold at least one SphereIdxD entry. A zero-padded orbital is zero
 	// everywhere else, which is what the pruned synthesis of
-	// ToRealDenseSlabWS skips.
+	// AddNorm2DenseSlabWS skips.
 	SphereRowsD   []int
 	SpherePlanesD []int
 	// G2Dense holds |G|^2 for every dense-box point (Hartree kernel).
@@ -307,22 +307,24 @@ func (g *Grid) FromRealSlabWS(c []complex128, box lanes.Slab, ws *fourier.Worksp
 	}
 }
 
-// ToRealDenseSlabWS synthesizes sum_G c_G exp(iG.r) on the dense box (zero
-// padding in G space) into a split re/im box, WITHOUT the 1/sqrt(Omega) of
-// ToRealSlabWS: the density build folds that factor, squared, into its own
-// scaling. Only the z-rows and x-planes the sphere touches are transformed
-// along z and y (fourier.Plan3.InversePrunedSlabWS); the box is zeroed and
-// scattered here, which is that method's precondition.
-func (g *Grid) ToRealDenseSlabWS(box lanes.Slab, c []complex128, ws *fourier.Workspace3) {
+// AddNorm2DenseSlabWS adds |sum_G c_G exp(iG.r)|^2, the orbital
+// synthesized on the dense box (zero padding in G space), into acc,
+// WITHOUT the 1/Omega of a normalized orbital: the density build folds it
+// into its own scaling. box is scratch: it is zeroed and the sphere is
+// scattered into it, which is the precondition of
+// fourier.Plan3.AddNorm2PrunedSlabWS, the pruned inverse that transforms
+// only the z-rows and x-planes the sphere touches along z and y and
+// accumulates inside its x pass.
+func (g *Grid) AddNorm2DenseSlabWS(acc []float64, box lanes.Slab, c []complex128, ws *fourier.Workspace3) {
 	if box.Len() != g.NDTot || len(c) != g.NG {
-		panic("grid: ToRealDenseSlab buffer size mismatch")
+		panic("grid: AddNorm2DenseSlab buffer size mismatch")
 	}
 	box.Zero()
 	for s, k := range g.SphereIdxD {
 		box.Re[k] = real(c[s])
 		box.Im[k] = imag(c[s])
 	}
-	g.PlanD.InversePrunedSlabWS(box, g.SphereRowsD, g.SpherePlanesD, ws)
+	g.PlanD.AddNorm2PrunedSlabWS(acc, box, g.SphereRowsD, g.SpherePlanesD, ws)
 }
 
 // DenseForward computes the Fourier coefficients f_G of a real-space dense

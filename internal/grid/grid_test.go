@@ -335,7 +335,10 @@ func toRealDense(g *Grid, c []complex128) []complex128 {
 	return box
 }
 
-func TestToRealDenseSlabMatchesToRealDense(t *testing.T) {
+// TestAddNorm2DenseMatchesToRealDense: the pruned, fused dense synthesis
+// adds |psi|^2 (without its 1/Omega) of the orbital the unpruned oracle
+// synthesizes, on top of what acc already holds.
+func TestAddNorm2DenseMatchesToRealDense(t *testing.T) {
 	g := si8Grid(t, 3)
 	rng := rand.New(rand.NewSource(5))
 	c := make([]complex128, g.NG)
@@ -345,15 +348,16 @@ func TestToRealDenseSlabMatchesToRealDense(t *testing.T) {
 	ref := toRealDense(g, c)
 	sc := g.AcquireDenseScratch(1)
 	defer g.ReleaseDenseScratch(sc)
-	// Run twice: the second call must not see the first one's leftovers.
+	acc := make([]float64, g.NDTot)
+	// Run twice: the second call must not see the first one's leftovers in
+	// the box, and must add to acc.
 	for rep := 0; rep < 2; rep++ {
-		g.ToRealDenseSlabWS(sc[0].Box, c, sc[0].WS)
+		g.AddNorm2DenseSlabWS(acc, sc[0].Box, c, sc[0].WS)
 	}
-	norm := 1 / math.Sqrt(g.Volume())
 	for i, want := range ref {
-		got := complex(sc[0].Box.Re[i]*norm, sc[0].Box.Im[i]*norm)
-		if cmplx.Abs(got-want) > 1e-12 {
-			t.Fatalf("point %d: slab %v, ToRealDense %v", i, got, want)
+		got := acc[i] / (2 * g.Volume())
+		if w := real(want)*real(want) + imag(want)*imag(want); math.Abs(got-w) > 1e-12 {
+			t.Fatalf("point %d: slab %v, |ToRealDense|^2 %v", i, got, w)
 		}
 	}
 }

@@ -94,27 +94,6 @@ func Unpack(dst []complex128, src Slab) {
 	}
 }
 
-// AddNorm2 accumulates dst[i] += |s_i|^2 = Re^2 + Im^2 - one orbital's
-// contribution to the charge density, read straight from the split box.
-func AddNorm2(dst []float64, s Slab) {
-	n := len(dst)
-	re, im := s.Re, s.Im
-	_ = re[n-1]
-	_ = im[n-1]
-	i := 0
-	for ; i+Width <= n; i += Width {
-		r := (*[Width]float64)(re[i:])
-		m := (*[Width]float64)(im[i:])
-		d := (*[Width]float64)(dst[i:])
-		for l := 0; l < Width; l++ {
-			d[l] += r[l]*r[l] + m[l]*m[l]
-		}
-	}
-	for ; i < n; i++ {
-		dst[i] += re[i]*re[i] + im[i]*im[i]
-	}
-}
-
 // DotRe returns sum_i Re(conj(a_i) b_i) = sum a.Re*b.Re + a.Im*b.Im - the
 // inner product the exchange energy accumulates. Width partial sums
 // accumulate per lane and fold once at the end (the cross-lane reduction of

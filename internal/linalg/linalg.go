@@ -262,11 +262,12 @@ func SolveLinear(a, b []complex128, n, k int) error {
 // Each column of V is back-transformed on its own, so the k kept columns
 // are those of k = n bit for bit. It is serial, so its bits do not depend on
 // the worker count. O(n^3).
-func hermEig(a []complex128, n, k int) ([]float64, []complex128, error) {
+func (ws *EigWork) hermEig(a []complex128, k int) ([]float64, []complex128, error) {
+	n := ws.n
 	if len(a) != n*n || k < 0 || k > n {
 		panic("linalg: hermEig dims mismatch")
 	}
-	w := make([]complex128, n*n)
+	w := ws.w
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			x := a[i*n+j]
@@ -277,18 +278,17 @@ func hermEig(a []complex128, n, k int) ([]float64, []complex128, error) {
 		}
 		w[i*n+i] = complex(real(w[i*n+i]), 0)
 	}
-	d, e, h := tridiagonalize(w, n)
-	off := make([]float64, n)
+	d, e, h := ws.tridiagonalize()
+	off, z := ws.off, ws.z
 	for p, x := range e {
 		off[p] = cmplx.Abs(x)
 	}
-	z, err := tql2(d, off)
-	if err != nil {
+	if err := tql2(d, off, z); err != nil {
 		return nil, nil, err
 	}
 	// D Z with delta_0 = 1 and delta_{i+1} = delta_i e_i/|e_i|, so that
 	// (D^H T D)[i+1][i] = |e_i|; then Q = P_0 ... P_{n-2}, P_{n-2} first.
-	v := make([]complex128, n*k)
+	v := ws.v[:n*k]
 	delta := complex128(1)
 	for i := 0; i < n; i++ {
 		if i > 0 && e[i-1] != 0 {
@@ -298,7 +298,7 @@ func hermEig(a []complex128, n, k int) ([]float64, []complex128, error) {
 			v[i*k+c] = delta * complex(z[c*n+i], 0)
 		}
 	}
-	s := make([]complex128, k)
+	s := ws.s[:k]
 	for p := n - 2; p >= 0; p-- {
 		if h[p] == 0 {
 			continue
@@ -322,15 +322,17 @@ func hermEig(a []complex128, n, k int) ([]float64, []complex128, error) {
 	return d, v, nil
 }
 
-// tridiagonalize reduces the Hermitian w (n x n, both triangles held) in
-// place to T = Q^H W Q, Q = P_0 ... P_{n-2}. The reflector P_k = I - u u^H
-// / h[k] acts on indices k+1..n-1, zeroes column k below the sub-diagonal,
-// and is left in row k of w (u_i at w[k*n+k+1+i]); a column already zero
-// there takes none (h[k] = 0). It returns T's diagonal d and complex
-// sub-diagonal e (e[k] = T[k+1][k], e[n-1] = 0).
-func tridiagonalize(w []complex128, n int) (d []float64, e []complex128, h []float64) {
-	d, e, h = make([]float64, n), make([]complex128, n), make([]float64, n)
-	q := make([]complex128, n)
+// tridiagonalize reduces the Hermitian ws.w (n x n, both triangles held)
+// in place to T = Q^H W Q, Q = P_0 ... P_{n-2}. The reflector P_k = I - u
+// u^H / h[k] acts on indices k+1..n-1, zeroes column k below the
+// sub-diagonal, and is left in row k of w (u_i at w[k*n+k+1+i]); a column
+// already zero there takes none (h[k] = 0). It returns T's diagonal d and
+// complex sub-diagonal e (e[k] = T[k+1][k], e[n-1] = 0).
+func (ws *EigWork) tridiagonalize() (d []float64, e []complex128, h []float64) {
+	n, w, q := ws.n, ws.w, ws.q
+	d, e, h = ws.d, ws.e, ws.h
+	clear(e)
+	clear(h)
 	for k := 0; k < n-1; k++ {
 		u := w[k*n+k+1 : (k+1)*n] // column k below the diagonal, conjugated
 		var sigma float64
@@ -384,12 +386,12 @@ func tridiagonalize(w []complex128, n int) (d []float64, e []complex128, h []flo
 // tql2 diagonalizes the real symmetric tridiagonal with diagonal d and
 // sub-diagonal e (e[k] couples k and k+1, e[n-1] = 0; destroyed) by
 // implicit QL with Wilkinson shifts (EISPACK tql2, as in JAMA). d becomes
-// the eigenvalues in ascending order; row k of the returned n x n z is the
+// the eigenvalues in ascending order; row k of the n x n z is made the
 // unit eigenvector for d[k]. It fails after 30n QL sweeps (LAPACK steqr).
-func tql2(d, e []float64) ([]float64, error) {
+func tql2(d, e, z []float64) error {
 	const eps = 0x1p-52
 	n := len(d)
-	z := make([]float64, n*n)
+	clear(z)
 	for i := 0; i < n; i++ {
 		z[i*n+i] = 1
 	}
@@ -403,7 +405,7 @@ func tql2(d, e []float64) ([]float64, error) {
 		}
 		for m > l && math.Abs(e[l]) > eps*tst1 {
 			if sweeps++; sweeps > 30*n {
-				return nil, fmt.Errorf("linalg: hermEig: QL iteration did not converge at eigenvalue %d", l)
+				return fmt.Errorf("linalg: hermEig: QL iteration did not converge at eigenvalue %d", l)
 			}
 			// Shift from the leading 2x2 block, then one sweep from m up to l.
 			g := d[l]
@@ -451,23 +453,45 @@ func tql2(d, e []float64) ([]float64, error) {
 			z[i*n+j], z[k*n+j] = z[k*n+j], z[i*n+j]
 		}
 	}
-	return z, nil
+	return nil
+}
+
+// EigWork is the scratch of the pencil solve at one order n: the Cholesky
+// factor, the two triangular solves' matrices, hermEig's tables and the
+// n x k result. A caller that solves many pencils of one order (the ground
+// state's Rayleigh-Ritz steps) makes one and allocates nothing per solve.
+// It must not be shared between concurrent solves.
+type EigWork struct {
+	n                        int
+	lc, y, at, w, v, e, q, s []complex128
+	d, off, h, z             []float64
+}
+
+// NewEigWork allocates the scratch of an n x n pencil solve.
+func NewEigWork(n int) *EigWork {
+	c := func(m int) []complex128 { return make([]complex128, m) }
+	f := func(m int) []float64 { return make([]float64, m) }
+	return &EigWork{n: n, lc: c(n * n), y: c(n * n), at: c(n * n), w: c(n * n), v: c(n * n), e: c(n), q: c(n), s: c(n),
+		d: f(n), off: f(n), h: f(n), z: f(n * n)}
 }
 
 // GenEigChol solves the generalized Hermitian eigenproblem A x = lambda B x
-// with B positive definite, via B = L L^H, Atilde = L^{-1} A L^{-H}, for
-// the eigenvectors of the k lowest eigenvalues, as LAPACK's zhegvx does for
-// an index range. a and b are not modified. It returns all n eigenvalues in
-// ascending order and the k eigenvectors B-orthonormal as the columns of
-// the row-major n x k matrix x (x[i*k+c] is component i of vector c); each
-// column is computed on its own, so they are those of k = n bit for bit.
-func GenEigChol(a, b []complex128, n, k int) ([]float64, []complex128, error) {
+// of order n = ws's with B positive definite, via B = L L^H, Atilde =
+// L^{-1} A L^{-H}, for the eigenvectors of the k lowest eigenvalues, as
+// LAPACK's zhegvx does for an index range. a and b are not modified. It
+// returns all n eigenvalues in ascending order and the k eigenvectors
+// B-orthonormal as the columns of the row-major n x k matrix x (x[i*k+c]
+// is component i of vector c); each column is computed on its own, so they
+// are those of k = n bit for bit. Both results are ws's and hold until its
+// next solve.
+func (ws *EigWork) GenEigChol(a, b []complex128, k int) ([]float64, []complex128, error) {
+	n := ws.n
 	if len(a) != n*n || len(b) != n*n || k < 0 || k > n {
 		panic("linalg: GenEigChol dims mismatch")
 	}
 	// The lower Cholesky factor of conj(B) is conj(L), the factor with which
 	// SolveLowerBands applies L^{-1} to the rows of an n x n matrix.
-	lc := make([]complex128, n*n)
+	lc := ws.lc
 	for i, x := range b {
 		lc[i] = cmplx.Conj(x)
 	}
@@ -475,17 +499,17 @@ func GenEigChol(a, b []complex128, n, k int) ([]float64, []complex128, error) {
 		return nil, nil, err
 	}
 	// Atilde = L^{-1} Y^H with Y = L^{-1} A: Y^H = A L^{-H}, A Hermitian.
-	y := make([]complex128, n*n)
+	y := ws.y
 	copy(y, a)
 	SolveLowerBands(lc, y, n, n)
-	at := make([]complex128, n*n)
+	at := ws.at
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			at[i*n+j] = cmplx.Conj(y[j*n+i])
 		}
 	}
 	SolveLowerBands(lc, at, n, n)
-	evals, x, err := hermEig(at, n, k)
+	evals, x, err := ws.hermEig(at, k)
 	if err != nil {
 		return nil, nil, err
 	}

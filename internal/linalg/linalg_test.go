@@ -343,7 +343,7 @@ func checkEig(t *testing.T, c eigCase, evals []float64, v []complex128) {
 func TestHermEigDiagonalizes(t *testing.T) {
 	for _, c := range eigCases() {
 		t.Run(c.name, func(t *testing.T) {
-			evals, v, err := hermEig(c.a, c.n, c.n)
+			evals, v, err := NewEigWork(c.n).hermEig(c.a, c.n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -374,9 +374,9 @@ func TestHermEigSameBitsAnyWorkers(t *testing.T) {
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
 	for _, c := range eigCases() {
 		parallel.SetMaxWorkers(1)
-		e1, v1, err1 := hermEig(c.a, c.n, c.n)
+		e1, v1, err1 := NewEigWork(c.n).hermEig(c.a, c.n)
 		parallel.SetMaxWorkers(2)
-		e2, v2, err2 := hermEig(c.a, c.n, c.n)
+		e2, v2, err2 := NewEigWork(c.n).hermEig(c.a, c.n)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: %v, %v", c.name, err1, err2)
 		}
@@ -399,8 +399,8 @@ func TestHermEigReadsLowerTriangle(t *testing.T) {
 			b[i*n+j] = complex(math.NaN(), 1)
 		}
 	}
-	e1, v1, err1 := hermEig(a, n, n)
-	e2, v2, err2 := hermEig(b, n, n)
+	e1, v1, err1 := NewEigWork(n).hermEig(a, n)
+	e2, v2, err2 := NewEigWork(n).hermEig(b, n)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("%v, %v", err1, err2)
 	}
@@ -415,7 +415,7 @@ func TestHermEigRejectsNonFinite(t *testing.T) {
 	for _, bad := range []complex128{complex(math.NaN(), 0), complex(0, math.Inf(1))} {
 		a := randHermitian(rand.New(rand.NewSource(3)), 5)
 		a[3*5+1], a[1*5+3] = bad, cmplx.Conj(bad)
-		if _, _, err := hermEig(a, 5, 5); err == nil {
+		if _, _, err := NewEigWork(5).hermEig(a, 5); err == nil {
 			t.Errorf("hermEig with element %v returned no error", bad)
 		}
 	}
@@ -427,7 +427,7 @@ func TestHermEigTraceProperty(t *testing.T) {
 		local := rand.New(rand.NewSource(seed))
 		n := 1 + int(uint64(seed)%64)
 		a := randHermitian(local, n)
-		evals, _, err := hermEig(a, n, n)
+		evals, _, err := NewEigWork(n).hermEig(a, n)
 		if err != nil {
 			return false
 		}
@@ -445,7 +445,8 @@ func TestHermEigTraceProperty(t *testing.T) {
 
 // TestGenEigChol holds the full solve (k = n) to A x = lambda B x and
 // X^H B X = I, and the solves for k = 1 and n/2 columns to its first k
-// columns and its eigenvalues bit for bit, at 1 and 2 workers.
+// columns and its eigenvalues bit for bit, at 1 and 2 workers, all of them
+// in one EigWork: a reused workspace carries nothing from solve to solve.
 func TestGenEigChol(t *testing.T) {
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
 	rng := rand.New(rand.NewSource(9))
@@ -453,14 +454,15 @@ func TestGenEigChol(t *testing.T) {
 		a := randHermitian(rng, n)
 		b := randHPD(rng, n)
 		parallel.SetMaxWorkers(1)
-		evals, x, err := GenEigChol(a, b, n, n)
+		evals, x, err := NewEigWork(n).GenEigChol(a, b, n)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ws := NewEigWork(n)
 		for _, workers := range []int{1, 2} {
 			parallel.SetMaxWorkers(workers)
 			for _, k := range []int{1, n / 2, n} {
-				ek, xk, err := GenEigChol(a, b, n, k)
+				ek, xk, err := ws.GenEigChol(a, b, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -541,15 +543,17 @@ func BenchmarkCholesky64(b *testing.B) {
 
 // BenchmarkGenEigChol times the Rayleigh-Ritz pencil solve of the ground
 // state's eigensolver step at its two sizes, 2nb = 32 (Si8) and 64 (Si16),
-// on one fixed random pencil, keeping the nb = n/2 vectors the step keeps.
+// on one fixed random pencil, keeping the nb = n/2 vectors the step keeps,
+// in one EigWork as the step solves.
 func BenchmarkGenEigChol(b *testing.B) {
 	for _, n := range []int{32, 64} {
 		rng := rand.New(rand.NewSource(11))
 		a, s := randHermitian(rng, n), randHPD(rng, n)
+		ws := NewEigWork(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := GenEigChol(a, s, n, n/2); err != nil {
+				if _, _, err := ws.GenEigChol(a, s, n/2); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,11 +1,13 @@
 package potential
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
 
 	"ptdft/internal/grid"
+	"ptdft/internal/hostcpu"
 	"ptdft/internal/lattice"
 	"ptdft/internal/parallel"
 	"ptdft/internal/wavefunc"
@@ -148,5 +150,36 @@ func TestDensityAllocs(t *testing.T) {
 	if allocs > 2 || bytes > rhoBytes+1024 {
 		t.Errorf("Density on %d bands, NDTot %d: %.1f allocs/op, %.0f B/op; want <= 2 allocs and <= %.0f + 1024 B",
 			nb, g.NDTot, allocs, bytes, rhoBytes)
+	}
+}
+
+// BenchmarkDensity times one density build at one worker - every band
+// synthesized on the dense box by the pruned inverse, its |psi|^2 added
+// inside the last pass - on the benchmark rows' grids (Si16 Ecut 3, Si8
+// Ecut 3 and 6, the job row's Si8 Ecut 2), on each path this host has: the
+// kernel benchmark under the step's density phase.
+func BenchmarkDensity(b *testing.B) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	host := hostcpu.AVX2
+	defer func() { hostcpu.AVX2 = host }()
+	for _, tc := range []struct {
+		cells [3]int
+		ecut  float64
+	}{{[3]int{2, 1, 1}, 3}, {[3]int{1, 1, 1}, 3}, {[3]int{1, 1, 1}, 6}, {[3]int{1, 1, 1}, 2}} {
+		g := grid.MustNew(lattice.MustSiliconSupercell(tc.cells[0], tc.cells[1], tc.cells[2]), tc.ecut)
+		nb := g.Cell.NumBands()
+		psi := wavefunc.Random(g, nb, 5)
+		for _, vec := range []bool{false, true} {
+			if vec && !host {
+				continue
+			}
+			b.Run(fmt.Sprintf("%dx%dx%d/bands=%d/kernels=%v", g.ND[0], g.ND[1], g.ND[2], nb, vec), func(b *testing.B) {
+				hostcpu.AVX2 = vec
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sink = Density(g, psi, nb, 2)
+				}
+			})
+		}
 	}
 }

@@ -119,8 +119,7 @@ func Density(g *grid.Grid, bands []complex128, nb int, occ float64) []float64 {
 func groupDensity(g *grid.Grid, ws *grid.DenseScratch, bands []complex128, nb, gi int) {
 	clear(ws.Acc)
 	for i := gi * lanes.Width; i < min((gi+1)*lanes.Width, nb); i++ {
-		g.ToRealDenseSlabWS(ws.Box, bands[i*g.NG:(i+1)*g.NG], ws.WS)
-		lanes.AddNorm2(ws.Acc, ws.Box)
+		g.AddNorm2DenseSlabWS(ws.Acc, ws.Box, bands[i*g.NG:(i+1)*g.NG], ws.WS)
 	}
 }
 

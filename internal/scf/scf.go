@@ -94,9 +94,7 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 	if h.Hybrid() {
 		phases = 1 + opt.HybridOuter
 	}
-	// The eigensolver's two-block basis [psi | w] and its image under H.
-	basis := make([]complex128, 2*nb*g.NG)
-	hbasis := make([]complex128, 2*nb*g.NG)
+	ew := newEigWork(nb, g.NG)
 	totalIter := 0
 	for phase := 0; phase < phases; phase++ {
 		if phase > 0 {
@@ -116,7 +114,7 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 		var lastErr float64
 		for it := 0; it < iters; it++ {
 			for e := 0; e < opt.EigIters; e++ {
-				if err := eigStep(g, h, psi, basis, hbasis, nb, res); err != nil {
+				if err := eigStep(g, h, psi, nb, ew, res); err != nil {
 					return nil, fmt.Errorf("scf: phase %d eigensolver failed at iteration %d: %w", phase, it, err)
 				}
 			}
@@ -158,10 +156,9 @@ func DiagonalizeFixed(g *grid.Grid, h *hamiltonian.Hamiltonian, nb, iters int, s
 		return nil, nil, errors.New("scf: need at least one band")
 	}
 	psi := wavefunc.Random(g, nb, seed)
-	basis := make([]complex128, 2*nb*g.NG)
-	hbasis := make([]complex128, 2*nb*g.NG)
+	ew := newEigWork(nb, g.NG)
 	for i := 0; i < iters; i++ {
-		if err := eigStep(g, h, psi, basis, hbasis, nb, &Result{}); err != nil {
+		if err := eigStep(g, h, psi, nb, ew, &Result{}); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -186,16 +183,34 @@ func sanitizeDensity(g *grid.Grid, rho []float64, nelec float64) []float64 {
 	return rho
 }
 
+// eigWork is what eigStep works in, made once per solve by its caller: the
+// two-block basis [psi | w] and its image under H (2nb bands each), the
+// 2nb x 2nb pencil and the pencil solve's scratch.
+type eigWork struct {
+	basis, hbasis, a, b []complex128
+	pencil              *linalg.EigWork
+}
+
+func newEigWork(nb, ng int) *eigWork {
+	m := 2 * nb
+	return &eigWork{
+		basis: make([]complex128, m*ng), hbasis: make([]complex128, m*ng),
+		a: make([]complex128, m*m), b: make([]complex128, m*m),
+		pencil: linalg.NewEigWork(m),
+	}
+}
+
 // eigStep performs one two-block LOBPCG-style update of psi in place:
 // expand the subspace with Teter-preconditioned residuals, solve the
 // 2nb x 2nb projected generalized eigenproblem, and rotate psi onto the
-// lowest nb Ritz vectors. basis and hbasis (2nb bands each, the caller's)
-// receive [psi | w] and its image under H. A singular overlap of [psi | w]
-// (a band or residual in the span of the others) fails the Cholesky of the
-// pencil, and that is the error, with psi untouched. The step and its band
+// lowest nb Ritz vectors, all in ew: its basis and hbasis receive
+// [psi | w] and its image under H. A singular overlap of [psi | w] (a band
+// or residual in the span of the others) fails the Cholesky of the pencil,
+// and that is the error, with psi untouched. The step and its band
 // applications of H are counted into work.
-func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi, basis, hbasis []complex128, nb int, work *Result) error {
+func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int, ew *eigWork, work *Result) error {
 	ng := g.NG
+	basis, hbasis := ew.basis, ew.hbasis
 	work.EigSteps++
 	copy(basis[:nb*ng], psi)
 	hp := hbasis[:nb*ng]
@@ -224,14 +239,13 @@ func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi, basis, hbasis []comp
 
 	// The projected matrices of the expanded basis [psi | w].
 	m := 2 * nb
-	a := make([]complex128, m*m)
-	b := make([]complex128, m*m)
+	a, b := ew.a, ew.b
 	linalg.Overlap(a, basis, hbasis, m, m, ng)
 	linalg.Overlap(b, basis, basis, m, m, ng)
 	hermitize(a, m)
 	hermitize(b, m)
 
-	_, u, err := linalg.GenEigChol(a, b, m, nb)
+	_, u, err := ew.pencil.GenEigChol(a, b, nb)
 	if err != nil {
 		return fmt.Errorf("%dx%d Rayleigh-Ritz pencil: %w", m, m, err)
 	}
