@@ -147,7 +147,7 @@ func TestGaugeInvarianceUnderBandRotation(t *testing.T) {
 	}
 	rot := make([]complex128, nb*g.NG)
 	linalg.ApplyMatrix(rot, psi, u, nb, nb, g.NG)
-	if err := wavefunc.Orthonormalize(rot, nb, g.NG); err != nil {
+	if _, err := wavefunc.Orthonormalize(rot, u, nb, g.NG); err != nil {
 		t.Fatal(err)
 	}
 

@@ -42,8 +42,9 @@ type System struct {
 
 	// Tr is the serial driver's span track ("rank 0" of the flight
 	// recorder); nil disables recording. The propagators open step and
-	// SCF-iteration spans on it; exchange-level spans come from the
-	// Hamiltonian's forwarded copy.
+	// SCF-iteration spans on it, the BandBlock methods density, potential
+	// and orthonormalize spans; the Hamiltonian and its exchange operators
+	// record none.
 	Tr *trace.Track
 
 	// Residual's buffers, allocated on first use and reused across SCF
@@ -138,9 +139,9 @@ func (s *System) Residual(psi []complex128) (res, ov []complex128, err error) {
 func (s *System) Orthonormalize(psi []complex128) ([]complex128, float64, error) {
 	ref := s.Tr.Begin("orthonormalize", "solver")
 	defer s.Tr.End(ref)
-	oerr := wavefunc.OrthonormalityError(psi, s.NB, s.G.NG)
 	out := wavefunc.Clone(psi)
-	if err := wavefunc.Orthonormalize(out, s.NB, s.G.NG); err != nil {
+	oerr, err := wavefunc.Orthonormalize(out, make([]complex128, s.NB*s.NB), s.NB, s.G.NG)
+	if err != nil {
 		return nil, oerr, fmt.Errorf("core: orthogonalization failed: %w", err)
 	}
 	return out, oerr, nil
@@ -383,8 +384,7 @@ func (c *CN) Advance(b BandBlock, at Bands, psi []complex128, dt float64) ([]com
 // whole band set of one System, with the exchange refreshed from the iterate
 // at every H rebuild. It has no MTS cadence and no ion coupling; the held
 // ACE cadence and Ehrenfest MD are dist.PTCNSolver's, which sim.Run runs on
-// one rank for a serial run. Its users are the benchmark's step probe,
-// examples/chargetransfer (two species, which sim.Spec cannot express) and
+// one rank for a serial run. Its users are the benchmark's step probe and
 // the reference tests.
 type PTCN struct {
 	Sys *System

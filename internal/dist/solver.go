@@ -16,7 +16,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 
 	"ptdft/internal/core"
 	"ptdft/internal/fock"
@@ -26,6 +25,7 @@ import (
 	"ptdft/internal/mpi"
 	"ptdft/internal/observe"
 	"ptdft/internal/potential"
+	"ptdft/internal/wavefunc"
 	"ptdft/internal/xc"
 )
 
@@ -317,18 +317,7 @@ func (s *PTCNSolver) Orthonormalize(local []complex128) ([]complex128, float64, 
 	w := s.D.NumLocalG()
 	linalg.Overlap(ws.ov, ws.psiG, ws.psiG, nb, nb, w)
 	mpi.AllreduceSum(s.D.C, tagOverlap, ws.ov)
-	var oerr float64
-	for i := 0; i < nb; i++ {
-		for j := 0; j < nb; j++ {
-			v := ws.ov[i*nb+j]
-			if i == j {
-				v -= 1
-			}
-			if a := math.Hypot(real(v), imag(v)); a > oerr {
-				oerr = a
-			}
-		}
-	}
+	oerr := wavefunc.IdentityError(ws.ov, nb)
 	if err := linalg.CholeskyLower(ws.ov, nb); err != nil {
 		return nil, oerr, fmt.Errorf("dist: orthogonalization failed: %w", err)
 	}

@@ -15,7 +15,6 @@ import (
 
 	"ptdft/internal/linalg"
 	"ptdft/internal/parallel"
-	"ptdft/internal/trace"
 )
 
 // ACE is the adaptively compressed exchange operator (Lin, JCTC 2016;
@@ -32,7 +31,6 @@ type ACE struct {
 	xi []complex128 // band-major nb x NG projector vectors
 	nb int
 	ng int
-	tr *trace.Track // copied from the building Operator; nil disables
 }
 
 // NewACE builds the compressed operator from a Fock operator and the
@@ -46,8 +44,6 @@ func NewACE(op *Operator, phi []complex128, nb int) (*ACE, error) {
 	if len(phi) != nb*ng {
 		return nil, fmt.Errorf("fock: NewACE size mismatch: %d != %d x %d", len(phi), nb, ng)
 	}
-	ref := op.tr.Begin("ace_build", "solver")
-	defer op.tr.End(ref)
 	w := make([]complex128, nb*ng)
 	op.Apply(w, phi, nb)
 	m := make([]complex128, nb*nb)
@@ -61,7 +57,7 @@ func NewACE(op *Operator, phi []complex128, nb int) (*ACE, error) {
 		return nil, fmt.Errorf("fock: ACE overlap not negative definite: %w", err)
 	}
 	linalg.SolveLowerBands(m, w, nb, ng)
-	return &ACE{xi: w, nb: nb, ng: ng, tr: op.tr}, nil
+	return &ACE{xi: w, nb: nb, ng: ng}, nil
 }
 
 // Apply accumulates V_ACE psi = -Xi (Xi^H psi) into dst for nbands
@@ -70,8 +66,6 @@ func (a *ACE) Apply(dst, src []complex128, nbands int) {
 	if len(dst) != nbands*a.ng || len(src) != nbands*a.ng {
 		panic("fock: ACE.Apply buffer size mismatch")
 	}
-	ref := a.tr.Begin("ace_apply", "solver")
-	defer a.tr.End(ref)
 	parallel.For(nbands, func(j int) {
 		s := src[j*a.ng : (j+1)*a.ng]
 		d := dst[j*a.ng : (j+1)*a.ng]

@@ -42,7 +42,6 @@ import (
 	"ptdft/internal/lanes"
 	"ptdft/internal/linalg"
 	"ptdft/internal/parallel"
-	"ptdft/internal/trace"
 	"ptdft/internal/xc"
 )
 
@@ -70,15 +69,7 @@ type Operator struct {
 	// transient slab).
 	ws      parallel.ScratchPool[*Workspace]
 	accPool parallel.ScratchPool[*lanes.Slab]
-
-	// tr records apply spans on the owning rank's timeline; nil (the
-	// default) disables recording at the cost of one pointer check.
-	tr *trace.Track
 }
-
-// SetTrace attaches a span track the exchange applications record on
-// (nil disables). The serial drivers set it through the Hamiltonian.
-func (op *Operator) SetTrace(t *trace.Track) { op.tr = t }
 
 // Workspace is the per-worker scratch of one exchange application: two
 // real-space SoA boxes, the worker's pair stream, a sphere-coefficient
@@ -306,8 +297,6 @@ func (op *Operator) Apply(dst, src []complex128, nbands int) {
 		op.ApplyToReference(dst)
 		return
 	}
-	ref := op.tr.Begin("exchange", "fock")
-	defer op.tr.End(ref)
 	nw := parallel.NumWorkers(nbands)
 	wss := op.ws.Acquire(nw)
 	if nw <= 1 {
@@ -350,8 +339,6 @@ func (op *Operator) ApplyToReference(dst []complex128) {
 	if len(dst) != nb*ng {
 		panic("fock: ApplyToReference buffer size mismatch")
 	}
-	ref := op.tr.Begin("exchange", "fock")
-	defer op.tr.End(ref)
 	acc, wss := op.foldReference()
 	if len(wss) <= 1 {
 		// Serial fast path: no closures, no goroutines (zero-alloc).

@@ -26,7 +26,6 @@ import (
 	"ptdft/internal/parallel"
 	"ptdft/internal/potential"
 	"ptdft/internal/pseudo"
-	"ptdft/internal/trace"
 	"ptdft/internal/xc"
 )
 
@@ -62,11 +61,6 @@ type Hamiltonian struct {
 	// MarkPrepared; nil when no state is marked.
 	prepPsi *complex128
 	prepT   float64
-
-	// tr is forwarded to every exchange operator this Hamiltonian builds
-	// (the propagation operator is rebuilt on each orbital refresh, so the
-	// track must live here). nil disables span recording.
-	tr *trace.Track
 
 	// Per-worker apply scratch, recycled across Apply/TotalEnergy calls.
 	scratch parallel.ScratchPool[*applyScratch]
@@ -212,7 +206,6 @@ func (h *Hamiltonian) SetFockOrbitals(phi []complex128, nb int) error {
 	h.prepPsi = nil
 	if h.fockOp == nil {
 		h.fockOp = fock.NewOperator(h.G, h.Hyb, phi, nb)
-		h.fockOp.SetTrace(h.tr)
 	} else {
 		h.fockOp.SetOrbitals(phi, nb)
 	}
@@ -222,16 +215,6 @@ func (h *Hamiltonian) SetFockOrbitals(phi []complex128, nb int) error {
 	var err error
 	h.ace, err = fock.NewACE(h.fockOp, phi, nb)
 	return err
-}
-
-// SetTrace attaches a span track to every exchange operator this
-// Hamiltonian builds (current and future - the propagation operator is
-// reconstructed on each reference refresh). nil disables recording.
-func (h *Hamiltonian) SetTrace(t *trace.Track) {
-	h.tr = t
-	if h.fockOp != nil {
-		h.fockOp.SetTrace(t)
-	}
 }
 
 // SetBloch selects a k-point: kinetic 1/2|G+k+A|^2 and phase-twisted

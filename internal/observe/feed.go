@@ -61,13 +61,6 @@ func (f *Feed) Close() {
 	f.wake = make(chan struct{})
 }
 
-// Len returns the number of samples appended so far.
-func (f *Feed) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.samples)
-}
-
 // Snapshot returns a copy of all samples appended so far.
 func (f *Feed) Snapshot() []Sample {
 	f.mu.Lock()

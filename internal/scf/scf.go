@@ -34,22 +34,23 @@ import (
 type Options struct {
 	MaxSCF      int     // density SCF iterations per Fock phase
 	TolDensity  float64 // density convergence (per electron)
-	EigIters    int     // eigensolver steps per SCF iteration
-	MixHistory  int     // Anderson history for density mixing
-	MixBeta     float64 // Anderson relaxation
 	HybridOuter int     // Fock operator refresh cycles (hybrid only)
 	Seed        int64   // initial wavefunction seed
-	Logf        func(format string, args ...any)
 }
+
+// The fixed parts of the solve: eigensolver steps per SCF iteration and
+// the density mixer's Anderson history and relaxation.
+const (
+	eigIters   = 4
+	mixHistory = 10
+	mixBeta    = 0.5
+)
 
 // Defaults returns options adequate for the laptop-scale test systems.
 func Defaults() Options {
 	return Options{
 		MaxSCF:      60,
 		TolDensity:  1e-7,
-		EigIters:    4,
-		MixHistory:  10,
-		MixBeta:     0.5,
 		HybridOuter: 4,
 		Seed:        1234,
 	}
@@ -79,10 +80,6 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 	if nb < 1 {
 		return nil, errors.New("scf: need at least one band")
 	}
-	logf := opt.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	occ := 2.0
 	nelec := occ * float64(nb)
 	psi := wavefunc.Random(g, nb, opt.Seed)
@@ -102,9 +99,8 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 			if err := h.SetFockOrbitals(psi, nb); err != nil {
 				return nil, fmt.Errorf("scf: hybrid phase %d exchange refresh: %w", phase, err)
 			}
-			logf("scf: hybrid phase %d/%d", phase, phases-1)
 		}
-		mixer := mixing.NewRealMixer(opt.MixHistory, opt.MixBeta)
+		mixer := mixing.NewRealMixer(mixHistory, mixBeta)
 		converged := false
 		iters := opt.MaxSCF
 		if phase > 0 {
@@ -113,7 +109,7 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 		}
 		var lastErr float64
 		for it := 0; it < iters; it++ {
-			for e := 0; e < opt.EigIters; e++ {
+			for e := 0; e < eigIters; e++ {
 				if err := eigStep(g, h, psi, nb, ew, res); err != nil {
 					return nil, fmt.Errorf("scf: phase %d eigensolver failed at iteration %d: %w", phase, it, err)
 				}
@@ -121,7 +117,6 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 			rhoOut := potential.Density(g, psi, nb, occ)
 			lastErr = potential.DensityDiff(g, rhoOut, rho, nelec)
 			totalIter++
-			logf("scf: phase %d iter %d density error %.3e", phase, it, lastErr)
 			if lastErr < opt.TolDensity {
 				converged = true
 				rho = rhoOut
@@ -249,9 +244,12 @@ func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int,
 	if err != nil {
 		return fmt.Errorf("%dx%d Rayleigh-Ritz pencil: %w", m, m, err)
 	}
-	// basis holds psi's copy, and ApplyMatrix clears its output first.
+	// basis holds psi's copy, and ApplyMatrix clears its output first. u
+	// lives in the pencil solve's own scratch, so a is free for the
+	// orthonormalization's overlap.
 	linalg.ApplyMatrix(psi, basis, u, nb, m, ng)
-	return wavefunc.Orthonormalize(psi, nb, ng)
+	_, err = wavefunc.Orthonormalize(psi, a[:nb*nb], nb, ng)
+	return err
 }
 
 // hermitize symmetrizes numerical noise: a <- (a + a^H)/2.

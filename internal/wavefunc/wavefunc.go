@@ -25,7 +25,7 @@ func Random(g *grid.Grid, nb int, seed int64) []complex128 {
 			psi[i*g.NG+s] = complex(rng.NormFloat64()*damp, rng.NormFloat64()*damp)
 		}
 	}
-	if err := Orthonormalize(psi, nb, g.NG); err != nil {
+	if _, err := Orthonormalize(psi, make([]complex128, nb*nb), nb, g.NG); err != nil {
 		panic(fmt.Sprintf("wavefunc: random bands degenerate: %v", err))
 	}
 	return psi
@@ -34,29 +34,35 @@ func Random(g *grid.Grid, nb int, seed int64) []complex128 {
 // Orthonormalize makes the band set orthonormal in place via the overlap
 // matrix, Cholesky factorization and triangular solve (section 3.4: the
 // overlap is evaluated in the G-space layout, the Cholesky factor computed
-// once, and the bands rotated by Trsm).
-func Orthonormalize(psi []complex128, nb, ng int) error {
-	s := make([]complex128, nb*nb)
+// once, and the bands rotated by Trsm). The overlap is formed in the
+// caller's nb x nb s, and the orthonormality error before the rotation,
+// IdentityError of that overlap, is returned.
+func Orthonormalize(psi, s []complex128, nb, ng int) (float64, error) {
 	linalg.Overlap(s, psi, psi, nb, nb, ng)
+	oerr := IdentityError(s, nb)
 	if err := linalg.CholeskyLower(s, nb); err != nil {
-		return fmt.Errorf("wavefunc: overlap not positive definite: %w", err)
+		return oerr, fmt.Errorf("wavefunc: overlap not positive definite: %w", err)
 	}
 	linalg.SolveLowerBands(s, psi, nb, ng)
-	return nil
+	return oerr, nil
 }
 
 // OrthonormalityError returns max_ij |<psi_i|psi_j> - delta_ij|.
 func OrthonormalityError(psi []complex128, nb, ng int) float64 {
 	s := make([]complex128, nb*nb)
 	linalg.Overlap(s, psi, psi, nb, nb, ng)
+	return IdentityError(s, nb)
+}
+
+// IdentityError returns max_ij |s_ij - delta_ij| of the nb x nb overlap s.
+func IdentityError(s []complex128, nb int) float64 {
 	var m float64
 	for i := 0; i < nb; i++ {
 		for j := 0; j < nb; j++ {
-			want := complex(0, 0)
+			d := s[i*nb+j]
 			if i == j {
-				want = 1
+				d -= 1
 			}
-			d := s[i*nb+j] - want
 			if a := math.Hypot(real(d), imag(d)); a > m {
 				m = a
 			}

@@ -33,8 +33,12 @@ func TestOrthonormalizeIdempotent(t *testing.T) {
 	g := grid.MustNew(lattice.MustSiliconSupercell(1, 1, 1), 3)
 	psi := Random(g, 4, 2)
 	before := Clone(psi)
-	if err := Orthonormalize(psi, 4, g.NG); err != nil {
+	oerr, err := Orthonormalize(psi, make([]complex128, 16), 4, g.NG)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if want := OrthonormalityError(before, 4, g.NG); oerr != want {
+		t.Errorf("Orthonormalize reported error %g, OrthonormalityError %g", oerr, want)
 	}
 	// Already orthonormal: must be (nearly) unchanged.
 	if d := MaxDiff(before, psi); d > 1e-10 {
