@@ -37,10 +37,16 @@ func gatherRows8AVX2(dre, dim, sre, sim *float64, perm *int, n, stride int)
 func addNorm2Rows8AVX2(acc, sre, sim *float64, n, stride int)
 
 //go:noescape
-func zGatherAVX2(dre, dim, sre, sim *float64, zinv *int, nz int)
+func gatherLanes8AVX2(dre, dim, sre, sim *float64, bases, perm *int, n, stride int)
 
 //go:noescape
-func zScatterAVX2(dre, dim, sre, sim *float64, nz int)
+func scatterLanes8AVX2(dre, dim, sre, sim *float64, bases *int, n, stride int)
+
+//go:noescape
+func zGatherAVX2(dre, dim, sre, sim *float64, rows, zinv *int, nz int)
+
+//go:noescape
+func zScatterAVX2(dre, dim, sre, sim *float64, rows *int, nz int)
 
 // combineVec runs the radix-r combine of one stage over `blocks`
 // consecutive stage blocks (each r sub-transforms of m rows, already in
@@ -122,51 +128,64 @@ func addNorm2RowsVec(acc []float64, b lanes.Slab, off, n, stride int) bool {
 	return true
 }
 
-// zRowsVec moves the Width z-rows of the slab s from base on to or from
-// the lane block b on the transposing kernels and reports whether it did:
-// a gather puts point j of row l into row zinv[j], lane l, the z pass's
-// input order; a scatter writes row k, lane l back to point k of row l.
-// They take nz >= 4, one 4x4 transpose per four points. p.zinv inverts a
-// permutation NewPlan checked, so it maps a row onto the block's nz rows.
-func zRowsVec(b, s lanes.Slab, base int, p *Plan3, gather bool) bool {
-	nz := p.nz
-	if !hostcpu.AVX2 || nz < 4 {
+// lanesVec moves the n rows of a lane block b to or from eight lanes of
+// the slab s, lane l's element k at s[bases[l]+k*stride], and reports
+// whether it did: a gather fills row k with element pl.perm[k] of each
+// lane, a scatter (pl nil) writes row k back to element k. Lanes of n >= 4
+// contiguous elements (z-rows) move on the 4x4 transposes, the gather
+// through pl.inv; any others one element at a time.
+func lanesVec(b, s lanes.Slab, bases *[lw]int, n, stride int, pl *Plan) bool {
+	if !hostcpu.AVX2 {
 		return false
 	}
-	if end := base + lw*nz; base < 0 || end > len(s.Re) || end > len(s.Im) || len(p.zinv) != nz ||
-		nz*lw > len(b.Re) || nz*lw > len(b.Im) {
-		panic(fmt.Sprintf("fourier: %d z-rows of %d points at %d of a %d/%d slab, block %d/%d", lw, nz, base, len(s.Re), len(s.Im), len(b.Re), len(b.Im)))
+	var hi uint // the largest base; a negative one wraps past any slab
+	for _, o := range bases {
+		hi = max(hi, uint(o))
 	}
-	if gather {
-		zGatherAVX2(&b.Re[0], &b.Im[0], &s.Re[base], &s.Im[base], &p.zinv[0], nz)
-	} else {
-		zScatterAVX2(&s.Re[base], &s.Im[base], &b.Re[0], &b.Im[0], nz)
+	span, size := (n-1)*stride+1, min(len(s.Re), len(s.Im))
+	if n < 1 || (pl != nil && (n > len(pl.perm) || n > len(pl.inv))) || n*lw > len(b.Re) || n*lw > len(b.Im) || stride < 0 ||
+		span > size || hi > uint(size-span) {
+		panic(fmt.Sprintf("fourier: %d rows of a %d/%d block, stride %d, lanes from %v of a %d/%d slab",
+			n, len(b.Re), len(b.Im), stride, *bases, len(s.Re), len(s.Im)))
+	}
+	rows := stride == 1 && n >= 4
+	switch {
+	case pl != nil && rows:
+		zGatherAVX2(&b.Re[0], &b.Im[0], &s.Re[0], &s.Im[0], &bases[0], &pl.inv[0], n)
+	case pl != nil:
+		gatherLanes8AVX2(&b.Re[0], &b.Im[0], &s.Re[0], &s.Im[0], &bases[0], &pl.perm[0], n, stride)
+	case rows:
+		zScatterAVX2(&s.Re[0], &s.Im[0], &b.Re[0], &b.Im[0], &bases[0], n)
+	default:
+		scatterLanes8AVX2(&s.Re[0], &s.Im[0], &b.Re[0], &b.Im[0], &bases[0], n, stride)
 	}
 	return true
 }
 
 //go:noescape
-func pairProductsAVX2(vre, vim, wre, wim *float64, tab **float64, zinv *int, nz, n, base int)
+func pairProductsAVX2(vre, vim, wre, wim *float64, tab **float64, zinv, rows *int, nz, n, base int)
 
 //go:noescape
-func pairAccumulateAVX2(vre, vim, wre, wim *float64, tab **float64, nz, n, base int, scale float64)
+func pairAccumulateAVX2(vre, vim, wre, wim *float64, tab **float64, rows *int, nz, n, base int, scale float64)
 
 // pairRows is the pair kernels' view of a PairLanes: lane l's operand and
 // accumulator halves by their first element (nil from n on and for an
-// empty AccA), each checked by bindPairRows to hold size points, and the
-// plan's zinv, which maps a z-row onto its lane block (it inverts a
-// permutation NewPlan checked). The zero value runs no kernel.
+// empty AccA), each checked by bindPairRows to hold size points, the
+// z plan's inv, which maps a z-row onto its lane block (it inverts a
+// permutation NewPlan checked), and the rows of the scratch w, lane l's
+// at l*nz. The zero value runs no kernel.
 type pairRows struct {
 	ptr     [8][lw]*float64 // A.Re, A.Im, B.Re, B.Im, AccB.Re, AccB.Im, AccA.Re, AccA.Im
 	n, size int
 	zinv    []int
+	wrows   [lw]int
 }
 
 func bindPairRows(t *pairRows, pl *PairLanes, p *Plan3) {
 	if !hostcpu.AVX2 {
 		return
 	}
-	size, zinv := p.Size(), p.zinv
+	size, zinv := p.Size(), p.pz.inv
 	bad := pl.N < 1 || pl.N > lw
 	for l := 0; l < pl.N && !bad; l++ {
 		for h, s := range [4]lanes.Slab{pl.A[l], pl.B[l], pl.AccB[l], pl.AccA[l]} {
@@ -183,6 +202,9 @@ func bindPairRows(t *pairRows, pl *PairLanes, p *Plan3) {
 		panic(fmt.Sprintf("fourier: %d pairs over %d-point rows of a %d-point grid: a lane count, slab or row out of range", pl.N, len(zinv), size))
 	}
 	t.n, t.size, t.zinv = pl.N, size, zinv
+	for l := range t.wrows {
+		t.wrows[l] = l * len(zinv)
+	}
 }
 
 // pairRow reports whether the kernels take the z-row at base, after
@@ -202,7 +224,7 @@ func (t *pairRows) pairRow(v, w lanes.Slab, base int) bool {
 func pairProductsVec(t *pairRows, v, w lanes.Slab, base int) bool {
 	ok := t.pairRow(v, w, base)
 	if ok {
-		pairProductsAVX2(&v.Re[0], &v.Im[0], &w.Re[0], &w.Im[0], &t.ptr[0][0], &t.zinv[0], len(t.zinv), t.n, base)
+		pairProductsAVX2(&v.Re[0], &v.Im[0], &w.Re[0], &w.Im[0], &t.ptr[0][0], &t.zinv[0], &t.wrows[0], len(t.zinv), t.n, base)
 	}
 	return ok
 }
@@ -214,7 +236,7 @@ func pairProductsVec(t *pairRows, v, w lanes.Slab, base int) bool {
 func pairAccumulateVec(t *pairRows, v, w lanes.Slab, base int, scale float64) bool {
 	ok := t.pairRow(v, w, base)
 	if ok {
-		pairAccumulateAVX2(&v.Re[0], &v.Im[0], &w.Re[0], &w.Im[0], &t.ptr[0][0], len(t.zinv), t.n, base, scale)
+		pairAccumulateAVX2(&v.Re[0], &v.Im[0], &w.Re[0], &w.Im[0], &t.ptr[0][0], &t.wrows[0], len(t.zinv), t.n, base, scale)
 	}
 	return ok
 }

@@ -1,6 +1,7 @@
 // AVX2 + FMA renditions of the radix-2/3/4/7 combine loops of combineLanes,
 // of the 8-float64 row copies behind gatherStrided (permuted) and
-// scatterStrided, of addNorm2Strided's squared moduli, of the z pass's
+// scatterStrided and their lane-by-lane forms behind gatherLanes and
+// scatterLanes, of addNorm2Strided's squared moduli, of the z pass's
 // transposing gather and scatter, and of pairPass's pair products and
 // accumulations (fftlanes.go, slab.go). One lane row is Width = 8 float64
 // = two ymm; every kernel walks the low half (byte offset 0) and the high
@@ -423,6 +424,93 @@ gatherloop:
 	VZEROUPPER
 	RET
 
+// func gatherLanes8AVX2(dre, dim, sre, sim *float64, bases, perm *int, n, stride int)
+//
+// gatherRows8AVX2 for lanes that need not be consecutive: row k, lane l is
+// read at s + bases[l] + perm[k]*stride (elements), four lanes per
+// VGATHERQPD (Y4, Y5: the bases; Y7: an all-ones mask, which each gather
+// clears in its copy Y6).
+#define LGATHER(s, idx, y) \
+	VMOVAPD Y7, Y6 \
+	VGATHERQPD Y6, (s)(idx*8), y
+
+TEXT ·gatherLanes8AVX2(SB), NOSPLIT, $0-64
+	MOVQ dre+0(FP), DI
+	MOVQ dim+8(FP), R8
+	MOVQ sre+16(FP), SI
+	MOVQ sim+24(FP), R9
+	MOVQ bases+32(FP), AX
+	VMOVDQU (AX), Y4
+	VMOVDQU 32(AX), Y5
+	MOVQ perm+40(FP), DX
+	MOVQ n+48(FP), CX
+	MOVQ stride+56(FP), BX
+	SHLQ $3, BX
+	VPCMPEQQ Y7, Y7, Y7
+lgatherloop:
+	MOVQ  (DX), AX
+	IMULQ BX, AX
+	LEAQ  (SI)(AX*1), R10
+	LEAQ  (R9)(AX*1), R11
+	LGATHER(R10, Y4, Y0)
+	LGATHER(R10, Y5, Y1)
+	LGATHER(R11, Y4, Y2)
+	LGATHER(R11, Y5, Y3)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (R8)
+	VMOVUPD Y3, 32(R8)
+	ADDQ $8, DX
+	ADDQ $64, DI
+	ADDQ $64, R8
+	DECQ CX
+	JNZ  lgatherloop
+	VZEROUPPER
+	RET
+
+// func scatterLanes8AVX2(dre, dim, sre, sim *float64, bases *int, n, stride int)
+//
+// scatterRows8AVX2 for lanes that need not be consecutive: row k, lane l
+// is written at d + bases[l] + k*stride (elements), one scalar store per
+// value. LHALF(h) stores the half row at byte h of block row SI, R9 (lanes
+// h/8 to h/8+3) through LSTORE, which stores lane i/8's re and im at its
+// base in the rows DI, R8.
+#define LSTORE(i, OP, x, y) \
+	MOVQ i(AX), R10     \
+	OP   x, (DI)(R10*8) \
+	OP   y, (R8)(R10*8)
+
+#define LHALF(h) \
+	VMOVUPD h(SI), Y0            \
+	VMOVUPD h(R9), Y1            \
+	VEXTRACTF128 $1, Y0, X2      \
+	VEXTRACTF128 $1, Y1, X3      \
+	LSTORE(h, VMOVSD, X0, X1)    \
+	LSTORE(h+8, VMOVHPD, X0, X1) \
+	LSTORE(h+16, VMOVSD, X2, X3) \
+	LSTORE(h+24, VMOVHPD, X2, X3)
+
+TEXT ·scatterLanes8AVX2(SB), NOSPLIT, $0-56
+	MOVQ dre+0(FP), DI
+	MOVQ dim+8(FP), R8
+	MOVQ sre+16(FP), SI
+	MOVQ sim+24(FP), R9
+	MOVQ bases+32(FP), AX
+	MOVQ n+40(FP), CX
+	MOVQ stride+48(FP), BX
+	SHLQ $3, BX
+lscatterloop:
+	LHALF(0)
+	LHALF(32)
+	ADDQ $64, SI
+	ADDQ $64, R9
+	ADDQ BX, DI
+	ADDQ BX, R8
+	DECQ CX
+	JNZ  lscatterloop
+	VZEROUPPER
+	RET
+
 // func addNorm2Rows8AVX2(acc, sre, sim *float64, n, stride int)
 //
 // Adds the squared moduli of n contiguous rows of 8 complex values, split
@@ -458,15 +546,10 @@ norm2loop:
 	VZEROUPPER
 	RET
 
-// The pair kernels: the Go loops at the two ends of ContractPairsWS over
-// one z-row of nz >= 4 points, lane after lane, four points per ymm,
-// through the scratch w (point j of lane l at w[l*nz+j]) that 4x4
-// transposes move to and from the lane block. w has the layout of Width
-// consecutive z-rows of a grid slab, so the same transposes are the z
-// pass's gather and scatter of a whole lane group (zGatherAVX2,
-// zScatterAVX2). tab is pairRows.ptr. In the
-// lane loops BX = 8*(base+j) addresses point j of every slab, and of
-// scratch lane l through R11, R12; CX counts the points left.
+// The z-row transposes between a lane block (row k, lane l at byte 64k +
+// 8l) and Width z-rows of nz >= 4 points, lane l's at element rows[l]: the
+// z pass's gather and scatter of any eight rows, and the pair kernels'
+// moves to and from their scratch w (rows[l] = l*nz).
 
 // NEXT4(loop, done) steps BX to the next chunk, or back to end at nz.
 #define NEXT4(loop, done) \
@@ -496,86 +579,103 @@ done:
 	VPERM2F128 $0x31, Y10, Y8, Y2 \
 	VPERM2F128 $0x31, Y11, Y9, Y3
 
-// TOW(off, b, w) moves points j..j+3 (BX = 8j) of four lanes from rows
-// j..j+3 at b+off to w (R9 = 8*nz, R13 = 24*nz); FROMW, back to rows
-// zinv[j..j+3] (R10 = &zinv[0]).
-#define TOW(off, b, w) \
-	XPOSE(off(b)(BX*8), off+64(b)(BX*8), off+128(b)(BX*8), off+192(b)(BX*8)) \
-	VMOVUPD Y0, (w)         \
-	VMOVUPD Y1, (w)(R9*1)   \
-	VMOVUPD Y2, (w)(R9*2)   \
-	VMOVUPD Y3, (w)(R13*1)
+// ZLANES(h) sets AX, R8, R9, R13 to the byte offsets of point j (BX = 8j)
+// of lanes h/8 to h/8+3 (rows table DX) in a grid half.
+#define ZLANES(h) \
+	MOVQ h(DX), AX         \
+	LEAQ (BX)(AX*8), AX    \
+	MOVQ h+8(DX), R8       \
+	LEAQ (BX)(R8*8), R8    \
+	MOVQ h+16(DX), R9      \
+	LEAQ (BX)(R9*8), R9    \
+	MOVQ h+24(DX), R13     \
+	LEAQ (BX)(R13*8), R13
 
-#define FROMW(off, b, w) \
-	XPOSE((w), (w)(R9*1), (w)(R9*2), (w)(R13*1)) \
-	ZROW(0, off, b, Y0)  \
-	ZROW(8, off, b, Y1)  \
-	ZROW(16, off, b, Y2) \
-	ZROW(24, off, b, Y3)
+// FROMW(h, b, g) moves those points of the grid half g to block rows
+// zinv[j..j+3] (R10) at byte h of b; TOW(h, b, g), rows j..j+3 back.
+#define FROMW(h, b, g) \
+	XPOSE((g)(AX*1), (g)(R8*1), (g)(R9*1), (g)(R13*1)) \
+	ZROW(0, h, b, Y0)  \
+	ZROW(8, h, b, Y1)  \
+	ZROW(16, h, b, Y2) \
+	ZROW(24, h, b, Y3)
 
-#define ZROW(i, off, b, y) \
-	MOVQ i(R10)(BX*1), R8 \
-	SHLQ $6, R8           \
-	VMOVUPD y, off(b)(R8*1)
+#define ZROW(i, h, b, y) \
+	MOVQ i(R10)(BX*1), R14 \
+	SHLQ $6, R14           \
+	VMOVUPD y, h(b)(R14*1)
 
-// XCHUNKS(X, loop, done) runs X over the row: block DI, SI; scratch R11, R12.
+#define TOW(h, b, g) \
+	XPOSE(h(b)(BX*8), h+64(b)(BX*8), h+128(b)(BX*8), h+192(b)(BX*8)) \
+	VMOVUPD Y0, (g)(AX*1) \
+	VMOVUPD Y1, (g)(R8*1) \
+	VMOVUPD Y2, (g)(R9*1) \
+	VMOVUPD Y3, (g)(R13*1)
+
+// XCHUNKS(X, loop, done) runs X over the nz (CX) points: block DI, SI;
+// grid R11, R12. A row that is not whole chunks ends with a chunk moved
+// back to end at nz, which rewrites what the one before it wrote.
 #define XCHUNKS(X, loop, done) \
-	LEAQ (R9)(R9*2), R13  \
-	XORQ BX, BX           \
-loop:                         \
-	LEAQ (R11)(BX*1), AX  \
-	LEAQ (R12)(BX*1), R14 \
-	X(0, DI, AX)          \
-	X(0, SI, R14)         \
-	LEAQ (AX)(R9*4), AX   \
-	LEAQ (R14)(R9*4), R14 \
-	X(32, DI, AX)         \
-	X(32, SI, R14)        \
+	XORQ BX, BX       \
+loop:                     \
+	ZLANES(0)         \
+	X(0, DI, R11)     \
+	X(0, SI, R12)     \
+	ZLANES(32)        \
+	X(32, DI, R11)    \
+	X(32, SI, R12)    \
 	NEXT4(loop, done)
 
-// func zGatherAVX2(dre, dim, sre, sim *float64, zinv *int, nz int)
+// func zGatherAVX2(dre, dim, sre, sim *float64, rows, zinv *int, nz int)
 //
-// Fills the lane block d from the 8 z-rows of nz >= 4 points at s: point j
-// of row l goes to row zinv[j], lane l.
-TEXT ·zGatherAVX2(SB), NOSPLIT, $0-48
+// Fills the lane block d from the 8 z-rows of nz >= 4 points at s +
+// rows[l]: point j of row l goes to row zinv[j], lane l.
+TEXT ·zGatherAVX2(SB), NOSPLIT, $0-56
 	MOVQ dre+0(FP), DI
 	MOVQ dim+8(FP), SI
 	MOVQ sre+16(FP), R11
 	MOVQ sim+24(FP), R12
-	MOVQ zinv+32(FP), R10
-	MOVQ nz+40(FP), CX
-	LEAQ (CX*8), R9
+	MOVQ rows+32(FP), DX
+	MOVQ zinv+40(FP), R10
+	MOVQ nz+48(FP), CX
 	XCHUNKS(FROMW, zgrows, zgdone)
 	VZEROUPPER
 	RET
 
-// func zScatterAVX2(dre, dim, sre, sim *float64, nz int)
+// func zScatterAVX2(dre, dim, sre, sim *float64, rows *int, nz int)
 //
-// Writes the lane block s back to the 8 z-rows of nz >= 4 points at d in
-// natural order: row k, lane l goes to point k of row l.
-TEXT ·zScatterAVX2(SB), NOSPLIT, $0-40
+// Writes the lane block s back to the 8 z-rows of nz >= 4 points at d +
+// rows[l] in natural order: row k, lane l goes to point k of row l.
+TEXT ·zScatterAVX2(SB), NOSPLIT, $0-48
 	MOVQ dre+0(FP), R11
 	MOVQ dim+8(FP), R12
 	MOVQ sre+16(FP), DI
 	MOVQ sim+24(FP), SI
-	MOVQ nz+32(FP), CX
-	LEAQ (CX*8), R9
+	MOVQ rows+32(FP), DX
+	MOVQ nz+40(FP), CX
 	XCHUNKS(TOW, zsrows, zsdone)
 	VZEROUPPER
 	RET
 
-// func pairProductsAVX2(vre, vim, wre, wim *float64, tab **float64, zinv *int, nz, n, base int)
+// The pair kernels: the Go loops at the two ends of ContractPairsWS over
+// one z-row of nz >= 4 points, lane after lane, four points per ymm,
+// through the scratch w that the z-row transposes move to and from the
+// lane block. tab is pairRows.ptr and rows its wrows. In the lane loops
+// BX = 8*(base+j) addresses point j of every slab, and of scratch lane l
+// through R11, R12; CX counts the points left.
+
+// func pairProductsAVX2(vre, vim, wre, wim *float64, tab **float64, zinv, rows *int, nz, n, base int)
 //
 // A row that is not whole chunks ends with a chunk moved back to end at
 // nz, which rewrites what the one before it wrote.
-TEXT ·pairProductsAVX2(SB), NOSPLIT, $0-72
+TEXT ·pairProductsAVX2(SB), NOSPLIT, $0-80
 	MOVQ wre+16(FP), R11
 	MOVQ wim+24(FP), R12
 	MOVQ tab+32(FP), R8
-	MOVQ nz+48(FP), R9
+	MOVQ nz+56(FP), R9
 	SHLQ $3, R9
-	MOVQ n+56(FP), DX
-	MOVQ base+64(FP), R13
+	MOVQ n+64(FP), DX
+	MOVQ base+72(FP), R13
 	SHLQ $3, R13
 	SUBQ R13, R11
 	SUBQ R13, R12
@@ -585,7 +685,7 @@ plane:
 	MOVQ 128(R8), DI
 	MOVQ 192(R8), R10
 	MOVQ R13, BX
-	MOVQ nz+48(FP), CX
+	MOVQ nz+56(FP), CX
 pchunk:
 	// w = (ar*br + ai*bi, ar*bi - ai*br)
 	VMOVUPD (AX)(BX*1), Y8
@@ -609,7 +709,8 @@ pchunk:
 	MOVQ wre+16(FP), R11
 	MOVQ wim+24(FP), R12
 	MOVQ zinv+40(FP), R10
-	MOVQ nz+48(FP), CX
+	MOVQ rows+48(FP), DX
+	MOVQ nz+56(FP), CX
 	XCHUNKS(FROMW, prows, pdone)
 	VZEROUPPER
 	RET
@@ -650,27 +751,29 @@ skip:
 #define ADD1(m) VBROADCASTSD m, Y11; VADDPD Y11, Y10, Y10
 #define ST1(m) VMOVSD X10, m
 
-// func pairAccumulateAVX2(vre, vim, wre, wim *float64, tab **float64, nz, n, base int, scale float64)
+// func pairAccumulateAVX2(vre, vim, wre, wim *float64, tab **float64, rows *int, nz, n, base int, scale float64)
 //
 // A row that is not whole chunks ends point by point: a chunk moved back
 // to end at nz would load accumulators that the chunk before it stored in
 // part, which the CPU cannot forward from its store buffer.
-TEXT ·pairAccumulateAVX2(SB), NOSPLIT, $16-72
+TEXT ·pairAccumulateAVX2(SB), NOSPLIT, $16-80
 	MOVQ vre+0(FP), DI
 	MOVQ vim+8(FP), SI
 	MOVQ wre+16(FP), R11
 	MOVQ wim+24(FP), R12
-	MOVQ nz+40(FP), CX
-	LEAQ (CX*8), R9
+	MOVQ rows+40(FP), DX
+	MOVQ nz+48(FP), CX
 	XCHUNKS(TOW, arows, adone)
+	MOVQ nz+48(FP), R9
+	SHLQ $3, R9
 	MOVQ tab+32(FP), R8
-	MOVQ base+56(FP), AX
+	MOVQ base+64(FP), AX
 	SHLQ $3, AX
 	SUBQ AX, R11
 	SUBQ AX, R12
-	VBROADCASTSD scale+64(FP), Y14
+	VBROADCASTSD scale+72(FP), Y14
 	MOVQ R9, stride-8(SP)
-	MOVQ n+48(FP), AX
+	MOVQ n+56(FP), AX
 	MOVQ AX, left-16(SP)
 alane:
 	MOVQ (R8), AX
@@ -681,9 +784,9 @@ alane:
 	MOVQ 320(R8), R9
 	MOVQ 384(R8), R13
 	MOVQ 448(R8), DX
-	MOVQ base+56(FP), BX
+	MOVQ base+64(FP), BX
 	SHLQ $3, BX
-	MOVQ nz+40(FP), CX
+	MOVQ nz+48(FP), CX
 achunk:
 	ABODY(LD4, ADD4, ST4, askip)
 	ADDQ $32, BX

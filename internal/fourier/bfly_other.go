@@ -15,7 +15,7 @@ func gatherRowsVec(b lanes.Slab, src lanes.Slab, off, stride int, pl *Plan) bool
 
 func addNorm2RowsVec(acc []float64, b lanes.Slab, off, n, stride int) bool { return false }
 
-func zRowsVec(b, s lanes.Slab, base int, p *Plan3, gather bool) bool { return false }
+func lanesVec(b, s lanes.Slab, bases *[lw]int, n, stride int, pl *Plan) bool { return false }
 
 type pairRows struct{}
 

@@ -62,8 +62,9 @@ type Plan struct {
 	factors []int   // prime factorization of n, ascending (4s merged)
 	stages  []stage // one entry per factorization level, top level first
 	// perm is the order the stage loop takes its input in: row k holds
-	// input element perm[k] (the identity for n = 1, which has no stages).
-	perm []int
+	// input element perm[k] (the identity for n = 1, which has no stages);
+	// inv inverts it, element j goes to row inv[j].
+	perm, inv []int
 }
 
 // NewPlan creates a transform plan for length n >= 1 whose prime factors
@@ -99,6 +100,10 @@ func (p *Plan) buildPerm() {
 		p.perm[k] = j
 	}
 	checkPerm(p.perm)
+	p.inv = make([]int, p.n)
+	for k, j := range p.perm {
+		p.inv[j] = k
+	}
 }
 
 // checkPerm panics unless perm is a permutation of [0, len(perm)). The
@@ -156,15 +161,6 @@ func unitRoot(e, n int) (c, s float64) {
 	}
 	s, c = math.Sincos(-2 * math.Pi * float64(e) / float64(n))
 	return c, s
-}
-
-// MustPlan is NewPlan that panics on error; for use with known-good sizes.
-func MustPlan(n int) *Plan {
-	p, err := NewPlan(n)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // Len reports the transform length.

@@ -14,6 +14,24 @@ import (
 	"ptdft/internal/lanes"
 )
 
+// MustPlan is NewPlan that panics on error; for use with known-good sizes.
+func MustPlan(n int) *Plan {
+	p, err := NewPlan(n)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// MustPlan3 is NewPlan3 that panics on error.
+func MustPlan3(nx, ny, nz int) *Plan3 {
+	p, err := NewPlan3(nx, ny, nz)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // naiveDFT is the O(N^2) reference every transform in this package is held
 // to: the defining sum, written without looking at the code under test and
 // evaluated well beyond double precision, so that what a test measures is
@@ -495,20 +513,6 @@ func TestPlan3InPlaceAliasing(t *testing.T) {
 	p.ApplySerialWS(x, x, false, ws)
 	if d := maxAbsDiff(x, want); d != 0 {
 		t.Errorf("in-place 3D transform differs from out-of-place by %g", d)
-	}
-}
-
-func BenchmarkFFT3DWavefunctionGrid(b *testing.B) {
-	// 18^3 is a typical laptop-scale wavefunction box for Si8 at 10 Ha.
-	p := MustPlan3(18, 18, 18)
-	rng := rand.New(rand.NewSource(1))
-	x := packed(randomVec(rng, p.Size()))
-	y := lanes.New(p.Size())
-	ws := p.NewWorkspace()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.RawSlabWS(y, x, false, ws)
 	}
 }
 

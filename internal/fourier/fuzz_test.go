@@ -144,8 +144,9 @@ func FuzzLaneVsScalar(f *testing.F) {
 // RawSlabWS inverse, bit for bit, on the Go loops and on the vector
 // kernels. The corpus covers the production dense boxes' shapes in
 // miniature (row and x-pencil counts that are and are not multiples of
-// lanes.Width, a single row, every row, radix-5 and radix-7 axes) and runs
-// in a plain `go test`.
+// lanes.Width, a single row, every row, radix-5 and radix-7 axes), the
+// 18x9x9 and 7^3 wave boxes, whose leftover y pencils group across
+// x-planes, and runs in a plain `go test`.
 func FuzzPrunedVsRaw(f *testing.F) {
 	f.Add(uint8(8), uint8(8), uint8(8), uint8(40), int64(1))
 	f.Add(uint8(12), uint8(6), uint8(6), uint8(25), int64(2)) // the 36x18x18 aspect
@@ -154,6 +155,8 @@ func FuzzPrunedVsRaw(f *testing.F) {
 	f.Add(uint8(15), uint8(2), uint8(9), uint8(255), int64(5)) // every row listed
 	f.Add(uint8(9), uint8(9), uint8(10), uint8(2), int64(6))   // (almost) no row listed
 	f.Add(uint8(1), uint8(1), uint8(35), uint8(255), int64(7))
+	f.Add(uint8(18), uint8(9), uint8(9), uint8(140), int64(8)) // the 18x9x9 wave box: y groups across planes
+	f.Add(uint8(7), uint8(7), uint8(7), uint8(200), int64(9))  // 7^3: six full y groups and one lane
 	f.Fuzz(func(t *testing.T, bx, by, bz, bkeep uint8, seed int64) {
 		nx, ny, nz := fuzzDim(bx), fuzzDim(by), fuzzDim(bz)
 		if nx*ny*nz > 5000 {

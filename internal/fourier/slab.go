@@ -20,13 +20,16 @@ import (
 // transform of a zero lane is zero, so the padding never leaks into real
 // output and the code stays branch-uniform.
 //
-// Lane geometry per pass, for the row-major index (ix*Ny + iy)*Nz + iz:
+// Lane geometry per pass, for the row-major index (ix*Ny + iy)*Nz + iz;
+// only a pass's last group can be partial:
 //
-//	z pass: lanes = Width consecutive rows (ix,iy); gather is a small
-//	        transpose (rows are contiguous, the lane block is element-major).
-//	y pass: lanes = Width consecutive iz within one ix; element iy of the
-//	        group starts at ix*Ny*Nz + iy*Nz + iz0, so each gather step is
-//	        one contiguous Width-wide copy.
+//	z pass: lanes = Width consecutive entries of the row list (ix*Ny + iy),
+//	        wherever they lie; gather is a small transpose (rows are
+//	        contiguous, the lane block is element-major).
+//	y pass: lanes = Width consecutive iz within one listed x-plane ix
+//	        (element iy at ix*Ny*Nz + iy*Nz + iz0: one contiguous Width-wide
+//	        copy), then the Nz mod Width pencils left in each plane, Width
+//	        of them across planes, moved lane by lane.
 //	x pass: lanes = Width consecutive flat pencil indices r in [0, Ny*Nz);
 //	        element ix of the group starts at r0 + ix*Ny*Nz - again one
 //	        contiguous Width-wide copy per element.
@@ -45,8 +48,8 @@ func (p *Plan3) checkSlab(s lanes.Slab, what string) {
 // zPassSlab transforms along z, src -> dst (which may be the same slab).
 // rows lists the z-rows (flat index ix*Ny + iy) to transform, Width of them
 // per lane group; nil means every row. Rows not listed are neither read nor
-// written. A whole group of consecutive rows is one contiguous block of
-// the slab, which the transposing kernels move where they take it.
+// written. A group's eight rows are eight contiguous lanes wherever they
+// lie, which the transposing kernels move.
 func (p *Plan3) zPassSlab(dst, src lanes.Slab, rows []int, inverse bool, ws *Workspace3) {
 	nz := p.nz
 	n := p.nx * p.ny
@@ -54,7 +57,6 @@ func (p *Plan3) zPassSlab(dst, src lanes.Slab, rows []int, inverse bool, ws *Wor
 		n = len(rows)
 	}
 	lu := ws.lu.Slice(0, nz*lw)
-	perm := p.pz.perm
 	var bases [lw]int
 	for r0 := 0; r0 < n; r0 += lw {
 		L := min(lw, n-r0)
@@ -64,27 +66,9 @@ func (p *Plan3) zPassSlab(dst, src lanes.Slab, rows []int, inverse bool, ws *Wor
 				bases[l] = rows[r0+l] * nz
 			}
 		}
-		block := rows == nil && L == lw
-		vec := block && zRowsVec(lu, src, bases[0], p, true)
-		for l := 0; l < L && !vec; l++ {
-			rre := src.Re[bases[l] : bases[l]+nz]
-			rim := src.Im[bases[l] : bases[l]+nz]
-			for k, j := range perm {
-				lu.Re[k*lw+l] = rre[j]
-				lu.Im[k*lw+l] = rim[j]
-			}
-		}
-		zeroTailLanes(lu, nz, L)
+		gatherLanes(lu, src, &bases, 1, L, p.pz)
 		p.pz.transformLanes(lu, inverse)
-		vec = block && zRowsVec(lu, dst, bases[0], p, false)
-		for l := 0; l < L && !vec; l++ {
-			rre := dst.Re[bases[l] : bases[l]+nz]
-			rim := dst.Im[bases[l] : bases[l]+nz]
-			for k := 0; k < nz; k++ {
-				rre[k] = lu.Re[k*lw+l]
-				rim[k] = lu.Im[k*lw+l]
-			}
-		}
+		scatterLanes(dst, lu, &bases, nz, 1, L)
 	}
 }
 
@@ -103,27 +87,45 @@ func zeroTailLanes(b lanes.Slab, n, L int) {
 
 // gatherStrided packs Width pencils of length pl.n with element stride
 // into a lane block in the plan's digit-reversal order: lane l of row k
-// reads src[off + pl.perm[k]*stride + l]. The Width consecutive source
-// values per element are contiguous, so the full-group fast path is an
-// 8-wide copy per row.
+// reads src[off + pl.perm[k]*stride + l], lanes l < L. The Width
+// consecutive source values per element are contiguous, so a full group
+// moves one 8-wide copy per row; a partial one runs gatherLanes.
 func gatherStrided(b lanes.Slab, src lanes.Slab, off, stride, L int, pl *Plan) {
-	n, perm := pl.n, pl.perm
-	if L == lw {
-		if gatherRowsVec(b, src, off, stride, pl) {
-			return
-		}
-		for k := 0; k < n; k++ {
-			o := off + perm[k]*stride
-			*(*[lw]float64)(b.Re[k*lw:]) = *(*[lw]float64)(src.Re[o:])
-			*(*[lw]float64)(b.Im[k*lw:]) = *(*[lw]float64)(src.Im[o:])
-		}
+	if L < lw {
+		bases := consecutive(off)
+		gatherLanes(b, src, &bases, stride, L, pl)
 		return
 	}
-	for k := 0; k < n; k++ {
-		o := off + perm[k]*stride
+	if gatherRowsVec(b, src, off, stride, pl) {
+		return
+	}
+	for k := 0; k < pl.n; k++ {
+		o := off + pl.perm[k]*stride
+		*(*[lw]float64)(b.Re[k*lw:]) = *(*[lw]float64)(src.Re[o:])
+		*(*[lw]float64)(b.Im[k*lw:]) = *(*[lw]float64)(src.Im[o:])
+	}
+}
+
+// consecutive returns the lane bases off, off+1, ..., off+Width-1.
+func consecutive(off int) (bases [lw]int) {
+	for l := range bases {
+		bases[l] = off + l
+	}
+	return bases
+}
+
+// gatherLanes is gatherStrided for lanes that need not be consecutive:
+// lane l of row k reads src[bases[l] + pl.perm[k]*stride], lanes l < L;
+// the rest are zero-filled.
+func gatherLanes(b lanes.Slab, src lanes.Slab, bases *[lw]int, stride, L int, pl *Plan) {
+	if L == lw && lanesVec(b, src, bases, pl.n, stride, pl) {
+		return
+	}
+	for k := 0; k < pl.n; k++ {
+		o := pl.perm[k] * stride
 		for l := 0; l < L; l++ {
-			b.Re[k*lw+l] = src.Re[o+l]
-			b.Im[k*lw+l] = src.Im[o+l]
+			b.Re[k*lw+l] = src.Re[bases[l]+o]
+			b.Im[k*lw+l] = src.Im[bases[l]+o]
 		}
 		for l := L; l < lw; l++ {
 			b.Re[k*lw+l] = 0
@@ -132,26 +134,35 @@ func gatherStrided(b lanes.Slab, src lanes.Slab, off, stride, L int, pl *Plan) {
 	}
 }
 
+// scatterLanes is the inverse of gatherLanes in natural order: row k,
+// lane l goes to dst[bases[l] + k*stride].
+func scatterLanes(dst lanes.Slab, b lanes.Slab, bases *[lw]int, n, stride, L int) {
+	if L == lw && lanesVec(b, dst, bases, n, stride, nil) {
+		return
+	}
+	for k := 0; k < n; k++ {
+		for l := 0; l < L; l++ {
+			dst.Re[bases[l]+k*stride] = b.Re[k*lw+l]
+			dst.Im[bases[l]+k*stride] = b.Im[k*lw+l]
+		}
+	}
+}
+
 // scatterStrided is the inverse of gatherStrided in natural order: row k
 // goes to dst[off + k*stride].
 func scatterStrided(dst lanes.Slab, b lanes.Slab, off, n, stride, L int) {
-	if L == lw {
-		if scatterRowsVec(dst, b, off, n, stride) {
-			return
-		}
-		for k := 0; k < n; k++ {
-			o := off + k*stride
-			*(*[lw]float64)(dst.Re[o:]) = *(*[lw]float64)(b.Re[k*lw:])
-			*(*[lw]float64)(dst.Im[o:]) = *(*[lw]float64)(b.Im[k*lw:])
-		}
+	if L < lw {
+		bases := consecutive(off)
+		scatterLanes(dst, b, &bases, n, stride, L)
+		return
+	}
+	if scatterRowsVec(dst, b, off, n, stride) {
 		return
 	}
 	for k := 0; k < n; k++ {
 		o := off + k*stride
-		for l := 0; l < L; l++ {
-			dst.Re[o+l] = b.Re[k*lw+l]
-			dst.Im[o+l] = b.Im[k*lw+l]
-		}
+		*(*[lw]float64)(dst.Re[o:]) = *(*[lw]float64)(b.Re[k*lw:])
+		*(*[lw]float64)(dst.Im[o:]) = *(*[lw]float64)(b.Im[k*lw:])
 	}
 }
 
@@ -172,26 +183,40 @@ func addNorm2Strided(acc []float64, b lanes.Slab, off, n, stride, L int) {
 }
 
 // yPassSlab transforms along y (stride nz) in place. planes lists the
-// x-planes ix to transform; nil means every plane.
+// x-planes ix to transform; nil means every plane. Each plane's first
+// nz - nz%Width pencils go Width at a time, contiguous rows; the nz%Width
+// left in every plane then go Width at a time across planes, lane by lane,
+// so only the pass's last group can be partial.
 func (p *Plan3) yPassSlab(dst lanes.Slab, planes []int, inverse bool, ws *Workspace3) {
 	ny, nz := p.ny, p.nz
 	n := p.nx
 	if planes != nil {
 		n = len(planes)
 	}
-	lu := ws.lu.Slice(0, ny*lw)
-	for i := 0; i < n; i++ {
-		ix := i
+	plane := func(i int) int {
 		if planes != nil {
-			ix = planes[i]
+			i = planes[i]
 		}
-		base := ix * ny * nz
-		for iz0 := 0; iz0 < nz; iz0 += lw {
-			L := min(lw, nz-iz0)
-			gatherStrided(lu, dst, base+iz0, nz, L, p.py)
+		return i * ny * nz
+	}
+	lu := ws.lu.Slice(0, ny*lw)
+	full := nz - nz%lw
+	for i := 0; i < n; i++ {
+		for iz0 := 0; iz0 < full; iz0 += lw {
+			gatherStrided(lu, dst, plane(i)+iz0, nz, lw, p.py)
 			p.py.transformLanes(lu, inverse)
-			scatterStrided(dst, lu, base+iz0, ny, nz, L)
+			scatterStrided(dst, lu, plane(i)+iz0, ny, nz, lw)
 		}
+	}
+	var bases [lw]int
+	for r, q0 := nz-full, 0; q0 < n*r; q0 += lw {
+		L := min(lw, n*r-q0)
+		for l := 0; l < L; l++ {
+			bases[l] = plane((q0+l)/r) + full + (q0+l)%r
+		}
+		gatherLanes(lu, dst, &bases, nz, L, p.py)
+		p.py.transformLanes(lu, inverse)
+		scatterLanes(dst, lu, &bases, ny, nz, L)
 	}
 }
 
@@ -286,7 +311,9 @@ func (p *Plan3) RawSlabWS(dst, src lanes.Slab, inverse bool, ws *Workspace3) {
 // in) and the x pass over everything, adding each transformed lane row's
 // squared moduli into acc where the full inverse would have written the
 // row; the rows and planes left out would transform zeros to zeros. buf is
-// consumed: it is left holding the y pass's output.
+// consumed: it is left holding the y pass's output. With acc nil the x
+// pass writes x into buf instead: the pruned RawSlabWS(buf, buf, true, ws)
+// of a wave-box synthesis.
 //
 // Precondition: every nonzero of buf lies in a listed row, every listed
 // row lies in a listed plane, and both lists are duplicate-free. Nothing
@@ -294,7 +321,7 @@ func (p *Plan3) RawSlabWS(dst, src lanes.Slab, inverse bool, ws *Workspace3) {
 // passes that skip it and read by the ones that do not.
 func (p *Plan3) AddNorm2PrunedSlabWS(acc []float64, buf lanes.Slab, rows, planes []int, ws *Workspace3) {
 	p.checkSlab(buf, "buf")
-	if len(acc) != p.Size() {
+	if acc != nil && len(acc) != p.Size() {
 		panic(fmt.Sprintf("fourier: accumulator length %d != grid %d", len(acc), p.Size()))
 	}
 	p.zPassSlab(buf, buf, rows, true, ws)

@@ -138,6 +138,7 @@ func TestVecKernelsBitIdentical(t *testing.T) {
 			})
 			sameBits(t, fmt.Sprintf("zPassSlab nz=%d inverse=%v", n, inverse), out[0], out[1])
 		}
+		checkListedPasses(t, rng, n)
 	}
 
 	// 3-D: the slab entry points on the production boxes, wave and dense:
@@ -217,6 +218,54 @@ func TestVecKernelsBitIdentical(t *testing.T) {
 	}
 }
 
+// checkListedPasses holds the listed forms of the y and z passes, whose
+// lane groups run across the list rather than inside a plane or a block
+// of rows, to the full passes on both paths, at z length nz: the y pass
+// over x-planes {0, 2, 3} of five (their leftover pencils group across
+// the planes unless nz is a multiple of Width) and the z pass over 19 of
+// 24 rows in random order (two full groups of scattered rows, one
+// partial). Listed pencils must equal the full pass's, the rest keep their
+// input, and the Go loops and the kernels must agree.
+func checkListedPasses(t *testing.T, rng *rand.Rand, nz int) {
+	t.Helper()
+	py := MustPlan3(5, 6, nz)
+	planes := []int{0, 2, 3}
+	pz := MustPlan3(3, 8, nz)
+	rows := rng.Perm(24)[:19]
+	ysrc, zsrc, zdst := randLaneSlab(rng, py.Size()), randLaneSlab(rng, pz.Size()), randLaneSlab(rng, pz.Size())
+	for _, inverse := range []bool{false, true} {
+		var ys, zs []lanes.Slab
+		forEachVec(func(vec bool) {
+			got, full := cloneSlab(ysrc), cloneSlab(ysrc)
+			py.yPassSlab(got, planes, inverse, py.NewWorkspace())
+			py.yPassSlab(full, nil, inverse, py.NewWorkspace())
+			want := cloneSlab(ysrc)
+			for _, ix := range planes {
+				plane := ix * 6 * nz
+				copy(want.Re[plane:plane+6*nz], full.Re[plane:])
+				copy(want.Im[plane:plane+6*nz], full.Im[plane:])
+			}
+			sameBits(t, fmt.Sprintf("yPassSlab planes %v nz=%d inverse=%v kernels=%v vs the full pass", planes, nz, inverse, vec), want, got)
+			ys = append(ys, got)
+
+			got, full = cloneSlab(zdst), lanes.New(pz.Size())
+			pz.zPassSlab(got, zsrc, rows, inverse, pz.NewWorkspace())
+			pz.zPassSlab(full, zsrc, nil, inverse, pz.NewWorkspace())
+			want = cloneSlab(zdst)
+			for _, r := range rows {
+				copy(want.Re[r*nz:(r+1)*nz], full.Re[r*nz:])
+				copy(want.Im[r*nz:(r+1)*nz], full.Im[r*nz:])
+			}
+			sameBits(t, fmt.Sprintf("zPassSlab rows %v nz=%d inverse=%v kernels=%v vs the full pass", rows, nz, inverse, vec), want, got)
+			zs = append(zs, got)
+		})
+		if len(ys) == 2 {
+			sameBits(t, fmt.Sprintf("yPassSlab planes %v nz=%d inverse=%v", planes, nz, inverse), ys[0], ys[1])
+			sameBits(t, fmt.Sprintf("zPassSlab rows %v nz=%d inverse=%v", rows, nz, inverse), zs[0], zs[1])
+		}
+	}
+}
+
 // TestTrivialTwiddles pins what the butterflies' k = 0 skip and radix 4's
 // sign swap rest on: in every stage of every closed-set length up to 128,
 // both directions, the k = 0 twiddle of every sub-transform q is exactly
@@ -250,7 +299,8 @@ func TestTrivialTwiddles(t *testing.T) {
 // TestVecBoundsPanic feeds each path what the assembly must never see - a
 // slab with a short Im half, a short twiddle table, a strided source,
 // destination or accumulator that ends before the last row, a permutation
-// table shorter than the block, z-rows short of the grid, a pair operand or
+// table shorter than the block, z-rows short of the grid, a listed z-row or
+// a lane past its source or destination, a pair operand or
 // accumulator short of the grid, more pairs than lanes - and requires the
 // Go loops and the kernel wrappers alike to panic before touching memory
 // they do not own; and NewPlan's check, the one the kernels rest on, to
@@ -299,6 +349,22 @@ func TestVecBoundsPanic(t *testing.T) {
 			dst.Re = shortSlice(dst.Re)
 			p.zPassSlab(dst, lanes.New(p.Size()), nil, false, p.NewWorkspace())
 		}},
+		{"z rows: a listed row past the source", func() {
+			p := MustPlan3(2, 4, 9)
+			p.zPassSlab(lanes.New(p.Size()+9), lanes.New(p.Size()), []int{0, 1, 2, 3, 4, 5, 6, 8}, false, p.NewWorkspace())
+		}},
+		{"z rows: a listed row past the destination", func() {
+			p := MustPlan3(2, 4, 9)
+			p.zPassSlab(lanes.New(p.Size()), lanes.New(p.Size()+9), []int{0, 1, 2, 3, 4, 5, 6, 8}, false, p.NewWorkspace())
+		}},
+		{"lanes: a lane past the source", func() {
+			bases := [lw]int{0, 1, 2, 3, 40, 41, 42, 44}
+			gatherLanes(lanes.New(4*lw), lanes.New(3*20+44), &bases, 20, lw, MustPlan(4))
+		}},
+		{"lanes: a lane past the destination", func() {
+			bases := [lw]int{0, 1, 2, 3, 40, 41, 42, 44}
+			scatterLanes(lanes.New(3*20+44), lanes.New(4*lw), &bases, 4, 20, lw)
+		}},
 		{"pair products: short operand Im", func() {
 			pairPassCase(0, func(pl *PairLanes) { pl.B[3].Im = shortSlice(pl.B[3].Im) })
 		}},
@@ -314,9 +380,11 @@ func TestVecBoundsPanic(t *testing.T) {
 				if r == nil {
 					t.Errorf("%s (vector kernels %v): no panic", tc.name, vec)
 				}
-				// The pair kernels' wrappers panic with their own message;
-				// a runtime error there would be the kernel faulting.
-				if _, msg := r.(string); vec && strings.HasPrefix(tc.name, "pair") && !msg {
+				// The pair, z-row and lane kernels' wrappers panic with
+				// their own message; a runtime error there would be the
+				// kernel faulting.
+				wrapped := strings.HasPrefix(tc.name, "pair") || strings.HasPrefix(tc.name, "z rows") || strings.HasPrefix(tc.name, "lanes")
+				if _, msg := r.(string); vec && wrapped && !msg {
 					t.Errorf("%s (vector kernels): %v, not the wrapper's panic", tc.name, r)
 				}
 			}()

@@ -45,13 +45,14 @@ type Grid struct {
 	GVec       [][3]float64
 	G2         []float64
 	MillerIdx  [][3]int
-	// SphereRowsD and SpherePlanesD list, ascending and duplicate-free, the
-	// dense-box z-rows (flat index ix*ND[1] + iy) and x-planes (ix) that
-	// hold at least one SphereIdxD entry. A zero-padded orbital is zero
-	// everywhere else, which is what the pruned synthesis of
-	// AddNorm2DenseSlabWS skips.
-	SphereRowsD   []int
-	SpherePlanesD []int
+	// SphereRows and SpherePlanes list, ascending and duplicate-free, the
+	// wave-box z-rows (flat index ix*N[1] + iy) and x-planes (ix) that hold
+	// at least one SphereIdx entry; SphereRowsD and SpherePlanesD, the
+	// dense box's for SphereIdxD. A zero-padded orbital is zero everywhere
+	// else, which is what the pruned syntheses of ToRealSlabWS and
+	// AddNorm2DenseSlabWS skip.
+	SphereRows, SpherePlanes   []int
+	SphereRowsD, SpherePlanesD []int
 	// G2Dense holds |G|^2 for every dense-box point (Hartree kernel).
 	G2Dense []float64
 	// GVecDense holds the G vector for every dense-box point.
@@ -185,18 +186,23 @@ func (g *Grid) buildSphere() {
 		}
 	}
 	g.NG = len(g.SphereIdx)
-	// The loops above visit dense indices in ascending order, so the rows
-	// and planes of consecutive entries repeat or grow.
-	for _, k := range g.SphereIdxD {
-		row := k / g.ND[2]
-		if n := len(g.SphereRowsD); n == 0 || g.SphereRowsD[n-1] != row {
-			g.SphereRowsD = append(g.SphereRowsD, row)
+	g.SphereRows, g.SpherePlanes = rowsAndPlanes(g.SphereIdx, g.N)
+	g.SphereRowsD, g.SpherePlanesD = rowsAndPlanes(g.SphereIdxD, g.ND)
+}
+
+// rowsAndPlanes lists the z-rows and x-planes of an n box that hold the
+// entries of idx, which ascend (buildSphere's loop order).
+func rowsAndPlanes(idx []int, n [3]int) (rows, planes []int) {
+	for _, k := range idx {
+		row := k / n[2]
+		if len(rows) == 0 || rows[len(rows)-1] != row {
+			rows = append(rows, row)
 		}
-		plane := row / g.ND[1]
-		if n := len(g.SpherePlanesD); n == 0 || g.SpherePlanesD[n-1] != plane {
-			g.SpherePlanesD = append(g.SpherePlanesD, plane)
+		if plane := row / n[1]; len(planes) == 0 || planes[len(planes)-1] != plane {
+			planes = append(planes, plane)
 		}
 	}
+	return rows, planes
 }
 
 func (g *Grid) buildDenseG() {
@@ -277,7 +283,9 @@ func (g *Grid) ToRealSerial(box []complex128, c []complex128) {
 // lane-blocked SoA layout (internal/lanes): sphere coefficients scatter
 // straight into the split re/im arrays and the synthesis runs through the
 // slab FFT passes, so downstream SoA consumers (the Fock contraction) never
-// re-interleave.
+// re-interleave. The synthesis is the pruned inverse of
+// fourier.Plan3.AddNorm2PrunedSlabWS without an accumulator: z and y run
+// only over the sphere's rows and planes, same bits as the full inverse.
 func (g *Grid) ToRealSlabWS(box lanes.Slab, c []complex128, ws *fourier.Workspace3) {
 	if box.Len() != g.NTot || len(c) != g.NG {
 		panic("grid: ToRealSlab buffer size mismatch")
@@ -288,7 +296,7 @@ func (g *Grid) ToRealSlabWS(box lanes.Slab, c []complex128, ws *fourier.Workspac
 		box.Re[k] = real(c[s]) * scale
 		box.Im[k] = imag(c[s]) * scale
 	}
-	g.Plan.RawSlabWS(box, box, true, ws)
+	g.Plan.AddNorm2PrunedSlabWS(nil, box, g.SphereRows, g.SpherePlanes, ws)
 }
 
 // FromRealSlabWS projects real-space values on the wavefunction box back

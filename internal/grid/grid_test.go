@@ -1,11 +1,13 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 
+	"ptdft/internal/hostcpu"
 	"ptdft/internal/lanes"
 	"ptdft/internal/lattice"
 )
@@ -279,45 +281,136 @@ func TestNewRejectsBadCutoff(t *testing.T) {
 	}
 }
 
-// The pruned dense synthesis trusts SphereRowsD / SpherePlanesD to name
-// exactly the z-rows and x-planes a zero-padded orbital can be nonzero in:
-// a missing row would drop coefficients, an extra one only wastes work.
+// The pruned syntheses trust SphereRows / SpherePlanes (wave box) and
+// SphereRowsD / SpherePlanesD (dense box) to name exactly the z-rows and
+// x-planes a zero-padded orbital can be nonzero in: a missing row would
+// drop coefficients, an extra one only wastes work.
 func TestSphereRowsAndPlanesCoverSphereExactly(t *testing.T) {
 	for _, tc := range []struct {
 		cells         [3]int
 		ecut          float64
-		nrows, nplane int // 0: not pinned
+		nrows, nplane int // on both boxes; 0: not pinned
 	}{
 		{[3]int{1, 1, 1}, 2, 0, 0},
 		{[3]int{1, 1, 1}, 3, 0, 0},
 		{[3]int{1, 1, 1}, 6, 0, 0},
-		{[3]int{2, 1, 1}, 3, 97, 17}, // the 36x18x18 box of DESIGN.md §5
+		{[3]int{2, 1, 1}, 3, 97, 17}, // the 18x9x9 and 36x18x18 boxes of DESIGN.md §5
 	} {
 		g := MustNew(lattice.MustSiliconSupercell(tc.cells[0], tc.cells[1], tc.cells[2]), tc.ecut)
-		rows := map[int]bool{}
-		planes := map[int]bool{}
-		for _, k := range g.SphereIdxD {
-			rows[k/g.ND[2]] = true
-			planes[k/(g.ND[1]*g.ND[2])] = true
-		}
-		check := func(what string, list []int, want map[int]bool, limit int) {
-			if len(list) != len(want) {
-				t.Errorf("%v ecut %g: %d %s listed, sphere touches %d", tc.cells, tc.ecut, len(list), what, len(want))
+		for _, b := range []struct {
+			idx          []int
+			n            [3]int
+			rows, planes []int
+		}{{g.SphereIdx, g.N, g.SphereRows, g.SpherePlanes}, {g.SphereIdxD, g.ND, g.SphereRowsD, g.SpherePlanesD}} {
+			rows := map[int]bool{}
+			planes := map[int]bool{}
+			for _, k := range b.idx {
+				rows[k/b.n[2]] = true
+				planes[k/(b.n[1]*b.n[2])] = true
 			}
-			for i, v := range list {
-				if !want[v] {
-					t.Errorf("%v ecut %g: %s %d listed but holds no sphere point", tc.cells, tc.ecut, what, v)
+			check := func(what string, list []int, want map[int]bool, limit int) {
+				if len(list) != len(want) {
+					t.Errorf("%v ecut %g on %v: %d %s listed, sphere touches %d", tc.cells, tc.ecut, b.n, len(list), what, len(want))
 				}
-				if v < 0 || v >= limit || (i > 0 && list[i-1] >= v) {
-					t.Fatalf("%v ecut %g: %s list not ascending inside [0,%d) at %d: %v", tc.cells, tc.ecut, what, limit, i, list)
+				for i, v := range list {
+					if !want[v] {
+						t.Errorf("%v ecut %g on %v: %s %d listed but holds no sphere point", tc.cells, tc.ecut, b.n, what, v)
+					}
+					if v < 0 || v >= limit || (i > 0 && list[i-1] >= v) {
+						t.Fatalf("%v ecut %g on %v: %s list not ascending inside [0,%d) at %d: %v", tc.cells, tc.ecut, b.n, what, limit, i, list)
+					}
+				}
+			}
+			check("rows", b.rows, rows, b.n[0]*b.n[1])
+			check("planes", b.planes, planes, b.n[0])
+			if tc.nrows != 0 && (len(b.rows) != tc.nrows || len(b.planes) != tc.nplane) {
+				t.Errorf("%v ecut %g on %v: %d rows, %d planes; want %d, %d", tc.cells, tc.ecut, b.n,
+					len(b.rows), len(b.planes), tc.nrows, tc.nplane)
+			}
+		}
+	}
+}
+
+// rowGrids builds the grids of the benchmark's four rows: Si16 at Ecut 3
+// (the semilocal row), Si8 at 3 and 6 (the two hybrid rows) and Si8 at 2
+// (the job row's radix-7 boxes).
+func rowGrids() []*Grid {
+	var gs []*Grid
+	for _, tc := range []struct {
+		cells [3]int
+		ecut  float64
+	}{{[3]int{2, 1, 1}, 3}, {[3]int{1, 1, 1}, 3}, {[3]int{1, 1, 1}, 6}, {[3]int{1, 1, 1}, 2}} {
+		gs = append(gs, MustNew(lattice.MustSiliconSupercell(tc.cells[0], tc.cells[1], tc.cells[2]), tc.ecut))
+	}
+	return gs
+}
+
+func randomCoefficients(rng *rand.Rand, n int) []complex128 {
+	c := make([]complex128, n)
+	for i := range c {
+		c[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	return c
+}
+
+// ToRealSlabWS transforms only the sphere's rows along z and its planes
+// along y; on the four rows' wave boxes it must equal the full-row inverse
+// of the same scattered box with == at every point, on the Go loops and on
+// the vector kernels.
+func TestToRealSlabPrunedMatchesFull(t *testing.T) {
+	host := hostcpu.AVX2
+	defer func() { hostcpu.AVX2 = host }()
+	rng := rand.New(rand.NewSource(3))
+	for _, g := range rowGrids() {
+		c := randomCoefficients(rng, g.NG)
+		ws := g.Plan.NewWorkspace()
+		for _, vec := range []bool{false, true} {
+			if vec && !host {
+				continue
+			}
+			hostcpu.AVX2 = vec
+			got, want := lanes.New(g.NTot), lanes.New(g.NTot)
+			g.ToRealSlabWS(got, c, ws)
+			scale := 1 / math.Sqrt(g.Volume())
+			for s, k := range g.SphereIdx {
+				want.Re[k] = real(c[s]) * scale
+				want.Im[k] = imag(c[s]) * scale
+			}
+			g.Plan.RawSlabWS(want, want, true, ws)
+			for i := range want.Re {
+				if got.Re[i] != want.Re[i] || got.Im[i] != want.Im[i] {
+					t.Fatalf("%v kernels=%v: point %d: pruned (%v, %v), full inverse (%v, %v)",
+						g.N, vec, i, got.Re[i], got.Im[i], want.Re[i], want.Im[i])
 				}
 			}
 		}
-		check("rows", g.SphereRowsD, rows, g.ND[0]*g.ND[1])
-		check("planes", g.SpherePlanesD, planes, g.ND[0])
-		if tc.nrows != 0 && (len(g.SphereRowsD) != tc.nrows || len(g.SpherePlanesD) != tc.nplane) {
-			t.Errorf("%v ecut %g on %v: %d rows, %d planes; want %d, %d", tc.cells, tc.ecut, g.ND,
-				len(g.SphereRowsD), len(g.SpherePlanesD), tc.nrows, tc.nplane)
+	}
+}
+
+// BenchmarkFFT3DWavefunctionGrid times the wave-box transforms of one band
+// of H·ψ, ToRealSlabWS (the pruned synthesis) and FromRealSlabWS, on the
+// four rows' boxes and on each path this host has: the kernel benchmark
+// under the H application.
+func BenchmarkFFT3DWavefunctionGrid(b *testing.B) {
+	host := hostcpu.AVX2
+	defer func() { hostcpu.AVX2 = host }()
+	rng := rand.New(rand.NewSource(1))
+	for _, g := range rowGrids() {
+		c := randomCoefficients(rng, g.NG)
+		box := lanes.New(g.NTot)
+		ws := g.Plan.NewWorkspace()
+		for _, vec := range []bool{false, true} {
+			if vec && !host {
+				continue
+			}
+			b.Run(fmt.Sprintf("%dx%dx%d/kernels=%v", g.N[0], g.N[1], g.N[2], vec), func(b *testing.B) {
+				hostcpu.AVX2 = vec
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					g.ToRealSlabWS(box, c, ws)
+					g.FromRealSlabWS(c, box, ws)
+				}
+			})
 		}
 	}
 }
