@@ -54,8 +54,8 @@ func TestFullPipelineDeterministic(t *testing.T) {
 }
 
 func TestPulseAbsorbsEnergyAndExcitesCarriers(t *testing.T) {
-	// The laserpulse workflow: driving at 380 nm must pump energy and
-	// promote electrons out of the initial subspace.
+	// A 380 nm pulse (ptdft -pulse) must pump energy and promote
+	// electrons out of the initial subspace.
 	g, psi0, nb := fixtureT(t)
 	h := hamiltonian.New(g, siPots(), hamiltonian.Config{})
 	dt := units.AttosecondsToAU(24)

@@ -43,16 +43,10 @@ type Hamiltonian struct {
 	vloc     *potential.Local
 	veffWave []float64 // Vloc+VH+Vxc on the wavefunction grid
 	aField   [3]float64
-	kin      []float64 // 1/2|G+k+A|^2 per sphere entry, rebuilt by rebuildKinetic
+	kin      []float64 // 1/2|G+A|^2 per sphere entry, rebuilt by rebuildKinetic
 	fockOp   *fock.Operator
 	ace      *fock.ACE
 	useACE   bool // Apply goes through ace, rebuilt on every refresh
-
-	// Bloch-vector state for k-point sampling (section 3.1): the kinetic
-	// term becomes 1/2|G+k+A|^2 and the nonlocal projectors carry the
-	// exp(-ik.r) twist. Zero k with a nil nlBloch is the Gamma point.
-	bloch   [3]float64
-	nlBloch *pseudo.NonlocalBloch
 
 	// Energy bookkeeping from the last UpdatePotential call.
 	PotEnergies potential.Energies
@@ -217,36 +211,18 @@ func (h *Hamiltonian) SetFockOrbitals(phi []complex128, nb int) error {
 	return err
 }
 
-// SetBloch selects a k-point: kinetic 1/2|G+k+A|^2 and phase-twisted
-// nonlocal projectors. Pass a zero vector and nil to return to Gamma.
-// Used for band-structure evaluation at fixed potential; the TDDFT
-// propagators operate at Gamma as in the paper's tests.
-func (h *Hamiltonian) SetBloch(k [3]float64, nl *pseudo.NonlocalBloch) {
-	h.bloch = k
-	h.nlBloch = nl
-	h.rebuildKinetic()
-	h.prepPsi = nil
-}
-
-// KineticFactor returns 1/2 |G_s + k + A|^2 for sphere entry s.
-func (h *Hamiltonian) KineticFactor(s int) float64 {
-	g := h.G.GVec[s]
-	dx := g[0] + h.bloch[0] + h.aField[0]
-	dy := g[1] + h.bloch[1] + h.aField[1]
-	dz := g[2] + h.bloch[2] + h.aField[2]
-	return 0.5 * (dx*dx + dy*dy + dz*dz)
-}
-
-// rebuildKinetic refills the kinetic diagonal after the field or the Bloch
-// vector changed (an ion drift moves neither them nor the G vectors).
+// rebuildKinetic refills the kinetic diagonal 1/2|G+A|^2 after the field
+// changed (an ion drift moves neither it nor the G vectors).
 func (h *Hamiltonian) rebuildKinetic() {
-	for s := range h.kin {
-		h.kin[s] = h.KineticFactor(s)
+	a := h.aField
+	for s, g := range h.G.GVec {
+		dx, dy, dz := g[0]+a[0], g[1]+a[1], g[2]+a[2]
+		h.kin[s] = 0.5 * (dx*dx + dy*dy + dz*dz)
 	}
 }
 
-// Kinetic returns the kinetic diagonal 1/2 |G_s + k + A|^2 over the sphere
-// (read-only; SetField and SetBloch rewrite it in place).
+// Kinetic returns the kinetic diagonal 1/2 |G_s + A|^2 over the sphere
+// (read-only; SetField rewrites it in place).
 func (h *Hamiltonian) Kinetic() []float64 { return h.kin }
 
 // applyOne computes dst = H src for a single band of sphere coefficients,
@@ -263,11 +239,7 @@ func (h *Hamiltonian) applyOne(dst, src []complex128, sc *applyScratch) {
 		vbox.Re[k] = v * box.Re[k]
 		vbox.Im[k] = v * box.Im[k]
 	}
-	if h.nlBloch != nil {
-		h.nlBloch.Apply(vbox, box)
-	} else {
-		h.NL.Apply(vbox, box)
-	}
+	h.NL.Apply(vbox, box)
 	h.G.FromRealSlabWS(sc.c, vbox, sc.fws)
 	for s := 0; s < ng; s++ {
 		dst[s] += sc.c[s]

@@ -68,12 +68,12 @@ func TestHamiltonianHermitianHybrid(t *testing.T) {
 func TestKineticOfPlaneWave(t *testing.T) {
 	// With zero potential state (fresh H, no UpdatePotential), H acting on
 	// a single plane wave gives (1/2)|G|^2 plus the nonlocal term; kill the
-	// nonlocal by checking only the kinetic factor identity.
+	// nonlocal by checking only the kinetic diagonal.
 	g, h := buildH(t, false, 3)
 	for s := 0; s < g.NG; s += 50 {
 		want := 0.5 * g.G2[s]
-		if math.Abs(h.KineticFactor(s)-want) > 1e-12 {
-			t.Fatalf("kinetic factor %d = %g, want %g", s, h.KineticFactor(s), want)
+		if got := h.Kinetic()[s]; math.Abs(got-want) > 1e-12 {
+			t.Fatalf("kinetic factor %d = %g, want %g", s, got, want)
 		}
 	}
 }
@@ -84,7 +84,7 @@ func TestVelocityGaugeShiftsKinetic(t *testing.T) {
 	for s := 0; s < g.NG; s += 37 {
 		gv := g.GVec[s]
 		want := 0.5 * ((gv[0]+0.1)*(gv[0]+0.1) + (gv[1]-0.2)*(gv[1]-0.2) + (gv[2]+0.3)*(gv[2]+0.3))
-		if math.Abs(h.KineticFactor(s)-want) > 1e-12 {
+		if math.Abs(h.Kinetic()[s]-want) > 1e-12 {
 			t.Fatalf("gauge kinetic factor wrong at %d", s)
 		}
 	}

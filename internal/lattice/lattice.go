@@ -67,9 +67,15 @@ func (c *Cell) NumBands() int {
 	return nb
 }
 
-// Wrap maps a Cartesian position into the home cell [0, L).
+// Wrap maps a Cartesian position into the home cell [0, L). A coordinate
+// outside [-L, 2L) is first reduced by math.Mod, so the loops below take at
+// most one turn: a huge one (where p - L == p) cannot spin forever, and an
+// infinite one becomes NaN.
 func (c *Cell) Wrap(p [3]float64) [3]float64 {
 	for d := 0; d < 3; d++ {
+		if p[d] < -c.L[d] || p[d] >= 2*c.L[d] {
+			p[d] = math.Mod(p[d], c.L[d])
+		}
 		for p[d] < 0 {
 			p[d] += c.L[d]
 		}

@@ -112,6 +112,20 @@ func TestWrap(t *testing.T) {
 	if math.Abs(p[0]-(l-1)) > 1e-12 || math.Abs(p[1]-2) > 1e-12 {
 		t.Errorf("wrap values wrong: %v", p)
 	}
+	// Far coordinates return in the cell (a job's displace can be any
+	// finite number), infinite ones as NaN; neither loops.
+	p = cell.Wrap([3]float64{1e300, -1e20, 3*l + 2})
+	for d, v := range p {
+		if !(v >= 0 && v < l) {
+			t.Errorf("far wrap: coordinate %d = %g, want in [0, %g)", d, v, l)
+		}
+	}
+	if math.Abs(p[2]-2) > 1e-12 {
+		t.Errorf("wrap of 3L+2 = %g, want 2", p[2])
+	}
+	if p = cell.Wrap([3]float64{math.Inf(1), math.Inf(-1), 0}); !math.IsNaN(p[0]) || !math.IsNaN(p[1]) {
+		t.Errorf("infinite wrap = %v, want NaN", p)
+	}
 }
 
 func TestNewCellRejectsBadEdges(t *testing.T) {

@@ -142,24 +142,6 @@ func GroundState(g *grid.Grid, h *hamiltonian.Hamiltonian, nb int, opt Options) 
 	return res, nil
 }
 
-// DiagonalizeFixed solves for the nb lowest eigenpairs of the Hamiltonian
-// with its current (frozen) potential: the non-self-consistent band
-// evaluation used for band structures at arbitrary k-points (set via
-// h.SetBloch) once the Gamma-point density has been converged.
-func DiagonalizeFixed(g *grid.Grid, h *hamiltonian.Hamiltonian, nb, iters int, seed int64) ([]float64, []complex128, error) {
-	if nb < 1 {
-		return nil, nil, errors.New("scf: need at least one band")
-	}
-	psi := wavefunc.Random(g, nb, seed)
-	ew := newEigWork(nb, g.NG)
-	for i := 0; i < iters; i++ {
-		if err := eigStep(g, h, psi, nb, ew, &Result{}); err != nil {
-			return nil, nil, err
-		}
-	}
-	return h.BandEnergies(psi, nb), psi, nil
-}
-
 // sanitizeDensity clips negative regions introduced by the mixer and
 // rescales to the exact electron count.
 func sanitizeDensity(g *grid.Grid, rho []float64, nelec float64) []float64 {

@@ -383,13 +383,19 @@ func TestE2ECancelAndErrors(t *testing.T) {
 		t.Errorf("oversized body: status %d code %s, want 413 too_large", resp.StatusCode, code)
 	}
 
-	// Valid JSON, invalid simulation.
-	resp, err = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"cells":[1,1,1],"ecut":2,"steps":3,"mts":4}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, msg := apiError(t, resp); resp.StatusCode != http.StatusUnprocessableEntity || code != "invalid_spec" {
-		t.Errorf("invalid spec: status %d code %s (%s), want 422 invalid_spec", resp.StatusCode, code, msg)
+	// Valid JSON, invalid simulation. A supercell beyond the paper's
+	// largest is refused before Validate builds it (8e9 atoms otherwise).
+	for body, want := range map[string]string{
+		`{"cells":[1,1,1],"ecut":2,"steps":3,"mts":4}`:  "hybrid",
+		`{"cells":[1000,1000,1000],"ecut":1,"steps":1}`: "Si1536",
+	} {
+		resp, err = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, msg := apiError(t, resp); resp.StatusCode != http.StatusUnprocessableEntity || code != "invalid_spec" || !strings.Contains(msg, want) {
+			t.Errorf("invalid spec %s: status %d code %s (%s), want 422 invalid_spec naming %s", body, resp.StatusCode, code, msg, want)
+		}
 	}
 
 	// Unknown job.

@@ -73,6 +73,10 @@ func (s *Spec) Normalize() {
 	}
 }
 
+// maxCells caps nx*ny*nz at the paper's largest system, Si1536 = 4x6x8
+// cells of 8 atoms, so a spec cannot make Validate allocate a larger cell.
+const maxCells = 192
+
 // Validate checks the full rule set the ptdft CLI enforces (no silent
 // flag drops: every request must reach a code path that honors it). It
 // normalizes first, so callers can hand it a sparse spec directly.
@@ -84,10 +88,15 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("sim: %s wants a finite number, got %g", [...]string{"ecut", "dt_as", "kick", "pulse_e0", "ion_dt_as"}[i], v)
 		}
 	}
+	n := 1 // stays <= maxCells, so the product cannot overflow
 	for _, v := range s.Cells {
 		if v < 1 {
 			return fmt.Errorf("sim: cells want nx,ny,nz >= 1, got %v", s.Cells)
 		}
+		if v > maxCells/n {
+			return fmt.Errorf("sim: cells %v exceed %d cells, the paper's largest system (Si1536, 4x6x8)", s.Cells, maxCells)
+		}
+		n *= v
 	}
 	if s.Ecut <= 0 {
 		return fmt.Errorf("sim: ecut wants a positive cutoff (Ha), got %g", s.Ecut)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -41,6 +43,11 @@ func TestSpecValidateRules(t *testing.T) {
 	}{
 		{"baseline", func(s *Spec) {}, ""},
 		{"zero cells", func(s *Spec) { s.Cells[1] = 0 }, "cells"},
+		// The cell is capped at the paper's largest system before it is
+		// built: a huge or overflowing product never allocates atoms.
+		{"cells 1000^3", func(s *Spec) { s.Cells = [3]int{1000, 1000, 1000} }, "Si1536"},
+		{"cells 2^40 cubed", func(s *Spec) { s.Cells = [3]int{1 << 40, 1 << 40, 1 << 40} }, "Si1536"},
+		{"cells Si1536", func(s *Spec) { s.Cells = [3]int{4, 6, 8} }, ""},
 		{"zero ecut", func(s *Spec) { s.Ecut = 0 }, "ecut"},
 		{"bad method", func(s *Spec) { s.Method = "euler" }, "method"},
 		{"negative steps", func(s *Spec) { s.Steps = -1 }, "step count"},
@@ -115,6 +122,55 @@ func TestSpecValidateRules(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzSpecValidate decodes arbitrary POST /jobs bodies as the server does
+// (unknown fields refused) and validates them: Validate must return, not
+// panic or allocate past the cell cap, and an accepted spec's cell must
+// be within it.
+func FuzzSpecValidate(f *testing.F) {
+	for _, body := range []string{
+		`{"cells":[1,1,1],"ecut":2,"steps":3,"kick":0.02}`,
+		`{"cells":[1000,1000,1000],"ecut":1,"steps":1}`,
+		`{"cells":[1099511627776,1099511627776,1099511627776],"ecut":1,"steps":1}`,
+		`{"cells":[4,6,8],"ecut":1,"steps":1}`,
+		`{"cells":[-1,1,1],"ecut":2,"steps":1}`,
+		`{"cells":[1,1,1],"ecut":"NaN","steps":1}`,
+		`{"cells":[1,1,1],"ecut":2,"dt_as":1e400,"steps":1}`,
+		`{"cells":[1,1,1],"ecut":2,"steps":1,"kick":"Inf"}`,
+		`{"cells":[1,1,1],"ecut":2,"steps":1,"displace":"0:NaN,0,0"}`,
+		`{"cells":[1,1,1],"ecut":2,"steps":1,"displace":"0:Inf,-Inf,0"}`,
+		`{"cells":[1,1,1],"ecut":2,"steps":1,"displace":"99:0.1,0,0"}`,
+		`{"cells":[1,1,1],"ecut":2,"steps":1,"displace":"-1:0.1,0,0"}`,
+		`{"cells":[1,1,1],"ecut":2,"steps":1,"displace":"0:1e300,-1e20,0"}`,
+		`{"cells":[1,1,1],"ecut":2,"steps":1,"displace":"0:1,2"}`,
+		`{"cells":[1,1,1],"ecut":2,"steps":1,"displace":":,,"}`,
+		`{"cells":[1,1,1],"ecut":2,"steps":1,"md":true,"ion_steps":2,"ion_dt_as":1e308}`,
+		`{"cells":[1,1,1],"ecut":2,"steps":1,"hybrid":true,"ace":true,"mts":1,"ranks":2}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var s Spec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&s) != nil {
+			return
+		}
+		if s.Validate() != nil {
+			return
+		}
+		n := 1
+		for _, v := range s.Cells {
+			if v < 1 || v > maxCells {
+				t.Fatalf("accepted cells %v", s.Cells)
+			}
+			n *= v
+		}
+		if n > maxCells {
+			t.Fatalf("accepted cells %v: %d cells", s.Cells, n)
+		}
+	})
 }
 
 // TestSpecNormalizeDefaults: a sparse JSON spec gets the CLI defaults.

@@ -50,6 +50,16 @@ for f in scripts/*.sh; do
 		fail=1
 	fi
 done
+# Every example runs in CI: each examples/<name>/ directory needs a
+# "go run ./examples/<name>" line in the CI workflow, so a walkthrough that
+# stops building or stops printing its numbers fails a PR.
+for d in examples/*/; do
+	name=$(basename "$d")
+	if ! grep -Eq "go run \./examples/$name( |\$)" .github/workflows/ci.yml; then
+		echo "docs-lint: example $name has no 'go run ./examples/$name' step in .github/workflows/ci.yml" >&2
+		fail=1
+	fi
+done
 # Docs name only what exists. In README.md, DESIGN.md and the verify skill
 # (.claude/skills/verify/SKILL.md, the build-and-run notes), every exported
 # CamelCase name (upper-case first letter, a lower-case letter, no "_")
