@@ -12,6 +12,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"ptdft/internal/observe"
@@ -53,6 +54,10 @@ func parseFlags(args []string) (*config, error) {
 		return nil, fmt.Errorf("-steps %d: want at least one recorded step", c.spec.Steps)
 	case c.nw < 1:
 		return nil, fmt.Errorf("-nw %d: want at least one frequency point", c.nw)
+	case !(c.wmaxEV > 0) || math.IsInf(c.wmaxEV, 0):
+		return nil, fmt.Errorf("-wmax %g: want a finite positive range (eV)", c.wmaxEV)
+	case !(c.eta >= 0) || math.IsInf(c.eta, 0):
+		return nil, fmt.Errorf("-eta %g: want a finite damping >= 0 (au); a negative one grows the signal", c.eta)
 	}
 	return c, c.spec.Validate()
 }

@@ -16,6 +16,14 @@ func TestParseFlagsRejections(t *testing.T) {
 		{[]string{"-kick", "0"}, "-kick"},
 		{[]string{"-steps", "0"}, "-steps"},
 		{[]string{"-nw", "0"}, "-nw"},
+		{[]string{"-wmax", "0"}, "-wmax"},
+		{[]string{"-wmax", "-5"}, "-wmax"},
+		{[]string{"-wmax", "NaN"}, "-wmax"},
+		{[]string{"-wmax", "Inf"}, "-wmax"},
+		{[]string{"-eta", "-0.01"}, "-eta"},
+		{[]string{"-eta", "NaN"}, "-eta"},
+		{[]string{"-eta", "+Inf"}, "-eta"},
+		{[]string{"-ecut", "2", "-eta", "0"}, ""},
 		{[]string{"-ecut", "2", "-steps", "2", "-nw", "3"}, ""},
 	} {
 		_, err := parseFlags(tc.args)

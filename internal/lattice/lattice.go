@@ -158,13 +158,18 @@ func (c *Cell) MinimumImage(a, b [3]float64) ([3]float64, float64) {
 }
 
 // DisplaceAtom moves atom i by the Cartesian vector d (Bohr), wrapping the
-// result into the home cell.
+// result into the home cell. Each component's magnitude is bounded by the
+// cell length on its axis: beyond it, no digit of a larger displacement
+// would survive the wrap.
 func (c *Cell) DisplaceAtom(i int, d [3]float64) error {
 	if i < 0 || i >= len(c.Atoms) {
 		return fmt.Errorf("lattice: atom index %d outside [0, %d)", i, len(c.Atoms))
 	}
 	p := c.Atoms[i].Pos
 	for k := 0; k < 3; k++ {
+		if !(math.Abs(d[k]) <= c.L[k]) {
+			return fmt.Errorf("lattice: displace %g Bohr along %c exceeds the cell length %g Bohr on that axis", d[k], "xyz"[k], c.L[k])
+		}
 		p[k] += d[k]
 	}
 	c.Atoms[i].Pos = c.Wrap(p)

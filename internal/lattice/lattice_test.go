@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ptdft/internal/units"
@@ -164,8 +165,8 @@ func TestCloneIsDeep(t *testing.T) {
 func TestDisplaceAtomPreservesInvariants(t *testing.T) {
 	cell := MustSiliconSupercell(1, 1, 1)
 	ref := cell.Clone()
-	d := [3]float64{0.3, -0.2, 11.0} // the z component wraps around the cell
-	if err := cell.DisplaceAtom(3, d); err != nil {
+	d := [3]float64{0.3, -0.2, 10.0} // y and z wrap around the cell
+	if err := cell.DisplaceAtom(2, d); err != nil {
 		t.Fatal(err)
 	}
 	if cell.NumAtoms() != ref.NumAtoms() || cell.NumElectrons() != ref.NumElectrons() ||
@@ -178,14 +179,14 @@ func TestDisplaceAtomPreservesInvariants(t *testing.T) {
 				t.Errorf("atom %d outside home cell after displacement: %v", i, at.Pos)
 			}
 		}
-		if i != 3 && at.Pos != ref.Atoms[i].Pos {
-			t.Errorf("displacement of atom 3 moved atom %d", i)
+		if i != 2 && at.Pos != ref.Atoms[i].Pos {
+			t.Errorf("displacement of atom 2 moved atom %d", i)
 		}
 	}
 	// The minimum-image separation from the original site equals the
 	// wrapped displacement.
-	mi, dist := cell.MinimumImage(ref.Atoms[3].Pos, cell.Atoms[3].Pos)
-	want := [3]float64{0.3, -0.2, 11.0 - cell.L[2]}
+	mi, dist := cell.MinimumImage(ref.Atoms[2].Pos, cell.Atoms[2].Pos)
+	want := [3]float64{0.3, -0.2, 10.0 - cell.L[2]}
 	var wantLen float64
 	for k := 0; k < 3; k++ {
 		if math.Abs(mi[k]-want[k]) > 1e-12 {
@@ -198,6 +199,15 @@ func TestDisplaceAtomPreservesInvariants(t *testing.T) {
 	}
 	if err := cell.DisplaceAtom(99, d); err == nil {
 		t.Error("out-of-range atom index accepted")
+	}
+	// A component beyond the cell length on its axis is rejected, naming
+	// the axis, and moves nothing.
+	moved := cell.Clone()
+	if err := cell.DisplaceAtom(2, [3]float64{0, 0, cell.L[2] + 0.01}); err == nil || !strings.Contains(err.Error(), "along z") {
+		t.Errorf("displacement beyond the cell length: error %v, want one naming z", err)
+	}
+	if cell.Atoms[2].Pos != moved.Atoms[2].Pos {
+		t.Error("a rejected displacement moved the atom")
 	}
 }
 

@@ -67,9 +67,6 @@ func (a *Anderson) record(v []complex128) []complex128 {
 	return c
 }
 
-// HistoryLen reports the current history depth.
-func (a *Anderson) HistoryLen() int { return len(a.xs) }
-
 // Mix records the pair (x, f) and returns the next iterate. The returned
 // slice is freshly allocated; x and f are copied into the history.
 func (a *Anderson) Mix(x, f []complex128) []complex128 {

@@ -117,15 +117,15 @@ func TestAndersonHistoryCap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f[0] = complex(float64(i+1), 0)
 		x = a.Mix(x, f)
-		if a.HistoryLen() > 3 {
-			t.Fatalf("history grew to %d beyond cap 3", a.HistoryLen())
+		if len(a.xs) > 3 {
+			t.Fatalf("history grew to %d beyond cap 3", len(a.xs))
 		}
 	}
-	if a.HistoryLen() != 3 {
-		t.Errorf("history %d, want 3", a.HistoryLen())
+	if len(a.xs) != 3 {
+		t.Errorf("history %d, want 3", len(a.xs))
 	}
 	a.Reset()
-	if a.HistoryLen() != 0 {
+	if len(a.xs) != 0 {
 		t.Error("Reset did not clear history")
 	}
 }
@@ -157,7 +157,7 @@ func TestAndersonCoefficientsSumToOne(t *testing.T) {
 			}
 			x = a.Mix(x, fv)
 		}
-		c := a.coefficients(a.HistoryLen())
+		c := a.coefficients(len(a.xs))
 		var sum complex128
 		for _, v := range c {
 			sum += v
@@ -203,7 +203,7 @@ func TestBandMixerIndependence(t *testing.T) {
 func historyLen(bm *BandMixer) int {
 	n := 0
 	for _, m := range bm.mixers {
-		n += m.HistoryLen()
+		n += len(m.xs)
 	}
 	return n
 }
@@ -236,7 +236,7 @@ func TestAndersonGramIncrementalMatchesFromScratch(t *testing.T) {
 	a := NewAnderson(maxHist, 0.5)
 	check := func(call int) {
 		t.Helper()
-		m := a.HistoryLen()
+		m := len(a.xs)
 		for i := 0; i < m; i++ {
 			for j := 0; j < m; j++ {
 				want := linalg.Dot(a.fs[i], a.fs[j])

@@ -155,10 +155,3 @@ func (c *Cache) evictLocked() {
 		delete(c.entries, victim)
 	}
 }
-
-// Len reports the number of completed or in-flight entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}

@@ -51,8 +51,8 @@ func TestCacheSingleflight(t *testing.T) {
 	if nhit != callers-1 {
 		t.Errorf("%d of %d callers reported a hit, want %d (all but the builder)", nhit, callers, callers-1)
 	}
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", c.Len())
+	if len(c.entries) != 1 {
+		t.Errorf("cache holds %d entries, want 1", len(c.entries))
 	}
 }
 
@@ -102,8 +102,8 @@ func TestCacheEviction(t *testing.T) {
 	get("b")
 	get("a") // refresh a: b is now the LRU entry
 	get("c") // over cap: evicts b
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2 (the cap)", c.Len())
+	if len(c.entries) != 2 {
+		t.Fatalf("cache holds %d entries, want 2 (the cap)", len(c.entries))
 	}
 	if !get("a") {
 		t.Error("recently-used entry was evicted")
@@ -119,8 +119,8 @@ func TestCacheEviction(t *testing.T) {
 	for _, k := range []string{"a", "b", "c", "d"} {
 		u.GroundState(k, func() (*Result, error) { return &Result{}, nil })
 	}
-	if u.Len() != 4 {
-		t.Errorf("unbounded cache holds %d entries, want 4", u.Len())
+	if len(u.entries) != 4 {
+		t.Errorf("unbounded cache holds %d entries, want 4", len(u.entries))
 	}
 }
 

@@ -154,14 +154,10 @@ func (s *Spec) Validate() error {
 	if err := s.checkExchange(); err != nil {
 		return err
 	}
-	if s.Displace != "" {
-		if _, _, err := ParseDisplace(s.Displace); err != nil {
-			return err
-		}
-	}
-	// Band/rank divisibility and displacement bounds need the cell; it is
-	// cheap (no grid, no FFT plans), so a spec that validates here cannot
-	// fail those checks after an expensive ground state.
+	// The displacement (its syntax, atom index and bounds) and band/rank
+	// divisibility need the cell; it is cheap (no grid, no FFT plans), so a
+	// spec that validates here cannot fail those checks after an expensive
+	// ground state.
 	cell, err := s.Cell()
 	if err != nil {
 		return err

@@ -36,6 +36,12 @@ func testSpec() Spec {
 // TestSpecValidateRules pins the validation table: every rule the CLI
 // used to enforce must reject through the spec too.
 func TestSpecValidateRules(t *testing.T) {
+	base := testSpec()
+	cell, err := base.Cell()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := cell.L[0]
 	cases := []struct {
 		name string
 		mod  func(*Spec)
@@ -100,6 +106,11 @@ func TestSpecValidateRules(t *testing.T) {
 		{"NaN pulse", func(s *Spec) { s.PulseE0 = math.NaN() }, "pulse_e0 wants a finite number"},
 		{"Inf ion dt", func(s *Spec) { s.MD, s.IonSteps, s.IonDtAs = true, 1, math.Inf(1) }, "ion_dt_as wants a finite number"},
 		{"NaN displace", func(s *Spec) { s.Displace = "0:NaN,0,0" }, "displace: bad component"},
+		// A component beyond the cell length on its axis would be wrapped
+		// away: the error names the field, the axis and the bound.
+		{"displace 1e300", func(s *Spec) { s.Displace = "0:1e300,0,0" }, "displace 1e+300 Bohr along x exceeds the cell length"},
+		{"displace L+0.01", func(s *Spec) { s.Displace = fmt.Sprintf("0:%g,0,0", l+0.01) }, fmt.Sprintf("displace %g Bohr along x exceeds the cell length %g Bohr", l+0.01, l)},
+		{"displace 0.2", func(s *Spec) { s.Displace = "0:0.2,0,0" }, ""},
 		{"indivisible bands", func(s *Spec) { s.Ranks = 3 }, "divisible"},
 	}
 	for _, tc := range cases {
@@ -143,6 +154,7 @@ func FuzzSpecValidate(f *testing.F) {
 		`{"cells":[1,1,1],"ecut":2,"steps":1,"displace":"99:0.1,0,0"}`,
 		`{"cells":[1,1,1],"ecut":2,"steps":1,"displace":"-1:0.1,0,0"}`,
 		`{"cells":[1,1,1],"ecut":2,"steps":1,"displace":"0:1e300,-1e20,0"}`,
+		`{"cells":[1,1,1],"ecut":2,"steps":1,"displace":"0:10.26,-10.26,0.2"}`,
 		`{"cells":[1,1,1],"ecut":2,"steps":1,"displace":"0:1,2"}`,
 		`{"cells":[1,1,1],"ecut":2,"steps":1,"displace":":,,"}`,
 		`{"cells":[1,1,1],"ecut":2,"steps":1,"md":true,"ion_steps":2,"ion_dt_as":1e308}`,
@@ -169,6 +181,18 @@ func FuzzSpecValidate(f *testing.F) {
 		}
 		if n > maxCells {
 			t.Fatalf("accepted cells %v: %d cells", s.Cells, n)
+		}
+		if s.Displace != "" {
+			cell, err := s.Cell()
+			if err != nil {
+				t.Fatalf("accepted displace %q: %v", s.Displace, err)
+			}
+			_, d, _ := ParseDisplace(s.Displace)
+			for k := range d {
+				if !(math.Abs(d[k]) <= cell.L[k]) {
+					t.Fatalf("accepted displace %q: component %g beyond the cell length %g", s.Displace, d[k], cell.L[k])
+				}
+			}
 		}
 	})
 }
