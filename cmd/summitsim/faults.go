@@ -36,17 +36,11 @@ func faultRun(spec sim.Spec, opt sim.Options, every, victim int, crashStep int64
 	check(os.Mkdir(dir, 0o755))
 	opt.Ckpt, opt.CkptEvery = &checkpoint.Rolling{Base: filepath.Join(dir, "faults.ckp")}, every
 	if victim >= 0 {
-		opt.Perturb = func(attempt int) *mpi.Perturb {
+		opt.Crashes = func(attempt int) []mpi.CrashRankAt {
 			if attempt > 0 {
 				return nil
 			}
-			// A tight deadline keeps the fixed detection cost from swamping
-			// the cadence-dependent re-run cost at laptop scale (production
-			// would run seconds-long deadlines against minutes-long steps).
-			return &mpi.Perturb{
-				Deadline: time.Second,
-				Fault:    &mpi.Fault{Crashes: []mpi.CrashRankAt{{Rank: victim, AfterStep: crashStep}}},
-			}
+			return []mpi.CrashRankAt{{Rank: victim, AfterStep: crashStep}}
 		}
 	}
 	t0 := time.Now()

@@ -7,7 +7,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"ptdft/internal/core"
 	"ptdft/internal/dist"
@@ -520,14 +519,14 @@ func TestKeptExchangeNeverServedStale(t *testing.T) {
 // TestDistributedRK4BlowUpIsSymmetric: an RK4 step far past the stability
 // limit fails on every rank, in the same step, with the blow-up error - it
 // is decided on the allreduced density, so no rank leaves while its peer
-// waits in a collective (the peer-loss deadline would report that as a
-// Failure instead).
+// waits in a collective (its exit would fail that peer, and the run would
+// report a Failure instead).
 func TestDistributedRK4BlowUpIsSymmetric(t *testing.T) {
 	g, psi0, nb := fixtureT(t)
 	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
 	const ranks, dt = 2, 4.0
 	errs, steps := make([]error, ranks), make([]int, ranks)
-	_, fail := mpi.RunTolerant(ranks, &mpi.Perturb{Deadline: 10 * time.Second}, func(c *mpi.Comm) {
+	_, fail := mpi.RunTolerant(ranks, nil, func(c *mpi.Comm) {
 		d, err := dist.NewCtx(c, g, nb, 2)
 		if err != nil {
 			t.Error(err)

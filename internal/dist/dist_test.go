@@ -245,7 +245,7 @@ func TestExchangePipelinesDoNotInflateVolume(t *testing.T) {
 
 // TestExchangeCrashIsRecovered: a rank crash inside the exchange - in the
 // reference-band broadcasts or in returnToOwners' Alltoallv - is recovered
-// by the tolerant runner within the peer-loss deadline: it does not kill
+// by the tolerant runner: it does not kill
 // the process, does not hang, and is reported against the crashed rank.
 // Rank 1's metered calls in one application are its broadcast sends (one
 // sphere row each), then its Alltoallv sends.
@@ -266,12 +266,8 @@ func TestExchangeCrashIsRecovered(t *testing.T) {
 		{"return_alltoallv", bcasts + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := &mpi.Perturb{
-				Deadline: 1 * time.Second,
-				Fault:    &mpi.Fault{Crashes: []mpi.CrashRankAt{{Rank: 1, AfterCalls: tc.after}}},
-			}
 			start := time.Now()
-			st, fail := mpi.RunTolerant(ranks, p, func(c *mpi.Comm) {
+			st, fail := mpi.RunTolerant(ranks, []mpi.CrashRankAt{{Rank: 1, AfterCalls: tc.after}}, func(c *mpi.Comm) {
 				d, err := NewCtx(c, g, nb, 2)
 				if err != nil {
 					t.Error(err)

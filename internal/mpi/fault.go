@@ -1,11 +1,12 @@
 // Hard-fault injection and failure detection for the goroutine MPI
-// runtime: rank crashes (a panic with a typed RankFailure) and a
-// receive deadline that turns a peer that went silent into a loud
-// PeerLostError instead of an eternal hang. The model mirrors what a
-// ULFM-style MPI gives a fault-tolerant application: a failed rank stops
-// participating, survivors learn about it from timed-out operations, and
-// the job-level supervisor (the attempt loop of sim.Run) tears the world
-// down and relaunches from a checkpoint.
+// runtime: rank crashes (a panic with a typed RankFailure), and a rank
+// exit that closes the exited rank's outgoing mailboxes, so a peer waiting
+// on it raises a loud PeerLostError instead of hanging forever. The model
+// mirrors what a ULFM-style MPI gives a fault-tolerant application: a
+// failed rank stops participating, survivors learn about it from the
+// operations that can no longer complete, and the job-level supervisor
+// (the attempt loop of sim.Run) tears the world down and relaunches from a
+// checkpoint.
 package mpi
 
 import (
@@ -14,14 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
-
-// DefaultDeadline is the peer-loss detection deadline applied when a
-// Perturb carries a Fault but no explicit Deadline: long enough that a
-// healthy run never trips it, short enough that tests and the recovery
-// supervisor are not stuck for minutes behind a dead rank.
-const DefaultDeadline = 10 * time.Second
 
 // CrashRankAt schedules the hard failure of one rank. Exactly one of the
 // two triggers should be set:
@@ -35,20 +29,13 @@ const DefaultDeadline = 10 * time.Second
 //     propagation step via Comm.StepReached, i.e. at a step boundary.
 //
 // A crash is a panic with a *RankFailure value; Run re-raises it,
-// RunTolerant reports it in the returned Failure.
+// RunTolerant reports it in the returned Failure. Crash lists are
+// per-run: a supervisor that relaunches the world passes a fresh (usually
+// empty) list for the retry attempt.
 type CrashRankAt struct {
 	Rank       int
 	AfterCalls int64
 	AfterStep  int64
-}
-
-// Fault is the hard-failure injection plan of one run: scheduled rank
-// crashes.
-type Fault struct {
-	// Crashes lists the scheduled rank failures. Faults are per-run: a
-	// supervisor that relaunches the world passes a fresh (usually empty)
-	// Fault for the retry attempt.
-	Crashes []CrashRankAt
 }
 
 // RankFailure is the panic value of an injected rank crash. It satisfies
@@ -67,18 +54,17 @@ func (f *RankFailure) Error() string {
 var ErrPeerLost = errors.New("mpi: peer lost")
 
 // PeerLostError is the panic value raised by a receive (Barrier's
-// included) that waited past the configured deadline: the peer is
-// presumed dead. It wraps ErrPeerLost.
+// included) whose peer exited - returned or panicked - without sending
+// the message it waits for. It wraps ErrPeerLost.
 type PeerLostError struct {
-	Rank int           // the detecting rank
-	Peer int           // the silent peer it was waiting on
-	Op   string        // the operation that timed out
-	Wait time.Duration // how long it waited
-	Dead []int         // ranks already known crashed at detection time
+	Rank int    // the detecting rank
+	Peer int    // the exited peer it was waiting on
+	Op   string // the operation that can no longer complete
+	Dead []int  // ranks already known crashed at detection time
 }
 
 func (e *PeerLostError) Error() string {
-	msg := fmt.Sprintf("mpi: rank %d lost rank %d (%s gave no answer within %v)", e.Rank, e.Peer, e.Op, e.Wait)
+	msg := fmt.Sprintf("mpi: rank %d lost rank %d (it exited before answering %s)", e.Rank, e.Peer, e.Op)
 	if len(e.Dead) > 0 {
 		msg += fmt.Sprintf("; known dead: %v", e.Dead)
 	}
@@ -101,7 +87,7 @@ func isFault(p any) bool {
 // injection and which aborted after losing a peer. It satisfies error.
 type Failure struct {
 	Crashed  []int         // ranks that died from an injected crash
-	PeerLost []int         // ranks that aborted on a peer-loss deadline
+	PeerLost []int         // ranks that aborted on a peer's exit
 	Errs     map[int]error // the per-rank failure detail
 }
 
@@ -116,8 +102,8 @@ func (f *Failure) Error() string {
 	return strings.Join(parts, "; ")
 }
 
-// RunTolerant executes f on size ranks like Run, under the perturbation
-// model p (nil: none), but recovers injected-fault panics (RankFailure,
+// RunTolerant executes f on size ranks like Run, injecting the scheduled
+// crashes (nil: none), but recovers injected-fault panics (RankFailure,
 // PeerLostError) instead of re-raising them: if any rank failed, the
 // returned Failure lists the crashed and peer-lost ranks. A nil Failure
 // means the run completed cleanly on every rank. Non-fault panics are
@@ -125,20 +111,16 @@ func (f *Failure) Error() string {
 // are returned in either case (for a failed run they meter the truncated
 // traffic).
 //
-// When p carries a Fault but no Deadline, DefaultDeadline is applied so
-// surviving ranks always unblock: RunTolerant only returns once every
-// rank goroutine has exited.
-func RunTolerant(size int, p *Perturb, f func(c *Comm)) (*Stats, *Failure) {
+// When a rank goroutine exits, by return or by any panic, its outgoing
+// mailboxes close: a peer waiting on it for a message it never sent
+// raises PeerLostError and exits in turn, so every wait chain that ends
+// at an exited rank unwinds at once.
+func RunTolerant(size int, crashes []CrashRankAt, f func(c *Comm)) (*Stats, *Failure) {
 	if size < 1 {
 		panic("mpi: communicator size must be >= 1")
 	}
 	w := newWorld(size)
-	if p != nil {
-		w.deadline = p.Deadline
-		if w.fault = p.Fault; w.fault != nil && w.deadline == 0 {
-			w.deadline = DefaultDeadline
-		}
-	}
+	w.crashes = crashes
 	var wg sync.WaitGroup
 	panics := make([]any, size)
 	for r := 0; r < size; r++ {
@@ -148,6 +130,9 @@ func RunTolerant(size int, p *Perturb, f func(c *Comm)) (*Stats, *Failure) {
 			defer func() {
 				if p := recover(); p != nil {
 					panics[rank] = p
+				}
+				for _, b := range w.boxes[rank] {
+					b.close()
 				}
 			}()
 			f(&Comm{rank: rank, w: w})
@@ -210,13 +195,9 @@ func RunTolerant(size int, p *Perturb, f func(c *Comm)) (*Stats, *Failure) {
 
 // StepReached announces that this rank is about to execute propagation
 // step `step` (cumulative, 0-based). It is the trigger point for
-// CrashRankAt.AfterStep faults and a no-op without an armed Fault.
+// CrashRankAt.AfterStep faults and a no-op without scheduled crashes.
 func (c *Comm) StepReached(step int64) {
-	ft := c.w.fault
-	if ft == nil {
-		return
-	}
-	for _, cr := range ft.Crashes {
+	for _, cr := range c.w.crashes {
 		if cr.Rank == c.rank && cr.AfterStep > 0 && step >= cr.AfterStep {
 			c.crash(fmt.Sprintf("step %d", step))
 		}
@@ -227,12 +208,11 @@ func (c *Comm) StepReached(step int64) {
 // fires any AfterCalls crash that lands on it. Called at the head of
 // every metered communication operation, before the payload moves.
 func (c *Comm) maybeCrashOnCall() {
-	ft := c.w.fault
-	if ft == nil {
+	if len(c.w.crashes) == 0 {
 		return
 	}
 	n := c.w.opCalls[c.rank].Add(1)
-	for _, cr := range ft.Crashes {
+	for _, cr := range c.w.crashes {
 		if cr.Rank == c.rank && cr.AfterCalls > 0 && n == cr.AfterCalls {
 			c.crash(fmt.Sprintf("communication call %d", n))
 		}
@@ -246,9 +226,9 @@ func (c *Comm) crash(at string) {
 	panic(f)
 }
 
-// lostPeer raises the peer-loss panic for a timed-out operation.
-func (c *Comm) lostPeer(peer int, op string, wait time.Duration) {
-	panic(&PeerLostError{Rank: c.rank, Peer: peer, Op: op, Wait: wait, Dead: c.w.deadRanks()})
+// lostPeer raises the peer-loss panic for an operation whose peer exited.
+func (c *Comm) lostPeer(peer int, op string) {
+	panic(&PeerLostError{Rank: c.rank, Peer: peer, Op: op, Dead: c.w.deadRanks()})
 }
 
 // deadRanks snapshots the ranks known to have crashed.

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ptdft/internal/trace"
 )
@@ -125,11 +124,12 @@ func (s *Stats) MatrixJSON() ([]byte, error) {
 
 // pairBox is the mailbox for one (src, dst) rank pair: a tag-indexed FIFO
 // store guarded by a condition variable, safe for concurrent senders and
-// receivers.
+// receivers. It is closed when its source rank exits.
 type pairBox struct {
-	mu   sync.Mutex
-	cv   *sync.Cond
-	msgs map[int][]any
+	mu     sync.Mutex
+	cv     *sync.Cond
+	msgs   map[int][]any
+	closed bool
 }
 
 func newPairBox() *pairBox {
@@ -145,37 +145,28 @@ func (b *pairBox) put(tag int, data any) {
 	b.mu.Unlock()
 }
 
-// take pops the next message for tag, blocking until one arrives. With a
-// positive deadline it gives up after that long and returns ok=false (the
-// peer-loss detection path); with deadline 0 it waits forever.
-func (b *pairBox) take(tag int, deadline time.Duration) (any, bool) {
+// close marks the source rank as exited and wakes every waiter.
+func (b *pairBox) close() {
 	b.mu.Lock()
-	if deadline <= 0 {
-		for len(b.msgs[tag]) == 0 {
-			b.cv.Wait()
-		}
-	} else {
-		limit := time.Now().Add(deadline)
-		for len(b.msgs[tag]) == 0 {
-			remaining := time.Until(limit)
-			if remaining <= 0 {
-				b.mu.Unlock()
-				return nil, false
-			}
-			// One timer per wait round guarantees a wake-up at the
-			// deadline even if no message ever lands; the extra
-			// millisecond absorbs clock granularity so the re-check
-			// above is conclusive.
-			t := time.AfterFunc(remaining+time.Millisecond, func() {
-				b.mu.Lock()
-				b.cv.Broadcast()
-				b.mu.Unlock()
-			})
-			b.cv.Wait()
-			t.Stop()
-		}
+	b.closed = true
+	b.cv.Broadcast()
+	b.mu.Unlock()
+}
+
+// take pops the next message for tag, blocking until one arrives. It
+// returns ok=false (the peer-loss detection path) only when the box is
+// closed with no message left for tag: what the source sent before it
+// exited is still delivered.
+func (b *pairBox) take(tag int) (any, bool) {
+	b.mu.Lock()
+	for len(b.msgs[tag]) == 0 && !b.closed {
+		b.cv.Wait()
 	}
 	q := b.msgs[tag]
+	if len(q) == 0 {
+		b.mu.Unlock()
+		return nil, false
+	}
 	data := q[0]
 	if len(q) == 1 {
 		delete(b.msgs, tag)
@@ -195,13 +186,12 @@ type world struct {
 	sent  [][numClasses]atomic.Int64 // per source rank
 	recv  [][numClasses]atomic.Int64 // per destination rank
 
-	// Hard-fault state (see fault.go): the injection plan, the peer-loss
-	// detection deadline (0 = wait forever), per-rank metered-operation
-	// counters for AfterCalls crashes, and the crash ledger.
-	fault    *Fault
-	deadline time.Duration
-	opCalls  []atomic.Int64
-	failed   []atomic.Pointer[RankFailure]
+	// Hard-fault state (see fault.go): the scheduled crashes, per-rank
+	// metered-operation counters for AfterCalls crashes, and the crash
+	// ledger.
+	crashes []CrashRankAt
+	opCalls []atomic.Int64
+	failed  []atomic.Pointer[RankFailure]
 }
 
 // Comm is one rank's handle on the communicator. It is safe for concurrent
@@ -230,25 +220,10 @@ func (c *Comm) SetTrace(t *trace.Track) { c.tr = t }
 // per-rank timeline without extra plumbing.
 func (c *Comm) Trace() *trace.Track { return c.tr }
 
-// Perturb is an injectable failure model: hard faults and the peer-loss
-// deadline that turns them into errors. Every field is optional.
-type Perturb struct {
-	// Fault, when non-nil, arms hard-failure injection: scheduled rank
-	// crashes (see fault.go). Use RunTolerant to observe the failures
-	// instead of panicking.
-	Fault *Fault
-	// Deadline bounds every blocking receive and barrier wait: a rank
-	// that waits longer presumes its peer dead and panics with a
-	// PeerLostError. 0 means wait forever - unless Fault is armed, in
-	// which case DefaultDeadline is substituted so survivors of a crash
-	// always unblock.
-	Deadline time.Duration
-}
-
 // Run executes f on size ranks (one goroutine each) and returns the
 // accumulated communication statistics. It panics if any rank panics,
-// re-raising the first failure; use RunTolerant under a perturbation
-// model to observe injected faults as a value instead.
+// re-raising the first failure; use RunTolerant with scheduled crashes
+// to observe injected faults as a value instead.
 func Run(size int, f func(c *Comm)) *Stats {
 	st, fail := RunTolerant(size, nil, f)
 	if fail != nil {
@@ -296,19 +271,18 @@ func deliver[T Elem](c *Comm, to, tag int, data []T, class OpClass) {
 }
 
 // recvClass receives a []T from rank `from` with the given tag, blocking
-// until a matching message arrives; under a configured deadline a silent
-// peer trips a PeerLostError panic instead of hanging forever. The wait
+// until a matching message arrives; a peer that exited without sending it
+// trips a PeerLostError panic instead of hanging forever. The wait
 // span is attributed to the collective class driving it, so a trace splits
 // "blocked waiting for a broadcast" from "blocked waiting for an
 // all-to-all". It brackets the blocking take: the time to this rank is
 // stall, the payload's ship time is on the sender's transfer span.
 func recvClass[T Elem](c *Comm, from, tag int, class OpClass) []T {
 	ref := c.tr.Begin(class.String()+" wait", "wait")
-	d := c.w.deadline
-	data, ok := c.w.boxes[from][c.rank].take(tag, d)
+	data, ok := c.w.boxes[from][c.rank].take(tag)
 	c.tr.End(ref)
 	if !ok {
-		c.lostPeer(from, fmt.Sprintf("%v receive tag %d", class, tag), d)
+		c.lostPeer(from, fmt.Sprintf("%v receive tag %d", class, tag))
 	}
 	return data.([]T)
 }
@@ -319,17 +293,17 @@ const tagBarrier = -1
 
 // Barrier blocks until every rank has entered it: a dissemination barrier
 // over the mailboxes, in which round k signals rank+2^k and waits for
-// rank-2^k. Unmetered. Under a configured deadline a peer that never
-// signals trips a PeerLostError panic naming it, as in every collective.
+// rank-2^k. Unmetered. A peer that exits without signalling trips a
+// PeerLostError panic naming it, as in every collective.
 func (c *Comm) Barrier() {
 	ref := c.tr.Begin("MPI_Barrier wait", "wait")
 	defer c.tr.End(ref)
-	size, d := c.w.size, c.w.deadline
+	size := c.w.size
 	for step := 1; step < size; step <<= 1 {
 		c.w.boxes[c.rank][(c.rank+step)%size].put(tagBarrier, nil)
 		from := (c.rank - step + size) % size
-		if _, ok := c.w.boxes[from][c.rank].take(tagBarrier, d); !ok {
-			c.lostPeer(from, "Barrier", d)
+		if _, ok := c.w.boxes[from][c.rank].take(tagBarrier); !ok {
+			c.lostPeer(from, "Barrier")
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestStatsConservationInvariants checks the per-rank ledgers against the
 // conservation laws of the metering: every byte shipped under a class is a
@@ -63,24 +60,5 @@ func TestStatsConservationInvariants(t *testing.T) {
 				t.Errorf("size=%d rank %d: Alltoallv sent %d != recv %d", size, r, sent, recv)
 			}
 		}
-	}
-}
-
-// TestPerturbModel: a perturbation that injects no fault - a peer-loss
-// deadline alone - changes neither what is delivered nor what is billed.
-func TestPerturbModel(t *testing.T) {
-	p := &Perturb{Deadline: time.Second}
-	st, fail := RunTolerant(2, p, func(c *Comm) {
-		data := []complex128{complex(float64(c.Rank()), 0)}
-		Bcast(c, 0, 1, data)
-		if data[0] != 0 {
-			t.Errorf("rank %d: perturbed broadcast delivered %v", c.Rank(), data[0])
-		}
-	})
-	if fail != nil {
-		t.Fatalf("a deadline alone failed the run: %v", fail)
-	}
-	if want := int64(16); st.BytesFor(ClassBcast) != want {
-		t.Errorf("perturbed Bcast bytes %d, want %d", st.BytesFor(ClassBcast), want)
 	}
 }

@@ -22,12 +22,12 @@ import (
 // crashOnce is the usual injection: the first launch loses the rank of cr
 // (at a step boundary, or inside its AfterCalls-th communication call),
 // every relaunch runs clean.
-func crashOnce(cr mpi.CrashRankAt, deadline time.Duration) func(int) *mpi.Perturb {
-	return func(attempt int) *mpi.Perturb {
+func crashOnce(cr mpi.CrashRankAt) func(int) []mpi.CrashRankAt {
+	return func(attempt int) []mpi.CrashRankAt {
 		if attempt > 0 {
 			return nil
 		}
-		return &mpi.Perturb{Deadline: deadline, Fault: &mpi.Fault{Crashes: []mpi.CrashRankAt{cr}}}
+		return []mpi.CrashRankAt{cr}
 	}
 }
 
@@ -62,52 +62,48 @@ func TestRunRecovery(t *testing.T) {
 		prior        int // steps of an earlier segment the run resumes from (0: fresh)
 		noCkpt       bool
 		corruptAt    int // after this step, damage the newest checkpoint file (0: never)
-		perturb      func(attempt int) *mpi.Perturb
+		crashes      func(attempt int) []mpi.CrashRankAt
 		restarts     int
 		lost         int    // -1: not pinned (the crash is not step-aligned)
 		failure      string // substring of the one failure line
 		wantErr      string // the run must fail with this instead
 	}
 	rows := []row{
-		{runCase: runCase{"clean", lda(2)}, total: 4, every: 2,
-			perturb: func(int) *mpi.Perturb { return &mpi.Perturb{Deadline: 2 * time.Second} }},
+		{runCase: runCase{"clean", lda(2)}, total: 4, every: 2},
 		// The crash arrives before step index 3: three steps completed, the
 		// cadence-2 checkpoint holds step 2, so exactly one step is re-run.
 		{runCase: runCase{"step crash", lda(4)}, total: 6, every: 2,
-			perturb:  crashOnce(mpi.CrashRankAt{Rank: 2, AfterStep: 3}, 2*time.Second),
+			crashes:  crashOnce(mpi.CrashRankAt{Rank: 2, AfterStep: 3}),
 			restarts: 1, lost: 1, failure: "rank 2 crashed"},
 		// A call-count trigger leaves the peers inside Allreduce/Alltoallv
-		// waits; the deadline must unblock them.
+		// waits; the crashed rank's exit must unblock them.
 		{runCase: runCase{"mid-collective crash", lda(4)}, total: 4, every: 1,
-			perturb:  crashOnce(mpi.CrashRankAt{Rank: 1, AfterCalls: 200}, time.Second),
+			crashes:  crashOnce(mpi.CrashRankAt{Rank: 1, AfterCalls: 200}),
 			restarts: 1, lost: -1, failure: "rank 1 crashed"},
 		{runCase: runCase{"no checkpoint replay", lda(2)}, total: 5, noCkpt: true,
-			perturb:  crashOnce(mpi.CrashRankAt{Rank: 1, AfterStep: 3}, 2*time.Second),
+			crashes:  crashOnce(mpi.CrashRankAt{Rank: 1, AfterStep: 3}),
 			restarts: 1, lost: 3, failure: "rank 1 crashed"},
 		// Steps 2 and 4 are on disk when the crash lands before step index 5;
 		// step 4 is damaged, so recovery falls back to step 2.
 		{runCase: runCase{"corrupt newest checkpoint", lda(2)}, total: 6, every: 2, corruptAt: 5,
-			perturb:  crashOnce(mpi.CrashRankAt{Rank: 1, AfterStep: 5}, 2*time.Second),
+			crashes:  crashOnce(mpi.CrashRankAt{Rank: 1, AfterStep: 5}),
 			restarts: 1, lost: 3, failure: "rank 1 crashed"},
 		{runCase: runCase{"MD", func(s *Spec) { s.Ranks = 2; withMD(2)(s) }}, total: 4, every: 2,
-			perturb:  crashOnce(mpi.CrashRankAt{Rank: 1, AfterStep: 3}, 2*time.Second),
+			crashes:  crashOnce(mpi.CrashRankAt{Rank: 1, AfterStep: 3}),
 			restarts: 1, lost: 1, failure: "rank 1 crashed"},
 		// The segment resumes at step 3, phase 1 of the M = 2 cycle, and the
 		// checkpoint it recovers from (two steps in: step 5) is mid-cycle too.
 		{runCase: runCase{"mid-cycle start", aceMTS2}, total: 4, every: 2, prior: 3,
-			perturb:  crashOnce(mpi.CrashRankAt{Rank: 3, AfterStep: 6}, 2*time.Second),
+			crashes:  crashOnce(mpi.CrashRankAt{Rank: 3, AfterStep: 6}),
 			restarts: 1, lost: 1, failure: "rank 3 crashed"},
 		// RK4 runs in the same world: the relaunch from the step-18
 		// checkpoint crosses the re-orthonormalization of step 20 on the
 		// trajectory's cadence.
 		{runCase: runCase{"RK4", func(s *Spec) { s.Ranks, s.Method, s.DtAs = 2, "rk4", 0.5 }}, total: 22, every: 6,
-			perturb:  crashOnce(mpi.CrashRankAt{Rank: 1, AfterStep: 21}, 2*time.Second),
+			crashes:  crashOnce(mpi.CrashRankAt{Rank: 1, AfterStep: 21}),
 			restarts: 1, lost: 3, failure: "rank 1 crashed"},
 		{runCase: runCase{"retry budget", lda(2)}, total: 4, every: 2,
-			perturb: func(int) *mpi.Perturb {
-				return &mpi.Perturb{Deadline: 500 * time.Millisecond,
-					Fault: &mpi.Fault{Crashes: []mpi.CrashRankAt{{Rank: 0, AfterStep: 1}}}}
-			},
+			crashes: func(int) []mpi.CrashRankAt { return []mpi.CrashRankAt{{Rank: 0, AfterStep: 1}} },
 			wantErr: "giving up after 3 restarts; last failure: mpi: rank 0 crashed"},
 	}
 	// The acceptance sweep: each rank of the hybrid ACE MTS 2 run dies once,
@@ -123,7 +119,7 @@ func TestRunRecovery(t *testing.T) {
 		at := 1 + rand.New(rand.NewSource(int64(2026+victim))).Int63n(total-1)
 		rows = append(rows, row{runCase: runCase{fmt.Sprintf("ACE MTS2 rank %d at step %d", victim, at), aceMTS2},
 			total: total, every: 3,
-			perturb:  crashOnce(mpi.CrashRankAt{Rank: victim, AfterStep: at}, 2*time.Second),
+			crashes:  crashOnce(mpi.CrashRankAt{Rank: victim, AfterStep: at}),
 			restarts: 1, lost: int(at % 3), failure: fmt.Sprintf("rank %d crashed", victim)})
 	}
 
@@ -185,7 +181,7 @@ func TestRunRecovery(t *testing.T) {
 			want := clean.res
 
 			var streamed, after []int
-			opt.Perturb = tc.perturb
+			opt.Crashes = tc.crashes
 			opt.OnSample = func(s observe.Sample) { streamed = append(streamed, s.Step) }
 			opt.AfterStep = func(done int) {
 				after = append(after, done)
@@ -197,7 +193,7 @@ func TestRunRecovery(t *testing.T) {
 			start := time.Now()
 			got, err := Run(&spec, opt)
 			if elapsed := time.Since(start); elapsed > time.Minute {
-				t.Fatalf("the run took %v - a survivor hung past the peer-loss deadline", elapsed)
+				t.Fatalf("the run took %v - a survivor hung on a crashed peer", elapsed)
 			}
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {

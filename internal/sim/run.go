@@ -12,8 +12,8 @@
 //
 // Who retries what: the loop itself never retries. propagate launches the
 // world under mpi.RunTolerant and, when ranks are lost (an *mpi.Failure:
-// injected crashes, peer-loss deadlines), reloads the newest rolling
-// checkpoint and relaunches the same loop, up to maxRestarts times.
+// injected crashes and the peers left waiting on them), reloads the newest
+// rolling checkpoint and relaunches the same loop, up to maxRestarts times.
 // Application errors (SCF divergence, an RK4 blow-up, a failed save) are
 // rank-symmetric - a relaunch would fail identically - and end the run at
 // once. Preemption and daemon restarts are retried one level up, by the job
@@ -84,12 +84,11 @@ type Options struct {
 	// PulseSteps, when set, must equal Spec.ElectronicSteps, the length
 	// the 380nm pulse envelope is shaped from; Run rejects any other value.
 	PulseSteps int
-	// Perturb, when set, returns the perturbation model (fault injection,
-	// peer-loss deadline) the distributed world of launch
-	// `attempt` runs under; attempt 0 is the first launch, each recovery
+	// Crashes, when set, returns the rank crashes injected into the world
+	// of launch `attempt`; attempt 0 is the first launch, each recovery
 	// relaunch asks again. Set by the fault experiments and tests, nil in
 	// production. A one-rank run has a world too.
-	Perturb func(attempt int) *mpi.Perturb
+	Crashes func(attempt int) []mpi.CrashRankAt
 	// Logf receives progress notices (system, ground state, cadence,
 	// communication volume, recovery); nil silences them.
 	Logf func(format string, args ...any)
@@ -333,9 +332,9 @@ func (r *runner) propagate(cell *lattice.Cell) error {
 	opt.logf("distributed: %d ranks, operator %s", ranks, op)
 	var stats *mpi.Stats
 	for attempt := 0; ; attempt++ {
-		var p *mpi.Perturb
-		if opt.Perturb != nil {
-			p = opt.Perturb(attempt)
+		var crashes []mpi.CrashRankAt
+		if opt.Crashes != nil {
+			crashes = opt.Crashes(attempt)
 		}
 		// Every error a rank's loop returns is rank-symmetric (the same
 		// inputs, a global convergence or blow-up criterion, a voted
@@ -344,7 +343,7 @@ func (r *runner) propagate(cell *lattice.Cell) error {
 		// survivor has unblocked.
 		var rootErr error
 		var fail *mpi.Failure
-		stats, fail = mpi.RunTolerant(ranks, p, func(c *mpi.Comm) {
+		stats, fail = mpi.RunTolerant(ranks, crashes, func(c *mpi.Comm) {
 			err := r.loop(c, cell)
 			if c.Rank() == 0 {
 				rootErr = err

@@ -60,6 +60,15 @@ for d in examples/*/; do
 		fail=1
 	fi
 done
+# Every word of a go test -run pattern in the CI workflow names a test a
+# _test.go file declares, as a prefix (TestCrash covers TestCrashAfterCalls),
+# so a renamed or deleted test cannot leave a CI step selecting nothing.
+for word in $(grep -o "\-run '[^']*'" .github/workflows/ci.yml | sed "s/^-run '//; s/'\$//" | tr -c 'A-Za-z0-9_\n' ' '); do
+	if ! git grep -q "^func $word" -- '*_test.go'; then
+		echo "docs-lint: .github/workflows/ci.yml: -run word $word names no test in a _test.go file" >&2
+		fail=1
+	fi
+done
 # Docs name only what exists. In README.md, DESIGN.md and the verify skill
 # (.claude/skills/verify/SKILL.md, the build-and-run notes), every exported
 # CamelCase name (upper-case first letter, a lower-case letter, no "_")
