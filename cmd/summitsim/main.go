@@ -15,12 +15,6 @@
 //
 // Output is aligned text matching the rows/series the paper reports, for
 // side-by-side comparison in EXPERIMENTS.md.
-//
-// One experiment is measured, not modeled, and runs only when named (it
-// takes seconds and is not part of `-experiment all`): `-experiment
-// faults` runs a real propagation through sim.Run with injected rank
-// crashes, sweeping crash step x checkpoint cadence to measure recovery
-// overhead.
 package main
 
 import (
@@ -29,13 +23,11 @@ import (
 	"os"
 
 	"ptdft/internal/perf"
-	"ptdft/internal/trace"
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to regenerate (table1,table2,fig3,fig6,fig7,fig8,fig9,fig10,power,flops,all; faults measures the real distributed code and runs only when named)")
+	experiment := flag.String("experiment", "all", "which experiment to regenerate (table1,table2,fig3,fig6,fig7,fig8,fig9,fig10,power,flops,all)")
 	natom := flag.Int("natoms", 1536, "silicon system size (atoms)")
-	traceFile := flag.String("tracefile", "", "with -experiment faults: record the measured runs' per-rank span timeline and write it here as Chrome trace-event JSON")
 	flag.Parse()
 
 	m := perf.New(perf.SiliconSystem(*natom))
@@ -81,28 +73,9 @@ func main() {
 		flops(m)
 		any = true
 	}
-	// Measured, not modeled: only run when asked for by name. This is the
-	// experiment a timeline dump makes sense for - it drives the real
-	// goroutine-MPI runtime, so -tracefile captures every world it launched
-	// on shared per-rank tracks.
-	var rec *trace.Recorder
-	if *traceFile != "" && *experiment == "faults" {
-		rec = trace.NewRecorder()
-	}
-	if *experiment == "faults" {
-		faults(rec)
-		any = true
-	}
 	if !any {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		os.Exit(2)
-	}
-	if rec != nil {
-		if err := rec.WriteChromeTraceFile(*traceFile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s (Chrome trace-event JSON; open in chrome://tracing or Perfetto)\n", *traceFile)
 	}
 }
 

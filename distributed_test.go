@@ -519,14 +519,14 @@ func TestKeptExchangeNeverServedStale(t *testing.T) {
 // TestDistributedRK4BlowUpIsSymmetric: an RK4 step far past the stability
 // limit fails on every rank, in the same step, with the blow-up error - it
 // is decided on the allreduced density, so no rank leaves while its peer
-// waits in a collective (its exit would fail that peer, and the run would
-// report a Failure instead).
+// waits in a collective (its exit would fail that peer, and mpi.Run would
+// panic with the peer loss instead of returning).
 func TestDistributedRK4BlowUpIsSymmetric(t *testing.T) {
 	g, psi0, nb := fixtureT(t)
 	kick := &laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}
 	const ranks, dt = 2, 4.0
 	errs, steps := make([]error, ranks), make([]int, ranks)
-	_, fail := mpi.RunTolerant(ranks, nil, func(c *mpi.Comm) {
+	mpi.Run(ranks, func(c *mpi.Comm) {
 		d, err := dist.NewCtx(c, g, nb, 2)
 		if err != nil {
 			t.Error(err)
@@ -541,9 +541,6 @@ func TestDistributedRK4BlowUpIsSymmetric(t *testing.T) {
 			local, _, errs[r] = s.StepRK4(local, dt)
 		}
 	})
-	if fail != nil {
-		t.Fatalf("a rank was left waiting on its peer: %v", fail)
-	}
 	for r, err := range errs {
 		if err == nil || !strings.Contains(err.Error(), "blew up") {
 			t.Errorf("rank %d: error %v in step %d, want the blow-up error", r, err, steps[r])

@@ -2,8 +2,8 @@
 // stable "last-good" symlink, so a crash at ANY instant - including mid
 // checkpoint write - leaves a complete, checksummed state reachable under
 // one well-known name. The propagation loop of internal/sim writes through
-// this on its -ckptevery cadence, and its rank-failure recovery and the job
-// server's restart adoption read the newest good state back.
+// this on its -ckptevery cadence; ptdft -load reads the stable name back,
+// and the job server's restart adoption the newest good state.
 package checkpoint
 
 import (

@@ -1,11 +1,15 @@
 package dist
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"ptdft/internal/core"
 	"ptdft/internal/fock"
 	"ptdft/internal/grid"
+	"ptdft/internal/hamiltonian"
+	"ptdft/internal/laser"
 	"ptdft/internal/lattice"
 	"ptdft/internal/mpi"
 	"ptdft/internal/wavefunc"
@@ -243,63 +247,76 @@ func TestExchangePipelinesDoNotInflateVolume(t *testing.T) {
 	}
 }
 
-// TestExchangeCrashIsRecovered: a rank crash inside the exchange - in the
-// reference-band broadcasts or in returnToOwners' Alltoallv - is recovered
-// by the tolerant runner: it does not kill
-// the process, does not hang, and is reported against the crashed rank.
-// Rank 1's metered calls in one application are its broadcast sends (one
-// sphere row each), then its Alltoallv sends.
-func TestExchangeCrashIsRecovered(t *testing.T) {
+// panicField is a kick whose vector potential panics at its n-th call:
+// a plain bug on one rank, with no injection hook in the runtime.
+type panicField struct {
+	laser.Kick
+	n, calls int
+}
+
+func (f *panicField) A(t float64) [3]float64 {
+	if f.calls++; f.calls == f.n {
+		panic(fmt.Sprintf("field bug at call %d", f.n))
+	}
+	return f.Kick.A(t)
+}
+
+// TestHybridStepPanicIsReraised: a plain panic on one rank of a 4-rank
+// hybrid PT-CN step does not hang its peers. Rank 1's field panics at its
+// second call, in the step's first Refresh, after the density Allreduce;
+// the peers go on into the first H application, whose band-to-G transpose
+// waits for rank 1's slice. Each peer raises a peer loss there, and
+// mpi.Run re-raises rank 1's own panic, the root cause, within the bound.
+func TestHybridStepPanicIsReraised(t *testing.T) {
 	g, psi, nb := testGrid(t)
-	hyb := xc.HSE06()
-	kernel := fock.BuildKernel(g, hyb)
-	const ranks = 4
-	row := int64(g.NG * 16)
-	_, _, clean := applyExchange(t, g, psi, nb, ranks)
-	bcasts := clean.Matrix().SentBytes[1][mpi.ClassBcast] / row
-	for _, tc := range []struct {
-		name  string
-		after int64 // rank 1 crashes as its after-th metered call begins
-	}{
-		{"third_call", 3},
-		{"first_broadcast", 1},
-		{"return_alltoallv", bcasts + 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			start := time.Now()
-			st, fail := mpi.RunTolerant(ranks, []mpi.CrashRankAt{{Rank: 1, AfterCalls: tc.after}}, func(c *mpi.Comm) {
-				d, err := NewCtx(c, g, nb, 2)
-				if err != nil {
-					t.Error(err)
-					return
+	const ranks, victim, bound = 4, 1, 20 * time.Second
+	lost := make([]any, ranks)
+	raised := make(chan any, 1)
+	go func() {
+		defer func() { raised <- recover() }()
+		mpi.Run(ranks, func(c *mpi.Comm) {
+			d, err := NewCtx(c, g, nb, 2)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			field := &panicField{Kick: laser.Kick{K: 0.02, Pol: [3]float64{0, 0, 1}}}
+			if c.Rank() == victim {
+				field.n = 2
+			}
+			h := hamiltonian.New(g, siPots(), hamiltonian.Config{})
+			s := NewPTCNSolver(d, h, xc.HSE06(), true, field, core.DefaultPTCN(), ExchangeOptions{})
+			lo, hi := d.BandRange(c.Rank())
+			defer func() {
+				if lost[c.Rank()] = recover(); lost[c.Rank()] != nil {
+					panic(lost[c.Rank()])
 				}
-				lo, hi := d.BandRange(c.Rank())
-				local := wavefunc.Clone(psi[lo*g.NG : hi*g.NG])
-				d.FockExchangeWS(local, local, kernel, hyb.Alpha, ExchangeOptions{}, d.NewExchangeWorkspace())
-			})
-			if elapsed := time.Since(start); elapsed > 20*time.Second {
-				t.Fatalf("exchange under injected crash took %v", elapsed)
-			}
-			if fail == nil {
-				t.Fatal("injected crash vanished")
-			}
-			found := false
-			for _, r := range fail.Crashed {
-				if r == 1 {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("crashed ranks %v do not include rank 1", fail.Crashed)
-			}
-			// The crash fires before its call's payload moves.
-			sent := st.Matrix().SentBytes[1]
-			if got, want := sent[mpi.ClassBcast], min(tc.after-1, bcasts)*row; got != want {
-				t.Errorf("rank 1 broadcast %d bytes before crashing, want %d", got, want)
-			}
-			if got := sent[mpi.ClassAlltoallv]; got != 0 {
-				t.Errorf("rank 1 returned %d Alltoallv bytes before crashing, want none", got)
+			}()
+			if _, _, err := s.Step(wavefunc.Clone(psi[lo*g.NG:hi*g.NG]), 1.0); err != nil {
+				t.Error(err)
 			}
 		})
+	}()
+	var p any
+	select {
+	case p = <-raised:
+	case <-time.After(bound):
+		t.Fatalf("mpi.Run had not returned %v after rank %d panicked: its peers hang", bound, victim)
+	}
+	if want := fmt.Sprintf("mpi: rank %d panicked: field bug at call 2", victim); fmt.Sprint(p) != want {
+		t.Fatalf("mpi.Run raised %v, want %q", p, want)
+	}
+	for r, v := range lost {
+		if r == victim {
+			continue
+		}
+		pl, ok := v.(*mpi.PeerLostError)
+		if !ok {
+			t.Errorf("rank %d raised %v, want a *mpi.PeerLostError", r, v)
+			continue
+		}
+		if want := fmt.Sprintf("MPI_Alltoallv receive tag %d", tagBandToG); pl.Peer != victim || pl.Op != want {
+			t.Errorf("rank %d lost rank %d in %q, want rank %d in the band-to-G transpose (%s)", r, pl.Peer, pl.Op, victim, want)
+		}
 	}
 }

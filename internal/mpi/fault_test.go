@@ -8,63 +8,30 @@ import (
 	"time"
 )
 
-// TestCrashAfterCalls kills one rank at its N-th metered operation mid
-// collective traffic and checks the tolerant runner reports the crash and
-// the survivors' peer-loss aborts instead of hanging or crashing the test
-// process.
-func TestCrashAfterCalls(t *testing.T) {
-	const size = 4
-	start := time.Now()
-	_, fail := RunTolerant(size, []CrashRankAt{{Rank: 2, AfterCalls: 5}}, func(c *Comm) {
-		buf := make([]float64, 8)
-		for i := 0; i < 20; i++ {
-			AllreduceSum(c, 100+2*i, buf)
-		}
-	})
-	if fail == nil {
-		t.Fatal("expected a Failure, got clean run")
-	}
-	if len(fail.Crashed) != 1 || fail.Crashed[0] != 2 {
-		t.Fatalf("Crashed = %v, want [2]", fail.Crashed)
-	}
-	var rf *RankFailure
-	if !errors.As(fail.Errs[2], &rf) {
-		t.Fatalf("rank 2 error = %T %v, want *RankFailure", fail.Errs[2], fail.Errs[2])
-	}
-	for _, r := range fail.PeerLost {
-		if !errors.Is(fail.Errs[r], ErrPeerLost) {
-			t.Errorf("rank %d error %v does not match ErrPeerLost", r, fail.Errs[r])
-		}
-	}
-	if len(fail.Crashed)+len(fail.PeerLost) > size {
-		t.Fatalf("more failures than ranks: %v + %v", fail.Crashed, fail.PeerLost)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("survivors took %v to detect the crash", elapsed)
-	}
-}
-
-// TestCrashAfterStep fires a crash from the application-level step
-// announcement and checks the step attribution in the failure.
-func TestCrashAfterStep(t *testing.T) {
-	_, fail := RunTolerant(2, []CrashRankAt{{Rank: 1, AfterStep: 3}}, func(c *Comm) {
-		buf := make([]float64, 4)
-		for step := int64(0); step < 10; step++ {
-			c.StepReached(step)
-			AllreduceSum(c, 100, buf)
-		}
-	})
-	if fail == nil || len(fail.Crashed) != 1 || fail.Crashed[0] != 1 {
-		t.Fatalf("fail = %+v, want rank 1 crashed", fail)
-	}
-	if !strings.Contains(fail.Errs[1].Error(), "step 3") {
-		t.Fatalf("crash error %q does not name step 3", fail.Errs[1])
+// runRaised runs f on size ranks through Run and returns what Run
+// panicked with (nil for a clean run), failing the test if Run has not
+// returned within the bound: a hang means a peer of an exited rank never
+// unblocked.
+func runRaised(t *testing.T, size int, within time.Duration, f func(c *Comm)) any {
+	t.Helper()
+	raised := make(chan any, 1)
+	go func() {
+		defer func() { raised <- recover() }()
+		Run(size, f)
+	}()
+	select {
+	case p := <-raised:
+		return p
+	case <-time.After(within):
+		t.Fatalf("Run had not returned after %v: a peer of an exited rank hangs", within)
+		return nil
 	}
 }
 
 // collective is one call of a collective class, made by every rank.
 type collective struct {
 	name string
+	op   string // how a PeerLostError names the operation
 	body func(c *Comm)
 }
 
@@ -72,23 +39,23 @@ type collective struct {
 // ranks, rooted at rank 0 where a root applies.
 func collectives(size int) []collective {
 	return []collective{
-		{"Bcast", func(c *Comm) {
+		{"Bcast", "MPI_Bcast receive", func(c *Comm) {
 			Bcast(c, 0, 100, make([]complex128, 16))
 		}},
-		{"AllreduceSum", func(c *Comm) {
+		{"AllreduceSum", "MPI_Allreduce receive", func(c *Comm) {
 			AllreduceSum(c, 100, make([]float64, 16))
 		}},
-		{"Alltoallv", func(c *Comm) {
+		{"Alltoallv", "MPI_Alltoallv receive", func(c *Comm) {
 			send := make([][]float64, size)
 			for i := range send {
 				send[i] = make([]float64, 4)
 			}
 			Alltoallv(c, 100, send)
 		}},
-		{"Allgatherv", func(c *Comm) {
+		{"Allgatherv", "MPI_AllGatherv receive", func(c *Comm) {
 			Allgatherv(c, 100, make([]float64, 4))
 		}},
-		{"Barrier", func(c *Comm) {
+		{"Barrier", "Barrier", func(c *Comm) {
 			c.Barrier()
 		}},
 	}
@@ -98,6 +65,9 @@ func collectives(size int) []collective {
 // collective class, a rank that returns without entering it trips
 // ErrPeerLost on every peer - the root never broadcasts or reduces, its
 // slice never arrives, it never enters the barrier - and nobody hangs.
+// Run then panics with the first peer loss in rank order, whose message
+// names the waiting rank, the exited peer and the operation: a rank that
+// leaves without sending is a protocol bug, not a recoverable fault.
 func TestExitedPeerTripsEveryCollective(t *testing.T) {
 	const (
 		size   = 4
@@ -105,90 +75,85 @@ func TestExitedPeerTripsEveryCollective(t *testing.T) {
 	)
 	for _, tc := range collectives(size) {
 		t.Run(tc.name, func(t *testing.T) {
-			start := time.Now()
-			_, fail := RunTolerant(size, nil, func(c *Comm) {
+			lost := make([]any, size)
+			p := runRaised(t, size, 5*time.Second, func(c *Comm) {
 				if c.Rank() == silent {
 					return
 				}
+				defer func() {
+					if lost[c.Rank()] = recover(); lost[c.Rank()] != nil {
+						panic(lost[c.Rank()])
+					}
+				}()
 				tc.body(c)
 			})
-			if elapsed := time.Since(start); elapsed > 5*time.Second {
-				t.Fatalf("%s: detection took %v", tc.name, elapsed)
+			if p == nil {
+				t.Fatalf("%s: expected Run to panic on the peer loss, got a clean run", tc.name)
 			}
-			if fail == nil {
-				t.Fatalf("%s: expected peer-loss failures, got clean run", tc.name)
-			}
-			if len(fail.Crashed) != 0 {
-				t.Fatalf("%s: unexpected crashes %v", tc.name, fail.Crashed)
-			}
-			want := []int{1, 2, 3}
-			if fmt.Sprint(fail.PeerLost) != fmt.Sprint(want) {
-				t.Fatalf("%s: PeerLost = %v, want %v (every peer)", tc.name, fail.PeerLost, want)
-			}
-			for _, r := range want {
-				if !errors.Is(fail.Errs[r], ErrPeerLost) {
-					t.Errorf("%s: rank %d error %v does not match ErrPeerLost", tc.name, r, fail.Errs[r])
+			for r := 1; r < size; r++ {
+				err, _ := lost[r].(error)
+				if !errors.Is(err, ErrPeerLost) {
+					t.Errorf("%s: rank %d raised %v, which does not match ErrPeerLost", tc.name, r, lost[r])
 				}
 				var pl *PeerLostError
-				if !errors.As(fail.Errs[r], &pl) {
-					t.Errorf("%s: rank %d error is not a *PeerLostError", tc.name, r)
+				if !errors.As(err, &pl) {
+					t.Errorf("%s: rank %d raised %T, not a *PeerLostError", tc.name, r, lost[r])
 					continue
 				}
-				if pl.Peer < 0 || pl.Peer >= size || pl.Peer == r {
-					t.Errorf("%s: rank %d names peer %d, want another rank in [0, %d)", tc.name, r, pl.Peer, size)
+				if pl.Rank != r || pl.Peer < 0 || pl.Peer >= size || pl.Peer == r {
+					t.Errorf("%s: rank %d's error names rank %d waiting on peer %d, want itself on another rank in [0, %d)", tc.name, r, pl.Rank, pl.Peer, size)
 				}
+			}
+			pl, _ := lost[1].(*PeerLostError)
+			if pl == nil {
+				return
+			}
+			want := fmt.Sprintf("mpi: rank 1 panicked: mpi: rank 1 lost rank %d (it exited before answering %s", pl.Peer, tc.op)
+			if msg := fmt.Sprint(p); !strings.HasPrefix(msg, want) {
+				t.Errorf("%s: Run raised %q, want it to start %q", tc.name, msg, want)
 			}
 		})
 	}
 }
 
-// TestNonFaultPanicIsStillABug checks programming-error panics are not
-// swallowed by the tolerant runner.
+// TestNonFaultPanicIsStillABug: a rank's own panic is re-raised as the
+// root cause, ahead of the peer loss it caused on a lower rank: rank 0
+// waits on rank 1's broadcast, rank 1 panics instead of sending, and Run
+// names rank 1 and its message, not rank 0's lost peer.
 func TestNonFaultPanicIsStillABug(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("expected the bug panic to propagate")
-		}
-		if !strings.Contains(fmt.Sprint(p), "boom") {
-			t.Fatalf("panic %q lost the original message", p)
-		}
-	}()
-	RunTolerant(2, nil, func(c *Comm) {
+	p := runRaised(t, 2, 5*time.Second, func(c *Comm) {
 		if c.Rank() == 1 {
 			panic("boom")
 		}
+		Bcast(c, 1, 100, make([]float64, 4))
 	})
+	if p == nil {
+		t.Fatal("expected the bug panic to propagate")
+	}
+	if want := "mpi: rank 1 panicked: boom"; fmt.Sprint(p) != want {
+		t.Fatalf("panic %q, want %q (the original message, on its rank)", p, want)
+	}
 }
 
 // TestPlainPanicUnblocksEveryCollective: a rank that dies of a plain Go
-// panic - no injected fault, nothing armed - while its peers enter a
-// collective still closes its mailboxes, so the peers unblock and
-// RunTolerant re-raises the panic promptly instead of hanging the run.
-// Every victim rank of a 3-rank world, every collective class.
+// panic while its peers enter a collective still closes its mailboxes,
+// so the peers unblock and Run re-raises the panic promptly instead of
+// hanging the run. Every victim rank of a 3-rank world, every collective
+// class.
 func TestPlainPanicUnblocksEveryCollective(t *testing.T) {
 	const size = 3
 	for _, tc := range collectives(size) {
 		for victim := 0; victim < size; victim++ {
 			t.Run(fmt.Sprintf("%s/rank%d", tc.name, victim), func(t *testing.T) {
-				raised := make(chan any, 1)
-				go func() {
-					defer func() { raised <- recover() }()
-					RunTolerant(size, nil, func(c *Comm) {
-						if c.Rank() == victim {
-							panic("plain bug")
-						}
-						tc.body(c)
-					})
-				}()
-				select {
-				case p := <-raised:
-					want := fmt.Sprintf("mpi: rank %d panicked: plain bug", victim)
-					if fmt.Sprint(p) != want {
-						t.Fatalf("RunTolerant raised %v, want %q", p, want)
+				p := runRaised(t, size, 2*time.Second, func(c *Comm) {
+					if c.Rank() == victim {
+						panic("plain bug")
 					}
-				case <-time.After(2 * time.Second):
-					t.Fatalf("RunTolerant had not returned after 2 s: the peers of the panicked rank %d hang", victim)
+					tc.body(c)
+				})
+				want := fmt.Sprintf("mpi: rank %d panicked: plain bug", victim)
+				if fmt.Sprint(p) != want {
+					t.Fatalf("Run raised %v, want %q", p, want)
 				}
 			})
 		}
@@ -199,15 +164,21 @@ func TestPlainPanicUnblocksEveryCollective(t *testing.T) {
 // loses none of the messages it sent before exiting. Rank 1 sends on two
 // tags and returns; only then does rank 0 receive, and it gets both. A
 // third receive, on a tag rank 1 never sent, raises a PeerLostError
-// naming rank 1; without it, nobody fails.
+// naming rank 1, which Run re-raises; without it, the run is clean.
 func TestExitedPeerDeliversWhatItSent(t *testing.T) {
 	for _, third := range []bool{false, true} {
-		_, fail := RunTolerant(2, nil, func(c *Comm) {
+		var lost any
+		p := runRaised(t, 2, 5*time.Second, func(c *Comm) {
 			if c.Rank() == 1 {
 				deliver(c, 0, 10, []float64{1}, ClassBcast)
 				deliver(c, 0, 11, []float64{2}, ClassBcast)
 				return
 			}
+			defer func() {
+				if lost = recover(); lost != nil {
+					panic(lost)
+				}
+			}()
 			b := c.w.boxes[1][0]
 			b.mu.Lock()
 			for !b.closed {
@@ -224,34 +195,29 @@ func TestExitedPeerDeliversWhatItSent(t *testing.T) {
 			}
 		})
 		if !third {
-			if fail != nil {
-				t.Errorf("a sender that returned after sending everything failed the run: %v", fail)
+			if p != nil {
+				t.Errorf("a sender that returned after sending everything failed the run: %v", p)
 			}
 			continue
 		}
-		if fail == nil || len(fail.Crashed) != 0 || fmt.Sprint(fail.PeerLost) != "[0]" {
-			t.Fatalf("failure %+v, want rank 0 peer-lost and no crash", fail)
+		pl, ok := lost.(*PeerLostError)
+		if !ok || pl.Rank != 0 || pl.Peer != 1 {
+			t.Fatalf("rank 0 raised %v, want a *PeerLostError naming rank 1", lost)
 		}
-		var pl *PeerLostError
-		if !errors.As(fail.Errs[0], &pl) || pl.Rank != 0 || pl.Peer != 1 {
-			t.Fatalf("rank 0 error %v, want a *PeerLostError naming rank 1", fail.Errs[0])
+		if want := "mpi: rank 0 panicked: " + pl.Error(); fmt.Sprint(p) != want {
+			t.Fatalf("Run raised %v, want %q", p, want)
 		}
 	}
 }
 
-// TestTolerantCleanRun checks a fault-free tolerant run - no crash list
-// or an empty one - returns nil Failure and full statistics.
+// TestTolerantCleanRun checks a fault-free run returns without a panic
+// and with full statistics.
 func TestTolerantCleanRun(t *testing.T) {
-	for _, crashes := range [][]CrashRankAt{nil, {}} {
-		st, fail := RunTolerant(3, crashes, func(c *Comm) {
-			AllreduceSum(c, 100, make([]float64, 8))
-			c.Barrier()
-		})
-		if fail != nil {
-			t.Fatalf("crashes %v: unexpected failure: %v", crashes, fail)
-		}
-		if st.Calls[ClassAllreduce] == 0 {
-			t.Fatalf("crashes %v: statistics missing from clean tolerant run", crashes)
-		}
+	st := Run(3, func(c *Comm) {
+		AllreduceSum(c, 100, make([]float64, 8))
+		c.Barrier()
+	})
+	if st.Calls[ClassAllreduce] == 0 {
+		t.Fatal("statistics missing from a clean run")
 	}
 }

@@ -16,10 +16,17 @@
 // Tag namespace: each (src, dst, tag) triple identifies a message stream;
 // AllreduceSum internally consumes tag and tag+1, and negative tags are
 // reserved (Barrier).
+//
+// Exit protocol: when a rank goroutine exits, by return or by panic, Run
+// closes its outgoing mailboxes. A peer waiting on it for a message it
+// never sent raises a *PeerLostError and exits in turn, so every wait
+// chain that ends at an exited rank unwinds at once, and Run re-raises the
+// root cause instead of hanging.
 package mpi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -185,13 +192,6 @@ type world struct {
 	calls [numClasses]atomic.Int64
 	sent  [][numClasses]atomic.Int64 // per source rank
 	recv  [][numClasses]atomic.Int64 // per destination rank
-
-	// Hard-fault state (see fault.go): the scheduled crashes, per-rank
-	// metered-operation counters for AfterCalls crashes, and the crash
-	// ledger.
-	crashes []CrashRankAt
-	opCalls []atomic.Int64
-	failed  []atomic.Pointer[RankFailure]
 }
 
 // Comm is one rank's handle on the communicator. It is safe for concurrent
@@ -221,15 +221,86 @@ func (c *Comm) SetTrace(t *trace.Track) { c.tr = t }
 func (c *Comm) Trace() *trace.Track { return c.tr }
 
 // Run executes f on size ranks (one goroutine each) and returns the
-// accumulated communication statistics. It panics if any rank panics,
-// re-raising the first failure; use RunTolerant with scheduled crashes
-// to observe injected faults as a value instead.
+// accumulated communication statistics. A rank that exits, by return or
+// by panic, closes its outgoing mailboxes, so its peers never hang on it.
+// Once every rank has exited, Run re-raises the root cause with rank
+// attribution: the first panic in rank order that is not a peer loss, or
+// else the first *PeerLostError (a rank that returned without sending
+// what a peer waited for).
 func Run(size int, f func(c *Comm)) *Stats {
-	st, fail := RunTolerant(size, nil, f)
-	if fail != nil {
-		panic("mpi: run failed: " + fail.Error())
+	if size < 1 {
+		panic("mpi: communicator size must be >= 1")
+	}
+	w := newWorld(size)
+	var wg sync.WaitGroup
+	panics := make([]any, size)
+	for r := 0; r < size; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			defer func() {
+				panics[rank] = recover()
+				for _, b := range w.boxes[rank] {
+					b.close()
+				}
+			}()
+			f(&Comm{rank: rank, w: w})
+		}(r)
+	}
+	wg.Wait()
+	cause := -1
+	for r, pv := range panics {
+		if pv == nil {
+			continue
+		}
+		if _, lost := pv.(*PeerLostError); !lost {
+			cause = r
+			break
+		}
+		if cause < 0 {
+			cause = r
+		}
+	}
+	if cause >= 0 {
+		panic(fmt.Sprintf("mpi: rank %d panicked: %v", cause, panics[cause]))
+	}
+	st := &Stats{
+		sent: make([][numClasses]int64, size),
+		recv: make([][numClasses]int64, size),
+	}
+	for i := 0; i < int(numClasses); i++ {
+		st.Bytes[i] = w.bytes[i].Load()
+		st.Calls[i] = w.calls[i].Load()
+		for r := 0; r < size; r++ {
+			st.sent[r][i] = w.sent[r][i].Load()
+			st.recv[r][i] = w.recv[r][i].Load()
+		}
 	}
 	return st
+}
+
+// ErrPeerLost is the sentinel matched by errors.Is for peer-loss
+// detection failures.
+var ErrPeerLost = errors.New("mpi: peer lost")
+
+// PeerLostError is the panic value raised by a receive (Barrier's
+// included) whose peer exited - returned or panicked - without sending
+// the message it waits for. It wraps ErrPeerLost.
+type PeerLostError struct {
+	Rank int    // the detecting rank
+	Peer int    // the exited peer it was waiting on
+	Op   string // the operation that can no longer complete
+}
+
+func (e *PeerLostError) Error() string {
+	return fmt.Sprintf("mpi: rank %d lost rank %d (it exited before answering %s)", e.Rank, e.Peer, e.Op)
+}
+
+func (e *PeerLostError) Unwrap() error { return ErrPeerLost }
+
+// lostPeer raises the peer-loss panic for an operation whose peer exited.
+func (c *Comm) lostPeer(peer int, op string) {
+	panic(&PeerLostError{Rank: c.rank, Peer: peer, Op: op})
 }
 
 func elemSize[T Elem]() int64 {
@@ -249,10 +320,7 @@ func elemSize[T Elem]() int64 {
 // accountTransfer meters one operation shipping `bytes` from this rank to
 // rank `to`: globally, on the sender side, and on the receiver side (the
 // per-rank ledgers the Stats conservation invariants are checked against).
-// It is the single funnel every metered operation passes through, so it
-// is also where AfterCalls crashes fire - before the payload moves.
 func (c *Comm) accountTransfer(to int, class OpClass, bytes int64) {
-	c.maybeCrashOnCall()
 	c.w.bytes[class].Add(bytes)
 	c.w.calls[class].Add(1)
 	c.w.sent[c.rank][class].Add(bytes)
@@ -408,11 +476,9 @@ func Allgatherv[T Elem](c *Comm, tag int, data []T) [][]T {
 // newWorld allocates the shared state for a communicator of the given size.
 func newWorld(size int) *world {
 	w := &world{
-		size:    size,
-		sent:    make([][numClasses]atomic.Int64, size),
-		recv:    make([][numClasses]atomic.Int64, size),
-		opCalls: make([]atomic.Int64, size),
-		failed:  make([]atomic.Pointer[RankFailure], size),
+		size: size,
+		sent: make([][numClasses]atomic.Int64, size),
+		recv: make([][numClasses]atomic.Int64, size),
 	}
 	w.boxes = make([][]*pairBox, size)
 	for s := 0; s < size; s++ {

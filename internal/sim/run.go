@@ -10,14 +10,12 @@
 // returns), per-step observable emission, periodic rolling checkpoints,
 // and the gather of the restartable state a resumed segment starts from.
 //
-// Who retries what: the loop itself never retries. propagate launches the
-// world under mpi.RunTolerant and, when ranks are lost (an *mpi.Failure:
-// injected crashes and the peers left waiting on them), reloads the newest
-// rolling checkpoint and relaunches the same loop, up to maxRestarts times.
-// Application errors (SCF divergence, an RK4 blow-up, a failed save) are
-// rank-symmetric - a relaunch would fail identically - and end the run at
-// once. Preemption and daemon restarts are retried one level up, by the job
-// server, through Options.Resume.
+// Nothing here retries. propagate launches the world once under mpi.Run;
+// application errors (SCF divergence, an RK4 blow-up, a failed save) are
+// rank-symmetric and end the run, and a rank panic is re-raised as the bug
+// it is. Interruptions are resumed by the drivers from the rolling
+// checkpoints, through Options.Resume: ptdft -load, and the job server's
+// preemption, drain and restart adoption.
 package sim
 
 import (
@@ -84,13 +82,8 @@ type Options struct {
 	// PulseSteps, when set, must equal Spec.ElectronicSteps, the length
 	// the 380nm pulse envelope is shaped from; Run rejects any other value.
 	PulseSteps int
-	// Crashes, when set, returns the rank crashes injected into the world
-	// of launch `attempt`; attempt 0 is the first launch, each recovery
-	// relaunch asks again. Set by the fault experiments and tests, nil in
-	// production. A one-rank run has a world too.
-	Crashes func(attempt int) []mpi.CrashRankAt
 	// Logf receives progress notices (system, ground state, cadence,
-	// communication volume, recovery); nil silences them.
+	// communication volume); nil silences them.
 	Logf func(format string, args ...any)
 }
 
@@ -127,13 +120,6 @@ type Result struct {
 	EhrenfestDrift float64           // max |E_tot - E_0| over the segment (MD only)
 	Final          *checkpoint.State // the assembled restartable state
 
-	// Rank-failure recovery: world relaunches performed,
-	// completed steps re-run because they postdated the recovery point, and
-	// one line per failed launch naming the lost ranks.
-	Restarts  int
-	LostSteps int
-	Failures  []string
-
 	// Observability aggregates (zero/nil unless Options.Trace was set;
 	// Comm is set on every run that propagates, a one-rank world included):
 	// cumulative busy seconds summed over rank timelines, total bytes moved
@@ -148,25 +134,14 @@ type Result struct {
 // runner bundles the derived state of one Run that the ranks' loops
 // share.
 type runner struct {
-	spec   *Spec
-	opt    *Options
-	g      *grid.Grid
-	nb     int
-	natom  int64
-	field  laser.Field
-	dt     float64
-	t0     float64
-	loaded *checkpoint.State
-	psiGS  []complex128 // ground-state reference for excited-electron counts
-	psi0   []complex128 // starting orbitals of this launch
-
-	// loaded, psi0 and t0 are where the current launch starts: the segment
-	// start, or after a rank failure the recovered checkpoint. The segment
-	// itself is fixed, in cumulative loop steps (ion steps under MD):
-	// [start, target], with the hooks fired up to `emitted` and the
-	// Ehrenfest drift measured against e0, the conserved total at start.
-	start, target, emitted int
-	e0                     float64
+	spec  *Spec
+	opt   *Options
+	g     *grid.Grid
+	nb    int
+	natom int64
+	field laser.Field
+	dt    float64
+	psiGS []complex128 // ground-state reference for excited-electron counts
 
 	res *Result // filled by the root's loop: Samples, Final, EhrenfestDrift
 }
@@ -230,18 +205,10 @@ func Run(spec *Spec, opt Options) (*Result, error) {
 	case spec.Kick != 0:
 		opt.logf("field: delta kick A=%.4g au along z", spec.Kick)
 	}
-	psi0, t0 := gs.Psi, 0.0
-	if opt.Resume != nil {
-		psi0, t0 = opt.Resume.Psi, opt.Resume.Time
-	}
-
 	r := &runner{
 		spec: spec, opt: &opt, g: g, nb: nb, natom: int64(cell.NumAtoms()),
-		field: field, dt: units.AttosecondsToAU(spec.DtAs), t0: t0,
-		loaded: opt.Resume, psiGS: gs.Psi, psi0: psi0, res: res,
+		field: field, dt: units.AttosecondsToAU(spec.DtAs), psiGS: gs.Psi, res: res,
 	}
-	r.start = r.baseStep()
-	r.target, r.emitted = spec.TotalSteps(), r.start
 	if err := r.propagate(cell); err != nil {
 		return nil, err
 	}
@@ -313,12 +280,8 @@ func GroundState(spec *Spec) (*scf.Result, error) {
 	return scf.GroundState(g, h, nb, o)
 }
 
-// maxRestarts is the rank-failure retry budget of one Run.
-const maxRestarts = 3
-
 // propagate runs the loop on every rank of a goroutine-MPI world of
-// max(Ranks, 1) ranks, relaunching that world from the newest checkpoint
-// when it loses ranks.
+// max(Ranks, 1) ranks.
 func (r *runner) propagate(cell *lattice.Cell) error {
 	spec, opt := r.spec, r.opt
 	op := "none (semi-local)"
@@ -330,78 +293,23 @@ func (r *runner) propagate(cell *lattice.Cell) error {
 	}
 	ranks := max(spec.Ranks, 1)
 	opt.logf("distributed: %d ranks, operator %s", ranks, op)
-	var stats *mpi.Stats
-	for attempt := 0; ; attempt++ {
-		var crashes []mpi.CrashRankAt
-		if opt.Crashes != nil {
-			crashes = opt.Crashes(attempt)
+	// Every error a rank's loop returns is rank-symmetric (the same inputs,
+	// a global convergence or blow-up criterion, a voted shutdown), so all
+	// ranks leave together and the root's error is the run's error.
+	var rootErr error
+	stats := mpi.Run(ranks, func(c *mpi.Comm) {
+		err := r.loop(c, cell)
+		if c.Rank() == 0 {
+			rootErr = err
 		}
-		// Every error a rank's loop returns is rank-symmetric (the same
-		// inputs, a global convergence or blow-up criterion, a voted
-		// shutdown), so all ranks leave together and the root's error is the
-		// run's error. Lost ranks surface as the Failure instead, once every
-		// survivor has unblocked.
-		var rootErr error
-		var fail *mpi.Failure
-		stats, fail = mpi.RunTolerant(ranks, crashes, func(c *mpi.Comm) {
-			err := r.loop(c, cell)
-			if c.Rank() == 0 {
-				rootErr = err
-			}
-		})
-		r.res.Comm = stats
-		if rootErr != nil {
-			return rootErr
-		}
-		if fail == nil {
-			break
-		}
-		if err := r.recoverFrom(fail); err != nil {
-			return err
-		}
+	})
+	r.res.Comm = stats
+	if rootErr != nil {
+		return rootErr
 	}
 	mb := func(class mpi.OpClass) float64 { return float64(stats.BytesFor(class)) / 1e6 }
 	opt.logf("communication volume: Bcast %.1f MB, Alltoallv %.1f MB, Allreduce %.1f MB, AllGatherv %.1f MB",
 		mb(mpi.ClassBcast), mb(mpi.ClassAlltoallv), mb(mpi.ClassAllreduce), mb(mpi.ClassAllgatherv))
-	return nil
-}
-
-// recoverFrom charges one failed launch to the retry budget and moves the
-// runner to where the next launch starts: the newest loadable rolling
-// checkpoint, or - none written yet, or no Ckpt - the failed launch's own
-// start. The samples past that point are dropped (the relaunch records
-// them again) and counted as lost steps.
-func (r *runner) recoverFrom(fail *mpi.Failure) error {
-	spec, opt, res := r.spec, r.opt, r.res
-	res.Failures = append(res.Failures, fail.Error())
-	if res.Restarts == maxRestarts {
-		return fmt.Errorf("sim: giving up after %d restarts; last failure: %w", maxRestarts, fail)
-	}
-	res.Restarts++
-	opt.logf("recovery: launch failed (%v); restart %d/%d", fail, res.Restarts, maxRestarts)
-	if opt.Ckpt != nil {
-		st, file, err := opt.Ckpt.Latest()
-		if err != nil {
-			opt.logf("recovery: %v; replaying from step %d", err, r.baseStep())
-		} else {
-			if err := st.Compatible(r.nb, r.g.NG, r.natom, spec.Ecut, spec.Hybrid, spec.MTS, spec.MD); err != nil {
-				return fmt.Errorf("sim: last good checkpoint %s unusable: %w", file, err)
-			}
-			lo := checkpoint.ContinuationStep(r.loaded, 0)
-			hi := lo + int64((r.target-r.baseStep())*r.substeps())
-			if st.Step < lo || st.Step > hi {
-				return fmt.Errorf("sim: last good checkpoint %s at step %d outside segment [%d, %d]", file, st.Step, lo, hi)
-			}
-			r.loaded, r.psi0, r.t0 = st, st.Psi, st.Time
-			opt.logf("recovery: relaunching from %s (step %d)", file, st.Step)
-		}
-	}
-	keep := len(res.Samples)
-	for keep > 0 && res.Samples[keep-1].Step > r.baseStep() {
-		keep--
-	}
-	res.LostSteps += len(res.Samples) - keep
-	res.Samples = res.Samples[:keep]
 	return nil
 }
 
@@ -434,23 +342,26 @@ func (r *runner) electrons(c *mpi.Comm, cell *lattice.Cell) (*ion.DistElectrons,
 		ACE:       spec.ACE,
 		MTSPeriod: spec.MTS,
 	})
-	s.Time = r.t0
+	psi0, resume := r.psiGS, r.opt.Resume
+	if resume != nil {
+		psi0, s.Time = resume.Psi, resume.Time
+	}
 	lo, hi := d.BandRange(c.Rank())
 	ng := g.NG
-	de := &ion.DistElectrons{S: s, Local: wavefunc.Clone(r.psi0[lo*ng : hi*ng]), Pots: spec.Pots()}
+	de := &ion.DistElectrons{S: s, Local: wavefunc.Clone(psi0[lo*ng : hi*ng]), Pots: spec.Pots()}
 	if spec.Method == "rk4" {
 		de.Step = s.StepRK4
 	}
-	if r.loaded != nil {
+	if resume != nil {
 		// Land on the saved step, and so on its cycle phase and RK4's
 		// re-orthonormalization cadence; mid-cycle the frozen exchange
 		// reference of the last outer step is restored (and the compressed
 		// operator reconstructed from it, collectively).
 		var ref []complex128
-		if r.loaded.PhiRef != nil {
-			ref = r.loaded.PhiRef[lo*ng : hi*ng]
+		if resume.PhiRef != nil {
+			ref = resume.PhiRef[lo*ng : hi*ng]
 		}
-		if err := s.ResumeMTS(int(r.loaded.Step), ref); err != nil {
+		if err := s.ResumeMTS(int(resume.Step), ref); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -462,14 +373,8 @@ func (r *runner) electrons(c *mpi.Comm, cell *lattice.Cell) (*ion.DistElectrons,
 // state. One pass is one electronic step, or under MD one velocity-Verlet
 // ion step of K electronic steps at the midpoint geometry, recording the
 // conserved total (electronic + ion kinetic + ion-ion) as the energy. The
-// root fills r.res.
-//
-// The loop runs from this launch's start (r.loaded) to the segment's
-// cumulative target. What a relaunch after a rank failure must not shift
-// is anchored to the segment start instead: the checkpoint cadence, the
-// drift baseline, the step numbers the hooks and errors report - and the
-// hooks fire only above the high-water mark, so a live feed never sees a
-// replayed step twice.
+// root fills r.res. The segment runs from the resumed checkpoint (or the
+// ground state) to the spec's TotalSteps.
 func (r *runner) loop(c *mpi.Comm, cell *lattice.Cell) error {
 	spec, opt := r.spec, r.opt
 	de, cell, err := r.electrons(c, cell)
@@ -477,53 +382,49 @@ func (r *runner) loop(c *mpi.Comm, cell *lattice.Cell) error {
 		return err
 	}
 	s, root, tr := de.S, c.Rank() == 0, c.Trace()
-	k := r.substeps()
-	base := r.baseStep()
-	at := base // cumulative loop steps completed; at-r.start of them in this segment
+	k, resume := r.substeps(), opt.Resume
+	base := spec.Progress(resume) // loop steps completed before this segment
+	n := spec.TotalSteps() - base // loop steps of this segment
+	done := 0                     // loop steps completed in this segment
 	total := de.ElectronicEnergy
+	var e0 float64
 	var v *ion.Verlet
 	if spec.MD {
 		if v, err = ion.NewVerlet(cell, de, units.AttosecondsToAU(spec.IonDtAs), k); err != nil {
 			return err
 		}
-		if r.loaded != nil && r.loaded.HasIons() {
-			if err := v.Resume(r.loaded.IonPos, r.loaded.IonVel, r.loaded.IonForce, int(r.loaded.IonSteps)); err != nil {
+		if resume != nil && resume.HasIons() {
+			if err := v.Resume(resume.IonPos, resume.IonVel, resume.IonForce, int(resume.IonSteps)); err != nil {
 				return err
 			}
 		}
 		// The drift baseline is the conserved total BEFORE any ion step: the
 		// first step is the largest for a released atom and must not hide its
-		// own error. (This also fills the initial force cache.) A relaunch
-		// from a later checkpoint keeps the baseline of the segment start.
-		e0, err := v.TotalEnergy()
-		if err != nil {
+		// own error. (This also fills the initial force cache.)
+		if e0, err = v.TotalEnergy(); err != nil {
 			return err
-		}
-		if root && base == r.start {
-			r.e0 = e0
 		}
 		total = v.TotalEnergy
 	}
 	// state assembles the restartable state after the steps completed so
 	// far. The step counters are cumulative provenance: a resumed segment
-	// saves loaded.Step + its own steps, so a trajectory split across
+	// saves resume.Step + its own steps, so a trajectory split across
 	// segments reports the true global step on every file. The MTS phase is
 	// rank-symmetric, so gathering the frozen reference only mid-cycle is a
 	// collective-safe branch; Gather returns a fresh array on every rank.
 	state := func() *checkpoint.State {
-		done := at - base
 		psi, phase := s.D.Gather(de.Local), s.MTSPhase()
 		var ref []complex128
 		if phase != 0 {
 			ref = s.D.Gather(s.MTSRef())
 		}
 		st := &checkpoint.State{
-			Time: s.Time, Step: checkpoint.ContinuationStep(r.loaded, done*k), NBands: r.nb, NG: r.g.NG,
+			Time: s.Time, Step: checkpoint.ContinuationStep(resume, done*k), NBands: r.nb, NG: r.g.NG,
 			Natom: r.natom, Ecut: spec.Ecut, Hybrid: spec.Hybrid, Psi: psi,
 			MTSPeriod: int64(spec.MTS), MTSPhase: int64(phase), PhiRef: ref,
 		}
 		if v != nil {
-			st.IonSteps = checkpoint.ContinuationIonSteps(r.loaded, done)
+			st.IonSteps = checkpoint.ContinuationIonSteps(resume, done)
 			st.IonPos = v.Cell.Positions()
 			st.IonVel = append([][3]float64(nil), v.Vel...)
 			st.IonForce = append([][3]float64(nil), v.F...)
@@ -532,22 +433,21 @@ func (r *runner) loop(c *mpi.Comm, cell *lattice.Cell) error {
 	}
 
 	var saveErr error
-	for at < r.target {
-		c.StepReached(int64(at))
+	for done < n {
 		// The wall clock covers the step only, not the observables after it.
 		start := time.Now()
 		de.SCF = 0
 		if v != nil {
 			ionRef := tr.Begin("ion_step", "step")
 			err = v.Step()
-			tr.EndN(ionRef, int64(at-r.start))
+			tr.EndN(ionRef, int64(done))
 		} else {
 			err = de.StepElectrons(r.dt)
 		}
 		if err != nil {
 			// A convergence failure or an RK4 blow-up is decided on the
 			// global density, so every rank returns here together.
-			return fmt.Errorf("step %d: %w", at-r.start, err)
+			return fmt.Errorf("step %d: %w", done, err)
 		}
 		wall := time.Since(start).Seconds()
 		obsRef := tr.Begin("observe", "observe")
@@ -558,10 +458,10 @@ func (r *runner) loop(c *mpi.Comm, cell *lattice.Cell) error {
 		}
 		jz, nexc := s.Current(de.Local)[2], s.ExcitedElectrons(r.psiGS, de.Local)
 		tr.End(obsRef)
-		at++
+		done++
 		if root {
 			smp := observe.Sample{
-				Step:     at,
+				Step:     base + done,
 				TimeFs:   s.Time * units.FemtosecondPerAU,
 				Energy:   energy,
 				CurrentZ: jz,
@@ -571,28 +471,25 @@ func (r *runner) loop(c *mpi.Comm, cell *lattice.Cell) error {
 			}
 			r.res.Samples = append(r.res.Samples, smp)
 			if v != nil {
-				r.res.EhrenfestDrift = math.Max(r.res.EhrenfestDrift, math.Abs(energy-r.e0))
+				r.res.EhrenfestDrift = math.Max(r.res.EhrenfestDrift, math.Abs(energy-e0))
 			}
-			if at > r.emitted {
-				r.emitted = at
-				if opt.OnSample != nil {
-					opt.OnSample(smp)
-				}
-				if opt.AfterStep != nil {
-					opt.AfterStep(at - r.start)
-				}
+			if opt.OnSample != nil {
+				opt.OnSample(smp)
+			}
+			if opt.AfterStep != nil {
+				opt.AfterStep(done)
 			}
 		}
 		// Periodic durable checkpoint: the cadence test is on the shared
 		// step counter, so every rank enters the gathers together. A failed
-		// save must not abort inside a collective (the other ranks would
-		// hang); the root records it and raises it in the vote below.
-		if opt.Ckpt != nil && opt.CkptEvery > 0 && (at-r.start)%opt.CkptEvery == 0 && at < r.target {
+		// save must not end the root's loop alone (its peers would fail on
+		// the lost rank); the root records it and raises it in the vote below.
+		if opt.Ckpt != nil && opt.CkptEvery > 0 && done%opt.CkptEvery == 0 && done < n {
 			ckRef := tr.Begin("checkpoint", "io")
 			st := state()
 			if root {
 				if err := opt.Ckpt.Save(st); err != nil {
-					saveErr = fmt.Errorf("periodic checkpoint after step %d: %w", at-r.start, err)
+					saveErr = fmt.Errorf("periodic checkpoint after step %d: %w", done, err)
 				}
 			}
 			tr.End(ckRef)
@@ -622,7 +519,3 @@ func (r *runner) substeps() int {
 	}
 	return 1
 }
-
-// baseStep returns the cumulative step this launch starts at (loop
-// steps: ion steps under MD, electronic steps otherwise).
-func (r *runner) baseStep() int { return r.spec.Progress(r.loaded) }

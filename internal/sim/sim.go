@@ -9,14 +9,12 @@
 // state. cmd/ptdft's CLI is a thin flag front-end over this package; the
 // server multiplexes many Specs over a worker pool.
 //
-// Retries live at two levels and nowhere else. Run retries lost ranks: a
-// world that goes down with an *mpi.Failure is relaunched from
-// the newest rolling checkpoint (or replayed from its own start), up to a
-// constant budget, and the caller sees one uninterrupted sample feed plus
-// Result.Restarts/LostSteps/Failures. The job server retries whole
-// segments: preemption, drain and daemon restarts resume a job through
-// Options.Resume. Application errors - an invalid spec, SCF divergence, a
-// checkpoint that cannot be written - are never retried by either.
+// Retries live at one level: the drivers resume whole segments from the
+// rolling checkpoints through Options.Resume (ptdft -load; the job
+// server's preemption, drain and daemon-restart adoption). Run launches its
+// world once and never retries; application errors - an invalid spec, SCF
+// divergence, a checkpoint that cannot be written - are returned, and a
+// rank panic is re-raised by mpi.Run.
 package sim
 
 import (

@@ -596,7 +596,10 @@ func TestRunMDPulse(t *testing.T) {
 // trajectory length. A checkpoint at the end returns as it stands, without
 // a ground state; one past the end is an error naming both step counts;
 // and Options.PulseSteps may only restate the length the envelope is
-// shaped from.
+// shaped from. A segment resumed mid-trajectory counts from its own start:
+// OnSample sees the trajectory's step numbers once each, AfterStep the
+// segment's, and the checkpoint cadence leaves the files of the steps it
+// completed plus the final one.
 func TestRunResumeBounds(t *testing.T) {
 	spec := testSpec()
 	spec.Steps = 2
@@ -621,6 +624,39 @@ func TestRunResumeBounds(t *testing.T) {
 	}
 	if _, err := Run(&spec, Options{Ground: res.Ground, PulseSteps: 2}); err != nil {
 		t.Errorf("PulseSteps equal to the trajectory's length rejected: %v", err)
+	}
+
+	long := spec
+	long.Steps = 7
+	roll := &checkpoint.Rolling{Base: filepath.Join(t.TempDir(), "ck"), Keep: long.Steps}
+	var streamed, after []int
+	seg, err := Run(&long, Options{
+		Ground: res.Ground, Resume: res.Final, Ckpt: roll, CkptEvery: 3,
+		OnSample:  func(s observe.Sample) { streamed = append(streamed, s.Step) },
+		AfterStep: func(done int) { after = append(after, done) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{3, 4, 5, 6, 7}; !reflect.DeepEqual(streamed, want) {
+		t.Errorf("streamed steps %v, want %v", streamed, want)
+	}
+	if want := []int{1, 2, 3, 4, 5}; !reflect.DeepEqual(after, want) {
+		t.Errorf("AfterStep calls %v, want %v", after, want)
+	}
+	matches, err := filepath.Glob(roll.Base + ".step*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, m := range matches {
+		files = append(files, filepath.Base(m))
+	}
+	if want := []string{"ck.step0000000005", "ck.step0000000007"}; !reflect.DeepEqual(files, want) {
+		t.Errorf("the resumed segment's rolling checkpoint files %v, want %v", files, want)
+	}
+	if last, _, err := roll.Latest(); err != nil || last.Step != seg.Final.Step {
+		t.Errorf("newest checkpoint %v (%v), want step %d", last, err, seg.Final.Step)
 	}
 }
 

@@ -151,7 +151,7 @@ func (r *Recorder) now() int64 { return time.Since(r.t0).Nanoseconds() }
 
 // Track returns the timeline with the given id, creating it (with the
 // given label) on first use. Repeat calls with one id return the same
-// track, so a relaunched world (fault recovery) keeps appending to its
+// track, so successive worlds recorded on one recorder append to their
 // rank's timeline. Returns nil on a nil recorder.
 func (r *Recorder) Track(id int, label string) *Track {
 	if r == nil {

@@ -61,8 +61,9 @@ for d in examples/*/; do
 	fi
 done
 # Every word of a go test -run pattern in the CI workflow names a test a
-# _test.go file declares, as a prefix (TestCrash covers TestCrashAfterCalls),
-# so a renamed or deleted test cannot leave a CI step selecting nothing.
+# _test.go file declares, as a prefix (TestExitedPeer covers
+# TestExitedPeerTripsEveryCollective), so a renamed or deleted test cannot
+# leave a CI step selecting nothing.
 for word in $(grep -o "\-run '[^']*'" .github/workflows/ci.yml | sed "s/^-run '//; s/'\$//" | tr -c 'A-Za-z0-9_\n' ' '); do
 	if ! git grep -q "^func $word" -- '*_test.go'; then
 		echo "docs-lint: .github/workflows/ci.yml: -run word $word names no test in a _test.go file" >&2
