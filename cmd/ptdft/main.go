@@ -8,8 +8,8 @@
 //	ptdft -ranks 4 -method ptcn -steps 5
 //	ptdft -hybrid -ace -mts 4 -ranks 4 -steps 8   # exchange refreshed every 4th step
 //	ptdft -md -displace 0:0.2,0,0 -ionsteps 20 -iondt 96 -dt 24 -kick 0   # Ehrenfest MD
-//	ptdft -steps 100 -save traj.ckp -ckptevery 10   # durable rolling checkpoints; SIGINT checkpoints and exits
-//	ptdft -steps 100 -load traj.ckp -save traj.ckp   # resume: -steps is still the whole trajectory
+//	ptdft -steps 100 -save traj.ckp -ckptevery 10   # durable checkpoints traj.ckp.step*; SIGINT checkpoints and exits
+//	ptdft -steps 100 -load traj.ckp -save traj.ckp   # resume from the newest good one: -steps is still the whole trajectory
 //
 // Output: one line per step (time, energy, current, excited carriers, SCF
 // count) plus a trace breakdown, and optionally a CSV file for plotting.
@@ -79,9 +79,9 @@ func parseFlags() (*config, error) {
 	flag.Int64Var(&s.Seed, "seed", 1234, "ground-state starting guess seed")
 	flag.StringVar(&c.csvPath, "csv", "", "write per-step observables to this CSV file")
 	flag.BoolVar(&c.quiet, "q", false, "suppress per-step output")
-	flag.StringVar(&c.savePath, "save", "", "write a restart checkpoint here after the last step")
-	flag.StringVar(&c.loadPath, "load", "", "resume from a checkpoint instead of the ground state, up to -steps (-ionsteps with -md)")
-	flag.IntVar(&c.ckptEvery, "ckptevery", 0, "write a durable rolling checkpoint every N steps (ion steps with -md) to the -save path; 0 = final save only")
+	flag.StringVar(&c.savePath, "save", "", "write durable restart checkpoints P.step<N> for the path P after the last step (and every -ckptevery steps)")
+	flag.StringVar(&c.loadPath, "load", "", "resume from the newest good checkpoint P.step<N> (or the file P) instead of the ground state, up to -steps (-ionsteps with -md)")
+	flag.IntVar(&c.ckptEvery, "ckptevery", 0, "also checkpoint every N steps (ion steps with -md) to the -save path; 0 = final save only")
 	flag.BoolVar(&s.MD, "md", false, "Ehrenfest ion dynamics: velocity-Verlet ions coupled to PT-CN electrons (Hellmann-Feynman forces)")
 	flag.IntVar(&s.IonSteps, "ionsteps", 10, "trajectory length in ion MD steps (with -md; replaces -steps); a -load resume continues up to it")
 	flag.Float64Var(&s.IonDtAs, "iondt", 96, "ion time step in attoseconds (with -md); must be an integer multiple of -dt")
@@ -154,21 +154,23 @@ func run(cfg *config) error {
 
 	var loaded *checkpoint.State
 	if cfg.loadPath != "" {
-		st, err := checkpoint.LoadFile(cfg.loadPath)
+		st, path, err := (&checkpoint.Rolling{Base: cfg.loadPath}).Latest()
 		if err != nil {
 			return err
 		}
 		loaded = st
-		fmt.Printf("loaded checkpoint %s\n", cfg.loadPath)
+		fmt.Printf("loaded checkpoint %s\n", path)
 	}
 	var roll *checkpoint.Rolling
-	if cfg.ckptEvery > 0 {
+	if cfg.savePath != "" {
 		roll = &checkpoint.Rolling{Base: cfg.savePath}
+	}
+	if cfg.ckptEvery > 0 {
 		unit := "steps"
 		if spec.MD {
 			unit = "ion steps"
 		}
-		fmt.Printf("durable checkpoints: every %d %s to %s (rolling, last-good link)\n", cfg.ckptEvery, unit, cfg.savePath)
+		fmt.Printf("durable checkpoints: every %d %s to %s.step*\n", cfg.ckptEvery, unit, cfg.savePath)
 	}
 
 	stepLabel := "propagation step"
@@ -182,7 +184,6 @@ func run(cfg *config) error {
 		Resume:    loaded,
 		Ckpt:      roll,
 		CkptEvery: cfg.ckptEvery,
-		SavePath:  cfg.savePath,
 		Logf: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},
@@ -205,7 +206,7 @@ func run(cfg *config) error {
 			res.Samples[len(res.Samples)-1].Step, spec.TotalSteps())
 	}
 	if cfg.savePath != "" {
-		fmt.Printf("checkpoint written to %s (step %d)\n", cfg.savePath, res.Final.Step)
+		fmt.Printf("checkpoint of step %d written under %s\n", res.Final.Step, cfg.savePath)
 	}
 	var stepWall float64
 	for _, s := range res.Samples {

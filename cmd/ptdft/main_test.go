@@ -28,9 +28,20 @@ func testConfig(t *testing.T) *config {
 	}
 }
 
+// latest loads the newest good checkpoint of the -save path's sequence,
+// as -load reads it.
+func latest(t *testing.T, save string) *checkpoint.State {
+	t.Helper()
+	st, _, err := (&checkpoint.Rolling{Base: save}).Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestCkptEveryWritesRollingSequence: -ckptevery N lands durable step
 // files on the cadence, the final state rides the same rolling sequence,
-// and the stable -save path resolves to the newest checkpoint.
+// and the -save path's sequence resolves to the newest checkpoint.
 func TestCkptEveryWritesRollingSequence(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.savePath = filepath.Join(t.TempDir(), "traj.ckp")
@@ -50,12 +61,9 @@ func TestCkptEveryWritesRollingSequence(t *testing.T) {
 			t.Errorf("step-%d file exists=%v, want %v", want.step, got, want.exists)
 		}
 	}
-	st, err := checkpoint.LoadFile(cfg.savePath)
-	if err != nil {
-		t.Fatalf("stable path does not load: %v", err)
-	}
+	st := latest(t, cfg.savePath)
 	if st.Step != 6 {
-		t.Errorf("stable path resolves to step %d, want 6", st.Step)
+		t.Errorf("the -save sequence resolves to step %d, want 6", st.Step)
 	}
 }
 
@@ -75,10 +83,7 @@ func TestStopWritesFinalCheckpoint(t *testing.T) {
 	if err := run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	st, err := checkpoint.LoadFile(cfg.savePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := latest(t, cfg.savePath)
 	if st.Step != 3 {
 		t.Errorf("checkpoint at step %d, want 3 (the completed steps)", st.Step)
 	}
@@ -105,10 +110,7 @@ func TestStopDistributedIsSymmetric(t *testing.T) {
 	if err := run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	st, err := checkpoint.LoadFile(cfg.savePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := latest(t, cfg.savePath)
 	if st.Step != 3 {
 		t.Errorf("checkpoint at step %d, want 3", st.Step)
 	}
@@ -146,14 +148,7 @@ func TestLoadContinuesToSteps(t *testing.T) {
 	if err := run(resumed); err != nil {
 		t.Fatal(err)
 	}
-	want, err := checkpoint.LoadFile(full.savePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := checkpoint.LoadFile(resumed.savePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, got := latest(t, full.savePath), latest(t, resumed.savePath)
 	if got.Step != 6 || got.Time != want.Time {
 		t.Errorf("resumed run ended at step %d, t = %g; the uninterrupted one at step 6, t = %g", got.Step, got.Time, want.Time)
 	}

@@ -369,14 +369,19 @@ func Load(r io.Reader) (*State, error) {
 	return s, nil
 }
 
-// SaveFile writes the state to path atomically AND durably: the payload
-// goes to a uniquely named temp file in the same directory (O_EXCL, so
-// concurrent writers never clobber each other), is fsynced before the
-// rename (so the rename can never install a file whose bytes are still in
-// the page cache when power is lost), and the directory is fsynced after
-// (so the new name itself survives a crash). The temp file is removed on
-// every error path.
+// SaveFile writes the state to path atomically and durably (WriteDurable).
 func SaveFile(path string, s *State) error {
+	return WriteDurable(path, func(w io.Writer) error { return Save(w, s) })
+}
+
+// WriteDurable writes a file atomically AND durably: write fills a
+// uniquely named temp file in path's directory (O_EXCL, so concurrent
+// writers never clobber each other), which is fsynced before the rename
+// (so the rename can never install a file whose bytes are still in the
+// page cache when power is lost), and the directory is fsynced after (so
+// the new name itself survives a crash). The temp file is removed on every
+// error path. Checkpoints and the job server's records both go through it.
+func WriteDurable(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -388,7 +393,7 @@ func SaveFile(path string, s *State) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := Save(f, s); err != nil {
+	if err := write(f); err != nil {
 		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
@@ -472,25 +477,4 @@ func (s *State) Compatible(nbands, ng int, natom int64, ecut float64, hybrid boo
 			s.HasIons(), md)
 	}
 	return nil
-}
-
-// ContinuationStep returns the global step counter after advancing `steps`
-// further steps from a loaded checkpoint; a nil loaded state means a fresh
-// run starting at step 0. Segments of a split production run chain their
-// provenance through this: each segment's saved Step is the cumulative
-// count, not the segment length.
-func ContinuationStep(loaded *State, steps int) int64 {
-	if loaded == nil {
-		return int64(steps)
-	}
-	return loaded.Step + int64(steps)
-}
-
-// ContinuationIonSteps is ContinuationStep for the ion-step counter of an
-// Ehrenfest trajectory.
-func ContinuationIonSteps(loaded *State, ionSteps int) int64 {
-	if loaded == nil {
-		return int64(ionSteps)
-	}
-	return loaded.IonSteps + int64(ionSteps)
 }

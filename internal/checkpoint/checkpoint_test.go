@@ -339,30 +339,3 @@ func TestCompatibleMTS(t *testing.T) {
 		}
 	}
 }
-
-// TestContinuationStepAccounting pins the cumulative step provenance of a
-// split production run: each segment's saved Step must be the loaded
-// counter plus its own steps, through a save -> load -> continue chain.
-func TestContinuationStepAccounting(t *testing.T) {
-	if got := ContinuationStep(nil, 200); got != 200 {
-		t.Errorf("fresh run: step %d, want 200", got)
-	}
-	rng := rand.New(rand.NewSource(5))
-	path := filepath.Join(t.TempDir(), "segment.ckp")
-	var loaded *State
-	// A 600-step run split into three 200-step segments.
-	for seg := 1; seg <= 3; seg++ {
-		st := sampleState(rng)
-		st.Step = ContinuationStep(loaded, 200)
-		if err := SaveFile(path, st); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		if loaded, err = LoadFile(path); err != nil {
-			t.Fatal(err)
-		}
-		if want := int64(200 * seg); loaded.Step != want {
-			t.Fatalf("segment %d: step counter %d, want %d", seg, loaded.Step, want)
-		}
-	}
-}

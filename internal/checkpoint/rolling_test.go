@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// TestRollingSaveLatestAndPrune: successive saves advance the last-good
-// link, Latest follows it, and pruning retains exactly Keep step files.
+// TestRollingSaveLatestAndPrune: successive saves advance the sequence,
+// Latest returns the newest, and pruning retains exactly Keep step files.
 func TestRollingSaveLatestAndPrune(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	base := filepath.Join(t.TempDir(), "traj.ckp")
@@ -38,15 +38,81 @@ func TestRollingSaveLatestAndPrune(t *testing.T) {
 	if _, err := os.Stat(rl.stepPath(2)); !os.IsNotExist(err) {
 		t.Error("oldest step file not pruned")
 	}
-	// The stable name also loads directly (it is a symlink to the newest).
-	if s, err := LoadFile(base); err != nil || s.Step != 6 {
-		t.Errorf("stable name load: step %v err %v", s, err)
+}
+
+// TestRollingReusedBase: a base that still holds a longer, earlier run's
+// step files is taken over by the new run. Its first save drops the
+// files stamped later than it (they belong to the other trajectory)
+// instead of pruning itself as the oldest, so Latest is the state just
+// saved.
+func TestRollingReusedBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	base := filepath.Join(t.TempDir(), "traj.ckp")
+	old := &Rolling{Base: base}
+	for _, step := range []int64{90, 100} {
+		s := sampleState(rng)
+		s.Step = step
+		if err := old.Save(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rl := &Rolling{Base: base}
+	s := sampleState(rng)
+	s.Step = 10
+	if err := rl.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	got, path, err := rl.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Step != 10 || path != rl.stepPath(10) {
+		t.Errorf("Latest after saving step 10 over an old run: step %d from %q", got.Step, path)
+	}
+	if files := rl.stepFiles(); len(files) != 1 || files[0] != rl.stepPath(10) {
+		t.Errorf("step files %v, want only the new run's step 10", files)
+	}
+}
+
+// TestRollingIgnoresTempLeftovers: the temp file a killed save leaves
+// behind is not a checkpoint. It takes no retention slot, so the Keep
+// newest real checkpoints survive the next saves, and Clean removes it.
+func TestRollingIgnoresTempLeftovers(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	base := filepath.Join(t.TempDir(), "traj.ckp")
+	rl := &Rolling{Base: base, Keep: 2}
+	save := func(step int64) {
+		t.Helper()
+		s := sampleState(rng)
+		s.Step = step
+		if err := rl.Save(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save(10)
+	save(12)
+	leftover := rl.stepPath(14) + ".tmp-123456"
+	if err := os.WriteFile(leftover, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	save(16)
+	for _, step := range []int64{12, 16} {
+		if _, err := LoadFile(rl.stepPath(step)); err != nil {
+			t.Errorf("checkpoint of step %d: %v", step, err)
+		}
+	}
+	if files := rl.stepFiles(); len(files) != 2 {
+		t.Errorf("step files %v, want the checkpoints of steps 12 and 16", files)
+	}
+	rl.Clean()
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Error("Clean left the temp file of a killed save")
 	}
 }
 
 // TestRollingSurvivesTornNewest: when the newest checkpoint is damaged
-// (the torn-write case the symlink scheme exists for), Latest falls back
-// to the previous good file instead of failing.
+// (a torn write), Latest falls back to the previous good file instead of
+// failing.
 func TestRollingSurvivesTornNewest(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	base := filepath.Join(t.TempDir(), "traj.ckp")
@@ -77,6 +143,32 @@ func TestRollingSurvivesTornNewest(t *testing.T) {
 	}
 	if path != rl.stepPath(5) {
 		t.Errorf("Latest path %q, want %q", path, rl.stepPath(5))
+	}
+}
+
+// TestRollingBaseWithGlobMeta: a base path holding glob metacharacters
+// names its own step files literally, so pruning, Latest and Clean find
+// them.
+func TestRollingBaseWithGlobMeta(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	base := filepath.Join(t.TempDir(), "run[1]*?.ckp")
+	rl := &Rolling{Base: base, Keep: 2}
+	for _, step := range []int64{2, 4, 6} {
+		s := sampleState(rng)
+		s.Step = step
+		if err := rl.Save(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if files := rl.stepFiles(); len(files) != 2 || files[1] != rl.stepPath(6) {
+		t.Errorf("step files %v, want the checkpoints of steps 4 and 6", files)
+	}
+	if got, _, err := (&Rolling{Base: base}).Latest(); err != nil || got.Step != 6 {
+		t.Errorf("Latest: %v (%v), want step 6", got, err)
+	}
+	rl.Clean()
+	if left, _ := os.ReadDir(filepath.Dir(base)); len(left) != 0 {
+		t.Errorf("Clean left %d files", len(left))
 	}
 }
 
@@ -113,8 +205,8 @@ func TestRollingAdoptsPlainFile(t *testing.T) {
 	}
 }
 
-// TestRollingClean removes the whole sequence - step files and the
-// last-good link - and leaves nothing for Latest to find.
+// TestRollingClean removes the whole sequence - its step files and any
+// file at the base path - and leaves nothing for Latest to find.
 func TestRollingClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	base := filepath.Join(t.TempDir(), "job.ckp")
@@ -131,7 +223,7 @@ func TestRollingClean(t *testing.T) {
 		t.Errorf("Clean left step files %v", files)
 	}
 	if _, err := os.Lstat(base); !os.IsNotExist(err) {
-		t.Error("Clean left the last-good link")
+		t.Error("Clean left a file at the base path")
 	}
 	if _, _, err := rl.Latest(); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("Latest after Clean: %v, want ErrNotExist", err)

@@ -1,8 +1,8 @@
 // Job persistence: one <id>.json record per job in the server directory,
-// rewritten atomically on every lifecycle transition, plus the rolling
-// checkpoint sequence <id>.ckp* the simulation layer writes. Together
-// they make jobs durable across server restarts: on start the server
-// scans the directory, re-registers terminal jobs as history, and
+// rewritten atomically and durably on every lifecycle transition, plus the
+// rolling checkpoint sequence <id>.ckp.step* the simulation layer writes.
+// Together they make jobs durable across server restarts: on start the
+// server scans the directory, re-registers terminal jobs as history, and
 // re-queues every interrupted job with its newest loadable checkpoint as
 // the resume point - or fails it, when its spec no longer validates.
 package server
@@ -10,24 +10,27 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
+	"ptdft/internal/checkpoint"
 	"ptdft/internal/observe"
 )
 
 func (s *Server) recordPath(id string) string { return filepath.Join(s.cfg.Dir, id+".json") }
 func (s *Server) ckptPath(id string) string   { return filepath.Join(s.cfg.Dir, id+".ckp") }
 
-// persist writes the job's current record (atomic rename). A no-op
-// without a server directory; a failed write is logged, not fatal - the
-// job still runs, it just will not survive a restart. Concurrent callers
-// (a lifecycle transition racing the streaming-cadence persist) are
-// serialized per job, each through its own temp file, so the rename only
-// ever installs a complete record.
+// persist writes the job's current record through checkpoint.WriteDurable
+// (temp file, fsync, rename, directory fsync). A no-op without a server
+// directory; a failed write is logged, not fatal - the job still runs, it
+// just will not survive a restart. Concurrent callers (a lifecycle
+// transition racing the streaming-cadence persist) are serialized per job,
+// each through its own temp file, so the rename only ever installs a
+// complete record.
 func (s *Server) persist(j *Job) {
 	if s.cfg.Dir == "" {
 		return
@@ -42,21 +45,11 @@ func (s *Server) persist(j *Job) {
 		s.logf("job %s: persist: %v", j.ID, err)
 		return
 	}
-	path := s.recordPath(j.ID)
-	tmp, err := os.CreateTemp(s.cfg.Dir, j.ID+".*.tmp")
-	if err != nil {
-		s.logf("job %s: persist: %v", j.ID, err)
-		return
+	write := func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
 	}
-	_, err = tmp.Write(append(data, '\n'))
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
+	if err := checkpoint.WriteDurable(s.recordPath(j.ID), write); err != nil {
 		s.logf("job %s: persist: %v", j.ID, err)
 	}
 }
@@ -69,7 +62,9 @@ func (s *Server) persist(j *Job) {
 // later version removed (sim.RemovedError) - is recorded as failed with
 // that error instead, before a worker spends a ground state on it.
 // An unreadable or corrupt record is quarantined (logged and skipped),
-// not fatal: one torn file must not refuse the whole directory.
+// not fatal: one torn file must not refuse the whole directory. Its ID
+// stays taken - the ID counter rises past every record file name - so a
+// new job never overwrites it or shares its checkpoint sequence.
 func (s *Server) adopt() error {
 	if s.cfg.Dir == "" {
 		return nil
@@ -83,6 +78,7 @@ func (s *Server) adopt() error {
 	}
 	sort.Strings(matches)
 	for _, path := range matches {
+		s.nextID = max(s.nextID, idNumber(strings.TrimSuffix(filepath.Base(path), ".json")))
 		rec, err := readRecord(path)
 		if err != nil {
 			s.logf("adopt: quarantined %s: %v", path, err)
@@ -98,9 +94,6 @@ func (s *Server) adopt() error {
 			Metrics: rec.Metrics,
 			Feed:    observe.NewFeed(),
 			roll:    s.rollFor(rec.ID),
-		}
-		if n := idNumber(rec.ID); n > s.nextID {
-			s.nextID = n
 		}
 		if j.State.Terminal() {
 			for _, smp := range rec.Samples {

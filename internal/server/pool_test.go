@@ -452,6 +452,41 @@ func TestPoolAdoptQuarantinesCorruptRecord(t *testing.T) {
 	s.Drain()
 }
 
+// TestPoolAdoptKeepsQuarantinedID: a quarantined record still holds its
+// ID. With the highest record corrupt, the next submission takes the
+// number after it, and the corrupt file is left as it was (not
+// overwritten by a new job sharing its name and checkpoint sequence).
+func TestPoolAdoptKeepsQuarantinedID(t *testing.T) {
+	dir := t.TempDir()
+	writeRecord(t, dir, View{
+		ID: "j000001", Spec: fakeSpec(1, 1), State: StateDone,
+		SubmittedAt: time.Now().UTC(), FinishedAt: time.Now().UTC(),
+	})
+	corrupt := filepath.Join(dir, "j000005.json")
+	torn := []byte(`{"id":"j000005","spec":{"cel`)
+	if err := os.WriteFile(corrupt, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f := &fakeSim{}
+	s, err := newServer(Config{Workers: 1, Dir: dir}, f.run, f.solve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.start()
+	v, err := s.Submit(fakeSpec(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.ID != "j000006" {
+		t.Errorf("first submission after a quarantined j000005 got ID %s, want j000006", v.ID)
+	}
+	waitState(t, s, v.ID, StateDone)
+	s.Drain()
+	if got, err := os.ReadFile(corrupt); err != nil || string(got) != string(torn) {
+		t.Errorf("quarantined record changed: %q (%v), want %q", got, err, torn)
+	}
+}
+
 // TestPoolRestartAdoption: a drained server's directory re-queues its
 // interrupted jobs on the next start, resuming from the checkpoint, and
 // re-registers terminal jobs as history.

@@ -26,7 +26,7 @@ type Config struct {
 	// may still use internal parallelism (goroutine-MPI ranks).
 	Workers int
 	// Dir, when set, holds the durable state: one <id>.json record per
-	// job plus a rolling checkpoint sequence <id>.ckp* per attempt. A
+	// job plus a rolling checkpoint sequence <id>.ckp.step* per attempt. A
 	// server restarted on the same directory re-adopts every resumable
 	// job. Empty disables persistence (jobs die with the process).
 	Dir string

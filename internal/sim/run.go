@@ -7,8 +7,10 @@
 // around those electrons.
 // The loop owns what every run needs once: cooperative shutdown (the Stop
 // channel finishes the step in flight, checkpoints the completed steps, and
-// returns), per-step observable emission, periodic rolling checkpoints,
-// and the gather of the restartable state a resumed segment starts from.
+// returns), per-step observable emission, the rolling checkpoints (every
+// CkptEvery steps and the final state, all into the one sequence
+// Options.Ckpt), and the gather of the restartable state a resumed segment
+// starts from.
 //
 // Nothing here retries. propagate launches the world once under mpi.Run;
 // application errors (SCF divergence, an RK4 blow-up, a failed save) are
@@ -68,11 +70,10 @@ type Options struct {
 	// is the result as it stands (no ground state, no world).
 	Resume *checkpoint.State
 	// Ckpt, when set, receives a durable rolling checkpoint every
-	// CkptEvery steps (ion steps under MD) plus the final state. With
-	// Ckpt nil and SavePath set, only the final state is written there.
+	// CkptEvery steps (ion steps under MD; 0 for none) plus the final
+	// state.
 	Ckpt      *checkpoint.Rolling
 	CkptEvery int
-	SavePath  string
 	// Trace, when set, records per-rank span timelines for the whole
 	// segment: the world attaches one track per rank and the solver/comm
 	// layers fill it. Result carries the folded
@@ -235,15 +236,12 @@ func Run(spec *Spec, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// save writes the final state to the rolling sequence, else to SavePath.
+// save writes the final state to the rolling sequence, if there is one.
 func (o *Options) save(st *checkpoint.State) error {
-	switch {
-	case o.Ckpt != nil:
-		return o.Ckpt.Save(st)
-	case o.SavePath != "":
-		return checkpoint.SaveFile(o.SavePath, st)
+	if o.Ckpt == nil {
+		return nil
 	}
-	return nil
+	return o.Ckpt.Save(st)
 }
 
 // Field builds the spec's external field: the 380nm pulse shaped from the
@@ -383,6 +381,10 @@ func (r *runner) loop(c *mpi.Comm, cell *lattice.Cell) error {
 	}
 	s, root, tr := de.S, c.Rank() == 0, c.Trace()
 	k, resume := r.substeps(), opt.Resume
+	var step0, ionStep0 int64 // the step counters the segment starts from
+	if resume != nil {
+		step0, ionStep0 = resume.Step, resume.IonSteps
+	}
 	base := spec.Progress(resume) // loop steps completed before this segment
 	n := spec.TotalSteps() - base // loop steps of this segment
 	done := 0                     // loop steps completed in this segment
@@ -408,7 +410,7 @@ func (r *runner) loop(c *mpi.Comm, cell *lattice.Cell) error {
 	}
 	// state assembles the restartable state after the steps completed so
 	// far. The step counters are cumulative provenance: a resumed segment
-	// saves resume.Step + its own steps, so a trajectory split across
+	// saves resume.Step plus its own steps, so a trajectory split across
 	// segments reports the true global step on every file. The MTS phase is
 	// rank-symmetric, so gathering the frozen reference only mid-cycle is a
 	// collective-safe branch; Gather returns a fresh array on every rank.
@@ -419,12 +421,12 @@ func (r *runner) loop(c *mpi.Comm, cell *lattice.Cell) error {
 			ref = s.D.Gather(s.MTSRef())
 		}
 		st := &checkpoint.State{
-			Time: s.Time, Step: checkpoint.ContinuationStep(resume, done*k), NBands: r.nb, NG: r.g.NG,
+			Time: s.Time, Step: step0 + int64(done*k), NBands: r.nb, NG: r.g.NG,
 			Natom: r.natom, Ecut: spec.Ecut, Hybrid: spec.Hybrid, Psi: psi,
 			MTSPeriod: int64(spec.MTS), MTSPhase: int64(phase), PhiRef: ref,
 		}
 		if v != nil {
-			st.IonSteps = checkpoint.ContinuationIonSteps(resume, done)
+			st.IonSteps = ionStep0 + int64(done)
 			st.IonPos = v.Cell.Positions()
 			st.IonVel = append([][3]float64(nil), v.Vel...)
 			st.IonForce = append([][3]float64(nil), v.F...)
