@@ -76,7 +76,7 @@ func parseFlags() (*config, error) {
 	flag.Float64Var(&s.Kick, "kick", 0.02, "delta-kick vector potential (au); 0 disables")
 	flag.Float64Var(&s.PulseE0, "pulse", 0, "380nm Gaussian pulse peak field (Ha/bohr); overrides -kick")
 	flag.IntVar(&s.Ranks, "ranks", 0, "distribute over N goroutine-MPI ranks (0 = serial)")
-	flag.Int64Var(&s.Seed, "seed", 1234, "ground-state starting guess seed")
+	flag.Int64Var(&s.Seed, "seed", 0, "ground-state starting guess seed")
 	flag.StringVar(&c.csvPath, "csv", "", "write per-step observables to this CSV file")
 	flag.BoolVar(&c.quiet, "q", false, "suppress per-step output")
 	flag.StringVar(&c.savePath, "save", "", "write durable restart checkpoints P.step<N> for the path P after the last step (and every -ckptevery steps)")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -171,15 +172,43 @@ func TestLoadContinuesToSteps(t *testing.T) {
 }
 
 // parseArgs runs parseFlags over args on a fresh flag set and returns the
-// set it registered its flags on.
-func parseArgs(args ...string) (*flag.FlagSet, error) {
+// configuration and the set it registered its flags on.
+func parseArgs(args ...string) (*config, *flag.FlagSet, error) {
 	oldCmd, oldArgs := flag.CommandLine, os.Args
 	defer func() { flag.CommandLine, os.Args = oldCmd, oldArgs }()
 	fs := flag.NewFlagSet("ptdft", flag.ContinueOnError)
 	flag.CommandLine = fs
 	os.Args = append([]string{"ptdft"}, args...)
-	_, err := parseFlags()
-	return fs, err
+	c, err := parseFlags()
+	return c, fs, err
+}
+
+// TestDefaultFlagsShareTheJobSpecGroundState: ptdft's default flags and the
+// sparse JSON spec a ptdftd client posts for the same run describe the same
+// ground-state problem, so they share one SCF cache entry.
+func TestDefaultFlagsShareTheJobSpecGroundState(t *testing.T) {
+	c, _, err := parseArgs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec sim.Spec
+	if err := json.Unmarshal([]byte(`{"cells":[1,1,1],"ecut":4,"steps":5,"kick":0.02}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	flags, err := c.spec.SCFKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	posted, err := spec.SCFKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flags != posted {
+		t.Errorf("default flags (seed %d) and the JSON spec (seed %d) have different SCF keys", c.spec.Seed, spec.Seed)
+	}
 }
 
 // TestRemovedFlagsAreUnknown: -acehold (the alias of -ace -mts 1),
@@ -187,7 +216,7 @@ func parseArgs(args ...string) (*flag.FlagSet, error) {
 // wire is double precision) are not registered, and the cadence the alias
 // named is accepted under its one remaining spelling.
 func TestRemovedFlagsAreUnknown(t *testing.T) {
-	fs, err := parseArgs("-hybrid", "-ace", "-mts", "1")
+	_, fs, err := parseArgs("-hybrid", "-ace", "-mts", "1")
 	if err != nil {
 		t.Fatalf("-hybrid -ace -mts 1 rejected: %v", err)
 	}
@@ -203,7 +232,7 @@ func TestRemovedFlagsAreUnknown(t *testing.T) {
 // are rejected.
 func TestCkptEveryFlagValidation(t *testing.T) {
 	parse := func(args ...string) error {
-		_, err := parseArgs(args...)
+		_, _, err := parseArgs(args...)
 		return err
 	}
 	if err := parse("-ckptevery", "2"); err == nil || !strings.Contains(err.Error(), "-save") {

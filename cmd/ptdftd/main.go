@@ -15,8 +15,8 @@
 //	curl localhost:8321/metrics                # Prometheus text exposition
 //
 // SIGINT/SIGTERM drains gracefully: running jobs finish their step in
-// flight and checkpoint, queued jobs stay queued on disk, and the next
-// start on the same -dir resumes all of them.
+// flight, checkpoint and go back to the queue, which stays on disk, and
+// the next start on the same -dir resumes all of them.
 package main
 
 import (

@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"ptdft/internal/observe"
-	"ptdft/internal/scf"
 	"ptdft/internal/sim"
 	"ptdft/internal/trace"
 	"ptdft/internal/units"
@@ -33,7 +32,7 @@ type config struct {
 // parseFlags reads the command line into a run description and rejects the
 // values the spectrum is undefined for, before any work is done.
 func parseFlags(args []string) (*config, error) {
-	c := &config{spec: sim.Spec{Cells: [3]int{1, 1, 1}, Seed: scf.Defaults().Seed}}
+	c := &config{spec: sim.Spec{Cells: [3]int{1, 1, 1}}}
 	fs := flag.NewFlagSet("spectra", flag.ContinueOnError)
 	fs.Float64Var(&c.spec.Ecut, "ecut", 4, "kinetic energy cutoff (Ha)")
 	fs.Float64Var(&c.spec.DtAs, "dt", 12, "PT-CN time step (as)")

@@ -43,7 +43,7 @@ func run(spec sim.Spec, gs *scf.Result, dtAU float64, hPerStep int) (*sim.Result
 }
 
 func main() {
-	base := sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 3.5, Kick: 0.02, Seed: scf.Defaults().Seed}
+	base := sim.Spec{Cells: [3]int{1, 1, 1}, Ecut: 3.5, Kick: 0.02}
 	_, g, nb, err := base.System()
 	if err != nil {
 		log.Fatal(err)

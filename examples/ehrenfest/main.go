@@ -24,7 +24,6 @@ import (
 
 	"ptdft/internal/checkpoint"
 	"ptdft/internal/lattice"
-	"ptdft/internal/scf"
 	"ptdft/internal/sim"
 	"ptdft/internal/units"
 )
@@ -42,7 +41,7 @@ func main() {
 	const dx = 0.2
 	spec := &sim.Spec{
 		Cells: [3]int{1, 1, 1}, Ecut: 3, MD: true, Displace: fmt.Sprintf("0:%g,0,0", dx),
-		DtAs: units.AUToAttoseconds(2), IonDtAs: units.AUToAttoseconds(8), Seed: scf.Defaults().Seed,
+		DtAs: units.AUToAttoseconds(2), IonDtAs: units.AUToAttoseconds(8),
 	}
 	site := lattice.MustSiliconSupercell(1, 1, 1).Atoms[0].Pos
 	cell, err := spec.Cell()

@@ -31,40 +31,12 @@ func SetMaxWorkers(n int) int {
 // MaxWorkers reports the current worker bound.
 func MaxWorkers() int { return int(maxWorkers.Load()) }
 
-// For runs f(i) for every i in [0, n) using up to MaxWorkers goroutines.
-// Iterations are claimed dynamically in order, so mildly unbalanced loops
-// still distribute well. f must be safe for concurrent invocation on
-// distinct indices.
+// For runs f(i) for every i in [0, n) using up to MaxWorkers goroutines:
+// ForWorker without the worker index. Iterations are claimed dynamically in
+// order, so mildly unbalanced loops still distribute well. f must be safe
+// for concurrent invocation on distinct indices.
 func For(n int, f func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := MaxWorkers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
+	ForWorker(n, func(_, i int) { f(i) })
 }
 
 // NumWorkers reports how many workers For and ForWorker would launch for an

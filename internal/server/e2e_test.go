@@ -484,8 +484,8 @@ func TestE2ERestartResumesRealJob(t *testing.T) {
 	}
 	a.Drain()
 	interrupted, _ := a.Get(va.ID)
-	if interrupted.State != StatePreempted {
-		t.Fatalf("drained job is %s, want preempted", interrupted.State)
+	if interrupted.State != StateQueued || interrupted.Metrics.Preemptions != 1 {
+		t.Fatalf("drained job is %s after %d preemptions, want queued after 1", interrupted.State, interrupted.Metrics.Preemptions)
 	}
 
 	b, err := New(Config{Workers: 1, Dir: dir, CkptEvery: 2})
@@ -546,8 +546,10 @@ func TestE2EAdoptFailsRemovedConfigurations(t *testing.T) {
 		spec := e2eSpec(3)
 		mod(&spec)
 		writeRecord(t, dir, View{
-			ID: fmt.Sprintf("j%06d", i+1), Spec: spec, State: StateRunning,
-			SubmittedAt: time.Now().UTC(), StartedAt: time.Now().UTC(),
+			Record: Record{
+				ID: fmt.Sprintf("j%06d", i+1), Spec: spec, State: StateRunning,
+				SubmittedAt: time.Now().UTC(), StartedAt: time.Now().UTC(),
+			},
 		})
 	}
 	s, ts := startE2E(t, Config{Workers: 1, Dir: dir})

@@ -52,8 +52,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}", s.handleGet)
 	mux.HandleFunc("GET /jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("GET /jobs/{id}/profile", s.handleProfile)
-	mux.HandleFunc("POST /jobs/{id}/preempt", s.handlePreempt)
-	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
+	mux.HandleFunc("POST /jobs/{id}/preempt", s.handleAction(s.Preempt))
+	mux.HandleFunc("DELETE /jobs/{id}", s.handleAction(s.Cancel))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
@@ -102,32 +102,21 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-func (s *Server) handlePreempt(w http.ResponseWriter, r *http.Request) {
-	err := s.Preempt(r.PathValue("id"))
-	switch {
-	case errors.Is(err, errNotFound):
-		writeError(w, http.StatusNotFound, "not_found", "no such job: "+r.PathValue("id"))
-	case errors.Is(err, errConflict):
-		writeError(w, http.StatusConflict, "conflict", err.Error())
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
-	default:
-		v, _ := s.Get(r.PathValue("id"))
-		writeJSON(w, http.StatusOK, v)
-	}
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	err := s.Cancel(r.PathValue("id"))
-	switch {
-	case errors.Is(err, errNotFound):
-		writeError(w, http.StatusNotFound, "not_found", "no such job: "+r.PathValue("id"))
-	case errors.Is(err, errConflict):
-		writeError(w, http.StatusConflict, "conflict", err.Error())
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
-	default:
-		v, _ := s.Get(r.PathValue("id"))
-		writeJSON(w, http.StatusOK, v)
+// handleAction serves a lifecycle request on one job (preempt, cancel):
+// the job's view on success, a typed error otherwise.
+func (s *Server) handleAction(action func(id string) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		err := action(r.PathValue("id"))
+		switch {
+		case errors.Is(err, errNotFound):
+			writeError(w, http.StatusNotFound, "not_found", "no such job: "+r.PathValue("id"))
+		case errors.Is(err, errConflict):
+			writeError(w, http.StatusConflict, "conflict", err.Error())
+		case err != nil:
+			writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		default:
+			v, _ := s.Get(r.PathValue("id"))
+			writeJSON(w, http.StatusOK, v)
+		}
 	}
 }

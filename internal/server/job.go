@@ -1,16 +1,18 @@
 // Job model: the lifecycle state machine of one queued simulation and its
-// JSON views. A job moves
+// JSON record. A job moves
 //
 //	queued -> running -> done | failed
-//	                  -> preempted -> queued        (preempt + automatic resume)
-//	                  -> preempted                  (drain: resumable after restart)
+//	                  -> queued       (preempt or drain: checkpoint, requeue)
 //	queued | running  -> canceled
 //
-// Every transition is persisted (when the server has a directory), so a
-// killed server re-adopts its resumable jobs on the next start.
+// A drained job is a queued job that the next server on the same
+// directory adopts. Every transition is persisted (when the server has a
+// directory), so a killed server re-adopts its resumable jobs on the next
+// start.
 package server
 
 import (
+	"maps"
 	"sync"
 	"time"
 
@@ -23,12 +25,11 @@ import (
 type State string
 
 const (
-	StateQueued    State = "queued"
-	StateRunning   State = "running"
-	StatePreempted State = "preempted"
-	StateDone      State = "done"
-	StateFailed    State = "failed"
-	StateCanceled  State = "canceled"
+	StateQueued   State = "queued"
+	StateRunning  State = "running"
+	StateDone     State = "done"
+	StateFailed   State = "failed"
+	StateCanceled State = "canceled"
 )
 
 // Terminal reports whether the state is final: the feed is closed and the
@@ -63,27 +64,33 @@ type Metrics struct {
 	PhaseSeconds map[string]float64 `json:"phase_seconds,omitempty"`
 }
 
+// Record is a job's persistent fields: the on-disk record and the body
+// of every API view.
+type Record struct {
+	ID          string    `json:"id"`
+	State       State     `json:"state"`
+	Spec        sim.Spec  `json:"spec"`
+	Error       string    `json:"error,omitempty"`
+	SubmittedAt time.Time `json:"submitted_at"`
+	StartedAt   time.Time `json:"started_at,omitzero"`  // first attempt
+	FinishedAt  time.Time `json:"finished_at,omitzero"` // terminal transition
+	Metrics     Metrics   `json:"metrics"`
+}
+
 // Job is one submitted simulation. The server's mutex guards every field
 // except Feed (internally synchronized) and stop (closed at most once,
 // under the server's mutex, when intent is set).
 type Job struct {
-	ID          string
-	Spec        sim.Spec
-	State       State
-	Err         string
-	SubmittedAt time.Time
-	StartedAt   time.Time // first attempt
-	FinishedAt  time.Time // terminal transition
-	Metrics     Metrics
+	Record
 
 	// Feed streams one Sample per completed step across all attempts; it
 	// closes exactly when the job turns terminal.
 	Feed *observe.Feed
 
 	// stop requests a graceful interruption of the running attempt;
-	// intent records why ("preempt", "cancel", "drain"; "" until stop is
-	// closed) so the worker knows which transition to take when the driver
-	// returns.
+	// intent records what follows it ("requeue" for preempt and drain,
+	// "cancel"; "" until stop is closed) so the worker knows which
+	// transition to take when the driver returns.
 	stop   chan struct{}
 	intent string
 
@@ -102,14 +109,7 @@ type Job struct {
 // View is the JSON representation of a job, in API responses and as the
 // on-disk record.
 type View struct {
-	ID          string    `json:"id"`
-	State       State     `json:"state"`
-	Spec        sim.Spec  `json:"spec"`
-	Error       string    `json:"error,omitempty"`
-	SubmittedAt time.Time `json:"submitted_at"`
-	StartedAt   time.Time `json:"started_at,omitzero"`
-	FinishedAt  time.Time `json:"finished_at,omitzero"`
-	Metrics     Metrics   `json:"metrics"`
+	Record
 	// Samples is the trajectory so far (complete when State is "done");
 	// omitted from list responses.
 	Samples []observe.Sample `json:"samples,omitempty"`
@@ -118,22 +118,26 @@ type View struct {
 // view snapshots the job for an API response or a record write. Callers
 // hold the server's mutex; the feed snapshot is internally synchronized.
 func (j *Job) view(withSamples bool) View {
-	v := View{
-		ID: j.ID, State: j.State, Spec: j.Spec, Error: j.Err,
-		SubmittedAt: j.SubmittedAt, StartedAt: j.StartedAt, FinishedAt: j.FinishedAt,
-		Metrics: j.Metrics,
-	}
+	v := View{Record: j.Record}
 	// The phase map keeps accumulating across attempts; the snapshot must
 	// not alias it (it is JSON-encoded after the server's mutex is
 	// released).
-	if j.Metrics.PhaseSeconds != nil {
-		v.Metrics.PhaseSeconds = make(map[string]float64, len(j.Metrics.PhaseSeconds))
-		for name, sec := range j.Metrics.PhaseSeconds {
-			v.Metrics.PhaseSeconds[name] = sec
-		}
-	}
+	v.Metrics.PhaseSeconds = maps.Clone(j.Metrics.PhaseSeconds)
 	if withSamples {
 		v.Samples = j.Feed.Snapshot()
 	}
 	return v
+}
+
+// finish moves the job to a terminal state: it stamps FinishedAt and
+// closes the feed. Done and canceled jobs also delete their checkpoints,
+// which were only ever crash insurance; a failed job keeps them as the
+// reproducer. Callers hold the server's mutex and persist afterwards.
+func (j *Job) finish(st State) {
+	j.State = st
+	j.FinishedAt = time.Now().UTC()
+	j.Feed.Close()
+	if st != StateFailed && j.roll != nil {
+		j.roll.Clean()
+	}
 }

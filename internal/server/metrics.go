@@ -57,7 +57,7 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 
 // allStates fixes the label set so every scrape carries every state series
 // (a state with no jobs reads 0 rather than disappearing).
-var allStates = []State{StateQueued, StateRunning, StatePreempted, StateDone, StateFailed, StateCanceled}
+var allStates = []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled}
 
 // handleMetrics serves the Prometheus text exposition format (version
 // 0.0.4: "# HELP"/"# TYPE" comments and one "name{labels} value" line per

@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"ptdft/internal/checkpoint"
 	"ptdft/internal/observe"
@@ -55,8 +54,8 @@ func (s *Server) persist(j *Job) {
 }
 
 // adopt scans the server directory and re-registers every recorded job:
-// terminal jobs as queryable history, interrupted ones (queued, running,
-// preempted) back onto the queue with the newest loadable checkpoint as
+// terminal jobs as queryable history, interrupted ones (any other state)
+// back onto the queue with the newest loadable checkpoint as
 // their resume point. Queue order is submission order (sequential IDs).
 // An interrupted job whose spec no longer validates - a configuration a
 // later version removed (sim.RemovedError) - is recorded as failed with
@@ -88,33 +87,28 @@ func (s *Server) adopt() error {
 			s.logf("adopt: quarantined %s: duplicate job id %s", path, rec.ID)
 			continue
 		}
-		j := &Job{
-			ID: rec.ID, Spec: rec.Spec, State: rec.State, Err: rec.Error,
-			SubmittedAt: rec.SubmittedAt, StartedAt: rec.StartedAt, FinishedAt: rec.FinishedAt,
-			Metrics: rec.Metrics,
-			Feed:    observe.NewFeed(),
-			roll:    s.rollFor(rec.ID),
-		}
+		j := &Job{Record: rec.Record, Feed: observe.NewFeed(), roll: s.rollFor(rec.ID)}
 		if j.State.Terminal() {
 			for _, smp := range rec.Samples {
 				j.Feed.Append(smp)
 			}
 			j.Feed.Close()
 		} else if err := j.Spec.Validate(); err != nil {
-			j.State, j.Err, j.FinishedAt = StateFailed, err.Error(), time.Now().UTC()
 			for _, smp := range rec.Samples {
 				j.Feed.Append(smp)
 			}
-			j.Feed.Close()
+			j.Error = err.Error()
+			j.finish(StateFailed)
 			s.persist(j)
 			s.logf("adopt: job %s failed: %v", j.ID, err)
 		} else {
 			// The process that ran this job is gone; whatever state it was
-			// in, it continues from its newest durable checkpoint (or from
-			// scratch if none was written). The replayed samples are
-			// truncated to the resume point: the record may have been
-			// persisted ahead of the checkpoint the job restarts from, and
-			// the resumed attempt re-streams everything past it.
+			// in (queued, running, or an older daemon's "preempted"), it
+			// continues from its newest durable checkpoint (or from scratch
+			// if none was written). The replayed samples are truncated to
+			// the resume point: the record may have been persisted ahead
+			// of the checkpoint the job restarts from, and the resumed
+			// attempt re-streams everything past it.
 			if st, _, err := j.roll.Latest(); err == nil {
 				j.resume = st
 			}

@@ -190,9 +190,9 @@ func TestPoolBoundedConcurrency(t *testing.T) {
 	}
 }
 
-// TestPoolDrain: a graceful drain checkpoints the running job after its
-// step in flight and leaves it preempted; queued jobs stay queued; every
-// worker exits.
+// TestPoolDrain: a graceful drain preempts the running job - checkpointed
+// after its step in flight and queued again, as a preempt leaves it;
+// queued jobs stay queued; every worker exits.
 func TestPoolDrain(t *testing.T) {
 	f := &fakeSim{gate: make(chan struct{})}
 	s := startFake(t, 1, f)
@@ -209,8 +209,8 @@ func TestPoolDrain(t *testing.T) {
 	f.gate <- struct{}{}
 	s.Drain() // returns only when the pool is stopped
 	v, _ := s.Get(running.ID)
-	if v.State != StatePreempted {
-		t.Errorf("running job drained to %s, want %s", v.State, StatePreempted)
+	if v.State != StateQueued {
+		t.Errorf("running job drained to %s, want %s", v.State, StateQueued)
 	}
 	if v.Metrics.StepsDone != 2 {
 		t.Errorf("drained job completed %d steps, want 2", v.Metrics.StepsDone)
@@ -319,6 +319,51 @@ func TestPoolCancel(t *testing.T) {
 	}
 }
 
+// TestPoolCancelQueuedCleansCheckpoints: a job preempted back into the
+// queue holds the checkpoint of its first attempt; canceling it there ends
+// it for good, so the checkpoint goes with it, as it does for a job
+// canceled while running.
+func TestPoolCancelQueuedCleansCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	f := &fakeSim{gate: make(chan struct{})}
+	s, err := newServer(Config{Workers: 1, Dir: dir}, f.run, f.solve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.start()
+	defer s.Drain()
+	a, err := s.Submit(fakeSpec(1, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, a.ID, StateRunning)
+	f.gate <- struct{}{}
+	f.gate <- struct{}{} // two steps done
+	b, err := s.Submit(fakeSpec(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Preempt(a.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, a.ID, StateQueued) // behind b, which now holds the worker
+	ckpts := filepath.Join(dir, a.ID+".ckp*")
+	if m, _ := filepath.Glob(ckpts); len(m) == 0 {
+		t.Fatal("preempted job left no checkpoint")
+	}
+	if err := s.Cancel(a.ID); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := s.Get(a.ID); v.State != StateCanceled {
+		t.Fatalf("canceled queued job is %s", v.State)
+	}
+	if m, _ := filepath.Glob(ckpts); len(m) != 0 {
+		t.Errorf("canceled job left its checkpoints: %v", m)
+	}
+	f.gate <- struct{}{}
+	waitState(t, s, b.ID, StateDone)
+}
+
 // writeRecord drops one job record file into the server directory, the
 // way a crashed server would have left it.
 func writeRecord(t *testing.T, dir string, rec View) {
@@ -345,9 +390,11 @@ func TestPoolZeroRemainderResumeCompletes(t *testing.T) {
 	spec.IonSteps = 3
 	spec.IonDtAs = 96
 	writeRecord(t, dir, View{
-		ID: "j000001", Spec: spec, State: StateRunning,
-		SubmittedAt: time.Now().UTC(), StartedAt: time.Now().UTC(),
-		Metrics: Metrics{StepsDone: 3},
+		Record: Record{
+			ID: "j000001", Spec: spec, State: StateRunning,
+			SubmittedAt: time.Now().UTC(), StartedAt: time.Now().UTC(),
+			Metrics: Metrics{StepsDone: 3},
+		},
 		Samples: []observe.Sample{{Step: 1}, {Step: 2}, {Step: 3}},
 	})
 	roll := &checkpoint.Rolling{Base: filepath.Join(dir, "j000001.ckp")}
@@ -388,9 +435,11 @@ func TestPoolAdoptTruncatesOverPersistedSamples(t *testing.T) {
 	dir := t.TempDir()
 	spec := fakeSpec(7, 5)
 	writeRecord(t, dir, View{
-		ID: "j000001", Spec: spec, State: StateRunning,
-		SubmittedAt: time.Now().UTC(), StartedAt: time.Now().UTC(),
-		Metrics: Metrics{StepsDone: 4},
+		Record: Record{
+			ID: "j000001", Spec: spec, State: StateRunning,
+			SubmittedAt: time.Now().UTC(), StartedAt: time.Now().UTC(),
+			Metrics: Metrics{StepsDone: 4},
+		},
 		Samples: []observe.Sample{{Step: 1}, {Step: 2}, {Step: 3}, {Step: 4}},
 	})
 	roll := &checkpoint.Rolling{Base: filepath.Join(dir, "j000001.ckp")}
@@ -434,8 +483,10 @@ func TestPoolAdoptQuarantinesCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeRecord(t, dir, View{
-		ID: "j000002", Spec: fakeSpec(2, 1), State: StateDone,
-		SubmittedAt: time.Now().UTC(), FinishedAt: time.Now().UTC(),
+		Record: Record{
+			ID: "j000002", Spec: fakeSpec(2, 1), State: StateDone,
+			SubmittedAt: time.Now().UTC(), FinishedAt: time.Now().UTC(),
+		},
 	})
 	f := &fakeSim{}
 	s, err := newServer(Config{Workers: 1, Dir: dir}, f.run, f.solve)
@@ -459,8 +510,10 @@ func TestPoolAdoptQuarantinesCorruptRecord(t *testing.T) {
 func TestPoolAdoptKeepsQuarantinedID(t *testing.T) {
 	dir := t.TempDir()
 	writeRecord(t, dir, View{
-		ID: "j000001", Spec: fakeSpec(1, 1), State: StateDone,
-		SubmittedAt: time.Now().UTC(), FinishedAt: time.Now().UTC(),
+		Record: Record{
+			ID: "j000001", Spec: fakeSpec(1, 1), State: StateDone,
+			SubmittedAt: time.Now().UTC(), FinishedAt: time.Now().UTC(),
+		},
 	})
 	corrupt := filepath.Join(dir, "j000005.json")
 	torn := []byte(`{"id":"j000005","spec":{"cel`)
@@ -552,5 +605,46 @@ func TestPoolRestartAdoption(t *testing.T) {
 	}
 	if nv.ID <= queued.ID {
 		t.Errorf("new ID %s does not continue the sequence after %s", nv.ID, queued.ID)
+	}
+}
+
+// TestPoolAdoptLegacyPreemptedRecord: an older daemon drained a running job
+// to a "preempted" record beside its checkpoint. The state is gone, but
+// such a record is still interrupted work: it adopts as queued and resumes
+// from the checkpoint to done.
+func TestPoolAdoptLegacyPreemptedRecord(t *testing.T) {
+	dir := t.TempDir()
+	spec := fakeSpec(1, 5)
+	writeRecord(t, dir, View{
+		Record: Record{
+			ID: "j000001", Spec: spec, State: "preempted",
+			SubmittedAt: time.Now().UTC(), StartedAt: time.Now().UTC(),
+			Metrics: Metrics{StepsDone: 2, Preemptions: 1},
+		},
+		Samples: []observe.Sample{{Step: 1}, {Step: 2}},
+	})
+	roll := &checkpoint.Rolling{Base: filepath.Join(dir, "j000001.ckp")}
+	if err := roll.Save(&checkpoint.State{
+		Step: 2, NBands: 1, NG: 2, Natom: 1, Ecut: spec.Ecut,
+		Psi: []complex128{1, 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f := &fakeSim{}
+	s, err := newServer(Config{Workers: 1, Dir: dir}, f.run, f.solve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := s.Get("j000001"); v.State != StateQueued {
+		t.Fatalf("legacy preempted record adopted as %s, want %s", v.State, StateQueued)
+	}
+	s.start()
+	defer s.Drain()
+	got := waitState(t, s, "j000001", StateDone)
+	if got.Metrics.StepsDone != 5 || got.Metrics.Resumes != 1 || got.Metrics.Preemptions != 1 {
+		t.Errorf("metrics %+v, want 5 steps, 1 resume, 1 preemption", got.Metrics)
+	}
+	if len(got.Samples) != 5 {
+		t.Errorf("feed has %d samples, want 5", len(got.Samples))
 	}
 }

@@ -131,11 +131,13 @@ func (s *Server) Submit(spec sim.Spec) (View, error) {
 	}
 	s.nextID++
 	j := &Job{
-		ID:          fmt.Sprintf("j%06d", s.nextID),
-		Spec:        spec,
-		State:       StateQueued,
-		SubmittedAt: time.Now().UTC(),
-		Feed:        observe.NewFeed(),
+		Record: Record{
+			ID:          fmt.Sprintf("j%06d", s.nextID),
+			Spec:        spec,
+			State:       StateQueued,
+			SubmittedAt: time.Now().UTC(),
+		},
+		Feed: observe.NewFeed(),
 	}
 	j.roll = s.rollFor(j.ID)
 	s.jobs[j.ID] = j
@@ -200,8 +202,8 @@ func (s *Server) List() []View {
 }
 
 // Preempt interrupts a running job after its step in flight; the
-// checkpointed job re-enters the queue and resumes automatically. Only
-// running jobs can be preempted.
+// checkpointed job goes back to the end of the queue and resumes
+// automatically. Only running jobs can be preempted.
 func (s *Server) Preempt(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -212,7 +214,7 @@ func (s *Server) Preempt(id string) error {
 	if j.State != StateRunning || j.intent != "" {
 		return fmt.Errorf("%w: job %s is %s", errConflict, id, j.State)
 	}
-	j.intent = "preempt"
+	j.intent = "requeue"
 	close(j.stop)
 	return nil
 }
@@ -227,10 +229,8 @@ func (s *Server) Cancel(id string) error {
 	}
 	switch {
 	case j.State == StateQueued:
-		j.State = StateCanceled
-		j.FinishedAt = time.Now().UTC()
-		j.Feed.Close()
 		// The queue entry is dropped lazily: workers skip non-queued jobs.
+		j.finish(StateCanceled)
 		s.mu.Unlock()
 		s.persist(j)
 		s.logf("job %s canceled while queued", id)
@@ -239,15 +239,6 @@ func (s *Server) Cancel(id string) error {
 		j.intent = "cancel"
 		close(j.stop)
 		s.mu.Unlock()
-		return nil
-	case j.State == StatePreempted:
-		// Between attempts (drain) or about to requeue: mark canceled so
-		// no worker picks it up again.
-		j.State = StateCanceled
-		j.FinishedAt = time.Now().UTC()
-		j.Feed.Close()
-		s.mu.Unlock()
-		s.persist(j)
 		return nil
 	default:
 		st := j.State
@@ -261,9 +252,10 @@ var (
 	errConflict = fmt.Errorf("server: conflicting state")
 )
 
-// Drain starts a graceful shutdown: no new submissions, running jobs are
-// checkpointed after their step in flight and left resumable, queued jobs
-// stay queued on disk. Drain returns when every worker has exited.
+// Drain starts a graceful shutdown: no new submissions, and every running
+// job is preempted - checkpointed after its step in flight and queued
+// again - so the queue on disk is what the next server on the directory
+// adopts. Drain returns when every worker has exited.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	if s.draining {
@@ -274,7 +266,7 @@ func (s *Server) Drain() {
 	s.draining = true
 	for _, j := range s.jobs {
 		if j.State == StateRunning && j.intent == "" {
-			j.intent = "drain"
+			j.intent = "requeue"
 			close(j.stop)
 		}
 	}
@@ -322,41 +314,23 @@ func (s *Server) worker() {
 		s.mu.Lock()
 		switch {
 		case err != nil:
-			j.State = StateFailed
-			j.Err = err.Error()
-			j.FinishedAt = time.Now().UTC()
-			j.Feed.Close()
+			j.Error = err.Error()
+			j.finish(StateFailed)
 			s.logf("job %s failed: %v", j.ID, err)
 		case res.Stopped && j.intent == "cancel":
-			j.State = StateCanceled
-			j.FinishedAt = time.Now().UTC()
-			j.Feed.Close()
-			if j.roll != nil {
-				j.roll.Clean()
-			}
+			j.finish(StateCanceled)
 			s.logf("job %s canceled after %d steps", j.ID, j.Metrics.StepsDone)
-		case res.Stopped && j.intent == "preempt":
+		case res.Stopped:
+			// Preempt or drain: back of the queue, next free worker (after
+			// a drain, the next server's).
 			j.resume = res.Final
 			j.Metrics.Preemptions++
-			// Automatic resume: back of the queue, next free worker.
 			j.State = StateQueued
 			s.queue = append(s.queue, j.ID)
 			s.cond.Signal()
 			s.logf("job %s preempted at step %d; requeued", j.ID, j.Metrics.StepsDone)
-		case res.Stopped && j.intent == "drain":
-			j.State = StatePreempted
-			j.resume = res.Final
-			j.Metrics.Preemptions++
-			s.logf("job %s checkpointed for drain at step %d", j.ID, j.Metrics.StepsDone)
 		default:
-			j.State = StateDone
-			j.FinishedAt = time.Now().UTC()
-			j.Feed.Close()
-			if j.roll != nil {
-				// The checkpoints were crash insurance; the record now
-				// carries the result.
-				j.roll.Clean()
-			}
+			j.finish(StateDone)
 			s.logf("job %s done: %d steps", j.ID, j.Metrics.StepsDone)
 		}
 		s.mu.Unlock()
