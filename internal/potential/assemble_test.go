@@ -4,9 +4,11 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ptdft/internal/grid"
+	"ptdft/internal/hostcpu"
 	"ptdft/internal/lanes"
 	"ptdft/internal/lattice"
 	"ptdft/internal/parallel"
@@ -161,24 +163,79 @@ func TestAssembleVeffSizeMismatchPanics(t *testing.T) {
 	}
 }
 
-// The assembly promises the same bits at any worker count: fixed-size
-// blocks folded in block order, serial transforms, an index-ordered G-space
-// sum.
+// The assembly promises the same bits at any worker count and on either
+// XC path (xc.LDAPoints on its kernel or on the Go loop): fixed-size blocks
+// folded in block order, serial transforms, an index-ordered G-space sum.
+// The density sends points down both PZ81 branches and under the 1e-14
+// cutoff: every seventh point is scaled up past rs = 1, every eleventh
+// and thirteenth set to 1e-15 and 0.
 func TestAssembleVeffBitIdenticalAcrossWorkers(t *testing.T) {
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	defer func(host bool) { hostcpu.AVX2 = host }(hostcpu.AVX2)
+	g := grid.MustNew(lattice.MustSiliconSupercell(2, 1, 1), 3)
+	nb := g.Cell.NumBands()
+	rho := Density(g, wavefunc.Random(g, nb, 4), nb, 2)
+	var branches [3]int
+	for i := range rho {
+		switch {
+		case i%13 == 0:
+			rho[i] = 0
+		case i%11 == 0:
+			rho[i] = 1e-15
+		case i%7 == 0:
+			rho[i] *= 40
+		}
+		switch {
+		case rho[i] <= 1e-14:
+			branches[0]++
+		case rho[i] > 3/(4*math.Pi):
+			branches[1]++
+		default:
+			branches[2]++
+		}
+	}
+	if branches[0] == 0 || branches[1] == 0 || branches[2] == 0 {
+		t.Fatalf("points at the cutoff, rs < 1 and rs >= 1: %v; want each > 0", branches)
+	}
+	loc := NewLocal(g, BuildVloc(g, map[int]*pseudo.Potential{0: pseudo.SiliconAH()}))
+	host := hostcpu.AVX2
+	hostcpu.AVX2 = false
+	veff0 := make([]float64, g.NTot)
+	en0 := AssembleVeff(g, veff0, rho, loc, 0.75)
+	for _, vec := range []bool{false, true} {
+		if vec && !host {
+			t.Log("host has no AVX2 and FMA: only the Go loop ran")
+			continue
+		}
+		hostcpu.AVX2 = vec
+		for _, w := range []int{1, 2, 4} {
+			parallel.SetMaxWorkers(w)
+			for rep := 0; rep < 3; rep++ {
+				veff := make([]float64, g.NTot)
+				if en := AssembleVeff(g, veff, rho, loc, 0.75); en != en0 || !sameBits(veff, veff0) {
+					t.Fatalf("kernel %v, workers %d, repeat %d: energies %v, Go loop at one worker %v (veffWave same bits: %v)", vec, w, rep, en, en0, sameBits(veff, veff0))
+				}
+			}
+		}
+	}
+}
+
+// At one worker and one P, AssembleVeff allocates nothing (DESIGN.md
+// section 5): the dense box, the wave-box spectrum and the FFT scratch are
+// the grid's, the XC pass's eps chunk is on the stack.
+func TestAssembleVeffAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g := grid.MustNew(lattice.MustSiliconSupercell(2, 1, 1), 3)
 	nb := g.Cell.NumBands()
 	rho := Density(g, wavefunc.Random(g, nb, 4), nb, 2)
 	loc := NewLocal(g, BuildVloc(g, map[int]*pseudo.Potential{0: pseudo.SiliconAH()}))
-	veff0 := make([]float64, g.NTot)
-	en0 := AssembleVeff(g, veff0, rho, loc, 0.75)
-	for _, w := range []int{1, 2, 4} {
-		parallel.SetMaxWorkers(w)
-		for rep := 0; rep < 3; rep++ {
-			veff := make([]float64, g.NTot)
-			if en := AssembleVeff(g, veff, rho, loc, 0.75); en != en0 || !sameBits(veff, veff0) {
-				t.Fatalf("workers %d repeat %d: energies %v, one-worker %v (veffWave same bits: %v)", w, rep, en, en0, sameBits(veff, veff0))
-			}
-		}
+	veff := make([]float64, g.NTot)
+	AssembleVeff(g, veff, rho, loc, 0.75) // warm the grid's scratch
+	if allocs, bytes := perRun(10, func() { AssembleVeff(g, veff, rho, loc, 0.75) }); allocs != 0 {
+		t.Errorf("AssembleVeff at one worker: %.1f allocs/op, %.0f B/op; want 0", allocs, bytes)
 	}
 }

@@ -189,13 +189,18 @@ func pointwise(v, rho, vloc []float64, exScale float64) (exc, eloc float64) {
 	return exc, eloc
 }
 
+// pointwiseBlock runs block b: xc.LDAPoints a chunk at a time into eps,
+// then the sums, sequential over the block's points.
 func pointwiseBlock(v, rho, vloc []float64, exScale float64, b int) (exc, eloc float64) {
-	for i := b * xcBlock; i < min((b+1)*xcBlock, len(rho)); i++ {
-		eps, pot := xc.LDA(rho[i], exScale)
-		v[i] = pot
-		exc += eps * rho[i]
-		if vloc != nil {
-			eloc += vloc[i] * rho[i]
+	var eps [256]float64
+	for lo, hi := b*xcBlock, min((b+1)*xcBlock, len(rho)); lo < hi; lo += len(eps) {
+		n := min(len(eps), hi-lo)
+		xc.LDAPoints(eps[:n], v[lo:lo+n], rho[lo:lo+n], exScale)
+		for j, e := range eps[:n] {
+			exc += e * rho[lo+j]
+			if vloc != nil {
+				eloc += vloc[lo+j] * rho[lo+j]
+			}
 		}
 	}
 	return exc, eloc

@@ -50,6 +50,9 @@ var (
 	rs1 = math.Cbrt(3 / (4 * math.Pi))
 )
 
+// PZ81's rs >= 1 branch, shared with the kernel's constants.
+const pzGamma, pzBeta1, pzBeta2 = -0.1423, 1.0529, 0.3334
+
 // LDA evaluates the local density approximation energy density and
 // potential at density rho (electrons/bohr^3): returns eps_xc (Ha per
 // electron) and v_xc (Ha). Slater exchange + PZ81 correlation.
@@ -81,15 +84,29 @@ func LDA(rho, exScale float64) (eps, v float64) {
 		ec = a*ln + b + c*rs*ln + d*rs
 		vc = a*ln + (b - a/3) + 2.0/3.0*c*rs*ln + (2*d-c)/3*rs
 	} else {
-		const (
-			gamma = -0.1423
-			beta1 = 1.0529
-			beta2 = 0.3334
-		)
 		sq := math.Sqrt(rs)
-		den := 1 + beta1*sq + beta2*rs
-		ec = gamma / den
-		vc = ec * (1 + 7.0/6.0*beta1*sq + 4.0/3.0*beta2*rs) / den
+		den := 1 + pzBeta1*sq + pzBeta2*rs
+		ec = pzGamma / den
+		vc = ec * (1 + 7.0/6.0*pzBeta1*sq + 4.0/3.0*pzBeta2*rs) / den
 	}
 	return ex + ec, vx + vc
+}
+
+// LDAPoints sets eps[i], v[i] = LDA(rho[i], exScale) for every point, the
+// same bits. Where hostcpu.AVX2 is set a kernel (xc_amd64.s) runs LDA's
+// rs >= 1 path four densities to a register and marks every lane it
+// cannot take - rho <= 1e-14, NaN, +-Inf, rs < 1 - with a NaN eps, which
+// a lane it takes produces only if LDA's does (a NaN exScale). Every NaN
+// eps and the last len(rho)%4 points run LDA here, as every point does on
+// the Go path.
+func LDAPoints(eps, v, rho []float64, exScale float64) {
+	if len(eps) != len(rho) || len(v) != len(rho) {
+		panic("xc: LDAPoints buffer size mismatch")
+	}
+	n := ldaVec(eps, v, rho, exScale)
+	for i, r := range rho {
+		if i >= n || eps[i] != eps[i] {
+			eps[i], v[i] = LDA(r, exScale)
+		}
+	}
 }
