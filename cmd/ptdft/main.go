@@ -10,9 +10,11 @@
 //	ptdft -md -displace 0:0.2,0,0 -ionsteps 20 -iondt 96 -dt 24 -kick 0   # Ehrenfest MD
 //	ptdft -steps 100 -save traj.ckp -ckptevery 10   # durable checkpoints traj.ckp.step*; SIGINT checkpoints and exits
 //	ptdft -steps 100 -load traj.ckp -save traj.ckp   # resume from the newest good one: -steps is still the whole trajectory
+//	ptdft -dt 12 -steps 120 -kick 0.005 -q -spectrum s.txt   # absorption spectrum of the kicked run
 //
 // Output: one line per step (time, energy, current, excited carriers, SCF
-// count) plus a trace breakdown, and optionally a CSV file for plotting.
+// count) plus a trace breakdown, and optionally a CSV file for plotting
+// and (-spectrum) the absorption spectrum Re sigma(omega) of a kicked run.
 // With -md each line is one ion step and the energy column is the
 // conserved total (electronic + ion kinetic + ion-ion).
 //
@@ -38,21 +40,31 @@ import (
 	"ptdft/internal/observe"
 	"ptdft/internal/sim"
 	"ptdft/internal/trace"
+	"ptdft/internal/units"
+)
+
+// -spectrum's table: spectrumPoints frequencies up to spectrumMaxEV, the
+// current damped by exp(-spectrumEta t) (au) for the finite trajectory.
+const (
+	spectrumMaxEV  = 15
+	spectrumPoints = 150
+	spectrumEta    = 0.005
 )
 
 // config is the CLI layer around a sim.Spec: the spec describes the
-// simulation; the rest is presentation (CSV, quiet), persistence paths,
-// and runtime wiring (signals, test hooks).
+// simulation; the rest is presentation (CSV, spectrum, quiet), persistence
+// paths, and runtime wiring (signals, test hooks).
 type config struct {
-	spec       sim.Spec
-	csvPath    string
-	quiet      bool
-	savePath   string
-	loadPath   string
-	ckptEvery  int
-	traceFile  string
-	commFile   string
-	profReport bool
+	spec         sim.Spec
+	csvPath      string
+	spectrumPath string
+	quiet        bool
+	savePath     string
+	loadPath     string
+	ckptEvery    int
+	traceFile    string
+	commFile     string
+	profReport   bool
 
 	// Runtime wiring, not flags. stop is closed on SIGINT/SIGTERM (or by a
 	// test); the drivers finish the step in flight, checkpoint, and return.
@@ -78,6 +90,7 @@ func parseFlags() (*config, error) {
 	flag.IntVar(&s.Ranks, "ranks", 0, "distribute over N goroutine-MPI ranks (0 = serial)")
 	flag.Int64Var(&s.Seed, "seed", 0, "ground-state starting guess seed")
 	flag.StringVar(&c.csvPath, "csv", "", "write per-step observables to this CSV file")
+	flag.StringVar(&c.spectrumPath, "spectrum", "", "write the absorption spectrum of the delta-kick run (Re sigma, 0-15 eV, 150 points) to this file")
 	flag.BoolVar(&c.quiet, "q", false, "suppress per-step output")
 	flag.StringVar(&c.savePath, "save", "", "write durable restart checkpoints P.step<N> for the path P after the last step (and every -ckptevery steps)")
 	flag.StringVar(&c.loadPath, "load", "", "resume from the newest good checkpoint P.step<N> (or the file P) instead of the ground state, up to -steps (-ionsteps with -md)")
@@ -101,6 +114,11 @@ func parseFlags() (*config, error) {
 		}
 		s.Cells[i] = v
 	}
+	if c.spectrumPath != "" {
+		if err := checkSpectrum(s, c.loadPath); err != nil {
+			return nil, err
+		}
+	}
 	// The full simulation rule set (exchange cadences, MD tiling) lives
 	// with the spec, so a typo fails before the ground-state
 	// SCF runs, not after.
@@ -116,6 +134,24 @@ func parseFlags() (*config, error) {
 		return nil, fmt.Errorf("-ckptevery writes rolling checkpoints to the -save path; add -save")
 	}
 	return &c, nil
+}
+
+// checkSpectrum rejects the runs -spectrum cannot transform: the spectrum is
+// the current of a kicked electron trajectory recorded from the kick on.
+func checkSpectrum(s *sim.Spec, loadPath string) error {
+	switch {
+	case s.MD:
+		return fmt.Errorf("-spectrum transforms the electronic steps' current; -md records ion steps")
+	case loadPath != "":
+		return fmt.Errorf("-spectrum needs the current from the kick on; -load resumes mid-trajectory")
+	case s.PulseE0 != 0:
+		return fmt.Errorf("-spectrum transforms the response to a delta kick; drop -pulse")
+	case s.Kick == 0:
+		return fmt.Errorf("-spectrum with -kick 0: the conductivity is the current divided by the kick; want a nonzero amplitude")
+	case s.Steps < 1:
+		return fmt.Errorf("-spectrum with -steps %d: want at least one recorded step", s.Steps)
+	}
+	return nil
 }
 
 func main() {
@@ -253,7 +289,32 @@ func run(cfg *config) error {
 		}
 		fmt.Printf("wrote %s\n", cfg.csvPath)
 	}
+	if cfg.spectrumPath != "" {
+		if err := writeSpectrum(cfg.spectrumPath, spec, res.Samples); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", cfg.spectrumPath)
+	}
 	return nil
+}
+
+// writeSpectrum writes Re sigma(omega) of the kicked run's J_z samples as a
+// two-column table (omega in eV).
+func writeSpectrum(path string, spec *sim.Spec, samples []observe.Sample) error {
+	jz := make([]float64, len(samples))
+	for i, s := range samples {
+		jz[i] = s.CurrentZ
+	}
+	dt := units.AttosecondsToAU(spec.DtAs)
+	// Sample i was recorded after step i+1, i.e. at t = (i+1)*dt: pass
+	// t0 = dt so the transform phases every sample at its true time.
+	omegas, sigma := observe.AbsorptionSpectrum(jz, dt, dt, spec.Kick, spectrumMaxEV/units.EVPerHartree, spectrumPoints, spectrumEta)
+	var b strings.Builder
+	b.WriteString("# omega_eV  Re_sigma(arb)\n")
+	for i := range omegas {
+		fmt.Fprintf(&b, "%10.4f %14.6e\n", omegas[i]*units.EVPerHartree, sigma[i])
+	}
+	return os.WriteFile(path, []byte(b.String()), 0o644)
 }
 
 func writeCSV(path string, samples []observe.Sample) error {

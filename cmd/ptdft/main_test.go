@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"ptdft/internal/checkpoint"
+	"ptdft/internal/observe"
 	"ptdft/internal/sim"
 	"ptdft/internal/units"
 	"ptdft/internal/wavefunc"
@@ -243,5 +245,74 @@ func TestCkptEveryFlagValidation(t *testing.T) {
 	}
 	if err := parse("-ckptevery", "2", "-save", "x.ckp"); err != nil {
 		t.Errorf("valid -ckptevery rejected: %v", err)
+	}
+}
+
+// TestSpectrumRejections: -spectrum refuses, naming the flag, every run
+// whose current it cannot transform - no kick to divide by, a pulse, ion
+// steps, a trajectory resumed after the kick, no recorded step - before
+// any SCF.
+func TestSpectrumRejections(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // the flag the error must name; "" means accepted
+	}{
+		{[]string{"-kick", "0"}, "-kick"},
+		{[]string{"-pulse", "0.005"}, "-pulse"},
+		{[]string{"-md", "-kick", "0"}, "-md"},
+		{[]string{"-load", "x.ckp"}, "-load"},
+		{[]string{"-steps", "0"}, "-steps"},
+		{[]string{"-ecut", "2", "-ranks", "2", "-hybrid"}, ""},
+	} {
+		_, _, err := parseArgs(append([]string{"-spectrum", "s.txt"}, tc.args...)...)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v rejected: %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("-spectrum %v: error %v, want one naming %s", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestSpectrumFile: -spectrum writes the header and one finite row per
+// frequency, the transform of the run's J_z samples with the first sample
+// at t = dt.
+func TestSpectrumFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.txt")
+	cfg, _, err := parseArgs("-ecut", "2", "-steps", "3", "-q", "-spectrum", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.stop = make(chan struct{})
+	if err := run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != 1+spectrumPoints || lines[0] != "# omega_eV  Re_sigma(arb)" {
+		t.Fatalf("spectrum file has %d lines starting %q, want the header and %d rows", len(lines), lines[0], spectrumPoints)
+	}
+
+	res, err := sim.Run(&cfg.spec, sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jz := make([]float64, len(res.Samples))
+	for i, s := range res.Samples {
+		jz[i] = s.CurrentZ
+	}
+	dt := units.AttosecondsToAU(cfg.spec.DtAs)
+	omegas, sigma := observe.AbsorptionSpectrum(jz, dt, dt, cfg.spec.Kick, spectrumMaxEV/units.EVPerHartree, spectrumPoints, spectrumEta)
+	for i, line := range lines[1:] {
+		var w, re float64
+		if _, err := fmt.Sscan(line, &w, &re); err != nil || math.IsNaN(re) || math.IsInf(re, 0) {
+			t.Fatalf("row %d %q: not two finite numbers (%v)", i, line, err)
+		}
+		if want := fmt.Sprintf("%10.4f %14.6e", omegas[i]*units.EVPerHartree, sigma[i]); line != want {
+			t.Fatalf("row %d is %q, the transform of the run's current %q", i, line, want)
+		}
 	}
 }

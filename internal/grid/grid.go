@@ -44,7 +44,6 @@ type Grid struct {
 	SphereIdxD []int
 	GVec       [][3]float64
 	G2         []float64
-	MillerIdx  [][3]int
 	// SphereRows and SpherePlanes list, ascending and duplicate-free, the
 	// wave-box z-rows (flat index ix*N[1] + iy) and x-planes (ix) that hold
 	// at least one SphereIdx entry; SphereRowsD and SpherePlanesD, the
@@ -181,7 +180,6 @@ func (g *Grid) buildSphere() {
 				g.SphereIdxD = append(g.SphereIdxD, (dx*g.ND[1]+dy)*g.ND[2]+dz)
 				g.GVec = append(g.GVec, [3]float64{gx, gy, gz})
 				g.G2 = append(g.G2, g2)
-				g.MillerIdx = append(g.MillerIdx, [3]int{mx, my, mz})
 			}
 		}
 	}

@@ -72,13 +72,21 @@ func TestSphereWithinCutoff(t *testing.T) {
 
 func TestSphereClosedUnderNegation(t *testing.T) {
 	g := si8Grid(t, 5)
-	type key [3]int
-	set := make(map[key]bool, g.NG)
-	for _, m := range g.MillerIdx {
-		set[key{m[0], m[1], m[2]}] = true
+	// The Miller index of a sphere entry is G * L / 2pi.
+	miller := func(gv [3]float64) [3]int {
+		var m [3]int
+		for d := range m {
+			m[d] = int(math.Round(gv[d] * g.Cell.L[d] / (2 * math.Pi)))
+		}
+		return m
 	}
-	for _, m := range g.MillerIdx {
-		if !set[key{-m[0], -m[1], -m[2]}] {
+	set := make(map[[3]int]bool, g.NG)
+	for _, gv := range g.GVec {
+		set[miller(gv)] = true
+	}
+	for _, gv := range g.GVec {
+		m := miller(gv)
+		if !set[[3]int{-m[0], -m[1], -m[2]}] {
 			t.Fatalf("sphere not symmetric: missing -G for %v", m)
 		}
 	}

@@ -81,20 +81,34 @@ func TestOverlapMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestOverlapHermitianOnSelf: the self-overlap is Hermitian bit for bit -
+// s[j,i] is exactly conj(s[i,j]) and every diagonal imaginary part is +0 -
+// on every path at one and two workers, so a caller symmetrizing it (the
+// SCF's Rayleigh-Ritz overlap) would change nothing.
 func TestOverlapHermitianOnSelf(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
 	rng := rand.New(rand.NewSource(2))
-	n, ng := 6, 50
-	a := randMat(rng, n, ng)
-	s := make([]complex128, n*n)
-	Overlap(s, a, a, n, n, ng)
-	for i := 0; i < n; i++ {
-		if math.Abs(imag(s[i*n+i])) > 1e-10 {
-			t.Errorf("diagonal %d not real: %v", i, s[i*n+i])
-		}
-		for j := 0; j < n; j++ {
-			if cmplx.Abs(s[i*n+j]-cmplx.Conj(s[j*n+i])) > 1e-10 {
-				t.Errorf("overlap not Hermitian at (%d,%d)", i, j)
-			}
+	for _, n := range []int{1, 3, 5, 13, 16, 32, 33, 64} {
+		for _, ng := range []int{7, 100, 2917} {
+			a := randMat(rng, n, ng)
+			s := make([]complex128, n*n)
+			forEachVec(func(vec bool) {
+				for _, workers := range []int{1, 2} {
+					parallel.SetMaxWorkers(workers)
+					Overlap(s, a, a, n, n, ng)
+					for i := 0; i < n; i++ {
+						if d := imag(s[i*n+i]); math.Float64bits(d) != 0 {
+							t.Fatalf("n=%d ng=%d kernels=%v workers=%d: diagonal %d has imaginary part %g, want +0", n, ng, vec, workers, i, d)
+						}
+						for j := 0; j < i; j++ {
+							x, y := s[i*n+j], cmplx.Conj(s[j*n+i])
+							if !sameBits(real(x), real(y)) || !sameBits(imag(x), imag(y)) {
+								t.Fatalf("n=%d ng=%d kernels=%v workers=%d: s[%d,%d] = %v, conj(s[%d,%d]) = %v", n, ng, vec, workers, i, j, x, j, i, y)
+							}
+						}
+					}
+				}
+			})
 		}
 	}
 }

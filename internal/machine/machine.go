@@ -1,23 +1,15 @@
 // Package machine describes the Summit supercomputer configuration of
-// section 5 - node composition, bandwidths, peak rates, and power draw -
-// and provides the power-equivalence comparison of section 6.
+// section 5 - node composition, peak rate and power draw - and provides
+// the power-equivalence comparison of section 6.
 package machine
 
-// Summit holds the hardware constants of one Summit node and its
-// interconnect (section 5 and Fig. 5 of the paper).
+// Summit holds the hardware constants of one Summit node that the model
+// reads (section 5 and Fig. 5 of the paper).
 type Summit struct {
 	GPUsPerNode    int     // NVIDIA V100 per node
 	SocketsPerNode int     // IBM POWER9 sockets
 	CoresPerSocket int     // physical CPU cores
 	GPUPeakTFLOPS  float64 // double precision peak per GPU
-	GPUMemGBs      float64 // HBM bandwidth per GPU (GB/s)
-	GPUMemGB       float64 // HBM capacity per GPU
-	CPUMemGBs      float64 // DDR4 bandwidth per socket (GB/s)
-	NodeDRAMGB     float64 // CPU main memory per node
-	NVLinkGBs      float64 // CPU-GPU link bandwidth
-	XBusGBs        float64 // socket-to-socket bus
-	NICGBs         float64 // injection bandwidth per NIC (one per socket)
-	NodeNICGBs     float64 // total node injection (dual rail EDR)
 	GPUPowerW      float64 // per V100
 	SocketPowerW   float64 // per POWER9 socket
 }
@@ -29,14 +21,6 @@ func Default() Summit {
 		SocketsPerNode: 2,
 		CoresPerSocket: 22,
 		GPUPeakTFLOPS:  7.8,
-		GPUMemGBs:      900,
-		GPUMemGB:       16,
-		CPUMemGBs:      135,
-		NodeDRAMGB:     512,
-		NVLinkGBs:      50,
-		XBusGBs:        64,
-		NICGBs:         12.5,
-		NodeNICGBs:     25,
 		GPUPowerW:      300,
 		SocketPowerW:   190,
 	}

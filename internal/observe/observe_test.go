@@ -117,7 +117,7 @@ func TestAbsorptionSpectrumTimeBase(t *testing.T) {
 		gamma  = 0.004
 		eta    = 0.002
 		dt     = 0.25
-		t0     = dt // samples recorded after each step, as cmd/spectra does
+		t0     = dt // samples recorded after each step, as ptdft -spectrum does
 		n      = 1500
 		nw     = 64
 		wmax   = 1.0

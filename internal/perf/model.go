@@ -49,10 +49,8 @@ type Model struct {
 	Sys SystemSize
 	M   machine.Summit
 
-	// SCFPerStep is the average self-consistency iteration count per
-	// 50 as PT-CN step (section 4: average 22).
-	SCFPerStep int
-	// StepFactor converts per-SCF time to per-step time: 22 SCF + the
+	// StepFactor converts per-SCF time to per-step time: the average 22
+	// SCF iterations of a 50 as PT-CN step (section 4) + the
 	// initial residual + the energy evaluation + orthogonalization
 	// amortization = 24.2 per-SCF equivalents (Table 1: Total/perSCF).
 	StepFactor float64
@@ -66,7 +64,6 @@ func New(sys SystemSize) *Model {
 	return &Model{
 		Sys:            sys,
 		M:              machine.Default(),
-		SCFPerStep:     22,
 		StepFactor:     24.2,
 		CPUStepSeconds: 8874,
 	}

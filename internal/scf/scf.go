@@ -219,8 +219,9 @@ func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int,
 	a, b := ew.a, ew.b
 	linalg.Overlap(a, basis, hbasis, m, m, ng)
 	linalg.Overlap(b, basis, basis, m, m, ng)
+	// The self-overlap b is Hermitian bit for bit already; a, a product
+	// through H, is only Hermitian to rounding.
 	hermitize(a, m)
-	hermitize(b, m)
 
 	_, u, err := ew.pencil.GenEigChol(a, b, nb)
 	if err != nil {

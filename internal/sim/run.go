@@ -115,7 +115,6 @@ type Result struct {
 	Stopped bool             // a shutdown request ended the segment before the trajectory's end
 
 	Ground        *scf.Result // the ground state used (cached or solved)
-	GroundCached  bool        // true when Options.Ground supplied it
 	GroundWallSec float64     // SCF wall time (0 on a cache hit)
 
 	EhrenfestDrift float64           // max |E_tot - E_0| over the segment (MD only)
@@ -185,7 +184,6 @@ func Run(spec *Spec, opt Options) (*Result, error) {
 	res := &Result{}
 	gs := opt.Ground
 	if gs != nil {
-		res.GroundCached = true
 		opt.logf("ground state: E = %.8f Ha (cached; %d SCF iterations at build)", gs.Energy.Total(), gs.SCFIterations)
 	} else {
 		start := time.Now()

@@ -430,9 +430,6 @@ func TestRunSplitEqualsContinuous(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !segB.GroundCached {
-				t.Error("supplied ground state not marked cached")
-			}
 			if want := elSteps(&spec, tc.total); segB.Final.Step != want {
 				t.Errorf("resumed final step %d, want %d", segB.Final.Step, want)
 			}
@@ -788,8 +785,8 @@ func TestRunSerialEqualsDistributed(t *testing.T) {
 
 // TestRunCurrentEqualsHandLoop: the J_z series of Run is the one a
 // core.PTCN + System.Prepare + observe.Current loop records on the same
-// ground state - the identity cmd/spectra and the kick examples rest on
-// since they stopped stepping the solver themselves.
+// ground state - the identity ptdft -spectrum and the kick examples rest
+// on.
 func TestRunCurrentEqualsHandLoop(t *testing.T) {
 	spec := testSpec()
 	spec.Steps = 3

@@ -1,7 +1,7 @@
 #!/bin/sh
 # reach: list every function and method declared in a non-test file under
-# internal/ that none of the four commands (ptdft, ptdftd, spectra,
-# summitsim) links, and hold that list to scripts/reach.txt. CI runs it on
+# internal/ that none of the three commands (ptdft, ptdftd, summitsim)
+# links, and hold that list to scripts/reach.txt. CI runs it on
 # every PR; run it from the module root with:
 # sh scripts/reach.sh
 #
@@ -28,7 +28,7 @@ trap 'rm -rf "$tmp"' EXIT
 trap 'exit 1' INT TERM
 
 flags=-gcflags=all=-l
-go build "$flags" -o "$tmp/cmd/" ./cmd/ptdft ./cmd/ptdftd ./cmd/spectra ./cmd/summitsim
+go build "$flags" -o "$tmp/cmd/" ./cmd/ptdft ./cmd/ptdftd ./cmd/summitsim
 go build "$flags" -o "$tmp/example/" ./examples/...
 (cd bench && go build "$flags" -o "$tmp/bench/bench" .)
 
