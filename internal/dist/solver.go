@@ -315,7 +315,7 @@ func (s *PTCNSolver) Orthonormalize(local []complex128) ([]complex128, float64, 
 	ws := s.stepWS()
 	s.D.BandToGWS(ws.psiG, local, false, ws.tw)
 	w := s.D.NumLocalG()
-	linalg.Overlap(ws.ov, ws.psiG, ws.psiG, nb, nb, w)
+	linalg.Gram(ws.ov, ws.psiG, nb, w)
 	mpi.AllreduceSum(s.D.C, tagOverlap, ws.ov)
 	oerr := wavefunc.IdentityError(ws.ov, nb)
 	if err := linalg.CholeskyLower(ws.ov, nb); err != nil {

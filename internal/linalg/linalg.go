@@ -12,10 +12,11 @@
 // band i occupies elements [i*ng, (i+1)*ng).
 //
 // On amd64 hosts with AVX2 (hostcpu.AVX2) the band-block products Overlap
-// and ApplyMatrix run on two assembly kernels (linalg_amd64.s) that take
-// the Go loops' operations in the Go loops' order, with no FMA, so both
-// paths give the same bits; the Go loops are the portable path and the
-// oracle, and write every product float64(...) so that no build fuses them.
+// (and Gram), ApplyMatrix and SolveLowerBands run on three assembly kernels
+// (linalg_amd64.s) that take the Go loops' operations in the Go loops'
+// order, with no FMA, so both paths give the same bits; the Go loops are the
+// portable path and the oracle, and write every product float64(...) so
+// that no build fuses them.
 package linalg
 
 import (
@@ -38,43 +39,72 @@ func Overlap(s, a, b []complex128, na, nb, ng int) {
 	if parallel.MaxWorkers() <= 1 {
 		// Inline loop: no closure, no goroutines (zero-alloc hot path).
 		for i := 0; i < na; i += 4 {
-			overlapRows(s, a, b, i, na, nb, ng)
+			overlapBlock(s, a, b, i, 0, nb, na, nb, ng)
 		}
 		return
 	}
 	parallel.For((na+3)/4, func(k int) {
-		overlapRows(s, a, b, 4*k, na, nb, ng)
+		overlapBlock(s, a, b, 4*k, 0, nb, na, nb, ng)
 	})
 }
 
-// overlapRows fills rows [i, min(i+4, na)) of the overlap matrix: the
-// vector kernel takes whole 4x4 blocks where it runs, overlapRow the rest.
-func overlapRows(s, a, b []complex128, i, na, nb, ng int) {
-	j0 := 0
-	if na-i >= 4 {
-		j0 = overlapVec(s, a, b, i, nb, ng)
+// Gram computes the self-overlap s[i*n+j] = <a_i | a_j>, Overlap(s, a, a,
+// n, n, ng) bit for bit at about half the work: it runs Overlap's code on the
+// 4x4 tiles on and above the diagonal and mirrors those right of it. The
+// mirror is exact: the real sums of (i, j) and (j, i) add the same products
+// in the same order, and each imaginary term of one negates the other's, so
+// the sums negate, but a zero sum is +0 both ways (a sum from +0 is never
+// -0): hence 0 - im, not -im.
+func Gram(s, a []complex128, n, ng int) {
+	if len(s) != n*n || len(a) != n*ng {
+		panic(fmt.Sprintf("linalg: Gram dims mismatch n=%d ng=%d", n, ng))
 	}
-	for r := i; r < min(i+4, na); r++ {
-		overlapRow(s, a, b, r, j0, nb, ng)
+	nt := (n + 3) / 4
+	if parallel.MaxWorkers() <= 1 {
+		for i := 0; i < n; i += 4 {
+			gramRow(s, a, i, n, ng)
+		}
+		return
+	}
+	// Task t takes tile rows t and nt-1-t, nt+1 tiles: every task the same
+	// but an odd middle row's.
+	parallel.For((nt+1)/2, func(t int) {
+		gramRow(s, a, 4*t, n, ng)
+		if nt-1-t != t {
+			gramRow(s, a, 4*(nt-1-t), n, ng)
+		}
+	})
+}
+
+// gramRow fills the tiles of the tile row from band i on and right of the
+// diagonal, and mirrors those right of it below the diagonal.
+func gramRow(s, a []complex128, i, n, ng int) {
+	overlapBlock(s, a, a, i, i, n, n, n, ng)
+	for r := i; r < i+4 && r < n; r++ {
+		for c := i + 4; c < n; c++ {
+			x := s[r*n+c]
+			s[c*n+r] = complex(real(x), 0-imag(x))
+		}
 	}
 }
 
-// overlapRow fills columns [j0, nb) of row i of the overlap matrix. Each
-// conj(x)*y is accumulated in parts to stay in registers, every product
-// float64(...), which no build may fuse into the add that follows: the
-// vector kernels do not fuse either, so the Go loops round where they do on
-// every GOARCH (gc fuses a plain a*b+c on arm64 and similar targets).
-func overlapRow(s, a, b []complex128, i, j0, nb, ng int) {
+// overlapBlock fills rows [i, min(i+4, na)) x columns [j0, j1) of the
+// overlap matrix: the vector kernel takes whole 4x4 blocks where it runs,
+// overlapRow the rest.
+func overlapBlock(s, a, b []complex128, i, j0, j1, na, nb, ng int) {
+	if na-i >= 4 {
+		j0 = overlapVec(s, a, b, i, j0, j1, nb, ng)
+	}
+	for r := i; r < min(i+4, na); r++ {
+		overlapRow(s, a, b, r, j0, j1, nb, ng)
+	}
+}
+
+// overlapRow fills columns [j0, j1) of row i of the overlap matrix.
+func overlapRow(s, a, b []complex128, i, j0, j1, nb, ng int) {
 	ai := a[i*ng : (i+1)*ng]
-	for j := j0; j < nb; j++ {
-		bj := b[j*ng : (j+1)*ng]
-		var re, im float64
-		for g := range ai {
-			x, y := ai[g], bj[g]
-			re += float64(real(x)*real(y)) + float64(imag(x)*imag(y))
-			im += float64(real(x)*imag(y)) - float64(imag(x)*real(y))
-		}
-		s[i*nb+j] = complex(re, im)
+	for j := j0; j < j1; j++ {
+		s[i*nb+j] = Dot(ai, b[j*ng:(j+1)*ng])
 	}
 }
 
@@ -101,8 +131,7 @@ func ApplyMatrix(dst, src, u []complex128, nOut, nIn, ng int) {
 // applyMatrixCol computes output band j of the rotation: the vector kernel
 // takes whole chunks of eight points where it runs, the Go loop the rest.
 // Each point sums its input bands in ascending order, skipping zero
-// coefficients, with Go's complex product spelled out in parts so that no
-// build fuses it.
+// coefficients.
 func applyMatrixCol(dst, src, u []complex128, j, nOut, nIn, ng int) {
 	lo := applyMatrixVec(dst, src, u, j, nOut, nIn, ng)
 	dj := dst[j*ng+lo : (j+1)*ng]
@@ -112,13 +141,18 @@ func applyMatrixCol(dst, src, u []complex128, j, nOut, nIn, ng int) {
 		if c == 0 {
 			continue
 		}
-		cr, ci := real(c), imag(c)
 		si := src[i*ng+lo : (i+1)*ng]
 		si = si[:len(dj)]
 		for g, x := range si {
-			dj[g] += complex(float64(cr*real(x))-float64(ci*imag(x)), float64(cr*imag(x))+float64(ci*real(x)))
+			dj[g] += cmul(c, x)
 		}
 	}
+}
+
+// cmul returns Go's complex product c*x spelled out in parts, so that no
+// build fuses it: the vector kernels' product rounds the same way.
+func cmul(c, x complex128) complex128 {
+	return complex(float64(real(c)*real(x))-float64(imag(c)*imag(x)), float64(real(c)*imag(x))+float64(imag(c)*real(x)))
 }
 
 // CholeskyLower factors the Hermitian positive definite n x n matrix a
@@ -176,9 +210,15 @@ func SolveLowerBands(l, x []complex128, n, ng int) {
 	})
 }
 
-// solveLowerBandsRange runs the forward substitution on G columns [lo, hi).
+// solveLowerBandsRange runs the forward substitution on G columns [lo, hi):
+// per band, the vector kernel takes whole chunks of eight points from lo
+// where it runs, the Go loop the rest. Each point of band i subtracts
+// conj(l_ij)*x_j over j < i ascending, skipping zero coefficients, then
+// multiplies by 1/l_ii.
 func solveLowerBandsRange(l, x []complex128, n, ng, lo, hi int) {
 	for i := 0; i < n; i++ {
+		inv := 1 / complex(real(l[i*n+i]), 0)
+		m := solveLowerVec(l, x, i, n, ng, lo, hi, inv)
 		xi := x[i*ng : (i+1)*ng]
 		for j := 0; j < i; j++ {
 			c := cmplx.Conj(l[i*n+j])
@@ -186,13 +226,12 @@ func solveLowerBandsRange(l, x []complex128, n, ng, lo, hi int) {
 				continue
 			}
 			xj := x[j*ng : (j+1)*ng]
-			for g := lo; g < hi; g++ {
-				xi[g] -= c * xj[g]
+			for g := m; g < hi; g++ {
+				xi[g] -= cmul(c, xj[g])
 			}
 		}
-		inv := 1 / complex(real(l[i*n+i]), 0)
-		for g := lo; g < hi; g++ {
-			xi[g] *= inv
+		for g := m; g < hi; g++ {
+			xi[g] = cmul(inv, xi[g])
 		}
 	}
 }
@@ -527,7 +566,11 @@ func (ws *EigWork) GenEigChol(a, b []complex128, k int) ([]float64, []complex128
 	return evals, x, nil
 }
 
-// Dot returns <a|b> = sum conj(a_i) b_i, summed as overlapRow sums.
+// Dot returns <a|b> = sum conj(a_i) b_i, the overlap's Go loop. Each
+// conj(x)*y is accumulated in parts to stay in registers, every product
+// float64(...), which no build may fuse into the add that follows: the
+// vector kernels do not fuse either, so the Go loops round where they do on
+// every GOARCH (gc fuses a plain a*b+c on arm64 and similar targets).
 func Dot(a, b []complex128) complex128 {
 	var re, im float64
 	for i := range a {

@@ -19,21 +19,25 @@ func overlap4x4AVX2(sum *[32]float64, a, b *complex128, ng, pairs int)
 //go:noescape
 func applyMatrixAVX2(dst, src, u *complex128, nIn, nOut, ng, chunks int)
 
-// overlapVec fills columns [0, nb&^3) of overlap rows i..i+3, one 4x4 block
-// per kernel call, and returns nb&^3, the first column it leaves to the Go
-// loop: 0 when it ran nothing. The kernel sums the points in pairs; an odd
-// last point continues from its partial sums here, as overlapRow would.
-func overlapVec(s, a, b []complex128, i, nb, ng int) int {
-	if !hostcpu.AVX2 || nb < 4 || ng < 2 {
-		return 0
+//go:noescape
+func solveLowerAVX2(xi, x, l *complex128, i, ng, chunks int, inv complex128)
+
+// overlapVec fills columns [j0, j4) of overlap rows i..i+3, j4 = j0 +
+// (j1-j0)&^3, one 4x4 block per kernel call, and returns j4, the first
+// column it leaves to the Go loop: j0 when it ran nothing. The kernel sums
+// the points in pairs; an odd last point continues from its partial sums
+// here, as overlapRow would.
+func overlapVec(s, a, b []complex128, i, j0, j1, nb, ng int) int {
+	if !hostcpu.AVX2 || j1-j0 < 4 || ng < 2 {
+		return j0
 	}
-	nb4 := nb &^ 3
-	if i < 0 || len(s) < (i+4)*nb || len(a) < (i+4)*ng || len(b) < nb4*ng {
-		panic(fmt.Sprintf("linalg: overlap rows %d..%d of %d columns over %d points: s %d, a %d, b %d",
-			i, i+3, nb, ng, len(s), len(a), len(b)))
+	j4 := j0 + (j1-j0)&^3
+	if i < 0 || j0 < 0 || j1 > nb || len(s) < (i+4)*nb || len(a) < (i+4)*ng || len(b) < j4*ng {
+		panic(fmt.Sprintf("linalg: overlap rows %d..%d, columns %d..%d of %d over %d points: s %d, a %d, b %d",
+			i, i+3, j0, j1-1, nb, ng, len(s), len(a), len(b)))
 	}
 	var sum [32]float64
-	for j := 0; j < nb4; j += 4 {
+	for j := j0; j < j4; j += 4 {
 		overlap4x4AVX2(&sum, &a[i*ng], &b[j*ng], ng, ng/2)
 		for r := 0; r < 4; r++ {
 			for c := 0; c < 4; c++ {
@@ -47,7 +51,7 @@ func overlapVec(s, a, b []complex128, i, nb, ng int) int {
 			}
 		}
 	}
-	return nb4
+	return j4
 }
 
 // applyMatrixVec computes points [0, ng&^7) of output band j of the
@@ -63,4 +67,20 @@ func applyMatrixVec(dst, src, u []complex128, j, nOut, nIn, ng int) int {
 	}
 	applyMatrixAVX2(&dst[j*ng], &src[0], &u[j], nIn, nOut, ng, ng/8)
 	return ng &^ 7
+}
+
+// solveLowerVec runs band i of the forward substitution on points [lo, m),
+// m = lo + (hi-lo)&^7, and returns m, the first point it leaves to the Go
+// loop: lo when it ran nothing, as for band 0, which subtracts nothing. inv
+// is the Go loop's 1/l_ii.
+func solveLowerVec(l, x []complex128, i, n, ng, lo, hi int, inv complex128) int {
+	if !hostcpu.AVX2 || i < 1 || hi-lo < 8 {
+		return lo
+	}
+	if lo < 0 || hi > ng || len(l) < i*n+i || len(x) < (i+1)*ng {
+		panic(fmt.Sprintf("linalg: forward substitution of band %d of %d over points %d..%d of %d: l %d, x %d",
+			i, n, lo, hi-1, ng, len(l), len(x)))
+	}
+	solveLowerAVX2(&x[i*ng+lo], &x[lo], &l[i*n], i, ng, (hi-lo)/8, inv)
+	return lo + (hi-lo)&^7
 }

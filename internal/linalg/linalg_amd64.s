@@ -1,10 +1,11 @@
-// AVX2 renditions of overlapRow's and applyMatrixCol's inner loops
-// (linalg.go): the Go loops' expression trees, operation for operation and
-// with no FMA, each output summed over the same operands in the same order,
-// so the output is the same bits (DESIGN.md section 5, "Vector kernels").
-// The callers (linalg_amd64.go) have checked every length; nothing here is
-// bounds-checked. Operand order: the Go assembler writes VSUBPD b, a, dst
-// for dst = a - b and VADDSUBPD b, a, dst for dst = (a0 - b0, a1 + b1, ...).
+// AVX2 renditions of overlapRow's, applyMatrixCol's and
+// solveLowerBandsRange's inner loops (linalg.go): the Go loops' expression
+// trees, operation for operation and with no FMA, each output summed over
+// the same operands in the same order, so the output is the same bits
+// (DESIGN.md section 5, "Vector kernels"). The callers (linalg_amd64.go)
+// have checked every length; nothing here is bounds-checked. Operand order:
+// the Go assembler writes VSUBPD b, a, dst for dst = a - b and VADDSUBPD b,
+// a, dst for dst = (a0 - b0, a1 + b1, ...).
 
 #include "textflag.h"
 
@@ -100,15 +101,19 @@ ovdone:
 	VZEROUPPER
 	RET
 
-// CMUL(off, S, T, ACC) adds c*s to two complex accumulators, s the two
-// points at off(AX), c broadcast in parts to Y4, Y5: T = cr*s, S = ci*swap(s),
-// T = (cr*sr - ci*si, cr*si + ci*sr), Go's complex product; ACC += T.
-#define CMUL(off, S, T, ACC) \
-	VMULPD    off(AX), Y4, T   \
-	VPERMILPD $5, off(AX), S   \
-	VMULPD    S, Y5, S         \
-	VADDSUBPD S, T, T          \
-	VADDPD    T, ACC, ACC
+// CPROD(SRC, S, T) sets T = c*s, s the two points at SRC (T itself may be
+// SRC) and c broadcast in parts to Y4, Y5: S = swap(s), T = cr*s, S = ci*S,
+// T = (cr*sr - ci*si, cr*si + ci*sr), Go's complex product.
+#define CPROD(SRC, S, T) \
+	VPERMILPD $5, SRC, S \
+	VMULPD    SRC, Y4, T \
+	VMULPD    S, Y5, S   \
+	VADDSUBPD S, T, T
+
+// CMUL(SRC, S, T, OP, ACC) sets ACC = ACC OP c*s: OP is VADDPD or VSUBPD.
+#define CMUL(SRC, S, T, OP, ACC) \
+	CPROD(SRC, S, T) \
+	OP T, ACC, ACC
 
 // func applyMatrixAVX2(dst, src, u *complex128, nIn, nOut, ng, chunks int)
 //
@@ -154,10 +159,10 @@ amband:
 	JEQ          amskip
 	VBROADCASTSD (BX), Y4
 	VBROADCASTSD 8(BX), Y5
-	CMUL(0, Y6, Y7, Y0)
-	CMUL(32, Y8, Y9, Y1)
-	CMUL(64, Y10, Y11, Y2)
-	CMUL(96, Y12, Y13, Y3)
+	CMUL(0(AX), Y6, Y7, VADDPD, Y0)
+	CMUL(32(AX), Y8, Y9, VADDPD, Y1)
+	CMUL(64(AX), Y10, Y11, VADDPD, Y2)
+	CMUL(96(AX), Y12, Y13, VADDPD, Y3)
 
 amskip:
 	ADDQ R10, AX
@@ -174,5 +179,73 @@ amskip:
 	JNZ     amchunk
 
 amdone:
+	VZEROUPPER
+	RET
+
+// func solveLowerAVX2(xi, x, l *complex128, i, ng, chunks int, inv complex128)
+//
+// Band i of solveLowerBandsRange over its first 8*chunks points, xi and x at
+// that point of band i and band 0, l at row i: x_i -= conj(l[j])*x_j for
+// j < i ascending, skipping every l[j] == 0, then x_i = inv*x_i, with x_i
+// in Y0..Y3 throughout. The wrapper passes i >= 1 and chunks >= 1.
+//
+//	SI, DI, AX    band 0, band i and band j at the chunk
+//	R8, BX        l row i, l[j]
+//	R10, R12, DX  ng*16, chunks left, bands j left
+//	X14, Y15      zero; the sign bit in each lane, for conj's exact negation
+TEXT ·solveLowerAVX2(SB), NOSPLIT, $0-64
+	MOVQ     xi+0(FP), DI
+	MOVQ     x+8(FP), SI
+	MOVQ     l+16(FP), R8
+	MOVQ     ng+32(FP), R10
+	SHLQ     $4, R10
+	MOVQ     chunks+40(FP), R12
+	VXORPD   X14, X14, X14
+	VPCMPEQQ Y15, Y15, Y15
+	VPSLLQ   $63, Y15, Y15
+
+slchunk:
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ    SI, AX
+	MOVQ    R8, BX
+	MOVQ    i+24(FP), DX
+
+slband:
+	VMOVUPD      (BX), X6
+	VCMPPD       $0, X14, X6, X6
+	VMOVMSKPD    X6, CX
+	CMPQ         CX, $3
+	JEQ          slskip
+	VBROADCASTSD (BX), Y4
+	VBROADCASTSD 8(BX), Y5
+	VXORPD       Y15, Y5, Y5
+	CMUL(0(AX), Y6, Y7, VSUBPD, Y0)
+	CMUL(32(AX), Y8, Y9, VSUBPD, Y1)
+	CMUL(64(AX), Y10, Y11, VSUBPD, Y2)
+	CMUL(96(AX), Y12, Y13, VSUBPD, Y3)
+
+slskip:
+	ADDQ R10, AX
+	ADDQ $16, BX
+	DECQ DX
+	JNZ  slband
+
+	VBROADCASTSD inv_real+48(FP), Y4
+	VBROADCASTSD inv_imag+56(FP), Y5
+	CPROD(Y0, Y6, Y0)
+	CPROD(Y1, Y7, Y1)
+	CPROD(Y2, Y8, Y2)
+	CPROD(Y3, Y9, Y3)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	DECQ    R12
+	JNZ     slchunk
 	VZEROUPPER
 	RET

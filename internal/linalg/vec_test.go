@@ -43,20 +43,24 @@ func firstDiff(got, want []complex128) int {
 	return -1
 }
 
-// bandProducts runs Overlap(a, b), Overlap(a, a) and ApplyMatrix(a, u) on
-// the Go loops at one worker - the oracle - and on every path at one and
-// two workers, and reports the first element any of them does not
-// reproduce bit for bit. a is na x ng, b nb x ng, u na x nb.
-func bandProducts(a, b, u []complex128, na, nb, ng int) error {
+// bandProducts runs Overlap(a, b), Overlap(a, a), Gram(a), ApplyMatrix(a,
+// u) and SolveLowerBands(l, a) on the Go loops at one worker - the oracle,
+// where Gram's is Overlap(a, a) - and on every path at one and two workers,
+// and reports the first element any of them does not reproduce bit for bit.
+// a is na x ng, b nb x ng, u na x nb, l na x na.
+func bandProducts(a, b, u, l []complex128, na, nb, ng int) error {
 	type product struct {
-		name string
-		n    int
-		run  func(out []complex128)
+		name     string
+		n        int
+		run, ref func(out []complex128)
 	}
+	self := func(s []complex128) { Overlap(s, a, a, na, na, ng) }
 	products := []product{
-		{"Overlap(a, b)", na * nb, func(s []complex128) { Overlap(s, a, b, na, nb, ng) }},
-		{"Overlap(a, a)", na * na, func(s []complex128) { Overlap(s, a, a, na, na, ng) }},
-		{"ApplyMatrix(a, u)", nb * ng, func(d []complex128) { ApplyMatrix(d, a, u, nb, na, ng) }},
+		{"Overlap(a, b)", na * nb, func(s []complex128) { Overlap(s, a, b, na, nb, ng) }, nil},
+		{"Overlap(a, a)", na * na, self, nil},
+		{"Gram(a)", na * na, func(s []complex128) { Gram(s, a, na, ng) }, self},
+		{"ApplyMatrix(a, u)", nb * ng, func(d []complex128) { ApplyMatrix(d, a, u, nb, na, ng) }, nil},
+		{"SolveLowerBands(l, a)", na * ng, func(x []complex128) { copy(x, a); SolveLowerBands(l, x, na, ng) }, nil},
 	}
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
 	want := make([][]complex128, len(products))
@@ -64,7 +68,10 @@ func bandProducts(a, b, u []complex128, na, nb, ng int) error {
 	hostcpu.AVX2 = false
 	for p, pr := range products {
 		want[p] = make([]complex128, pr.n)
-		pr.run(want[p])
+		if pr.ref == nil {
+			pr.ref = pr.run
+		}
+		pr.ref(want[p])
 	}
 	hostcpu.AVX2 = host
 	var err error
@@ -133,9 +140,10 @@ func TestBandProductsBitIdentical(t *testing.T) {
 				if na*nb*ng > 64*64*129 {
 					continue // the large blocks run at the workloads' shapes below
 				}
-				a, b, u := randMat(rng, na, ng), randMat(rng, nb, ng), randMat(rng, na, nb)
+				a, b, u, l := randMat(rng, na, ng), randMat(rng, nb, ng), randMat(rng, na, nb), randMat(rng, na, na)
 				zeroEntries(rng, u)
-				if err := bandProducts(a, b, u, na, nb, ng); err != nil {
+				zeroEntries(rng, l)
+				if err := bandProducts(a, b, u, l, na, nb, ng); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -143,27 +151,109 @@ func TestBandProductsBitIdentical(t *testing.T) {
 	}
 	for _, sh := range [][3]int{{32, 32, 513}, {16, 16, 376}, {64, 64, 513}, {16, 8, 751}, {9, 64, 751}} {
 		na, nb, ng := sh[0], sh[1], sh[2]
-		a, b, u := randMat(rng, na, ng), randMat(rng, nb, ng), randMat(rng, na, nb)
+		a, b, u, l := randMat(rng, na, ng), randMat(rng, nb, ng), randMat(rng, na, nb), randMat(rng, na, na)
 		zeroEntries(rng, u)
-		if err := bandProducts(a, b, u, na, nb, ng); err != nil {
+		zeroEntries(rng, l)
+		if err := bandProducts(a, b, u, l, na, nb, ng); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, sh := range [][3]int{{4, 4, 2}, {5, 9, 9}, {8, 8, 17}, {16, 12, 129}} {
 		na, nb, ng := sh[0], sh[1], sh[2]
 		for trial := 0; trial < 8; trial++ {
-			a, b, u := specialMat(rng, na, ng), specialMat(rng, nb, ng), specialMat(rng, na, nb)
+			a, b, u, l := specialMat(rng, na, ng), specialMat(rng, nb, ng), specialMat(rng, na, nb), specialMat(rng, na, na)
 			zeroEntries(rng, u)
-			if err := bandProducts(a, b, u, na, nb, ng); err != nil {
+			zeroEntries(rng, l)
+			if err := bandProducts(a, b, u, l, na, nb, ng); err != nil {
 				t.Fatalf("special values: %v", err)
 			}
 		}
 	}
 }
 
+// TestGramBitIdentical holds Gram to Overlap(s, a, a, ...) bit for bit on
+// the Go loops and on the kernels, at one, two and four workers, over every
+// remainder of the 4x4 tiles and the odd last point. Every third band is
+// real, so pairs of them have imaginary sums of exactly zero, which the
+// mirror must leave +0.
+func TestGramBitIdentical(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	rng := rand.New(rand.NewSource(56))
+	for _, n := range []int{1, 3, 4, 5, 13, 16, 32, 33, 64} {
+		for _, ng := range []int{1, 7, 100, 2917} {
+			a := randMat(rng, n, ng)
+			for k := 0; k < n*ng; k += 3 * ng {
+				for g := k; g < k+ng; g++ {
+					a[g] = complex(real(a[g]), 0)
+				}
+			}
+			want, got := make([]complex128, n*n), make([]complex128, n*n)
+			forEachVec(func(vec bool) {
+				for _, workers := range []int{1, 2, 4} {
+					parallel.SetMaxWorkers(workers)
+					Overlap(want, a, a, n, n, ng)
+					for k := range got {
+						got[k] = complex(math.NaN(), math.NaN()) // every element must be written
+					}
+					Gram(got, a, n, ng)
+					if k := firstDiff(got, want); k >= 0 {
+						t.Fatalf("n=%d ng=%d kernels=%v workers=%d: s[%d,%d] = %v, Overlap's %v",
+							n, ng, vec, workers, k/n, k%n, got[k], want[k])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSolveLowerBandsBitIdentical holds the forward substitution's kernel
+// to the Go loop bit for bit: every ng mod 8, ranges whose lo is not a
+// multiple of 8 (what ForBlock hands a worker), coefficients that are zeros
+// of either sign, and NaN, Inf and subnormal coefficients and points. The
+// points outside the range must come back untouched.
+func TestSolveLowerBandsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for _, n := range []int{1, 2, 3, 5, 8, 13, 32} {
+		for ng := 0; ng < 90; ng += 1 + ng/24 {
+			for _, lo := range []int{0, 1, 3, 5} {
+				for trial := 0; trial < 2; trial++ {
+					hi := max(lo, ng-trial*3)
+					if lo > ng {
+						continue
+					}
+					mat := randMat
+					if trial == 1 {
+						mat = specialMat
+					}
+					l, x := mat(rng, n, n), mat(rng, n, ng)
+					zeroEntries(rng, l)
+					var got, want []complex128
+					forEachVec(func(vec bool) {
+						y := append([]complex128(nil), x...)
+						solveLowerBandsRange(l, y, n, ng, lo, hi)
+						if vec {
+							got = y
+						} else {
+							want = y
+						}
+					})
+					if got == nil {
+						continue
+					}
+					if k := firstDiff(got, want); k >= 0 {
+						t.Fatalf("n=%d ng=%d points %d..%d special=%v: x[%d][%d] = %v, the Go loop's %v",
+							n, ng, lo, hi, trial == 1, k/max(ng, 1), k%max(ng, 1), got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzBandProducts is the property pin of the band-block kernels: for ANY
-// band counts and point count, Overlap and ApplyMatrix on the kernels equal
-// the Go loops bit for bit, at one and two workers. The corpus runs in a
+// band counts and point count, Overlap, Gram, ApplyMatrix and
+// SolveLowerBands on the kernels equal the Go loops bit for bit, and Gram
+// equals Overlap(a, a), at one and two workers. The corpus runs in a
 // plain `go test`.
 func FuzzBandProducts(f *testing.F) {
 	f.Add(uint8(32), uint8(32), uint16(513), false, int64(1))
@@ -177,9 +267,10 @@ func FuzzBandProducts(f *testing.F) {
 		if special {
 			mat = specialMat
 		}
-		a, b, u := mat(rng, na, ng), mat(rng, nb, ng), mat(rng, na, nb)
+		a, b, u, l := mat(rng, na, ng), mat(rng, nb, ng), mat(rng, na, nb), mat(rng, na, na)
 		zeroEntries(rng, u)
-		if err := bandProducts(a, b, u, na, nb, ng); err != nil {
+		zeroEntries(rng, l)
+		if err := bandProducts(a, b, u, l, na, nb, ng); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -208,6 +299,8 @@ func TestVecBoundsPanic(t *testing.T) {
 		{"rotation: short dst", func(vec bool) { applyMatrixColOrVec(vec, full(3*ng-1), full(4*ng), full(4*3), 2, 3, 4, ng) }},
 		{"rotation: short src", func(vec bool) { applyMatrixColOrVec(vec, full(3*ng), full(4*ng-1), full(4*3), 2, 3, 4, ng) }},
 		{"rotation: short u", func(vec bool) { applyMatrixColOrVec(vec, full(3*ng), full(4*ng), full(3*3+2), 2, 3, 4, ng) }},
+		{"solve: short l", func(vec bool) { solveLowerOrVec(vec, full(3*3-2), full(3*ng), 3, ng) }},
+		{"solve: short x", func(vec bool) { solveLowerOrVec(vec, full(3*3), full(3*ng-1), 3, ng) }},
 	}
 	for _, tc := range cases {
 		forEachVec(func(vec bool) {
@@ -231,10 +324,10 @@ func TestVecBoundsPanic(t *testing.T) {
 // and the Go loop the rows would fall back to otherwise.
 func overlapRowsOrVec(vec bool, s, a, b []complex128, nb, ng int) {
 	if vec {
-		overlapVec(s, a, b, 0, nb, ng)
+		overlapVec(s, a, b, 0, 0, nb, nb, ng)
 		return
 	}
-	overlapRows(s, a, b, 0, 4, nb, ng)
+	overlapBlock(s, a, b, 0, 0, nb, 4, nb, ng)
 }
 
 // applyMatrixColOrVec calls the rotation wrapper directly on the kernel
@@ -245,6 +338,16 @@ func applyMatrixColOrVec(vec bool, dst, src, u []complex128, j, nOut, nIn, ng in
 		return
 	}
 	applyMatrixCol(dst, src, u, j, nOut, nIn, ng)
+}
+
+// solveLowerOrVec calls the forward substitution's wrapper directly on the
+// kernel path, for the last band, and the Go loop otherwise.
+func solveLowerOrVec(vec bool, l, x []complex128, n, ng int) {
+	if vec {
+		solveLowerVec(l, x, n-1, n, ng, 0, ng, 1)
+		return
+	}
+	solveLowerBandsRange(l, x, n, ng, 0, ng)
 }
 
 // BenchmarkBandProducts times Overlap and ApplyMatrix on the Go loops and
@@ -270,6 +373,58 @@ func BenchmarkBandProducts(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					ApplyMatrix(dst, x, u, nb, na, ng)
+				}
+			})
+		})
+	}
+}
+
+// The Rayleigh-Ritz shapes of the ground state: the 2nb-band pencil's B and
+// the nb-band orthonormalization on Si16 (32 x 513 and 64 x 64 in the
+// pencil's own solves) and on Si32 (64 x 1037 and 128 x 128).
+var rrShapes = [][2]int{{32, 513}, {64, 64}, {64, 1037}, {128, 128}}
+
+// BenchmarkGram times Gram against Overlap(s, a, a, ...) on the Go loops and
+// on the kernels at the Rayleigh-Ritz shapes. Compare within one run.
+func BenchmarkGram(b *testing.B) {
+	for _, sh := range rrShapes {
+		n, ng := sh[0], sh[1]
+		a, s := randMat(rand.New(rand.NewSource(1)), n, ng), make([]complex128, n*n)
+		forEachVec(func(vec bool) {
+			for _, gram := range []bool{false, true} {
+				b.Run(fmt.Sprintf("%dx%d/gram=%v/kernels=%v", n, ng, gram, vec), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if gram {
+							Gram(s, a, n, ng)
+						} else {
+							Overlap(s, a, a, n, n, ng)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// BenchmarkSolveLowerBands times the forward substitution on the Go loop and
+// on the kernel at the Rayleigh-Ritz shapes, each solve on a fresh copy of
+// the same bands, with a diagonal that keeps them finite. Compare within
+// one run.
+func BenchmarkSolveLowerBands(b *testing.B) {
+	for _, sh := range rrShapes {
+		n, ng := sh[0], sh[1]
+		rng := rand.New(rand.NewSource(1))
+		l, x0, x := randMat(rng, n, n), randMat(rng, n, ng), make([]complex128, n*ng)
+		for i := 0; i < n; i++ {
+			l[i*n+i] = complex(float64(n), 0)
+		}
+		forEachVec(func(vec bool) {
+			b.Run(fmt.Sprintf("%dx%d/kernels=%v", n, ng, vec), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(x, x0)
+					SolveLowerBands(l, x, n, ng)
 				}
 			})
 		})

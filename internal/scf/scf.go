@@ -218,9 +218,9 @@ func eigStep(g *grid.Grid, h *hamiltonian.Hamiltonian, psi []complex128, nb int,
 	m := 2 * nb
 	a, b := ew.a, ew.b
 	linalg.Overlap(a, basis, hbasis, m, m, ng)
-	linalg.Overlap(b, basis, basis, m, m, ng)
-	// The self-overlap b is Hermitian bit for bit already; a, a product
-	// through H, is only Hermitian to rounding.
+	linalg.Gram(b, basis, m, ng)
+	// The self-overlap b is exactly Hermitian, so Gram computes half of it;
+	// a, a product through H, is only Hermitian to rounding.
 	hermitize(a, m)
 
 	_, u, err := ew.pencil.GenEigChol(a, b, nb)

@@ -38,7 +38,7 @@ func Random(g *grid.Grid, nb int, seed int64) []complex128 {
 // caller's nb x nb s, and the orthonormality error before the rotation,
 // IdentityError of that overlap, is returned.
 func Orthonormalize(psi, s []complex128, nb, ng int) (float64, error) {
-	linalg.Overlap(s, psi, psi, nb, nb, ng)
+	linalg.Gram(s, psi, nb, ng)
 	oerr := IdentityError(s, nb)
 	if err := linalg.CholeskyLower(s, nb); err != nil {
 		return oerr, fmt.Errorf("wavefunc: overlap not positive definite: %w", err)
@@ -50,7 +50,7 @@ func Orthonormalize(psi, s []complex128, nb, ng int) (float64, error) {
 // OrthonormalityError returns max_ij |<psi_i|psi_j> - delta_ij|.
 func OrthonormalityError(psi []complex128, nb, ng int) float64 {
 	s := make([]complex128, nb*nb)
-	linalg.Overlap(s, psi, psi, nb, nb, ng)
+	linalg.Gram(s, psi, nb, ng)
 	return IdentityError(s, nb)
 }
 
